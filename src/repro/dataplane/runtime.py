@@ -123,7 +123,7 @@ def prepare_replay_flows(
     ``Experiment.packet_stream`` so batch replay and ``python -m repro
     serve`` stream exactly the same traffic.
     """
-    flows = dataset.flows[:max_flows] if max_flows else list(dataset.flows)
+    flows = list(dataset.flows) if max_flows is None else dataset.flows[:max_flows]
     if not jitter_starts:
         return flows
     rng = np.random.default_rng(seed)

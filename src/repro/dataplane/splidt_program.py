@@ -18,12 +18,15 @@ hash, so hash collisions corrupt state exactly as they would on hardware.
 
 The scalar path above serves ``replay_dataset(..., engine="reference")``;
 the batched :meth:`SpliDTDataPlane.step_windows` API applies the same
-transitions to many flows at once for ``engine="vectorized"``.
+transitions to many flows — or many register slots — at once for the
+batched engines (:mod:`repro.dataplane.vectorized`,
+:mod:`repro.dataplane.slot_stream`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -145,6 +148,9 @@ class SpliDTDataPlane:
 
         self._names = feature_names()
         self._flow_state: dict[int, _FlowState] = {}
+        #: Flows the flow-lockstep plane decided whose terminal state is not
+        #: in ``_flow_state`` yet (see :meth:`note_lockstep_verdicts`).
+        self._unsettled: list[tuple] = []
         self._verdicts: dict[int, FlowVerdict] = {}
         self._stateful_by_sid: dict[int, list[int]] = {}
 
@@ -204,7 +210,7 @@ class SpliDTDataPlane:
                 boundaries.
             mirror_registers: Mirror the operator values into the feature-slot
                 registers on every packet (the hardware-faithful default).
-                The vectorized engine's scalar collision path disables this:
+                Per-packet replays inside the batched engine disable this:
                 feature registers are write-only instrumentation (inference
                 reads the operator state), and the engine contract already
                 scopes register counters as engine-specific.
@@ -212,6 +218,8 @@ class SpliDTDataPlane:
         Returns:
             The flow's verdict if this packet triggered the final decision.
         """
+        if self._unsettled:
+            self._settle()
         slot = self.indexer.index_for(phv.five_tuple)
         state = self._flow_state.get(slot)
         if state is not None and state.decided:
@@ -354,7 +362,7 @@ class SpliDTDataPlane:
         flow_ids: np.ndarray,
         slots: np.ndarray,
         sids: np.ndarray,
-        window_index: int,
+        window_index: "int | np.ndarray",
         feature_matrix: np.ndarray,
         boundary_ts: np.ndarray,
         first_packet_ts: np.ndarray,
@@ -380,8 +388,10 @@ class SpliDTDataPlane:
             flow_ids: Bookkeeping flow ids (one per row).
             slots: Register slot of each flow.
             sids: Active subtree id of each flow.
-            window_index: The window every row just completed (all rows
-                advance in lock-step rounds).
+            window_index: The window every row just completed — one int when
+                all rows advance in lock-step rounds (the flow-lockstep
+                plane), or one index per row (the slot-stream plane, whose
+                slots sit at different windows in the same event round).
             feature_matrix: ``(n, N_FEATURES)`` raw feature values at the
                 boundary.
             boundary_ts: Timestamp of each flow's boundary packet.
@@ -441,8 +451,11 @@ class SpliDTDataPlane:
 
         # Explicit boolean *arrays* (no scalar-bool mixing): at the last
         # window nothing advances and an exit outcome is not "early".
-        is_last = window_index >= self._n_partitions - 1
-        not_last = np.full(n_rows, not is_last, dtype=bool)
+        per_row = isinstance(window_index, np.ndarray)
+        if per_row:
+            not_last = window_index < self._n_partitions - 1
+        else:
+            not_last = np.full(n_rows, window_index < self._n_partitions - 1, dtype=bool)
         advance = (kinds == KIND_NEXT) & not_last
         decided = ~advance
 
@@ -454,7 +467,7 @@ class SpliDTDataPlane:
             labels[decided],
             boundary_ts[decided],
             first_packet_ts[decided],
-            window_index,
+            window_index[decided] if per_row else window_index,
             early_exits[decided],
         )
         if staging is None:
@@ -486,7 +499,7 @@ class SpliDTDataPlane:
         labels: np.ndarray,
         boundary_ts: np.ndarray,
         first_packet_ts: np.ndarray,
-        window_index: int,
+        window_index: "int | np.ndarray",
         early_exits: np.ndarray,
     ) -> None:
         """Record verdicts and digests for many decided rows at once.
@@ -500,13 +513,20 @@ class SpliDTDataPlane:
             return
         verdicts = self._verdicts
         digests: list[Digest] = []
-        for flow_id, sid, label, decided_at, first_at, early in zip(
+        # A flow has recirculated once per window it completed before this one.
+        recirculations = (
+            window_index.tolist()
+            if isinstance(window_index, np.ndarray)
+            else repeat(window_index)
+        )
+        for flow_id, sid, label, decided_at, first_at, early, n_recirculations in zip(
             flow_ids.tolist(),
             sids.tolist(),
             labels.tolist(),
             boundary_ts.tolist(),
             first_packet_ts.tolist(),
             early_exits.tolist(),
+            recirculations,
         ):
             flow_id = int(flow_id)
             label = int(label)
@@ -515,7 +535,7 @@ class SpliDTDataPlane:
                 label=label,
                 decided_at=decided_at,
                 first_packet_at=first_at,
-                n_recirculations=window_index,
+                n_recirculations=n_recirculations,
                 early_exit=early,
             )
             digests.append(
@@ -534,6 +554,90 @@ class SpliDTDataPlane:
         for decided_columns in staging:
             self._finalise_batch(*decided_columns)
         staging.clear()
+
+    # ------------------------------------------------------------------
+    # Slot-state hand-over (slot-stream plane)
+    # ------------------------------------------------------------------
+    def occupied_slots(self) -> np.ndarray:
+        """Register slots that currently hold per-flow state (any order)."""
+        if self._unsettled:
+            self._settle()
+        return np.fromiter(self._flow_state, dtype=np.intp, count=len(self._flow_state))
+
+    def resident(self, slot: int) -> "_FlowState | None":
+        """The flow state held in register ``slot`` (``None`` when free)."""
+        if self._unsettled:
+            self._settle()
+        return self._flow_state.get(slot)
+
+    def note_lockstep_verdicts(
+        self, flows, indices: np.ndarray, slots: np.ndarray, first_ts: np.ndarray
+    ) -> None:
+        """Record that ``flows[indices]`` were decided in ``slots`` without slot state.
+
+        The flow-lockstep plane only takes flows that meet a clean slot and
+        decide in it, and it builds no ``_FlowState``: a replay would pay one
+        object per flow for state nothing reads unless the program is used
+        again.  The record is turned into terminal slot state (a decided
+        resident per slot — the latest flow by ``first_ts``) the first time
+        anything looks at slot state afterwards.
+        """
+        self._unsettled.append((flows, indices, slots, first_ts))
+
+    def _settle(self) -> None:
+        for flows, indices, slots, first_ts in self._unsettled:
+            for row in np.argsort(first_ts, kind="stable").tolist():
+                flow = flows[int(indices[row])]
+                self._flow_state[int(slots[row])] = _FlowState(
+                    sid=self.model.root_sid,
+                    five_tuple=flow.five_tuple,
+                    flow_id=flow.flow_id,
+                    decided=True,
+                )
+        self._unsettled.clear()
+
+    def install_resident(
+        self,
+        slot: int,
+        *,
+        five_tuple: FiveTuple,
+        flow_id: int,
+        sid: int,
+        window_index: int,
+        packets_seen: int,
+        first_packet_at: float,
+        last_seen_at: float,
+        stateless: dict[int, float],
+        decided: bool,
+    ) -> None:
+        """Put a flow into ``slot`` as :meth:`process_packet` would have left it.
+
+        The slot-stream plane advances slots without ``_FlowState`` objects
+        and hands each slot back through this when it is done: a decided
+        resident in its terminal state, an undecided one at the *start* of
+        its open window (fresh operators of subtree ``sid``) — the caller
+        then feeds the open window's packets to :meth:`process_packet`.
+        """
+        state = _FlowState(
+            sid=sid,
+            five_tuple=five_tuple,
+            flow_id=flow_id,
+            packets_seen=packets_seen,
+            window_index=window_index,
+            first_packet_at=first_packet_at,
+            last_seen_at=last_seen_at,
+            n_recirculations=window_index,
+            stateless=stateless,
+            decided=decided,
+        )
+        if not decided:
+            self._activate_subtree(state)
+        self._flow_state[slot] = state
+
+    def record_evictions(self, flow_ids: list[int]) -> None:
+        """Account for evicted residents (one eviction per entry of ``flow_ids``)."""
+        self._evictions += len(flow_ids)
+        self._evicted_flows.update(flow_ids)
 
     def subtree_stateful_features(self, sid: int) -> list[int]:
         """Sorted stateful feature indices of subtree ``sid`` (its operator bank).
@@ -601,10 +705,12 @@ class SpliDTDataPlane:
     def eviction_stats(self) -> dict:
         """Eviction counters: total evictions plus the evicted flow ids.
 
-        Evictions only ever happen on the scalar collision path (isolated
-        flows always decide before another flow can reach their slot), so the
-        counters are bit-identical across every replay engine — the parity
-        fuzzer includes them in its snapshot.
+        Evictions only ever happen in slots shared by several flows, which
+        the batched engine replays on the slot-stream plane (it reports the
+        residents it evicts through :meth:`record_evictions`); a flow on the
+        flow-lockstep plane decides before another flow can reach its slot.
+        The counters are bit-identical across every replay engine — the
+        parity fuzzer includes them in its snapshot.
         """
         return {
             "policy": self.eviction.name if self.eviction is not None else "none",

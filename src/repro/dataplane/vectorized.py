@@ -8,12 +8,18 @@ traffic orders of magnitude faster by exploiting two structural facts:
 1. **The replay factorises over register slots.**  All cross-packet state a
    program keeps is indexed by the CRC32 flow slot, so flows that occupy
    *different* slots never interact; only the global recirculation counters
-   are shared, and those are order-insensitive aggregates.  Flows that share
-   a slot *and* overlap in time (or repeat a five-tuple) corrupt each other
-   exactly as on hardware, so they are delegated to the per-packet scalar
-   path; same-slot flows whose lifetimes do not overlap reclaim the slot
-   cleanly in the reference semantics and stay on the fast path (see
-   :func:`_split_scalar_fast`).
+   are shared, and those are order-insensitive aggregates.  A SpliDT flow
+   that meets a clean slot — alone in it, or following its predecessors
+   there after their verdicts under a different five-tuple — advances on
+   the flow-lockstep plane of this module.  Flows that share a slot *and*
+   overlap in time, repeat a five-tuple or may end undecided corrupt,
+   evict and inherit each other's state exactly as on hardware; those slots
+   are replayed as sequential packet runs, still batched across slots, by
+   the slot-stream plane (:mod:`repro.dataplane.slot_stream`; the routing
+   rule is :func:`_split_scalar_fast`).  The per-packet interpreter is the
+   oracle, not a path: it runs for programs without a batched API (a
+   one-shot top-k program's colliding flows, :func:`_split_scalar_fast`)
+   and where the slot-stream plane hands slot state over to it.
 2. **Window boundaries are deterministic.**  A flow's window segmentation
    depends only on its packet count (the Homa/NDP flow-size header field),
    so every window of every flow can be precomputed and the per-packet
@@ -37,9 +43,10 @@ Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 verdicts, labels, time-to-detection values, digests and recirculation
 statistics bit-identical to ``engine="reference"``.  Only instrumentation
 differs: register read/write counters reflect one batched access per window
-boundary instead of one per packet (the scalar collision path skips the
-write-only feature-register mirror entirely), and the flow indexer's
-per-packet lookup counters are not maintained for non-colliding flows.
+boundary instead of one per packet (per-packet replays inside the batched
+engine skip the write-only feature-register mirror entirely), and the flow
+indexer's per-packet lookup counters are not maintained on the batched
+planes.
 
 Floating-point notes:
 
@@ -215,14 +222,39 @@ def cached_flow_slots(soa: PacketArrays, flows: list[Flow], table_size: int) -> 
 
     The CRC32 slot of a flow is a pure function of its five-tuple and the
     register table size, so every replay and serving session over the same
-    ``PacketArrays`` shares one hashing pass.
+    ``PacketArrays`` shares one hashing pass.  The first pass over a source
+    also leaves the per-flow five-tuple ids (see :func:`cached_tuple_ids`):
+    they come out of the same loop and do not depend on the table size.
     """
     key = ("slots", table_size)
     slots = soa.derived.get(key)
     if slots is None or slots.size != len(flows):
-        slots = flow_slots(flows, table_size)
+        tuple_ids = soa.derived.get("tuple_ids")
+        if tuple_ids is not None and tuple_ids.size == len(flows):
+            slots = flow_slots(flows, table_size)
+        else:
+            slots, soa.derived["tuple_ids"] = flow_slots(
+                flows, table_size, return_tuple_ids=True
+            )
         soa.derived[key] = slots
     return slots
+
+
+def cached_tuple_ids(soa: PacketArrays, flows: list[Flow], table_size: int) -> np.ndarray:
+    """Dense per-flow five-tuple id (equal iff the tuples are equal), soa-cached.
+
+    The slot-stream plane compares a slot's resident with incoming packets
+    by these ids.  Normally filled by the first :func:`cached_flow_slots`
+    pass; a session whose slots were handed down precomputed (sharded
+    serving) pays the pass here, the first time a contended flush needs it.
+    """
+    tuple_ids = soa.derived.get("tuple_ids")
+    if tuple_ids is None or tuple_ids.size != len(flows):
+        soa.derived[("slots", table_size)], tuple_ids = flow_slots(
+            flows, table_size, return_tuple_ids=True
+        )
+        soa.derived["tuple_ids"] = tuple_ids
+    return tuple_ids
 
 
 class _WindowAggregator:
@@ -582,33 +614,66 @@ def _replay_scalar(
     soa: PacketArrays,
     flow_mask: np.ndarray,
     prefix_counts: np.ndarray | None = None,
-) -> None:
-    """Per-packet reference semantics for the flows selected by ``flow_mask``.
+    *,
+    slots: np.ndarray | None = None,
+    stream=None,
+) -> dict | None:
+    """Reference semantics for the flows the batched planes cannot take alone.
 
-    Used for flows that share a register slot with temporal overlap: their
-    packets are replayed in global ``(timestamp, flow_id)`` order through
-    ``program.process_packet``, so slot corruption and reclaim behave exactly
-    as in the reference engine.  The per-packet feature-register mirror is
-    skipped (``mirror_registers=False``): those writes are write-only
-    instrumentation and the engine contract scopes register counters as
-    engine-specific.
+    The entry point for every flow whose register slot is shared state
+    ("scalar" is historical: it used to mean the per-packet interpreter for
+    all of them).  The selected flows' packets take effect in global
+    ``(timestamp, flow_id)`` order within each slot, so corruption, eviction
+    and reclaim behave exactly as in the reference engine:
+
+    * a SpliDT program replays them on the slot-stream plane
+      (:func:`repro.dataplane.slot_stream.replay_slot_stream`, whose
+      accounting is returned; ``slots`` and ``stream`` are passed through);
+    * any other program replays them packet by packet through
+      ``process_packet`` (returns ``None``).  The per-packet feature-register
+      mirror is skipped (``mirror_registers=False``): those writes are
+      write-only instrumentation and the engine contract scopes register
+      counters as engine-specific.
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
     packet headers — the micro-batch serving engine uses this to replay the
     buffered prefix of flows whose stream ended mid-flow.
     """
+    if hasattr(program, "step_windows"):
+        from repro.dataplane.slot_stream import replay_slot_stream
+
+        return replay_slot_stream(
+            program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream
+        )
+    _replay_positions(program, flows, soa, _arrival_order(soa, flow_mask, prefix_counts))
+    return None
+
+
+def _arrival_order(
+    soa: PacketArrays, flow_mask: np.ndarray, prefix_counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Packet positions of the flows in ``flow_mask``, in global arrival order.
+
+    ``prefix_counts`` keeps only each flow's first ``prefix_counts[i]`` packets.
+    """
     packet_selected = flow_mask[soa.packet_flow]
     if prefix_counts is not None:
-        packet_selected = packet_selected & (
-            _local_packet_index(soa) < prefix_counts[soa.packet_flow]
-        )
-    order = soa.interleave_order[packet_selected[soa.interleave_order]]
+        packet_selected &= _local_packet_index(soa) < prefix_counts[soa.packet_flow]
+    return soa.interleave_order[packet_selected[soa.interleave_order]]
+
+
+def _replay_positions(program, flows: list[Flow], soa: PacketArrays, positions) -> None:
+    """Feed the packets at ``positions`` to ``program.process_packet``, in order.
+
+    ``positions`` index the flow-major packet columns.  Packet headers carry
+    the *full* flow size whatever subset of a flow is replayed.
+    """
     flow_starts = soa.flow_starts
     sizes = soa.n_packets_per_flow
     packet_flow = soa.packet_flow
     process_packet = program.process_packet
-    for position in order:
+    for position in positions:
         flow_index = int(packet_flow[position])
         flow = flows[flow_index]
         packet = flow.packets[int(position - flow_starts[flow_index])]
@@ -764,122 +829,76 @@ def _split_scalar_fast(
     indices: np.ndarray,
     forced: np.ndarray | None = None,
     min_packets: int = 1,
+    tuple_ids: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scalar/fast partition of ``indices`` preserving reference semantics.
+    """Which of the flows ``indices`` share register state with another flow.
 
-    Returns a boolean mask over ``indices``: True rows must replay through
-    the per-packet scalar path, False rows are safe for the batched plane.
-    The rule generalises the historical "any shared slot goes scalar":
+    Returns a boolean mask over ``indices``: True rows must replay with
+    sequential per-slot semantics (:func:`_replay_scalar`), False rows are
+    safe for the batched whole-flow planes.  One rule, by slot: a slot is
+    safe when every flow in it meets a clean slot in the reference engine —
+    each has at least ``min_packets`` packets (for SpliDT: fewer than one
+    per partition and the flow may exhaust its windows while recirculating
+    and end *undecided*, leaving live state the next flow inherits), none is
+    ``forced`` by the caller (buffered prefix, dirty slot), and they follow
+    one another: each starts strictly after its predecessor's last packet
+    (so after its verdict) under a different five-tuple (so it reclaims the
+    slot; the reference engine treats a decided flow's retransmitted tuple
+    as the same flow).  In every other slot the flows share sequential
+    register state, and all of them go scalar.
 
-    * Same-slot flows are clustered by temporal overlap (touching intervals
-      merge).  A cluster of two or more flows corrupts shared register state
-      — scalar.
-    * A flow *forced* scalar by the caller (buffered prefix, dirty slot)
-      keeps its cluster scalar.
-    * A flow with fewer than ``min_packets`` packets (for SpliDT: fewer
-      packets than partitions) may exhaust its windows while still
-      recirculating and end *undecided*; the reference engine keeps its live
-      per-slot state, which the next flow hashed there inherits.  Such flows
-      always go scalar — the scalar path materialises the inheritable state.
-    * Once a slot has seen a scalar cluster, every later flow in that slot is
-      *poisoned*: the cluster may end undecided, and on hardware the next
-      flow hashed there inherits its live register state.
-    * A slot whose flows repeat a five-tuple goes entirely scalar: the
-      reference engine treats a decided flow's retransmitted tuple as the
-      same flow (no reclaim), which the batched plane cannot express.
-
-    An isolated (non-overlapping, unpoisoned, unforced) flow with at least
-    ``min_packets`` packets always reaches a clean slot in the reference
-    engine and decides at its final window — the slot is reclaimed — so it
-    is bit-identical on the fast path.
+    ``tuple_ids`` may be omitted when the program ignores five-tuples
+    (top-k) or the caller has already forced every slot that repeats one.
+    ``flows`` is unused; the signature is what the benchmark harness wraps.
     """
-    n = indices.size
-    scalar = np.zeros(n, dtype=bool)
+    order = np.lexsort((soa.first_timestamps[indices], slots[indices]))
+    ordered = indices[order]
+    unsafe = soa.n_packets_per_flow[ordered] < min_packets
     if forced is not None:
-        np.copyto(scalar, forced)
-    if min_packets > 1:
-        scalar |= soa.n_packets_per_flow[indices] < min_packets
-    if n == 0:
-        return scalar
-    sel_slots = slots[indices]
-    uniq, cnt = np.unique(sel_slots, return_counts=True)
-    contended = uniq[cnt > 1]
-    interesting = np.isin(sel_slots, contended)
-    if scalar.any():
-        interesting |= np.isin(sel_slots, np.unique(sel_slots[scalar]))
-    cand = np.flatnonzero(interesting)
-    if cand.size == 0:
-        return scalar
-
-    first = soa.first_timestamps[indices][cand]
-    last = _last_timestamps(soa)[indices][cand]
-    cand_slots = sel_slots[cand]
-    perm = np.lexsort((soa.flow_ids[indices][cand], first, cand_slots))
-    ordered = cand[perm]
-
-    def close_slot(members: list[tuple[int, float, float]], tuples: list) -> None:
-        if len(set(tuples)) < len(tuples):
-            # Repeated five-tuple: reference-engine dedup semantics apply.
-            for pos, _, _ in members:
-                scalar[pos] = True
-            return
-        poisoned = False
-        cluster: list[int] = []
-        cluster_scalar = False
-        run_end = None
-        for pos, first_ts, last_ts in members:
-            if run_end is not None and first_ts <= run_end:
-                cluster.append(pos)
-                cluster_scalar = cluster_scalar or bool(scalar[pos])
-                if last_ts > run_end:
-                    run_end = last_ts
-                continue
-            if cluster and (poisoned or len(cluster) > 1 or cluster_scalar):
-                for member in cluster:
-                    scalar[member] = True
-                poisoned = True
-            cluster = [pos]
-            cluster_scalar = bool(scalar[pos])
-            run_end = last_ts
-        if cluster and (poisoned or len(cluster) > 1 or cluster_scalar):
-            for member in cluster:
-                scalar[member] = True
-
-    current_slot = None
-    members: list[tuple[int, float, float]] = []
-    tuples: list = []
-    for pos, flow_index, slot, first_ts, last_ts in zip(
-        ordered.tolist(),
-        indices[ordered].tolist(),
-        cand_slots[perm].tolist(),
-        first[perm].tolist(),
-        last[perm].tolist(),
-    ):
-        if slot != current_slot:
-            if members:
-                close_slot(members, tuples)
-            current_slot = slot
-            members = []
-            tuples = []
-        members.append((pos, first_ts, last_ts))
-        tuples.append(flows[flow_index].five_tuple)
-    if members:
-        close_slot(members, tuples)
+        unsafe |= forced[order]
+    same_slot = slots[ordered][1:] == slots[ordered][:-1]
+    overlap = soa.first_timestamps[ordered][1:] <= _last_timestamps(soa)[ordered][:-1]
+    if tuple_ids is not None:
+        overlap |= tuple_ids[ordered][1:] == tuple_ids[ordered][:-1]
+    unsafe[1:] |= same_slot & overlap
+    # Spread each slot's verdict over its run of the sorted flows.
+    run = np.zeros(ordered.size, dtype=np.intp)
+    np.cumsum(~same_slot, out=run[1:])
+    scalar = np.empty(indices.size, dtype=bool)
+    scalar[order] = (np.bincount(run, weights=unsafe) > 0)[run]
     return scalar
 
 
-def _min_decidable_packets(program) -> int:
-    """Packet count below which a complete flow may still end *undecided*.
+def _route_splidt(
+    program, flows: list[Flow], soa: PacketArrays, slots: np.ndarray, populated: np.ndarray
+):
+    """``(lockstep flow indices, slot-stream flow mask, slot stream)`` of one replay.
 
-    A SpliDT flow walks one window per packet until the final partition, so a
-    flow with fewer packets than partitions can exhaust its stream while
-    still recirculating — the reference engine then keeps its live slot
-    state for the next flow hashed there to inherit.  TopK (and any program
-    without windows) always decides at flow end.
+    A pure function of the traffic, the table size and the partition count
+    while the program holds no slot state, so it is cached on ``soa.derived``
+    (integer columns only); slots the program already holds state for are
+    forced onto the slot-stream plane, uncached.
     """
-    if hasattr(program, "step_windows"):
-        return int(program.model.config.n_partitions)
-    return 1
+    from repro.dataplane.slot_stream import build_slot_stream
+
+    n_partitions = int(program.model.config.n_partitions)
+    table_size = program.indexer.table_size
+    key = ("slot_route", table_size, n_partitions)
+    held = program.occupied_slots()
+    if held.size == 0 and key in soa.derived:
+        return soa.derived[key]
+    forced = np.isin(slots[populated], held) if held.size else None
+    contended = _split_scalar_fast(
+        soa, flows, slots, populated, forced, n_partitions,
+        cached_tuple_ids(soa, flows, table_size),
+    )
+    mask = np.zeros(soa.n_flows, dtype=bool)
+    mask[populated[contended]] = True
+    stream = build_slot_stream(soa, slots, mask) if contended.any() else None
+    route = (populated[~contended], mask, stream)
+    if held.size == 0:
+        soa.derived[key] = route
+    return route
 
 
 def replay_arrays(
@@ -892,10 +911,21 @@ def replay_arrays(
 
     Populates ``program.verdicts`` (and, for SpliDT, the controller digests
     and recirculation counters) exactly as the per-packet reference loop
-    would.  Flows that share a register slot with temporal overlap (or a
-    repeated five-tuple) are delegated to the scalar path; everything else
-    advances in fused vectorized window rounds, reusing ``workspace``
-    buffers when one is passed.
+    would.  SpliDT flows are routed by slot (:func:`_split_scalar_fast`): a
+    flow that meets a clean slot advances in fused flow-lockstep window
+    rounds (reusing ``workspace`` buffers when one is passed), every shared
+    slot goes through :func:`_replay_scalar` to the slot-stream plane
+    (:mod:`repro.dataplane.slot_stream`).  Programs without a batched API
+    replay per packet; a one-shot top-k program batches whole flows and
+    sends colliding ones per packet (:func:`_split_scalar_fast`).
+
+    Leaves ``program.replay_stats``: flows and packets per path
+    (``batched`` / ``slot_stream`` / ``per_packet``), the per-packet share by
+    reason (``no_batched_api`` — including a top-k program's colliding
+    flows —, ``live_state``: the slot held an undecided flow at entry,
+    ``exit_tail``: open windows re-run so the program's slot state is
+    truthful afterwards; these packets were also counted under
+    ``slot_stream``) and the number of slot-stream event rounds.
 
     Example::
 
@@ -905,34 +935,54 @@ def replay_arrays(
     """
     if soa is None:
         soa = PacketArrays.from_flows(flows)
-    if soa.n_flows == 0:
-        return
-
-    table_size = program.indexer.table_size
-    slots = cached_flow_slots(soa, flows, table_size)
+    stats = {
+        "flows": {"batched": 0, "slot_stream": 0, "per_packet": 0},
+        "packets": {"batched": 0, "slot_stream": 0, "per_packet": 0},
+        "per_packet_reasons": {},
+        "event_rounds": 0,
+    }
+    program.replay_stats = stats
     populated = np.flatnonzero(soa.n_packets_per_flow > 0)
     if populated.size == 0:
         return
 
-    has_batched = hasattr(program, "step_windows") or hasattr(program, "classify_flow_batch")
-    if has_batched:
-        scalar_rows = _split_scalar_fast(
-            soa, flows, slots, populated, min_packets=_min_decidable_packets(program)
-        )
-        scalar_indices = populated[scalar_rows]
-        fast = populated[~scalar_rows]
-    else:
-        scalar_indices = populated
-        fast = np.empty(0, dtype=np.intp)
+    def count(path: str, n_flows: int, n_packets: int) -> None:
+        stats["flows"][path] += n_flows
+        stats["packets"][path] += n_packets
 
-    if scalar_indices.size:
-        mask = np.zeros(soa.n_flows, dtype=bool)
-        mask[scalar_indices] = True
-        _replay_scalar(program, flows, soa, mask)
+    def count_per_packet(reason: str, n_flows: int, n_packets: int) -> None:
+        count("per_packet", n_flows, n_packets)
+        stats["per_packet_reasons"][reason] = {"flows": n_flows, "packets": n_packets}
 
-    if fast.size == 0:
-        return
-    if hasattr(program, "step_windows"):
-        _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
+    slots = cached_flow_slots(soa, flows, program.indexer.table_size)
+    counts = soa.n_packets_per_flow
+    windowed = hasattr(program, "step_windows")
+    if windowed:
+        fast, shared, stream = _route_splidt(program, flows, soa, slots, populated)
     else:
-        _replay_topk_batched(program, soa, fast)
+        if hasattr(program, "classify_flow_batch"):
+            scalar_rows = _split_scalar_fast(soa, flows, slots, populated)
+        else:
+            scalar_rows = np.ones(populated.size, dtype=bool)
+        fast, stream = populated[~scalar_rows], None
+        shared = np.zeros(soa.n_flows, dtype=bool)
+        shared[populated[scalar_rows]] = True
+
+    if shared.any():
+        outcome = _replay_scalar(program, flows, soa, shared, slots=slots, stream=stream)
+        if outcome is None:
+            count_per_packet("no_batched_api", int(shared.sum()), int(counts[shared].sum()))
+        else:
+            count("slot_stream", outcome["flows"], outcome["packets"])
+            stats["event_rounds"] = outcome["rounds"]
+            for reason, share in outcome["per_packet"].items():
+                count_per_packet(reason, share["flows"], share["packets"])
+    if fast.size:
+        if windowed:
+            _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
+            program.note_lockstep_verdicts(
+                flows, fast, slots[fast], soa.first_timestamps[fast]
+            )
+        else:
+            _replay_topk_batched(program, soa, fast)
+    count("batched", int(fast.size), int(counts[fast].sum()))

@@ -62,6 +62,13 @@ class ScenarioResult:
     peak_rss_bytes: int
     materialised_estimate: int | None
     elapsed_s: float
+    #: Seconds inside the replay itself (``elapsed_s`` also covers generating
+    #: the workload, building the program and scoring).
+    replay_s: float = 0.0
+    #: ``program.replay_stats`` of the replay: flows and packets per path
+    #: (batched / slot_stream / per_packet), per-packet reasons, event rounds.
+    #: Empty for evasion workloads, which replay through the reference path.
+    replay_stats: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def violations(self, bounds: DegradationBounds | None) -> list[str]:
@@ -175,7 +182,9 @@ def run_scenario(
     started = time.perf_counter()
     with build_workload(scenario, traffic_flows=traffic_flows) as workload:
         program = _build_program(scenario, model, rules, exp_spec, flow_slots)
+        replay_started = time.perf_counter()
         replay_workload(program, workload)
+        replay_s = time.perf_counter() - replay_started
 
         labels = np.asarray(workload.soa.labels[: workload.n_legit])
         verdicts = program.verdicts
@@ -213,6 +222,8 @@ def run_scenario(
             peak_rss_bytes=peak_rss_bytes(),
             materialised_estimate=estimate,
             elapsed_s=time.perf_counter() - started,
+            replay_s=replay_s,
+            replay_stats=getattr(program, "replay_stats", {}),
         )
     return result
 
@@ -223,13 +234,16 @@ def sweep_occupancy(
     flow_slots: int = 256,
     factors: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0),
     experiment: ExperimentSpec | None = None,
+    prepared: tuple | None = None,
 ) -> list[ScenarioResult]:
     """Replay the scenario as the flow population sweeps the slot capacity.
 
     Each factor targets ``factor × flow_slots`` total flows; the legitimate
     flow count is scaled to hit the target after any flood layers'
     (fixed-size) contribution.  One model is trained and shared across all
-    points, so the sweep isolates the *table pressure* axis.
+    points, so the sweep isolates the *table pressure* axis; ``prepared``
+    hands in an existing ``(model, rules, exp_spec)`` deployment instead, as
+    for :func:`run_scenario`.
     """
     scenario.validate()
     profile = get_profile(scenario.dataset)
@@ -238,7 +252,8 @@ def sweep_occupancy(
         for layer in scenario.layers
         if layer.kind == "ddos-flood"
     )
-    prepared = prepare_system(scenario, experiment)
+    if prepared is None:
+        prepared = prepare_system(scenario, experiment)
     results = []
     for factor in factors:
         target_total = max(int(round(factor * flow_slots)), 1)

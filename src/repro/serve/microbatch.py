@@ -17,12 +17,14 @@ eager flush once three conditions hold:
 3. **unblocked** — no *other* live (seen, unflushed, non-eligible) flow
    occupies the same register slot.
 
-Flows flushed together that share a slot with temporal overlap (or a
-repeated five-tuple), and flows whose stream ended mid-flow (prefixes), are
-delegated to the per-packet scalar path in global interleave order — exactly
-the collision discipline of ``replay_dataset(engine="vectorized")`` — so the
-results after ``drain`` are bit-identical to the reference loop for **any**
-chunking of the stream.
+Flows flushed together that share a slot, flows whose stream ended mid-flow
+(prefixes) and flows too short to be sure of a verdict go through the
+slot-stream plane (:mod:`repro.dataplane.slot_stream`), which replays each
+shared slot's packets in arrival order with the reference engine's
+corruption, eviction and reclaim semantics — exactly the collision
+discipline of ``replay_dataset(engine="fused")`` — so the results after
+``drain`` are bit-identical to the reference loop for **any** chunking of
+the stream.  (Programs without windows keep the per-packet scalar path.)
 
 Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
 shared by all its flushes, so the per-round buffers of the fused window
@@ -173,9 +175,9 @@ class MicroBatchEngine(InferenceEngine):
         self._last_ts = vz._last_timestamps(soa)
         # Same-tuple flows can straddle flushes: the reference engine folds a
         # retransmitted five-tuple into the earlier flow's (possibly decided)
-        # slot state, which only the persistent scalar path reproduces.  The
-        # within-flush dedup check in _split_scalar_fast cannot see across
-        # flushes, so slots with a repeated tuple are pinned scalar up front.
+        # slot state.  The flow-lockstep plane keeps no slot state behind, so
+        # slots with a repeated tuple are pinned up front to the path that
+        # does (the slot-stream plane; the scalar path for other programs).
         self._forced_scalar = np.zeros(soa.n_flows, dtype=bool)
         populated = np.flatnonzero(soa.n_packets_per_flow > 0)
         seen: set = set()
@@ -253,51 +255,64 @@ class MicroBatchEngine(InferenceEngine):
         return np.flatnonzero(candidates & ~np.isin(self._slots, blocked_slots))
 
     def _flush(self, indices: np.ndarray) -> None:
-        """Push the selected flows through the program (scalar first, then batched).
+        """Push the selected flows through the program (contended first, then batched).
 
-        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`: flows that
-        share a register slot with temporal overlap *within this flush* —
-        plus flows whose buffered packets are only a prefix, and flows whose
-        slot is *dirty* (an earlier collision flow ended undecided there,
-        leaving live register state a later flow inherits on hardware) —
-        replay per-packet in global interleave order; everything else
-        advances through the batched window rounds
-        (:func:`repro.dataplane.vectorized._split_scalar_fast` documents the
-        full partition rule).
+        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`.  On a SpliDT
+        program a flow goes to the flow-lockstep window rounds only when,
+        *within this flush*, it overlaps no other flow of its register slot,
+        it is complete and long enough to decide, and its slot is neither
+        *dirty* (an earlier flush left an undecided resident there, which a
+        later flow inherits on hardware) nor pinned for a repeated
+        five-tuple (:func:`repro.dataplane.vectorized._split_scalar_fast`
+        documents the rule); every other flow goes through
+        :func:`repro.dataplane.vectorized._replay_scalar` to the slot-stream
+        plane, which replays the buffered prefix of an incomplete flow and
+        falls back to per-packet replay for the dirty slots themselves.
+        A one-shot top-k program is partitioned by the same rule and
+        replays its scalar side per packet.
         """
         soa, flows, program = self._soa, self._flows, self.program
         complete = self._buffered[indices] == soa.n_packets_per_flow[indices]
-        dirty = self._dirty_slots[self._slots[indices]]
-        scalar = vz._split_scalar_fast(
-            soa, flows, self._slots, indices,
-            forced=~complete | dirty | self._forced_scalar[indices],
-            min_packets=vz._min_decidable_packets(program),
+        forced = (
+            ~complete | self._dirty_slots[self._slots[indices]] | self._forced_scalar[indices]
         )
+        windowed = hasattr(program, "step_windows")
+        if windowed or hasattr(program, "classify_flow_batch"):
+            scalar = vz._split_scalar_fast(
+                soa, flows, self._slots, indices, forced=forced,
+                min_packets=int(program.model.config.n_partitions) if windowed else 1,
+            )
+        else:
+            scalar = np.ones(indices.size, dtype=bool)
         scalar_indices = indices[scalar]
         fast_indices = indices[~scalar]
 
         if scalar_indices.size:
             mask = np.zeros(soa.n_flows, dtype=bool)
             mask[scalar_indices] = True
-            vz._replay_scalar(program, flows, soa, mask, prefix_counts=self._buffered)
-            # A scalar-path flow that ended without a verdict left undecided
-            # state in its register slot; on hardware the next flow hashed
-            # there continues that state, so the slot stays scalar for good.
-            decided = program.verdicts
-            for flow_index in scalar_indices:
-                if flows[flow_index].flow_id not in decided:
-                    self._dirty_slots[self._slots[flow_index]] = True
+            outcome = vz._replay_scalar(
+                program, flows, soa, mask, prefix_counts=self._buffered, slots=self._slots
+            )
+            if outcome is not None:
+                # The slot-stream plane reports exactly which slots still hold
+                # an undecided resident; only those stay off the batched plane.
+                self._dirty_slots[self._slots[scalar_indices]] = False
+                self._dirty_slots[outcome["open_slots"]] = True
+            else:
+                # A scalar-path flow that ended without a verdict left
+                # undecided state in its slot, which the next flow hashed
+                # there continues: the slot stays scalar for good.
+                decided = program.verdicts
+                for flow_index in scalar_indices:
+                    if flows[flow_index].flow_id not in decided:
+                        self._dirty_slots[self._slots[flow_index]] = True
         if fast_indices.size:
-            if hasattr(program, "step_windows"):
+            if windowed:
                 vz._replay_splidt_batched(
                     program, soa, fast_indices, self._slots, workspace=self._workspace
                 )
-            elif hasattr(program, "classify_flow_batch"):
-                vz._replay_topk_batched(program, soa, fast_indices)
             else:
-                mask = np.zeros(soa.n_flows, dtype=bool)
-                mask[fast_indices] = True
-                vz._replay_scalar(program, flows, soa, mask, prefix_counts=self._buffered)
+                vz._replay_topk_batched(program, soa, fast_indices)
 
         self._pending -= int(self._buffered[indices].sum())
         self._flushed[indices] = True

@@ -55,16 +55,45 @@ def register_index(five_tuple: FiveTuple, table_size: int) -> int:
     return hash_five_tuple(five_tuple) % table_size
 
 
-def flow_slots(flows, table_size: int) -> np.ndarray:
+def flow_slots(flows, table_size: int, *, return_tuple_ids: bool = False):
     """Register slot of every flow in ``flows`` (batch :func:`register_index`).
 
     Shared by the vectorized replay engine and the serving layer, which also
     hands the array from a sharded parent down to its shard engines so the
     per-flow CRC32 hashing runs once per session.
+
+    With ``return_tuple_ids`` the same pass also yields a dense integer id
+    per distinct five-tuple (equal ids iff equal tuples) and the result is
+    ``(slots, tuple_ids)``: the slot-stream plane compares residents by id,
+    and for lazily materialised flow lists a second pass over the flows
+    would cost as much as the hashing itself.
     """
-    return np.array(
-        [register_index(flow.five_tuple, table_size) for flow in flows], dtype=np.intp
+    if not return_tuple_ids:
+        return np.array(
+            [register_index(flow.five_tuple, table_size) for flow in flows], dtype=np.intp
+        )
+    n_flows = len(flows)
+    slots = np.empty(n_flows, dtype=np.intp)
+    # The five-tuple packed into two words (the 13 bytes ``as_bytes`` hashes),
+    # filled in place: a dict keyed by tuple objects would keep a million
+    # ephemeral tuples alive on streamed sources.
+    addresses = np.empty(n_flows, dtype=np.uint64)
+    ports = np.empty(n_flows, dtype=np.uint64)
+    for index, flow in enumerate(flows):
+        five_tuple = flow.five_tuple
+        slots[index] = register_index(five_tuple, table_size)
+        addresses[index] = (five_tuple.src_ip << 32) | five_tuple.dst_ip
+        ports[index] = (
+            (five_tuple.src_port << 24) | (five_tuple.dst_port << 8) | five_tuple.protocol
+        )
+    order = np.lexsort((ports, addresses))
+    distinct = np.ones(n_flows, dtype=bool)
+    distinct[1:] = (addresses[order][1:] != addresses[order][:-1]) | (
+        ports[order][1:] != ports[order][:-1]
     )
+    tuple_ids = np.empty(n_flows, dtype=np.int64)
+    tuple_ids[order] = np.cumsum(distinct) - 1
+    return slots, tuple_ids
 
 
 class FlowIndexer:

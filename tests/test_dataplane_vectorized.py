@@ -6,7 +6,7 @@ The contract (see ``repro/dataplane/vectorized.py``): for any dataset,
 flag), time-to-detection arrays and recirculation statistics to
 ``engine="reference"``.  The suite exercises several D-datasets, jittered
 concurrent starts, ``max_flows`` truncation, and a deliberately tiny register
-file that forces hash collisions (the scalar-fallback path).
+file that forces hash collisions (the slot-stream plane).
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ class TestSpliDTParity:
         _assert_identical(*self._both(artifacts, max_flows=97))
 
     def test_forced_collisions_use_scalar_path(self, artifacts):
-        # 64 slots for 360 flows: most flows collide and take the per-packet
-        # fallback; the rest stay batched.  The mixture must still be exact.
+        # 64 slots for 360 flows: most flows share a slot and take the
+        # slot-stream plane; the rest stay on the flow-lockstep plane.  The
+        # mixture must still be exact.
         _assert_identical(*self._both(artifacts, flow_slots=64))
 
     def test_collisions_with_jitter(self, artifacts):
@@ -101,6 +102,15 @@ class TestSpliDTParity:
 
     def test_single_flow(self, artifacts):
         _assert_identical(*self._both(artifacts, max_flows=1))
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized", "fused"])
+    def test_max_flows_zero_replays_nothing(self, artifacts, engine):
+        # Regression: ``max_flows=0`` used to be read as "no limit".
+        dataset, model, rules = artifacts
+        result = replay_dataset(
+            SpliDTDataPlane(model, rules), dataset, max_flows=0, engine=engine
+        )
+        assert result.verdicts == {} and result.labels == {}
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,10 @@ seed so the case can be replayed with::
     PARITY_FUZZ_SEED=<seed> PARITY_FUZZ_CASES=1 \
         PYTHONPATH=src python -m pytest tests/test_parity_fuzz.py -k random -s
 
-A fixed-seed corpus runs on every invocation; a short randomized burst
-(``PARITY_FUZZ_CASES``, default 3) explores new seeds each run.
+A fixed-seed corpus runs on every invocation — the collision and eviction
+corpora also at 2x and 8x table occupancy, where nearly every packet takes
+the slot-stream plane —; a short randomized burst (``PARITY_FUZZ_CASES``,
+default 3) explores new seeds each run.
 """
 
 from __future__ import annotations
@@ -49,12 +51,28 @@ FIXED_SEEDS = tuple(range(16))
 GAP_CHOICES = (0.0, 1e-9, 1e-4, 0.05, 0.4, 1.5, 2.5)
 
 
-def _random_trace(rng: random.Random) -> tuple[list[Flow], int]:
-    """A random adversarial flow trace plus a register table size."""
+#: Largest register table of the occupancy axis: 8x of it is 512 flows, which
+#: keeps a four-engine case well under a second.
+OCCUPANCY_TABLE_CAP = 64
+
+
+def _random_trace(
+    rng: random.Random, occupancy: int | None = None
+) -> tuple[list[Flow], int]:
+    """A random adversarial flow trace plus a register table size.
+
+    With ``occupancy`` the flow population is that multiple of the drawn
+    table size, over a five-tuple pool as large as the population: every
+    slot is shared by several mostly *distinct* flows (the table-pressure
+    regime) instead of a handful of flows repeating a few tuples.
+    """
     table_size = rng.choice((3, 7, 16, 64, 1024))
     n_flows = rng.randint(1, 20)
     # A small five-tuple pool forces slot collisions *and* repeated tuples.
     pool_size = rng.choice((2, 3, 5, 64))
+    if occupancy is not None:
+        table_size = min(table_size, OCCUPANCY_TABLE_CAP)
+        n_flows = pool_size = occupancy * table_size
     pool = [
         FiveTuple(
             src_ip=rng.randint(1, 1 << 24),
@@ -233,9 +251,11 @@ def _random_eviction_policy(rng: random.Random):
     return make_eviction_policy("idle-timeout", timeout=timeout)
 
 
-def _fuzz_one(seed: int, model, rules, *, truncated: bool, eviction=None) -> None:
+def _fuzz_one(
+    seed: int, model, rules, *, truncated: bool, eviction=None, occupancy: int | None = None
+) -> None:
     rng = random.Random(seed)
-    flows, table_size = _random_trace(rng)
+    flows, table_size = _random_trace(rng, occupancy)
 
     def check(candidate_flows):
         fresh_rng = random.Random(seed + 1)  # deterministic chunk/cut sizes
@@ -258,7 +278,8 @@ def _fuzz_one(seed: int, model, rules, *, truncated: bool, eviction=None) -> Non
     )
     pytest.fail(
         f"parity mismatch (seed={seed}, table_size={table_size}, "
-        f"truncated={truncated}, eviction={eviction!r}):\n{check(minimal)}\n"
+        f"truncated={truncated}, eviction={eviction!r}, "
+        f"occupancy={occupancy}):\n{check(minimal)}\n"
         f"minimized trace ({len(minimal)} flows):\n{trace}\n"
         f"repro: PARITY_FUZZ_SEED={seed} PARITY_FUZZ_CASES=1 "
         f"python -m pytest tests/test_parity_fuzz.py -s"
@@ -291,6 +312,23 @@ def test_parity_fuzz_eviction_corpus(seed, splidt_model, splidt_rules):
     policy = _random_eviction_policy(policy_rng)
     _fuzz_one(seed, splidt_model, splidt_rules,
               truncated=seed % 4 == 3, eviction=policy)
+
+
+@pytest.mark.parametrize("occupancy", (2, 8))
+@pytest.mark.parametrize("seed", FIXED_SEEDS[::2])
+def test_parity_fuzz_occupancy_corpus(seed, occupancy, splidt_model, splidt_rules):
+    """The collision corpus at 2x and 8x table occupancy (slot-stream regime)."""
+    _fuzz_one(seed, splidt_model, splidt_rules, truncated=seed % 4 == 2,
+              occupancy=occupancy)
+
+
+@pytest.mark.parametrize("occupancy", (2, 8))
+@pytest.mark.parametrize("seed", FIXED_SEEDS[::2])
+def test_parity_fuzz_eviction_occupancy_corpus(seed, occupancy, splidt_model, splidt_rules):
+    """The eviction corpus at 2x and 8x table occupancy: eviction churn per slot."""
+    policy = _random_eviction_policy(random.Random(0xE51C7 + seed))
+    _fuzz_one(seed, splidt_model, splidt_rules, truncated=seed % 4 == 2,
+              eviction=policy, occupancy=occupancy)
 
 
 class _MpFuzzFactory:

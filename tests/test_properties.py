@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pareto import dominates, pareto_front_indices
 from repro.core.range_marking import MarkTable
+from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.features.window import window_boundaries
 from repro.ml import DecisionTreeClassifier
 from repro.ml.metrics import accuracy_score, f1_score
+from repro.switch.registers import make_eviction_policy
 from repro.switch.tcam import range_to_ternary
 
 
@@ -181,3 +187,111 @@ def test_tree_node_counts_consistent(problem):
                 left.n_samples * left.impurity + right.n_samples * right.impurity
             )
             assert weighted_child <= node.n_samples * node.impurity + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Replay invariants on contended register slots (no oracle involved)
+# ----------------------------------------------------------------------
+# Bit-identity to the reference interpreter makes the interpreter the only
+# specification; these hold for *any* correct engine, so they are checked on
+# the reference engine and on the slot-stream plane ("fused") alike.
+_TUPLE_POOL = [
+    FiveTuple(src_ip=10 + i, dst_ip=20 + i, src_port=1000 + i, dst_port=443, protocol=6)
+    for i in range(6)
+]
+
+
+@st.composite
+def _contended_trace(draw):
+    """``(flows, table size, eviction policy)`` with few slots and many ties."""
+    gaps = st.sampled_from((0.0, 0.125, 0.5, 2.5))
+    flows = []
+    for flow_id in range(draw(st.integers(1, 10))):
+        timestamp = draw(st.sampled_from((0.0, 0.25, 1.0, 3.0)))
+        packets = []
+        for _ in range(draw(st.integers(1, 9))):
+            packets.append(
+                Packet(
+                    timestamp=timestamp,
+                    size=draw(st.integers(40, 1500)),
+                    flags=draw(st.sampled_from((0, 0x02, 0x10, 0x18))),
+                    direction=draw(st.sampled_from((1, -1))),
+                    payload=draw(st.integers(0, 1460)),
+                )
+            )
+            timestamp += draw(gaps)
+        flows.append(
+            Flow(
+                five_tuple=draw(st.sampled_from(_TUPLE_POOL)),
+                packets=packets,
+                label=0,
+                class_name="",
+                flow_id=flow_id,
+            )
+        )
+    eviction = draw(
+        st.sampled_from((("none", 1.0), ("lru", 1.0), ("idle-timeout", 0.0),
+                         ("idle-timeout", 0.5), ("idle-timeout", 2.5)))
+    )
+    return flows, draw(st.sampled_from((1, 2, 3, 8))), eviction
+
+
+def _replay(model, rules, flows, table_size, eviction, engine):
+    name, timeout = eviction
+    program = SpliDTDataPlane(
+        model, rules, flow_slots=table_size,
+        eviction=make_eviction_policy(name, timeout=timeout),
+    )
+    dataset = FlowDataset(name="p", description="", flows=flows, class_names=["a"])
+    result = replay_dataset(program, dataset, engine=engine)
+    return program, result
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused"])
+@given(trace=_contended_trace())
+@settings(max_examples=60, deadline=None)
+def test_contended_replay_invariants(engine, splidt_model, splidt_rules, trace):
+    flows, table_size, eviction = trace
+    program, result = _replay(splidt_model, splidt_rules, flows, table_size, eviction, engine)
+    packet_times = {flow.flow_id: {p.timestamp for p in flow.packets} for flow in flows}
+    for flow_id, verdict in result.verdicts.items():
+        # A verdict is credited to the flow whose packet triggered it.
+        assert verdict.decided_at in packet_times[flow_id]
+        assert verdict.decided_at >= verdict.first_packet_at
+    # Recirculations of evicted, overwritten and unfinished epochs are on the
+    # channel but on no surviving verdict.
+    recirculated = result.recirculation["packets"]
+    assert recirculated >= sum(v.n_recirculations for v in result.verdicts.values())
+    stats = program.eviction_stats()
+    assert stats["evictions"] >= len(stats["evicted_flows"])
+    if eviction[0] == "none":
+        assert stats["evictions"] == 0
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused"])
+@given(trace=_contended_trace(), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_replay_is_invariant_under_flow_list_permutation(
+    engine, splidt_model, splidt_rules, trace, seed
+):
+    # Arrival order is (timestamp, flow id): where a flow sits in the list
+    # the replay is given must not matter.
+    flows, table_size, eviction = trace
+    shuffled = list(flows)
+    random.Random(seed).shuffle(shuffled)
+    outcomes = []
+    for ordering in (flows, shuffled):
+        program, result = _replay(
+            splidt_model, splidt_rules, ordering, table_size, eviction, engine
+        )
+        outcomes.append(
+            (
+                {
+                    fid: (v.label, v.decided_at, v.first_packet_at, v.n_recirculations)
+                    for fid, v in result.verdicts.items()
+                },
+                result.recirculation,
+                program.eviction_stats(),
+            )
+        )
+    assert outcomes[0] == outcomes[1]

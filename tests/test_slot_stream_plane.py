@@ -1,0 +1,266 @@
+"""The slot-stream window plane against the per-packet oracle, case by case.
+
+``tests/test_parity_fuzz.py`` throws random traces at every engine; this
+module pins the *named* behaviours of a contended register slot with small
+hand-built traces, each replayed through ``engine="reference"`` and through
+``replay_arrays`` (``engine="fused"``) and compared on verdicts, controller
+digests, recirculation counters and ``eviction_stats()``.  Every case also
+asserts that the packets really went through the slot-stream plane and that
+the behaviour it is named after really occurs in the trace.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import vectorized as vz
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
+from repro.datasets.streams import PacketChunk, StreamedPacketWriter
+from repro.features.definitions import STATELESS_HEADER_INDICES
+from repro.serve import StreamingEngine
+from repro.switch.registers import EvictionPolicy, make_eviction_policy
+
+TUPLE_A = FiveTuple(src_ip=1, dst_ip=2, src_port=3, dst_port=4, protocol=6)
+TUPLE_B = FiveTuple(src_ip=9, dst_ip=8, src_port=7, dst_port=6, protocol=17)
+TUPLE_C = FiveTuple(src_ip=5, dst_ip=5, src_port=5, dst_port=5, protocol=6)
+
+
+def _flow(five_tuple, flow_id, times, size=100) -> Flow:
+    packets = [
+        Packet(timestamp=float(t), size=size + i, flags=0x10, direction=1, payload=10)
+        for i, t in enumerate(times)
+    ]
+    return Flow(five_tuple=five_tuple, packets=packets, label=0, class_name="", flow_id=flow_id)
+
+
+def _dataset(flows) -> FlowDataset:
+    return FlowDataset(name="t", description="", flows=list(flows), class_names=["a", "b"])
+
+
+def _snapshot(program, verdicts) -> dict:
+    return {
+        "verdicts": {
+            fid: (v.label, v.decided_at, v.first_packet_at, v.n_recirculations, v.early_exit)
+            for fid, v in verdicts.items()
+        },
+        "digests": sorted(
+            (d.flow_id, d.label, d.timestamp, d.sid) for d in program.controller.digests
+        ),
+        "recirculation": program.recirculation_stats(),
+        "eviction": program.eviction_stats(),
+    }
+
+
+def _replay_both(model, rules, batches, *, slots=1, eviction=None):
+    """Replay ``batches`` (lists of flows, one call each) on one program per engine.
+
+    Returns ``(reference program, fused program)`` after asserting that both
+    ended in the same observable state.
+    """
+    programs = {}
+    for engine in ("reference", "fused"):
+        program = SpliDTDataPlane(model, rules, flow_slots=slots, eviction=eviction)
+        for flows in batches:
+            replay_dataset(program, _dataset(flows), engine=engine)
+        programs[engine] = program
+    reference, fused = programs["reference"], programs["fused"]
+    assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
+    return reference, fused
+
+
+def test_verdict_is_credited_to_the_colliding_flows_id(splidt_model, splidt_rules):
+    # B's three packets each close one of resident A's windows (B's header
+    # says three packets), so the verdict lands on B's id with A's epoch.
+    flows = [
+        _flow(TUPLE_A, 0, range(12)),
+        _flow(TUPLE_B, 1, [0.5, 1.5, 2.5]),
+    ]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows])
+    assert fused.replay_stats["packets"]["slot_stream"] == 15
+    verdict = fused.verdicts[1]
+    assert (verdict.first_packet_at, verdict.decided_at) == (0.0, 2.5)
+    assert 0 not in fused.verdicts  # A's later packets meet their own decided slot
+
+
+def test_flow_id_decided_twice_keeps_the_later_verdict(splidt_model, splidt_rules):
+    # B's first packet decides A's epoch (credited to B), B's second packet
+    # reclaims the slot, and B's last packet decides B's own epoch.
+    flows = [_flow(TUPLE_A, 0, [1, 2, 7]), _flow(TUPLE_B, 1, [6, 6.5, 9])]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows])
+    decided_at = sorted(d.timestamp for d in fused.controller.digests if d.flow_id == 1)
+    assert decided_at == [6.0, 9.0]
+    assert (fused.verdicts[1].first_packet_at, fused.verdicts[1].decided_at) == (6.5, 9.0)
+
+
+def test_repeated_five_tuple_after_a_verdict_is_ignored(splidt_model, splidt_rules):
+    # Disjoint in time, same tuple: the second flow meets its own decided
+    # slot, is forwarded without inference and never reclaims it.
+    flows = [
+        _flow(TUPLE_A, 0, [0.1 * i for i in range(6)]),
+        _flow(TUPLE_A, 1, [100 + 0.1 * i for i in range(6)]),
+    ]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows], slots=64)
+    assert fused.replay_stats["packets"] == {"batched": 0, "slot_stream": 12, "per_packet": 0}
+    assert set(fused.verdicts) == {0}
+
+
+def test_short_flow_ends_undecided_and_is_inherited(splidt_model, splidt_rules):
+    # A has fewer packets than partitions and exhausts its stream while
+    # recirculating; B inherits A's live slot (no eviction policy).
+    flows = [_flow(TUPLE_A, 0, [0.0, 0.5]), _flow(TUPLE_B, 1, [1, 2, 3, 4, 5, 6])]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows])
+    assert 0 not in fused.verdicts
+    assert fused.verdicts[1].first_packet_at == 0.0
+
+
+def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):
+    # A idles, B evicts it, A's next packet evicts B: A's second epoch starts
+    # at that packet — first timestamp *and* pkt_len_first are the re-entry's.
+    flows = [
+        _flow(TUPLE_A, 0, [0, 0.1, 10, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6], size=200),
+        _flow(TUPLE_B, 1, [5.0, 5.1], size=700),
+    ]
+    policy = make_eviction_policy("idle-timeout", timeout=1.0)
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
+    seen = []
+    step_windows = program.step_windows
+
+    def spy(**kwargs):
+        first_sizes = kwargs["feature_matrix"][:, STATELESS_HEADER_INDICES[3]]
+        seen.extend(zip(kwargs["first_packet_ts"].tolist(), first_sizes.tolist()))
+        return step_windows(**kwargs)
+
+    program.step_windows = spy
+    replay_dataset(program, _dataset(flows), engine="fused")
+    assert program.eviction_stats()["evicted_flows"] == [0, 1]
+    assert (10.0, 202.0) in seen  # A's third packet: size 200 + 2
+    assert all(first_ts != 10.0 or size == 202.0 for first_ts, size in seen)
+    _replay_both(splidt_model, splidt_rules, [flows], eviction=policy)
+
+
+@pytest.mark.parametrize(
+    "policy_name,arrival,evicts",
+    [
+        ("idle-timeout", 2.0, False),  # idle exactly the timeout: the resident stays
+        ("idle-timeout", 2.0 + 2**-40, True),
+        ("lru", 1.0, False),  # same timestamp as the resident's last packet
+        ("lru", 1.0 + 2**-40, True),
+    ],
+)
+def test_eviction_threshold_ties_keep_the_resident(
+    splidt_model, splidt_rules, policy_name, arrival, evicts
+):
+    # B's only packet meets undecided A, last seen at t=1; A's remaining
+    # packets find either themselves (no eviction) or B in the slot.
+    flows = [
+        _flow(TUPLE_A, 0, [0.0, 1.0] + [30 + i for i in range(7)]),
+        _flow(TUPLE_B, 1, [arrival]),
+    ]
+    policy = make_eviction_policy(policy_name, timeout=1.0)
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows], eviction=policy)
+    assert (0 in fused.eviction_stats()["evicted_flows"]) == evicts
+
+
+def test_scalar_only_eviction_policy_is_evaluated_per_packet(splidt_model, splidt_rules):
+    class ScalarIdle(EvictionPolicy):
+        name = "scalar-idle"
+
+        def should_evict(self, *, resident_last_seen, incoming_ts):
+            if incoming_ts - resident_last_seen > 1.0:  # raises on arrays
+                return True
+            return False
+
+    flows = [
+        _flow(TUPLE_A, 0, [0, 0.1, 10, 10.1, 10.2, 10.3]),
+        _flow(TUPLE_B, 1, [5.0, 5.1, 5.2]),
+    ]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows], eviction=ScalarIdle())
+    assert fused.eviction_stats()["evicted_flows"] == [0]
+
+
+def test_live_slot_state_at_entry_falls_back_to_per_packet(splidt_model, splidt_rules):
+    # The first call leaves A undecided in the slot; the second call's flows
+    # continue A's operator state, which only process_packet can do.
+    first = [_flow(TUPLE_A, 0, [0.0, 0.5])]
+    second = [_flow(TUPLE_B, 1, [1, 2, 3, 4, 5, 6]), _flow(TUPLE_C, 2, [1.5, 2.5, 3.5])]
+    _, fused = _replay_both(splidt_model, splidt_rules, [first, second])
+    assert fused.replay_stats["per_packet_reasons"]["live_state"] == {"flows": 2, "packets": 9}
+    assert fused.replay_stats["packets"]["slot_stream"] == 0
+
+
+def test_second_replay_on_the_same_program_continues(splidt_model, splidt_rules):
+    # Call one ends with a decided resident in slot 0 (and open or decided
+    # residents elsewhere); call two brings the resident's own tuple back
+    # (ignored until another tuple reclaims) next to new tuples.
+    first = [
+        _flow(TUPLE_A, 0, range(12)),
+        _flow(TUPLE_B, 1, [0.5, 1.5, 2.5]),
+        _flow(TUPLE_C, 2, [0.25, 0.75]),
+    ]
+    second = [
+        _flow(TUPLE_A, 3, [20, 21, 22, 23, 24, 25]),
+        _flow(TUPLE_B, 4, [22.5, 23.5, 24.5, 25.5, 26.5, 27.5]),
+        _flow(TUPLE_C, 5, [20.5, 26.0, 29.0]),
+    ]
+    for slots in (1, 2, 3):
+        _, fused = _replay_both(splidt_model, splidt_rules, [first, second], slots=slots)
+        assert fused.replay_stats["packets"]["slot_stream"] > 0
+
+
+def test_exit_state_is_what_process_packet_would_hold(splidt_model, splidt_rules):
+    # After a slot-stream replay the program's slot state must equal the
+    # reference's field by field, operators included.
+    flows = [
+        _flow(TUPLE_A, 0, range(12)),
+        _flow(TUPLE_B, 1, [0.5, 1.5]),
+        _flow(TUPLE_C, 2, [20, 21, 22, 23]),
+    ]
+    for slots in (1, 2, 5):
+        reference, fused = _replay_both(splidt_model, splidt_rules, [flows], slots=slots)
+        assert sorted(fused.occupied_slots()) == sorted(reference.occupied_slots())
+        for slot in reference.occupied_slots().tolist():
+            want, got = reference.resident(slot), fused.resident(slot)
+            assert (got.decided, got.five_tuple) == (want.decided, want.five_tuple)
+            if want.decided:
+                continue
+            for field in ("flow_id", "sid", "packets_seen", "window_index",
+                          "first_packet_at", "last_seen_at", "n_recirculations",
+                          "stateless"):
+                assert getattr(got, field) == getattr(want, field), field
+            assert {f: op.value for f, op in got.operators.items()} == {
+                f: op.value for f, op in want.operators.items()
+            }
+
+
+def test_memmap_backed_lazy_flow_list(splidt_model, splidt_rules):
+    rng = np.random.default_rng(5)
+    writer = StreamedPacketWriter()
+    for flow_id in range(60):
+        n = int(rng.integers(1, 15))
+        times = np.sort(rng.uniform(0.0, 6.0, size=n))
+        writer.add_flow(
+            FiveTuple(int(rng.integers(1, 1 << 24)), int(rng.integers(1, 1 << 24)),
+                      int(rng.integers(1, 65535)), 443, 6),
+            label=0,
+            timestamps=times,
+            sizes=rng.integers(40, 1500, size=n).astype(float),
+            flags=np.full(n, 0x10),
+            payloads=rng.integers(0, 1000, size=n).astype(float),
+        )
+    policy = make_eviction_policy("idle-timeout", timeout=0.5)
+    with writer.finish(class_names=["a", "b"]) as source:
+        assert isinstance(source.soa.timestamps, np.memmap)
+        reference = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=16, eviction=policy)
+        engine = StreamingEngine(reference).open()
+        engine.ingest(
+            PacketChunk(soa=source.soa, flows=source.flows,
+                        positions=source.soa.interleave_order)
+        )
+        engine.close()
+        fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=16, eviction=policy)
+        vz.replay_arrays(fused, source.flows, soa=source.soa)
+        assert fused.replay_stats["packets"]["slot_stream"] > 0
+        assert fused.eviction_stats()["evictions"] > 0
+        assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)

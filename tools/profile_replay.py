@@ -30,8 +30,9 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 — its build latency and how many packets were in flight when it landed.
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
-throughput, kernel backend, swap metrics when ``--online``, and the top-N
-hot spots) so CI can diff the hot path of two revisions instead of
+throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
+per path, per-packet reasons, event rounds —, swap metrics when ``--online``,
+and the top-N hot spots) so CI can diff the hot path of two revisions instead of
 eyeballing pstats text.
 """
 
@@ -134,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     profiler = cProfile.Profile()
     swap_event = None
     workload = None
+    program = None
 
     if scenario is not None:
         from repro.dataplane.runtime import build_replay_result
@@ -200,6 +202,13 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler)
     print(f"\nreplayed {len(result.verdicts)} verdicts "
           f"(data-plane F1 {result.report.f1_score:.3f})")
+    # Left by ``replay_arrays`` (fused and scenario replays): which path the
+    # flows and packets took, and why any went per packet.
+    replay_stats = getattr(program, "replay_stats", None)
+    if replay_stats is not None:
+        print(f"paths: packets {replay_stats['packets']}, per-packet reasons "
+              f"{replay_stats['per_packet_reasons']}, "
+              f"{replay_stats['event_rounds']} slot-stream event rounds")
     if swap_event is not None:
         print(f"swap : epoch {swap_event.epoch} built in "
               f"{swap_event.latency_s * 1e3:.2f} ms with "
@@ -242,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             "packets_per_s": round(n_packets / elapsed, 1) if elapsed > 0 else None,
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
+            "replay_stats": replay_stats,
             "hotspots": hotspots,
         }
         if swap_event is not None:
