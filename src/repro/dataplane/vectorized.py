@@ -39,9 +39,9 @@ round and verdict/digest objects are materialised once per replay.
 
 Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
-``replay_dataset(..., engine="vectorized")`` and ``engine="fused"`` produce
-verdicts, labels, time-to-detection values, digests and recirculation
-statistics bit-identical to ``engine="reference"``.  Only instrumentation
+``replay_dataset(..., engine="vectorized")`` produces verdicts, labels,
+time-to-detection values, digests and recirculation statistics bit-identical
+to ``engine="reference"``.  Only instrumentation
 differs: register read/write counters reflect one batched access per window
 boundary instead of one per packet (per-packet replays inside the batched
 engine skip the write-only feature-register mirror entirely), and the flow

@@ -76,7 +76,6 @@ class OnlineController:
         class_names: Optional class names for refreshed models.
         rules: The deployed rule set (its quantizer seeds the incremental
             learners' histogram grid; replaced after each swap).
-        lookup: Lookup mode compiled into refreshed rule sets.
 
     Example::
 
@@ -97,7 +96,6 @@ class OnlineController:
         n_classes: int,
         class_names=(),
         rules,
-        lookup: str = "lut",
     ) -> None:
         config.validate()
         self.config = config
@@ -105,7 +103,6 @@ class OnlineController:
         self.flow_slots = int(flow_slots)
         self.n_classes = int(n_classes)
         self.class_names = list(class_names)
-        self.lookup = lookup
         self.monitor = DriftMonitor(config)
         self.state = MONITORING
         self.events: list[OnlineEvent] = []
@@ -218,7 +215,7 @@ class OnlineController:
         matrix = np.vstack(
             [windows[: self.model_config.n_partitions] for windows, _ in buffered]
         )
-        rules = generate_rules(model, matrix).set_lookup(self.lookup)
+        rules = generate_rules(model, matrix)
         event = engine.swap_model(
             OnlineProgramFactory(model, rules, self.flow_slots)
         )

@@ -37,12 +37,10 @@ from repro.pipeline.experiment import (
     run_experiment,
 )
 from repro.pipeline.spec import (
-    REPLAY_ENGINE_ENV,
     ExperimentSpec,
     DseConfig,
     ServeConfig,
     SpecError,
-    default_replay_engine,
 )
 from repro.pipeline.systems import (
     SCENARIOS,
@@ -66,7 +64,6 @@ __all__ = [
     "ExperimentSpec",
     "Prepared",
     "ProgramFactory",
-    "REPLAY_ENGINE_ENV",
     "SCENARIOS",
     "STAGES",
     "SYSTEMS",
@@ -76,7 +73,6 @@ __all__ = [
     "System",
     "available_scenarios",
     "available_systems",
-    "default_replay_engine",
     "get_scenario",
     "get_system",
     "load_result_summary",

@@ -75,10 +75,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="concurrent-flow target for feasibility/baseline search")
     parser.add_argument("--engine", dest="replay_engine",
                         choices=REPLAY_ENGINES,
-                        help="replay engine (default: SPLIDT_REPLAY_ENGINE or vectorized)")
-    parser.add_argument("--lookup", choices=("lut", "scan"),
-                        help="model-table lookup of the batched paths: compiled "
-                             "mark-space LUTs (lut, default) or first-match scan")
+                        help="replay engine (default: vectorized)")
     parser.add_argument("--replay-flows", type=int, dest="replay_flows",
                         help="replay only the first N flows (0 = all)")
     parser.add_argument("--flow-slots", type=int, dest="flow_slots",
@@ -91,7 +88,7 @@ def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> E
     overrides = {}
     for name in ("dataset", "n_flows", "seed", "depth", "features_per_subtree",
                  "n_partitions", "bit_width", "target", "target_flows",
-                 "replay_engine", "lookup", "replay_flows", "flow_slots"):
+                 "replay_engine", "replay_flows", "flow_slots"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -105,7 +102,7 @@ def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> E
     serve_overrides = {}
     for flag, field_name in (("serve_engine", "engine"), ("shards", "shards"),
                              ("workers", "workers"), ("spawn_method", "spawn_method"),
-                             ("transport", "transport"), ("ring_slots", "ring_slots"),
+                             ("ring_slots", "ring_slots"),
                              ("chunk_size", "chunk_size"), ("backpressure", "backpressure")):
         value = getattr(args, flag, None)
         if value is not None:
@@ -151,7 +148,7 @@ def format_result(result: ExperimentResult) -> str:
         replay = result.replay_result
         lines.append(
             f"replayed          : {len(replay.verdicts)} flows "
-            f"({spec.resolved_engine()} engine, {spec.lookup} lookup)"
+            f"({spec.replay_engine} engine)"
         )
         lines.append(f"data-plane F1     : {replay.report.f1_score:.3f}")
         if result.ttd:
@@ -193,8 +190,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     overrides = {}
     if args.replay_engine is not None:
         overrides["replay_engine"] = args.replay_engine
-    if getattr(args, "lookup", None) is not None:
-        overrides["lookup"] = args.lookup
     if args.replay_flows is not None:
         overrides["replay_flows"] = args.replay_flows or None
     if overrides:
@@ -232,7 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_classes=len(dataset.class_names),
             class_names=dataset.class_names,
             rules=experiment.compile(),
-            lookup=spec.lookup,
         )
     engine = experiment.serve_engine()
     serve = spec.serve
@@ -241,8 +235,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         parallelism = f", {serve.shards} thread shards"
     elif serve.engine == "sharded-mp":
         parallelism = (f", {serve.workers} worker processes"
-                       + (f" ({serve.spawn_method})" if serve.spawn_method else "")
-                       + f", {serve.transport or 'ring'} transport")
+                       + (f" ({serve.spawn_method})" if serve.spawn_method else ""))
     online_note = f", online {serve.online.detector}" if controller else ""
     print(f"serving           : {spec.system} on {spec.dataset} "
           f"({serve.engine} engine{parallelism}, chunks of {serve.chunk_size} pkts"
@@ -725,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--engine", dest="replay_engine",
                         choices=REPLAY_ENGINES,
                         help="override the replay engine")
-    replay.add_argument("--lookup", choices=("lut", "scan"),
-                        help="override the model-table lookup strategy")
     replay.add_argument("--replay-flows", type=int, dest="replay_flows",
                         help="override the replayed flow count (0 = all)")
     replay.set_defaults(func=_cmd_replay)
@@ -747,12 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("fork", "spawn", "forkserver"),
                        help="process start method for sharded-mp "
                             "(default: the platform's)")
-    serve.add_argument("--transport", choices=("queue", "ring"),
-                       help="sharded-mp IPC transport: shared-memory rings "
-                            "(default) or the legacy multiprocessing queue")
     serve.add_argument("--ring-slots", type=int, dest="ring_slots",
-                       help="slots per worker ring for --transport ring "
-                            "(the transport's backpressure bound)")
+                       help="slots per worker ring of sharded-mp "
+                            "(its backpressure bound)")
     serve.add_argument("--chunk-size", type=int, dest="chunk_size",
                        help="packets per ingested chunk")
     serve.add_argument("--backpressure", type=int,
@@ -855,10 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="search method (default: bayesian)")
     dse.add_argument("--dse-workers", type=int, dest="dse_workers",
                      help="evaluator processes per batch; 0 = serial "
-                          "(default: SPLIDT_DSE_WORKERS or 0); results are "
+                          "(the default); results are "
                           "bit-identical at any worker count")
     dse.add_argument("--affinity", action="store_true",
-                     help="pin evaluator workers to CPUs (SPLIDT_AFFINITY)")
+                     help="pin evaluator workers to CPUs")
     dse.add_argument("--depth-range", dest="depth_range", metavar="LO,HI",
                      help="total-depth bounds (default: 2,16)")
     dse.add_argument("--k-range", dest="k_range", metavar="LO,HI",

@@ -223,7 +223,7 @@ class Experiment:
                 max_flows=spec.replay_flows,
                 jitter_starts=spec.jitter_starts,
                 seed=spec.seed,
-                engine=spec.resolved_engine(),
+                engine=spec.replay_engine,
             )
 
         return self._stage("replay", run)
@@ -260,7 +260,6 @@ class Experiment:
             shards=serve.shards,
             workers=serve.workers,
             spawn_method=serve.spawn_method,
-            transport=serve.transport,
             ring_slots=serve.ring_slots,
             chunk_size=serve.chunk_size,
             backpressure=serve.backpressure,

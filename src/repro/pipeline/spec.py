@@ -11,11 +11,9 @@ replay verdicts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, fields, replace as dataclass_replace
 
 from repro.core.config import SpliDTConfig, TopKConfig
-from repro.core.range_marking import LOOKUP_MODES
 from repro.dataplane.runtime import REPLAY_ENGINES
 from repro.datasets.profiles import DATASET_KEYS
 from repro.online.config import OnlineConfig, OnlineConfigError
@@ -23,21 +21,9 @@ from repro.serve.engine import SERVE_ENGINES
 from repro.serve.process_sharded import START_METHODS as SPAWN_METHODS
 from repro.switch.targets import TARGETS, TargetSpec, get_target
 
-#: Environment variable that selects the default replay engine.
-REPLAY_ENGINE_ENV = "SPLIDT_REPLAY_ENGINE"
-
 
 class SpecError(ValueError):
     """Raised when an :class:`ExperimentSpec` is invalid."""
-
-
-def default_replay_engine() -> str:
-    """The replay engine used when a spec does not pin one.
-
-    Reads ``SPLIDT_REPLAY_ENGINE`` (the knob the benchmark harness has always
-    honoured) and falls back to ``"vectorized"``.
-    """
-    return os.environ.get(REPLAY_ENGINE_ENV, "vectorized")
 
 
 @dataclass(frozen=True)
@@ -55,13 +41,8 @@ class ServeConfig:
         spawn_method: Process start method for ``"sharded-mp"`` —
             ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` (the
             platform default: fork on Linux, spawn on macOS/Windows).
-        transport: IPC transport for ``"sharded-mp"`` — ``"ring"``
-            (shared-memory SPSC rings, the fast path), ``"queue"`` (the
-            legacy ``multiprocessing.Queue``, kept for A/B comparison) or
-            ``None`` (resolve from ``SPLIDT_SERVE_TRANSPORT``, default
-            ``"ring"``).
-        ring_slots: Slots per worker ring for the ring transport; a full
-            ring is the transport's backpressure (``ingest`` blocks).
+        ring_slots: Slots per worker ring of ``"sharded-mp"``; a full ring
+            is its backpressure (``ingest`` blocks).
         chunk_size: Packets per ingested chunk when streaming a dataset.
         backpressure: Buffered-packet limit before ingestion errors
             (micro-batch) or blocks (sharded queues).
@@ -74,7 +55,6 @@ class ServeConfig:
     shards: int = 2
     workers: int = 4
     spawn_method: str | None = None
-    transport: str | None = None
     ring_slots: int = 64
     chunk_size: int = 256
     backpressure: int = 1_000_000
@@ -98,11 +78,6 @@ class ServeConfig:
             raise SpecError(
                 f"unknown serve spawn_method {self.spawn_method!r}; "
                 f"expected one of {SPAWN_METHODS}"
-            )
-        if self.transport not in (None, "queue", "ring"):
-            raise SpecError(
-                f"unknown serve transport {self.transport!r}; "
-                "expected 'queue', 'ring' or null"
             )
         if self.ring_slots < 1:
             raise SpecError(f"serve ring_slots must be >= 1, got {self.ring_slots}")
@@ -133,12 +108,12 @@ class DseConfig:
         batch_size: Proposals asked (and evaluated) per optimiser iteration.
         method: ``"bayesian"`` (multi-objective BO, the paper's search) or
             ``"random"`` (pure sampling — the ablation of the BO stage).
-        workers: Evaluator processes per batch; ``0`` evaluates serially on
-            the calling thread, ``None`` resolves from ``SPLIDT_DSE_WORKERS``.
-            The search result is bit-identical for every value — workers
-            only change the wall-clock.
-        affinity: Pin pool workers to CPUs (``None`` resolves from
-            ``SPLIDT_AFFINITY``; no-op with a warning where unsupported).
+        workers: Evaluator processes per batch; ``0`` (the default)
+            evaluates serially on the calling thread.  The search result is
+            bit-identical for every value — workers only change the
+            wall-clock.
+        affinity: Pin pool workers to CPUs (no-op with a warning where
+            unsupported).
         depth_range: Inclusive bounds of the total tree depth ``D``.
         k_range: Inclusive bounds of the per-subtree feature budget ``k``.
         partitions_range: Inclusive bounds of the partition count ``p``.
@@ -147,8 +122,8 @@ class DseConfig:
     iterations: int = 24
     batch_size: int = 4
     method: str = "bayesian"
-    workers: int | None = None
-    affinity: bool | None = None
+    workers: int = 0
+    affinity: bool = False
     depth_range: tuple[int, int] = (2, 16)
     k_range: tuple[int, int] = (1, 6)
     partitions_range: tuple[int, int] = (1, 5)
@@ -169,7 +144,7 @@ class DseConfig:
             raise SpecError(
                 f"unknown dse method {self.method!r}; expected 'bayesian' or 'random'"
             )
-        if self.workers is not None and self.workers < 0:
+        if self.workers < 0:
             raise SpecError(f"dse workers must be >= 0, got {self.workers}")
         for name in ("depth_range", "k_range", "partitions_range"):
             bounds = getattr(self, name)
@@ -210,13 +185,8 @@ class ExperimentSpec:
         target: Hardware target name (``"tofino1"`` …).
         target_flows: Concurrent-flow target used for baseline model search
             and feasibility checks.
-        replay_engine: ``"reference"``, ``"vectorized"`` or ``"fused"``;
-            ``None`` defers to ``SPLIDT_REPLAY_ENGINE`` (default
-            ``"vectorized"``).
-        lookup: Model-table lookup strategy of the batched paths —
-            ``"lut"`` (default; dense mark-space LUTs compiled at deploy
-            time, with automatic per-subtree fallback) or ``"scan"`` (the
-            first-match rule scan).  Both are bit-identical.
+        replay_engine: ``"vectorized"`` (the batched window plane) or
+            ``"reference"`` (the per-packet oracle).
         replay_flows: Replay only the first N flows (``None`` = all).
         flow_slots: Register slots of the simulated data-plane program.
         jitter_starts: Randomly shift flow start times during replay.
@@ -245,8 +215,7 @@ class ExperimentSpec:
     bit_width: int = 32
     target: str = "tofino1"
     target_flows: int = 100_000
-    replay_engine: str | None = None
-    lookup: str = "lut"
+    replay_engine: str = "vectorized"
     replay_flows: int | None = 200
     flow_slots: int = 8192
     jitter_starts: bool = False
@@ -290,14 +259,10 @@ class ExperimentSpec:
             raise SpecError(
                 f"unknown target {self.target!r}; expected one of {tuple(TARGETS)}"
             )
-        if self.replay_engine is not None and self.replay_engine not in REPLAY_ENGINES:
+        if self.replay_engine not in REPLAY_ENGINES:
             raise SpecError(
                 f"unknown replay engine {self.replay_engine!r}; "
                 f"expected one of {REPLAY_ENGINES}"
-            )
-        if self.lookup not in LOOKUP_MODES:
-            raise SpecError(
-                f"unknown lookup mode {self.lookup!r}; expected one of {LOOKUP_MODES}"
             )
         if self.replay_flows is not None and self.replay_flows < 1:
             raise SpecError(f"replay_flows must be >= 1, got {self.replay_flows}")
@@ -333,16 +298,6 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # Derived values
     # ------------------------------------------------------------------
-    def resolved_engine(self) -> str:
-        """The replay engine this spec runs with (spec field wins over env)."""
-        engine = self.replay_engine if self.replay_engine is not None else default_replay_engine()
-        if engine not in REPLAY_ENGINES:
-            raise SpecError(
-                f"unknown replay engine {engine!r} (from {REPLAY_ENGINE_ENV}); "
-                f"expected one of {REPLAY_ENGINES}"
-            )
-        return engine
-
     def target_spec(self) -> TargetSpec:
         """The resolved hardware target."""
         return get_target(self.target)

@@ -156,12 +156,9 @@ class SpliDTSystem(System):
 
     def compile(self, model, windowed, spec):
         matrix = stacked_training_matrix(windowed, model.config.n_partitions)
-        return generate_rules(model, matrix, bit_width=spec.bit_width).set_lookup(spec.lookup)
+        return generate_rules(model, matrix, bit_width=spec.bit_width)
 
     def build_program(self, model, rules, spec):
-        # Re-pin the lookup mode at deploy time: rules restored from an
-        # artifact (or compiled under another spec) follow this spec's knob.
-        rules.set_lookup(spec.lookup)
         eviction = None
         if spec.scenario is not None:
             eviction = make_eviction_policy(

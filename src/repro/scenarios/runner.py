@@ -127,7 +127,6 @@ def _build_program(
 ):
     from repro.dataplane.splidt_program import SpliDTDataPlane
 
-    rules.set_lookup(exp_spec.lookup)
     program = SpliDTDataPlane(
         model,
         rules,
@@ -146,7 +145,7 @@ def _build_program(
 def replay_workload(program, workload: ScenarioWorkload) -> None:
     """Replay a workload through ``program`` (verdicts land on the program).
 
-    Honest workloads take the fused vectorized path; evasion workloads —
+    Honest workloads take the vectorized path; evasion workloads —
     whose per-flow *advertised* sizes differ from the truth — take the
     reference scalar path in global arrival order via
     :func:`repro.analysis.robustness.replay_with_advertised_sizes`.

@@ -2,8 +2,8 @@
 
 This package is the serving surface of a deployed model — the counterpart,
 for live traffic, of the one-shot :func:`repro.dataplane.replay_dataset`
-(which is itself implemented as an ingest-everything-then-drain adapter over
-these engines).  See :mod:`repro.serve.engine` for the protocol and
+(whose ``"reference"`` engine is an ingest-everything-then-drain session of
+:class:`StreamingEngine`).  See :mod:`repro.serve.engine` for the protocol and
 ``docs/serving.md`` for the full contract; ``docs/performance.md`` explains
 when to pick which engine.
 
@@ -48,7 +48,6 @@ def create_engine(
     shards: int = 2,
     workers: int = 4,
     spawn_method: str | None = None,
-    transport: str | None = None,
     ring_slots: int = 64,
     chunk_size: int = 256,
     backpressure: int = DEFAULT_BACKPRESSURE,
@@ -59,8 +58,9 @@ def create_engine(
     This is what ``ExperimentSpec.serve`` resolves through: ``engine`` picks
     the implementation, ``shards``/``workers`` size the thread-/process-
     sharded engines, and ``backpressure``/``chunk_size`` bound the buffered
-    work (for both sharded engines the per-shard queue depth is
-    ``backpressure // chunk_size`` chunks).
+    work (the thread-sharded engine's per-shard queue depth is
+    ``backpressure // chunk_size`` chunks; ``"sharded-mp"`` is bounded by
+    ``ring_slots``).
 
     Args:
         program_factory: Zero-argument callable building a fresh data-plane
@@ -73,11 +73,7 @@ def create_engine(
         workers: Worker-process count (``"sharded-mp"`` only).
         spawn_method: Process start method for ``"sharded-mp"``
             (``None`` = the platform default).
-        transport: IPC transport for ``"sharded-mp"``: ``"ring"``
-            (shared-memory SPSC rings), ``"queue"`` (the legacy
-            ``multiprocessing.Queue``), or ``None`` to resolve from
-            ``SPLIDT_SERVE_TRANSPORT`` (default ``"ring"``).
-        ring_slots: Slots per worker ring for the ring transport (its
+        ring_slots: Slots per worker ring of ``"sharded-mp"`` (its
             backpressure bound: a full ring blocks ``ingest``).
         chunk_size: Expected ingest chunk size (used to size shard queues).
         backpressure: Buffered-packet limit.
@@ -95,12 +91,11 @@ def create_engine(
         return MicroBatchEngine(
             program_factory(), flush_flows=flush_flows, backpressure=backpressure
         )
-    queue_depth = max(1, backpressure // max(chunk_size, 1))
     if engine == "sharded":
         return ShardedEngine(
             program_factory,
             n_shards=shards,
-            queue_depth=queue_depth,
+            queue_depth=max(1, backpressure // max(chunk_size, 1)),
             flush_flows=flush_flows,
             backpressure=backpressure,
         )
@@ -109,9 +104,7 @@ def create_engine(
             program_factory,
             workers=workers,
             start_method=spawn_method,
-            transport=transport,
             ring_slots=ring_slots,
-            queue_depth=queue_depth,
             flush_flows=flush_flows,
             backpressure=backpressure,
         )

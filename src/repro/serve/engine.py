@@ -92,8 +92,7 @@ class EngineStats:
         recirculation: Recirculation counters so far (empty when the program
             has no recirculation channel).
         transport: IPC-transport health counters (empty for the in-process
-            engines and the queue transport).  The process-sharded ring
-            transport reports ``ring_slots``, live ``ring_occupancy`` and
+            engines).  The process-sharded engine's rings report ``ring_slots``, live ``ring_occupancy`` and
             producer/consumer stall episodes — see
             ``ProcessShardedEngine._transport_stats``.
     """

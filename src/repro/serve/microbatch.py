@@ -22,17 +22,13 @@ Flows flushed together that share a slot, flows whose stream ended mid-flow
 slot-stream plane (:mod:`repro.dataplane.slot_stream`), which replays each
 shared slot's packets in arrival order with the reference engine's
 corruption, eviction and reclaim semantics — exactly the collision
-discipline of ``replay_dataset(engine="fused")`` — so the results after
+discipline of ``replay_dataset(engine="vectorized")`` — so the results after
 ``drain`` are bit-identical to the reference loop for **any** chunking of
 the stream.  (Programs without windows keep the per-packet scalar path.)
 
 Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
 shared by all its flushes, so the per-round buffers of the fused window
 plane are allocated once per session, not once per flush.
-
-With ``eager=False`` the engine never flushes before ``drain`` and the whole
-session collapses to one vectorized batch — the ingest-everything-then-drain
-adapter shape ``replay_dataset(engine="vectorized")`` uses.
 """
 
 from __future__ import annotations
@@ -56,15 +52,11 @@ class MicroBatchEngine(InferenceEngine):
     Args:
         program: The data-plane program (``SpliDTDataPlane``,
             ``TopKDataPlane``, or anything exposing ``process_packet``).
-        eager: Flush completed flows while the stream is still running
-            (``False`` defers everything to ``drain`` — one big batch).
         flush_flows: Eager-flush threshold: buffer at least this many
             eligible flows before a flush (amortises the per-flush vectorized
             setup).
         backpressure: Maximum buffered (unprocessed) packets before
             :class:`~repro.serve.engine.BackpressureError` is raised.
-            Enforced only in eager mode — deferred mode buffers the whole
-            stream by design.
 
     Example::
 
@@ -81,7 +73,6 @@ class MicroBatchEngine(InferenceEngine):
         self,
         program,
         *,
-        eager: bool = True,
         flush_flows: int = DEFAULT_FLUSH_FLOWS,
         backpressure: int = DEFAULT_BACKPRESSURE,
     ) -> None:
@@ -93,7 +84,6 @@ class MicroBatchEngine(InferenceEngine):
         if backpressure < 1:
             raise ServeError(f"backpressure must be >= 1, got {backpressure}")
         self.program = program
-        self.eager = eager
         self.flush_flows = flush_flows
         self.backpressure = backpressure
         self._slots: np.ndarray | None = None
@@ -129,7 +119,6 @@ class MicroBatchEngine(InferenceEngine):
     def _successor_engine(self, program_factory) -> "MicroBatchEngine":
         child = MicroBatchEngine(
             program_factory(),
-            eager=self.eager,
             flush_flows=self.flush_flows,
             backpressure=self.backpressure,
         )
@@ -214,10 +203,6 @@ class MicroBatchEngine(InferenceEngine):
             self._complete_unflushed += int(np.count_nonzero(
                 (self._buffered[touched] == totals[touched]) & (totals[touched] > 0)
             ))
-        if not self.eager:
-            # Deferred mode buffers the whole stream by design (the
-            # ingest-everything-then-drain adapter); no backpressure bound.
-            return
         # The O(n_flows) eligibility scan only pays off once enough flows
         # have completed to possibly trigger a flush.
         if (self._complete_unflushed >= self.flush_flows

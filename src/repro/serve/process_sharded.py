@@ -10,19 +10,13 @@ shards are configured.  This module lifts the same partitioning onto worker
   :class:`~repro.datasets.shm.SharedPacketArrays` segment; every worker
   attaches zero-copy NumPy views over the same pages;
 * per-chunk messages carry only packet *positions* (``intp`` indices into
-  the shared columns) — over one of two transports:
-
-  - ``"ring"`` (the default): a single-producer/single-consumer
-    shared-memory ring buffer per worker (:mod:`repro.serve.ring`).  The
-    parent copies each per-shard position span straight into the worker's
-    ring arena and bumps a cursor; nothing is pickled per chunk, ``ingest``
-    returns as soon as the copy lands (so the parent stages chunk N+1 while
-    workers consume chunk N), and crash detection is folded into the
-    busy-wait-then-backoff loops on both sides;
-  - ``"queue"``: the legacy bounded :class:`multiprocessing.Queue` per
-    worker — kept for A/B comparison (``--transport queue``) and exercised
-    by CI under ``SPLIDT_SERVE_TRANSPORT=queue``;
-
+  the shared columns) over a single-producer/single-consumer shared-memory
+  ring buffer per worker (:mod:`repro.serve.ring`).  The parent copies each
+  per-shard position span straight into the worker's ring arena and bumps a
+  cursor; nothing is pickled per chunk, ``ingest`` returns as soon as the
+  copy lands (so the parent stages chunk N+1 while workers consume chunk N),
+  and crash detection is folded into the busy-wait-then-backoff loops on
+  both sides;
 * each worker owns a fresh program instance (its own register file and
   recirculation channel) plus a child engine, exactly like a thread shard;
   programs are **pre-bound at pool start** — ``open()`` blocks until every
@@ -38,13 +32,13 @@ shards are configured.  This module lifts the same partitioning onto worker
 Because flows that share a register slot land on the same worker by
 construction (``slot % workers``), hash-collision corruption is reproduced
 bit-exactly — the parity suite runs this engine against the reference
-interpreter at 64-slot collision pressure, over both transports.
+interpreter at 64-slot collision pressure.
 
 Teardown is crash-safe: the parent owns the shared segments (the packet
 source *and* the rings) and unlinks them on ``close()``, on any failure
 path, and from a ``weakref.finalize`` guard, so a worker crash mid-stream
 cannot leak ``/dev/shm`` segments.  A dead worker is detected inside the
-blocking ring/queue waits and on the next ``ingest``/``drain``/``stats``
+blocking ring waits and on the next ``ingest``/``drain``/``stats``
 call, surfacing as a :class:`~repro.serve.engine.ServeError` after cleanup;
 a worker that loses its parent (re-parenting observed while blocked on an
 empty ring) tears itself down.
@@ -90,15 +84,6 @@ from repro.serve.ring import (
 #: Start methods accepted by :class:`ProcessShardedEngine` (``None`` = pick).
 START_METHODS = (None, "fork", "spawn", "forkserver")
 
-#: Transports accepted by :class:`ProcessShardedEngine` (``None`` = env/default).
-TRANSPORTS = (None, "queue", "ring")
-
-#: Environment variable selecting the default transport (CI's legacy-path knob).
-TRANSPORT_ENV = "SPLIDT_SERVE_TRANSPORT"
-
-#: Transport used when neither the constructor nor the env pins one.
-DEFAULT_TRANSPORT = "ring"
-
 #: Default ring geometry: slots per worker ring / positions per slot span.
 DEFAULT_RING_SLOTS = 64
 DEFAULT_RING_SPAN = 4096
@@ -116,13 +101,6 @@ _POLL = 0.2
 
 #: Bounded wait for best-effort stop messages during teardown.
 _STOP_TIMEOUT = 0.25
-
-
-def _resolve_transport(transport: str | None) -> str:
-    """Constructor argument wins; then ``SPLIDT_SERVE_TRANSPORT``; then ring."""
-    if transport is not None:
-        return transport
-    return os.environ.get(TRANSPORT_ENV) or DEFAULT_TRANSPORT
 
 
 def _drain_sleep_for(index: int) -> float:
@@ -185,13 +163,13 @@ def _worker_main(
        eagerly, on the caller's thread, so an unpicklable factory fails
        loudly instead of vanishing in the queue's feeder thread.
     2. ``("attach", source_bytes, ring_layout)`` — map the shared packet
-       segment, seed the flow→slot table, and enter the serve loop: the
-       ring loop when ``ring_layout`` is given, otherwise the legacy
-       task-queue loop (``chunk``/``drain``/``snapshot``/``stop``).
+       segment and the worker's ring, seed the flow→slot table, and enter
+       the serve loop (``chunk``/``drain``/``snapshot``/``stop`` ring
+       messages).
 
     After any failure the worker keeps consuming (and discarding) messages
-    until ``stop`` so the parent's bounded puts can never deadlock against a
-    wedged shard; the failure itself travels back as an
+    until ``stop`` so the parent's bounded pushes can never deadlock against
+    a wedged shard; the failure itself travels back as an
     ``("error", index, trace)`` message.  While blocked on an empty ring the
     worker polls for re-parenting and tears itself down if the parent is
     gone (daemon cleanup never runs when the parent is SIGKILLed).
@@ -207,7 +185,6 @@ def _worker_main(
         pin_worker(index)
     parent_pid = os.getppid()
     shared = None
-    ring = None
     engine = None
     try:
         message = tasks.get()
@@ -240,8 +217,7 @@ def _worker_main(
         flows = flows_from_meta(meta, soa)
         if hasattr(engine, "seed_slots"):
             engine.seed_slots(slots)
-        if message[2] is not None:
-            ring = SpscRing.attach(message[2])
+        ring = SpscRing.attach(message[2])
     except BaseException:
         results.put(("error", index, traceback.format_exc()))
         _consume_until_stop(tasks)
@@ -263,59 +239,34 @@ def _worker_main(
 
     failed = False
     try:
-        if ring is not None:
-            while True:
-                kind, positions, _seq = ring.pop(poll=check_parent)
-                try:
-                    if kind == KIND_STOP:
-                        break
-                    if failed:
-                        if kind in (KIND_DRAIN, KIND_SNAPSHOT):
-                            results.put(("error", index, "worker already failed"))
-                        continue
-                    if kind == KIND_CHUNK:
-                        engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
-                    elif kind == KIND_DRAIN:
-                        engine.drain()
-                        reply("drained")
-                    elif kind == KIND_SNAPSHOT:
-                        reply("snapshot")
-                except BaseException:
-                    failed = True
-                    results.put(("error", index, traceback.format_exc()))
-        else:
-            while True:
-                message = tasks.get()
-                kind = message[0]
-                try:
-                    if kind == "stop":
-                        break
-                    if failed:
-                        if kind in ("drain", "snapshot"):
-                            results.put(("error", index, "worker already failed"))
-                        continue
-                    if kind == "chunk":
-                        engine.ingest(
-                            PacketChunk(soa=soa, flows=flows, positions=message[1])
-                        )
-                    elif kind == "drain":
-                        engine.drain()
-                        reply("drained")
-                    elif kind == "snapshot":
-                        reply("snapshot")
-                except BaseException:
-                    failed = True
-                    results.put(("error", index, traceback.format_exc()))
+        while True:
+            kind, positions, _seq = ring.pop(poll=check_parent)
+            try:
+                if kind == KIND_STOP:
+                    break
+                if failed:
+                    if kind in (KIND_DRAIN, KIND_SNAPSHOT):
+                        results.put(("error", index, "worker already failed"))
+                    continue
+                if kind == KIND_CHUNK:
+                    engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
+                elif kind == KIND_DRAIN:
+                    engine.drain()
+                    reply("drained")
+                elif kind == KIND_SNAPSHOT:
+                    reply("snapshot")
+            except BaseException:
+                failed = True
+                results.put(("error", index, traceback.format_exc()))
     except _ParentLost:
         pass  # orphaned: fall through to teardown
     del engine  # drop chunk/soa references so the shared mapping can unmap
-    if ring is not None:
-        ring.close()
+    ring.close()
     shared.close()
 
 
 def _consume_until_stop(tasks) -> None:
-    """Discard queued work so the parent's bounded puts cannot deadlock."""
+    """Discard task-queue messages until ``stop`` (or a minute of silence)."""
     while True:
         try:
             if tasks.get(timeout=60.0)[0] == "stop":
@@ -362,8 +313,8 @@ class ProcessShardedEngine(InferenceEngine):
     each shard runs in its own interpreter, so throughput scales with cores
     instead of saturating the GIL.  Packet columns are shared (one
     shared-memory segment, zero-copy worker views); only positions cross
-    the process boundary per chunk — through a shared-memory SPSC ring per
-    worker by default, or the legacy bounded queue (``transport="queue"``).
+    the process boundary per chunk, through a shared-memory SPSC ring per
+    worker.
 
     ``open()`` pre-binds the pool: it blocks until every worker has built
     its program (so a broken or unpicklable factory fails the ``open()``,
@@ -380,14 +331,8 @@ class ProcessShardedEngine(InferenceEngine):
             on macOS/Windows).
         child_engine: Engine each worker runs (``"microbatch"`` or
             ``"streaming"``).
-        transport: ``"ring"`` (shared-memory SPSC rings), ``"queue"`` (the
-            legacy ``multiprocessing.Queue``), or ``None`` — resolve from
-            ``SPLIDT_SERVE_TRANSPORT``, default ``"ring"``.
-        queue_depth: Chunks a worker may buffer before ``ingest`` blocks
-            (queue transport only; the ring transport's bound is
-            ``ring_slots``).
-        ring_slots: Slots per worker ring (ring transport).  A full ring is
-            this engine's backpressure: ``ingest`` blocks with backoff until
+        ring_slots: Slots per worker ring.  A full ring is this engine's
+            backpressure: ``ingest`` blocks with backoff until
             the worker frees a slot.
         ring_span: Positions one ring slot can carry; larger per-shard
             chunks are split across consecutive slots (semantically
@@ -395,9 +340,9 @@ class ProcessShardedEngine(InferenceEngine):
         flush_flows: Eager-flush threshold of micro-batch children.
         backpressure: Buffered-packet limit of micro-batch children.
         affinity: Pin each worker to one CPU (round-robin over the usable
-            set) via :func:`repro.affinity.pin_worker`.  ``None`` resolves
-            from ``SPLIDT_AFFINITY``; default off.  A no-op with a warning
-            on platforms without ``os.sched_setaffinity``.
+            set) via :func:`repro.affinity.pin_worker`; off unless set.  A
+            no-op with a warning on platforms without
+            ``os.sched_setaffinity``.
 
     Example::
 
@@ -419,8 +364,6 @@ class ProcessShardedEngine(InferenceEngine):
         workers: int = 4,
         start_method: str | None = None,
         child_engine: str = "microbatch",
-        transport: str | None = None,
-        queue_depth: int = 64,
         ring_slots: int = DEFAULT_RING_SLOTS,
         ring_span: int = DEFAULT_RING_SPAN,
         flush_flows: int | None = None,
@@ -435,18 +378,6 @@ class ProcessShardedEngine(InferenceEngine):
                 f"unknown child engine {child_engine!r}; "
                 "expected 'microbatch' or 'streaming'"
             )
-        if transport not in TRANSPORTS:
-            raise ServeError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        resolved = _resolve_transport(transport)
-        if resolved not in ("queue", "ring"):
-            raise ServeError(
-                f"unknown transport {resolved!r} (from {TRANSPORT_ENV}); "
-                "expected 'queue' or 'ring'"
-            )
-        if queue_depth < 1:
-            raise ServeError(f"queue_depth must be >= 1, got {queue_depth}")
         if ring_slots < 1:
             raise ServeError(f"ring_slots must be >= 1, got {ring_slots}")
         if ring_span < 1:
@@ -463,8 +394,6 @@ class ProcessShardedEngine(InferenceEngine):
         self.workers = workers
         self.start_method = start_method
         self.child_engine = child_engine
-        self.transport = resolved
-        self.queue_depth = queue_depth
         self.ring_slots = ring_slots
         self.ring_span = ring_span
         self.flush_flows = flush_flows
@@ -512,7 +441,8 @@ class ProcessShardedEngine(InferenceEngine):
         """
         self._results = self._ctx.Queue()
         for index in range(self.workers):
-            tasks = self._ctx.Queue(maxsize=self.queue_depth)
+            # Carries bind/attach/stop only; chunks travel over the rings.
+            tasks = self._ctx.Queue()
             process = self._ctx.Process(
                 target=_worker_main,
                 name=f"serve-mp-shard-{index}",
@@ -556,8 +486,8 @@ class ProcessShardedEngine(InferenceEngine):
                 "picklable — use repro.pipeline.systems.ProgramFactory or a "
                 f"module-level callable, not a lambda/closure: {exc}"
             )
-        for shard in range(self.workers):
-            self._put(shard, ("bind", payload))
+        for tasks in self._task_queues:
+            tasks.put(("bind", payload))
 
         table_sizes: dict[int, int] = {}
         while len(table_sizes) < self.workers:
@@ -574,7 +504,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._table_size = next(iter(table_sizes.values()))
 
     def _attach_source(self) -> None:
-        """First-chunk setup: share the packet source and hand out transports.
+        """First-chunk setup: share the packet source and hand out the rings.
 
         The pool is already warm (programs built at ``open()``); this only
         copies the SoA columns into shared memory, creates the per-worker
@@ -589,18 +519,16 @@ class ProcessShardedEngine(InferenceEngine):
         self._segments.append(self._shared)
         slots = flow_slots(self._flows, self._table_size)
         self._shard_of_flow = (slots % self.workers).astype(np.intp)
-        if self.transport == "ring":
-            for _ in range(self.workers):
-                ring = SpscRing.create(slots=self.ring_slots, span=self.ring_span)
-                self._rings.append(ring)
-                self._segments.append(ring)
+        for _ in range(self.workers):
+            ring = SpscRing.create(slots=self.ring_slots, span=self.ring_span)
+            self._rings.append(ring)
+            self._segments.append(ring)
         payload = pickle.dumps(
             (self._shared.layout, flow_meta(self._flows), slots),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        for shard in range(self.workers):
-            layout = self._rings[shard].layout if self._rings else None
-            self._put(shard, ("attach", payload, layout))
+        for tasks, ring in zip(self._task_queues, self._rings):
+            tasks.put(("attach", payload, ring.layout))
 
     def _ingest(self, chunk: PacketChunk) -> None:
         if self._shard_of_flow is None:
@@ -616,9 +544,6 @@ class ProcessShardedEngine(InferenceEngine):
                 self._send_chunk(shard, sub)
 
     def _send_chunk(self, shard: int, positions: np.ndarray) -> None:
-        if not self._rings:
-            self._put(shard, ("chunk", positions))
-            return
         ring = self._rings[shard]
         # Spans wider than one slot are split; the child engines are
         # chunking-agnostic (the parity suite runs every chunk size).
@@ -629,20 +554,13 @@ class ProcessShardedEngine(InferenceEngine):
                 poll=self._check_failures,
             )
 
-    def _signal(self, shard: int, kind: int, message: tuple) -> None:
-        """Send one control message over the shard's active transport."""
-        if self._rings:
-            self._rings[shard].push(kind, poll=self._check_failures)
-        else:
-            self._put(shard, message)
-
     def _drain(self) -> None:
         if self._shard_of_flow is None:
             self._final = True
             return
         self._check_failures()
-        for shard in range(self.workers):
-            self._signal(shard, KIND_DRAIN, ("drain",))
+        for ring in self._rings:
+            ring.push(KIND_DRAIN, poll=self._check_failures)
         self._collect("drained")
         self._final = True
 
@@ -658,22 +576,6 @@ class ProcessShardedEngine(InferenceEngine):
     # ------------------------------------------------------------------
     # Worker plumbing
     # ------------------------------------------------------------------
-    def _put(self, shard: int, message) -> None:
-        """Enqueue one task-queue message with flow control and liveness checks.
-
-        Blocks while the shard's bounded queue is full (that *is* the
-        backpressure of the queue transport) but never deadlocks against a
-        dead worker: each poll re-checks the process and fails the session
-        if it exited.
-        """
-        tasks = self._task_queues[shard]
-        while True:
-            try:
-                tasks.put(message, timeout=_POLL)
-                return
-            except queue_module.Full:
-                self._check_failures()
-
     def _next_result(self, *, timeout: float, waiting_for: str):
         """One message off the shared result queue, watching worker liveness."""
         waited = 0.0
@@ -786,8 +688,8 @@ class ProcessShardedEngine(InferenceEngine):
         if self._final or self._shard_of_flow is None or self._cleaned:
             return dict(self._merged_verdicts)
         self._check_failures()
-        for shard in range(self.workers):
-            self._signal(shard, KIND_SNAPSHOT, ("snapshot",))
+        for ring in self._rings:
+            ring.push(KIND_SNAPSHOT, poll=self._check_failures)
         self._collect("snapshot")
         return dict(self._merged_verdicts)
 
@@ -820,7 +722,7 @@ class ProcessShardedEngine(InferenceEngine):
             }
 
     def _transport_stats(self) -> dict[str, float]:
-        """Ring occupancy/stall counters (empty for the queue transport).
+        """Ring occupancy/stall counters (empty before the first ``ingest``).
 
         Occupancy is the live sum of buffered messages across worker rings;
         the stall counters count *episodes* (a blocked push/pop counts once,
@@ -837,8 +739,6 @@ class ProcessShardedEngine(InferenceEngine):
             workers=self.workers,
             start_method=self.start_method,
             child_engine=self.child_engine,
-            transport=self.transport,
-            queue_depth=self.queue_depth,
             ring_slots=self.ring_slots,
             ring_span=self.ring_span,
             flush_flows=self.flush_flows,

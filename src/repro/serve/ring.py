@@ -1,15 +1,16 @@
 """Single-producer/single-consumer shared-memory rings for sharded-mp serving.
 
-The queue transport of :class:`~repro.serve.process_sharded.ProcessShardedEngine`
-pays for every chunk twice: the positions array is pickled onto a
-``multiprocessing.Queue`` feeder thread in the parent and unpickled in the
-worker, with a pipe write/read (plus two thread hops) in between.  At
-benchmark chunk sizes that orchestration dwarfs the actual window machinery —
-the committed queue-transport run served 23K pkt/s against 1.7M for batch
-replay.
+Shipping chunks to the workers of
+:class:`~repro.serve.process_sharded.ProcessShardedEngine` over a
+``multiprocessing.Queue`` pays for every chunk twice: the positions array is
+pickled onto a feeder thread in the parent and unpickled in the worker, with
+a pipe write/read (plus two thread hops) in between.  At benchmark chunk
+sizes that orchestration dwarfs the actual window machinery — the first
+sharded-mp implementation did exactly that and served 23K pkt/s against
+1.7M for batch replay.
 
-This module replaces the per-chunk queue with one **SPSC ring buffer per
-worker**, layered on the same shared-memory lifetime discipline as
+This module carries chunks over one **SPSC ring buffer per worker**
+instead, layered on the same shared-memory lifetime discipline as
 :mod:`repro.datasets.shm`:
 
 * the ring is a fixed number of *slots*; each slot owns a fixed-size span of

@@ -21,7 +21,7 @@ import pytest
 
 from repro.affinity import affinity_supported, pin_worker, resolve_affinity
 from repro.core.config import SpliDTConfig
-from repro.core.dse import DesignSearch, config_cache_key, resolve_dse_workers
+from repro.core.dse import DesignSearch, config_cache_key
 from repro.core.dse_parallel import DseError, ParallelEvaluator
 from repro.datasets import DatasetStore, load_dataset
 from repro.switch.targets import TOFINO1
@@ -205,24 +205,22 @@ class TestCrashCleanup:
 
 
 class TestWorkerKnobs:
-    def test_workers_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("SPLIDT_DSE_WORKERS", raising=False)
-        assert resolve_dse_workers(None) == 0
+    def test_workers_env_resolution(self, monkeypatch, parity_store):
+        # SPLIDT_DSE_WORKERS used to size the pool: only the argument does.
         monkeypatch.setenv("SPLIDT_DSE_WORKERS", "3")
-        assert resolve_dse_workers(None) == 3
-        assert resolve_dse_workers(2) == 2  # constructor argument wins
-        assert resolve_dse_workers(0) == 0
+        assert DesignSearch(parity_store, **SEARCH_KWARGS).workers == 0
+        assert DesignSearch(parity_store, workers=2, **SEARCH_KWARGS).workers == 2
 
     def test_negative_workers_rejected(self, parity_store):
         with pytest.raises(ValueError, match="workers"):
             DesignSearch(parity_store, workers=-1, **SEARCH_KWARGS)
 
     def test_affinity_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("SPLIDT_AFFINITY", raising=False)
-        assert resolve_affinity(None) is False
+        # SPLIDT_AFFINITY used to turn pinning on: only the argument does.
         monkeypatch.setenv("SPLIDT_AFFINITY", "1")
-        assert resolve_affinity(None) is True
-        assert resolve_affinity(False) is False  # constructor argument wins
+        assert resolve_affinity(None) is False
+        assert resolve_affinity(False) is False
+        assert resolve_affinity(True) is True
 
 
 class TestAffinity:

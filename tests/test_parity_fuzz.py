@@ -8,9 +8,11 @@ times, single-packet flows, empty flows, truncated streams — and every trace
 is replayed through
 
 * ``engine="reference"`` (the per-packet oracle),
-* ``engine="vectorized"`` (the serving-adapter batched path),
-* ``engine="fused"`` (the direct workspace-backed batched path), and
-* an eager :class:`~repro.serve.MicroBatchEngine` fed randomly sized chunks,
+* ``engine="vectorized"`` (the workspace-backed batched path),
+* an eager :class:`~repro.serve.MicroBatchEngine` fed randomly sized chunks
+  (``flush_flows`` of 1, 2 or 8), and
+* a :class:`~repro.serve.MicroBatchEngine` whose ``flush_flows`` exceeds the
+  flow count, so it flushes once, at ``drain``,
 
 asserting bit-identical verdicts (label, decision time, first-packet time,
 recirculation count, early-exit flag), controller digests (as an unordered
@@ -153,34 +155,36 @@ def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> s
     """Replay one trace through all engines; return a mismatch description."""
     dataset = _dataset(flows)
     snapshots = {}
-    for engine in ("reference", "vectorized", "fused"):
+    for engine in ("reference", "vectorized"):
         program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
         result = replay_dataset(program, dataset, engine=engine)
         snapshots[engine] = _snapshot(program, result)
 
-    # Eager micro-batch with randomly sized chunks.
-    program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
-    serving = MicroBatchEngine(
-        program, eager=True, flush_flows=chunk_rng.choice((1, 2, 8))
-    )
-    serving.open()
+    # Micro-batch with randomly sized chunks: eager, then flushing only at
+    # drain (a threshold no stream of these flows can reach).
     soa = dataset.packet_arrays()
     order = soa.interleave_order
-    position = 0
-    while True:
-        step = chunk_rng.randint(1, max(1, order.size // 3 or 1))
-        serving.ingest(
-            PacketChunk(soa=soa, flows=dataset.flows,
-                        positions=order[position:position + step])
-        )
-        position += step
-        if position >= order.size:
-            break
-    serving.drain()
-    snapshots["microbatch"] = _snapshot(program, serving.close())
+    for name, flush_flows in (
+        ("microbatch", chunk_rng.choice((1, 2, 8))),
+        ("microbatch(drain-only)", len(flows) + 1),
+    ):
+        program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
+        serving = MicroBatchEngine(program, flush_flows=flush_flows).open()
+        position = 0
+        while True:
+            step = chunk_rng.randint(1, max(1, order.size // 3 or 1))
+            serving.ingest(
+                PacketChunk(soa=soa, flows=dataset.flows,
+                            positions=order[position:position + step])
+            )
+            position += step
+            if position >= order.size:
+                break
+        serving.drain()
+        snapshots[name] = _snapshot(program, serving.close())
 
     oracle = snapshots["reference"]
-    for name in ("vectorized", "fused", "microbatch"):
+    for name in ("vectorized", "microbatch", "microbatch(drain-only)"):
         mismatch = _diff(name, oracle, snapshots[name])
         if mismatch is not None:
             return mismatch
@@ -198,7 +202,7 @@ def _run_truncated(model, rules, flows, table_size, cut_rng, eviction=None) -> s
     snapshots = {}
     for name, make in (
         ("streaming", lambda p: StreamingEngine(p)),
-        ("microbatch", lambda p: MicroBatchEngine(p, eager=False)),
+        ("microbatch", lambda p: MicroBatchEngine(p, flush_flows=len(flows) + 1)),
     ):
         program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
         serving = make(program)
@@ -355,7 +359,6 @@ def _stream_mp_ring(model, rules, dataset, table_size, positions, chunk_rng):
     engine = ProcessShardedEngine(
         _MpFuzzFactory(model, rules, table_size),
         workers=2,
-        transport="ring",
         ring_slots=4,
         ring_span=32,
         flush_flows=2,
@@ -466,7 +469,7 @@ def test_eviction_resolves_undecided(splidt_model, splidt_rules):
 
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1,
                               eviction=policy)
-    result = replay_dataset(program, _dataset(flows), engine="fused")
+    result = replay_dataset(program, _dataset(flows), engine="vectorized")
     stats = program.eviction_stats()
     assert 0 not in result.verdicts
     assert 1 in result.verdicts
@@ -498,5 +501,5 @@ def test_duplicate_five_tuple_goes_scalar(splidt_model, splidt_rules):
 
     # And the reference semantics themselves: the second flow has no verdict.
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
-    result = replay_dataset(program, _dataset(flows), engine="fused")
+    result = replay_dataset(program, _dataset(flows), engine="vectorized")
     assert 1 not in result.verdicts

@@ -66,26 +66,6 @@ def test_replay_saved_run_matches(tmp_path):
     assert dataplane_f1(first.stdout) == dataplane_f1(second.stdout)
 
 
-def test_lookup_knob_scan_vs_lut_identical(tmp_path):
-    """`--lookup scan` and `--lookup lut` must report identical replays."""
-    out_scan = run_cli("run", *FAST_RUN, "--lookup", "scan",
-                       "--out", str(tmp_path / "scan"))
-    out_lut = run_cli("run", *FAST_RUN, "--lookup", "lut",
-                      "--out", str(tmp_path / "lut"))
-    assert "scan lookup" in out_scan.stdout
-    assert "lut lookup" in out_lut.stdout
-
-    def replay_fields(path):
-        summary = json.loads((path / "result.json").read_text())
-        return (summary["replay_f1"], summary["replay_flows"], summary["ttd"],
-                summary["recirculation"])
-
-    assert replay_fields(tmp_path / "scan") == replay_fields(tmp_path / "lut")
-    # The saved artifact replays under the opposite lookup mode, too.
-    override = run_cli("replay", str(tmp_path / "lut"), "--lookup", "scan")
-    assert "scan lookup" in override.stdout
-
-
 def test_run_rejects_bad_spec():
     process = run_cli("run", "--dataset", "D3", "--n-flows", "5", expect_code=2)
     assert "n_flows" in process.stderr
@@ -94,6 +74,11 @@ def test_run_rejects_bad_spec():
 def test_run_unknown_dataset_rejected_by_argparse():
     process = run_cli("run", "--dataset", "D99", expect_code=2)
     assert "invalid choice" in process.stderr
+    # Removed selectors are argparse errors too: no alias, nothing ignored.
+    for argv in (("run", "--lookup", "scan"), ("run", "--engine", "fused"),
+                 ("replay", "run-dir", "--lookup", "scan"),
+                 ("serve", "--transport", "queue")):
+        assert "usage:" in run_cli(*argv, expect_code=2).stderr
 
 
 def test_compare_smoke():

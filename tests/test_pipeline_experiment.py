@@ -121,7 +121,7 @@ class TestParityWithHandChainedPath:
             program,
             dataset,
             max_flows=spec.replay_flows,
-            engine=spec.resolved_engine(),
+            engine=spec.replay_engine,
         )
         return offline, rules, replay
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.config import SpliDTConfig
 from repro.online import OnlineConfig
-from repro.pipeline import ExperimentSpec, ServeConfig, SpecError, default_replay_engine
-from repro.pipeline.spec import REPLAY_ENGINE_ENV
+from repro.pipeline import ExperimentSpec, ServeConfig, SpecError
 from repro.switch.targets import TOFINO2
 
 
@@ -23,7 +24,7 @@ class TestValidation:
             {"n_flows": 5},
             {"target": "tofino9"},
             {"replay_engine": "turbo"},
-            {"lookup": "hash"},
+            {"replay_engine": "fused"},  # removed engine name: rejected, not aliased
             {"replay_flows": 0},
             {"flow_slots": 0},
             {"test_size": 0.0},
@@ -74,23 +75,42 @@ class TestResolution:
     def test_target_spec_lookup(self):
         assert ExperimentSpec(target="Tofino2").target_spec() is TOFINO2
 
+    # SPLIDT_REPLAY_ENGINE used to be the default behind replay_engine=None;
+    # the engine is now a plain spec field the environment cannot reach.
     def test_engine_spec_field_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENGINE_ENV, "reference")
-        assert ExperimentSpec(replay_engine="vectorized").resolved_engine() == "vectorized"
+        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "vectorized")
+        spec = ExperimentSpec(replay_engine="reference").validate()
+        assert spec.replay_engine == "reference"
 
     def test_engine_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENGINE_ENV, "reference")
-        assert ExperimentSpec().resolved_engine() == "reference"
-        assert default_replay_engine() == "reference"
+        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "reference")
+        assert ExperimentSpec().validate().replay_engine == "vectorized"
 
     def test_engine_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENGINE_ENV, raising=False)
-        assert ExperimentSpec().resolved_engine() == "vectorized"
+        monkeypatch.delenv("SPLIDT_REPLAY_ENGINE", raising=False)
+        assert ExperimentSpec().replay_engine == "vectorized"
 
     def test_bad_env_engine_raises(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENGINE_ENV, "warp")
+        # Only the spec field can carry a bad engine, and that still raises.
+        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "warp")
+        assert ExperimentSpec().validate().replay_engine == "vectorized"
         with pytest.raises(SpecError, match="warp"):
-            ExperimentSpec().resolved_engine()
+            ExperimentSpec(replay_engine="warp").validate()
+
+    def test_src_reads_no_ambient_env_knob(self):
+        # Spec -> constructor -> CLI is the whole config surface.  The one
+        # SPLIDT_ variable left is a test hook that has to cross a spawn
+        # boundary (tests/test_serve_ring.py slows one worker's drain reply).
+        from pathlib import Path
+
+        import repro
+
+        literals = {
+            match
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for match in re.findall(r"SPLIDT_[A-Z_]+", path.read_text())
+        }
+        assert literals == {"SPLIDT_SERVE_TEST_DRAIN_SLEEP"}
 
     def test_topk_config_for_baselines(self):
         spec = ExperimentSpec(system="netbeacon", depth=8, features_per_subtree=3)
@@ -114,21 +134,16 @@ class TestSerialisation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecError, match="mystery"):
             ExperimentSpec.from_dict({"dataset": "D3", "mystery": 1})
+        # Run directories written while `lookup` was a spec field are
+        # rejected by name, not migrated.
+        with pytest.raises(SpecError, match="lookup"):
+            ExperimentSpec.from_dict({"dataset": "D3", "lookup": "lut"})
 
     def test_replace_returns_new_spec(self):
         spec = ExperimentSpec(dataset="D3")
         other = spec.replace(dataset="D6", seed=9)
         assert (other.dataset, other.seed) == ("D6", 9)
         assert spec.dataset == "D3"
-
-    def test_lookup_defaults_to_lut_and_roundtrips(self):
-        assert ExperimentSpec().lookup == "lut"
-        spec = ExperimentSpec(lookup="scan")
-        assert ExperimentSpec.from_dict(spec.to_dict()).lookup == "scan"
-        # Specs saved before the lookup knob existed load with the default.
-        legacy = ExperimentSpec().to_dict()
-        del legacy["lookup"]
-        assert ExperimentSpec.from_dict(legacy).lookup == "lut"
 
 
 class TestServeConfig:
@@ -147,7 +162,7 @@ class TestServeConfig:
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["serve"] == {
             "engine": "sharded", "shards": 4, "workers": 4,
-            "spawn_method": None, "transport": None, "ring_slots": 64,
+            "spawn_method": None, "ring_slots": 64,
             "chunk_size": 128, "backpressure": 4096,
             "online": {
                 "enabled": False, "detector": "page-hinkley", "window": 64,
@@ -180,8 +195,6 @@ class TestServeConfig:
             ExperimentSpec(serve=ServeConfig(engine="sharded-mp", workers=0)).validate()
         with pytest.raises(SpecError, match="spawn_method"):
             ExperimentSpec(serve=ServeConfig(spawn_method="warp")).validate()
-        with pytest.raises(SpecError, match="transport"):
-            ExperimentSpec(serve=ServeConfig(transport="warp")).validate()
         with pytest.raises(SpecError, match="ring_slots"):
             ExperimentSpec(serve=ServeConfig(ring_slots=0)).validate()
 
@@ -189,13 +202,14 @@ class TestServeConfig:
         import json
 
         spec = ExperimentSpec(
-            serve=ServeConfig(engine="sharded-mp", transport="ring", ring_slots=8)
+            serve=ServeConfig(engine="sharded-mp", ring_slots=8)
         ).validate()
         payload = json.loads(json.dumps(spec.to_dict()))
-        assert payload["serve"]["transport"] == "ring"
+        # The ring is the only transport: its geometry is all that travels.
+        assert "transport" not in payload["serve"]
         assert payload["serve"]["ring_slots"] == 8
         restored = ExperimentSpec.from_dict(payload)
-        assert restored == spec and restored.serve.transport == "ring"
+        assert restored == spec and restored.serve.ring_slots == 8
 
     def test_serve_dict_coerced_at_construction(self):
         spec = ExperimentSpec(serve={"engine": "streaming", "chunk_size": 32})
@@ -204,6 +218,8 @@ class TestServeConfig:
     def test_unknown_serve_keys_rejected(self):
         with pytest.raises(SpecError, match="serve"):
             ExperimentSpec.from_dict({"serve": {"engine": "microbatch", "warp": 9}})
+        with pytest.raises(SpecError, match="transport"):
+            ExperimentSpec.from_dict({"serve": {"engine": "sharded-mp", "transport": "ring"}})
 
     def test_serve_replace(self):
         config = ServeConfig()
@@ -266,7 +282,7 @@ class TestDseConfig:
         spec = ExperimentSpec().validate()
         assert spec.dse == DseConfig()
         assert spec.dse.method == "bayesian"
-        assert spec.dse.workers is None  # resolve from SPLIDT_DSE_WORKERS
+        assert spec.dse.workers == 0 and spec.dse.affinity is False
 
     def test_dse_roundtrips_as_nested_dict(self):
         import json

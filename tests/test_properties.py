@@ -194,7 +194,7 @@ def test_tree_node_counts_consistent(problem):
 # ----------------------------------------------------------------------
 # Bit-identity to the reference interpreter makes the interpreter the only
 # specification; these hold for *any* correct engine, so they are checked on
-# the reference engine and on the slot-stream plane ("fused") alike.
+# the reference engine and on the slot-stream plane ("vectorized") alike.
 _TUPLE_POOL = [
     FiveTuple(src_ip=10 + i, dst_ip=20 + i, src_port=1000 + i, dst_port=443, protocol=6)
     for i in range(6)
@@ -247,7 +247,7 @@ def _replay(model, rules, flows, table_size, eviction, engine):
     return program, result
 
 
-@pytest.mark.parametrize("engine", ["reference", "fused"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 @given(trace=_contended_trace())
 @settings(max_examples=60, deadline=None)
 def test_contended_replay_invariants(engine, splidt_model, splidt_rules, trace):
@@ -268,7 +268,7 @@ def test_contended_replay_invariants(engine, splidt_model, splidt_rules, trace):
         assert stats["evictions"] == 0
 
 
-@pytest.mark.parametrize("engine", ["reference", "fused"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 @given(trace=_contended_trace(), seed=st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_replay_is_invariant_under_flow_list_permutation(

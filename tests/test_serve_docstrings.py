@@ -63,6 +63,10 @@ def test_serve_modules_have_docstrings():
     for module in (serve, serve.engine, serve.streaming, serve.microbatch,
                    serve.sharded, serve.process_sharded):
         assert (module.__doc__ or "").strip(), f"{module.__name__} has no docstring"
+        for removed in ('"queue"', "eager=False", '"fused"', "SPLIDT_"):
+            assert removed not in module.__doc__, (
+                f"{module.__name__} docstring mentions the removed {removed}"
+            )
 
 
 @pytest.mark.parametrize("cls", ENGINE_CLASSES, ids=lambda c: c.__name__)

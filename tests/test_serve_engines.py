@@ -126,9 +126,10 @@ class TestMicroBatchParity:
             engine="vectorized",
         )
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-        result = _stream(
-            MicroBatchEngine(program, eager=False), _chunks(small_dataset.flows, 64)
-        )
+        # A flush threshold above the flow count defers every flow to drain:
+        # the session is one big flush.
+        drain_only = MicroBatchEngine(program, flush_flows=len(small_dataset.flows) + 1)
+        result = _stream(drain_only, _chunks(small_dataset.flows, 64))
         _assert_identical(vectorized, result)
 
     def test_truncated_stream_matches_reference_prefix(
@@ -145,9 +146,12 @@ class TestMicroBatchParity:
         reference_program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
         reference = _stream(StreamingEngine(reference_program), half)
 
-        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-        result = _stream(MicroBatchEngine(program, flush_flows=4), half)
-        _assert_identical(reference, result)
+        # Eager flushes, then a threshold only drain can satisfy (every
+        # buffered prefix is replayed by the one flush at drain).
+        for flush_flows in (4, len(flows) + 1):
+            program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
+            result = _stream(MicroBatchEngine(program, flush_flows=flush_flows), half)
+            _assert_identical(reference, result)
 
 
 @pytest.mark.parametrize(

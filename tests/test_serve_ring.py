@@ -23,7 +23,7 @@ from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.datasets.shm import SEGMENT_PREFIX
 from repro.datasets.streams import iter_packet_chunks
 from repro.serve import ProcessShardedEngine, ServeError
-from repro.serve.process_sharded import DRAIN_SLEEP_ENV, TRANSPORT_ENV
+from repro.serve.process_sharded import DRAIN_SLEEP_ENV
 from repro.serve.ring import (
     KIND_CHUNK,
     KIND_DRAIN,
@@ -146,7 +146,6 @@ class TestRingFaultInjection:
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),
             workers=2,
-            transport="ring",
             start_method=start_method,
             flush_flows=4,
         ).open()
@@ -182,7 +181,6 @@ class TestRingFaultInjection:
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),
             workers=2,
-            transport="ring",
             ring_slots=1,
             ring_span=64,
         )
@@ -190,24 +188,17 @@ class TestRingFaultInjection:
         _assert_identical(reference, result)
         assert not _leaked_segments()
 
-    def test_transport_env_default_and_override(
-        self, splidt_model, splidt_rules, monkeypatch
-    ):
+    def test_constructor_validation(self, splidt_model, splidt_rules, monkeypatch):
         factory = ProgramFactory(splidt_model, splidt_rules, 256)
-        monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-        assert ProcessShardedEngine(factory).transport == "ring"
-        monkeypatch.setenv(TRANSPORT_ENV, "queue")
-        assert ProcessShardedEngine(factory).transport == "queue"
-        # An explicit constructor argument beats the environment.
-        assert ProcessShardedEngine(factory, transport="ring").transport == "ring"
-        monkeypatch.setenv(TRANSPORT_ENV, "warp")
-        with pytest.raises(ServeError, match="transport"):
-            ProcessShardedEngine(factory)
-
-    def test_constructor_validation(self, splidt_model, splidt_rules):
-        factory = ProgramFactory(splidt_model, splidt_rules, 256)
-        with pytest.raises(ServeError, match="transport"):
-            ProcessShardedEngine(factory, transport="warp")
+        # The ring is the only transport: no argument and no environment
+        # variable selects another.
+        for removed in ({"transport": "queue"}, {"transport": "ring"}, {"queue_depth": 8}):
+            with pytest.raises(TypeError):
+                ProcessShardedEngine(factory, **removed)
+        monkeypatch.setenv("SPLIDT_SERVE_TRANSPORT", "queue")
+        monkeypatch.setenv("SPLIDT_AFFINITY", "1")
+        engine = ProcessShardedEngine(factory)
+        assert not hasattr(engine, "transport") and engine.affinity is False
         with pytest.raises(ServeError, match="ring_slots"):
             ProcessShardedEngine(factory, ring_slots=0)
         with pytest.raises(ServeError, match="ring_span"):
@@ -219,7 +210,6 @@ class TestRingFaultInjection:
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),
             workers=2,
-            transport="ring",
         ).open()
         for chunk in iter_packet_chunks(small_dataset.flows, 1000):
             engine.ingest(chunk)
@@ -236,7 +226,6 @@ class TestRingFaultInjection:
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),
             workers=2,
-            transport="ring",
         ).open()
         for chunk in iter_packet_chunks(small_dataset.flows, 2000):
             engine.ingest(chunk)
@@ -248,31 +237,19 @@ class TestRingFaultInjection:
             "ring_consumer_stalls",
         }
         engine.close()
-        # Queue transport reports no ring counters.
-        queue_engine = ProcessShardedEngine(
-            ProgramFactory(splidt_model, splidt_rules, 8192),
-            workers=2,
-            transport="queue",
-        ).open()
-        for chunk in iter_packet_chunks(small_dataset.flows, 2000):
-            queue_engine.ingest(chunk)
-        assert queue_engine.stats().transport == {}
-        queue_engine.close()
 
 
 # ----------------------------------------------------------------------
 # Deterministic merge: drain order must not depend on worker finish order
 # ----------------------------------------------------------------------
 class TestDeterministicMerge:
-    @pytest.mark.parametrize("transport", ["ring", "queue"])
     def test_verdict_stream_identical_with_a_slowed_worker(
-        self, splidt_model, splidt_rules, small_dataset, monkeypatch, transport
+        self, splidt_model, splidt_rules, small_dataset, monkeypatch
     ):
         def run() -> list:
             engine = ProcessShardedEngine(
                 ProgramFactory(splidt_model, splidt_rules, 8192),
                 workers=3,
-                transport=transport,
                 flush_flows=2,
             )
             result = _stream(engine, iter_packet_chunks(small_dataset.flows, 700))

@@ -3,10 +3,10 @@
 ``tests/test_parity_fuzz.py`` throws random traces at every engine; this
 module pins the *named* behaviours of a contended register slot with small
 hand-built traces, each replayed through ``engine="reference"`` and through
-``replay_arrays`` (``engine="fused"``) and compared on verdicts, controller
-digests, recirculation counters and ``eviction_stats()``.  Every case also
-asserts that the packets really went through the slot-stream plane and that
-the behaviour it is named after really occurs in the trace.
+``replay_arrays`` (``engine="vectorized"``) and compared on verdicts,
+controller digests, recirculation counters and ``eviction_stats()``.  Every
+case also asserts that the packets really went through the slot-stream plane
+and that the behaviour it is named after really occurs in the trace.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ def _replay_both(model, rules, batches, *, slots=1, eviction=None):
     ended in the same observable state.
     """
     programs = {}
-    for engine in ("reference", "fused"):
+    for engine in ("reference", "vectorized"):
         program = SpliDTDataPlane(model, rules, flow_slots=slots, eviction=eviction)
         for flows in batches:
             replay_dataset(program, _dataset(flows), engine=engine)
         programs[engine] = program
-    reference, fused = programs["reference"], programs["fused"]
+    reference, fused = programs["reference"], programs["vectorized"]
     assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
     return reference, fused
 
@@ -133,7 +133,7 @@ def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):
         return step_windows(**kwargs)
 
     program.step_windows = spy
-    replay_dataset(program, _dataset(flows), engine="fused")
+    replay_dataset(program, _dataset(flows), engine="vectorized")
     assert program.eviction_stats()["evicted_flows"] == [0, 1]
     assert (10.0, 202.0) in seen  # A's third packet: size 200 + 2
     assert all(first_ts != 10.0 or size == 202.0 for first_ts, size in seen)

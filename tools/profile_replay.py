@@ -8,9 +8,9 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python tools/profile_replay.py
     PYTHONPATH=src python tools/profile_replay.py --dataset D6 --flows 800 \
-        --depth 18 --partitions 2 --lookup scan --top 30
+        --depth 18 --partitions 2 --top 30
     PYTHONPATH=src python tools/profile_replay.py --engine reference --sort tottime
-    PYTHONPATH=src python tools/profile_replay.py --engine fused --json profile.json
+    PYTHONPATH=src python tools/profile_replay.py --engine vectorized --json profile.json
     PYTHONPATH=src python tools/profile_replay.py --online --swap-at 0.5
     PYTHONPATH=src python tools/profile_replay.py --scenario ddos-eviction-smoke
 
@@ -52,6 +52,8 @@ if str(_SRC) not in sys.path:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.dataplane.runtime import REPLAY_ENGINES
+
     parser = argparse.ArgumentParser(
         description="cProfile the vectorized replay of a bundled dataset"
     )
@@ -62,11 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--depth", type=int, default=12, help="tree depth D")
     parser.add_argument("--k", type=int, default=4, help="features per subtree")
     parser.add_argument("--partitions", type=int, default=3, help="partitions")
-    parser.add_argument("--engine", default="vectorized",
-                        choices=("fused", "vectorized", "reference"),
+    parser.add_argument("--engine", default="vectorized", choices=REPLAY_ENGINES,
                         help="replay engine")
-    parser.add_argument("--lookup", default="lut", choices=("lut", "scan"),
-                        help="model-table lookup strategy")
     parser.add_argument("--scenario",
                         help="profile the replay of a catalog workload "
                              "scenario (see `python -m repro scenario list`) "
@@ -120,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         depth=args.depth,
         features_per_subtree=args.k,
         n_partitions=args.partitions,
-        lookup=args.lookup,
         replay_flows=None,
         flow_slots=args.flow_slots or 65536,
         scenario=scenario,
@@ -146,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         n_packets = workload.n_packets
         program = experiment.system.build_program(model, rules, spec)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
-              f"scenario {scenario.name!r} replay ({args.lookup} lookup, "
+              f"scenario {scenario.name!r} replay ("
               f"{workload.n_flows} flows / {n_packets} packets, "
               f"eviction {scenario.eviction})", flush=True)
         replay_started = time.perf_counter()
@@ -173,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         serve = create_engine(factory, engine=args.serve_engine,
                               chunk_size=args.chunk_size)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
-              f"{args.serve_engine} serve session ({args.lookup} lookup, "
+              f"{args.serve_engine} serve session ("
               f"{n_packets} packets, swap at chunk {swap_chunk}/{len(chunks)})",
               flush=True)
         replay_started = time.perf_counter()
@@ -191,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         n_packets = sum(flow.n_packets for flow in dataset.flows)
         program = experiment.system.build_program(model, rules, spec)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
-              f"{args.engine} replay ({args.lookup} lookup, {n_packets} "
-              f"packets)", flush=True)
+              f"{args.engine} replay ({n_packets} packets)", flush=True)
         replay_started = time.perf_counter()
         profiler.enable()
         result = replay_dataset(program, dataset, engine=args.engine)
@@ -202,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler)
     print(f"\nreplayed {len(result.verdicts)} verdicts "
           f"(data-plane F1 {result.report.f1_score:.3f})")
-    # Left by ``replay_arrays`` (fused and scenario replays): which path the
+    # Left by ``replay_arrays`` (vectorized and scenario replays): which path the
     # flows and packets took, and why any went per packet.
     replay_stats = getattr(program, "replay_stats", None)
     if replay_stats is not None:
@@ -238,7 +235,6 @@ def main(argv: list[str] | None = None) -> int:
             "mode": ("scenario" if scenario is not None
                      else "online" if args.online else "replay"),
             "scenario": args.scenario,
-            "lookup": args.lookup,
             "dataset": spec.dataset,
             "flows": args.flows,
             "depth": args.depth,
