@@ -6,9 +6,8 @@ which must reproduce the scalar operators' left-to-right addition order bit
 for bit (pairwise ``reduceat`` sums round differently).  This module provides
 that sweep twice:
 
-* a **NumPy fallback** — the ragged "transpose" loop, restructured so the
-  per-position active set is a contiguous prefix of a count-sorted
-  permutation (no boolean mask per step), and
+* a **NumPy fallback** — rows bucketed by length into a few dense blocks,
+  each summed with one sequential ``np.add.accumulate`` along its rows, and
 * a **Numba kernel** — a literal per-segment ``for`` loop, compiled when
   Numba is importable.
 
@@ -61,35 +60,35 @@ def _iat_sums_numpy(
     acc: np.ndarray,
     acc_sq: np.ndarray,
 ) -> None:
-    """Left-to-right IAT sums per segment — vectorized transpose loop.
+    """Left-to-right IAT sums per segment — length-bucketed dense accumulation.
 
-    One addition per within-window packet position, exactly the scalar
-    MeanOperator's order.  Segments are visited through a count-descending
-    permutation so each position's active set is the prefix
-    ``order[:searchsorted(...)]`` — contiguous gathers, no per-step masks.
+    Rows are visited longest first in blocks whose shortest row is more than
+    half the block's longest; each block is one dense gather and one
+    ``np.add.accumulate`` along the rows (strictly sequential, exactly the
+    scalar MeanOperator's order), read at each row's own last gap.  That is
+    at most ``log2(longest) + 1`` blocks, each less than half padding,
+    however skewed the row lengths are.
     """
     counts = e - s - 1
-    longest = int(counts.max()) if counts.size else 0
-    if longest <= 0:
-        acc[: s.size] = 0.0
-        acc_sq[: s.size] = 0.0
-        return
+    acc[:] = 0.0
+    acc_sq[:] = 0.0
     order = np.argsort(-counts, kind="stable")
-    sorted_counts = counts[order]
-    sorted_first = s[order] + 1
-    sorted_acc = np.zeros(order.size, dtype=np.float64)
-    sorted_sq = np.zeros(order.size, dtype=np.float64)
-    active = order.size
-    for position in range(longest):
-        # Shrink the active prefix: counts are sorted descending.
-        active = int(np.searchsorted(-sorted_counts[:active], -position, side="left"))
-        if active == 0:
-            break
-        gaps = diffs[sorted_first[:active] + position]
-        sorted_acc[:active] += gaps
-        sorted_sq[:active] += gaps * gaps
-    acc[order] = sorted_acc
-    acc_sq[order] = sorted_sq
+    descending = -counts[order]
+    n_rows = int(np.searchsorted(descending, 0, side="left"))  # rows with a gap
+    start = 0
+    while start < n_rows:
+        longest = -int(descending[start])
+        stop = int(np.searchsorted(descending[:n_rows], -(longest // 2), side="left"))
+        rows = order[start:stop]
+        # Positions past a row's end (clipped at the column's end) are summed
+        # too, but never read.
+        gaps = np.take(diffs, (s[rows] + 1)[:, None] + np.arange(longest), mode="clip")
+        squares = gaps * gaps
+        last = (np.arange(rows.size), counts[rows] - 1)
+        # ``+ 0.0``: the operators start from +0.0, so a sum of -0.0 gaps reads +0.0.
+        acc[rows] = np.add.accumulate(gaps, axis=1, out=gaps)[last] + 0.0
+        acc_sq[rows] = np.add.accumulate(squares, axis=1, out=squares)[last] + 0.0
+        start = stop
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed

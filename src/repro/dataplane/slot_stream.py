@@ -282,14 +282,16 @@ def replay_slot_stream(
         stats["flows"] -= fell_back["flows"]
         stats["packets"] -= fell_back["packets"]
 
-    # bounds[w * n_flows + f]: packets seen at which a header of flow f's size closes window w.
+    # bounds[w * stride + n]: packets seen at which a header of flow size n
+    # closes window w; sized by the stream's largest flow, not by the source.
     n_partitions = program.model.config.n_partitions
-    counts = soa.n_packets_per_flow
-    base, remainder = counts // n_partitions, counts % n_partitions
+    header_size = soa.n_packets_per_flow[flow]
+    sizes = np.arange(int(header_size.max()) + 1)
+    stride = sizes.size
+    base, remainder = sizes // n_partitions, sizes % n_partitions
     bounds = np.concatenate(
         [(w + 1) * base + np.minimum(w + 1, remainder) for w in range(n_partitions)]
     )
-    n_flows = counts.size
     evicting = (
         _eviction_mask(program.eviction, timestamps, stream.starts)
         if program.eviction is not None
@@ -337,9 +339,9 @@ def replay_slot_stream(
         lo, hi = cursor[active], end[active]
         # The packet at p closes the window iff seen + (p - lo + 1) >= bound(p).
         quota = rows.seen[active] - lo + 1
-        bound_row = rows.window[active] * n_flows
+        bound_row = rows.window[active] * stride
         boundary = _first_hit(
-            lo, hi, lambda r, p: bounds[bound_row[r] + flow[p]] - p <= quota[r]
+            lo, hi, lambda r, p: bounds[bound_row[r] + header_size[p]] - p <= quota[r]
         )
         evicted = np.zeros(active.size, dtype=bool)
         if evicting is not None:
@@ -465,10 +467,9 @@ def _close_windows(
     """Aggregate and classify the windows rows ``members`` close at packets ``last``.
 
     Each window runs from its row's cursor to ``last`` (stream positions,
-    inclusive); ``rows.seen`` already counts it.  The windows' packets are
-    gathered into one contiguous round-local view whose segment starts *are*
-    the window starts, so the aggregator's window-start-dependent columns
-    need no special case.
+    inclusive); ``rows.seen`` already counts it.  A slot's packets interleave
+    flows, so the windows' packets are gathered into one contiguous
+    round-local view for the aggregator.
     """
     order, flow = stream.order, stream.flow
     first, epoch, sids = rows.cursor[members], rows.epoch[members], rows.sid[members]
@@ -477,9 +478,7 @@ def _close_windows(
     seg_end = seg_start + lengths
     owner = np.repeat(np.arange(members.size), lengths)
     packets = order[np.arange(owner.size) + (first - seg_start)[owner]]
-    window_starts = np.zeros(packets.size, dtype=bool)
-    window_starts[seg_start] = True
-    aggregator = vz._WindowAggregator(_packet_view(soa, packets), window_starts)
+    aggregator = vz._WindowAggregator(_packet_view(soa, packets))
 
     # Header fields are the epoch creator's: its tuple, its first packet's size.
     matrix = np.zeros((members.size, N_FEATURES), dtype=np.float64)

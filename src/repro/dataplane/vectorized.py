@@ -87,10 +87,6 @@ _FLAG_FEATURES = {
     "urg_count": 0x20,
 }
 
-#: Columns that depend on the per-replay window-start mask (cached on the
-#: aggregator, not on the shared ``PacketArrays.derived`` dict).
-_MASK_DEPENDENT = frozenset({"gap_indicator", "burst_run_length"})
-
 #: Largest column total for which float64 prefix sums of an integer-valued
 #: column are exact (contiguous integers below 2**53).
 _EXACT_PREFIX_LIMIT = float(2**53)
@@ -128,6 +124,14 @@ def _base_values(soa: PacketArrays, key: str) -> np.ndarray:
         values = np.zeros(soa.n_packets, dtype=np.float64)
         if soa.n_packets > 1:
             values[1:] = soa.timestamps[1:] - soa.timestamps[:-1]
+    elif key == "gap":
+        values = (_base_values(soa, "diffs") > BURST_GAP_SECONDS).astype(np.float64)
+    elif key == "burst_run":
+        # Packets in the burst ending at each position, bursts split at the
+        # gaps only: exact for every position at or after a window's first gap.
+        positions = np.arange(soa.n_packets, dtype=np.int64)
+        burst_start = np.where(_base_values(soa, "gap") > 0.0, positions, 0)
+        values = (positions - np.maximum.accumulate(burst_start) + 1).astype(np.float64)
     else:
         raise KeyError(key)
     soa.derived[("col", key)] = values
@@ -179,6 +183,15 @@ def _prefix_column(soa: PacketArrays, key: str) -> np.ndarray | None:
     return prefix
 
 
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the segments ``[starts_i, starts_i + lengths_i)``, concatenated.
+
+    Also returns each segment's offset into that concatenation.
+    """
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths), offsets
+
+
 def _stateless_columns(soa: PacketArrays) -> dict[int, np.ndarray]:
     """Per-flow values of the four stateless header features (soa-cached)."""
     cached = soa.derived.get("stateless")
@@ -208,12 +221,18 @@ def _last_timestamps(soa: PacketArrays) -> np.ndarray:
     return cached
 
 
-def _local_packet_index(soa: PacketArrays) -> np.ndarray:
-    """Per-packet offset within its flow (soa-cached)."""
-    cached = soa.derived.get("local_index")
+def _next_gap(soa: PacketArrays) -> np.ndarray:
+    """Per position ``p <= n_packets``, the first burst gap at or after ``p`` (soa-cached).
+
+    ``n_packets`` where no gap follows.
+    """
+    cached = soa.derived.get("next_gap")
     if cached is None:
-        cached = np.arange(soa.n_packets, dtype=np.int64) - soa.flow_starts[soa.packet_flow]
-        soa.derived["local_index"] = cached
+        gaps = np.flatnonzero(_base_values(soa, "gap"))
+        at_or_after = np.full(soa.n_packets + 1, soa.n_packets, dtype=np.intp)
+        at_or_after[gaps] = gaps
+        cached = np.ascontiguousarray(np.minimum.accumulate(at_or_after[::-1])[::-1])
+        soa.derived["next_gap"] = cached
     return cached
 
 
@@ -244,9 +263,9 @@ def cached_tuple_ids(soa: PacketArrays, flows: list[Flow], table_size: int) -> n
     """Dense per-flow five-tuple id (equal iff the tuples are equal), soa-cached.
 
     The slot-stream plane compares a slot's resident with incoming packets
-    by these ids.  Normally filled by the first :func:`cached_flow_slots`
-    pass; a session whose slots were handed down precomputed (sharded
-    serving) pays the pass here, the first time a contended flush needs it.
+    by these ids, and the micro-batch engine finds repeated tuples with
+    them.  Filled by the first :func:`cached_flow_slots` pass, or by
+    :func:`seed_flow_hashes` in a worker process.
     """
     tuple_ids = soa.derived.get("tuple_ids")
     if tuple_ids is None or tuple_ids.size != len(flows):
@@ -257,6 +276,19 @@ def cached_tuple_ids(soa: PacketArrays, flows: list[Flow], table_size: int) -> n
     return tuple_ids
 
 
+def seed_flow_hashes(
+    soa: PacketArrays, table_size: int, slots: np.ndarray, tuple_ids: np.ndarray
+) -> None:
+    """Install slots and five-tuple ids hashed elsewhere over the same flows.
+
+    A ``sharded-mp`` worker attaches its own ``PacketArrays`` over the shared
+    columns; the parent ships its one hashing pass instead of every worker
+    repeating it.
+    """
+    soa.derived[("slots", table_size)] = slots
+    soa.derived["tuple_ids"] = tuple_ids
+
+
 class _WindowAggregator:
     """Window-local feature aggregation over structure-of-arrays packets.
 
@@ -264,89 +296,51 @@ class _WindowAggregator:
     batch of packet segments ``[s_i, e_i)`` (one per flow window, all
     non-empty), writing exactly the values the corresponding scalar
     :class:`~repro.features.stateful.StatefulOperator` bank would hold at the
-    window's boundary packet.  Intermediates (segment sums, the sequential
-    IAT sweep) are shared across the group's features, global derived columns
-    are cached on ``soa.derived``, and the optional workspace supplies the
-    IAT accumulator buffers so the hot path allocates only group-sized
+    window's boundary packet.  Every derived column is a function of the
+    packets alone and lives once on ``soa.derived`` — the aggregator holds no
+    per-replay state, so building one per flush costs nothing.
+    Intermediates (segment sums, the sequential IAT sweep) are shared across
+    a group's features, and the optional workspace supplies the IAT
+    accumulator buffers so the hot path allocates only group-sized
     temporaries.
     """
 
-    def __init__(
-        self,
-        soa: PacketArrays,
-        window_start_mask: np.ndarray,
-        workspace: "ReplayWorkspace | None" = None,
-    ) -> None:
+    def __init__(self, soa: PacketArrays, workspace: "ReplayWorkspace | None" = None) -> None:
         self._soa = soa
-        self._window_start = window_start_mask
         self._workspace = workspace
-        self._local: dict = {}
-
-    # -- derived per-packet columns ---------------------------------------
-    def _mask_values(self, key: str) -> np.ndarray:
-        """Unpadded values of a window-start-mask-dependent column."""
-        cached = self._local.get(("col", key))
-        if cached is not None:
-            return cached
-        diffs = _base_values(self._soa, "diffs")
-        if key == "gap_indicator":
-            values = ((diffs > BURST_GAP_SECONDS) & ~self._window_start).astype(np.float64)
-        elif key == "burst_run_length":
-            new_burst = self._window_start | (diffs > BURST_GAP_SECONDS)
-            if new_burst.size:
-                new_burst[0] = True
-            positions = np.arange(new_burst.size, dtype=np.int64)
-            starts = np.maximum.accumulate(np.where(new_burst, positions, -1))
-            values = (positions - starts + 1).astype(np.float64)
-        else:
-            raise KeyError(key)
-        self._local[("col", key)] = values
-        return values
-
-    def _padded(self, key: str) -> np.ndarray:
-        if key not in _MASK_DEPENDENT:
-            return _padded_column(self._soa, key)
-        cached = self._local.get(("pad", key))
-        if cached is None:
-            cached = _pad_with_identity(self._mask_values(key))
-            self._local[("pad", key)] = cached
-        return cached
-
-    def _prefix(self, key: str) -> np.ndarray | None:
-        if key not in _MASK_DEPENDENT:
-            return _prefix_column(self._soa, key)
-        marker = ("prefix", key)
-        if marker in self._local:
-            return self._local[marker]
-        prefix = _exact_prefix(self._mask_values(key))
-        self._local[marker] = prefix
-        return prefix
 
     # -- segment primitives ----------------------------------------------
-    @staticmethod
-    def _pair_indices(s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        indices = np.empty(s.size * 2, dtype=np.intp)
-        indices[0::2] = s
-        indices[1::2] = e
-        return indices
+    def _seg_reduce(self, ufunc, key: str, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``ufunc`` over every segment ``[s_i, e_i)`` (all non-empty) of a column.
+
+        ``reduceat`` over the ``(s, e)`` pairs also reduces the stretches
+        *between* segments.  Next to nothing when the segments tile their
+        span (a whole-source replay round); for a micro-batch flush out of a
+        large source it is the source, so scattered segments are gathered
+        first and the cost follows the packets, not the span.
+        """
+        lengths = e - s
+        covered = int(lengths.sum())
+        # A gathered packet costs about eight packets walked in place.
+        if 8 * covered >= int(e.max()) - int(s.min()):
+            pairs = np.empty(s.size * 2, dtype=np.intp)
+            pairs[0::2] = s
+            pairs[1::2] = e
+            return ufunc.reduceat(_padded_column(self._soa, key), pairs)[0::2]
+        positions, offsets = _segment_positions(s, lengths)
+        return ufunc.reduceat(_base_values(self._soa, key)[positions], offsets)
 
     def _seg_sum(self, key: str, s: np.ndarray, e: np.ndarray, shared: dict) -> np.ndarray:
         cached = shared.get(("sum", key))
         if cached is not None:
             return cached
-        prefix = self._prefix(key)
+        prefix = _prefix_column(self._soa, key)
         if prefix is not None:
             result = prefix[e] - prefix[s]
         else:
-            result = np.add.reduceat(self._padded(key), self._pair_indices(s, e))[0::2]
+            result = self._seg_reduce(np.add, key, s, e)
         shared[("sum", key)] = result
         return result
-
-    def _seg_max(self, key: str, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(self._padded(key), self._pair_indices(s, e))[0::2]
-
-    def _seg_min(self, key: str, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(self._padded(key), self._pair_indices(s, e))[0::2]
 
     def _iat_extreme(self, s: np.ndarray, e: np.ndarray, *, largest: bool) -> np.ndarray:
         """Max/min inter-arrival time within each segment (0 when < 2 packets)."""
@@ -354,10 +348,8 @@ class _WindowAggregator:
         has_iat = (e - s) >= 2
         if not has_iat.any():
             return result
-        padded = self._padded("diffs")
-        indices = self._pair_indices(s[has_iat] + 1, e[has_iat])
         ufunc = np.maximum if largest else np.minimum
-        extremes = ufunc.reduceat(padded, indices)[0::2]
+        extremes = self._seg_reduce(ufunc, "diffs", s[has_iat] + 1, e[has_iat])
         if largest:
             # The scalar MaxOperator starts from 0, so negative gaps clamp.
             extremes = np.maximum(extremes, 0.0)
@@ -408,7 +400,7 @@ class _WindowAggregator:
 
         Example::
 
-            >>> agg = _WindowAggregator(soa, window_start_mask)
+            >>> agg = _WindowAggregator(soa)
             >>> byte_counts = agg.compute(FEATURES_BY_NAME["byte_count"].index, s, e)
         """
         return self._compute(feature_index, s, e, {})
@@ -463,13 +455,13 @@ class _WindowAggregator:
             bwd = self._seg_sum("bwd", s, e, shared)
             return fwd / np.maximum(bwd, 1.0)
         if name == "max_pkt_len":
-            return self._seg_max("sizes", s, e)
+            return self._seg_reduce(np.maximum, "sizes", s, e)
         if name == "max_fwd_pkt_len":
-            return self._seg_max("fwd_sizes", s, e)
+            return self._seg_reduce(np.maximum, "fwd_sizes", s, e)
         if name == "max_bwd_pkt_len":
-            return self._seg_max("bwd_sizes", s, e)
+            return self._seg_reduce(np.maximum, "bwd_sizes", s, e)
         if name == "min_pkt_len":
-            return self._seg_min("sizes", s, e)
+            return self._seg_reduce(np.minimum, "sizes", s, e)
         if name == "first_pkt_len":
             return self._soa.sizes[s]
         if name == "last_pkt_len":
@@ -496,9 +488,20 @@ class _WindowAggregator:
             variance = np.maximum(acc_sq / safe_counts - mean * mean, 0.0)
             return np.where(counts > 0, np.sqrt(variance), 0.0)
         if name == "burst_count":
-            return 1.0 + self._seg_sum("gap_indicator", s, e, shared)
+            # The first packet opens a burst whatever precedes the window; a
+            # 0/1 column's prefix sums are always exact.
+            gaps_before = _prefix_column(self._soa, "gap")
+            return 1.0 + (gaps_before[e] - gaps_before[s + 1])
         if name == "max_burst_len":
-            return self._seg_max("burst_run_length", s, e)
+            # The opening burst runs to the window's first gap; from there on
+            # the source-wide run lengths are the window's own.
+            first_gap = np.minimum(_next_gap(self._soa)[s + 1], e)
+            longest = (first_gap - s).astype(np.float64)
+            more = np.flatnonzero(first_gap < e)
+            if more.size:
+                later = self._seg_reduce(np.maximum, "burst_run", first_gap[more], e[more])
+                longest[more] = np.maximum(longest[more], later)
+            return longest
         raise ValueError(f"no vectorized kernel for feature {name!r}")
 
 
@@ -525,7 +528,6 @@ class ReplayWorkspace:
 
     def __init__(self) -> None:
         self.flow_capacity = 0
-        self.packet_capacity = 0
         self.staged: list = []
         self.matrix = np.empty((0, N_FEATURES), dtype=np.float64)
         self.sids = np.empty(0, dtype=np.int64)
@@ -544,10 +546,9 @@ class ReplayWorkspace:
         self.packets_seen = np.empty(0, dtype=np.float64)
         self.iat_acc = np.empty(0, dtype=np.float64)
         self.iat_sq = np.empty(0, dtype=np.float64)
-        self.window_start_mask = np.empty(0, dtype=bool)
 
-    def reserve(self, n_flows: int, n_packets: int) -> None:
-        """Grow the buffers to hold ``n_flows`` rows / ``n_packets`` packets.
+    def reserve(self, n_flows: int) -> None:
+        """Grow the buffers to hold ``n_flows`` rows.
 
         Growth is monotone (never shrinks), so after the first flush of the
         steady state every ``reserve`` is a no-op and all views handed out
@@ -572,15 +573,6 @@ class ReplayWorkspace:
             self.packets_seen = np.empty(n_flows, dtype=np.float64)
             self.iat_acc = np.empty(n_flows, dtype=np.float64)
             self.iat_sq = np.empty(n_flows, dtype=np.float64)
-        if n_packets > self.packet_capacity:
-            self.packet_capacity = n_packets
-            self.window_start_mask = np.empty(n_packets, dtype=bool)
-
-    def window_mask(self, n_packets: int) -> np.ndarray:
-        """A zeroed length-``n_packets`` view of the window-start mask."""
-        view = self.window_start_mask[:n_packets]
-        view[:] = False
-        return view
 
 
 def _segment_rounds(
@@ -655,12 +647,16 @@ def _arrival_order(
 ) -> np.ndarray:
     """Packet positions of the flows in ``flow_mask``, in global arrival order.
 
-    ``prefix_counts`` keeps only each flow's first ``prefix_counts[i]`` packets.
+    ``prefix_counts`` keeps only each flow's first ``prefix_counts[i]``
+    packets.  Only the selected packets are touched: they are sorted by the
+    ``(timestamp, flow_id)`` key of ``soa.interleave_order`` (a stable sort
+    of flow-major positions, so ties fall exactly as they do there).
     """
-    packet_selected = flow_mask[soa.packet_flow]
-    if prefix_counts is not None:
-        packet_selected &= _local_packet_index(soa) < prefix_counts[soa.packet_flow]
-    return soa.interleave_order[packet_selected[soa.interleave_order]]
+    selected = np.flatnonzero(flow_mask)
+    counts = (soa.n_packets_per_flow if prefix_counts is None else prefix_counts)[selected]
+    positions, _ = _segment_positions(soa.flow_starts[selected], counts)
+    order = np.lexsort((np.repeat(soa.flow_ids[selected], counts), soa.timestamps[positions]))
+    return positions[order]
 
 
 def _replay_positions(program, flows: list[Flow], soa: PacketArrays, positions) -> None:
@@ -706,13 +702,8 @@ def _replay_splidt_batched(
     n_partitions = program.model.config.n_partitions
     counts = soa.n_packets_per_flow[fast]
     rounds = _segment_rounds(counts, n_partitions)
-    ws.reserve(n_fast, soa.n_packets)
-
-    flow_starts_fast = soa.flow_starts[fast]
-    mask = ws.window_mask(soa.n_packets)
-    for valid, start, _ in rounds:
-        mask[flow_starts_fast[valid] + start[valid]] = True
-    aggregator = _WindowAggregator(soa, mask, workspace=ws)
+    ws.reserve(n_fast)
+    aggregator = _WindowAggregator(soa, workspace=ws)
     stateless = _stateless_columns(soa)
 
     program.begin_flows(slots[fast])
@@ -804,9 +795,7 @@ def _replay_topk_batched(program, soa: PacketArrays, fast: np.ndarray) -> None:
     s = flow_starts
     e = flow_starts + counts
 
-    window_start_mask = np.zeros(soa.n_packets, dtype=bool)
-    window_start_mask[s] = True
-    aggregator = _WindowAggregator(soa, window_start_mask)
+    aggregator = _WindowAggregator(soa)
 
     matrix = np.zeros((fast.size, N_FEATURES), dtype=np.float64)
     for feature, column in _stateless_columns(soa).items():

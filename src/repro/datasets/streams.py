@@ -32,7 +32,7 @@ import sys
 import tempfile
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -56,11 +56,26 @@ class PacketChunk:
     soa: PacketArrays
     flows: list[Flow]
     positions: np.ndarray
+    _flow_counts: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def n_packets(self) -> int:
         """Packets carried by this chunk."""
         return int(self.positions.size)
+
+    def flow_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flow indices with packets in this chunk (ascending) and their packet counts.
+
+        Computed once per chunk: the serving engines update their per-flow
+        bookkeeping on these flows only, whatever the size of the source.
+        """
+        if self._flow_counts is None:
+            self._flow_counts = np.unique(
+                self.soa.packet_flow[self.positions], return_counts=True
+            )
+        return self._flow_counts
 
     def timestamps(self) -> np.ndarray:
         """Arrival timestamps of the chunk's packets, in stream order."""

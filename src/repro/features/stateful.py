@@ -10,6 +10,7 @@ register clear that happens when SpliDT moves to the next partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.datasets.flows import Packet
@@ -187,7 +188,7 @@ class MeanOperator(StatefulOperator):
         name = self.definition.name
         if name in ("mean_pkt_len", "std_pkt_len"):
             self.state.aux["sum"] = self.state.aux.get("sum", 0.0) + packet.size
-            self.state.aux["sumsq"] = self.state.aux.get("sumsq", 0.0) + packet.size**2
+            self.state.aux["sumsq"] = self.state.aux.get("sumsq", 0.0) + packet.size * packet.size
             self.state.count += 1
         elif name == "mean_payload":
             self.state.aux["sum"] = self.state.aux.get("sum", 0.0) + packet.payload
@@ -208,7 +209,7 @@ class MeanOperator(StatefulOperator):
             if last is not None:
                 iat = packet.timestamp - last
                 self.state.aux["sum"] = self.state.aux.get("sum", 0.0) + iat
-                self.state.aux["sumsq"] = self.state.aux.get("sumsq", 0.0) + iat**2
+                self.state.aux["sumsq"] = self.state.aux.get("sumsq", 0.0) + iat * iat
                 self.state.count += 1
             self.state.aux["last_ts"] = packet.timestamp
 
@@ -224,8 +225,10 @@ class MeanOperator(StatefulOperator):
             if self.state.count == 0:
                 return 0.0
             mean = total / count
-            variance = max(self.state.aux.get("sumsq", 0.0) / count - mean**2, 0.0)
-            return variance**0.5
+            # Products and math.sqrt are correctly rounded; ``**`` is C pow,
+            # which is not, and the subtraction amplifies its last-bit error.
+            variance = max(self.state.aux.get("sumsq", 0.0) / count - mean * mean, 0.0)
+            return math.sqrt(variance)
         if name == "fwd_bwd_pkt_ratio":
             return self.state.aux.get("fwd", 0.0) / max(self.state.aux.get("bwd", 0.0), 1.0)
         return 0.0

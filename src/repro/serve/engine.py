@@ -48,6 +48,7 @@ from __future__ import annotations
 import abc
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,11 @@ class EngineStats:
         ttd: Rolling time-to-detection summary (median/mean/p90/p99/max, s).
         recirculation: Recirculation counters so far (empty when the program
             has no recirculation channel).
+        batching: Micro-batch flush counters, summed over shards, workers
+            and model epochs (empty for the per-packet streaming engine):
+            ``flushes``, ``flushed_flows`` (their ratio is the mean flush
+            size the vectorized machinery amortises its fixed cost over) and
+            ``eligible_scans`` (eligibility computations, flushing or not).
         transport: IPC-transport health counters (empty for the in-process
             engines).  The process-sharded engine's rings report ``ring_slots``, live ``ring_occupancy`` and
             producer/consumer stall episodes — see
@@ -106,6 +112,7 @@ class EngineStats:
     accuracy: float
     ttd: dict[str, float] = field(default_factory=dict)
     recirculation: dict[str, float] = field(default_factory=dict)
+    batching: dict[str, int] = field(default_factory=dict)
     transport: dict[str, float] = field(default_factory=dict)
 
 
@@ -194,6 +201,14 @@ def merge_channel_aggregates(aggregates) -> dict[str, float]:
     }
 
 
+def sum_counters(counters) -> dict[str, int]:
+    """Key-wise sum of counter dicts (one per shard, worker or model epoch)."""
+    total: Counter = Counter()
+    for counter in counters:
+        total.update(counter)
+    return dict(total)
+
+
 def merged_recirculation_stats(programs) -> dict[str, float]:
     """Recirculation statistics of many programs, merged bit-exactly.
 
@@ -229,11 +244,11 @@ class InferenceEngine(abc.ABC):
         self._state = "created"
         self._soa = None
         self._flows: list | None = None
-        self._labels: dict[int, int] = {}
+        self._labels: dict[int, int] | None = None
         self._watermark = float("-inf")
         self._packets = 0
         self._chunks = 0
-        self._seen: np.ndarray | None = None
+        self._flows_seen = 0
         self._rolling_ttd = RollingTTD()
         self._rolling_report = RollingReport()
         self._scored: set[int] = set()
@@ -320,7 +335,7 @@ class InferenceEngine(abc.ABC):
         if self._state == "open":
             self.drain()
         self._result = build_replay_result(
-            self.verdicts(), self._labels, self.recirculation_stats()
+            self.verdicts(), self._label_map(), self.recirculation_stats()
         )
         self._state = "closed"
         for child in self._epoch_children:
@@ -389,6 +404,16 @@ class InferenceEngine(abc.ABC):
         """IPC-transport health counters (empty for in-process engines)."""
         return {}
 
+    def _batching_stats(self) -> dict[str, int]:
+        """This engine's micro-batch flush counters (empty if it never batches)."""
+        return {}
+
+    def _collect_batching_stats(self) -> dict[str, int]:
+        return sum_counters(
+            [self._batching_stats()]
+            + [child._collect_batching_stats() for child in self._epoch_children]
+        )
+
     def _collect_channel_aggregates(self) -> list:
         aggregates = list(self._engine_channel_aggregates())
         for child in self._epoch_children:
@@ -403,24 +428,26 @@ class InferenceEngine(abc.ABC):
         so call it per progress interval, not per packet.
         """
         verdicts = self.verdicts()
+        labels = self._label_map()
         for flow_id, verdict in verdicts.items():
             if flow_id in self._scored:
                 continue
             self._scored.add(flow_id)
             self._rolling_ttd.update([verdict.time_to_detection])
-            label = self._labels.get(flow_id)
+            label = labels.get(flow_id)
             if label is not None:
                 self._rolling_report.update(label, verdict.label)
         return EngineStats(
             engine=self.name,
             packets=self._packets,
             chunks=self._chunks,
-            flows_seen=int(self._seen.sum()) if self._seen is not None else 0,
+            flows_seen=self._flows_seen,
             flows_decided=len(verdicts),
             buffered_packets=self._total_buffered(),
             accuracy=self._rolling_report.accuracy,
             ttd=self._rolling_ttd.summary(),
             recirculation=self.recirculation_stats(),
+            batching=self._collect_batching_stats(),
             transport=self._transport_stats(),
         )
 
@@ -635,6 +662,18 @@ class InferenceEngine(abc.ABC):
         else:
             self._epoch_children[epoch - 1].ingest(sub)
 
+    def _label_map(self) -> dict[int, int]:
+        """Ground-truth label by flow id, built when scoring first needs it.
+
+        From the source's columns: iterating the flow list would materialise
+        every flow of a lazy source.
+        """
+        if self._soa is None:
+            return {}
+        if self._labels is None:
+            self._labels = dict(zip(self._soa.flow_ids.tolist(), self._soa.labels.tolist()))
+        return self._labels
+
     def _total_buffered(self) -> int:
         return self._buffered_packet_count() + sum(
             child._total_buffered() for child in self._epoch_children
@@ -666,8 +705,6 @@ class InferenceEngine(abc.ABC):
         if self._soa is None:
             self._soa = chunk.soa
             self._flows = chunk.flows
-            self._labels = {flow.flow_id: flow.label for flow in chunk.flows}
-            self._seen = np.zeros(chunk.soa.n_flows, dtype=bool)
             self._delivered = np.zeros(chunk.soa.n_flows, dtype=np.int64)
         elif chunk.soa is not self._soa:
             raise ServeError(
@@ -684,9 +721,7 @@ class InferenceEngine(abc.ABC):
                 )
             self._watermark = float(timestamps[-1])
             self._packets += int(positions.size)
-            flow_of_packet = self._soa.packet_flow[positions]
-            self._seen[flow_of_packet] = True
-            self._delivered += np.bincount(
-                flow_of_packet, minlength=self._soa.n_flows
-            ).astype(np.int64)
+            touched, counts = chunk.flow_counts()
+            self._flows_seen += int(np.count_nonzero(self._delivered[touched] == 0))
+            self._delivered[touched] += counts
         self._chunks += 1

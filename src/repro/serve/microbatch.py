@@ -87,15 +87,18 @@ class MicroBatchEngine(InferenceEngine):
         self.flush_flows = flush_flows
         self.backpressure = backpressure
         self._slots: np.ndarray | None = None
-        self._preset_slots: np.ndarray | None = None
         self._buffered: np.ndarray | None = None
         self._flushed: np.ndarray | None = None
         self._last_ts: np.ndarray | None = None
         self._dirty_slots: np.ndarray | None = None
         self._forced_scalar: np.ndarray | None = None
+        #: Live (buffered, unflushed) flows per register slot.
+        self._live_in_slot: np.ndarray | None = None
+        #: Complete, unflushed flows — the only candidates of an eager flush.
+        self._ready = np.empty(0, dtype=np.intp)
         self._pending = 0
-        self._complete_unflushed = 0
         self._workspace = vz.ReplayWorkspace()
+        self._counters = {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
 
     def _engine_verdicts(self) -> dict:
         """The program's live verdict dict (non-blocking snapshot).
@@ -122,14 +125,15 @@ class MicroBatchEngine(InferenceEngine):
             flush_flows=self.flush_flows,
             backpressure=self.backpressure,
         )
-        if self._slots is not None:
-            if child.program.indexer.table_size != self.program.indexer.table_size:
-                raise ServeError(
-                    "swapped-in program must keep the register table size "
-                    f"({self.program.indexer.table_size} != "
-                    f"{child.program.indexer.table_size})"
-                )
-            child.seed_slots(self._slots)
+        if (
+            self._slots is not None
+            and child.program.indexer.table_size != self.program.indexer.table_size
+        ):
+            raise ServeError(
+                "swapped-in program must keep the register table size "
+                f"({self.program.indexer.table_size} != "
+                f"{child.program.indexer.table_size})"
+            )
         return child
 
     def _swap_table_size(self) -> int | None:
@@ -139,14 +143,8 @@ class MicroBatchEngine(InferenceEngine):
     def _buffered_packet_count(self) -> int:
         return self._pending
 
-    def seed_slots(self, slots: np.ndarray) -> None:
-        """Provide precomputed per-flow register slots (must match the source).
-
-        The sharded parent hashes every flow once and seeds its shard
-        engines through this, instead of each shard re-hashing the full
-        flow table.
-        """
-        self._preset_slots = np.asarray(slots, dtype=np.intp)
+    def _batching_stats(self) -> dict[str, int]:
+        return dict(self._counters)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -154,13 +152,12 @@ class MicroBatchEngine(InferenceEngine):
     def _init_source(self) -> None:
         soa = self._soa
         table_size = self.program.indexer.table_size
-        if self._preset_slots is not None and self._preset_slots.size == soa.n_flows:
-            self._slots = self._preset_slots
-        else:
-            self._slots = vz.cached_flow_slots(soa, self._flows, table_size)
+        # Hashed once per source: a sharded parent has already filled the cache.
+        self._slots = vz.cached_flow_slots(soa, self._flows, table_size)
         self._buffered = np.zeros(soa.n_flows, dtype=np.int64)
         self._flushed = np.zeros(soa.n_flows, dtype=bool)
         self._dirty_slots = np.zeros(table_size, dtype=bool)
+        self._live_in_slot = np.zeros(table_size, dtype=np.int32)
         self._last_ts = vz._last_timestamps(soa)
         # Same-tuple flows can straddle flushes: the reference engine folds a
         # retransmitted five-tuple into the earlier flow's (possibly decided)
@@ -169,43 +166,35 @@ class MicroBatchEngine(InferenceEngine):
         # does (the slot-stream plane; the scalar path for other programs).
         self._forced_scalar = np.zeros(soa.n_flows, dtype=bool)
         populated = np.flatnonzero(soa.n_packets_per_flow > 0)
-        seen: set = set()
-        dup_slots: set[int] = set()
-        for flow_index in populated.tolist():
-            tuple_ = self._flows[flow_index].five_tuple
-            if tuple_ in seen:
-                dup_slots.add(int(self._slots[flow_index]))
-            seen.add(tuple_)
-        if dup_slots:
-            hit = np.isin(self._slots[populated],
-                          np.fromiter(dup_slots, dtype=np.intp))
+        tuple_ids = vz.cached_tuple_ids(soa, self._flows, table_size)[populated]
+        repeated = np.bincount(tuple_ids)[tuple_ids] > 1
+        if repeated.any():
+            # Equal tuples hash to one slot, so the repeats' slots are the set.
+            hit = np.isin(self._slots[populated], self._slots[populated[repeated]])
             self._forced_scalar[populated[hit]] = True
 
     def _ingest(self, chunk: PacketChunk) -> None:
         if self._slots is None:
             self._init_source()
-        positions = chunk.positions
-        if positions.size:
-            flow_of_packet = self._soa.packet_flow[positions]
-            if np.any(self._flushed[flow_of_packet]):
+        if chunk.positions.size:
+            touched, counts = chunk.flow_counts()
+            if np.any(self._flushed[touched]):
                 raise ServeError(
                     "packet arrived for a flow that was already flushed "
                     "(stream delivered packets out of order)"
                 )
-            self._buffered += np.bincount(
-                flow_of_packet, minlength=self._soa.n_flows
-            ).astype(np.int64)
-            totals = self._soa.n_packets_per_flow
-            if np.any(self._buffered > totals):
+            before = self._buffered[touched]
+            after = before + counts
+            totals = self._soa.n_packets_per_flow[touched]
+            if np.any(after > totals):
                 raise ServeError("stream delivered more packets than the flow holds")
-            self._pending += int(positions.size)
-            touched = np.unique(flow_of_packet)
-            self._complete_unflushed += int(np.count_nonzero(
-                (self._buffered[touched] == totals[touched]) & (totals[touched] > 0)
-            ))
-        # The O(n_flows) eligibility scan only pays off once enough flows
-        # have completed to possibly trigger a flush.
-        if (self._complete_unflushed >= self.flush_flows
+            self._buffered[touched] = after
+            self._pending += int(chunk.positions.size)
+            np.add.at(self._live_in_slot, self._slots[touched[before == 0]], 1)
+            self._ready = np.concatenate([self._ready, touched[after == totals]])
+        # Eligibility is only worth computing once enough flows have
+        # completed to possibly trigger a flush.
+        if (self._ready.size >= self.flush_flows
                 or self._pending > self.backpressure):
             eligible = self._eligible()
             if eligible.size and (
@@ -229,15 +218,21 @@ class MicroBatchEngine(InferenceEngine):
     # Flushing
     # ------------------------------------------------------------------
     def _eligible(self) -> np.ndarray:
-        """Indices of flows that can be flushed now without changing semantics."""
-        totals = self._soa.n_packets_per_flow
-        complete = (self._buffered == totals) & (totals > 0)
-        candidates = complete & ~self._flushed & (self._last_ts < self._watermark)
-        if not candidates.any():
-            return np.empty(0, dtype=np.intp)
-        live_other = (self._buffered > 0) & ~self._flushed & ~candidates
-        blocked_slots = np.unique(self._slots[live_other])
-        return np.flatnonzero(candidates & ~np.isin(self._slots, blocked_slots))
+        """Indices of flows that can be flushed now without changing semantics.
+
+        Touches the complete-unflushed flows only: a candidate is blocked
+        iff its slot holds more live flows than candidates.
+        """
+        self._counters["eligible_scans"] += 1
+        ready = self._ready
+        candidates = ready[self._last_ts[ready] < self._watermark]
+        if candidates.size == 0:
+            return candidates
+        slots, slot_of, in_slot = np.unique(
+            self._slots[candidates], return_inverse=True, return_counts=True
+        )
+        unblocked = self._live_in_slot[slots] == in_slot
+        return np.sort(candidates[unblocked[slot_of]])
 
     def _flush(self, indices: np.ndarray) -> None:
         """Push the selected flows through the program (contended first, then batched).
@@ -301,4 +296,7 @@ class MicroBatchEngine(InferenceEngine):
 
         self._pending -= int(self._buffered[indices].sum())
         self._flushed[indices] = True
-        self._complete_unflushed -= int(np.count_nonzero(complete))
+        np.subtract.at(self._live_in_slot, self._slots[indices], 1)
+        self._ready = self._ready[~self._flushed[self._ready]]
+        self._counters["flushes"] += 1
+        self._counters["flushed_flows"] += int(indices.size)

@@ -64,6 +64,7 @@ import weakref
 import numpy as np
 
 from repro.affinity import resolve_affinity
+from repro.dataplane import vectorized as vz
 from repro.datasets.shm import SharedPacketArrays, flow_meta, flows_from_meta
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import (
@@ -71,6 +72,7 @@ from repro.serve.engine import (
     ServeError,
     channel_aggregate,
     merge_channel_aggregates,
+    sum_counters,
 )
 from repro.serve.ring import (
     KIND_CHUNK,
@@ -134,6 +136,7 @@ def _snapshot_payload(engine, program, reported: set) -> dict:
         "verdicts": fresh,
         "recirculation": channel_aggregate(program),
         "buffered": engine._buffered_packet_count(),
+        "batching": engine._batching_stats(),
     }
 
 
@@ -163,7 +166,7 @@ def _worker_main(
        eagerly, on the caller's thread, so an unpicklable factory fails
        loudly instead of vanishing in the queue's feeder thread.
     2. ``("attach", source_bytes, ring_layout)`` — map the shared packet
-       segment and the worker's ring, seed the flow→slot table, and enter
+       segment and the worker's ring, seed the flow hashes, and enter
        the serve loop (``chunk``/``drain``/``snapshot``/``stop`` ring
        messages).
 
@@ -209,14 +212,13 @@ def _worker_main(
         message = tasks.get()
         if message[0] != "attach":
             return  # session closed without traffic
-        layout, meta, slots = pickle.loads(message[1])
+        layout, meta, slots, tuple_ids = pickle.loads(message[1])
         shared = SharedPacketArrays.attach(layout)
         soa = shared.arrays
         # Flow *metadata* only crossed the boundary; packets come from the
         # shared columns, materialised lazily (scalar/streaming paths only).
         flows = flows_from_meta(meta, soa)
-        if hasattr(engine, "seed_slots"):
-            engine.seed_slots(slots)
+        vz.seed_flow_hashes(soa, program.indexer.table_size, slots, tuple_ids)
         ring = SpscRing.attach(message[2])
     except BaseException:
         results.put(("error", index, traceback.format_exc()))
@@ -413,6 +415,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._merged_verdicts: dict = {}
         self._aggregates: dict[int, tuple | None] = {}
         self._buffered: dict[int, int] = {}
+        self._batching: dict[int, dict[str, int]] = {}
         #: Responses consumed outside their _collect round (see _check_failures),
         #: buffered per shard so _collect can absorb in worker-index order.
         self._stray: dict[str, dict[int, dict]] = {"snapshot": {}, "drained": {}}
@@ -513,18 +516,17 @@ class ProcessShardedEngine(InferenceEngine):
         """
         import pickle
 
-        from repro.switch.hashing import flow_slots
-
         self._shared = SharedPacketArrays.create(self._soa)
         self._segments.append(self._shared)
-        slots = flow_slots(self._flows, self._table_size)
+        slots = vz.cached_flow_slots(self._soa, self._flows, self._table_size)
+        tuple_ids = vz.cached_tuple_ids(self._soa, self._flows, self._table_size)
         self._shard_of_flow = (slots % self.workers).astype(np.intp)
         for _ in range(self.workers):
             ring = SpscRing.create(slots=self.ring_slots, span=self.ring_span)
             self._rings.append(ring)
             self._segments.append(ring)
         payload = pickle.dumps(
-            (self._shared.layout, flow_meta(self._flows), slots),
+            (self._shared.layout, flow_meta(self._flows), slots, tuple_ids),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         for tasks, ring in zip(self._task_queues, self._rings):
@@ -613,6 +615,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._merged_verdicts.update(payload["verdicts"])
         self._aggregates[shard] = payload["recirculation"]
         self._buffered[shard] = payload["buffered"]
+        self._batching[shard] = payload["batching"]
 
     def _check_liveness(self) -> None:
         for process in self._processes:
@@ -751,3 +754,7 @@ class ProcessShardedEngine(InferenceEngine):
 
     def _buffered_packet_count(self) -> int:
         return sum(self._buffered.values())
+
+    def _batching_stats(self) -> dict[str, int]:
+        """Flush counters summed over the workers, as of the last snapshot or drain."""
+        return sum_counters(self._batching.values())

@@ -32,8 +32,14 @@ import threading
 
 import numpy as np
 
+from repro.dataplane import vectorized as vz
 from repro.datasets.streams import PacketChunk
-from repro.serve.engine import InferenceEngine, ServeError, merged_recirculation_stats
+from repro.serve.engine import (
+    InferenceEngine,
+    ServeError,
+    merged_recirculation_stats,
+    sum_counters,
+)
 from repro.serve.microbatch import MicroBatchEngine
 from repro.serve.streaming import StreamingEngine
 
@@ -164,15 +170,10 @@ class ShardedEngine(InferenceEngine):
     def _ingest(self, chunk: PacketChunk) -> None:
         self._raise_shard_errors()
         if self._shard_of_flow is None:
-            from repro.switch.hashing import flow_slots
-
-            slots = flow_slots(self._flows, self._table_size)
+            # Cached on the source the shards' engines share, so no shard
+            # (and no later session) hashes the flow table again.
+            slots = vz.cached_flow_slots(self._soa, self._flows, self._table_size)
             self._shard_of_flow = (slots % self.n_shards).astype(np.intp)
-            for shard in self._shards:
-                # Seed the children before any chunk is enqueued, so no shard
-                # re-hashes the flow table (the queue put orders the write).
-                if hasattr(shard.engine, "seed_slots"):
-                    shard.engine.seed_slots(slots)
         positions = chunk.positions
         if positions.size == 0:
             return
@@ -243,3 +244,6 @@ class ShardedEngine(InferenceEngine):
 
     def _buffered_packet_count(self) -> int:
         return sum(shard.engine._buffered_packet_count() for shard in self._shards)
+
+    def _batching_stats(self) -> dict[str, int]:
+        return sum_counters(shard.engine._batching_stats() for shard in self._shards)

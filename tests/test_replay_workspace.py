@@ -18,13 +18,14 @@ import pytest
 
 from repro.dataplane import SpliDTDataPlane
 from repro.dataplane import vectorized as vz
-from repro.datasets.flows import FiveTuple, Flow, Packet
+from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
+from repro.features.definitions import FEATURES
 
 _BUFFERS = (
     "matrix", "sids", "round_sids", "live", "iota", "fast_live",
     "seg_start", "seg_end", "scratch_idx", "scratch_idx2", "flow_ids",
     "row_slots", "boundary_ts", "first_ts", "packets_seen",
-    "iat_acc", "iat_sq", "window_start_mask",
+    "iat_acc", "iat_sq",
 )
 
 
@@ -63,21 +64,20 @@ def make_program(splidt_model, splidt_rules):
 class TestAllocationFree:
     def test_reserve_grows_monotonically_then_stays(self):
         ws = vz.ReplayWorkspace()
-        ws.reserve(100, 1000)
+        ws.reserve(100)
         addresses = _buffer_addresses(ws)
-        assert ws.flow_capacity == 100 and ws.packet_capacity == 1000
+        assert ws.flow_capacity == 100
 
         # Smaller and equal requests must not touch a single buffer.
-        for n_flows, n_packets in ((10, 10), (100, 1000), (1, 999)):
-            ws.reserve(n_flows, n_packets)
+        for n_flows in (10, 100, 1):
+            ws.reserve(n_flows)
             assert _buffer_addresses(ws) == addresses
 
         # Growth replaces buffers, exactly once, then holds again.
-        ws.reserve(200, 1000)
+        ws.reserve(200)
         grown = _buffer_addresses(ws)
         assert grown["matrix"] != addresses["matrix"]
-        assert grown["window_start_mask"] == addresses["window_start_mask"]
-        ws.reserve(200, 1000)
+        ws.reserve(200)
         assert _buffer_addresses(ws) == grown
 
     def test_round_loop_never_reallocates(self, make_program, monkeypatch):
@@ -110,15 +110,26 @@ class TestAllocationFree:
         assert len(seen) == 2 * n_partitions
         assert all(snapshot == seen[0] for snapshot in seen)
 
-    def test_window_mask_is_a_zeroed_view(self):
-        ws = vz.ReplayWorkspace()
-        ws.reserve(4, 50)
-        mask = ws.window_mask(30)
-        mask[:] = True
-        again = ws.window_mask(30)
-        assert again.base is ws.window_start_mask
-        assert not again.any()
-        assert again.size == 30
+    def test_aggregators_share_every_derived_column(self):
+        # The aggregator holds no per-replay state: a second one over the
+        # same source (the next flush, the next replay) finds every derived
+        # column on ``soa.derived`` and builds none of its own.
+        soa = PacketArrays.from_flows(_make_flows(5, 12))
+        s = soa.flow_starts[:-1] + 2
+        e = soa.flow_starts[1:]
+        stateful = [f.index for f in FEATURES if f.stateful]
+        first = vz._WindowAggregator(soa)
+        values = [first.compute(feature, s, e) for feature in stateful]
+        columns = {key: id(column) for key, column in soa.derived.items()}
+        assert columns
+
+        workspace = vz.ReplayWorkspace()
+        workspace.reserve(s.size)
+        second = vz._WindowAggregator(soa, workspace=workspace)
+        again = [second.compute(feature, s, e) for feature in stateful]
+        assert {key: id(column) for key, column in soa.derived.items()} == columns
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(values, again))
+        assert vars(first).keys() == vars(second).keys() == {"_soa", "_workspace"}
 
 
 class TestNoStateLeaks:

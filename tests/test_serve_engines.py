@@ -19,7 +19,7 @@ import pytest
 from repro.baselines import train_topk_model
 from repro.core.config import TopKConfig
 from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset
-from repro.datasets.flows import PacketArrays
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
 from repro.serve import (
@@ -152,6 +152,41 @@ class TestMicroBatchParity:
             program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
             result = _stream(MicroBatchEngine(program, flush_flows=flush_flows), half)
             _assert_identical(reference, result)
+
+
+    def test_five_tuple_repeated_across_two_flushes(self, splidt_model, splidt_rules):
+        # The second flow of tuple A arrives long after the first was flushed
+        # with a verdict.  The reference engine forwards it without inference
+        # (its tuple still owns the decided slot), so both flows' slot is
+        # pinned to the plane that keeps slot state between flushes.
+        def flow(src_ip, flow_id, start):
+            packets = [
+                Packet(timestamp=start + 0.1 * j, size=100 + j, flags=0x10,
+                       direction=1, payload=10)
+                for j in range(6)
+            ]
+            return Flow(five_tuple=FiveTuple(src_ip, 2, 3, 4, 6), packets=packets,
+                        label=0, class_name="", flow_id=flow_id)
+
+        flows = [flow(1, 0, 0.0), flow(7, 1, 10.0), flow(1, 2, 20.0), flow(8, 3, 30.0)]
+        dataset = FlowDataset(name="t", description="", flows=flows, class_names=["a", "b"])
+        reference = replay_dataset(
+            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
+            dataset,
+            engine="reference",
+        )
+        assert set(reference.verdicts) == {0, 1, 3}
+
+        engine = MicroBatchEngine(
+            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192), flush_flows=1
+        )
+        flushed = []
+        flush = engine._flush
+        engine._flush = lambda indices: (flushed.append(indices.tolist()), flush(indices))[1]
+        result = _stream(engine, _chunks(flows, 1))
+        _assert_identical(reference, result)
+        assert flushed == [[0], [1], [2], [3]]
+        assert engine._forced_scalar.tolist() == [True, False, True, False]
 
 
 @pytest.mark.parametrize(
@@ -320,6 +355,46 @@ class TestProtocol:
         assert stats.flows_decided == len(engine.verdicts())
         assert 0.0 <= stats.accuracy <= 1.0
         assert stats.ttd["max"] >= stats.ttd["median"] >= 0.0
+
+    def test_batching_counters_follow_the_flush_sequence(self, program, small_dataset):
+        engine = MicroBatchEngine(program, flush_flows=16)
+        calls = {"flush": [], "eligible": 0}
+        flush, eligible = engine._flush, engine._eligible
+        engine._flush = lambda indices: (calls["flush"].append(indices.size), flush(indices))[1]
+
+        def counting_eligible():
+            calls["eligible"] += 1
+            return eligible()
+
+        engine._eligible = counting_eligible
+        engine.open()
+        assert engine.stats().batching == {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
+        for chunk in iter_packet_chunks(small_dataset.flows, 700):
+            engine.ingest(chunk)
+            assert engine.stats().batching == {
+                "flushes": len(calls["flush"]),
+                "flushed_flows": sum(calls["flush"]),
+                "eligible_scans": calls["eligible"],
+            }
+        eager = len(calls["flush"])
+        assert eager > 1 and calls["eligible"] >= eager
+        engine.drain()
+        batching = engine.stats().batching
+        assert batching["flushes"] == len(calls["flush"]) == eager + 1
+        # Every flow with packets is flushed exactly once.
+        assert batching["flushed_flows"] == engine.stats().flows_seen == len(small_dataset.flows)
+        engine.close()
+
+    def test_batching_counters_merge_over_shards(self, splidt_model, splidt_rules, small_dataset):
+        factory = lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
+        engine = ShardedEngine(factory, n_shards=3, flush_flows=16)
+        _stream(engine, _chunks(small_dataset.flows, 700))
+        batching = engine.stats().batching
+        assert batching["flushed_flows"] == len(small_dataset.flows)
+        assert batching["flushes"] >= 3 and batching["eligible_scans"] > 0
+        streaming = StreamingEngine(factory())
+        _stream(streaming, _chunks(small_dataset.flows, None))
+        assert streaming.stats().batching == {}
 
     def test_create_engine_dispatch(self, splidt_model, splidt_rules):
         factory = lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=256)

@@ -132,6 +132,11 @@ class TestProcessShardedParity:
         result = engine.close()
         assert len(result.verdicts) == engine.stats().flows_decided
         assert engine.stats().buffered_packets == 0
+        # Flush counters ride the same snapshot/drain payloads as the ring's:
+        # summed over the workers, every flow is flushed exactly once.
+        batching = engine.stats().batching
+        assert batching["flushed_flows"] == len(small_dataset.flows)
+        assert batching["flushes"] >= 2 and batching["eligible_scans"] > 0
 
 
 class TestLifecycleAndTeardown:
