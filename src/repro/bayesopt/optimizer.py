@@ -96,16 +96,26 @@ class BayesianOptimizer:
         surrogate.fit(X, y)
 
         candidates = self.space.sample_many(self.candidate_pool, self.rng)
-        candidates.extend(pending)  # avoid duplicating pending picks via penalty below
+        candidates.extend(pending)  # pending picks are penalised like any seen point
+        return self._best_unseen(surrogate, candidates, X, float(y.max()), pending)
+
+    def _best_unseen(
+        self, surrogate, candidates: list[dict], X: np.ndarray, best: float, pending: list[dict]
+    ) -> dict:
+        """The candidate of highest expected improvement not yet evaluated or pending.
+
+        ``X`` is the encoded history the surrogate was fitted on.  Falls back
+        to a fresh random sample when every candidate has been seen.
+        """
         encoded = np.stack([self.space.encode(c) for c in candidates])
         mean, std = surrogate.predict(encoded)
-        acquisition = expected_improvement(mean, std, best=float(y.max()))
+        acquisition = expected_improvement(mean, std, best=best)
 
         # Penalise candidates identical to already-evaluated or pending points.
-        seen = {tuple(np.round(self.space.encode(o.config), 6)) for o in self.history.observations}
+        seen = set(map(tuple, np.round(X, 6)))
         seen |= {tuple(np.round(self.space.encode(c), 6)) for c in pending}
-        for i, candidate in enumerate(candidates):
-            if tuple(np.round(self.space.encode(candidate), 6)) in seen:
+        for i, key in enumerate(map(tuple, np.round(encoded, 6))):
+            if key in seen:
                 acquisition[i] = -np.inf
 
         best_index = int(np.argmax(acquisition))
@@ -195,20 +205,7 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
         surrogate.fit(X, scalar)
 
         candidates = self.space.sample_many(self.candidate_pool, self.rng)
-        encoded = np.stack([self.space.encode(c) for c in candidates])
-        mean, std = surrogate.predict(encoded)
-        acquisition = expected_improvement(mean, std, best=float(scalar.max()))
-
-        seen = {tuple(np.round(self.space.encode(o.config), 6)) for o in self.history.observations}
-        seen |= {tuple(np.round(self.space.encode(c), 6)) for c in pending}
-        for i, candidate in enumerate(candidates):
-            if tuple(np.round(self.space.encode(candidate), 6)) in seen:
-                acquisition[i] = -np.inf
-
-        best_index = int(np.argmax(acquisition))
-        if not np.isfinite(acquisition[best_index]):
-            return self.space.sample(self.rng)
-        return candidates[best_index]
+        return self._best_unseen(surrogate, candidates, X, float(scalar.max()), pending)
 
     def pareto_front(self) -> list[Observation]:
         """Non-dominated feasible observations."""

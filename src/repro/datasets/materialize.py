@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.datasets.flows import FlowDataset
-from repro.features.definitions import N_FEATURES, STATELESS_INDICES
 from repro.features.flowmeter import FlowMeter, quantize_features
 from repro.ml.model_selection import train_test_split
 
@@ -116,6 +115,43 @@ class WindowedDataset:
         )
 
 
+def _flow_views(
+    dataset: FlowDataset, test_size: float, random_state: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of a materialisation that do not depend on the partition count.
+
+    ``(flow_features, packet_features, labels, train_indices, test_indices)``,
+    computed once per ``(test_size, random_state)`` and kept on the dataset's
+    packet arrays, so a :class:`DatasetStore` pays for them at its first
+    partition count only.  Every :class:`WindowedDataset` of the dataset
+    holds these same arrays; they are read-only for that reason.
+    """
+    soa = dataset.packet_arrays()
+    key = ("flow_views", test_size, random_state)
+    views = soa.derived.get(key)
+    if views is None:
+        meter = FlowMeter()
+        labels = soa.labels.astype(np.intp)
+        train_idx, test_idx, _, _ = train_test_split(
+            np.arange(soa.n_flows).reshape(-1, 1),
+            labels,
+            test_size=test_size,
+            stratify=True,
+            random_state=random_state,
+        )
+        views = (
+            meter.extract_flow_matrix(soa),
+            meter.extract_packet_matrix(soa),
+            labels,
+            train_idx[:, 0].astype(np.intp),
+            test_idx[:, 0].astype(np.intp),
+        )
+        for array in views:
+            array.flags.writeable = False
+        soa.derived[key] = views
+    return views
+
+
 def materialize(
     dataset: FlowDataset,
     n_partitions: int,
@@ -126,40 +162,15 @@ def materialize(
     """Extract window / flow / packet feature matrices from a flow dataset."""
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
-    meter = FlowMeter()
-    n_flows = dataset.n_flows
-
-    window_features = np.zeros((n_partitions, n_flows, N_FEATURES), dtype=float)
-    flow_features = np.zeros((n_flows, N_FEATURES), dtype=float)
-    packet_features = np.zeros((n_flows, N_FEATURES), dtype=float)
-
-    for i, flow in enumerate(dataset.flows):
-        window_features[:, i, :] = meter.extract_windows(flow, n_partitions)
-        flow_features[i] = meter.extract_flow(flow)
-        if flow.packets:
-            packet_features[i] = meter.extract_per_packet(flow.packets[0], flow)
-
-    # Per-packet view only keeps stateless columns populated.
-    stateless_mask = np.zeros(N_FEATURES, dtype=bool)
-    stateless_mask[list(STATELESS_INDICES)] = True
-    packet_features[:, ~stateless_mask] = 0.0
-
-    labels = dataset.labels()
-    indices = np.arange(n_flows)
-    train_idx, test_idx, _, _ = train_test_split(
-        indices.reshape(-1, 1),
-        labels,
-        test_size=test_size,
-        stratify=True,
-        random_state=random_state,
+    flow_features, packet_features, labels, train_indices, test_indices = _flow_views(
+        dataset, test_size, random_state
     )
-    train_indices = train_idx[:, 0].astype(np.intp)
-    test_indices = test_idx[:, 0].astype(np.intp)
-
     return WindowedDataset(
         name=dataset.name,
         n_partitions=n_partitions,
-        window_features=window_features,
+        window_features=FlowMeter().extract_window_matrix(
+            dataset.packet_arrays(), n_partitions
+        ),
         flow_features=flow_features,
         packet_features=packet_features,
         labels=labels,

@@ -22,7 +22,13 @@ from repro.features.definitions import (
 )
 from repro.features.flowmeter import FlowMeter, quantize_features
 from repro.features.stateful import StatefulOperator, make_operator, make_operator_bank
-from repro.features.window import split_flow, split_packets, window_boundaries, window_of_packet
+from repro.features.window import (
+    split_flow,
+    split_packets,
+    window_boundaries,
+    window_bounds,
+    window_of_packet,
+)
 
 __all__ = [
     "FEATURES",
@@ -42,5 +48,6 @@ __all__ = [
     "split_flow",
     "split_packets",
     "window_boundaries",
+    "window_bounds",
     "window_of_packet",
 ]

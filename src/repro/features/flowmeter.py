@@ -9,15 +9,25 @@ with statistics computed *only* from that window's packets.
 one-shot view the NetBeacon/Leo baselines use) and
 :meth:`extract_per_packet` returns the stateless per-packet view used by the
 IIsy-style baseline.
+
+Those three walk one flow's ``Packet`` objects and are the readable
+reference.  Whole datasets go through the ``*_matrix`` methods, which compute
+the same vectors for every flow of a :class:`PacketArrays` at once and are
+bit-identical to the per-flow methods (``tests/test_features_flowmeter.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.flows import Flow, Packet
-from repro.features.definitions import FEATURES, N_FEATURES, FEATURES_BY_NAME
-from repro.features.window import split_packets
+from repro.datasets.flows import Flow, Packet, PacketArrays
+from repro.features.definitions import (
+    FEATURES,
+    N_FEATURES,
+    FEATURES_BY_NAME,
+    STATELESS_HEADER_INDICES,
+)
+from repro.features.window import split_packets, window_bounds
 
 #: Packets shorter than this count as "small", longer than large threshold as "large".
 SMALL_PACKET_BYTES = 100
@@ -25,6 +35,8 @@ LARGE_PACKET_BYTES = 1000
 
 #: Gap (seconds) separating two bursts.
 BURST_GAP_SECONDS = 0.01
+
+_SRC_PORT, _DST_PORT, _PROTOCOL = STATELESS_HEADER_INDICES[:3]
 
 
 class FlowMeter:
@@ -58,6 +70,86 @@ class FlowMeter:
         self._fill_stateless(vector, flow, first_packet=packet)
         return vector
 
+    # ------------------------------------------------------------------
+    # Batched extraction over a PacketArrays
+    # ------------------------------------------------------------------
+    def extract_window_matrix(self, soa: PacketArrays, n_windows: int) -> np.ndarray:
+        """:meth:`extract_windows` of every flow: ``(n_windows, n_flows, n_features)``."""
+        ends = soa.flow_starts[:-1, None] + window_bounds(soa.n_packets_per_flow, n_windows)
+        starts = np.empty_like(ends)
+        starts[:, 0] = soa.flow_starts[:-1]
+        starts[:, 1:] = ends[:, :-1]
+        flows = np.tile(np.arange(soa.n_flows, dtype=np.intp), n_windows)
+        # Window-major, so the segment axis reshapes to (window, flow).
+        vectors = self.extract_segments(soa, starts.T.ravel(), ends.T.ravel(), flows)
+        return vectors.reshape(n_windows, soa.n_flows, self.n_features)
+
+    def extract_flow_matrix(self, soa: PacketArrays) -> np.ndarray:
+        """:meth:`extract_flow` of every flow: ``(n_flows, n_features)``."""
+        flows = np.arange(soa.n_flows, dtype=np.intp)
+        return self.extract_segments(soa, soa.flow_starts[:-1], soa.flow_starts[1:], flows)
+
+    def extract_packet_matrix(self, soa: PacketArrays) -> np.ndarray:
+        """:meth:`extract_per_packet` of every flow's first packet.
+
+        A flow without packets has no first packet and keeps an all-zero row.
+        """
+        matrix = np.zeros((soa.n_flows, self.n_features), dtype=float)
+        header = np.column_stack(
+            [soa.src_ports, soa.dst_ports, soa.protocols, soa.first_sizes]
+        )
+        populated = soa.n_packets_per_flow > 0
+        matrix[:, STATELESS_HEADER_INDICES] = np.where(populated[:, None], header, 0.0)
+        return matrix
+
+    def extract_segments(
+        self, soa: PacketArrays, starts: np.ndarray, ends: np.ndarray, flows: np.ndarray
+    ) -> np.ndarray:
+        """Feature vectors of the packet segments ``[starts[i], ends[i])``.
+
+        ``flows[i]`` is the flow segment ``i`` belongs to (its header fields).
+        Row ``i`` is bit-identical to ``_window_vector`` over the same
+        packets: segments are bucketed by packet count ``L``, each bucket is
+        gathered into C-contiguous ``(rows, L)`` matrices, and the reference's
+        own expressions run along the last axis, where NumPy reduces each row
+        with the routine (and summation order) it uses for a 1-D array.  The
+        sums the reference takes over a direction-masked subset are taken here
+        over the full row with the other direction zeroed, which is exact
+        because packet sizes are integer-valued.  One bucket is resident at a
+        time.
+        """
+        starts = np.asarray(starts, dtype=np.intp)
+        lengths = np.asarray(ends, dtype=np.intp) - starts
+        out = np.zeros((starts.size, self.n_features), dtype=float)
+        out[:, _SRC_PORT] = soa.src_ports[flows]
+        out[:, _DST_PORT] = soa.dst_ports[flows]
+        out[:, _PROTOCOL] = soa.protocols[flows]
+        if starts.size == 0:
+            return out
+
+        order = np.argsort(lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        cuts = np.flatnonzero(np.diff(sorted_lengths)) + 1
+        for low, high in zip(np.r_[0, cuts], np.r_[cuts, order.size]):
+            length = int(sorted_lengths[low])
+            if length == 0:
+                continue  # empty segments keep only the header fields
+            rows = order[low:high]
+            index = starts[rows, None] + np.arange(length, dtype=np.intp)
+            block = out[rows]
+            _fill_bucket(
+                block,
+                soa.sizes[index],
+                soa.payloads[index],
+                soa.timestamps[index],
+                soa.directions[index],
+                soa.flags[index],
+            )
+            out[rows] = block
+        return out
+
+    # ------------------------------------------------------------------
+    # Per-flow reference
     # ------------------------------------------------------------------
     def _window_vector(self, packets: list[Packet], flow: Flow) -> np.ndarray:
         vector = np.zeros(self.n_features, dtype=float)
@@ -157,6 +249,98 @@ class FlowMeter:
                 current_length += 1
             max_length = max(max_length, current_length)
         return burst_count, max_length
+
+
+def _fill_bucket(
+    block: np.ndarray,
+    sizes: np.ndarray,
+    payloads: np.ndarray,
+    times: np.ndarray,
+    directions: np.ndarray,
+    flags: np.ndarray,
+) -> None:
+    """``FlowMeter._window_vector`` for ``rows`` segments of ``L >= 1`` packets.
+
+    The inputs are C-contiguous ``(rows, L)`` matrices; ``block`` is the
+    ``(rows, n_features)`` output, header fields already set.  Every
+    expression is the reference's, taken along ``axis=1``.
+    """
+    n_rows, length = sizes.shape
+    zeros = np.zeros(n_rows, dtype=float)
+
+    def put(name: str, values) -> None:
+        block[:, FEATURES_BY_NAME[name].index] = values
+
+    def ratio(numerator, denominator, defined) -> np.ndarray:
+        # ``numerator / denominator if defined else 0.0``
+        return np.divide(numerator, denominator, out=zeros.copy(), where=defined)
+
+    fwd_mask = directions > 0
+    bwd_mask = ~fwd_mask
+    duration = times[:, -1] - times[:, 0]
+    byte_count = sizes.sum(axis=1)
+
+    put("pkt_len_first", sizes[:, 0])
+    put("pkt_count", length)
+    put("byte_count", byte_count)
+    put("mean_pkt_len", sizes.mean(axis=1))
+    put("min_pkt_len", sizes.min(axis=1))
+    put("max_pkt_len", sizes.max(axis=1))
+    put("std_pkt_len", sizes.std(axis=1))
+    put("first_pkt_len", sizes[:, 0])
+    put("last_pkt_len", sizes[:, -1])
+    if length > 1:
+        iats = np.diff(times, axis=1)
+        put("mean_iat", iats.mean(axis=1))
+        put("min_iat", iats.min(axis=1))
+        max_iat = iats.max(axis=1)
+        put("max_iat", max_iat)
+        put("std_iat", iats.std(axis=1))
+        put("idle_max", max_iat)
+        # A packet opens a burst when the gap before it exceeds the burst
+        # gap; its position within its burst is its distance to the latest
+        # opening at or before it.
+        opens = np.zeros((n_rows, length), dtype=bool)
+        opens[:, 1:] = iats > BURST_GAP_SECONDS
+        position = np.arange(length, dtype=np.intp)
+        latest_open = np.maximum.accumulate(np.where(opens, position, 0), axis=1)
+        put("burst_count", 1 + opens.sum(axis=1))
+        put("max_burst_len", (position - latest_open).max(axis=1) + 1)
+    else:
+        put("burst_count", 1)
+        put("max_burst_len", 1)
+    put("duration", duration)
+    put("pkt_rate", ratio(float(length), duration, duration > 0))
+    put("byte_rate", ratio(byte_count, duration, duration > 0))
+    put("syn_count", (flags & 0x02 > 0).sum(axis=1))
+    put("ack_count", (flags & 0x10 > 0).sum(axis=1))
+    put("fin_count", (flags & 0x01 > 0).sum(axis=1))
+    put("psh_count", (flags & 0x08 > 0).sum(axis=1))
+    put("rst_count", (flags & 0x04 > 0).sum(axis=1))
+    put("urg_count", (flags & 0x20 > 0).sum(axis=1))
+    fwd_count = fwd_mask.sum(axis=1)
+    bwd_count = bwd_mask.sum(axis=1)
+    fwd_bytes = np.where(fwd_mask, sizes, 0.0).sum(axis=1)
+    bwd_bytes = np.where(bwd_mask, sizes, 0.0).sum(axis=1)
+    put("fwd_pkt_count", fwd_count)
+    put("bwd_pkt_count", bwd_count)
+    put("fwd_byte_count", fwd_bytes)
+    put("bwd_byte_count", bwd_bytes)
+    put("fwd_bwd_pkt_ratio", fwd_count.astype(float) / np.maximum(bwd_count, 1))
+    put("mean_fwd_pkt_len", ratio(fwd_bytes, fwd_count, fwd_count > 0))
+    put("mean_bwd_pkt_len", ratio(bwd_bytes, bwd_count, bwd_count > 0))
+    put(
+        "max_fwd_pkt_len",
+        np.where(fwd_count > 0, np.where(fwd_mask, sizes, -np.inf).max(axis=1), 0.0),
+    )
+    put(
+        "max_bwd_pkt_len",
+        np.where(bwd_count > 0, np.where(bwd_mask, sizes, -np.inf).max(axis=1), 0.0),
+    )
+    put("small_pkt_count", (sizes < SMALL_PACKET_BYTES).sum(axis=1))
+    put("large_pkt_count", (sizes > LARGE_PACKET_BYTES).sum(axis=1))
+    put("payload_sum", payloads.sum(axis=1))
+    put("mean_payload", payloads.mean(axis=1))
 
 
 def quantize_features(matrix: np.ndarray, bit_width: int, max_value: float | None = None) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from repro.datasets.flows import Flow, Packet
 
 
@@ -36,6 +38,24 @@ def window_boundaries(n_packets: int, n_windows: int) -> list[int]:
         cursor += size
         boundaries.append(cursor)
     return boundaries
+
+
+def window_bounds(counts: np.ndarray, n_windows: int) -> np.ndarray:
+    """Array form of :func:`window_boundaries`, one row per packet count.
+
+    Returns an ``(len(counts), n_windows)`` integer matrix whose row ``i``
+    equals ``window_boundaries(counts[i], n_windows)``: window ``w`` of a flow
+    of ``n`` packets ends (exclusively) at ``(w + 1) * (n // P) + min(w + 1,
+    n % P)``.
+    """
+    if n_windows < 1:
+        raise ValueError("n_windows must be >= 1")
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.size and counts.min() < 0:
+        raise ValueError("n_packets must be >= 0")
+    base, remainder = np.divmod(counts[:, None], n_windows)
+    ends = np.arange(1, n_windows + 1, dtype=np.intp)
+    return base * ends + np.minimum(ends, remainder)
 
 
 @lru_cache(maxsize=65536)

@@ -60,6 +60,12 @@ class Tree:
     n_features: int
     n_outputs: int
     nodes: list[TreeNode] = field(default_factory=list)
+    #: ``(feature, threshold, left, right, internal)`` columns of
+    #: :attr:`nodes` for :meth:`apply`; built on first use of the finished
+    #: tree and dropped whenever the structure grows.
+    _columns: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add_node(
         self,
@@ -84,12 +90,14 @@ class Tree:
             impurity=float(impurity),
         )
         self.nodes.append(node)
+        self._columns = None
         return node.node_id
 
     def set_children(self, node_id: int, left: int, right: int) -> None:
         """Attach children to an existing node."""
         self.nodes[node_id].left = left
         self.nodes[node_id].right = right
+        self._columns = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -132,13 +140,32 @@ class Tree:
     # Traversal
     # ------------------------------------------------------------------
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Return the leaf node id reached by every row of ``X``."""
+        """Return the leaf node id reached by every row of ``X``.
+
+        All rows descend together, one tree level per step; the result is
+        that of :meth:`_apply_row` on each row.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-D array")
-        out = np.empty(X.shape[0], dtype=np.intp)
-        for i in range(X.shape[0]):
-            out[i] = self._apply_row(X[i])
+        out = np.zeros(X.shape[0], dtype=np.intp)
+        if out.size == 0:
+            return out
+        if self._columns is None:
+            self._columns = (
+                np.array([node.feature for node in self.nodes], dtype=np.intp),
+                np.array([node.threshold for node in self.nodes], dtype=float),
+                np.array([node.left for node in self.nodes], dtype=np.intp),
+                np.array([node.right for node in self.nodes], dtype=np.intp),
+                np.array([not node.is_leaf for node in self.nodes], dtype=bool),
+            )
+        feature, threshold, left, right, internal = self._columns
+        rows = np.flatnonzero(internal[out])
+        while rows.size:
+            at = out[rows]
+            goes_left = X[rows, feature[at]] <= threshold[at]
+            out[rows] = np.where(goes_left, left[at], right[at])
+            rows = rows[internal[out[rows]]]
         return out
 
     def _apply_row(self, row: np.ndarray) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.config import SpliDTConfig
 from repro.core.range_marking import generate_rules
 from repro.dataplane.splidt_program import SpliDTDataPlane
+from repro.datasets.flows import PacketArrays
 from repro.features.flowmeter import FlowMeter
 from repro.online.config import OnlineConfig
 from repro.online.drift import DriftMonitor
@@ -108,10 +109,9 @@ class OnlineController:
         self.events: list[OnlineEvent] = []
         self.swap_events: list = []
         self._active_rules = rules
-        self._meter = FlowMeter()
         self._flow_by_id: dict[int, object] = {}
         self._seen: set[int] = set()
-        self._buffer: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
+        self._buffer: OrderedDict[int, tuple[object, int]] = OrderedDict()
         self._stale: set[int] = set()
         self._cooldown_left = 0
 
@@ -186,10 +186,7 @@ class OnlineController:
                 continue
             # RETRAINING: every labelled post-alarm flow feeds the buffer.
             self.monitor.windowed.update(int(y_true) != int(y_pred))
-            self._buffer[verdict.flow_id] = (
-                self._meter.extract_windows(flow, self.model_config.n_partitions),
-                int(y_true),
-            )
+            self._buffer[verdict.flow_id] = (flow, int(y_true))
             while len(self._buffer) > self.config.retrain_window:
                 self._buffer.popitem(last=False)
             if allow_swap and len(self._buffer) >= self.config.min_retrain_flows:
@@ -209,13 +206,14 @@ class OnlineController:
             passes=self.config.retrain_passes,
         )
         buffered = list(self._buffer.values())
-        for windows, label in buffered:
-            trainer.add_flow(windows, label)
+        soa = PacketArrays.from_flows([flow for flow, _ in buffered])
+        windows = FlowMeter().extract_window_matrix(soa, self.model_config.n_partitions)
+        # (window, flow, feature) -> one (window, feature) matrix per flow.
+        windows = np.ascontiguousarray(windows.transpose(1, 0, 2))
+        for flow_windows, (_, label) in zip(windows, buffered):
+            trainer.add_flow(flow_windows, label)
         model = trainer.build_model()
-        matrix = np.vstack(
-            [windows[: self.model_config.n_partitions] for windows, _ in buffered]
-        )
-        rules = generate_rules(model, matrix)
+        rules = generate_rules(model, windows.reshape(-1, windows.shape[2]))
         event = engine.swap_model(
             OnlineProgramFactory(model, rules, self.flow_slots)
         )

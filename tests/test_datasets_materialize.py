@@ -8,6 +8,37 @@ import pytest
 from repro.datasets.materialize import DatasetStore, materialize
 from repro.datasets.registry import load_dataset, load_windowed
 from repro.features.definitions import N_FEATURES, STATEFUL_INDICES
+from repro.features.flowmeter import FlowMeter
+from repro.ml.model_selection import train_test_split
+
+
+def _materialize_per_flow(dataset, n_partitions, random_state):
+    """The materialisation written flow by flow on the scalar ``FlowMeter``."""
+    meter = FlowMeter()
+    window_features = np.zeros((n_partitions, dataset.n_flows, N_FEATURES))
+    flow_features = np.zeros((dataset.n_flows, N_FEATURES))
+    packet_features = np.zeros((dataset.n_flows, N_FEATURES))
+    for i, flow in enumerate(dataset.flows):
+        window_features[:, i, :] = meter.extract_windows(flow, n_partitions)
+        flow_features[i] = meter.extract_flow(flow)
+        if flow.packets:
+            packet_features[i] = meter.extract_per_packet(flow.packets[0], flow)
+    labels = dataset.labels()
+    train, test, _, _ = train_test_split(
+        np.arange(dataset.n_flows).reshape(-1, 1),
+        labels,
+        test_size=0.3,
+        stratify=True,
+        random_state=random_state,
+    )
+    return {
+        "window_features": window_features,
+        "flow_features": flow_features,
+        "packet_features": packet_features,
+        "labels": labels,
+        "train_indices": train[:, 0].astype(np.intp),
+        "test_indices": test[:, 0].astype(np.intp),
+    }
 
 
 class TestMaterialize:
@@ -51,6 +82,27 @@ class TestMaterialize:
     def test_invalid_partition_count(self, small_dataset):
         with pytest.raises(ValueError):
             materialize(small_dataset, 0)
+
+    @pytest.mark.parametrize("key", ["D1", "D2", "D3", "D4", "D5", "D6", "D7"])
+    def test_equals_the_per_flow_loop(self, key):
+        dataset = load_dataset(key, n_flows=60, seed=5)
+        for n_partitions in (1, 3, 7):
+            windowed = materialize(dataset, n_partitions, random_state=5)
+            expected = _materialize_per_flow(dataset, n_partitions, random_state=5)
+            for name, array in expected.items():
+                got = getattr(windowed, name)
+                assert got.dtype == array.dtype, (name, n_partitions)
+                assert np.array_equal(got, array), (name, n_partitions)
+
+    def test_partition_counts_share_read_only_flow_views(self, small_dataset):
+        two = materialize(small_dataset, 2, random_state=4)
+        five = materialize(small_dataset, 5, random_state=4)
+        assert five.flow_features is two.flow_features
+        assert five.train_indices is two.train_indices
+        with pytest.raises(ValueError):
+            two.flow_features[0, 0] = 1.0
+        other_split = materialize(small_dataset, 2, random_state=9)
+        assert not np.array_equal(other_split.train_indices, two.train_indices)
 
     def test_with_precision_bounds_values(self, windowed3):
         quantised = windowed3.with_precision(8)

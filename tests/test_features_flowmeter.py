@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.datasets.flows import FiveTuple, Flow, Packet, TCP_FLAGS
+from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays, TCP_FLAGS
 from repro.features.definitions import FEATURES_BY_NAME, N_FEATURES
 from repro.features.flowmeter import FlowMeter, quantize_features
 
@@ -144,6 +145,113 @@ class TestPerPacketExtraction:
         assert vector[_index("dst_port")] == 443
         assert vector[_index("pkt_count")] == 0
         assert vector[_index("byte_count")] == 0
+
+
+# Gaps on both sides of BURST_GAP_SECONDS, ties included.
+_gaps = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=0.0099),
+    st.floats(min_value=0.0101, max_value=3.0),
+)
+_packet_fields = st.tuples(
+    _gaps,
+    st.integers(min_value=40, max_value=1500),  # size
+    st.integers(min_value=0, max_value=0x3F),  # flags
+    st.sampled_from([1, -1]),  # direction
+    st.integers(min_value=0, max_value=1460),  # payload
+)
+
+
+def _flow(fields, ports=(1234, 443, 6), start=0.0) -> Flow:
+    packets, now = [], start
+    for gap, size, flags, direction, payload in fields:
+        now += gap
+        packets.append(Packet(now, size, flags, direction, min(payload, size)))
+    return Flow(FiveTuple(1, 2, *ports), packets, label=0)
+
+
+_flows = st.lists(
+    st.builds(
+        _flow,
+        st.lists(_packet_fields, max_size=40),
+        st.tuples(st.integers(0, 65535), st.integers(0, 65535), st.sampled_from([6, 17])),
+        st.floats(min_value=0.0, max_value=100.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _assert_batched_equals_reference(flows: list[Flow], n_windows: int) -> None:
+    """The ``*_matrix`` methods against the per-flow methods, bit for bit."""
+    meter = FlowMeter()
+    soa = PacketArrays.from_flows(flows)
+    windows = np.stack([meter.extract_windows(f, n_windows) for f in flows], axis=1)
+    assert np.array_equal(meter.extract_window_matrix(soa, n_windows), windows)
+    whole = np.stack([meter.extract_flow(f) for f in flows])
+    assert np.array_equal(meter.extract_flow_matrix(soa), whole)
+    first = np.stack(
+        [
+            meter.extract_per_packet(f.packets[0], f) if f.packets else np.zeros(N_FEATURES)
+            for f in flows
+        ]
+    )
+    assert np.array_equal(meter.extract_packet_matrix(soa), first)
+
+
+def _random_flow(n_packets: int, seed: int, direction: int | None = None) -> Flow:
+    rng = np.random.default_rng(seed)
+    fields = zip(
+        rng.exponential(0.02, n_packets).tolist(),
+        rng.integers(40, 1501, n_packets).tolist(),
+        rng.integers(0, 0x40, n_packets).tolist(),
+        [direction] * n_packets if direction else rng.choice([1, -1], n_packets).tolist(),
+        rng.integers(0, 1461, n_packets).tolist(),
+    )
+    return _flow(fields)
+
+
+class TestBatchedKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(flows=_flows, n_windows=st.integers(min_value=1, max_value=8))
+    def test_random_flows(self, flows, n_windows):
+        _assert_batched_equals_reference(flows, n_windows)
+
+    def test_empty_flow_keeps_an_all_zero_packet_row(self):
+        flows = [_flow([]), _random_flow(9, seed=1)]
+        _assert_batched_equals_reference(flows, 3)
+        packet_matrix = FlowMeter().extract_packet_matrix(PacketArrays.from_flows(flows))
+        assert not packet_matrix[0].any()  # ports included
+        assert packet_matrix[1, _index("dst_port")] == 443
+
+    def test_fewer_packets_than_windows(self):
+        flows = [_random_flow(3, seed=2), _random_flow(1, seed=3)]
+        _assert_batched_equals_reference(flows, 7)
+        windows = FlowMeter().extract_window_matrix(PacketArrays.from_flows(flows), 7)
+        # Trailing empty windows keep only the flow's header fields.
+        assert windows[5, 0, _index("dst_port")] == 443
+        assert windows[5, 0, _index("pkt_len_first")] == 0
+        assert windows[5, 0, _index("pkt_count")] == 0
+
+    def test_one_packet_windows(self):
+        _assert_batched_equals_reference([_random_flow(5, seed=4)], 5)
+
+    def test_tied_timestamps_give_zero_rates(self):
+        flow = _flow([(0.0, 100 + i, 0x10, 1 if i % 2 else -1, 50) for i in range(6)])
+        _assert_batched_equals_reference([flow], 2)
+        whole = FlowMeter().extract_flow_matrix(PacketArrays.from_flows([flow]))[0]
+        assert whole[_index("duration")] == 0
+        assert whole[_index("pkt_rate")] == 0 and whole[_index("byte_rate")] == 0
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_single_direction_windows(self, direction):
+        _assert_batched_equals_reference([_random_flow(20, seed=5, direction=direction)], 3)
+
+    def test_windows_past_the_pairwise_summation_block(self):
+        # NumPy sums in blocks of 128: 150-packet windows, 300-packet flows.
+        flows = [_random_flow(300, seed=6), _random_flow(299, seed=7), _random_flow(129, seed=8)]
+        _assert_batched_equals_reference(flows, 2)
+        _assert_batched_equals_reference(flows, 1)
 
 
 class TestQuantizeFeatures:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets.flows import Packet
-from repro.features.window import split_packets, window_boundaries, window_of_packet
+from repro.features.window import (
+    split_packets,
+    window_boundaries,
+    window_bounds,
+    window_of_packet,
+)
 
 
 def _packets(n: int) -> list[Packet]:
@@ -46,6 +52,21 @@ class TestWindowBoundaries:
     def test_negative_packets(self):
         with pytest.raises(ValueError):
             window_boundaries(-1, 2)
+
+
+class TestWindowBounds:
+    def test_equals_window_boundaries(self):
+        counts = np.arange(301)
+        for windows in range(1, 9):
+            bounds = window_bounds(counts, windows)
+            assert bounds.shape == (301, windows)
+            assert bounds.tolist() == [window_boundaries(n, windows) for n in counts]
+
+    def test_rejects_what_window_boundaries_rejects(self):
+        with pytest.raises(ValueError):
+            window_bounds(np.array([3]), 0)
+        with pytest.raises(ValueError):
+            window_bounds(np.array([3, -1]), 2)
 
 
 class TestSplitPackets:

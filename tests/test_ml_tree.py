@@ -136,6 +136,31 @@ class TestClassifierStructure:
         leaf_nodes = {node.node_id for node in tree.tree_.leaves()}
         assert set(leaf_ids) <= leaf_nodes
 
+    def test_apply_equals_the_per_row_descent(self, classification_data):
+        X, y = classification_data
+        # Thresholds sit between training values: probe them, both sides, and NaN.
+        tree = DecisionTreeClassifier(max_depth=7).fit(X, y).tree_
+        probes = np.vstack([X, X[:40] + 1e-9, np.full((1, X.shape[1]), np.nan)])
+        for node in tree.nodes:
+            if not node.is_leaf:
+                row = X[0].copy()
+                row[node.feature] = node.threshold
+                probes = np.vstack([probes, row])
+        expected = [tree._apply_row(row) for row in probes]
+        assert tree.apply(probes).tolist() == expected
+        assert expected == [tree.decision_path(row)[-1] for row in probes]
+        assert tree.apply(probes[:0]).shape == (0,)
+
+    def test_apply_follows_a_tree_that_grew_since_the_last_call(self):
+        tree = DecisionTreeClassifier().fit(np.array([[0.0], [1.0]]), np.array([0, 0])).tree_
+        X = np.array([[0.0], [1.0]])
+        assert tree.apply(X).tolist() == [0, 0]  # a single leaf
+        kwargs = dict(feature=LEAF, threshold=0.0, depth=1, n_samples=1, value=[1.0], impurity=0.0)
+        left, right = tree.add_node(**kwargs), tree.add_node(**kwargs)
+        tree.nodes[0].feature, tree.nodes[0].threshold = 0, 0.5
+        tree.set_children(0, left, right)
+        assert tree.apply(X).tolist() == [left, right]
+
     def test_entropy_criterion_works(self, classification_data):
         X, y = classification_data
         tree = DecisionTreeClassifier(max_depth=6, criterion="entropy").fit(X, y)
