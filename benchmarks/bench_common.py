@@ -60,28 +60,10 @@ def serve_workers(default: int = 4) -> int:
     """Worker count for the sharded serving benchmarks.
 
     Reads ``SPLIDT_SERVE_WORKERS`` (so CI and operators can match the
-    benchmark to the machine) and falls back to ``default``.  Used for both
-    the thread-sharded and process-sharded rows of
-    ``test_serve_throughput.py`` so the two engines are always compared at
-    the same shard count.
+    benchmark to the machine) and falls back to ``default``.  Used for the
+    process-sharded rows of ``test_serve_throughput.py``.
     """
     value = os.environ.get(SERVE_WORKERS_ENV)
-    return int(value) if value else default
-
-
-#: Environment knob: evaluator-process count of the design-search benchmarks.
-DSE_WORKERS_ENV = "SPLIDT_DSE_WORKERS"
-
-
-def dse_workers(default: int = 0) -> int:
-    """Evaluator-process count for the design-search benchmarks.
-
-    Reads ``SPLIDT_DSE_WORKERS`` and falls back to ``default`` (0 = serial,
-    which keeps the suite green on single-core hosts).  The DSE results are
-    bit-identical at any worker count — the knob only changes wall-clock —
-    so CI can flip it without re-blessing any committed table.
-    """
-    value = os.environ.get(DSE_WORKERS_ENV)
     return int(value) if value else default
 
 
@@ -213,48 +195,6 @@ def evaluate_splidt_config(
             store, config, target=TOFINO1, workloads=datasets.WORKLOADS, random_state=seed
         )
     return _SPLIDT_CACHE[cache_key]
-
-
-def warm_splidt_candidates(
-    store: datasets.DatasetStore,
-    candidates: tuple = SPLIDT_CANDIDATES,
-    *,
-    bit_width: int = 32,
-    seed: int = BENCH_SEED,
-) -> None:
-    """Pre-fill :func:`evaluate_splidt_config`'s cache, in parallel if asked.
-
-    With ``SPLIDT_DSE_WORKERS`` unset (or fewer than two uncached
-    candidates) this is a no-op and the benchmarks evaluate lazily as
-    before.  Otherwise the uncached candidates are fanned out to a
-    :class:`repro.core.ParallelEvaluator` pool; the pool's results are
-    bit-identical to the serial path, so the committed tables do not move.
-    """
-    workers = dse_workers()
-    fresh = [
-        (depth, k, partitions)
-        for depth, k, partitions in candidates
-        if (id(store), depth, k, partitions, bit_width) not in _SPLIDT_CACHE
-    ]
-    if workers < 1 or len(fresh) < 2:
-        return
-    configs = [
-        core.SpliDTConfig.uniform(
-            depth=depth, n_partitions=partitions, features_per_subtree=k,
-            bit_width=bit_width,
-        )
-        for depth, k, partitions in fresh
-    ]
-    with core.ParallelEvaluator(
-        store,
-        workers=min(workers, len(configs)),
-        target=TOFINO1,
-        workloads=datasets.WORKLOADS,
-        random_state=seed,
-    ) as pool:
-        results = pool.evaluate_batch(configs, {})
-    for (depth, k, partitions), candidate in zip(fresh, results):
-        _SPLIDT_CACHE[(id(store), depth, k, partitions, bit_width)] = candidate
 
 
 def best_splidt_at_flows(

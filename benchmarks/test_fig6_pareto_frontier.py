@@ -12,7 +12,6 @@ from bench_common import (
     baseline_at_flows,
     best_splidt_at_flows,
     get_store,
-    warm_splidt_candidates,
     write_result,
 )
 from repro.analysis import render_table
@@ -23,9 +22,6 @@ def _run() -> str:
     rows = []
     for key in DATASET_KEYS:
         store = get_store(key)
-        # Parallel warm-up of the candidate cache when SPLIDT_DSE_WORKERS is
-        # set; a no-op (lazy serial evaluation) otherwise.
-        warm_splidt_candidates(store)
         for n_flows in FLOW_TARGETS:
             netbeacon = baseline_at_flows(store, "netbeacon", n_flows)
             leo = baseline_at_flows(store, "leo", n_flows)

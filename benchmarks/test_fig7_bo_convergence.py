@@ -8,41 +8,32 @@ happens in the first third of the iterations.
 
 from __future__ import annotations
 
-from bench_common import dse_workers, get_store, write_result
+from bench_common import get_store, write_result
 from repro.analysis import render_table
 from repro.core.dse import DesignSearch
 from repro.switch.targets import TOFINO1
 
 DATASETS = ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
 N_ITERATIONS = 12
-#: Proposals per BO iteration — the unit the evaluator pool parallelises.
+#: Proposals per BO iteration.
 BATCH_SIZE = 4
 
 
 def _run() -> str:
     rows = []
-    wall_total = 0.0
-    cpu_total = 0.0
-    # SPLIDT_DSE_WORKERS fans each proposal batch out to evaluator
-    # processes; the trace below is bit-identical at every worker count, so
-    # the committed table only moves if the search itself changes.
-    workers = dse_workers()
     for key in DATASETS:
         store = get_store(key)
-        with DesignSearch(
+        search = DesignSearch(
             store,
             target=TOFINO1,
             depth_range=(2, 14),
             k_range=(1, 5),
             partitions_range=(1, 5),
             seed=13,
-            workers=workers,
-        ) as search:
-            result = search.run(
-                n_iterations=N_ITERATIONS, batch_size=BATCH_SIZE, method="bayesian"
-            )
-        wall_total += result.wall_time
-        cpu_total += result.aggregate_cpu()
+        )
+        result = search.run(
+            n_iterations=N_ITERATIONS, batch_size=BATCH_SIZE, method="bayesian"
+        )
         trace = result.convergence_trace()
         peak = max(trace)
         iterations_to_95_percent = next(
@@ -56,12 +47,7 @@ def _run() -> str:
                 "  ".join(f"{value:.2f}" for value in trace),
             ]
         )
-    table = render_table(["Dataset", "Peak F1", "Iter@95%", "Cumulative-best trace"], rows)
-    table += (
-        f"\nsearch cost: {wall_total:.1f}s wall-clock vs {cpu_total:.1f}s "
-        f"aggregate candidate CPU ({workers} evaluator workers)"
-    )
-    return table
+    return render_table(["Dataset", "Peak F1", "Iter@95%", "Cumulative-best trace"], rows)
 
 
 def test_fig7_bo_convergence(benchmark):

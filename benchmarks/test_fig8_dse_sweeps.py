@@ -15,20 +15,11 @@ from __future__ import annotations
 from bench_common import (
     evaluate_splidt_config,
     get_store,
-    warm_splidt_candidates,
     write_result,
 )
 from repro.analysis import render_table
 
 DATASETS = ("D1", "D2", "D3")
-
-#: Every (depth, k, partitions) point the three sweeps touch, for the
-#: parallel cache warm-up (active when SPLIDT_DSE_WORKERS is set).
-SWEEP_CANDIDATES = tuple(
-    [(depth, 3, 5) for depth in (10, 20, 30)]
-    + [(10, 3, partitions) for partitions in (1, 3, 5)]
-    + [(9, k, 3) for k in (1, 2, 3)]
-)
 
 
 def _sweep_depth() -> list[list[str]]:
@@ -71,8 +62,6 @@ def _sweep_features() -> list[list[str]]:
 
 
 def _run() -> str:
-    for key in DATASETS:
-        warm_splidt_candidates(get_store(key), SWEEP_CANDIDATES)
     rows = _sweep_depth() + _sweep_partitions() + _sweep_features()
     return render_table(["Sweep", "Dataset", "Value", "F1", "Max flows"], rows)
 

@@ -1,6 +1,6 @@
 """Serving-engine throughput — the engine ladder, measured.
 
-``repro.serve`` claims three things about cost:
+``repro.serve`` claims four things about cost:
 
 1. the streaming surface serves the same verdicts as the batch path — the
    micro-batch engine pushes arbitrary-size chunks through the same
@@ -17,15 +17,12 @@
    (dominated by per-chunk pickling and in-window worker warm-up); rings
    plus pre-bound pools must stay above 5x that number **on any host** —
    this floor never skips;
-3. the process-sharded engine turns shard parallelism into *multi-core*
-   throughput — unlike the thread-sharded engine, whose shards serialise on
-   the GIL.  With >= 4 usable cores the process engine must beat the thread
-   engine by > 1.5x at 4 workers; on smaller machines that one gate is
-   skipped with an explicit ``pytest.skip`` (no engine can multiply cores
-   that are not there) and the skip is recorded in the committed results
-   file, after every host-independent gate has been asserted and the
-   results written.
-
+3. whether the process-sharded engine earns its place is ROADMAP item
+   2(c)'s decision: at 4 workers on >= 4 cores it must beat the in-process
+   micro-batch engine it wraps, or it goes.  The ratio — ``sharded-mp xN`` ÷
+   ``microbatch``, with the usable core count — is printed on every host
+   and recorded, never gated; below ``MIN_CORES`` usable cores the table
+   says the decision cannot be taken from this run;
 4. a micro-batch session costs what its *traffic* costs, not what its
    *source* holds: the same 200 live flows are served out of a 2K-flow and
    out of a 200K-flow source (the other flows never send a packet), and the
@@ -33,10 +30,10 @@
    the source is per session, not per flush: the flow-table columns and the
    ground-truth label map of the result.
 
-The benchmark streams the D3 workload through the micro-batch engine, the
-thread-sharded engine and the process-sharded engine, then sweeps the
-process engine over 1→N workers recording pkt/s-per-worker efficiency so
-scaling regressions are visible in the committed table.  Streaming engines
+The benchmark streams the D3 workload through the micro-batch engine and
+the process-sharded engine, then sweeps the process engine over 1→N
+workers recording pkt/s-per-worker efficiency so scaling regressions are
+visible in the committed table.  Streaming engines
 are opened before the timer starts — ``open()`` pre-binds worker programs,
 and warm-up is not serving — while the batch window keeps its one-off
 program build, the cost a single-shot session actually pays.  Every served
@@ -50,7 +47,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 from bench_common import (
     available_cores,
     get_store,
@@ -61,18 +57,17 @@ from bench_common import (
 from repro.analysis import render_table
 from repro.dataplane import replay_dataset
 from repro.datasets.streams import PacketChunk, StreamedPacketWriter, iter_packet_chunks
-from repro.serve import MicroBatchEngine, ProcessShardedEngine, ShardedEngine
+from repro.serve import MicroBatchEngine, ProcessShardedEngine
 
 #: Packets per ingested chunk for the streaming modes.
 CHUNK_SIZE = 2048
 
-#: Timed passes of the batch and micro-batch rows (the best is reported);
-#: the batch row runs one more, discarded, pass first.
+#: Timed passes of the three mode rows (the best is reported); the batch
+#: row runs one more, discarded, pass first.
 ROUNDS = 3
 
-#: Required process-over-thread speedup at 4 workers (enforced when the
-#: machine has at least MIN_CORES usable cores).
-MIN_MP_SPEEDUP = 1.5
+#: Usable cores ROADMAP item 2(c) needs behind its sharded-mp ÷ microbatch
+#: number before the keep-or-delete decision can be read off it.
 MIN_CORES = 4
 
 #: The committed sharded-mp rate of the queue-based first implementation
@@ -190,7 +185,7 @@ def _assert_verdicts_match(batch, served) -> None:
     assert served.result().recirculation == batch.recirculation
 
 
-def _run() -> tuple[str, float, float, float]:
+def _run() -> tuple[str, float, float]:
     store = get_store("D3")
     experiment = splidt_experiment("D3", depth=9, k=4, partitions=3, flow_slots=65536)
     flows = store.dataset.flows
@@ -217,20 +212,18 @@ def _run() -> tuple[str, float, float, float]:
         micro_elapsed = min(micro_elapsed, _stream(micro, flows))
         _assert_verdicts_match(batch, micro)
 
-    sharded = ShardedEngine(fresh_program, n_shards=workers, flush_flows=64)
-    sharded_elapsed = _stream(sharded, flows)
-    _assert_verdicts_match(batch, sharded)
-
-    mp_ring = ProcessShardedEngine(fresh_program, workers=workers, flush_flows=64)
-    mp_ring_elapsed = _stream(mp_ring, flows)
-    _assert_verdicts_match(batch, mp_ring)
+    # Timed like the micro-batch row it is divided by in the 2(c) line.
+    mp_ring_elapsed = float("inf")
+    for _ in range(ROUNDS):
+        mp_ring = ProcessShardedEngine(fresh_program, workers=workers, flush_flows=64)
+        mp_ring_elapsed = min(mp_ring_elapsed, _stream(mp_ring, flows))
+        _assert_verdicts_match(batch, mp_ring)
 
     rows = []
     rates = {}
     for mode, elapsed in (
         ("batch vectorized", batch_elapsed),
         (f"microbatch (chunk {CHUNK_SIZE})", micro_elapsed),
-        (f"sharded x{workers} threads (chunk {CHUNK_SIZE})", sharded_elapsed),
         (f"sharded-mp x{workers} ring (chunk {CHUNK_SIZE})", mp_ring_elapsed),
     ):
         rates[mode] = n_packets / elapsed
@@ -264,7 +257,7 @@ def _run() -> tuple[str, float, float, float]:
     source_rows, source_ratio = _source_size_rows(fresh_program, flows)
 
     cores = available_cores()
-    mp_speedup = sharded_elapsed / mp_ring_elapsed if mp_ring_elapsed else 0.0
+    mp_over_micro = micro_elapsed / mp_ring_elapsed
     ring_rate = rates[f"sharded-mp x{workers} ring (chunk {CHUNK_SIZE})"]
     ring_improvement = ring_rate / QUEUE_BASELINE_PPS
     table = render_table(
@@ -282,32 +275,22 @@ def _run() -> tuple[str, float, float, float]:
         f"{SOURCE_FLOWS[0]:,}-flow session (bound: <={MAX_SOURCE_RATIO:.0f}x)"
     )
     table += (
-        f"\nbatch and microbatch rows: best of {ROUNDS} warm passes, program build "
-        "inside the batch window; microbatch takes "
+        f"\nmode rows: best of {ROUNDS} warm passes (sweep rows: one pass each), "
+        "program build inside the batch window; microbatch takes "
         f"{micro_elapsed / batch_elapsed:.2f}x the batch time (recorded, not gated)"
         f"\nring vs the queue-based first implementation ({QUEUE_BASELINE_PPS:,} "
         f"pkt/s committed): {ring_improvement:.1f}x "
         f"(floor: >={MIN_RING_IMPROVEMENT:.0f}x, any host)"
-        f"\nprocess-sharded (ring) vs thread-sharded at {workers} workers: "
-        f"{mp_speedup:.2f}x on {cores} usable core(s)"
+        f"\nROADMAP 2(c): sharded-mp x{workers} / in-process microbatch = "
+        f"{mp_over_micro:.2f}x on {cores} usable core(s) (recorded, not gated)"
     )
     if cores < MIN_CORES:
-        table += (
-            f"\nSKIPPED: multi-core gate (>{MIN_MP_SPEEDUP}x over thread-sharded) "
-            f"— only {cores} usable core(s), {MIN_CORES} required; thread and "
-            "process engines both serialise on one core.  Rerun on a "
-            f">= {MIN_CORES}-core host to enforce the scaling claim."
-        )
-    else:
-        table += (
-            f"\nmulti-core gate: enforced (>{MIN_MP_SPEEDUP}x over "
-            f"thread-sharded on {cores} cores)"
-        )
-    return table, mp_speedup, ring_improvement, source_ratio
+        table += f"\nSKIPPED: decision needs >= {MIN_CORES} usable cores"
+    return table, ring_improvement, source_ratio
 
 
 def test_serve_throughput(benchmark):
-    table, mp_speedup, ring_improvement, source_ratio = benchmark.pedantic(
+    table, ring_improvement, source_ratio = benchmark.pedantic(
         _run, rounds=1, iterations=1
     )
     write_result("serve_throughput", table)
@@ -320,17 +303,4 @@ def test_serve_throughput(benchmark):
         f"sharded-mp reached only {ring_improvement:.1f}x the committed "
         f"{QUEUE_BASELINE_PPS:,} pkt/s of its queue-based first implementation "
         f"(floor: {MIN_RING_IMPROVEMENT:.0f}x on any host)"
-    )
-    if available_cores() < MIN_CORES:
-        pytest.skip(
-            f"multi-core speedup gate skipped: {available_cores()} usable "
-            f"core(s) < {MIN_CORES} — thread and process engines both "
-            "serialise on one core, so the >1.5x claim is untestable here "
-            "(recorded as SKIPPED in benchmarks/results/serve_throughput.txt; "
-            "rerun on a >= 4-core host to enforce it)"
-        )
-    assert mp_speedup > MIN_MP_SPEEDUP, (
-        f"process-sharded (ring) serving is only {mp_speedup:.2f}x the "
-        f"thread-sharded engine at {serve_workers()} workers (bound: "
-        f"{MIN_MP_SPEEDUP}x on {available_cores()} cores)"
     )

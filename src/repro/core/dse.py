@@ -8,13 +8,10 @@ target, and the resulting (F1 score, supported flows, feasibility) triple is
 fed back to the optimiser.  The output is a Pareto frontier of configurations
 trading classification accuracy against flow scalability.
 
-Candidates can be evaluated serially (``workers=0``, the default) or fanned
-out to a persistent process pool (:mod:`repro.core.dse_parallel`) with
-``DesignSearch(..., workers=N)``.  The two paths are **bit-identical**:
-proposals are asked for the whole batch up front, evaluation never touches
-optimiser state, and results are told back strictly in proposal order — so
-the history, convergence trace and Pareto front do not depend on the worker
-count (only the wall-clock does).
+Candidates are evaluated serially on the calling thread.  ``run(batch_size=N)``
+asks the optimiser for a whole batch up front (the paper asks a batch per
+iteration) and tells results back in proposal order; every configuration is
+evaluated at most once per search.
 """
 
 from __future__ import annotations
@@ -47,16 +44,6 @@ from repro.switch.targets import TOFINO1, TargetSpec
 
 #: Flow-count targets the paper reports (100K, 500K, 1M).
 DEFAULT_FLOW_TARGETS = (100_000, 500_000, 1_000_000)
-
-
-def config_cache_key(config: SpliDTConfig) -> tuple:
-    """The tuple two configurations share iff their evaluations are identical."""
-    return (
-        config.depth,
-        config.features_per_subtree,
-        config.partition_sizes,
-        config.bit_width,
-    )
 
 
 @dataclass
@@ -114,11 +101,9 @@ class EvaluationContext:
       quantiser fitted on it.
 
     A search evaluates dozens of candidates that share those keys; caching
-    them here turns the repeated prefix into dictionary lookups.  Each
-    parallel DSE worker keeps its own context over the shared dataset, so
-    the memoisation composes with the process pool.  All cached values are
-    deterministic functions of the dataset and the key, so the cached path
-    is bit-identical to recomputing.
+    them here turns the repeated prefix into dictionary lookups.  All cached
+    values are deterministic functions of the dataset and the key, so the
+    cached path is bit-identical to recomputing.
     """
 
     def __init__(self, store) -> None:
@@ -205,21 +190,12 @@ def evaluate_configuration(
 class SearchResult:
     """Outcome of a design-space exploration run.
 
-    ``wall_time`` is the elapsed time of the whole ``run()`` loop;
-    :meth:`aggregate_cpu` sums the per-candidate stage timings.  For a
-    serial search the two are close; with a worker pool the wall-clock
-    shrinks while the aggregate stays — the ratio is the realised speedup
-    reported by the Table 4 benchmark.
+    ``wall_time`` is the elapsed time of the whole ``run()`` loop.
     """
 
     history: list[CandidateEvaluation]
     target: TargetSpec
     wall_time: float = 0.0
-    workers: int = 0
-
-    def aggregate_cpu(self) -> float:
-        """Summed per-candidate evaluation time across the history."""
-        return float(sum(c.timings.total for c in self.history))
 
     def pareto_candidates(self) -> list[CandidateEvaluation]:
         """Non-dominated candidates in (F1, supported flows) space."""
@@ -273,18 +249,10 @@ class DesignSearch:
         bit_width: Feature precision of every candidate.
         workloads: Workload profiles for the resource model.
         seed: Seed shared by the optimiser and candidate training.
-        workers: Evaluator processes per batch.  ``0`` (the default)
-            evaluates serially on the calling thread; ``N >= 1`` fans each
-            ``ask`` batch out to a persistent pool
-            (:class:`repro.core.dse_parallel.ParallelEvaluator`) with
-            results bit-identical to the serial path.
-        affinity: Pin pool workers to CPUs (see :mod:`repro.affinity`).
-        start_method: Multiprocessing start method for the pool (``None`` =
-            platform default).
-
-    A search holding a pool should be closed (``close()`` or the context
-    manager) when done; a GC/crash guard inside the pool reclaims shared
-    segments regardless.
+        workers: Must be ``0``.  The evaluator pool it sized is removed;
+            the keyword and the no-op context manager stay only because the
+            frozen ``benchmarks/perf`` harness passes ``workers=0`` inside a
+            ``with`` block (ROADMAP item 5 removes both).
     """
 
     def __init__(
@@ -299,8 +267,6 @@ class DesignSearch:
         workloads: dict[str, WorkloadProfile] | None = None,
         seed: int = 0,
         workers: int = 0,
-        affinity: bool | None = None,
-        start_method: str | None = None,
     ) -> None:
         self.store = store
         self.target = target
@@ -311,11 +277,10 @@ class DesignSearch:
         self.workloads = workloads or WORKLOADS
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.workers = int(workers)
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        self.affinity = affinity
-        self.start_method = start_method
+        if workers != 0:
+            raise ValueError(
+                f"workers must be 0 (the evaluator pool was removed), got {workers}"
+            )
 
         self.space = ParameterSpace(
             [
@@ -329,7 +294,6 @@ class DesignSearch:
         )
         self.context = EvaluationContext(store)
         self._evaluated: dict[tuple, CandidateEvaluation] = {}
-        self._pool = None
         self.history: list[CandidateEvaluation] = []
 
     # ------------------------------------------------------------------
@@ -346,13 +310,13 @@ class DesignSearch:
         )
 
     def evaluate(self, config: SpliDTConfig) -> CandidateEvaluation:
-        """Evaluate one configuration (cached on the configuration tuple).
-
-        The cache is shared with the worker pool: candidates evaluated in
-        workers populate the same dictionary, so a configuration is never
-        evaluated twice regardless of which path saw it first.
-        """
-        key = config_cache_key(config)
+        """Evaluate one configuration (cached on the configuration tuple)."""
+        key = (
+            config.depth,
+            config.features_per_subtree,
+            config.partition_sizes,
+            config.bit_width,
+        )
         if key not in self._evaluated:
             self._evaluated[key] = evaluate_configuration(
                 self.store,
@@ -364,40 +328,11 @@ class DesignSearch:
             )
         return self._evaluated[key]
 
-    def _evaluate_batch(self, configs: list[SpliDTConfig]) -> list[CandidateEvaluation]:
-        """Evaluate one proposal batch, serially or on the worker pool.
-
-        Either way the returned list is aligned with ``configs`` (proposal
-        order), duplicates within the batch are evaluated once, and results
-        land in the parent cache.
-        """
-        if self.workers > 0:
-            if self._pool is None:
-                from repro.core.dse_parallel import ParallelEvaluator
-
-                self._pool = ParallelEvaluator(
-                    self.store,
-                    workers=self.workers,
-                    target=self.target,
-                    workloads=self.workloads,
-                    random_state=self.seed,
-                    affinity=self.affinity,
-                    start_method=self.start_method,
-                )
-            return self._pool.evaluate_batch(configs, self._evaluated)
-        return [self.evaluate(config) for config in configs]
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
     def __enter__(self) -> "DesignSearch":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        return None
 
     def run(
         self,
@@ -412,9 +347,7 @@ class DesignSearch:
         random sampling, used as an ablation of the BO stage).
 
         The whole batch is asked for before any evaluation and results are
-        told back in proposal order, so the history (and everything derived
-        from it) is bit-identical whether candidates are evaluated serially
-        or on the worker pool.
+        told back in proposal order.
         """
         run_start = time.perf_counter()
         evaluated = 0
@@ -429,7 +362,7 @@ class DesignSearch:
                 optimizer_elapsed = 0.0
 
             configs = [self.config_from_params(params) for params in proposals]
-            candidates = self._evaluate_batch(configs)
+            candidates = [self.evaluate(config) for config in configs]
 
             batch_objectives = []
             batch_feasible = []
@@ -448,5 +381,4 @@ class DesignSearch:
             history=list(self.history),
             target=self.target,
             wall_time=time.perf_counter() - run_start,
-            workers=self.workers,
         )

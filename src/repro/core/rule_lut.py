@@ -5,8 +5,8 @@ marks) indexes the table in one cycle.  The replay engines historically
 emulated that lookup as a first-match *scan* over every
 :class:`~repro.core.range_marking.ModelRule` in Python — correct, but a
 per-rule interpreter tax on the single hottest loop in the repository (it
-runs inside batch replay, micro-batch serving, and every shard of both
-sharded engines).
+runs inside batch replay, micro-batch serving, and every worker of the
+process-sharded engine).
 
 This module compiles each :class:`~repro.core.range_marking.SubtreeRuleSet`
 into a dense LUT over its *mark space* at deploy time, so a batch lookup is

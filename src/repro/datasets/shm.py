@@ -206,142 +206,6 @@ class SharedArraysLayout:
     columns: tuple[ColumnSpec, ...]
 
 
-class SharedArrayBundle:
-    """A named dict of NumPy arrays living in one shared-memory segment.
-
-    The generic sibling of :class:`SharedPacketArrays`: where that class is
-    welded to the :class:`PacketArrays` column set, this one shares *any*
-    ``{name: ndarray}`` mapping — the parallel DSE pool uses it to place a
-    :class:`~repro.datasets.materialize.WindowedDataset`'s arrays into
-    shared memory once, so every evaluator worker attaches zero-copy views
-    instead of re-pickling the training matrices per candidate.
-
-    Lifetime discipline is identical to :class:`SharedPacketArrays`
-    (owner unlinks, attachers only close, both idempotent).  Segments are
-    named ``<prefix>-<pid>-<nonce>``; the DSE pool passes
-    ``prefix="splidt-dse"`` so its segments are distinguishable from the
-    serve path's ``splidt-soa``/``splidt-ring`` under ``/dev/shm``.
-
-    Example::
-
-        >>> bundle = SharedArrayBundle.create({"x": x, "y": y})
-        >>> layout = bundle.layout             # picklable; send to workers
-        >>> view = SharedArrayBundle.attach(layout)  # in another process
-        >>> bool((view.arrays["x"] == x).all())
-        True
-        >>> view.close(); bundle.unlink(); bundle.close()
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        arrays: dict[str, np.ndarray],
-        layout: SharedArraysLayout,
-        *,
-        owner: bool,
-    ) -> None:
-        self._shm: shared_memory.SharedMemory | None = shm
-        self._arrays: dict[str, np.ndarray] | None = arrays
-        self.layout = layout
-        self.owner = owner
-        self._unlinked = False
-
-    @classmethod
-    def create(
-        cls, arrays: dict[str, np.ndarray], *, prefix: str = SEGMENT_PREFIX
-    ) -> "SharedArrayBundle":
-        """Copy ``arrays`` into a fresh segment (caller becomes owner)."""
-        columns: list[ColumnSpec] = []
-        offset = 0
-        source: dict[str, np.ndarray] = {}
-        for name, array in arrays.items():
-            column = np.ascontiguousarray(array)
-            offset = _align(offset)
-            columns.append(
-                ColumnSpec(
-                    name=name,
-                    dtype=column.dtype.str,
-                    shape=tuple(column.shape),
-                    offset=offset,
-                )
-            )
-            source[name] = column
-            offset += column.nbytes
-        size = max(offset, 1)
-        shm = create_segment(size, prefix=prefix)
-        for spec in columns:
-            view = np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf, offset=spec.offset
-            )
-            view[...] = source[spec.name]
-            del view  # keep no exported buffer views: close() must not fail
-        layout = SharedArraysLayout(segment=shm.name, size=size, columns=tuple(columns))
-        return cls(shm, cls._views(shm, layout), layout, owner=True)
-
-    @classmethod
-    def attach(cls, layout: SharedArraysLayout) -> "SharedArrayBundle":
-        """Map an existing segment and rebuild zero-copy views."""
-        shm = shared_memory.SharedMemory(name=layout.segment)
-        return cls(shm, cls._views(shm, layout), layout, owner=False)
-
-    @staticmethod
-    def _views(
-        shm: shared_memory.SharedMemory, layout: SharedArraysLayout
-    ) -> dict[str, np.ndarray]:
-        return {
-            spec.name: np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf, offset=spec.offset
-            )
-            for spec in layout.columns
-        }
-
-    @property
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The shared-memory-backed ``{name: ndarray}`` views."""
-        if self._arrays is None:
-            raise RuntimeError("shared array bundle is closed")
-        return self._arrays
-
-    @property
-    def closed(self) -> bool:
-        """Whether this process's mapping has been released."""
-        return self._shm is None
-
-    def close(self) -> None:
-        """Release this process's mapping (idempotent, never raises)."""
-        self._arrays = None
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:  # a foreign view still pins the mapping
-            return
-        self._shm = None
-
-    def unlink(self) -> None:
-        """Remove the segment's backing file (owner only; idempotent)."""
-        if not self.owner or self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            if self._shm is not None:
-                self._shm.unlink()
-            else:  # mapping already closed: reattach just to remove the name
-                handle = shared_memory.SharedMemory(name=self.layout.segment)
-                handle.unlink()
-                handle.close()
-        except FileNotFoundError:
-            pass
-
-    def __enter__(self) -> "SharedArrayBundle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.owner:
-            self.unlink()
-        self.close()
-
-
 class SharedPacketArrays:
     """A :class:`PacketArrays` whose columns live in one shared-memory segment.
 
@@ -513,7 +377,6 @@ class SharedPacketArrays:
 __all__ = [
     "ColumnSpec",
     "SEGMENT_PREFIX",
-    "SharedArrayBundle",
     "SharedArraysLayout",
     "SharedFlowView",
     "SharedMemoryCapacityError",

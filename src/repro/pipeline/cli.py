@@ -19,9 +19,7 @@ Subcommands:
   replays it across an occupancy sweep of the register file.
 * ``dse`` — the paper's design-space search over (depth, k, partitions):
   multi-objective Bayesian optimisation of accuracy vs flow scale, printing
-  the Pareto front and per-stage timings.  ``--dse-workers N`` fans each
-  proposal batch out to a persistent evaluator-process pool — bit-identical
-  results, parallel wall-clock.
+  the Pareto front and per-stage timings.
 * ``list-datasets`` — the D1–D7 catalogue, plus registered systems/scenarios.
 * ``compare`` — run several systems on one dataset and print a comparison
   table (the shape of the paper's headline tables); ``--json`` emits
@@ -100,7 +98,7 @@ def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> E
     if {"depth", "n_partitions"} & set(overrides):
         overrides.setdefault("partition_sizes", None)
     serve_overrides = {}
-    for flag, field_name in (("serve_engine", "engine"), ("shards", "shards"),
+    for flag, field_name in (("serve_engine", "engine"),
                              ("workers", "workers"), ("spawn_method", "spawn_method"),
                              ("ring_slots", "ring_slots"),
                              ("chunk_size", "chunk_size"), ("backpressure", "backpressure")):
@@ -231,9 +229,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = experiment.serve_engine()
     serve = spec.serve
     parallelism = ""
-    if serve.engine == "sharded":
-        parallelism = f", {serve.shards} thread shards"
-    elif serve.engine == "sharded-mp":
+    if serve.engine == "sharded-mp":
         parallelism = (f", {serve.workers} worker processes"
                        + (f" ({serve.spawn_method})" if serve.spawn_method else ""))
     online_note = f", online {serve.online.detector}" if controller else ""
@@ -522,13 +518,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     dse = spec.dse
     overrides = {}
     for flag, field_name in (("iterations", "iterations"),
-                             ("batch_size", "batch_size"), ("method", "method"),
-                             ("dse_workers", "workers")):
+                             ("batch_size", "batch_size"), ("method", "method")):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field_name] = value
-    if getattr(args, "affinity", False):
-        overrides["affinity"] = True
     for flag in ("depth_range", "k_range", "partitions_range"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -548,18 +541,12 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         partitions_range=dse.partitions_range,
         bit_width=spec.bit_width,
         seed=spec.seed,
-        workers=dse.workers,
-        affinity=dse.affinity,
     )
     if not args.json:
-        pool_note = (f"{search.workers} evaluator processes" if search.workers
-                     else "serial evaluation")
         print(f"design search     : {spec.dataset} ({spec.n_flows} flows, seed "
               f"{spec.seed}), {dse.iterations} iterations x batch {dse.batch_size}, "
-              f"{dse.method} method, {pool_note}")
-    with search:
-        result = search.run(dse.iterations, batch_size=dse.batch_size,
-                            method=dse.method)
+              f"{dse.method} method")
+    result = search.run(dse.iterations, batch_size=dse.batch_size, method=dse.method)
 
     front = result.pareto_candidates()
     if args.json:
@@ -568,9 +555,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             "n_flows": spec.n_flows,
             "seed": spec.seed,
             "method": dse.method,
-            "workers": result.workers,
             "wall_time_s": result.wall_time,
-            "aggregate_cpu_s": result.aggregate_cpu(),
             "history": [
                 {
                     "depth": c.config.depth,
@@ -610,9 +595,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     timings = result.mean_timings()
     print(f"evaluated         : {len(result.history)} candidates "
           f"({len(front)} on the Pareto front)")
-    print(f"wall-clock        : {result.wall_time:.2f}s "
-          f"(aggregate candidate CPU {result.aggregate_cpu():.2f}s, "
-          f"{result.workers} workers)")
+    print(f"wall-clock        : {result.wall_time:.2f}s")
     print(f"mean stage times  : fetch={timings.fetch:.3f}s "
           f"train={timings.training:.3f}s rulegen={timings.rulegen:.3f}s "
           f"backend={timings.backend:.3f}s optimizer={timings.optimizer:.3f}s")
@@ -730,8 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="system under test (default: splidt)")
     serve.add_argument("--serve-engine", dest="serve_engine", choices=SERVE_ENGINES,
                        help="inference engine (default: spec's, microbatch)")
-    serve.add_argument("--shards", type=int,
-                       help="worker threads for the sharded engine")
     serve.add_argument("--workers", type=int,
                        help="worker processes for the sharded-mp engine")
     serve.add_argument("--spawn-method", dest="spawn_method",
@@ -832,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = sub.add_parser(
         "dse",
-        help="design-space search over (depth, k, partitions); "
-             "--dse-workers parallelises candidate evaluation")
+        help="design-space search over (depth, k, partitions)")
     _add_spec_arguments(dse)
     dse.add_argument("--iterations", type=int,
                      help="candidate evaluations (default: spec's, 24)")
@@ -841,12 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="proposals per optimiser iteration (default: 4)")
     dse.add_argument("--method", choices=("bayesian", "random"),
                      help="search method (default: bayesian)")
-    dse.add_argument("--dse-workers", type=int, dest="dse_workers",
-                     help="evaluator processes per batch; 0 = serial "
-                          "(the default); results are "
-                          "bit-identical at any worker count")
-    dse.add_argument("--affinity", action="store_true",
-                     help="pin evaluator workers to CPUs")
     dse.add_argument("--depth-range", dest="depth_range", metavar="LO,HI",
                      help="total-depth bounds (default: 2,16)")
     dse.add_argument("--k-range", dest="k_range", metavar="LO,HI",

@@ -257,11 +257,9 @@ class Experiment:
         return create_engine(
             factory,
             engine=serve.engine,
-            shards=serve.shards,
             workers=serve.workers,
             spawn_method=serve.spawn_method,
             ring_slots=serve.ring_slots,
-            chunk_size=serve.chunk_size,
             backpressure=serve.backpressure,
         )
 

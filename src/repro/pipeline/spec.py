@@ -32,11 +32,9 @@ class ServeConfig:
 
     Attributes:
         engine: Inference engine — ``"streaming"`` (per-packet),
-            ``"microbatch"`` (vectorized micro-batches), ``"sharded"``
-            (worker *threads* partitioned by CRC32 register slot) or
-            ``"sharded-mp"`` (worker *processes* over a shared-memory packet
-            source — the multi-core engine).
-        shards: Worker thread count (``"sharded"`` engine only).
+            ``"microbatch"`` (vectorized micro-batches) or ``"sharded-mp"``
+            (worker *processes* partitioned by CRC32 register slot over a
+            shared-memory packet source).
         workers: Worker process count (``"sharded-mp"`` engine only).
         spawn_method: Process start method for ``"sharded-mp"`` —
             ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` (the
@@ -44,15 +42,14 @@ class ServeConfig:
         ring_slots: Slots per worker ring of ``"sharded-mp"``; a full ring
             is its backpressure (``ingest`` blocks).
         chunk_size: Packets per ingested chunk when streaming a dataset.
-        backpressure: Buffered-packet limit before ingestion errors
-            (micro-batch) or blocks (sharded queues).
+        backpressure: Buffered-packet limit before micro-batch ingestion
+            errors.
         online: Online-loop settings (:class:`repro.online.OnlineConfig`) —
             drift detection, incremental retraining and model hot swap.
             Disabled unless ``online.enabled`` is set (``serve --online``).
     """
 
     engine: str = "microbatch"
-    shards: int = 2
     workers: int = 4
     spawn_method: str | None = None
     ring_slots: int = 64
@@ -70,8 +67,6 @@ class ServeConfig:
             raise SpecError(
                 f"unknown serve engine {self.engine!r}; expected one of {SERVE_ENGINES}"
             )
-        if self.shards < 1:
-            raise SpecError(f"serve shards must be >= 1, got {self.shards}")
         if self.workers < 1:
             raise SpecError(f"serve workers must be >= 1, got {self.workers}")
         if self.spawn_method not in SPAWN_METHODS:
@@ -108,12 +103,6 @@ class DseConfig:
         batch_size: Proposals asked (and evaluated) per optimiser iteration.
         method: ``"bayesian"`` (multi-objective BO, the paper's search) or
             ``"random"`` (pure sampling — the ablation of the BO stage).
-        workers: Evaluator processes per batch; ``0`` (the default)
-            evaluates serially on the calling thread.  The search result is
-            bit-identical for every value — workers only change the
-            wall-clock.
-        affinity: Pin pool workers to CPUs (no-op with a warning where
-            unsupported).
         depth_range: Inclusive bounds of the total tree depth ``D``.
         k_range: Inclusive bounds of the per-subtree feature budget ``k``.
         partitions_range: Inclusive bounds of the partition count ``p``.
@@ -122,8 +111,6 @@ class DseConfig:
     iterations: int = 24
     batch_size: int = 4
     method: str = "bayesian"
-    workers: int = 0
-    affinity: bool = False
     depth_range: tuple[int, int] = (2, 16)
     k_range: tuple[int, int] = (1, 6)
     partitions_range: tuple[int, int] = (1, 5)
@@ -144,8 +131,6 @@ class DseConfig:
             raise SpecError(
                 f"unknown dse method {self.method!r}; expected 'bayesian' or 'random'"
             )
-        if self.workers < 0:
-            raise SpecError(f"dse workers must be >= 0, got {self.workers}")
         for name in ("depth_range", "k_range", "partitions_range"):
             bounds = getattr(self, name)
             if len(bounds) != 2 or bounds[0] < 1 or bounds[1] < bounds[0]:
@@ -196,7 +181,7 @@ class ExperimentSpec:
             ``python -m repro serve`` and :meth:`Experiment.serve_engine`.
         dse: Design-search settings (:class:`DseConfig`) used by
             ``python -m repro dse`` — iteration/batch counts, the search
-            method, and the evaluator worker-pool size (``--dse-workers``).
+            method and the search-space bounds.
         scenario: Optional adversarial workload
             (:class:`repro.scenarios.ScenarioSpec`).  When set, the deployed
             data plane honours the scenario's eviction policy, and

@@ -52,8 +52,8 @@ class _RegistryRef:
 class ProgramFactory:
     """Picklable zero-argument factory of fresh data-plane programs.
 
-    The serving layer builds one program per shard/worker through this.  A
-    plain ``lambda`` would do for threads, but the process-sharded engine
+    The serving layer builds one program per engine or worker through this.
+    A plain ``lambda`` would do in-process, but the process-sharded engine
     must *pickle* the factory into its workers.  In-process the factory
     calls the exact :class:`System` instance it was built from (custom,
     unregistered adapters keep working, as they did with the old lambda);
@@ -120,7 +120,7 @@ class System:
     def program_factory(self, model, rules: RuleSet | None, spec: ExperimentSpec):
         """Zero-argument factory of fresh programs for the serving layer.
 
-        The sharded engines build one program per shard/worker through
+        The process-sharded engine builds one program per worker through
         this, so register state is never shared across shards.  Returns a
         picklable :class:`ProgramFactory` so the process-sharded engine
         works under every start method (including ``spawn``).

@@ -1,4 +1,4 @@
-"""Streaming inference engines: sessions, micro-batches, shards, processes.
+"""Streaming inference engines: sessions, micro-batches, worker processes.
 
 This package is the serving surface of a deployed model — the counterpart,
 for live traffic, of the one-shot :func:`repro.dataplane.replay_dataset`
@@ -12,7 +12,7 @@ Example::
     from repro.datasets.streams import iter_packet_chunks
     from repro.serve import create_engine
 
-    engine = create_engine(lambda: build_program(), engine="sharded", shards=4)
+    engine = create_engine(lambda: build_program(), engine="microbatch")
     with engine:
         for chunk in iter_packet_chunks(dataset, chunk_size=256):
             engine.ingest(chunk)
@@ -33,11 +33,9 @@ from repro.serve.engine import (
     SwapEvent,
     channel_aggregate,
     merge_channel_aggregates,
-    merged_recirculation_stats,
 )
 from repro.serve.microbatch import MicroBatchEngine
 from repro.serve.process_sharded import ProcessShardedEngine
-from repro.serve.sharded import ShardedEngine
 from repro.serve.streaming import StreamingEngine
 
 
@@ -45,7 +43,6 @@ def create_engine(
     program_factory,
     *,
     engine: str = "microbatch",
-    shards: int = 2,
     workers: int = 4,
     spawn_method: str | None = None,
     ring_slots: int = 64,
@@ -56,26 +53,25 @@ def create_engine(
     """Build a (not yet opened) engine from declarative serving settings.
 
     This is what ``ExperimentSpec.serve`` resolves through: ``engine`` picks
-    the implementation, ``shards``/``workers`` size the thread-/process-
-    sharded engines, and ``backpressure``/``chunk_size`` bound the buffered
-    work (the thread-sharded engine's per-shard queue depth is
-    ``backpressure // chunk_size`` chunks; ``"sharded-mp"`` is bounded by
-    ``ring_slots``).
+    the implementation, ``workers`` sizes the process-sharded engine, and
+    ``backpressure`` bounds the buffered work (``"sharded-mp"`` is bounded by
+    ``ring_slots`` as well).
 
     Args:
         program_factory: Zero-argument callable building a fresh data-plane
             program; called once for the single-program engines and once per
-            shard/worker for the sharded engines.  For ``"sharded-mp"`` the
+            worker for ``"sharded-mp"``.  For ``"sharded-mp"`` the
             factory must be picklable under every start method (use
             :class:`repro.pipeline.systems.ProgramFactory`, not a lambda).
         engine: One of :data:`SERVE_ENGINES`.
-        shards: Thread-shard count (``"sharded"`` only).
         workers: Worker-process count (``"sharded-mp"`` only).
         spawn_method: Process start method for ``"sharded-mp"``
             (``None`` = the platform default).
         ring_slots: Slots per worker ring of ``"sharded-mp"`` (its
             backpressure bound: a full ring blocks ``ingest``).
-        chunk_size: Expected ingest chunk size (used to size shard queues).
+        chunk_size: Ignored.  It sized the queues of a removed engine; the
+            keyword stays only because the frozen
+            ``benchmarks/perf`` harness passes it (ROADMAP item 5 removes it).
         backpressure: Buffered-packet limit.
         flush_flows: Eager-flush threshold of the micro-batch engine(s).
 
@@ -90,14 +86,6 @@ def create_engine(
     if engine == "microbatch":
         return MicroBatchEngine(
             program_factory(), flush_flows=flush_flows, backpressure=backpressure
-        )
-    if engine == "sharded":
-        return ShardedEngine(
-            program_factory,
-            n_shards=shards,
-            queue_depth=max(1, backpressure // max(chunk_size, 1)),
-            flush_flows=flush_flows,
-            backpressure=backpressure,
         )
     if engine == "sharded-mp":
         return ProcessShardedEngine(
@@ -121,11 +109,9 @@ __all__ = [
     "ProcessShardedEngine",
     "SERVE_ENGINES",
     "ServeError",
-    "ShardedEngine",
     "StreamingEngine",
     "SwapEvent",
     "channel_aggregate",
     "create_engine",
     "merge_channel_aggregates",
-    "merged_recirculation_stats",
 ]

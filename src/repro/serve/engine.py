@@ -33,14 +33,11 @@ Concrete engines:
 * :class:`~repro.serve.microbatch.MicroBatchEngine` — batches flows through
   the vectorized window machinery; completed flows are flushed eagerly in
   micro-batches, the remainder at ``drain``.
-* :class:`~repro.serve.sharded.ShardedEngine` — partitions flows by their
-  CRC32 register slot across worker *threads* so disjoint-slot flows advance
-  in parallel; collision flows stay co-sharded, preserving hardware
-  semantics.  Bounded by the GIL: parallelism overlaps only the NumPy
-  kernels, not the Python control flow.
-* :class:`~repro.serve.process_sharded.ProcessShardedEngine` — the same
-  partitioning across worker *processes* over a shared-memory packet source;
-  the multi-core top of the ladder (see ``docs/performance.md``).
+* :class:`~repro.serve.process_sharded.ProcessShardedEngine` — partitions
+  flows by their CRC32 register slot across worker *processes* over a
+  shared-memory packet source, so disjoint-slot flows advance in parallel;
+  collision flows stay co-sharded, preserving hardware semantics (see
+  ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from repro.datasets.streams import PacketChunk
 
 #: Engine names accepted by :func:`repro.serve.create_engine` (and by
 #: ``ServeConfig.engine`` / ``python -m repro serve --serve-engine``).
-SERVE_ENGINES = ("streaming", "microbatch", "sharded", "sharded-mp")
+SERVE_ENGINES = ("streaming", "microbatch", "sharded-mp")
 
 #: Default eager-flush threshold of the micro-batch engine (flows).
 DEFAULT_FLUSH_FLOWS = 8
@@ -202,30 +199,11 @@ def merge_channel_aggregates(aggregates) -> dict[str, float]:
 
 
 def sum_counters(counters) -> dict[str, int]:
-    """Key-wise sum of counter dicts (one per shard, worker or model epoch)."""
+    """Key-wise sum of counter dicts (one per worker or model epoch)."""
     total: Counter = Counter()
     for counter in counters:
         total.update(counter)
     return dict(total)
-
-
-def merged_recirculation_stats(programs) -> dict[str, float]:
-    """Recirculation statistics of many programs, merged bit-exactly.
-
-    Thin wrapper over :func:`merge_channel_aggregates` for in-process
-    engines that hold their shard programs directly (the thread-sharded
-    engine); the process-sharded engine feeds the same merge from aggregates
-    its workers report over the result queue, so both produce identical
-    numbers.
-
-    Example::
-
-        >>> merged = merged_recirculation_stats([shard.program for shard in shards])
-        >>> merged["packets"] == sum(s.program.recirculation_stats()["packets"]
-        ...                          for s in shards)
-        True
-    """
-    return merge_channel_aggregates(channel_aggregate(program) for program in programs)
 
 
 class InferenceEngine(abc.ABC):
@@ -268,8 +246,8 @@ class InferenceEngine(abc.ABC):
     def open(self) -> "InferenceEngine":
         """Start a serving session; must precede the first ``ingest``.
 
-        The sharded engines pre-bind here: ``open()`` blocks until every
-        shard/worker has built its program, so the serving window that
+        The process-sharded engine pre-binds here: ``open()`` blocks until
+        every worker has built its program, so the serving window that
         follows contains no warm-up (source-dependent setup still waits for
         the first ``ingest``, when the packet arrays are known).  An engine
         opens exactly once; re-opening raises :class:`ServeError`.
@@ -291,8 +269,8 @@ class InferenceEngine(abc.ABC):
         Blocking/backpressure contract: the single-program engines return
         as soon as the chunk is buffered/processed and raise
         :class:`BackpressureError` past their buffered-packet limit; the
-        sharded engines instead *block* while a shard's bounded queue is
-        full (real flow control).  See each engine's class docstring.
+        process-sharded engine instead *blocks* while a worker's bounded
+        ring is full (real flow control).  See each engine's class docstring.
         """
         if self._state != "open":
             raise ServeError(f"cannot ingest() in state {self._state!r}; call open() first")
@@ -306,8 +284,8 @@ class InferenceEngine(abc.ABC):
         """End of stream: flush all buffered work through the program.
 
         Blocks until every buffered packet has been pushed through the
-        program (and, for the sharded engines, until every shard has
-        acknowledged the flush).  Idempotent; ingesting afterwards raises
+        program (and, for the process-sharded engine, until every worker
+        has acknowledged the flush).  Idempotent; ingesting afterwards raises
         :class:`ServeError`.
         """
         if self._state == "drained":
@@ -323,7 +301,7 @@ class InferenceEngine(abc.ABC):
         """Drain if needed, finalise, and return the full replay result.
 
         Blocks for the implicit drain, releases every engine resource
-        (worker threads/processes, queues, shared-memory segments), and is
+        (worker processes, queues, shared-memory segments), and is
         idempotent — a second ``close()`` returns the same
         :class:`~repro.dataplane.ReplayResult` object without touching the
         shards again.
@@ -479,9 +457,9 @@ class InferenceEngine(abc.ABC):
 
         The pin decision is a pure function of the delivered stream prefix,
         the flow table and the register table size — never of verdict
-        timing — so every engine (streaming, micro-batch, thread- and
-        process-sharded) partitions flows identically and the cross-engine
-        parity contract survives the swap.  Swapping to an identical model
+        timing — so every engine (streaming, micro-batch, process-sharded)
+        partitions flows identically and the cross-engine parity contract
+        survives the swap.  Swapping to an identical model
         is fully invisible: verdicts, TTD and merged recirculation counters
         all match the no-swap session bit-for-bit.
 

@@ -1,10 +1,10 @@
-"""Process-sharded engine: true multi-core serving over shared memory.
+"""Process-sharded engine: multi-core serving over shared memory.
 
-:class:`~repro.serve.sharded.ShardedEngine` proves that CRC32 register-slot
-partitioning makes shards independent — but its workers are *threads*, so
-the Python GIL caps the whole session at roughly one core no matter how many
-shards are configured.  This module lifts the same partitioning onto worker
-**processes**:
+All cross-packet state a data-plane program keeps is indexed by the CRC32
+register slot of the flow's 5-tuple, so flows whose slots differ never
+interact.  This module turns that into parallelism: flows are partitioned by
+``slot % workers`` across worker **processes** (threads would serialise on
+the GIL):
 
 * the structure-of-arrays packet source is placed once into a
   :class:`~repro.datasets.shm.SharedPacketArrays` segment; every worker
@@ -18,7 +18,7 @@ shards are configured.  This module lifts the same partitioning onto worker
   and crash detection is folded into the busy-wait-then-backoff loops on
   both sides;
 * each worker owns a fresh program instance (its own register file and
-  recirculation channel) plus a child engine, exactly like a thread shard;
+  recirculation channel) plus a child engine;
   programs are **pre-bound at pool start** — ``open()`` blocks until every
   worker has built its program (LUT compilation included), so warm-up is
   paid once up front instead of inside the serving window;
@@ -63,7 +63,6 @@ import weakref
 
 import numpy as np
 
-from repro.affinity import resolve_affinity
 from repro.dataplane import vectorized as vz
 from repro.datasets.shm import SharedPacketArrays, flow_meta, flows_from_meta
 from repro.datasets.streams import PacketChunk
@@ -149,7 +148,6 @@ def _worker_main(
     child_engine: str,
     flush_flows: int | None,
     backpressure: int | None,
-    affinity: bool,
     tasks,
     results,
 ) -> None:
@@ -182,10 +180,6 @@ def _worker_main(
     from repro.serve.microbatch import MicroBatchEngine
     from repro.serve.streaming import StreamingEngine
 
-    if affinity:
-        from repro.affinity import pin_worker
-
-        pin_worker(index)
     parent_pid = os.getppid()
     shared = None
     engine = None
@@ -310,13 +304,11 @@ def _release_resources(processes, queues, segments) -> None:
 class ProcessShardedEngine(InferenceEngine):
     """Partitions flows by CRC32 register slot across worker *processes*.
 
-    The multi-core top of the engine ladder: same slot partitioning and
-    bit-exact merging as :class:`~repro.serve.sharded.ShardedEngine`, but
-    each shard runs in its own interpreter, so throughput scales with cores
-    instead of saturating the GIL.  Packet columns are shared (one
-    shared-memory segment, zero-copy worker views); only positions cross
-    the process boundary per chunk, through a shared-memory SPSC ring per
-    worker.
+    Each shard runs in its own interpreter (its own program, register file
+    and recirculation channel); verdicts and recirculation counters merge
+    bit-exactly.  Packet columns are shared (one shared-memory segment,
+    zero-copy worker views); only positions cross the process boundary per
+    chunk, through a shared-memory SPSC ring per worker.
 
     ``open()`` pre-binds the pool: it blocks until every worker has built
     its program (so a broken or unpicklable factory fails the ``open()``,
@@ -341,10 +333,6 @@ class ProcessShardedEngine(InferenceEngine):
             invisible — the parity contract holds for any chunking).
         flush_flows: Eager-flush threshold of micro-batch children.
         backpressure: Buffered-packet limit of micro-batch children.
-        affinity: Pin each worker to one CPU (round-robin over the usable
-            set) via :func:`repro.affinity.pin_worker`; off unless set.  A
-            no-op with a warning on platforms without
-            ``os.sched_setaffinity``.
 
     Example::
 
@@ -370,7 +358,6 @@ class ProcessShardedEngine(InferenceEngine):
         ring_span: int = DEFAULT_RING_SPAN,
         flush_flows: int | None = None,
         backpressure: int | None = None,
-        affinity: bool | None = None,
     ) -> None:
         super().__init__()
         if workers < 1:
@@ -400,7 +387,6 @@ class ProcessShardedEngine(InferenceEngine):
         self.ring_span = ring_span
         self.flush_flows = flush_flows
         self.child_backpressure = backpressure
-        self.affinity = resolve_affinity(affinity)
 
         self._ctx = None
         self._processes: list = []
@@ -454,7 +440,6 @@ class ProcessShardedEngine(InferenceEngine):
                     self.child_engine,
                     self.flush_flows,
                     self.child_backpressure,
-                    self.affinity,
                     tasks,
                     self._results,
                 ),
@@ -701,7 +686,7 @@ class ProcessShardedEngine(InferenceEngine):
 
         Uses the aggregates captured by the most recent snapshot or drain
         (``stats()`` refreshes them via :meth:`verdicts` immediately before
-        calling this), merged bit-identically to the thread-sharded engine.
+        calling this).
         """
         return merge_channel_aggregates(
             self._aggregates.get(shard) for shard in range(self.workers)
@@ -746,7 +731,6 @@ class ProcessShardedEngine(InferenceEngine):
             ring_span=self.ring_span,
             flush_flows=self.flush_flows,
             backpressure=self.child_backpressure,
-            affinity=self.affinity,
         )
 
     def _swap_table_size(self) -> int | None:

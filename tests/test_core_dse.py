@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+import repro.core.dse as dse_module
 from repro.core.config import SpliDTConfig
 from repro.core.dse import DesignSearch, SearchResult, evaluate_configuration
+from repro.datasets import load_dataset
 from repro.datasets.materialize import DatasetStore
 from repro.switch.targets import TOFINO1
 
@@ -66,6 +70,57 @@ class TestDesignSearch:
         first = search.evaluate(config)
         second = search.evaluate(config)
         assert first is second
+
+    def test_configuration_evaluated_once_within_and_across_batches(
+        self, store, monkeypatch
+    ):
+        calls = []
+        real = dse_module.evaluate_configuration
+
+        def spy(store, config, **kwargs):
+            calls.append(config)
+            return real(store, config, **kwargs)
+
+        monkeypatch.setattr(dse_module, "evaluate_configuration", spy)
+        search = DesignSearch(store, depth_range=(2, 6), k_range=(1, 3), partitions_range=(1, 3))
+        a = {"depth": 4, "features_per_subtree": 2, "n_partitions": 2}
+        b = {"depth": 3, "features_per_subtree": 2, "n_partitions": 1}
+        c = {"depth": 2, "features_per_subtree": 1, "n_partitions": 1}
+        batches = iter([[a, a, b, a], [b, c, a, c]])
+        monkeypatch.setattr(search.space, "sample_many", lambda n, rng: next(batches))
+        history = search.run(n_iterations=8, batch_size=4, method="random").history
+        assert [search.config_from_params(p) for p in (a, b, c)] == calls
+        assert history[0] is history[1] is history[3] is history[6]
+        assert history[2] is history[4] and history[5] is history[7]
+
+    def test_pool_keyword_rejected_but_harness_call_shape_works(self, store):
+        with pytest.raises(ValueError, match="workers"):
+            DesignSearch(store, workers=2)
+        # What benchmarks/perf/workloads.py calls until ROADMAP item 5.
+        with DesignSearch(store, seed=2, workers=0) as search:
+            assert search.run(n_iterations=1).wall_time > 0
+
+    def test_batched_history_matches_the_harness_digest(self):
+        """``benchmarks/perf/run.py --workload dse-search --seed 7`` prints this digest."""
+        dataset = load_dataset("D3", n_flows=1000, seed=7)
+        search = DesignSearch(DatasetStore(dataset, random_state=7), seed=7)
+        result = search.run(40, batch_size=4)
+
+        def outcome(candidate):
+            config = candidate.config
+            return (
+                config.depth,
+                config.features_per_subtree,
+                config.partition_sizes,
+                float(candidate.f1_score).hex(),
+                candidate.max_flows,
+                candidate.rules.n_entries,
+            )
+
+        history = [outcome(c) for c in result.history]
+        pareto = [outcome(c) for c in result.pareto_candidates()]
+        digest = hashlib.sha256(repr((history, pareto)).encode()).hexdigest()
+        assert digest.startswith("71d5cfabb56e06ba")
 
     def test_pareto_candidates_non_dominated(self, search_result):
         front = search_result.pareto_candidates()

@@ -154,69 +154,3 @@ class TestCapacityPreflight:
     def test_fitting_segment_passes_preflight(self, soa):
         with SharedPacketArrays.create(soa) as shared:
             assert shared.arrays.n_packets == soa.n_packets
-
-
-class TestSharedArrayBundle:
-    """The generic bundle used by the parallel DSE pool."""
-
-    @pytest.fixture()
-    def payload(self) -> dict:
-        rng = np.random.default_rng(9)
-        return {
-            "features": rng.normal(size=(13, 4)).astype(np.float32),
-            "labels": rng.integers(0, 3, size=13).astype(np.int64),
-            "indices": np.arange(7, dtype=np.int32),
-            "empty": np.empty((0, 5), dtype=np.float64),
-        }
-
-    def test_roundtrip_is_exact(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
-        with SharedArrayBundle.create(payload) as shared:
-            view = SharedArrayBundle.attach(shared.layout)
-            try:
-                assert set(view.arrays) == set(payload)
-                for name, array in payload.items():
-                    got = view.arrays[name]
-                    assert got.dtype == array.dtype
-                    assert got.shape == array.shape
-                    np.testing.assert_array_equal(got, array)
-            finally:
-                view.close()
-
-    def test_views_are_zero_copy(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
-        with SharedArrayBundle.create(payload) as shared:
-            view = SharedArrayBundle.attach(shared.layout)
-            try:
-                view.arrays["labels"][0] = 77
-                assert shared.arrays["labels"][0] == 77
-            finally:
-                view.close()
-
-    def test_prefix_names_the_segment(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
-        with SharedArrayBundle.create(payload, prefix="splidt-dse") as shared:
-            assert shared.layout.segment.startswith("splidt-dse-")
-            assert _segment_exists(shared.layout.segment)
-        assert not _segment_exists(shared.layout.segment)
-
-    def test_attacher_cannot_unlink_and_close_is_idempotent(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
-        shared = SharedArrayBundle.create(payload)
-        try:
-            view = SharedArrayBundle.attach(shared.layout)
-            view.unlink()  # non-owner: must be a no-op
-            assert _segment_exists(shared.layout.segment)
-            view.close()
-            view.close()
-            assert view.closed
-            with pytest.raises(RuntimeError, match="closed"):
-                view.arrays
-        finally:
-            shared.unlink()
-            shared.unlink()
-            shared.close()

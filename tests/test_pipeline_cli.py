@@ -77,8 +77,12 @@ def test_run_unknown_dataset_rejected_by_argparse():
     # Removed selectors are argparse errors too: no alias, nothing ignored.
     for argv in (("run", "--lookup", "scan"), ("run", "--engine", "fused"),
                  ("replay", "run-dir", "--lookup", "scan"),
-                 ("serve", "--transport", "queue")):
-        assert "usage:" in run_cli(*argv, expect_code=2).stderr
+                 ("serve", "--transport", "queue"),
+                 ("serve", "--serve-engine", "sharded"), ("serve", "--shards", "2"),
+                 ("dse", "--dse-workers", "2"), ("dse", "--affinity")):
+        stderr = run_cli(*argv, expect_code=2).stderr
+        assert "usage:" in stderr
+        assert "invalid choice" in stderr or "unrecognized arguments" in stderr
 
 
 def test_compare_smoke():
@@ -108,15 +112,25 @@ def test_compare_json_rows():
 
 def test_serve_smoke():
     process = run_cli(
-        "serve", *FAST_RUN, "--serve-engine", "sharded", "--shards", "2",
+        "serve", *FAST_RUN, "--serve-engine", "microbatch",
         "--chunk-size", "64", "--progress-every", "16", "--digests",
     )
-    assert "sharded engine, 2 thread shards" in process.stdout
+    assert "(microbatch engine, chunks of 64 pkts)" in process.stdout
     assert "stream complete" in process.stdout
     assert "digest  flow" in process.stdout
     (decided_line,) = [line for line in process.stdout.splitlines()
                        if line.startswith("flows decided")]
     assert "/80" in decided_line and "data-plane F1" in decided_line
+
+
+def test_dse_json_reports_wall_time_without_pool_fields():
+    process = run_cli(
+        "dse", "--dataset", "D3", "--n-flows", "140", "--seed", "4",
+        "--iterations", "4", "--batch-size", "2", "--depth-range", "2,5", "--json",
+    )
+    payload = json.loads(process.stdout)
+    assert payload["wall_time_s"] > 0 and len(payload["history"]) == 4
+    assert not {"workers", "aggregate_cpu_s"} & set(payload)
 
 
 def test_serve_matches_replay_f1():

@@ -37,7 +37,7 @@ class TestValidation:
             # more partitions than depth levels
             {"depth": 2, "n_partitions": 3},
             {"serve": ServeConfig(engine="warp")},
-            {"serve": ServeConfig(shards=0)},
+            {"serve": ServeConfig(engine="sharded")},  # removed engine name: rejected, not aliased
             {"serve": ServeConfig(chunk_size=0)},
             {"serve": ServeConfig(chunk_size=512, backpressure=256)},
         ],
@@ -139,6 +139,18 @@ class TestSerialisation:
         with pytest.raises(SpecError, match="lookup"):
             ExperimentSpec.from_dict({"dataset": "D3", "lookup": "lut"})
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"serve": {"shards": 2}}, "shards"),
+            ({"dse": {"workers": 2}}, "workers"),
+            ({"dse": {"affinity": True}}, "affinity"),
+        ],
+    )
+    def test_removed_nested_keys_rejected_by_name(self, payload, key):
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.from_dict({"dataset": "D3", **payload})
+
     def test_replace_returns_new_spec(self):
         spec = ExperimentSpec(dataset="D3")
         other = spec.replace(dataset="D6", seed=9)
@@ -156,12 +168,12 @@ class TestServeConfig:
         import json
 
         spec = ExperimentSpec(
-            serve=ServeConfig(engine="sharded", shards=4, chunk_size=128,
+            serve=ServeConfig(engine="sharded-mp", workers=3, chunk_size=128,
                               backpressure=4096)
         )
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["serve"] == {
-            "engine": "sharded", "shards": 4, "workers": 4,
+            "engine": "sharded-mp", "workers": 3,
             "spawn_method": None, "ring_slots": 64,
             "chunk_size": 128, "backpressure": 4096,
             "online": {
@@ -223,8 +235,8 @@ class TestServeConfig:
 
     def test_serve_replace(self):
         config = ServeConfig()
-        assert config.replace(shards=8).shards == 8
-        assert config.shards == 2
+        assert config.replace(workers=8).workers == 8
+        assert config.workers == 4
 
 
 class TestOnlineConfigInSpec:
@@ -282,7 +294,6 @@ class TestDseConfig:
         spec = ExperimentSpec().validate()
         assert spec.dse == DseConfig()
         assert spec.dse.method == "bayesian"
-        assert spec.dse.workers == 0 and spec.dse.affinity is False
 
     def test_dse_roundtrips_as_nested_dict(self):
         import json
@@ -291,12 +302,12 @@ class TestDseConfig:
 
         spec = ExperimentSpec(
             dse=DseConfig(iterations=8, batch_size=2, method="random",
-                          workers=4, affinity=True, depth_range=(2, 8))
+                          depth_range=(2, 8))
         )
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["dse"] == {
             "iterations": 8, "batch_size": 2, "method": "random",
-            "workers": 4, "affinity": True, "depth_range": [2, 8],
+            "depth_range": [2, 8],
             "k_range": [1, 6], "partitions_range": [1, 5],
         }
         restored = ExperimentSpec.from_dict(payload)
@@ -307,9 +318,9 @@ class TestDseConfig:
     def test_dse_dict_coerced_at_construction(self):
         from repro.pipeline import DseConfig
 
-        spec = ExperimentSpec(dse={"iterations": 6, "workers": 2})
+        spec = ExperimentSpec(dse={"iterations": 6, "batch_size": 2})
         assert isinstance(spec.dse, DseConfig)
-        assert spec.dse.workers == 2
+        assert spec.dse.batch_size == 2
 
     def test_unknown_dse_keys_rejected(self):
         payload = ExperimentSpec().to_dict()
@@ -323,7 +334,7 @@ class TestDseConfig:
             {"iterations": 0},
             {"batch_size": 0},
             {"method": "grid"},
-            {"workers": -1},
+            {"k_range": (4, 2)},
             {"depth_range": (8, 2)},
             {"partitions_range": (0, 3)},
         ],

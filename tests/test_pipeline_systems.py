@@ -83,7 +83,7 @@ class _ProbeSystem(System):
 
 def test_program_factory_uses_the_exact_instance_in_process():
     # An UNREGISTERED adapter must keep working in-process, exactly as the
-    # old closure-based factory did (thread-sharded serving path).
+    # old closure-based factory did (single-process serving path).
     system = _ProbeSystem()
     factory = system.program_factory("m", None, ExperimentSpec())
     assert factory() == ("program", "m", None)

@@ -17,7 +17,6 @@ from repro.serve import (
     InferenceEngine,
     MicroBatchEngine,
     ProcessShardedEngine,
-    ShardedEngine,
     StreamingEngine,
 )
 
@@ -25,7 +24,6 @@ ENGINE_CLASSES = (
     InferenceEngine,
     StreamingEngine,
     MicroBatchEngine,
-    ShardedEngine,
     ProcessShardedEngine,
 )
 
@@ -57,13 +55,13 @@ def test_serve_modules_have_docstrings():
     import repro.serve.engine
     import repro.serve.microbatch
     import repro.serve.process_sharded
-    import repro.serve.sharded
     import repro.serve.streaming
 
     for module in (serve, serve.engine, serve.streaming, serve.microbatch,
-                   serve.sharded, serve.process_sharded):
+                   serve.process_sharded):
         assert (module.__doc__ or "").strip(), f"{module.__name__} has no docstring"
-        for removed in ('"queue"', "eager=False", '"fused"', "SPLIDT_"):
+        for removed in ('"queue"', "eager=False", '"fused"', "SPLIDT_",
+                        '"sharded"', "shards=", "affinity=", "thread-sharded"):
             assert removed not in module.__doc__, (
                 f"{module.__name__} docstring mentions the removed {removed}"
             )

@@ -1,9 +1,9 @@
 """Streaming-parity tests for the serving engines (`repro.serve`).
 
 The contract (see ``repro/serve/engine.py``): for a time-ordered stream,
-every engine — per-packet streaming, micro-batch in any chunking, and the
-sharded engine with any shard count — produces verdicts, TTD arrays and
-recirculation statistics **bit-identical** to
+every engine — per-packet streaming and micro-batch in any chunking (the
+process-sharded engine's half is ``tests/test_serve_process_sharded.py``) —
+produces verdicts, TTD arrays and recirculation statistics **bit-identical** to
 ``replay_dataset(..., engine="reference")`` over the same packets.  The
 parameterised suite covers chunk sizes {1, 7, window-aligned, whole-dataset},
 hash-collision flows (tiny register files), and the IAT accumulation-order
@@ -12,6 +12,8 @@ plus the protocol/lifecycle and backpressure behaviour.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
 from repro.serve import (
     BackpressureError,
+    SERVE_ENGINES,
     MicroBatchEngine,
+    ProcessShardedEngine,
     ServeError,
-    ShardedEngine,
     StreamingEngine,
     create_engine,
 )
@@ -212,42 +215,6 @@ def test_microbatch_parity_across_datasets(key, depth, k, partitions):
     _assert_identical(reference, result)
 
 
-class TestShardedParity:
-    """ShardedEngine >= 2 shards == reference, verdicts merged bit for bit."""
-
-    @pytest.mark.parametrize("n_shards", (2, 3))
-    @pytest.mark.parametrize("flow_slots", (8192, 64))
-    def test_sharded_microbatch(
-        self, n_shards, flow_slots, splidt_model, splidt_rules, small_dataset
-    ):
-        reference = replay_dataset(
-            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots),
-            small_dataset,
-            engine="reference",
-        )
-        engine = ShardedEngine(
-            lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots),
-            n_shards=n_shards,
-            flush_flows=4,
-        )
-        result = _stream(engine, _chunks(small_dataset.flows, 64))
-        _assert_identical(reference, result)
-
-    def test_sharded_streaming_children(self, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
-            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
-            small_dataset,
-            engine="reference",
-        )
-        engine = ShardedEngine(
-            lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
-            n_shards=2,
-            child_engine="streaming",
-        )
-        result = _stream(engine, _chunks(small_dataset.flows, 97))
-        _assert_identical(reference, result)
-
-
 class TestStreamingAndTopK:
     def test_streaming_chunking_invariance(
         self, splidt_model, splidt_rules, small_dataset
@@ -282,8 +249,9 @@ class TestStreamingAndTopK:
         reference = replay_dataset(
             TopKDataPlane(topk_model, flow_slots=64), small_dataset, engine="reference"
         )
-        engine = ShardedEngine(
-            lambda: TopKDataPlane(topk_model, flow_slots=64), n_shards=2
+        # partial, not a lambda: the factory is pickled into the workers.
+        engine = ProcessShardedEngine(
+            partial(TopKDataPlane, topk_model, flow_slots=64), workers=2
         )
         result = _stream(engine, _chunks(small_dataset.flows, 64))
         _assert_identical(reference, result)
@@ -386,8 +354,8 @@ class TestProtocol:
         engine.close()
 
     def test_batching_counters_merge_over_shards(self, splidt_model, splidt_rules, small_dataset):
-        factory = lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-        engine = ShardedEngine(factory, n_shards=3, flush_flows=16)
+        factory = partial(SpliDTDataPlane, splidt_model, splidt_rules, flow_slots=8192)
+        engine = ProcessShardedEngine(factory, workers=3, flush_flows=16)
         _stream(engine, _chunks(small_dataset.flows, 700))
         batching = engine.stats().batching
         assert batching["flushed_flows"] == len(small_dataset.flows)
@@ -400,7 +368,11 @@ class TestProtocol:
         factory = lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=256)
         assert create_engine(factory, engine="streaming").name == "streaming"
         assert create_engine(factory, engine="microbatch").name == "microbatch"
-        sharded = create_engine(factory, engine="sharded", shards=3)
-        assert sharded.name == "sharded" and sharded.n_shards == 3
+        assert SERVE_ENGINES == ("streaming", "microbatch", "sharded-mp")
+        # Removed engine name: rejected (listing the survivors), not aliased.
+        with pytest.raises(ServeError, match="unknown serve engine 'sharded'.*sharded-mp"):
+            create_engine(factory, engine="sharded")
+        with pytest.raises(TypeError, match="shards"):
+            create_engine(factory, engine="microbatch", shards=2)
         with pytest.raises(ServeError, match="unknown serve engine"):
             create_engine(factory, engine="warp")

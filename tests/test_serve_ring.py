@@ -192,13 +192,13 @@ class TestRingFaultInjection:
         factory = ProgramFactory(splidt_model, splidt_rules, 256)
         # The ring is the only transport: no argument and no environment
         # variable selects another.
-        for removed in ({"transport": "queue"}, {"transport": "ring"}, {"queue_depth": 8}):
+        for removed in ({"transport": "queue"}, {"transport": "ring"}, {"queue_depth": 8},
+                        {"affinity": True}):
             with pytest.raises(TypeError):
                 ProcessShardedEngine(factory, **removed)
         monkeypatch.setenv("SPLIDT_SERVE_TRANSPORT", "queue")
-        monkeypatch.setenv("SPLIDT_AFFINITY", "1")
         engine = ProcessShardedEngine(factory)
-        assert not hasattr(engine, "transport") and engine.affinity is False
+        assert not hasattr(engine, "transport")
         with pytest.raises(ServeError, match="ring_slots"):
             ProcessShardedEngine(factory, ring_slots=0)
         with pytest.raises(ServeError, match="ring_span"):

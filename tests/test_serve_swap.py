@@ -1,4 +1,4 @@
-"""Parity suite for `InferenceEngine.swap_model` across all four engines.
+"""Parity suite for `InferenceEngine.swap_model` across all three engines.
 
 The swap contract (see ``repro/serve/engine.py``):
 
@@ -10,9 +10,9 @@ The swap contract (see ``repro/serve/engine.py``):
   no-swap replay of the **old** model, even when the successor is a
   different model;
 * the pin/rebind decision is a pure function of the stream prefix, so the
-  streaming, micro-batch, thread-sharded and process-sharded engines all
-  partition flows across model epochs identically — the cross-engine parity
-  contract survives the swap.
+  streaming, micro-batch and process-sharded engines all partition flows
+  across model epochs identically — the cross-engine parity contract
+  survives the swap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.serve import (
     MicroBatchEngine,
     ProcessShardedEngine,
     ServeError,
-    ShardedEngine,
     StreamingEngine,
 )
 from test_serve_engines import _assert_identical, _chunks, _stream
@@ -50,8 +49,6 @@ def _make_engine(kind, factory, *, flush_flows=4):
         return StreamingEngine(factory())
     if kind == "microbatch":
         return MicroBatchEngine(factory(), flush_flows=flush_flows)
-    if kind == "sharded":
-        return ShardedEngine(factory, n_shards=2, flush_flows=flush_flows)
     if kind == "sharded-mp":
         return ProcessShardedEngine(factory, workers=2, flush_flows=flush_flows)
     raise AssertionError(kind)
@@ -75,7 +72,7 @@ def _stream_with_swaps(engine, chunks, swaps):
     return engine.close(), events
 
 
-ENGINES = ("streaming", "microbatch", "sharded", "sharded-mp")
+ENGINES = ("streaming", "microbatch", "sharded-mp")
 
 
 class TestSameModelSwapInvisible:
@@ -120,7 +117,7 @@ class TestSameModelSwapInvisible:
         assert events[0].buffered_packets > 0
         assert events[0].pinned_flows > 0
 
-    @pytest.mark.parametrize("kind", ("streaming", "microbatch", "sharded"))
+    @pytest.mark.parametrize("kind", ENGINES)
     def test_repeated_swaps(self, kind, splidt_model, splidt_rules, small_dataset):
         reference = replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64),
@@ -167,7 +164,7 @@ class TestCrossEngineParityAfterSwap:
         )
         return result, events[0]
 
-    @pytest.mark.parametrize("kind", ("microbatch", "sharded", "sharded-mp"))
+    @pytest.mark.parametrize("kind", ("microbatch", "sharded-mp"))
     def test_engine_matches_streaming_oracle(
         self, kind, splidt_model, splidt_rules, alt_model, alt_rules,
         small_dataset, oracle

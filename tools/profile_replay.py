@@ -53,6 +53,7 @@ if str(_SRC) not in sys.path:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.dataplane.runtime import REPLAY_ENGINES
+    from repro.serve import SERVE_ENGINES
 
     parser = argparse.ArgumentParser(
         description="cProfile the vectorized replay of a bundled dataset"
@@ -80,8 +81,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="stream fraction at which --online forces the "
                              "swap (default 0.5)")
     parser.add_argument("--serve-engine", default="microbatch",
-                        choices=("streaming", "microbatch", "sharded",
-                                 "sharded-mp"),
+                        choices=SERVE_ENGINES,
                         help="serve engine used by --online "
                              "(default microbatch)")
     parser.add_argument("--chunk-size", type=int, default=256,
