@@ -197,6 +197,8 @@ def _packet_view(soa: PacketArrays, packets: np.ndarray) -> PacketArrays:
         flow_ids=_EMPTY,
         labels=_EMPTY,
         n_packets_per_flow=_EMPTY,
+        src_ips=_EMPTY,
+        dst_ips=_EMPTY,
         src_ports=_EMPTY,
         dst_ports=_EMPTY,
         protocols=_EMPTY,
@@ -254,7 +256,7 @@ def replay_slot_stream(
     table_size = program.indexer.table_size
     if stream is None:
         if slots is None:
-            slots = vz.cached_flow_slots(soa, flows, table_size)
+            slots = vz.cached_flow_slots(soa, table_size)
         stream = build_slot_stream(soa, slots, flow_mask, prefix_counts)
     stats = {
         "flows": stream.n_flows,
@@ -268,7 +270,7 @@ def replay_slot_stream(
 
     order, flow, row_slots = stream.order, stream.flow, stream.slots
     timestamps = soa.timestamps[order]
-    tuple_of = vz.cached_tuple_ids(soa, flows, table_size)
+    tuple_of = vz.cached_tuple_ids(soa, table_size)
     rows = _SlotRows(stream, program.model.root_sid)
     _resume_held_slots(program, flows, stream, tuple_of, rows)
     if rows.fallback.any():

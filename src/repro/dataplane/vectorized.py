@@ -236,30 +236,29 @@ def _next_gap(soa: PacketArrays) -> np.ndarray:
     return cached
 
 
-def cached_flow_slots(soa: PacketArrays, flows: list[Flow], table_size: int) -> np.ndarray:
+def cached_flow_slots(soa: PacketArrays, table_size: int) -> np.ndarray:
     """Register slot of every flow, cached on the packet arrays per table size.
 
     The CRC32 slot of a flow is a pure function of its five-tuple and the
     register table size, so every replay and serving session over the same
-    ``PacketArrays`` shares one hashing pass.  The first pass over a source
-    also leaves the per-flow five-tuple ids (see :func:`cached_tuple_ids`):
-    they come out of the same loop and do not depend on the table size.
+    ``PacketArrays`` shares one hashing pass over its identity columns.  The
+    first pass over a source also leaves the per-flow five-tuple ids (see
+    :func:`cached_tuple_ids`), which do not depend on the table size.
     """
     key = ("slots", table_size)
     slots = soa.derived.get(key)
-    if slots is None or slots.size != len(flows):
-        tuple_ids = soa.derived.get("tuple_ids")
-        if tuple_ids is not None and tuple_ids.size == len(flows):
-            slots = flow_slots(flows, table_size)
+    if slots is None:
+        if "tuple_ids" in soa.derived:
+            slots = flow_slots(soa, table_size)
         else:
             slots, soa.derived["tuple_ids"] = flow_slots(
-                flows, table_size, return_tuple_ids=True
+                soa, table_size, return_tuple_ids=True
             )
         soa.derived[key] = slots
     return slots
 
 
-def cached_tuple_ids(soa: PacketArrays, flows: list[Flow], table_size: int) -> np.ndarray:
+def cached_tuple_ids(soa: PacketArrays, table_size: int) -> np.ndarray:
     """Dense per-flow five-tuple id (equal iff the tuples are equal), soa-cached.
 
     The slot-stream plane compares a slot's resident with incoming packets
@@ -267,13 +266,9 @@ def cached_tuple_ids(soa: PacketArrays, flows: list[Flow], table_size: int) -> n
     them.  Filled by the first :func:`cached_flow_slots` pass, or by
     :func:`seed_flow_hashes` in a worker process.
     """
-    tuple_ids = soa.derived.get("tuple_ids")
-    if tuple_ids is None or tuple_ids.size != len(flows):
-        soa.derived[("slots", table_size)], tuple_ids = flow_slots(
-            flows, table_size, return_tuple_ids=True
-        )
-        soa.derived["tuple_ids"] = tuple_ids
-    return tuple_ids
+    if "tuple_ids" not in soa.derived:
+        cached_flow_slots(soa, table_size)
+    return soa.derived["tuple_ids"]
 
 
 def seed_flow_hashes(
@@ -879,7 +874,7 @@ def _route_splidt(
     forced = np.isin(slots[populated], held) if held.size else None
     contended = _split_scalar_fast(
         soa, flows, slots, populated, forced, n_partitions,
-        cached_tuple_ids(soa, flows, table_size),
+        cached_tuple_ids(soa, table_size),
     )
     mask = np.zeros(soa.n_flows, dtype=bool)
     mask[populated[contended]] = True
@@ -943,7 +938,7 @@ def replay_arrays(
         count("per_packet", n_flows, n_packets)
         stats["per_packet_reasons"][reason] = {"flows": n_flows, "packets": n_packets}
 
-    slots = cached_flow_slots(soa, flows, program.indexer.table_size)
+    slots = cached_flow_slots(soa, program.indexer.table_size)
     counts = soa.n_packets_per_flow
     windowed = hasattr(program, "step_windows")
     if windowed:

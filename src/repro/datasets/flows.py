@@ -235,8 +235,10 @@ class PacketArrays:
         flow_ids: Per-flow ``Flow.flow_id`` values.
         labels: Per-flow ground-truth labels.
         n_packets_per_flow: Per-flow packet counts.
-        src_ports / dst_ports / protocols: Per-flow 5-tuple columns used for
-            the stateless header features.
+        src_ips / dst_ips / src_ports / dst_ports / protocols: Per-flow
+            5-tuple columns: the flow's identity (register slots and tuple
+            ids are hashed from them, see ``repro.switch.hashing.flow_slots``)
+            and the stateless header features.
         first_sizes: Per-flow size of the first packet (``pkt_len_first``).
         first_timestamps: Per-flow timestamp of the first packet.
         interleave_order: Permutation of packet indices giving the global
@@ -253,6 +255,8 @@ class PacketArrays:
     flow_ids: np.ndarray
     labels: np.ndarray
     n_packets_per_flow: np.ndarray
+    src_ips: np.ndarray
+    dst_ips: np.ndarray
     src_ports: np.ndarray
     dst_ports: np.ndarray
     protocols: np.ndarray
@@ -283,6 +287,8 @@ class PacketArrays:
 
         flow_ids = np.array([flow.flow_id for flow in flows], dtype=np.int64)
         labels = np.array([flow.label for flow in flows], dtype=np.int64)
+        src_ips = np.array([flow.five_tuple.src_ip for flow in flows], dtype=np.int64)
+        dst_ips = np.array([flow.five_tuple.dst_ip for flow in flows], dtype=np.int64)
         src_ports = np.array([flow.five_tuple.src_port for flow in flows], dtype=np.int64)
         dst_ports = np.array([flow.five_tuple.dst_port for flow in flows], dtype=np.int64)
         protocols = np.array([flow.five_tuple.protocol for flow in flows], dtype=np.int64)
@@ -310,6 +316,8 @@ class PacketArrays:
             flow_ids=flow_ids,
             labels=labels,
             n_packets_per_flow=counts.astype(np.int64),
+            src_ips=src_ips,
+            dst_ips=dst_ips,
             src_ports=src_ports,
             dst_ports=dst_ports,
             protocols=protocols,
@@ -327,6 +335,10 @@ class PacketArrays:
     def n_packets(self) -> int:
         """Total number of packets across all flows."""
         return int(self.flow_starts[-1])
+
+    def identity_columns(self) -> tuple[np.ndarray, ...]:
+        """The five per-flow 5-tuple columns, in :class:`FiveTuple` field order."""
+        return self.src_ips, self.dst_ips, self.src_ports, self.dst_ports, self.protocols
 
     def flow_slice(self, flow_index: int) -> slice:
         """Half-open slice of flow ``flow_index``'s packets in the columns."""

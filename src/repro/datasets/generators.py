@@ -26,7 +26,7 @@ evaluation relies on, so the synthetic substitutes must preserve them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,17 +235,63 @@ class SyntheticTrafficGenerator:
         )
 
     def _generate_flow(self, flow_id: int, label: int, rng: np.random.Generator) -> Flow:
-        signature = self.signatures[label]
+        return self._draw_flow(flow_id, label, self.signatures[label], rng)
+
+    def _phase_parameters(
+        self, signature: ClassSignature, wobble: dict[str, float], phase: int
+    ) -> tuple[float, ...]:
+        """Everything the packet loop reads that is constant within ``phase``."""
+        separability = self.profile.separability
+        noise = 1.0 - separability + 0.25  # per-packet noise floor
+        param = {
+            group.name: signature.parameter(group, phase, separability) * wobble[group.name]
+            for group in self.groups
+        }
+        mean_iat = max(param["iat_level"], 1e-5)
+        return (
+            param["pkt_size_level"],
+            max(param["pkt_size_spread"] * noise * 2.0, 10.0),
+            param["small_pkt_bias"],
+            param["burstiness"],
+            mean_iat * 0.04,
+            param["idle_profile"],
+            mean_iat * 20.0,
+            np.log(mean_iat),
+            max(param["iat_spread"] * (0.5 + noise), 0.05),
+            param["syn_activity"] * 0.3,
+            param["psh_activity"],
+            param["rst_activity"] * 0.3,
+            param["direction_mix"],
+            param["payload_density"],
+            0.1 * noise,
+        )
+
+    def _draw_flow(
+        self,
+        flow_id: int,
+        label: int,
+        behaviour: ClassSignature,
+        rng: np.random.Generator,
+        start: float | None = None,
+    ) -> Flow:
+        """Draw one flow labelled ``label`` whose packets follow ``behaviour``.
+
+        ``start`` is the first packet's predecessor timestamp when the caller
+        has already drawn it; otherwise it is drawn after the flow's wobble.
+        The order and arguments of the rng calls are the dataset: every
+        committed table and harness digest depends on them
+        (``tests/test_datasets_generators.py::TestGoldenTraffic``).
+        """
         n_packets = max(6, int(rng.lognormal(np.log(self.profile.mean_flow_packets), 0.45)))
         n_packets = min(n_packets, 1500)
 
-        port_pool = self._PORT_POOLS[signature.levels["port_profile"]]
+        port_pool = self._PORT_POOLS[behaviour.levels["port_profile"]]
         five_tuple = FiveTuple(
             src_ip=int(rng.integers(0x0A000000, 0x0AFFFFFF)),
             dst_ip=int(rng.integers(0xC0A80000, 0xC0A8FFFF)),
             src_port=int(rng.integers(1024, 65535)),
             dst_port=int(port_pool[int(rng.integers(0, len(port_pool)))]),
-            protocol=signature.protocol,
+            protocol=behaviour.protocol,
         )
 
         # Per-flow behavioural wobble: flows of the same class deviate from the
@@ -254,98 +300,67 @@ class SyntheticTrafficGenerator:
         noise_level = 1.0 - self.profile.separability
         flip_probability = 0.02 + 0.3 * noise_level
         wobble_sigma = 0.1 + 0.45 * noise_level
-        flow_levels = dict(signature.levels)
+        flow_levels = dict(behaviour.levels)
         for name in flow_levels:
             if rng.random() < flip_probability:
                 flow_levels[name] = int(rng.integers(0, N_LEVELS))
-        flow_signature = ClassSignature(
-            class_index=signature.class_index,
-            name=signature.name,
-            protocol=signature.protocol,
-            dst_port_base=signature.dst_port_base,
-            levels=flow_levels,
-        )
+        flow_signature = replace(behaviour, levels=flow_levels)
         flow_wobble = {
             group.name: float(rng.lognormal(0.0, wobble_sigma)) for group in self.groups
         }
+        timestamp = float(rng.uniform(0, 1.0)) if start is None else start
 
+        random, normal, uniform = rng.random, rng.normal, rng.uniform
+        exponential, lognormal = rng.exponential, rng.lognormal
+        tcp = behaviour.protocol == PROTO_TCP
+        syn_bit, ack_bit = TCP_FLAGS["SYN"], TCP_FLAGS["ACK"]
+        psh_bit, rst_bit = TCP_FLAGS["PSH"], TCP_FLAGS["RST"]
+        # Packet ``i`` is in phase ``min(N_PHASES * i // n_packets, N_PHASES - 1)``.
+        bounds = [-(-phase * n_packets // N_PHASES) for phase in range(N_PHASES)]
+        bounds.append(n_packets)
         packets = []
-        timestamp = float(rng.uniform(0, 1.0))
-        for packet_index in range(n_packets):
-            phase = min(int(N_PHASES * packet_index / n_packets), N_PHASES - 1)
-            packet = self._generate_packet(
-                flow_signature, phase, timestamp, packet_index, rng, flow_wobble
-            )
-            packets.append(packet)
-            timestamp = packet.timestamp
+        for phase in range(N_PHASES):
+            (
+                mean_size, size_sigma, small_bias,
+                burst, burst_scale, idle, idle_scale, log_mean_iat, iat_sigma,
+                syn, psh, rst, direction_mix, payload_density, payload_sigma,
+            ) = self._phase_parameters(flow_signature, flow_wobble, phase)
+            for packet_index in range(bounds[phase], bounds[phase + 1]):
+                size = normal(mean_size, size_sigma)
+                if random() < small_bias:
+                    size = uniform(40, 90)
+                size = int(min(max(size, 40), 1514))
+
+                if random() < burst:
+                    iat = exponential(burst_scale)
+                elif random() < idle:
+                    iat = exponential(idle_scale)
+                else:
+                    iat = lognormal(log_mean_iat, iat_sigma)
+                timestamp += min(max(iat, 1e-6), 30.0)
+
+                flags = 0
+                if tcp:
+                    if packet_index == 0 or random() < syn:
+                        flags |= syn_bit
+                    if packet_index > 0:
+                        flags |= ack_bit
+                    if random() < psh:
+                        flags |= psh_bit
+                    if random() < rst:
+                        flags |= rst_bit
+
+                direction = 1 if random() < direction_mix else -1
+                density = payload_density + normal(0, payload_sigma)
+                payload = int(size * min(max(density, 0.0), 1.0))
+                packets.append(Packet(timestamp, size, flags, direction, payload))
 
         return Flow(
             five_tuple=five_tuple,
             packets=packets,
             label=label,
-            class_name=signature.name,
+            class_name=self.signatures[label].name,
             flow_id=flow_id,
-        )
-
-    def _generate_packet(
-        self,
-        signature: ClassSignature,
-        phase: int,
-        previous_timestamp: float,
-        packet_index: int,
-        rng: np.random.Generator,
-        flow_wobble: dict[str, float] | None = None,
-    ) -> Packet:
-        groups = {group.name: group for group in self.groups}
-        separability = self.profile.separability
-        wobble = flow_wobble or {}
-
-        def param(name: str) -> float:
-            value = signature.parameter(groups[name], phase, separability)
-            return value * wobble.get(name, 1.0)
-
-        noise = 1.0 - separability + 0.25  # per-packet noise floor
-
-        # Packet size.
-        mean_size = param("pkt_size_level")
-        size_spread = param("pkt_size_spread") * noise * 2.0
-        size = rng.normal(mean_size, max(size_spread, 10.0))
-        if rng.random() < param("small_pkt_bias"):
-            size = rng.uniform(40, 90)
-        size = int(np.clip(size, 40, 1514))
-
-        # Inter-arrival time.
-        mean_iat = max(param("iat_level"), 1e-5)
-        iat_sigma = max(param("iat_spread") * (0.5 + noise), 0.05)
-        if rng.random() < param("burstiness"):
-            iat = rng.exponential(mean_iat * 0.04)
-        elif rng.random() < param("idle_profile"):
-            iat = rng.exponential(mean_iat * 20.0)
-        else:
-            iat = rng.lognormal(np.log(mean_iat), iat_sigma)
-        iat = float(np.clip(iat, 1e-6, 30.0))
-
-        # TCP flags.
-        flags = 0
-        if signature.protocol == PROTO_TCP:
-            if packet_index == 0 or rng.random() < param("syn_activity") * 0.3:
-                flags |= TCP_FLAGS["SYN"]
-            if packet_index > 0:
-                flags |= TCP_FLAGS["ACK"]
-            if rng.random() < param("psh_activity"):
-                flags |= TCP_FLAGS["PSH"]
-            if rng.random() < param("rst_activity") * 0.3:
-                flags |= TCP_FLAGS["RST"]
-
-        direction = 1 if rng.random() < param("direction_mix") else -1
-        payload = int(size * np.clip(param("payload_density") + rng.normal(0, 0.1 * noise), 0.0, 1.0))
-
-        return Packet(
-            timestamp=previous_timestamp + iat,
-            size=size,
-            flags=flags,
-            direction=direction,
-            payload=payload,
         )
 
 
@@ -408,54 +423,7 @@ class PhaseShiftGenerator(SyntheticTrafficGenerator):
         behaviour = label
         if unit_start >= self.shift_at:
             behaviour = (label + self.rotation) % self.profile.n_classes
-        signature = self.signatures[behaviour]
-        n_packets = max(6, int(rng.lognormal(np.log(self.profile.mean_flow_packets), 0.45)))
-        n_packets = min(n_packets, 1500)
-
-        port_pool = self._PORT_POOLS[signature.levels["port_profile"]]
-        five_tuple = FiveTuple(
-            src_ip=int(rng.integers(0x0A000000, 0x0AFFFFFF)),
-            dst_ip=int(rng.integers(0xC0A80000, 0xC0A8FFFF)),
-            src_port=int(rng.integers(1024, 65535)),
-            dst_port=int(port_pool[int(rng.integers(0, len(port_pool)))]),
-            protocol=signature.protocol,
-        )
-
-        noise_level = 1.0 - self.profile.separability
-        flip_probability = 0.02 + 0.3 * noise_level
-        wobble_sigma = 0.1 + 0.45 * noise_level
-        flow_levels = dict(signature.levels)
-        for name in flow_levels:
-            if rng.random() < flip_probability:
-                flow_levels[name] = int(rng.integers(0, N_LEVELS))
-        flow_signature = ClassSignature(
-            class_index=signature.class_index,
-            name=signature.name,
-            protocol=signature.protocol,
-            dst_port_base=signature.dst_port_base,
-            levels=flow_levels,
-        )
-        flow_wobble = {
-            group.name: float(rng.lognormal(0.0, wobble_sigma)) for group in self.groups
-        }
-
-        packets = []
-        timestamp = start
-        for packet_index in range(n_packets):
-            phase = min(int(N_PHASES * packet_index / n_packets), N_PHASES - 1)
-            packet = self._generate_packet(
-                flow_signature, phase, timestamp, packet_index, rng, flow_wobble
-            )
-            packets.append(packet)
-            timestamp = packet.timestamp
-
-        return Flow(
-            five_tuple=five_tuple,
-            packets=packets,
-            label=label,
-            class_name=self.signatures[label].name,
-            flow_id=flow_id,
-        )
+        return self._draw_flow(flow_id, label, self.signatures[behaviour], rng, start)
 
 
 def generate_dataset(key: str, n_flows: int, seed: int = 0) -> FlowDataset:

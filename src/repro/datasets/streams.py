@@ -181,28 +181,23 @@ class LazyFlowList(Sequence):
 
     Indexing builds an ephemeral ``Flow`` whose ``packets`` is a
     :class:`_LazyPackets` view into the (possibly memmap-backed) SoA — the
-    per-flow five-tuple components live in small int arrays, so the resident
-    cost is a few per-flow columns regardless of packet count.  Satisfies the
-    ``flows`` contract of :func:`iter_packet_chunks` and the scalar paths of
-    the replay engines without ever holding the object-form dataset.
+    per-flow five-tuple components are the SoA's identity columns, so the
+    resident cost is a few per-flow columns regardless of packet count.
+    Satisfies the ``flows`` contract of :func:`iter_packet_chunks` and the
+    scalar paths of the replay engines without ever holding the object-form
+    dataset.
     """
 
-    def __init__(
-        self,
-        soa: PacketArrays,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        class_names: Sequence[str] | None = None,
-    ) -> None:
-        if len(src_ips) != soa.n_flows or len(dst_ips) != soa.n_flows:
-            raise ValueError("src_ips/dst_ips must be aligned with the SoA flow axis")
+    def __init__(self, soa: PacketArrays, class_names: Sequence[str] | None = None) -> None:
         self._soa = soa
-        self._src_ips = src_ips
-        self._dst_ips = dst_ips
         self._class_names = list(class_names) if class_names is not None else []
 
     def __len__(self) -> int:
         return self._soa.n_flows
+
+    def identity_columns(self) -> tuple[np.ndarray, ...]:
+        """The SoA's 5-tuple columns: hashing the list builds no ``Flow``."""
+        return self._soa.identity_columns()
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -219,8 +214,8 @@ class LazyFlowList(Sequence):
         )
         return Flow(
             five_tuple=FiveTuple(
-                src_ip=int(self._src_ips[index]),
-                dst_ip=int(self._dst_ips[index]),
+                src_ip=int(soa.src_ips[index]),
+                dst_ip=int(soa.dst_ips[index]),
                 src_port=int(soa.src_ports[index]),
                 dst_port=int(soa.dst_ports[index]),
                 protocol=int(soa.protocols[index]),
@@ -501,6 +496,8 @@ class StreamedPacketWriter:
             flow_ids=flow_ids,
             labels=self._flow_column("labels", np.int64),
             n_packets_per_flow=counts,
+            src_ips=self._flow_column("src_ips", np.int64),
+            dst_ips=self._flow_column("dst_ips", np.int64),
             src_ports=self._flow_column("src_ports", np.int64),
             dst_ports=self._flow_column("dst_ports", np.int64),
             protocols=self._flow_column("protocols", np.int64),
@@ -508,15 +505,9 @@ class StreamedPacketWriter:
             first_timestamps=self._flow_column("first_timestamps", np.float64),
             interleave_order=interleave_order,
         )
-        flows = LazyFlowList(
-            soa,
-            src_ips=self._flow_column("src_ips", np.int64),
-            dst_ips=self._flow_column("dst_ips", np.int64),
-            class_names=class_names,
-        )
         return StreamedPacketSource(
             soa=soa,
-            flows=flows,
+            flows=LazyFlowList(soa, class_names),
             directory=self._dir,
             name=name,
             description=description,
@@ -596,7 +587,7 @@ class StreamedPacketSource:
         column_bytes = n_packets * per_packet
         for arr in (
             soa.flow_starts, soa.flow_ids, soa.labels, soa.n_packets_per_flow,
-            soa.src_ports, soa.dst_ports, soa.protocols,
+            *soa.identity_columns(),
             soa.first_sizes, soa.first_timestamps,
         ):
             column_bytes += arr.dtype.itemsize * max(len(arr), 1)

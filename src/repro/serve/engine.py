@@ -559,9 +559,7 @@ class InferenceEngine(abc.ABC):
             )
         from repro.switch.hashing import flow_slots
 
-        self._swap_slots = np.asarray(
-            flow_slots(self._flows, table_size), dtype=np.intp
-        )
+        self._swap_slots = flow_slots(self._soa, table_size)
         self._slot_epoch = np.full(table_size, self._default_slot_epoch, dtype=np.int32)
         self._flow_epoch = np.full(self._soa.n_flows, -1, dtype=np.int32)
         delivered_idx = np.flatnonzero(self._delivered > 0)

@@ -153,7 +153,7 @@ class MicroBatchEngine(InferenceEngine):
         soa = self._soa
         table_size = self.program.indexer.table_size
         # Hashed once per source: a sharded parent has already filled the cache.
-        self._slots = vz.cached_flow_slots(soa, self._flows, table_size)
+        self._slots = vz.cached_flow_slots(soa, table_size)
         self._buffered = np.zeros(soa.n_flows, dtype=np.int64)
         self._flushed = np.zeros(soa.n_flows, dtype=bool)
         self._dirty_slots = np.zeros(table_size, dtype=bool)
@@ -166,7 +166,7 @@ class MicroBatchEngine(InferenceEngine):
         # does (the slot-stream plane; the scalar path for other programs).
         self._forced_scalar = np.zeros(soa.n_flows, dtype=bool)
         populated = np.flatnonzero(soa.n_packets_per_flow > 0)
-        tuple_ids = vz.cached_tuple_ids(soa, self._flows, table_size)[populated]
+        tuple_ids = vz.cached_tuple_ids(soa, table_size)[populated]
         repeated = np.bincount(tuple_ids)[tuple_ids] > 1
         if repeated.any():
             # Equal tuples hash to one slot, so the repeats' slots are the set.

@@ -503,8 +503,8 @@ class ProcessShardedEngine(InferenceEngine):
 
         self._shared = SharedPacketArrays.create(self._soa)
         self._segments.append(self._shared)
-        slots = vz.cached_flow_slots(self._soa, self._flows, self._table_size)
-        tuple_ids = vz.cached_tuple_ids(self._soa, self._flows, self._table_size)
+        slots = vz.cached_flow_slots(self._soa, self._table_size)
+        tuple_ids = vz.cached_tuple_ids(self._soa, self._table_size)
         self._shard_of_flow = (slots % self.workers).astype(np.intp)
         for _ in range(self.workers):
             ring = SpscRing.create(slots=self.ring_slots, span=self.ring_span)

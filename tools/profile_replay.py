@@ -33,7 +33,11 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
 per path, per-packet reasons, event rounds —, swap metrics when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
-eyeballing pstats text.
+eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
+the spec's dataset — drawing the flows (``generate_s``), building the SoA
+columns (``soa_build_s``) and naming the flows (``slot_hash_s``: slots and
+tuple ids at ``--flow-slots``) — on a copy drawn for the purpose, outside the
+profile.
 """
 
 from __future__ import annotations
@@ -49,6 +53,22 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+def measure_setup(spec) -> dict[str, float]:
+    """Seconds to draw, columnise and hash ``spec``'s dataset, stage by stage."""
+    from repro.datasets import load_dataset
+    from repro.switch.hashing import flow_slots
+
+    marks = [time.perf_counter()]
+    dataset = load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
+    marks.append(time.perf_counter())
+    soa = dataset.packet_arrays()
+    marks.append(time.perf_counter())
+    flow_slots(soa, spec.flow_slots, return_tuple_ids=True)
+    marks.append(time.perf_counter())
+    names = ("generate_s", "soa_build_s", "slot_hash_s")
+    return {name: round(b - a, 6) for name, a, b in zip(names, marks, marks[1:])}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         scenario=scenario,
     ).validate()
 
+    setup = measure_setup(spec)
+    print(f"set-up of {spec.dataset} ({spec.n_flows} flows): " + ", ".join(
+        f"{name[:-2]} {seconds:.3f}s" for name, seconds in setup.items()), flush=True)
     experiment = Experiment(spec)
     print(f"preparing {spec.dataset} ({spec.n_flows} flows), training "
           f"D={spec.depth} k={spec.features_per_subtree} "
@@ -248,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
+            "setup": setup,
             "hotspots": hotspots,
         }
         if swap_event is not None:
