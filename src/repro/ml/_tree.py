@@ -60,9 +60,9 @@ class Tree:
     n_features: int
     n_outputs: int
     nodes: list[TreeNode] = field(default_factory=list)
-    #: ``(feature, threshold, left, right, internal)`` columns of
-    #: :attr:`nodes` for :meth:`apply`; built on first use of the finished
-    #: tree and dropped whenever the structure grows.
+    #: ``(feature, threshold, left, right, internal, value)`` columns of
+    #: :attr:`nodes` for :meth:`apply` and :meth:`predict_value`; built on
+    #: first use of the finished tree and dropped whenever the structure grows.
     _columns: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -151,15 +151,7 @@ class Tree:
         out = np.zeros(X.shape[0], dtype=np.intp)
         if out.size == 0:
             return out
-        if self._columns is None:
-            self._columns = (
-                np.array([node.feature for node in self.nodes], dtype=np.intp),
-                np.array([node.threshold for node in self.nodes], dtype=float),
-                np.array([node.left for node in self.nodes], dtype=np.intp),
-                np.array([node.right for node in self.nodes], dtype=np.intp),
-                np.array([not node.is_leaf for node in self.nodes], dtype=bool),
-            )
-        feature, threshold, left, right, internal = self._columns
+        feature, threshold, left, right, internal, _ = self._node_columns()
         rows = np.flatnonzero(internal[out])
         while rows.size:
             at = out[rows]
@@ -167,6 +159,18 @@ class Tree:
             out[rows] = np.where(goes_left, left[at], right[at])
             rows = rows[internal[out[rows]]]
         return out
+
+    def _node_columns(self) -> tuple[np.ndarray, ...]:
+        if self._columns is None:
+            self._columns = (
+                np.array([node.feature for node in self.nodes], dtype=np.intp),
+                np.array([node.threshold for node in self.nodes], dtype=float),
+                np.array([node.left for node in self.nodes], dtype=np.intp),
+                np.array([node.right for node in self.nodes], dtype=np.intp),
+                np.array([not node.is_leaf for node in self.nodes], dtype=bool),
+                np.stack([node.value for node in self.nodes]),
+            )
+        return self._columns
 
     def _apply_row(self, row: np.ndarray) -> int:
         node = self.nodes[0]
@@ -192,8 +196,7 @@ class Tree:
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Return the stored node ``value`` for the leaf each row reaches."""
-        leaf_ids = self.apply(X)
-        return np.stack([self.nodes[i].value for i in leaf_ids])
+        return self._node_columns()[-1][self.apply(X)]
 
     # ------------------------------------------------------------------
     # Derived statistics

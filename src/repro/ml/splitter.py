@@ -176,57 +176,83 @@ def _regression_split_scores(sorted_y: np.ndarray) -> np.ndarray:
     return left_var + right_var
 
 
-def find_best_split(
+def _gini_screen(
+    columns: np.ndarray, y: np.ndarray, n_classes: int, min_samples_leaf: int
+) -> np.ndarray:
+    """Which rows of ``columns`` (features x samples) can hold the best gini cut.
+
+    The reference loop scores a cut as ``L·gini(left) + R·gini(right)``, which
+    is ``n − Σl_c²/L − Σr_c²/R``: two integers per cut.  With the labels in
+    feature order, ``Σl_c²`` grows by ``2·rank + 1`` per sample, ``rank``
+    being the earlier samples of the same class, and ``Σr_c² = ΣT_c² −
+    2·Σ T_c·l_c + Σl_c²`` for class totals ``T`` — exact ``int64`` (for
+    ``n < 2**26``), no class axis, every feature of the node at once.
+
+    Returns a mask keeping feature ``f`` iff its best valid cut (the loop's
+    own mask) scores within ``tol = 1e-9·(n + F)`` of the best of all ``F``.
+    Both formulas round by less than ``eps·n`` with ``eps = (C + 4)·2**-53``,
+    so every dropped feature's *reference* score is above ``cutoff − eps·n``
+    (``cutoff`` = screen minimum + ``tol``) and the screen's argmin ``f*``
+    is kept with a reference score ``tol − 2·eps·n`` below that.  The loop's
+    ``score < best − 1e-12`` scan over the kept features in pool order then
+    ends where the scan over all features does: the two can disagree only
+    after the full scan accepts a dropped feature, each later feature lowers
+    the smaller of their two best scores by less than ``1e-12``, so until
+    ``f*`` arrives both stay above ``cutoff − eps·n − F·1e-12``; ``f*`` beats
+    that by more than ``1e-12`` and is accepted by both, after which no
+    dropped feature can be accepted and the scans run in lockstep.
+    """
+    n_features, n_samples = columns.shape
+    order = np.argsort(columns, axis=1, kind="stable")
+    rows = np.arange(n_features)[:, None]
+    sorted_x = columns[rows, order]
+    # Labels in the narrowest dtype: NumPy radix-sorts 8- and 16-bit keys.
+    sorted_y = y.astype(np.min_scalar_type(n_classes))[order]
+    totals = np.bincount(y, minlength=n_classes)
+    # Stable-sorting the labels groups each class in feature order, so the
+    # within-class rank of those positions is one vector for every feature.
+    rank = np.empty_like(order)
+    rank[rows, np.argsort(sorted_y, axis=1, kind="stable")] = np.arange(n_samples) - np.repeat(
+        np.cumsum(totals) - totals, totals
+    )
+    left_sq = np.cumsum(2 * rank + 1, axis=1)[:, :-1]
+    right_sq = int(totals @ totals) - 2 * np.cumsum(totals[sorted_y], axis=1)[:, :-1] + left_sq
+    left_n = np.arange(1, n_samples)
+    right_n = n_samples - left_n
+    scores = n_samples - left_sq / left_n - right_sq / right_n
+    valid = (
+        (sorted_x[:, :-1] != sorted_x[:, 1:])
+        & (left_n >= min_samples_leaf)
+        & (right_n >= min_samples_leaf)
+    )
+    best = np.where(valid, scores, np.inf).min(axis=1)
+    return best <= best.min() + 1e-9 * (n_samples + n_features)
+
+
+def _best_split_over(
     X: np.ndarray,
     y: np.ndarray,
+    features: np.ndarray,
     *,
-    allowed_features: np.ndarray,
     criterion: str,
     min_samples_leaf: int,
     n_classes: int | None,
-    rng: np.random.Generator,
-    max_features: int | None = None,
     indices: np.ndarray | None = None,
+    impurity: float | None = None,
 ) -> Split | None:
-    """Search ``allowed_features`` for the split with maximal impurity decrease.
+    """The reference per-feature scan: best split among ``features``, in order.
 
-    Args:
-        X: Node sample matrix ``(n_samples, n_features)`` — or, when
-            ``indices`` is given, the *full* training matrix the node rows
-            are gathered from.
-        y: Node labels (classification, int) or targets (regression, float).
-        allowed_features: Feature indices the splitter may consider.
-        criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
-        min_samples_leaf: Minimum samples required on each side of a split.
-        n_classes: Number of classes (classification only).
-        rng: Random generator used for feature sub-sampling and tie breaks.
-        max_features: If given, a random subset of this many features from
-            ``allowed_features`` is searched (used by random forests).
-        indices: Row indices of the node's samples within ``X``.  Passing
-            the full matrix plus indices gathers only the candidate feature
-            columns instead of copying every column of every node — the tree
-            grower's dominant allocation once the feature budget narrows the
-            pool.
-
-    Returns:
-        The best :class:`Split`, or ``None`` when no valid split exists.
+    The only code that scores a cut, breaks ties (first feature to lead by
+    more than ``1e-12`` wins) and builds a :class:`Split`.
     """
     n_samples = y.shape[0] if indices is not None else X.shape[0]
-    if n_samples < 2 * min_samples_leaf:
-        return None
-
-    features = np.asarray(allowed_features, dtype=np.intp)
-    if max_features is not None and max_features < features.size:
-        features = rng.choice(features, size=max_features, replace=False)
-
     is_classification = criterion in CLASSIFICATION_CRITERIA
-    if is_classification:
-        parent_counts = np.bincount(y, minlength=n_classes).astype(float)
-        parent_score = n_samples * node_impurity(parent_counts, criterion)
-        one_hot = _one_hot_labels(y, n_classes)
-    else:
-        parent_score = n_samples * mse_impurity(y)
-        one_hot = None
+    one_hot = _one_hot_labels(y, n_classes) if is_classification else None
+    if impurity is None and is_classification:
+        impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
+    elif impurity is None:
+        impurity = mse_impurity(y)
+    parent_score = n_samples * impurity
 
     # A cut at position i separates sorted samples [:i+1] from [i+1:]; both
     # sides must satisfy min_samples_leaf regardless of the feature values.
@@ -277,3 +303,69 @@ def find_best_split(
     if best is not None and best.improvement <= 1e-12:
         return None
     return best
+
+
+def find_best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    allowed_features: np.ndarray,
+    criterion: str,
+    min_samples_leaf: int,
+    n_classes: int | None,
+    rng: np.random.Generator,
+    max_features: int | None = None,
+    indices: np.ndarray | None = None,
+    impurity: float | None = None,
+) -> Split | None:
+    """Search ``allowed_features`` for the split with maximal impurity decrease.
+
+    The search is :func:`_best_split_over`; for gini, :func:`_gini_screen`
+    first narrows its pool to the features that can win, which changes
+    nothing it returns.
+
+    Args:
+        X: Node sample matrix ``(n_samples, n_features)`` — or, when
+            ``indices`` is given, the *full* training matrix the node rows
+            are gathered from.
+        y: Node labels (classification, int) or targets (regression, float).
+        allowed_features: Feature indices the splitter may consider.
+        criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
+        min_samples_leaf: Minimum samples required on each side of a split.
+        n_classes: Number of classes (classification only).
+        rng: Random generator used for feature sub-sampling and tie breaks.
+        max_features: If given, a random subset of this many features from
+            ``allowed_features`` is searched (used by random forests).
+        indices: Row indices of the node's samples within ``X``.  Passing
+            the full matrix plus indices gathers only the candidate feature
+            columns instead of copying every column of every node — the tree
+            grower's dominant allocation once the feature budget narrows the
+            pool.
+        impurity: The node's impurity under ``criterion`` if the caller
+            already has it; computed from ``y`` otherwise.
+
+    Returns:
+        The best :class:`Split`, or ``None`` when no valid split exists.
+    """
+    n_samples = y.shape[0] if indices is not None else X.shape[0]
+    if n_samples < 2 * min_samples_leaf:
+        return None
+
+    features = np.asarray(allowed_features, dtype=np.intp)
+    if max_features is not None and max_features < features.size:
+        features = rng.choice(features, size=max_features, replace=False)
+
+    if criterion == "gini" and features.size > 1:
+        columns = X.T[features[:, None], indices] if indices is not None else X.T[features]
+        features = features[_gini_screen(columns, y, n_classes, min_samples_leaf)]
+
+    return _best_split_over(
+        X,
+        y,
+        features,
+        criterion=criterion,
+        min_samples_leaf=min_samples_leaf,
+        n_classes=n_classes,
+        indices=indices,
+        impurity=impurity,
+    )

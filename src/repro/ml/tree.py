@@ -153,6 +153,7 @@ class _BaseDecisionTree:
             rng=context.rng,
             max_features=self.max_features,
             indices=indices,
+            impurity=impurity,
         )
         if split is None:
             return node_id

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro import core, datasets
+from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor, RandomForestRegressor
 from repro.ml._tree import LEAF
 
 
@@ -237,3 +241,92 @@ class TestRegressor:
         predictions = reg.predict(X)
         assert predictions.min() >= y.min() - 1e-9
         assert predictions.max() <= y.max() + 1e-9
+
+
+def _hash_tree(digest, tree) -> None:
+    for node in tree.nodes:
+        digest.update(
+            repr(
+                (
+                    node.feature,
+                    float(node.threshold).hex(),
+                    node.left,
+                    node.right,
+                    node.depth,
+                    node.n_samples,
+                    float(node.impurity).hex(),
+                )
+            ).encode()
+        )
+        digest.update(node.value.tobytes())
+
+
+_GOLDEN_CONFIGS = {
+    "d6-k2-2x2x2": (6, 2, (2, 2, 2)),
+    "d9-k4-3x3x3": (9, 4, (3, 3, 3)),
+    "d8-k1-8": (8, 1, (8,)),
+}
+
+_GOLDEN_PARTITIONED = {
+    ("D1", "d6-k2-2x2x2"): "72584488d7e5f7171965eba3e4e6716de0446634242f911f0e93556f28e135d7",
+    ("D3", "d6-k2-2x2x2"): "0941fdfb4c7f2f72f2836fe23bd8eb470aebbe96854c0e69de44ee57eac2a9e7",
+    ("D6", "d6-k2-2x2x2"): "a589f37be6fb3531128669e505509df1df826b808d1b3f94af5241b5d1574299",
+    ("D1", "d9-k4-3x3x3"): "23fe82d4b892f3dbf745745cb5412c3a80f622b54a082bbaacc30a829dfff426",
+    ("D3", "d9-k4-3x3x3"): "35155344b3c22c27c38fa5f6def6349429278f0f9b151aea015e83e812fe2a70",
+    ("D6", "d9-k4-3x3x3"): "03e41002696cfce9c62fa5c6f1c1b9db898e2071fad64b7dc609975b7753fedf",
+    ("D1", "d8-k1-8"): "92094bb69a0ebd4d801591f4b05c130e5e8ebd71f0ebddaedf9f4066913058f6",
+    ("D3", "d8-k1-8"): "e4c11e8593f71d56fc72db511a7bbf55815630b2000e65f41d524159f9e47113",
+    ("D6", "d8-k1-8"): "36d111bed1f4f0ca884a7faa20606ce90df31e263063977a6977603aff59ca99",
+}
+_GOLDEN_FOREST = "8cb527c2116eb2922022cbf46e808bb8334c564832d6dfdd4830e99e66525cf5"
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_store(dataset_key):
+    return datasets.DatasetStore(
+        datasets.load_dataset(dataset_key, n_flows=300, seed=11), random_state=11
+    )
+
+
+class TestGoldenTrees:
+    """SHA-256 of whole fitted trees, recorded from the PR 18 splitter.
+
+    Every node's feature, threshold, children, depth, sample count, value
+    and impurity go into the digest bit for bit, so a split search that
+    breaks a tie differently or rounds a threshold differently fails here in
+    seconds rather than as a moved harness digest.
+    """
+
+    @pytest.mark.parametrize("dataset_key", ["D1", "D3", "D6"])
+    @pytest.mark.parametrize("config_key", list(_GOLDEN_CONFIGS))
+    def test_partitioned_tree_digest(self, dataset_key, config_key):
+        depth, k, partition_sizes = _GOLDEN_CONFIGS[config_key]
+        config = core.SpliDTConfig(
+            depth=depth, features_per_subtree=k, partition_sizes=partition_sizes
+        )
+        model = core.train_partitioned_tree(
+            _golden_store(dataset_key).fetch(len(partition_sizes)), config, random_state=3
+        )
+        digest = hashlib.sha256()
+        for sid in sorted(model.subtrees):
+            subtree = model.subtrees[sid]
+            digest.update(repr((sid, subtree.partition)).encode())
+            _hash_tree(digest, subtree.tree.tree_)
+            for leaf_id in sorted(subtree.outcomes):
+                outcome = subtree.outcomes[leaf_id]
+                digest.update(
+                    repr((leaf_id, outcome.kind, outcome.label, outcome.next_sid)).encode()
+                )
+        assert digest.hexdigest() == _GOLDEN_PARTITIONED[(dataset_key, config_key)]
+
+    def test_surrogate_shaped_regression_forest_digest(self):
+        # The Bayesian optimiser's surrogate: a small forest of one-feature-
+        # per-split regressors on an integer design (depth, k, partitions).
+        rng = np.random.default_rng(19)
+        X = rng.integers(1, 13, size=(30, 3)).astype(float)
+        y = rng.random(30)
+        forest = RandomForestRegressor(n_estimators=5, max_features=1, random_state=4).fit(X, y)
+        digest = hashlib.sha256()
+        for tree in forest.estimators_:
+            _hash_tree(digest, tree.tree_)
+        assert digest.hexdigest() == _GOLDEN_FOREST

@@ -17,6 +17,7 @@ import pytest
 from repro.core.range_marking import FeatureQuantizer, generate_rules
 from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.features.flowmeter import FlowMeter
+from repro.ml.splitter import find_best_split
 from repro.ml.tree import DecisionTreeClassifier
 from repro.online import (
     COOLDOWN,
@@ -284,6 +285,56 @@ class TestHoeffdingSubtreeLearner:
             if node.feature >= 0:
                 column = X[:, node.feature]
                 assert column.min() - 1.0 <= node.threshold <= column.max() + 1.0
+
+    @staticmethod
+    def _exact_split(X, y, feature, learner):
+        return find_best_split(
+            X, y, allowed_features=np.array([feature]), criterion=learner.criterion,
+            min_samples_leaf=learner.min_samples_leaf, n_classes=learner.n_classes,
+            rng=np.random.default_rng(0),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_binned_gain_never_exceeds_the_exact_splitters(self, seed):
+        # Cuts between histogram bins are a subset of the cuts between
+        # distinct values, scored from the same class counts.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 200))
+        X = np.abs(rng.normal(size=(n, 5))) * rng.integers(1, 50, size=5)
+        X[:, 4] = rng.integers(0, 4, size=n)
+        y = rng.integers(0, 4, size=n)
+        learner = HoeffdingSubtreeLearner(
+            n_classes=4, max_depth=1, quantizer=FeatureQuantizer(bit_width=12).fit(X),
+            min_samples_leaf=int(rng.integers(1, 6)), grace_period=n + 1, n_bins=16,
+        )
+        for vector, label in zip(X, y):
+            learner.observe(vector, int(label))
+        for feature, feature_bins in learner._root.stats.bins.items():
+            cut = learner._best_cut(feature_bins)
+            exact = self._exact_split(X, y, feature, learner)
+            if cut is not None:
+                assert cut[0] <= (exact.improvement if exact is not None else 0.0) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_binned_cut_is_the_exact_one_when_every_value_has_its_own_bin(self, seed):
+        # 6-bit integer features on a 6-bit grid with 64 bins: bin == value.
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(30, 200))
+        X = rng.integers(0, 64, size=(n, 4)).astype(float)
+        X[0] = 63.0
+        y = rng.integers(0, 3, size=n)
+        learner = HoeffdingSubtreeLearner(
+            n_classes=3, max_depth=1, quantizer=FeatureQuantizer(bit_width=6).fit(X),
+            min_samples_leaf=int(rng.integers(1, 6)), grace_period=n + 1,
+        )
+        for vector, label in zip(X, y):
+            learner.observe(vector, int(label))
+        for feature, feature_bins in learner._root.stats.bins.items():
+            assert len(feature_bins) == np.unique(X[:, feature]).size
+            gain, threshold, _, _ = learner._best_cut(feature_bins)
+            exact = self._exact_split(X, y, feature, learner)
+            assert gain == pytest.approx(exact.improvement, abs=1e-12)
+            assert threshold == exact.threshold
 
 
 @pytest.fixture(scope="module")
