@@ -30,7 +30,7 @@ setup(
     python_requires=">=3.10",
     packages=find_packages(where="src"),
     package_dir={"": "src"},
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
     entry_points={
         "console_scripts": ["splidt-repro = repro.pipeline.cli:main"],
     },

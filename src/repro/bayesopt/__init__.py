@@ -1,16 +1,14 @@
 """Bayesian-optimisation substrate (HyperMapper equivalent).
 
-Provides mixed parameter spaces, GP / random-forest surrogates, standard
-acquisition functions and single-/multi-objective optimisers with feasibility
-awareness — the pieces SpliDT's design-space exploration needs.
+Provides mixed parameter spaces, a random-forest surrogate, the
+expected-improvement acquisition and single-/multi-objective optimisers with
+feasibility awareness — the pieces SpliDT's design-space exploration needs.
 """
 
 from repro.bayesopt.acquisition import (
     expected_improvement,
-    probability_of_improvement,
     random_scalarization_weights,
     scalarize,
-    upper_confidence_bound,
 )
 from repro.bayesopt.optimizer import (
     BayesianOptimizer,
@@ -25,12 +23,11 @@ from repro.bayesopt.space import (
     ParameterSpace,
     RealParameter,
 )
-from repro.bayesopt.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.bayesopt.surrogate import RandomForestSurrogate
 
 __all__ = [
     "BayesianOptimizer",
     "CategoricalParameter",
-    "GaussianProcessSurrogate",
     "IntegerParameter",
     "MultiObjectiveBayesianOptimizer",
     "Observation",
@@ -40,8 +37,6 @@ __all__ = [
     "RandomForestSurrogate",
     "RealParameter",
     "expected_improvement",
-    "probability_of_improvement",
     "random_scalarization_weights",
     "scalarize",
-    "upper_confidence_bound",
 ]

@@ -17,20 +17,6 @@ def expected_improvement(
     return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
 
 
-def upper_confidence_bound(mean: np.ndarray, std: np.ndarray, beta: float = 2.0) -> np.ndarray:
-    """GP-UCB acquisition (maximisation)."""
-    return np.asarray(mean, dtype=float) + beta * np.asarray(std, dtype=float)
-
-
-def probability_of_improvement(
-    mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
-) -> np.ndarray:
-    """Probability of improving on the incumbent (maximisation)."""
-    mean = np.asarray(mean, dtype=float)
-    std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    return stats.norm.cdf((mean - best - xi) / std)
-
-
 def random_scalarization_weights(n_objectives: int, rng: np.random.Generator) -> np.ndarray:
     """Dirichlet-uniform weights used to scalarise multi-objective problems."""
     weights = rng.dirichlet(np.ones(n_objectives))

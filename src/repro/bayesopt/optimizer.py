@@ -29,7 +29,7 @@ from repro.bayesopt.acquisition import (
     scalarize,
 )
 from repro.bayesopt.space import ParameterSpace
-from repro.bayesopt.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.bayesopt.surrogate import RandomForestSurrogate
 from repro.core.pareto import pareto_front_indices
 
 
@@ -66,13 +66,11 @@ class BayesianOptimizer:
         self,
         space: ParameterSpace,
         *,
-        surrogate: str = "forest",
         n_initial: int = 8,
         candidate_pool: int = 256,
         seed: int = 0,
     ) -> None:
         self.space = space
-        self.surrogate_kind = surrogate
         self.n_initial = n_initial
         self.candidate_pool = candidate_pool
         self.rng = np.random.default_rng(seed)
@@ -160,8 +158,6 @@ class BayesianOptimizer:
         return max(feasible, key=lambda o: o.objectives[0])
 
     def _make_surrogate(self):
-        if self.surrogate_kind == "gp":
-            return GaussianProcessSurrogate()
         return RandomForestSurrogate(random_state=int(self.rng.integers(0, 2**31 - 1)))
 
 

@@ -1,89 +1,15 @@
-"""Surrogate models for Bayesian optimisation.
+"""Surrogate model for Bayesian optimisation.
 
-Two surrogates are provided, matching HyperMapper's options:
-
-* :class:`GaussianProcessSurrogate` — an RBF-kernel GP with a small nugget,
-  fitted by Cholesky decomposition (scipy).
-* :class:`RandomForestSurrogate` — a bagged regression forest whose
-  across-tree variance provides the predictive uncertainty; more robust for
-  the mixed integer spaces the SpliDT design search uses.
+:class:`RandomForestSurrogate` is a bagged regression forest whose
+across-tree variance provides the predictive uncertainty — HyperMapper's
+choice for the mixed integer spaces the SpliDT design search uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from repro.ml.forest import RandomForestRegressor
-
-
-class GaussianProcessSurrogate:
-    """Gaussian-process regression with an RBF kernel.
-
-    The length scale is set by the median heuristic unless given explicitly;
-    observations are standardised internally.
-    """
-
-    def __init__(self, length_scale: float | None = None, noise: float = 1e-6) -> None:
-        self.length_scale = length_scale
-        self.noise = noise
-        self._X: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self._y_mean = 0.0
-        self._y_std = 1.0
-        self._fitted_length_scale = 1.0
-
-    def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        sq_dists = (
-            np.sum(A**2, axis=1)[:, None]
-            + np.sum(B**2, axis=1)[None, :]
-            - 2 * A @ B.T
-        )
-        sq_dists = np.maximum(sq_dists, 0.0)
-        return np.exp(-0.5 * sq_dists / self._fitted_length_scale**2)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessSurrogate":
-        """Fit the GP on normalised inputs ``X`` and objective values ``y``."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be (n, d) and y must be (n,)")
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        y_norm = (y - self._y_mean) / self._y_std
-
-        if self.length_scale is None:
-            if X.shape[0] > 1:
-                dists = np.sqrt(
-                    np.maximum(
-                        np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1), 0.0
-                    )
-                )
-                positive = dists[dists > 0]
-                self._fitted_length_scale = float(np.median(positive)) if positive.size else 1.0
-            else:
-                self._fitted_length_scale = 1.0
-        else:
-            self._fitted_length_scale = float(self.length_scale)
-
-        K = self._kernel(X, X) + self.noise * np.eye(X.shape[0])
-        self._chol = linalg.cholesky(K, lower=True)
-        self._alpha = linalg.cho_solve((self._chol, True), y_norm)
-        self._X = X
-        return self
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at ``X``."""
-        if self._X is None:
-            raise RuntimeError("surrogate is not fitted")
-        X = np.asarray(X, dtype=float)
-        K_star = self._kernel(X, self._X)
-        mean = K_star @ self._alpha
-        v = linalg.solve_triangular(self._chol, K_star.T, lower=True)
-        variance = np.maximum(1.0 - np.sum(v**2, axis=0), 1e-12)
-        std = np.sqrt(variance)
-        return mean * self._y_std + self._y_mean, std * self._y_std
 
 
 class RandomForestSurrogate:

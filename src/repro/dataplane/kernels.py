@@ -1,59 +1,24 @@
-"""Compiled kernels for the fused window plane (optional Numba backend).
+"""The one window-plane sweep that resists ufunc form: sequential IAT sums.
 
-The vectorized replay engine is NumPy end to end except for one inner sweep
-that resists ufunc form: the *sequential* inter-arrival-time accumulation,
-which must reproduce the scalar operators' left-to-right addition order bit
-for bit (pairwise ``reduceat`` sums round differently).  This module provides
-that sweep twice:
-
-* a **NumPy fallback** — rows bucketed by length into a few dense blocks,
-  each summed with one sequential ``np.add.accumulate`` along its rows, and
-* a **Numba kernel** — a literal per-segment ``for`` loop, compiled when
-  Numba is importable.
-
-Both produce bit-identical results: each accumulates ``diffs[s+1:e]`` left to
-right in float64.  Backend selection happens once at import:
-
-* Numba importable and JIT enabled → ``backend() == "numba"``;
-* otherwise (Numba absent, or ``NUMBA_DISABLE_JIT=1`` /
-  ``REPRO_DISABLE_NUMBA=1`` set) → ``backend() == "numpy"``.
-
-The repository never *requires* Numba — the container image may not ship it —
-so the fallback is a first-class, CI-covered path, not an afterthought.
+The vectorized replay engine is NumPy end to end; the inter-arrival-time
+accumulation must reproduce the scalar operators' left-to-right addition
+order bit for bit (pairwise ``reduceat`` sums round differently), so rows are
+bucketed by length into a few dense blocks, each summed with one sequential
+``np.add.accumulate`` along its rows.  ``tests/test_window_kernels.py`` holds
+the sweep to a literal per-segment loop.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _jit_disabled() -> bool:
-    """Whether the environment asks for the pure-NumPy path."""
-    for variable in ("NUMBA_DISABLE_JIT", "REPRO_DISABLE_NUMBA"):
-        value = os.environ.get(variable, "").strip()
-        if value and value != "0":
-            return True
-    return False
-
-
-HAVE_NUMBA = False
-if not _jit_disabled():
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-
 def backend() -> str:
-    """Name of the active kernel backend (``"numba"`` or ``"numpy"``)."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel backend, recorded with benchmark results."""
+    return "numpy"
 
 
-def _iat_sums_numpy(
+def _iat_sums(
     diffs: np.ndarray,
     s: np.ndarray,
     e: np.ndarray,
@@ -89,25 +54,6 @@ def _iat_sums_numpy(
         acc[rows] = np.add.accumulate(gaps, axis=1, out=gaps)[last] + 0.0
         acc_sq[rows] = np.add.accumulate(squares, axis=1, out=squares)[last] + 0.0
         start = stop
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @numba.njit(cache=True)
-    def _iat_sums_numba(diffs, s, e, acc, acc_sq):  # pragma: no cover
-        for i in range(s.size):
-            total = 0.0
-            total_sq = 0.0
-            for position in range(s[i] + 1, e[i]):
-                gap = diffs[position]
-                total += gap
-                total_sq += gap * gap
-            acc[i] = total
-            acc_sq[i] = total_sq
-
-    _iat_sums = _iat_sums_numba
-else:
-    _iat_sums = _iat_sums_numpy
 
 
 def iat_sequential_sums(

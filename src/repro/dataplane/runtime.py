@@ -143,21 +143,6 @@ def prepare_replay_flows(
     return shifted
 
 
-def _interleaved_packets(flows: list[Flow], soa: PacketArrays):
-    """Yield (flow, packet) pairs across all flows in global timestamp order.
-
-    Uses the ``(timestamp, flow_id)`` permutation precomputed by
-    :class:`~repro.datasets.flows.PacketArrays` — identical ordering to the
-    historical per-call ``events.sort``, without rebuilding the event list.
-    """
-    flow_starts = soa.flow_starts
-    packet_flow = soa.packet_flow
-    for position in soa.interleave_order:
-        flow_index = int(packet_flow[position])
-        flow = flows[flow_index]
-        yield flow, flow.packets[int(position - flow_starts[flow_index])]
-
-
 def replay_dataset(
     program,
     dataset: FlowDataset,

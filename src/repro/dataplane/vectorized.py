@@ -56,9 +56,8 @@ Floating-point notes:
   pair per round instead of a ``reduceat`` sweep — with a runtime exactness
   guard that falls back to ``reduceat`` for columns that exceed the bound.
 * Inter-arrival-time sums are order-sensitive; they are computed by the
-  sequential sweep in :mod:`repro.dataplane.kernels` (compiled with Numba
-  when available, with a bit-identical vectorized NumPy fallback) that
-  reproduces the scalar accumulation order bit for bit.
+  sequential sweep in :mod:`repro.dataplane.kernels`, which reproduces the
+  scalar accumulation order bit for bit.
 """
 
 from __future__ import annotations

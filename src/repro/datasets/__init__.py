@@ -21,7 +21,6 @@ from repro.datasets.generators import (
     PhaseShiftGenerator,
     SyntheticTrafficGenerator,
     generate_dataset,
-    generate_phase_shift_dataset,
 )
 from repro.datasets.materialize import DatasetStore, WindowedDataset, materialize
 from repro.datasets.profiles import DATASET_KEYS, PROFILES, DatasetProfile, get_profile
@@ -73,7 +72,6 @@ __all__ = [
     "dataset_summary",
     "estimate_recirculation",
     "generate_dataset",
-    "generate_phase_shift_dataset",
     "get_profile",
     "get_workload",
     "iter_packet_chunks",

@@ -431,25 +431,3 @@ def generate_dataset(key: str, n_flows: int, seed: int = 0) -> FlowDataset:
     profile = get_profile(key)
     generator = SyntheticTrafficGenerator(profile, seed=seed)
     return generator.generate(n_flows)
-
-
-def generate_phase_shift_dataset(
-    key: str,
-    n_flows: int,
-    seed: int = 0,
-    *,
-    shift_at: float = 0.5,
-    rotation: int = 1,
-    horizon: float = 1.0,
-) -> FlowDataset:
-    """Generate dataset ``key`` with a concept drift at stream time ``shift_at``."""
-    profile = get_profile(key)
-    generator = PhaseShiftGenerator(
-        profile, seed=seed, shift_at=shift_at, rotation=rotation, horizon=horizon
-    )
-    dataset = generator.generate(n_flows)
-    dataset.metadata["shift_at"] = shift_at
-    dataset.metadata["rotation"] = generator.rotation
-    dataset.metadata["horizon"] = generator.horizon
-    dataset.metadata["shift_time"] = generator.shift_time
-    return dataset

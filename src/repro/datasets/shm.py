@@ -37,7 +37,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.datasets.flows import Packet, PacketArrays
+from repro.datasets.flows import PacketArrays
 
 #: Byte alignment of every column inside the segment (cache-line friendly).
 _ALIGN = 64
@@ -102,84 +102,6 @@ def create_segment(size: int, *, prefix: str = SEGMENT_PREFIX) -> shared_memory.
         except FileExistsError:  # pragma: no cover - nonce collision
             continue
     raise RuntimeError("could not allocate a shared-memory segment name")
-
-
-class SharedFlowView:
-    """A :class:`~repro.datasets.flows.Flow` facade over shared packet columns.
-
-    Shipping real ``Flow`` objects to worker processes pickles every
-    ``Packet`` — megabytes per worker for data that already sits in the
-    shared segment.  This view carries only the per-flow metadata (the
-    five-tuple, label, class name, flow id) and materialises its ``packets``
-    list lazily from the SoA columns on first access, so the common batched
-    path (which reads packets straight from the arrays) never pays for
-    object construction; only the scalar collision/prefix path and the
-    per-packet streaming engine touch ``packets``.
-
-    Reconstruction is exact: the SoA columns hold every ``Packet`` field
-    bit-for-bit (sizes/payloads are integer-valued floats), so replaying
-    through rebuilt packets is bit-identical to replaying the originals.
-    """
-
-    __slots__ = ("five_tuple", "label", "class_name", "flow_id", "_soa", "_index", "_packets")
-
-    def __init__(self, five_tuple, label, class_name, flow_id, soa, index) -> None:
-        self.five_tuple = five_tuple
-        self.label = label
-        self.class_name = class_name
-        self.flow_id = flow_id
-        self._soa = soa
-        self._index = index
-        self._packets: list[Packet] | None = None
-
-    @property
-    def packets(self) -> list[Packet]:
-        if self._packets is None:
-            soa = self._soa
-            start = int(soa.flow_starts[self._index])
-            stop = int(soa.flow_starts[self._index + 1])
-            self._packets = [
-                Packet(
-                    timestamp=float(soa.timestamps[j]),
-                    size=int(soa.sizes[j]),
-                    flags=int(soa.flags[j]),
-                    direction=int(soa.directions[j]),
-                    payload=int(soa.payloads[j]),
-                )
-                for j in range(start, stop)
-            ]
-        return self._packets
-
-    @property
-    def n_packets(self) -> int:
-        return int(self._soa.n_packets_per_flow[self._index])
-
-    @property
-    def n_bytes(self) -> int:
-        soa = self._soa
-        start, stop = int(soa.flow_starts[self._index]), int(soa.flow_starts[self._index + 1])
-        return int(soa.sizes[start:stop].sum())
-
-    @property
-    def duration(self) -> float:
-        if self.n_packets < 2:
-            return 0.0
-        soa = self._soa
-        start, stop = int(soa.flow_starts[self._index]), int(soa.flow_starts[self._index + 1])
-        return float(soa.timestamps[stop - 1] - soa.timestamps[start])
-
-
-def flow_meta(flows) -> list[tuple]:
-    """The small picklable payload standing in for a worker's flow list."""
-    return [(f.five_tuple, f.label, f.class_name, f.flow_id) for f in flows]
-
-
-def flows_from_meta(meta: list[tuple], soa: PacketArrays) -> list[SharedFlowView]:
-    """Rebuild a flow list from :func:`flow_meta` over an attached segment."""
-    return [
-        SharedFlowView(five_tuple, label, class_name, flow_id, soa, index)
-        for index, (five_tuple, label, class_name, flow_id) in enumerate(meta)
-    ]
 
 
 @dataclass(frozen=True)
@@ -378,10 +300,7 @@ __all__ = [
     "ColumnSpec",
     "SEGMENT_PREFIX",
     "SharedArraysLayout",
-    "SharedFlowView",
     "SharedMemoryCapacityError",
     "SharedPacketArrays",
     "create_segment",
-    "flow_meta",
-    "flows_from_meta",
 ]

@@ -23,7 +23,6 @@ from repro.features.definitions import (
 from repro.features.flowmeter import FlowMeter, quantize_features
 from repro.features.stateful import StatefulOperator, make_operator, make_operator_bank
 from repro.features.window import (
-    split_flow,
     split_packets,
     window_boundaries,
     window_bounds,
@@ -45,7 +44,6 @@ __all__ = [
     "make_operator_bank",
     "max_dependency_depth",
     "quantize_features",
-    "split_flow",
     "split_packets",
     "window_boundaries",
     "window_bounds",

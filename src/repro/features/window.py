@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.datasets.flows import Flow, Packet
+from repro.datasets.flows import Packet
 
 
 def window_boundaries(n_packets: int, n_windows: int) -> list[int]:
@@ -79,11 +79,6 @@ def split_packets(packets: list[Packet], n_windows: int) -> list[list[Packet]]:
         windows.append(packets[start:end])
         start = end
     return windows
-
-
-def split_flow(flow: Flow, n_windows: int) -> list[list[Packet]]:
-    """Split a flow's packets into windows (packets assumed time-ordered)."""
-    return split_packets(flow.packets, n_windows)
 
 
 def window_of_packet(packet_index: int, n_packets: int, n_windows: int) -> int:

@@ -103,11 +103,6 @@ class Tree:
     # Introspection helpers
     # ------------------------------------------------------------------
     @property
-    def node_count(self) -> int:
-        """Total number of nodes (internal + leaves)."""
-        return len(self.nodes)
-
-    @property
     def n_leaves(self) -> int:
         """Number of leaf nodes."""
         return sum(1 for node in self.nodes if node.is_leaf)

@@ -1,7 +1,7 @@
 """Bagged tree ensembles.
 
 Random forests serve two roles in this repository: (1) a stronger reference
-model in the examples, and (2) the surrogate model option for the Bayesian
+model in the examples, and (2) the surrogate model of the Bayesian
 optimiser (HyperMapper uses random-forest surrogates for mixed parameter
 spaces).
 """

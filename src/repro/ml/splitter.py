@@ -115,18 +115,6 @@ def _split_scores_from_one_hot(sorted_one_hot: np.ndarray, criterion: str) -> np
     return left_totals * left_impurity + right_totals * right_impurity
 
 
-def _classification_split_scores(
-    sorted_y: np.ndarray, n_classes: int, criterion: str
-) -> np.ndarray:
-    """Impurity-sum for every prefix cut of a sorted label vector.
-
-    Returns an array ``scores`` of length ``len(sorted_y) - 1`` where
-    ``scores[i]`` is the weighted (by count) impurity of splitting the sorted
-    samples into ``[:i + 1]`` and ``[i + 1:]``.
-    """
-    return _split_scores_from_one_hot(_one_hot_labels(sorted_y, n_classes), criterion)
-
-
 def split_gains_from_counts(
     left_counts: np.ndarray, right_counts: np.ndarray, criterion: str
 ) -> np.ndarray:

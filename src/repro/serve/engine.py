@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.streaming import RollingReport, RollingTTD
+from repro.dataplane import vectorized as vz
 from repro.dataplane.runtime import ReplayResult, build_replay_result
 from repro.datasets.streams import PacketChunk
 
@@ -497,18 +498,15 @@ class InferenceEngine(abc.ABC):
             self._ensure_epoch_arrays()
             pinned = self._pinned_slots()
             rebind = np.ones(self._slot_epoch.size, dtype=bool)
-            if pinned:
-                rebind[np.fromiter(pinned, dtype=np.intp)] = False
+            rebind[pinned] = False
             self._slot_epoch[rebind] = new_epoch
-            pinned_slots = len(pinned)
+            pinned_slots = int(pinned.size)
             delivered_idx = np.flatnonzero(self._delivered > 0)
             pinned_flows = int(np.count_nonzero(
                 self._delivered[delivered_idx]
                 < self._soa.n_packets_per_flow[delivered_idx]
             ))
-            started = frozenset(
-                self._flows[i].flow_id for i in delivered_idx.tolist()
-            )
+            started = frozenset(self._soa.flow_ids[delivered_idx].tolist())
         else:
             # No packet delivered yet: every slot (current and future)
             # belongs wholesale to the new epoch.
@@ -557,59 +555,37 @@ class InferenceEngine(abc.ABC):
                 "cannot determine the register table size for swap routing "
                 "(no epoch has processed traffic yet)"
             )
-        from repro.switch.hashing import flow_slots
-
-        self._swap_slots = flow_slots(self._soa, table_size)
+        # Hashed once per source: the first ingest has already filled the cache.
+        self._swap_slots = vz.cached_flow_slots(self._soa, table_size)
         self._slot_epoch = np.full(table_size, self._default_slot_epoch, dtype=np.int32)
         self._flow_epoch = np.full(self._soa.n_flows, -1, dtype=np.int32)
         delivered_idx = np.flatnonzero(self._delivered > 0)
         self._flow_epoch[delivered_idx] = self._slot_epoch[self._swap_slots[delivered_idx]]
 
-    def _pinned_slots(self) -> set[int]:
+    def _pinned_slots(self) -> np.ndarray:
         """Slots that must stay on their current epoch across this swap.
 
         A slot is pinned when, among the flows of its *current* epoch with
         delivered packets, any is incomplete (in flight), any two overlap in
         time, or any two share a five-tuple — the cases where register state
-        (possibly corrupted/undecided) must survive for later packets.  Pure
-        function of the stream prefix, so all engines agree.
+        (possibly corrupted/undecided) must survive for later packets.  That
+        is the rule replay routes by (:func:`vz._split_scalar_fast`): a
+        complete flow's delivered span is its whole span.  Pure function of
+        the stream prefix, so all engines agree.
         """
         soa = self._soa
-        delivered = self._delivered
-        totals = soa.n_packets_per_flow
-        flow_starts = soa.flow_starts
-        timestamps = soa.timestamps
+        slots = self._swap_slots
         current = np.flatnonzero(
-            (delivered > 0)
-            & (self._flow_epoch == self._slot_epoch[self._swap_slots])
+            (self._delivered > 0) & (self._flow_epoch == self._slot_epoch[slots])
         )
-        pinned: set[int] = set(
-            self._swap_slots[current[delivered[current] < totals[current]]].tolist()
+        incomplete = self._delivered[current] < soa.n_packets_per_flow[current]
+        # Equal tuples hash to one slot, so forcing the repeats forces their slot.
+        tuple_ids = vz.cached_tuple_ids(soa, self._slot_epoch.size)[current]
+        repeated = np.bincount(tuple_ids)[tuple_ids] > 1
+        unsafe = vz._split_scalar_fast(
+            soa, self._flows, slots, current, forced=incomplete | repeated
         )
-        by_slot: dict[int, list[int]] = {}
-        for f in current.tolist():
-            by_slot.setdefault(int(self._swap_slots[f]), []).append(f)
-        for slot, members in by_slot.items():
-            if slot in pinned or len(members) < 2:
-                continue
-            tuples = {self._flows[f].five_tuple for f in members}
-            if len(tuples) < len(members):
-                pinned.add(slot)
-                continue
-            intervals = sorted(
-                (
-                    float(timestamps[flow_starts[f]]),
-                    float(timestamps[flow_starts[f] + delivered[f] - 1]),
-                )
-                for f in members
-            )
-            horizon = float("-inf")
-            for first_ts, last_ts in intervals:
-                if first_ts <= horizon:
-                    pinned.add(slot)
-                    break
-                horizon = max(horizon, last_ts)
-        return pinned
+        return np.unique(slots[current[unsafe]])
 
     def _route_chunk(self, chunk: PacketChunk) -> None:
         """Split one chunk by flow epoch and dispatch the sub-chunks."""

@@ -18,7 +18,7 @@ the GIL):
   and crash detection is folded into the busy-wait-then-backoff loops on
   both sides;
 * each worker owns a fresh program instance (its own register file and
-  recirculation channel) plus a child engine;
+  recirculation channel) plus a micro-batch engine over them;
   programs are **pre-bound at pool start** — ``open()`` blocks until every
   worker has built its program (LUT compilation included), so warm-up is
   paid once up front instead of inside the serving window;
@@ -57,15 +57,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import time
 import traceback
 import weakref
 
 import numpy as np
 
 from repro.dataplane import vectorized as vz
-from repro.datasets.shm import SharedPacketArrays, flow_meta, flows_from_meta
-from repro.datasets.streams import PacketChunk
+from repro.datasets.shm import SharedPacketArrays
+from repro.datasets.streams import LazyFlowList, PacketChunk
 from repro.serve.engine import (
     InferenceEngine,
     ServeError,
@@ -89,11 +88,6 @@ START_METHODS = (None, "fork", "spawn", "forkserver")
 DEFAULT_RING_SLOTS = 64
 DEFAULT_RING_SPAN = 4096
 
-#: Test hook: ``"<worker index>:<seconds>"`` delays that worker's drain reply,
-#: so the deterministic-merge regression test can force an adversarial finish
-#: order without touching engine code.
-DRAIN_SLEEP_ENV = "SPLIDT_SERVE_TEST_DRAIN_SLEEP"
-
 #: Seconds to wait for a worker to build its program and report ready.
 _READY_TIMEOUT = 300.0
 
@@ -102,18 +96,6 @@ _POLL = 0.2
 
 #: Bounded wait for best-effort stop messages during teardown.
 _STOP_TIMEOUT = 0.25
-
-
-def _drain_sleep_for(index: int) -> float:
-    """Seconds the test hook wants worker ``index`` to nap before replying."""
-    raw = os.environ.get(DRAIN_SLEEP_ENV)
-    if not raw:
-        return 0.0
-    try:
-        target, _, seconds = raw.partition(":")
-        return float(seconds) if int(target) == index else 0.0
-    except ValueError:
-        return 0.0
 
 
 def _snapshot_payload(engine, program, reported: set) -> dict:
@@ -145,7 +127,6 @@ class _ParentLost(RuntimeError):
 
 def _worker_main(
     index: int,
-    child_engine: str,
     flush_flows: int | None,
     backpressure: int | None,
     tasks,
@@ -155,7 +136,7 @@ def _worker_main(
 
     Startup is two-phase so programs pre-bind before any traffic exists:
 
-    1. ``("bind", factory_bytes)`` — build the program and child engine,
+    1. ``("bind", factory_bytes)`` — build the program and its micro-batch engine,
        reply ``("ready", index, table_size)``.  Everything heavyweight
        travels through the task queue rather than the ``Process`` args,
        because a large args pickle is written synchronously by
@@ -178,7 +159,6 @@ def _worker_main(
     import pickle
 
     from repro.serve.microbatch import MicroBatchEngine
-    from repro.serve.streaming import StreamingEngine
 
     parent_pid = os.getppid()
     shared = None
@@ -191,27 +171,24 @@ def _worker_main(
         program = program_factory()
         if program is None:
             raise ServeError("program_factory returned None")
-        if child_engine == "streaming":
-            engine = StreamingEngine(program)
-        else:
-            kwargs = {}
-            if flush_flows is not None:
-                kwargs["flush_flows"] = flush_flows
-            if backpressure is not None:
-                kwargs["backpressure"] = backpressure
-            engine = MicroBatchEngine(program, **kwargs)
+        kwargs = {}
+        if flush_flows is not None:
+            kwargs["flush_flows"] = flush_flows
+        if backpressure is not None:
+            kwargs["backpressure"] = backpressure
+        engine = MicroBatchEngine(program, **kwargs)
         engine.open()
         results.put(("ready", index, program.indexer.table_size))
 
         message = tasks.get()
         if message[0] != "attach":
             return  # session closed without traffic
-        layout, meta, slots, tuple_ids = pickle.loads(message[1])
+        layout, slots, tuple_ids = pickle.loads(message[1])
         shared = SharedPacketArrays.attach(layout)
         soa = shared.arrays
-        # Flow *metadata* only crossed the boundary; packets come from the
-        # shared columns, materialised lazily (scalar/streaming paths only).
-        flows = flows_from_meta(meta, soa)
+        # No flow object crosses the boundary: identity and packets come from
+        # the shared columns, materialised lazily (scalar paths only).
+        flows = LazyFlowList(soa)
         vz.seed_flow_hashes(soa, program.indexer.table_size, slots, tuple_ids)
         ring = SpscRing.attach(message[2])
     except BaseException:
@@ -228,9 +205,6 @@ def _worker_main(
     reported: set = set()
 
     def reply(kind: str) -> None:
-        sleep = _drain_sleep_for(index) if kind == "drained" else 0.0
-        if sleep > 0.0:
-            time.sleep(sleep)
         results.put((kind, index, _snapshot_payload(engine, program, reported)))
 
     failed = False
@@ -323,8 +297,6 @@ class ProcessShardedEngine(InferenceEngine):
         start_method: ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None``
             (the platform's multiprocessing default: fork on Linux, spawn
             on macOS/Windows).
-        child_engine: Engine each worker runs (``"microbatch"`` or
-            ``"streaming"``).
         ring_slots: Slots per worker ring.  A full ring is this engine's
             backpressure: ``ingest`` blocks with backoff until
             the worker frees a slot.
@@ -353,7 +325,6 @@ class ProcessShardedEngine(InferenceEngine):
         *,
         workers: int = 4,
         start_method: str | None = None,
-        child_engine: str = "microbatch",
         ring_slots: int = DEFAULT_RING_SLOTS,
         ring_span: int = DEFAULT_RING_SPAN,
         flush_flows: int | None = None,
@@ -362,11 +333,6 @@ class ProcessShardedEngine(InferenceEngine):
         super().__init__()
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
-        if child_engine not in ("microbatch", "streaming"):
-            raise ServeError(
-                f"unknown child engine {child_engine!r}; "
-                "expected 'microbatch' or 'streaming'"
-            )
         if ring_slots < 1:
             raise ServeError(f"ring_slots must be >= 1, got {ring_slots}")
         if ring_span < 1:
@@ -382,7 +348,6 @@ class ProcessShardedEngine(InferenceEngine):
         self.program_factory = program_factory
         self.workers = workers
         self.start_method = start_method
-        self.child_engine = child_engine
         self.ring_slots = ring_slots
         self.ring_span = ring_span
         self.flush_flows = flush_flows
@@ -437,7 +402,6 @@ class ProcessShardedEngine(InferenceEngine):
                 name=f"serve-mp-shard-{index}",
                 args=(
                     index,
-                    self.child_engine,
                     self.flush_flows,
                     self.child_backpressure,
                     tasks,
@@ -511,7 +475,7 @@ class ProcessShardedEngine(InferenceEngine):
             self._rings.append(ring)
             self._segments.append(ring)
         payload = pickle.dumps(
-            (self._shared.layout, flow_meta(self._flows), slots, tuple_ids),
+            (self._shared.layout, slots, tuple_ids),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         for tasks, ring in zip(self._task_queues, self._rings):
@@ -726,7 +690,6 @@ class ProcessShardedEngine(InferenceEngine):
             program_factory,
             workers=self.workers,
             start_method=self.start_method,
-            child_engine=self.child_engine,
             ring_slots=self.ring_slots,
             ring_span=self.ring_span,
             flush_flows=self.flush_flows,

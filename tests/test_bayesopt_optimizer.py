@@ -7,14 +7,12 @@ import pytest
 
 from repro.bayesopt.acquisition import (
     expected_improvement,
-    probability_of_improvement,
     random_scalarization_weights,
     scalarize,
-    upper_confidence_bound,
 )
 from repro.bayesopt.optimizer import BayesianOptimizer, MultiObjectiveBayesianOptimizer
 from repro.bayesopt.space import IntegerParameter, ParameterSpace, RealParameter
-from repro.bayesopt.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.bayesopt.surrogate import RandomForestSurrogate
 
 
 class TestSurrogates:
@@ -23,35 +21,6 @@ class TestSurrogates:
         X = rng.uniform(0, 1, size=(40, 2))
         y = np.sin(X[:, 0] * 6) + X[:, 1]
         return X, y
-
-    def test_gp_fit_predict_shapes(self):
-        X, y = self._data()
-        gp = GaussianProcessSurrogate().fit(X, y)
-        mean, std = gp.predict(X[:5])
-        assert mean.shape == (5,)
-        assert std.shape == (5,)
-        assert np.all(std >= 0)
-
-    def test_gp_interpolates_training_points(self):
-        X, y = self._data()
-        gp = GaussianProcessSurrogate(noise=1e-8).fit(X, y)
-        mean, _ = gp.predict(X)
-        assert np.abs(mean - y).max() < 0.1
-
-    def test_gp_uncertainty_lower_at_training_points(self):
-        X, y = self._data()
-        gp = GaussianProcessSurrogate().fit(X, y)
-        _, std_train = gp.predict(X[:1])
-        _, std_far = gp.predict(np.array([[5.0, 5.0]]))
-        assert std_far[0] > std_train[0]
-
-    def test_gp_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            GaussianProcessSurrogate().predict(np.zeros((1, 2)))
-
-    def test_gp_input_validation(self):
-        with pytest.raises(ValueError):
-            GaussianProcessSurrogate().fit(np.zeros((3, 2)), np.zeros(4))
 
     def test_forest_surrogate_shapes(self):
         X, y = self._data()
@@ -63,6 +32,9 @@ class TestSurrogates:
     def test_forest_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestSurrogate().predict(np.zeros((1, 2)))
+        # The forest is the only surrogate: the GP is gone, not aliased.
+        with pytest.raises(ImportError):
+            from repro.bayesopt import GaussianProcessSurrogate  # noqa: F401
 
 
 class TestAcquisitions:
@@ -82,15 +54,6 @@ class TestAcquisitions:
     def test_ei_increases_with_uncertainty_below_best(self):
         ei = expected_improvement(np.array([0.0, 0.0]), np.array([0.01, 1.0]), best=0.5)
         assert ei[1] > ei[0]
-
-    def test_ucb(self):
-        ucb = upper_confidence_bound(np.array([1.0]), np.array([0.5]), beta=2.0)
-        assert ucb[0] == pytest.approx(2.0)
-
-    def test_probability_of_improvement_bounds(self):
-        pi = probability_of_improvement(np.array([0.0, 10.0]), np.array([1.0, 1.0]), best=0.5)
-        assert 0 <= pi[0] <= 1
-        assert pi[1] > 0.99
 
     def test_scalarization_weights_sum_to_one(self):
         weights = random_scalarization_weights(3, np.random.default_rng(0))
@@ -120,6 +83,8 @@ class TestBayesianOptimizer:
         space = ParameterSpace([IntegerParameter("a", 0, 10)])
         optimizer = BayesianOptimizer(space, seed=1)
         assert len(optimizer.ask(4)) == 4
+        with pytest.raises(TypeError, match="surrogate"):
+            BayesianOptimizer(space, surrogate="gp")
 
     def test_best_requires_feasible(self):
         space = ParameterSpace([IntegerParameter("a", 0, 10)])

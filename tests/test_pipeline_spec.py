@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
 from repro.core.config import SpliDTConfig
@@ -98,19 +96,56 @@ class TestResolution:
             ExperimentSpec(replay_engine="warp").validate()
 
     def test_src_reads_no_ambient_env_knob(self):
-        # Spec -> constructor -> CLI is the whole config surface.  The one
-        # SPLIDT_ variable left is a test hook that has to cross a spawn
-        # boundary (tests/test_serve_ring.py slows one worker's drain reply).
+        # Spec -> constructor -> CLI is the whole config surface: nothing
+        # under src/ names the environment, under any variable name.
+        import ast
         from pathlib import Path
 
         import repro
 
-        literals = {
-            match
-            for path in Path(repro.__file__).parent.rglob("*.py")
-            for match in re.findall(r"SPLIDT_[A-Z_]+", path.read_text())
-        }
-        assert literals == {"SPLIDT_SERVE_TEST_DRAIN_SLEEP"}
+        env_names = {"environ", "getenv"}
+        reads = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr in env_names)
+            or (isinstance(node, ast.Name) and node.id in env_names)
+            or (isinstance(node, ast.alias) and node.name in env_names)
+        ]
+        assert reads == []
+
+    def test_src_imports_only_declared_dependencies(self):
+        # `pip install -e .` must be enough to `import repro`: every top-level
+        # module imported anywhere under src/repro is the package itself, the
+        # standard library, or named in setup.py's install_requires.
+        import ast
+        import re
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        package = Path(repro.__file__).parent
+        setup_call = next(
+            node
+            for node in ast.walk(ast.parse((package.parents[1] / "setup.py").read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setup"
+        )
+        requires = next(
+            ast.literal_eval(keyword.value)
+            for keyword in setup_call.keywords
+            if keyword.arg == "install_requires"
+        )
+        declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in requires}
+        imported = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - {"repro"} - set(sys.stdlib_module_names)
+        assert third_party <= declared, sorted(third_party - declared)
 
     def test_topk_config_for_baselines(self):
         spec = ExperimentSpec(system="netbeacon", depth=8, features_per_subtree=3)

@@ -89,20 +89,6 @@ class TestProcessShardedParity:
         _assert_identical(reference, result)
         assert not _leaked_segments()
 
-    def test_streaming_children(self, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
-            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
-            small_dataset,
-            engine="reference",
-        )
-        engine = ProcessShardedEngine(
-            ProgramFactory(splidt_model, splidt_rules, 8192),
-            workers=2,
-            child_engine="streaming",
-        )
-        result = _stream(engine, _chunks(small_dataset.flows, 97))
-        _assert_identical(reference, result)
-
     def test_truncated_stream_matches_reference_prefix(
         self, splidt_model, splidt_rules, small_dataset
     ):
@@ -205,8 +191,9 @@ class TestLifecycleAndTeardown:
             ProcessShardedEngine(factory, workers=0)
         with pytest.raises(ServeError, match="start method"):
             ProcessShardedEngine(factory, start_method="warp")
-        with pytest.raises(ServeError, match="child engine"):
-            ProcessShardedEngine(factory, child_engine="warp")
+        # Removed option: workers run MicroBatchEngine, there is nothing to pick.
+        with pytest.raises(TypeError, match="child_engine"):
+            ProcessShardedEngine(factory, child_engine="streaming")
 
     def test_unpicklable_factory_rejected_with_actionable_error(
         self, splidt_model, splidt_rules, small_dataset

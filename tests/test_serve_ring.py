@@ -7,7 +7,7 @@ must surface as ``ServeError`` and leave **no** ``/dev/shm`` residue —
 neither packet segments nor rings), full-ring backpressure with a 1-slot
 ring, idempotent teardown, both start methods, and the deterministic-merge
 guarantee (verdict streams must not depend on worker finish order, asserted
-with an env-injected drain delay on one worker).
+with a factory whose program makes one chosen worker late).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.datasets.shm import SEGMENT_PREFIX
 from repro.datasets.streams import iter_packet_chunks
 from repro.serve import ProcessShardedEngine, ServeError
-from repro.serve.process_sharded import DRAIN_SLEEP_ENV
 from repro.serve.ring import (
     KIND_CHUNK,
     KIND_DRAIN,
@@ -242,29 +241,68 @@ class TestRingFaultInjection:
 # ----------------------------------------------------------------------
 # Deterministic merge: drain order must not depend on worker finish order
 # ----------------------------------------------------------------------
+class _LateProgram(SpliDTDataPlane):
+    """Stalls once, in ``finalise_staged``, on the worker that owns ``target``.
+
+    A worker only ever sees slots with ``slot % workers == its index``, so
+    the program learns where it runs from the first slots it is handed.
+    """
+
+    stall = 0.4
+    late_shard: tuple[int, int] | None = None  # (target, workers), set by the factory
+    _pending_stall = 0.0
+
+    def begin_flows(self, slots) -> None:
+        if self.late_shard is not None and len(slots):
+            target, workers = self.late_shard
+            self._pending_stall = self.stall if int(slots[0]) % workers == target else 0.0
+            self.late_shard = None
+        super().begin_flows(slots)
+
+    def finalise_staged(self, staging: list) -> None:
+        if self._pending_stall:
+            time.sleep(self._pending_stall)
+            self._pending_stall = 0.0
+        super().finalise_staged(staging)
+
+
+class LateProgramFactory(ProgramFactory):
+    """Picklable: the shard whose slots are ``target`` mod ``workers`` runs late."""
+
+    def __init__(self, model, rules, flow_slots: int, late_shard=None) -> None:
+        super().__init__(model, rules, flow_slots)
+        self.late_shard = late_shard
+
+    def __call__(self) -> SpliDTDataPlane:
+        program = _LateProgram(self.model, self.rules, flow_slots=self.flow_slots)
+        program.late_shard = self.late_shard
+        return program
+
+
 class TestDeterministicMerge:
     def test_verdict_stream_identical_with_a_slowed_worker(
-        self, splidt_model, splidt_rules, small_dataset, monkeypatch
+        self, splidt_model, splidt_rules, small_dataset
     ):
-        def run() -> list:
+        workers = 3
+
+        def run(late_worker=None) -> list:
+            late_shard = None if late_worker is None else (late_worker, workers)
             engine = ProcessShardedEngine(
-                ProgramFactory(splidt_model, splidt_rules, 8192),
-                workers=3,
+                LateProgramFactory(splidt_model, splidt_rules, 8192, late_shard),
+                workers=workers,
                 flush_flows=2,
             )
+            start = time.perf_counter()
             result = _stream(engine, iter_packet_chunks(small_dataset.flows, 700))
+            if late_shard is not None:  # the chosen worker really did stall
+                assert time.perf_counter() - start >= _LateProgram.stall
             # Insertion order of the merged dict IS the drained stream order.
             return [
                 (fid, v.label, v.decided_at) for fid, v in result.verdicts.items()
             ]
 
-        monkeypatch.delenv(DRAIN_SLEEP_ENV, raising=False)
         baseline = run()
-        # Slow worker 2's drain reply: it now finishes last, but the merged
-        # stream must be bit-identical because absorption is index-ordered.
-        monkeypatch.setenv(DRAIN_SLEEP_ENV, "2:0.4")
-        slowed = run()
-        assert slowed == baseline
-        monkeypatch.setenv(DRAIN_SLEEP_ENV, "0:0.4")
-        slowed_first = run()
-        assert slowed_first == baseline
+        # Worker 2 stalls mid-stream and finishes last, but the merged stream
+        # must be bit-identical because absorption is index-ordered.
+        assert run(late_worker=2) == baseline
+        assert run(late_worker=0) == baseline

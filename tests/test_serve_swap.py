@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import core
 from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
 from repro.serve import (
+    InferenceEngine,
     MicroBatchEngine,
     ProcessShardedEngine,
     ServeError,
@@ -287,6 +290,30 @@ class TestSwapProtocol:
             engine.swap_model(ProgramFactory(splidt_model, splidt_rules, 64))
         engine.close()
 
+    @pytest.mark.parametrize("kind", ("microbatch", "sharded-mp"))
+    def test_swap_reuses_the_first_ingests_hashing_pass(
+        self, kind, splidt_model, splidt_rules, small_dataset, monkeypatch
+    ):
+        from repro.switch import hashing
+
+        passes = []
+        crc32_columns = hashing.crc32_columns
+        monkeypatch.setattr(
+            hashing, "crc32_columns",
+            lambda *columns: passes.append(1) or crc32_columns(*columns),
+        )
+        factory = ProgramFactory(splidt_model, splidt_rules, 8192)
+        chunks = _chunks(small_dataset.flows, 64)
+        engine = _make_engine(kind, factory).open()
+        try:
+            engine.ingest(chunks[0])
+            assert len(passes) == 1
+            event = engine.swap_model(factory)
+            assert event.flows_started > 0  # the slot routing tables were built
+            assert len(passes) == 1
+        finally:
+            engine.close()
+
     def test_stats_absorb_both_epochs(self, splidt_model, splidt_rules, small_dataset):
         factory = ProgramFactory(splidt_model, splidt_rules, 8192)
         engine = MicroBatchEngine(factory(), flush_flows=4)
@@ -296,3 +323,82 @@ class TestSwapProtocol:
         assert stats.flows_decided == len(result.verdicts)
         assert stats.buffered_packets == 0
         assert stats.packets == sum(chunk.n_packets for chunk in chunks)
+
+
+class _PinProbe(InferenceEngine):
+    """Just enough engine to ask ``_pinned_slots`` about a hand-built prefix."""
+
+    def __init__(self, flows, delivered, table_size: int) -> None:
+        super().__init__()
+        self._soa = PacketArrays.from_flows(flows)
+        self._flows = flows
+        self._delivered = np.asarray(delivered, dtype=np.int64)
+        self._table_size = table_size
+
+    def _swap_table_size(self) -> int:
+        return self._table_size
+
+    def _engine_verdicts(self) -> dict:
+        return {}
+
+    def _ingest(self, chunk) -> None:
+        pass
+
+
+@st.composite
+def _pin_cases(draw):
+    table_size = draw(st.integers(4, 16))
+    n_flows = draw(st.integers(2, 40))
+    # A small tuple pool: repeats and slot collisions are the common case.
+    pool = draw(st.integers(1, n_flows))
+    flows, delivered, stale = [], [], []
+    for flow_id in range(n_flows):
+        tuple_index = draw(st.integers(0, pool - 1))
+        timestamp = float(draw(st.integers(0, 30)))
+        packets = []
+        for _ in range(draw(st.integers(1, 5))):
+            packets.append(Packet(timestamp=timestamp, size=60, flags=0, direction=1, payload=0))
+            timestamp += float(draw(st.integers(0, 3)))
+        flows.append(Flow(
+            five_tuple=FiveTuple(10 + tuple_index, 20, 1000 + 7 * tuple_index, 443, 6),
+            packets=packets, label=0, class_name="", flow_id=flow_id,
+        ))
+        delivered.append(draw(st.integers(0, len(packets))))
+        stale.append(draw(st.integers(0, 3)) == 0)
+    return table_size, flows, delivered, stale
+
+
+class TestPinnedSlotsRule:
+    @settings(max_examples=150, deadline=None)
+    @given(_pin_cases())
+    def test_equals_an_all_pairs_statement_of_the_rule(self, case):
+        table_size, flows, delivered, stale = case
+        probe = _PinProbe(flows, delivered, table_size)
+        probe._ensure_epoch_arrays()
+        # Some delivered flows belong to an older epoch than their slot:
+        # they are not members, whatever they overlap.
+        probe._flow_epoch[np.flatnonzero(np.array(stale) & (probe._delivered > 0))] = 7
+
+        members: dict[int, list[int]] = {}
+        for f, flow in enumerate(flows):
+            slot = int(probe._swap_slots[f])
+            if delivered[f] > 0 and probe._flow_epoch[f] == probe._slot_epoch[slot]:
+                members.setdefault(slot, []).append(f)
+
+        def span(f):
+            packets = flows[f].packets
+            return packets[0].timestamp, packets[delivered[f] - 1].timestamp
+
+        expected = set()
+        for slot, group in members.items():
+            pairs = [(a, b) for i, a in enumerate(group) for b in group[i + 1:]]
+            if (
+                any(delivered[f] < len(flows[f].packets) for f in group)
+                or any(flows[a].five_tuple == flows[b].five_tuple for a, b in pairs)
+                or any(
+                    span(a)[0] <= span(b)[1] and span(b)[0] <= span(a)[1]
+                    for a, b in pairs
+                )
+            ):
+                expected.add(slot)
+        assert set(probe._pinned_slots().tolist()) == expected

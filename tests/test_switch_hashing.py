@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
-from repro.datasets.shm import SharedPacketArrays, flow_meta, flows_from_meta
+from repro.datasets.shm import SharedPacketArrays
 from repro.datasets.streams import LazyFlowList, StreamedPacketWriter
 from repro.switch.hashing import (
     FlowIndexer,
@@ -193,7 +193,8 @@ class TestFlowSlots:
 
     def test_worker_view_hashes_like_the_parent(self, small_dataset):
         # What a sharded-mp worker holds: columns attached from the pickled
-        # layout plus flow metadata; both must name flows as the parent does.
+        # layout and a lazy flow list over them; the columns, the list and the
+        # flows it materialises must all name flows as the parent does.
         soa = small_dataset.packet_arrays()
         expected = flow_slots(small_dataset.flows, 1021, return_tuple_ids=True)
         shared = SharedPacketArrays.create(soa)
@@ -202,12 +203,12 @@ class TestFlowSlots:
             arrays = view.arrays
             assert np.array_equal(arrays.src_ips, soa.src_ips)
             assert np.array_equal(arrays.dst_ips, soa.dst_ips)
-            meta = pickle.loads(pickle.dumps(flow_meta(small_dataset.flows)))
-            for handed in (arrays, flows_from_meta(meta, arrays)):
+            lazy = LazyFlowList(arrays)
+            for handed in (arrays, lazy, list(lazy)):
                 slots, tuple_ids = flow_slots(handed, 1021, return_tuple_ids=True)
                 assert np.array_equal(slots, expected[0])
                 assert np.array_equal(tuple_ids, expected[1])
-            del arrays, handed
+            del arrays, lazy, handed
             view.close()
         finally:
             shared.unlink()

@@ -134,10 +134,8 @@ def _skewed_shapes():
     yield "random", rng.integers(1, 90, size=200)
 
 
-@pytest.mark.parametrize("sums", [kernels.iat_sequential_sums, kernels._iat_sums_numpy],
-                         ids=["active-backend", "numpy"])
 @pytest.mark.parametrize("shape", list(_skewed_shapes()), ids=lambda shape: shape[0])
-def test_iat_sums_equal_a_literal_loop(shape, sums):
+def test_iat_sums_equal_a_literal_loop(shape):
     _name, lengths = shape
     rng = np.random.default_rng(int(lengths.sum()))
     e = np.cumsum(lengths).astype(np.intp)
@@ -149,11 +147,7 @@ def test_iat_sums_equal_a_literal_loop(shape, sums):
     # Rows out of source order, as the live set of a replay round is.
     shuffle = rng.permutation(lengths.size)
     s, e = s[shuffle], e[shuffle]
-    if sums is kernels._iat_sums_numpy:
-        acc, acc_sq = np.empty(s.size), np.empty(s.size)
-        sums(diffs, s, e, acc, acc_sq)
-    else:
-        acc, acc_sq = sums(diffs, s, e)
+    acc, acc_sq = kernels.iat_sequential_sums(diffs, s, e)
     want, want_sq = _loop_sums(diffs, s, e)
     assert np.array_equal(acc.view(np.int64), want.view(np.int64))
     assert np.array_equal(acc_sq.view(np.int64), want_sq.view(np.int64))
