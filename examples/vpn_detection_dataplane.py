@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  recirculation bandwidth   : {recirc['mean_bps'] / 1e6:.3f} Mbps "
           f"({recirc['utilisation'] * 100:.5f}% of the path)")
 
-    report = experiment.deploy().program.pipeline.resource_report()
+    report = experiment.deploy().program.layout().resource_report()
     print(f"  pipeline fits Tofino1     : {report.fits} "
           f"(stages used: {report.stages_used}/{report.stages_available})")
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import RuleSet
-from repro.dataplane.runtime import ReplayResult
+from repro.dataplane import vectorized as vz
+from repro.dataplane.runtime import ReplayResult, build_replay_result
 from repro.dataplane.splidt_program import SpliDTDataPlane
-from repro.datasets.flows import FlowDataset
-from repro.switch.phv import make_data_phv
+from repro.datasets.flows import FlowDataset, PacketArrays
 
 
 @dataclass
@@ -40,31 +42,12 @@ def _replay_with_spoofed_size(
 ) -> ReplayResult:
     """Replay ``dataset`` advertising ``scale``× the true flow size."""
     program = SpliDTDataPlane(model, rules, flow_slots=flow_slots)
+    soa = dataset.packet_arrays()
+    spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in dataset.flows]
+    # Flow by flow (flow-major positions), not in arrival order.
+    vz._replay_positions(program, dataset.flows, soa, np.arange(soa.n_packets), spoofed)
     labels = {flow.flow_id: flow.label for flow in dataset.flows}
-    for flow in dataset.flows:
-        spoofed_size = max(int(round(flow.n_packets * scale)), 1)
-        for packet in flow.packets:
-            phv = make_data_phv(flow.five_tuple, packet)
-            program.process_packet(phv, flow.flow_id, spoofed_size)
-
-    import numpy as np
-
-    from repro.core.evaluation import ClassificationReport
-
-    verdicts = program.verdicts
-    decided = [flow_id for flow_id in verdicts if flow_id in labels]
-    if decided:
-        y_true = np.array([labels[i] for i in decided])
-        y_pred = np.array([verdicts[i].label for i in decided])
-        report = ClassificationReport.from_predictions(y_true, y_pred)
-    else:
-        report = ClassificationReport(0.0, 0.0, 0.0, 0.0, 0, np.zeros((0, 0)))
-    return ReplayResult(
-        verdicts=verdicts,
-        labels=labels,
-        report=report,
-        recirculation=program.recirculation_stats(),
-    )
+    return build_replay_result(program.verdicts, labels, program.recirculation_stats())
 
 
 def replay_with_advertised_sizes(
@@ -83,25 +66,9 @@ def replay_with_advertised_sizes(
     window boundaries the subtrees observe.  Verdicts land on
     ``program.verdicts``, as with :func:`repro.dataplane.vectorized.replay_arrays`.
     """
-    from repro.datasets.flows import Packet, PacketArrays
-
     if soa is None:
         soa = PacketArrays.from_flows(flows)
-    tuples = [flows[i].five_tuple for i in range(soa.n_flows)]
-    packet_flow = soa.packet_flow
-    flow_ids = soa.flow_ids
-    for pos in soa.interleave_order:
-        pos = int(pos)
-        fi = int(packet_flow[pos])
-        packet = Packet(
-            timestamp=float(soa.timestamps[pos]),
-            size=int(soa.sizes[pos]),
-            flags=int(soa.flags[pos]),
-            direction=int(soa.directions[pos]),
-            payload=int(soa.payloads[pos]),
-        )
-        phv = make_data_phv(tuples[fi], packet)
-        program.process_packet(phv, int(flow_ids[fi]), int(advertised[fi]))
+    vz._replay_positions(program, flows, soa, soa.interleave_order, advertised)
 
 
 def evaluate_flow_size_spoofing(

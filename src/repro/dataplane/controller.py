@@ -1,6 +1,6 @@
 """Control-plane side of the deployment: rule installation and digests.
 
-The controller compiles a trained model's :class:`RuleSet` into the switch
+The controller compiles a trained model's :class:`RuleSet` into a switch
 pipeline's tables (via the bfrt-style install API the paper mentions) and
 collects the classification digests the data plane emits when a flow reaches
 its final verdict.
@@ -32,19 +32,17 @@ class Digest:
 
 @dataclass
 class Controller:
-    """Installs compiled rules and receives digests.
+    """Installs compiled rules into a pipeline and receives a program's digests.
 
     Example::
 
-        >>> controller = Controller(pipeline)
-        >>> controller.install_rules(rules, feature_table_stage=3, model_table_stage=5)
+        >>> controller = Controller()
+        >>> controller.install_rules(pipeline, rules, feature_table_stage=3, model_table_stage=5)
         >>> controller.labels_by_flow()  # doctest: +SKIP
         {0: 2, 1: 0}
     """
 
-    pipeline: Pipeline
     digests: list[Digest] = field(default_factory=list)
-    installed_entries: int = 0
     #: Retain received digests in :attr:`digests` (the default — artifact
     #: replay and parity checks read them back).  Million-flow scenario
     #: replays switch this off: nothing consumes the digests there, and one
@@ -53,8 +51,11 @@ class Controller:
     retain_digests: bool = True
     n_digests: int = 0
 
-    def install_rules(self, rules: RuleSet, *, feature_table_stage: int, model_table_stage: int) -> dict[str, TcamTable]:
-        """Install the compiled rules into the pipeline's shared tables.
+    @staticmethod
+    def install_rules(
+        pipeline: Pipeline, rules: RuleSet, *, feature_table_stage: int, model_table_stage: int
+    ) -> dict[str, TcamTable]:
+        """Install the compiled rules into ``pipeline``'s shared tables.
 
         SpliDT reuses the same ``k`` match-key generator tables and the same
         model table across all subtrees: every entry carries an exact match on
@@ -63,8 +64,8 @@ class Controller:
         many subtrees the partitioned model has.
 
         The mark tables receive real ternary entries (prefix-expanded value
-        ranges); the model table's interval rules are accounted for by entry
-        count and evaluated through :meth:`RuleSet.classify` at runtime.
+        ranges); the model table's interval rules are evaluated through
+        :meth:`RuleSet.classify` at runtime.
 
         Returns the created tables keyed by name, mainly for inspection in
         tests.
@@ -79,7 +80,7 @@ class Controller:
                 name=f"mark_slot_{slot}",
                 key_fields={"sid": 8, "value": rules.bit_width},
             )
-            self.pipeline.place_table(table, stage=feature_table_stage)
+            pipeline.place_table(table, stage=feature_table_stage)
             slot_tables.append(table)
             tables[table.name] = table
 
@@ -87,7 +88,7 @@ class Controller:
             name="model",
             key_fields={"sid": 8, "marks": rules.max_match_key_bits},
         )
-        self.pipeline.place_table(model_table, stage=model_table_stage)
+        pipeline.place_table(model_table, stage=model_table_stage)
         tables[model_table.name] = model_table
 
         for sid, subtree_rules in rules.subtree_rules.items():
@@ -106,8 +107,6 @@ class Controller:
                                 action_data={"mark": mark, "feature": feature, "sid": sid},
                             )
                         )
-                self.installed_entries += mark_table.n_ternary_entries
-            self.installed_entries += subtree_rules.n_model_entries
         return tables
 
     def receive_digest(self, digest: Digest) -> None:

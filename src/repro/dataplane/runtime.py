@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.evaluation import ClassificationReport
 from repro.dataplane.splidt_program import FlowVerdict
 from repro.datasets.flows import Flow, FlowDataset, PacketArrays
-from repro.switch.phv import make_data_phv
 
 #: Engines accepted by :func:`replay_dataset`.
 REPLAY_ENGINES = ("reference", "vectorized")

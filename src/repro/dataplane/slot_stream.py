@@ -499,13 +499,11 @@ def _close_windows(
 
     return program.step_windows(
         flow_ids=soa.flow_ids[flow[last]],
-        slots=stream.slots[members],
         sids=sids,
         window_index=rows.window[members],
         feature_matrix=matrix,
         boundary_ts=timestamps[last],
         first_packet_ts=timestamps[epoch],
-        packets_seen=rows.seen[members].astype(np.float64),
         groups=groups,
         staging=staging,
     )

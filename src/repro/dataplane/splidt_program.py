@@ -13,8 +13,11 @@ This mirrors the P4 program of Figure 4: per packet, the program
    * recirculates a control packet carrying the next subtree id, which
      clears the feature and dependency registers and updates the SID.
 
-State is held in the pipeline's register arrays, indexed by the CRC32 flow
-hash, so hash collisions corrupt state exactly as they would on hardware.
+State is held once, in one ``_FlowState`` per occupied register slot, indexed
+by the CRC32 flow hash, so hash collisions corrupt state exactly as they
+would on hardware.  The register arrays and TCAM tables themselves are only
+instantiated on request, by :meth:`SpliDTDataPlane.layout`, for resource
+accounting.
 
 The scalar path above serves ``replay_dataset(..., engine="reference")``;
 the batched :meth:`SpliDTDataPlane.step_windows` API applies the same
@@ -34,17 +37,13 @@ from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet, group_by_sid
 from repro.dataplane.controller import Controller, Digest
 from repro.datasets.flows import FiveTuple
-from repro.features.definitions import (
-    FEATURES,
-    N_FEATURES,
-    STATELESS_HEADER_INDICES,
-    feature_names,
-)
+from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.stateful import StatefulOperator, make_operator
 from repro.features.window import cached_window_boundaries
 from repro.switch.hashing import FlowIndexer
 from repro.switch.phv import CONTROL_PACKET_BYTES, Phv, make_control_phv
 from repro.switch.pipeline import Pipeline
+from repro.switch.recirculation import RecirculationChannel
 from repro.switch.registers import EvictionPolicy
 from repro.switch.targets import TOFINO1, TargetSpec
 
@@ -102,9 +101,6 @@ class _FlowState:
     operators: dict[int, StatefulOperator] = field(default_factory=dict)
     stateless: dict[int, float] = field(default_factory=dict)
     decided: bool = False
-    #: Pairs of (operator, feature-slot register), precomputed at subtree
-    #: activation so the per-packet mirror loop does no sorting or lookups.
-    mirror: list = field(default_factory=list)
 
 
 class SpliDTDataPlane:
@@ -114,8 +110,7 @@ class SpliDTDataPlane:
     :func:`repro.dataplane.replay_dataset`: the scalar
     :meth:`process_packet` interpreter (the ``"reference"`` engine) and the
     batched :meth:`begin_flows` / :meth:`step_windows` API the
-    ``"vectorized"`` engine drives with NumPy masks over the register and
-    subtree state.
+    ``"vectorized"`` engine drives with NumPy masks over the subtree state.
 
     Example::
 
@@ -138,15 +133,16 @@ class SpliDTDataPlane:
         self.model = model
         self.rules = rules
         self.target = target
-        self.pipeline = Pipeline(target)
-        self.controller = Controller(self.pipeline)
+        self.recirculation = RecirculationChannel(capacity_bps=target.recirculation_bps)
+        self.controller = Controller()
         self.indexer = FlowIndexer(flow_slots)
         self.flow_slots = flow_slots
         self.eviction = eviction
+        self._admissions = 0
         self._evictions = 0
         self._evicted_flows: set[int] = set()
 
-        self._names = feature_names()
+        self._n_partitions = model.config.n_partitions
         self._flow_state: dict[int, _FlowState] = {}
         #: Flows the flow-lockstep plane decided whose terminal state is not
         #: in ``_flow_state`` yet (see :meth:`note_lockstep_verdicts`).
@@ -154,8 +150,6 @@ class SpliDTDataPlane:
         self._verdicts: dict[int, FlowVerdict] = {}
         self._stateful_by_sid: dict[int, list[int]] = {}
 
-        self._allocate_registers()
-        self.controller.install_rules(rules, feature_table_stage=3, model_table_stage=5)
         # Capture the lookup mode at deploy time: later set_lookup calls on
         # the (shared) rule set do not retarget an already-built program.
         self._lookup_mode = rules.lookup
@@ -165,40 +159,39 @@ class SpliDTDataPlane:
             rules.compiled_lookup()
 
     # ------------------------------------------------------------------
-    # Setup
+    # Instantiated layout (resource accounting)
     # ------------------------------------------------------------------
-    def _allocate_registers(self) -> None:
-        k = self.model.config.features_per_subtree
+    def layout(self) -> Pipeline:
+        """Instantiate the program on a fresh pipeline of its target.
+
+        Allocates the reserved, dependency-chain and ``k`` feature-slot
+        register arrays (``flow_slots`` entries each) and installs the rules,
+        as deploying the P4 program would — so
+        ``program.layout().resource_report()`` says whether the deployment
+        fits.  Inference never reads the result: every call builds an
+        independent pipeline, and nothing keeps it up to date.
+        """
+        pipeline = Pipeline(self.target)
         width = min(self.model.config.bit_width, 32)
-        self.pipeline.allocate_register("sid", size=self.flow_slots, width=8, stage=0)
-        self.pipeline.allocate_register("pkt_count", size=self.flow_slots, width=16, stage=0)
+        pipeline.allocate_register("sid", size=self.flow_slots, width=8, stage=0)
+        pipeline.allocate_register("pkt_count", size=self.flow_slots, width=16, stage=0)
         for chain in range(2):
-            self.pipeline.allocate_register(
+            pipeline.allocate_register(
                 f"dependency_{chain}", size=self.flow_slots, width=32, stage=1 + chain
             )
-        for slot in range(k):
-            self.pipeline.allocate_register(
+        for slot in range(self.model.config.features_per_subtree):
+            pipeline.allocate_register(
                 f"feature_slot_{slot}", size=self.flow_slots, width=width, stage=3
             )
-        registers = self.pipeline.registers
-        self._feature_slot_registers = [registers[f"feature_slot_{slot}"] for slot in range(k)]
-        self._clear_names = [
-            name
-            for name in registers.arrays
-            if name.startswith("feature_slot_") or name.startswith("dependency_")
-        ]
-        # Hot-path handles: both replay engines touch these on every packet
-        # (or round), so the dict lookups are resolved once here.
-        self._sid_register = registers["sid"]
-        self._pkt_register = registers["pkt_count"]
-        self._n_partitions = self.model.config.n_partitions
+        self.controller.install_rules(
+            pipeline, self.rules, feature_table_stage=3, model_table_stage=5
+        )
+        return pipeline
 
     # ------------------------------------------------------------------
     # Packet path
     # ------------------------------------------------------------------
-    def process_packet(
-        self, phv: Phv, flow_id: int, flow_size: int, *, mirror_registers: bool = True
-    ) -> FlowVerdict | None:
+    def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> FlowVerdict | None:
         """Run one data packet through the pipeline.
 
         Args:
@@ -208,12 +201,6 @@ class SpliDTDataPlane:
             flow_size: Total packets of the flow, as carried in the packet
                 header (Homa/NDP flow-size field) — used to derive window
                 boundaries.
-            mirror_registers: Mirror the operator values into the feature-slot
-                registers on every packet (the hardware-faithful default).
-                Per-packet replays inside the batched engine disable this:
-                feature registers are write-only instrumentation (inference
-                reads the operator state), and the engine contract already
-                scopes register counters as engine-specific.
 
         Returns:
             The flow's verdict if this packet triggered the final decision.
@@ -237,7 +224,7 @@ class SpliDTDataPlane:
                 incoming_ts=phv.packet.timestamp,
             )
         ):
-            # The undecided resident is evicted: its register state is
+            # The undecided resident is evicted: its slot state is
             # destroyed (it resolves as undecided — no verdict) and the
             # incoming packet's flow is admitted fresh.  The victim's own
             # later packets, if any, re-enter as a brand-new flow.
@@ -253,20 +240,16 @@ class SpliDTDataPlane:
             )
             state.stateless = stateless_header_values(phv)
             self._flow_state[slot] = state
-            self._sid_register.write(slot, state.sid)
-            self._pkt_register.write(slot, 0)
+            self._admissions += 1
             self._activate_subtree(state)
 
         state.last_seen_at = phv.packet.timestamp
         state.packets_seen += 1
-        self._pkt_register.write(slot, state.packets_seen)
 
         # Feature collection for the active subtree.
         packet = phv.packet
         for operator in state.operators.values():
             operator.update(packet)
-        if mirror_registers:
-            self._mirror_feature_registers(slot, state)
 
         # Window boundary check (flow-size-derived uniform windows).
         boundaries = cached_window_boundaries(flow_size, self._n_partitions)
@@ -274,48 +257,41 @@ class SpliDTDataPlane:
         if state.packets_seen < boundary and state.packets_seen < flow_size:
             return None
 
-        return self._window_boundary(phv, flow_id, slot, state)
+        return self._window_boundary(phv, flow_id, state)
 
-    def _window_boundary(
-        self, phv: Phv, flow_id: int, slot: int, state: _FlowState
-    ) -> FlowVerdict | None:
+    def _window_boundary(self, phv: Phv, flow_id: int, state: _FlowState) -> FlowVerdict | None:
         feature_vector = self._feature_vector(state)
         outcome = self.rules.classify(state.sid, feature_vector)
         timestamp = phv.packet.timestamp
 
         if outcome is None:
             # No rule matched (quantisation corner); fall back to the default.
-            return self._finalise(flow_id, slot, state, self.model.default_label, timestamp, False)
+            return self._finalise(flow_id, state, self.model.default_label, timestamp, False)
 
         kind, value = outcome
         is_last_window = state.window_index >= self.model.config.n_partitions - 1
         if kind == "exit" or is_last_window:
             label = value if kind == "exit" else self.model.default_label
-            return self._finalise(flow_id, slot, state, label, timestamp, kind == "exit" and not is_last_window)
+            return self._finalise(flow_id, state, label, timestamp, kind == "exit" and not is_last_window)
 
         # Transition to the next subtree via a recirculated control packet.
         control = make_control_phv(phv.five_tuple, next_sid=value, timestamp=timestamp)
-        self.pipeline.recirculation.submit(control, timestamp)
-        self._apply_control(control, slot, state)
+        self.recirculation.submit(control, timestamp)
+        self._apply_control(control, state)
         return None
 
-    def _apply_control(self, control: Phv, slot: int, state: _FlowState) -> None:
-        """Consume a recirculated control packet: update SID, clear registers."""
-        for released in self.pipeline.recirculation.ready(control.packet.timestamp + 1.0):
+    def _apply_control(self, control: Phv, state: _FlowState) -> None:
+        """Consume a recirculated control packet: update SID, reset the operators."""
+        for released in self.recirculation.ready(control.packet.timestamp + 1.0):
             next_sid = released.get("next_sid")
             state.sid = int(next_sid)
             state.window_index += 1
             state.n_recirculations += 1
-            self._sid_register.write(slot, state.sid)
-            self._pkt_register.write(slot, state.packets_seen)
-            for name in self._clear_names:
-                self.pipeline.registers[name].clear(slot)
             self._activate_subtree(state)
 
     def _finalise(
         self,
         flow_id: int,
-        slot: int,
         state: _FlowState,
         label: int,
         timestamp: float,
@@ -340,33 +316,28 @@ class SpliDTDataPlane:
     # Batched path (vectorized replay engine)
     # ------------------------------------------------------------------
     def begin_flows(self, slots: np.ndarray) -> None:
-        """Batched flow admission: seed the reserved state of many slots.
+        """Batched flow admission: one new flow claims each of ``slots``.
 
-        Equivalent to the per-slot ``sid``/``pkt_count`` register writes the
-        scalar path performs when a new flow claims its slot, issued as two
-        NumPy scatters.
+        The batched planes keep the admitted flows' state in their own
+        columns, so all that is left to do here is what the scalar path does
+        when a new flow claims its slot beyond creating that state: count
+        the admission (:meth:`eviction_stats`).
 
         Example::
 
             >>> program.begin_flows(np.array([17, 103, 2041]))
         """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return
-        self.pipeline.registers["sid"].write_many(slots, np.full(slots.size, self.model.root_sid))
-        self.pipeline.registers["pkt_count"].write_many(slots, np.zeros(slots.size))
+        self._admissions += len(slots)
 
     def step_windows(
         self,
         *,
         flow_ids: np.ndarray,
-        slots: np.ndarray,
         sids: np.ndarray,
         window_index: "int | np.ndarray",
         feature_matrix: np.ndarray,
         boundary_ts: np.ndarray,
         first_packet_ts: np.ndarray,
-        packets_seen: np.ndarray,
         groups: list | None = None,
         staging: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -381,12 +352,11 @@ class SpliDTDataPlane:
         scalar outcomes are applied batch-wise:
 
         * *exit* / no-match / last window → verdict recorded, digest emitted;
-        * *next subtree* → recirculation accounted, ``sid`` register written,
-          feature and dependency registers cleared.
+        * *next subtree* → recirculation accounted; the caller carries the
+          returned subtree id into the row's next window.
 
         Args:
             flow_ids: Bookkeeping flow ids (one per row).
-            slots: Register slot of each flow.
             sids: Active subtree id of each flow.
             window_index: The window every row just completed — one int when
                 all rows advance in lock-step rounds (the flow-lockstep
@@ -396,7 +366,6 @@ class SpliDTDataPlane:
                 boundary.
             boundary_ts: Timestamp of each flow's boundary packet.
             first_packet_ts: Timestamp of each flow's first packet.
-            packets_seen: Cumulative packets of each flow at the boundary.
             groups: Optional precomputed ``[(sid, rows), ...]`` grouping of
                 the rows (as produced by
                 :func:`~repro.core.range_marking.group_by_sid` over ``sids``).
@@ -420,34 +389,19 @@ class SpliDTDataPlane:
         Example::
 
             >>> alive, sids = program.step_windows(
-            ...     flow_ids=ids, slots=slots, sids=sids, window_index=0,
+            ...     flow_ids=ids, sids=sids, window_index=0,
             ...     feature_matrix=features, boundary_ts=ts,
-            ...     first_packet_ts=first_ts, packets_seen=seen)
+            ...     first_packet_ts=first_ts)
         """
         n_rows = len(flow_ids)
         kinds = np.zeros(n_rows, dtype=np.int8)
         values = np.zeros(n_rows, dtype=np.int64)
         if groups is None:
             groups = group_by_sid(sids)
-        # One fused pass per subtree group: classification and the feature
-        # register mirror share the grouping (and the row gathers) instead of
-        # re-running the argsort in a second sweep.
-        slot_registers = self._feature_slot_registers
-        k = len(slot_registers)
         for sid, rows in groups:
             kinds[rows], values[rows] = self.rules.classify_batch(
                 sid, feature_matrix[rows], lookup=self._lookup_mode
             )
-            stateful = self.subtree_stateful_features(sid)
-            if stateful:
-                row_slots = slots[rows]
-                for position, feature in enumerate(stateful[:k]):
-                    # write_many saturates to [0, max_value] itself.
-                    slot_registers[position].write_many(
-                        row_slots, feature_matrix[rows, feature]
-                    )
-
-        self._pkt_register.write_many(slots, packets_seen)
 
         # Explicit boolean *arrays* (no scalar-bool mixing): at the last
         # window nothing advances and an exit outcome is not "early".
@@ -475,21 +429,14 @@ class SpliDTDataPlane:
         else:
             staging.append(decided_columns)
 
-        next_sids = values[advance]
-        if next_sids.size:
-            advance_slots = slots[advance]
-            advance_ts = boundary_ts[advance]
-            self.pipeline.recirculation.submit_span(
+        advance_ts = boundary_ts[advance]
+        if advance_ts.size:
+            self.recirculation.submit_span(
                 int(advance_ts.size),
                 CONTROL_PACKET_BYTES,
                 float(advance_ts.min()),
                 float(advance_ts.max()),
             )
-            # pkt_count for the advancing rows was already written above
-            # with identical values, so only the SID write and the register
-            # clears remain — the duplicate scatter is coalesced away.
-            self._sid_register.write_many(advance_slots, next_sids)
-            self.pipeline.registers.clear_flows(advance_slots, self._clear_names)
         return advance, values
 
     def _finalise_batch(
@@ -669,21 +616,12 @@ class SpliDTDataPlane:
         """Load the operator bank for the features of the newly active subtree.
 
         The subtree's sorted stateful feature list comes from the memoised
-        :meth:`subtree_stateful_features`, and the per-packet mirror pairs
-        (operator, feature-slot register) are precomputed here — activation
-        happens once per window, the mirror loop once per packet.
+        :meth:`subtree_stateful_features`.
         """
         operators: dict[int, StatefulOperator] = {}
         for feature in self.subtree_stateful_features(state.sid):
             operators[feature] = make_operator(FEATURES[feature].name)
         state.operators = operators
-        # dict preserves the sorted insertion order; zip truncates at k slots.
-        state.mirror = list(zip(operators.values(), self._feature_slot_registers))
-
-    def _mirror_feature_registers(self, slot: int, state: _FlowState) -> None:
-        """Write the operator values into the k feature-slot registers."""
-        for operator, register in state.mirror:
-            register.write(slot, min(operator.value, register.max_value))
 
     def _feature_vector(self, state: _FlowState) -> np.ndarray:
         """Assemble the feature vector visible to the active subtree."""
@@ -703,9 +641,13 @@ class SpliDTDataPlane:
         return dict(self._verdicts)
 
     def eviction_stats(self) -> dict:
-        """Eviction counters: total evictions plus the evicted flow ids.
+        """Admission and eviction counters, plus the evicted flow ids.
 
-        Evictions only ever happen in slots shared by several flows, which
+        An admission is a flow claiming a register slot — free, reclaimed
+        after a verdict, or taken from an evicted resident — so
+        ``evictions <= admissions`` whatever the traffic (the batched planes
+        report theirs through :meth:`begin_flows`).  Evictions only ever
+        happen in slots shared by several flows, which
         the batched engine replays on the slot-stream plane (it reports the
         residents it evicts through :meth:`record_evictions`); a flow on the
         flow-lockstep plane decides before another flow can reach its slot.
@@ -714,13 +656,14 @@ class SpliDTDataPlane:
         """
         return {
             "policy": self.eviction.name if self.eviction is not None else "none",
+            "admissions": self._admissions,
             "evictions": self._evictions,
             "evicted_flows": sorted(self._evicted_flows),
         }
 
     def recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters of the underlying channel."""
-        channel = self.pipeline.recirculation
+        channel = self.recirculation
         return {
             "packets": float(channel.packets_recirculated),
             "bytes": float(channel.bytes_recirculated),

@@ -68,15 +68,8 @@ class TopKDataPlane:
         self._state: dict[int, _BaselineFlowState] = {}
         self._verdicts: dict[int, FlowVerdict] = {}
 
-    def process_packet(
-        self, phv: Phv, flow_id: int, flow_size: int, *, mirror_registers: bool = True
-    ) -> FlowVerdict | None:
-        """Run one packet; returns the verdict when the flow completes.
-
-        ``mirror_registers`` exists for signature compatibility with the
-        shared scalar replay path; the one-shot baseline keeps no feature
-        registers, so it is ignored.
-        """
+    def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> FlowVerdict | None:
+        """Run one packet; returns the verdict when the flow completes."""
         slot = self.indexer.index_for(phv.five_tuple)
         state = self._state.get(slot)
         if state is None:

@@ -42,11 +42,8 @@ Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``replay_dataset(..., engine="vectorized")`` produces verdicts, labels,
 time-to-detection values, digests and recirculation statistics bit-identical
 to ``engine="reference"``.  Only instrumentation
-differs: register read/write counters reflect one batched access per window
-boundary instead of one per packet (per-packet replays inside the batched
-engine skip the write-only feature-register mirror entirely), and the flow
-indexer's per-packet lookup counters are not maintained on the batched
-planes.
+differs: the flow indexer's per-packet lookup counters are not maintained on
+the batched planes.
 
 Floating-point notes:
 
@@ -510,7 +507,7 @@ class ReplayWorkspace:
 
     * the ``(capacity, N_FEATURES)`` feature matrix,
     * gather-index and per-row column buffers (segment bounds, flow ids,
-      slots, boundary/first timestamps, packet counts, live-set indices),
+      boundary/first timestamps, live-set indices),
     * the IAT accumulator pair used by the sequential-sweep kernel, and
     * the digest ``staged`` list ``step_windows`` appends decided rows to.
 
@@ -532,12 +529,9 @@ class ReplayWorkspace:
         self.seg_start = np.empty(0, dtype=np.intp)
         self.seg_end = np.empty(0, dtype=np.intp)
         self.scratch_idx = np.empty(0, dtype=np.intp)
-        self.scratch_idx2 = np.empty(0, dtype=np.intp)
         self.flow_ids = np.empty(0, dtype=np.int64)
-        self.row_slots = np.empty(0, dtype=np.intp)
         self.boundary_ts = np.empty(0, dtype=np.float64)
         self.first_ts = np.empty(0, dtype=np.float64)
-        self.packets_seen = np.empty(0, dtype=np.float64)
         self.iat_acc = np.empty(0, dtype=np.float64)
         self.iat_sq = np.empty(0, dtype=np.float64)
 
@@ -559,12 +553,9 @@ class ReplayWorkspace:
             self.seg_start = np.empty(n_flows, dtype=np.intp)
             self.seg_end = np.empty(n_flows, dtype=np.intp)
             self.scratch_idx = np.empty(n_flows, dtype=np.intp)
-            self.scratch_idx2 = np.empty(n_flows, dtype=np.intp)
             self.flow_ids = np.empty(n_flows, dtype=np.int64)
-            self.row_slots = np.empty(n_flows, dtype=np.intp)
             self.boundary_ts = np.empty(n_flows, dtype=np.float64)
             self.first_ts = np.empty(n_flows, dtype=np.float64)
-            self.packets_seen = np.empty(n_flows, dtype=np.float64)
             self.iat_acc = np.empty(n_flows, dtype=np.float64)
             self.iat_sq = np.empty(n_flows, dtype=np.float64)
 
@@ -616,10 +607,7 @@ def _replay_scalar(
       (:func:`repro.dataplane.slot_stream.replay_slot_stream`, whose
       accounting is returned; ``slots`` and ``stream`` are passed through);
     * any other program replays them packet by packet through
-      ``process_packet`` (returns ``None``).  The per-packet feature-register
-      mirror is skipped (``mirror_registers=False``): those writes are
-      write-only instrumentation and the engine contract scopes register
-      counters as engine-specific.
+      ``process_packet`` (returns ``None``).
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
@@ -653,14 +641,20 @@ def _arrival_order(
     return positions[order]
 
 
-def _replay_positions(program, flows: list[Flow], soa: PacketArrays, positions) -> None:
+def _replay_positions(
+    program, flows: list[Flow], soa: PacketArrays, positions, sizes=None
+) -> None:
     """Feed the packets at ``positions`` to ``program.process_packet``, in order.
 
+    The one per-packet feed: the reference engine, the batched engine's
+    per-packet fallbacks and the spoofing replays all come through here.
     ``positions`` index the flow-major packet columns.  Packet headers carry
-    the *full* flow size whatever subset of a flow is replayed.
+    ``sizes[flow]`` as the flow size — by default the *full* flow size,
+    whatever subset of a flow is replayed.
     """
     flow_starts = soa.flow_starts
-    sizes = soa.n_packets_per_flow
+    if sizes is None:
+        sizes = soa.n_packets_per_flow
     packet_flow = soa.packet_flow
     process_packet = program.process_packet
     for position in positions:
@@ -668,10 +662,7 @@ def _replay_positions(program, flows: list[Flow], soa: PacketArrays, positions) 
         flow = flows[flow_index]
         packet = flow.packets[int(position - flow_starts[flow_index])]
         process_packet(
-            make_data_phv(flow.five_tuple, packet),
-            flow.flow_id,
-            int(sizes[flow_index]),
-            mirror_registers=False,
+            make_data_phv(flow.five_tuple, packet), flow.flow_id, int(sizes[flow_index])
         )
 
 
@@ -751,26 +742,19 @@ def _replay_splidt_batched(
 
         flow_ids = ws.flow_ids[:n_live]
         np.take(soa.flow_ids, fast_live, out=flow_ids)
-        row_slots = ws.row_slots[:n_live]
-        np.take(slots, fast_live, out=row_slots)
         np.subtract(e, 1, out=base)  # base now holds each boundary packet index
         boundary_ts = ws.boundary_ts[:n_live]
         np.take(timestamps, base, out=boundary_ts)
         first_ts = ws.first_ts[:n_live]
         np.take(soa.first_timestamps, fast_live, out=first_ts)
-        np.take(end, live, out=ws.scratch_idx2[:n_live])
-        packets_seen = ws.packets_seen[:n_live]
-        packets_seen[:] = ws.scratch_idx2[:n_live]
 
         advance, values = program.step_windows(
             flow_ids=flow_ids,
-            slots=row_slots,
             sids=round_sids,
             window_index=w,
             feature_matrix=matrix,
             boundary_ts=boundary_ts,
             first_packet_ts=first_ts,
-            packets_seen=packets_seen,
             groups=groups,
             staging=staging,
         )

@@ -24,9 +24,9 @@ from repro.dataplane import vectorized as vz
 from repro.datasets.profiles import get_profile
 from repro.pipeline.experiment import Experiment
 from repro.pipeline.spec import ExperimentSpec
+from repro.pipeline.systems import get_system
 from repro.scenarios.spec import DegradationBounds, ScenarioSpec
 from repro.scenarios.traffic import ScenarioWorkload, build_workload, layer_params
-from repro.switch.registers import make_eviction_policy
 
 
 def peak_rss_bytes() -> int:
@@ -118,30 +118,6 @@ def prepare_system(
     return model, rules, spec
 
 
-def _build_program(
-    scenario: ScenarioSpec,
-    model,
-    rules,
-    exp_spec: ExperimentSpec,
-    flow_slots: int,
-):
-    from repro.dataplane.splidt_program import SpliDTDataPlane
-
-    program = SpliDTDataPlane(
-        model,
-        rules,
-        target=exp_spec.target_spec(),
-        flow_slots=flow_slots,
-        eviction=make_eviction_policy(
-            scenario.eviction, timeout=scenario.eviction_timeout
-        ),
-    )
-    # Scenario replays read verdicts, never the digest stream — retaining
-    # one digest per decided flow would dominate RSS on million-flow floods.
-    program.controller.retain_digests = False
-    return program
-
-
 def replay_workload(program, workload: ScenarioWorkload) -> None:
     """Replay a workload through ``program`` (verdicts land on the program).
 
@@ -180,7 +156,12 @@ def run_scenario(
     )
     started = time.perf_counter()
     with build_workload(scenario, traffic_flows=traffic_flows) as workload:
-        program = _build_program(scenario, model, rules, exp_spec, flow_slots)
+        program = get_system(exp_spec.system).build_program(
+            model, rules, exp_spec.replace(scenario=scenario, flow_slots=flow_slots)
+        )
+        # Scenario replays read verdicts, never the digest stream — retaining
+        # one digest per decided flow would dominate RSS on million-flow floods.
+        program.controller.retain_digests = False
         replay_started = time.perf_counter()
         replay_workload(program, workload)
         replay_s = time.perf_counter() - replay_started

@@ -43,7 +43,6 @@ Concrete engines:
 from __future__ import annotations
 
 import abc
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -121,9 +120,9 @@ class SwapEvent:
     Attributes:
         epoch: Model epoch installed by this swap (the pre-swap model is
             epoch 0; the first swap installs epoch 1).
-        latency_s: Wall-clock seconds spent building the successor engine —
-            program construction plus eager LUT compilation, all performed
-            off the serving thread.
+        latency_s: Wall-clock seconds the caller was blocked building and
+            opening the successor engine — program construction plus eager
+            LUT compilation (and, for ``sharded-mp``, starting the workers).
         buffered_packets: Packets ingested but not yet pushed through a
             program at the moment of the swap (the in-flight backlog).
         pinned_slots: Register slots kept on their pre-swap model because a
@@ -158,7 +157,7 @@ def channel_aggregate(program) -> tuple | None:
     """
     if not hasattr(program, "recirculation_stats"):
         return None
-    channel = program.pipeline.recirculation
+    channel = program.recirculation
     return (
         channel.packets_recirculated,
         channel.bytes_recirculated,
@@ -442,10 +441,10 @@ class InferenceEngine(abc.ABC):
         """Atomically install a new model without dropping in-flight flows.
 
         A successor engine of the same class is built from
-        ``program_factory`` on a worker thread — program construction and
-        eager LUT compilation (``rules.compiled_lookup()``) happen off the
-        serving thread — and becomes the next *model epoch*.  Flows are then
-        routed by their CRC32 register slot:
+        ``program_factory`` and opened — program construction and eager LUT
+        compilation (``rules.compiled_lookup()``), on the calling thread: the
+        session ingests nothing meanwhile — and becomes the next *model
+        epoch*.  Flows are then routed by their CRC32 register slot:
 
         * a slot whose current-epoch flows are all **complete and
           temporally disjoint with distinct five-tuples** is rebound to the
@@ -464,29 +463,14 @@ class InferenceEngine(abc.ABC):
         is fully invisible: verdicts, TTD and merged recirculation counters
         all match the no-swap session bit-for-bit.
 
-        Returns the :class:`SwapEvent` describing the swap (compile latency,
+        Returns the :class:`SwapEvent` describing the swap (build latency,
         in-flight backlog, pinned slots/flows).  Only valid while the
         session is ``open``.
         """
         if self._state != "open":
             raise ServeError(f"cannot swap_model() in state {self._state!r}")
         start = time.perf_counter()
-        outcome: dict = {}
-
-        def _build() -> None:
-            try:
-                child = self._successor_engine(program_factory)
-                child.open()
-                outcome["child"] = child
-            except BaseException as exc:  # re-raised on the caller's thread
-                outcome["error"] = exc
-
-        builder = threading.Thread(target=_build, name="model-swap-build", daemon=True)
-        builder.start()
-        builder.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        child = outcome["child"]
+        child = self._successor_engine(program_factory).open()
         latency = time.perf_counter() - start
 
         buffered = self._total_buffered()

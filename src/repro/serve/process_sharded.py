@@ -17,7 +17,7 @@ the GIL):
   copy lands (so the parent stages chunk N+1 while workers consume chunk N),
   and crash detection is folded into the busy-wait-then-backoff loops on
   both sides;
-* each worker owns a fresh program instance (its own register file and
+* each worker owns a fresh program instance (its own slot state and
   recirculation channel) plus a micro-batch engine over them;
   programs are **pre-bound at pool start** — ``open()`` blocks until every
   worker has built its program (LUT compilation included), so warm-up is
@@ -278,7 +278,7 @@ def _release_resources(processes, queues, segments) -> None:
 class ProcessShardedEngine(InferenceEngine):
     """Partitions flows by CRC32 register slot across worker *processes*.
 
-    Each shard runs in its own interpreter (its own program, register file
+    Each shard runs in its own interpreter (its own program, slot state
     and recirculation channel); verdicts and recirculation counters merge
     bit-exactly.  Packet columns are shared (one shared-memory segment,
     zero-copy worker views); only positions cross the process boundary per

@@ -11,9 +11,9 @@ whole-stream chunk.
 
 from __future__ import annotations
 
+from repro.dataplane import vectorized as vz
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import InferenceEngine, ServeError
-from repro.switch.phv import make_data_phv
 
 
 class StreamingEngine(InferenceEngine):
@@ -64,17 +64,4 @@ class StreamingEngine(InferenceEngine):
         return getattr(indexer, "table_size", None)
 
     def _ingest(self, chunk: PacketChunk) -> None:
-        soa, flows = chunk.soa, chunk.flows
-        flow_starts = soa.flow_starts
-        packet_flow = soa.packet_flow
-        sizes = soa.n_packets_per_flow
-        process_packet = self.program.process_packet
-        for position in chunk.positions:
-            flow_index = int(packet_flow[position])
-            flow = flows[flow_index]
-            packet = flow.packets[int(position - flow_starts[flow_index])]
-            process_packet(
-                make_data_phv(flow.five_tuple, packet),
-                flow.flow_id,
-                int(sizes[flow_index]),
-            )
+        vz._replay_positions(self.program, chunk.flows, chunk.soa, chunk.positions)

@@ -12,6 +12,7 @@ uses to turn feature thresholds into TCAM rules.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 
@@ -71,8 +72,8 @@ class TcamTable:
         for name in entry.fields:
             if name not in self.key_fields:
                 raise ValueError(f"field {name!r} not part of table {self.name!r} key")
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: -e.priority)
+        # After every equal priority already installed, as a stable sort would.
+        insort(self.entries, entry, key=lambda e: -e.priority)
 
     def lookup(self, key: dict[str, int]) -> TcamEntry | None:
         """Highest-priority matching entry, or ``None`` on a miss."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from repro.baselines import train_topk_model
 from repro.core.config import TopKConfig
 from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset, ttd_ecdf
 from repro.dataplane.controller import Digest
+from repro.switch.phv import make_data_phv
+from repro.switch.pipeline import Pipeline
+from repro.switch.registers import RegisterArray, RegisterFile
+from repro.switch.tcam import TcamTable
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +31,70 @@ def replay_result(splidt_model, splidt_rules, small_dataset):
 
 class TestSpliDTDataPlaneSetup:
     def test_register_allocation(self, splidt_dataplane, splidt_model):
-        registers = splidt_dataplane.pipeline.registers
+        registers = splidt_dataplane.layout().registers
         assert "sid" in registers and "pkt_count" in registers
         k = splidt_model.config.features_per_subtree
         for slot in range(k):
             assert f"feature_slot_{slot}" in registers
+        assert all(array.size == 4096 for array in registers.arrays.values())
 
-    def test_rules_installed(self, splidt_dataplane):
-        assert splidt_dataplane.controller.installed_entries > 0
-        assert len(splidt_dataplane.pipeline.tables()) > 0
+    def test_rules_installed(self, splidt_dataplane, splidt_rules):
+        tables = splidt_dataplane.layout().tables()
+        assert len(tables) > 0
+        assert sum(table.n_entries for table in tables) == sum(
+            mark_table.n_ternary_entries
+            for subtree_rules in splidt_rules.subtree_rules.values()
+            for mark_table in subtree_rules.mark_tables.values()
+        )
 
     def test_pipeline_fits_target(self, splidt_dataplane):
-        report = splidt_dataplane.pipeline.resource_report()
+        report = splidt_dataplane.layout().resource_report()
         assert report.fits, report.violations
+
+    def test_layouts_are_independent(self, splidt_dataplane):
+        first, second = splidt_dataplane.layout(), splidt_dataplane.layout()
+        assert first is not second
+        first.registers["sid"].write(3, 7)
+        assert second.registers["sid"].read(3) == 0
+        assert first.resource_report() == second.resource_report()
+
+    def test_program_size_is_independent_of_flow_slots(self, splidt_model, splidt_rules):
+        """The program is one copy of the switch: nothing in it scales with the table."""
+        splidt_rules.compiled_lookup()  # shared by every program; not this one's cost
+
+        def build(flow_slots):
+            tracemalloc.start()
+            try:
+                program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots)
+                return program, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        _, small = build(2**10)
+        program, large = build(2**20)
+        assert large < 2**20  # the register mirror was 64 MiB
+        assert large - small < 4096
+        assert not any(
+            isinstance(value, (np.ndarray, Pipeline, RegisterArray, RegisterFile, TcamTable))
+            for value in vars(program).values()
+        )
+
+
+@pytest.mark.parametrize("kind", ["splidt", "topk"])
+def test_process_packet_rejects_mirror_registers(
+    kind, splidt_model, splidt_rules, windowed3, small_dataset
+):
+    """The mirror is gone, not optional: the old keyword is an error on both programs."""
+    if kind == "splidt":
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
+    else:
+        model = train_topk_model(windowed3, TopKConfig(depth=4, top_k=2))
+        program = TopKDataPlane(model, flow_slots=64)
+    flow = small_dataset.flows[0]
+    phv = make_data_phv(flow.five_tuple, flow.packets[0])
+    with pytest.raises(TypeError):
+        program.process_packet(phv, flow.flow_id, flow.n_packets, mirror_registers=False)
+    assert program.verdicts == {}
 
 
 class TestSpliDTReplay:

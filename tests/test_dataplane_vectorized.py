@@ -238,13 +238,11 @@ class TestLastWindowSemantics:
         n = features.shape[0]
         return program.step_windows(
             flow_ids=np.arange(n, dtype=np.int64),
-            slots=np.arange(n, dtype=np.intp),
             sids=np.full(n, sid, dtype=np.int64),
             window_index=window_index,
             feature_matrix=features,
             boundary_ts=np.full(n, 2.0),
             first_packet_ts=np.zeros(n),
-            packets_seen=np.full(n, 9.0),
         )
 
     def test_next_outcome_does_not_advance_at_last_window(

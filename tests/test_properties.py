@@ -266,6 +266,10 @@ def test_contended_replay_invariants(engine, splidt_model, splidt_rules, trace):
     assert stats["evictions"] >= len(stats["evicted_flows"])
     if eviction[0] == "none":
         assert stats["evictions"] == 0
+    # Slot accounting that does not mention the reference: an eviction hands
+    # the slot to a newly admitted flow, and an admission decides at most once.
+    assert stats["evictions"] <= stats["admissions"] <= sum(f.n_packets for f in flows)
+    assert len(result.verdicts) <= program.controller.n_digests <= stats["admissions"]
 
 
 @pytest.mark.parametrize("engine", ["reference", "vectorized"])

@@ -23,9 +23,8 @@ from repro.features.definitions import FEATURES
 
 _BUFFERS = (
     "matrix", "sids", "round_sids", "live", "iota", "fast_live",
-    "seg_start", "seg_end", "scratch_idx", "scratch_idx2", "flow_ids",
-    "row_slots", "boundary_ts", "first_ts", "packets_seen",
-    "iat_acc", "iat_sq",
+    "seg_start", "seg_end", "scratch_idx", "flow_ids",
+    "boundary_ts", "first_ts", "iat_acc", "iat_sq",
 )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.switch.tcam import TcamEntry, TcamTable, TernaryMatch, range_to_ternary
@@ -104,3 +107,42 @@ class TestTcamTable:
     def test_missing_key_field_no_match(self):
         table = self._table()
         assert table.lookup({}) is None
+
+    def test_entries_keep_stable_descending_priority_order(self):
+        # Equal priorities stay in installation order, as a stable sort of
+        # the installed sequence would leave them.
+        rng = random.Random(3)
+        table = TcamTable(name="t", key_fields={"value": 8})
+        inserted = []
+        for serial in range(300):
+            entry = TcamEntry(
+                fields={"value": TernaryMatch(serial % 256, 0xFF)},
+                priority=rng.randint(0, 9),
+                action=str(serial),
+            )
+            inserted.append(entry)
+            table.add_entry(entry)
+        expected = sorted(inserted, key=lambda e: -e.priority)
+        assert [e.action for e in table.entries] == [e.action for e in expected]
+
+    def test_install_cost_is_n_log_n_priority_reads(self):
+        # add_entry used to re-sort the whole table per insert: n^2 / 2 reads.
+        class CountingEntry(TcamEntry):
+            reads = 0
+
+            def __getattribute__(self, name):
+                if name == "priority":
+                    CountingEntry.reads += 1
+                return super().__getattribute__(name)
+
+        n = 5000
+        rng = random.Random(5)
+        table = TcamTable(name="t", key_fields={"value": 8})
+        for _ in range(n):
+            table.add_entry(
+                CountingEntry(
+                    fields={"value": TernaryMatch(0, 0)}, priority=rng.randint(0, 50), action="a"
+                )
+            )
+        assert table.n_entries == n
+        assert CountingEntry.reads <= n * (math.ceil(math.log2(n)) + 2)
