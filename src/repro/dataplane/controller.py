@@ -115,11 +115,17 @@ class Controller:
         if self.retain_digests:
             self.digests.append(digest)
 
-    def receive_digests(self, digests: list[Digest]) -> None:
-        """Record many digests at once (the batched finalisation path)."""
-        self.n_digests += len(digests)
+    def receive_digests(
+        self, flow_ids: list[int], labels: list[int], timestamps: list[float], sids
+    ) -> None:
+        """Record many digests at once, given as aligned columns.
+
+        The batched finalisation path: ``sids`` is still an array, and a
+        :class:`Digest` is built per row only when digests are retained.
+        """
+        self.n_digests += len(flow_ids)
         if self.retain_digests:
-            self.digests.extend(digests)
+            self.digests.extend(map(Digest, flow_ids, labels, timestamps, sids.tolist()))
 
     def labels_by_flow(self) -> dict[int, int]:
         """Final label reported for each flow (last digest wins)."""

@@ -38,11 +38,13 @@ and independent *across* slots, so this plane takes the slot as its unit:
    its later verdict.
 
 ``process_packet`` is reached only for slots that already hold a live
-undecided flow when the call starts (their whole run is replayed per packet)
-and, at the end, to leave every slot's state on the program truthful: a
-decided resident is installed in its terminal state, an undecided one at the
-start of its open window, whose packets are then fed per packet.  A later
-call on the same program therefore continues correctly.
+undecided flow when the call starts (their whole run is replayed per packet).
+What a call leaves in its slots is recorded, and settled on first read: every
+slot's final resident goes to the program as one row of a
+:class:`~repro.dataplane.splidt_program.SlotHandover` — an undecided one with
+its registers at the start of its open window and that window's packets —
+and becomes slot state only when something looks at slot state again (a later
+call on the same program, which therefore continues correctly).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import numpy as np
 
 from repro.core.range_marking import group_by_sid
 from repro.dataplane import vectorized as vz
+from repro.dataplane.splidt_program import OpenWindows, SlotHandover
 from repro.datasets.flows import Flow, PacketArrays
 from repro.features.definitions import N_FEATURES, STATELESS_HEADER_INDICES
 
@@ -186,7 +189,7 @@ def _eviction_mask(policy, timestamps: np.ndarray, starts: np.ndarray) -> np.nda
 
 def _packet_view(soa: PacketArrays, packets: np.ndarray) -> PacketArrays:
     """The per-packet columns of ``packets`` as a stand-alone source for the aggregator."""
-    return PacketArrays(
+    view = PacketArrays(
         timestamps=soa.timestamps[packets],
         sizes=soa.sizes[packets],
         flags=soa.flags[packets],
@@ -206,6 +209,10 @@ def _packet_view(soa: PacketArrays, packets: np.ndarray) -> PacketArrays:
         first_timestamps=_EMPTY,
         interleave_order=_EMPTY,
     )
+    # Integer-valuedness is decided once, on the source's column.
+    for name in ("sizes", "payloads"):
+        view.derived["whole", name] = vz.whole_valued(soa, name)
+    return view
 
 
 class _SlotRows:
@@ -249,9 +256,11 @@ def replay_slot_stream(
 
     Returns the call's accounting: ``flows`` / ``packets`` advanced by the
     plane, ``rounds``, ``per_packet`` — ``reason -> {flows, packets}`` for
-    what went through ``process_packet`` instead (``live_state``) or as well
-    (``exit_tail``) — and ``open_slots``, the slots left with an undecided
-    resident.
+    what went through ``process_packet`` instead (``live_state``) —,
+    ``deferred`` — what the next reader of slot state will settle: ``slots``
+    handed over, of which ``open_windows`` hold ``packets`` still to be fed
+    to their operators — and ``open_slots``, the slots left with an
+    undecided resident.
     """
     table_size = program.indexer.table_size
     if stream is None:
@@ -263,6 +272,7 @@ def replay_slot_stream(
         "packets": stream.n_packets,
         "rounds": 0,
         "per_packet": {},
+        "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
         "open_slots": _EMPTY,
     }
     if stream.n_packets == 0:
@@ -376,15 +386,19 @@ def replay_slot_stream(
         active = active[cursor[active] < end[active]]
     program.finalise_staged(staging)
 
-    tail = _hand_back(program, flows, soa, stream, timestamps, rows)
-    if tail:
-        packets = np.concatenate(tail)
-        vz._replay_positions(program, flows, soa, packets)
-        stats["per_packet"]["exit_tail"] = {"flows": len(tail), "packets": int(packets.size)}
     still_open = status == _LIVE
+    # Read before anything is deferred: looking at a resident settles.
     for row in np.flatnonzero(rows.fallback).tolist():
         still_open[row] = not program.resident(int(row_slots[row])).decided
     stats["open_slots"] = row_slots[still_open]
+    record = _handover(soa, stream, timestamps, rows)
+    if record.slots.size:
+        program.hand_over(record)
+        stats["deferred"] = {
+            "slots": int(record.slots.size),
+            "open_windows": int(np.count_nonzero(np.diff(record.undecided.starts))),
+            "packets": int(record.undecided.starts[-1]),
+        }
     return stats
 
 
@@ -412,48 +426,40 @@ def _resume_held_slots(program, flows, stream: SlotStream, tuple_of, rows: _Slot
                 break
 
 
-def _hand_back(program, flows, soa, stream: SlotStream, timestamps, rows: _SlotRows) -> list:
-    """Install every slot's final resident on the program.
+def _handover(soa: PacketArrays, stream: SlotStream, timestamps, rows: _SlotRows) -> SlotHandover:
+    """Every slot's final resident, as the record the program settles on first read.
 
-    A decided resident is installed in its terminal state, an undecided one
-    as it was at the start of its open window.  Returns the open windows'
-    packets (flow-major positions, one array per slot) for the caller to
-    feed to ``process_packet``, which brings the operators up to date.
+    One row per slot this replay admitted a flow to.  An undecided resident is
+    recorded as it was at the start of its open window, with the window's
+    packets gathered next to it.
     """
-    tails = []
     handed = np.flatnonzero(rows.epoch >= 0)
     first = rows.epoch[handed]
-    for row, first_position, creator, first_size, cursor, stop, row_status in zip(
-        handed.tolist(),
-        first.tolist(),
-        stream.flow[first].tolist(),
-        soa.sizes[stream.order[first]].tolist(),
-        rows.cursor[handed].tolist(),
-        rows.end[handed].tolist(),
-        rows.status[handed].tolist(),
-    ):
-        creator_flow = flows[creator]
-        five_tuple = creator_flow.five_tuple
-        program.install_resident(
-            int(stream.slots[row]),
-            five_tuple=five_tuple,
-            flow_id=creator_flow.flow_id,
-            sid=int(rows.sid[row]),
-            window_index=int(rows.window[row]),
-            packets_seen=int(rows.seen[row]),
-            first_packet_at=float(timestamps[first_position]),
-            last_seen_at=float(timestamps[max(cursor - 1, first_position)]),
-            stateless={
-                _SRC_PORT: float(five_tuple.src_port),
-                _DST_PORT: float(five_tuple.dst_port),
-                _PROTOCOL: float(five_tuple.protocol),
-                _PKT_LEN_FIRST: float(first_size),
-            },
-            decided=row_status == _DECIDED,
-        )
-        if row_status == _LIVE and cursor < stop:
-            tails.append(stream.order[cursor:stop])
-    return tails
+    live = np.flatnonzero(rows.status[handed] == _LIVE)
+    live_rows = handed[live]
+    cursor = rows.cursor[live_rows]
+    lengths = rows.end[live_rows] - cursor
+    window, _ = vz._segment_positions(cursor, lengths)
+    packets = stream.order[window]
+    return SlotHandover.of_flows(
+        soa,
+        stream.flow[first],
+        stream.slots[handed],
+        timestamps[first],
+        undecided=OpenWindows(
+            rows=live,
+            sids=rows.sid[live_rows],
+            windows=rows.window[live_rows],
+            seen=rows.seen[live_rows],
+            last_ts=timestamps[np.maximum(cursor - 1, first[live])],
+            first_sizes=soa.sizes[stream.order[first[live]]],
+            starts=np.append(0, np.cumsum(lengths)),
+            packets=tuple(
+                column[packets]
+                for column in (soa.timestamps, soa.sizes, soa.flags, soa.directions, soa.payloads)
+            ),
+        ),
+    )
 
 
 def _close_windows(

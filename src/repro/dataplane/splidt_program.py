@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet, group_by_sid
 from repro.dataplane.controller import Controller, Digest
-from repro.datasets.flows import FiveTuple
+from repro.datasets.flows import FiveTuple, Packet, PacketArrays
 from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.stateful import StatefulOperator, make_operator
 from repro.features.window import cached_window_boundaries
@@ -56,11 +56,15 @@ def stateless_header_values(phv: Phv) -> dict[int, float]:
     Shared by every data-plane program's reference path; the indices are
     resolved once at import time, so no per-packet name lookups happen.
     """
+    return _header_values(phv.five_tuple, phv.packet.size)
+
+
+def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]:
     return {
-        _SRC_PORT: float(phv.five_tuple.src_port),
-        _DST_PORT: float(phv.five_tuple.dst_port),
-        _PROTOCOL: float(phv.five_tuple.protocol),
-        _PKT_LEN_FIRST: float(phv.packet.size),
+        _SRC_PORT: float(five_tuple.src_port),
+        _DST_PORT: float(five_tuple.dst_port),
+        _PROTOCOL: float(five_tuple.protocol),
+        _PKT_LEN_FIRST: float(first_size),
     }
 
 
@@ -101,6 +105,72 @@ class _FlowState:
     operators: dict[int, StatefulOperator] = field(default_factory=dict)
     stateless: dict[int, float] = field(default_factory=dict)
     decided: bool = False
+
+
+@dataclass(slots=True)
+class OpenWindows:
+    """The undecided residents of a :class:`SlotHandover`, one entry per open window.
+
+    Registers are as they were at the *start* of the open window; settling
+    feeds the window's packets to a fresh operator bank of subtree ``sids``.
+    """
+
+    #: Row of the hand-over each entry belongs to (the only row of its slot).
+    rows: np.ndarray
+    sids: np.ndarray
+    windows: np.ndarray
+    #: Packets seen and last timestamp *before* the open window.
+    seen: np.ndarray
+    last_ts: np.ndarray
+    first_sizes: np.ndarray
+    #: Entry ``i`` owns ``packets[...][starts[i]:starts[i + 1]]`` (may be empty).
+    starts: np.ndarray
+    #: The windows' packets as columns, in :class:`Packet` field order.
+    packets: tuple[np.ndarray, ...]
+
+
+@dataclass(slots=True)
+class SlotHandover:
+    """Slot state a batched plane left behind, as columns: one row per resident.
+
+    The batched planes keep slot state in their own columns and build no
+    ``_FlowState``; a replay pays for the objects only if something reads
+    slot state afterwards (:meth:`SpliDTDataPlane.hand_over`).  Rows are
+    installed in ``first_ts`` order, so of several flows that followed one
+    another in a slot the last one stays.  A decided resident is its identity
+    and nothing else — all the packet path ever reads of one; the undecided
+    ones are completed by ``undecided``.
+
+    Every array is a copy the size of the rows handed over (or of their open
+    windows): the record refers neither to the program — a cycle would keep a
+    dead program and its record waiting for the cyclic collector — nor to the
+    flow list or packet source, which may be closed before anyone reads.
+    """
+
+    slots: np.ndarray
+    #: The residents' five-tuple columns, in :class:`FiveTuple` field order.
+    identity: tuple[np.ndarray, ...]
+    flow_ids: np.ndarray
+    first_ts: np.ndarray
+    undecided: OpenWindows | None = None
+
+    @classmethod
+    def of_flows(
+        cls,
+        soa: PacketArrays,
+        flows: np.ndarray,
+        slots: np.ndarray,
+        first_ts: np.ndarray,
+        undecided: OpenWindows | None = None,
+    ) -> "SlotHandover":
+        """A record whose row ``i`` is flow ``flows[i]`` of ``soa``, resident in ``slots[i]``."""
+        return cls(
+            slots=slots,
+            identity=tuple(column[flows] for column in soa.identity_columns()),
+            flow_ids=soa.flow_ids[flows],
+            first_ts=first_ts,
+            undecided=undecided,
+        )
 
 
 class SpliDTDataPlane:
@@ -144,9 +214,9 @@ class SpliDTDataPlane:
 
         self._n_partitions = model.config.n_partitions
         self._flow_state: dict[int, _FlowState] = {}
-        #: Flows the flow-lockstep plane decided whose terminal state is not
-        #: in ``_flow_state`` yet (see :meth:`note_lockstep_verdicts`).
-        self._unsettled: list[tuple] = []
+        #: Slot state the batched planes left as columns, not in
+        #: ``_flow_state`` yet (see :meth:`hand_over`).
+        self._unsettled: list[SlotHandover] = []
         self._verdicts: dict[int, FlowVerdict] = {}
         self._stateful_by_sid: dict[int, list[int]] = {}
 
@@ -451,44 +521,36 @@ class SpliDTDataPlane:
     ) -> None:
         """Record verdicts and digests for many decided rows at once.
 
-        Batched equivalent of :meth:`_finalise`: the arrays are converted to
-        native Python values in one ``tolist`` pass each, and the digests are
-        appended through one :meth:`Controller.receive_digests` call instead
-        of per-row method dispatch with throwaway ``_FlowState`` objects.
+        Batched equivalent of :meth:`_finalise`: each column becomes native
+        Python values in one ``tolist`` pass and the verdicts are built and
+        stored in one C-level pass over them (rows in order, so a flow id
+        decided twice keeps its later verdict).  The controller gets the
+        digest columns and builds objects only if it retains them.
         """
         if len(flow_ids) == 0:
             return
-        verdicts = self._verdicts
-        digests: list[Digest] = []
+        ids, labels, decided_at = flow_ids.tolist(), labels.tolist(), boundary_ts.tolist()
         # A flow has recirculated once per window it completed before this one.
         recirculations = (
             window_index.tolist()
             if isinstance(window_index, np.ndarray)
             else repeat(window_index)
         )
-        for flow_id, sid, label, decided_at, first_at, early, n_recirculations in zip(
-            flow_ids.tolist(),
-            sids.tolist(),
-            labels.tolist(),
-            boundary_ts.tolist(),
-            first_packet_ts.tolist(),
-            early_exits.tolist(),
-            recirculations,
-        ):
-            flow_id = int(flow_id)
-            label = int(label)
-            verdicts[flow_id] = FlowVerdict(
-                flow_id=flow_id,
-                label=label,
-                decided_at=decided_at,
-                first_packet_at=first_at,
-                n_recirculations=n_recirculations,
-                early_exit=early,
+        self._verdicts.update(
+            zip(
+                ids,
+                map(
+                    FlowVerdict,
+                    ids,
+                    labels,
+                    decided_at,
+                    first_packet_ts.tolist(),
+                    recirculations,
+                    early_exits.tolist(),
+                ),
             )
-            digests.append(
-                Digest(flow_id=flow_id, label=label, timestamp=decided_at, sid=int(sid))
-            )
-        self.controller.receive_digests(digests)
+        )
+        self.controller.receive_digests(ids, labels, decided_at, sids)
 
     def finalise_staged(self, staging: list) -> None:
         """Materialise verdicts and digests for rounds staged by ``step_windows``.
@@ -503,7 +565,7 @@ class SpliDTDataPlane:
         staging.clear()
 
     # ------------------------------------------------------------------
-    # Slot-state hand-over (slot-stream plane)
+    # Slot-state hand-over (batched planes)
     # ------------------------------------------------------------------
     def occupied_slots(self) -> np.ndarray:
         """Register slots that currently hold per-flow state (any order)."""
@@ -517,69 +579,66 @@ class SpliDTDataPlane:
             self._settle()
         return self._flow_state.get(slot)
 
-    def note_lockstep_verdicts(
-        self, flows, indices: np.ndarray, slots: np.ndarray, first_ts: np.ndarray
-    ) -> None:
-        """Record that ``flows[indices]`` were decided in ``slots`` without slot state.
+    def hand_over(self, record: SlotHandover) -> None:
+        """Take the slot state a batched plane ended a call with, as columns.
 
-        The flow-lockstep plane only takes flows that meet a clean slot and
-        decide in it, and it builds no ``_FlowState``: a replay would pay one
-        object per flow for state nothing reads unless the program is used
-        again.  The record is turned into terminal slot state (a decided
-        resident per slot — the latest flow by ``first_ts``) the first time
-        anything looks at slot state afterwards.
+        Recorded, not installed: the record becomes ``_FlowState`` objects the
+        first time anything looks at slot state afterwards
+        (:meth:`process_packet`, :meth:`occupied_slots`, :meth:`resident`).
         """
-        self._unsettled.append((flows, indices, slots, first_ts))
+        self._unsettled.append(record)
 
     def _settle(self) -> None:
-        for flows, indices, slots, first_ts in self._unsettled:
-            for row in np.argsort(first_ts, kind="stable").tolist():
-                flow = flows[int(indices[row])]
-                self._flow_state[int(slots[row])] = _FlowState(
-                    sid=self.model.root_sid,
-                    five_tuple=flow.five_tuple,
-                    flow_id=flow.flow_id,
-                    decided=True,
+        """Turn the recorded hand-overs into slot state, oldest first."""
+        states, root_sid = self._flow_state, self.model.root_sid
+        for record in self._unsettled:
+            order = np.argsort(record.first_ts, kind="stable")
+            slots = record.slots[order].tolist()
+            tuples = map(FiveTuple, *(column[order].tolist() for column in record.identity))
+            for slot, five_tuple, flow_id in zip(slots, tuples, record.flow_ids[order].tolist()):
+                states[slot] = _FlowState(
+                    sid=root_sid, five_tuple=five_tuple, flow_id=flow_id, decided=True
                 )
+            if record.undecided is not None:
+                self._reopen_windows(record.slots, record.first_ts, record.undecided)
         self._unsettled.clear()
 
-    def install_resident(
-        self,
-        slot: int,
-        *,
-        five_tuple: FiveTuple,
-        flow_id: int,
-        sid: int,
-        window_index: int,
-        packets_seen: int,
-        first_packet_at: float,
-        last_seen_at: float,
-        stateless: dict[int, float],
-        decided: bool,
+    def _reopen_windows(
+        self, slots: np.ndarray, first_ts: np.ndarray, undecided: OpenWindows
     ) -> None:
-        """Put a flow into ``slot`` as :meth:`process_packet` would have left it.
+        """Bring the undecided residents of a hand-over to where their streams ended.
 
-        The slot-stream plane advances slots without ``_FlowState`` objects
-        and hands each slot back through this when it is done: a decided
-        resident in its terminal state, an undecided one at the *start* of
-        its open window (fresh operators of subtree ``sid``) — the caller
-        then feeds the open window's packets to :meth:`process_packet`.
+        Each is set to the start of its open window (fresh operators of its
+        subtree) and the window's packets go straight to the operator bank:
+        inside an open window no boundary, eviction or reclaim can fire, so
+        this is all :meth:`process_packet` would have done with them.
         """
-        state = _FlowState(
-            sid=sid,
-            five_tuple=five_tuple,
-            flow_id=flow_id,
-            packets_seen=packets_seen,
-            window_index=window_index,
-            first_packet_at=first_packet_at,
-            last_seen_at=last_seen_at,
-            n_recirculations=window_index,
-            stateless=stateless,
-            decided=decided,
-        )
-        if not decided:
+        packets = list(map(Packet, *(column.tolist() for column in undecided.packets)))
+        starts = undecided.starts.tolist()
+        for slot, first_at, sid, window, seen, last_at, first_size, start, stop in zip(
+            slots[undecided.rows].tolist(),
+            first_ts[undecided.rows].tolist(),
+            undecided.sids.tolist(),
+            undecided.windows.tolist(),
+            undecided.seen.tolist(),
+            undecided.last_ts.tolist(),
+            undecided.first_sizes.tolist(),
+            starts,
+            starts[1:],
+        ):
+            state = self._flow_state[slot]
+            state.decided = False
+            state.sid = sid
+            state.window_index = state.n_recirculations = window
+            state.first_packet_at = first_at
+            state.stateless = _header_values(state.five_tuple, first_size)
             self._activate_subtree(state)
-        self._flow_state[slot] = state
+            window_packets = packets[start:stop]
+            for operator in state.operators.values():
+                for packet in window_packets:
+                    operator.update(packet)
+            state.packets_seen = seen + len(window_packets)
+            state.last_seen_at = window_packets[-1].timestamp if window_packets else last_at
 
     def record_evictions(self, flow_ids: list[int]) -> None:
         """Account for evicted residents (one eviction per entry of ``flow_ids``)."""

@@ -19,7 +19,7 @@ traffic orders of magnitude faster by exploiting two structural facts:
    rule is :func:`_split_scalar_fast`).  The per-packet interpreter is the
    oracle, not a path: it runs for programs without a batched API (a
    one-shot top-k program's colliding flows, :func:`_split_scalar_fast`)
-   and where the slot-stream plane hands slot state over to it.
+   and for slots that hold an undecided flow when a call starts.
 2. **Window boundaries are deterministic.**  A flow's window segmentation
    depends only on its packet count (the Homa/NDP flow-size header field),
    so every window of every flow can be precomputed and the per-packet
@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.core.range_marking import group_by_sid
 from repro.dataplane.kernels import iat_sequential_sums
+from repro.dataplane.splidt_program import SlotHandover
 from repro.datasets.flows import Flow, PacketArrays
 from repro.features.definitions import FEATURES, FEATURES_BY_NAME, N_FEATURES
 from repro.features.flowmeter import (
@@ -150,31 +151,58 @@ def _padded_column(soa: PacketArrays, key: str) -> np.ndarray:
     return cached
 
 
+#: The packet column whose values decide whether a prefix-summed column is
+#: integer-valued; every prefix-summed column not named here is a 0/1 indicator.
+_PREFIX_SOURCE = {
+    "sizes": "sizes",
+    "sizes_sq": "sizes",
+    "fwd_sizes": "sizes",
+    "bwd_sizes": "sizes",
+    "payloads": "payloads",
+}
+
+
+def whole_valued(soa: PacketArrays, name: str) -> bool:
+    """Whether packet column ``name`` holds non-negative integers only (soa-cached).
+
+    A property of the column, so a gathered view of a source inherits the
+    source's answer (:func:`repro.dataplane.slot_stream._packet_view`)
+    instead of re-deriving it from its own packets every round.
+    """
+    marker = ("whole", name)
+    known = soa.derived.get(marker)
+    if known is None:
+        values = getattr(soa, name)
+        known = values.size == 0 or bool(
+            values.min() >= 0.0 and np.all(values == np.floor(values))
+        )
+        soa.derived[marker] = known
+    return known
+
+
 def _exact_prefix(values: np.ndarray) -> np.ndarray | None:
-    """Leading-zero prefix sums of ``values``, or ``None`` when inexact.
+    """Leading-zero prefix sums of integer-valued ``values``, or ``None`` when inexact.
 
     Prefix-difference segment sums are bit-identical to ``reduceat`` (and to
     the scalar left-to-right operators) only when every partial sum is an
-    exactly representable integer; both conditions are checked once per
-    column and the caller falls back to ``reduceat`` on ``None``.
+    exactly representable integer: the caller vouches for the values
+    (:func:`whole_valued`), the total is bounded here, and the caller falls
+    back to ``reduceat`` on ``None``.
     """
     prefix = np.empty(values.size + 1, dtype=np.float64)
     prefix[0] = 0.0
     np.cumsum(values, out=prefix[1:])
-    if values.size and (
-        prefix[-1] > _EXACT_PREFIX_LIMIT
-        or values.min() < 0.0
-        or not np.all(values == np.floor(values))
-    ):
-        return None
-    return prefix
+    return prefix if prefix[-1] <= _EXACT_PREFIX_LIMIT else None
 
 
 def _prefix_column(soa: PacketArrays, key: str) -> np.ndarray | None:
     marker = ("prefix", key)
     if marker in soa.derived:
         return soa.derived[marker]
-    prefix = _exact_prefix(_base_values(soa, key))
+    source = _PREFIX_SOURCE.get(key)
+    prefix = None
+    if source is None or whole_valued(soa, source):
+        prefix = _exact_prefix(_base_values(soa, key))
     soa.derived[marker] = prefix
     return prefix
 
@@ -887,12 +915,14 @@ def replay_arrays(
     sends colliding ones per packet (:func:`_split_scalar_fast`).
 
     Leaves ``program.replay_stats``: flows and packets per path
-    (``batched`` / ``slot_stream`` / ``per_packet``), the per-packet share by
-    reason (``no_batched_api`` — including a top-k program's colliding
-    flows —, ``live_state``: the slot held an undecided flow at entry,
-    ``exit_tail``: open windows re-run so the program's slot state is
-    truthful afterwards; these packets were also counted under
-    ``slot_stream``) and the number of slot-stream event rounds.
+    (``batched`` / ``slot_stream`` / ``per_packet`` — every packet replayed
+    is counted under exactly one), the per-packet share by reason
+    (``no_batched_api`` — including a top-k program's colliding flows —,
+    ``live_state``: the slot held an undecided flow at entry), the number of
+    slot-stream event rounds, and ``deferred``: the slot state the planes
+    recorded instead of installing (:class:`~repro.dataplane.splidt_program.SlotHandover`)
+    — ``slots`` rows, of which ``open_windows`` hold ``packets`` to feed to
+    their operators — which the next reader of slot state settles.
 
     Example::
 
@@ -907,6 +937,7 @@ def replay_arrays(
         "packets": {"batched": 0, "slot_stream": 0, "per_packet": 0},
         "per_packet_reasons": {},
         "event_rounds": 0,
+        "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
     }
     program.replay_stats = stats
     populated = np.flatnonzero(soa.n_packets_per_flow > 0)
@@ -942,14 +973,17 @@ def replay_arrays(
         else:
             count("slot_stream", outcome["flows"], outcome["packets"])
             stats["event_rounds"] = outcome["rounds"]
+            stats["deferred"] = outcome["deferred"]
             for reason, share in outcome["per_packet"].items():
                 count_per_packet(reason, share["flows"], share["packets"])
     if fast.size:
         if windowed:
             _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
-            program.note_lockstep_verdicts(
-                flows, fast, slots[fast], soa.first_timestamps[fast]
+            # These flows met a clean slot and decided in it: terminal rows.
+            program.hand_over(
+                SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])
             )
+            stats["deferred"]["slots"] += int(fast.size)
         else:
             _replay_topk_batched(program, soa, fast)
     count("batched", int(fast.size), int(counts[fast].sum()))

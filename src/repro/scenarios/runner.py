@@ -66,7 +66,9 @@ class ScenarioResult:
     #: the workload, building the program and scoring).
     replay_s: float = 0.0
     #: ``program.replay_stats`` of the replay: flows and packets per path
-    #: (batched / slot_stream / per_packet), per-packet reasons, event rounds.
+    #: (batched / slot_stream / per_packet; the packet counts sum to the
+    #: packets replayed), per-packet reasons, event rounds, and the slot state
+    #: left ``deferred`` (slots / open_windows / packets) for a later reader.
     #: Empty for evasion workloads, which replay through the reference path.
     replay_stats: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)

@@ -195,3 +195,34 @@ class TestStepWindows:
         # Idempotent on the drained list.
         program.finalise_staged(staging)
         assert len(program.controller.digests) == 2
+
+    @pytest.mark.parametrize("per_row_window", [False, True])
+    def test_digests_are_built_only_when_retained(self, program, per_row_window):
+        # Same verdicts and digest count either way; Digest objects only for a
+        # controller that keeps them.  Flow 7 is decided twice in one batch.
+        n_partitions = program.model.config.n_partitions
+        columns = dict(
+            flow_ids=np.array([7, 3, 7], dtype=np.int64),
+            sids=np.array([1, 2, 5], dtype=np.int64),
+            labels=np.array([4, 6, 8], dtype=np.int64),
+            boundary_ts=np.array([1.5, 2.5, 3.5]),
+            first_packet_ts=np.array([1.0, 2.0, 3.0]),
+            window_index=np.array([0, 1, n_partitions - 1]) if per_row_window else 1,
+            early_exits=np.array([True, False, False]),
+        )
+        silent = type(program)(program.model, program.rules, flow_slots=program.flow_slots)
+        silent.controller.retain_digests = False
+        for target in (program, silent):
+            target._finalise_batch(**columns)
+        assert silent.verdicts == program.verdicts
+        assert silent.controller.n_digests == program.controller.n_digests == 3
+        assert silent.controller.digests == []
+        assert [(d.flow_id, d.label, d.timestamp, d.sid) for d in program.controller.digests] == [
+            (7, 4, 1.5, 1), (3, 6, 2.5, 2), (7, 8, 3.5, 5)
+        ]
+        later = program.verdicts[7]  # the later row of a repeated flow id stays
+        assert (later.label, later.decided_at, later.first_packet_at, later.early_exit) == (
+            8, 3.5, 3.0, False)
+        assert later.n_recirculations == (n_partitions - 1 if per_row_window else 1)
+        assert all(type(v.flow_id) is int and type(v.label) is int
+                   for v in program.verdicts.values())

@@ -14,6 +14,9 @@ is replayed through
 * a :class:`~repro.serve.MicroBatchEngine` whose ``flush_flows`` exceeds the
   flow count, so it flushes once, at ``drain``,
 
+(and, cut in two at a random packet, through two calls on one program — the
+second call starts from the slot state the first one *deferred*)
+
 asserting bit-identical verdicts (label, decision time, first-packet time,
 recirculation count, early-exit flag), controller digests (as an unordered
 multiset — emission *order* is engine-specific) and recirculation counters.
@@ -40,6 +43,8 @@ import numpy as np
 import pytest
 
 from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import vectorized as vz
+from repro.dataplane.runtime import build_replay_result
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.streams import PacketChunk
 from repro.serve import MicroBatchEngine, StreamingEngine
@@ -213,6 +218,64 @@ def _run_truncated(model, rules, flows, table_size, cut_rng, eviction=None) -> s
     return _diff("microbatch(truncated)", snapshots["streaming"], snapshots["microbatch"])
 
 
+def _run_split(model, rules, flows, table_size, cut_rng, eviction=None) -> str | None:
+    """One trace as two calls on one program, against the one-shot reference.
+
+    The trace is cut at a random packet of its arrival order; every flow
+    becomes a piece before and a piece after the cut (same tuple and id, each
+    advertising its own length).  The first call leaves its slot state
+    deferred, so the second — ``replay_arrays`` again, which settles through
+    ``occupied_slots()``, or the per-packet engine, which settles in
+    ``process_packet`` — must find exactly what the reference holds there.
+    """
+    from test_slot_stream_plane import assert_same_slot_state
+
+    soa = _dataset(flows).packet_arrays()
+    order = soa.interleave_order
+    cut = cut_rng.randint(0, order.size) if order.size else 0
+    taken = np.bincount(soa.packet_flow[order[:cut]], minlength=len(flows)).tolist()
+
+    def pieces(side):
+        return [
+            Flow(five_tuple=flow.five_tuple, packets=side(flow.packets, n), label=flow.label,
+                 class_name=flow.class_name, flow_id=flow.flow_id)
+            for flow, n in zip(flows, taken)
+        ]
+
+    before, after = pieces(lambda p, n: p[:n]), pieces(lambda p, n: p[n:])
+
+    def program():
+        return SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
+
+    def state(program):
+        return _snapshot(
+            program, build_replay_result(program.verdicts, {}, program.recirculation_stats())
+        )
+
+    reference = program()
+    oracle = _snapshot(reference, replay_dataset(reference, _dataset(before + after)))
+
+    twice = program()
+    vz.replay_arrays(twice, before)
+    vz.replay_arrays(twice, after)
+    handed_to_oracle = program()
+    vz.replay_arrays(handed_to_oracle, before)
+    replay_dataset(handed_to_oracle, _dataset(after), engine="reference")
+    for name, candidate in (
+        ("replay_arrays+replay_arrays", twice),
+        ("replay_arrays+reference", handed_to_oracle),
+    ):
+        mismatch = _diff(name, oracle, state(candidate))
+        if mismatch is None:
+            try:
+                assert_same_slot_state(reference, candidate)
+            except AssertionError as error:
+                mismatch = f"{name}: slot state diverges: {error}"
+        if mismatch is not None:
+            return f"{mismatch}\n  (cut at packet {cut} of {order.size})"
+    return None
+
+
 def _minimize(flows, still_failing) -> list[Flow]:
     """Greedy shrink: drop whole flows, then halve packet lists."""
     flows = list(flows)
@@ -256,20 +319,17 @@ def _random_eviction_policy(rng: random.Random):
 
 
 def _fuzz_one(
-    seed: int, model, rules, *, truncated: bool, eviction=None, occupancy: int | None = None
+    seed: int, model, rules, *, truncated: bool, eviction=None, occupancy: int | None = None,
+    run=None,
 ) -> None:
     rng = random.Random(seed)
     flows, table_size = _random_trace(rng, occupancy)
+    if run is None:
+        run = _run_truncated if truncated else _run_engines
 
     def check(candidate_flows):
         fresh_rng = random.Random(seed + 1)  # deterministic chunk/cut sizes
-        if truncated:
-            return _run_truncated(
-                model, rules, candidate_flows, table_size, fresh_rng, eviction
-            )
-        return _run_engines(
-            model, rules, candidate_flows, table_size, fresh_rng, eviction
-        )
+        return run(model, rules, candidate_flows, table_size, fresh_rng, eviction)
 
     mismatch = check(flows)
     if mismatch is None:
@@ -333,6 +393,18 @@ def test_parity_fuzz_eviction_occupancy_corpus(seed, occupancy, splidt_model, sp
     policy = _random_eviction_policy(random.Random(0xE51C7 + seed))
     _fuzz_one(seed, splidt_model, splidt_rules, truncated=seed % 4 == 2,
               eviction=policy, occupancy=occupancy)
+
+
+@pytest.mark.parametrize("seed", FIXED_SEEDS)
+def test_parity_fuzz_split_replay(seed, splidt_model, splidt_rules):
+    """Two calls on one program: the second continues from deferred slot state.
+
+    Odd seeds run under a random eviction policy, every fourth at 2x table
+    occupancy (most slots then hold an undecided flow at the cut).
+    """
+    eviction = _random_eviction_policy(random.Random(0xE51C7 + seed)) if seed % 2 else None
+    _fuzz_one(seed, splidt_model, splidt_rules, truncated=False, eviction=eviction,
+              occupancy=2 if seed % 4 == 0 else None, run=_run_split)
 
 
 class _MpFuzzFactory:

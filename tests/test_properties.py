@@ -270,6 +270,26 @@ def test_contended_replay_invariants(engine, splidt_model, splidt_rules, trace):
     # the slot to a newly admitted flow, and an admission decides at most once.
     assert stats["evictions"] <= stats["admissions"] <= sum(f.n_packets for f in flows)
     assert len(result.verdicts) <= program.controller.n_digests <= stats["admissions"]
+    if engine == "vectorized":
+        # Packets in = lockstep + slot-stream + per-packet: each counted once.
+        paths = program.replay_stats["packets"]
+        assert sum(paths.values()) == sum(f.n_packets for f in flows), paths
+        assert program.replay_stats["deferred"]["packets"] <= paths["slot_stream"]
+
+
+@given(trace=_contended_trace())
+@settings(max_examples=60, deadline=None)
+def test_deferred_slot_state_is_the_reference_state(splidt_model, splidt_rules, trace):
+    # The batched planes record the slot state they end with and the program
+    # settles it on first read: what is read must be what process_packet
+    # would hold, field by field, every operator register included.
+    from test_slot_stream_plane import assert_same_slot_state
+
+    flows, table_size, eviction = trace
+    reference, _ = _replay(splidt_model, splidt_rules, flows, table_size, eviction, "reference")
+    fused, _ = _replay(splidt_model, splidt_rules, flows, table_size, eviction, "vectorized")
+    assert fused._flow_state == {}  # nothing was installed by the replay itself
+    assert_same_slot_state(reference, fused)
 
 
 @pytest.mark.parametrize("engine", ["reference", "vectorized"])

@@ -382,6 +382,29 @@ class TestRunner:
         assert result.violations(None) == []
         assert result.violations(DegradationBounds()) == []
 
+    def test_scenario_replay_never_settles_slot_state(self, prepared, monkeypatch):
+        # A scenario replay reads verdicts and counters, never slot state: the
+        # hand-over the planes recorded stays a record, nothing is installed.
+        programs, settles = [], []
+        hand_over, settle = SpliDTDataPlane.hand_over, SpliDTDataPlane._settle
+        monkeypatch.setattr(
+            SpliDTDataPlane, "hand_over",
+            lambda self, record: (programs.append(self), hand_over(self, record))[1],
+        )
+        monkeypatch.setattr(
+            SpliDTDataPlane, "_settle", lambda self: (settles.append(self), settle(self))[1]
+        )
+        result = run_scenario(
+            get_workload_scenario("table-pressure"), flow_slots=64, traffic_flows=128,
+            prepared=prepared,
+        )
+        paths = result.replay_stats["packets"]
+        assert paths["slot_stream"] > paths["batched"] and paths["per_packet"] == 0
+        assert sum(paths.values()) == result.n_packets
+        assert result.replay_stats["deferred"]["packets"] > 0
+        assert settles == []
+        assert programs and all(program._flow_state == {} for program in programs)
+
     def test_sweep_occupancy_scales_pressure(self):
         results = sweep_occupancy(
             self.SPEC.replace(layers=()), flow_slots=32, factors=(0.5, 2.0),

@@ -11,6 +11,9 @@ and that the behaviour it is named after really occurs in the trace.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,32 @@ def _snapshot(program, verdicts) -> dict:
         "recirculation": program.recirculation_stats(),
         "eviction": program.eviction_stats(),
     }
+
+
+def assert_same_slot_state(reference, candidate) -> None:
+    """Every register slot holds, field by field, what the reference engine holds.
+
+    Reading slot state settles whatever the batched planes deferred.  A
+    decided resident is a terminal marker — the packet path reads its tuple
+    and nothing else — so it is compared on identity; an undecided one on
+    every field, each operator's whole register state included.
+    """
+    assert sorted(candidate.occupied_slots()) == sorted(reference.occupied_slots())
+    for slot in reference.occupied_slots().tolist():
+        want, got = reference.resident(slot), candidate.resident(slot)
+        assert (got.decided, got.five_tuple, got.flow_id) == (
+            want.decided, want.five_tuple, want.flow_id), slot
+        if want.decided:
+            continue
+        for field in ("sid", "packets_seen", "window_index", "first_packet_at",
+                      "last_seen_at", "n_recirculations", "stateless"):
+            assert getattr(got, field) == getattr(want, field), (slot, field)
+        assert list(got.operators) == list(want.operators), slot
+        for feature, operator in want.operators.items():
+            state = got.operators[feature].state
+            assert (state.value, state.count, state.aux) == (
+                operator.state.value, operator.state.count, operator.state.aux
+            ), (slot, operator.definition.name)
 
 
 def _replay_both(model, rules, batches, *, slots=1, eviction=None):
@@ -219,19 +248,62 @@ def test_exit_state_is_what_process_packet_would_hold(splidt_model, splidt_rules
     ]
     for slots in (1, 2, 5):
         reference, fused = _replay_both(splidt_model, splidt_rules, [flows], slots=slots)
-        assert sorted(fused.occupied_slots()) == sorted(reference.occupied_slots())
-        for slot in reference.occupied_slots().tolist():
-            want, got = reference.resident(slot), fused.resident(slot)
-            assert (got.decided, got.five_tuple) == (want.decided, want.five_tuple)
-            if want.decided:
-                continue
-            for field in ("flow_id", "sid", "packets_seen", "window_index",
-                          "first_packet_at", "last_seen_at", "n_recirculations",
-                          "stateless"):
-                assert getattr(got, field) == getattr(want, field), field
-            assert {f: op.value for f, op in got.operators.items()} == {
-                f: op.value for f, op in want.operators.items()
-            }
+        assert fused.replay_stats["deferred"]["slots"] > 0
+        assert_same_slot_state(reference, fused)
+
+
+def _reentry_trace():
+    """``(flows, policy)``: A idles, B evicts it, A's return evicts B — and A's
+    second epoch, ten packets of an advertised twelve, ends two packets into
+    its third window."""
+    flows = [
+        _flow(TUPLE_A, 0, [0, 0.1] + [10 + 0.1 * i for i in range(10)], size=200),
+        _flow(TUPLE_B, 1, [5.0, 5.1], size=700),
+    ]
+    return flows, make_eviction_policy("idle-timeout", timeout=1.0)
+
+
+def test_slot_state_is_recorded_and_settled_on_first_read(splidt_model, splidt_rules):
+    # The replay installs no slot state and feeds nothing to process_packet;
+    # the first look at slot state builds it, still without process_packet.
+    flows, policy = _reentry_trace()
+    reference, _ = _replay_both(splidt_model, splidt_rules, [flows], eviction=policy)
+    fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
+    calls = {"process_packet": 0, "settle": 0}
+
+    def counted(name, method):
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+
+    fused.process_packet = counted("process_packet", fused.process_packet)
+    fused._settle = counted("settle", fused._settle)
+    replay_dataset(fused, _dataset(flows), engine="vectorized")
+    assert calls == {"process_packet": 0, "settle": 0} and fused._flow_state == {}
+    stats = fused.replay_stats
+    assert stats["packets"] == {"batched": 0, "slot_stream": 14, "per_packet": 0}
+    assert stats["per_packet_reasons"] == {}
+    assert stats["deferred"] == {"slots": 1, "open_windows": 1, "packets": 2}
+    assert not reference.resident(0).decided and reference.resident(0).packets_seen == 10
+    assert_same_slot_state(reference, fused)
+    assert calls == {"process_packet": 0, "settle": 1}
+
+
+def test_deferred_record_makes_no_reference_cycle(splidt_model, splidt_rules):
+    # A record that referred to its program would leave a dead program (and
+    # the record's arrays) to the cyclic collector; plain refcounting must do.
+    flows, policy = _reentry_trace()
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
+    replay_dataset(program, _dataset(flows), engine="vectorized")
+    assert program._unsettled and program.replay_stats["deferred"]["packets"] == 2
+    alive = weakref.ref(program)
+    gc.disable()
+    try:
+        del program
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_memmap_backed_lazy_flow_list(splidt_model, splidt_rules):
@@ -264,3 +336,7 @@ def test_memmap_backed_lazy_flow_list(splidt_model, splidt_rules):
         assert fused.replay_stats["packets"]["slot_stream"] > 0
         assert fused.eviction_stats()["evictions"] > 0
         assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
+        assert fused.replay_stats["deferred"]["packets"] > 0
+    # The record holds copies: it settles the same with the memmaps' files gone.
+    assert not source.directory.exists()
+    assert_same_slot_state(reference, fused)

@@ -110,6 +110,46 @@ def test_kernel_equals_operator_bit_for_bit(windows, feature):
     )
 
 
+def test_prefix_sums_are_used_only_for_whole_valued_columns():
+    # Whether a column is integer-valued is decided once, on the source's
+    # packet column; a gathered view inherits the answer (its own packets
+    # could all be whole) and only bounds its total.  Either way the segment
+    # sums equal the scalar operators bit for bit.
+    from repro.dataplane import vectorized as vz
+    from repro.dataplane.slot_stream import _packet_view
+
+    def flow(sizes, payload):
+        packets = [Packet(timestamp=0.1 * j, size=size, flags=0x10, direction=1, payload=payload)
+                   for j, size in enumerate(sizes)]
+        return Flow(five_tuple=FiveTuple(1, 2, 3, 4, 6), packets=packets, label=0,
+                    class_name="", flow_id=0)
+
+    fractional = PacketArrays.from_flows([flow([100, 250.5, 300, 40, 41], 10)])
+    assert not vz.whole_valued(fractional, "sizes") and vz.whole_valued(fractional, "payloads")
+    view = _packet_view(fractional, np.array([0, 2, 3]))  # whole-valued packets only
+    for soa in (fractional, view):
+        assert vz._prefix_column(soa, "sizes") is None
+        assert vz._prefix_column(soa, "sizes_sq") is None
+        assert vz._prefix_column(soa, "payloads") is not None
+        assert vz._prefix_column(soa, "large") is not None  # a 0/1 indicator
+    huge = PacketArrays.from_flows([flow([2.0**52, 2.0**52, 2.0**52], 10)])
+    assert vz.whole_valued(huge, "sizes") and vz._prefix_column(huge, "sizes") is None
+    assert vz._prefix_column(huge, "payloads") is not None
+    negative = PacketArrays.from_flows([flow([100, 200], -1)])
+    assert not vz.whole_valued(negative, "payloads")
+
+    byte_count = next(f for f in _STATEFUL if f.name == "byte_count")
+    s, e = np.array([0, 1, 3]), np.array([2, 5, 5])
+    got = _WindowAggregator(fractional).compute(byte_count.index, s, e)
+    want = []
+    for a, b in zip(s.tolist(), e.tolist()):
+        operator = make_operator("byte_count")
+        for size in fractional.sizes[a:b].tolist():
+            operator.update(Packet(timestamp=0.0, size=size))
+        want.append(operator.value)
+    assert got.tolist() == want
+
+
 def _loop_sums(diffs, s, e):
     acc = np.zeros(s.size)
     acc_sq = np.zeros(s.size)

@@ -31,7 +31,10 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
-per path, per-packet reasons, event rounds —, swap metrics when ``--online``,
+per path, per-packet reasons, event rounds, the slot state left ``deferred`` —,
+``settle_s`` — seconds of one ``program.occupied_slots()`` after the replay,
+outside the profile: what the next reader of slot state (a serving session's
+next flush) pays for that deferred state —, swap metrics when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
 eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
 the spec's dataset — drawing the flows (``generate_s``), building the SoA
@@ -225,10 +228,16 @@ def main(argv: list[str] | None = None) -> int:
     # Left by ``replay_arrays`` (vectorized and scenario replays): which path the
     # flows and packets took, and why any went per packet.
     replay_stats = getattr(program, "replay_stats", None)
+    settle_s = None
     if replay_stats is not None:
+        settle_started = time.perf_counter()
+        program.occupied_slots()
+        settle_s = round(time.perf_counter() - settle_started, 6)
         print(f"paths: packets {replay_stats['packets']}, per-packet reasons "
               f"{replay_stats['per_packet_reasons']}, "
-              f"{replay_stats['event_rounds']} slot-stream event rounds")
+              f"{replay_stats['event_rounds']} slot-stream event rounds; "
+              f"deferred {replay_stats['deferred']} settled in "
+              f"{settle_s * 1e3:.2f} ms")
     if swap_event is not None:
         print(f"swap : epoch {swap_event.epoch} built in "
               f"{swap_event.latency_s * 1e3:.2f} ms with "
@@ -271,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
+            "settle_s": settle_s,
             "setup": setup,
             "hotspots": hotspots,
         }
