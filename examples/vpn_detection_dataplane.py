@@ -48,9 +48,11 @@ def main() -> None:
     print(f"  recirculation bandwidth   : {recirc['mean_bps'] / 1e6:.3f} Mbps "
           f"({recirc['utilisation'] * 100:.5f}% of the path)")
 
-    report = experiment.deploy().program.layout().resource_report()
-    print(f"  pipeline fits Tofino1     : {report.fits} "
-          f"(stages used: {report.stages_used}/{report.stages_available})")
+    deployment = experiment.deploy()
+    resources = deployment.resources
+    print(f"  feasible @ {spec.target_flows:,} flows  : {deployment.feasibility.feasible} "
+          f"(logic stages: {resources.stages_for_tables}/{resources.target.n_stages}, "
+          f"max {resources.max_flows:,} flows on {resources.target.name})")
 
 
 if __name__ == "__main__":

@@ -31,8 +31,11 @@ from repro.datasets.workloads import (
 from repro.features.definitions import FEATURES, dependency_depth
 from repro.switch.targets import TargetSpec
 
+#: Width of the per-window packet counter.
+PACKET_COUNTER_BITS = 8
+
 #: Bits of reserved per-flow state: subtree id + per-window packet counter.
-RESERVED_BITS = SID_BITS + 8
+RESERVED_BITS = SID_BITS + PACKET_COUNTER_BITS
 
 #: Width of one dependency-chain register (a compressed timestamp delta).
 DEPENDENCY_REGISTER_BITS = 8
@@ -208,7 +211,8 @@ def estimate_splidt_resources(
         tcam_bits=rules.tcam_bits(target.tcam_entry_overhead_bits),
         match_key_bits=rules.max_match_key_bits,
         stages_for_tables=logic_stages,
-        stages_for_registers=max(target.n_stages - logic_stages, 0),
+        # The stages ``capacity`` was computed over, not what the logic leaves.
+        stages_for_registers=max(target.n_stages - tcam_stages, 0),
         max_flows=capacity,
         n_features_total=len(model.features_used()),
         n_subtrees=model.n_subtrees,

@@ -20,7 +20,12 @@ widths, and entry counts must match the compiled rule set).
 from __future__ import annotations
 
 from repro.core.partitioned_tree import PartitionedDecisionTree
-from repro.core.range_marking import RuleSet
+from repro.core.range_marking import RuleSet, SID_BITS
+from repro.core.resources import (
+    DEPENDENCY_REGISTER_BITS,
+    PACKET_COUNTER_BITS,
+    splidt_register_layout,
+)
 from repro.features.definitions import FEATURES
 from repro.switch.tcam import range_to_ternary
 
@@ -34,19 +39,24 @@ def _header() -> str:
 
 
 def _registers_block(model: PartitionedDecisionTree, flow_slots: int) -> str:
+    """The per-flow registers, as :func:`splidt_register_layout` counts them."""
+    layout = splidt_register_layout(model)
     k = model.config.features_per_subtree
     width = model.config.bit_width
     lines = [
         f"/* Reserved per-flow state ({flow_slots} flow slots). */",
-        f"Register<bit<8>,  bit<32>>({flow_slots}) reg_sid;",
-        f"Register<bit<16>, bit<32>>({flow_slots}) reg_pkt_count;",
-        f"Register<bit<32>, bit<32>>({flow_slots}) reg_dependency_0;",
-        f"Register<bit<32>, bit<32>>({flow_slots}) reg_dependency_1;",
-        "",
-        f"/* k = {k} reusable feature slots ({width}-bit). */",
+        f"Register<bit<{SID_BITS}>, bit<32>>({flow_slots}) reg_sid;",
+        f"Register<bit<{PACKET_COUNTER_BITS}>, bit<32>>({flow_slots}) reg_pkt_count;",
     ]
-    for slot in range(k):
-        lines.append(f"Register<bit<{width}>, bit<32>>({flow_slots}) reg_feature_slot_{slot};")
+    lines += [
+        f"Register<bit<{DEPENDENCY_REGISTER_BITS}>, bit<32>>({flow_slots}) reg_dependency_{chain};"
+        for chain in range(layout.dependency_bits // DEPENDENCY_REGISTER_BITS)
+    ]
+    lines += ["", f"/* k = {k} reusable feature slots ({width}-bit). */"]
+    lines += [
+        f"Register<bit<{width}>, bit<32>>({flow_slots}) reg_feature_slot_{slot};"
+        for slot in range(k)
+    ]
     return "\n".join(lines)
 
 

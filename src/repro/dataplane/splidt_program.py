@@ -15,9 +15,9 @@ This mirrors the P4 program of Figure 4: per packet, the program
 
 State is held once, in one ``_FlowState`` per occupied register slot, indexed
 by the CRC32 flow hash, so hash collisions corrupt state exactly as they
-would on hardware.  The register arrays and TCAM tables themselves are only
-instantiated on request, by :meth:`SpliDTDataPlane.layout`, for resource
-accounting.
+would on hardware.  No register array or TCAM table is instantiated: what a
+deployment costs and whether it fits its target is answered by
+:mod:`repro.core.resources`.
 
 The scalar path above serves ``replay_dataset(..., engine="reference")``;
 the batched :meth:`SpliDTDataPlane.step_windows` API applies the same
@@ -40,11 +40,10 @@ from repro.datasets.flows import FiveTuple, Packet, PacketArrays
 from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.stateful import StatefulOperator, make_operator
 from repro.features.window import cached_window_boundaries
+from repro.switch.eviction import EvictionPolicy
 from repro.switch.hashing import FlowIndexer
 from repro.switch.phv import CONTROL_PACKET_BYTES, Phv, make_control_phv
-from repro.switch.pipeline import Pipeline
 from repro.switch.recirculation import RecirculationChannel
-from repro.switch.registers import EvictionPolicy
 from repro.switch.targets import TOFINO1, TargetSpec
 
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
@@ -227,36 +226,6 @@ class SpliDTDataPlane:
             # Deploy-time compilation of the dense lookup plane, so the
             # first window round never pays for it.
             rules.compiled_lookup()
-
-    # ------------------------------------------------------------------
-    # Instantiated layout (resource accounting)
-    # ------------------------------------------------------------------
-    def layout(self) -> Pipeline:
-        """Instantiate the program on a fresh pipeline of its target.
-
-        Allocates the reserved, dependency-chain and ``k`` feature-slot
-        register arrays (``flow_slots`` entries each) and installs the rules,
-        as deploying the P4 program would — so
-        ``program.layout().resource_report()`` says whether the deployment
-        fits.  Inference never reads the result: every call builds an
-        independent pipeline, and nothing keeps it up to date.
-        """
-        pipeline = Pipeline(self.target)
-        width = min(self.model.config.bit_width, 32)
-        pipeline.allocate_register("sid", size=self.flow_slots, width=8, stage=0)
-        pipeline.allocate_register("pkt_count", size=self.flow_slots, width=16, stage=0)
-        for chain in range(2):
-            pipeline.allocate_register(
-                f"dependency_{chain}", size=self.flow_slots, width=32, stage=1 + chain
-            )
-        for slot in range(self.model.config.features_per_subtree):
-            pipeline.allocate_register(
-                f"feature_slot_{slot}", size=self.flow_slots, width=width, stage=3
-            )
-        self.controller.install_rules(
-            pipeline, self.rules, feature_table_stage=3, model_table_stage=5
-        )
-        return pipeline
 
     # ------------------------------------------------------------------
     # Packet path
@@ -722,10 +691,4 @@ class SpliDTDataPlane:
 
     def recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters of the underlying channel."""
-        channel = self.recirculation
-        return {
-            "packets": float(channel.packets_recirculated),
-            "bytes": float(channel.bytes_recirculated),
-            "mean_bps": channel.mean_bandwidth_bps(),
-            "utilisation": channel.utilisation(),
-        }
+        return self.recirculation.stats()

@@ -35,7 +35,7 @@ from repro.dataplane.topk_program import TopKDataPlane
 from repro.datasets.materialize import WindowedDataset
 from repro.datasets.workloads import WORKLOADS
 from repro.pipeline.spec import ExperimentSpec, SpecError
-from repro.switch.registers import make_eviction_policy
+from repro.switch.eviction import make_eviction_policy
 
 
 class ExperimentError(RuntimeError):

@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace as dataclass_replace
 
 from repro.datasets.profiles import DATASET_KEYS
-from repro.switch.registers import EVICTION_POLICIES
+from repro.switch.eviction import EVICTION_POLICIES
 
 
 class ScenarioError(ValueError):
@@ -149,7 +149,7 @@ class ScenarioSpec:
             :mod:`repro.scenarios.classbench`).
         eviction: Collision-slot eviction policy of the replayed data plane
             (``"none"``, ``"idle-timeout"`` or ``"lru"``; see
-            :mod:`repro.switch.registers`).
+            :mod:`repro.switch.eviction`).
         eviction_timeout: Idle seconds before ``"idle-timeout"`` evicts.
         streamed: Spill the workload out-of-core through a
             :class:`~repro.datasets.streams.StreamedPacketWriter` instead of

@@ -53,6 +53,7 @@ from repro.analysis.streaming import RollingReport, RollingTTD
 from repro.dataplane import vectorized as vz
 from repro.dataplane.runtime import ReplayResult, build_replay_result
 from repro.datasets.streams import PacketChunk
+from repro.switch.recirculation import RecirculationChannel
 
 #: Engine names accepted by :func:`repro.serve.create_engine` (and by
 #: ``ServeConfig.engine`` / ``python -m repro serve --serve-engine``).
@@ -173,29 +174,17 @@ def merge_channel_aggregates(aggregates) -> dict[str, float]:
     The counters are order-insensitive aggregates (packet/byte totals plus
     the min/max of the submission interval), so the union over shard-local
     channels equals what a single channel observing all submissions would
-    have reported — including the derived mean bandwidth and utilisation.
+    have reported: they are summed into one and its ``stats()`` returned.
     """
     aggregates = [a for a in aggregates if a is not None]
     if not aggregates:
         return {}
-    packets = sum(a[0] for a in aggregates)
-    total_bytes = sum(a[1] for a in aggregates)
-    firsts = [a[2] for a in aggregates if a[2] is not None]
-    lasts = [a[3] for a in aggregates if a[3] is not None]
-    if firsts:
-        interval = max(lasts) - min(firsts)
-        if interval <= 0:
-            interval = 1e-6
-        mean_bps = total_bytes * 8 / interval
-    else:
-        mean_bps = 0.0
-    capacity = aggregates[0][4]
-    return {
-        "packets": float(packets),
-        "bytes": float(total_bytes),
-        "mean_bps": mean_bps,
-        "utilisation": mean_bps / capacity if capacity > 0 else 0.0,
-    }
+    channel = RecirculationChannel(capacity_bps=aggregates[0][4])
+    channel.packets_recirculated = sum(a[0] for a in aggregates)
+    channel.bytes_recirculated = sum(a[1] for a in aggregates)
+    channel.first_timestamp = min((a[2] for a in aggregates if a[2] is not None), default=None)
+    channel.last_timestamp = max((a[3] for a in aggregates if a[3] is not None), default=None)
+    return channel.stats()
 
 
 def sum_counters(counters) -> dict[str, int]:

@@ -1,39 +1,29 @@
-"""RMT switch substrate: targets, pipeline, MATs, TCAM, registers, recirculation.
+"""RMT switch substrate: targets, flow hashing, PHV, ternary matching, recirculation.
 
-This package models the hardware the paper deploys on (Tofino-class RMT
-switches) at the level of abstraction the paper's own feasibility analysis
-uses: stages, match-action tables (exact and ternary), per-stage register
-arrays, the packet header vector, and the recirculation path.
+This package holds what a deployed program runs on (Tofino-class RMT
+switches): the per-target budgets, the CRC32 flow-to-slot hash, the packet
+header vector, the recirculation path, ternary range expansion and the
+collision-slot eviction policies (:mod:`repro.switch.eviction`).  Whether a
+deployment *fits* a target is answered in one place,
+:mod:`repro.core.resources`; nothing here instantiates registers or tables.
 """
 
 from repro.switch.hashing import FlowIndexer, crc32, crc32_reference, hash_five_tuple, register_index
-from repro.switch.mat import ExactMatchEntry, ExactMatchTable, Stage
 from repro.switch.phv import Phv, make_control_phv, make_data_phv
-from repro.switch.pipeline import Pipeline, ResourceReport
 from repro.switch.recirculation import RecirculationChannel
-from repro.switch.registers import RegisterArray, RegisterFile
 from repro.switch.targets import BLUEFIELD3, TARGETS, TOFINO1, TOFINO2, TRIDENT4, TargetSpec, get_target
-from repro.switch.tcam import TcamEntry, TcamTable, TernaryMatch, range_to_ternary
+from repro.switch.tcam import TernaryMatch, range_to_ternary
 
 __all__ = [
     "BLUEFIELD3",
-    "ExactMatchEntry",
-    "ExactMatchTable",
     "FlowIndexer",
     "Phv",
-    "Pipeline",
     "RecirculationChannel",
-    "RegisterArray",
-    "RegisterFile",
-    "ResourceReport",
-    "Stage",
     "TARGETS",
     "TOFINO1",
     "TOFINO2",
     "TRIDENT4",
     "TargetSpec",
-    "TcamEntry",
-    "TcamTable",
     "TernaryMatch",
     "crc32",
     "crc32_reference",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.switch.phv import Phv
 
 
@@ -41,34 +39,16 @@ class RecirculationChannel:
         self._observe_interval(timestamp, timestamp)
         self._queue.append((timestamp + self.latency, phv))
 
-    def submit_batch(self, timestamps, packet_bytes: int) -> None:
-        """Account for many control packets at once (vectorized engine).
-
-        The batched replay engine applies subtree transitions synchronously,
-        so the control packets never need to sit in the queue — this method
-        only updates the bandwidth-accounting counters, exactly as the same
-        number of :meth:`submit` / :meth:`ready` pairs would have.
-        """
-        timestamps = np.asarray(timestamps, dtype=float)
-        if timestamps.size == 0:
-            return
-        self.submit_span(
-            int(timestamps.size),
-            packet_bytes,
-            float(timestamps.min()),
-            float(timestamps.max()),
-        )
-
     def submit_span(
         self, count: int, packet_bytes: int, earliest: float, latest: float
     ) -> None:
         """Account for ``count`` control packets submitted within a time span.
 
-        The counters-only core of :meth:`submit_batch`: the fused window
-        plane already holds the boundary timestamps in a workspace buffer and
-        reduces the span itself, so it passes the extremes directly instead
-        of materialising a timestamp array per round.  Order-insensitive and
-        bit-identical to ``count`` scalar :meth:`submit` calls.
+        The batched planes apply subtree transitions synchronously, so their
+        control packets never sit in the queue: they reduce each round's
+        boundary timestamps to the two extremes and update the counters
+        only.  Order-insensitive and bit-identical to ``count`` scalar
+        :meth:`submit` calls.
         """
         if count <= 0:
             return
@@ -118,3 +98,12 @@ class RecirculationChannel:
         if self.capacity_bps <= 0:
             return 0.0
         return self.mean_bandwidth_bps() / self.capacity_bps
+
+    def stats(self) -> dict[str, float]:
+        """The channel's counters and derived overheads, as every report carries them."""
+        return {
+            "packets": float(self.packets_recirculated),
+            "bytes": float(self.bytes_recirculated),
+            "mean_bps": self.mean_bandwidth_bps(),
+            "utilisation": self.utilisation(),
+        }

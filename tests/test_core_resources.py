@@ -18,7 +18,7 @@ from repro.core.resources import (
 )
 from repro.datasets.workloads import WORKLOADS
 from repro.features.definitions import FEATURES_BY_NAME
-from repro.switch.targets import BLUEFIELD3, TOFINO1, TOFINO2
+from repro.switch.targets import BLUEFIELD3, TARGETS, TOFINO1, TOFINO2
 
 
 class TestRegisterLayouts:
@@ -105,6 +105,17 @@ class TestResourceEstimate:
         verdict = check_feasibility(estimate, n_flows=estimate.max_flows * 10)
         assert not verdict.feasible
         assert any("register budget" in violation for violation in verdict.violations)
+
+    @pytest.mark.parametrize("target", TARGETS.values(), ids=list(TARGETS))
+    def test_register_stages_give_max_flows(self, splidt_model, splidt_rules, target):
+        estimate = estimate_splidt_resources(splidt_model, splidt_rules, target=target)
+        assert 0 < estimate.stages_for_registers < target.n_stages
+        assert estimate.max_flows == int(
+            estimate.stages_for_registers * target.register_bits_per_stage
+            // estimate.layout.total_bits
+        )
+        assert check_feasibility(estimate, n_flows=estimate.max_flows).feasible
+        assert not check_feasibility(estimate, n_flows=estimate.max_flows + 1).feasible
 
     def test_recirculation_tiny_fraction_of_capacity(self, splidt_model, splidt_rules):
         estimate = estimate_splidt_resources(

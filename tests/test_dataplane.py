@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,6 @@ from repro.core.config import TopKConfig
 from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset, ttd_ecdf
 from repro.dataplane.controller import Digest
 from repro.switch.phv import make_data_phv
-from repro.switch.pipeline import Pipeline
-from repro.switch.registers import RegisterArray, RegisterFile
-from repro.switch.tcam import TcamTable
-
-
-@pytest.fixture(scope="module")
-def splidt_dataplane(splidt_model, splidt_rules):
-    return SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=4096)
 
 
 @pytest.fixture(scope="module")
@@ -30,34 +23,6 @@ def replay_result(splidt_model, splidt_rules, small_dataset):
 
 
 class TestSpliDTDataPlaneSetup:
-    def test_register_allocation(self, splidt_dataplane, splidt_model):
-        registers = splidt_dataplane.layout().registers
-        assert "sid" in registers and "pkt_count" in registers
-        k = splidt_model.config.features_per_subtree
-        for slot in range(k):
-            assert f"feature_slot_{slot}" in registers
-        assert all(array.size == 4096 for array in registers.arrays.values())
-
-    def test_rules_installed(self, splidt_dataplane, splidt_rules):
-        tables = splidt_dataplane.layout().tables()
-        assert len(tables) > 0
-        assert sum(table.n_entries for table in tables) == sum(
-            mark_table.n_ternary_entries
-            for subtree_rules in splidt_rules.subtree_rules.values()
-            for mark_table in subtree_rules.mark_tables.values()
-        )
-
-    def test_pipeline_fits_target(self, splidt_dataplane):
-        report = splidt_dataplane.layout().resource_report()
-        assert report.fits, report.violations
-
-    def test_layouts_are_independent(self, splidt_dataplane):
-        first, second = splidt_dataplane.layout(), splidt_dataplane.layout()
-        assert first is not second
-        first.registers["sid"].write(3, 7)
-        assert second.registers["sid"].read(3) == 0
-        assert first.resource_report() == second.resource_report()
-
     def test_program_size_is_independent_of_flow_slots(self, splidt_model, splidt_rules):
         """The program is one copy of the switch: nothing in it scales with the table."""
         splidt_rules.compiled_lookup()  # shared by every program; not this one's cost
@@ -74,10 +39,7 @@ class TestSpliDTDataPlaneSetup:
         program, large = build(2**20)
         assert large < 2**20  # the register mirror was 64 MiB
         assert large - small < 4096
-        assert not any(
-            isinstance(value, (np.ndarray, Pipeline, RegisterArray, RegisterFile, TcamTable))
-            for value in vars(program).values()
-        )
+        assert not any(isinstance(value, np.ndarray) for value in vars(program).values())
 
 
 @pytest.mark.parametrize("kind", ["splidt", "topk"])
@@ -95,6 +57,35 @@ def test_process_packet_rejects_mirror_registers(
     with pytest.raises(TypeError):
         program.process_packet(phv, flow.flow_id, flow.n_packets, mirror_registers=False)
     assert program.verdicts == {}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "repro.switch.pipeline",
+        "repro.switch.mat",
+        "repro.switch.registers",
+        "repro.switch:Pipeline",
+        "repro.switch:RegisterArray",
+        "repro.switch:TcamTable",
+        "repro.switch.tcam:TcamTable",
+        "repro.switch.recirculation:RecirculationChannel.submit_batch",
+        "repro.dataplane:SpliDTDataPlane.layout",
+        "repro.dataplane.controller:Controller.install_rules",
+    ],
+)
+def test_instantiated_pipeline_is_gone(path):
+    """One resource model (``core.resources``): the instantiated one is rejected, not aliased."""
+    module, _, attribute = path.partition(":")
+    if not attribute:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+        return
+    *owners, name = attribute.split(".")
+    owner = importlib.import_module(module)
+    for part in owners:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name)
 
 
 class TestSpliDTReplay:

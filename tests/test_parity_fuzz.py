@@ -48,7 +48,7 @@ from repro.dataplane.runtime import build_replay_result
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.streams import PacketChunk
 from repro.serve import MicroBatchEngine, StreamingEngine
-from repro.switch.registers import make_eviction_policy
+from repro.switch.eviction import make_eviction_policy
 
 #: Fixed regression corpus — every seed here runs on every pytest invocation.
 FIXED_SEEDS = tuple(range(16))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import core, datasets
 from repro.dataplane import SpliDTDataPlane, replay_dataset
-from repro.pipeline import Experiment, ExperimentSpec
+from repro.pipeline import Experiment, ExperimentSpec, get_scenario
 from repro.pipeline.experiment import STAGES
 from repro.switch.targets import TOFINO1
 
@@ -91,6 +94,28 @@ class TestResultBundle:
         assert summary["spec"]["dataset"] == "D3"
         assert summary["replayed"] is True
         assert summary["replay_flows"] == len(experiment.replay().verdicts)
+
+
+class TestOneFeasibilityAnswer:
+    def test_deployment_carries_the_verdict(self, experiment):
+        deployment = experiment.deploy()
+        assert deployment.feasibility == core.check_feasibility(
+            deployment.resources, n_flows=SPEC.target_flows
+        )
+        assert experiment.run().feasibility is deployment.feasibility
+        assert not hasattr(deployment.program, "layout")
+
+    def test_vpn_example_prints_that_verdict(self, capsys):
+        example = Path(__file__).resolve().parents[1] / "examples" / "vpn_detection_dataplane.py"
+        runpy.run_path(str(example), run_name="__main__")
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "feasible @" in ln]
+        spec = get_scenario("vpn-detection")
+        deployment = Experiment(spec).deploy()
+        resources = deployment.resources
+        assert f"feasible @ {spec.target_flows:,} flows" in line
+        assert f": {deployment.feasibility.feasible} " in line
+        assert f"logic stages: {resources.stages_for_tables}/{resources.target.n_stages}" in line
+        assert f"max {resources.max_flows:,} flows" in line
 
 
 class TestParityWithHandChainedPath:

@@ -15,7 +15,7 @@ from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.features.window import window_boundaries
 from repro.ml import DecisionTreeClassifier
 from repro.ml.metrics import accuracy_score, f1_score
-from repro.switch.registers import make_eviction_policy
+from repro.switch.eviction import make_eviction_policy
 from repro.switch.tcam import range_to_ternary
 
 

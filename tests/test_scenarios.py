@@ -29,7 +29,7 @@ from repro.scenarios import (
 from repro.scenarios.classbench import ClassBenchError
 from repro.scenarios.runner import prepare_system
 from repro.switch.phv import make_data_phv
-from repro.switch.registers import make_eviction_policy
+from repro.switch.eviction import make_eviction_policy
 
 FIXTURE = Path(__file__).parent / "data" / "classbench_small.rules"
 

@@ -23,7 +23,7 @@ from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.streams import PacketChunk, StreamedPacketWriter
 from repro.features.definitions import STATELESS_HEADER_INDICES
 from repro.serve import StreamingEngine
-from repro.switch.registers import EvictionPolicy, make_eviction_policy
+from repro.switch.eviction import EvictionPolicy, make_eviction_policy
 
 TUPLE_A = FiveTuple(src_ip=1, dst_ip=2, src_port=3, dst_port=4, protocol=6)
 TUPLE_B = FiveTuple(src_ip=9, dst_ip=8, src_port=7, dst_port=6, protocol=17)

@@ -1,16 +1,14 @@
-"""Unit tests for the RMT pipeline container, MATs, PHV and recirculation."""
+"""Unit tests for the hardware targets, the PHV and the recirculation channel."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datasets.flows import FiveTuple, Packet
-from repro.switch.mat import ExactMatchEntry, ExactMatchTable, Stage
+from repro.serve import merge_channel_aggregates
 from repro.switch.phv import make_control_phv, make_data_phv
-from repro.switch.pipeline import Pipeline
 from repro.switch.recirculation import RecirculationChannel
 from repro.switch.targets import BLUEFIELD3, TOFINO1, TOFINO2, TRIDENT4, get_target
-from repro.switch.tcam import TcamTable
 
 
 class TestTargets:
@@ -33,34 +31,6 @@ class TestTargets:
     def test_tofino2_larger_than_tofino1(self):
         assert TOFINO2.n_stages > TOFINO1.n_stages
         assert TOFINO2.tcam_bits > TOFINO1.tcam_bits
-
-
-class TestExactMatchTable:
-    def test_add_and_lookup(self):
-        table = ExactMatchTable(name="ops", key_fields={"sid": 8})
-        table.add_entry(ExactMatchEntry(fields={"sid": 3}, action="use_max"))
-        assert table.lookup({"sid": 3}).action == "use_max"
-        assert table.lookup({"sid": 4}) is None
-
-    def test_unknown_field_rejected(self):
-        table = ExactMatchTable(name="ops", key_fields={"sid": 8})
-        with pytest.raises(ValueError):
-            table.add_entry(ExactMatchEntry(fields={"oops": 1}, action="a"))
-
-    def test_memory_accounting(self):
-        table = ExactMatchTable(name="ops", key_fields={"sid": 8, "flag": 8})
-        table.add_entry(ExactMatchEntry(fields={"sid": 1, "flag": 0}, action="a"))
-        assert table.key_width_bits == 16
-        assert table.memory_bits() == 16 + 32
-
-
-class TestStage:
-    def test_mat_budget_enforced(self):
-        stage = Stage(index=0, max_mats=2)
-        stage.add_table(ExactMatchTable(name="a", key_fields={"k": 8}))
-        stage.add_table(ExactMatchTable(name="b", key_fields={"k": 8}))
-        with pytest.raises(ResourceWarning):
-            stage.add_table(ExactMatchTable(name="c", key_fields={"k": 8}))
 
 
 class TestPhv:
@@ -103,49 +73,31 @@ class TestRecirculationChannel:
         assert channel.mean_bandwidth_bps() == pytest.approx(640 * 8 / 9.0)
         assert 0 <= channel.utilisation() < 1
 
+    def test_stats_of_merged_shards_equal_one_channel(self):
+        """One formula: shard aggregates summed into a channel report what one channel would."""
+        whole, shards = RecirculationChannel(), [RecirculationChannel() for _ in range(3)]
+        assert whole.stats() == {"packets": 0.0, "bytes": 0.0, "mean_bps": 0.0, "utilisation": 0.0}
+        for i, (earliest, latest) in enumerate([(0.5, 2.0), (0.25, 0.25), (1.0, 7.5), (3.0, 3.5)]):
+            for channel in (whole, shards[i % 2]):  # the third shard stays empty
+                channel.submit_span(i + 1, 64, earliest, latest)
+        aggregates = [
+            (c.packets_recirculated, c.bytes_recirculated, c.first_timestamp, c.last_timestamp,
+             c.capacity_bps)
+            for c in shards
+        ]
+        assert merge_channel_aggregates([None, *aggregates]) == whole.stats()
+        assert whole.stats()["mean_bps"] == 10 * 64 * 8 / 7.25
+        assert merge_channel_aggregates([None]) == {}
+
+    def test_zero_interval_counts_as_a_microsecond(self):
+        channel = RecirculationChannel(capacity_bps=1e9)
+        channel.submit_span(2, 64, 1.0, 1.0)
+        assert channel.stats()["mean_bps"] == 2 * 64 * 8 / 1e-6
+        assert channel.stats()["utilisation"] == channel.stats()["mean_bps"] / 1e9
+
     def test_drain(self):
         channel = RecirculationChannel()
         phv = make_control_phv(FiveTuple(1, 2, 3, 4, 6), next_sid=2, timestamp=0.0)
         channel.submit(phv, 0.0)
         assert len(channel.drain()) == 1
         assert channel.pending == 0
-
-
-class TestPipeline:
-    def test_placement_and_report_fits(self):
-        pipeline = Pipeline(TOFINO1)
-        pipeline.allocate_register("sid", size=1024, width=8, stage=0)
-        pipeline.place_table(TcamTable(name="m", key_fields={"k": 32}), stage=1)
-        report = pipeline.resource_report()
-        assert report.fits
-        assert report.stages_used == 2
-        assert report.register_bits_used == 1024 * 8
-
-    def test_register_over_budget_detected(self):
-        pipeline = Pipeline(TOFINO1)
-        # One stage can hold register_bits_per_stage bits; exceed it.
-        size = int(TOFINO1.register_bits_per_stage // 32) + 10
-        pipeline.allocate_register("big", size=size, width=32, stage=0)
-        report = pipeline.resource_report()
-        assert not report.fits
-        assert any("stage 0" in violation for violation in report.violations)
-
-    def test_tcam_over_budget_detected(self):
-        pipeline = Pipeline(TOFINO1)
-        table = TcamTable(name="huge", key_fields={"k": 512})
-        from repro.switch.tcam import TcamEntry, TernaryMatch
-        for i in range(7000):
-            table.add_entry(TcamEntry(fields={"k": TernaryMatch(i, 0xFFFF)}, priority=i, action="a"))
-        pipeline.place_table(table, stage=0)
-        assert not pipeline.resource_report().fits
-
-    def test_invalid_stage_index(self):
-        pipeline = Pipeline(TOFINO1)
-        with pytest.raises(IndexError):
-            pipeline.place_table(TcamTable(name="t", key_fields={"k": 8}), stage=99)
-
-    def test_stages_used_counts_registers_and_tables(self):
-        pipeline = Pipeline(TOFINO1)
-        pipeline.allocate_register("a", size=16, width=8, stage=2)
-        pipeline.place_table(ExactMatchTable(name="t", key_fields={"k": 8}), stage=5)
-        assert pipeline.stages_used() == 2

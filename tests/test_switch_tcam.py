@@ -1,13 +1,10 @@
-"""Unit tests for the TCAM model and range-to-ternary expansion."""
+"""Unit tests for ternary matching and range-to-ternary expansion."""
 
 from __future__ import annotations
 
-import math
-import random
-
 import pytest
 
-from repro.switch.tcam import TcamEntry, TcamTable, TernaryMatch, range_to_ternary
+from repro.switch.tcam import TernaryMatch, range_to_ternary
 
 
 class TestTernaryMatch:
@@ -65,84 +62,3 @@ class TestRangeToTernary:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             range_to_ternary(0, 1, 0)
-
-
-class TestTcamTable:
-    def _table(self) -> TcamTable:
-        table = TcamTable(name="t", key_fields={"value": 8})
-        table.add_entry(
-            TcamEntry(fields={"value": TernaryMatch(0, 0xF0)}, priority=1, action="low")
-        )
-        table.add_entry(
-            TcamEntry(fields={"value": TernaryMatch(0, 0)}, priority=0, action="default")
-        )
-        return table
-
-    def test_priority_order(self):
-        table = self._table()
-        assert table.lookup({"value": 5}).action == "low"
-        assert table.lookup({"value": 200}).action == "default"
-
-    def test_miss_returns_none(self):
-        table = TcamTable(name="t", key_fields={"value": 8})
-        assert table.lookup({"value": 1}) is None
-
-    def test_unknown_field_rejected(self):
-        table = TcamTable(name="t", key_fields={"value": 8})
-        with pytest.raises(ValueError):
-            table.add_entry(TcamEntry(fields={"other": TernaryMatch(0, 0)}, priority=0, action="a"))
-
-    def test_memory_accounting(self):
-        table = self._table()
-        assert table.key_width_bits == 8
-        assert table.memory_bits(entry_overhead_bits=16) == (2 * 8 + 16) * 2
-
-    def test_lookup_statistics(self):
-        table = self._table()
-        table.lookup({"value": 5})
-        table.lookup({"value": 200})
-        assert table.lookups == 2
-        assert table.hits == 2
-
-    def test_missing_key_field_no_match(self):
-        table = self._table()
-        assert table.lookup({}) is None
-
-    def test_entries_keep_stable_descending_priority_order(self):
-        # Equal priorities stay in installation order, as a stable sort of
-        # the installed sequence would leave them.
-        rng = random.Random(3)
-        table = TcamTable(name="t", key_fields={"value": 8})
-        inserted = []
-        for serial in range(300):
-            entry = TcamEntry(
-                fields={"value": TernaryMatch(serial % 256, 0xFF)},
-                priority=rng.randint(0, 9),
-                action=str(serial),
-            )
-            inserted.append(entry)
-            table.add_entry(entry)
-        expected = sorted(inserted, key=lambda e: -e.priority)
-        assert [e.action for e in table.entries] == [e.action for e in expected]
-
-    def test_install_cost_is_n_log_n_priority_reads(self):
-        # add_entry used to re-sort the whole table per insert: n^2 / 2 reads.
-        class CountingEntry(TcamEntry):
-            reads = 0
-
-            def __getattribute__(self, name):
-                if name == "priority":
-                    CountingEntry.reads += 1
-                return super().__getattribute__(name)
-
-        n = 5000
-        rng = random.Random(5)
-        table = TcamTable(name="t", key_fields={"value": 8})
-        for _ in range(n):
-            table.add_entry(
-                CountingEntry(
-                    fields={"value": TernaryMatch(0, 0)}, priority=rng.randint(0, 50), action="a"
-                )
-            )
-        assert table.n_entries == n
-        assert CountingEntry.reads <= n * (math.ceil(math.log2(n)) + 2)
