@@ -29,10 +29,10 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import core, datasets  # noqa: E402
+from repro.baselines import TopKTrainer  # noqa: E402
 from repro.dataplane import replay_dataset  # noqa: E402
 from repro.pipeline import (  # noqa: E402
     Experiment,
-    ExperimentError,
     ExperimentSpec,
     Prepared,
     get_system,
@@ -103,6 +103,7 @@ SPLIDT_CANDIDATES = (
 _STORES: dict[tuple[str, int, int], datasets.DatasetStore] = {}
 _SPLIDT_CACHE: dict = {}
 _BASELINE_CACHE: dict = {}
+_TRAINERS: dict[int, TopKTrainer] = {}
 _EXPERIMENT_CACHE: dict = {}
 _MODEL_STAGE_CACHE: dict = {}
 
@@ -205,40 +206,29 @@ def best_splidt_at_flows(
     bit_width: int = 32,
 ) -> core.CandidateEvaluation | None:
     """Best candidate SpliDT configuration feasible at ``n_flows``."""
-    best = None
-    for depth, k, partitions in candidates:
-        candidate = evaluate_splidt_config(store, depth, k, partitions, bit_width=bit_width)
-        if not candidate.supports(n_flows):
-            continue
-        if best is None or candidate.f1_score > best.f1_score:
-            best = candidate
-    return best
+    evaluated = [
+        evaluate_splidt_config(store, depth, k, partitions, bit_width=bit_width)
+        for depth, k, partitions in candidates
+    ]
+    return core.best_at_flows(evaluated, n_flows)
 
 
 def baseline_at_flows(store: datasets.DatasetStore, system: str, n_flows: int):
-    """Best NetBeacon / Leo / per-packet model at ``n_flows`` (cached).
+    """Best NetBeacon / Leo / per-packet model at ``n_flows``, or ``None``.
 
-    The search runs through the pipeline's system registry — the same
-    adapters ``python -m repro run --system netbeacon`` uses — so benchmark
-    and CLI baselines cannot drift apart.  Returns ``None`` when no
-    configuration is feasible.
+    The system's grid is evaluated once per (store, system) through the
+    pipeline's registry — the same adapters ``python -m repro run --system
+    netbeacon`` uses, so benchmark and CLI baselines cannot drift apart —
+    and every flow target selects from it.  One trainer per store shares the
+    feature ranking across systems.
     """
-    cache_key = (id(store), system, n_flows)
+    cache_key = (id(store), system)
     if cache_key not in _BASELINE_CACHE:
-        windowed = store.fetch(3)
-        adapter = get_system(system)
-        spec = ExperimentSpec(
-            dataset=store.dataset.name if store.dataset.name in datasets.DATASET_KEYS else "D3",
-            system=system,
-            target_flows=n_flows,
-            seed=0,
+        trainer = _TRAINERS.setdefault(id(store), TopKTrainer(store.fetch(3), random_state=0))
+        _BASELINE_CACHE[cache_key] = get_system(system).candidates(
+            trainer, ExperimentSpec(system=system)
         )
-        try:
-            result = adapter.train(spec, windowed)
-        except ExperimentError:
-            result = None
-        _BASELINE_CACHE[cache_key] = result
-    return _BASELINE_CACHE[cache_key]
+    return core.best_at_flows(_BASELINE_CACHE[cache_key], n_flows)
 
 
 def ideal_f1(store: datasets.DatasetStore, n_partitions: int = 3) -> float:

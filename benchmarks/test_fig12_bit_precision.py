@@ -35,7 +35,7 @@ def _run() -> str:
             [
                 "NetBeacon (32-bit)",
                 f"{netbeacon.report.f1_score:.3f}",
-                str(netbeacon.register_bits),
+                str(netbeacon.resources.layout.feature_bits),
                 "100,000",
                 str(len(netbeacon.model.features_used())),
             ]

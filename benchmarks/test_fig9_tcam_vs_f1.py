@@ -32,10 +32,10 @@ def _run() -> str:
         for n_flows in (100_000, 500_000, 1_000_000):
             netbeacon = baseline_at_flows(store, "netbeacon", n_flows)
             if netbeacon:
-                baseline_points["NetBeacon"].append((netbeacon.tcam_entries, netbeacon.report.f1_score))
+                baseline_points["NetBeacon"].append((netbeacon.resources.tcam_entries, netbeacon.report.f1_score))
             leo = baseline_at_flows(store, "leo", n_flows)
             if leo:
-                baseline_points["Leo"].append((leo.tcam_entries, leo.report.f1_score))
+                baseline_points["Leo"].append((leo.resources.tcam_entries, leo.report.f1_score))
 
         for budget in BUDGETS:
             def best(points):

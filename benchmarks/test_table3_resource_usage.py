@@ -11,8 +11,27 @@ from __future__ import annotations
 
 from bench_common import FLOW_TARGETS, baseline_at_flows, best_splidt_at_flows, get_store, write_result
 from repro.analysis import render_table
+from repro.core import PartitionedDecisionTree
 
 DATASETS = ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
+
+
+def _cells(candidate) -> list[str]:
+    """F1, depth, #features, #TCAM entries and register bits of any system's candidate."""
+    if candidate is None:
+        return ["-", "-", "-", "-", "-"]
+    model = candidate.model
+    if isinstance(model, PartitionedDecisionTree):
+        depth = f"{model.total_depth}/{model.n_partitions}"
+    else:
+        depth = str(model.depth)
+    return [
+        f"{candidate.report.f1_score:.2f}",
+        depth,
+        str(len(model.features_used())),
+        str(candidate.resources.tcam_entries),
+        str(candidate.resources.layout.feature_bits),
+    ]
 
 
 def _run() -> str:
@@ -23,34 +42,8 @@ def _run() -> str:
             splidt = best_splidt_at_flows(store, n_flows)
             netbeacon = baseline_at_flows(store, "netbeacon", n_flows)
             leo = baseline_at_flows(store, "leo", n_flows)
-
-            def fmt_baseline(candidate):
-                if candidate is None:
-                    return ["-", "-", "-", "-", "-"]
-                return [
-                    f"{candidate.report.f1_score:.2f}",
-                    str(candidate.model.depth),
-                    str(len(candidate.model.features_used())),
-                    str(candidate.tcam_entries),
-                    str(candidate.register_bits),
-                ]
-
-            splidt_cells = (
-                [
-                    f"{splidt.f1_score:.2f}",
-                    f"{splidt.model.total_depth}/{splidt.config.n_partitions}",
-                    str(len(splidt.model.features_used())),
-                    str(splidt.rules.n_entries),
-                    str(splidt.resources.layout.feature_bits),
-                ]
-                if splidt
-                else ["-", "-", "-", "-", "-"]
-            )
             rows.append(
-                [key, f"{n_flows:,}"]
-                + fmt_baseline(netbeacon)
-                + fmt_baseline(leo)
-                + splidt_cells
+                [key, f"{n_flows:,}"] + _cells(netbeacon) + _cells(leo) + _cells(splidt)
             )
     headers = ["Data", "#Flows"]
     for system in ("NB", "Leo", "SpliDT"):

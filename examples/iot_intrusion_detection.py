@@ -19,9 +19,11 @@ configuration is trained exactly once across all three flow targets.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro import datasets
 from repro.analysis import render_table
-from repro.core import check_feasibility
+from repro.core import best_at_flows
 from repro.pipeline import Experiment, ExperimentError, ExperimentSpec, Prepared
 
 FLOW_TARGETS = (100_000, 500_000, 1_000_000)
@@ -53,19 +55,18 @@ def make_experiment(spec: ExperimentSpec) -> Experiment:
     return experiment
 
 
-def best_splidt(experiments: list[Experiment], n_flows: int):
-    """Best candidate experiment feasible at ``n_flows`` (stages cached)."""
-    best = None
-    for experiment in experiments:
-        verdict = check_feasibility(experiment.deploy().resources, n_flows=n_flows)
-        if not verdict.feasible:
-            continue
-        report = experiment.system.offline_report(
-            experiment.train(), experiment.prepare().windowed, experiment.spec
+def splidt_candidates(experiments: list[Experiment]) -> list[SimpleNamespace]:
+    """Each experiment with its offline report and resource estimate (stages cached)."""
+    return [
+        SimpleNamespace(
+            experiment=experiment,
+            report=experiment.system.offline_report(
+                experiment.train(), experiment.prepare().windowed, experiment.spec
+            ),
+            resources=experiment.deploy().resources,
         )
-        if best is None or report.f1_score > best[1].f1_score:
-            best = (experiment, report)
-    return best
+        for experiment in experiments
+    ]
 
 
 def baseline_f1(system: str, n_flows: int) -> str:
@@ -81,22 +82,22 @@ def baseline_f1(system: str, n_flows: int) -> str:
 
 def main() -> None:
     print("Generating the D6 (CIC-IDS-2017-like) intrusion-detection dataset ...")
-    splidt_experiments = [
+    splidt = splidt_candidates([
         make_experiment(BASE.replace(depth=depth, features_per_subtree=k, n_partitions=parts))
         for depth, k, parts in SPLIDT_CANDIDATES
-    ]
+    ])
     per_packet = baseline_f1("per_packet", FLOW_TARGETS[0])
 
     rows = []
     for n_flows in FLOW_TARGETS:
-        splidt = best_splidt(splidt_experiments, n_flows)
+        best = best_at_flows(splidt, n_flows)
         rows.append(
             [
                 f"{n_flows:,}",
                 baseline_f1("netbeacon", n_flows),
                 baseline_f1("leo", n_flows),
-                f"{splidt[1].f1_score:.3f}" if splidt else "infeasible",
-                str(len(splidt[0].train().features_used())) if splidt else "-",
+                f"{best.report.f1_score:.3f}" if best else "infeasible",
+                str(len(best.experiment.train().features_used())) if best else "-",
                 per_packet,
             ]
         )

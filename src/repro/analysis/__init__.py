@@ -1,6 +1,7 @@
 """Analysis and reporting helpers (tables, frontiers, TTD, robustness)."""
 
 from repro.analysis.reporting import (
+    format_max_flows,
     format_pareto_table,
     format_recirculation_table,
     format_resource_table,
@@ -16,6 +17,7 @@ __all__ = [
     "RollingTTD",
     "SpoofingResult",
     "evaluate_flow_size_spoofing",
+    "format_max_flows",
     "format_pareto_table",
     "format_recirculation_table",
     "format_resource_table",

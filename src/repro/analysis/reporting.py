@@ -9,6 +9,7 @@ glance.
 from __future__ import annotations
 
 from repro.core.dse import CandidateEvaluation, StageTimings
+from repro.core.resources import UNBOUNDED_FLOWS
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -24,6 +25,11 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         lines.append("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def format_max_flows(max_flows: int) -> str:
+    """A ``max_flows`` cell; a model that keeps nothing per flow has no bound."""
+    return "unbounded" if max_flows == UNBOUNDED_FLOWS else f"{max_flows:,}"
 
 
 def format_pareto_table(results: dict[str, dict[int, float]]) -> str:

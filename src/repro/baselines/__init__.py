@@ -1,25 +1,19 @@
 """Baselines the paper compares against: NetBeacon, Leo, IIsy/per-packet, pForest."""
 
-from repro.baselines.iisy import search_per_packet, train_per_packet_model
-from repro.baselines.pforest import (
-    PForestModel,
-    evaluate_pforest,
-    pforest_tcam_cost,
-    train_pforest_model,
-)
-from repro.baselines.leo import feasible_leo, leo_tcam_bits, leo_tcam_entries, search_leo
+from repro.baselines.iisy import per_packet_table_cost, train_per_packet_model
+from repro.baselines.pforest import PForestModel, evaluate_pforest, train_pforest_model
+from repro.baselines.leo import leo_table_cost, leo_tcam_bits, leo_tcam_entries
 from repro.baselines.netbeacon import (
     NETBEACON_PHASES,
-    BaselineCandidate,
-    feasible_netbeacon,
-    netbeacon_tcam_cost,
+    netbeacon_table_cost,
     phase_for_packet_count,
-    search_netbeacon,
 )
 from repro.baselines.topk import (
+    BaselineCandidate,
     TopKModel,
+    TopKTrainer,
+    evaluate_grid,
     select_top_k_features,
-    topk_per_flow_bits,
     train_topk_model,
 )
 
@@ -27,21 +21,18 @@ __all__ = [
     "BaselineCandidate",
     "NETBEACON_PHASES",
     "PForestModel",
-    "evaluate_pforest",
-    "pforest_tcam_cost",
-    "train_pforest_model",
     "TopKModel",
-    "feasible_leo",
-    "feasible_netbeacon",
+    "TopKTrainer",
+    "evaluate_grid",
+    "evaluate_pforest",
+    "leo_table_cost",
     "leo_tcam_bits",
     "leo_tcam_entries",
-    "netbeacon_tcam_cost",
+    "netbeacon_table_cost",
+    "per_packet_table_cost",
     "phase_for_packet_count",
-    "search_leo",
-    "search_netbeacon",
-    "search_per_packet",
     "select_top_k_features",
-    "topk_per_flow_bits",
     "train_per_packet_model",
+    "train_pforest_model",
     "train_topk_model",
 ]

@@ -8,43 +8,18 @@ saturates well below stateful models because they lack flow context.
 
 from __future__ import annotations
 
-from repro.baselines.netbeacon import BaselineCandidate
 from repro.baselines.topk import TopKModel, train_topk_model
 from repro.core.config import TopKConfig
-from repro.core.evaluation import evaluate_classifier
+from repro.core.resources import TableCost, range_marking_cost
 from repro.datasets.materialize import WindowedDataset
 from repro.switch.targets import TargetSpec
 
 
-def search_per_packet(
-    windowed: WindowedDataset,
-    *,
-    target: TargetSpec,
-    depth_range: tuple[int, ...] = (4, 6, 8, 10, 12),
-    random_state: int = 0,
-) -> BaselineCandidate | None:
-    """Best stateless per-packet model on the dataset (flow count unconstrained)."""
-    best: BaselineCandidate | None = None
-    for depth in depth_range:
-        config = TopKConfig(depth=depth, top_k=4, use_stateful=False)
-        model = train_topk_model(windowed, config, name="iisy", random_state=random_state)
-        rules = model.generate_rules(windowed.packet_matrix("train"))
-        if rules.tcam_bits(target.tcam_entry_overhead_bits) > target.tcam_bits:
-            continue
-        report = evaluate_classifier(
-            model, windowed.packet_matrix("test"), windowed.split_labels("test")
-        )
-        candidate = BaselineCandidate(
-            model=model,
-            report=report,
-            tcam_entries=rules.n_entries,
-            tcam_bits=rules.tcam_bits(target.tcam_entry_overhead_bits),
-            register_bits=0,
-            feasible=True,
-        )
-        if best is None or candidate.report.f1_score > best.report.f1_score:
-            best = candidate
-    return best
+def per_packet_table_cost(
+    model: TopKModel, windowed: WindowedDataset, target: TargetSpec
+) -> TableCost:
+    """Range-marking rules over per-packet features: tables only, no registers."""
+    return range_marking_cost(model.generate_rules(windowed.packet_matrix("train")), target)
 
 
 def train_per_packet_model(

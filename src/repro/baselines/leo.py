@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.netbeacon import BaselineCandidate
-from repro.baselines.topk import TopKModel, topk_per_flow_bits, train_topk_model
-from repro.core.config import TopKConfig
-from repro.core.evaluation import evaluate_classifier
-from repro.core.resources import stages_reserved_for_tcam
+from repro.baselines.topk import TopKModel
+from repro.core.resources import TableCost
 from repro.datasets.materialize import WindowedDataset
-from repro.features.definitions import FEATURES, dependency_depth
 from repro.switch.targets import TargetSpec
 
 #: Leo pre-allocates rule blocks in powers of two, bounded by this exponent.
@@ -43,71 +39,21 @@ def leo_tcam_bits(depth: int, k: int, *, bit_width: int = 32, overhead_bits: int
     return entries * (2 * key_bits + overhead_bits)
 
 
-def feasible_leo(
-    *,
-    k: int,
-    depth: int,
-    n_flows: int,
-    target: TargetSpec,
-    feature_indices: list[int],
-    bit_width: int = 32,
-) -> bool:
-    """Whether a Leo configuration fits the target at ``n_flows`` flows."""
-    stateful = [i for i in feature_indices if FEATURES[i].stateful]
-    dependency_stages = dependency_depth(stateful)
-    per_flow_bits = topk_per_flow_bits(
-        len(stateful), bit_width=bit_width, dependency_stages=dependency_stages
+def leo_table_cost(model: TopKModel, windowed: WindowedDataset, target: TargetSpec) -> TableCost:
+    """Leo's cost model: pre-allocated blocks, plus TCAM stages for its depth-wise layout.
+
+    The blocks are sized from the configured (depth, k), not from the fitted
+    tree, so ``windowed`` is unused.
+    """
+    config = model.config
+    return TableCost(
+        entries=leo_tcam_entries(config.depth, config.top_k),
+        bits=leo_tcam_bits(
+            config.depth,
+            config.top_k,
+            bit_width=config.bit_width,
+            overhead_bits=target.tcam_entry_overhead_bits,
+        ),
+        match_key_bits=config.top_k * config.bit_width,
+        extra_stages=max(int(np.ceil(config.depth / 4)) - 1, 0),
     )
-    tcam_stages = stages_reserved_for_tcam(features_per_subtree=k, target=target)
-    # Leo spends extra TCAM stages on its depth-wise table layout.
-    tcam_stages += max(int(np.ceil(depth / 4)) - 1, 0)
-    register_stages = max(target.n_stages - tcam_stages, 0)
-    register_budget = register_stages * target.register_bits_per_stage
-    if per_flow_bits * n_flows > register_budget:
-        return False
-    if leo_tcam_bits(depth, k, bit_width=bit_width) > target.tcam_bits:
-        return False
-    return True
-
-
-def search_leo(
-    windowed: WindowedDataset,
-    *,
-    target: TargetSpec,
-    n_flows: int,
-    k_range: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7),
-    depth_range: tuple[int, ...] = (3, 6, 7, 10, 11),
-    bit_width: int = 32,
-    random_state: int = 0,
-) -> BaselineCandidate | None:
-    """Best Leo model (highest test F1) that fits the target at ``n_flows``."""
-    best: BaselineCandidate | None = None
-    for k in k_range:
-        for depth in depth_range:
-            config = TopKConfig(depth=depth, top_k=k, bit_width=bit_width)
-            model = train_topk_model(windowed, config, name="leo", random_state=random_state)
-            feasible = feasible_leo(
-                k=k,
-                depth=depth,
-                n_flows=n_flows,
-                target=target,
-                feature_indices=model.feature_indices,
-                bit_width=bit_width,
-            )
-            if not feasible:
-                continue
-            report = evaluate_classifier(
-                model, windowed.flow_matrix("test"), windowed.split_labels("test")
-            )
-            layout = model.register_layout()
-            candidate = BaselineCandidate(
-                model=model,
-                report=report,
-                tcam_entries=leo_tcam_entries(depth, k),
-                tcam_bits=leo_tcam_bits(depth, k, bit_width=bit_width),
-                register_bits=layout.feature_bits,
-                feasible=True,
-            )
-            if best is None or candidate.report.f1_score > best.report.f1_score:
-                best = candidate
-    return best

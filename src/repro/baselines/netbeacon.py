@@ -14,113 +14,20 @@ is how the evaluation here models it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.baselines.topk import TopKModel, topk_per_flow_bits, train_topk_model
-from repro.core.config import TopKConfig
-from repro.core.evaluation import ClassificationReport, evaluate_classifier
-from repro.core.resources import stages_reserved_for_tcam
+from repro.baselines.topk import TopKModel
+from repro.core.resources import TableCost, range_marking_cost
 from repro.datasets.materialize import WindowedDataset
-from repro.features.definitions import FEATURES, dependency_depth
 from repro.switch.targets import TargetSpec
 
 #: Phase boundaries (packets) used by NetBeacon's public artifact.
 NETBEACON_PHASES = (2, 4, 8, 16, 32, 64, 128, 256)
 
 
-@dataclass
-class BaselineCandidate:
-    """One evaluated baseline configuration (used by the per-#flows search)."""
-
-    model: TopKModel
-    report: ClassificationReport
-    tcam_entries: int
-    tcam_bits: float
-    register_bits: int
-    feasible: bool
-
-
-def netbeacon_tcam_cost(model: TopKModel, windowed: WindowedDataset) -> tuple[int, float]:
-    """TCAM entries and bits for a NetBeacon model (range-marking encoding)."""
-    rules = model.generate_rules(windowed.flow_matrix("train"))
-    return rules.n_entries, rules.tcam_bits()
-
-
-def feasible_netbeacon(
-    *,
-    k: int,
-    tcam_bits: float,
-    n_flows: int,
-    target: TargetSpec,
-    feature_indices: list[int],
-    bit_width: int = 32,
-) -> bool:
-    """Whether a NetBeacon configuration fits the target at ``n_flows`` flows."""
-    stateful = [i for i in feature_indices if FEATURES[i].stateful]
-    dependency_stages = dependency_depth(stateful)
-    per_flow_bits = topk_per_flow_bits(
-        len(stateful), bit_width=bit_width, dependency_stages=dependency_stages
-    )
-    tcam_stages = stages_reserved_for_tcam(features_per_subtree=k, target=target)
-    register_stages = max(target.n_stages - tcam_stages, 0)
-    register_budget = register_stages * target.register_bits_per_stage
-    if per_flow_bits * n_flows > register_budget:
-        return False
-    if tcam_bits > target.tcam_bits:
-        return False
-    return True
-
-
-def search_netbeacon(
-    windowed: WindowedDataset,
-    *,
-    target: TargetSpec,
-    n_flows: int,
-    k_range: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-    depth_range: tuple[int, ...] = (3, 5, 8, 10, 12, 13, 15, 18),
-    bit_width: int = 32,
-    random_state: int = 0,
-) -> BaselineCandidate | None:
-    """Best NetBeacon model (highest test F1) that fits the target at ``n_flows``.
-
-    This mirrors the paper's methodology of giving every baseline the full
-    pipeline and picking the best model it can support.
-    """
-    best: BaselineCandidate | None = None
-    for k in k_range:
-        for depth in depth_range:
-            config = TopKConfig(depth=depth, top_k=k, bit_width=bit_width)
-            model = train_topk_model(
-                windowed, config, name="netbeacon", random_state=random_state
-            )
-            entries, bits = netbeacon_tcam_cost(model, windowed)
-            feasible = feasible_netbeacon(
-                k=k,
-                tcam_bits=bits,
-                n_flows=n_flows,
-                target=target,
-                feature_indices=model.feature_indices,
-                bit_width=bit_width,
-            )
-            if not feasible:
-                continue
-            report = evaluate_classifier(
-                model, windowed.flow_matrix("test"), windowed.split_labels("test")
-            )
-            layout = model.register_layout()
-            candidate = BaselineCandidate(
-                model=model,
-                report=report,
-                tcam_entries=entries,
-                tcam_bits=bits,
-                register_bits=layout.feature_bits,
-                feasible=True,
-            )
-            if best is None or candidate.report.f1_score > best.report.f1_score:
-                best = candidate
-    return best
+def netbeacon_table_cost(
+    model: TopKModel, windowed: WindowedDataset, target: TargetSpec
+) -> TableCost:
+    """NetBeacon's cost model: the tree compiled with the range-marking encoding."""
+    return range_marking_cost(model.generate_rules(windowed.flow_matrix("train")), target)
 
 
 def phase_for_packet_count(n_packets: int) -> int:

@@ -15,16 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.topk import select_top_k_features
+from repro.baselines.topk import TopKTrainer, exit_subtree
 from repro.core.config import TopKConfig
 from repro.core.evaluation import ClassificationReport, evaluate_classifier
-from repro.core.partitioned_tree import LeafOutcome, OUTCOME_EXIT, Subtree
 from repro.core.range_marking import FeatureQuantizer, RuleSet, generate_subtree_rules
-from repro.core.resources import RegisterLayout, topk_register_layout
 from repro.datasets.materialize import WindowedDataset
-from repro.features.definitions import FEATURES, STATEFUL_INDICES, STATELESS_INDICES
 from repro.ml.tree import DecisionTreeClassifier
-from repro.switch.targets import TargetSpec
 
 
 @dataclass
@@ -55,11 +51,6 @@ class PForestModel:
             used |= tree.features_used()
         return used
 
-    def register_layout(self) -> RegisterLayout:
-        """Per-flow registers: one per shared top-k stateful feature."""
-        stateful = [i for i in self.feature_indices if FEATURES[i].stateful]
-        return topk_register_layout(stateful, bit_width=self.config.bit_width)
-
     def generate_rules(self, training_matrix: np.ndarray) -> RuleSet:
         """Compile every member tree with the range-marking encoding.
 
@@ -68,13 +59,10 @@ class PForestModel:
         group per tree.
         """
         quantizer = FeatureQuantizer(bit_width=min(self.config.bit_width, 32)).fit(training_matrix)
-        subtree_rules = {}
-        for index, tree in enumerate(self.trees, start=1):
-            subtree = Subtree(sid=index, partition=0, tree=tree)
-            for leaf in tree.tree_.leaves():
-                label = int(tree.classes_[int(np.argmax(leaf.value))]) if leaf.value.sum() else 0
-                subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=label)
-            subtree_rules[index] = generate_subtree_rules(subtree, quantizer)
+        subtree_rules = {
+            index: generate_subtree_rules(exit_subtree(tree, sid=index), quantizer)
+            for index, tree in enumerate(self.trees, start=1)
+        }
         return RuleSet(subtree_rules=subtree_rules, quantizer=quantizer, bit_width=self.config.bit_width)
 
 
@@ -89,17 +77,10 @@ def train_pforest_model(
     """Train a pForest ensemble on whole-flow features with shared top-k."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
+    trainer = TopKTrainer(windowed, split=split, random_state=random_state)
+    X = trainer.matrix(config.use_stateful)
     y = windowed.split_labels(split)
-    if config.use_stateful:
-        X = windowed.flow_matrix(split)
-        candidates = tuple(STATEFUL_INDICES) + tuple(STATELESS_INDICES)
-    else:
-        X = windowed.packet_matrix(split)
-        candidates = tuple(STATELESS_INDICES)
-
-    features = select_top_k_features(
-        X, y, config.top_k, candidate_indices=candidates, random_state=random_state
-    )
+    features = trainer.ranking(config.use_stateful)[: config.top_k]
     rng = np.random.default_rng(random_state)
     trees = []
     for index in range(n_trees):
@@ -130,12 +111,3 @@ def evaluate_pforest(
     return evaluate_classifier(
         model, windowed.flow_matrix(split), windowed.split_labels(split)
     )
-
-
-def pforest_tcam_cost(
-    model: PForestModel, windowed: WindowedDataset, *, target: TargetSpec | None = None
-) -> tuple[int, float]:
-    """TCAM entries and bits of the compiled ensemble."""
-    rules = model.generate_rules(windowed.flow_matrix("train"))
-    overhead = target.tcam_entry_overhead_bits if target is not None else 16
-    return rules.n_entries, rules.tcam_bits(overhead)

@@ -4,26 +4,28 @@ Both baselines collect a fixed, global set of the ``k`` most important
 stateful features over the whole flow and run the decision tree once.  Their
 register footprint therefore grows with ``k`` and their feature coverage is
 capped at ``k`` — the constraint SpliDT removes.
+
+A baseline is compared *at a flow count*, and only feasibility depends on
+the count: :func:`evaluate_grid` fits and costs a (k, depth) grid once, and
+``core.best_at_flows`` picks from the evaluated candidates per flow target.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import TopKConfig
+from repro.core.evaluation import ClassificationReport, evaluate_classifier
 from repro.core.partitioned_tree import LeafOutcome, OUTCOME_EXIT, Subtree
 from repro.core.range_marking import FeatureQuantizer, RuleSet, generate_subtree_rules
-from repro.core.resources import (
-    RESERVED_BITS,
-    DEPENDENCY_REGISTER_BITS,
-    RegisterLayout,
-    topk_register_layout,
-)
+from repro.core.resources import ResourceEstimate, TableCost, estimate_topk_resources
 from repro.datasets.materialize import WindowedDataset
-from repro.features.definitions import FEATURES, STATEFUL_INDICES, STATELESS_INDICES
+from repro.features.definitions import STATEFUL_INDICES, STATELESS_INDICES
 from repro.ml.tree import DecisionTreeClassifier
+from repro.switch.targets import TargetSpec
 
 
 def select_top_k_features(
@@ -38,7 +40,8 @@ def select_top_k_features(
 
     A full (unconstrained) reference tree is trained on all candidate
     features; its impurity-decrease importances give the global ranking the
-    top-k baselines use.
+    top-k baselines use.  The ranking does not depend on ``k``: the top ``k``
+    are a prefix of the top ``k + 1``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -47,16 +50,18 @@ def select_top_k_features(
         max_depth=12, allowed_features=candidates, random_state=random_state
     )
     reference.fit(X, y)
-    importances = reference.feature_importances_
-    ranked = [index for index in np.argsort(-importances) if index in set(candidates)]
-    selected = [int(i) for i in ranked[:k] if importances[i] > 0]
-    # Pad with the remaining candidates if fewer than k carried importance.
-    for index in ranked:
-        if len(selected) >= k:
-            break
-        if int(index) not in selected:
-            selected.append(int(index))
-    return selected[:k]
+    allowed = set(candidates)
+    ranked = np.argsort(-reference.feature_importances_)
+    return [int(index) for index in ranked if index in allowed][:k]
+
+
+def exit_subtree(tree: DecisionTreeClassifier, *, sid: int = 1) -> Subtree:
+    """View a flat tree as one SpliDT subtree whose every leaf exits (for rule generation)."""
+    subtree = Subtree(sid=sid, partition=0, tree=tree)
+    for leaf in tree.tree_.leaves():
+        label = int(tree.classes_[int(np.argmax(leaf.value))]) if leaf.value.sum() else 0
+        subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=label)
+    return subtree
 
 
 @dataclass
@@ -87,28 +92,65 @@ class TopKModel:
         """Number of leaves of the tree."""
         return self.tree.get_n_leaves()
 
-    def register_layout(self) -> RegisterLayout:
-        """Per-flow register layout: one register per selected stateful feature."""
-        stateful = [i for i in self.feature_indices if FEATURES[i].stateful]
-        return topk_register_layout(stateful, bit_width=self.config.bit_width)
-
-    def as_subtree(self) -> Subtree:
-        """View the flat tree as a single SpliDT subtree (for rule generation)."""
-        subtree = Subtree(sid=1, partition=0, tree=self.tree)
-        for leaf in self.tree.tree_.leaves():
-            label = int(self.tree.classes_[int(np.argmax(leaf.value))]) if leaf.value.sum() else 0
-            subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=label)
-        return subtree
-
     def generate_rules(self, training_matrix: np.ndarray) -> RuleSet:
         """Compile the flat tree with the range-marking algorithm."""
         quantizer = FeatureQuantizer(bit_width=min(self.config.bit_width, 32)).fit(training_matrix)
-        subtree = self.as_subtree()
         return RuleSet(
-            subtree_rules={1: generate_subtree_rules(subtree, quantizer)},
+            subtree_rules={1: generate_subtree_rules(exit_subtree(self.tree), quantizer)},
             quantizer=quantizer,
             bit_width=self.config.bit_width,
         )
+
+
+class TopKTrainer:
+    """Fits one-shot top-k models on one dataset, ranking its features once.
+
+    The feature ranking depends on the dataset, the setting (whole-flow or
+    per-packet features) and the seed, not on ``k``, so every model fitted
+    through one trainer shares it.
+    """
+
+    def __init__(
+        self, windowed: WindowedDataset, *, split: str = "train", random_state: int = 0
+    ) -> None:
+        self.windowed = windowed
+        self.split = split
+        self.random_state = random_state
+        self._rankings: dict[bool, list[int]] = {}
+
+    def matrix(self, use_stateful: bool, split: str | None = None) -> np.ndarray:
+        """Whole-flow features, or per-packet ones in the stateless setting."""
+        split = self.split if split is None else split
+        if use_stateful:
+            return self.windowed.flow_matrix(split)
+        return self.windowed.packet_matrix(split)
+
+    def ranking(self, use_stateful: bool) -> list[int]:
+        """Every candidate feature of the setting, most important first."""
+        if use_stateful not in self._rankings:
+            candidates = tuple(STATELESS_INDICES)
+            if use_stateful:
+                candidates = tuple(STATEFUL_INDICES) + candidates
+            self._rankings[use_stateful] = select_top_k_features(
+                self.matrix(use_stateful),
+                self.windowed.split_labels(self.split),
+                len(candidates),
+                candidate_indices=candidates,
+                random_state=self.random_state,
+            )
+        return self._rankings[use_stateful]
+
+    def fit(self, config: TopKConfig, *, name: str = "topk") -> TopKModel:
+        """Fit one tree of ``config.depth`` over the top ``config.top_k`` features."""
+        features = self.ranking(config.use_stateful)[: config.top_k]
+        tree = DecisionTreeClassifier(
+            max_depth=config.depth,
+            allowed_features=features,
+            min_samples_leaf=config.min_samples_leaf,
+            random_state=self.random_state,
+        )
+        tree.fit(self.matrix(config.use_stateful), self.windowed.split_labels(self.split))
+        return TopKModel(config=config, tree=tree, feature_indices=features, name=name)
 
 
 def train_topk_model(
@@ -120,27 +162,41 @@ def train_topk_model(
     random_state: int = 0,
 ) -> TopKModel:
     """Train a one-shot top-k model on whole-flow (or stateless) features."""
-    y = windowed.split_labels(split)
-    if config.use_stateful:
-        X = windowed.flow_matrix(split)
-        candidates = tuple(STATEFUL_INDICES) + tuple(STATELESS_INDICES)
-    else:
-        X = windowed.packet_matrix(split)
-        candidates = tuple(STATELESS_INDICES)
-
-    features = select_top_k_features(
-        X, y, config.top_k, candidate_indices=candidates, random_state=random_state
-    )
-    tree = DecisionTreeClassifier(
-        max_depth=config.depth,
-        allowed_features=features,
-        min_samples_leaf=config.min_samples_leaf,
-        random_state=random_state,
-    )
-    tree.fit(X, y)
-    return TopKModel(config=config, tree=tree, feature_indices=features, name=name)
+    return TopKTrainer(windowed, split=split, random_state=random_state).fit(config, name=name)
 
 
-def topk_per_flow_bits(k: int, *, bit_width: int = 32, dependency_stages: int = 2) -> int:
-    """Per-flow register bits of a top-k baseline (features + reserved + chain)."""
-    return k * bit_width + RESERVED_BITS + dependency_stages * DEPENDENCY_REGISTER_BITS
+@dataclass
+class BaselineCandidate:
+    """One evaluated baseline configuration: what a per-#flows selection picks from."""
+
+    model: TopKModel
+    report: ClassificationReport
+    resources: ResourceEstimate
+
+
+def evaluate_grid(
+    trainer: TopKTrainer,
+    configs: list[TopKConfig],
+    *,
+    name: str,
+    table_cost: Callable[[TopKModel, WindowedDataset, TargetSpec], TableCost],
+    target: TargetSpec,
+) -> list[BaselineCandidate]:
+    """Fit, score and cost every configuration once, in the order given.
+
+    ``table_cost(model, windowed, target)`` is the system's cost model;
+    everything else about a candidate's :class:`ResourceEstimate` is
+    ``core.resources``' answer, so "feasible at N flows" is
+    ``check_feasibility`` for every system.
+    """
+    windowed = trainer.windowed
+    labels = windowed.split_labels("test")
+    candidates = []
+    for config in configs:
+        model = trainer.fit(config, name=name)
+        report = evaluate_classifier(model, trainer.matrix(config.use_stateful, "test"), labels)
+        resources = estimate_topk_resources(
+            model, table_cost(model, windowed, target), target=target
+        )
+        candidates.append(BaselineCandidate(model=model, report=report, resources=resources))
+    return candidates

@@ -186,6 +186,20 @@ def evaluate_configuration(
     )
 
 
+def best_at_flows(candidates, n_flows: int):
+    """The highest-F1 candidate that is feasible at ``n_flows``, or ``None``.
+
+    The one selection rule of every comparison at a flow count: a candidate is
+    anything carrying ``resources`` (a :class:`ResourceEstimate`) and
+    ``report`` — a SpliDT :class:`CandidateEvaluation` or a baseline's
+    ``BaselineCandidate`` — and the first of equal F1 scores wins.
+    """
+    feasible = [
+        c for c in candidates if check_feasibility(c.resources, n_flows=n_flows).feasible
+    ]
+    return max(feasible, key=lambda c: c.report.f1_score, default=None)
+
+
 @dataclass
 class SearchResult:
     """Outcome of a design-space exploration run.
@@ -208,10 +222,7 @@ class SearchResult:
 
     def best_at_flows(self, n_flows: int) -> CandidateEvaluation | None:
         """Best (highest F1) candidate feasible at ``n_flows`` concurrent flows."""
-        feasible = [c for c in self.history if c.supports(n_flows)]
-        if not feasible:
-            return None
-        return max(feasible, key=lambda c: c.f1_score)
+        return best_at_flows(self.history, n_flows)
 
     def pareto_table(self, flow_targets: tuple[int, ...] = DEFAULT_FLOW_TARGETS) -> dict[int, CandidateEvaluation | None]:
         """Best candidate per flow target (the rows of Figure 6 / Table 3)."""

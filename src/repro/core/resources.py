@@ -17,7 +17,9 @@ and decide whether a (model, #flows) pairing fits a hardware target.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from repro.datasets.workloads import (
 from repro.features.definitions import FEATURES, dependency_depth
 from repro.switch.targets import TargetSpec
 
+if TYPE_CHECKING:
+    from repro.baselines.pforest import PForestModel
+    from repro.baselines.topk import TopKModel
+
 #: Width of the per-window packet counter.
 PACKET_COUNTER_BITS = 8
 
@@ -39,6 +45,9 @@ RESERVED_BITS = SID_BITS + PACKET_COUNTER_BITS
 
 #: Width of one dependency-chain register (a compressed timestamp delta).
 DEPENDENCY_REGISTER_BITS = 8
+
+#: ``max_flows`` of a model that keeps nothing per flow: no flow count exhausts it.
+UNBOUNDED_FLOWS = sys.maxsize
 
 
 @dataclass
@@ -79,6 +88,23 @@ class ResourceEstimate:
     recirculation: dict[str, RecirculationEstimate] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class TableCost:
+    """What a system's table layout costs on a target.
+
+    The one part of a one-shot model's estimate its own module decides:
+    NetBeacon, per-packet and pForest install range-marking rules
+    (:func:`range_marking_cost`), Leo pre-allocates power-of-two blocks and
+    spends ``extra_stages`` on its depth-wise layout.
+    """
+
+    entries: int
+    bits: float
+    match_key_bits: int
+    n_tables: int = 1
+    extra_stages: int = 0
+
+
 @dataclass
 class FeasibilityResult:
     """Verdict of the feasibility test for a (model, #flows) pairing."""
@@ -113,12 +139,12 @@ def splidt_register_layout(
 
 
 def topk_register_layout(feature_indices: list[int], *, bit_width: int = 32) -> RegisterLayout:
-    """Register layout of a one-shot top-k model: one register per feature."""
-    dependency = _dependency_chain_bits(feature_indices)
+    """Register layout of a one-shot top-k model: one register per stateful feature."""
+    n_stateful = sum(1 for i in feature_indices if FEATURES[i].stateful)
     return RegisterLayout(
-        feature_bits=len(feature_indices) * bit_width,
+        feature_bits=n_stateful * bit_width,
         reserved_bits=RESERVED_BITS,
-        dependency_bits=dependency,
+        dependency_bits=_dependency_chain_bits(feature_indices),
     )
 
 
@@ -164,13 +190,24 @@ def flow_capacity(
 
     Register arrays for per-flow state can only live in stages not already
     saturated by the model's tables, mirroring the stage-sharing trade-off the
-    paper describes (§2.1).
+    paper describes (§2.1).  A layout of zero bits keeps nothing per flow, so
+    no flow count exhausts it (:data:`UNBOUNDED_FLOWS`).
     """
+    if layout.total_bits <= 0:
+        return UNBOUNDED_FLOWS
     stages_for_registers = max(target.n_stages - stages_for_logic, 0)
     budget_bits = stages_for_registers * target.register_bits_per_stage
-    if layout.total_bits <= 0:
-        return 0
     return int(budget_bits // layout.total_bits)
+
+
+def range_marking_cost(rules: RuleSet, target: TargetSpec) -> TableCost:
+    """Table cost of rules compiled with the range-marking encoding."""
+    return TableCost(
+        entries=rules.n_entries,
+        bits=rules.tcam_bits(target.tcam_entry_overhead_bits),
+        match_key_bits=rules.max_match_key_bits,
+        n_tables=len(rules.subtree_rules),
+    )
 
 
 def estimate_splidt_resources(
@@ -204,12 +241,13 @@ def estimate_splidt_resources(
                 n_partitions=model.config.n_partitions,
             )
 
+    cost = range_marking_cost(rules, target)
     return ResourceEstimate(
         target=target,
         layout=layout,
-        tcam_entries=rules.n_entries,
-        tcam_bits=rules.tcam_bits(target.tcam_entry_overhead_bits),
-        match_key_bits=rules.max_match_key_bits,
+        tcam_entries=cost.entries,
+        tcam_bits=cost.bits,
+        match_key_bits=cost.match_key_bits,
         stages_for_tables=logic_stages,
         # The stages ``capacity`` was computed over, not what the logic leaves.
         stages_for_registers=max(target.n_stages - tcam_stages, 0),
@@ -217,6 +255,44 @@ def estimate_splidt_resources(
         n_features_total=len(model.features_used()),
         n_subtrees=model.n_subtrees,
         recirculation=recirculation,
+    )
+
+
+def estimate_topk_resources(
+    model: TopKModel | PForestModel, cost: TableCost, *, target: TargetSpec
+) -> ResourceEstimate:
+    """Resource estimate of a one-shot top-k model under its system's table cost.
+
+    Every one-shot system (NetBeacon, Leo, per-packet, a pinned top-k tree,
+    pForest) keeps one register per global stateful feature and differs only
+    in ``cost``.  The stateless setting (``use_stateful=False``) keeps
+    nothing per flow.
+    """
+    config = model.config
+    if config.use_stateful:
+        layout = topk_register_layout(model.feature_indices, bit_width=config.bit_width)
+    else:
+        layout = RegisterLayout(feature_bits=0, reserved_bits=0, dependency_bits=0)
+    tcam_stages = (
+        stages_reserved_for_tcam(features_per_subtree=config.top_k, target=target)
+        + cost.extra_stages
+    )
+    logic_stages = cost.extra_stages + stages_for_tables(
+        features_per_subtree=config.top_k,
+        dependency_stages=layout.dependency_bits // DEPENDENCY_REGISTER_BITS,
+        target=target,
+    )
+    return ResourceEstimate(
+        target=target,
+        layout=layout,
+        tcam_entries=cost.entries,
+        tcam_bits=cost.bits,
+        match_key_bits=cost.match_key_bits,
+        stages_for_tables=logic_stages,
+        stages_for_registers=max(target.n_stages - tcam_stages, 0),
+        max_flows=flow_capacity(layout, target=target, stages_for_logic=tcam_stages),
+        n_features_total=len(model.features_used()),
+        n_subtrees=cost.n_tables,
     )
 
 

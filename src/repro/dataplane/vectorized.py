@@ -41,9 +41,7 @@ Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
 ``replay_dataset(..., engine="vectorized")`` produces verdicts, labels,
 time-to-detection values, digests and recirculation statistics bit-identical
-to ``engine="reference"``.  Only instrumentation
-differs: the flow indexer's per-packet lookup counters are not maintained on
-the batched planes.
+to ``engine="reference"``.
 
 Floating-point notes:
 

@@ -33,7 +33,7 @@ import json
 import sys
 import time
 
-from repro.analysis.reporting import render_table
+from repro.analysis.reporting import format_max_flows, render_table
 from repro.dataplane.runtime import REPLAY_ENGINES
 from repro.online.config import DETECTORS
 from repro.datasets.profiles import DATASET_KEYS
@@ -137,7 +137,7 @@ def format_result(result: ExperimentResult) -> str:
         lines.append(f"features used     : {result.model_summary['n_features_used']}")
     if result.resources is not None:
         lines.append(f"TCAM entries      : {result.resources.tcam_entries}")
-        lines.append(f"max concurrent    : {result.resources.max_flows:,} flows")
+        lines.append(f"max concurrent    : {format_max_flows(result.resources.max_flows)} flows")
     if result.feasibility is not None:
         lines.append(
             f"feasible @ {spec.target_flows:,}: {result.feasibility.feasible}"
@@ -640,7 +640,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{result.offline_report.f1_score:.3f}",
             f"{result.replay_result.report.f1_score:.3f}" if replayed else "-",
             f"{result.ttd['median'] * 1e3:.1f}" if result.ttd else "-",
-            f"{result.resources.max_flows:,}" if result.resources else "-",
+            format_max_flows(result.resources.max_flows) if result.resources else "-",
             "-" if result.feasibility is None
             else ("yes" if result.feasibility.feasible else "no"),
         ])

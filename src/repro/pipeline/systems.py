@@ -16,18 +16,26 @@ name (``python -m repro run --scenario vpn-detection``).
 
 from __future__ import annotations
 
-from repro.baselines.iisy import search_per_packet
-from repro.baselines.leo import search_leo
-from repro.baselines.netbeacon import search_netbeacon
-from repro.baselines.pforest import evaluate_pforest, train_pforest_model
-from repro.baselines.topk import train_topk_model
-from repro.core.evaluation import ClassificationReport, evaluate_partitioned_tree
+from repro.baselines.iisy import per_packet_table_cost
+from repro.baselines.leo import leo_table_cost
+from repro.baselines.netbeacon import netbeacon_table_cost
+from repro.baselines.pforest import train_pforest_model
+from repro.baselines.topk import BaselineCandidate, TopKTrainer, evaluate_grid, train_topk_model
+from repro.core.config import TopKConfig
+from repro.core.dse import best_at_flows
+from repro.core.evaluation import (
+    ClassificationReport,
+    evaluate_classifier,
+    evaluate_partitioned_tree,
+)
 from repro.core.range_marking import RuleSet, generate_rules, stacked_training_matrix
 from repro.core.resources import (
     FeasibilityResult,
     ResourceEstimate,
     check_feasibility,
     estimate_splidt_resources,
+    estimate_topk_resources,
+    range_marking_cost,
 )
 from repro.core.partitioned_tree import train_partitioned_tree
 from repro.dataplane.splidt_program import SpliDTDataPlane
@@ -176,25 +184,39 @@ class SpliDTSystem(System):
 
 
 class _TopKSearchSystem(System):
-    """Shared shape of the one-shot top-k baselines (NetBeacon / Leo).
+    """Shared shape of the searched one-shot baselines (NetBeacon / Leo / per-packet).
 
-    ``train`` runs the per-#flows model search the benchmarks use, so the
-    baseline gets the best configuration it can support at
-    ``spec.target_flows`` — mirroring the paper's methodology.  The search
-    ranges live on the class (``k_range`` / ``depth_range``); the spec's
+    ``candidates`` evaluates the class's (k, depth) grid once — only
+    feasibility depends on the flow count — and ``train`` selects the best
+    model the system can support at ``spec.target_flows``, mirroring the
+    paper's methodology.  The grid lives on the class; the spec's
     ``depth``/``features_per_subtree`` are *not* consulted — pin an exact
-    configuration with ``system="topk"`` instead.
+    configuration with ``system="topk"`` instead.  A subclass contributes its
+    grid and its cost model (``table_cost``).
     """
 
     supports_replay = True
+    use_stateful = True
     k_range: tuple[int, ...] = (1, 2, 4, 6)
     depth_range: tuple[int, ...] = (4, 8, 12)
 
-    def _search(self, spec, windowed):
-        raise NotImplementedError
+    def candidates(self, trainer: TopKTrainer, spec: ExperimentSpec) -> list[BaselineCandidate]:
+        """The grid, fitted and costed on ``spec``'s target (k-major order)."""
+        configs = [
+            TopKConfig(
+                depth=depth, top_k=k, bit_width=spec.bit_width, use_stateful=self.use_stateful
+            )
+            for k in self.k_range
+            for depth in self.depth_range
+        ]
+        return evaluate_grid(
+            trainer, configs, name=self.name, table_cost=self.table_cost,
+            target=spec.target_spec(),
+        )
 
     def train(self, spec, windowed):
-        candidate = self._search(spec, windowed)
+        trainer = TopKTrainer(windowed, random_state=spec.seed)
+        candidate = best_at_flows(self.candidates(trainer, spec), spec.target_flows)
         if candidate is None:
             raise ExperimentError(
                 f"{self.name}: no feasible configuration at "
@@ -211,44 +233,23 @@ class _TopKSearchSystem(System):
     def build_program(self, candidate, rules, spec):
         return TopKDataPlane(candidate.model, flow_slots=spec.flow_slots)
 
-    def feasibility(self, candidate, resources, spec):
-        # The search already filtered on the target-flow constraint.
-        return FeasibilityResult(feasible=candidate.feasible, n_flows=spec.target_flows)
+    def resources(self, candidate, rules, spec):
+        return candidate.resources
 
 
 class NetBeaconSystem(_TopKSearchSystem):
     """NetBeacon: one-shot tree over a global top-k stateful feature set."""
 
     name = "netbeacon"
-
-    def _search(self, spec, windowed):
-        return search_netbeacon(
-            windowed,
-            target=spec.target_spec(),
-            n_flows=spec.target_flows,
-            k_range=self.k_range,
-            depth_range=self.depth_range,
-            bit_width=spec.bit_width,
-            random_state=spec.seed,
-        )
+    table_cost = staticmethod(netbeacon_table_cost)
 
 
 class LeoSystem(_TopKSearchSystem):
-    """Leo: one-shot tree with Leo's TCAM layout feasibility model."""
+    """Leo: one-shot tree with Leo's TCAM layout cost model."""
 
     name = "leo"
     depth_range = (3, 6, 11)
-
-    def _search(self, spec, windowed):
-        return search_leo(
-            windowed,
-            target=spec.target_spec(),
-            n_flows=spec.target_flows,
-            k_range=self.k_range,
-            depth_range=self.depth_range,
-            bit_width=spec.bit_width,
-            random_state=spec.seed,
-        )
+    table_cost = staticmethod(leo_table_cost)
 
 
 class PerPacketSystem(_TopKSearchSystem):
@@ -256,17 +257,12 @@ class PerPacketSystem(_TopKSearchSystem):
 
     name = "per_packet"
     supports_replay = False
+    use_stateful = False
+    k_range = (4,)
     #: The depth range the benchmark harness and examples have always
     #: searched for the stateless baseline.
     depth_range = (6, 10)
-
-    def _search(self, spec, windowed):
-        return search_per_packet(
-            windowed,
-            target=spec.target_spec(),
-            depth_range=self.depth_range,
-            random_state=spec.seed,
-        )
+    table_cost = staticmethod(per_packet_table_cost)
 
     def compile(self, candidate, windowed, spec):
         return candidate.model.generate_rules(windowed.packet_matrix("train"))
@@ -285,8 +281,6 @@ class TopKSystem(System):
         return train_topk_model(windowed, spec.topk_config(), random_state=spec.seed)
 
     def offline_report(self, model, windowed, spec):
-        from repro.core.evaluation import evaluate_classifier
-
         return evaluate_classifier(
             model, windowed.flow_matrix("test"), windowed.split_labels("test")
         )
@@ -297,8 +291,12 @@ class TopKSystem(System):
     def build_program(self, model, rules, spec):
         return TopKDataPlane(model, flow_slots=spec.flow_slots)
 
+    def resources(self, model, rules, spec):
+        target = spec.target_spec()
+        return estimate_topk_resources(model, range_marking_cost(rules, target), target=target)
 
-class PForestSystem(System):
+
+class PForestSystem(TopKSystem):
     """pForest: an in-network random forest sharing one top-k register set."""
 
     name = "pforest"
@@ -309,11 +307,8 @@ class PForestSystem(System):
             windowed, spec.topk_config(), n_trees=spec.n_trees, random_state=spec.seed
         )
 
-    def offline_report(self, model, windowed, spec):
-        return evaluate_pforest(model, windowed)
-
-    def compile(self, model, windowed, spec):
-        return model.generate_rules(windowed.flow_matrix("train"))
+    def build_program(self, model, rules, spec):
+        return None
 
 
 #: Registered systems, keyed by name.

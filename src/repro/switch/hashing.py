@@ -147,39 +147,17 @@ def flow_slots(flows, table_size: int, *, return_tuple_ids: bool = False):
 
 
 class FlowIndexer:
-    """Maps flows to register slots and tracks hash collisions.
+    """Maps flows to the slots of a ``table_size``-entry register file.
 
-    The data-plane simulator uses this to detect when two concurrent flows
-    land in the same register slot (which corrupts each other's features, as
-    it would on real hardware).
+    Two flows that hash to one slot share it, as they would on real
+    hardware; who owns a slot is the program's state, not the indexer's.
     """
 
     def __init__(self, table_size: int) -> None:
         if table_size < 1:
             raise ValueError("table_size must be >= 1")
         self.table_size = table_size
-        self._owners: dict[int, FiveTuple] = {}
-        self.collisions = 0
-        self.lookups = 0
 
     def index_for(self, five_tuple: FiveTuple) -> int:
-        """Slot index for a flow, recording collisions with other live flows."""
-        self.lookups += 1
-        slot = register_index(five_tuple, self.table_size)
-        owner = self._owners.get(slot)
-        if owner is None:
-            self._owners[slot] = five_tuple
-        elif owner != five_tuple:
-            self.collisions += 1
-        return slot
-
-    def release(self, five_tuple: FiveTuple) -> None:
-        """Mark a flow's slot as free (flow completed / evicted)."""
-        slot = register_index(five_tuple, self.table_size)
-        if self._owners.get(slot) == five_tuple:
-            del self._owners[slot]
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of register slots currently owned by a live flow."""
-        return len(self._owners) / self.table_size
+        """Slot index for a flow (:func:`register_index` at this table size)."""
+        return register_index(five_tuple, self.table_size)

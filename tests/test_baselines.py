@@ -2,26 +2,49 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines import (
     NETBEACON_PHASES,
+    TopKTrainer,
+    evaluate_grid,
+    leo_table_cost,
     leo_tcam_bits,
     leo_tcam_entries,
-    netbeacon_tcam_cost,
+    netbeacon_table_cost,
+    per_packet_table_cost,
     phase_for_packet_count,
-    search_leo,
-    search_netbeacon,
-    search_per_packet,
     select_top_k_features,
-    topk_per_flow_bits,
     train_per_packet_model,
     train_topk_model,
 )
+from repro.core import best_at_flows, check_feasibility
 from repro.core.config import TopKConfig
-from repro.features.definitions import FEATURES, STATELESS_INDICES
+from repro.core.resources import RESERVED_BITS, UNBOUNDED_FLOWS, topk_register_layout
+from repro.features.definitions import FEATURES, FEATURES_BY_NAME, STATELESS_INDICES
 from repro.switch.targets import TOFINO1
+
+
+def grid(k_range, depth_range, **config):
+    """A k-major (k, depth) grid, the order every system's candidates come in."""
+    return [TopKConfig(depth=d, top_k=k, **config) for k in k_range for d in depth_range]
+
+
+@pytest.fixture(scope="module")
+def trainer(windowed3):
+    return TopKTrainer(windowed3)
+
+
+@pytest.fixture(scope="module")
+def netbeacon_grid(trainer):
+    """NetBeacon's registered grid, evaluated once for every test that selects from it."""
+    return evaluate_grid(
+        trainer, grid((1, 2, 4, 6), (4, 8, 12)), name="netbeacon",
+        table_cost=netbeacon_table_cost, target=TOFINO1,
+    )
 
 
 class TestTopKSelection:
@@ -60,7 +83,8 @@ class TestTopKModel:
     def test_register_layout_counts_stateful_features_only(self, windowed3):
         model = train_topk_model(windowed3, TopKConfig(depth=5, top_k=4))
         stateful = [i for i in model.feature_indices if FEATURES[i].stateful]
-        assert model.register_layout().feature_bits == 32 * len(stateful)
+        layout = topk_register_layout(model.feature_indices)
+        assert layout.feature_bits == 32 * len(stateful)
 
     def test_rules_generated(self, windowed3):
         model = train_topk_model(windowed3, TopKConfig(depth=5, top_k=4))
@@ -69,7 +93,9 @@ class TestTopKModel:
         assert rules.n_model_entries == model.n_leaves
 
     def test_per_flow_bits_formula(self):
-        assert topk_per_flow_bits(4, bit_width=32, dependency_stages=0) >= 128
+        counters = [FEATURES_BY_NAME[name].index for name in ("pkt_count", "syn_count")]
+        layout = topk_register_layout(counters, bit_width=32)
+        assert layout.total_bits == 2 * 32 + RESERVED_BITS + layout.dependency_bits
 
     def test_stateless_model_uses_only_stateless_features(self, windowed3):
         model = train_per_packet_model(windowed3, depth=6)
@@ -90,29 +116,44 @@ class TestNetBeacon:
 
     def test_tcam_cost_positive(self, windowed3):
         model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4), name="netbeacon")
-        entries, bits = netbeacon_tcam_cost(model, windowed3)
-        assert entries > 0 and bits > 0
+        cost = netbeacon_table_cost(model, windowed3, TOFINO1)
+        assert cost.entries > 0 and cost.bits > 0
 
-    def test_search_returns_feasible_candidate(self, windowed3):
-        candidate = search_netbeacon(
-            windowed3, target=TOFINO1, n_flows=100_000,
-            k_range=(2, 4), depth_range=(4, 8),
+    def test_tcam_overhead_comes_from_the_target(self, windowed3):
+        # Equal on all four TARGETS, so only a synthetic target can tell the
+        # target's overhead from the literal 16 the cost used to assume.
+        model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4), name="netbeacon")
+        wide = dataclasses.replace(TOFINO1, tcam_entry_overhead_bits=48)
+        base = netbeacon_table_cost(model, windowed3, TOFINO1)
+        cost = netbeacon_table_cost(model, windowed3, wide)
+        assert cost.entries == base.entries
+        assert cost.bits == base.bits + 32 * base.entries
+
+    def test_search_returns_feasible_candidate(self, trainer):
+        candidates = evaluate_grid(
+            trainer, grid((2, 4), (4, 8)), name="netbeacon",
+            table_cost=netbeacon_table_cost, target=TOFINO1,
         )
+        candidate = best_at_flows(candidates, 100_000)
         assert candidate is not None
-        assert candidate.feasible
-        assert candidate.tcam_bits <= TOFINO1.tcam_bits
+        assert check_feasibility(candidate.resources, n_flows=100_000).feasible
+        assert candidate.resources.tcam_bits <= TOFINO1.tcam_bits
+        assert candidate.report.f1_score == max(c.report.f1_score for c in candidates)
 
-    def test_search_degrades_with_more_flows(self, windowed3):
-        at_100k = search_netbeacon(
-            windowed3, target=TOFINO1, n_flows=100_000, k_range=(1, 2, 4, 6), depth_range=(4, 8, 12)
-        )
-        at_1m = search_netbeacon(
-            windowed3, target=TOFINO1, n_flows=1_000_000, k_range=(1, 2, 4, 6), depth_range=(4, 8, 12)
-        )
+    def test_search_degrades_with_more_flows(self, netbeacon_grid):
+        at_100k = best_at_flows(netbeacon_grid, 100_000)
+        at_1m = best_at_flows(netbeacon_grid, 1_000_000)
         assert at_100k is not None
         if at_1m is not None:
             assert at_1m.model.config.top_k <= at_100k.model.config.top_k
             assert at_1m.report.f1_score <= at_100k.report.f1_score + 0.05
+
+    def test_selection_is_monotone_in_the_flow_count(self, netbeacon_grid):
+        # Feasibility only shrinks as the count grows, so the best F1 never rises.
+        best = [best_at_flows(netbeacon_grid, n) for n in (1, 10**5, 5 * 10**5, 10**6, 10**7)]
+        scores = [c.report.f1_score if c else -1.0 for c in best]
+        assert scores == sorted(scores, reverse=True)
+        assert best[0].report.f1_score == max(c.report.f1_score for c in netbeacon_grid)
 
 
 class TestLeo:
@@ -130,24 +171,53 @@ class TestLeo:
     def test_tcam_bits_scale_with_k(self):
         assert leo_tcam_bits(6, 6) > leo_tcam_bits(6, 2)
 
-    def test_search_returns_candidate(self, windowed3):
-        candidate = search_leo(
-            windowed3, target=TOFINO1, n_flows=100_000, k_range=(2, 4), depth_range=(6, 11)
+    def test_tcam_overhead_comes_from_the_target(self, windowed3):
+        model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4), name="leo")
+        wide = dataclasses.replace(TOFINO1, tcam_entry_overhead_bits=48)
+        base = leo_table_cost(model, windowed3, TOFINO1)
+        assert base.bits == leo_tcam_bits(6, 4)
+        assert leo_table_cost(model, windowed3, wide).bits == base.bits + 32 * base.entries
+
+    def test_search_returns_candidate(self, trainer):
+        candidates = evaluate_grid(
+            trainer, grid((2, 4), (6, 11)), name="leo", table_cost=leo_table_cost, target=TOFINO1
         )
+        candidate = best_at_flows(candidates, 100_000)
         assert candidate is not None
-        assert candidate.tcam_entries in {2**n for n in range(11, 15)}
+        assert candidate.resources.tcam_entries in {2**n for n in range(11, 15)}
+
+    def test_depth_costs_register_stages(self, trainer):
+        shallow, deep = evaluate_grid(
+            trainer, grid((4,), (4, 11)), name="leo", table_cost=leo_table_cost, target=TOFINO1
+        )
+        assert deep.resources.stages_for_registers == shallow.resources.stages_for_registers - 2
+        assert deep.resources.max_flows < shallow.resources.max_flows
 
 
 class TestPerPacket:
-    def test_search_returns_candidate(self, windowed3):
-        candidate = search_per_packet(windowed3, target=TOFINO1, depth_range=(6, 8))
-        assert candidate is not None
-        assert candidate.register_bits == 0
-
-    def test_stateless_model_weaker_than_stateful(self, windowed3):
-        stateless = search_per_packet(windowed3, target=TOFINO1, depth_range=(8,))
-        stateful = search_netbeacon(
-            windowed3, target=TOFINO1, n_flows=100_000, k_range=(6,), depth_range=(10,)
+    @pytest.fixture(scope="class")
+    def stateless(self, trainer):
+        return evaluate_grid(
+            trainer, grid((4,), (6, 8), use_stateful=False), name="per_packet",
+            table_cost=per_packet_table_cost, target=TOFINO1,
         )
-        assert stateless is not None and stateful is not None
-        assert stateless.report.f1_score <= stateful.report.f1_score + 0.05
+
+    def test_search_returns_candidate(self, stateless):
+        candidate = best_at_flows(stateless, 100_000)
+        assert candidate is not None
+        assert candidate.resources.layout.total_bits == 0
+
+    def test_no_flow_count_exhausts_a_stateless_model(self, stateless):
+        for candidate in stateless:
+            assert candidate.resources.max_flows == UNBOUNDED_FLOWS
+            assert check_feasibility(candidate.resources, n_flows=10**12).feasible
+        assert best_at_flows(stateless, 10**12) is best_at_flows(stateless, 1)
+
+    def test_stateless_model_weaker_than_stateful(self, trainer, stateless):
+        (stateful,) = evaluate_grid(
+            trainer, grid((6,), (10,)), name="netbeacon",
+            table_cost=netbeacon_table_cost, target=TOFINO1,
+        )
+        weak = best_at_flows(stateless, 100_000)
+        assert weak.report.f1_score <= stateful.report.f1_score + 0.05
+        assert weak.resources.max_flows > stateful.resources.max_flows

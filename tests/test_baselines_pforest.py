@@ -5,11 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import evaluate_pforest, pforest_tcam_cost, train_pforest_model
+from repro.baselines import evaluate_pforest, train_pforest_model
 from repro.baselines.topk import train_topk_model
 from repro.core.config import TopKConfig
 from repro.core.evaluation import evaluate_classifier
+from repro.core.resources import estimate_topk_resources, range_marking_cost
 from repro.switch.targets import TOFINO1
+
+
+def pforest_resources(model, windowed):
+    rules = model.generate_rules(windowed.flow_matrix("train"))
+    return estimate_topk_resources(model, range_marking_cost(rules, TOFINO1), target=TOFINO1)
 
 
 @pytest.fixture(scope="module")
@@ -51,16 +57,22 @@ class TestPForestTraining:
 
 
 class TestPForestResources:
-    def test_register_layout_same_as_topk(self, pforest_model):
-        layout = pforest_model.register_layout()
-        assert layout.feature_bits <= 4 * 32
+    def test_register_layout_same_as_topk(self, pforest_model, windowed3):
+        single = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4), random_state=1)
+        assert single.feature_indices == pforest_model.feature_indices
+        forest = pforest_resources(pforest_model, windowed3)
+        tree = pforest_resources(single, windowed3)
+        assert forest.layout == tree.layout
+        assert forest.layout.feature_bits <= 4 * 32
+        assert forest.max_flows == tree.max_flows
 
     def test_tcam_cost_scales_with_ensemble(self, windowed3):
         small = train_pforest_model(windowed3, TopKConfig(depth=5, top_k=3), n_trees=2, random_state=0)
         large = train_pforest_model(windowed3, TopKConfig(depth=5, top_k=3), n_trees=6, random_state=0)
-        small_entries, _ = pforest_tcam_cost(small, windowed3, target=TOFINO1)
-        large_entries, _ = pforest_tcam_cost(large, windowed3, target=TOFINO1)
-        assert large_entries > small_entries
+        small_resources = pforest_resources(small, windowed3)
+        large_resources = pforest_resources(large, windowed3)
+        assert large_resources.tcam_entries > small_resources.tcam_entries
+        assert (small_resources.n_subtrees, large_resources.n_subtrees) == (2, 6)
 
     def test_rules_have_one_group_per_tree(self, pforest_model, windowed3):
         rules = pforest_model.generate_rules(windowed3.flow_matrix("train"))

@@ -66,10 +66,19 @@ class TestSpliDTVersusBaselines:
         splidt_model = core.train_partitioned_tree(windowed, config, random_state=5)
         splidt_report = core.evaluate_partitioned_tree(splidt_model, windowed)
 
-        netbeacon = baselines.search_netbeacon(
-            windowed, target=TOFINO1, n_flows=100_000, k_range=(4, 6), depth_range=(8, 12)
+        trainer = baselines.TopKTrainer(windowed)
+        netbeacon = core.best_at_flows(
+            baselines.evaluate_grid(
+                trainer,
+                [core.TopKConfig(depth=d, top_k=k) for k in (4, 6) for d in (8, 12)],
+                name="netbeacon", table_cost=baselines.netbeacon_table_cost, target=TOFINO1,
+            ),
+            100_000,
         )
-        per_packet = baselines.search_per_packet(windowed, target=TOFINO1, depth_range=(8,))
+        (per_packet,) = baselines.evaluate_grid(
+            trainer, [core.TopKConfig(depth=8, top_k=4, use_stateful=False)],
+            name="per_packet", table_cost=baselines.per_packet_table_cost, target=TOFINO1,
+        )
         return splidt_model, splidt_report, netbeacon, per_packet
 
     def test_splidt_uses_more_features_than_topk(self, comparison):

@@ -225,33 +225,7 @@ class TestFlowIndexer:
         indexer = FlowIndexer(1024)
         five_tuple = FiveTuple(1, 2, 3, 4, 6)
         assert indexer.index_for(five_tuple) == indexer.index_for(five_tuple)
-
-    def test_no_collision_counted_for_same_flow(self):
-        indexer = FlowIndexer(1024)
-        five_tuple = FiveTuple(1, 2, 3, 4, 6)
-        indexer.index_for(five_tuple)
-        indexer.index_for(five_tuple)
-        assert indexer.collisions == 0
-
-    def test_collisions_detected_with_tiny_table(self):
-        indexer = FlowIndexer(1)
-        indexer.index_for(FiveTuple(1, 2, 3, 4, 6))
-        indexer.index_for(FiveTuple(9, 9, 9, 9, 17))
-        assert indexer.collisions == 1
-
-    def test_release_frees_slot(self):
-        indexer = FlowIndexer(1)
-        a = FiveTuple(1, 2, 3, 4, 6)
-        b = FiveTuple(9, 9, 9, 9, 17)
-        indexer.index_for(a)
-        indexer.release(a)
-        indexer.index_for(b)
-        assert indexer.collisions == 0
-
-    def test_occupancy(self):
-        indexer = FlowIndexer(10)
-        indexer.index_for(FiveTuple(1, 2, 3, 4, 6))
-        assert indexer.occupancy == pytest.approx(0.1)
+        assert indexer.index_for(five_tuple) == register_index(five_tuple, 1024)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
