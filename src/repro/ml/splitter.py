@@ -115,39 +115,6 @@ def _split_scores_from_one_hot(sorted_one_hot: np.ndarray, criterion: str) -> np
     return left_totals * left_impurity + right_totals * right_impurity
 
 
-def split_gains_from_counts(
-    left_counts: np.ndarray, right_counts: np.ndarray, criterion: str
-) -> np.ndarray:
-    """Per-sample impurity decrease of candidate cuts given class counts.
-
-    Streaming learners (:mod:`repro.online`) keep per-leaf class counts in
-    histogram bins instead of raw sample vectors; this scores every candidate
-    cut directly from those sufficient statistics.  ``left_counts`` and
-    ``right_counts`` are ``(n_cuts, n_classes)`` matrices whose rows must sum
-    to the same parent counts; the result is on the same scale as
-    :attr:`Split.improvement` (impurity decrease per parent sample).
-    """
-    left = np.asarray(left_counts, dtype=float)
-    right = np.asarray(right_counts, dtype=float)
-    if left.shape != right.shape:
-        raise ValueError(
-            f"left/right count shapes differ: {left.shape} != {right.shape}"
-        )
-    if left.shape[0] == 0:
-        return np.empty(0, dtype=float)
-    left_totals = left.sum(axis=1)
-    right_totals = right.sum(axis=1)
-    n_samples = float(left_totals[0] + right_totals[0])
-    if n_samples <= 0:
-        return np.zeros(left.shape[0], dtype=float)
-    parent_impurity = node_impurity(left[0] + right[0], criterion)
-    weighted = (
-        left_totals * _batch_impurity(left, criterion)
-        + right_totals * _batch_impurity(right, criterion)
-    )
-    return parent_impurity - weighted / n_samples
-
-
 def _regression_split_scores(sorted_y: np.ndarray) -> np.ndarray:
     """Weighted variance for every prefix cut of a sorted target vector."""
     n = sorted_y.shape[0]

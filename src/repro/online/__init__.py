@@ -1,11 +1,11 @@
-"""Online serving: drift detection, incremental retraining, atomic hot swap.
+"""Online serving: drift detection, retraining, atomic hot swap.
 
 The serve engines (:mod:`repro.serve`) execute a fixed model; this package
 closes the loop around them.  An :class:`OnlineController` watches the
-verdict stream for drift (:mod:`repro.online.drift`), refreshes the
-partitioned model from streamed sufficient statistics without a full
-retrain (:mod:`repro.online.incremental`), and swaps the refreshed model
-into the live engine atomically via
+verdict stream for drift (:mod:`repro.online.drift`), retrains the
+partitioned model on recently labelled flows with the offline trainer
+(Algorithm 1, :func:`repro.core.train_partitioned_tree`), and swaps the
+refreshed model into the live engine atomically via
 :meth:`repro.serve.InferenceEngine.swap_model` — in-flight flows finish on
 the old model bit-exactly.
 
@@ -16,24 +16,14 @@ the old model bit-exactly.
 
 from __future__ import annotations
 
-from repro.online.config import DETECTORS, OnlineConfig, OnlineConfigError
+from repro.online.config import OnlineConfig, OnlineConfigError
 from repro.online.demo import (
     MAX_RECOVERY_GAP,
     MIN_STATIC_DROP,
     default_online_config,
     run_phase_change_demo,
 )
-from repro.online.drift import (
-    DriftMonitor,
-    FeatureDistributionMonitor,
-    PageHinkley,
-)
-from repro.online.incremental import (
-    DEFAULT_BINS,
-    FrozenTreeClassifier,
-    HoeffdingSubtreeLearner,
-    IncrementalPartitionedTrainer,
-)
+from repro.online.drift import DriftMonitor, PageHinkley
 from repro.online.loop import (
     COOLDOWN,
     MONITORING,
@@ -45,13 +35,7 @@ from repro.online.loop import (
 
 __all__ = [
     "COOLDOWN",
-    "DEFAULT_BINS",
-    "DETECTORS",
     "DriftMonitor",
-    "FeatureDistributionMonitor",
-    "FrozenTreeClassifier",
-    "HoeffdingSubtreeLearner",
-    "IncrementalPartitionedTrainer",
     "MAX_RECOVERY_GAP",
     "MIN_STATIC_DROP",
     "MONITORING",

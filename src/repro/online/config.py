@@ -3,8 +3,7 @@
 This module is import-light on purpose: :class:`OnlineConfig` nests inside
 :class:`repro.pipeline.spec.ServeConfig`, so it must not pull the serve or
 dataplane machinery into the spec layer.  Everything heavier lives in
-:mod:`repro.online.drift`, :mod:`repro.online.incremental` and
-:mod:`repro.online.loop`.
+:mod:`repro.online.drift` and :mod:`repro.online.loop`.
 """
 
 from __future__ import annotations
@@ -17,63 +16,39 @@ class OnlineConfigError(ValueError):
     """Raised when an :class:`OnlineConfig` fails validation."""
 
 
-#: Drift detectors the monitor can run on the serve-path error stream.
-DETECTORS = ("page-hinkley", "error-window")
-
-
 @dataclass(frozen=True)
 class OnlineConfig:
     """Knobs of the drift-detect / retrain / hot-swap loop.
 
     Attributes:
         enabled: Run the online loop at all (``serve --online`` sets this).
-        detector: ``"page-hinkley"`` (cumulative mean-shift test on the
-            per-verdict error indicator) or ``"error-window"`` (alarm when
-            the sliding-window error rate crosses ``error_threshold``).
         window: Sliding-window length of the rolling error-rate monitor.
         ph_delta: Page–Hinkley magnitude tolerance (drift smaller than this
             per-sample shift is absorbed silently).
         ph_threshold: Page–Hinkley alarm threshold on the cumulative
             deviation statistic.
-        error_threshold: Alarm level of the ``"error-window"`` detector
-            (windowed error rate at or above this triggers).
         warmup_flows: Verdicts to observe before the detector may alarm
             (and, after a swap, before it may alarm again).
         min_retrain_flows: Labelled flows that must be buffered after an
-            alarm before the incremental trainer runs and the swap fires.
+            alarm before the model is retrained and the swap fires.
         retrain_window: Most-recent labelled flows kept for retraining
             (older flows are evicted; the drifted regime dominates).
-        retrain_passes: Passes the incremental trainer makes over the
-            buffered flows (>1 helps the Hoeffding bounds converge on the
-            small retrain window).
         cooldown_flows: Verdicts to ignore after a swap before monitoring
             resumes (in-flight flows pinned to the old model would otherwise
             re-trigger the alarm immediately).
-        exit_confidence: Leaf majority fraction above which a refreshed
-            subtree leaf exits with a label instead of chaining to the next
-            partition.
     """
 
     enabled: bool = False
-    detector: str = "page-hinkley"
     window: int = 64
     ph_delta: float = 0.15
     ph_threshold: float = 5.0
-    error_threshold: float = 0.35
     warmup_flows: int = 32
     min_retrain_flows: int = 96
     retrain_window: int = 512
-    retrain_passes: int = 2
     cooldown_flows: int = 32
-    exit_confidence: float = 0.95
 
     def validate(self) -> "OnlineConfig":
         """Check value ranges; returns ``self`` so calls chain."""
-        if self.detector not in DETECTORS:
-            raise OnlineConfigError(
-                f"unknown drift detector {self.detector!r}; "
-                f"expected one of {DETECTORS}"
-            )
         if self.window < 1:
             raise OnlineConfigError(f"window must be >= 1, got {self.window}")
         if self.ph_delta < 0:
@@ -81,10 +56,6 @@ class OnlineConfig:
         if self.ph_threshold <= 0:
             raise OnlineConfigError(
                 f"ph_threshold must be > 0, got {self.ph_threshold}"
-            )
-        if not 0.0 < self.error_threshold <= 1.0:
-            raise OnlineConfigError(
-                f"error_threshold must be in (0, 1], got {self.error_threshold}"
             )
         if self.warmup_flows < 0:
             raise OnlineConfigError(
@@ -99,17 +70,9 @@ class OnlineConfig:
                 "retrain_window must be >= min_retrain_flows "
                 f"({self.retrain_window} < {self.min_retrain_flows})"
             )
-        if self.retrain_passes < 1:
-            raise OnlineConfigError(
-                f"retrain_passes must be >= 1, got {self.retrain_passes}"
-            )
         if self.cooldown_flows < 0:
             raise OnlineConfigError(
                 f"cooldown_flows must be >= 0, got {self.cooldown_flows}"
-            )
-        if not 0.5 < self.exit_confidence <= 1.0:
-            raise OnlineConfigError(
-                f"exit_confidence must be in (0.5, 1], got {self.exit_confidence}"
             )
         return self
 

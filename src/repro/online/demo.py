@@ -5,7 +5,7 @@ stream generated by :class:`~repro.datasets.generators.PhaseShiftGenerator`
 — halfway through, flow behaviour rotates across classes while ground-truth
 labels stay put.  The static model's F1 collapses on post-shift flows; the
 online loop (:mod:`repro.online.loop`) sees the error spike, buffers newly
-labelled flows, refreshes the model incrementally and hot-swaps it in,
+labelled flows, retrains the model on them and hot-swaps it in,
 recovering accuracy for flows that start after the swap — while flows
 already in flight finish on the old model bit-exactly.
 
@@ -76,11 +76,9 @@ def default_online_config() -> OnlineConfig:
     """The demo's tuned online-loop configuration."""
     return OnlineConfig(
         enabled=True,
-        detector="page-hinkley",
         window=48,
         warmup_flows=24,
         min_retrain_flows=200,
-        retrain_passes=2,
         cooldown_flows=24,
     )
 
@@ -164,9 +162,7 @@ def run_phase_change_demo(
         config=online,
         model_config=config,
         flow_slots=flow_slots,
-        n_classes=profile.n_classes,
         class_names=shifted.class_names,
-        rules=rules,
     )
     serve_engine = create_engine(
         OnlineProgramFactory(model, rules, flow_slots),

@@ -1,25 +1,13 @@
 """Drift detectors fed from the serve path.
 
-Two signals are monitored:
-
-* **verdict errors** — each served verdict is compared against its flow's
-  ground-truth label; the binary error indicator feeds a Page–Hinkley
-  cumulative mean-shift test (or a plain windowed error-rate threshold),
-  extending the rolling accumulators of :mod:`repro.analysis.streaming`;
-* **feature distributions** — per-feature running moments (Welford) frozen
-  as a reference, compared against a sliding window of recent vectors; a
-  large standardised mean shift flags covariate drift even before labels
-  arrive.
-
-Both detectors are O(1)-amortised per update, the same contract as the
-rolling accumulators they build on.
+Each served verdict is compared against its flow's ground-truth label; the
+binary error indicator feeds a Page–Hinkley cumulative mean-shift test,
+next to the rolling accumulators of :mod:`repro.analysis.streaming` that
+report the windowed error rate and accuracy.  Every update is O(1), the
+same contract as those accumulators.
 """
 
 from __future__ import annotations
-
-from collections import deque
-
-import numpy as np
 
 from repro.analysis.streaming import RollingReport, WindowedErrorRate
 from repro.online.config import OnlineConfig
@@ -83,93 +71,18 @@ class PageHinkley:
         self.minimum = 0.0
 
 
-class FeatureDistributionMonitor:
-    """Standardised mean-shift score between a reference and a sliding window.
-
-    ``observe`` absorbs feature vectors into per-feature running moments
-    (Welford's algorithm).  Once :meth:`freeze_reference` snapshots the
-    moments, subsequent vectors also enter a sliding window and
-    :meth:`shift_score` reports the largest per-feature
-    ``|window_mean - ref_mean| / ref_std`` — a unitless covariate-drift
-    score that needs no labels.
-
-    Example::
-
-        >>> monitor = FeatureDistributionMonitor(window=8)
-        >>> for _ in range(16):
-        ...     monitor.observe([1.0, 2.0])
-        >>> monitor.freeze_reference()
-        >>> monitor.shift_score() == 0.0
-        True
-    """
-
-    def __init__(self, window: int = 128) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
-        self._n = 0
-        self._mean: np.ndarray | None = None
-        self._m2: np.ndarray | None = None
-        self._reference: tuple[np.ndarray, np.ndarray] | None = None
-        self._recent: deque[np.ndarray] = deque(maxlen=self.window)
-
-    @property
-    def n_observed(self) -> int:
-        """Vectors absorbed into the running moments."""
-        return self._n
-
-    def observe(self, vector) -> None:
-        """Absorb one feature vector."""
-        vector = np.asarray(vector, dtype=float)
-        if self._mean is None:
-            self._mean = np.zeros_like(vector)
-            self._m2 = np.zeros_like(vector)
-        self._n += 1
-        delta = vector - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (vector - self._mean)
-        if self._reference is not None:
-            self._recent.append(vector)
-
-    def freeze_reference(self) -> None:
-        """Snapshot the current moments as the no-drift reference."""
-        if self._mean is None or self._n < 2:
-            raise ValueError("need at least 2 observations to freeze a reference")
-        std = np.sqrt(self._m2 / (self._n - 1))
-        self._reference = (self._mean.copy(), np.where(std > 0, std, 1.0))
-        self._recent.clear()
-
-    def shift_score(self) -> float:
-        """Largest per-feature standardised mean shift (0.0 until comparable)."""
-        if self._reference is None or not self._recent:
-            return 0.0
-        ref_mean, ref_std = self._reference
-        window_mean = np.mean(np.stack(self._recent), axis=0)
-        return float(np.max(np.abs(window_mean - ref_mean) / ref_std))
-
-    def reset(self) -> None:
-        """Forget moments, reference and window."""
-        self._n = 0
-        self._mean = None
-        self._m2 = None
-        self._reference = None
-        self._recent.clear()
-
-
 class DriftMonitor:
     """Serve-path facade: verdict stream in, drift verdicts out.
 
     Combines a :class:`~repro.analysis.streaming.WindowedErrorRate`, a
     :class:`~repro.analysis.streaming.RollingReport` (rolling accuracy/F1
-    since the last reset) and the configured detector.  The controller calls
-    :meth:`observe` once per served verdict.
+    since the last reset) and the :class:`PageHinkley` detector.  The
+    controller calls :meth:`observe` once per served verdict.
     """
 
     def __init__(self, config: OnlineConfig) -> None:
-        self.config = config
         self.windowed = WindowedErrorRate(config.window)
         self.report = RollingReport()
-        self.features = FeatureDistributionMonitor(window=config.window)
         self._page_hinkley = PageHinkley(
             delta=config.ph_delta,
             threshold=config.ph_threshold,
@@ -193,13 +106,7 @@ class DriftMonitor:
         self.windowed.update(error)
         self.report.update(y_true, y_pred)
         self._n += 1
-        if self.config.detector == "page-hinkley":
-            return self._page_hinkley.update(1.0 if error else 0.0)
-        return (
-            self._n >= self.config.warmup_flows
-            and self.windowed.count >= self.config.window
-            and self.windowed.rate >= self.config.error_threshold
-        )
+        return self._page_hinkley.update(1.0 if error else 0.0)
 
     def reset(self) -> None:
         """Re-arm after a model swap: forget errors, stats and alarms."""

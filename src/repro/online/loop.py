@@ -11,12 +11,13 @@ the serving loop calls :meth:`OnlineController.observe_chunk` after each
 ``ingest``, the controller diffs the engine's verdict dict against what it
 has already seen, grades each new verdict against the flow's ground-truth
 label, and drives the drift monitor.  On an alarm it buffers the next
-``min_retrain_flows`` labelled flows, refreshes the model through
-:class:`~repro.online.incremental.IncrementalPartitionedTrainer`, compiles
-rules through the unchanged :func:`~repro.core.range_marking.generate_rules`
-path and fires :meth:`~repro.serve.InferenceEngine.swap_model` — the swap
-itself guarantees that flows already in flight finish on the old model
-bit-exactly (see ``tests/test_serve_swap.py``).
+``min_retrain_flows`` labelled flows, retrains on them with the offline
+pipeline — :func:`~repro.datasets.materialize.materialize`,
+:func:`~repro.core.partitioned_tree.train_partitioned_tree` (Algorithm 1),
+:func:`~repro.core.range_marking.generate_rules` — and fires
+:meth:`~repro.serve.InferenceEngine.swap_model`.  The swap itself
+guarantees that flows already in flight finish on the old model bit-exactly
+(see ``tests/test_serve_swap.py``).
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.config import SpliDTConfig
-from repro.core.range_marking import generate_rules
+from repro.core.partitioned_tree import train_partitioned_tree
+from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane.splidt_program import SpliDTDataPlane
-from repro.datasets.flows import PacketArrays
-from repro.features.flowmeter import FlowMeter
+from repro.datasets.flows import FlowDataset
+from repro.datasets.materialize import materialize
 from repro.online.config import OnlineConfig
 from repro.online.drift import DriftMonitor
-from repro.online.incremental import IncrementalPartitionedTrainer
 
 #: Controller states.
 MONITORING, RETRAINING, COOLDOWN = "monitoring", "retraining", "cooldown"
@@ -66,23 +65,21 @@ class OnlineProgramFactory:
 
 
 class OnlineController:
-    """Drift detection, incremental retraining and hot swap for one session.
+    """Drift detection, retraining and hot swap for one session.
 
     Args:
         config: The online-loop knobs (validated on construction).
         model_config: Shape of the deployed model; the refreshed model keeps
             it so the swap stays table-compatible.
         flow_slots: Register table size of the deployed program.
-        n_classes: Label-space size of the dataset being served.
-        class_names: Optional class names for refreshed models.
-        rules: The deployed rule set (its quantizer seeds the incremental
-            learners' histogram grid; replaced after each swap).
+        class_names: Class names of the dataset being served (their count is
+            the refreshed model's label space).
 
     Example::
 
         >>> controller = OnlineController(config=..., model_config=...,
-        ...                               flow_slots=8192, n_classes=10,
-        ...                               rules=rules)
+        ...                               flow_slots=8192,
+        ...                               class_names=dataset.class_names)
         >>> for chunk in iter_packet_chunks(dataset.flows, 64):
         ...     engine.ingest(chunk)
         ...     controller.observe_chunk(engine, chunk)
@@ -94,24 +91,20 @@ class OnlineController:
         config: OnlineConfig,
         model_config: SpliDTConfig,
         flow_slots: int,
-        n_classes: int,
-        class_names=(),
-        rules,
+        class_names,
     ) -> None:
         config.validate()
         self.config = config
         self.model_config = model_config
         self.flow_slots = int(flow_slots)
-        self.n_classes = int(n_classes)
         self.class_names = list(class_names)
         self.monitor = DriftMonitor(config)
         self.state = MONITORING
         self.events: list[OnlineEvent] = []
         self.swap_events: list = []
-        self._active_rules = rules
         self._flow_by_id: dict[int, object] = {}
         self._seen: set[int] = set()
-        self._buffer: OrderedDict[int, tuple[object, int]] = OrderedDict()
+        self._buffer: OrderedDict[int, object] = OrderedDict()
         self._stale: set[int] = set()
         self._cooldown_left = 0
 
@@ -180,13 +173,12 @@ class OnlineController:
                             kind="drift",
                             n_verdicts=self.n_verdicts,
                             error_rate=self.monitor.error_rate,
-                            detail={"detector": self.config.detector},
                         )
                     )
                 continue
             # RETRAINING: every labelled post-alarm flow feeds the buffer.
             self.monitor.windowed.update(int(y_true) != int(y_pred))
-            self._buffer[verdict.flow_id] = (flow, int(y_true))
+            self._buffer[verdict.flow_id] = flow
             while len(self._buffer) > self.config.retrain_window:
                 self._buffer.popitem(last=False)
             if allow_swap and len(self._buffer) >= self.config.min_retrain_flows:
@@ -197,27 +189,19 @@ class OnlineController:
     # Retrain + swap
     # ------------------------------------------------------------------
     def _retrain_and_swap(self, engine):
-        trainer = IncrementalPartitionedTrainer(
-            config=self.model_config,
-            n_classes=self.n_classes,
-            class_names=self.class_names,
-            quantizer=self._active_rules.quantizer,
-            exit_confidence=self.config.exit_confidence,
-            passes=self.config.retrain_passes,
-        )
         buffered = list(self._buffer.values())
-        soa = PacketArrays.from_flows([flow for flow, _ in buffered])
-        windows = FlowMeter().extract_window_matrix(soa, self.model_config.n_partitions)
-        # (window, flow, feature) -> one (window, feature) matrix per flow.
-        windows = np.ascontiguousarray(windows.transpose(1, 0, 2))
-        for flow_windows, (_, label) in zip(windows, buffered):
-            trainer.add_flow(flow_windows, label)
-        model = trainer.build_model()
-        rules = generate_rules(model, windows.reshape(-1, windows.shape[2]))
+        n_partitions = self.model_config.n_partitions
+        windowed = materialize(
+            FlowDataset("online-retrain", "", buffered, self.class_names),
+            n_partitions,
+        )
+        model = train_partitioned_tree(windowed, self.model_config, split="all")
+        rules = generate_rules(
+            model, stacked_training_matrix(windowed, n_partitions, split="all")
+        )
         event = engine.swap_model(
             OnlineProgramFactory(model, rules, self.flow_slots)
         )
-        self._active_rules = rules
         self._stale |= set(event.started_flow_ids) - self._seen
         self.swap_events.append(event)
         self.events.append(

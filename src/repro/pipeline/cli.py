@@ -10,7 +10,7 @@ Subcommands:
   TTD/recirculation statistics as they happen.  ``--online`` attaches the
   drift-detect / retrain / hot-swap loop (:mod:`repro.online`).
 * ``online-demo`` — the phase-change scenario end to end: a static model
-  collapses mid-stream, the online loop detects it, retrains incrementally
+  collapses mid-stream, the online loop detects it, retrains on recent flows
   and swaps the refreshed model in without touching in-flight flows.
 * ``scenario`` — the adversarial workload suite (:mod:`repro.scenarios`):
   ``scenario list`` prints the catalog, ``scenario run`` trains a clean
@@ -35,7 +35,6 @@ import time
 
 from repro.analysis.reporting import format_max_flows, render_table
 from repro.dataplane.runtime import REPLAY_ENGINES
-from repro.online.config import DETECTORS
 from repro.datasets.profiles import DATASET_KEYS
 from repro.datasets.registry import dataset_summary
 from repro.pipeline.artifacts import load_run, save_run
@@ -108,8 +107,7 @@ def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> E
     online_overrides = {}
     if getattr(args, "online", False):
         online_overrides["enabled"] = True
-    for flag, field_name in (("drift_detector", "detector"),
-                             ("drift_window", "window"),
+    for flag, field_name in (("drift_window", "window"),
                              ("min_retrain_flows", "min_retrain_flows"),
                              ("cooldown_flows", "cooldown_flows")):
         value = getattr(args, flag, None)
@@ -212,8 +210,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     controller = None
     if spec.serve.online.enabled:
         if spec.system != "splidt":
-            print("error: --online requires the splidt system (incremental "
-                  "retraining targets partitioned trees)", file=sys.stderr)
+            print("error: --online requires the splidt system (retraining "
+                  "targets partitioned trees)", file=sys.stderr)
             return 2
         from repro.online import OnlineController
 
@@ -222,9 +220,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config=spec.serve.online,
             model_config=spec.model_config(),
             flow_slots=spec.flow_slots,
-            n_classes=len(dataset.class_names),
             class_names=dataset.class_names,
-            rules=experiment.compile(),
         )
     engine = experiment.serve_engine()
     serve = spec.serve
@@ -232,7 +228,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if serve.engine == "sharded-mp":
         parallelism = (f", {serve.workers} worker processes"
                        + (f" ({serve.spawn_method})" if serve.spawn_method else ""))
-    online_note = f", online {serve.online.detector}" if controller else ""
+    online_note = ", online loop" if controller else ""
     print(f"serving           : {spec.system} on {spec.dataset} "
           f"({serve.engine} engine{parallelism}, chunks of {serve.chunk_size} pkts"
           f"{online_note})")
@@ -295,10 +291,9 @@ def _emit_online_events(controller, reported: int) -> int:
     """Print online-loop drift alarms that appeared since the last call."""
     events = [e for e in controller.events if e.kind == "drift"]
     for event in events[reported:]:
-        print(f"drift alarm       : {event.detail.get('detector')} fired after "
-              f"{event.n_verdicts} verdicts "
+        print(f"drift alarm       : fired after {event.n_verdicts} verdicts "
               f"(windowed error rate {event.error_rate:.3f}); buffering "
-              f"labelled flows for retrain")
+              "labelled flows for retrain")
     return len(events)
 
 
@@ -731,11 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--digests", action="store_true",
                        help="print each verdict digest as it is emitted")
     serve.add_argument("--online", action="store_true",
-                       help="attach the online loop: drift detection, "
-                            "incremental retraining, model hot-swap")
-    serve.add_argument("--drift-detector", dest="drift_detector", choices=DETECTORS,
-                       help="drift detector on the verdict error stream "
-                            "(default: page-hinkley)")
+                       help="attach the online loop: Page-Hinkley drift "
+                            "detection, retraining, model hot-swap")
     serve.add_argument("--drift-window", type=int, dest="drift_window",
                        help="sliding window of the rolling error-rate monitor")
     serve.add_argument("--min-retrain-flows", type=int, dest="min_retrain_flows",

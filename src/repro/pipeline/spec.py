@@ -45,7 +45,7 @@ class ServeConfig:
         backpressure: Buffered-packet limit before micro-batch ingestion
             errors.
         online: Online-loop settings (:class:`repro.online.OnlineConfig`) —
-            drift detection, incremental retraining and model hot swap.
+            drift detection, retraining and model hot swap.
             Disabled unless ``online.enabled`` is set (``serve --online``).
     """
 

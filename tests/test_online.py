@@ -1,24 +1,29 @@
-"""The online loop (`repro.online`): drift, incremental retrain, hot swap.
+"""The online loop (`repro.online`): drift, retrain, hot swap.
 
-Covers the pieces bottom-up — config validation, the Page–Hinkley and
-feature-distribution detectors, the Hoeffding subtree learner, the
-recursive incremental trainer — then the controller's state machine against
-a scripted fake engine, and finally the full phase-change demo with its
+Covers the pieces bottom-up — config validation, the Page–Hinkley detector,
+the controller's state machine against a scripted fake engine, the refresh
+(Algorithm 1's own trainer on the buffered flows), ``serve --online``
+through the CLI — and finally the full phase-change demo with its
 acceptance thresholds (the same run the ``online-smoke`` CI job asserts).
 """
 
 from __future__ import annotations
 
+import importlib
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.range_marking import FeatureQuantizer, generate_rules
+from repro.core.partitioned_tree import (
+    OUTCOME_EXIT,
+    OUTCOME_NEXT,
+    train_partitioned_tree,
+)
+from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane import SpliDTDataPlane, replay_dataset
-from repro.features.flowmeter import FlowMeter
-from repro.ml.splitter import find_best_split
-from repro.ml.tree import DecisionTreeClassifier
+from repro.datasets.flows import FlowDataset
+from repro.datasets.materialize import materialize
 from repro.online import (
     COOLDOWN,
     MAX_RECOVERY_GAP,
@@ -26,9 +31,6 @@ from repro.online import (
     MONITORING,
     RETRAINING,
     DriftMonitor,
-    FeatureDistributionMonitor,
-    HoeffdingSubtreeLearner,
-    IncrementalPartitionedTrainer,
     OnlineConfig,
     OnlineConfigError,
     OnlineController,
@@ -37,30 +39,32 @@ from repro.online import (
     default_online_config,
     run_phase_change_demo,
 )
+from repro.pipeline.cli import main
+from repro.serve import SwapEvent
 
 
 class TestOnlineConfig:
     def test_defaults_validate_and_chain(self):
         config = OnlineConfig()
         assert config.validate() is config
-        assert not config.enabled and config.detector == "page-hinkley"
+        assert not config.enabled
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"detector": "adwin"},
+            {"window": -1},
             {"window": 0},
             {"ph_delta": -0.1},
             {"ph_threshold": 0.0},
-            {"error_threshold": 0.0},
-            {"error_threshold": 1.5},
+            {"ph_threshold": -1.0},
+            {"ph_delta": -1e-9},
             {"warmup_flows": -1},
             {"min_retrain_flows": 0},
             {"retrain_window": 8, "min_retrain_flows": 16},
-            {"retrain_passes": 0},
+            {"retrain_window": 0},
             {"cooldown_flows": -1},
-            {"exit_confidence": 0.5},
-            {"exit_confidence": 1.1},
+            {"min_retrain_flows": -5},
+            {"cooldown_flows": -32},
         ],
     )
     def test_invalid_configs_raise(self, overrides):
@@ -68,8 +72,22 @@ class TestOnlineConfig:
             OnlineConfig(**overrides).validate()
 
     def test_config_error_is_value_error(self):
-        with pytest.raises(ValueError, match="detector"):
-            OnlineConfig(detector="bogus").validate()
+        with pytest.raises(ValueError, match="window"):
+            OnlineConfig(window=0).validate()
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"detector": "page-hinkley"},
+            {"error_threshold": 0.35},
+            {"retrain_passes": 2},
+            {"exit_confidence": 0.95},
+        ],
+    )
+    def test_removed_fields_are_rejected(self, removed):
+        # Deleted, not aliased: the learner knobs and the second detector.
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            OnlineConfig(**removed)
 
     def test_replace_returns_new_config(self):
         config = OnlineConfig()
@@ -128,58 +146,7 @@ class TestPageHinkley:
             PageHinkley(threshold=0.0)
 
 
-class TestFeatureDistributionMonitor:
-    def test_stationary_stream_scores_near_zero(self):
-        rng = np.random.default_rng(2)
-        monitor = FeatureDistributionMonitor(window=32)
-        for _ in range(128):
-            monitor.observe(rng.normal(size=4))
-        monitor.freeze_reference()
-        for _ in range(64):
-            monitor.observe(rng.normal(size=4))
-        assert monitor.shift_score() < 1.0
-
-    def test_mean_shift_scores_large(self):
-        rng = np.random.default_rng(2)
-        monitor = FeatureDistributionMonitor(window=32)
-        for _ in range(128):
-            monitor.observe(rng.normal(size=4))
-        monitor.freeze_reference()
-        for _ in range(64):
-            monitor.observe(rng.normal(size=4) + [0.0, 5.0, 0.0, 0.0])
-        assert monitor.shift_score() > 3.0
-
-    def test_score_is_zero_before_reference(self):
-        monitor = FeatureDistributionMonitor()
-        monitor.observe([1.0, 2.0])
-        assert monitor.shift_score() == 0.0
-
-    def test_freeze_needs_two_observations(self):
-        monitor = FeatureDistributionMonitor()
-        monitor.observe([1.0])
-        with pytest.raises(ValueError, match="2 observations"):
-            monitor.freeze_reference()
-
-    def test_reset_forgets_reference(self):
-        monitor = FeatureDistributionMonitor(window=4)
-        for value in (1.0, 2.0, 3.0):
-            monitor.observe([value])
-        monitor.freeze_reference()
-        monitor.reset()
-        assert monitor.n_observed == 0 and monitor.shift_score() == 0.0
-
-
 class TestDriftMonitor:
-    def test_error_window_detector_alarms_past_threshold(self):
-        config = OnlineConfig(
-            detector="error-window", window=8, warmup_flows=8, error_threshold=0.5
-        ).validate()
-        monitor = DriftMonitor(config)
-        assert not any(monitor.observe(0, 0) for _ in range(16))
-        alarms = [monitor.observe(0, 1) for _ in range(8)]
-        assert any(alarms)
-        assert monitor.error_rate > 0.0
-
     def test_page_hinkley_detector_alarms_on_shift(self):
         monitor = DriftMonitor(OnlineConfig(warmup_flows=16).validate())
         assert not any(monitor.observe(1, 1) for _ in range(64))
@@ -193,237 +160,6 @@ class TestDriftMonitor:
         assert monitor.n_observed == 0
         assert monitor.error_rate == 0.0
         assert not any(monitor.observe(1, 1) for _ in range(64))
-
-
-@pytest.fixture(scope="module")
-def separable_quantizer(classification_data):
-    X, _ = classification_data
-    return FeatureQuantizer(bit_width=12).fit(np.clip(X, 0.0, None))
-
-
-def _feed(learner, X, y, passes=2):
-    for _ in range(passes):
-        for vector, label in zip(X, y):
-            learner.observe(vector, int(label))
-        learner.force_expand()
-    return learner
-
-
-class TestHoeffdingSubtreeLearner:
-    def test_learns_separable_classes(self, classification_data, separable_quantizer):
-        X, y = classification_data
-        learner = _feed(
-            HoeffdingSubtreeLearner(
-                n_classes=3, max_depth=3, quantizer=separable_quantizer
-            ),
-            X, y,
-        )
-        frozen = learner.freeze()
-        accuracy = float(np.mean(frozen.predict(X) == y))
-        assert accuracy >= 0.9
-
-    def test_matches_batch_cart_on_same_budget(
-        self, classification_data, separable_quantizer
-    ):
-        # With forced expansion over a finite buffer the streamed tree
-        # should not trail a batch CART fit of the same depth by much.
-        X, y = classification_data
-        learner = _feed(
-            HoeffdingSubtreeLearner(
-                n_classes=3, max_depth=2, quantizer=separable_quantizer
-            ),
-            X, y,
-        )
-        streamed = float(np.mean(learner.freeze().predict(X) == y))
-        cart = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        batch = float(np.mean(cart.predict(X) == y))
-        assert streamed >= batch - 0.05
-
-    def test_respects_depth_budget(self, classification_data, separable_quantizer):
-        X, y = classification_data
-        learner = _feed(
-            HoeffdingSubtreeLearner(
-                n_classes=3, max_depth=2, quantizer=separable_quantizer
-            ),
-            X, y, passes=4,
-        )
-        assert learner.freeze().get_depth() <= 2
-
-    def test_respects_feature_budget(self, classification_data, separable_quantizer):
-        X, y = classification_data
-        learner = _feed(
-            HoeffdingSubtreeLearner(
-                n_classes=3, max_depth=3, quantizer=separable_quantizer,
-                max_distinct_features=1,
-            ),
-            X, y,
-        )
-        assert len(learner.used_features) <= 1
-        assert learner.freeze().features_used() <= learner.used_features
-
-    def test_force_expand_noop_on_pure_leaf(self, separable_quantizer):
-        learner = HoeffdingSubtreeLearner(
-            n_classes=3, max_depth=2, quantizer=separable_quantizer
-        )
-        for _ in range(16):
-            learner.observe([1.0, 1.0, 1.0, 1.0], 0)
-        assert learner.force_expand() == 0
-        assert learner.freeze().get_n_leaves() == 1
-
-    def test_emitted_thresholds_are_raw_feature_space(
-        self, classification_data, separable_quantizer
-    ):
-        X, y = classification_data
-        learner = _feed(
-            HoeffdingSubtreeLearner(
-                n_classes=3, max_depth=2, quantizer=separable_quantizer
-            ),
-            X, y,
-        )
-        tree = learner.freeze().tree_
-        for node in tree.nodes:
-            if node.feature >= 0:
-                column = X[:, node.feature]
-                assert column.min() - 1.0 <= node.threshold <= column.max() + 1.0
-
-    @staticmethod
-    def _exact_split(X, y, feature, learner):
-        return find_best_split(
-            X, y, allowed_features=np.array([feature]), criterion=learner.criterion,
-            min_samples_leaf=learner.min_samples_leaf, n_classes=learner.n_classes,
-            rng=np.random.default_rng(0),
-        )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_binned_gain_never_exceeds_the_exact_splitters(self, seed):
-        # Cuts between histogram bins are a subset of the cuts between
-        # distinct values, scored from the same class counts.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(30, 200))
-        X = np.abs(rng.normal(size=(n, 5))) * rng.integers(1, 50, size=5)
-        X[:, 4] = rng.integers(0, 4, size=n)
-        y = rng.integers(0, 4, size=n)
-        learner = HoeffdingSubtreeLearner(
-            n_classes=4, max_depth=1, quantizer=FeatureQuantizer(bit_width=12).fit(X),
-            min_samples_leaf=int(rng.integers(1, 6)), grace_period=n + 1, n_bins=16,
-        )
-        for vector, label in zip(X, y):
-            learner.observe(vector, int(label))
-        for feature, feature_bins in learner._root.stats.bins.items():
-            cut = learner._best_cut(feature_bins)
-            exact = self._exact_split(X, y, feature, learner)
-            if cut is not None:
-                assert cut[0] <= (exact.improvement if exact is not None else 0.0) + 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_binned_cut_is_the_exact_one_when_every_value_has_its_own_bin(self, seed):
-        # 6-bit integer features on a 6-bit grid with 64 bins: bin == value.
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(30, 200))
-        X = rng.integers(0, 64, size=(n, 4)).astype(float)
-        X[0] = 63.0
-        y = rng.integers(0, 3, size=n)
-        learner = HoeffdingSubtreeLearner(
-            n_classes=3, max_depth=1, quantizer=FeatureQuantizer(bit_width=6).fit(X),
-            min_samples_leaf=int(rng.integers(1, 6)), grace_period=n + 1,
-        )
-        for vector, label in zip(X, y):
-            learner.observe(vector, int(label))
-        for feature, feature_bins in learner._root.stats.bins.items():
-            assert len(feature_bins) == np.unique(X[:, feature]).size
-            gain, threshold, _, _ = learner._best_cut(feature_bins)
-            exact = self._exact_split(X, y, feature, learner)
-            assert gain == pytest.approx(exact.improvement, abs=1e-12)
-            assert threshold == exact.threshold
-
-
-@pytest.fixture(scope="module")
-def buffered_flows(small_dataset, splidt_config):
-    """(windows, label) pairs as the controller buffers them."""
-    meter = FlowMeter()
-    return [
-        (meter.extract_windows(flow, splidt_config.n_partitions), flow.label)
-        for flow in small_dataset.flows[:180]
-    ]
-
-
-class TestIncrementalPartitionedTrainer:
-    def _trainer(self, splidt_config, splidt_rules, small_dataset):
-        return IncrementalPartitionedTrainer(
-            config=splidt_config,
-            n_classes=len(small_dataset.class_names),
-            class_names=small_dataset.class_names,
-            quantizer=splidt_rules.quantizer,
-        )
-
-    def test_builds_a_deployable_model(
-        self, buffered_flows, splidt_config, splidt_rules, small_dataset
-    ):
-        trainer = self._trainer(splidt_config, splidt_rules, small_dataset)
-        for windows, label in buffered_flows:
-            trainer.add_flow(windows, label)
-        assert trainer.n_flows == len(buffered_flows)
-        model = trainer.build_model()
-        assert model.root_sid == 1
-        assert model.config is splidt_config
-        for subtree in model.subtrees.values():
-            assert 0 <= subtree.partition < splidt_config.n_partitions
-            assert subtree.tree.get_depth() <= splidt_config.partition_sizes[
-                subtree.partition
-            ]
-            assert len(subtree.tree.features_used()) <= (
-                splidt_config.features_per_subtree
-            )
-        # Refreshed models must beat the majority-class baseline on the
-        # flows they were refreshed from.
-        matrix = np.stack(
-            [w[: splidt_config.n_partitions] for w, _ in buffered_flows], axis=1
-        )
-        labels = np.asarray([label for _, label in buffered_flows])
-        predictions = model.predict_windows(matrix)
-        majority = float(np.mean(labels == np.bincount(labels).argmax()))
-        assert float(np.mean(predictions == labels)) > majority
-
-    def test_refreshed_model_compiles_and_replays(
-        self, buffered_flows, splidt_config, splidt_rules, small_dataset
-    ):
-        trainer = self._trainer(splidt_config, splidt_rules, small_dataset)
-        for windows, label in buffered_flows:
-            trainer.add_flow(windows, label)
-        model = trainer.build_model()
-        matrix = np.vstack([w[: splidt_config.n_partitions] for w, _ in buffered_flows])
-        rules = generate_rules(model, matrix)
-        program = SpliDTDataPlane(model, rules, flow_slots=4096)
-        result = replay_dataset(program, small_dataset, engine="reference")
-        # Short flows can end undecided; nearly all must get a verdict.
-        assert len(result.verdicts) >= 0.9 * len(small_dataset.flows)
-
-    def test_add_flow_validates_shape_and_label(
-        self, splidt_config, splidt_rules, small_dataset, buffered_flows
-    ):
-        trainer = self._trainer(splidt_config, splidt_rules, small_dataset)
-        with pytest.raises(ValueError, match="windows"):
-            trainer.add_flow(np.zeros(4), 0)
-        with pytest.raises(ValueError, match="windows"):
-            trainer.add_flow(np.zeros((1, 4)), 0)
-        with pytest.raises(ValueError, match="label"):
-            trainer.add_flow(buffered_flows[0][0], -1)
-
-    def test_build_without_flows_raises(
-        self, splidt_config, splidt_rules, small_dataset
-    ):
-        trainer = self._trainer(splidt_config, splidt_rules, small_dataset)
-        with pytest.raises(ValueError, match="no flows"):
-            trainer.build_model()
-
-    def test_rejects_bad_passes(self, splidt_config, splidt_rules, small_dataset):
-        with pytest.raises(ValueError, match="passes"):
-            IncrementalPartitionedTrainer(
-                config=splidt_config,
-                n_classes=3,
-                quantizer=splidt_rules.quantizer,
-                passes=0,
-            )
 
 
 class _FakeVerdict:
@@ -440,10 +176,11 @@ class _FakeFlow:
 
 
 class _FakeEngine:
-    """Scripted verdict feed for controller state-machine tests."""
+    """Scripted verdict feed that records every ``swap_model`` factory."""
 
     def __init__(self):
         self._verdicts = {}
+        self.factories = []
 
     def deliver(self, flow_id, label, decided_at):
         self._verdicts[flow_id] = _FakeVerdict(flow_id, label, decided_at)
@@ -451,54 +188,63 @@ class _FakeEngine:
     def verdicts(self):
         return dict(self._verdicts)
 
+    def swap_model(self, factory):
+        self.factories.append(factory)
+        return SwapEvent(
+            epoch=len(self.factories), latency_s=0.0, buffered_packets=0,
+            pinned_slots=0, pinned_flows=0, watermark=0.0, flows_started=0,
+        )
 
-def _controller(splidt_config, splidt_rules, **overrides):
-    config = OnlineConfig(
+
+#: Thirteen classes, the label space of the scripted state-machine tests.
+CLASS_NAMES = [f"class-{index}" for index in range(13)]
+
+
+def _controller(splidt_config, class_names=CLASS_NAMES, **overrides):
+    # Page–Hinkley at delta 0.15 / threshold 4.0: eight correct verdicts then
+    # a run of wrong ones alarms on the eighth wrong one (statistic 4.10;
+    # 3.75 one verdict earlier).
+    knobs = dict(
         enabled=True,
-        detector="error-window",
         window=8,
         warmup_flows=8,
-        error_threshold=0.5,
+        ph_threshold=4.0,
         min_retrain_flows=8,
         retrain_window=16,
         cooldown_flows=2,
-        **overrides,
-    ).validate()
+    )
     return OnlineController(
-        config=config,
+        config=OnlineConfig(**{**knobs, **overrides}).validate(),
         model_config=splidt_config,
         flow_slots=1024,
-        n_classes=13,
-        rules=splidt_rules,
+        class_names=class_names,
     )
 
 
 class TestOnlineControllerStateMachine:
-    def test_alarm_moves_to_retraining(self, splidt_config, splidt_rules):
-        controller = _controller(splidt_config, splidt_rules)
+    def test_alarm_moves_to_retraining(self, splidt_config):
+        controller = _controller(splidt_config)
         engine = _FakeEngine()
-        # Exactly enough uniformly wrong verdicts for the alarm to fire on
-        # the last one (window and warmup both 8, threshold 0.5).
-        controller.bind_flows([_FakeFlow(fid, 0) for fid in range(8)])
-        for fid in range(8):
-            engine.deliver(fid, 1, float(fid))
+        # Eight correct verdicts, then exactly enough wrong ones for the
+        # alarm to fire on the last (see ``_controller``).
+        controller.bind_flows([_FakeFlow(fid, 0) for fid in range(16)])
+        for fid in range(16):
+            engine.deliver(fid, 0 if fid < 8 else 1, float(fid))
         controller.poll(engine, allow_swap=False)
         assert controller.state == RETRAINING
         assert [event.kind for event in controller.events] == ["drift"]
-        assert controller.n_verdicts == 8
+        assert controller.events[0].n_verdicts == controller.n_verdicts == 16
 
-    def test_unknown_flows_are_skipped(self, splidt_config, splidt_rules):
-        controller = _controller(splidt_config, splidt_rules)
+    def test_unknown_flows_are_skipped(self, splidt_config):
+        controller = _controller(splidt_config)
         engine = _FakeEngine()
         engine.deliver(99, 1, 0.0)  # never bound: no ground truth
         controller.poll(engine, allow_swap=False)
         assert controller.state == MONITORING
         assert controller.monitor.n_observed == 0
 
-    def test_stale_old_epoch_verdicts_do_not_feed_the_monitor(
-        self, splidt_config, splidt_rules
-    ):
-        controller = _controller(splidt_config, splidt_rules)
+    def test_stale_old_epoch_verdicts_do_not_feed_the_monitor(self, splidt_config):
+        controller = _controller(splidt_config)
         engine = _FakeEngine()
         controller.bind_flows([_FakeFlow(0, 0), _FakeFlow(1, 0)])
         controller._stale = {0}
@@ -509,8 +255,8 @@ class TestOnlineControllerStateMachine:
         assert controller._stale == set()
         assert controller.n_verdicts == 2
 
-    def test_cooldown_rearms_monitoring(self, splidt_config, splidt_rules):
-        controller = _controller(splidt_config, splidt_rules)
+    def test_cooldown_rearms_monitoring(self, splidt_config):
+        controller = _controller(splidt_config)
         controller.state = COOLDOWN
         controller._cooldown_left = 2
         controller.monitor.observe(0, 1)
@@ -523,8 +269,8 @@ class TestOnlineControllerStateMachine:
         # The monitor was reset when cooldown expired.
         assert controller.monitor.n_observed == 0
 
-    def test_verdicts_graded_in_decision_order(self, splidt_config, splidt_rules):
-        controller = _controller(splidt_config, splidt_rules)
+    def test_verdicts_graded_in_decision_order(self, splidt_config):
+        controller = _controller(splidt_config)
         engine = _FakeEngine()
         controller.bind_flows([_FakeFlow(fid, 0) for fid in range(4)])
         # Delivered out of order; the drift event must fire at the same
@@ -534,6 +280,179 @@ class TestOnlineControllerStateMachine:
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 4
         assert controller.state == MONITORING
+
+
+def _tree_nodes(subtree):
+    return [
+        (node.feature, node.threshold.hex(), node.left, node.right, node.depth)
+        for node in subtree.tree.tree_.nodes
+    ]
+
+
+class TestRefreshIsAlgorithm1:
+    """The swapped-in model is the offline trainer's, fitted on the buffer."""
+
+    @pytest.fixture(scope="class")
+    def refresh(self, small_dataset, splidt_config):
+        flows = list(small_dataset.flows[:150])
+        class_names = small_dataset.class_names
+        controller = _controller(
+            splidt_config, class_names,
+            min_retrain_flows=len(flows), retrain_window=len(flows),
+        )
+        controller.state = RETRAINING
+        controller.bind_flows(flows)
+        engine = _FakeEngine()
+        for position, flow in enumerate(flows):
+            engine.deliver(flow.flow_id, flow.label, float(position))
+        event = controller.poll(engine)
+
+        n_partitions = splidt_config.n_partitions
+        windowed = materialize(
+            FlowDataset("expected", "", flows, class_names), n_partitions
+        )
+        model = train_partitioned_tree(windowed, splidt_config, split="all")
+        rules = generate_rules(
+            model, stacked_training_matrix(windowed, n_partitions, split="all")
+        )
+        return controller, engine, event, model, rules
+
+    def test_buffer_full_fires_exactly_one_swap(self, refresh):
+        controller, engine, event, _, _ = refresh
+        assert len(engine.factories) == 1
+        assert controller.swap_events == [event] and event.epoch == 1
+        assert controller.state == COOLDOWN
+        assert controller.events[-1].detail["retrain_flows"] == 150
+
+    def test_model_matches_the_offline_trainer_subtree_by_subtree(
+        self, refresh, small_dataset
+    ):
+        _, engine, _, expected, _ = refresh
+        model = engine.factories[0].model
+        assert model.n_classes == len(small_dataset.class_names)
+        assert model.class_names == list(small_dataset.class_names)
+        assert (model.root_sid, model.default_label) == (
+            expected.root_sid, expected.default_label,
+        )
+        assert sorted(model.subtrees) == sorted(expected.subtrees)
+        assert len(model.subtrees) > 1
+        for sid, subtree in model.subtrees.items():
+            twin = expected.subtrees[sid]
+            assert subtree.partition == twin.partition
+            assert subtree.n_training_samples == twin.n_training_samples
+            assert _tree_nodes(subtree) == _tree_nodes(twin)
+            assert subtree.outcomes == twin.outcomes
+
+    def test_rules_match_generate_rules(self, refresh):
+        _, engine, _, _, expected = refresh
+        factory = engine.factories[0]
+        assert factory.flow_slots == 1024
+        rules = factory.rules
+        assert rules.bit_width == expected.bit_width
+        np.testing.assert_array_equal(
+            rules.quantizer.scales_, expected.quantizer.scales_
+        )
+        assert sorted(rules.subtree_rules) == sorted(expected.subtree_rules)
+        for sid, subtree_rules in rules.subtree_rules.items():
+            twin = expected.subtree_rules[sid]
+            assert subtree_rules.mark_tables == twin.mark_tables
+            assert subtree_rules.model_rules == twin.model_rules
+
+    def test_leaf_outcomes_follow_algorithm_1(self, refresh, splidt_config):
+        # A leaf chains to the next partition only when it used its whole
+        # depth budget and still holds more than one class.
+        _, engine, _, _, _ = refresh
+        model = engine.factories[0].model
+        last = splidt_config.n_partitions - 1
+        kinds = set()
+        for subtree in model.subtrees.values():
+            budget = splidt_config.partition_sizes[subtree.partition]
+            for leaf in subtree.tree.tree_.leaves():
+                outcome = subtree.outcomes[leaf.node_id]
+                kinds.add(outcome.kind)
+                chains = (
+                    subtree.partition < last
+                    and leaf.depth == budget
+                    and np.count_nonzero(leaf.value) > 1
+                )
+                assert outcome.kind == (OUTCOME_NEXT if chains else OUTCOME_EXIT)
+        assert kinds == {OUTCOME_EXIT, OUTCOME_NEXT}
+
+    def test_refreshed_program_replays(self, refresh, small_dataset):
+        _, engine, _, _, _ = refresh
+        program = engine.factories[0]()
+        assert isinstance(program, SpliDTDataPlane)
+        result = replay_dataset(program, small_dataset, engine="vectorized")
+        # Short flows can end undecided; nearly all must get a verdict.
+        assert len(result.verdicts) >= 0.9 * len(small_dataset.flows)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "repro.online.incremental",
+        "repro.online:HoeffdingSubtreeLearner",
+        "repro.online:IncrementalPartitionedTrainer",
+        "repro.online:FrozenTreeClassifier",
+        "repro.online:DEFAULT_BINS",
+        "repro.online:FeatureDistributionMonitor",
+        "repro.online:DETECTORS",
+        "repro.online.drift:FeatureDistributionMonitor",
+        "repro.online.config:DETECTORS",
+        "repro.ml.splitter:split_gains_from_counts",
+    ],
+)
+def test_second_learner_and_detector_are_gone(path):
+    """One tree learner, one drift detector: removed names are not aliased."""
+    module, _, name = path.partition(":")
+    if not name:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+        return
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_removed_learner_import_fails_loudly():
+    with pytest.raises(ImportError):
+        from repro.online import HoeffdingSubtreeLearner  # noqa: F401
+
+
+@pytest.mark.parametrize("removed", [{"n_classes": 13}, {"rules": None}])
+def test_controller_rejects_removed_keywords(splidt_config, removed):
+    with pytest.raises(TypeError, match=next(iter(removed))):
+        OnlineController(
+            config=OnlineConfig(), model_config=splidt_config, flow_slots=1024,
+            class_names=CLASS_NAMES, **removed,
+        )
+
+
+def test_controller_requires_class_names(splidt_config):
+    with pytest.raises(TypeError, match="class_names"):
+        OnlineController(
+            config=OnlineConfig(), model_config=splidt_config, flow_slots=1024
+        )
+
+
+def test_serve_online_through_the_cli(capsys):
+    """``serve --online`` builds its controller and leaves a quiet stream alone."""
+    argv = ["serve", "--dataset", "D3", "--n-flows", "140", "--seed", "4",
+            "--depth", "6", "--k", "3", "--partitions", "3",
+            "--replay-flows", "80", "--chunk-size", "64", "--progress-every", "0"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--online", "--drift-window", "16",
+                 "--min-retrain-flows", "24", "--cooldown-flows", "8"]) == 0
+    online = capsys.readouterr().out
+    assert "(microbatch engine, chunks of 64 pkts, online loop)" in online
+    assert "online loop       : 0 drift alarm(s), 0 swap(s), final state monitoring" in online
+
+    def decided(stdout):
+        (line,) = [l for l in stdout.splitlines() if l.startswith("flows decided")]
+        return line
+
+    # No alarm, no swap: attaching the loop changes no verdict.
+    assert decided(online) == decided(plain)
+    assert "/80" in decided(online)
 
 
 class TestOnlineProgramFactory:

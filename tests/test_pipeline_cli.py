@@ -79,6 +79,7 @@ def test_run_unknown_dataset_rejected_by_argparse():
                  ("replay", "run-dir", "--lookup", "scan"),
                  ("serve", "--transport", "queue"),
                  ("serve", "--serve-engine", "sharded"), ("serve", "--shards", "2"),
+                 ("serve", "--drift-detector", "page-hinkley"),
                  ("dse", "--dse-workers", "2"), ("dse", "--affinity")):
         stderr = run_cli(*argv, expect_code=2).stderr
         assert "usage:" in stderr

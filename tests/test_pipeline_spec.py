@@ -212,12 +212,10 @@ class TestServeConfig:
             "spawn_method": None, "ring_slots": 64,
             "chunk_size": 128, "backpressure": 4096,
             "online": {
-                "enabled": False, "detector": "page-hinkley", "window": 64,
-                "ph_delta": 0.15, "ph_threshold": 5.0,
-                "error_threshold": 0.35, "warmup_flows": 32,
+                "enabled": False, "window": 64,
+                "ph_delta": 0.15, "ph_threshold": 5.0, "warmup_flows": 32,
                 "min_retrain_flows": 96, "retrain_window": 512,
-                "retrain_passes": 2, "cooldown_flows": 32,
-                "exit_confidence": 0.95,
+                "cooldown_flows": 32,
             },
         }
         restored = ExperimentSpec.from_dict(payload)
@@ -285,14 +283,14 @@ class TestOnlineConfigInSpec:
 
         spec = ExperimentSpec(
             serve=ServeConfig(
-                online=OnlineConfig(enabled=True, detector="error-window",
+                online=OnlineConfig(enabled=True, ph_threshold=3.0,
                                     window=32, min_retrain_flows=48,
                                     retrain_window=64)
             )
         ).validate()
         payload = json.loads(json.dumps(spec.to_dict()))
         assert payload["serve"]["online"]["enabled"] is True
-        assert payload["serve"]["online"]["detector"] == "error-window"
+        assert payload["serve"]["online"]["ph_threshold"] == 3.0
         restored = ExperimentSpec.from_dict(payload)
         assert restored == spec
         assert isinstance(restored.serve.online, OnlineConfig)
@@ -311,10 +309,21 @@ class TestOnlineConfigInSpec:
                 {"serve": {"online": {"enabled": True, "warp": 9}}}
             )
 
+    @pytest.mark.parametrize(
+        "key", ["retrain_passes", "exit_confidence", "detector", "error_threshold"]
+    )
+    def test_removed_online_keys_rejected(self, key):
+        # One learner, one detector: a spec still carrying their knobs fails
+        # loudly, naming the key, instead of being silently accepted.
+        payload = ExperimentSpec().to_dict()
+        payload["serve"]["online"][key] = 2
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.from_dict(payload)
+
     def test_invalid_online_config_fails_spec_validation(self):
         with pytest.raises(SpecError, match="online"):
             ExperimentSpec(
-                serve=ServeConfig(online=OnlineConfig(detector="bogus"))
+                serve=ServeConfig(online=OnlineConfig(window=0))
             ).validate()
         with pytest.raises(SpecError, match="online"):
             ExperimentSpec(
