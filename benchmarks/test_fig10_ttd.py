@@ -4,6 +4,10 @@ SpliDT's recirculation-based partitioned inference must not slow detection:
 its TTD distribution should closely track the one-shot NetBeacon baseline
 (both are bounded by how fast packets of the flow arrive), while SpliDT's F1
 is higher.  Expected shape: similar percentiles for both systems.
+
+NetBeacon's verdict is the inference at the flow's last packet: its program
+is a one-partition ``SpliDTDataPlane`` built by the registered system, the
+same program every SpliDT row runs on.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from bench_common import (
     write_result,
 )
 from repro.analysis import render_table, summarize_ttd
-from repro.dataplane import TopKDataPlane
+from repro.pipeline import ExperimentSpec, get_system
 
 REPLAY_FLOWS = 120
 
@@ -62,6 +66,9 @@ def _run() -> str:
     # gets its own freshly built program from the system adapter.
     experiment = splidt_experiment("D3", depth=9, k=4, partitions=3, flow_slots=8192)
     netbeacon = baseline_at_flows(store, "netbeacon", 100_000)
+    netbeacon_system = get_system("netbeacon")
+    netbeacon_spec = ExperimentSpec(system="netbeacon", flow_slots=8192)
+    netbeacon_rules = netbeacon_system.compile(netbeacon, store.fetch(3), netbeacon_spec)
     rows = []
     for environment, time_scale in (("WS", 3.0), ("HD", 1.0)):
         subset = _scaled_dataset(store, time_scale)
@@ -70,7 +77,9 @@ def _run() -> str:
             experiment.train(), experiment.compile(), experiment.spec
         )
         splidt_result = run_replay(splidt_program, subset)
-        netbeacon_program = TopKDataPlane(netbeacon.model, flow_slots=8192)
+        netbeacon_program = netbeacon_system.build_program(
+            netbeacon, netbeacon_rules, netbeacon_spec
+        )
         netbeacon_result = run_replay(netbeacon_program, subset)
 
         for system, result in (("SpliDT", splidt_result), ("NetBeacon", netbeacon_result)):

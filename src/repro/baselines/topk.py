@@ -3,7 +3,9 @@
 Both baselines collect a fixed, global set of the ``k`` most important
 stateful features over the whole flow and run the decision tree once.  Their
 register footprint therefore grows with ``k`` and their feature coverage is
-capped at ``k`` — the constraint SpliDT removes.
+capped at ``k`` — the constraint SpliDT removes.  On the switch a top-k model
+is a one-partition SpliDT model (:func:`exit_tree`) and runs on the same
+``SpliDTDataPlane`` as SpliDT.
 
 A baseline is compared *at a flow count*, and only feasibility depends on
 the count: :func:`evaluate_grid` fits and costs a (k, depth) grid once, and
@@ -17,10 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import TopKConfig
+from repro.core.config import SpliDTConfig, TopKConfig
 from repro.core.evaluation import ClassificationReport, evaluate_classifier
-from repro.core.partitioned_tree import LeafOutcome, OUTCOME_EXIT, Subtree
-from repro.core.range_marking import FeatureQuantizer, RuleSet, generate_subtree_rules
+from repro.core.partitioned_tree import (
+    LeafOutcome,
+    OUTCOME_EXIT,
+    PartitionedDecisionTree,
+    Subtree,
+)
+from repro.core.range_marking import RuleSet, generate_rules
 from repro.core.resources import ResourceEstimate, TableCost, estimate_topk_resources
 from repro.datasets.materialize import WindowedDataset
 from repro.features.definitions import STATEFUL_INDICES, STATELESS_INDICES
@@ -56,7 +63,7 @@ def select_top_k_features(
 
 
 def exit_subtree(tree: DecisionTreeClassifier, *, sid: int = 1) -> Subtree:
-    """View a flat tree as one SpliDT subtree whose every leaf exits (for rule generation)."""
+    """View a flat tree as one SpliDT subtree whose every leaf exits."""
     subtree = Subtree(sid=sid, partition=0, tree=tree)
     for leaf in tree.tree_.leaves():
         label = int(tree.classes_[int(np.argmax(leaf.value))]) if leaf.value.sum() else 0
@@ -93,13 +100,33 @@ class TopKModel:
         return self.tree.get_n_leaves()
 
     def generate_rules(self, training_matrix: np.ndarray) -> RuleSet:
-        """Compile the flat tree with the range-marking algorithm."""
-        quantizer = FeatureQuantizer(bit_width=min(self.config.bit_width, 32)).fit(training_matrix)
-        return RuleSet(
-            subtree_rules={1: generate_subtree_rules(exit_subtree(self.tree), quantizer)},
-            quantizer=quantizer,
-            bit_width=self.config.bit_width,
-        )
+        """Compile the flat tree with the range-marking algorithm, as :func:`exit_tree`."""
+        return generate_rules(exit_tree(self), training_matrix)
+
+
+def exit_tree(model: TopKModel) -> PartitionedDecisionTree:
+    """A top-k model as the SpliDT model it is: one partition, one subtree, every leaf exits.
+
+    Its one window is the whole flow, so a ``SpliDTDataPlane`` over it infers
+    once, at the flow's last packet, from whole-flow statistics of the
+    features the tree tests — with the rules :meth:`TopKModel.generate_rules`
+    compiles, under the five-tuple check and eviction of every other program.
+    """
+    config, tree = model.config, model.tree
+    root_counts = tree.tree_.nodes[0].value
+    return PartitionedDecisionTree(
+        config=SpliDTConfig(
+            depth=config.depth,
+            features_per_subtree=config.top_k,
+            partition_sizes=(config.depth,),
+            bit_width=config.bit_width,
+            min_samples_leaf=config.min_samples_leaf,
+        ),
+        subtrees={1: exit_subtree(tree)},
+        root_sid=1,
+        n_classes=tree.n_classes_,
+        default_label=int(tree.classes_[int(np.argmax(root_counts))]),
+    )
 
 
 class TopKTrainer:

@@ -17,7 +17,6 @@ from repro.dataplane.runtime import (
     ttd_ecdf,
 )
 from repro.dataplane.splidt_program import FlowVerdict, SpliDTDataPlane
-from repro.dataplane.topk_program import TopKDataPlane
 from repro.dataplane.vectorized import replay_arrays
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "REPLAY_ENGINES",
     "ReplayResult",
     "SpliDTDataPlane",
-    "TopKDataPlane",
     "build_replay_result",
     "generate_p4_program",
     "generate_table_entries",

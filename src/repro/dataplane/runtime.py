@@ -1,8 +1,9 @@
 """Packet-level replay of a flow dataset through a data-plane program.
 
 The runtime interleaves the packets of many concurrent flows in timestamp
-order (as a switch would observe them), feeds them through a program
-(:class:`SpliDTDataPlane` or :class:`TopKDataPlane`), and collects per-flow
+order (as a switch would observe them), feeds them through a
+:class:`SpliDTDataPlane` — the one program every system deploys; a top-k
+baseline's is a one-partition model — and collects per-flow
 verdicts, classification accuracy against ground truth, time-to-detection
 distributions and recirculation statistics.
 
@@ -154,8 +155,8 @@ def replay_dataset(
     """Replay a flow dataset through ``program`` and score the verdicts.
 
     Args:
-        program: An object exposing ``process_packet(phv, flow_id, flow_size)``
-            and ``verdicts`` (``SpliDTDataPlane`` or ``TopKDataPlane``).
+        program: A fresh ``SpliDTDataPlane`` (what every system's
+            ``build_program`` returns).
         dataset: The labelled flows to replay.
         max_flows: Optionally replay only the first ``max_flows`` flows.
         jitter_starts: Shift each flow's start time randomly within [0, 10) s
@@ -191,12 +192,7 @@ def replay_dataset(
 
         vz.replay_arrays(program, flows, soa=soa)
         labels = {flow.flow_id: flow.label for flow in flows}
-        recirculation = (
-            program.recirculation_stats()
-            if hasattr(program, "recirculation_stats")
-            else {}
-        )
-        return build_replay_result(program.verdicts, labels, recirculation)
+        return build_replay_result(program.verdicts, labels, program.recirculation_stats())
 
     # Deferred import: repro.serve sits on top of this module.
     from repro.datasets.streams import PacketChunk

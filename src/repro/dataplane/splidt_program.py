@@ -49,16 +49,8 @@ from repro.switch.targets import TOFINO1, TargetSpec
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
 
 
-def stateless_header_values(phv: Phv) -> dict[int, float]:
-    """Per-packet (stateless) header fields, keyed by feature index.
-
-    Shared by every data-plane program's reference path; the indices are
-    resolved once at import time, so no per-packet name lookups happen.
-    """
-    return _header_values(phv.five_tuple, phv.packet.size)
-
-
 def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]:
+    """The flow's stateless header features, keyed by feature index (resolved at import)."""
     return {
         _SRC_PORT: float(five_tuple.src_port),
         _DST_PORT: float(five_tuple.dst_port),
@@ -175,6 +167,10 @@ class SlotHandover:
 class SpliDTDataPlane:
     """Execution of a compiled SpliDT model on the switch substrate.
 
+    The one data-plane program of every system: a NetBeacon/Leo-style top-k
+    baseline runs here as the one-partition model
+    :func:`~repro.baselines.topk.exit_tree`.
+
     Exposes two equivalent paths, selected by the ``engine`` parameter of
     :func:`repro.dataplane.replay_dataset`: the scalar
     :meth:`process_packet` interpreter (the ``"reference"`` engine) and the
@@ -277,7 +273,7 @@ class SpliDTDataPlane:
                 flow_id=flow_id,
                 first_packet_at=phv.packet.timestamp,
             )
-            state.stateless = stateless_header_values(phv)
+            state.stateless = _header_values(phv.five_tuple, phv.packet.size)
             self._flow_state[slot] = state
             self._admissions += 1
             self._activate_subtree(state)

@@ -17,9 +17,9 @@ traffic orders of magnitude faster by exploiting two structural facts:
    are replayed as sequential packet runs, still batched across slots, by
    the slot-stream plane (:mod:`repro.dataplane.slot_stream`; the routing
    rule is :func:`_split_scalar_fast`).  The per-packet interpreter is the
-   oracle, not a path: it runs for programs without a batched API (a
-   one-shot top-k program's colliding flows, :func:`_split_scalar_fast`)
-   and for slots that hold an undecided flow when a call starts.
+   oracle, not a path: it runs only for slots that hold an undecided flow
+   when a call starts.  A one-shot top-k baseline is a one-partition SpliDT
+   model (:func:`repro.baselines.topk.exit_tree`) and takes the same planes.
 2. **Window boundaries are deterministic.**  A flow's window segmentation
    depends only on its packet count (the Homa/NDP flow-size header field),
    so every window of every flow can be precomputed and the per-packet
@@ -620,34 +620,28 @@ def _replay_scalar(
     *,
     slots: np.ndarray | None = None,
     stream=None,
-) -> dict | None:
+) -> dict:
     """Reference semantics for the flows the batched planes cannot take alone.
 
     The entry point for every flow whose register slot is shared state
     ("scalar" is historical: it used to mean the per-packet interpreter for
     all of them).  The selected flows' packets take effect in global
     ``(timestamp, flow_id)`` order within each slot, so corruption, eviction
-    and reclaim behave exactly as in the reference engine:
-
-    * a SpliDT program replays them on the slot-stream plane
-      (:func:`repro.dataplane.slot_stream.replay_slot_stream`, whose
-      accounting is returned; ``slots`` and ``stream`` are passed through);
-    * any other program replays them packet by packet through
-      ``process_packet`` (returns ``None``).
+    and reclaim behave exactly as in the reference engine: they replay on
+    the slot-stream plane (:func:`repro.dataplane.slot_stream.replay_slot_stream`,
+    whose accounting is returned; ``slots`` and ``stream`` are passed
+    through).
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
     packet headers — the micro-batch serving engine uses this to replay the
     buffered prefix of flows whose stream ended mid-flow.
     """
-    if hasattr(program, "step_windows"):
-        from repro.dataplane.slot_stream import replay_slot_stream
+    from repro.dataplane.slot_stream import replay_slot_stream
 
-        return replay_slot_stream(
-            program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream
-        )
-    _replay_positions(program, flows, soa, _arrival_order(soa, flow_mask, prefix_counts))
-    return None
+    return replay_slot_stream(
+        program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream
+    )
 
 
 def _arrival_order(
@@ -672,8 +666,8 @@ def _replay_positions(
 ) -> None:
     """Feed the packets at ``positions`` to ``program.process_packet``, in order.
 
-    The one per-packet feed: the reference engine, the batched engine's
-    per-packet fallbacks and the spoofing replays all come through here.
+    The one per-packet feed: the reference engine, the slot-stream plane's
+    ``live_state`` fallback and the spoofing replays all come through here.
     ``positions`` index the flow-major packet columns.  Packet headers carry
     ``sizes[flow]`` as the flow size — by default the *full* flow size,
     whatever subset of a flow is replayed.
@@ -792,29 +786,6 @@ def _replay_splidt_batched(
     program.finalise_staged(staging)
 
 
-def _replay_topk_batched(program, soa: PacketArrays, fast: np.ndarray) -> None:
-    """Whole-flow batched inference for a one-shot top-k program."""
-    flow_starts = soa.flow_starts[fast]
-    counts = soa.n_packets_per_flow[fast]
-    s = flow_starts
-    e = flow_starts + counts
-
-    aggregator = _WindowAggregator(soa)
-
-    matrix = np.zeros((fast.size, N_FEATURES), dtype=np.float64)
-    for feature, column in _stateless_columns(soa).items():
-        matrix[:, feature] = column[fast]
-    rows = np.arange(fast.size, dtype=np.intp)
-    aggregator.fill(matrix, rows, program.stateful_feature_indices(), s, e)
-
-    program.classify_flow_batch(
-        flow_ids=soa.flow_ids[fast],
-        feature_matrix=matrix,
-        first_packet_ts=soa.first_timestamps[fast],
-        last_packet_ts=soa.timestamps[e - 1],
-    )
-
-
 def _split_scalar_fast(
     soa: PacketArrays,
     flows: list[Flow],
@@ -840,8 +811,8 @@ def _split_scalar_fast(
     as the same flow).  In every other slot the flows share sequential
     register state, and all of them go scalar.
 
-    ``tuple_ids`` may be omitted when the program ignores five-tuples
-    (top-k) or the caller has already forced every slot that repeats one.
+    ``tuple_ids`` may be omitted when the caller has already forced every
+    slot that repeats a five-tuple.
     ``flows`` is unused; the signature is what the benchmark harness wraps.
     """
     order = np.lexsort((soa.first_timestamps[indices], slots[indices]))
@@ -902,21 +873,18 @@ def replay_arrays(
 ) -> None:
     """Replay ``flows`` through ``program`` using the batched engine.
 
-    Populates ``program.verdicts`` (and, for SpliDT, the controller digests
-    and recirculation counters) exactly as the per-packet reference loop
-    would.  SpliDT flows are routed by slot (:func:`_split_scalar_fast`): a
-    flow that meets a clean slot advances in fused flow-lockstep window
-    rounds (reusing ``workspace`` buffers when one is passed), every shared
-    slot goes through :func:`_replay_scalar` to the slot-stream plane
-    (:mod:`repro.dataplane.slot_stream`).  Programs without a batched API
-    replay per packet; a one-shot top-k program batches whole flows and
-    sends colliding ones per packet (:func:`_split_scalar_fast`).
+    Populates ``program.verdicts``, the controller digests and the
+    recirculation counters exactly as the per-packet reference loop would.
+    Flows are routed by slot (:func:`_split_scalar_fast`): a flow that meets
+    a clean slot advances in fused flow-lockstep window rounds (reusing
+    ``workspace`` buffers when one is passed), every shared slot goes
+    through :func:`_replay_scalar` to the slot-stream plane
+    (:mod:`repro.dataplane.slot_stream`).
 
     Leaves ``program.replay_stats``: flows and packets per path
     (``batched`` / ``slot_stream`` / ``per_packet`` — every packet replayed
     is counted under exactly one), the per-packet share by reason
-    (``no_batched_api`` — including a top-k program's colliding flows —,
-    ``live_state``: the slot held an undecided flow at entry), the number of
+    (``live_state``: the slot held an undecided flow at entry), the number of
     slot-stream event rounds, and ``deferred``: the slot state the planes
     recorded instead of installing (:class:`~repro.dataplane.splidt_program.SlotHandover`)
     — ``slots`` rows, of which ``open_windows`` hold ``packets`` to feed to
@@ -946,42 +914,21 @@ def replay_arrays(
         stats["flows"][path] += n_flows
         stats["packets"][path] += n_packets
 
-    def count_per_packet(reason: str, n_flows: int, n_packets: int) -> None:
-        count("per_packet", n_flows, n_packets)
-        stats["per_packet_reasons"][reason] = {"flows": n_flows, "packets": n_packets}
-
     slots = cached_flow_slots(soa, program.indexer.table_size)
-    counts = soa.n_packets_per_flow
-    windowed = hasattr(program, "step_windows")
-    if windowed:
-        fast, shared, stream = _route_splidt(program, flows, soa, slots, populated)
-    else:
-        if hasattr(program, "classify_flow_batch"):
-            scalar_rows = _split_scalar_fast(soa, flows, slots, populated)
-        else:
-            scalar_rows = np.ones(populated.size, dtype=bool)
-        fast, stream = populated[~scalar_rows], None
-        shared = np.zeros(soa.n_flows, dtype=bool)
-        shared[populated[scalar_rows]] = True
-
+    fast, shared, stream = _route_splidt(program, flows, soa, slots, populated)
     if shared.any():
         outcome = _replay_scalar(program, flows, soa, shared, slots=slots, stream=stream)
-        if outcome is None:
-            count_per_packet("no_batched_api", int(shared.sum()), int(counts[shared].sum()))
-        else:
-            count("slot_stream", outcome["flows"], outcome["packets"])
-            stats["event_rounds"] = outcome["rounds"]
-            stats["deferred"] = outcome["deferred"]
-            for reason, share in outcome["per_packet"].items():
-                count_per_packet(reason, share["flows"], share["packets"])
+        count("slot_stream", outcome["flows"], outcome["packets"])
+        stats["event_rounds"] = outcome["rounds"]
+        stats["deferred"] = outcome["deferred"]
+        for reason, share in outcome["per_packet"].items():
+            count("per_packet", share["flows"], share["packets"])
+            stats["per_packet_reasons"][reason] = share
     if fast.size:
-        if windowed:
-            _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
-            # These flows met a clean slot and decided in it: terminal rows.
-            program.hand_over(
-                SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])
-            )
-            stats["deferred"]["slots"] += int(fast.size)
-        else:
-            _replay_topk_batched(program, soa, fast)
-    count("batched", int(fast.size), int(counts[fast].sum()))
+        _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
+        # These flows met a clean slot and decided in it: terminal rows.
+        program.hand_over(
+            SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])
+        )
+        stats["deferred"]["slots"] += int(fast.size)
+    count("batched", int(fast.size), int(soa.n_packets_per_flow[fast].sum()))

@@ -5,8 +5,9 @@ stage contract the :class:`~repro.pipeline.experiment.Experiment` facade
 drives: ``train`` fits a model on a windowed dataset, ``offline_report``
 scores it on held-out matrices, ``compile`` lowers it to range-marking TCAM
 rules, ``build_program`` instantiates a fresh data-plane program with the
-rules installed, and ``resources`` costs the deployment against the hardware
-target.  Registering a new system here makes it reachable from every entry
+rules installed (a ``SpliDTDataPlane`` for every system that has one), and
+``resources`` costs the deployment against the hardware target.
+Registering a new system here makes it reachable from every entry
 point at once — the CLI, the examples, and the benchmark harness.
 
 A *scenario* is a named :class:`~repro.pipeline.spec.ExperimentSpec` preset
@@ -20,7 +21,13 @@ from repro.baselines.iisy import per_packet_table_cost
 from repro.baselines.leo import leo_table_cost
 from repro.baselines.netbeacon import netbeacon_table_cost
 from repro.baselines.pforest import train_pforest_model
-from repro.baselines.topk import BaselineCandidate, TopKTrainer, evaluate_grid, train_topk_model
+from repro.baselines.topk import (
+    BaselineCandidate,
+    TopKTrainer,
+    evaluate_grid,
+    exit_tree,
+    train_topk_model,
+)
 from repro.core.config import TopKConfig
 from repro.core.dse import best_at_flows
 from repro.core.evaluation import (
@@ -37,9 +44,8 @@ from repro.core.resources import (
     estimate_topk_resources,
     range_marking_cost,
 )
-from repro.core.partitioned_tree import train_partitioned_tree
+from repro.core.partitioned_tree import PartitionedDecisionTree, train_partitioned_tree
 from repro.dataplane.splidt_program import SpliDTDataPlane
-from repro.dataplane.topk_program import TopKDataPlane
 from repro.datasets.materialize import WindowedDataset
 from repro.datasets.workloads import WORKLOADS
 from repro.pipeline.spec import ExperimentSpec, SpecError
@@ -150,6 +156,27 @@ class System:
         return check_feasibility(resources, n_flows=spec.target_flows)
 
 
+def _deploy(
+    model: PartitionedDecisionTree, rules: RuleSet, spec: ExperimentSpec
+) -> SpliDTDataPlane:
+    """The one data-plane program every replayable system builds.
+
+    SpliDT deploys its partitioned tree; a top-k baseline deploys
+    :func:`~repro.baselines.topk.exit_tree` of its model.  Either way the
+    program runs the rules the system compiled, on the spec's target and
+    register file, under the scenario's eviction policy.
+    """
+    eviction = None
+    if spec.scenario is not None:
+        eviction = make_eviction_policy(
+            spec.scenario.eviction, timeout=spec.scenario.eviction_timeout
+        )
+    return SpliDTDataPlane(
+        model, rules, target=spec.target_spec(), flow_slots=spec.flow_slots,
+        eviction=eviction,
+    )
+
+
 class SpliDTSystem(System):
     """The paper's partitioned decision tree, replayed on the switch model."""
 
@@ -167,15 +194,7 @@ class SpliDTSystem(System):
         return generate_rules(model, matrix, bit_width=spec.bit_width)
 
     def build_program(self, model, rules, spec):
-        eviction = None
-        if spec.scenario is not None:
-            eviction = make_eviction_policy(
-                spec.scenario.eviction, timeout=spec.scenario.eviction_timeout
-            )
-        return SpliDTDataPlane(
-            model, rules, target=spec.target_spec(), flow_slots=spec.flow_slots,
-            eviction=eviction,
-        )
+        return _deploy(model, rules, spec)
 
     def resources(self, model, rules, spec):
         return estimate_splidt_resources(
@@ -231,7 +250,7 @@ class _TopKSearchSystem(System):
         return candidate.model.generate_rules(windowed.flow_matrix("train"))
 
     def build_program(self, candidate, rules, spec):
-        return TopKDataPlane(candidate.model, flow_slots=spec.flow_slots)
+        return _deploy(exit_tree(candidate.model), rules, spec)
 
     def resources(self, candidate, rules, spec):
         return candidate.resources
@@ -289,7 +308,7 @@ class TopKSystem(System):
         return model.generate_rules(windowed.flow_matrix("train"))
 
     def build_program(self, model, rules, spec):
-        return TopKDataPlane(model, flow_slots=spec.flow_slots)
+        return _deploy(exit_tree(model), rules, spec)
 
     def resources(self, model, rules, spec):
         target = spec.target_spec()

@@ -88,8 +88,8 @@ class EngineStats:
             (0 for the per-packet streaming engine).
         accuracy: Rolling accuracy of the decided flows against ground truth.
         ttd: Rolling time-to-detection summary (median/mean/p90/p99/max, s).
-        recirculation: Recirculation counters so far (empty when the program
-            has no recirculation channel).
+        recirculation: Recirculation counters so far (empty for a
+            process-sharded session no worker has reported to yet).
         batching: Micro-batch flush counters, summed over shards, workers
             and model epochs (empty for the per-packet streaming engine):
             ``flushes``, ``flushed_flows`` (their ratio is the mean flush
@@ -148,16 +148,13 @@ class SwapEvent:
     started_flow_ids: frozenset = frozenset()
 
 
-def channel_aggregate(program) -> tuple | None:
+def channel_aggregate(program) -> tuple:
     """The order-insensitive recirculation counters of one program.
 
     Returns ``(packets, bytes, first_timestamp, last_timestamp,
     capacity_bps)`` — a plain (picklable) tuple the process-sharded engine
-    ships across its result queue — or ``None`` when the program has no
-    recirculation channel.
+    ships across its result queue.
     """
-    if not hasattr(program, "recirculation_stats"):
-        return None
     channel = program.recirculation
     return (
         channel.packets_recirculated,
@@ -174,9 +171,10 @@ def merge_channel_aggregates(aggregates) -> dict[str, float]:
     The counters are order-insensitive aggregates (packet/byte totals plus
     the min/max of the submission interval), so the union over shard-local
     channels equals what a single channel observing all submissions would
-    have reported: they are summed into one and its ``stats()`` returned.
+    have reported: they are summed into one and its ``stats()`` returned
+    (empty before any shard has reported).
     """
-    aggregates = [a for a in aggregates if a is not None]
+    aggregates = list(aggregates)
     if not aggregates:
         return {}
     channel = RecirculationChannel(capacity_bps=aggregates[0][4])
@@ -348,7 +346,7 @@ class InferenceEngine(abc.ABC):
         """This engine's own verdicts (excluding swapped-in epoch children)."""
 
     def recirculation_stats(self) -> dict[str, float]:
-        """Recirculation counters so far (empty without a recirc channel).
+        """Recirculation counters so far.
 
         After :meth:`swap_model` the per-epoch channel aggregates are merged
         bit-exactly (totals are additive; the submission interval is the

@@ -24,7 +24,7 @@ shared slot's packets in arrival order with the reference engine's
 corruption, eviction and reclaim semantics — exactly the collision
 discipline of ``replay_dataset(engine="vectorized")`` — so the results after
 ``drain`` are bit-identical to the reference loop for **any** chunking of
-the stream.  (Programs without windows keep the per-packet scalar path.)
+the stream.
 
 Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
 shared by all its flushes, so the per-round buffers of the fused window
@@ -50,8 +50,8 @@ class MicroBatchEngine(InferenceEngine):
     """Feeds arbitrary-size packet chunks through the vectorized machinery.
 
     Args:
-        program: The data-plane program (``SpliDTDataPlane``,
-            ``TopKDataPlane``, or anything exposing ``process_packet``).
+        program: The ``SpliDTDataPlane`` every system deploys (a top-k
+            baseline's is a one-partition model).
         flush_flows: Eager-flush threshold: buffer at least this many
             eligible flows before a flush (amortises the per-flush vectorized
             setup).
@@ -109,10 +109,8 @@ class MicroBatchEngine(InferenceEngine):
         return self.program.verdicts
 
     def _engine_recirculation_stats(self) -> dict[str, float]:
-        """The program's recirculation counters (empty without a channel)."""
-        if hasattr(self.program, "recirculation_stats"):
-            return self.program.recirculation_stats()
-        return {}
+        """The program's recirculation counters."""
+        return self.program.recirculation_stats()
 
     def _engine_channel_aggregates(self) -> list:
         from repro.serve.engine import channel_aggregate
@@ -136,9 +134,8 @@ class MicroBatchEngine(InferenceEngine):
             )
         return child
 
-    def _swap_table_size(self) -> int | None:
-        indexer = getattr(self.program, "indexer", None)
-        return getattr(indexer, "table_size", None)
+    def _swap_table_size(self) -> int:
+        return self.program.indexer.table_size
 
     def _buffered_packet_count(self) -> int:
         return self._pending
@@ -163,7 +160,7 @@ class MicroBatchEngine(InferenceEngine):
         # retransmitted five-tuple into the earlier flow's (possibly decided)
         # slot state.  The flow-lockstep plane keeps no slot state behind, so
         # slots with a repeated tuple are pinned up front to the path that
-        # does (the slot-stream plane; the scalar path for other programs).
+        # does (the slot-stream plane).
         self._forced_scalar = np.zeros(soa.n_flows, dtype=bool)
         populated = np.flatnonzero(soa.n_packets_per_flow > 0)
         tuple_ids = vz.cached_tuple_ids(soa, table_size)[populated]
@@ -237,8 +234,8 @@ class MicroBatchEngine(InferenceEngine):
     def _flush(self, indices: np.ndarray) -> None:
         """Push the selected flows through the program (contended first, then batched).
 
-        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`.  On a SpliDT
-        program a flow goes to the flow-lockstep window rounds only when,
+        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`.  A flow
+        goes to the flow-lockstep window rounds only when,
         *within this flush*, it overlaps no other flow of its register slot,
         it is complete and long enough to decide, and its slot is neither
         *dirty* (an earlier flush left an undecided resident there, which a
@@ -248,22 +245,16 @@ class MicroBatchEngine(InferenceEngine):
         :func:`repro.dataplane.vectorized._replay_scalar` to the slot-stream
         plane, which replays the buffered prefix of an incomplete flow and
         falls back to per-packet replay for the dirty slots themselves.
-        A one-shot top-k program is partitioned by the same rule and
-        replays its scalar side per packet.
         """
         soa, flows, program = self._soa, self._flows, self.program
         complete = self._buffered[indices] == soa.n_packets_per_flow[indices]
         forced = (
             ~complete | self._dirty_slots[self._slots[indices]] | self._forced_scalar[indices]
         )
-        windowed = hasattr(program, "step_windows")
-        if windowed or hasattr(program, "classify_flow_batch"):
-            scalar = vz._split_scalar_fast(
-                soa, flows, self._slots, indices, forced=forced,
-                min_packets=int(program.model.config.n_partitions) if windowed else 1,
-            )
-        else:
-            scalar = np.ones(indices.size, dtype=bool)
+        scalar = vz._split_scalar_fast(
+            soa, flows, self._slots, indices, forced=forced,
+            min_packets=int(program.model.config.n_partitions),
+        )
         scalar_indices = indices[scalar]
         fast_indices = indices[~scalar]
 
@@ -273,26 +264,14 @@ class MicroBatchEngine(InferenceEngine):
             outcome = vz._replay_scalar(
                 program, flows, soa, mask, prefix_counts=self._buffered, slots=self._slots
             )
-            if outcome is not None:
-                # The slot-stream plane reports exactly which slots still hold
-                # an undecided resident; only those stay off the batched plane.
-                self._dirty_slots[self._slots[scalar_indices]] = False
-                self._dirty_slots[outcome["open_slots"]] = True
-            else:
-                # A scalar-path flow that ended without a verdict left
-                # undecided state in its slot, which the next flow hashed
-                # there continues: the slot stays scalar for good.
-                decided = program.verdicts
-                for flow_index in scalar_indices:
-                    if flows[flow_index].flow_id not in decided:
-                        self._dirty_slots[self._slots[flow_index]] = True
+            # The slot-stream plane reports exactly which slots still hold
+            # an undecided resident; only those stay off the batched plane.
+            self._dirty_slots[self._slots[scalar_indices]] = False
+            self._dirty_slots[outcome["open_slots"]] = True
         if fast_indices.size:
-            if windowed:
-                vz._replay_splidt_batched(
-                    program, soa, fast_indices, self._slots, workspace=self._workspace
-                )
-            else:
-                vz._replay_topk_batched(program, soa, fast_indices)
+            vz._replay_splidt_batched(
+                program, soa, fast_indices, self._slots, workspace=self._workspace
+            )
 
         self._pending -= int(self._buffered[indices].sum())
         self._flushed[indices] = True

@@ -364,7 +364,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._shard_of_flow: np.ndarray | None = None
         self._table_size: int | None = None
         self._merged_verdicts: dict = {}
-        self._aggregates: dict[int, tuple | None] = {}
+        self._aggregates: dict[int, tuple] = {}
         self._buffered: dict[int, int] = {}
         self._batching: dict[int, dict[str, int]] = {}
         #: Responses consumed outside their _collect round (see _check_failures),
@@ -652,12 +652,11 @@ class ProcessShardedEngine(InferenceEngine):
         (``stats()`` refreshes them via :meth:`verdicts` immediately before
         calling this).
         """
-        return merge_channel_aggregates(
-            self._aggregates.get(shard) for shard in range(self.workers)
-        )
+        return merge_channel_aggregates(self._engine_channel_aggregates())
 
     def _engine_channel_aggregates(self) -> list:
-        return [self._aggregates.get(shard) for shard in range(self.workers)]
+        """The aggregates of the workers that have reported, in worker order."""
+        return [self._aggregates[shard] for shard in sorted(self._aggregates)]
 
     def _capture_transport_counters(self) -> None:
         """Freeze the ring counters before the segments are unlinked."""

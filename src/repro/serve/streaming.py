@@ -46,10 +46,8 @@ class StreamingEngine(InferenceEngine):
         return self.program.verdicts
 
     def _engine_recirculation_stats(self) -> dict[str, float]:
-        """The program's recirculation counters (empty without a channel)."""
-        if hasattr(self.program, "recirculation_stats"):
-            return self.program.recirculation_stats()
-        return {}
+        """The program's recirculation counters."""
+        return self.program.recirculation_stats()
 
     def _engine_channel_aggregates(self) -> list:
         from repro.serve.engine import channel_aggregate
@@ -59,9 +57,8 @@ class StreamingEngine(InferenceEngine):
     def _successor_engine(self, program_factory) -> "StreamingEngine":
         return StreamingEngine(program_factory())
 
-    def _swap_table_size(self) -> int | None:
-        indexer = getattr(self.program, "indexer", None)
-        return getattr(indexer, "table_size", None)
+    def _swap_table_size(self) -> int:
+        return self.program.indexer.table_size
 
     def _ingest(self, chunk: PacketChunk) -> None:
         vz._replay_positions(self.program, chunk.flows, chunk.soa, chunk.positions)

@@ -19,7 +19,10 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import core, datasets  # noqa: E402
+from repro.baselines import exit_tree, train_topk_model  # noqa: E402
+from repro.core.config import TopKConfig  # noqa: E402
 from repro.core.range_marking import generate_rules, stacked_training_matrix  # noqa: E402
+from repro.pipeline import ExperimentSpec, get_system  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +59,33 @@ def splidt_model(windowed3, splidt_config):
 def splidt_rules(splidt_model, windowed3):
     """Compiled TCAM rules of the trained partitioned tree."""
     return generate_rules(splidt_model, stacked_training_matrix(windowed3, 3))
+
+
+@pytest.fixture(scope="session")
+def topk_program_model(windowed3):
+    """``(model, rules)`` the data plane runs for a top-k model (depth 6, k=4).
+
+    The model is the top-k tree's one-partition form, :func:`exit_tree`.
+    """
+    topk_model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4))
+    return exit_tree(topk_model), topk_model.generate_rules(windowed3.flow_matrix("train"))
+
+
+@pytest.fixture(scope="session")
+def netbeacon_factory(windowed3):
+    """``flow_slots -> ProgramFactory`` of NetBeacon programs on the small dataset.
+
+    Each factory call is ``get_system("netbeacon").build_program(...)`` over the
+    system's own selection and compiled rules; the factory pickles into
+    ``sharded-mp`` workers.
+    """
+    system = get_system("netbeacon")
+    spec = ExperimentSpec(system="netbeacon", seed=11)
+    candidate = system.train(spec, windowed3)
+    rules = system.compile(candidate, windowed3, spec)
+    return lambda flow_slots: system.program_factory(
+        candidate, rules, spec.replace(flow_slots=flow_slots)
+    )
 
 
 @pytest.fixture(scope="session")

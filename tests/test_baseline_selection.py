@@ -9,6 +9,7 @@ were deleted; the property test writes their feasibility inequality out.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import math
@@ -56,6 +57,22 @@ def bench_windowed():
         return cache[key]
 
     return fetch
+
+
+@pytest.fixture(scope="module")
+def bench_candidates(bench_windowed):
+    """``(key, system) -> candidates``: each system's grid on a benchmark dataset, evaluated once."""
+    trainers, cache = {}, {}
+
+    def candidates(key, system):
+        if (key, system) not in cache:
+            trainer = trainers.setdefault(key, TopKTrainer(bench_windowed(key), random_state=0))
+            cache[key, system] = get_system(system).candidates(
+                trainer, ExperimentSpec(system=system)
+            )
+        return cache[key, system]
+
+    return candidates
 
 
 class TestEvaluatedOnce:
@@ -137,11 +154,10 @@ GOLDEN_SELECTIONS = {
 
 
 @pytest.mark.parametrize("key", ["D3", "D6"])
-def test_selection_matches_the_deleted_search_loops(key, bench_windowed):
+def test_selection_matches_the_deleted_search_loops(key, bench_windowed, bench_candidates):
     windowed = bench_windowed(key)
-    trainer = TopKTrainer(windowed, random_state=0)
     for system in SEARCHED:
-        candidates = get_system(system).candidates(trainer, ExperimentSpec(system=system))
+        candidates = bench_candidates(key, system)
         for n_flows in FLOW_TARGETS:
             best = best_at_flows(candidates, n_flows)
             config, resources = best.model.config, best.resources
@@ -157,6 +173,69 @@ def test_selection_matches_the_deleted_search_loops(key, bench_windowed):
         trained = get_system(system).train(spec, windowed)
         assert trained.model.config == best.model.config
         assert trained.report.f1_score == best.report.f1_score
+
+
+def _rules_digest(rules) -> str:
+    """SHA-256 of a rule set's entries (mark tables, model rules) and quantiser scales."""
+    entries = []
+    for sid, subtree in sorted(rules.subtree_rules.items()):
+        tables = [
+            (t.sid, t.feature, tuple(t.thresholds), t.bit_width, t.n_ternary_entries)
+            for _, t in sorted(subtree.mark_tables.items())
+        ]
+        model = [
+            (r.sid, tuple(sorted(r.mark_intervals.items())), r.outcome_kind, r.outcome_value)
+            for r in subtree.model_rules
+        ]
+        entries.append((sid, tables, model))
+    sha = hashlib.sha256(repr((rules.bit_width, rules.quantizer.bit_width, entries)).encode())
+    sha.update(rules.quantizer.scales_.tobytes())
+    return sha.hexdigest()
+
+
+#: ``_rules_digest`` of every D3 grid point's rules at the system's compile
+#: matrix, recorded from the baselines' own range-marking compiler before
+#: ``TopKModel.generate_rules`` became ``generate_rules(exit_tree(model))``.
+GOLDEN_RULE_DIGESTS = {
+    ("netbeacon", 1, 4): "d0a3691b6f33e5ad1f98ade360a7be72a68e47dc6643d0395a6b388ecb84588c",
+    ("netbeacon", 1, 8): "5c302a788c52dc11026702d68b70fab82f0b8a584367745d27057f2cd627d9e1",
+    ("netbeacon", 1, 12): "ea990f80b29b1963772d96fc23b2adc6667781fd18efcca995a410e15a74f629",
+    ("netbeacon", 2, 4): "15a3f7208e726c72dd9e7797ee5d636e413e6a4b42bc67fe0e82bf1712e164ba",
+    ("netbeacon", 2, 8): "1cd2a66835e7190833e9188bb69940098ec19538b2807434fdf6affc657f75c6",
+    ("netbeacon", 2, 12): "5347161321ee14189223360cfb17ecb86d74d242071b1381052313d329d42055",
+    ("netbeacon", 4, 4): "1edeb8ba57218e1ab574dfebe7afd3ca163d8f43f950efec6bbfc9430e1caea4",
+    ("netbeacon", 4, 8): "c1221ee4280f2eddb4406a192cf38797571ff14d7f530e6768f2b3558c7ee6b2",
+    ("netbeacon", 4, 12): "f1814130d37b0b818e850785a164862ec243eaac1e9856b183ab42a24a09f3a7",
+    ("netbeacon", 6, 4): "7337a1af181ed8d86d4efbfe835f70cc887a1ac52e3068c7df3f5923bdd3bda4",
+    ("netbeacon", 6, 8): "ce5b6b3c3bc3493387a66cb6ef9883c4d7c914709a26d47d8e1c128530145d43",
+    ("netbeacon", 6, 12): "ce5b6b3c3bc3493387a66cb6ef9883c4d7c914709a26d47d8e1c128530145d43",
+    ("leo", 1, 3): "f9d4ffaacc6bf86f0e9027a2aa6918e2c9152dd41adbfdd4c40d5b0002535b22",
+    ("leo", 1, 6): "632bd057350994859021db4e91eada27baa6958d8a1ad587fbe716f6cb89afca",
+    ("leo", 1, 11): "4e08629a0bab000a38857a0618bee64a1ed67e8308d32ce109316f8e01a9c7fc",
+    ("leo", 2, 3): "6455b595c9800bbe913e3f89720f47bfe940bf1739cec810a5ed8dbee9413f97",
+    ("leo", 2, 6): "39924859cccaf37c458c52143e18b4455b23268d659120b1c39e3307a8436027",
+    ("leo", 2, 11): "5347161321ee14189223360cfb17ecb86d74d242071b1381052313d329d42055",
+    ("leo", 4, 3): "0631daae2c9b1ecacd227f7150ea2ea1d728d5cc35dbf3e7bf275af07ef93386",
+    ("leo", 4, 6): "c4cd9ca88b309ff9922a67fb2f07071e05c1604cead25055e3bc9e91768ec67a",
+    ("leo", 4, 11): "f1814130d37b0b818e850785a164862ec243eaac1e9856b183ab42a24a09f3a7",
+    ("leo", 6, 3): "0631daae2c9b1ecacd227f7150ea2ea1d728d5cc35dbf3e7bf275af07ef93386",
+    ("leo", 6, 6): "68f498f7ea21d503de33587a2da9ef2bf5c35e26c265aa6b496aa32c7fd76e91",
+    ("leo", 6, 11): "ce5b6b3c3bc3493387a66cb6ef9883c4d7c914709a26d47d8e1c128530145d43",
+    ("per_packet", 4, 6): "5dba0a1ee7f95c08ee881d27c59e74aa949fc25e0aa667287859ee84708da65b",
+    ("per_packet", 4, 10): "42a02a1bdf5b55d944ced2443760ed17e44a00cd6f16470567ae30db714a257f",
+}
+
+
+def test_one_rule_compiler_keeps_every_baseline_rule_set(bench_windowed, bench_candidates):
+    windowed = bench_windowed("D3")
+    digests = {}
+    for system in SEARCHED:
+        spec = ExperimentSpec(system=system)
+        for candidate in bench_candidates("D3", system):
+            rules = get_system(system).compile(candidate, windowed, spec)
+            config = candidate.model.config
+            digests[system, config.top_k, config.depth] = _rules_digest(rules)
+    assert digests == GOLDEN_RULE_DIGESTS
 
 
 #: Fixed rankings to cut top-k sets from: a 3-deep dependency chain first with

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    NETBEACON_PHASES,
     TopKTrainer,
     evaluate_grid,
     leo_table_cost,
@@ -16,7 +15,6 @@ from repro.baselines import (
     leo_tcam_entries,
     netbeacon_table_cost,
     per_packet_table_cost,
-    phase_for_packet_count,
     select_top_k_features,
     train_per_packet_model,
     train_topk_model,
@@ -103,17 +101,6 @@ class TestTopKModel:
 
 
 class TestNetBeacon:
-    def test_phases_exponential(self):
-        assert list(NETBEACON_PHASES) == sorted(NETBEACON_PHASES)
-        ratios = [b / a for a, b in zip(NETBEACON_PHASES, NETBEACON_PHASES[1:])]
-        assert all(r == 2 for r in ratios)
-
-    def test_phase_for_packet_count(self):
-        assert phase_for_packet_count(1) == 0
-        assert phase_for_packet_count(2) == 0
-        assert phase_for_packet_count(3) == 1
-        assert phase_for_packet_count(10_000) == len(NETBEACON_PHASES)
-
     def test_tcam_cost_positive(self, windowed3):
         model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4), name="netbeacon")
         cost = netbeacon_table_cost(model, windowed3, TOFINO1)

@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.baselines import train_topk_model
-from repro.core.config import TopKConfig
-from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset, ttd_ecdf
+from repro.dataplane import SpliDTDataPlane, replay_dataset, ttd_ecdf
 from repro.dataplane.controller import Digest
+from repro.dataplane.vectorized import cached_flow_slots
+from repro.pipeline import Experiment, ExperimentSpec
 from repro.switch.phv import make_data_phv
 
 
@@ -44,14 +44,13 @@ class TestSpliDTDataPlaneSetup:
 
 @pytest.mark.parametrize("kind", ["splidt", "topk"])
 def test_process_packet_rejects_mirror_registers(
-    kind, splidt_model, splidt_rules, windowed3, small_dataset
+    kind, splidt_model, splidt_rules, netbeacon_factory, small_dataset
 ):
-    """The mirror is gone, not optional: the old keyword is an error on both programs."""
+    """The mirror is gone, not optional: the old keyword is an error on every program."""
     if kind == "splidt":
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
     else:
-        model = train_topk_model(windowed3, TopKConfig(depth=4, top_k=2))
-        program = TopKDataPlane(model, flow_slots=64)
+        program = netbeacon_factory(64)()
     flow = small_dataset.flows[0]
     phv = make_data_phv(flow.five_tuple, flow.packets[0])
     with pytest.raises(TypeError):
@@ -76,6 +75,29 @@ def test_process_packet_rejects_mirror_registers(
 )
 def test_instantiated_pipeline_is_gone(path):
     """One resource model (``core.resources``): the instantiated one is rejected, not aliased."""
+    _assert_gone(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "repro.dataplane.topk_program",
+        "repro.dataplane:TopKDataPlane",
+        "repro.dataplane.vectorized:_replay_topk_batched",
+        "repro.dataplane:SpliDTDataPlane.classify_flow_batch",
+        "repro.dataplane.splidt_program:stateless_header_values",
+        "repro.baselines:NETBEACON_PHASES",
+        "repro.baselines:phase_for_packet_count",
+        "repro.baselines.netbeacon:NETBEACON_PHASES",
+        "repro.baselines.netbeacon:phase_for_packet_count",
+    ],
+)
+def test_second_program_is_gone(path):
+    """One data-plane program: the top-k switch and its replay path are rejected, not aliased."""
+    _assert_gone(path)
+
+
+def _assert_gone(path: str) -> None:
     module, _, attribute = path.partition(":")
     if not attribute:
         with pytest.raises(ModuleNotFoundError):
@@ -145,19 +167,61 @@ class TestSpliDTReplay:
 
 
 class TestTopKDataPlane:
-    def test_replay_produces_verdicts(self, windowed3, small_dataset):
-        model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4))
-        program = TopKDataPlane(model, flow_slots=8192)
+    """A top-k baseline's program: the one-partition ``SpliDTDataPlane`` its system builds."""
+
+    def test_replay_produces_verdicts(self, netbeacon_factory, small_dataset):
+        program = netbeacon_factory(8192)()
         subset = small_dataset.subset(np.arange(50))
         result = replay_dataset(program, subset)
         assert len(result.verdicts) == 50
         assert result.report.f1_score > 1.0 / small_dataset.n_classes
 
-    def test_no_recirculations(self, windowed3, small_dataset):
-        model = train_topk_model(windowed3, TopKConfig(depth=6, top_k=4))
-        program = TopKDataPlane(model, flow_slots=8192)
+    def test_no_recirculations(self, netbeacon_factory, small_dataset):
+        program = netbeacon_factory(8192)()
         result = replay_dataset(program, small_dataset.subset(np.arange(20)))
+        assert program.model.config.n_partitions == 1
         assert all(v.n_recirculations == 0 for v in result.verdicts.values())
+        assert not any(v.early_exit for v in result.verdicts.values())
+        assert result.recirculation["packets"] == 0
+
+    @pytest.mark.parametrize("key,n_flows,seed", [("D3", 2000, 7), ("D7", 1500, 3)])
+    def test_a_flow_alone_in_its_slot_gets_the_whole_flow_verdict(self, key, n_flows, seed):
+        """The float tree's whole-flow label, decided at the flow's last packet.
+
+        On a slot no other flow touches, the compiled rules over the one
+        whole-flow window reproduce the offline model exactly.
+        """
+        experiment = Experiment(ExperimentSpec(
+            dataset=key, n_flows=n_flows, seed=seed, system="netbeacon",
+            target_flows=100_000, flow_slots=8192, replay_flows=None,
+        ))
+        result = experiment.replay()
+        soa = experiment.prepare().dataset.packet_arrays()
+        expected = experiment.train().model.predict(experiment.prepare().windowed.flow_features)
+        slots = cached_flow_slots(soa, 8192)
+        populated = np.flatnonzero(soa.n_packets_per_flow > 0)
+        alone = populated[np.bincount(slots[populated], minlength=8192)[slots[populated]] == 1]
+        assert alone.size > 0.6 * n_flows
+        last_ts = soa.timestamps[soa.flow_starts[alone + 1] - 1]
+        for flow, label, decided_at in zip(alone.tolist(), expected[alone], last_ts):
+            verdict = result.verdicts[int(soa.flow_ids[flow])]
+            assert (verdict.label, verdict.decided_at) == (label, decided_at)
+            assert (verdict.n_recirculations, verdict.early_exit) == (0, False)
+
+    def test_colliding_flows_take_the_slot_stream_plane(self):
+        """D3, 300 flows, 64 slots: every colliding packet takes the slot-stream plane."""
+        experiment = Experiment(ExperimentSpec(
+            dataset="D3", n_flows=300, seed=7, system="topk", depth=8,
+            features_per_subtree=4, flow_slots=64, replay_flows=None,
+        ))
+        program = experiment.deploy().program
+        dataset = experiment.prepare().dataset
+        replay_dataset(program, dataset, engine="vectorized")
+        assert program.replay_stats["packets"] == {
+            "batched": 488, "slot_stream": 31_420, "per_packet": 0
+        }
+        assert program.replay_stats["per_packet_reasons"] == {}
+        assert dataset.packet_arrays().n_packets == 31_908
 
 
 class TestTtdEcdf:

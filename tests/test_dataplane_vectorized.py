@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro import core, datasets
-from repro.baselines import train_topk_model
-from repro.core.config import TopKConfig
 from repro.core.range_marking import generate_rules
-from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.datasets.flows import PacketArrays
 
 
@@ -138,38 +136,26 @@ def test_splidt_parity_across_datasets(key, depth, k, partitions):
 
 
 class TestTopKParity:
-    @pytest.fixture(scope="class")
-    def topk_model(self, windowed3):
-        return train_topk_model(windowed3, TopKConfig(depth=6, top_k=4))
+    """The NetBeacon program, as its registered system builds it, on both engines."""
 
-    def _both(self, model, dataset, *, flow_slots=8192, **kwargs):
-        reference = replay_dataset(
-            TopKDataPlane(model, flow_slots=flow_slots),
-            dataset,
-            engine="reference",
-            **kwargs,
-        )
-        vectorized = replay_dataset(
-            TopKDataPlane(model, flow_slots=flow_slots),
-            dataset,
-            engine="vectorized",
-            **kwargs,
-        )
+    def _both(self, factory, dataset, *, flow_slots=8192, **kwargs):
+        reference = replay_dataset(factory(flow_slots)(), dataset, engine="reference", **kwargs)
+        vectorized = replay_dataset(factory(flow_slots)(), dataset, engine="vectorized", **kwargs)
         return reference, vectorized
 
-    def test_plain_replay(self, topk_model, small_dataset):
-        _assert_identical(*self._both(topk_model, small_dataset))
+    def test_plain_replay(self, netbeacon_factory, small_dataset):
+        _assert_identical(*self._both(netbeacon_factory, small_dataset))
 
-    def test_jittered_starts(self, topk_model, small_dataset):
+    def test_jittered_starts(self, netbeacon_factory, small_dataset):
         _assert_identical(
-            *self._both(topk_model, small_dataset, jitter_starts=True, seed=9)
+            *self._both(netbeacon_factory, small_dataset, jitter_starts=True, seed=9)
         )
 
-    def test_max_flows_truncation(self, topk_model, small_dataset):
-        _assert_identical(*self._both(topk_model, small_dataset, max_flows=50))
+    def test_max_flows_truncation(self, netbeacon_factory, small_dataset):
+        _assert_identical(*self._both(netbeacon_factory, small_dataset, max_flows=50))
 
-    def test_forced_collisions(self, topk_model, small_dataset):
-        _assert_identical(*self._both(topk_model, small_dataset, flow_slots=64))
+    def test_forced_collisions(self, netbeacon_factory, small_dataset):
+        _assert_identical(*self._both(netbeacon_factory, small_dataset, flow_slots=64))
 
 
 class TestPacketArrays:

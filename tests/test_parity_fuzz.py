@@ -15,8 +15,7 @@ is replayed through
   flow count, so it flushes once, at ``drain``,
 
 (and, cut in two at a random packet, through two calls on one program — the
-second call starts from the slot state the first one *deferred*)
-
+second call starts from the slot state the first one *deferred*),
 asserting bit-identical verdicts (label, decision time, first-packet time,
 recirculation count, early-exit flag), controller digests (as an unordered
 multiset — emission *order* is engine-specific) and recirculation counters.
@@ -31,7 +30,11 @@ seed so the case can be replayed with::
 A fixed-seed corpus runs on every invocation — the collision and eviction
 corpora also at 2x and 8x table occupancy, where nearly every packet takes
 the slot-stream plane —; a short randomized burst (``PARITY_FUZZ_CASES``,
-default 3) explores new seeds each run.
+default 3) explores new seeds each run.  The model is SpliDT's partitioned
+tree and, on every fourth seed of the fixed and eviction corpora and on every
+burst case, a top-k baseline's one-partition tree
+(:func:`repro.baselines.exit_tree`): the same program, as every system
+deploys it.
 """
 
 from __future__ import annotations
@@ -350,10 +353,23 @@ def _fuzz_one(
     )
 
 
-@pytest.mark.parametrize("seed", FIXED_SEEDS)
-def test_parity_fuzz_fixed_corpus(seed, splidt_model, splidt_rules):
+@pytest.fixture(scope="module")
+def programs(splidt_model, splidt_rules, topk_program_model):
+    """``(model, rules)`` per program kind: SpliDT, and a top-k baseline's one-partition tree."""
+    return {"splidt": (splidt_model, splidt_rules), "baseline": topk_program_model}
+
+
+def _cases(seeds):
+    """Every seed on SpliDT (plain ids), every fourth also on the baseline."""
+    return [pytest.param("splidt", seed, id=str(seed)) for seed in seeds] + [
+        pytest.param("baseline", seed, id=f"baseline-{seed}") for seed in seeds[::4]
+    ]
+
+
+@pytest.mark.parametrize("kind,seed", _cases(FIXED_SEEDS))
+def test_parity_fuzz_fixed_corpus(kind, seed, programs):
     """Deterministic regression corpus across all four engines."""
-    _fuzz_one(seed, splidt_model, splidt_rules, truncated=False)
+    _fuzz_one(seed, *programs[kind], truncated=False)
 
 
 @pytest.mark.parametrize("seed", FIXED_SEEDS[::4])
@@ -362,8 +378,8 @@ def test_parity_fuzz_truncated_streams(seed, splidt_model, splidt_rules):
     _fuzz_one(seed, splidt_model, splidt_rules, truncated=True)
 
 
-@pytest.mark.parametrize("seed", FIXED_SEEDS)
-def test_parity_fuzz_eviction_corpus(seed, splidt_model, splidt_rules):
+@pytest.mark.parametrize("kind,seed", _cases(FIXED_SEEDS))
+def test_parity_fuzz_eviction_corpus(kind, seed, programs):
     """Eviction-enabled corpus: all four engines agree on evicted/undecided.
 
     Every seed replays its trace under a random eviction policy (LRU or a
@@ -374,8 +390,7 @@ def test_parity_fuzz_eviction_corpus(seed, splidt_model, splidt_rules):
     """
     policy_rng = random.Random(0xE51C7 + seed)
     policy = _random_eviction_policy(policy_rng)
-    _fuzz_one(seed, splidt_model, splidt_rules,
-              truncated=seed % 4 == 3, eviction=policy)
+    _fuzz_one(seed, *programs[kind], truncated=seed % 4 == 3, eviction=policy)
 
 
 @pytest.mark.parametrize("occupancy", (2, 8))
@@ -494,12 +509,13 @@ def test_parity_fuzz_sharded_mp_ring(seed, splidt_model, splidt_rules):
     _assert_identical(truncated_oracle, truncated_served)
 
 
-def test_parity_fuzz_random_burst(splidt_model, splidt_rules):
+def test_parity_fuzz_random_burst(programs):
     """A short randomized burst; seeds are printed so failures reproduce.
 
     ``PARITY_FUZZ_SEED`` pins the base seed, ``PARITY_FUZZ_CASES`` scales the
     burst (CI runs a fixed seed plus a small burst; set it higher for a soak).
-    Every other case runs under a random eviction policy.
+    Every other case runs under a random eviction policy, and every case runs
+    on both program kinds.
     """
     cases = int(os.environ.get("PARITY_FUZZ_CASES", "3"))
     base_env = os.environ.get("PARITY_FUZZ_SEED")
@@ -511,8 +527,8 @@ def test_parity_fuzz_random_burst(splidt_model, splidt_rules):
             _random_eviction_policy(random.Random(seed ^ 0xE51C7))
             if seed % 2 == 0 else None
         )
-        _fuzz_one(seed, splidt_model, splidt_rules,
-                  truncated=seed % 3 == 0, eviction=eviction)
+        for model, rules in programs.values():
+            _fuzz_one(seed, model, rules, truncated=seed % 3 == 0, eviction=eviction)
 
 
 def test_eviction_resolves_undecided(splidt_model, splidt_rules):

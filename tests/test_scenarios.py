@@ -405,6 +405,25 @@ class TestRunner:
         assert settles == []
         assert programs and all(program._flow_state == {} for program in programs)
 
+    def test_a_baseline_replays_under_the_scenarios_eviction_policy(self, monkeypatch):
+        """NetBeacon's program is a ``SpliDTDataPlane``: table pressure evicts its flows too."""
+        reported, eviction_stats = [], SpliDTDataPlane.eviction_stats
+        monkeypatch.setattr(
+            SpliDTDataPlane, "eviction_stats",
+            lambda self: (reported.append(eviction_stats(self)), reported[-1])[1],
+        )
+        result = run_scenario(
+            get_workload_scenario("table-pressure"), flow_slots=64, traffic_flows=128,
+            experiment=ExperimentSpec(system="netbeacon", n_flows=140),
+        )
+        stats = result.replay_stats
+        assert result.eviction_policy == "idle-timeout"
+        assert [r["evictions"] for r in reported] == [result.evictions]
+        assert 0 < result.evictions <= reported[0]["admissions"]
+        assert stats["packets"]["per_packet"] == 0
+        assert sum(stats["packets"].values()) == result.n_packets
+        assert result.decided_fraction > 0.0
+
     def test_sweep_occupancy_scales_pressure(self):
         results = sweep_occupancy(
             self.SPEC.replace(layers=()), flow_slots=32, factors=(0.5, 2.0),

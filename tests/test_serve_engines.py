@@ -18,9 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.baselines import train_topk_model
-from repro.core.config import TopKConfig
-from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
@@ -228,31 +226,21 @@ class TestStreamingAndTopK:
         result = _stream(StreamingEngine(program), _chunks(small_dataset.flows, 13))
         _assert_identical(reference, result)
 
-    @pytest.fixture(scope="class")
-    def topk_model(self, windowed3):
-        return train_topk_model(windowed3, TopKConfig(depth=6, top_k=4))
-
     @pytest.mark.parametrize("chunking", (1, 7, None))
-    def test_topk_microbatch(self, chunking, topk_model, small_dataset):
+    def test_topk_microbatch(self, chunking, netbeacon_factory, small_dataset):
         reference = replay_dataset(
-            TopKDataPlane(topk_model, flow_slots=8192),
-            small_dataset,
-            engine="reference",
+            netbeacon_factory(8192)(), small_dataset, engine="reference"
         )
-        program = TopKDataPlane(topk_model, flow_slots=8192)
         result = _stream(
-            MicroBatchEngine(program, flush_flows=4), _chunks(small_dataset.flows, chunking)
+            MicroBatchEngine(netbeacon_factory(8192)(), flush_flows=4),
+            _chunks(small_dataset.flows, chunking),
         )
         _assert_identical(reference, result)
 
-    def test_topk_sharded(self, topk_model, small_dataset):
-        reference = replay_dataset(
-            TopKDataPlane(topk_model, flow_slots=64), small_dataset, engine="reference"
-        )
-        # partial, not a lambda: the factory is pickled into the workers.
-        engine = ProcessShardedEngine(
-            partial(TopKDataPlane, topk_model, flow_slots=64), workers=2
-        )
+    def test_topk_sharded(self, netbeacon_factory, small_dataset):
+        reference = replay_dataset(netbeacon_factory(64)(), small_dataset, engine="reference")
+        # The system's ProgramFactory, not a lambda: it is pickled into the workers.
+        engine = ProcessShardedEngine(netbeacon_factory(64), workers=2)
         result = _stream(engine, _chunks(small_dataset.flows, 64))
         _assert_identical(reference, result)
 

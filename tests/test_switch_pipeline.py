@@ -85,9 +85,11 @@ class TestRecirculationChannel:
              c.capacity_bps)
             for c in shards
         ]
-        assert merge_channel_aggregates([None, *aggregates]) == whole.stats()
+        assert merge_channel_aggregates(aggregates) == whole.stats()
+        assert merge_channel_aggregates(iter(aggregates)) == whole.stats()
         assert whole.stats()["mean_bps"] == 10 * 64 * 8 / 7.25
-        assert merge_channel_aggregates([None]) == {}
+        # Before any shard has reported there is nothing to merge.
+        assert merge_channel_aggregates([]) == {}
 
     def test_zero_interval_counts_as_a_microsecond(self):
         channel = RecirculationChannel(capacity_bps=1e9)
