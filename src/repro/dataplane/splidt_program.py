@@ -28,7 +28,7 @@ batched engines (:mod:`repro.dataplane.vectorized`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -47,6 +47,15 @@ from repro.switch.recirculation import RecirculationChannel
 from repro.switch.targets import TOFINO1, TargetSpec
 
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
+
+#: :class:`Packet` fields and the dtypes of their ``PacketArrays`` columns.
+_PACKET_COLUMNS = (
+    ("timestamp", np.float64),
+    ("size", np.float64),
+    ("flags", np.int64),
+    ("direction", np.int64),
+    ("payload", np.float64),
+)
 
 
 def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]:
@@ -94,6 +103,8 @@ class _FlowState:
     last_seen_at: float = 0.0
     n_recirculations: int = 0
     operators: dict[int, StatefulOperator] = field(default_factory=dict)
+    #: The packets ``operators`` were fed: the open window, as raw packets.
+    window: list[Packet] = field(default_factory=list)
     stateless: dict[int, float] = field(default_factory=dict)
     decided: bool = False
 
@@ -103,15 +114,18 @@ class OpenWindows:
     """The undecided residents of a :class:`SlotHandover`, one entry per open window.
 
     Registers are as they were at the *start* of the open window; settling
-    feeds the window's packets to a fresh operator bank of subtree ``sids``.
+    feeds the window's packets to a fresh operator bank of subtree ``sids``,
+    and the slot-stream plane resumes from them with the packets at the head
+    of the slot's run.
     """
 
     #: Row of the hand-over each entry belongs to (the only row of its slot).
     rows: np.ndarray
     sids: np.ndarray
     windows: np.ndarray
-    #: Packets seen and last timestamp *before* the open window.
+    #: Packets seen *before* the open window.
     seen: np.ndarray
+    #: Timestamp of the resident's last packet (in the window or before it).
     last_ts: np.ndarray
     first_sizes: np.ndarray
     #: Entry ``i`` owns ``packets[...][starts[i]:starts[i + 1]]`` (may be empty).
@@ -125,8 +139,9 @@ class SlotHandover:
     """Slot state a batched plane left behind, as columns: one row per resident.
 
     The batched planes keep slot state in their own columns and build no
-    ``_FlowState``; a replay pays for the objects only if something reads
-    slot state afterwards (:meth:`SpliDTDataPlane.hand_over`).  Rows are
+    ``_FlowState``: a later batched call resumes from the columns
+    (:meth:`SpliDTDataPlane.held_state`), and only a reader that asks for
+    objects pays for them (:meth:`SpliDTDataPlane.hand_over`).  Rows are
     installed in ``first_ts`` order, so of several flows that followed one
     another in a slot the last one stays.  A decided resident is its identity
     and nothing else — all the packet path ever reads of one; the undecided
@@ -160,6 +175,69 @@ class SlotHandover:
             identity=tuple(column[flows] for column in soa.identity_columns()),
             flow_ids=soa.flow_ids[flows],
             first_ts=first_ts,
+            undecided=undecided,
+        )
+
+    @classmethod
+    def merged(cls, records: list["SlotHandover"]) -> "SlotHandover":
+        """What settling ``records`` (oldest first) leaves: one row per slot, by slot.
+
+        Rows apply as :meth:`SpliDTDataPlane._settle` applies them — record
+        by record, each in ``first_ts`` order — so a slot keeps the last row
+        applied to it, with its open window if it has one.
+        """
+        slots = np.concatenate([record.slots for record in records])
+        first_ts = np.concatenate([record.first_ts for record in records])
+        sizes = [record.slots.size for record in records]
+        applied = np.lexsort((first_ts, np.repeat(np.arange(len(records)), sizes)))[::-1]
+        _, last = np.unique(slots[applied], return_index=True)
+        keep = applied[last]
+
+        undecided = None
+        opened = [
+            (record.undecided, offset)
+            for record, offset in zip(records, np.cumsum(sizes) - sizes)
+            if record.undecided is not None
+        ]
+        if opened:
+            # The open windows concatenated (their packets too, window after
+            # window), each numbered at the concatenated row it belongs to.
+            windows = [window for window, _ in opened]
+            entry = np.full(slots.size, -1, dtype=np.intp)
+            numbered = np.concatenate([offset + window.rows for window, offset in opened])
+            entry[numbered] = np.arange(numbered.size)
+            rows = np.flatnonzero(entry[keep] >= 0)
+            chosen = entry[keep[rows]]
+            every = np.concatenate([np.diff(window.starts) for window in windows])
+            lengths = every[chosen]
+            offsets = np.cumsum(lengths) - lengths
+            heads = (np.cumsum(every) - every)[chosen]
+            packets = np.arange(int(lengths.sum())) + np.repeat(heads - offsets, lengths)
+
+            def column(name: str) -> np.ndarray:
+                return np.concatenate([getattr(window, name) for window in windows])[chosen]
+
+            undecided = OpenWindows(
+                rows=rows,
+                sids=column("sids"),
+                windows=column("windows"),
+                seen=column("seen"),
+                last_ts=column("last_ts"),
+                first_sizes=column("first_sizes"),
+                starts=np.append(0, np.cumsum(lengths)),
+                packets=tuple(
+                    np.concatenate(parts)[packets]
+                    for parts in zip(*(window.packets for window in windows))
+                ),
+            )
+        return cls(
+            slots=slots[keep],
+            identity=tuple(
+                np.concatenate(parts)[keep]
+                for parts in zip(*(record.identity for record in records))
+            ),
+            flow_ids=np.concatenate([record.flow_ids for record in records])[keep],
+            first_ts=first_ts[keep],
             undecided=undecided,
         )
 
@@ -285,6 +363,7 @@ class SpliDTDataPlane:
         packet = phv.packet
         for operator in state.operators.values():
             operator.update(packet)
+        state.window.append(packet)
 
         # Window boundary check (flow-size-derived uniform windows).
         boundaries = cached_window_boundaries(flow_size, self._n_partitions)
@@ -547,11 +626,59 @@ class SpliDTDataPlane:
     def hand_over(self, record: SlotHandover) -> None:
         """Take the slot state a batched plane ended a call with, as columns.
 
-        Recorded, not installed: the record becomes ``_FlowState`` objects the
-        first time anything looks at slot state afterwards
-        (:meth:`process_packet`, :meth:`occupied_slots`, :meth:`resident`).
+        Recorded, not installed: a later batched call reads it as columns
+        (:meth:`held_state`), and it becomes ``_FlowState`` objects only for
+        a reader that asks for objects (:meth:`process_packet`,
+        :meth:`occupied_slots`, :meth:`resident`).
         """
         self._unsettled.append(record)
+
+    def held_state(self) -> SlotHandover | None:
+        """Every occupied slot's resident as one hand-over record, building no objects.
+
+        One row per occupied slot, sorted by slot (``None`` when none is):
+        what the next packet to reach the slot meets.  The batched planes
+        read slot state here and resume from it.  ``_FlowState`` objects go
+        back to columns first, so slot state read as objects or written by
+        :meth:`process_packet` resumes the same way.
+        """
+        if self._flow_state:
+            self._unsettled.insert(0, self._columns_of_states())
+            self._flow_state.clear()
+        if not self._unsettled:
+            return None
+        held = SlotHandover.merged(self._unsettled)
+        self._unsettled = [held]
+        return held
+
+    def _columns_of_states(self) -> SlotHandover:
+        """The ``_FlowState`` objects as a hand-over record (one row per slot)."""
+        states = list(self._flow_state.values())
+        live = [state for state in states if not state.decided]
+        packets = [packet for state in live for packet in state.window]
+
+        def column(values, dtype=np.int64) -> np.ndarray:
+            return np.array(list(values), dtype=dtype)
+
+        return SlotHandover(
+            slots=column(self._flow_state, np.intp),
+            identity=tuple(map(column, zip(*(astuple(state.five_tuple) for state in states)))),
+            flow_ids=column(state.flow_id for state in states),
+            first_ts=column((state.first_packet_at for state in states), np.float64),
+            undecided=OpenWindows(
+                rows=column(row for row, state in enumerate(states) if not state.decided),
+                sids=column(state.sid for state in live),
+                windows=column(state.window_index for state in live),
+                seen=column(state.packets_seen - len(state.window) for state in live),
+                last_ts=column((state.last_seen_at for state in live), np.float64),
+                first_sizes=column((state.stateless[_PKT_LEN_FIRST] for state in live), np.float64),
+                starts=np.append(0, np.cumsum(column(len(state.window) for state in live))),
+                packets=tuple(
+                    column((getattr(packet, name) for packet in packets), dtype)
+                    for name, dtype in _PACKET_COLUMNS
+                ),
+            ),
+        )
 
     def _settle(self) -> None:
         """Turn the recorded hand-overs into slot state, oldest first."""
@@ -598,12 +725,12 @@ class SpliDTDataPlane:
             state.first_packet_at = first_at
             state.stateless = _header_values(state.five_tuple, first_size)
             self._activate_subtree(state)
-            window_packets = packets[start:stop]
+            state.window = packets[start:stop]
             for operator in state.operators.values():
-                for packet in window_packets:
+                for packet in state.window:
                     operator.update(packet)
-            state.packets_seen = seen + len(window_packets)
-            state.last_seen_at = window_packets[-1].timestamp if window_packets else last_at
+            state.packets_seen = seen + len(state.window)
+            state.last_seen_at = last_at
 
     def record_evictions(self, flow_ids: list[int]) -> None:
         """Account for evicted residents (one eviction per entry of ``flow_ids``)."""
@@ -646,6 +773,7 @@ class SpliDTDataPlane:
         for feature in self.subtree_stateful_features(state.sid):
             operators[feature] = make_operator(FEATURES[feature].name)
         state.operators = operators
+        state.window = []
 
     def _feature_vector(self, state: _FlowState) -> np.ndarray:
         """Assemble the feature vector visible to the active subtree."""

@@ -16,14 +16,16 @@ traffic orders of magnitude faster by exploiting two structural facts:
    evict and inherit each other's state exactly as on hardware; those slots
    are replayed as sequential packet runs, still batched across slots, by
    the slot-stream plane (:mod:`repro.dataplane.slot_stream`; the routing
-   rule is :func:`_split_scalar_fast`).  The per-packet interpreter is the
-   oracle, not a path: it runs only for slots that hold an undecided flow
-   when a call starts.  A one-shot top-k baseline is a one-partition SpliDT
-   model (:func:`repro.baselines.topk.exit_tree`) and takes the same planes.
+   rule is :func:`_split_scalar_fast`), which also carries on from the slot
+   state an earlier call left.  The per-packet interpreter is the oracle,
+   not a path.  A one-shot top-k baseline is a one-partition SpliDT model
+   (:func:`repro.baselines.topk.exit_tree`) and takes the same planes.
 2. **Window boundaries are deterministic.**  A flow's window segmentation
-   depends only on its packet count (the Homa/NDP flow-size header field),
-   so every window of every flow can be precomputed and the per-packet
-   operator updates collapse into per-window NumPy segment reductions.
+   depends only on its packet count (the Homa/NDP flow-size header field;
+   a flow whose header advertises another size takes the slot-stream
+   plane), so every window of every flow can be precomputed and the
+   per-packet operator updates collapse into per-window NumPy segment
+   reductions.
 
 The fast path is *fused and allocation-free*: a :class:`ReplayWorkspace`
 (owned by the engine, reused across rounds and replays) preallocates every
@@ -620,6 +622,7 @@ def _replay_scalar(
     *,
     slots: np.ndarray | None = None,
     stream=None,
+    sizes: np.ndarray | None = None,
 ) -> dict:
     """Reference semantics for the flows the batched planes cannot take alone.
 
@@ -629,8 +632,8 @@ def _replay_scalar(
     ``(timestamp, flow_id)`` order within each slot, so corruption, eviction
     and reclaim behave exactly as in the reference engine: they replay on
     the slot-stream plane (:func:`repro.dataplane.slot_stream.replay_slot_stream`,
-    whose accounting is returned; ``slots`` and ``stream`` are passed
-    through).
+    whose accounting is returned; ``slots``, ``stream`` and ``sizes`` are
+    passed through).
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
@@ -640,7 +643,7 @@ def _replay_scalar(
     from repro.dataplane.slot_stream import replay_slot_stream
 
     return replay_slot_stream(
-        program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream
+        program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream, sizes=sizes
     )
 
 
@@ -666,11 +669,11 @@ def _replay_positions(
 ) -> None:
     """Feed the packets at ``positions`` to ``program.process_packet``, in order.
 
-    The one per-packet feed: the reference engine, the slot-stream plane's
-    ``live_state`` fallback and the spoofing replays all come through here.
-    ``positions`` index the flow-major packet columns.  Packet headers carry
-    ``sizes[flow]`` as the flow size — by default the *full* flow size,
-    whatever subset of a flow is replayed.
+    The oracle's one feed: the reference engine
+    (:class:`~repro.serve.StreamingEngine`) comes through here, and tests
+    replay against it.  ``positions`` index the flow-major packet columns.
+    Packet headers carry ``sizes[flow]`` as the flow size — by default the
+    *full* flow size, whatever subset of a flow is replayed.
     """
     flow_starts = soa.flow_starts
     if sizes is None:
@@ -788,7 +791,6 @@ def _replay_splidt_batched(
 
 def _split_scalar_fast(
     soa: PacketArrays,
-    flows: list[Flow],
     slots: np.ndarray,
     indices: np.ndarray,
     forced: np.ndarray | None = None,
@@ -804,16 +806,16 @@ def _split_scalar_fast(
     each has at least ``min_packets`` packets (for SpliDT: fewer than one
     per partition and the flow may exhaust its windows while recirculating
     and end *undecided*, leaving live state the next flow inherits), none is
-    ``forced`` by the caller (buffered prefix, dirty slot), and they follow
-    one another: each starts strictly after its predecessor's last packet
-    (so after its verdict) under a different five-tuple (so it reclaims the
-    slot; the reference engine treats a decided flow's retransmitted tuple
-    as the same flow).  In every other slot the flows share sequential
-    register state, and all of them go scalar.
+    ``forced`` by the caller (buffered prefix, held slot state, spoofed flow
+    size), and they follow one another: each starts strictly after its
+    predecessor's last packet (so after its verdict) under a different
+    five-tuple (so it reclaims the slot; the reference engine treats a
+    decided flow's retransmitted tuple as the same flow).  In every other
+    slot the flows share sequential register state, and all of them go
+    scalar.
 
     ``tuple_ids`` may be omitted when the caller has already forced every
     slot that repeats a five-tuple.
-    ``flows`` is unused; the signature is what the benchmark harness wraps.
     """
     order = np.lexsort((soa.first_timestamps[indices], slots[indices]))
     ordered = indices[order]
@@ -834,33 +836,40 @@ def _split_scalar_fast(
 
 
 def _route_splidt(
-    program, flows: list[Flow], soa: PacketArrays, slots: np.ndarray, populated: np.ndarray
+    program,
+    soa: PacketArrays,
+    slots: np.ndarray,
+    populated: np.ndarray,
+    forced: np.ndarray | None = None,
 ):
     """``(lockstep flow indices, slot-stream flow mask, slot stream)`` of one replay.
 
     A pure function of the traffic, the table size and the partition count
-    while the program holds no slot state, so it is cached on ``soa.derived``
-    (integer columns only); slots the program already holds state for are
-    forced onto the slot-stream plane, uncached.
+    while the program holds no slot state and nothing is ``forced``, so it is
+    cached on ``soa.derived`` (integer columns only).  Flows ``forced`` by
+    the caller (a mask over ``populated``) and slots the program already
+    holds state for (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`)
+    go to the slot-stream plane, uncached.
     """
     from repro.dataplane.slot_stream import build_slot_stream
 
     n_partitions = int(program.model.config.n_partitions)
     table_size = program.indexer.table_size
     key = ("slot_route", table_size, n_partitions)
-    held = program.occupied_slots()
-    if held.size == 0 and key in soa.derived:
+    held = program.held_state()
+    if held is not None:
+        on_held = np.isin(slots[populated], held.slots)
+        forced = on_held if forced is None else forced | on_held
+    if forced is None and key in soa.derived:
         return soa.derived[key]
-    forced = np.isin(slots[populated], held) if held.size else None
     contended = _split_scalar_fast(
-        soa, flows, slots, populated, forced, n_partitions,
-        cached_tuple_ids(soa, table_size),
+        soa, slots, populated, forced, n_partitions, cached_tuple_ids(soa, table_size)
     )
     mask = np.zeros(soa.n_flows, dtype=bool)
     mask[populated[contended]] = True
     stream = build_slot_stream(soa, slots, mask) if contended.any() else None
     route = (populated[~contended], mask, stream)
-    if held.size == 0:
+    if forced is None:
         soa.derived[key] = route
     return route
 
@@ -870,6 +879,7 @@ def replay_arrays(
     flows: list[Flow],
     soa: PacketArrays | None = None,
     workspace: ReplayWorkspace | None = None,
+    sizes: np.ndarray | None = None,
 ) -> None:
     """Replay ``flows`` through ``program`` using the batched engine.
 
@@ -879,16 +889,21 @@ def replay_arrays(
     a clean slot advances in fused flow-lockstep window rounds (reusing
     ``workspace`` buffers when one is passed), every shared slot goes
     through :func:`_replay_scalar` to the slot-stream plane
-    (:mod:`repro.dataplane.slot_stream`).
+    (:mod:`repro.dataplane.slot_stream`), which carries on from whatever
+    slot state the program already holds.
 
-    Leaves ``program.replay_stats``: flows and packets per path
-    (``batched`` / ``slot_stream`` / ``per_packet`` — every packet replayed
-    is counted under exactly one), the per-packet share by reason
-    (``live_state``: the slot held an undecided flow at entry), the number of
-    slot-stream event rounds, and ``deferred``: the slot state the planes
-    recorded instead of installing (:class:`~repro.dataplane.splidt_program.SlotHandover`)
-    — ``slots`` rows, of which ``open_windows`` hold ``packets`` to feed to
-    their operators — which the next reader of slot state settles.
+    ``sizes`` is the flow size each flow's packets advertise in their
+    headers (per flow; default its packet count).  A flow advertising any
+    other size — a spoofed flow-size field — replays on the slot-stream
+    plane, whose window boundaries follow the header.
+
+    Leaves ``program.replay_stats``: flows and packets per plane
+    (``batched`` / ``slot_stream`` — every packet replayed is counted under
+    exactly one), the number of slot-stream event rounds, and ``deferred``:
+    the slot state the planes recorded instead of installing
+    (:class:`~repro.dataplane.splidt_program.SlotHandover`) — ``slots``
+    rows, of which ``open_windows`` hold ``packets`` to feed to their
+    operators — which a later call resumes from.
 
     Example::
 
@@ -899,9 +914,8 @@ def replay_arrays(
     if soa is None:
         soa = PacketArrays.from_flows(flows)
     stats = {
-        "flows": {"batched": 0, "slot_stream": 0, "per_packet": 0},
-        "packets": {"batched": 0, "slot_stream": 0, "per_packet": 0},
-        "per_packet_reasons": {},
+        "flows": {"batched": 0, "slot_stream": 0},
+        "packets": {"batched": 0, "slot_stream": 0},
         "event_rounds": 0,
         "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
     }
@@ -914,16 +928,19 @@ def replay_arrays(
         stats["flows"][path] += n_flows
         stats["packets"][path] += n_packets
 
+    spoofed = None
+    if sizes is not None:
+        sizes = np.asarray(sizes)
+        spoofed = sizes[populated] != soa.n_packets_per_flow[populated]
     slots = cached_flow_slots(soa, program.indexer.table_size)
-    fast, shared, stream = _route_splidt(program, flows, soa, slots, populated)
+    fast, shared, stream = _route_splidt(program, soa, slots, populated, spoofed)
     if shared.any():
-        outcome = _replay_scalar(program, flows, soa, shared, slots=slots, stream=stream)
+        outcome = _replay_scalar(
+            program, flows, soa, shared, slots=slots, stream=stream, sizes=sizes
+        )
         count("slot_stream", outcome["flows"], outcome["packets"])
         stats["event_rounds"] = outcome["rounds"]
         stats["deferred"] = outcome["deferred"]
-        for reason, share in outcome["per_packet"].items():
-            count("per_packet", share["flows"], share["packets"])
-            stats["per_packet_reasons"][reason] = share
     if fast.size:
         _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
         # These flows met a clean slot and decided in it: terminal rows.

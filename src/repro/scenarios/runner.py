@@ -65,11 +65,10 @@ class ScenarioResult:
     #: Seconds inside the replay itself (``elapsed_s`` also covers generating
     #: the workload, building the program and scoring).
     replay_s: float = 0.0
-    #: ``program.replay_stats`` of the replay: flows and packets per path
-    #: (batched / slot_stream / per_packet; the packet counts sum to the
-    #: packets replayed), per-packet reasons, event rounds, and the slot state
-    #: left ``deferred`` (slots / open_windows / packets) for a later reader.
-    #: Empty for evasion workloads, which replay through the reference path.
+    #: ``program.replay_stats`` of the replay: flows and packets per plane
+    #: (batched / slot_stream; the packet counts sum to the packets
+    #: replayed), event rounds, and the slot state left ``deferred`` (slots /
+    #: open_windows / packets) for a later reader.
     replay_stats: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
@@ -123,19 +122,11 @@ def prepare_system(
 def replay_workload(program, workload: ScenarioWorkload) -> None:
     """Replay a workload through ``program`` (verdicts land on the program).
 
-    Honest workloads take the vectorized path; evasion workloads —
-    whose per-flow *advertised* sizes differ from the truth — take the
-    reference scalar path in global arrival order via
-    :func:`repro.analysis.robustness.replay_with_advertised_sizes`.
+    One batched replay; an evasion workload's flows advertise their
+    ``advertised`` sizes instead of their packet counts, shifting the window
+    boundaries the subtrees observe.
     """
-    if workload.advertised is None:
-        vz.replay_arrays(program, workload.flows, soa=workload.soa)
-    else:
-        from repro.analysis.robustness import replay_with_advertised_sizes
-
-        replay_with_advertised_sizes(
-            program, workload.flows, workload.advertised, soa=workload.soa
-        )
+    vz.replay_arrays(program, workload.flows, soa=workload.soa, sizes=workload.advertised)
 
 
 def run_scenario(
@@ -205,7 +196,7 @@ def run_scenario(
             materialised_estimate=estimate,
             elapsed_s=time.perf_counter() - started,
             replay_s=replay_s,
-            replay_stats=getattr(program, "replay_stats", {}),
+            replay_stats=program.replay_stats,
         )
     return result
 

@@ -553,9 +553,7 @@ class InferenceEngine(abc.ABC):
         # Equal tuples hash to one slot, so forcing the repeats forces their slot.
         tuple_ids = vz.cached_tuple_ids(soa, self._slot_epoch.size)[current]
         repeated = np.bincount(tuple_ids)[tuple_ids] > 1
-        unsafe = vz._split_scalar_fast(
-            soa, self._flows, slots, current, forced=incomplete | repeated
-        )
+        unsafe = vz._split_scalar_fast(soa, slots, current, forced=incomplete | repeated)
         return np.unique(slots[current[unsafe]])
 
     def _route_chunk(self, chunk: PacketChunk) -> None:

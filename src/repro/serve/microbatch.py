@@ -244,7 +244,7 @@ class MicroBatchEngine(InferenceEngine):
         documents the rule); every other flow goes through
         :func:`repro.dataplane.vectorized._replay_scalar` to the slot-stream
         plane, which replays the buffered prefix of an incomplete flow and
-        falls back to per-packet replay for the dirty slots themselves.
+        resumes a dirty slot from the state the earlier flush left there.
         """
         soa, flows, program = self._soa, self._flows, self.program
         complete = self._buffered[indices] == soa.n_packets_per_flow[indices]
@@ -252,7 +252,7 @@ class MicroBatchEngine(InferenceEngine):
             ~complete | self._dirty_slots[self._slots[indices]] | self._forced_scalar[indices]
         )
         scalar = vz._split_scalar_fast(
-            soa, flows, self._slots, indices, forced=forced,
+            soa, self._slots, indices, forced=forced,
             min_packets=int(program.model.config.n_partitions),
         )
         scalar_indices = indices[scalar]

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import evaluate_flow_size_spoofing
+from repro.analysis import evaluate_flow_size_spoofing, robustness
+from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import vectorized as vz
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +49,51 @@ class TestFlowSizeSpoofing:
         # With a 0.5x advertised size, boundaries fire after fewer packets, so
         # the subtrees see truncated windows; recirculation still happens.
         assert truncated.mean_recirculations <= splidt_model.n_partitions - 1
+
+
+def _fields(verdicts) -> dict:
+    return {
+        fid: (v.label, v.decided_at, v.first_packet_at, v.n_recirculations, v.early_exit)
+        for fid, v in verdicts.items()
+    }
+
+
+class TestSpoofedReplayIsTheDeployedProgram:
+    """Spoofing replays in arrival order through the planes, on a contended table."""
+
+    SLOTS = 64
+
+    @pytest.fixture(scope="class")
+    def subset(self, small_dataset):
+        return small_dataset.subset(np.arange(60))
+
+    def test_honest_scale_is_the_vectorized_replay(
+        self, splidt_model, splidt_rules, subset, monkeypatch
+    ):
+        replays = []
+        replay = robustness._replay_with_spoofed_size
+        monkeypatch.setattr(
+            robustness, "_replay_with_spoofed_size",
+            lambda *args, **kwargs: (replays.append(replay(*args, **kwargs)), replays[-1])[1],
+        )
+        evaluate_flow_size_spoofing(
+            splidt_model, splidt_rules, subset, scales=(1.0,), flow_slots=self.SLOTS
+        )
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.SLOTS)
+        vectorized = replay_dataset(program, subset, engine="vectorized")
+        assert _fields(replays[0].verdicts) == _fields(vectorized.verdicts)
+        assert replays[0].recirculation == vectorized.recirculation
+
+    @pytest.mark.parametrize("scale", (0.5, 4.0))
+    def test_spoofed_scale_is_the_per_packet_replay(
+        self, splidt_model, splidt_rules, subset, scale
+    ):
+        replayed = robustness._replay_with_spoofed_size(
+            splidt_model, splidt_rules, subset, scale=scale, flow_slots=self.SLOTS
+        )
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.SLOTS)
+        soa = subset.packet_arrays()
+        spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in subset.flows]
+        vz._replay_positions(program, subset.flows, soa, soa.interleave_order, spoofed)
+        assert _fields(replayed.verdicts) == _fields(program.verdicts)
+        assert replayed.recirculation == program.recirculation_stats()

@@ -131,7 +131,7 @@ def test_repeated_five_tuple_after_a_verdict_is_ignored(splidt_model, splidt_rul
         _flow(TUPLE_A, 1, [100 + 0.1 * i for i in range(6)]),
     ]
     _, fused = _replay_both(splidt_model, splidt_rules, [flows], slots=64)
-    assert fused.replay_stats["packets"] == {"batched": 0, "slot_stream": 12, "per_packet": 0}
+    assert fused.replay_stats["packets"] == {"batched": 0, "slot_stream": 12}
     assert set(fused.verdicts) == {0}
 
 
@@ -209,14 +209,20 @@ def test_scalar_only_eviction_policy_is_evaluated_per_packet(splidt_model, splid
     assert fused.eviction_stats()["evicted_flows"] == [0]
 
 
-def test_live_slot_state_at_entry_falls_back_to_per_packet(splidt_model, splidt_rules):
-    # The first call leaves A undecided in the slot; the second call's flows
-    # continue A's operator state, which only process_packet can do.
+@pytest.mark.parametrize("timeout", [None, 0.25])
+def test_live_slot_state_at_entry_is_resumed(splidt_model, splidt_rules, timeout):
+    # The first call leaves A undecided in the slot, recirculated into an
+    # empty window; the second call's flows continue A's registers from the
+    # columns the first call handed over — or, idle past the timeout, B's
+    # first packet evicts A, tested against A's last packet at 0.5.
     first = [_flow(TUPLE_A, 0, [0.0, 0.5])]
     second = [_flow(TUPLE_B, 1, [1, 2, 3, 4, 5, 6]), _flow(TUPLE_C, 2, [1.5, 2.5, 3.5])]
-    _, fused = _replay_both(splidt_model, splidt_rules, [first, second])
-    assert fused.replay_stats["per_packet_reasons"]["live_state"] == {"flows": 2, "packets": 9}
-    assert fused.replay_stats["packets"]["slot_stream"] == 0
+    policy = None if timeout is None else make_eviction_policy("idle-timeout", timeout=timeout)
+    reference, fused = _replay_both(splidt_model, splidt_rules, [first, second], eviction=policy)
+    assert fused.replay_stats["packets"] == {"batched": 0, "slot_stream": 9}
+    assert fused.replay_stats["deferred"]["slots"] == 1
+    assert (0 in fused.eviction_stats()["evicted_flows"]) == (timeout is not None)
+    assert_same_slot_state(reference, fused)
 
 
 def test_second_replay_on_the_same_program_continues(splidt_model, splidt_rules):
@@ -282,12 +288,36 @@ def test_slot_state_is_recorded_and_settled_on_first_read(splidt_model, splidt_r
     replay_dataset(fused, _dataset(flows), engine="vectorized")
     assert calls == {"process_packet": 0, "settle": 0} and fused._flow_state == {}
     stats = fused.replay_stats
-    assert stats["packets"] == {"batched": 0, "slot_stream": 14, "per_packet": 0}
-    assert stats["per_packet_reasons"] == {}
+    assert stats["packets"] == {"batched": 0, "slot_stream": 14}
     assert stats["deferred"] == {"slots": 1, "open_windows": 1, "packets": 2}
     assert not reference.resident(0).decided and reference.resident(0).packets_seen == 10
     assert_same_slot_state(reference, fused)
     assert calls == {"process_packet": 0, "settle": 1}
+
+
+@pytest.mark.parametrize("start", [11.0, 20.0])  # within / past the idle timeout
+@pytest.mark.parametrize("first_engine", ["vectorized", "reference"])
+def test_held_open_window_is_resumed(splidt_model, splidt_rules, start, first_engine):
+    # The first call leaves A undecided two packets into a window.  The next
+    # call's first packet either continues it or evicts it (tested against
+    # A's last packet), whether the slot state is the plane's columns, was
+    # read as objects in between, or was written by process_packet.
+    flows, policy = _reentry_trace()
+    second = [
+        _flow(TUPLE_B, 3, [start + 0.2 * i for i in range(6)]),
+        _flow(TUPLE_C, 4, [start + 0.1, start + 0.3, start + 0.5]),
+    ]
+    reference, _ = _replay_both(splidt_model, splidt_rules, [flows, second], eviction=policy)
+    for read_objects in (False, True):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
+        replay_dataset(program, _dataset(flows), engine=first_engine)
+        if read_objects:
+            assert len(program.resident(0).window) == 2
+        replay_dataset(program, _dataset(second), engine="vectorized")
+        assert program.replay_stats["packets"] == {"batched": 0, "slot_stream": 9}
+        assert _snapshot(program, program.verdicts) == _snapshot(reference, reference.verdicts)
+        assert_same_slot_state(reference, program)
+    assert reference.eviction_stats()["evictions"] == (2 if start == 11.0 else 3)
 
 
 def test_deferred_record_makes_no_reference_cycle(splidt_model, splidt_rules):

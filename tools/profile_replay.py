@@ -31,7 +31,7 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
-per path, per-packet reasons, event rounds, the slot state left ``deferred`` —,
+per plane, event rounds, the slot state left ``deferred`` —,
 ``settle_s`` — seconds of one ``program.occupied_slots()`` after the replay,
 outside the profile: what the next reader of slot state (a serving session's
 next flush) pays for that deferred state —, swap metrics when ``--online``,
@@ -225,16 +225,15 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler)
     print(f"\nreplayed {len(result.verdicts)} verdicts "
           f"(data-plane F1 {result.report.f1_score:.3f})")
-    # Left by ``replay_arrays`` (vectorized and scenario replays): which path the
-    # flows and packets took, and why any went per packet.
+    # Left by ``replay_arrays`` (vectorized and scenario replays): which plane
+    # the flows and packets took.
     replay_stats = getattr(program, "replay_stats", None)
     settle_s = None
     if replay_stats is not None:
         settle_started = time.perf_counter()
         program.occupied_slots()
         settle_s = round(time.perf_counter() - settle_started, 6)
-        print(f"paths: packets {replay_stats['packets']}, per-packet reasons "
-              f"{replay_stats['per_packet_reasons']}, "
+        print(f"paths: packets {replay_stats['packets']}, "
               f"{replay_stats['event_rounds']} slot-stream event rounds; "
               f"deferred {replay_stats['deferred']} settled in "
               f"{settle_s * 1e3:.2f} ms")
