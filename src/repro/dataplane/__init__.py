@@ -16,8 +16,9 @@ from repro.dataplane.runtime import (
     replay_dataset,
     ttd_ecdf,
 )
-from repro.dataplane.splidt_program import FlowVerdict, SpliDTDataPlane
+from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.dataplane.vectorized import replay_arrays
+from repro.dataplane.verdicts import FlowVerdict, Verdicts
 
 __all__ = [
     "Controller",
@@ -26,6 +27,7 @@ __all__ = [
     "REPLAY_ENGINES",
     "ReplayResult",
     "SpliDTDataPlane",
+    "Verdicts",
     "build_replay_result",
     "generate_p4_program",
     "generate_table_entries",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.evaluation import ClassificationReport
-from repro.dataplane.splidt_program import FlowVerdict
+from repro.dataplane.verdicts import Verdicts
 from repro.datasets.flows import Flow, FlowDataset, PacketArrays
 
 #: Engines accepted by :func:`replay_dataset`.
@@ -52,7 +52,7 @@ class ReplayResult:
     :meth:`recirculations_per_flow` are comparable across replay engines.
     """
 
-    verdicts: dict[int, FlowVerdict]
+    verdicts: Verdicts
     labels: dict[int, int]
     report: ClassificationReport
     recirculation: dict[str, float] = field(default_factory=dict)
@@ -66,15 +66,15 @@ class ReplayResult:
             >>> result.time_to_detection().mean()  # doctest: +SKIP
             0.041
         """
-        return np.array([v.time_to_detection for v in self.verdicts.values()], dtype=float)
+        return self.verdicts.time_to_detection()
 
     def recirculations_per_flow(self) -> np.ndarray:
         """Per-flow recirculation counts."""
-        return np.array([v.n_recirculations for v in self.verdicts.values()], dtype=float)
+        return self.verdicts.n_recirculations.astype(float)
 
 
 def build_replay_result(
-    verdicts: dict[int, FlowVerdict],
+    verdicts: Verdicts,
     labels: dict[int, int],
     recirculation: dict[str, float] | None = None,
 ) -> ReplayResult:
@@ -82,12 +82,13 @@ def build_replay_result(
 
     Shared by :func:`replay_dataset` and the serving engines' ``close()`` so
     batch and streaming replays produce structurally identical results.
+    Scores from the verdict columns: no per-flow object is built.
     """
-    verdicts = dict(sorted(verdicts.items()))
-    decided_ids = [flow_id for flow_id in verdicts if flow_id in labels]
-    y_true = np.array([labels[flow_id] for flow_id in decided_ids], dtype=np.intp)
-    y_pred = np.array([verdicts[flow_id].label for flow_id in decided_ids], dtype=np.intp)
-    if decided_ids:
+    flow_ids = verdicts.flow_ids.tolist()
+    scored = [row for row, flow_id in enumerate(flow_ids) if flow_id in labels]
+    y_true = np.array([labels[flow_ids[row]] for row in scored], dtype=np.intp)
+    y_pred = verdicts.labels[scored].astype(np.intp)
+    if scored:
         report = ClassificationReport.from_predictions(y_true, y_pred)
     else:
         report = ClassificationReport(0.0, 0.0, 0.0, 0.0, 0, np.zeros((0, 0)))

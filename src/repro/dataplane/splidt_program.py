@@ -29,13 +29,13 @@ batched engines (:mod:`repro.dataplane.vectorized`,
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet, group_by_sid
-from repro.dataplane.controller import Controller, Digest
+from repro.dataplane.controller import Controller
+from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import FiveTuple, Packet, PacketArrays
 from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.stateful import StatefulOperator, make_operator
@@ -66,28 +66,6 @@ def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]
         _PROTOCOL: float(five_tuple.protocol),
         _PKT_LEN_FIRST: float(first_size),
     }
-
-
-@dataclass(slots=True)
-class FlowVerdict:
-    """Final classification of one flow as observed by the data plane.
-
-    ``slots=True`` matters at scale: a million-flow flood replay holds one
-    verdict per decided flow, and the instance dict would dominate the
-    process footprint (see ``benchmarks/test_scenario_pressure.py``).
-    """
-
-    flow_id: int
-    label: int
-    decided_at: float
-    first_packet_at: float
-    n_recirculations: int
-    early_exit: bool
-
-    @property
-    def time_to_detection(self) -> float:
-        """Seconds from the start of tree traversal to the final decision."""
-        return max(self.decided_at - self.first_packet_at, 0.0)
 
 
 @dataclass
@@ -290,7 +268,8 @@ class SpliDTDataPlane:
         #: Slot state the batched planes left as columns, not in
         #: ``_flow_state`` yet (see :meth:`hand_over`).
         self._unsettled: list[SlotHandover] = []
-        self._verdicts: dict[int, FlowVerdict] = {}
+        #: Every decided row, batched and per packet (see :attr:`verdicts`).
+        self._verdicts = VerdictStore()
         self._stateful_by_sid: dict[int, list[int]] = {}
 
         # Capture the lookup mode at deploy time: later set_lookup calls on
@@ -304,8 +283,11 @@ class SpliDTDataPlane:
     # ------------------------------------------------------------------
     # Packet path
     # ------------------------------------------------------------------
-    def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> FlowVerdict | None:
+    def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> None:
         """Run one data packet through the pipeline.
+
+        A packet that triggers the flow's final decision records one row in
+        the verdict store (:attr:`verdicts`) and one digest.
 
         Args:
             phv: The parsed packet.
@@ -314,9 +296,6 @@ class SpliDTDataPlane:
             flow_size: Total packets of the flow, as carried in the packet
                 header (Homa/NDP flow-size field) — used to derive window
                 boundaries.
-
-        Returns:
-            The flow's verdict if this packet triggered the final decision.
         """
         if self._unsettled:
             self._settle()
@@ -326,7 +305,7 @@ class SpliDTDataPlane:
             if state.five_tuple == phv.five_tuple:
                 # The flow already received its verdict; remaining packets are
                 # forwarded without further inference (terminal SID).
-                return None
+                return
             state = None  # a new flow reclaims the slot
         elif (
             state is not None
@@ -369,30 +348,30 @@ class SpliDTDataPlane:
         boundaries = cached_window_boundaries(flow_size, self._n_partitions)
         boundary = boundaries[min(state.window_index, len(boundaries) - 1)]
         if state.packets_seen < boundary and state.packets_seen < flow_size:
-            return None
+            return
+        self._window_boundary(phv, flow_id, state)
 
-        return self._window_boundary(phv, flow_id, state)
-
-    def _window_boundary(self, phv: Phv, flow_id: int, state: _FlowState) -> FlowVerdict | None:
+    def _window_boundary(self, phv: Phv, flow_id: int, state: _FlowState) -> None:
         feature_vector = self._feature_vector(state)
         outcome = self.rules.classify(state.sid, feature_vector)
         timestamp = phv.packet.timestamp
 
         if outcome is None:
             # No rule matched (quantisation corner); fall back to the default.
-            return self._finalise(flow_id, state, self.model.default_label, timestamp, False)
+            self._finalise(flow_id, state, self.model.default_label, timestamp, False)
+            return
 
         kind, value = outcome
         is_last_window = state.window_index >= self.model.config.n_partitions - 1
         if kind == "exit" or is_last_window:
             label = value if kind == "exit" else self.model.default_label
-            return self._finalise(flow_id, state, label, timestamp, kind == "exit" and not is_last_window)
+            self._finalise(flow_id, state, label, timestamp, kind == "exit" and not is_last_window)
+            return
 
         # Transition to the next subtree via a recirculated control packet.
         control = make_control_phv(phv.five_tuple, next_sid=value, timestamp=timestamp)
         self.recirculation.submit(control, timestamp)
         self._apply_control(control, state)
-        return None
 
     def _apply_control(self, control: Phv, state: _FlowState) -> None:
         """Consume a recirculated control packet: update SID, reset the operators."""
@@ -410,21 +389,14 @@ class SpliDTDataPlane:
         label: int,
         timestamp: float,
         early_exit: bool,
-    ) -> FlowVerdict:
-        verdict = FlowVerdict(
-            flow_id=flow_id,
-            label=int(label),
-            decided_at=timestamp,
-            first_packet_at=state.first_packet_at,
-            n_recirculations=state.n_recirculations,
-            early_exit=early_exit,
+    ) -> None:
+        label = int(label)
+        self._verdicts.append_row(
+            flow_id, label, timestamp, state.first_packet_at, state.n_recirculations,
+            early_exit, state.sid,
         )
-        self._verdicts[flow_id] = verdict
-        self.controller.receive_digest(
-            Digest(flow_id=flow_id, label=int(label), timestamp=timestamp, sid=state.sid)
-        )
+        self.controller.receive_digest(flow_id, label, timestamp, state.sid)
         state.decided = True
-        return verdict
 
     # ------------------------------------------------------------------
     # Batched path (vectorized replay engine)
@@ -489,11 +461,10 @@ class SpliDTDataPlane:
             staging: Optional digest-staging list (owned by the engine's
                 :class:`~repro.dataplane.vectorized.ReplayWorkspace`).  When
                 given, decided rows are appended to it as column slices
-                instead of being finalised inline; the engine materialises
-                verdicts and digests once per replay via
-                :meth:`finalise_staged`.  When omitted, finalisation is
-                immediate (the drop-in scalar-equivalent contract direct
-                callers rely on).
+                instead of being finalised inline; the engine records them
+                once per replay via :meth:`finalise_staged`.  When omitted,
+                finalisation is immediate (the drop-in scalar-equivalent
+                contract direct callers rely on).
 
         Returns:
             ``(advance_mask, next_sids)`` — rows with ``advance_mask`` True
@@ -565,42 +536,26 @@ class SpliDTDataPlane:
     ) -> None:
         """Record verdicts and digests for many decided rows at once.
 
-        Batched equivalent of :meth:`_finalise`: each column becomes native
-        Python values in one ``tolist`` pass and the verdicts are built and
-        stored in one C-level pass over them (rows in order, so a flow id
-        decided twice keeps its later verdict).  The controller gets the
-        digest columns and builds objects only if it retains them.
+        Batched equivalent of :meth:`_finalise`: the columns are appended to
+        the verdict store as one block (rows in order, so a flow id decided
+        twice keeps its later verdict), and the controller retains the same
+        arrays as its digest columns.  No object is built per row.
         """
         if len(flow_ids) == 0:
             return
-        ids, labels, decided_at = flow_ids.tolist(), labels.tolist(), boundary_ts.tolist()
         # A flow has recirculated once per window it completed before this one.
-        recirculations = (
-            window_index.tolist()
-            if isinstance(window_index, np.ndarray)
-            else repeat(window_index)
+        if not isinstance(window_index, np.ndarray):
+            window_index = np.full(len(flow_ids), window_index, dtype=np.int64)
+        self._verdicts.append(
+            flow_ids, labels, boundary_ts, first_packet_ts, window_index, early_exits, sids
         )
-        self._verdicts.update(
-            zip(
-                ids,
-                map(
-                    FlowVerdict,
-                    ids,
-                    labels,
-                    decided_at,
-                    first_packet_ts.tolist(),
-                    recirculations,
-                    early_exits.tolist(),
-                ),
-            )
-        )
-        self.controller.receive_digests(ids, labels, decided_at, sids)
+        self.controller.receive_digests(flow_ids, labels, boundary_ts, sids)
 
     def finalise_staged(self, staging: list) -> None:
-        """Materialise verdicts and digests for rounds staged by ``step_windows``.
+        """Record the rounds staged by ``step_windows`` as verdict and digest rows.
 
         The fused replay loop hands ``step_windows`` its workspace's staging
-        list so the round loop never builds Python objects; this drains the
+        list so the round loop records nothing per round; this drains the
         list in round order — verdict and digest ordering is identical to the
         inline per-round finalisation.  Idempotent on an empty list.
         """
@@ -788,9 +743,24 @@ class SpliDTDataPlane:
     # Statistics
     # ------------------------------------------------------------------
     @property
-    def verdicts(self) -> dict[int, FlowVerdict]:
-        """Verdicts recorded so far, keyed by flow id."""
-        return dict(self._verdicts)
+    def verdicts(self) -> Verdicts:
+        """Verdicts recorded so far: an immutable snapshot, keyed by flow id.
+
+        A read-only ``Mapping[int, FlowVerdict]`` over the decided rows'
+        columns (:class:`~repro.dataplane.verdicts.Verdicts`); later rows do
+        not change a snapshot already taken.
+        """
+        return self._verdicts.snapshot()
+
+    def verdict_rows(self, start: int = 0) -> tuple[np.ndarray, ...]:
+        """Decided rows from row ``start`` on, in decision order, as columns.
+
+        One array per :data:`~repro.dataplane.verdicts.VERDICT_COLUMNS`
+        entry, a flow decided twice once per decision: what a
+        ``sharded-mp`` worker ships to the parent, which appends the rows to
+        a store of its own.  Read the arrays, do not write them.
+        """
+        return self._verdicts.columns(start)
 
     def eviction_stats(self) -> dict:
         """Admission and eviction counters, plus the evicted flow ids.

@@ -37,7 +37,7 @@ register slots) are cached on ``PacketArrays.derived`` and shared by every
 replay of the same traffic.  Flows advance in lock-step window rounds
 through ``SpliDTDataPlane.step_windows``, which receives the round's subtree
 grouping and the workspace's staging list, so grouping happens once per
-round and verdict/digest objects are materialised once per replay.
+round and decided rows are recorded, as column blocks, once per replay.
 
 Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
@@ -702,8 +702,8 @@ def _replay_splidt_batched(
     and per-row columns are gathered into workspace views with
     ``np.take(..., out=...)``, the subtree grouping is computed once and
     shared with :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
-    and decided rows are staged — verdict/digest objects materialise once at
-    the end of the replay.
+    and decided rows are staged — recorded as verdict and digest columns once
+    at the end of the replay.
     """
     ws = workspace if workspace is not None else ReplayWorkspace()
     n_fast = fast.size

@@ -141,7 +141,7 @@ class OnlineController:
         swaps by contract.
         """
         verdicts = engine.verdicts()
-        fresh = [vd for fid, vd in verdicts.items() if fid not in self._seen]
+        fresh = [verdicts[fid] for fid in verdicts if fid not in self._seen]
         if not fresh:
             return None
         fresh.sort(key=lambda vd: (vd.decided_at, vd.flow_id))

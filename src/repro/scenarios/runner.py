@@ -152,8 +152,7 @@ def run_scenario(
         program = get_system(exp_spec.system).build_program(
             model, rules, exp_spec.replace(scenario=scenario, flow_slots=flow_slots)
         )
-        # Scenario replays read verdicts, never the digest stream — retaining
-        # one digest per decided flow would dominate RSS on million-flow floods.
+        # Scenario replays read verdicts, never the digest stream.
         program.controller.retain_digests = False
         replay_started = time.perf_counter()
         replay_workload(program, workload)
@@ -161,14 +160,13 @@ def run_scenario(
 
         labels = np.asarray(workload.soa.labels[: workload.n_legit])
         verdicts = program.verdicts
-        decided = [fid for fid in range(workload.n_legit) if fid in verdicts]
-        if decided:
-            y_true = labels[decided]
-            y_pred = np.array([verdicts[fid].label for fid in decided])
-            report = ClassificationReport.from_predictions(y_true, y_pred)
+        # Legitimate flows are flow ids 0 .. n_legit - 1; the columns are in flow-id order.
+        decided = np.flatnonzero(verdicts.flow_ids < workload.n_legit)
+        if decided.size:
+            y_true = labels[verdicts.flow_ids[decided]]
+            report = ClassificationReport.from_predictions(y_true, verdicts.labels[decided])
             accuracy, f1 = report.accuracy, report.f1_score
-            ttd = np.array([verdicts[fid].time_to_detection for fid in decided])
-            median_ttd = float(np.median(ttd))
+            median_ttd = float(np.median(verdicts.time_to_detection()[decided]))
         else:
             accuracy = f1 = 0.0
             median_ttd = float("nan")

@@ -52,6 +52,7 @@ import numpy as np
 from repro.analysis.streaming import RollingReport, RollingTTD
 from repro.dataplane import vectorized as vz
 from repro.dataplane.runtime import ReplayResult, build_replay_result
+from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
 from repro.switch.recirculation import RecirculationChannel
 
@@ -324,9 +325,10 @@ class InferenceEngine(abc.ABC):
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def verdicts(self) -> dict:
+    def verdicts(self) -> Verdicts:
         """Snapshot of the verdicts recorded so far, keyed by flow id.
 
+        An immutable :class:`~repro.dataplane.verdicts.Verdicts` mapping.
         Safe to call at any point of the lifecycle; monotone (a verdict
         never disappears between calls).  After :meth:`swap_model` this is
         the union over every model epoch (flow ids are globally unique, and
@@ -336,13 +338,12 @@ class InferenceEngine(abc.ABC):
         """
         if not self._epoch_children:
             return self._engine_verdicts()
-        merged = dict(self._engine_verdicts())
-        for child in self._epoch_children:
-            merged.update(child.verdicts())
-        return merged
+        return Verdicts.merged(
+            [self._engine_verdicts(), *(child.verdicts() for child in self._epoch_children)]
+        )
 
     @abc.abstractmethod
-    def _engine_verdicts(self) -> dict:
+    def _engine_verdicts(self) -> Verdicts:
         """This engine's own verdicts (excluding swapped-in epoch children)."""
 
     def recirculation_stats(self) -> dict[str, float]:
@@ -394,14 +395,14 @@ class InferenceEngine(abc.ABC):
         """
         verdicts = self.verdicts()
         labels = self._label_map()
-        for flow_id, verdict in verdicts.items():
-            if flow_id in self._scored:
-                continue
-            self._scored.add(flow_id)
-            self._rolling_ttd.update([verdict.time_to_detection])
-            label = labels.get(flow_id)
+        flow_ids = verdicts.flow_ids.tolist()
+        fresh = [row for row, flow_id in enumerate(flow_ids) if flow_id not in self._scored]
+        self._rolling_ttd.update(verdicts.time_to_detection()[fresh].tolist())
+        for row, predicted in zip(fresh, verdicts.labels[fresh].tolist()):
+            self._scored.add(flow_ids[row])
+            label = labels.get(flow_ids[row])
             if label is not None:
-                self._rolling_report.update(label, verdict.label)
+                self._rolling_report.update(label, predicted)
         return EngineStats(
             engine=self.name,
             packets=self._packets,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataplane import vectorized as vz
+from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import (
     DEFAULT_BACKPRESSURE,
@@ -100,8 +101,8 @@ class MicroBatchEngine(InferenceEngine):
         self._workspace = vz.ReplayWorkspace()
         self._counters = {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
 
-    def _engine_verdicts(self) -> dict:
-        """The program's live verdict dict (non-blocking snapshot).
+    def _engine_verdicts(self) -> Verdicts:
+        """The program's verdict snapshot (non-blocking).
 
         A flow's verdict appears when the flush containing its boundary
         packet runs — eagerly mid-stream, or at ``drain`` for the rest.

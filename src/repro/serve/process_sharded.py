@@ -23,11 +23,12 @@ the GIL):
   worker has built its program (LUT compilation included), so warm-up is
   paid once up front instead of inside the serving window;
 * verdict and recirculation aggregation happens **in the workers**: each
-  worker keeps its own verdict dict and
-  :func:`~repro.serve.engine.channel_aggregate`, and ships one merged
-  payload per drain/snapshot round.  The parent folds payloads in *worker
-  index order* (never arrival order), so the merged verdict stream is
-  bit-identical run to run even when a worker finishes late.
+  worker's program keeps its own decided rows and
+  :func:`~repro.serve.engine.channel_aggregate`, and ships the rows decided
+  since its last report, as arrays, once per drain/snapshot round.  The
+  parent appends payloads to one verdict store in *worker index order*
+  (never arrival order), so the merged verdict stream is bit-identical run
+  to run even when a worker finishes late.
 
 Because flows that share a register slot land on the same worker by
 construction (``slot % workers``), hash-collision corruption is reproduced
@@ -63,6 +64,7 @@ import weakref
 import numpy as np
 
 from repro.dataplane import vectorized as vz
+from repro.dataplane.verdicts import Verdicts, VerdictStore
 from repro.datasets.shm import SharedPacketArrays
 from repro.datasets.streams import LazyFlowList, PacketChunk
 from repro.serve.engine import (
@@ -98,23 +100,17 @@ _POLL = 0.2
 _STOP_TIMEOUT = 0.25
 
 
-def _snapshot_payload(engine, program, reported: set) -> dict:
-    """What a worker reports about its shard: *new* verdicts + raw counters.
+def _snapshot_payload(engine, program, reported: int) -> dict:
+    """What a worker reports about its shard: *new* decided rows + raw counters.
 
-    Only verdicts not yet shipped cross the result queue (the parent merges
-    cumulatively), so frequent observation — ``stats()`` every chunk, the
-    CLI's ``--digests`` — stays linear in decided flows instead of
-    quadratic.
+    Only the rows decided after the first ``reported`` cross the result
+    queue, as the program's verdict columns (the parent appends them to one
+    store), so frequent observation — ``stats()`` every chunk, the CLI's
+    ``--digests`` — stays linear in decided flows instead of quadratic, and
+    no verdict object is pickled.
     """
-    verdicts = engine.verdicts()
-    fresh = {
-        flow_id: verdict
-        for flow_id, verdict in verdicts.items()
-        if flow_id not in reported
-    }
-    reported.update(fresh)
     return {
-        "verdicts": fresh,
+        "rows": program.verdict_rows(reported),
         "recirculation": channel_aggregate(program),
         "buffered": engine._buffered_packet_count(),
         "batching": engine._batching_stats(),
@@ -202,10 +198,13 @@ def _worker_main(
         if os.getppid() != parent_pid:
             raise _ParentLost
 
-    reported: set = set()
+    reported = 0
 
     def reply(kind: str) -> None:
-        results.put((kind, index, _snapshot_payload(engine, program, reported)))
+        nonlocal reported
+        payload = _snapshot_payload(engine, program, reported)
+        reported += payload["rows"][0].size
+        results.put((kind, index, payload))
 
     failed = False
     try:
@@ -363,7 +362,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._segments: list = []
         self._shard_of_flow: np.ndarray | None = None
         self._table_size: int | None = None
-        self._merged_verdicts: dict = {}
+        self._merged = VerdictStore()
         self._aggregates: dict[int, tuple] = {}
         self._buffered: dict[int, int] = {}
         self._batching: dict[int, dict[str, int]] = {}
@@ -561,7 +560,7 @@ class ProcessShardedEngine(InferenceEngine):
             self._absorb(shard, payloads[shard])
 
     def _absorb(self, shard: int, payload: dict) -> None:
-        self._merged_verdicts.update(payload["verdicts"])
+        self._merged.append(*payload["rows"])
         self._aggregates[shard] = payload["recirculation"]
         self._buffered[shard] = payload["buffered"]
         self._batching[shard] = payload["batching"]
@@ -629,7 +628,7 @@ class ProcessShardedEngine(InferenceEngine):
     # ------------------------------------------------------------------
     # Observation (merged over workers)
     # ------------------------------------------------------------------
-    def _engine_verdicts(self) -> dict:
+    def _engine_verdicts(self) -> Verdicts:
         """Merged verdict snapshot, keyed by globally unique flow id.
 
         While the stream is open this performs one synchronous
@@ -638,12 +637,12 @@ class ProcessShardedEngine(InferenceEngine):
         state without touching the workers.
         """
         if self._final or self._shard_of_flow is None or self._cleaned:
-            return dict(self._merged_verdicts)
+            return self._merged.snapshot()
         self._check_failures()
         for ring in self._rings:
             ring.push(KIND_SNAPSHOT, poll=self._check_failures)
         self._collect("snapshot")
-        return dict(self._merged_verdicts)
+        return self._merged.snapshot()
 
     def _engine_recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters merged over the workers' channels.

@@ -12,6 +12,7 @@ whole-stream chunk.
 from __future__ import annotations
 
 from repro.dataplane import vectorized as vz
+from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import InferenceEngine, ServeError
 
@@ -37,8 +38,8 @@ class StreamingEngine(InferenceEngine):
             raise ServeError("StreamingEngine requires a data-plane program")
         self.program = program
 
-    def _engine_verdicts(self) -> dict:
-        """The program's live verdict dict (non-blocking snapshot).
+    def _engine_verdicts(self) -> Verdicts:
+        """The program's verdict snapshot (non-blocking).
 
         Per-packet execution means a verdict is visible immediately after
         the ``ingest`` call that carried its boundary packet returns.
