@@ -105,15 +105,18 @@ def build_slot_stream(
     slots: np.ndarray,
     flow_mask: np.ndarray,
     prefix_counts: np.ndarray | None = None,
+    start_counts: np.ndarray | None = None,
 ) -> SlotStream:
     """Order the packets of the flows in ``flow_mask`` by ``(slot, arrival)``.
 
     Arrival order is the global ``(timestamp, flow_id)`` interleave; a stable
     sort by slot on top of it keeps it within every slot.  ``prefix_counts``
     restricts each flow to its first packets, as in
-    :func:`~repro.dataplane.vectorized._replay_scalar`.
+    :func:`~repro.dataplane.vectorized._replay_scalar`, and ``start_counts``
+    skips the packets an earlier call already replayed (per flow, both
+    optional): a serving engine replays each flow from where it stopped.
     """
-    order = vz._arrival_order(soa, flow_mask, prefix_counts)
+    order = vz._arrival_order(soa, flow_mask, prefix_counts, start_counts)
     flow = np.asarray(soa.packet_flow[order])
     packet_slots = slots[flow]
     by_slot = np.argsort(packet_slots, kind="stable")

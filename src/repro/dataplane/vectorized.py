@@ -286,8 +286,8 @@ def cached_tuple_ids(soa: PacketArrays, table_size: int) -> np.ndarray:
     """Dense per-flow five-tuple id (equal iff the tuples are equal), soa-cached.
 
     The slot-stream plane compares a slot's resident with incoming packets
-    by these ids, and the micro-batch engine finds repeated tuples with
-    them.  Filled by the first :func:`cached_flow_slots` pass, or by
+    by these ids, and the micro-batch engine a new flow with its slot's
+    resident.  Filled by the first :func:`cached_flow_slots` pass, or by
     :func:`seed_flow_hashes` in a worker process.
     """
     if "tuple_ids" not in soa.derived:
@@ -613,6 +613,30 @@ def _segment_rounds(
     return rounds
 
 
+#: Window end of a window a flow does not have.
+NO_WINDOW = np.iinfo(np.int64).max
+
+
+def window_ends(soa: PacketArrays, n_partitions: int) -> np.ndarray:
+    """Per-flow window ends under ``n_partitions``, ``(n_flows, n_partitions + 1)`` (soa-cached).
+
+    Window ``w`` of flow ``f`` covers its local packets ``[ends[f, w - 1],
+    ends[f, w])`` (from 0 for ``w = 0``), exactly the segments of
+    :func:`_segment_rounds`; a window the flow does not have ends at
+    :data:`NO_WINDOW`, and so does the extra last column.  A function of the
+    packet counts and the partition count only.
+    """
+    key = ("window_ends", n_partitions)
+    ends = soa.derived.get(key)
+    if ends is None:
+        counts = soa.n_packets_per_flow
+        ends = np.full((counts.size, n_partitions + 1), NO_WINDOW, dtype=np.int64)
+        for w, (valid, _, end) in enumerate(_segment_rounds(counts, n_partitions)):
+            ends[valid, w] = end[valid]
+        soa.derived[key] = ends
+    return ends
+
+
 def _replay_scalar(
     program,
     flows: list[Flow],
@@ -637,8 +661,7 @@ def _replay_scalar(
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
-    packet headers — the micro-batch serving engine uses this to replay the
-    buffered prefix of flows whose stream ended mid-flow.
+    packet headers: the packets of a stream delivered so far.
     """
     from repro.dataplane.slot_stream import replay_slot_stream
 
@@ -648,18 +671,26 @@ def _replay_scalar(
 
 
 def _arrival_order(
-    soa: PacketArrays, flow_mask: np.ndarray, prefix_counts: np.ndarray | None = None
+    soa: PacketArrays,
+    flow_mask: np.ndarray,
+    prefix_counts: np.ndarray | None = None,
+    start_counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Packet positions of the flows in ``flow_mask``, in global arrival order.
 
     ``prefix_counts`` keeps only each flow's first ``prefix_counts[i]``
-    packets.  Only the selected packets are touched: they are sorted by the
-    ``(timestamp, flow_id)`` key of ``soa.interleave_order`` (a stable sort
-    of flow-major positions, so ties fall exactly as they do there).
+    packets, ``start_counts`` drops its first ``start_counts[i]`` (per flow,
+    both optional).  Only the selected packets are touched: they are sorted
+    by the ``(timestamp, flow_id)`` key of ``soa.interleave_order`` (a stable
+    sort of flow-major positions, so ties fall exactly as they do there).
     """
     selected = np.flatnonzero(flow_mask)
     counts = (soa.n_packets_per_flow if prefix_counts is None else prefix_counts)[selected]
-    positions, _ = _segment_positions(soa.flow_starts[selected], counts)
+    starts = soa.flow_starts[selected]
+    if start_counts is not None:
+        counts = counts - start_counts[selected]
+        starts = starts + start_counts[selected]
+    positions, _ = _segment_positions(starts, counts)
     order = np.lexsort((np.repeat(soa.flow_ids[selected], counts), soa.timestamps[positions]))
     return positions[order]
 

@@ -10,8 +10,10 @@ Stream contract (what the serving engines assume and check):
 
 * every chunk of one engine session references the **same** source
   (``soa`` / ``flows`` pair), and
-* concatenating the chunks' ``positions`` yields a time-ordered
-  (non-decreasing timestamp) packet sequence — the order a switch observes.
+* concatenating the chunks' ``positions`` yields the packets in
+  ``(timestamp, flow_id)`` order — the order a switch observes, with ties in
+  the order every batched plane replays them — and each flow's packets in
+  order, from its first.
 
 :func:`iter_packet_chunks` produces chunks satisfying both by slicing the
 precomputed interleave permutation.
@@ -59,11 +61,18 @@ class PacketChunk:
     _flow_counts: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
+    _by_position: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_packets(self) -> int:
         """Packets carried by this chunk."""
         return int(self.positions.size)
+
+    def by_position(self) -> np.ndarray:
+        """The chunk's positions sorted: flow by flow, each flow's in packet order."""
+        if self._by_position is None:
+            self._by_position = np.sort(self.positions)
+        return self._by_position
 
     def flow_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Flow indices with packets in this chunk (ascending) and their packet counts.
@@ -72,9 +81,10 @@ class PacketChunk:
         bookkeeping on these flows only, whatever the size of the source.
         """
         if self._flow_counts is None:
-            self._flow_counts = np.unique(
-                self.soa.packet_flow[self.positions], return_counts=True
-            )
+            # Positions are flow-major, so sorted positions group the flows.
+            flows = self.soa.packet_flow[self.by_position()]
+            starts = np.flatnonzero(np.diff(flows, prepend=-1))
+            self._flow_counts = (flows[starts], np.diff(starts, append=flows.size))
         return self._flow_counts
 
     def timestamps(self) -> np.ndarray:

@@ -20,8 +20,8 @@ them); ingesting after ``drain`` is an error.  ``close`` drains implicitly
 when needed and assembles the final :class:`~repro.dataplane.ReplayResult`.
 
 Semantics contract (asserted by ``tests/test_serve_engines.py``): for a
-time-ordered stream, the verdicts, time-to-detection values and
-recirculation statistics after ``drain`` are **bit-identical** to
+stream in ``(timestamp, flow_id)`` order, the verdicts, time-to-detection
+values and recirculation statistics after ``drain`` are **bit-identical** to
 ``replay_dataset(..., engine="reference")`` over the same packets — for any
 chunk sizes, including hash-collision flows and the IAT accumulation-order
 guarantee, and regardless of how many shards the work is spread over.
@@ -30,9 +30,9 @@ Concrete engines:
 
 * :class:`~repro.serve.streaming.StreamingEngine` — per-packet reference
   runtime, verdicts appear the moment their boundary packet is ingested.
-* :class:`~repro.serve.microbatch.MicroBatchEngine` — batches flows through
-  the vectorized window machinery; completed flows are flushed eagerly in
-  micro-batches, the remainder at ``drain``.
+* :class:`~repro.serve.microbatch.MicroBatchEngine` — batches windows through
+  the vectorized planes; a flow's window is flushed eagerly once its last
+  packet is in, with other flows' ready windows.
 * :class:`~repro.serve.process_sharded.ProcessShardedEngine` — partitions
   flows by their CRC32 register slot across worker *processes* over a
   shared-memory packet source, so disjoint-slot flows advance in parallel;
@@ -93,9 +93,10 @@ class EngineStats:
             process-sharded session no worker has reported to yet).
         batching: Micro-batch flush counters, summed over shards, workers
             and model epochs (empty for the per-packet streaming engine):
-            ``flushes``, ``flushed_flows`` (their ratio is the mean flush
-            size the vectorized machinery amortises its fixed cost over) and
-            ``eligible_scans`` (eligibility computations, flushing or not).
+            ``flushes``, ``flushed_flows`` (flows with a ready window per
+            flush, summed: their ratio is the mean flush size the vectorized
+            machinery amortises its fixed cost over) and ``eligible_scans``
+            (eligibility computations, flushing or not).
         transport: IPC-transport health counters (empty for the in-process
             engines).  The process-sharded engine's rings report ``ring_slots``, live ``ring_occupancy`` and
             producer/consumer stall episodes — see
@@ -194,6 +195,18 @@ def sum_counters(counters) -> dict[str, int]:
     return dict(total)
 
 
+def _flows_in_time_order(soa) -> bool:
+    """Whether every flow's packets are in time order in the source (soa-cached)."""
+    ordered = soa.derived.get("flows_in_time_order")
+    if ordered is None:
+        backwards = np.flatnonzero(np.diff(soa.timestamps) < 0) + 1
+        # A step back is allowed only where a new flow starts.
+        starts = soa.flow_starts[:-1][soa.n_packets_per_flow > 0]
+        ordered = bool(np.isin(backwards, starts).all())
+        soa.derived["flows_in_time_order"] = ordered
+    return ordered
+
+
 class InferenceEngine(abc.ABC):
     """Base class implementing the serving lifecycle and rolling statistics.
 
@@ -212,6 +225,9 @@ class InferenceEngine(abc.ABC):
         self._flows: list | None = None
         self._labels: dict[int, int] | None = None
         self._watermark = float("-inf")
+        #: ``(flow id, position)`` of the last packet ingested: ties at the
+        #: watermark must follow it.
+        self._last_packet = (-(2**63), -1)
         self._packets = 0
         self._chunks = 0
         self._flows_seen = 0
@@ -251,8 +267,9 @@ class InferenceEngine(abc.ABC):
 
         Ordering contract: chunks of one session must reference a single
         :class:`~repro.datasets.flows.PacketArrays` source and their
-        concatenated positions must be non-decreasing in timestamp — both
-        are validated here and violations raise :class:`ServeError`.
+        concatenated positions must be in ``(timestamp, flow_id)`` order,
+        each flow's packets in order from its first — both are validated
+        here and violations raise :class:`ServeError`.
 
         Blocking/backpressure contract: the single-program engines return
         as soon as the chunk is buffered/processed and raise
@@ -635,15 +652,65 @@ class InferenceEngine(abc.ABC):
             )
         positions = np.asarray(chunk.positions)
         if positions.size:
-            timestamps = self._soa.timestamps[positions]
-            if timestamps[0] < self._watermark or np.any(np.diff(timestamps) < 0):
+            touched, _ = chunk.flow_counts()
+            new_flows = int(np.count_nonzero(self._delivered[touched] == 0))
+            self._deliver(chunk)
+            self._packets += int(positions.size)
+            self._flows_seen += new_flows
+        self._chunks += 1
+
+    def _deliver(self, chunk: PacketChunk) -> None:
+        """Count the chunk's packets as delivered, or reject it for breaking the stream order.
+
+        The stream is ordered by ``(timestamp, flow_id)`` — equal timestamps
+        in flow-id order, across chunks too, which is the order every batched
+        plane replays ties in — and each flow's packets arrive in order, from
+        its first, none twice.  A rejected chunk changes nothing.
+        """
+        soa = self._soa
+        if not _flows_in_time_order(soa):
+            raise ServeError("every flow's packets must be in time order in the source")
+        positions = np.asarray(chunk.positions)
+        touched, counts = chunk.flow_counts()
+        timestamps = soa.timestamps[positions]
+        # Each packet's step from the one before it; ``back`` counts from the
+        # previous chunk's last packet.
+        step = np.diff(timestamps)
+        back = np.flatnonzero(step <= 0) + 1
+        if timestamps[0] <= self._watermark:
+            back = np.append(0, back)
+        if back.size:
+            if timestamps[0] < self._watermark or np.any(step[back[back > 0] - 1] < 0):
                 raise ServeError(
                     "stream must be time-ordered (non-decreasing timestamps "
                     "across and within chunks)"
                 )
-            self._watermark = float(timestamps[-1])
-            self._packets += int(positions.size)
-            touched, counts = chunk.flow_counts()
-            self._flows_seen += int(np.count_nonzero(self._delivered[touched] == 0))
-            self._delivered[touched] += counts
-        self._chunks += 1
+            # Ties: (flow id, position) ascending, the order a stable sort of
+            # flow-major positions by (timestamp, flow id) leaves them in.
+            ahead, at = positions[back - 1], positions[back]
+            ahead_ids, ids = soa.flow_ids[soa.packet_flow[ahead]], soa.flow_ids[soa.packet_flow[at]]
+            if back[0] == 0:
+                ahead_ids[0], ahead[0] = self._last_packet
+            if np.any((ids < ahead_ids) | ((ids == ahead_ids) & (at <= ahead))):
+                raise ServeError(
+                    "stream must deliver equal timestamps in flow-id order, each "
+                    "flow's packets in order (across and within chunks)"
+                )
+        # Each flow's packets now arrive in position order, none twice, so
+        # they are its next undelivered ones iff its run of positions starts
+        # there and spans as many positions as it has packets.
+        runs = chunk.by_position()
+        last = np.cumsum(counts) - 1
+        head = runs[last - counts + 1]
+        if not (
+            np.array_equal(head, soa.flow_starts[touched] + self._delivered[touched])
+            and np.array_equal(runs[last] - head, counts - 1)
+        ):
+            raise ServeError(
+                "each flow's packets must arrive in order, from its first packet, "
+                "none twice or past the flow's end"
+            )
+        self._delivered[touched] += counts
+        self._watermark = float(timestamps[-1])
+        final = int(positions[-1])
+        self._last_packet = (int(soa.flow_ids[soa.packet_flow[final]]), final)

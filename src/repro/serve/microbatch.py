@@ -1,41 +1,49 @@
 """Micro-batch engine: arbitrary-size packet chunks, vectorized execution.
 
-The engine buffers the incoming stream in columnar form (per-flow prefix
-counts over the shared :class:`~repro.datasets.flows.PacketArrays`) and
-pushes flows through the vectorized window machinery
-(:mod:`repro.dataplane.vectorized`) in *flushes*.  A flow is eligible for an
-eager flush once three conditions hold:
+The engine buffers the incoming stream as per-flow packet counts over the
+shared :class:`~repro.datasets.flows.PacketArrays` and advances every flow
+*window by window*: a window is ready once its last packet has been
+ingested (window bounds follow from the flow-size header, the Homa/NDP
+field), and the next flush closes it.  What a flush runs a flow on depends
+on its register slot:
 
-1. **complete** — all ``flow_size`` packets (the Homa/NDP header field) are
-   buffered, so every window segment of the flow can be reduced;
-2. **watermark passed** — a packet with a strictly greater timestamp has
-   been ingested.  Because the stream is time-ordered, every flow that could
-   still collide with it (share its CRC32 register slot while it is live)
-   has by then shown at least one packet; anything arriving later starts
-   after the flow's reference-engine verdict, i.e. after the slot has been
-   reclaimed;
-3. **unblocked** — no *other* live (seen, unflushed, non-eligible) flow
-   occupies the same register slot.
+* **solo** — the flow is alone in its slot.  Its ready windows close on the
+  flow-lockstep plane (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
+  one window index per row), from the flow's own packets.  A new flow
+  claims a slot solo when the slot is free, or when its previous resident
+  has received its last packet, has decided, and had a different five-tuple
+  (the reference engine then reclaims the slot on fresh state).
+* **contended** — another flow's packet reached the slot while its resident
+  was live, or a new flow repeated the resident's five-tuple.  At that
+  packet the resident's state goes to the program as one
+  :class:`~repro.dataplane.splidt_program.SlotHandover` row (decided, or
+  undecided with its open window's packets), and from then on every packet
+  of the slot is replayed by the slot-stream plane
+  (:mod:`repro.dataplane.slot_stream`) in arrival order, resuming from the
+  state the program holds — corruption, eviction and reclaim exactly as in
+  the reference engine.  One call replays every contended slot; it runs
+  once ``flush_flows`` of their flows have had a ready window since the
+  last one (and at ``drain``), because its cost is mostly per call.
 
-Flows flushed together that share a slot, flows whose stream ended mid-flow
-(prefixes) and flows too short to be sure of a verdict go through the
-slot-stream plane (:mod:`repro.dataplane.slot_stream`), which replays each
-shared slot's packets in arrival order with the reference engine's
-corruption, eviction and reclaim semantics — exactly the collision
-discipline of ``replay_dataset(engine="vectorized")`` — so the results after
-``drain`` are bit-identical to the reference loop for **any** chunking of
-the stream.
+Every rule reads only the packets delivered so far and each delivered
+flow's flow-size header, never a flow that has not arrived, and the
+verdicts after ``drain`` are bit-identical to the reference loop for **any**
+chunking of the stream.  A slot stays contended for the rest
+of the session: that is always correct.
 
 Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
-shared by all its flushes, so the per-round buffers of the fused window
-plane are allocated once per session, not once per flush.
+shared by all its flushes, so the window plane's per-round buffers are
+allocated once per session, not once per flush.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.range_marking import group_by_sid
 from repro.dataplane import vectorized as vz
+from repro.dataplane.slot_stream import _PACKET_FIELDS, build_slot_stream
+from repro.dataplane.splidt_program import OpenWindows, SlotHandover
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import (
@@ -46,6 +54,12 @@ from repro.serve.engine import (
     ServeError,
 )
 
+#: Flow phase: no packet yet, alone in its slot (deciding, or decided and
+#: forwarding its packets), in a contended slot.
+_UNSEEN, _SOLO, _FORWARDING, _CONTENDED = 0, 1, 2, 3
+
+_NO_FLOWS = np.empty(0, dtype=np.intp)
+
 
 class MicroBatchEngine(InferenceEngine):
     """Feeds arbitrary-size packet chunks through the vectorized machinery.
@@ -53,9 +67,8 @@ class MicroBatchEngine(InferenceEngine):
     Args:
         program: The ``SpliDTDataPlane`` every system deploys (a top-k
             baseline's is a one-partition model).
-        flush_flows: Eager-flush threshold: buffer at least this many
-            eligible flows before a flush (amortises the per-flush vectorized
-            setup).
+        flush_flows: Eager-flush floor: flush once at least this many flows
+            have a ready window (amortises the per-flush vectorized setup).
         backpressure: Maximum buffered (unprocessed) packets before
             :class:`~repro.serve.engine.BackpressureError` is raised.
 
@@ -88,15 +101,33 @@ class MicroBatchEngine(InferenceEngine):
         self.flush_flows = flush_flows
         self.backpressure = backpressure
         self._slots: np.ndarray | None = None
-        self._buffered: np.ndarray | None = None
-        self._flushed: np.ndarray | None = None
-        self._last_ts: np.ndarray | None = None
-        self._dirty_slots: np.ndarray | None = None
-        self._forced_scalar: np.ndarray | None = None
-        #: Live (buffered, unflushed) flows per register slot.
-        self._live_in_slot: np.ndarray | None = None
-        #: Complete, unflushed flows — the only candidates of an eager flush.
-        self._ready = np.empty(0, dtype=np.intp)
+        self._tuple_ids: np.ndarray | None = None
+        #: Per flow: window ends (``vz.window_ends``).
+        self._ends: np.ndarray | None = None
+        #: Per flow: the first window end its delivered packets have not reached.
+        self._next_end: np.ndarray | None = None
+        #: Per flow: packets the program has taken (closed windows, forwarded
+        #: after a verdict, handed over, replayed) of those delivered
+        #: (``self._delivered``).
+        self._done: np.ndarray | None = None
+        self._phase: np.ndarray | None = None
+        #: Per solo flow: decided, next window, active subtree.
+        self._decided: np.ndarray | None = None
+        self._window: np.ndarray | None = None
+        self._sid: np.ndarray | None = None
+        #: Per slot: its solo resident (flow index, -1 for none), and whether
+        #: it is contended.
+        self._resident: np.ndarray | None = None
+        self._contended: np.ndarray | None = None
+        #: Flows with a ready window since the last flush (may repeat).
+        self._due: list[np.ndarray] = []
+        #: Residents of slots contended since the last flush, and how many of
+        #: their packets arrived before the contending one.
+        self._handing: list[tuple[np.ndarray, np.ndarray]] = []
+        #: Flows of contended slots with packets not replayed yet, and how many
+        #: times one had a ready window since the last replay.
+        self._streamed: list[np.ndarray] = []
+        self._streamed_due = 0
         self._pending = 0
         self._workspace = vz.ReplayWorkspace()
         self._counters = {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
@@ -104,8 +135,8 @@ class MicroBatchEngine(InferenceEngine):
     def _engine_verdicts(self) -> Verdicts:
         """The program's verdict snapshot (non-blocking).
 
-        A flow's verdict appears when the flush containing its boundary
-        packet runs — eagerly mid-stream, or at ``drain`` for the rest.
+        A flow's verdict appears when the flush after its deciding packet
+        runs — eagerly mid-stream, or at ``drain`` for the rest.
         """
         return self.program.verdicts
 
@@ -152,131 +183,342 @@ class MicroBatchEngine(InferenceEngine):
         table_size = self.program.indexer.table_size
         # Hashed once per source: a sharded parent has already filled the cache.
         self._slots = vz.cached_flow_slots(soa, table_size)
-        self._buffered = np.zeros(soa.n_flows, dtype=np.int64)
-        self._flushed = np.zeros(soa.n_flows, dtype=bool)
-        self._dirty_slots = np.zeros(table_size, dtype=bool)
-        self._live_in_slot = np.zeros(table_size, dtype=np.int32)
-        self._last_ts = vz._last_timestamps(soa)
-        # Same-tuple flows can straddle flushes: the reference engine folds a
-        # retransmitted five-tuple into the earlier flow's (possibly decided)
-        # slot state.  The flow-lockstep plane keeps no slot state behind, so
-        # slots with a repeated tuple are pinned up front to the path that
-        # does (the slot-stream plane).
-        self._forced_scalar = np.zeros(soa.n_flows, dtype=bool)
-        populated = np.flatnonzero(soa.n_packets_per_flow > 0)
-        tuple_ids = vz.cached_tuple_ids(soa, table_size)[populated]
-        repeated = np.bincount(tuple_ids)[tuple_ids] > 1
-        if repeated.any():
-            # Equal tuples hash to one slot, so the repeats' slots are the set.
-            hit = np.isin(self._slots[populated], self._slots[populated[repeated]])
-            self._forced_scalar[populated[hit]] = True
+        self._tuple_ids = vz.cached_tuple_ids(soa, table_size)
+        self._ends = vz.window_ends(soa, int(self.program.model.config.n_partitions))
+        self._next_end = self._ends[:, 0].copy()
+        n_flows = soa.n_flows
+        self._done = np.zeros(n_flows, dtype=np.int64)
+        self._phase = np.zeros(n_flows, dtype=np.int8)
+        self._decided = np.zeros(n_flows, dtype=bool)
+        self._window = np.zeros(n_flows, dtype=np.int64)
+        self._sid = np.full(n_flows, self.program.model.root_sid, dtype=np.int64)
+        self._resident = np.full(table_size, -1, dtype=np.int32)
+        self._contended = np.zeros(table_size, dtype=bool)
 
     def _ingest(self, chunk: PacketChunk) -> None:
         if self._slots is None:
             self._init_source()
         if chunk.positions.size:
-            touched, counts = chunk.flow_counts()
-            if np.any(self._flushed[touched]):
-                raise ServeError(
-                    "packet arrived for a flow that was already flushed "
-                    "(stream delivered packets out of order)"
-                )
-            before = self._buffered[touched]
-            after = before + counts
-            totals = self._soa.n_packets_per_flow[touched]
-            if np.any(after > totals):
-                raise ServeError("stream delivered more packets than the flow holds")
-            self._buffered[touched] = after
-            self._pending += int(chunk.positions.size)
-            np.add.at(self._live_in_slot, self._slots[touched[before == 0]], 1)
-            self._ready = np.concatenate([self._ready, touched[after == totals]])
-        # Eligibility is only worth computing once enough flows have
-        # completed to possibly trigger a flush.
-        if (self._ready.size >= self.flush_flows
-                or self._pending > self.backpressure):
+            self._admit(chunk)
+        # Eligibility is only worth computing once enough flows may have a
+        # ready window to trigger a flush.
+        over = self._pending > self.backpressure
+        if over or sum(due.size for due in self._due) >= self.flush_flows:
             eligible = self._eligible()
-            if eligible.size and (
-                eligible.size >= self.flush_flows or self._pending > self.backpressure
-            ):
+            if over or eligible.size >= self.flush_flows:
                 self._flush(eligible)
+            if over:
+                self._replay_contended()
         if self._pending > self.backpressure:
             raise BackpressureError(
                 f"{self._pending} buffered packets exceed the backpressure "
                 f"limit of {self.backpressure}; drain() or raise the limit"
             )
 
-    def _drain(self) -> None:
-        if self._buffered is None:
+    def _admit(self, chunk: PacketChunk) -> None:
+        """Place the chunk's flows in their slots and note their ready windows."""
+        touched, counts = chunk.flow_counts()
+        after = self._delivered[touched]
+        before = after - counts
+        slots = self._slots[touched]
+        arriving = np.flatnonzero(self._resident[slots] != touched)
+        if arriving.size:
+            self._arrive(chunk, touched, before, slots, arriving)
+
+        phase = self._phase[touched]
+        # A decided solo flow's packets are forwarded without inference.
+        forwarded = phase == _FORWARDING
+        if forwarded.any():
+            self._done[touched[forwarded]] = after[forwarded]
+        self._pending += int(chunk.positions.size) - int(counts[forwarded].sum())
+        streamed = phase == _CONTENDED
+        if streamed.any():
+            self._streamed.append(touched[streamed])
+        # A window is ready once its last packet is in (a contended flow's
+        # own window bounds stand in for the slot's).
+        crossed = np.flatnonzero(after >= self._next_end[touched])
+        if crossed.size:
+            flows, reached = touched[crossed], after[crossed]
+            ends = self._ends[flows]
+            beyond = np.where(ends > reached[:, None], ends, vz.NO_WINDOW)
+            self._next_end[flows] = beyond.min(axis=1)
+            self._due.append(flows[~forwarded[crossed]])
+
+    def _arrive(self, chunk, touched, before, slots, arriving) -> None:
+        """Settle the slots of the chunk's flows that are not their slot's resident.
+
+        A flow in a contended slot stays there.  A new flow claims its slot
+        when the slot is free or reclaimable and no other flow reaches it in
+        this chunk; every other slot is walked in packet order.
+        """
+        contended = self._contended[slots[arriving]]
+        self._phase[touched[arriving[contended]]] = _CONTENDED
+        fresh = arriving[~contended]
+        if fresh.size == 0:
             return
-        remaining = np.flatnonzero((self._buffered > 0) & ~self._flushed)
-        if remaining.size:
-            self._flush(remaining)
+        fresh_slots = slots[fresh]
+        resident = self._resident[fresh_slots]
+        # Alone: no other new flow in the slot, and the resident untouched.
+        by_slot = np.sort(fresh_slots)
+        shared = by_slot[1:][by_slot[1:] == by_slot[:-1]]
+        at = np.minimum(np.searchsorted(touched, resident), touched.size - 1)
+        alone = touched[at] != resident
+        if shared.size:
+            alone &= ~np.isin(fresh_slots, shared)
+        received = self._delivered[np.maximum(resident, 0)]
+        claims = (
+            alone & (before[fresh] == 0)
+            & self._reclaimable(resident, touched[fresh], received)
+        )
+        self._claim(touched[fresh[claims]], fresh_slots[claims])
+        if not claims.all():
+            walked = np.unique(fresh_slots[~claims])
+            self._walk(chunk, touched, before, slots, walked)
+
+    def _reclaimable(
+        self, resident: np.ndarray, flows: np.ndarray, received: np.ndarray
+    ) -> np.ndarray:
+        """Whether each new flow may claim a slot whose resident is ``resident`` (-1: free).
+
+        The resident must have received its last packet (it had ``received``
+        of them before the new flow's first), have decided, and carry another
+        five-tuple; an undecided or same-tuple resident is state the newcomer
+        meets, which only the slot-stream plane replays.
+        """
+        held = np.maximum(resident, 0)
+        return (resident < 0) | (
+            (self._phase[held] == _FORWARDING)
+            & (received == self._soa.n_packets_per_flow[held])
+            & (self._tuple_ids[held] != self._tuple_ids[flows])
+        )
+
+    def _claim(self, flows: np.ndarray, slots: np.ndarray) -> None:
+        if flows.size:
+            self._resident[slots] = flows
+            self._phase[flows] = _SOLO
+            self.program.begin_flows(slots)
+
+    def _walk(self, chunk, touched, before, slots, walked) -> None:
+        """Settle ``walked`` slots in packet order: at most one claim, then a contention.
+
+        A slot's new flows meet it in first-packet order.  The first claims
+        it if its resident allows (:meth:`_reclaimable`); a claimer is
+        undecided, so a second new flow contends with it.  A first that may
+        not claim contends with the resident.  At a contention the slot's
+        resident hands over its state as it stood just before the contending
+        packet, and it and the flows from the contending one on turn
+        contended.  A decided resident a claimer took the slot from keeps
+        forwarding its last packets.
+        """
+        n = chunk.positions.size
+        # One key per packet, (flow, arrival index): sorted, each flow's
+        # packets are a run in arrival order.
+        keys = np.sort(
+            self._soa.packet_flow[chunk.positions].astype(np.int64) * (n + 1) + np.arange(n)
+        )
+
+        def received(flows: np.ndarray, at: np.ndarray) -> np.ndarray:
+            """Packets of ``flows`` delivered before this chunk's packet ``at``."""
+            base = flows.astype(np.int64) * (n + 1)
+            later = np.searchsorted(keys, base + n) - np.searchsorted(keys, base + at)
+            return self._delivered[np.maximum(flows, 0)] - later
+
+        members = np.flatnonzero(np.isin(slots, walked))
+        members = members[touched[members] != self._resident[slots[members]]]
+        base = touched[members].astype(np.int64) * (n + 1)
+        first = keys[np.searchsorted(keys, base)] - base
+        order = np.lexsort((first, slots[members]))
+        members, first = members[order], first[order]
+        flows, member_slots = touched[members], slots[members]
+        lead = np.flatnonzero(np.append(True, member_slots[1:] != member_slots[:-1]))
+        group_end = np.append(lead[1:], members.size)
+        slot, newcomer = member_slots[lead], flows[lead]
+        resident = self._resident[slot]
+        claims = (before[members[lead]] == 0) & self._reclaimable(
+            resident, newcomer, received(resident, first[lead])
+        )
+        self._claim(newcomer[claims], slot[claims])
+        # The contending flow: the first newcomer, or the second after a claim.
+        at = lead + claims
+        contended = at < group_end
+        at, slot = at[contended], slot[contended]
+        handing = np.where(claims, newcomer, resident)[contended]
+        cuts = received(handing, first[at])
+        held = handing >= 0
+        handing, cuts = handing[held], cuts[held]
+        if handing.size:
+            self._handing.append((handing, cuts))
+        self._phase[handing] = _CONTENDED
+        positions, _ = vz._segment_positions(at, group_end[contended] - at)
+        self._phase[flows[positions]] = _CONTENDED
+        self._contended[slot] = True
+        self._resident[slot] = -1
+
+    def _drain(self) -> None:
+        if self._slots is None:
+            return
+        due = self._due_flows()
+        if due.size or self._handing:
+            self._flush(due)
+        self._replay_contended()
+        # What the solo slots hold goes to the program, as the reference
+        # engine would hold it: the session leaves nothing buffered.
+        phase = self._phase
+        solo = np.flatnonzero((phase == _SOLO) | (phase == _FORWARDING))
+        residents = solo[self._resident[self._slots[solo]] == solo]
+        if residents.size:
+            self._hand_over(residents, self._delivered[residents])
 
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
-    def _eligible(self) -> np.ndarray:
-        """Indices of flows that can be flushed now without changing semantics.
+    def _due_flows(self) -> np.ndarray:
+        if len(self._due) > 1:
+            self._due = [np.unique(np.concatenate(self._due))]
+        return self._due[0] if self._due else _NO_FLOWS
 
-        Touches the complete-unflushed flows only: a candidate is blocked
-        iff its slot holds more live flows than candidates.
-        """
+    def _eligible(self) -> np.ndarray:
+        """Flows with a ready window: the last packet of one of their windows is in."""
         self._counters["eligible_scans"] += 1
-        ready = self._ready
-        candidates = ready[self._last_ts[ready] < self._watermark]
-        if candidates.size == 0:
-            return candidates
-        slots, slot_of, in_slot = np.unique(
-            self._slots[candidates], return_inverse=True, return_counts=True
-        )
-        unblocked = self._live_in_slot[slots] == in_slot
-        return np.sort(candidates[unblocked[slot_of]])
+        return self._due_flows()
 
     def _flush(self, indices: np.ndarray) -> None:
-        """Push the selected flows through the program (contended first, then batched).
+        """Advance the program by every ready window of a solo flow.
 
-        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`.  A flow
-        goes to the flow-lockstep window rounds only when,
-        *within this flush*, it overlaps no other flow of its register slot,
-        it is complete and long enough to decide, and its slot is neither
-        *dirty* (an earlier flush left an undecided resident there, which a
-        later flow inherits on hardware) nor pinned for a repeated
-        five-tuple (:func:`repro.dataplane.vectorized._split_scalar_fast`
-        documents the rule); every other flow goes through
-        :func:`repro.dataplane.vectorized._replay_scalar` to the slot-stream
-        plane, which replays the buffered prefix of an incomplete flow and
-        resumes a dirty slot from the state the earlier flush left there.
+        ``indices`` are the flows with a ready window.  The solo ones close
+        their ready windows on the flow-lockstep plane, and so do the
+        residents of newly contended slots, up to the contending packet;
+        those residents are then handed to the program.  Once the contended
+        flows among the ``indices`` of the flushes since the last replay
+        reach ``flush_flows``, the contended slots replay too
+        (:meth:`_replay_contended`).
         """
-        soa, flows, program = self._soa, self._flows, self.program
-        complete = self._buffered[indices] == soa.n_packets_per_flow[indices]
-        forced = (
-            ~complete | self._dirty_slots[self._slots[indices]] | self._forced_scalar[indices]
-        )
-        scalar = vz._split_scalar_fast(
-            soa, self._slots, indices, forced=forced,
-            min_packets=int(program.model.config.n_partitions),
-        )
-        scalar_indices = indices[scalar]
-        fast_indices = indices[~scalar]
-
-        if scalar_indices.size:
-            mask = np.zeros(soa.n_flows, dtype=bool)
-            mask[scalar_indices] = True
-            outcome = vz._replay_scalar(
-                program, flows, soa, mask, prefix_counts=self._buffered, slots=self._slots
-            )
-            # The slot-stream plane reports exactly which slots still hold
-            # an undecided resident; only those stay off the batched plane.
-            self._dirty_slots[self._slots[scalar_indices]] = False
-            self._dirty_slots[outcome["open_slots"]] = True
-        if fast_indices.size:
-            vz._replay_splidt_batched(
-                program, soa, fast_indices, self._slots, workspace=self._workspace
-            )
-
-        self._pending -= int(self._buffered[indices].sum())
-        self._flushed[indices] = True
-        np.subtract.at(self._live_in_slot, self._slots[indices], 1)
-        self._ready = self._ready[~self._flushed[self._ready]]
+        solo = indices[self._phase[indices] == _SOLO]
+        rows, limits = solo, self._delivered[solo]
+        if self._handing:
+            handing = np.concatenate([flows for flows, _ in self._handing])
+            cuts = np.concatenate([cut for _, cut in self._handing])
+            rows, limits = np.concatenate([rows, handing]), np.concatenate([limits, cuts])
+        if rows.size:
+            self._advance_solo(rows, limits)
+        if self._handing:
+            self._hand_over(handing, cuts)
+        self._streamed_due += int(np.count_nonzero(self._phase[indices] == _CONTENDED))
+        if self._streamed_due >= self.flush_flows:
+            self._replay_contended()
+        self._due, self._handing = [], []
         self._counters["flushes"] += 1
         self._counters["flushed_flows"] += int(indices.size)
+
+    def _replay_contended(self) -> None:
+        """Replay every contended slot's buffered packets on the slot-stream plane.
+
+        One call serves all contended slots, resuming each from the state the
+        program holds.  Its cost is mostly per call, so the slots wait for
+        ``flush_flows`` of their flows to have a ready window (or for the
+        drain, or the backpressure limit).
+        """
+        if not self._streamed:
+            return
+        soa = self._soa
+        streamed = np.unique(np.concatenate(self._streamed))
+        streamed = streamed[self._done[streamed] < self._delivered[streamed]]
+        if streamed.size:
+            mask = np.zeros(soa.n_flows, dtype=bool)
+            mask[streamed] = True
+            stream = build_slot_stream(soa, self._slots, mask, self._delivered, self._done)
+            vz._replay_scalar(
+                self.program, self._flows, soa, mask, self._delivered,
+                slots=self._slots, stream=stream,
+            )
+            self._pending -= int(self._delivered[streamed].sum() - self._done[streamed].sum())
+            self._done[streamed] = self._delivered[streamed]
+        self._streamed, self._streamed_due = [], 0
+
+    def _advance_solo(self, rows: np.ndarray, limits: np.ndarray) -> None:
+        """Close every window of solo flows ``rows`` that ends within its first ``limits`` packets.
+
+        Rows advance in window rounds, each row at its own window index; a
+        row that decides has taken all its ``limits`` packets (the rest of a
+        decided flow is forwarded).
+        """
+        soa, program, ws = self._soa, self.program, self._workspace
+        ends, window, done, sid = self._ends, self._window, self._done, self._sid
+        taken = int(done[rows].sum())
+        stateless = vz._stateless_columns(soa)
+        aggregator = vz._WindowAggregator(soa, workspace=ws)
+        ws.reserve(rows.size)
+        staging = ws.staged
+        staging.clear()
+
+        live = ~self._decided[rows] & (ends[rows, window[rows]] <= limits)
+        flows, limit = rows[live], limits[live]
+        while flows.size:
+            at = window[flows]
+            end = ends[flows, at]
+            base = soa.flow_starts[flows]
+            s, e = base + done[flows], base + end
+            matrix = ws.matrix[: flows.size]
+            for feature, column in stateless.items():
+                matrix[:, feature] = column[flows]
+            round_sids = sid[flows]
+            groups = list(group_by_sid(round_sids))
+            for group_sid, group_rows in groups:
+                features = program.subtree_stateful_features(group_sid)
+                if features:
+                    aggregator.fill(matrix, group_rows, features, s[group_rows], e[group_rows])
+            advance, values = program.step_windows(
+                flow_ids=soa.flow_ids[flows],
+                sids=round_sids,
+                window_index=at,
+                feature_matrix=matrix,
+                boundary_ts=soa.timestamps[e - 1],
+                first_packet_ts=soa.first_timestamps[flows],
+                groups=groups,
+                staging=staging,
+            )
+            done[flows] = end
+            stopped = flows[~advance]
+            self._decided[stopped] = True
+            done[stopped] = limit[~advance]
+            # A resident handing its slot over stays contended.
+            self._phase[stopped[self._phase[stopped] == _SOLO]] = _FORWARDING
+            flows, limit, at = flows[advance], limit[advance], at[advance] + 1
+            sid[flows] = values[advance]
+            window[flows] = at
+            live = ends[flows, at] <= limit
+            flows, limit = flows[live], limit[live]
+        program.finalise_staged(staging)
+        self._pending -= int(done[rows].sum()) - taken
+
+    def _hand_over(self, flows: np.ndarray, cuts: np.ndarray) -> None:
+        """Give the program solo flows' slot state as of their first ``cuts`` packets.
+
+        Their closed windows are already applied; an undecided flow goes over
+        at the start of its open window, with that window's packets.
+        """
+        soa = self._soa
+        undecided = np.flatnonzero(~self._decided[flows])
+        live = flows[undecided]
+        seen = self._done[live]
+        lengths = cuts[undecided] - seen
+        starts = soa.flow_starts[live]
+        packets, _ = vz._segment_positions(starts + seen, lengths)
+        windows = OpenWindows(
+            rows=undecided,
+            sids=self._sid[live],
+            windows=self._window[live],
+            seen=seen,
+            last_ts=soa.timestamps[starts + cuts[undecided] - 1],
+            first_sizes=soa.first_sizes[live],
+            starts=np.append(0, np.cumsum(lengths)),
+            packets=tuple(getattr(soa, name)[packets] for name in _PACKET_FIELDS),
+        )
+        self.program.hand_over(
+            SlotHandover.of_flows(
+                soa, flows, self._slots[flows], soa.first_timestamps[flows], windows
+            )
+        )
+        self._pending -= int(cuts.sum() - self._done[flows].sum())
+        self._done[flows] = cuts
+

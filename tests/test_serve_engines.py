@@ -158,8 +158,8 @@ class TestMicroBatchParity:
     def test_five_tuple_repeated_across_two_flushes(self, splidt_model, splidt_rules):
         # The second flow of tuple A arrives long after the first was flushed
         # with a verdict.  The reference engine forwards it without inference
-        # (its tuple still owns the decided slot), so both flows' slot is
-        # pinned to the plane that keeps slot state between flushes.
+        # (its tuple still owns the decided slot), so the slot turns contended
+        # at that flow's first packet — not before, and no other slot does.
         def flow(src_ip, flow_id, start):
             packets = [
                 Packet(timestamp=start + 0.1 * j, size=100 + j, flags=0x10,
@@ -181,13 +181,18 @@ class TestMicroBatchParity:
         engine = MicroBatchEngine(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192), flush_flows=1
         )
-        flushed = []
-        flush = engine._flush
-        engine._flush = lambda indices: (flushed.append(indices.tolist()), flush(indices))[1]
-        result = _stream(engine, _chunks(flows, 1))
+        chunks = _chunks(flows, 1)
+        engine.open()
+        contended_at = []
+        for index, chunk in enumerate(chunks):
+            engine.ingest(chunk)
+            contended_at.append(int(np.count_nonzero(engine._contended)))
+        result = engine.close()
         _assert_identical(reference, result)
-        assert flushed == [[0], [1], [2], [3]]
-        assert engine._forced_scalar.tolist() == [True, False, True, False]
+        # Packet 12 is the first of flow 2: the slot is solo up to it.
+        assert contended_at == [0] * 12 + [1] * 12
+        assert engine._slots[0] == engine._slots[2]
+        assert np.flatnonzero(engine._contended).tolist() == [engine._slots[0]]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +272,7 @@ class TestProtocol:
     def test_out_of_order_stream_rejected(self, program, small_dataset):
         engine = MicroBatchEngine(program).open()
         chunks = list(iter_packet_chunks(small_dataset.flows, 100))
+        engine.ingest(chunks[0])
         engine.ingest(chunks[1])
         with pytest.raises(ServeError, match="time-ordered"):
             engine.ingest(chunks[0])
@@ -316,7 +322,7 @@ class TestProtocol:
         engine = MicroBatchEngine(program, flush_flows=16)
         calls = {"flush": [], "eligible": 0}
         flush, eligible = engine._flush, engine._eligible
-        engine._flush = lambda indices: (calls["flush"].append(indices.size), flush(indices))[1]
+        engine._flush = lambda indices: (calls["flush"].append(indices.tolist()), flush(indices))[1]
 
         def counting_eligible():
             calls["eligible"] += 1
@@ -329,16 +335,21 @@ class TestProtocol:
             engine.ingest(chunk)
             assert engine.stats().batching == {
                 "flushes": len(calls["flush"]),
-                "flushed_flows": sum(calls["flush"]),
+                "flushed_flows": sum(map(len, calls["flush"])),
                 "eligible_scans": calls["eligible"],
             }
         eager = len(calls["flush"])
         assert eager > 1 and calls["eligible"] >= eager
+        # An eager flush lists each flow with a ready window once, and at
+        # least the floor of them.
+        assert all(len(set(flushed)) == len(flushed) >= 16 for flushed in calls["flush"])
         engine.drain()
         batching = engine.stats().batching
-        assert batching["flushes"] == len(calls["flush"]) == eager + 1
-        # Every flow with packets is flushed exactly once.
-        assert batching["flushed_flows"] == engine.stats().flows_seen == len(small_dataset.flows)
+        assert batching["flushes"] == len(calls["flush"]) in (eager, eager + 1)
+        # Every flow with packets has a window, so it is in some flush.
+        flushed = set().union(*calls["flush"])
+        assert len(flushed) == engine.stats().flows_seen == len(small_dataset.flows)
+        assert batching["flushed_flows"] == sum(map(len, calls["flush"]))
         engine.close()
 
     def test_batching_counters_merge_over_shards(self, splidt_model, splidt_rules, small_dataset):
@@ -346,7 +357,8 @@ class TestProtocol:
         engine = ProcessShardedEngine(factory, workers=3, flush_flows=16)
         _stream(engine, _chunks(small_dataset.flows, 700))
         batching = engine.stats().batching
-        assert batching["flushed_flows"] == len(small_dataset.flows)
+        # Every flow is flushed once per flush that closes one of its windows.
+        assert batching["flushed_flows"] >= len(small_dataset.flows)
         assert batching["flushes"] >= 3 and batching["eligible_scans"] > 0
         streaming = StreamingEngine(factory())
         _stream(streaming, _chunks(small_dataset.flows, None))

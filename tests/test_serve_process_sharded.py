@@ -119,9 +119,10 @@ class TestProcessShardedParity:
         assert len(result.verdicts) == engine.stats().flows_decided
         assert engine.stats().buffered_packets == 0
         # Flush counters ride the same snapshot/drain payloads as the ring's:
-        # summed over the workers, every flow is flushed exactly once.
+        # summed over the workers, every flow is in at least one flush (one
+        # per flush that closes one of its windows).
         batching = engine.stats().batching
-        assert batching["flushed_flows"] == len(small_dataset.flows)
+        assert batching["flushed_flows"] >= len(small_dataset.flows)
         assert batching["flushes"] >= 2 and batching["eligible_scans"] > 0
 
 
