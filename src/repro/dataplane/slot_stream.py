@@ -13,20 +13,32 @@ and independent *across* slots, so this plane takes the slot as its unit:
 2. Every slot is a row of a few state arrays (resident five-tuple id, the
    resident's creator columns, subtree id, window index, packets seen, a
    cursor into its run).  All rows advance together in *event rounds*; in
-   one round each live row handles its next event, found with one
-   vectorised "first position at or after the cursor where ..." primitive
-   (:func:`_first_hit`) used three ways:
+   one round each live row handles its next event, read from *next-event
+   columns* — per stream position, where the next event of a kind can be
+   in its run:
 
    * **reclaim** — after a verdict the first packet of a *different*
      five-tuple starts a new epoch (same-tuple packets are forwarded
-     without inference);
-   * **window boundary** — the first packet at which the packets seen reach
-     the window boundary derived from the *incoming* packet's flow-size
-     header (a colliding flow's header can close the resident's window);
+     without inference): the packet at the cursor, or the next five-tuple
+     change after it;
    * **eviction** — the first packet of a different five-tuple, up to the
      boundary packet, for which the program's policy evicts given the
      previous packet's timestamp (an undecided resident was last seen at the
-     slot's previous packet, so the policy input is a per-packet column).
+     slot's previous packet, so the policy input is a per-packet column):
+     the next evicting packet, or, if it carries the resident's tuple, the
+     next evicting packet of another tuple after it;
+   * **window boundary** — the first packet at which the packets seen reach
+     the window boundary derived from the *incoming* packet's flow-size
+     header (a colliding flow's header can close the resident's window).
+     It is read per stretch of one advertised size, up to the next size
+     change: inside a stretch the boundary is fixed, so its first closing
+     packet is arithmetic.  The few rows still open after
+     ``_BOUNDARY_STRETCHES`` stretches are scanned packet by packet
+     (:func:`_first_hit`).
+
+   The five-tuple and size-change columns depend on the stream only and are
+   built once per stream; the eviction columns depend on the policy and on
+   the held residents' last-seen timestamps and are built per call.
 
 3. The windows closed in a round are gathered into one round-local packet
    view and aggregated by the same :class:`~repro.dataplane.vectorized._WindowAggregator`
@@ -59,6 +71,7 @@ from repro.dataplane import vectorized as vz
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
 from repro.datasets.flows import FiveTuple, Flow, PacketArrays
 from repro.features.definitions import N_FEATURES, STATELESS_HEADER_INDICES
+from repro.features.window import window_end
 
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
 
@@ -72,7 +85,11 @@ _FRESH, _LIVE, _DECIDED = 0, 1, 2
 #: packet differs from it (it can be reclaimed from or evicted, never rejoined).
 _FOREIGN_TUPLE = -2
 
-#: Packets examined per row in the first pass of a search; doubles per pass.
+#: Stretches of one advertised flow size a window-boundary search reads per
+#: row before it hands the row to :func:`_first_hit`.
+_BOUNDARY_STRETCHES = 2
+
+#: Packets examined per row in the first pass of a scan; doubles per pass.
 _FIRST_BLOCK = 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -94,6 +111,9 @@ class SlotStream:
     #: Register slot of every row.
     slots: np.ndarray
     n_flows: int
+    #: ``(next_tuple, next_size)`` under the packets' own flow sizes
+    #: (:func:`_next_change`), kept by the first replay that builds them.
+    events: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_packets(self) -> int:
@@ -163,6 +183,123 @@ def _first_hit(lo: np.ndarray, hi: np.ndarray, test) -> np.ndarray:
         lo = stop[unresolved]
         block *= 2
     return found
+
+
+def _next_marked(marked: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per position ``p``, the first ``q > p`` in ``p``'s run with ``marked[q]``, else the run's end.
+
+    Runs are ``starts[r]:starts[r + 1]``, with ``starts[0] == 0``.
+    """
+    n = marked.size
+    marks = marked.copy()
+    marks[starts[starts < n]] = True  # a run's end is the next run's head
+    heads = np.append(np.flatnonzero(marks), n)
+    # Half the bytes wherever positions fit: these columns span the stream.
+    dtype = np.int32 if n < 2**31 else np.int64
+    return np.repeat(heads[1:].astype(dtype), np.diff(heads))
+
+
+def _next_change(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per position ``p``, the first ``q > p`` in ``p``'s run with ``values[q] != values[p]``, else the run's end."""
+    change = np.zeros(values.size, dtype=bool)
+    change[1:] = values[1:] != values[:-1]
+    return _next_marked(change, starts)
+
+
+def _first_other_tuple(
+    tuples: np.ndarray, next_tuple: np.ndarray, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Per row, the first position in ``[lo, hi)`` whose five-tuple id is not ``owner``, else ``hi``.
+
+    The packet at ``lo``, or the next five-tuple change after it
+    (``next_tuple``, :func:`_next_change` of ``tuples``).
+    """
+    found = hi.copy()
+    rows = np.flatnonzero(lo < hi)
+    at = lo[rows]
+    same = tuples[at] == owner[rows]
+    at[same] = next_tuple[at[same]]
+    found[rows] = np.minimum(at, hi[rows])
+    return found
+
+
+class _Evictions:
+    """Next-event columns of one call's eviction mask.
+
+    ``next_evicting[p]`` is the first evicting position at or after ``p`` in
+    its run, else the run's end; ``next_other[i]`` the first evicting
+    position after ``evicting_at[i]`` in its run whose five-tuple differs
+    from ``evicting_at[i]``'s, else a position at or past the run's end.
+    """
+
+    def __init__(self, evicting: np.ndarray, tuples: np.ndarray, starts: np.ndarray) -> None:
+        self.evicting_at = np.flatnonzero(evicting)
+        self.next_evicting = _next_marked(evicting, starts)
+        self.next_evicting[self.evicting_at] = self.evicting_at
+        # The five-tuple change over the evicting positions alone, with runs
+        # cut where the stream's runs are.
+        following = _next_change(
+            tuples[self.evicting_at], np.searchsorted(self.evicting_at, starts)
+        )
+        self.next_other = np.append(self.evicting_at, evicting.size)[following]
+
+    def first(
+        self, tuples: np.ndarray, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
+    ) -> np.ndarray:
+        """Per row, the first evicting position in ``[lo, hi)`` whose five-tuple id is not ``owner``, else ``hi``."""
+        found = hi.copy()
+        rows = np.flatnonzero(lo < hi)
+        at = self.next_evicting[lo[rows]]
+        own = at < hi[rows]
+        own[own] = tuples[at[own]] == owner[rows[own]]
+        at[own] = self.next_other[np.searchsorted(self.evicting_at, at[own])]
+        found[rows] = np.minimum(at, hi[rows])
+        return found
+
+
+def _first_boundary(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    quota: np.ndarray,
+    window: np.ndarray,
+    header_size: np.ndarray,
+    next_size: np.ndarray,
+    n_partitions: int,
+) -> tuple[np.ndarray, int]:
+    """Per row, the first ``p`` in ``[lo, hi)`` with ``bound(window, header_size[p]) - p <= quota``, else ``hi``.
+
+    That is the packet at which the packets seen reach the end of window
+    ``window`` under the flow size ``p``'s header advertises.  It is read per
+    stretch of one advertised size (up to ``next_size``, :func:`_next_change`
+    of ``header_size``): inside one the bound is fixed and ``bound - p``
+    drops by one per packet, so the stretch's first closing packet is
+    ``max(start, bound - quota)`` if that lies inside it.  Rows still open
+    after ``_BOUNDARY_STRETCHES`` stretches are scanned with
+    :func:`_first_hit`.  Returns the positions and how many rows were scanned.
+    """
+    found = hi.copy()
+    rows = np.flatnonzero(lo < hi)
+    at = lo[rows]
+    for _ in range(_BOUNDARY_STRETCHES):
+        if rows.size == 0:
+            break
+        stop = np.minimum(next_size[at], hi[rows])
+        first = np.maximum(
+            at, window_end(window[rows], header_size[at], n_partitions) - quota[rows]
+        )
+        closes = first < stop
+        found[rows[closes]] = first[closes]
+        still_open = ~closes & (stop < hi[rows])
+        rows, at = rows[still_open], stop[still_open]
+    if rows.size:
+        row_window, row_quota = window[rows], quota[rows]
+        found[rows] = _first_hit(
+            at,
+            hi[rows],
+            lambda r, p: window_end(row_window[r], header_size[p], n_partitions) - p
+            <= row_quota[r],
+        )
+    return found, int(rows.size)
 
 
 def _eviction_mask(
@@ -293,20 +430,24 @@ def replay_slot_stream(
     (default: its packet count).
 
     Returns the call's accounting: ``flows`` / ``packets`` advanced by the
-    plane, ``rounds``, ``deferred`` — what the next reader of slot state
-    will find: ``slots`` handed over, of which ``open_windows`` hold
-    ``packets`` still to be fed to their operators — and ``open_slots``, the
-    slots left with an undecided resident.
+    plane, ``rounds``, ``event_search`` — window-boundary searches resolved
+    by ``lookup`` in the next-event columns or handed to a packet ``scan``
+    (rows, summed over rounds) —, ``deferred`` — what the next reader of
+    slot state will find: ``slots`` handed over, of which ``open_windows``
+    hold ``packets`` still to be fed to their operators — and
+    ``open_slots``, the slots left with an undecided resident.
     """
     table_size = program.indexer.table_size
     if stream is None:
         if slots is None:
             slots = vz.cached_flow_slots(soa, table_size)
         stream = build_slot_stream(soa, slots, flow_mask, prefix_counts)
+    search = {"lookup": 0, "scan": 0}
     stats = {
         "flows": stream.n_flows,
         "packets": stream.n_packets,
         "rounds": 0,
+        "event_search": search,
         "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
         "open_slots": _EMPTY,
     }
@@ -318,20 +459,27 @@ def replay_slot_stream(
     order, flow, row_slots = stream.order, stream.flow, stream.slots
     timestamps = source.timestamps[order]
 
-    # bounds[w * stride + n]: packets seen at which a header of flow size n
-    # closes window w; sized by the stream's largest flow, not by the source.
+    # Held packets (flow -1) carry no five-tuple or flow size of the run: no
+    # event is searched for there.
     n_partitions = program.model.config.n_partitions
+    tuples = tuple_of[flow]
     header_size = (soa.n_packets_per_flow if sizes is None else sizes)[flow]
     if source is not soa:
-        header_size[flow < 0] = 0  # held packets: no event is searched for there
-    advertised = np.arange(int(header_size.max()) + 1)
-    stride = advertised.size
-    base, remainder = advertised // n_partitions, advertised % n_partitions
-    bounds = np.concatenate(
-        [(w + 1) * base + np.minimum(w + 1, remainder) for w in range(n_partitions)]
-    )
-    evicting = (
-        _eviction_mask(program.eviction, timestamps, stream.starts, last_seen)
+        tuples[flow < 0] = -1
+        header_size[flow < 0] = 0
+    if sizes is None and stream.events is not None:
+        next_tuple, next_size = stream.events
+    else:
+        next_tuple = _next_change(tuples, stream.starts)
+        next_size = _next_change(header_size, stream.starts)
+        if sizes is None:
+            stream.events = next_tuple, next_size
+    evictions = (
+        _Evictions(
+            _eviction_mask(program.eviction, timestamps, stream.starts, last_seen),
+            tuples,
+            stream.starts,
+        )
         if program.eviction is not None
         else None
     )
@@ -367,9 +515,8 @@ def replay_slot_stream(
             after_verdict = np.flatnonzero(status[idle] == _DECIDED)
             if after_verdict.size:
                 members = idle[after_verdict]
-                owner = resident[members]
-                at[after_verdict] = _first_hit(
-                    cursor[members], end[members], lambda r, p: tuple_of[flow[p]] != owner[r]
+                at[after_verdict] = _first_other_tuple(
+                    tuples, next_tuple, cursor[members], end[members], resident[members]
                 )
             admitted = at < end[idle]
             admit(idle[admitted], at[admitted])
@@ -382,18 +529,16 @@ def replay_slot_stream(
         lo, hi = cursor[active], end[active]
         scan = np.maximum(lo, rows.scan_from[active])
         # The packet at p closes the window iff seen + (p - lo + 1) >= bound(p).
-        quota = rows.seen[active] - lo + 1
-        bound_row = rows.window[active] * stride
-        boundary = _first_hit(
-            scan, hi, lambda r, p: bounds[bound_row[r] + header_size[p]] - p <= quota[r]
+        boundary, scanned = _first_boundary(
+            scan, hi, rows.seen[active] - lo + 1, rows.window[active],
+            header_size, next_size, n_partitions,
         )
+        search["lookup"] += active.size - scanned
+        search["scan"] += scanned
         evicted = np.zeros(active.size, dtype=bool)
-        if evicting is not None:
-            owner = resident[active]
+        if evictions is not None:
             limit = np.minimum(boundary + 1, hi)
-            eviction = _first_hit(
-                scan, limit, lambda r, p: evicting[p] & (tuple_of[flow[p]] != owner[r])
-            )
+            eviction = evictions.first(tuples, scan, limit, resident[active])
             evicted = eviction < limit
             if evicted.any():
                 members = active[evicted]

@@ -930,7 +930,9 @@ def replay_arrays(
 
     Leaves ``program.replay_stats``: flows and packets per plane
     (``batched`` / ``slot_stream`` — every packet replayed is counted under
-    exactly one), the number of slot-stream event rounds, and ``deferred``:
+    exactly one), the number of slot-stream event rounds, ``event_search``
+    (window-boundary searches the slot-stream plane resolved by ``lookup``
+    in its next-event columns or handed to a packet ``scan``), and ``deferred``:
     the slot state the planes recorded instead of installing
     (:class:`~repro.dataplane.splidt_program.SlotHandover`) — ``slots``
     rows, of which ``open_windows`` hold ``packets`` to feed to their
@@ -948,6 +950,7 @@ def replay_arrays(
         "flows": {"batched": 0, "slot_stream": 0},
         "packets": {"batched": 0, "slot_stream": 0},
         "event_rounds": 0,
+        "event_search": {"lookup": 0, "scan": 0},
         "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
     }
     program.replay_stats = stats
@@ -971,6 +974,7 @@ def replay_arrays(
         )
         count("slot_stream", outcome["flows"], outcome["packets"])
         stats["event_rounds"] = outcome["rounds"]
+        stats["event_search"] = outcome["event_search"]
         stats["deferred"] = outcome["deferred"]
     if fast.size:
         _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)

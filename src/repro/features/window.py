@@ -53,9 +53,17 @@ def window_bounds(counts: np.ndarray, n_windows: int) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.intp)
     if counts.size and counts.min() < 0:
         raise ValueError("n_packets must be >= 0")
-    base, remainder = np.divmod(counts[:, None], n_windows)
-    ends = np.arange(1, n_windows + 1, dtype=np.intp)
-    return base * ends + np.minimum(ends, remainder)
+    return window_end(np.arange(n_windows, dtype=np.intp), counts[:, None], n_windows)
+
+
+def window_end(window, n_packets, n_windows: int):
+    """Elementwise :func:`window_boundaries`: where window ``window`` of ``n_packets`` ends.
+
+    ``(w + 1) * (n // P) + min(w + 1, n % P)``, broadcast over array
+    arguments — no table sized by the largest ``n``.
+    """
+    base, remainder = np.divmod(n_packets, n_windows)
+    return (window + 1) * base + np.minimum(window + 1, remainder)
 
 
 @lru_cache(maxsize=65536)

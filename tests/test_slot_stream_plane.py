@@ -12,6 +12,7 @@ and that the behaviour it is named after really occurs in the trace.
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -142,6 +143,43 @@ def test_short_flow_ends_undecided_and_is_inherited(splidt_model, splidt_rules):
     _, fused = _replay_both(splidt_model, splidt_rules, [flows])
     assert 0 not in fused.verdicts
     assert fused.verdicts[1].first_packet_at == 0.0
+
+
+def test_alternating_flow_sizes_fall_back_to_the_packet_scan(splidt_model, splidt_rules):
+    # A (30 packets) and B (24) alternate every packet in one slot, so the
+    # advertised size changes at every packet: resident A's first window
+    # closes at B's header (8 packets seen) eight one-packet stretches in,
+    # past the stretch lookups, and the packet scan finds it.
+    flows = [
+        _flow(TUPLE_A, 0, [float(i) for i in range(30)]),
+        _flow(TUPLE_B, 1, [i + 0.5 for i in range(24)]),
+    ]
+    _, fused = _replay_both(splidt_model, splidt_rules, [flows])
+    assert fused.replay_stats["packets"]["slot_stream"] == 54
+    assert fused.replay_stats["event_search"]["scan"] > 0
+
+
+def test_a_huge_advertised_flow_size_costs_no_memory(splidt_model, splidt_rules, small_dataset):
+    # Window boundaries are computed per packet from the header, not looked
+    # up in a table as long as the largest advertised size.
+    dataset = _dataset(small_dataset.flows[:40])
+    soa = dataset.packet_arrays()
+    sizes = soa.n_packets_per_flow.astype(np.int64)
+    sizes[7] = 2**40
+    reference = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
+    vz._replay_positions(reference, dataset.flows, soa, soa.interleave_order, sizes)
+    warm = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
+    vz.replay_arrays(warm, dataset.flows, soa=soa, sizes=sizes)
+    fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
+    tracemalloc.start()
+    try:
+        vz.replay_arrays(fused, dataset.flows, soa=soa, sizes=sizes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert fused.replay_stats["packets"]["slot_stream"] > 0
+    assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
 
 
 def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):

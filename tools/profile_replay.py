@@ -234,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         program.occupied_slots()
         settle_s = round(time.perf_counter() - settle_started, 6)
         print(f"paths: packets {replay_stats['packets']}, "
-              f"{replay_stats['event_rounds']} slot-stream event rounds; "
+              f"{replay_stats['event_rounds']} slot-stream event rounds "
+              f"(boundary searches {replay_stats['event_search']}); "
               f"deferred {replay_stats['deferred']} settled in "
               f"{settle_s * 1e3:.2f} ms")
     if swap_event is not None:
