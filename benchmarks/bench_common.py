@@ -10,8 +10,8 @@ output table — to an untracked scratch directory, so a test run leaves
 
 Since the ``repro.pipeline`` layer landed, the harness sits on top of it:
 baseline model search goes through the system registry (the same adapters
-``python -m repro`` drives), the replay engine is
-``ExperimentSpec.replay_engine``, and :func:`splidt_experiment` hands a
+``python -m repro`` drives), replays go through ``replay_dataset`` as the
+pipeline's do, and :func:`splidt_experiment` hands a
 benchmark a fully staged :class:`~repro.pipeline.Experiment` that shares
 this module's dataset-store cache.
 """
@@ -47,8 +47,7 @@ BENCH_SEED = 7
 
 
 def run_replay(program, dataset, **kwargs):
-    """Replay ``dataset`` through ``program`` with the spec's default engine."""
-    kwargs.setdefault("engine", ExperimentSpec().replay_engine)
+    """Replay ``dataset`` through ``program`` as an experiment's replay stage does."""
     return replay_dataset(program, dataset, **kwargs)
 
 

@@ -3,9 +3,10 @@
 The paper's core claim is that the per-window subtree decision is a table
 *lookup*, not a rule interpretation.  This benchmark measures both
 implementations of `RuleSet.classify_batch` on the same host in the same
-run — the historical first-match scan and the compiled LUT plane
-(`repro.core.rule_lut`) — at two paper-scale SpliDT configurations, then
-replays the same traffic end to end under both lookup modes.
+run — the compiled LUT plane (`repro.core.rule_lut`) and the first-match
+scan, which a rule set capped at ``lut_max_cells=0`` falls back to for every
+subtree — at two paper-scale SpliDT configurations, then replays the same
+traffic end to end under both.
 
 Both ratios — LUT over scan on ``classify_batch``, and on the end-to-end
 vectorized replay — are printed and recorded, not gated: a ratio of two
@@ -17,6 +18,7 @@ meaningless otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -60,19 +62,22 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
+def _lookups(rules) -> dict:
+    """The rule set under both lookups: the scan is the LUT's over-cap fallback."""
+    return {"scan": dataclasses.replace(rules, lut_max_cells=0), "lut": rules}
+
+
 def _micro_bench(rules, matrix) -> dict:
-    """Time classify_batch over every subtree in both modes; assert parity."""
+    """Time classify_batch over every subtree under both lookups; assert parity."""
     sids = list(rules.subtree_rules)
     outputs = {}
     timings = {}
-    for mode in ("scan", "lut"):
-        outputs[mode] = [
-            rules.classify_batch(sid, matrix, lookup=mode) for sid in sids
-        ]
+    for mode, mode_rules in _lookups(rules).items():
+        outputs[mode] = [mode_rules.classify_batch(sid, matrix) for sid in sids]
         timings[mode] = _best_of(
             3,
-            lambda mode=mode: [
-                rules.classify_batch(sid, matrix, lookup=mode) for sid in sids
+            lambda mode_rules=mode_rules: [
+                mode_rules.classify_batch(sid, matrix) for sid in sids
             ],
         )
     for (kinds_s, values_s), (kinds_l, values_l) in zip(
@@ -95,24 +100,19 @@ def _micro_bench(rules, matrix) -> dict:
 
 
 def _e2e_bench(experiment, dataset) -> dict:
-    """Replay the dataset end to end under both lookup modes; assert parity."""
-    model, rules = experiment.train(), experiment.compile()
+    """Replay the dataset end to end under both lookups; assert parity."""
+    model = experiment.train()
     timings = {}
     results = {}
-    try:
-        for mode in ("scan", "lut"):
-            # A program captures the rule set's lookup mode when it is built.
-            rules.set_lookup(mode)
-            best = float("inf")
-            for _ in range(5):
-                program = experiment.system.build_program(model, rules, experiment.spec)
-                started = time.perf_counter()
-                result = replay_dataset(program, dataset, engine="vectorized")
-                best = min(best, time.perf_counter() - started)
-            timings[mode] = best
-            results[mode] = result
-    finally:
-        rules.set_lookup("lut")  # the experiment's rules are shared
+    for mode, rules in _lookups(experiment.compile()).items():
+        best = float("inf")
+        for _ in range(5):
+            program = experiment.system.build_program(model, rules, experiment.spec)
+            started = time.perf_counter()
+            result = replay_dataset(program, dataset)
+            best = min(best, time.perf_counter() - started)
+        timings[mode] = best
+        results[mode] = result
     scan, lut = results["scan"], results["lut"]
     assert set(scan.verdicts) == set(lut.verdicts)
     assert all(

@@ -1,11 +1,11 @@
-"""Replay-engine throughput — packets/second across the replay engines.
+"""Replay throughput — packets/second of the replay against the per-packet oracle.
 
 The paper's headline claim is stateful inference at line rate, so the replay
 runtime is the one component whose software throughput matters.  This
-benchmark replays the D3 workload through the two engines of
-``replay_dataset`` — the per-packet reference loop and the batched window
-plane (``vectorized``) — and records packets/second and the batched
-engine's speedup over the reference loop (recorded, not gated: a ratio of
+benchmark replays the D3 workload through the per-packet oracle
+(``oracle.replay_dataset``, the ``reference`` row) and through
+``replay_dataset``'s batched planes (the ``vectorized`` row), and records
+packets/second and the batched replay's speedup over the oracle (recorded, not gated: a ratio of
 two wall-clock timings is decidable only on an idle host), while asserting
 bit-identical verdicts.  Each row is the best of 3
 passes after one discarded pass (which fills the dataset's cached derived
@@ -19,23 +19,26 @@ import time
 
 from bench_common import get_store, splidt_experiment, write_result
 from repro.analysis import render_table
-from repro.dataplane import replay_dataset
+from repro.dataplane import oracle, replay_dataset
 
-#: Flows replayed per engine (the full benchmark store).
+#: Flows replayed per row (the full benchmark store).
 REPLAY_FLOWS = 500
 
-#: Timed passes per engine (the best is reported), after one discarded pass.
+#: Timed passes per row (the best is reported), after one discarded pass.
 ROUNDS = 3
 
+#: Table rows and the replay each times.
+REPLAYS = {"reference": oracle.replay_dataset, "vectorized": replay_dataset}
 
-def _time_engine(experiment, dataset, engine: str) -> tuple[float, dict]:
+
+def _time_replay(experiment, dataset, replay) -> tuple[float, dict]:
     elapsed = float("inf")
     for pass_ in range(1 + ROUNDS):
         program = experiment.system.build_program(
             experiment.train(), experiment.compile(), experiment.spec
         )
         started = time.perf_counter()
-        result = replay_dataset(program, dataset, engine=engine)
+        result = replay(program, dataset)
         if pass_:  # pass 0 only warms the caches
             elapsed = min(elapsed, time.perf_counter() - started)
     return elapsed, result
@@ -50,8 +53,8 @@ def _run() -> str:
     rows = []
     rates = {}
     results = {}
-    for engine in ("reference", "vectorized"):
-        elapsed, result = _time_engine(experiment, dataset, engine)
+    for engine, replay in REPLAYS.items():
+        elapsed, result = _time_replay(experiment, dataset, replay)
         rates[engine] = n_packets / elapsed
         results[engine] = result
         rows.append(
@@ -67,7 +70,7 @@ def _run() -> str:
     speedup = rates["vectorized"] / rates["reference"]
     rows.append(["vectorized speedup", "", "", f"{speedup:.1f}x", ""])
 
-    # The engines must agree exactly — throughput means nothing otherwise.
+    # The replays must agree exactly — throughput means nothing otherwise.
     reference, candidate = results["reference"], results["vectorized"]
     assert set(reference.verdicts) == set(candidate.verdicts)
     assert all(

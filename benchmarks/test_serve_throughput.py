@@ -5,7 +5,7 @@
 1. the streaming surface serves the same verdicts as the batch path — the
    micro-batch engine pushes arbitrary-size chunks through the same
    vectorized window machinery as a single-shot
-   ``replay_dataset(engine="vectorized")``.  Its cost over that call is
+   ``replay_dataset``.  Its cost over that call is
    recorded, not gated: with both rows timed warm (one discarded pass, best
    of 3) chunked ingestion takes about 2.4x the batch time, outside the 2x
    bound that a single cold batch sample used to let pass.  The regression
@@ -201,7 +201,7 @@ def _run() -> tuple[str, float, float]:
     batch_elapsed = float("inf")
     for pass_ in range(1 + ROUNDS):
         started = time.perf_counter()
-        batch = replay_dataset(fresh_program(), store.dataset, engine="vectorized")
+        batch = replay_dataset(fresh_program(), store.dataset)
         if pass_:
             batch_elapsed = min(batch_elapsed, time.perf_counter() - started)
 

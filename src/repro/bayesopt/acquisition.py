@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 
 def expected_improvement(
@@ -14,7 +14,10 @@ def expected_improvement(
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     improvement = mean - best - xi
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    # The standard normal's cdf and pdf, as ``scipy.stats.norm`` computes
+    # them, without importing ``scipy.stats`` (most of ``import repro``).
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    return improvement * ndtr(z) + std * pdf
 
 
 def random_scalarization_weights(n_objectives: int, rng: np.random.Generator) -> np.ndarray:

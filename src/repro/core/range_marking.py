@@ -21,7 +21,6 @@ rule carries the subtree id so only the active subtree's rules can match.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +38,6 @@ SID_BITS = 8
 
 #: Outcome codes returned by the batched classification path.
 KIND_NONE, KIND_EXIT, KIND_NEXT = 0, 1, 2
-
-#: Lookup strategies of the batched classification path: ``"lut"`` gathers
-#: from the dense mark-space tables of :mod:`repro.core.rule_lut` (with an
-#: automatic per-subtree fallback to the scan when a subtree's mark space
-#: exceeds the size cap); ``"scan"`` is the historical first-match rule scan.
-LOOKUP_MODES = ("lut", "scan")
 
 
 def group_by_sid(sids: np.ndarray):
@@ -274,44 +267,24 @@ class RuleSet:
         subtree_rules: Per-subtree mark tables and model rules.
         quantizer: The fitted feature quantiser rules were generated under.
         bit_width: Feature precision (bits) of the match keys.
-        lookup: Batched-lookup strategy (see :data:`LOOKUP_MODES`).  The
-            default ``"lut"`` compiles the dense mark-space plane lazily on
-            first use (or eagerly via :meth:`compiled_lookup`).
         lut_max_cells: Per-subtree mark-space cap for the LUT compilation;
-            ``None`` uses :data:`repro.core.rule_lut.DEFAULT_MAX_CELLS`.
+            ``None`` uses :data:`repro.core.rule_lut.DEFAULT_MAX_CELLS`.  A
+            subtree over the cap is classified by the first-match scan, so
+            ``dataclasses.replace(rules, lut_max_cells=0)`` scans every one.
     """
 
     subtree_rules: dict[int, SubtreeRuleSet]
     quantizer: FeatureQuantizer
     bit_width: int
-    lookup: str = "lut"
     lut_max_cells: int | None = None
     _compiled: object | None = field(default=None, init=False, repr=False, compare=False)
-    _lookup_lock: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.lookup not in LOOKUP_MODES:
-            raise ValueError(
-                f"unknown lookup mode {self.lookup!r}; expected one of {LOOKUP_MODES}"
-            )
-        self._lookup_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
         # The compiled plane is derived data: drop it so pickles (run
         # artifacts, sharded-mp workers) stay lean; consumers recompile.
-        # Locks don't pickle: drop the lock too and recreate it on load.
         state = dict(self.__dict__)
         state["_compiled"] = None
-        state["_lookup_lock"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Fill the lookup fields for pickles from before the compiled plane.
-        state.setdefault("lookup", "lut")
-        state.setdefault("lut_max_cells", None)
-        state.setdefault("_compiled", None)
-        self.__dict__.update(state)
-        self.__dict__["_lookup_lock"] = threading.Lock()
 
     @property
     def n_feature_entries(self) -> int:
@@ -347,59 +320,23 @@ class RuleSet:
         return total
 
     # ------------------------------------------------------------------
-    # Lookup-plane selection
+    # Lookup plane
     # ------------------------------------------------------------------
-    def set_lookup(self, mode: str, *, max_cells: int | None = None) -> "RuleSet":
-        """Select the batched-lookup strategy; returns ``self`` for chaining.
-
-        ``max_cells`` (when given) re-pins the per-subtree mark-space cap
-        and invalidates any previously compiled plane.
-
-        Idempotent and thread-safe: re-selecting the current mode (and cap)
-        is a lock-free no-op, so program builders may call this per shard or
-        worker while other threads classify through :meth:`compiled_lookup`
-        concurrently.
-
-        Example::
-
-            >>> rules.set_lookup("scan") is rules
-            True
-        """
-        if mode not in LOOKUP_MODES:
-            raise ValueError(
-                f"unknown lookup mode {mode!r}; expected one of {LOOKUP_MODES}"
-            )
-        if mode == self.lookup and (max_cells is None or max_cells == self.lut_max_cells):
-            return self
-        with self._lookup_lock:
-            self.lookup = mode
-            if max_cells is not None and max_cells != self.lut_max_cells:
-                self.lut_max_cells = max_cells
-                self._compiled = None
-        return self
-
     def compiled_lookup(self):
         """The compiled dense lookup plane (built once, then cached).
 
-        Returns a :class:`repro.core.rule_lut.CompiledLookup`.  Deploy-time
-        callers (program construction) invoke this eagerly so the first
-        window round never pays the compilation.  Compilation is serialised
-        under the same lock as :meth:`set_lookup`, so concurrent first-use
-        callers share one compiled plane instead of racing to build two.
+        Returns a :class:`repro.core.rule_lut.CompiledLookup`.  Program
+        construction calls this, so the first window round never pays the
+        compilation.
         """
-        compiled = self._compiled
-        if compiled is None:
-            with self._lookup_lock:
-                compiled = self._compiled
-                if compiled is None:
-                    from repro.core.rule_lut import compile_lookup
+        if self._compiled is None:
+            from repro.core.rule_lut import compile_lookup
 
-                    compiled = compile_lookup(self, max_cells=self.lut_max_cells)
-                    self._compiled = compiled
-        return compiled
+            self._compiled = compile_lookup(self, max_cells=self.lut_max_cells)
+        return self._compiled
 
     # ------------------------------------------------------------------
-    # Reference lookup path (used by the data-plane simulator)
+    # Scalar lookup path (used by the per-packet oracle)
     # ------------------------------------------------------------------
     def classify(self, sid: int, feature_values: np.ndarray) -> tuple[str, int] | None:
         """Evaluate the active subtree's rules against raw feature values.
@@ -422,23 +359,21 @@ class RuleSet:
         return None
 
     def classify_batch(
-        self, sid: int, feature_matrix: np.ndarray, *, lookup: str | None = None
+        self, sid: int, feature_matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`classify` over a batch of flows in subtree ``sid``.
 
-        Dispatches on the rule set's ``lookup`` mode (overridable per call):
-        ``"lut"`` gathers the outcomes from the subtree's dense mark-space
-        LUT (:mod:`repro.core.rule_lut`) and silently falls back to the scan
-        for subtrees whose mark space exceeded the size cap; ``"scan"`` runs
-        the historical first-match rule loop.  Both paths are bit-identical
-        for finite feature values (``NaN`` rows are outside the contract —
-        the scan's own ``float -> int64`` cast of ``NaN`` is undefined).
+        Gathers the outcomes from the subtree's dense mark-space LUT
+        (:mod:`repro.core.rule_lut`); a subtree whose mark space exceeds
+        ``lut_max_cells`` has no LUT and runs the first-match rule scan.
+        Both are bit-identical for finite feature values (``NaN`` rows are
+        outside the contract — the scan's own ``float -> int64`` cast of
+        ``NaN`` is undefined).
 
         Args:
             sid: The (shared) active subtree of every row.
             feature_matrix: ``(n_flows, n_features)`` raw feature values,
                 one row per flow at its window boundary.
-            lookup: Optional per-call override of the lookup mode.
 
         Returns:
             ``(kinds, values)`` — ``kinds`` holds :data:`KIND_EXIT`,
@@ -451,26 +386,20 @@ class RuleSet:
             >>> kinds, values = rules.classify_batch(1, features)
             >>> labels = values[kinds == KIND_EXIT]
         """
-        mode = self.lookup if lookup is None else lookup
-        if mode not in LOOKUP_MODES:
-            raise ValueError(
-                f"unknown lookup mode {mode!r}; expected one of {LOOKUP_MODES}"
-            )
         n_rows = feature_matrix.shape[0]
         rules = self.subtree_rules.get(sid)
         if rules is None or n_rows == 0:
             return np.full(n_rows, KIND_NONE, dtype=np.int8), np.zeros(n_rows, dtype=np.int64)
 
-        if mode == "lut":
-            lut = self.compiled_lookup().get(sid)
-            if lut is not None:
-                return lut.lookup(feature_matrix)
+        lut = self.compiled_lookup().get(sid)
+        if lut is not None:
+            return lut.lookup(feature_matrix)
         return self._classify_batch_scan(rules, feature_matrix)
 
     def _classify_batch_scan(
         self, rules: SubtreeRuleSet, feature_matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """First-match scan over the subtree's model rules (the fallback path)."""
+        """First-match scan over the subtree's model rules (the over-cap fallback)."""
         n_rows = feature_matrix.shape[0]
         kinds = np.full(n_rows, KIND_NONE, dtype=np.int8)
         values = np.zeros(n_rows, dtype=np.int64)

@@ -1,15 +1,14 @@
 """Data-plane execution of compiled models on the switch substrate.
 
-Replay a dataset with :func:`replay_dataset`, choosing between the
-per-packet ``"reference"`` engine (the semantics oracle) and the batched
-``"vectorized"`` engine (:mod:`repro.dataplane.vectorized`); both produce
-bit-identical results.
+Replay a dataset with :func:`replay_dataset` (the batched planes of
+:mod:`repro.dataplane.vectorized`).  The per-packet interpreter they are
+bit-identical to is :mod:`repro.dataplane.oracle`, a test oracle that
+production code does not import.
 """
 
 from repro.dataplane.codegen import generate_p4_program, generate_table_entries
 from repro.dataplane.controller import Controller, Digest
 from repro.dataplane.runtime import (
-    REPLAY_ENGINES,
     ReplayResult,
     build_replay_result,
     prepare_replay_flows,
@@ -24,7 +23,6 @@ __all__ = [
     "Controller",
     "Digest",
     "FlowVerdict",
-    "REPLAY_ENGINES",
     "ReplayResult",
     "SpliDTDataPlane",
     "Verdicts",

@@ -7,24 +7,17 @@ baseline's is a one-partition model — and collects per-flow
 verdicts, classification accuracy against ground truth, time-to-detection
 distributions and recirculation statistics.
 
-The ``engine=`` parameter selects the execution strategy:
+:func:`replay_dataset` runs :func:`repro.dataplane.vectorized.replay_arrays`:
+packets live in structure-of-arrays NumPy columns, flows advance in
+lock-step window rounds over the preallocated
+:class:`~repro.dataplane.vectorized.ReplayWorkspace`, contended register
+slots replay on the slot-stream plane, and per-packet operator updates
+collapse into segment reductions.  Its verdicts, labels, time-to-detection
+values and recirculation statistics are bit-identical to the per-packet
+interpreter's (:func:`repro.dataplane.oracle.replay_dataset`, asserted by
+``tests/test_parity_fuzz.py``).
 
-* ``"reference"`` — :class:`~repro.serve.StreamingEngine`, the per-packet
-  interpreter loop: the whole dataset is ingested as one chunk and drained.
-  Every packet becomes a PHV and traverses ``process_packet``.  Slow, but it
-  is the semantics oracle the batched engine is verified against.
-* ``"vectorized"`` — :func:`repro.dataplane.vectorized.replay_arrays` called
-  directly: packets live in structure-of-arrays NumPy columns, flows advance
-  in lock-step window rounds over the preallocated
-  :class:`~repro.dataplane.vectorized.ReplayWorkspace`, and per-packet
-  operator updates collapse into segment reductions.  Produces bit-identical
-  verdicts, labels, time-to-detection values and recirculation statistics
-  (asserted by ``tests/test_parity_fuzz.py``); this is what the throughput
-  benchmarks measure.
-
-Both engines share the global packet interleave computed once by
-:class:`~repro.datasets.flows.PacketArrays` instead of re-sorting per call;
-when the replay needs no flow truncation or jitter, the dataset's memoised
+When the replay needs no flow truncation or jitter, the dataset's memoised
 ``packet_arrays()`` (including its cached derived columns) is reused across
 replays.
 """
@@ -36,11 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.evaluation import ClassificationReport
+from repro.dataplane import vectorized as vz
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.flows import Flow, FlowDataset, PacketArrays
-
-#: Engines accepted by :func:`replay_dataset`.
-REPLAY_ENGINES = ("reference", "vectorized")
 
 
 @dataclass
@@ -49,7 +40,7 @@ class ReplayResult:
 
     Verdicts are keyed (and iterated) by flow id in ascending order, so the
     arrays returned by :meth:`time_to_detection` and
-    :meth:`recirculations_per_flow` are comparable across replay engines.
+    :meth:`recirculations_per_flow` are comparable across replays.
     """
 
     verdicts: Verdicts
@@ -144,6 +135,24 @@ def prepare_replay_flows(
     return shifted
 
 
+def replay_source(
+    dataset: FlowDataset,
+    *,
+    max_flows: int | None = None,
+    jitter_starts: bool = False,
+    seed: int = 0,
+) -> tuple[list[Flow], PacketArrays]:
+    """The flows a replay observes (:func:`prepare_replay_flows`) and their packet columns."""
+    flows = prepare_replay_flows(
+        dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
+    )
+    if max_flows is None and not jitter_starts:
+        # Same flow objects as the dataset: reuse its memoised SoA (and the
+        # derived columns cached on it) across replays.
+        return flows, dataset.packet_arrays()
+    return flows, PacketArrays.from_flows(flows)
+
+
 def replay_dataset(
     program,
     dataset: FlowDataset,
@@ -151,7 +160,6 @@ def replay_dataset(
     max_flows: int | None = None,
     jitter_starts: bool = False,
     seed: int = 0,
-    engine: str = "reference",
 ) -> ReplayResult:
     """Replay a flow dataset through ``program`` and score the verdicts.
 
@@ -163,46 +171,21 @@ def replay_dataset(
         jitter_starts: Shift each flow's start time randomly within [0, 10) s
             so flows overlap (models concurrency).
         seed: Seed for the jitter.
-        engine: ``"reference"`` for the per-packet interpreter loop or
-            ``"vectorized"`` for the batched window plane; both produce
-            identical results (see the module docstring for the contract).
 
     Example::
 
         >>> from repro.dataplane import SpliDTDataPlane, replay_dataset
         >>> program = SpliDTDataPlane(model, rules, flow_slots=8192)
-        >>> result = replay_dataset(program, dataset, engine="vectorized")
+        >>> result = replay_dataset(program, dataset)
         >>> result.report.f1_score  # doctest: +SKIP
         0.87
     """
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
-
-    flows = prepare_replay_flows(
+    flows, soa = replay_source(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
-    if max_flows is None and not jitter_starts:
-        # Same flow objects as the dataset: reuse its memoised SoA (and the
-        # derived columns cached on it) across replays.
-        soa = dataset.packet_arrays()
-    else:
-        soa = PacketArrays.from_flows(flows)
-
-    if engine == "vectorized":
-        from repro.dataplane import vectorized as vz
-
-        vz.replay_arrays(program, flows, soa=soa)
-        labels = {flow.flow_id: flow.label for flow in flows}
-        return build_replay_result(program.verdicts, labels, program.recirculation_stats())
-
-    # Deferred import: repro.serve sits on top of this module.
-    from repro.datasets.streams import PacketChunk
-    from repro.serve import StreamingEngine
-
-    serving = StreamingEngine(program).open()
-    serving.ingest(PacketChunk(soa=soa, flows=flows, positions=soa.interleave_order))
-    serving.drain()
-    return serving.close()
+    vz.replay_arrays(program, flows, soa=soa)
+    labels = {flow.flow_id: flow.label for flow in flows}
+    return build_replay_result(program.verdicts, labels, program.recirculation_stats())
 
 
 def ttd_ecdf(ttd_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ and independent *across* slots, so this plane takes the slot as its unit:
 
 1. The contended packets are ordered once by ``(slot, timestamp, flow_id)``
    (:func:`build_slot_stream`) — each slot's packets form one contiguous run,
-   in exactly the order ``process_packet`` would meet them.
+   in exactly the order the per-packet oracle meets them.
 2. Every slot is a row of a few state arrays (resident five-tuple id, the
    resident's creator columns, subtree id, window index, packets seen, a
    cursor into its run).  All rows advance together in *event rounds*; in
@@ -44,7 +44,7 @@ and independent *across* slots, so this plane takes the slot as its unit:
    view and aggregated by the same :class:`~repro.dataplane.vectorized._WindowAggregator`
    the flow-lockstep plane uses, then classified through
    ``SpliDTDataPlane.step_windows`` with one window index per row.  Verdicts
-   are credited as ``process_packet`` credits them: to the deciding packet's
+   are credited as the per-packet oracle credits them: to the deciding packet's
    flow id, with the epoch's first timestamp and the epoch creator's header
    fields; rounds are finalised in order, so a flow id decided twice keeps
    its later verdict.
@@ -56,8 +56,7 @@ packets are the head of that slot's run.  What a call leaves in its slots is
 recorded the same way: every slot's final resident goes to the program as
 one row of a :class:`~repro.dataplane.splidt_program.SlotHandover` — an
 undecided one with its registers at the start of its open window and that
-window's packets — and becomes ``_FlowState`` objects only for a reader that
-asks for them.
+window's packets — which the next call, batched or per packet, resumes from.
 """
 
 from __future__ import annotations

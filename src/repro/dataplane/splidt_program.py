@@ -1,34 +1,25 @@
 """The SpliDT data-plane program, executed on the switch model.
 
-This mirrors the P4 program of Figure 4: per packet, the program
+This mirrors the P4 program of Figure 4 over many flows — or many register
+slots — at once: the batched :meth:`SpliDTDataPlane.step_windows` API
+advances rows across a window boundary, looks up each subtree's model table
+through its compiled mark-space LUT, and either records a verdict and digest
+(final partition or early exit) or accounts a recirculated control packet
+carrying the next subtree id.  The batched planes
+(:mod:`repro.dataplane.vectorized`, :mod:`repro.dataplane.slot_stream`)
+drive it; the per-packet interpreter they are held to lives in
+:mod:`repro.dataplane.oracle`.
 
-1. hashes the 5-tuple to a register slot and reads the reserved state
-   (subtree id and per-window packet counter),
-2. updates the dependency chain and the ``k`` feature slots through the
-   operator-selection MATs of the *active* subtree,
-3. at a window boundary (derived from the flow-size information carried in
-   the packet header, as with Homa/NDP), generates the match keys from the
-   feature registers, looks up the subtree's model rules, and either
-   * emits a classification digest (final partition or early exit), or
-   * recirculates a control packet carrying the next subtree id, which
-     clears the feature and dependency registers and updates the SID.
-
-State is held once, in one ``_FlowState`` per occupied register slot, indexed
-by the CRC32 flow hash, so hash collisions corrupt state exactly as they
+Slot state is held as columns, indexed by the CRC32 flow hash
+(:class:`SlotHandover`), so hash collisions corrupt state exactly as they
 would on hardware.  No register array or TCAM table is instantiated: what a
 deployment costs and whether it fits its target is answered by
 :mod:`repro.core.resources`.
-
-The scalar path above serves ``replay_dataset(..., engine="reference")``;
-the batched :meth:`SpliDTDataPlane.step_windows` API applies the same
-transitions to many flows — or many register slots — at once for the
-batched engines (:mod:`repro.dataplane.vectorized`,
-:mod:`repro.dataplane.slot_stream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,65 +27,23 @@ from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet, group_by_sid
 from repro.dataplane.controller import Controller
 from repro.dataplane.verdicts import VerdictStore, Verdicts
-from repro.datasets.flows import FiveTuple, Packet, PacketArrays
-from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
-from repro.features.stateful import StatefulOperator, make_operator
-from repro.features.window import cached_window_boundaries
+from repro.datasets.flows import PacketArrays
+from repro.features.definitions import FEATURES
 from repro.switch.eviction import EvictionPolicy
 from repro.switch.hashing import FlowIndexer
-from repro.switch.phv import CONTROL_PACKET_BYTES, Phv, make_control_phv
+from repro.switch.phv import CONTROL_PACKET_BYTES
 from repro.switch.recirculation import RecirculationChannel
 from repro.switch.targets import TOFINO1, TargetSpec
-
-_SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
-
-#: :class:`Packet` fields and the dtypes of their ``PacketArrays`` columns.
-_PACKET_COLUMNS = (
-    ("timestamp", np.float64),
-    ("size", np.float64),
-    ("flags", np.int64),
-    ("direction", np.int64),
-    ("payload", np.float64),
-)
-
-
-def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]:
-    """The flow's stateless header features, keyed by feature index (resolved at import)."""
-    return {
-        _SRC_PORT: float(five_tuple.src_port),
-        _DST_PORT: float(five_tuple.dst_port),
-        _PROTOCOL: float(five_tuple.protocol),
-        _PKT_LEN_FIRST: float(first_size),
-    }
-
-
-@dataclass
-class _FlowState:
-    """Per-flow-slot simulation state (the contents of the register slot)."""
-
-    sid: int
-    five_tuple: FiveTuple | None = None
-    flow_id: int = -1
-    packets_seen: int = 0
-    window_index: int = 0
-    first_packet_at: float = 0.0
-    last_seen_at: float = 0.0
-    n_recirculations: int = 0
-    operators: dict[int, StatefulOperator] = field(default_factory=dict)
-    #: The packets ``operators`` were fed: the open window, as raw packets.
-    window: list[Packet] = field(default_factory=list)
-    stateless: dict[int, float] = field(default_factory=dict)
-    decided: bool = False
 
 
 @dataclass(slots=True)
 class OpenWindows:
     """The undecided residents of a :class:`SlotHandover`, one entry per open window.
 
-    Registers are as they were at the *start* of the open window; settling
-    feeds the window's packets to a fresh operator bank of subtree ``sids``,
-    and the slot-stream plane resumes from them with the packets at the head
-    of the slot's run.
+    Registers are as they were at the *start* of the open window: the
+    slot-stream plane resumes from them with the packets at the head of the
+    slot's run, and the per-packet oracle feeds the window's packets to a
+    fresh operator bank of subtree ``sids``.
     """
 
     #: Row of the hand-over each entry belongs to (the only row of its slot).
@@ -116,12 +65,11 @@ class OpenWindows:
 class SlotHandover:
     """Slot state a batched plane left behind, as columns: one row per resident.
 
-    The batched planes keep slot state in their own columns and build no
-    ``_FlowState``: a later batched call resumes from the columns
-    (:meth:`SpliDTDataPlane.held_state`), and only a reader that asks for
-    objects pays for them (:meth:`SpliDTDataPlane.hand_over`).  Rows are
-    installed in ``first_ts`` order, so of several flows that followed one
-    another in a slot the last one stays.  A decided resident is its identity
+    The program holds slot state only in this form: a later call resumes
+    from the columns (:meth:`SpliDTDataPlane.held_state`), and only the
+    per-packet oracle turns them into objects.  Rows apply in ``first_ts``
+    order, so of several flows that followed one another in a slot the last
+    one stays.  A decided resident is its identity
     and nothing else — all the packet path ever reads of one; the undecided
     ones are completed by ``undecided``.
 
@@ -158,11 +106,10 @@ class SlotHandover:
 
     @classmethod
     def merged(cls, records: list["SlotHandover"]) -> "SlotHandover":
-        """What settling ``records`` (oldest first) leaves: one row per slot, by slot.
+        """What applying ``records`` (oldest first) leaves: one row per slot, by slot.
 
-        Rows apply as :meth:`SpliDTDataPlane._settle` applies them — record
-        by record, each in ``first_ts`` order — so a slot keeps the last row
-        applied to it, with its open window if it has one.
+        Rows apply record by record, each in ``first_ts`` order, so a slot
+        keeps the last row applied to it, with its open window if it has one.
         """
         slots = np.concatenate([record.slots for record in records])
         first_ts = np.concatenate([record.first_ts for record in records])
@@ -227,17 +174,16 @@ class SpliDTDataPlane:
     baseline runs here as the one-partition model
     :func:`~repro.baselines.topk.exit_tree`.
 
-    Exposes two equivalent paths, selected by the ``engine`` parameter of
-    :func:`repro.dataplane.replay_dataset`: the scalar
-    :meth:`process_packet` interpreter (the ``"reference"`` engine) and the
-    batched :meth:`begin_flows` / :meth:`step_windows` API the
-    ``"vectorized"`` engine drives with NumPy masks over the subtree state.
+    The batched :meth:`begin_flows` / :meth:`step_windows` API is what the
+    replay planes drive with NumPy masks over the subtree state.  Building a
+    program compiles its rule set's lookup plane, so the first window round
+    never pays for it.
 
     Example::
 
         >>> from repro.dataplane import SpliDTDataPlane, replay_dataset
         >>> program = SpliDTDataPlane(model, rules, flow_slots=8192)
-        >>> result = replay_dataset(program, dataset, engine="vectorized")
+        >>> result = replay_dataset(program, dataset)
         >>> len(result.verdicts) <= dataset.n_flows
         True
     """
@@ -264,139 +210,12 @@ class SpliDTDataPlane:
         self._evicted_flows: set[int] = set()
 
         self._n_partitions = model.config.n_partitions
-        self._flow_state: dict[int, _FlowState] = {}
-        #: Slot state the batched planes left as columns, not in
-        #: ``_flow_state`` yet (see :meth:`hand_over`).
-        self._unsettled: list[SlotHandover] = []
-        #: Every decided row, batched and per packet (see :attr:`verdicts`).
+        #: Slot state the planes left, as columns (see :meth:`held_state`).
+        self._held: list[SlotHandover] = []
+        #: Every decided row (see :attr:`verdicts`).
         self._verdicts = VerdictStore()
         self._stateful_by_sid: dict[int, list[int]] = {}
-
-        # Capture the lookup mode at deploy time: later set_lookup calls on
-        # the (shared) rule set do not retarget an already-built program.
-        self._lookup_mode = rules.lookup
-        if self._lookup_mode == "lut":
-            # Deploy-time compilation of the dense lookup plane, so the
-            # first window round never pays for it.
-            rules.compiled_lookup()
-
-    # ------------------------------------------------------------------
-    # Packet path
-    # ------------------------------------------------------------------
-    def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> None:
-        """Run one data packet through the pipeline.
-
-        A packet that triggers the flow's final decision records one row in
-        the verdict store (:attr:`verdicts`) and one digest.
-
-        Args:
-            phv: The parsed packet.
-            flow_id: Identifier used for verdict bookkeeping (not visible to
-                the data plane itself).
-            flow_size: Total packets of the flow, as carried in the packet
-                header (Homa/NDP flow-size field) — used to derive window
-                boundaries.
-        """
-        if self._unsettled:
-            self._settle()
-        slot = self.indexer.index_for(phv.five_tuple)
-        state = self._flow_state.get(slot)
-        if state is not None and state.decided:
-            if state.five_tuple == phv.five_tuple:
-                # The flow already received its verdict; remaining packets are
-                # forwarded without further inference (terminal SID).
-                return
-            state = None  # a new flow reclaims the slot
-        elif (
-            state is not None
-            and self.eviction is not None
-            and state.five_tuple != phv.five_tuple
-            and self.eviction.should_evict(
-                resident_last_seen=state.last_seen_at,
-                incoming_ts=phv.packet.timestamp,
-            )
-        ):
-            # The undecided resident is evicted: its slot state is
-            # destroyed (it resolves as undecided — no verdict) and the
-            # incoming packet's flow is admitted fresh.  The victim's own
-            # later packets, if any, re-enter as a brand-new flow.
-            self._evictions += 1
-            self._evicted_flows.add(state.flow_id)
-            state = None
-        if state is None:
-            state = _FlowState(
-                sid=self.model.root_sid,
-                five_tuple=phv.five_tuple,
-                flow_id=flow_id,
-                first_packet_at=phv.packet.timestamp,
-            )
-            state.stateless = _header_values(phv.five_tuple, phv.packet.size)
-            self._flow_state[slot] = state
-            self._admissions += 1
-            self._activate_subtree(state)
-
-        state.last_seen_at = phv.packet.timestamp
-        state.packets_seen += 1
-
-        # Feature collection for the active subtree.
-        packet = phv.packet
-        for operator in state.operators.values():
-            operator.update(packet)
-        state.window.append(packet)
-
-        # Window boundary check (flow-size-derived uniform windows).
-        boundaries = cached_window_boundaries(flow_size, self._n_partitions)
-        boundary = boundaries[min(state.window_index, len(boundaries) - 1)]
-        if state.packets_seen < boundary and state.packets_seen < flow_size:
-            return
-        self._window_boundary(phv, flow_id, state)
-
-    def _window_boundary(self, phv: Phv, flow_id: int, state: _FlowState) -> None:
-        feature_vector = self._feature_vector(state)
-        outcome = self.rules.classify(state.sid, feature_vector)
-        timestamp = phv.packet.timestamp
-
-        if outcome is None:
-            # No rule matched (quantisation corner); fall back to the default.
-            self._finalise(flow_id, state, self.model.default_label, timestamp, False)
-            return
-
-        kind, value = outcome
-        is_last_window = state.window_index >= self.model.config.n_partitions - 1
-        if kind == "exit" or is_last_window:
-            label = value if kind == "exit" else self.model.default_label
-            self._finalise(flow_id, state, label, timestamp, kind == "exit" and not is_last_window)
-            return
-
-        # Transition to the next subtree via a recirculated control packet.
-        control = make_control_phv(phv.five_tuple, next_sid=value, timestamp=timestamp)
-        self.recirculation.submit(control, timestamp)
-        self._apply_control(control, state)
-
-    def _apply_control(self, control: Phv, state: _FlowState) -> None:
-        """Consume a recirculated control packet: update SID, reset the operators."""
-        for released in self.recirculation.ready(control.packet.timestamp + 1.0):
-            next_sid = released.get("next_sid")
-            state.sid = int(next_sid)
-            state.window_index += 1
-            state.n_recirculations += 1
-            self._activate_subtree(state)
-
-    def _finalise(
-        self,
-        flow_id: int,
-        state: _FlowState,
-        label: int,
-        timestamp: float,
-        early_exit: bool,
-    ) -> None:
-        label = int(label)
-        self._verdicts.append_row(
-            flow_id, label, timestamp, state.first_packet_at, state.n_recirculations,
-            early_exit, state.sid,
-        )
-        self.controller.receive_digest(flow_id, label, timestamp, state.sid)
-        state.decided = True
+        rules.compiled_lookup()
 
     # ------------------------------------------------------------------
     # Batched path (vectorized replay engine)
@@ -405,9 +224,8 @@ class SpliDTDataPlane:
         """Batched flow admission: one new flow claims each of ``slots``.
 
         The batched planes keep the admitted flows' state in their own
-        columns, so all that is left to do here is what the scalar path does
-        when a new flow claims its slot beyond creating that state: count
-        the admission (:meth:`eviction_stats`).
+        columns, so all that is left to do here is count the admissions
+        (:meth:`eviction_stats`).
 
         Example::
 
@@ -429,13 +247,12 @@ class SpliDTDataPlane:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance many flows across one window boundary in a single call.
 
-        This is the batched equivalent of :meth:`process_packet` reaching a
-        window boundary: every row is one flow whose ``window_index``-th
-        window just completed, carrying the window's feature vector.  Flows
-        are grouped by active subtree (one stable argsort over ``sids``),
-        the subtree's model table is evaluated vectorized (compiled LUT or
-        first-match scan, per the rule set's ``lookup`` mode), and the three
-        scalar outcomes are applied batch-wise:
+        Every row is one flow whose ``window_index``-th window just
+        completed, carrying the window's feature vector.  Flows are grouped
+        by active subtree (one stable argsort over ``sids``), the subtree's
+        model table is evaluated vectorized
+        (:meth:`~repro.core.range_marking.RuleSet.classify_batch`), and the
+        three outcomes of a window boundary are applied batch-wise:
 
         * *exit* / no-match / last window → verdict recorded, digest emitted;
         * *next subtree* → recirculation accounted; the caller carries the
@@ -463,8 +280,7 @@ class SpliDTDataPlane:
                 given, decided rows are appended to it as column slices
                 instead of being finalised inline; the engine records them
                 once per replay via :meth:`finalise_staged`.  When omitted,
-                finalisation is immediate (the drop-in scalar-equivalent
-                contract direct callers rely on).
+                finalisation is immediate (what direct callers rely on).
 
         Returns:
             ``(advance_mask, next_sids)`` — rows with ``advance_mask`` True
@@ -484,9 +300,7 @@ class SpliDTDataPlane:
         if groups is None:
             groups = group_by_sid(sids)
         for sid, rows in groups:
-            kinds[rows], values[rows] = self.rules.classify_batch(
-                sid, feature_matrix[rows], lookup=self._lookup_mode
-            )
+            kinds[rows], values[rows] = self.rules.classify_batch(sid, feature_matrix[rows])
 
         # Explicit boolean *arrays* (no scalar-bool mixing): at the last
         # window nothing advances and an exit outcome is not "early".
@@ -536,10 +350,10 @@ class SpliDTDataPlane:
     ) -> None:
         """Record verdicts and digests for many decided rows at once.
 
-        Batched equivalent of :meth:`_finalise`: the columns are appended to
-        the verdict store as one block (rows in order, so a flow id decided
-        twice keeps its later verdict), and the controller retains the same
-        arrays as its digest columns.  No object is built per row.
+        The columns are appended to the verdict store as one block (rows in
+        order, so a flow id decided twice keeps its later verdict), and the
+        controller retains the same arrays as its digest columns.  No object
+        is built per row.
         """
         if len(flow_ids) == 0:
             return
@@ -566,126 +380,27 @@ class SpliDTDataPlane:
     # ------------------------------------------------------------------
     # Slot-state hand-over (batched planes)
     # ------------------------------------------------------------------
-    def occupied_slots(self) -> np.ndarray:
-        """Register slots that currently hold per-flow state (any order)."""
-        if self._unsettled:
-            self._settle()
-        return np.fromiter(self._flow_state, dtype=np.intp, count=len(self._flow_state))
-
-    def resident(self, slot: int) -> "_FlowState | None":
-        """The flow state held in register ``slot`` (``None`` when free)."""
-        if self._unsettled:
-            self._settle()
-        return self._flow_state.get(slot)
-
     def hand_over(self, record: SlotHandover) -> None:
         """Take the slot state a batched plane ended a call with, as columns.
 
-        Recorded, not installed: a later batched call reads it as columns
-        (:meth:`held_state`), and it becomes ``_FlowState`` objects only for
-        a reader that asks for objects (:meth:`process_packet`,
-        :meth:`occupied_slots`, :meth:`resident`).
+        Recorded as it is: a later call reads it as columns
+        (:meth:`held_state`).  A record supersedes, slot by slot, what the
+        program held before it.
         """
-        self._unsettled.append(record)
+        self._held.append(record)
 
     def held_state(self) -> SlotHandover | None:
         """Every occupied slot's resident as one hand-over record, building no objects.
 
         One row per occupied slot, sorted by slot (``None`` when none is):
-        what the next packet to reach the slot meets.  The batched planes
-        read slot state here and resume from it.  ``_FlowState`` objects go
-        back to columns first, so slot state read as objects or written by
-        :meth:`process_packet` resumes the same way.
+        what the next packet to reach the slot meets.  Every plane reads slot
+        state here and resumes from it, the per-packet oracle included.
         """
-        if self._flow_state:
-            self._unsettled.insert(0, self._columns_of_states())
-            self._flow_state.clear()
-        if not self._unsettled:
+        if not self._held:
             return None
-        held = SlotHandover.merged(self._unsettled)
-        self._unsettled = [held]
+        held = SlotHandover.merged(self._held)
+        self._held = [held]
         return held
-
-    def _columns_of_states(self) -> SlotHandover:
-        """The ``_FlowState`` objects as a hand-over record (one row per slot)."""
-        states = list(self._flow_state.values())
-        live = [state for state in states if not state.decided]
-        packets = [packet for state in live for packet in state.window]
-
-        def column(values, dtype=np.int64) -> np.ndarray:
-            return np.array(list(values), dtype=dtype)
-
-        return SlotHandover(
-            slots=column(self._flow_state, np.intp),
-            identity=tuple(map(column, zip(*(astuple(state.five_tuple) for state in states)))),
-            flow_ids=column(state.flow_id for state in states),
-            first_ts=column((state.first_packet_at for state in states), np.float64),
-            undecided=OpenWindows(
-                rows=column(row for row, state in enumerate(states) if not state.decided),
-                sids=column(state.sid for state in live),
-                windows=column(state.window_index for state in live),
-                seen=column(state.packets_seen - len(state.window) for state in live),
-                last_ts=column((state.last_seen_at for state in live), np.float64),
-                first_sizes=column((state.stateless[_PKT_LEN_FIRST] for state in live), np.float64),
-                starts=np.append(0, np.cumsum(column(len(state.window) for state in live))),
-                packets=tuple(
-                    column((getattr(packet, name) for packet in packets), dtype)
-                    for name, dtype in _PACKET_COLUMNS
-                ),
-            ),
-        )
-
-    def _settle(self) -> None:
-        """Turn the recorded hand-overs into slot state, oldest first."""
-        states, root_sid = self._flow_state, self.model.root_sid
-        for record in self._unsettled:
-            order = np.argsort(record.first_ts, kind="stable")
-            slots = record.slots[order].tolist()
-            tuples = map(FiveTuple, *(column[order].tolist() for column in record.identity))
-            for slot, five_tuple, flow_id in zip(slots, tuples, record.flow_ids[order].tolist()):
-                states[slot] = _FlowState(
-                    sid=root_sid, five_tuple=five_tuple, flow_id=flow_id, decided=True
-                )
-            if record.undecided is not None:
-                self._reopen_windows(record.slots, record.first_ts, record.undecided)
-        self._unsettled.clear()
-
-    def _reopen_windows(
-        self, slots: np.ndarray, first_ts: np.ndarray, undecided: OpenWindows
-    ) -> None:
-        """Bring the undecided residents of a hand-over to where their streams ended.
-
-        Each is set to the start of its open window (fresh operators of its
-        subtree) and the window's packets go straight to the operator bank:
-        inside an open window no boundary, eviction or reclaim can fire, so
-        this is all :meth:`process_packet` would have done with them.
-        """
-        packets = list(map(Packet, *(column.tolist() for column in undecided.packets)))
-        starts = undecided.starts.tolist()
-        for slot, first_at, sid, window, seen, last_at, first_size, start, stop in zip(
-            slots[undecided.rows].tolist(),
-            first_ts[undecided.rows].tolist(),
-            undecided.sids.tolist(),
-            undecided.windows.tolist(),
-            undecided.seen.tolist(),
-            undecided.last_ts.tolist(),
-            undecided.first_sizes.tolist(),
-            starts,
-            starts[1:],
-        ):
-            state = self._flow_state[slot]
-            state.decided = False
-            state.sid = sid
-            state.window_index = state.n_recirculations = window
-            state.first_packet_at = first_at
-            state.stateless = _header_values(state.five_tuple, first_size)
-            self._activate_subtree(state)
-            state.window = packets[start:stop]
-            for operator in state.operators.values():
-                for packet in state.window:
-                    operator.update(packet)
-            state.packets_seen = seen + len(state.window)
-            state.last_seen_at = last_at
 
     def record_evictions(self, flow_ids: list[int]) -> None:
         """Account for evicted residents (one eviction per entry of ``flow_ids``)."""
@@ -695,8 +410,8 @@ class SpliDTDataPlane:
     def subtree_stateful_features(self, sid: int) -> list[int]:
         """Sorted stateful feature indices of subtree ``sid`` (its operator bank).
 
-        The batched engine uses this to know which window aggregates to
-        materialise for flows whose active subtree is ``sid``.  Memoised:
+        The planes use this to know which window aggregates to materialise
+        for flows whose active subtree is ``sid``.  Memoised:
         the sort runs once per subtree, not once per window round.
         """
         sid = int(sid)
@@ -714,30 +429,6 @@ class SpliDTDataPlane:
             ]
         self._stateful_by_sid[sid] = features
         return features
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _activate_subtree(self, state: _FlowState) -> None:
-        """Load the operator bank for the features of the newly active subtree.
-
-        The subtree's sorted stateful feature list comes from the memoised
-        :meth:`subtree_stateful_features`.
-        """
-        operators: dict[int, StatefulOperator] = {}
-        for feature in self.subtree_stateful_features(state.sid):
-            operators[feature] = make_operator(FEATURES[feature].name)
-        state.operators = operators
-        state.window = []
-
-    def _feature_vector(self, state: _FlowState) -> np.ndarray:
-        """Assemble the feature vector visible to the active subtree."""
-        vector = np.zeros(N_FEATURES, dtype=float)
-        for feature, value in state.stateless.items():
-            vector[feature] = value
-        for feature, operator in state.operators.items():
-            vector[feature] = operator.value
-        return vector
 
     # ------------------------------------------------------------------
     # Statistics
@@ -773,7 +464,7 @@ class SpliDTDataPlane:
         the batched engine replays on the slot-stream plane (it reports the
         residents it evicts through :meth:`record_evictions`); a flow on the
         flow-lockstep plane decides before another flow can reach its slot.
-        The counters are bit-identical across every replay engine — the
+        The counters are bit-identical to the per-packet oracle's — the
         parity fuzzer includes them in its snapshot.
         """
         return {

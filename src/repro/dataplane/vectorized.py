@@ -1,6 +1,6 @@
 """Fused, allocation-free vectorized replay engine for the data-plane programs.
 
-The reference engine in :mod:`repro.dataplane.runtime` interprets one packet
+The per-packet interpreter in :mod:`repro.dataplane.oracle` runs one packet
 at a time — the semantics oracle, and the slowest possible path for the
 component the paper claims runs at line rate.  This module replays the same
 traffic orders of magnitude faster by exploiting two structural facts:
@@ -41,9 +41,9 @@ round and decided rows are recorded, as column blocks, once per replay.
 
 Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
-``replay_dataset(..., engine="vectorized")`` produces verdicts, labels,
-time-to-detection values, digests and recirculation statistics bit-identical
-to ``engine="reference"``.
+:func:`replay_arrays` produces verdicts, labels, time-to-detection values,
+digests, recirculation statistics, eviction counters and slot state
+bit-identical to the oracle's.
 
 Floating-point notes:
 
@@ -72,7 +72,6 @@ from repro.features.flowmeter import (
     SMALL_PACKET_BYTES,
 )
 from repro.switch.hashing import flow_slots
-from repro.switch.phv import make_data_phv
 
 #: TCP flag features handled by the generic bit-test kernel.
 _FLAG_FEATURES = {
@@ -654,7 +653,7 @@ def _replay_scalar(
     ("scalar" is historical: it used to mean the per-packet interpreter for
     all of them).  The selected flows' packets take effect in global
     ``(timestamp, flow_id)`` order within each slot, so corruption, eviction
-    and reclaim behave exactly as in the reference engine: they replay on
+    and reclaim behave exactly as in the per-packet oracle: they replay on
     the slot-stream plane (:func:`repro.dataplane.slot_stream.replay_slot_stream`,
     whose accounting is returned; ``slots``, ``stream`` and ``sizes`` are
     passed through).
@@ -693,31 +692,6 @@ def _arrival_order(
     positions, _ = _segment_positions(starts, counts)
     order = np.lexsort((np.repeat(soa.flow_ids[selected], counts), soa.timestamps[positions]))
     return positions[order]
-
-
-def _replay_positions(
-    program, flows: list[Flow], soa: PacketArrays, positions, sizes=None
-) -> None:
-    """Feed the packets at ``positions`` to ``program.process_packet``, in order.
-
-    The oracle's one feed: the reference engine
-    (:class:`~repro.serve.StreamingEngine`) comes through here, and tests
-    replay against it.  ``positions`` index the flow-major packet columns.
-    Packet headers carry ``sizes[flow]`` as the flow size — by default the
-    *full* flow size, whatever subset of a flow is replayed.
-    """
-    flow_starts = soa.flow_starts
-    if sizes is None:
-        sizes = soa.n_packets_per_flow
-    packet_flow = soa.packet_flow
-    process_packet = program.process_packet
-    for position in positions:
-        flow_index = int(packet_flow[position])
-        flow = flows[flow_index]
-        packet = flow.packets[int(position - flow_starts[flow_index])]
-        process_packet(
-            make_data_phv(flow.five_tuple, packet), flow.flow_id, int(sizes[flow_index])
-        )
 
 
 def _replay_splidt_batched(
@@ -833,14 +807,14 @@ def _split_scalar_fast(
     Returns a boolean mask over ``indices``: True rows must replay with
     sequential per-slot semantics (:func:`_replay_scalar`), False rows are
     safe for the batched whole-flow planes.  One rule, by slot: a slot is
-    safe when every flow in it meets a clean slot in the reference engine —
+    safe when every flow in it meets a clean slot in the per-packet oracle —
     each has at least ``min_packets`` packets (for SpliDT: fewer than one
     per partition and the flow may exhaust its windows while recirculating
     and end *undecided*, leaving live state the next flow inherits), none is
     ``forced`` by the caller (buffered prefix, held slot state, spoofed flow
     size), and they follow one another: each starts strictly after its
     predecessor's last packet (so after its verdict) under a different
-    five-tuple (so it reclaims the slot; the reference engine treats a
+    five-tuple (so it reclaims the slot; the per-packet oracle treats a
     decided flow's retransmitted tuple as the same flow).  In every other
     slot the flows share sequential register state, and all of them go
     scalar.

@@ -8,13 +8,12 @@ a :class:`FiveTuple`.
 Two representations of the same traffic coexist:
 
 * the object form (``Flow`` / ``Packet``), convenient for generation and for
-  the per-packet *reference* replay engine, and
+  the per-packet oracle (``repro.dataplane.oracle``), and
 * :class:`PacketArrays`, a structure-of-arrays (SoA) form — flat NumPy
   columns of timestamps, sizes, flags, directions and payloads laid out
   flow-major, with a precomputed global ``(timestamp, flow_id)`` interleave
-  permutation.  The *vectorized* replay engine
-  (``repro.dataplane.vectorized``) and the batched program APIs operate on
-  this form, and ``replay_dataset(..., engine="reference")`` reuses its
+  permutation.  The replay planes (``repro.dataplane.vectorized``) and the
+  batched program APIs operate on this form, and the oracle reuses its
   interleave order instead of re-sorting packets on every call.
 """
 

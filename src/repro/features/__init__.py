@@ -5,8 +5,9 @@
 * :mod:`repro.features.window` — uniform window segmentation of flows.
 * :mod:`repro.features.flowmeter` — offline extraction of per-window,
   whole-flow and per-packet feature vectors.
-* :mod:`repro.features.stateful` — per-packet register-update operators used
-  by the data-plane simulator.
+* :mod:`repro.features.stateful` — per-packet register-update operators, the
+  operator bank of the per-packet oracle (:mod:`repro.dataplane.oracle`);
+  not imported here.
 """
 
 from repro.features.definitions import (
@@ -21,7 +22,6 @@ from repro.features.definitions import (
     max_dependency_depth,
 )
 from repro.features.flowmeter import FlowMeter, quantize_features
-from repro.features.stateful import StatefulOperator, make_operator, make_operator_bank
 from repro.features.window import (
     split_packets,
     window_boundaries,
@@ -37,11 +37,8 @@ __all__ = [
     "STATELESS_INDICES",
     "FeatureDefinition",
     "FlowMeter",
-    "StatefulOperator",
     "dependency_depth",
     "feature_names",
-    "make_operator",
-    "make_operator_bank",
     "max_dependency_depth",
     "quantize_features",
     "split_packets",

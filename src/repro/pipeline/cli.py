@@ -34,7 +34,6 @@ import sys
 import time
 
 from repro.analysis.reporting import format_max_flows, render_table
-from repro.dataplane.runtime import REPLAY_ENGINES
 from repro.datasets.profiles import DATASET_KEYS
 from repro.datasets.registry import dataset_summary
 from repro.pipeline.artifacts import load_run, save_run
@@ -70,9 +69,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", help="hardware target (tofino1, tofino2, ...)")
     parser.add_argument("--target-flows", type=int, dest="target_flows",
                         help="concurrent-flow target for feasibility/baseline search")
-    parser.add_argument("--engine", dest="replay_engine",
-                        choices=REPLAY_ENGINES,
-                        help="replay engine (default: vectorized)")
     parser.add_argument("--replay-flows", type=int, dest="replay_flows",
                         help="replay only the first N flows (0 = all)")
     parser.add_argument("--flow-slots", type=int, dest="flow_slots",
@@ -85,7 +81,7 @@ def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> E
     overrides = {}
     for name in ("dataset", "n_flows", "seed", "depth", "features_per_subtree",
                  "n_partitions", "bit_width", "target", "target_flows",
-                 "replay_engine", "replay_flows", "flow_slots"):
+                 "replay_flows", "flow_slots"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -142,10 +138,7 @@ def format_result(result: ExperimentResult) -> str:
         )
     if result.replay_result is not None:
         replay = result.replay_result
-        lines.append(
-            f"replayed          : {len(replay.verdicts)} flows "
-            f"({spec.replay_engine} engine)"
-        )
+        lines.append(f"replayed          : {len(replay.verdicts)} flows")
         lines.append(f"data-plane F1     : {replay.report.f1_score:.3f}")
         if result.ttd:
             lines.append(
@@ -184,8 +177,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     experiment = load_run(args.run_dir)
     overrides = {}
-    if args.replay_engine is not None:
-        overrides["replay_engine"] = args.replay_engine
     if args.replay_flows is not None:
         overrides["replay_flows"] = args.replay_flows or None
     if overrides:
@@ -693,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="replay a saved run without retraining")
     replay.add_argument("run_dir", help="run directory produced by `run --out`")
-    replay.add_argument("--engine", dest="replay_engine",
-                        choices=REPLAY_ENGINES,
-                        help="override the replay engine")
     replay.add_argument("--replay-flows", type=int, dest="replay_flows",
                         help="override the replayed flow count (0 = all)")
     replay.set_defaults(func=_cmd_replay)

@@ -120,7 +120,7 @@ class Experiment:
     Stage methods are idempotent: results are cached on the instance, so the
     stages compose freely (``replay()`` twice trains once).  ``invalidate``
     drops a stage *and everything after it* so a stage can be re-run — e.g.
-    after swapping the replay engine on a loaded artifact.
+    after changing the replayed flow count on a loaded artifact.
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
@@ -223,7 +223,6 @@ class Experiment:
                 max_flows=spec.replay_flows,
                 jitter_starts=spec.jitter_starts,
                 seed=spec.seed,
-                engine=spec.replay_engine,
             )
 
         return self._stage("replay", run)

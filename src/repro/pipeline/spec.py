@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace as dataclass_replace
 
 from repro.core.config import SpliDTConfig, TopKConfig
-from repro.dataplane.runtime import REPLAY_ENGINES
 from repro.datasets.profiles import DATASET_KEYS
 from repro.online.config import OnlineConfig, OnlineConfigError
 from repro.serve.engine import SERVE_ENGINES
@@ -31,10 +30,10 @@ class ServeConfig:
     """Declarative serving settings (the ``python -m repro serve`` surface).
 
     Attributes:
-        engine: Inference engine — ``"streaming"`` (per-packet),
-            ``"microbatch"`` (vectorized micro-batches) or ``"sharded-mp"``
-            (worker *processes* partitioned by CRC32 register slot over a
-            shared-memory packet source).
+        engine: Inference engine — ``"microbatch"`` (vectorized
+            micro-batches) or ``"sharded-mp"`` (worker *processes*
+            partitioned by CRC32 register slot over a shared-memory packet
+            source).
         workers: Worker process count (``"sharded-mp"`` engine only).
         spawn_method: Process start method for ``"sharded-mp"`` —
             ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` (the
@@ -170,8 +169,6 @@ class ExperimentSpec:
         target: Hardware target name (``"tofino1"`` …).
         target_flows: Concurrent-flow target used for baseline model search
             and feasibility checks.
-        replay_engine: ``"vectorized"`` (the batched window plane) or
-            ``"reference"`` (the per-packet oracle).
         replay_flows: Replay only the first N flows (``None`` = all).
         flow_slots: Register slots of the simulated data-plane program.
         jitter_starts: Randomly shift flow start times during replay.
@@ -200,7 +197,6 @@ class ExperimentSpec:
     bit_width: int = 32
     target: str = "tofino1"
     target_flows: int = 100_000
-    replay_engine: str = "vectorized"
     replay_flows: int | None = 200
     flow_slots: int = 8192
     jitter_starts: bool = False
@@ -243,11 +239,6 @@ class ExperimentSpec:
         if self.target.lower() not in TARGETS:
             raise SpecError(
                 f"unknown target {self.target!r}; expected one of {tuple(TARGETS)}"
-            )
-        if self.replay_engine not in REPLAY_ENGINES:
-            raise SpecError(
-                f"unknown replay engine {self.replay_engine!r}; "
-                f"expected one of {REPLAY_ENGINES}"
             )
         if self.replay_flows is not None and self.replay_flows < 1:
             raise SpecError(f"replay_flows must be >= 1, got {self.replay_flows}")

@@ -1,11 +1,11 @@
 """Streaming inference engines: sessions, micro-batches, worker processes.
 
 This package is the serving surface of a deployed model — the counterpart,
-for live traffic, of the one-shot :func:`repro.dataplane.replay_dataset`
-(whose ``"reference"`` engine is an ingest-everything-then-drain session of
-:class:`StreamingEngine`).  See :mod:`repro.serve.engine` for the protocol and
-``docs/serving.md`` for the full contract; ``docs/performance.md`` explains
-when to pick which engine.
+for live traffic, of the one-shot :func:`repro.dataplane.replay_dataset`.
+See :mod:`repro.serve.engine` for the protocol and ``docs/serving.md`` for
+the full contract; ``docs/performance.md`` explains when to pick which
+engine.  :class:`StreamingEngine` is a session over the per-packet oracle,
+the reference the engines are tested against, not an engine to serve with.
 
 Example::
 
@@ -59,8 +59,8 @@ def create_engine(
 
     Args:
         program_factory: Zero-argument callable building a fresh data-plane
-            program; called once for the single-program engines and once per
-            worker for ``"sharded-mp"``.  For ``"sharded-mp"`` the
+            program; called once for ``"microbatch"`` and once per worker
+            for ``"sharded-mp"``.  For ``"sharded-mp"`` the
             factory must be picklable under every start method (use
             :class:`repro.pipeline.systems.ProgramFactory`, not a lambda).
         engine: One of :data:`SERVE_ENGINES`.
@@ -81,8 +81,6 @@ def create_engine(
         >>> engine.name
         'microbatch'
     """
-    if engine == "streaming":
-        return StreamingEngine(program_factory())
     if engine == "microbatch":
         return MicroBatchEngine(
             program_factory(), flush_flows=flush_flows, backpressure=backpressure

@@ -22,14 +22,12 @@ when needed and assembles the final :class:`~repro.dataplane.ReplayResult`.
 Semantics contract (asserted by ``tests/test_serve_engines.py``): for a
 stream in ``(timestamp, flow_id)`` order, the verdicts, time-to-detection
 values and recirculation statistics after ``drain`` are **bit-identical** to
-``replay_dataset(..., engine="reference")`` over the same packets — for any
+the per-packet oracle (:mod:`repro.dataplane.oracle`) over the same packets — for any
 chunk sizes, including hash-collision flows and the IAT accumulation-order
 guarantee, and regardless of how many shards the work is spread over.
 
 Concrete engines:
 
-* :class:`~repro.serve.streaming.StreamingEngine` — per-packet reference
-  runtime, verdicts appear the moment their boundary packet is ingested.
 * :class:`~repro.serve.microbatch.MicroBatchEngine` — batches windows through
   the vectorized planes; a flow's window is flushed eagerly once its last
   packet is in, with other flows' ready windows.
@@ -38,6 +36,10 @@ Concrete engines:
   shared-memory packet source, so disjoint-slot flows advance in parallel;
   collision flows stay co-sharded, preserving hardware semantics (see
   ``docs/performance.md``).
+
+:class:`~repro.serve.streaming.StreamingEngine` implements the same protocol
+over the per-packet oracle: the reference the engines are tested against,
+not one :data:`SERVE_ENGINES` names.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from repro.switch.recirculation import RecirculationChannel
 
 #: Engine names accepted by :func:`repro.serve.create_engine` (and by
 #: ``ServeConfig.engine`` / ``python -m repro serve --serve-engine``).
-SERVE_ENGINES = ("streaming", "microbatch", "sharded-mp")
+SERVE_ENGINES = ("microbatch", "sharded-mp")
 
 #: Default eager-flush threshold of the micro-batch engine (flows).
 DEFAULT_FLUSH_FLOWS = 8
@@ -86,13 +88,13 @@ class EngineStats:
         flows_seen: Distinct flows with at least one ingested packet.
         flows_decided: Flows with a recorded verdict.
         buffered_packets: Ingested packets not yet pushed through the program
-            (0 for the per-packet streaming engine).
+            (0 for the per-packet oracle session).
         accuracy: Rolling accuracy of the decided flows against ground truth.
         ttd: Rolling time-to-detection summary (median/mean/p90/p99/max, s).
         recirculation: Recirculation counters so far (empty for a
             process-sharded session no worker has reported to yet).
         batching: Micro-batch flush counters, summed over shards, workers
-            and model epochs (empty for the per-packet streaming engine):
+            and model epochs (empty for the per-packet oracle session):
             ``flushes``, ``flushed_flows`` (flows with a ready window per
             flush, summed: their ratio is the mean flush size the vectorized
             machinery amortises its fixed cost over) and ``eligible_scans``
@@ -462,7 +464,7 @@ class InferenceEngine(abc.ABC):
 
         The pin decision is a pure function of the delivered stream prefix,
         the flow table and the register table size — never of verdict
-        timing — so every engine (streaming, micro-batch, process-sharded)
+        timing — so every engine (micro-batch, process-sharded, the oracle session)
         partitions flows identically and the cross-engine parity contract
         survives the swap.  Swapping to an identical model
         is fully invisible: verdicts, TTD and merged recirculation counters

@@ -12,7 +12,7 @@ on its register slot:
   one window index per row), from the flow's own packets.  A new flow
   claims a slot solo when the slot is free, or when its previous resident
   has received its last packet, has decided, and had a different five-tuple
-  (the reference engine then reclaims the slot on fresh state).
+  (the per-packet oracle then reclaims the slot on fresh state).
 * **contended** — another flow's packet reached the slot while its resident
   was live, or a new flow repeated the resident's five-tuple.  At that
   packet the resident's state goes to the program as one
@@ -21,7 +21,7 @@ on its register slot:
   of the slot is replayed by the slot-stream plane
   (:mod:`repro.dataplane.slot_stream`) in arrival order, resuming from the
   state the program holds — corruption, eviction and reclaim exactly as in
-  the reference engine.  One call replays every contended slot; it runs
+  the per-packet oracle.  One call replays every contended slot; it runs
   once ``flush_flows`` of their flows have had a ready window since the
   last one (and at ``drain``), because its cost is mostly per call.
 

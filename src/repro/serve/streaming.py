@@ -1,24 +1,25 @@
-"""Per-packet streaming engine (the reference runtime behind ``ingest``).
+"""A serving session over the per-packet oracle.
 
-The lowest-latency, lowest-throughput engine: every ingested packet becomes
-a PHV and traverses ``program.process_packet`` immediately, so verdicts are
-observable the moment their boundary packet arrives.  This is byte-for-byte
-the ``engine="reference"`` interpreter loop of
-:func:`repro.dataplane.replay_dataset`, re-expressed as a stream consumer —
-``replay_dataset``'s reference engine is literally this engine fed one
-whole-stream chunk.
+Every ingested packet traverses :mod:`repro.dataplane.oracle`'s interpreter
+immediately, so verdicts are observable the moment their boundary packet
+arrives.  It is not a serving engine (:data:`~repro.serve.engine.SERVE_ENGINES`
+does not name it): it is the reference the served engines are held to over
+the same stream — chunking, hot swaps and stream-order checks included.
 """
 
 from __future__ import annotations
 
-from repro.dataplane import vectorized as vz
+from repro.dataplane.oracle import PacketInterpreter
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
-from repro.serve.engine import InferenceEngine, ServeError
+from repro.serve.engine import InferenceEngine, ServeError, channel_aggregate
 
 
 class StreamingEngine(InferenceEngine):
-    """Streams packets through the per-packet reference runtime.
+    """Streams packets through the per-packet oracle.
+
+    The program's slot state is held as objects from the first ``ingest``
+    until ``drain``, which hands it back to the program as columns.
 
     Example::
 
@@ -37,6 +38,7 @@ class StreamingEngine(InferenceEngine):
         if program is None:
             raise ServeError("StreamingEngine requires a data-plane program")
         self.program = program
+        self._interpreter: PacketInterpreter | None = None
 
     def _engine_verdicts(self) -> Verdicts:
         """The program's verdict snapshot (non-blocking).
@@ -51,8 +53,6 @@ class StreamingEngine(InferenceEngine):
         return self.program.recirculation_stats()
 
     def _engine_channel_aggregates(self) -> list:
-        from repro.serve.engine import channel_aggregate
-
         return [channel_aggregate(self.program)]
 
     def _successor_engine(self, program_factory) -> "StreamingEngine":
@@ -62,4 +62,11 @@ class StreamingEngine(InferenceEngine):
         return self.program.indexer.table_size
 
     def _ingest(self, chunk: PacketChunk) -> None:
-        vz._replay_positions(self.program, chunk.flows, chunk.soa, chunk.positions)
+        if self._interpreter is None:
+            self._interpreter = PacketInterpreter(self.program)
+        self._interpreter.replay_positions(chunk.flows, chunk.soa, chunk.positions)
+
+    def _drain(self) -> None:
+        if self._interpreter is not None:
+            self._interpreter.close()
+            self._interpreter = None

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import evaluate_flow_size_spoofing, robustness
-from repro.dataplane import SpliDTDataPlane, replay_dataset
-from repro.dataplane import vectorized as vz
+from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +79,7 @@ class TestSpoofedReplayIsTheDeployedProgram:
             splidt_model, splidt_rules, subset, scales=(1.0,), flow_slots=self.SLOTS
         )
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.SLOTS)
-        vectorized = replay_dataset(program, subset, engine="vectorized")
+        vectorized = replay_dataset(program, subset)
         assert _fields(replays[0].verdicts) == _fields(vectorized.verdicts)
         assert replays[0].recirculation == vectorized.recirculation
 
@@ -94,6 +93,6 @@ class TestSpoofedReplayIsTheDeployedProgram:
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.SLOTS)
         soa = subset.packet_arrays()
         spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in subset.flows]
-        vz._replay_positions(program, subset.flows, soa, soa.interleave_order, spoofed)
+        oracle.replay_positions(program, subset.flows, soa, soa.interleave_order, spoofed)
         assert _fields(replayed.verdicts) == _fields(program.verdicts)
         assert replayed.recirculation == program.recirculation_stats()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.dataplane import SpliDTDataPlane, replay_dataset, ttd_ecdf
 from repro.dataplane.controller import Digest
+from repro.dataplane.oracle import PacketInterpreter
 from repro.dataplane.vectorized import cached_flow_slots
 from repro.pipeline import Experiment, ExperimentSpec
 from repro.switch.phv import make_data_phv
@@ -54,7 +55,9 @@ def test_process_packet_rejects_mirror_registers(
     flow = small_dataset.flows[0]
     phv = make_data_phv(flow.five_tuple, flow.packets[0])
     with pytest.raises(TypeError):
-        program.process_packet(phv, flow.flow_id, flow.n_packets, mirror_registers=False)
+        PacketInterpreter(program).process_packet(
+            phv, flow.flow_id, flow.n_packets, mirror_registers=False
+        )
     assert program.verdicts == {}
 
 
@@ -94,6 +97,28 @@ def test_instantiated_pipeline_is_gone(path):
 )
 def test_second_program_is_gone(path):
     """One data-plane program: the top-k switch and its replay path are rejected, not aliased."""
+    _assert_gone(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "repro.dataplane:REPLAY_ENGINES",
+        "repro.dataplane.runtime:REPLAY_ENGINES",
+        "repro.dataplane:SpliDTDataPlane.process_packet",
+        "repro.dataplane:SpliDTDataPlane.occupied_slots",
+        "repro.dataplane:SpliDTDataPlane.resident",
+        "repro.dataplane.splidt_program:_FlowState",
+        "repro.dataplane.vectorized:_replay_positions",
+        "repro.core:LOOKUP_MODES",
+        "repro.core.range_marking:LOOKUP_MODES",
+        "repro.core.range_marking:RuleSet.set_lookup",
+        "repro.features:make_operator",
+        "repro.features:StatefulOperator",
+    ],
+)
+def test_reference_selectors_are_gone(path):
+    """The per-packet oracle and the rule scan are references, not settings: gone, not aliased."""
     _assert_gone(path)
 
 
@@ -216,7 +241,7 @@ class TestTopKDataPlane:
         ))
         program = experiment.deploy().program
         dataset = experiment.prepare().dataset
-        replay_dataset(program, dataset, engine="vectorized")
+        replay_dataset(program, dataset)
         assert program.replay_stats["packets"] == {"batched": 488, "slot_stream": 31_420}
         assert dataset.packet_arrays().n_packets == 31_908
 

@@ -1,22 +1,24 @@
-"""Engine-parity tests: the vectorized replay must match the reference loop.
+"""Parity tests: the batched replay must match the per-packet oracle.
 
 The contract (see ``repro/dataplane/vectorized.py``): for any dataset,
-``replay_dataset(..., engine="vectorized")`` produces bit-identical verdicts
-(label, decision time, first-packet time, recirculation count, early-exit
-flag), time-to-detection arrays and recirculation statistics to
-``engine="reference"``.  The suite exercises several D-datasets, jittered
-concurrent starts, ``max_flows`` truncation, and a deliberately tiny register
-file that forces hash collisions (the slot-stream plane).
+``replay_dataset`` produces bit-identical verdicts (label, decision time,
+first-packet time, recirculation count, early-exit flag), time-to-detection
+arrays and recirculation statistics to ``oracle.replay_dataset``.  The suite
+exercises several D-datasets, jittered concurrent starts, ``max_flows``
+truncation, and a deliberately tiny register file that forces hash
+collisions (the slot-stream plane).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import core, datasets
 from repro.core.range_marking import generate_rules
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.datasets.flows import PacketArrays
 
 
@@ -64,17 +66,11 @@ class TestSpliDTParity:
 
     def _both(self, artifacts, *, flow_slots=8192, **kwargs):
         dataset, model, rules = artifacts
-        reference = replay_dataset(
-            SpliDTDataPlane(model, rules, flow_slots=flow_slots),
-            dataset,
-            engine="reference",
-            **kwargs,
+        reference = oracle.replay_dataset(
+            SpliDTDataPlane(model, rules, flow_slots=flow_slots), dataset, **kwargs
         )
         vectorized = replay_dataset(
-            SpliDTDataPlane(model, rules, flow_slots=flow_slots),
-            dataset,
-            engine="vectorized",
-            **kwargs,
+            SpliDTDataPlane(model, rules, flow_slots=flow_slots), dataset, **kwargs
         )
         return reference, vectorized
 
@@ -101,13 +97,13 @@ class TestSpliDTParity:
     def test_single_flow(self, artifacts):
         _assert_identical(*self._both(artifacts, max_flows=1))
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_max_flows_zero_replays_nothing(self, artifacts, engine):
+    @pytest.mark.parametrize(
+        "replay", [oracle.replay_dataset, replay_dataset], ids=["reference", "vectorized"]
+    )
+    def test_max_flows_zero_replays_nothing(self, artifacts, replay):
         # Regression: ``max_flows=0`` used to be read as "no limit".
         dataset, model, rules = artifacts
-        result = replay_dataset(
-            SpliDTDataPlane(model, rules), dataset, max_flows=0, engine=engine
-        )
+        result = replay(SpliDTDataPlane(model, rules), dataset, max_flows=0)
         assert result.verdicts == {} and result.labels == {}
 
 
@@ -120,27 +116,21 @@ def test_splidt_parity_across_datasets(key, depth, k, partitions):
     dataset, model, rules = _splidt_artifacts(
         key, n_flows=120, depth=depth, k=k, partitions=partitions, seed=13
     )
-    reference = replay_dataset(
-        SpliDTDataPlane(model, rules, flow_slots=8192),
-        dataset,
-        engine="reference",
-        jitter_starts=True,
+    reference = oracle.replay_dataset(
+        SpliDTDataPlane(model, rules, flow_slots=8192), dataset, jitter_starts=True
     )
     vectorized = replay_dataset(
-        SpliDTDataPlane(model, rules, flow_slots=8192),
-        dataset,
-        engine="vectorized",
-        jitter_starts=True,
+        SpliDTDataPlane(model, rules, flow_slots=8192), dataset, jitter_starts=True
     )
     _assert_identical(reference, vectorized)
 
 
 class TestTopKParity:
-    """The NetBeacon program, as its registered system builds it, on both engines."""
+    """The NetBeacon program, as its registered system builds it, replayed and oracled."""
 
     def _both(self, factory, dataset, *, flow_slots=8192, **kwargs):
-        reference = replay_dataset(factory(flow_slots)(), dataset, engine="reference", **kwargs)
-        vectorized = replay_dataset(factory(flow_slots)(), dataset, engine="vectorized", **kwargs)
+        reference = oracle.replay_dataset(factory(flow_slots)(), dataset, **kwargs)
+        vectorized = replay_dataset(factory(flow_slots)(), dataset, **kwargs)
         return reference, vectorized
 
     def test_plain_replay(self, netbeacon_factory, small_dataset):
@@ -188,10 +178,12 @@ class TestPacketArrays:
 
     def test_rejects_unknown_engine(self, small_dataset, splidt_model, splidt_rules):
         program = SpliDTDataPlane(splidt_model, splidt_rules)
-        # "fused" is a removed engine name: rejected like any unknown one.
-        for engine in ("warp", "fused"):
-            with pytest.raises(ValueError, match="unknown engine"):
+        # The replay has no engine to select: the keyword is rejected, for
+        # removed names ("fused", "reference") and the one it ran alike.
+        for engine in ("warp", "fused", "reference", "vectorized"):
+            with pytest.raises(TypeError, match="engine"):
                 replay_dataset(program, small_dataset, engine=engine)
+        assert program.verdicts == {}
 
 
 class TestLastWindowSemantics:
@@ -286,21 +278,16 @@ class TestLastWindowSemantics:
 
 
 class TestLookupModes:
-    """The lookup knob must not change a single replayed bit."""
+    """The LUT's over-cap fallback, the rule scan, must not change a single replayed bit."""
 
     def test_vectorized_replay_scan_vs_lut(self, small_dataset, splidt_model, splidt_rules):
         results = {}
-        try:
-            for mode in ("scan", "lut"):
-                splidt_rules.set_lookup(mode)
-                program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-                results[mode] = replay_dataset(
-                    program, small_dataset, max_flows=150, engine="vectorized"
-                )
-        finally:
-            # splidt_rules is session-scoped: restore the default even when
-            # the replay raises, so later tests never inherit scan mode.
-            splidt_rules.set_lookup("lut")
+        scanning = dataclasses.replace(splidt_rules, lut_max_cells=0)
+        for mode, rules in (("scan", scanning), ("lut", splidt_rules)):
+            program = SpliDTDataPlane(splidt_model, rules, flow_slots=8192)
+            results[mode] = replay_dataset(program, small_dataset, max_flows=150)
+        assert scanning.compiled_lookup().stats()["n_compiled"] == 0
+        assert splidt_rules.compiled_lookup().stats()["n_compiled"] > 0
         _assert_identical(results["scan"], results["lut"])
 
 
@@ -316,7 +303,7 @@ def test_replay_arrays_matches_replay_dataset(small_dataset, splidt_model, splid
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
     replay_arrays(program, flows)
     baseline = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-    expected = replay_dataset(baseline, small_dataset, max_flows=80, engine="vectorized")
+    expected = replay_dataset(baseline, small_dataset, max_flows=80)
     assert set(program.verdicts) == set(expected.verdicts)
     for flow_id, verdict in program.verdicts.items():
         other = expected.verdicts[flow_id]

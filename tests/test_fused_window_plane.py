@@ -90,7 +90,7 @@ class _ScriptedRules:
         self.kinds = np.asarray(kinds, dtype=np.int8)
         self.values = np.asarray(values, dtype=np.int64)
 
-    def classify_batch(self, sid, matrix, lookup=None):
+    def classify_batch(self, sid, matrix):
         assert len(matrix) == self.kinds.size
         return self.kinds, self.values
 

@@ -382,7 +382,7 @@ class TestRefreshIsAlgorithm1:
         _, engine, _, _, _ = refresh
         program = engine.factories[0]()
         assert isinstance(program, SpliDTDataPlane)
-        result = replay_dataset(program, small_dataset, engine="vectorized")
+        result = replay_dataset(program, small_dataset)
         # Short flows can end undecided; nearly all must get a verdict.
         assert len(result.verdicts) >= 0.9 * len(small_dataset.flows)
 

@@ -1,12 +1,12 @@
 """The per-packet interpreter is the oracle, not a path.
 
-Outside ``replay_dataset(engine="reference")`` and
-:class:`~repro.serve.StreamingEngine`, nothing reaches
-``SpliDTDataPlane.process_packet``, and nothing turns the slot state the
-batched planes hand over into ``_FlowState`` objects (``_settle``): a later
-call resumes from the hand-over columns, spoofed flow sizes replay through
-the planes, and the micro-batch engine's dirty slots are resumed like any
-other held slot.
+It lives in :mod:`repro.dataplane.oracle`, which no batched module imports.
+Outside ``oracle.replay_dataset`` and :class:`~repro.serve.StreamingEngine`,
+nothing reaches ``PacketInterpreter.process_packet``, and nothing turns the
+slot state the planes hand over into ``_FlowState`` objects
+(``oracle.slot_states``): a later call resumes from the hand-over columns,
+spoofed flow sizes replay through the planes, and the micro-batch engine's
+dirty slots are resumed like any other held slot.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 from repro import datasets
 from repro.analysis import evaluate_flow_size_spoofing
-from repro.dataplane import SpliDTDataPlane
+from repro.dataplane import SpliDTDataPlane, oracle
 from repro.dataplane import vectorized as vz
 from repro.datasets.flows import Flow, PacketArrays
 from repro.datasets.streams import iter_packet_chunks
@@ -38,19 +38,45 @@ from repro.switch.eviction import make_eviction_policy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
+#: The modules production replays and serving sessions run.
+BATCHED_MODULES = (
+    "dataplane/vectorized.py",
+    "dataplane/slot_stream.py",
+    "dataplane/splidt_program.py",
+    "dataplane/kernels.py",
+    "serve/engine.py",
+    "serve/microbatch.py",
+    "serve/process_sharded.py",
+)
+
+#: The interpreter and its operator bank.
+ORACLE_MODULES = {"repro.dataplane.oracle", "repro.features.stateful"}
+
+
+def _imported(path: Path) -> set[str]:
+    """Every module (or ``module.name``) a source file imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Calls of ``process_packet`` and ``_settle``, on every program."""
-    calls = {"process_packet": 0, "_settle": 0}
-    for name in calls:
-        method = getattr(SpliDTDataPlane, name)
+    """Calls of ``PacketInterpreter.process_packet`` and ``oracle.slot_states``."""
+    calls = {"process_packet": 0, "slot_states": 0}
+    for owner, name in ((oracle.PacketInterpreter, "process_packet"), (oracle, "slot_states")):
+        function = getattr(owner, name)
 
-        def counted(self, *args, _name=name, _method=method):
+        def counted(*args, _name=name, _function=function):
             calls[_name] += 1
-            return _method(self, *args)
+            return _function(*args)
 
-        monkeypatch.setattr(SpliDTDataPlane, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -127,18 +153,50 @@ def test_process_packet_is_reached_only_by_the_oracle(
         splidt_model, splidt_rules, small_dataset.subset(np.arange(60)),
         scales=(1.0, 0.5, 4.0), flow_slots=64,
     )
-    assert oracle_calls == {"process_packet": 0, "_settle": 0}
+    assert oracle_calls == {"process_packet": 0, "slot_states": 0}
+
+
+def test_the_oracle_counter_sees_the_oracle(
+    splidt_model, splidt_rules, small_dataset, oracle_calls
+):
+    """The counter above is live: an oracle replay is one call, its packets one each."""
+    subset = small_dataset.subset(np.arange(20))
+    oracle.replay_dataset(SpliDTDataPlane(splidt_model, splidt_rules), subset)
+    n_packets = subset.packet_arrays().n_packets
+    assert oracle_calls == {"process_packet": n_packets, "slot_states": 1}
 
 
 def test_only_the_streaming_engine_feeds_the_interpreter():
-    """Under ``src/``, ``_replay_positions`` is referenced by ``serve/streaming.py`` alone."""
-    referencing = set()
-    for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            name = getattr(node, "attr", None) or getattr(node, "id", None)
-            if name == "_replay_positions":
-                referencing.add(path.relative_to(SRC).as_posix())
-    assert referencing == {"serve/streaming.py"}
+    """Under ``src/``, the oracle is imported by ``serve/streaming.py`` alone.
+
+    Its operator bank (``features/stateful.py``) is imported by the oracle
+    alone, and ``process_packet`` is defined nowhere else.
+    """
+    importers = {
+        module: {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if module in _imported(path)
+        }
+        for module in ORACLE_MODULES
+    }
+    assert importers == {
+        "repro.dataplane.oracle": {"serve/streaming.py"},
+        "repro.features.stateful": {"dataplane/oracle.py"},
+    }
+    defining = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "process_packet"
+    }
+    assert defining == {"dataplane/oracle.py"}
+
+
+@pytest.mark.parametrize("module", BATCHED_MODULES)
+def test_batched_modules_do_not_import_the_oracle(module):
+    assert not _imported(SRC / module) & ORACLE_MODULES
 
 
 def test_the_advertised_size_replay_is_gone():

@@ -1,4 +1,4 @@
-"""Differential parity fuzzer: every replay engine against the per-packet oracle.
+"""Differential parity fuzzer: every replay path against the per-packet oracle.
 
 The fused window plane (PR 6) rewrote the most semantics-dense code in the
 repo; these tests are its safety net.  A seeded stdlib ``random`` generator
@@ -7,8 +7,8 @@ slots), repeated five-tuples, zero-gap and burst-boundary inter-arrival
 times, single-packet flows, empty flows, truncated streams — and every trace
 is replayed through
 
-* ``engine="reference"`` (the per-packet oracle),
-* ``engine="vectorized"`` (the workspace-backed batched path),
+* ``oracle.replay_dataset`` (the per-packet oracle),
+* ``replay_dataset`` (the workspace-backed batched path),
 * an eager :class:`~repro.serve.MicroBatchEngine` fed randomly sized chunks
   (``flush_flows`` of 1, 2 or 8), and
 * a :class:`~repro.serve.MicroBatchEngine` whose ``flush_flows`` exceeds the
@@ -47,6 +47,7 @@ import pytest
 
 from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.dataplane import vectorized as vz
+from repro.dataplane.oracle import replay_dataset as oracle_replay
 from repro.dataplane.runtime import build_replay_result
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.streams import PacketChunk
@@ -163,10 +164,10 @@ def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> s
     """Replay one trace through all engines; return a mismatch description."""
     dataset = _dataset(flows)
     snapshots = {}
-    for engine in ("reference", "vectorized"):
+    for name, replay in (("reference", oracle_replay), ("vectorized", replay_dataset)):
         program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
-        result = replay_dataset(program, dataset, engine=engine)
-        snapshots[engine] = _snapshot(program, result)
+        result = replay(program, dataset)
+        snapshots[name] = _snapshot(program, result)
 
     # Micro-batch with randomly sized chunks: eager, then flushing only at
     # drain (a threshold no stream of these flows can reach).
@@ -227,9 +228,9 @@ def _run_split(model, rules, flows, table_size, cut_rng, eviction=None) -> str |
     The trace is cut at a random packet of its arrival order; every flow
     becomes a piece before and a piece after the cut (same tuple and id, each
     advertising its own length).  The first call leaves its slot state
-    deferred, so the second — ``replay_arrays`` again, which settles through
-    ``occupied_slots()``, or the per-packet engine, which settles in
-    ``process_packet`` — must find exactly what the reference holds there.
+    deferred, so the second — ``replay_arrays`` again, which resumes from the
+    hand-over columns, or the per-packet oracle, which turns them into
+    objects first — must find exactly what the reference holds there.
     """
     from test_slot_stream_plane import assert_same_slot_state
 
@@ -256,14 +257,14 @@ def _run_split(model, rules, flows, table_size, cut_rng, eviction=None) -> str |
         )
 
     reference = program()
-    oracle = _snapshot(reference, replay_dataset(reference, _dataset(before + after)))
+    oracle = _snapshot(reference, oracle_replay(reference, _dataset(before + after)))
 
     twice = program()
     vz.replay_arrays(twice, before)
     vz.replay_arrays(twice, after)
     handed_to_oracle = program()
     vz.replay_arrays(handed_to_oracle, before)
-    replay_dataset(handed_to_oracle, _dataset(after), engine="reference")
+    oracle_replay(handed_to_oracle, _dataset(after))
     for name, candidate in (
         ("replay_arrays+replay_arrays", twice),
         ("replay_arrays+reference", handed_to_oracle),
@@ -485,7 +486,7 @@ def test_parity_fuzz_sharded_mp_ring(seed, splidt_model, splidt_rules):
     order = soa.interleave_order
 
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=table_size)
-    oracle = replay_dataset(program, dataset, engine="reference")
+    oracle = oracle_replay(program, dataset)
     served = _stream_mp_ring(
         splidt_model, splidt_rules, dataset, table_size, order,
         random.Random(seed + 1),
@@ -557,7 +558,7 @@ def test_eviction_resolves_undecided(splidt_model, splidt_rules):
 
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1,
                               eviction=policy)
-    result = replay_dataset(program, _dataset(flows), engine="vectorized")
+    result = replay_dataset(program, _dataset(flows))
     stats = program.eviction_stats()
     assert 0 not in result.verdicts
     assert 1 in result.verdicts
@@ -589,5 +590,5 @@ def test_duplicate_five_tuple_goes_scalar(splidt_model, splidt_rules):
 
     # And the reference semantics themselves: the second flow has no verdict.
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
-    result = replay_dataset(program, _dataset(flows), engine="vectorized")
+    result = replay_dataset(program, _dataset(flows))
     assert 1 not in result.verdicts

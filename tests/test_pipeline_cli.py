@@ -8,6 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.dataplane import oracle
+from repro.pipeline import Experiment, ExperimentSpec, SpecError
+from repro.pipeline.cli import _spec_from_args, build_parser
+from repro.serve import ServeError, create_engine
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Arguments that keep the subprocess experiments fast.
@@ -71,19 +78,31 @@ def test_run_rejects_bad_spec():
     assert "n_flows" in process.stderr
 
 
-def test_run_unknown_dataset_rejected_by_argparse():
+def test_run_unknown_dataset_rejected_by_argparse(capsys):
     process = run_cli("run", "--dataset", "D99", expect_code=2)
     assert "invalid choice" in process.stderr
     # Removed selectors are argparse errors too: no alias, nothing ignored.
+    # The parser is the one `python -m repro` runs, so in-process suffices.
     for argv in (("run", "--lookup", "scan"), ("run", "--engine", "fused"),
+                 ("run", "--engine", "reference"),
                  ("replay", "run-dir", "--lookup", "scan"),
+                 ("replay", "run-dir", "--engine", "reference"),
                  ("serve", "--transport", "queue"),
                  ("serve", "--serve-engine", "sharded"), ("serve", "--shards", "2"),
+                 ("serve", "--serve-engine", "streaming"),
                  ("serve", "--drift-detector", "page-hinkley"),
                  ("dse", "--dse-workers", "2"), ("dse", "--affinity")):
-        stderr = run_cli(*argv, expect_code=2).stderr
-        assert "usage:" in stderr
-        assert "invalid choice" in stderr or "unrecognized arguments" in stderr
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(list(argv))
+        assert exit_info.value.code == 2, argv
+        stderr = capsys.readouterr().err
+        assert "usage:" in stderr, argv
+        assert "invalid choice" in stderr or "unrecognized arguments" in stderr, argv
+    # The same selectors below the CLI: rejected by name, not aliased.
+    with pytest.raises(SpecError, match="replay_engine"):
+        ExperimentSpec.from_dict({"dataset": "D3", "replay_engine": "reference"})
+    with pytest.raises(ServeError, match="unknown serve engine 'streaming'"):
+        create_engine(lambda: None, engine="streaming")
 
 
 def test_compare_smoke():
@@ -137,13 +156,22 @@ def test_dse_json_reports_wall_time_without_pool_fields():
 def test_serve_matches_replay_f1():
     served = run_cli("serve", *FAST_RUN, "--serve-engine", "microbatch",
                      "--progress-every", "0")
-    replayed = run_cli("run", *FAST_RUN, "--engine", "reference")
+    replayed = run_cli("run", *FAST_RUN)
 
     def f1(stdout: str, prefix: str) -> str:
         (line,) = [l for l in stdout.splitlines() if l.startswith(prefix)]
         return line.rstrip(")").split()[-1]
 
     assert f1(served.stdout, "flows decided") == f1(replayed.stdout, "data-plane F1")
+    # ... and both equal the per-packet oracle on the spec the CLI builds.
+    experiment = Experiment(_spec_from_args(build_parser().parse_args(["run", *FAST_RUN])))
+    spec = experiment.spec
+    program = experiment.system.build_program(experiment.train(), experiment.compile(), spec)
+    reference = oracle.replay_dataset(
+        program, experiment.prepare().dataset, max_flows=spec.replay_flows,
+        jitter_starts=spec.jitter_starts, seed=spec.seed,
+    )
+    assert f1(served.stdout, "flows decided") == f"{reference.report.f1_score:.3f}"
 
 
 def test_serve_rejects_systems_without_programs():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import core, datasets
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.pipeline import Experiment, ExperimentSpec, get_scenario
 from repro.pipeline.experiment import STAGES
 from repro.switch.targets import TOFINO1
@@ -146,7 +146,6 @@ class TestParityWithHandChainedPath:
             program,
             dataset,
             max_flows=spec.replay_flows,
-            engine=spec.replay_engine,
         )
         return offline, rules, replay
 
@@ -198,9 +197,17 @@ class TestBaselineSystems:
         assert 0.0 <= result.offline_report.f1_score <= 1.0
 
     def test_engine_override_same_verdicts(self):
-        reference = Experiment(SPEC.replace(replay_engine="reference", replay_flows=40))
-        vectorized = Experiment(SPEC.replace(replay_engine="vectorized", replay_flows=40))
-        ref_verdicts = reference.replay().verdicts
+        # The replay stage has one path; the per-packet oracle on the
+        # experiment's own program is what it must agree with.
+        vectorized = Experiment(SPEC.replace(replay_flows=40))
+        program = vectorized.system.build_program(
+            vectorized.train(), vectorized.compile(), vectorized.spec
+        )
+        spec = vectorized.spec
+        ref_verdicts = oracle.replay_dataset(
+            program, vectorized.prepare().dataset, max_flows=40,
+            jitter_starts=spec.jitter_starts, seed=spec.seed,
+        ).verdicts
         vec_verdicts = vectorized.replay().verdicts
         assert {f: v.label for f, v in ref_verdicts.items()} == {
             f: v.label for f, v in vec_verdicts.items()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.config import SpliDTConfig
@@ -21,8 +23,9 @@ class TestValidation:
             {"system": "no-such-system"},
             {"n_flows": 5},
             {"target": "tofino9"},
-            {"replay_engine": "turbo"},
-            {"replay_engine": "fused"},  # removed engine name: rejected, not aliased
+            # removed engine name, now the oracle's session: rejected, not aliased
+            {"serve": ServeConfig(engine="streaming")},
+            {"serve": ServeConfig(spawn_method="warp")},
             {"replay_flows": 0},
             {"flow_slots": 0},
             {"test_size": 0.0},
@@ -73,27 +76,16 @@ class TestResolution:
     def test_target_spec_lookup(self):
         assert ExperimentSpec(target="Tofino2").target_spec() is TOFINO2
 
-    # SPLIDT_REPLAY_ENGINE used to be the default behind replay_engine=None;
-    # the engine is now a plain spec field the environment cannot reach.
-    def test_engine_spec_field_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "vectorized")
-        spec = ExperimentSpec(replay_engine="reference").validate()
-        assert spec.replay_engine == "reference"
-
-    def test_engine_env_fallback(self, monkeypatch):
+    # SPLIDT_REPLAY_ENGINE, then the replay_engine field, selected the per-packet
+    # oracle; the replay now has one path and the oracle is a test reference.
+    def test_replay_has_no_engine_to_select(self, monkeypatch):
         monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "reference")
-        assert ExperimentSpec().validate().replay_engine == "vectorized"
-
-    def test_engine_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("SPLIDT_REPLAY_ENGINE", raising=False)
-        assert ExperimentSpec().replay_engine == "vectorized"
-
-    def test_bad_env_engine_raises(self, monkeypatch):
-        # Only the spec field can carry a bad engine, and that still raises.
-        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "warp")
-        assert ExperimentSpec().validate().replay_engine == "vectorized"
-        with pytest.raises(SpecError, match="warp"):
-            ExperimentSpec(replay_engine="warp").validate()
+        spec = ExperimentSpec().validate()
+        assert not hasattr(spec, "replay_engine")
+        with pytest.raises(TypeError, match="replay_engine"):
+            ExperimentSpec(replay_engine="reference")
+        with pytest.raises(SpecError, match="replay_engine"):
+            ExperimentSpec.from_dict({"dataset": "D3", "replay_engine": "vectorized"})
 
     def test_src_reads_no_ambient_env_knob(self):
         # Spec -> constructor -> CLI is the whole config surface: nothing
@@ -147,6 +139,23 @@ class TestResolution:
         third_party = imported - {"repro"} - set(sys.stdlib_module_names)
         assert third_party <= declared, sorted(third_party - declared)
 
+    def test_import_repro_skips_scipy_stats(self):
+        # `import repro` (every CLI call, subprocess test and spawned worker)
+        # must not pay for scipy.stats, most of its import time once: EI
+        # computes the normal cdf/pdf from scipy.special and NumPy.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = "import sys, repro; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False", result.stderr
+
     def test_topk_config_for_baselines(self):
         spec = ExperimentSpec(system="netbeacon", depth=8, features_per_subtree=3)
         config = spec.topk_config()
@@ -157,7 +166,7 @@ class TestResolution:
 class TestSerialisation:
     def test_roundtrip(self):
         spec = ExperimentSpec(dataset="D6", n_flows=300, seed=5,
-                              partition_sizes=(4, 3, 2), replay_engine="reference")
+                              partition_sizes=(4, 3, 2), replay_flows=50)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_to_dict_is_json_compatible(self):
@@ -257,8 +266,8 @@ class TestServeConfig:
         assert restored == spec and restored.serve.ring_slots == 8
 
     def test_serve_dict_coerced_at_construction(self):
-        spec = ExperimentSpec(serve={"engine": "streaming", "chunk_size": 32})
-        assert spec.serve == ServeConfig(engine="streaming", chunk_size=32)
+        spec = ExperimentSpec(serve={"engine": "sharded-mp", "chunk_size": 32})
+        assert spec.serve == ServeConfig(engine="sharded-mp", chunk_size=32)
 
     def test_unknown_serve_keys_rejected(self):
         with pytest.raises(SpecError, match="serve"):

@@ -6,11 +6,14 @@ features the subtree has no mark table for), over-cap fallback subtrees,
 single-leaf subtrees with no mark tables at all, and overlapping rules
 where priority order decides the outcome.  The suite checks randomized
 synthetic rule sets property-style, plus the compiled rules of a real
-trained partitioned model.
+trained partitioned model.  The scan is the LUT's over-cap fallback, so a
+copy of a rule set capped at ``lut_max_cells=0`` is the scan for every
+subtree (:func:`_scanning`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -20,7 +23,6 @@ from repro.core.partitioned_tree import OUTCOME_EXIT, OUTCOME_NEXT
 from repro.core.range_marking import (
     KIND_EXIT,
     KIND_NONE,
-    LOOKUP_MODES,
     FeatureQuantizer,
     MarkTable,
     ModelRule,
@@ -87,10 +89,18 @@ def _random_matrix(rng: np.random.Generator, n_rows: int = 200) -> np.ndarray:
     return rng.uniform(-50.0, 1500.0, size=(n_rows, N_FEATURES))
 
 
+def _scanning(rules: RuleSet) -> RuleSet:
+    """``rules`` with every subtree over the LUT cap: classified by the first-match scan."""
+    scanning = dataclasses.replace(rules, lut_max_cells=0)
+    assert scanning.compiled_lookup().stats()["n_compiled"] == 0
+    return scanning
+
+
 def _assert_parity(rules: RuleSet, matrix: np.ndarray) -> None:
+    scanning = _scanning(rules)
     for sid in rules.subtree_rules:
-        kinds_scan, values_scan = rules.classify_batch(sid, matrix, lookup="scan")
-        kinds_lut, values_lut = rules.classify_batch(sid, matrix, lookup="lut")
+        kinds_scan, values_scan = scanning.classify_batch(sid, matrix)
+        kinds_lut, values_lut = rules.classify_batch(sid, matrix)
         np.testing.assert_array_equal(kinds_scan, kinds_lut)
         np.testing.assert_array_equal(values_scan, values_lut)
         assert kinds_scan.dtype == kinds_lut.dtype
@@ -107,8 +117,7 @@ class TestRandomizedParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_overcap_fallback_matches_scan(self, seed):
         rng = np.random.default_rng(100 + seed)
-        rules = _random_ruleset(rng)
-        rules.set_lookup("lut", max_cells=2)
+        rules = dataclasses.replace(_random_ruleset(rng), lut_max_cells=2)
         plane = rules.compiled_lookup()
         stats = plane.stats()
         assert stats["n_fallback"] + stats["n_compiled"] == stats["n_subtrees"]
@@ -150,8 +159,8 @@ class TestEdgeSemantics:
             bit_width=BIT_WIDTH,
         )
         matrix = np.array([[10.0, 0, 0, 99.0, 0], [90.0, 0, 0, 1.0, 0]])
-        for mode in LOOKUP_MODES:
-            kinds, values = rules.classify_batch(1, matrix, lookup=mode)
+        for mode, lookup in (("lut", rules), ("scan", _scanning(rules))):
+            kinds, values = lookup.classify_batch(1, matrix)
             assert kinds.tolist() == [KIND_EXIT, KIND_EXIT]
             assert values.tolist() == [4, 4], mode
 
@@ -168,8 +177,8 @@ class TestEdgeSemantics:
             bit_width=BIT_WIDTH,
         )
         matrix = np.zeros((5, N_FEATURES))
-        for mode in LOOKUP_MODES:
-            kinds, values = rules.classify_batch(2, matrix, lookup=mode)
+        for lookup in (rules, _scanning(rules)):
+            kinds, values = lookup.classify_batch(2, matrix)
             assert kinds.tolist() == [KIND_EXIT] * 5
             assert values.tolist() == [3] * 5
 
@@ -239,95 +248,52 @@ class TestTrainedModelParity:
 
 class TestLookupPlumbing:
     def test_lut_is_the_default(self, splidt_rules):
-        assert splidt_rules.lookup == "lut"
+        # Uncapped, every subtree of the trained rules gets a LUT.
+        assert splidt_rules.lut_max_cells is None
+        plane = splidt_rules.compiled_lookup()
+        assert plane.max_cells == DEFAULT_MAX_CELLS
+        assert plane.stats()["n_fallback"] == 0
 
-    def test_set_lookup_validates_and_chains(self, splidt_rules):
-        try:
-            assert splidt_rules.set_lookup("scan") is splidt_rules
-        finally:
-            # Session-scoped fixture: always restore the default mode.
-            splidt_rules.set_lookup("lut")
-        with pytest.raises(ValueError, match="unknown lookup mode"):
-            splidt_rules.set_lookup("hash")
-        with pytest.raises(ValueError, match="unknown lookup mode"):
-            splidt_rules.classify_batch(1, np.zeros((1, N_FEATURES)), lookup="bad")
+    def test_lookup_selectors_are_rejected(self, splidt_rules):
+        # The scan is a fallback, not a setting: the mode, its setter and the
+        # per-call override are gone, rejected rather than aliased.
+        assert not hasattr(splidt_rules, "set_lookup")
+        assert not hasattr(splidt_rules, "lookup")
+        with pytest.raises(TypeError, match="lookup"):
+            splidt_rules.classify_batch(1, np.zeros((1, N_FEATURES)), lookup="scan")
+        with pytest.raises(TypeError, match="lookup"):
+            RuleSet(subtree_rules={}, quantizer=FeatureQuantizer(), bit_width=32, lookup="scan")
 
-    def test_set_lookup_max_cells_invalidates_cache(self):
+    def test_capped_copy_compiles_its_own_plane(self):
         rules = _random_ruleset(np.random.default_rng(5))
         full = rules.compiled_lookup()
         assert full.max_cells == DEFAULT_MAX_CELLS
-        rules.set_lookup("lut", max_cells=1)
-        tiny = rules.compiled_lookup()
+        tiny = dataclasses.replace(rules, lut_max_cells=1).compiled_lookup()
         assert tiny is not full and tiny.max_cells == 1
+        assert rules.compiled_lookup() is full
 
-    def test_program_captures_lookup_mode_at_build(self, splidt_model, splidt_rules):
-        """A built program keeps its lookup mode when the shared rules flip.
-
-        `build_program` re-pins the shared RuleSet per spec; programs built
-        earlier must not silently switch paths (A/B benchmark safety).
-        """
+    def test_program_compiles_the_lut_at_build(self, splidt_model, splidt_rules):
+        """Deploying compiles the plane, so the first window round never pays for it."""
         from repro.dataplane import SpliDTDataPlane
 
-        try:
-            splidt_rules.set_lookup("scan")
-            program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1024)
-            splidt_rules.set_lookup("lut")
-            assert program._lookup_mode == "scan"
-        finally:
-            splidt_rules.set_lookup("lut")
+        rules = dataclasses.replace(splidt_rules)
+        assert rules._compiled is None
+        SpliDTDataPlane(splidt_model, rules, flow_slots=1024)
+        assert rules._compiled is not None
 
-    def test_set_lookup_same_mode_is_a_noop(self):
-        # Re-selecting the current mode must not invalidate the compiled
-        # plane — program builders call set_lookup per shard/worker.
+    def test_compiled_plane_is_built_once(self):
         rules = _random_ruleset(np.random.default_rng(7))
         compiled = rules.compiled_lookup()
-        assert rules.set_lookup("lut") is rules
-        assert rules.set_lookup("lut", max_cells=rules.lut_max_cells) is rules
+        sid = next(iter(rules.subtree_rules))
+        rules.classify_batch(sid, _random_matrix(np.random.default_rng(7)))
         assert rules.compiled_lookup() is compiled
 
-    def test_set_lookup_concurrent_with_classification(self):
-        # Hammer set_lookup from several threads while others classify via
-        # the compiled plane; nothing may raise and every answer must match
-        # the single-threaded scan.
-        import threading
-
-        rng = np.random.default_rng(8)
-        rules = _random_ruleset(rng)
-        sid = next(iter(rules.subtree_rules))
-        matrix = _random_matrix(np.random.default_rng(8))
-        expected = rules.classify_batch(sid, matrix, lookup="scan")
-        errors = []
-        start = threading.Barrier(6)
-
-        def flipper():
-            start.wait()
-            for _ in range(200):
-                rules.set_lookup("lut")
-
-        def classifier():
-            start.wait()
-            try:
-                for _ in range(50):
-                    got = rules.classify_batch(sid, matrix, lookup="lut")
-                    np.testing.assert_array_equal(got[0], expected[0])
-                    np.testing.assert_array_equal(got[1], expected[1])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=flipper) for _ in range(3)]
-        threads += [threading.Thread(target=classifier) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-
     def test_pickle_drops_compiled_cache(self):
-        rules = _random_ruleset(np.random.default_rng(6))
+        rules = dataclasses.replace(_random_ruleset(np.random.default_rng(6)), lut_max_cells=4)
         rules.compiled_lookup()
         clone = pickle.loads(pickle.dumps(rules))
         assert clone._compiled is None
-        assert clone.lookup == rules.lookup
+        assert clone.lut_max_cells == 4
         _assert_parity(clone, _random_matrix(np.random.default_rng(6)))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.dataplane import oracle
 from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.pipeline.spec import ExperimentSpec, SpecError
 from repro.scenarios import (
@@ -273,9 +274,12 @@ class TestEvictionTieBreaking:
 
     @staticmethod
     def _packet(program, flow, index, flow_id):
-        packet = flow.packets[index]
-        program.process_packet(make_data_phv(flow.five_tuple, packet),
-                               flow_id, flow.n_packets)
+        # One oracle call per packet: the slot state goes back to the program
+        # as columns in between, as it does between any two calls.
+        interpreter = oracle.PacketInterpreter(program)
+        interpreter.process_packet(make_data_phv(flow.five_tuple, flow.packets[index]),
+                                   flow_id, flow.n_packets)
+        interpreter.close()
 
     @staticmethod
     def _pair(dataset):
@@ -326,10 +330,12 @@ class TestEvictionTieBreaking:
                 splidt_model, splidt_rules, flow_slots=16,
                 eviction=make_eviction_policy("lru"),
             )
+            interpreter = oracle.PacketInterpreter(program)
             for flow in small_dataset.flows:
                 for packet in flow.packets:
-                    program.process_packet(make_data_phv(flow.five_tuple, packet),
-                                           flow.flow_id, flow.n_packets)
+                    interpreter.process_packet(make_data_phv(flow.five_tuple, packet),
+                                               flow.flow_id, flow.n_packets)
+            interpreter.close()
             return (sorted(program.verdicts), program.eviction_stats())
 
         assert replay() == replay()
@@ -384,15 +390,15 @@ class TestRunner:
 
     def test_scenario_replay_never_settles_slot_state(self, prepared, monkeypatch):
         # A scenario replay reads verdicts and counters, never slot state: the
-        # hand-over the planes recorded stays a record, nothing is installed.
+        # hand-over the planes recorded stays columns, no object is built.
         programs, settles = [], []
-        hand_over, settle = SpliDTDataPlane.hand_over, SpliDTDataPlane._settle
+        hand_over, settle = SpliDTDataPlane.hand_over, oracle.slot_states
         monkeypatch.setattr(
             SpliDTDataPlane, "hand_over",
             lambda self, record: (programs.append(self), hand_over(self, record))[1],
         )
         monkeypatch.setattr(
-            SpliDTDataPlane, "_settle", lambda self: (settles.append(self), settle(self))[1]
+            oracle, "slot_states", lambda program: (settles.append(program), settle(program))[1]
         )
         result = run_scenario(
             get_workload_scenario("table-pressure"), flow_slots=64, traffic_flows=128,
@@ -402,8 +408,7 @@ class TestRunner:
         assert paths["slot_stream"] > paths["batched"]
         assert sum(paths.values()) == result.n_packets
         assert result.replay_stats["deferred"]["packets"] > 0
-        assert settles == []
-        assert programs and all(program._flow_state == {} for program in programs)
+        assert settles == [] and programs
 
     def test_a_baseline_replays_under_the_scenarios_eviction_policy(self, monkeypatch):
         """NetBeacon's program is a ``SpliDTDataPlane``: table pressure evicts its flows too."""

@@ -1,10 +1,11 @@
 """Streaming-parity tests for the serving engines (`repro.serve`).
 
 The contract (see ``repro/serve/engine.py``): for a time-ordered stream,
-every engine — per-packet streaming and micro-batch in any chunking (the
-process-sharded engine's half is ``tests/test_serve_process_sharded.py``) —
-produces verdicts, TTD arrays and recirculation statistics **bit-identical** to
-``replay_dataset(..., engine="reference")`` over the same packets.  The
+every engine — micro-batch in any chunking (the process-sharded engine's
+half is ``tests/test_serve_process_sharded.py``), and the per-packet oracle's
+own session, ``StreamingEngine`` — produces verdicts, TTD arrays and
+recirculation statistics **bit-identical** to ``oracle.replay_dataset(...)``
+over the same packets.  The
 parameterised suite covers chunk sizes {1, 7, window-aligned, whole-dataset},
 hash-collision flows (tiny register files), and the IAT accumulation-order
 guarantee (configs whose subtrees use the mean/std inter-arrival features),
@@ -18,7 +19,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
@@ -91,7 +92,7 @@ class TestMicroBatchParity:
     @pytest.fixture(scope="class")
     def reference(self, splidt_model, splidt_rules, small_dataset):
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-        return replay_dataset(program, small_dataset, engine="reference")
+        return oracle.replay_dataset(program, small_dataset)
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     def test_chunking_invariance(
@@ -106,10 +107,9 @@ class TestMicroBatchParity:
     def test_hash_collisions(self, chunking, splidt_model, splidt_rules, small_dataset):
         # 64 slots for 360 flows: most flows collide; undecided collision
         # flows leave dirty slots that later flows must inherit bit-exactly.
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64),
             small_dataset,
-            engine="reference",
         )
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
         result = _stream(
@@ -124,7 +124,6 @@ class TestMicroBatchParity:
         vectorized = replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             small_dataset,
-            engine="vectorized",
         )
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
         # A flush threshold above the flow count defers every flow to drain:
@@ -171,10 +170,9 @@ class TestMicroBatchParity:
 
         flows = [flow(1, 0, 0.0), flow(7, 1, 10.0), flow(1, 2, 20.0), flow(8, 3, 30.0)]
         dataset = FlowDataset(name="t", description="", flows=flows, class_names=["a", "b"])
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             dataset,
-            engine="reference",
         )
         assert set(reference.verdicts) == {0, 1, 3}
 
@@ -208,9 +206,8 @@ def test_microbatch_parity_across_datasets(key, depth, k, partitions):
     dataset, model, rules = _splidt_artifacts(
         key, n_flows=120, depth=depth, k=k, partitions=partitions, seed=13
     )
-    reference = replay_dataset(
-        SpliDTDataPlane(model, rules, flow_slots=8192), dataset, engine="reference"
-    )
+    reference = oracle.replay_dataset(
+        SpliDTDataPlane(model, rules, flow_slots=8192), dataset)
     program = SpliDTDataPlane(model, rules, flow_slots=8192)
     result = _stream(
         MicroBatchEngine(program, flush_flows=4), _chunks(dataset.flows, 7, partitions)
@@ -222,10 +219,9 @@ class TestStreamingAndTopK:
     def test_streaming_chunking_invariance(
         self, splidt_model, splidt_rules, small_dataset
     ):
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             small_dataset,
-            engine="reference",
         )
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
         result = _stream(StreamingEngine(program), _chunks(small_dataset.flows, 13))
@@ -233,9 +229,8 @@ class TestStreamingAndTopK:
 
     @pytest.mark.parametrize("chunking", (1, 7, None))
     def test_topk_microbatch(self, chunking, netbeacon_factory, small_dataset):
-        reference = replay_dataset(
-            netbeacon_factory(8192)(), small_dataset, engine="reference"
-        )
+        reference = oracle.replay_dataset(
+            netbeacon_factory(8192)(), small_dataset)
         result = _stream(
             MicroBatchEngine(netbeacon_factory(8192)(), flush_flows=4),
             _chunks(small_dataset.flows, chunking),
@@ -243,7 +238,7 @@ class TestStreamingAndTopK:
         _assert_identical(reference, result)
 
     def test_topk_sharded(self, netbeacon_factory, small_dataset):
-        reference = replay_dataset(netbeacon_factory(64)(), small_dataset, engine="reference")
+        reference = oracle.replay_dataset(netbeacon_factory(64)(), small_dataset)
         # The system's ProgramFactory, not a lambda: it is pickled into the workers.
         engine = ProcessShardedEngine(netbeacon_factory(64), workers=2)
         result = _stream(engine, _chunks(small_dataset.flows, 64))
@@ -366,12 +361,14 @@ class TestProtocol:
 
     def test_create_engine_dispatch(self, splidt_model, splidt_rules):
         factory = lambda: SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=256)
-        assert create_engine(factory, engine="streaming").name == "streaming"
         assert create_engine(factory, engine="microbatch").name == "microbatch"
-        assert SERVE_ENGINES == ("streaming", "microbatch", "sharded-mp")
-        # Removed engine name: rejected (listing the survivors), not aliased.
-        with pytest.raises(ServeError, match="unknown serve engine 'sharded'.*sharded-mp"):
-            create_engine(factory, engine="sharded")
+        assert SERVE_ENGINES == ("microbatch", "sharded-mp")
+        # Removed engine names: rejected (listing the survivors), not aliased.
+        # "streaming" is the per-packet oracle's session: a reference, not an
+        # engine to serve with.
+        for removed in ("sharded", "streaming"):
+            with pytest.raises(ServeError, match=f"unknown serve engine '{removed}'.*sharded-mp"):
+                create_engine(factory, engine=removed)
         with pytest.raises(TypeError, match="shards"):
             create_engine(factory, engine="microbatch", shards=2)
         with pytest.raises(ServeError, match="unknown serve engine"):

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle
 from repro.datasets.shm import SEGMENT_PREFIX
 from repro.serve.ring import RING_PREFIX
 from repro.datasets.streams import iter_packet_chunks
@@ -55,10 +55,9 @@ class TestProcessShardedParity:
     @pytest.mark.parametrize("workers", (2, 3))
     @pytest.mark.parametrize("flow_slots", (8192, 64))
     def test_parity_fork(self, workers, flow_slots, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots),
             small_dataset,
-            engine="reference",
         )
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, flow_slots),
@@ -74,10 +73,9 @@ class TestProcessShardedParity:
         reason="spawn start method unavailable",
     )
     def test_parity_spawn(self, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             small_dataset,
-            engine="reference",
         )
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle
 from repro.datasets.shm import SEGMENT_PREFIX
 from repro.datasets.streams import iter_packet_chunks
 from repro.serve import ProcessShardedEngine, ServeError
@@ -172,10 +172,9 @@ class TestRingFaultInjection:
     ):
         # A 1-slot ring forces a producer stall on essentially every span:
         # the session must still complete with reference-identical results.
-        reference = replay_dataset(
+        reference = oracle.replay_dataset(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             small_dataset,
-            engine="reference",
         )
         engine = ProcessShardedEngine(
             ProgramFactory(splidt_model, splidt_rules, 8192),

@@ -1,4 +1,4 @@
-"""Parity suite for `InferenceEngine.swap_model` across all three engines.
+"""Parity suite for `InferenceEngine.swap_model` across the engines and the oracle session.
 
 The swap contract (see ``repro/serve/engine.py``):
 
@@ -10,9 +10,9 @@ The swap contract (see ``repro/serve/engine.py``):
   no-swap replay of the **old** model, even when the successor is a
   different model;
 * the pin/rebind decision is a pure function of the stream prefix, so the
-  streaming, micro-batch and process-sharded engines all partition flows
-  across model epochs identically — the cross-engine parity contract
-  survives the swap.
+  micro-batch and process-sharded engines and the per-packet oracle's
+  session (``StreamingEngine``) all partition flows across model epochs
+  identically — the cross-engine parity contract survives the swap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import core
 from repro.core.range_marking import generate_rules, stacked_training_matrix
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane
+from repro.dataplane.oracle import replay_dataset as oracle_replay
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
 from repro.serve import (
     InferenceEngine,
@@ -86,10 +87,9 @@ class TestSameModelSwapInvisible:
     def test_mid_stream_swap(
         self, kind, flow_slots, splidt_model, splidt_rules, small_dataset
     ):
-        reference = replay_dataset(
+        reference = oracle_replay(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots),
             small_dataset,
-            engine="reference",
         )
         factory = ProgramFactory(splidt_model, splidt_rules, flow_slots)
         chunks = _chunks(small_dataset.flows, 64)
@@ -107,10 +107,9 @@ class TestSameModelSwapInvisible:
     def test_swap_mid_micro_batch(self, splidt_model, splidt_rules, small_dataset):
         # A flush threshold the stream never reaches keeps every packet
         # buffered: the swap hits mid-batch with the whole backlog in flight.
-        reference = replay_dataset(
+        reference = oracle_replay(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64),
             small_dataset,
-            engine="reference",
         )
         factory = ProgramFactory(splidt_model, splidt_rules, 64)
         chunks = _chunks(small_dataset.flows, 64)
@@ -122,10 +121,9 @@ class TestSameModelSwapInvisible:
 
     @pytest.mark.parametrize("kind", ENGINES)
     def test_repeated_swaps(self, kind, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
+        reference = oracle_replay(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64),
             small_dataset,
-            engine="reference",
         )
         factory = ProgramFactory(splidt_model, splidt_rules, 64)
         chunks = _chunks(small_dataset.flows, 64)
@@ -138,10 +136,9 @@ class TestSameModelSwapInvisible:
         assert [event.epoch for event in events] == [1, 2]
 
     def test_window_aligned_chunking(self, splidt_model, splidt_rules, small_dataset):
-        reference = replay_dataset(
+        reference = oracle_replay(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
             small_dataset,
-            engine="reference",
         )
         factory = ProgramFactory(splidt_model, splidt_rules, 8192)
         chunks = _chunks(small_dataset.flows, "window")
@@ -191,10 +188,9 @@ class TestCrossEngineParityAfterSwap:
     ):
         """Flows that began before the swap == no-swap replay of the old model."""
         oracle_result, event = oracle
-        old = replay_dataset(
+        old = oracle_replay(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64),
             small_dataset,
-            engine="reference",
         )
         assert event.flows_started == len(event.started_flow_ids) > 0
         checked = 0
@@ -216,10 +212,9 @@ class TestCrossEngineParityAfterSwap:
     ):
         """Some post-swap flow verdict must come from the new model's replay."""
         oracle_result, event = oracle
-        new = replay_dataset(
+        new = oracle_replay(
             SpliDTDataPlane(alt_model, alt_rules, flow_slots=64),
             small_dataset,
-            engine="reference",
         )
         post = set(oracle_result.verdicts) - set(event.started_flow_ids)
         assert post, "expected flows that started after the swap"
@@ -236,10 +231,9 @@ class TestSwapProtocol:
     def test_swap_before_first_chunk_uses_new_model_throughout(
         self, splidt_model, splidt_rules, alt_model, alt_rules, small_dataset
     ):
-        new_reference = replay_dataset(
+        new_reference = oracle_replay(
             SpliDTDataPlane(alt_model, alt_rules, flow_slots=8192),
             small_dataset,
-            engine="reference",
         )
         engine = MicroBatchEngine(
             SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),

@@ -2,8 +2,8 @@
 
 ``tests/test_parity_fuzz.py`` throws random traces at every engine; this
 module pins the *named* behaviours of a contended register slot with small
-hand-built traces, each replayed through ``engine="reference"`` and through
-``replay_arrays`` (``engine="vectorized"``) and compared on verdicts,
+hand-built traces, each replayed through the oracle (``oracle.replay_dataset``)
+and through ``replay_arrays`` (``replay_dataset``) and compared on verdicts,
 controller digests, recirculation counters and ``eviction_stats()``.  Every
 case also asserts that the packets really went through the slot-stream plane
 and that the behaviour it is named after really occurs in the trace.
@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.dataplane import vectorized as vz
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.streams import PacketChunk, StreamedPacketWriter
@@ -58,16 +58,17 @@ def _snapshot(program, verdicts) -> dict:
 
 
 def assert_same_slot_state(reference, candidate) -> None:
-    """Every register slot holds, field by field, what the reference engine holds.
+    """Every register slot holds, field by field, what the reference program holds.
 
-    Reading slot state settles whatever the batched planes deferred.  A
+    Slot state is read as the oracle's objects (``oracle.slot_states``).  A
     decided resident is a terminal marker — the packet path reads its tuple
     and nothing else — so it is compared on identity; an undecided one on
     every field, each operator's whole register state included.
     """
-    assert sorted(candidate.occupied_slots()) == sorted(reference.occupied_slots())
-    for slot in reference.occupied_slots().tolist():
-        want, got = reference.resident(slot), candidate.resident(slot)
+    wanted, got_states = oracle.slot_states(reference), oracle.slot_states(candidate)
+    assert sorted(got_states) == sorted(wanted)
+    for slot, want in wanted.items():
+        got = got_states[slot]
         assert (got.decided, got.five_tuple, got.flow_id) == (
             want.decided, want.five_tuple, want.flow_id), slot
         if want.decided:
@@ -90,10 +91,10 @@ def _replay_both(model, rules, batches, *, slots=1, eviction=None):
     ended in the same observable state.
     """
     programs = {}
-    for engine in ("reference", "vectorized"):
+    for engine, replay in (("reference", oracle.replay_dataset), ("vectorized", replay_dataset)):
         program = SpliDTDataPlane(model, rules, flow_slots=slots, eviction=eviction)
         for flows in batches:
-            replay_dataset(program, _dataset(flows), engine=engine)
+            replay(program, _dataset(flows))
         programs[engine] = program
     reference, fused = programs["reference"], programs["vectorized"]
     assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
@@ -167,7 +168,7 @@ def test_a_huge_advertised_flow_size_costs_no_memory(splidt_model, splidt_rules,
     sizes = soa.n_packets_per_flow.astype(np.int64)
     sizes[7] = 2**40
     reference = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
-    vz._replay_positions(reference, dataset.flows, soa, soa.interleave_order, sizes)
+    oracle.replay_positions(reference, dataset.flows, soa, soa.interleave_order, sizes)
     warm = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
     vz.replay_arrays(warm, dataset.flows, soa=soa, sizes=sizes)
     fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
@@ -200,7 +201,7 @@ def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):
         return step_windows(**kwargs)
 
     program.step_windows = spy
-    replay_dataset(program, _dataset(flows), engine="vectorized")
+    replay_dataset(program, _dataset(flows))
     assert program.eviction_stats()["evicted_flows"] == [0, 1]
     assert (10.0, 202.0) in seen  # A's third packet: size 200 + 2
     assert all(first_ts != 10.0 or size == 202.0 for first_ts, size in seen)
@@ -307,30 +308,34 @@ def _reentry_trace():
     return flows, make_eviction_policy("idle-timeout", timeout=1.0)
 
 
-def test_slot_state_is_recorded_and_settled_on_first_read(splidt_model, splidt_rules):
-    # The replay installs no slot state and feeds nothing to process_packet;
-    # the first look at slot state builds it, still without process_packet.
+def test_slot_state_is_recorded_and_settled_on_first_read(splidt_model, splidt_rules, monkeypatch):
+    # The replay builds no slot-state object and feeds nothing to the
+    # oracle; reading slot state as objects is the oracle's settling, still
+    # without a packet through the interpreter.
     flows, policy = _reentry_trace()
     reference, _ = _replay_both(splidt_model, splidt_rules, [flows], eviction=policy)
     fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
     calls = {"process_packet": 0, "settle": 0}
 
-    def counted(name, method):
+    def counted(name, function):
         def call(*args):
             calls[name] += 1
-            return method(*args)
+            return function(*args)
         return call
 
-    fused.process_packet = counted("process_packet", fused.process_packet)
-    fused._settle = counted("settle", fused._settle)
-    replay_dataset(fused, _dataset(flows), engine="vectorized")
-    assert calls == {"process_packet": 0, "settle": 0} and fused._flow_state == {}
+    monkeypatch.setattr(oracle.PacketInterpreter, "process_packet", counted(
+        "process_packet", oracle.PacketInterpreter.process_packet))
+    monkeypatch.setattr(oracle, "slot_states", counted("settle", oracle.slot_states))
+    replay_dataset(fused, _dataset(flows))
+    assert calls == {"process_packet": 0, "settle": 0}
     stats = fused.replay_stats
     assert stats["packets"] == {"batched": 0, "slot_stream": 14}
     assert stats["deferred"] == {"slots": 1, "open_windows": 1, "packets": 2}
-    assert not reference.resident(0).decided and reference.resident(0).packets_seen == 10
+    assert fused.held_state().undecided.rows.tolist() == [0]
+    resident = oracle.slot_states(reference)[0]
+    assert not resident.decided and resident.packets_seen == 10
     assert_same_slot_state(reference, fused)
-    assert calls == {"process_packet": 0, "settle": 1}
+    assert calls == {"process_packet": 0, "settle": 3}
 
 
 @pytest.mark.parametrize("start", [11.0, 20.0])  # within / past the idle timeout
@@ -339,19 +344,20 @@ def test_held_open_window_is_resumed(splidt_model, splidt_rules, start, first_en
     # The first call leaves A undecided two packets into a window.  The next
     # call's first packet either continues it or evicts it (tested against
     # A's last packet), whether the slot state is the plane's columns, was
-    # read as objects in between, or was written by process_packet.
+    # read as objects in between, or was written by the oracle.
     flows, policy = _reentry_trace()
     second = [
         _flow(TUPLE_B, 3, [start + 0.2 * i for i in range(6)]),
         _flow(TUPLE_C, 4, [start + 0.1, start + 0.3, start + 0.5]),
     ]
     reference, _ = _replay_both(splidt_model, splidt_rules, [flows, second], eviction=policy)
+    first = {"vectorized": replay_dataset, "reference": oracle.replay_dataset}[first_engine]
     for read_objects in (False, True):
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
-        replay_dataset(program, _dataset(flows), engine=first_engine)
+        first(program, _dataset(flows))
         if read_objects:
-            assert len(program.resident(0).window) == 2
-        replay_dataset(program, _dataset(second), engine="vectorized")
+            assert len(oracle.slot_states(program)[0].window) == 2
+        replay_dataset(program, _dataset(second))
         assert program.replay_stats["packets"] == {"batched": 0, "slot_stream": 9}
         assert _snapshot(program, program.verdicts) == _snapshot(reference, reference.verdicts)
         assert_same_slot_state(reference, program)
@@ -363,8 +369,8 @@ def test_deferred_record_makes_no_reference_cycle(splidt_model, splidt_rules):
     # the record's arrays) to the cyclic collector; plain refcounting must do.
     flows, policy = _reentry_trace()
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
-    replay_dataset(program, _dataset(flows), engine="vectorized")
-    assert program._unsettled and program.replay_stats["deferred"]["packets"] == 2
+    replay_dataset(program, _dataset(flows))
+    assert program._held and program.replay_stats["deferred"]["packets"] == 2
     alive = weakref.ref(program)
     gc.disable()
     try:

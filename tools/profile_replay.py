@@ -1,16 +1,17 @@
 """cProfile the vectorized replay of a bundled dataset.
 
 Future perf PRs should start from data, not intuition: this tool trains and
-compiles one SpliDT experiment, replays its traffic through the selected
-engine under cProfile, and prints the top-N hot spots by cumulative time.
+compiles one SpliDT experiment, replays its traffic through
+``replay_dataset`` under cProfile, and prints the top-N hot spots by
+cumulative time.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python tools/profile_replay.py
     PYTHONPATH=src python tools/profile_replay.py --dataset D6 --flows 800 \
         --depth 18 --partitions 2 --top 30
-    PYTHONPATH=src python tools/profile_replay.py --engine reference --sort tottime
-    PYTHONPATH=src python tools/profile_replay.py --engine vectorized --json profile.json
+    PYTHONPATH=src python tools/profile_replay.py --sort tottime
+    PYTHONPATH=src python tools/profile_replay.py --json profile.json
     PYTHONPATH=src python tools/profile_replay.py --online --swap-at 0.5
     PYTHONPATH=src python tools/profile_replay.py --scenario ddos-eviction-smoke
 
@@ -31,10 +32,8 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
-per plane, event rounds, the slot state left ``deferred`` —,
-``settle_s`` — seconds of one ``program.occupied_slots()`` after the replay,
-outside the profile: what the next reader of slot state (a serving session's
-next flush) pays for that deferred state —, swap metrics when ``--online``,
+per plane, event rounds, the slot state left ``deferred`` —, swap metrics
+when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
 eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
 the spec's dataset — drawing the flows (``generate_s``), building the SoA
@@ -75,7 +74,6 @@ def measure_setup(spec) -> dict[str, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.dataplane.runtime import REPLAY_ENGINES
     from repro.serve import SERVE_ENGINES
 
     parser = argparse.ArgumentParser(
@@ -88,8 +86,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--depth", type=int, default=12, help="tree depth D")
     parser.add_argument("--k", type=int, default=4, help="features per subtree")
     parser.add_argument("--partitions", type=int, default=3, help="partitions")
-    parser.add_argument("--engine", default="vectorized", choices=REPLAY_ENGINES,
-                        help="replay engine")
     parser.add_argument("--scenario",
                         help="profile the replay of a catalog workload "
                              "scenario (see `python -m repro scenario list`) "
@@ -215,10 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         n_packets = sum(flow.n_packets for flow in dataset.flows)
         program = experiment.system.build_program(model, rules, spec)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
-              f"{args.engine} replay ({n_packets} packets)", flush=True)
+              f"replay ({n_packets} packets)", flush=True)
         replay_started = time.perf_counter()
         profiler.enable()
-        result = replay_dataset(program, dataset, engine=args.engine)
+        result = replay_dataset(program, dataset)
         profiler.disable()
         elapsed = time.perf_counter() - replay_started
 
@@ -228,16 +224,11 @@ def main(argv: list[str] | None = None) -> int:
     # Left by ``replay_arrays`` (vectorized and scenario replays): which plane
     # the flows and packets took.
     replay_stats = getattr(program, "replay_stats", None)
-    settle_s = None
     if replay_stats is not None:
-        settle_started = time.perf_counter()
-        program.occupied_slots()
-        settle_s = round(time.perf_counter() - settle_started, 6)
         print(f"paths: packets {replay_stats['packets']}, "
               f"{replay_stats['event_rounds']} slot-stream event rounds "
               f"(boundary searches {replay_stats['event_search']}); "
-              f"deferred {replay_stats['deferred']} settled in "
-              f"{settle_s * 1e3:.2f} ms")
+              f"deferred {replay_stats['deferred']}")
     if swap_event is not None:
         print(f"swap : epoch {swap_event.epoch} built in "
               f"{swap_event.latency_s * 1e3:.2f} ms with "
@@ -263,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
                 "cumtime_s": round(ct, 6),
             })
         summary = {
-            "engine": args.serve_engine if args.online else args.engine,
+            "engine": args.serve_engine if args.online else None,
             "mode": ("scenario" if scenario is not None
                      else "online" if args.online else "replay"),
             "scenario": args.scenario,
@@ -280,7 +271,6 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
-            "settle_s": settle_s,
             "setup": setup,
             "hotspots": hotspots,
         }
