@@ -78,12 +78,29 @@ class TestResolution:
 
     # SPLIDT_REPLAY_ENGINE, then the replay_engine field, selected the per-packet
     # oracle; the replay now has one path and the oracle is a test reference.
-    def test_replay_has_no_engine_to_select(self, monkeypatch):
+    # Neither the environment nor the spec can select an engine any more.
+    def test_engine_spec_field_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "vectorized")
+        with pytest.raises(TypeError, match="replay_engine"):
+            ExperimentSpec(replay_engine="reference")
+
+    def test_engine_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "reference")
         spec = ExperimentSpec().validate()
         assert not hasattr(spec, "replay_engine")
-        with pytest.raises(TypeError, match="replay_engine"):
-            ExperimentSpec(replay_engine="reference")
+        assert "replay_engine" not in spec.to_dict()
+
+    def test_engine_default_without_env(self, monkeypatch):
+        monkeypatch.delenv("SPLIDT_REPLAY_ENGINE", raising=False)
+        spec = ExperimentSpec()
+        assert not hasattr(spec, "replay_engine")
+        assert "replay_engine" not in spec.to_dict()
+
+    def test_bad_env_engine_raises(self, monkeypatch):
+        # A bad engine in the environment is ignored; the removed key is
+        # rejected by name wherever a spec is read.
+        monkeypatch.setenv("SPLIDT_REPLAY_ENGINE", "warp")
+        ExperimentSpec().validate()
         with pytest.raises(SpecError, match="replay_engine"):
             ExperimentSpec.from_dict({"dataset": "D3", "replay_engine": "vectorized"})
 
