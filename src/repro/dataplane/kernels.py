@@ -57,28 +57,16 @@ def _iat_sums(
 
 
 def iat_sequential_sums(
-    diffs: np.ndarray,
-    s: np.ndarray,
-    e: np.ndarray,
-    acc: np.ndarray | None = None,
-    acc_sq: np.ndarray | None = None,
+    diffs: np.ndarray, s: np.ndarray, e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment left-to-right sum and sum of squares of ``diffs[s+1:e]``.
-
-    ``acc`` / ``acc_sq`` are optional preallocated outputs (at least ``s.size``
-    entries); the workspace passes its reusable buffers here so the sweep
-    allocates nothing in steady state.
 
     Example::
 
         >>> acc, acc_sq = iat_sequential_sums(diffs, starts, ends)
         >>> mean_iat = acc / np.maximum(ends - starts - 1, 1)
     """
-    if acc is None:
-        acc = np.empty(s.size, dtype=np.float64)
-    if acc_sq is None:
-        acc_sq = np.empty(s.size, dtype=np.float64)
-    view_acc = acc[: s.size]
-    view_sq = acc_sq[: s.size]
-    _iat_sums(diffs, s, e, view_acc, view_sq)
-    return view_acc, view_sq
+    acc = np.empty(s.size, dtype=np.float64)
+    acc_sq = np.empty(s.size, dtype=np.float64)
+    _iat_sums(diffs, s, e, acc, acc_sq)
+    return acc, acc_sq

@@ -8,9 +8,9 @@ verdicts, classification accuracy against ground truth, time-to-detection
 distributions and recirculation statistics.
 
 :func:`replay_dataset` runs :func:`repro.dataplane.vectorized.replay_arrays`:
-packets live in structure-of-arrays NumPy columns, flows advance in
-lock-step window rounds over the preallocated
-:class:`~repro.dataplane.vectorized.ReplayWorkspace`, contended register
+packets live in structure-of-arrays NumPy columns, flows alone in their
+register slots advance in lock-step window rounds
+(:func:`~repro.dataplane.vectorized.close_ready_windows`), contended register
 slots replay on the slot-stream plane, and per-packet operator updates
 collapse into segment reductions.  Its verdicts, labels, time-to-detection
 values and recirculation statistics are bit-identical to the per-packet

@@ -41,13 +41,12 @@ and independent *across* slots, so this plane takes the slot as its unit:
    the held residents' last-seen timestamps and are built per call.
 
 3. The windows closed in a round are gathered into one round-local packet
-   view and aggregated by the same :class:`~repro.dataplane.vectorized._WindowAggregator`
-   the flow-lockstep plane uses, then classified through
-   ``SpliDTDataPlane.step_windows`` with one window index per row.  Verdicts
-   are credited as the per-packet oracle credits them: to the deciding packet's
-   flow id, with the epoch's first timestamp and the epoch creator's header
-   fields; rounds are finalised in order, so a flow id decided twice keeps
-   its later verdict.
+   view, then aggregated and classified by the step the flow-lockstep plane
+   closes its windows with (:func:`~repro.dataplane.vectorized._close_round`),
+   one window index per row.  Verdicts are credited as the per-packet oracle
+   credits them: to the deciding packet's flow id, with the epoch's first
+   timestamp and the epoch creator's header fields; rounds are finalised in
+   order, so a flow id decided twice keeps its later verdict.
 
 A call carries on from the slot state the program holds, read as columns
 (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`): a held
@@ -65,7 +64,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.core.range_marking import group_by_sid
 from repro.dataplane import vectorized as vz
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
 from repro.datasets.flows import FiveTuple, Flow, PacketArrays
@@ -754,21 +752,16 @@ def _close_windows(
     matrix[:, _DST_PORT] = dst_ports[members]
     matrix[:, _PROTOCOL] = protocols[members]
     matrix[:, _PKT_LEN_FIRST] = rows.first_size[members]
-    groups = list(group_by_sid(sids))
-    for group_sid, group_rows in groups:
-        features = program.subtree_stateful_features(group_sid)
-        if features:
-            aggregator.fill(
-                matrix, group_rows, features, seg_start[group_rows], seg_end[group_rows]
-            )
-
-    return program.step_windows(
-        flow_ids=soa.flow_ids[flow[last]],
+    return vz._close_round(
+        program,
+        aggregator,
+        matrix,
+        seg_start,
+        seg_end,
+        staging,
         sids=sids,
+        flow_ids=soa.flow_ids[flow[last]],
         window_index=rows.window[members],
-        feature_matrix=matrix,
         boundary_ts=timestamps[last],
         first_packet_ts=rows.first_ts[members],
-        groups=groups,
-        staging=staging,
     )

@@ -261,10 +261,10 @@ class SpliDTDataPlane:
         Args:
             flow_ids: Bookkeeping flow ids (one per row).
             sids: Active subtree id of each flow.
-            window_index: The window every row just completed — one int when
-                all rows advance in lock-step rounds (the flow-lockstep
-                plane), or one index per row (the slot-stream plane, whose
-                slots sit at different windows in the same event round).
+            window_index: The window every row just completed — one int
+                when all rows are at the same window, or one index per row
+                (what both window planes pass: their rows may sit at
+                different windows in the same round).
             feature_matrix: ``(n, N_FEATURES)`` raw feature values at the
                 boundary.
             boundary_ts: Timestamp of each flow's boundary packet.
@@ -272,15 +272,15 @@ class SpliDTDataPlane:
             groups: Optional precomputed ``[(sid, rows), ...]`` grouping of
                 the rows (as produced by
                 :func:`~repro.core.range_marking.group_by_sid` over ``sids``).
-                The fused replay loop groups once per round and shares the
-                result between its aggregation pass and this call; when
-                omitted, the grouping is computed here.
-            staging: Optional digest-staging list (owned by the engine's
-                :class:`~repro.dataplane.vectorized.ReplayWorkspace`).  When
-                given, decided rows are appended to it as column slices
-                instead of being finalised inline; the engine records them
-                once per replay via :meth:`finalise_staged`.  When omitted,
-                finalisation is immediate (what direct callers rely on).
+                The window planes group once per round and share the result
+                between their aggregation pass and this call; when omitted,
+                the grouping is computed here.
+            staging: Optional digest-staging list, local to one window-plane
+                call.  When given, decided rows are appended to it as column
+                slices instead of being finalised inline; the plane records
+                them once per call via :meth:`finalise_staged`.  When
+                omitted, finalisation is immediate (what direct callers rely
+                on).
 
         Returns:
             ``(advance_mask, next_sids)`` — rows with ``advance_mask`` True
@@ -368,10 +368,10 @@ class SpliDTDataPlane:
     def finalise_staged(self, staging: list) -> None:
         """Record the rounds staged by ``step_windows`` as verdict and digest rows.
 
-        The fused replay loop hands ``step_windows`` its workspace's staging
-        list so the round loop records nothing per round; this drains the
-        list in round order — verdict and digest ordering is identical to the
-        inline per-round finalisation.  Idempotent on an empty list.
+        A window plane hands ``step_windows`` a staging list of its own so
+        its round loop records nothing per round; this drains the list in
+        round order — verdict and digest ordering is identical to the inline
+        per-round finalisation.  Idempotent on an empty list.
         """
         for decided_columns in staging:
             self._finalise_batch(*decided_columns)

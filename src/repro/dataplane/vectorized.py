@@ -1,4 +1,4 @@
-"""Fused, allocation-free vectorized replay engine for the data-plane programs.
+"""Vectorized replay engine and flow-lockstep window plane for the data-plane programs.
 
 The per-packet interpreter in :mod:`repro.dataplane.oracle` runs one packet
 at a time — the semantics oracle, and the slowest possible path for the
@@ -27,17 +27,16 @@ traffic orders of magnitude faster by exploiting two structural facts:
    per-packet operator updates collapse into per-window NumPy segment
    reductions.
 
-The fast path is *fused and allocation-free*: a :class:`ReplayWorkspace`
-(owned by the engine, reused across rounds and replays) preallocates every
-per-round buffer — the feature matrix, gather indices, boundary timestamps,
-IAT accumulators and the digest staging list — and the round loop fills
-views of those buffers with ``np.take(..., out=...)`` sweeps.  Columns
-derived from the packet arrays (padded feature columns, exact prefix sums,
-register slots) are cached on ``PacketArrays.derived`` and shared by every
-replay of the same traffic.  Flows advance in lock-step window rounds
-through ``SpliDTDataPlane.step_windows``, which receives the round's subtree
-grouping and the workspace's staging list, so grouping happens once per
-round and decided rows are recorded, as column blocks, once per replay.
+A flow alone in its register slot closes its windows through one function,
+:func:`close_ready_windows`: flows advance in lock-step window rounds, each
+round aggregating its windows' packets and classifying them through
+``SpliDTDataPlane.step_windows`` with one subtree grouping shared by both
+steps (:func:`_close_round`, which the slot-stream plane calls too).  Replay
+runs it over every clean flow from window 0, the micro-batch engine over the
+windows a flush finds ready.  Its state is per row of the call, and decided
+rows are recorded, as column blocks, once per call.  Columns derived from the packet arrays (padded
+feature columns, exact prefix sums, register slots, window ends) are cached
+on ``PacketArrays.derived`` and shared by every replay of the same traffic.
 
 Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
@@ -71,6 +70,7 @@ from repro.features.flowmeter import (
     LARGE_PACKET_BYTES,
     SMALL_PACKET_BYTES,
 )
+from repro.features.window import window_end
 from repro.switch.hashing import flow_slots
 
 #: TCP flag features handled by the generic bit-test kernel.
@@ -318,14 +318,11 @@ class _WindowAggregator:
     packets alone and lives once on ``soa.derived`` — the aggregator holds no
     per-replay state, so building one per flush costs nothing.
     Intermediates (segment sums, the sequential IAT sweep) are shared across
-    a group's features, and the optional workspace supplies the IAT
-    accumulator buffers so the hot path allocates only group-sized
-    temporaries.
+    a group's features.
     """
 
-    def __init__(self, soa: PacketArrays, workspace: "ReplayWorkspace | None" = None) -> None:
+    def __init__(self, soa: PacketArrays) -> None:
         self._soa = soa
-        self._workspace = workspace
 
     # -- segment primitives ----------------------------------------------
     def _seg_reduce(self, ufunc, key: str, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -381,14 +378,7 @@ class _WindowAggregator:
         cached = shared.get("iat")
         if cached is not None:
             return cached
-        workspace = self._workspace
-        acc, acc_sq = iat_sequential_sums(
-            _base_values(self._soa, "diffs"),
-            s,
-            e,
-            workspace.iat_acc if workspace is not None else None,
-            workspace.iat_sq if workspace is not None else None,
-        )
+        acc, acc_sq = iat_sequential_sums(_base_values(self._soa, "diffs"), s, e)
         counts = (e - s - 1).astype(np.int64)
         result = (acc, acc_sq, counts)
         shared["iat"] = result
@@ -523,95 +513,6 @@ class _WindowAggregator:
         raise ValueError(f"no vectorized kernel for feature {name!r}")
 
 
-class ReplayWorkspace:
-    """Preallocated per-round buffers for the fused window plane.
-
-    One workspace is owned by each engine (``MicroBatchEngine`` instance or
-    ``replay_arrays`` caller) and reused across window rounds *and* replays:
-    buffers grow monotonically to the largest flush seen and the round loop
-    works on length-``n_live`` views, so the steady state allocates no
-    buffers.  Holds:
-
-    * the ``(capacity, N_FEATURES)`` feature matrix,
-    * gather-index and per-row column buffers (segment bounds, flow ids,
-      boundary/first timestamps, live-set indices),
-    * the IAT accumulator pair used by the sequential-sweep kernel, and
-    * the digest ``staged`` list ``step_windows`` appends decided rows to.
-
-    A workspace carries no replay results — only scratch storage — so reusing
-    it across replays (or binding it to a different packet source) cannot
-    leak state between replays; ``tests/test_replay_workspace.py`` pins both
-    properties.
-    """
-
-    def __init__(self) -> None:
-        self.flow_capacity = 0
-        self.staged: list = []
-        self.matrix = np.empty((0, N_FEATURES), dtype=np.float64)
-        self.sids = np.empty(0, dtype=np.int64)
-        self.round_sids = np.empty(0, dtype=np.int64)
-        self.live = np.empty(0, dtype=np.intp)
-        self.iota = np.empty(0, dtype=np.intp)
-        self.fast_live = np.empty(0, dtype=np.intp)
-        self.seg_start = np.empty(0, dtype=np.intp)
-        self.seg_end = np.empty(0, dtype=np.intp)
-        self.scratch_idx = np.empty(0, dtype=np.intp)
-        self.flow_ids = np.empty(0, dtype=np.int64)
-        self.boundary_ts = np.empty(0, dtype=np.float64)
-        self.first_ts = np.empty(0, dtype=np.float64)
-        self.iat_acc = np.empty(0, dtype=np.float64)
-        self.iat_sq = np.empty(0, dtype=np.float64)
-
-    def reserve(self, n_flows: int) -> None:
-        """Grow the buffers to hold ``n_flows`` rows.
-
-        Growth is monotone (never shrinks), so after the first flush of the
-        steady state every ``reserve`` is a no-op and all views handed out
-        alias the same arrays.
-        """
-        if n_flows > self.flow_capacity:
-            self.flow_capacity = n_flows
-            self.matrix = np.empty((n_flows, N_FEATURES), dtype=np.float64)
-            self.sids = np.empty(n_flows, dtype=np.int64)
-            self.round_sids = np.empty(n_flows, dtype=np.int64)
-            self.live = np.empty(n_flows, dtype=np.intp)
-            self.iota = np.arange(n_flows, dtype=np.intp)
-            self.fast_live = np.empty(n_flows, dtype=np.intp)
-            self.seg_start = np.empty(n_flows, dtype=np.intp)
-            self.seg_end = np.empty(n_flows, dtype=np.intp)
-            self.scratch_idx = np.empty(n_flows, dtype=np.intp)
-            self.flow_ids = np.empty(n_flows, dtype=np.int64)
-            self.boundary_ts = np.empty(n_flows, dtype=np.float64)
-            self.first_ts = np.empty(n_flows, dtype=np.float64)
-            self.iat_acc = np.empty(n_flows, dtype=np.float64)
-            self.iat_sq = np.empty(n_flows, dtype=np.float64)
-
-
-def _segment_rounds(
-    counts: np.ndarray, n_partitions: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-round window segments for every flow (local packet offsets).
-
-    Returns one ``(valid, start, end)`` triple per round ``w``; a flow's
-    window ``w`` covers local packets ``[start, end)`` when ``valid`` is
-    True.  Reproduces the reference boundary rule exactly: the boundary
-    fires at ``max(window_boundaries(n, P)[min(w, P-1)], pos + 1)`` packets,
-    capped at the flow size.
-    """
-    counts = counts.astype(np.int64)
-    base = counts // n_partitions
-    remainder = counts % n_partitions
-    position = np.zeros(counts.size, dtype=np.int64)
-    rounds = []
-    for w in range(n_partitions):
-        boundary = (w + 1) * base + np.minimum(w + 1, remainder)
-        valid = position < counts
-        trigger = np.minimum(np.maximum(boundary, position + 1), counts)
-        rounds.append((valid, position.copy(), trigger.copy()))
-        position = np.where(valid, trigger, position)
-    return rounds
-
-
 #: Window end of a window a flow does not have.
 NO_WINDOW = np.iinfo(np.int64).max
 
@@ -620,18 +521,19 @@ def window_ends(soa: PacketArrays, n_partitions: int) -> np.ndarray:
     """Per-flow window ends under ``n_partitions``, ``(n_flows, n_partitions + 1)`` (soa-cached).
 
     Window ``w`` of flow ``f`` covers its local packets ``[ends[f, w - 1],
-    ends[f, w])`` (from 0 for ``w = 0``), exactly the segments of
-    :func:`_segment_rounds`; a window the flow does not have ends at
-    :data:`NO_WINDOW`, and so does the extra last column.  A function of the
-    packet counts and the partition count only.
+    ends[f, w])`` (from 0 for ``w = 0``), ending where
+    :func:`~repro.features.window.window_end` puts it.  A flow with fewer
+    packets than partitions has empty windows after its last packet; an
+    empty window ends at :data:`NO_WINDOW`, and so does the extra last
+    column.  A function of the packet counts and the partition count only.
     """
     key = ("window_ends", n_partitions)
     ends = soa.derived.get(key)
     if ends is None:
-        counts = soa.n_packets_per_flow
+        counts = soa.n_packets_per_flow.astype(np.int64)
+        bounds = window_end(np.arange(n_partitions), counts[:, None], n_partitions)
         ends = np.full((counts.size, n_partitions + 1), NO_WINDOW, dtype=np.int64)
-        for w, (valid, _, end) in enumerate(_segment_rounds(counts, n_partitions)):
-            ends[valid, w] = end[valid]
+        ends[:, :-1] = np.where(np.diff(bounds, axis=1, prepend=0) > 0, bounds, NO_WINDOW)
         soa.derived[key] = ends
     return ends
 
@@ -694,104 +596,123 @@ def _arrival_order(
     return positions[order]
 
 
-def _replay_splidt_batched(
+def _close_round(
+    program,
+    aggregator: _WindowAggregator,
+    matrix: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    staging: list,
+    *,
+    sids: np.ndarray,
+    flow_ids: np.ndarray,
+    window_index: np.ndarray,
+    boundary_ts: np.ndarray,
+    first_packet_ts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate and classify one round of windows: the step both window planes share.
+
+    Row ``i`` of ``matrix`` (its stateless header columns already written)
+    closes the window over packets ``[s[i], e[i])`` of the aggregator's
+    source, in subtree ``sids[i]``.  The rows are grouped by subtree once;
+    each group's stateful features are filled in, and the same grouping goes
+    to :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
+    which appends the decided rows to ``staging``.  Returns its
+    ``(advance, next_sids)``.
+    """
+    groups = list(group_by_sid(sids))
+    for sid, rows in groups:
+        features = program.subtree_stateful_features(sid)
+        if features:
+            aggregator.fill(matrix, rows, features, s[rows], e[rows])
+    return program.step_windows(
+        flow_ids=flow_ids,
+        sids=sids,
+        window_index=window_index,
+        feature_matrix=matrix,
+        boundary_ts=boundary_ts,
+        first_packet_ts=first_packet_ts,
+        groups=groups,
+        staging=staging,
+    )
+
+
+def close_ready_windows(
     program,
     soa: PacketArrays,
-    fast: np.ndarray,
-    slots: np.ndarray,
-    workspace: ReplayWorkspace | None = None,
-) -> None:
-    """Fused lock-step window rounds for all non-colliding flows of a SpliDT program.
+    flows: np.ndarray,
+    limits: np.ndarray,
+    window: np.ndarray,
+    done: np.ndarray,
+    sids: np.ndarray,
+) -> np.ndarray:
+    """Close every window of ``flows`` that ends within its first ``limits`` packets.
 
-    One pass per round: the live set is compacted in place, segment bounds
-    and per-row columns are gathered into workspace views with
-    ``np.take(..., out=...)``, the subtree grouping is computed once and
-    shared with :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
-    and decided rows are staged — recorded as verdict and digest columns once
-    at the end of the replay.
+    The flow-lockstep window plane.  Row ``i`` is the undecided flow
+    ``flows[i]`` of ``soa``, alone in its register slot, at window
+    ``window[i]`` of subtree ``sids[i]``, having taken its first ``done[i]``
+    packets.  Rows advance in rounds, each at its own window index, and
+    ``window``, ``done`` and ``sids`` advance in place; a row that decides
+    has taken all its ``limits`` packets (the rest of a decided flow is
+    forwarded).  All state is per row of the call.  Decided rows are
+    recorded once, after the last round.  Returns which rows decided.
     """
-    ws = workspace if workspace is not None else ReplayWorkspace()
-    n_fast = fast.size
-    n_partitions = program.model.config.n_partitions
-    counts = soa.n_packets_per_flow[fast]
-    rounds = _segment_rounds(counts, n_partitions)
-    ws.reserve(n_fast)
-    aggregator = _WindowAggregator(soa, workspace=ws)
+    ends = window_ends(soa, int(program.model.config.n_partitions))
     stateless = _stateless_columns(soa)
-
-    program.begin_flows(slots[fast])
-
-    sids_all = ws.sids[:n_fast]
-    sids_all[:] = program.model.root_sid
-    ws.live[:n_fast] = ws.iota[:n_fast]
-    n_live = n_fast
-    staging = ws.staged
-    staging.clear()
-    flow_starts = soa.flow_starts
-    timestamps = soa.timestamps
-    for w, (valid, start, end) in enumerate(rounds):
-        if n_live == 0:
-            break
-        live = ws.live[:n_live]
-        keep = valid[live]
-        if not keep.all():
-            kept = live[keep]
-            n_live = kept.size
-            if n_live == 0:
-                break
-            ws.live[:n_live] = kept
-            live = ws.live[:n_live]
-
-        # Segment bounds of every live flow's current window (global packet
-        # indices), gathered into reusable views.
-        fast_live = ws.fast_live[:n_live]
-        np.take(fast, live, out=fast_live)
-        base = ws.scratch_idx[:n_live]
-        np.take(flow_starts, fast_live, out=base)
-        s = ws.seg_start[:n_live]
-        np.take(start, live, out=s)
-        s += base
-        e = ws.seg_end[:n_live]
-        np.take(end, live, out=e)
-        e += base
-
-        matrix = ws.matrix[:n_live]
+    aggregator = _WindowAggregator(soa)
+    staging: list = []
+    decided = np.zeros(flows.size, dtype=bool)
+    rows = np.flatnonzero(ends[flows, window] <= limits)
+    while rows.size:
+        flow, at = flows[rows], window[rows]
+        end = ends[flow, at]
+        base = soa.flow_starts[flow]
+        s, e = base + done[rows], base + end
+        matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64)
         for feature, column in stateless.items():
-            matrix[:, feature] = column[fast_live]
-
-        # One grouping per round, shared between aggregation and step_windows.
-        round_sids = ws.round_sids[:n_live]
-        np.take(sids_all, live, out=round_sids)
-        groups = list(group_by_sid(round_sids))
-        for sid, rows in groups:
-            features = program.subtree_stateful_features(sid)
-            if features:
-                aggregator.fill(matrix, rows, features, s[rows], e[rows])
-
-        flow_ids = ws.flow_ids[:n_live]
-        np.take(soa.flow_ids, fast_live, out=flow_ids)
-        np.subtract(e, 1, out=base)  # base now holds each boundary packet index
-        boundary_ts = ws.boundary_ts[:n_live]
-        np.take(timestamps, base, out=boundary_ts)
-        first_ts = ws.first_ts[:n_live]
-        np.take(soa.first_timestamps, fast_live, out=first_ts)
-
-        advance, values = program.step_windows(
-            flow_ids=flow_ids,
-            sids=round_sids,
-            window_index=w,
-            feature_matrix=matrix,
-            boundary_ts=boundary_ts,
-            first_packet_ts=first_ts,
-            groups=groups,
-            staging=staging,
+            matrix[:, feature] = column[flow]
+        advance, values = _close_round(
+            program,
+            aggregator,
+            matrix,
+            s,
+            e,
+            staging,
+            sids=sids[rows],
+            flow_ids=soa.flow_ids[flow],
+            window_index=at,
+            boundary_ts=soa.timestamps[e - 1],
+            first_packet_ts=soa.first_timestamps[flow],
         )
-        advancing = live[advance]
-        if advancing.size:
-            sids_all[advancing] = values[advance]
-        n_live = advancing.size
-        ws.live[:n_live] = advancing
+        done[rows] = np.where(advance, end, limits[rows])
+        decided[rows[~advance]] = True
+        rows = rows[advance]
+        sids[rows] = values[advance]
+        window[rows] += 1
+        rows = rows[ends[flows[rows], window[rows]] <= limits[rows]]
     program.finalise_staged(staging)
+    return decided
+
+
+def _replay_splidt_batched(
+    program, soa: PacketArrays, fast: np.ndarray, slots: np.ndarray
+) -> None:
+    """Replay's entry into :func:`close_ready_windows`: every window of the clean flows ``fast``.
+
+    Each flow starts on fresh registers in its own slot, at window 0 with no
+    packet taken, and may take all its packets.
+    """
+    program.begin_flows(slots[fast])
+    n_fast = fast.size
+    close_ready_windows(
+        program,
+        soa,
+        fast,
+        soa.n_packets_per_flow[fast],
+        np.zeros(n_fast, dtype=np.int64),
+        np.zeros(n_fast, dtype=np.int64),
+        np.full(n_fast, program.model.root_sid, dtype=np.int64),
+    )
 
 
 def _split_scalar_fast(
@@ -883,7 +804,6 @@ def replay_arrays(
     program,
     flows: list[Flow],
     soa: PacketArrays | None = None,
-    workspace: ReplayWorkspace | None = None,
     sizes: np.ndarray | None = None,
 ) -> None:
     """Replay ``flows`` through ``program`` using the batched engine.
@@ -891,8 +811,8 @@ def replay_arrays(
     Populates ``program.verdicts``, the controller digests and the
     recirculation counters exactly as the per-packet reference loop would.
     Flows are routed by slot (:func:`_split_scalar_fast`): a flow that meets
-    a clean slot advances in fused flow-lockstep window rounds (reusing
-    ``workspace`` buffers when one is passed), every shared slot goes
+    a clean slot advances in flow-lockstep window rounds
+    (:func:`close_ready_windows`), every shared slot goes
     through :func:`_replay_scalar` to the slot-stream plane
     (:mod:`repro.dataplane.slot_stream`), which carries on from whatever
     slot state the program already holds.
@@ -951,7 +871,7 @@ def replay_arrays(
         stats["event_search"] = outcome["event_search"]
         stats["deferred"] = outcome["deferred"]
     if fast.size:
-        _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
+        _replay_splidt_batched(program, soa, fast, slots)
         # These flows met a clean slot and decided in it: terminal rows.
         program.hand_over(
             SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])

@@ -26,7 +26,6 @@ from repro.features.window import (
     split_packets,
     window_boundaries,
     window_bounds,
-    window_of_packet,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "split_packets",
     "window_boundaries",
     "window_bounds",
-    "window_of_packet",
 ]

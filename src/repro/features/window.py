@@ -88,13 +88,3 @@ def split_packets(packets: list[Packet], n_windows: int) -> list[list[Packet]]:
         start = end
     return windows
 
-
-def window_of_packet(packet_index: int, n_packets: int, n_windows: int) -> int:
-    """Index of the window that the ``packet_index``-th packet falls into."""
-    if packet_index < 0 or packet_index >= max(n_packets, 1):
-        raise ValueError("packet_index out of range")
-    boundaries = window_boundaries(n_packets, n_windows)
-    for window_index, end in enumerate(boundaries):
-        if packet_index < end:
-            return window_index
-    return len(boundaries) - 1

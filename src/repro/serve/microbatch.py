@@ -8,7 +8,7 @@ field), and the next flush closes it.  What a flush runs a flow on depends
 on its register slot:
 
 * **solo** — the flow is alone in its slot.  Its ready windows close on the
-  flow-lockstep plane (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
+  flow-lockstep plane replay uses (:func:`~repro.dataplane.vectorized.close_ready_windows`,
   one window index per row), from the flow's own packets.  A new flow
   claims a slot solo when the slot is free, or when its previous resident
   has received its last packet, has decided, and had a different five-tuple
@@ -30,17 +30,12 @@ flow's flow-size header, never a flow that has not arrived, and the
 verdicts after ``drain`` are bit-identical to the reference loop for **any**
 chunking of the stream.  A slot stays contended for the rest
 of the session: that is always correct.
-
-Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
-shared by all its flushes, so the window plane's per-round buffers are
-allocated once per session, not once per flush.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.range_marking import group_by_sid
 from repro.dataplane import vectorized as vz
 from repro.dataplane.slot_stream import _PACKET_FIELDS, build_slot_stream
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
@@ -129,7 +124,6 @@ class MicroBatchEngine(InferenceEngine):
         self._streamed: list[np.ndarray] = []
         self._streamed_due = 0
         self._pending = 0
-        self._workspace = vz.ReplayWorkspace()
         self._counters = {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
 
     def _engine_verdicts(self) -> Verdicts:
@@ -399,8 +393,21 @@ class MicroBatchEngine(InferenceEngine):
             handing = np.concatenate([flows for flows, _ in self._handing])
             cuts = np.concatenate([cut for _, cut in self._handing])
             rows, limits = np.concatenate([rows, handing]), np.concatenate([limits, cuts])
+            # A decided resident hands over without closing a window.
+            undecided = ~self._decided[rows]
+            rows, limits = rows[undecided], limits[undecided]
         if rows.size:
-            self._advance_solo(rows, limits)
+            window, done, sid = self._window[rows], self._done[rows], self._sid[rows]
+            taken = int(done.sum())
+            decided = vz.close_ready_windows(
+                self.program, self._soa, rows, limits, window, done, sid
+            )
+            self._window[rows], self._done[rows], self._sid[rows] = window, done, sid
+            stopped = rows[decided]
+            self._decided[stopped] = True
+            # A resident handing its slot over stays contended.
+            self._phase[stopped[self._phase[stopped] == _SOLO]] = _FORWARDING
+            self._pending -= int(done.sum()) - taken
         if self._handing:
             self._hand_over(handing, cuts)
         self._streamed_due += int(np.count_nonzero(self._phase[indices] == _CONTENDED))
@@ -434,62 +441,6 @@ class MicroBatchEngine(InferenceEngine):
             self._pending -= int(self._delivered[streamed].sum() - self._done[streamed].sum())
             self._done[streamed] = self._delivered[streamed]
         self._streamed, self._streamed_due = [], 0
-
-    def _advance_solo(self, rows: np.ndarray, limits: np.ndarray) -> None:
-        """Close every window of solo flows ``rows`` that ends within its first ``limits`` packets.
-
-        Rows advance in window rounds, each row at its own window index; a
-        row that decides has taken all its ``limits`` packets (the rest of a
-        decided flow is forwarded).
-        """
-        soa, program, ws = self._soa, self.program, self._workspace
-        ends, window, done, sid = self._ends, self._window, self._done, self._sid
-        taken = int(done[rows].sum())
-        stateless = vz._stateless_columns(soa)
-        aggregator = vz._WindowAggregator(soa, workspace=ws)
-        ws.reserve(rows.size)
-        staging = ws.staged
-        staging.clear()
-
-        live = ~self._decided[rows] & (ends[rows, window[rows]] <= limits)
-        flows, limit = rows[live], limits[live]
-        while flows.size:
-            at = window[flows]
-            end = ends[flows, at]
-            base = soa.flow_starts[flows]
-            s, e = base + done[flows], base + end
-            matrix = ws.matrix[: flows.size]
-            for feature, column in stateless.items():
-                matrix[:, feature] = column[flows]
-            round_sids = sid[flows]
-            groups = list(group_by_sid(round_sids))
-            for group_sid, group_rows in groups:
-                features = program.subtree_stateful_features(group_sid)
-                if features:
-                    aggregator.fill(matrix, group_rows, features, s[group_rows], e[group_rows])
-            advance, values = program.step_windows(
-                flow_ids=soa.flow_ids[flows],
-                sids=round_sids,
-                window_index=at,
-                feature_matrix=matrix,
-                boundary_ts=soa.timestamps[e - 1],
-                first_packet_ts=soa.first_timestamps[flows],
-                groups=groups,
-                staging=staging,
-            )
-            done[flows] = end
-            stopped = flows[~advance]
-            self._decided[stopped] = True
-            done[stopped] = limit[~advance]
-            # A resident handing its slot over stays contended.
-            self._phase[stopped[self._phase[stopped] == _SOLO]] = _FORWARDING
-            flows, limit, at = flows[advance], limit[advance], at[advance] + 1
-            sid[flows] = values[advance]
-            window[flows] = at
-            live = ends[flows, at] <= limit
-            flows, limit = flows[live], limit[live]
-        program.finalise_staged(staging)
-        self._pending -= int(done[rows].sum()) - taken
 
     def _hand_over(self, flows: np.ndarray, cuts: np.ndarray) -> None:
         """Give the program solo flows' slot state as of their first ``cuts`` packets.

@@ -10,7 +10,6 @@ from repro.features.window import (
     split_packets,
     window_boundaries,
     window_bounds,
-    window_of_packet,
 )
 
 
@@ -93,22 +92,3 @@ class TestSplitPackets:
         windows = split_packets(_packets(10), 2)
         assert windows[0][-1].timestamp < windows[1][0].timestamp
 
-
-class TestWindowOfPacket:
-    def test_first_packet_in_first_window(self):
-        assert window_of_packet(0, 12, 3) == 0
-
-    def test_last_packet_in_last_window(self):
-        assert window_of_packet(11, 12, 3) == 2
-
-    def test_matches_boundaries(self):
-        n, windows = 10, 3
-        boundaries = window_boundaries(n, windows)
-        for index in range(n):
-            window = window_of_packet(index, n, windows)
-            start = 0 if window == 0 else boundaries[window - 1]
-            assert start <= index < boundaries[window]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            window_of_packet(10, 10, 2)

@@ -5,15 +5,19 @@ engines against the per-packet oracle; these tests pin the *intended*
 semantics with expectations computed by hand, so a bug that broke oracle and
 batched plane identically would still be caught:
 
-* :func:`repro.dataplane.vectorized._segment_rounds` — the window-segment
-  masks every fused round is built from, against hand-expanded boundary
-  tables;
+* :func:`repro.dataplane.vectorized.window_ends` — the window ends every
+  lock-step round is built from, against hand-expanded boundary tables;
 * :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows` — the
   last-window/early-exit/recirculation decision logic, driven by a scripted
-  rule table so each row's classification outcome is chosen by the test.
+  rule table so each row's classification outcome is chosen by the test;
+* the window plane keeps no state between calls: aggregators share the
+  source's derived columns, and a replay repeated on a fresh program is
+  bit-identical.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,17 +25,25 @@ import pytest
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, KIND_NONE
 from repro.dataplane import SpliDTDataPlane
 from repro.dataplane import vectorized as vz
-from repro.features.definitions import N_FEATURES
+from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
+from repro.features.definitions import FEATURES, N_FEATURES
+from repro.features.window import window_bounds
 
 
 # ----------------------------------------------------------------------
-# _segment_rounds: hand-expanded window boundary tables (P = 3)
+# window_ends: hand-expanded window boundary tables (P = 3)
 # ----------------------------------------------------------------------
+def _window_ends(counts, n_partitions: int) -> np.ndarray:
+    """``vz.window_ends`` over flows of ``counts`` packets (it reads nothing else)."""
+    source = SimpleNamespace(n_packets_per_flow=np.asarray(counts, dtype=np.int64), derived={})
+    return vz.window_ends(source, n_partitions)
+
+
 class TestSegmentRounds:
     # For count c and P=3 the reference boundary rule yields cumulative
-    # boundaries (c//3)*(w+1) + min(w+1, c%3); each round's segment is
-    # [previous trigger, max(boundary, pos+1)) clipped to c, valid while
-    # packets remain.  Expanded by hand:
+    # boundaries (c//3)*(w+1) + min(w+1, c%3); window w covers
+    # [previous end, boundary), and a window with no packet left does not
+    # exist.  Expanded by hand:
     #
     #   c=1: [0,1)   --      --       (windows 1,2 never see a packet)
     #   c=2: [0,1)  [1,2)    --
@@ -39,45 +51,50 @@ class TestSegmentRounds:
     #   c=5: [0,2)  [2,4)   [4,5)
     #   c=7: [0,3)  [3,5)   [5,7)
     EXPECTED = {
-        1: [(True, 0, 1), (False, None, None), (False, None, None)],
-        2: [(True, 0, 1), (True, 1, 2), (False, None, None)],
-        3: [(True, 0, 1), (True, 1, 2), (True, 2, 3)],
-        5: [(True, 0, 2), (True, 2, 4), (True, 4, 5)],
-        7: [(True, 0, 3), (True, 3, 5), (True, 5, 7)],
+        1: [1, None, None],
+        2: [1, 2, None],
+        3: [1, 2, 3],
+        5: [2, 4, 5],
+        7: [3, 5, 7],
     }
 
     def test_hand_expanded_boundaries(self):
-        counts = np.array(sorted(self.EXPECTED), dtype=np.int64)
-        rounds = vz._segment_rounds(counts, 3)
-        assert len(rounds) == 3
-        for w, (valid, start, end) in enumerate(rounds):
-            for row, count in enumerate(counts.tolist()):
-                want_valid, want_start, want_end = self.EXPECTED[count][w]
-                assert bool(valid[row]) is want_valid, (count, w)
-                if want_valid:
-                    assert (start[row], end[row]) == (want_start, want_end), (count, w)
+        counts = sorted(self.EXPECTED)
+        ends = _window_ends(counts, 3)
+        assert ends.shape == (len(counts), 4)
+        for row, count in enumerate(counts):
+            want = [vz.NO_WINDOW if end is None else end for end in self.EXPECTED[count]]
+            assert ends[row].tolist() == want + [vz.NO_WINDOW], count
 
     def test_segments_tile_each_flow_exactly(self):
-        # Valid segments are contiguous, disjoint, and cover [0, count).
+        # The windows a flow has are contiguous, non-empty, and cover [0, count).
         counts = np.arange(1, 40, dtype=np.int64)
         for n_partitions in (1, 2, 3, 4, 7):
-            rounds = vz._segment_rounds(counts, n_partitions)
-            position = np.zeros(counts.size, dtype=np.int64)
-            for valid, start, end in rounds:
-                idx = np.flatnonzero(valid)
-                assert np.array_equal(start[idx], position[idx])
-                assert np.all(end[idx] > start[idx])
-                position[idx] = end[idx]
-            assert np.array_equal(position, counts)
+            ends = _window_ends(counts, n_partitions)
+            for count, row in zip(counts.tolist(), ends.tolist()):
+                windows = [end for end in row if end != vz.NO_WINDOW]
+                assert row == windows + [vz.NO_WINDOW] * (len(row) - len(windows))
+                starts = [0] + windows[:-1]
+                assert all(end > start for start, end in zip(starts, windows))
+                assert windows[-1] == count
 
     def test_short_flow_runs_out_of_windows(self):
         # A flow with fewer packets than partitions exhausts its stream in
-        # an early window: the remaining rounds are invalid, which is why
-        # such a flow can end undecided (and must replay scalar when its
-        # slot has successors).
-        rounds = vz._segment_rounds(np.array([2], dtype=np.int64), 5)
-        validity = [bool(valid[0]) for valid, _, _ in rounds]
-        assert validity == [True, True, False, False, False]
+        # an early window: the remaining windows do not exist, which is why
+        # such a flow can end undecided (and must replay on the slot-stream
+        # plane when its slot has successors).
+        ends = _window_ends([2], 5)
+        assert [end != vz.NO_WINDOW for end in ends[0, :5]] == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("n_partitions", [1, 2, 3, 4, 5, 7])
+    def test_equals_masked_window_bounds(self, n_partitions):
+        counts = np.random.default_rng(n_partitions).integers(0, 60, size=5000)
+        bounds = window_bounds(counts, n_partitions)
+        opened = np.hstack([np.zeros((counts.size, 1), dtype=bounds.dtype), bounds[:, :-1]])
+        want = np.where(bounds > opened, bounds, vz.NO_WINDOW)
+        ends = _window_ends(counts, n_partitions)
+        assert np.array_equal(ends[:, :-1], want)
+        assert np.all(ends[:, -1] == vz.NO_WINDOW)
 
 
 # ----------------------------------------------------------------------
@@ -226,3 +243,62 @@ class TestStepWindows:
         assert later.n_recirculations == (n_partitions - 1 if per_row_window else 1)
         assert all(type(v.flow_id) is int and type(v.label) is int
                    for v in program.verdicts.values())
+
+
+# ----------------------------------------------------------------------
+# The window plane keeps no state between calls
+# ----------------------------------------------------------------------
+def _make_flows(n_flows: int, n_packets: int) -> list[Flow]:
+    flows = []
+    for i in range(n_flows):
+        tuple_ = FiveTuple(
+            src_ip=10_000 + i, dst_ip=20_000 + i,
+            src_port=1000 + i, dst_port=443, protocol=6,
+        )
+        base = 0.05 * i
+        packets = [
+            Packet(timestamp=base + 0.01 * j, size=100 + j, flags=0x10,
+                   direction=1 if j % 2 == 0 else -1, payload=60 + j)
+            for j in range(n_packets)
+        ]
+        flows.append(Flow(five_tuple=tuple_, packets=packets, label=i % 2,
+                          class_name="", flow_id=i))
+    return flows
+
+
+class TestStatelessPlane:
+    def test_aggregators_share_every_derived_column(self):
+        # The aggregator holds no per-replay state: a second one over the
+        # same source (the next flush, the next replay) finds every derived
+        # column on ``soa.derived`` and builds none of its own.
+        soa = PacketArrays.from_flows(_make_flows(5, 12))
+        s = soa.flow_starts[:-1] + 2
+        e = soa.flow_starts[1:]
+        stateful = [f.index for f in FEATURES if f.stateful]
+        first = vz._WindowAggregator(soa)
+        values = [first.compute(feature, s, e) for feature in stateful]
+        columns = {key: id(column) for key, column in soa.derived.items()}
+        assert columns
+
+        second = vz._WindowAggregator(soa)
+        again = [second.compute(feature, s, e) for feature in stateful]
+        assert {key: id(column) for key, column in soa.derived.items()} == columns
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(values, again))
+        assert vars(first).keys() == vars(second).keys() == {"_soa"}
+
+    def test_replay_twice_same_flows_is_deterministic(self, splidt_model, splidt_rules):
+        flows = _make_flows(10, 8)
+        snapshots = []
+        for _ in range(2):
+            program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=65536)
+            vz.replay_arrays(program, flows)
+            snapshots.append((
+                {fid: (v.label, v.decided_at, v.first_packet_at,
+                       v.n_recirculations, v.early_exit)
+                 for fid, v in program.verdicts.items()},
+                sorted((d.flow_id, d.label, d.timestamp, d.sid)
+                       for d in program.controller.digests),
+                program.recirculation_stats(),
+            ))
+        assert snapshots[0] == snapshots[1]
+        assert len(snapshots[0][0]) == 10  # every flow decided

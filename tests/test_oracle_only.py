@@ -141,6 +141,9 @@ def _catalog_scenarios():
         result = run_scenario(scenario, flow_slots=64, prepared=prepared[scenario.dataset])
         assert set(result.replay_stats["packets"]) == {"batched", "slot_stream"}, name
         assert sum(result.replay_stats["packets"].values()) == result.n_packets, name
+        if name == "evasion-spoof":
+            # Spoofed flow sizes take the slot-stream plane.
+            assert result.replay_stats["packets"]["slot_stream"] > 0, name
 
 
 def test_process_packet_is_reached_only_by_the_oracle(

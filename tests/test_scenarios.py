@@ -408,6 +408,8 @@ class TestRunner:
         assert paths["slot_stream"] > paths["batched"]
         assert sum(paths.values()) == result.n_packets
         assert result.replay_stats["deferred"]["packets"] > 0
+        # Window boundaries are read from the next-event columns, not scanned.
+        assert result.replay_stats["event_search"]["lookup"] > 0
         assert settles == [] and programs
 
     def test_a_baseline_replays_under_the_scenarios_eviction_policy(self, monkeypatch):
