@@ -181,7 +181,7 @@ class PacketInterpreter:
             )
             state.stateless = _header_values(phv.five_tuple, phv.packet.size)
             self.states[slot] = state
-            program._admissions += 1
+            program.counters.add("switch.admissions")
             _activate_subtree(program, state)
 
         state.last_seen_at = phv.packet.timestamp

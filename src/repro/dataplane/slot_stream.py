@@ -416,7 +416,7 @@ def replay_slot_stream(
     slots: np.ndarray | None = None,
     stream: SlotStream | None = None,
     sizes: np.ndarray | None = None,
-) -> dict:
+) -> None:
     """Replay the flows in ``flow_mask`` slot by slot, in batched event rounds.
 
     Drop-in for :func:`~repro.dataplane.vectorized._replay_scalar` on a
@@ -426,30 +426,21 @@ def replay_slot_stream(
     ``sizes`` the flow size each flow's packets advertise in their headers
     (default: its packet count).
 
-    Returns the call's accounting: ``flows`` / ``packets`` advanced by the
-    plane, ``rounds``, ``event_search`` — window-boundary searches resolved
-    by ``lookup`` in the next-event columns or handed to a packet ``scan``
-    (rows, summed over rounds) —, ``deferred`` — what the next reader of
-    slot state will find: ``slots`` handed over, of which ``open_windows``
-    hold ``packets`` still to be fed to their operators — and
-    ``open_slots``, the slots left with an undecided resident.
+    Counts, in ``program.counters``, the ``dataplane.slot_stream.flows`` and
+    ``.packets`` it replays, its ``.rounds``, and its window-boundary
+    searches (rows, summed over rounds) resolved in the next-event columns
+    (``.boundary_lookups``) or handed to a packet scan (``.boundary_scans``).
     """
     table_size = program.indexer.table_size
     if stream is None:
         if slots is None:
             slots = vz.cached_flow_slots(soa, table_size)
         stream = build_slot_stream(soa, slots, flow_mask, prefix_counts)
-    search = {"lookup": 0, "scan": 0}
-    stats = {
-        "flows": stream.n_flows,
-        "packets": stream.n_packets,
-        "rounds": 0,
-        "event_search": search,
-        "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
-        "open_slots": _EMPTY,
-    }
+    counters = program.counters
+    counters.add("dataplane.slot_stream.flows", stream.n_flows)
+    counters.add("dataplane.slot_stream.packets", stream.n_packets)
     if stream.n_packets == 0:
-        return stats
+        return
 
     tuple_of = vz.cached_tuple_ids(soa, table_size)
     stream, source, rows, last_seen = _resume_held_slots(program, soa, stream, tuple_of)
@@ -503,7 +494,7 @@ def replay_slot_stream(
     # further event, so the rows still to advance are tracked explicitly.
     active = np.arange(row_slots.size)
     while active.size:
-        stats["rounds"] += 1
+        counters.add("dataplane.slot_stream.rounds")
 
         # -- reclaim after a verdict / first admission ---------------------
         idle = active[status[active] != _LIVE]
@@ -530,8 +521,8 @@ def replay_slot_stream(
             scan, hi, rows.seen[active] - lo + 1, rows.window[active],
             header_size, next_size, n_partitions,
         )
-        search["lookup"] += active.size - scanned
-        search["scan"] += scanned
+        counters.add("dataplane.slot_stream.boundary_lookups", int(active.size) - scanned)
+        counters.add("dataplane.slot_stream.boundary_scans", scanned)
         evicted = np.zeros(active.size, dtype=bool)
         if evictions is not None:
             limit = np.minimum(boundary + 1, hi)
@@ -559,16 +550,7 @@ def replay_slot_stream(
         active = active[evicted | closing]
         active = active[cursor[active] < end[active]]
     program.finalise_staged(staging)
-
-    stats["open_slots"] = row_slots[status == _LIVE]
-    record = _handover(source, stream, timestamps, rows)
-    program.hand_over(record)
-    stats["deferred"] = {
-        "slots": int(record.slots.size),
-        "open_windows": int(np.count_nonzero(np.diff(record.undecided.starts))),
-        "packets": int(record.undecided.starts[-1]),
-    }
-    return stats
+    program.hand_over(_handover(source, stream, timestamps, rows))
 
 
 def _resume_held_slots(program, soa: PacketArrays, stream: SlotStream, tuple_of):

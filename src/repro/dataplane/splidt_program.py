@@ -29,6 +29,7 @@ from repro.dataplane.controller import Controller
 from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import PacketArrays
 from repro.features.definitions import FEATURES
+from repro.obs import Counters
 from repro.switch.eviction import EvictionPolicy
 from repro.switch.hashing import FlowIndexer
 from repro.switch.phv import CONTROL_PACKET_BYTES
@@ -200,14 +201,19 @@ class SpliDTDataPlane:
         self.model = model
         self.rules = rules
         self.target = target
-        self.recirculation = RecirculationChannel(capacity_bps=target.recirculation_bps)
+        #: What the planes, the channel and the engines driving this program
+        #: counted (:mod:`repro.obs`); the stats methods are views of it.
+        self.counters = Counters()
+        self.recirculation = RecirculationChannel(
+            capacity_bps=target.recirculation_bps, counters=self.counters
+        )
         self.controller = Controller()
         self.indexer = FlowIndexer(flow_slots)
         self.flow_slots = flow_slots
         self.eviction = eviction
-        self._admissions = 0
-        self._evictions = 0
         self._evicted_flows: set[int] = set()
+        #: The record before and after the last ``replay_arrays`` call.
+        self._replay_span: tuple[dict, dict] = ({}, {})
 
         self._n_partitions = model.config.n_partitions
         #: Slot state the planes left, as columns (see :meth:`held_state`).
@@ -225,13 +231,13 @@ class SpliDTDataPlane:
 
         The batched planes keep the admitted flows' state in their own
         columns, so all that is left to do here is count the admissions
-        (:meth:`eviction_stats`).
+        (``switch.admissions``).
 
         Example::
 
             >>> program.begin_flows(np.array([17, 103, 2041]))
         """
-        self._admissions += len(slots)
+        self.counters.add("switch.admissions", len(slots))
 
     def step_windows(
         self,
@@ -388,6 +394,11 @@ class SpliDTDataPlane:
         program held before it.
         """
         self._held.append(record)
+        self.counters.add("dataplane.handover.slots", int(record.slots.size))
+        if record.undecided is not None:
+            lengths = np.diff(record.undecided.starts)
+            self.counters.add("dataplane.handover.open_windows", int(np.count_nonzero(lengths)))
+            self.counters.add("dataplane.handover.packets", int(lengths.sum()))
 
     def held_state(self) -> SlotHandover | None:
         """Every occupied slot's resident as one hand-over record, building no objects.
@@ -404,7 +415,7 @@ class SpliDTDataPlane:
 
     def record_evictions(self, flow_ids: list[int]) -> None:
         """Account for evicted residents (one eviction per entry of ``flow_ids``)."""
-        self._evictions += len(flow_ids)
+        self.counters.add("switch.evictions", len(flow_ids))
         self._evicted_flows.update(flow_ids)
 
     def subtree_stateful_features(self, sid: int) -> list[int]:
@@ -469,11 +480,46 @@ class SpliDTDataPlane:
         """
         return {
             "policy": self.eviction.name if self.eviction is not None else "none",
-            "admissions": self._admissions,
-            "evictions": self._evictions,
+            "admissions": self.counters.get("switch.admissions", 0),
+            "evictions": self.counters.get("switch.evictions", 0),
             "evicted_flows": sorted(self._evicted_flows),
         }
 
     def recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters of the underlying channel."""
         return self.recirculation.stats()
+
+    @property
+    def replay_stats(self) -> dict:
+        """What the last ``replay_arrays`` call counted (zeros before the first).
+
+        Flows and packets per plane (``batched`` is the flow-lockstep plane;
+        each packet counts on one), the slot-stream plane's ``event_rounds``
+        and window-boundary searches (``event_search``: read from its
+        next-event columns by ``lookup``, or by packet ``scan``), and the
+        slot state ``deferred`` to a later call (:meth:`hand_over`).
+        """
+        before, after = self._replay_span
+
+        def count(name: str) -> int:
+            return after.get(name, 0) - before.get(name, 0)
+
+        def planes(what: str) -> dict[str, int]:
+            return {
+                "batched": count(f"dataplane.lockstep.{what}"),
+                "slot_stream": count(f"dataplane.slot_stream.{what}"),
+            }
+
+        return {
+            "flows": planes("flows"),
+            "packets": planes("packets"),
+            "event_rounds": count("dataplane.slot_stream.rounds"),
+            "event_search": {
+                "lookup": count("dataplane.slot_stream.boundary_lookups"),
+                "scan": count("dataplane.slot_stream.boundary_scans"),
+            },
+            "deferred": {
+                name: count(f"dataplane.handover.{name}")
+                for name in ("slots", "open_windows", "packets")
+            },
+        }

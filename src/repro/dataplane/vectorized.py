@@ -548,7 +548,7 @@ def _replay_scalar(
     slots: np.ndarray | None = None,
     stream=None,
     sizes: np.ndarray | None = None,
-) -> dict:
+) -> None:
     """Reference semantics for the flows the batched planes cannot take alone.
 
     The entry point for every flow whose register slot is shared state
@@ -556,9 +556,8 @@ def _replay_scalar(
     all of them).  The selected flows' packets take effect in global
     ``(timestamp, flow_id)`` order within each slot, so corruption, eviction
     and reclaim behave exactly as in the per-packet oracle: they replay on
-    the slot-stream plane (:func:`repro.dataplane.slot_stream.replay_slot_stream`,
-    whose accounting is returned; ``slots``, ``stream`` and ``sizes`` are
-    passed through).
+    the slot-stream plane (:func:`repro.dataplane.slot_stream.replay_slot_stream`;
+    ``slots``, ``stream`` and ``sizes`` are passed through).
 
     ``prefix_counts`` (per-flow, optional) restricts each flow to its first
     ``prefix_counts[i]`` packets while keeping the *full* flow size in the
@@ -566,7 +565,7 @@ def _replay_scalar(
     """
     from repro.dataplane.slot_stream import replay_slot_stream
 
-    return replay_slot_stream(
+    replay_slot_stream(
         program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream, sizes=sizes
     )
 
@@ -656,7 +655,11 @@ def close_ready_windows(
     has taken all its ``limits`` packets (the rest of a decided flow is
     forwarded).  All state is per row of the call.  Decided rows are
     recorded once, after the last round.  Returns which rows decided.
+
+    Counts the rows as ``dataplane.lockstep.flows`` and the packets they
+    take as ``dataplane.lockstep.packets``.
     """
+    taken = int(done.sum())
     ends = window_ends(soa, int(program.model.config.n_partitions))
     stateless = _stateless_columns(soa)
     aggregator = _WindowAggregator(soa)
@@ -691,6 +694,8 @@ def close_ready_windows(
         window[rows] += 1
         rows = rows[ends[flows[rows], window[rows]] <= limits[rows]]
     program.finalise_staged(staging)
+    program.counters.add("dataplane.lockstep.flows", int(flows.size))
+    program.counters.add("dataplane.lockstep.packets", int(done.sum()) - taken)
     return decided
 
 
@@ -822,15 +827,7 @@ def replay_arrays(
     other size — a spoofed flow-size field — replays on the slot-stream
     plane, whose window boundaries follow the header.
 
-    Leaves ``program.replay_stats``: flows and packets per plane
-    (``batched`` / ``slot_stream`` — every packet replayed is counted under
-    exactly one), the number of slot-stream event rounds, ``event_search``
-    (window-boundary searches the slot-stream plane resolved by ``lookup``
-    in its next-event columns or handed to a packet ``scan``), and ``deferred``:
-    the slot state the planes recorded instead of installing
-    (:class:`~repro.dataplane.splidt_program.SlotHandover`) — ``slots``
-    rows, of which ``open_windows`` hold ``packets`` to feed to their
-    operators — which a later call resumes from.
+    What the call counted is ``program.replay_stats``.
 
     Example::
 
@@ -840,41 +837,21 @@ def replay_arrays(
     """
     if soa is None:
         soa = PacketArrays.from_flows(flows)
-    stats = {
-        "flows": {"batched": 0, "slot_stream": 0},
-        "packets": {"batched": 0, "slot_stream": 0},
-        "event_rounds": 0,
-        "event_search": {"lookup": 0, "scan": 0},
-        "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
-    }
-    program.replay_stats = stats
+    before = program.counters.snapshot()
     populated = np.flatnonzero(soa.n_packets_per_flow > 0)
-    if populated.size == 0:
-        return
-
-    def count(path: str, n_flows: int, n_packets: int) -> None:
-        stats["flows"][path] += n_flows
-        stats["packets"][path] += n_packets
-
-    spoofed = None
-    if sizes is not None:
-        sizes = np.asarray(sizes)
-        spoofed = sizes[populated] != soa.n_packets_per_flow[populated]
-    slots = cached_flow_slots(soa, program.indexer.table_size)
-    fast, shared, stream = _route_splidt(program, soa, slots, populated, spoofed)
-    if shared.any():
-        outcome = _replay_scalar(
-            program, flows, soa, shared, slots=slots, stream=stream, sizes=sizes
-        )
-        count("slot_stream", outcome["flows"], outcome["packets"])
-        stats["event_rounds"] = outcome["rounds"]
-        stats["event_search"] = outcome["event_search"]
-        stats["deferred"] = outcome["deferred"]
-    if fast.size:
-        _replay_splidt_batched(program, soa, fast, slots)
-        # These flows met a clean slot and decided in it: terminal rows.
-        program.hand_over(
-            SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])
-        )
-        stats["deferred"]["slots"] += int(fast.size)
-    count("batched", int(fast.size), int(soa.n_packets_per_flow[fast].sum()))
+    if populated.size:
+        spoofed = None
+        if sizes is not None:
+            sizes = np.asarray(sizes)
+            spoofed = sizes[populated] != soa.n_packets_per_flow[populated]
+        slots = cached_flow_slots(soa, program.indexer.table_size)
+        fast, shared, stream = _route_splidt(program, soa, slots, populated, spoofed)
+        if shared.any():
+            _replay_scalar(program, flows, soa, shared, slots=slots, stream=stream, sizes=sizes)
+        if fast.size:
+            _replay_splidt_batched(program, soa, fast, slots)
+            # These flows met a clean slot and decided in it: terminal rows.
+            program.hand_over(
+                SlotHandover.of_flows(soa, fast, slots[fast], soa.first_timestamps[fast])
+            )
+    program._replay_span = (before, program.counters.snapshot())

@@ -9,7 +9,7 @@ labelled flows, retrains the model on them and hot-swaps it in,
 recovering accuracy for flows that start after the swap — while flows
 already in flight finish on the old model bit-exactly.
 
-``python -m repro online-demo`` runs this end to end; the ``online-smoke``
+``python -m repro online-demo`` runs this end to end; the ``pipeline-smoke``
 CI job asserts the recovery thresholds.
 """
 

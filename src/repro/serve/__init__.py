@@ -31,8 +31,6 @@ from repro.serve.engine import (
     InferenceEngine,
     ServeError,
     SwapEvent,
-    channel_aggregate,
-    merge_channel_aggregates,
 )
 from repro.serve.microbatch import MicroBatchEngine
 from repro.serve.process_sharded import ProcessShardedEngine
@@ -109,7 +107,5 @@ __all__ = [
     "ServeError",
     "StreamingEngine",
     "SwapEvent",
-    "channel_aggregate",
     "create_engine",
-    "merge_channel_aggregates",
 ]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import abc
 import time
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +56,8 @@ from repro.dataplane import vectorized as vz
 from repro.dataplane.runtime import ReplayResult, build_replay_result
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
-from repro.switch.recirculation import RecirculationChannel
+from repro.obs import Counters
+from repro.switch.recirculation import channel_stats
 
 #: Engine names accepted by :func:`repro.serve.create_engine` (and by
 #: ``ServeConfig.engine`` / ``python -m repro serve --serve-engine``).
@@ -103,6 +104,9 @@ class EngineStats:
             engines).  The process-sharded engine's rings report ``ring_slots``, live ``ring_occupancy`` and
             producer/consumer stall episodes — see
             ``ProcessShardedEngine._transport_stats``.
+        counters: The session's :class:`~repro.obs.Counters` snapshot: the
+            programs' records merged over workers and model epochs.
+            ``recirculation`` and ``batching`` are views of it.
     """
 
     engine: str
@@ -116,6 +120,7 @@ class EngineStats:
     recirculation: dict[str, float] = field(default_factory=dict)
     batching: dict[str, int] = field(default_factory=dict)
     transport: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -152,49 +157,12 @@ class SwapEvent:
     started_flow_ids: frozenset = frozenset()
 
 
-def channel_aggregate(program) -> tuple:
-    """The order-insensitive recirculation counters of one program.
-
-    Returns ``(packets, bytes, first_timestamp, last_timestamp,
-    capacity_bps)`` — a plain (picklable) tuple the process-sharded engine
-    ships across its result queue.
-    """
-    channel = program.recirculation
-    return (
-        channel.packets_recirculated,
-        channel.bytes_recirculated,
-        channel.first_timestamp,
-        channel.last_timestamp,
-        channel.capacity_bps,
-    )
-
-
-def merge_channel_aggregates(aggregates) -> dict[str, float]:
-    """Merge per-shard :func:`channel_aggregate` tuples bit-exactly.
-
-    The counters are order-insensitive aggregates (packet/byte totals plus
-    the min/max of the submission interval), so the union over shard-local
-    channels equals what a single channel observing all submissions would
-    have reported: they are summed into one and its ``stats()`` returned
-    (empty before any shard has reported).
-    """
-    aggregates = list(aggregates)
-    if not aggregates:
+def _batching(counters: Mapping[str, float]) -> dict[str, int]:
+    """The micro-batch flush counters of a record (empty if no micro-batch engine wrote it)."""
+    if "serve.flushes" not in counters:
         return {}
-    channel = RecirculationChannel(capacity_bps=aggregates[0][4])
-    channel.packets_recirculated = sum(a[0] for a in aggregates)
-    channel.bytes_recirculated = sum(a[1] for a in aggregates)
-    channel.first_timestamp = min((a[2] for a in aggregates if a[2] is not None), default=None)
-    channel.last_timestamp = max((a[3] for a in aggregates if a[3] is not None), default=None)
-    return channel.stats()
-
-
-def sum_counters(counters) -> dict[str, int]:
-    """Key-wise sum of counter dicts (one per worker or model epoch)."""
-    total: Counter = Counter()
-    for counter in counters:
-        total.update(counter)
-    return dict(total)
+    names = ("flushes", "flushed_flows", "eligible_scans")
+    return {name: counters[f"serve.{name}"] for name in names}
 
 
 def _flows_in_time_order(soa) -> bool:
@@ -245,6 +213,8 @@ class InferenceEngine(abc.ABC):
         self._swap_slots: np.ndarray | None = None
         self._default_slot_epoch = 0
         self._swap_events: list[SwapEvent] = []
+        #: Recirculation path capacity of this engine's program(s), in bit/s.
+        self._capacity_bps: float | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -368,42 +338,25 @@ class InferenceEngine(abc.ABC):
     def recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters so far.
 
-        After :meth:`swap_model` the per-epoch channel aggregates are merged
-        bit-exactly (totals are additive; the submission interval is the
-        min/max over epochs), so a swap to an identical model leaves these
-        numbers untouched.
+        After :meth:`swap_model` the epochs' records are merged (totals are
+        additive; the submission interval is the min/max over epochs), so a
+        swap to an identical model leaves these numbers untouched.
         """
-        if not self._epoch_children:
-            return self._engine_recirculation_stats()
-        return merge_channel_aggregates(self._collect_channel_aggregates())
+        return channel_stats(self._session_counters(), self._capacity_bps)
 
-    def _engine_recirculation_stats(self) -> dict[str, float]:
-        """This engine's own recirculation counters (no epoch children)."""
-        return {}
+    def _session_counters(self) -> Counters:
+        """This engine's record merged with every model epoch's."""
+        return Counters.merged(
+            [self._engine_counters(), *(c._session_counters() for c in self._epoch_children)]
+        )
 
-    def _engine_channel_aggregates(self) -> list:
-        """This engine's :func:`channel_aggregate` tuples (one per program)."""
-        return []
+    def _engine_counters(self) -> Mapping[str, float]:
+        """This engine's own record (excluding epoch children): its program's."""
+        return self.program.counters
 
     def _transport_stats(self) -> dict[str, float]:
         """IPC-transport health counters (empty for in-process engines)."""
         return {}
-
-    def _batching_stats(self) -> dict[str, int]:
-        """This engine's micro-batch flush counters (empty if it never batches)."""
-        return {}
-
-    def _collect_batching_stats(self) -> dict[str, int]:
-        return sum_counters(
-            [self._batching_stats()]
-            + [child._collect_batching_stats() for child in self._epoch_children]
-        )
-
-    def _collect_channel_aggregates(self) -> list:
-        aggregates = list(self._engine_channel_aggregates())
-        for child in self._epoch_children:
-            aggregates.extend(child._collect_channel_aggregates())
-        return aggregates
 
     def stats(self) -> EngineStats:
         """Rolling statistics of the session (absorbs new verdicts).
@@ -413,6 +366,7 @@ class InferenceEngine(abc.ABC):
         so call it per progress interval, not per packet.
         """
         verdicts = self.verdicts()
+        counters = self._session_counters()
         labels = self._label_map()
         flow_ids = verdicts.flow_ids.tolist()
         fresh = [row for row, flow_id in enumerate(flow_ids) if flow_id not in self._scored]
@@ -431,9 +385,10 @@ class InferenceEngine(abc.ABC):
             buffered_packets=self._total_buffered(),
             accuracy=self._rolling_report.accuracy,
             ttd=self._rolling_ttd.summary(),
-            recirculation=self.recirculation_stats(),
-            batching=self._collect_batching_stats(),
+            recirculation=channel_stats(counters, self._capacity_bps),
+            batching=_batching(counters),
             transport=self._transport_stats(),
+            counters=counters.snapshot(),
         )
 
     # ------------------------------------------------------------------

@@ -95,6 +95,9 @@ class MicroBatchEngine(InferenceEngine):
         self.program = program
         self.flush_flows = flush_flows
         self.backpressure = backpressure
+        self._capacity_bps = program.recirculation.capacity_bps
+        for name in ("flushes", "flushed_flows", "eligible_scans"):
+            program.counters.add(f"serve.{name}", 0)
         self._slots: np.ndarray | None = None
         self._tuple_ids: np.ndarray | None = None
         #: Per flow: window ends (``vz.window_ends``).
@@ -124,7 +127,6 @@ class MicroBatchEngine(InferenceEngine):
         self._streamed: list[np.ndarray] = []
         self._streamed_due = 0
         self._pending = 0
-        self._counters = {"flushes": 0, "flushed_flows": 0, "eligible_scans": 0}
 
     def _engine_verdicts(self) -> Verdicts:
         """The program's verdict snapshot (non-blocking).
@@ -133,15 +135,6 @@ class MicroBatchEngine(InferenceEngine):
         runs — eagerly mid-stream, or at ``drain`` for the rest.
         """
         return self.program.verdicts
-
-    def _engine_recirculation_stats(self) -> dict[str, float]:
-        """The program's recirculation counters."""
-        return self.program.recirculation_stats()
-
-    def _engine_channel_aggregates(self) -> list:
-        from repro.serve.engine import channel_aggregate
-
-        return [channel_aggregate(self.program)]
 
     def _successor_engine(self, program_factory) -> "MicroBatchEngine":
         child = MicroBatchEngine(
@@ -165,9 +158,6 @@ class MicroBatchEngine(InferenceEngine):
 
     def _buffered_packet_count(self) -> int:
         return self._pending
-
-    def _batching_stats(self) -> dict[str, int]:
-        return dict(self._counters)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -222,9 +212,11 @@ class MicroBatchEngine(InferenceEngine):
         phase = self._phase[touched]
         # A decided solo flow's packets are forwarded without inference.
         forwarded = phase == _FORWARDING
-        if forwarded.any():
+        n_forwarded = int(counts[forwarded].sum())
+        if n_forwarded:
             self._done[touched[forwarded]] = after[forwarded]
-        self._pending += int(chunk.positions.size) - int(counts[forwarded].sum())
+            self.program.counters.add("dataplane.lockstep.packets", n_forwarded)
+        self._pending += int(chunk.positions.size) - n_forwarded
         streamed = phase == _CONTENDED
         if streamed.any():
             self._streamed.append(touched[streamed])
@@ -373,7 +365,7 @@ class MicroBatchEngine(InferenceEngine):
 
     def _eligible(self) -> np.ndarray:
         """Flows with a ready window: the last packet of one of their windows is in."""
-        self._counters["eligible_scans"] += 1
+        self.program.counters.add("serve.eligible_scans")
         return self._due_flows()
 
     def _flush(self, indices: np.ndarray) -> None:
@@ -414,8 +406,8 @@ class MicroBatchEngine(InferenceEngine):
         if self._streamed_due >= self.flush_flows:
             self._replay_contended()
         self._due, self._handing = [], []
-        self._counters["flushes"] += 1
-        self._counters["flushed_flows"] += int(indices.size)
+        self.program.counters.add("serve.flushes")
+        self.program.counters.add("serve.flushed_flows", int(indices.size))
 
     def _replay_contended(self) -> None:
         """Replay every contended slot's buffered packets on the slot-stream plane.
@@ -470,6 +462,9 @@ class MicroBatchEngine(InferenceEngine):
                 soa, flows, self._slots[flows], soa.first_timestamps[flows], windows
             )
         )
-        self._pending -= int(cuts.sum() - self._done[flows].sum())
+        # Their packets in the open windows were taken here, on the lockstep plane.
+        taken = int(cuts.sum() - self._done[flows].sum())
+        self.program.counters.add("dataplane.lockstep.packets", taken)
+        self._pending -= taken
         self._done[flows] = cuts
 

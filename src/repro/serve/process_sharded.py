@@ -22,13 +22,13 @@ the GIL):
   programs are **pre-bound at pool start** — ``open()`` blocks until every
   worker has built its program (LUT compilation included), so warm-up is
   paid once up front instead of inside the serving window;
-* verdict and recirculation aggregation happens **in the workers**: each
-  worker's program keeps its own decided rows and
-  :func:`~repro.serve.engine.channel_aggregate`, and ships the rows decided
-  since its last report, as arrays, once per drain/snapshot round.  The
-  parent appends payloads to one verdict store in *worker index order*
-  (never arrival order), so the merged verdict stream is bit-identical run
-  to run even when a worker finishes late.
+* verdict and counter aggregation happens **in the workers**: each
+  worker's program keeps its own decided rows and :class:`~repro.obs.Counters`
+  record, and ships the rows decided since its last report, as arrays, with
+  a snapshot of the record, once per drain/snapshot round.  The parent
+  appends payloads to one verdict store in *worker index order* (never
+  arrival order), so the merged verdict stream is bit-identical run to run
+  even when a worker finishes late.
 
 Because flows that share a register slot land on the same worker by
 construction (``slot % workers``), hash-collision corruption is reproduced
@@ -67,13 +67,8 @@ from repro.dataplane import vectorized as vz
 from repro.dataplane.verdicts import Verdicts, VerdictStore
 from repro.datasets.shm import SharedPacketArrays
 from repro.datasets.streams import LazyFlowList, PacketChunk
-from repro.serve.engine import (
-    InferenceEngine,
-    ServeError,
-    channel_aggregate,
-    merge_channel_aggregates,
-    sum_counters,
-)
+from repro.obs import Counters
+from repro.serve.engine import InferenceEngine, ServeError
 from repro.serve.ring import (
     KIND_CHUNK,
     KIND_DRAIN,
@@ -101,7 +96,7 @@ _STOP_TIMEOUT = 0.25
 
 
 def _snapshot_payload(engine, program, reported: int) -> dict:
-    """What a worker reports about its shard: *new* decided rows + raw counters.
+    """What a worker reports about its shard: *new* decided rows + its counter record.
 
     Only the rows decided after the first ``reported`` cross the result
     queue, as the program's verdict columns (the parent appends them to one
@@ -111,9 +106,8 @@ def _snapshot_payload(engine, program, reported: int) -> dict:
     """
     return {
         "rows": program.verdict_rows(reported),
-        "recirculation": channel_aggregate(program),
+        "counters": program.counters.snapshot(),
         "buffered": engine._buffered_packet_count(),
-        "batching": engine._batching_stats(),
     }
 
 
@@ -133,7 +127,7 @@ def _worker_main(
     Startup is two-phase so programs pre-bind before any traffic exists:
 
     1. ``("bind", factory_bytes)`` — build the program and its micro-batch engine,
-       reply ``("ready", index, table_size)``.  Everything heavyweight
+       reply ``("ready", index, table_size, recirculation capacity)``.  Everything heavyweight
        travels through the task queue rather than the ``Process`` args,
        because a large args pickle is written synchronously by
        ``process.start()`` — the parent would block forever in ``start()``
@@ -174,7 +168,9 @@ def _worker_main(
             kwargs["backpressure"] = backpressure
         engine = MicroBatchEngine(program, **kwargs)
         engine.open()
-        results.put(("ready", index, program.indexer.table_size))
+        results.put(
+            ("ready", index, program.indexer.table_size, program.recirculation.capacity_bps)
+        )
 
         message = tasks.get()
         if message[0] != "attach":
@@ -363,9 +359,9 @@ class ProcessShardedEngine(InferenceEngine):
         self._shard_of_flow: np.ndarray | None = None
         self._table_size: int | None = None
         self._merged = VerdictStore()
-        self._aggregates: dict[int, tuple] = {}
+        #: Each worker's counter record, as of its last snapshot or drain.
+        self._shard_counters: dict[int, dict[str, float]] = {}
         self._buffered: dict[int, int] = {}
-        self._batching: dict[int, dict[str, int]] = {}
         #: Responses consumed outside their _collect round (see _check_failures),
         #: buffered per shard so _collect can absorb in worker-index order.
         self._stray: dict[str, dict[int, dict]] = {"snapshot": {}, "drained": {}}
@@ -445,6 +441,7 @@ class ProcessShardedEngine(InferenceEngine):
             message = self._next_result(timeout=_READY_TIMEOUT, waiting_for="worker startup")
             if message[0] == "ready":
                 table_sizes[message[1]] = message[2]
+                self._capacity_bps = message[3]
             elif message[0] == "error":
                 self._fail(f"worker {message[1]} failed during startup:\n{message[2]}")
         if len(set(table_sizes.values())) > 1:
@@ -561,9 +558,8 @@ class ProcessShardedEngine(InferenceEngine):
 
     def _absorb(self, shard: int, payload: dict) -> None:
         self._merged.append(*payload["rows"])
-        self._aggregates[shard] = payload["recirculation"]
+        self._shard_counters[shard] = payload["counters"]
         self._buffered[shard] = payload["buffered"]
-        self._batching[shard] = payload["batching"]
 
     def _check_liveness(self) -> None:
         for process in self._processes:
@@ -644,18 +640,9 @@ class ProcessShardedEngine(InferenceEngine):
         self._collect("snapshot")
         return self._merged.snapshot()
 
-    def _engine_recirculation_stats(self) -> dict[str, float]:
-        """Recirculation counters merged over the workers' channels.
-
-        Uses the aggregates captured by the most recent snapshot or drain
-        (``stats()`` refreshes them via :meth:`verdicts` immediately before
-        calling this).
-        """
-        return merge_channel_aggregates(self._engine_channel_aggregates())
-
-    def _engine_channel_aggregates(self) -> list:
-        """The aggregates of the workers that have reported, in worker order."""
-        return [self._aggregates[shard] for shard in sorted(self._aggregates)]
+    def _engine_counters(self) -> Counters:
+        """The workers' records as of the last snapshot or drain, merged."""
+        return Counters.merged(self._shard_counters.values())
 
     def _capture_transport_counters(self) -> None:
         """Freeze the ring counters before the segments are unlinked."""
@@ -699,7 +686,3 @@ class ProcessShardedEngine(InferenceEngine):
 
     def _buffered_packet_count(self) -> int:
         return sum(self._buffered.values())
-
-    def _batching_stats(self) -> dict[str, int]:
-        """Flush counters summed over the workers, as of the last snapshot or drain."""
-        return sum_counters(self._batching.values())

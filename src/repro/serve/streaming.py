@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.dataplane.oracle import PacketInterpreter
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
-from repro.serve.engine import InferenceEngine, ServeError, channel_aggregate
+from repro.serve.engine import InferenceEngine, ServeError
 
 
 class StreamingEngine(InferenceEngine):
@@ -38,6 +38,7 @@ class StreamingEngine(InferenceEngine):
         if program is None:
             raise ServeError("StreamingEngine requires a data-plane program")
         self.program = program
+        self._capacity_bps = program.recirculation.capacity_bps
         self._interpreter: PacketInterpreter | None = None
 
     def _engine_verdicts(self) -> Verdicts:
@@ -47,13 +48,6 @@ class StreamingEngine(InferenceEngine):
         the ``ingest`` call that carried its boundary packet returns.
         """
         return self.program.verdicts
-
-    def _engine_recirculation_stats(self) -> dict[str, float]:
-        """The program's recirculation counters."""
-        return self.program.recirculation_stats()
-
-    def _engine_channel_aggregates(self) -> list:
-        return [channel_aggregate(self.program)]
 
     def _successor_engine(self, program_factory) -> "StreamingEngine":
         return StreamingEngine(program_factory())

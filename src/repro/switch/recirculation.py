@@ -9,14 +9,19 @@ for bandwidth, and exposes the overhead statistics reported in Tables 1 and 5.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.obs import Counters
 from repro.switch.phv import Phv
 
 
 @dataclass
 class RecirculationChannel:
     """FIFO recirculation path with bandwidth accounting.
+
+    Counts into ``counters`` (a program passes its record): ``switch.recirc.``
+    ``packets``, ``bytes`` and the submission interval ``first`` .. ``last``.
 
     Attributes:
         capacity_bps: Path capacity in bits per second (100 Gbps on Tofino1).
@@ -26,17 +31,17 @@ class RecirculationChannel:
 
     capacity_bps: float = 100e9
     latency: float = 1e-6
+    counters: Counters = field(default_factory=Counters, repr=False)
     _queue: deque = field(default_factory=deque, init=False)
-    packets_recirculated: int = field(default=0, init=False)
-    bytes_recirculated: int = field(default=0, init=False)
-    first_timestamp: float | None = field(default=None, init=False)
-    last_timestamp: float | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        # Present from the start: a channel that recirculated nothing reads zeros.
+        self.counters.add("switch.recirc.packets", 0)
+        self.counters.add("switch.recirc.bytes", 0)
 
     def submit(self, phv: Phv, timestamp: float) -> None:
         """Queue a control packet for re-injection at ``timestamp + latency``."""
-        self.packets_recirculated += 1
-        self.bytes_recirculated += phv.packet.size
-        self._observe_interval(timestamp, timestamp)
+        self.submit_span(1, phv.packet.size, timestamp, timestamp)
         self._queue.append((timestamp + self.latency, phv))
 
     def submit_span(
@@ -52,16 +57,9 @@ class RecirculationChannel:
         """
         if count <= 0:
             return
-        self.packets_recirculated += count
-        self.bytes_recirculated += packet_bytes * count
-        self._observe_interval(earliest, latest)
-
-    def _observe_interval(self, earliest: float, latest: float) -> None:
-        """Widen the observed submission interval (order-insensitive)."""
-        if self.first_timestamp is None or earliest < self.first_timestamp:
-            self.first_timestamp = earliest
-        if self.last_timestamp is None or latest > self.last_timestamp:
-            self.last_timestamp = latest
+        self.counters.add("switch.recirc.packets", count)
+        self.counters.add("switch.recirc.bytes", packet_bytes * count)
+        self.counters.observe("switch.recirc", earliest, latest)
 
     def ready(self, now: float) -> list[Phv]:
         """Pop every control packet whose re-injection time has arrived."""
@@ -84,26 +82,27 @@ class RecirculationChannel:
     # ------------------------------------------------------------------
     # Overhead statistics
     # ------------------------------------------------------------------
-    def mean_bandwidth_bps(self) -> float:
-        """Mean recirculation bandwidth over the observed interval."""
-        if self.first_timestamp is None or self.last_timestamp is None:
-            return 0.0
-        interval = self.last_timestamp - self.first_timestamp
-        if interval <= 0:
-            interval = 1e-6
-        return self.bytes_recirculated * 8 / interval
-
-    def utilisation(self) -> float:
-        """Mean bandwidth as a fraction of the path capacity."""
-        if self.capacity_bps <= 0:
-            return 0.0
-        return self.mean_bandwidth_bps() / self.capacity_bps
-
     def stats(self) -> dict[str, float]:
         """The channel's counters and derived overheads, as every report carries them."""
-        return {
-            "packets": float(self.packets_recirculated),
-            "bytes": float(self.bytes_recirculated),
-            "mean_bps": self.mean_bandwidth_bps(),
-            "utilisation": self.utilisation(),
-        }
+        return channel_stats(self.counters, self.capacity_bps)
+
+
+def channel_stats(counters: Mapping[str, float], capacity_bps: float) -> dict[str, float]:
+    """The recirculation report of a record: ``packets``, ``bytes``, ``mean_bps``, ``utilisation``.
+
+    The mean bandwidth is taken over the submission interval (a zero-length
+    one counts as a microsecond).  Empty when the record never held a
+    channel — a merge of no records, say.
+    """
+    if "switch.recirc.packets" not in counters:
+        return {}
+    mean_bps = 0.0
+    if "switch.recirc.first" in counters:
+        interval = counters["switch.recirc.last"] - counters["switch.recirc.first"]
+        mean_bps = counters["switch.recirc.bytes"] * 8 / (interval if interval > 0 else 1e-6)
+    return {
+        "packets": float(counters["switch.recirc.packets"]),
+        "bytes": float(counters["switch.recirc.bytes"]),
+        "mean_bps": mean_bps,
+        "utilisation": mean_bps / capacity_bps if capacity_bps > 0 else 0.0,
+    }

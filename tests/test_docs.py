@@ -1,7 +1,7 @@
 """Docs hygiene inside tier-1: links resolve, smoke markers exist.
 
 The heavyweight half — actually executing the marked snippets — runs in
-CI's docs job (``tools/check_docs.py --snippets``); here we keep the cheap
+CI's pipeline-smoke job (``tools/check_docs.py --snippets``); here we keep the cheap
 invariants in the default suite so a broken link or a silently deleted
 docs-smoke marker fails close to the edit that caused it.
 """

@@ -147,7 +147,7 @@ class TestStepWindows:
         assert program.verdicts[0].label == default
         assert program.verdicts[0].early_exit is False
         assert program.verdicts[0].n_recirculations == last
-        assert program.recirculation.packets_recirculated == 0
+        assert program.counters["switch.recirc.packets"] == 0
 
     def test_early_exit_before_last_window(self, program):
         advance, _ = _step(program, [KIND_EXIT], [7], window_index=0)
@@ -186,7 +186,7 @@ class TestStepWindows:
         assert program.verdicts[1].early_exit is True
         assert program.verdicts[2].label == program.model.default_label
         # Exactly one control packet per advancing flow.
-        assert program.recirculation.packets_recirculated == 2
+        assert program.counters["switch.recirc.packets"] == 2
         # Four flows were admitted, whatever became of them.
         assert program.eviction_stats()["admissions"] == 4
         # Digest per decided flow, stamped with the boundary timestamp.

@@ -4,7 +4,7 @@ Covers the pieces bottom-up — config validation, the Page–Hinkley detector,
 the controller's state machine against a scripted fake engine, the refresh
 (Algorithm 1's own trainer on the buffered flows), ``serve --online``
 through the CLI — and finally the full phase-change demo with its
-acceptance thresholds (the same run the ``online-smoke`` CI job asserts).
+acceptance thresholds (the same run the ``pipeline-smoke`` CI job asserts).
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ class TestOnlineProgramFactory:
 
 
 class TestPhaseChangeDemo:
-    """The end-to-end acceptance run (same thresholds as CI's online-smoke)."""
+    """The end-to-end acceptance run (same thresholds as CI's pipeline-smoke)."""
 
     @pytest.fixture(scope="class")
     def demo(self):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.flows import FiveTuple, Packet
-from repro.serve import merge_channel_aggregates
+from repro.obs import Counters
 from repro.switch.phv import make_control_phv, make_data_phv
-from repro.switch.recirculation import RecirculationChannel
+from repro.switch.recirculation import RecirculationChannel, channel_stats
 from repro.switch.targets import BLUEFIELD3, TOFINO1, TOFINO2, TRIDENT4, get_target
 
 
@@ -68,28 +68,47 @@ class TestRecirculationChannel:
         for i in range(10):
             phv = make_control_phv(FiveTuple(1, 2, 3, 4, 6), next_sid=2, timestamp=float(i))
             channel.submit(phv, timestamp=float(i))
-        assert channel.packets_recirculated == 10
-        assert channel.bytes_recirculated == 640
-        assert channel.mean_bandwidth_bps() == pytest.approx(640 * 8 / 9.0)
-        assert 0 <= channel.utilisation() < 1
+        assert channel.counters["switch.recirc.packets"] == 10
+        assert channel.counters["switch.recirc.bytes"] == 640
+        assert channel.stats()["mean_bps"] == pytest.approx(640 * 8 / 9.0)
+        assert 0 <= channel.stats()["utilisation"] < 1
 
     def test_stats_of_merged_shards_equal_one_channel(self):
-        """One formula: shard aggregates summed into a channel report what one channel would."""
+        """One rule: the shards' merged records report what one channel would."""
         whole, shards = RecirculationChannel(), [RecirculationChannel() for _ in range(3)]
         assert whole.stats() == {"packets": 0.0, "bytes": 0.0, "mean_bps": 0.0, "utilisation": 0.0}
         for i, (earliest, latest) in enumerate([(0.5, 2.0), (0.25, 0.25), (1.0, 7.5), (3.0, 3.5)]):
             for channel in (whole, shards[i % 2]):  # the third shard stays empty
                 channel.submit_span(i + 1, 64, earliest, latest)
-        aggregates = [
-            (c.packets_recirculated, c.bytes_recirculated, c.first_timestamp, c.last_timestamp,
-             c.capacity_bps)
-            for c in shards
-        ]
-        assert merge_channel_aggregates(aggregates) == whole.stats()
-        assert merge_channel_aggregates(iter(aggregates)) == whole.stats()
+        records = [c.counters for c in shards]
+        capacity = whole.capacity_bps
+        assert channel_stats(Counters.merged(records), capacity) == whole.stats()
+        assert channel_stats(Counters.merged(iter(records)), capacity) == whole.stats()
+        snapshots = [record.snapshot() for record in reversed(records)]
+        assert channel_stats(Counters.merged(snapshots), capacity) == whole.stats()
         assert whole.stats()["mean_bps"] == 10 * 64 * 8 / 7.25
         # Before any shard has reported there is nothing to merge.
-        assert merge_channel_aggregates([]) == {}
+        assert channel_stats(Counters.merged([]), capacity) == {}
+
+    def test_epoch_and_shard_records_merge_into_the_same_totals(self):
+        """Epochs of shards or shards of epochs: one merge, one total."""
+        spans = [(0.5, 2.0), (0.25, 0.25), (1.0, 7.5), (3.0, 3.5), (9.0, 9.5), (0.75, 1.0)]
+        grid = [[RecirculationChannel() for _ in range(2)] for _ in range(3)]  # epoch x shard
+        whole = RecirculationChannel()
+        for i, (earliest, latest) in enumerate(spans):
+            for channel in (whole, grid[i % 3][i % 2]):
+                channel.submit_span(i + 1, 64, earliest, latest)
+                channel.counters.add("serve.flushes", i)
+        by_epoch = Counters.merged(
+            Counters.merged(c.counters for c in epoch) for epoch in grid
+        )
+        by_shard = Counters.merged(
+            Counters.merged(epoch[shard].counters for epoch in grid) for shard in range(2)
+        )
+        assert by_epoch == by_shard == whole.counters
+        assert by_epoch["switch.recirc.first"] == 0.25
+        assert by_epoch["switch.recirc.last"] == 9.5
+        assert channel_stats(by_epoch, whole.capacity_bps) == whole.stats()
 
     def test_zero_interval_counts_as_a_microsecond(self):
         channel = RecirculationChannel(capacity_bps=1e9)

@@ -32,8 +32,9 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
-per plane, event rounds, the slot state left ``deferred`` —, swap metrics
-when ``--online``,
+per plane, event rounds, the slot state left ``deferred`` —, the ``counters``
+snapshot of the program (merged over model epochs when ``--online``), swap
+metrics when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
 eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
 the spec's dataset — drawing the flows (``generate_s``), building the SoA
@@ -221,14 +222,18 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler)
     print(f"\nreplayed {len(result.verdicts)} verdicts "
           f"(data-plane F1 {result.report.f1_score:.3f})")
-    # Left by ``replay_arrays`` (vectorized and scenario replays): which plane
-    # the flows and packets took.
-    replay_stats = getattr(program, "replay_stats", None)
-    if replay_stats is not None:
+    # A serve session's programs belong to its engine: read their merged record.
+    replay_stats = None
+    if program is None:
+        counters = serve.stats().counters
+    else:
+        counters = program.counters.snapshot()
+        replay_stats = program.replay_stats
         print(f"paths: packets {replay_stats['packets']}, "
               f"{replay_stats['event_rounds']} slot-stream event rounds "
               f"(boundary searches {replay_stats['event_search']}); "
               f"deferred {replay_stats['deferred']}")
+    print("counters: " + ", ".join(f"{name} {value}" for name, value in sorted(counters.items())))
     if swap_event is not None:
         print(f"swap : epoch {swap_event.epoch} built in "
               f"{swap_event.latency_s * 1e3:.2f} ms with "
@@ -271,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
+            "counters": counters,
             "setup": setup,
             "hotspots": hotspots,
         }
