@@ -39,7 +39,7 @@ from repro.core.resources import (
     estimate_splidt_resources,
 )
 from repro.datasets.materialize import DatasetStore
-from repro.datasets.workloads import WORKLOADS, WorkloadProfile
+from repro.datasets.workloads import WORKLOADS, WorkloadProfile, flow_duration_moments
 from repro.switch.targets import TOFINO1, TargetSpec
 
 #: Flow-count targets the paper reports (100K, 500K, 1M).
@@ -101,15 +101,25 @@ class EvaluationContext:
       quantiser fitted on it.
 
     A search evaluates dozens of candidates that share those keys; caching
-    them here turns the repeated prefix into dictionary lookups.  All cached
-    values are deterministic functions of the dataset and the key, so the
-    cached path is bit-identical to recomputing.
+    them here turns the repeated prefix into dictionary lookups.  The
+    resource estimate's flow-duration moments are memoised the same way, per
+    ``(workload, n_flows)``.  All cached values are deterministic functions of
+    the dataset and the key, so the cached path is bit-identical to
+    recomputing.
     """
 
     def __init__(self, store) -> None:
         self.store = store
         self._precision: dict[tuple[int, int], object] = {}
         self._rulegen: dict[tuple[int, int], tuple[np.ndarray, FeatureQuantizer]] = {}
+        self._moments: dict[tuple[WorkloadProfile, int], tuple[float, float]] = {}
+
+    def duration_moments(self, workload: WorkloadProfile, n_flows: int) -> tuple[float, float]:
+        """:func:`flow_duration_moments` of one workload and sample size."""
+        key = (workload, n_flows)
+        if key not in self._moments:
+            self._moments[key] = flow_duration_moments(workload, n_flows)
+        return self._moments[key]
 
     def windowed(self, n_partitions: int, bit_width: int):
         """The (possibly precision-quantised) dataset for one cache key."""
@@ -145,8 +155,8 @@ def evaluate_configuration(
     """Train, compile and cost one configuration (one DSE evaluation).
 
     Passing a long-lived ``context`` memoises the config-independent prefix
-    (fetch, precision copy, quantizer fit) across calls; the result is
-    bit-identical either way.
+    (fetch, precision copy, quantizer fit) and the flow-duration moments
+    across calls; the result is bit-identical either way.
     """
     if context is None:
         context = EvaluationContext(store)
@@ -172,7 +182,11 @@ def evaluate_configuration(
 
     start = time.perf_counter()
     resources = estimate_splidt_resources(
-        model, rules, target=target, workloads=workloads or WORKLOADS
+        model,
+        rules,
+        target=target,
+        workloads=workloads or WORKLOADS,
+        duration_moments=context.duration_moments,
     )
     timings.backend = time.perf_counter() - start
 

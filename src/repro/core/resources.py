@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -217,8 +217,13 @@ def estimate_splidt_resources(
     target: TargetSpec,
     workloads: dict[str, WorkloadProfile] | None = None,
     concurrent_flows: int | None = None,
+    duration_moments: Callable[[WorkloadProfile, int], tuple[float, float]] | None = None,
 ) -> ResourceEstimate:
-    """Full resource estimate for a compiled SpliDT model."""
+    """Full resource estimate for a compiled SpliDT model.
+
+    ``duration_moments`` is handed to :func:`estimate_recirculation` (a
+    design search's per-search memo of the flow-duration moments).
+    """
     layout = splidt_register_layout(model)
     dependency_stages = layout.dependency_bits // DEPENDENCY_REGISTER_BITS
     logic_stages = stages_for_tables(
@@ -239,6 +244,7 @@ def estimate_splidt_resources(
                 workload,
                 concurrent_flows=flows_for_recirc,
                 n_partitions=model.config.n_partitions,
+                duration_moments=duration_moments,
             )
 
     cost = range_marking_cost(rules, target)

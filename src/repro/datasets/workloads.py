@@ -14,6 +14,7 @@ inter-arrival behaviour behind time-to-detection (Figure 10).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -133,12 +134,25 @@ class RecirculationEstimate:
         return self.peak_bps / 1e6
 
 
+def flow_duration_moments(
+    workload: WorkloadProfile, n_flows: int, rng: np.random.Generator | None = None
+) -> tuple[float, float]:
+    """Mean and standard deviation of ``n_flows`` sampled flow durations.
+
+    ``rng`` defaults to a fresh ``default_rng(0)``, so equal arguments give
+    equal moments.
+    """
+    durations = sample_flow_durations(workload, n_flows, rng or np.random.default_rng(0))
+    return float(np.mean(durations)), float(np.std(durations))
+
+
 def estimate_recirculation(
     workload: WorkloadProfile,
     *,
     concurrent_flows: int,
     n_partitions: int,
     rng: np.random.Generator | None = None,
+    duration_moments: Callable[[WorkloadProfile, int], tuple[float, float]] | None = None,
 ) -> RecirculationEstimate:
     """Estimate the recirculation bandwidth of a partitioned model.
 
@@ -150,24 +164,31 @@ def estimate_recirculation(
 
     Peak bandwidth models the synchronised-burst worst case the paper reports
     by applying the dispersion of flow durations on top of the mean.
+
+    The duration moments come from :func:`flow_duration_moments` over
+    ``max(concurrent_flows // 10, 1000)`` flows drawn from ``rng``, or, when
+    given, from ``duration_moments(workload, n_flows)`` — a design search
+    passes its per-search memo of the same function.
     """
     if concurrent_flows < 0:
         raise ValueError("concurrent_flows must be >= 0")
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
-    rng = rng or np.random.default_rng(0)
 
     recirculations_per_flow = max(n_partitions - 1, 0)
     if recirculations_per_flow == 0 or concurrent_flows == 0:
         return RecirculationEstimate(0.0, 0.0, 0.0, 0.0)
 
-    durations = sample_flow_durations(workload, max(concurrent_flows // 10, 1000), rng)
-    mean_duration = float(np.mean(durations))
+    n_durations = max(concurrent_flows // 10, 1000)
+    if duration_moments is None:
+        mean_duration, std_duration = flow_duration_moments(workload, n_durations, rng)
+    else:
+        mean_duration, std_duration = duration_moments(workload, n_durations)
     completion_rate = concurrent_flows / mean_duration  # flows per second
     control_rate = completion_rate * recirculations_per_flow
 
     mean_bps = control_rate * CONTROL_PACKET_BYTES * 8
-    burstiness = 1.0 + float(np.std(durations) / (np.mean(durations) + 1e-9)) * 0.5
+    burstiness = 1.0 + std_duration / (mean_duration + 1e-9) * 0.5
     peak_bps = mean_bps * burstiness
 
     return RecirculationEstimate(

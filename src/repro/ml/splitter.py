@@ -1,8 +1,11 @@
-"""Vectorised best-split search for CART trees.
+"""Exact best-split search for CART trees from presorted orders.
 
-The splitter evaluates every candidate threshold of every allowed feature with
-numpy prefix sums, which keeps training fast enough to run the paper's
-design-space exploration (hundreds of trees per search) in pure Python.
+A tree sorts each candidate feature column once per fit and hands every node
+its rows in each feature's order (``ml/tree.py``); :func:`best_split` scores
+every cut of every candidate feature of a node from those orders with numpy
+prefix sums and never sorts.  That keeps training fast enough to run the
+paper's design-space exploration (hundreds of trees per search) in pure
+Python.
 """
 
 from __future__ import annotations
@@ -87,43 +90,32 @@ def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     raise ValueError(f"unknown criterion: {criterion!r}")
 
 
-def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """One-hot float matrix of an integer label vector."""
-    one_hot = np.zeros((y.shape[0], n_classes), dtype=float)
-    one_hot[np.arange(y.shape[0]), y] = 1.0
-    return one_hot
+def _left_class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """``(F, n, C)`` class counts of each prefix of each row of ``labels``."""
+    return np.cumsum(np.eye(n_classes, dtype=np.int8)[labels], axis=1)
 
 
-def _split_scores_from_one_hot(sorted_one_hot: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity-sum for every prefix cut of a feature-sorted one-hot matrix.
+def _weighted_impurity(left: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+    """``L·impurity(left) + R·impurity(right)`` of ``(k, C)`` left class counts.
 
-    ``sorted_one_hot`` is the node's one-hot label matrix reordered by the
-    candidate feature; building the one-hot once per node and gathering it
-    per feature is cheaper than reconstructing it from the sorted labels for
-    every feature (the split search visits every feature of every node).
+    The counts are exact integers in float, so every sum here is exact and the
+    per-row impurities are those of :func:`_batch_impurity` on any set of rows.
     """
-    left_counts = np.cumsum(sorted_one_hot, axis=0)[:-1]
-    total_counts = left_counts[-1] + sorted_one_hot[-1]
-    right_counts = total_counts - left_counts
-
-    left_totals = left_counts.sum(axis=1)
-    right_totals = right_counts.sum(axis=1)
-
-    left_impurity = _batch_impurity(left_counts, criterion)
-    right_impurity = _batch_impurity(right_counts, criterion)
-
-    return left_totals * left_impurity + right_totals * right_impurity
+    sides = np.concatenate([left, totals - left])
+    weighted = sides.sum(axis=1) * _batch_impurity(sides, criterion)
+    return weighted[: left.shape[0]] + weighted[left.shape[0] :]
 
 
-def _regression_split_scores(sorted_y: np.ndarray) -> np.ndarray:
-    """Weighted variance for every prefix cut of a sorted target vector."""
-    n = sorted_y.shape[0]
-    cumsum = np.cumsum(sorted_y)[:-1]
-    cumsum_sq = np.cumsum(sorted_y**2)[:-1]
+def _mse_scores(sorted_y: np.ndarray) -> np.ndarray:
+    """Weighted variance of every prefix cut of each row of ``sorted_y``."""
+    n = sorted_y.shape[1]
+    squares = sorted_y**2
+    cumsum = np.cumsum(sorted_y, axis=1)[:, :-1]
+    cumsum_sq = np.cumsum(squares, axis=1)[:, :-1]
     left_n = np.arange(1, n)
     right_n = n - left_n
-    total = sorted_y.sum()
-    total_sq = np.sum(sorted_y**2)
+    total = sorted_y.sum(axis=1, keepdims=True)
+    total_sq = squares.sum(axis=1, keepdims=True)
 
     left_var = cumsum_sq - cumsum**2 / left_n
     right_sum = total - cumsum
@@ -131,133 +123,164 @@ def _regression_split_scores(sorted_y: np.ndarray) -> np.ndarray:
     return left_var + right_var
 
 
-def _gini_screen(
-    columns: np.ndarray, y: np.ndarray, n_classes: int, min_samples_leaf: int
-) -> np.ndarray:
-    """Which rows of ``columns`` (features x samples) can hold the best gini cut.
+def _gini_leaders(
+    y: np.ndarray,
+    orders: np.ndarray,
+    class_orders: np.ndarray,
+    valid: np.ndarray,
+    n_classes: int,
+) -> list[tuple[int, int, float]]:
+    """``(feature, cut, score)`` of each feature that can win a gini node.
 
-    The reference loop scores a cut as ``L·gini(left) + R·gini(right)``, which
-    is ``n − Σl_c²/L − Σr_c²/R``: two integers per cut.  With the labels in
-    feature order, ``Σl_c²`` grows by ``2·rank + 1`` per sample, ``rank``
-    being the earlier samples of the same class, and ``Σr_c² = ΣT_c² −
-    2·Σ T_c·l_c + Σl_c²`` for class totals ``T`` — exact ``int64`` (for
-    ``n < 2**26``), no class axis, every feature of the node at once.
+    A cut into ``L`` and ``R`` rows with class counts ``l_c``, ``r_c`` scores
+    ``L·gini(left) + R·gini(right) = n − Σl_c²/L − Σr_c²/R``, and both sums
+    are exact integers (``int64``, for ``n < 2**26``) with no class axis:
+    walking a feature's order, ``Σl_c²`` grows by ``2·rank + 1`` per row
+    (``rank``: earlier rows of its class), and ``Σr_c² = ΣT_c² − 2·Σ T_c·l_c + Σl_c²`` for class totals
+    ``T``.  ``class_orders`` lists the rows by class, then in the feature's
+    order, so a row's rank is its offset in its class's block.
 
-    Returns a mask keeping feature ``f`` iff its best valid cut (the loop's
-    own mask) scores within ``tol = 1e-9·(n + F)`` of the best of all ``F``.
-    Both formulas round by less than ``eps·n`` with ``eps = (C + 4)·2**-53``,
-    so every dropped feature's *reference* score is above ``cutoff − eps·n``
-    (``cutoff`` = screen minimum + ``tol``) and the screen's argmin ``f*``
-    is kept with a reference score ``tol − 2·eps·n`` below that.  The loop's
-    ``score < best − 1e-12`` scan over the kept features in pool order then
-    ends where the scan over all features does: the two can disagree only
-    after the full scan accepts a dropped feature, each later feature lowers
-    the smaller of their two best scores by less than ``1e-12``, so until
-    ``f*`` arrives both stay above ``cutoff − eps·n − F·1e-12``; ``f*`` beats
-    that by more than ``1e-12`` and is accepted by both, after which no
-    dropped feature can be accepted and the scans run in lockstep.
+    That screen score and the reference float score
+    (:func:`_weighted_impurity`) each round by less than ``eps·n`` with
+    ``eps = (C + 4)·2**-53``.  With ``tol = 1e-9·(n + F)``:
+
+    * Features whose best screen score is above ``cutoff`` (the screen
+      minimum plus ``tol``) are dropped.  Every dropped feature's reference
+      score is above ``cutoff − eps·n``, and the screen's argmin feature
+      ``f*`` is kept with a reference score ``tol − 2·eps·n`` below that.
+      The reference rule (``score < best − 1e-12``, in search order) over
+      the kept features then ends where it ends over all of them: the two
+      scans can disagree only after the full one accepts a dropped feature,
+      each later feature lowers the smaller of their two best scores by less
+      than ``1e-12``, so until ``f*`` arrives both stay above
+      ``cutoff − eps·n − F·1e-12``; ``f*`` beats that by more than
+      ``1e-12`` and is accepted by both, after which no dropped feature can
+      be accepted and the scans run in lockstep.
+    * Within a kept feature, every cut that attains (or ties) its reference
+      minimum is within ``2·eps·n < tol`` of its screen minimum, so the
+      reference score is computed only at cuts within ``tol`` of it, and the
+      first of its equal minima is the first such cut attaining it.
     """
-    n_features, n_samples = columns.shape
-    order = np.argsort(columns, axis=1, kind="stable")
-    rows = np.arange(n_features)[:, None]
-    sorted_x = columns[rows, order]
-    # Labels in the narrowest dtype: NumPy radix-sorts 8- and 16-bit keys.
-    sorted_y = y.astype(np.min_scalar_type(n_classes))[order]
-    totals = np.bincount(y, minlength=n_classes)
-    # Stable-sorting the labels groups each class in feature order, so the
-    # within-class rank of those positions is one vector for every feature.
-    rank = np.empty_like(order)
-    rank[rows, np.argsort(sorted_y, axis=1, kind="stable")] = np.arange(n_samples) - np.repeat(
-        np.cumsum(totals) - totals, totals
-    )
-    left_sq = np.cumsum(2 * rank + 1, axis=1)[:, :-1]
-    right_sq = int(totals @ totals) - 2 * np.cumsum(totals[sorted_y], axis=1)[:, :-1] + left_sq
-    left_n = np.arange(1, n_samples)
-    right_n = n_samples - left_n
-    scores = n_samples - left_sq / left_n - right_sq / right_n
-    valid = (
-        (sorted_x[:, :-1] != sorted_x[:, 1:])
-        & (left_n >= min_samples_leaf)
-        & (right_n >= min_samples_leaf)
-    )
-    best = np.where(valid, scores, np.inf).min(axis=1)
-    return best <= best.min() + 1e-9 * (n_samples + n_features)
+    n_features, n = orders.shape
+    labels = y[orders]
+    totals = np.bincount(labels[0], minlength=n_classes)
+    # ``steps[j·N + row]`` is the row's ``2·rank + 1`` in feature j's order:
+    # scattered from the class blocks, gathered back in feature order.
+    lanes = np.arange(0, n_features * y.size, y.size)[:, None]
+    rank = np.arange(n) - np.repeat(np.cumsum(totals) - totals, totals)
+    steps = np.empty(n_features * y.size, dtype=np.intp)
+    steps[class_orders + lanes] = 2 * rank + 1
+    left_sq = np.cumsum(steps[orders + lanes], axis=1)[:, :-1]
+    right_sq = totals @ totals - np.cumsum((2 * totals)[labels], axis=1)[:, :-1] + left_sq
+    left_n = np.arange(1, n)
+    screen = np.where(valid, n - left_sq / left_n - right_sq / (n - left_n), np.inf)
+    best = screen.min(axis=1)
+    tol = 1e-9 * (n + n_features)
+    kept = np.flatnonzero(best <= best.min() + tol)
+    if not np.isfinite(best[kept[0]]):
+        return []
+    near = valid[kept] & (screen[kept] <= best[kept, None] + tol)
+    lane_of, cut_of = np.nonzero(near)
+    left = _left_class_counts(labels[kept], n_classes)[lane_of, cut_of]
+    scores = np.full(near.shape, np.inf)
+    scores[lane_of, cut_of] = _weighted_impurity(left.astype(float), totals.astype(float), "gini")
+    cuts = scores.argmin(axis=1)
+    return list(zip(kept.tolist(), cuts.tolist(), scores[np.arange(kept.size), cuts].tolist()))
 
 
-def _best_split_over(
+def best_split(
     X: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
+    orders: np.ndarray,
     features: np.ndarray,
     *,
     criterion: str,
     min_samples_leaf: int,
     n_classes: int | None,
-    indices: np.ndarray | None = None,
-    impurity: float | None = None,
+    impurity: float,
+    class_orders: np.ndarray | None = None,
 ) -> Split | None:
-    """The reference per-feature scan: best split among ``features``, in order.
+    """The best split of one node among ``features``, from presorted orders.
 
-    The only code that scores a cut, breaks ties (first feature to lead by
-    more than ``1e-12`` wins) and builds a :class:`Split`.
+    Every (feature, cut) is scored; the first feature, in ``features`` order,
+    to lead by more than ``1e-12`` wins, its first minimal cut is the split,
+    and the threshold is the midpoint of the values either side of it.  Only
+    cuts between distinct values that leave ``min_samples_leaf`` rows on each
+    side count.  No split improving impurity by more than ``1e-12`` is
+    ``None``.  Nothing here sorts.
+
+    Args:
+        X: The training matrix the node's rows index.
+        y: Per training row, the encoded class (``0 .. n_classes - 1``) or
+            the float target (mse).
+        rows: The node's training rows, ascending.
+        orders: ``orders[j]`` is ``rows`` stably sorted by
+            ``X[:, features[j]]``.
+        features: Candidate feature indices, in search order.
+        criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
+        min_samples_leaf: Minimum rows on each side of a split.
+        n_classes: Number of classes (classification only).
+        impurity: The node's impurity under ``criterion``.
+        class_orders: Gini only: ``class_orders[j]`` is ``orders[j]`` stably
+            sorted by class.
     """
-    n_samples = y.shape[0] if indices is not None else X.shape[0]
-    is_classification = criterion in CLASSIFICATION_CRITERIA
-    one_hot = _one_hot_labels(y, n_classes) if is_classification else None
-    if impurity is None and is_classification:
-        impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
-    elif impurity is None:
-        impurity = mse_impurity(y)
-    parent_score = n_samples * impurity
-
-    # A cut at position i separates sorted samples [:i+1] from [i+1:]; both
-    # sides must satisfy min_samples_leaf regardless of the feature values.
-    positions = np.arange(1, n_samples)
-    base_valid = (positions >= min_samples_leaf) & ((n_samples - positions) >= min_samples_leaf)
-    if not np.any(base_valid):
+    n = rows.size
+    if n < 2 * min_samples_leaf or features.size == 0:
         return None
+    values = X[orders, features[:, None]]
+    valid = values[:, :-1] != values[:, 1:]
+    valid[:, : min_samples_leaf - 1] = False
+    valid[:, n - min_samples_leaf :] = False
 
-    best: Split | None = None
-    best_score = np.inf
-
-    for feature in features:
-        column = X[indices, feature] if indices is not None else X[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_x = column[order]
-
-        if sorted_x[0] == sorted_x[-1]:
-            continue  # constant feature at this node
-
-        if is_classification:
-            scores = _split_scores_from_one_hot(one_hot[order], criterion)
+    if criterion == "gini":
+        leaders = _gini_leaders(y, orders, class_orders, valid, n_classes)
+    else:
+        if criterion == "mse":
+            scores = _mse_scores(y[orders])
         else:
-            scores = _regression_split_scores(y[order])
+            counts = _left_class_counts(y[orders], n_classes)
+            left = counts[:, :-1].astype(float).reshape(-1, n_classes)
+            scores = _weighted_impurity(left, counts[0, -1].astype(float), criterion)
+            scores = scores.reshape(features.size, n - 1)
+        scores = np.where(valid, scores, np.inf)
+        cuts = scores.argmin(axis=1)
+        leaders = [
+            (j, int(cut), float(scores[j, cut]))
+            for j, cut in enumerate(cuts)
+            if valid[j, cut]
+        ]
 
-        # Only cuts between distinct feature values are valid thresholds.
-        valid = (sorted_x[:-1] != sorted_x[1:]) & base_valid
-        if not np.any(valid):
-            continue
-
-        masked_scores = np.where(valid, scores, np.inf)
-        idx = int(np.argmin(masked_scores))
-        score = float(masked_scores[idx])
+    best = None
+    best_score = np.inf
+    for j, cut, score in leaders:
         if score < best_score - 1e-12:
-            threshold = float((sorted_x[idx] + sorted_x[idx + 1]) / 2.0)
-            # Guard against degenerate midpoints caused by float rounding.
-            if threshold >= sorted_x[idx + 1]:
-                threshold = float(sorted_x[idx])
-            left_mask = column <= threshold
-            improvement = (parent_score - score) / max(n_samples, 1)
-            best = Split(
-                feature=int(feature),
-                threshold=threshold,
-                improvement=float(improvement),
-                left_mask=left_mask,
-            )
-            best_score = score
-
-    if best is not None and best.improvement <= 1e-12:
+            best, best_score = (j, cut), score
+    if best is None:
         return None
-    return best
+    improvement = (n * impurity - best_score) / n
+    if improvement <= 1e-12:
+        return None
+    j, cut = best
+    below, above = values[j, cut], values[j, cut + 1]
+    threshold = float((below + above) / 2.0)
+    # Guard against degenerate midpoints caused by float rounding.
+    if threshold >= above:
+        threshold = float(below)
+    feature = int(features[j])
+    return Split(
+        feature=feature,
+        threshold=threshold,
+        improvement=float(improvement),
+        left_mask=X[rows, feature] <= threshold,
+    )
+
+
+def class_major(orders: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of ``orders`` stably sorted by the classes ``y`` of its rows."""
+    # Labels in the narrowest dtype: NumPy radix-sorts 8- and 16-bit keys.
+    labels = y.astype(np.min_scalar_type(y.max(initial=0)))[orders]
+    return np.take_along_axis(orders, np.argsort(labels, axis=1, kind="stable"), axis=1)
 
 
 def find_best_split(
@@ -275,9 +298,9 @@ def find_best_split(
 ) -> Split | None:
     """Search ``allowed_features`` for the split with maximal impurity decrease.
 
-    The search is :func:`_best_split_over`; for gini, :func:`_gini_screen`
-    first narrows its pool to the features that can win, which changes
-    nothing it returns.
+    One node on its own: sorts the node's candidate columns and runs
+    :func:`best_split`.  A tree does not come through here; it sorts once
+    per fit and calls :func:`best_split` at every node.
 
     Args:
         X: Node sample matrix ``(n_samples, n_features)`` — or, when
@@ -288,21 +311,17 @@ def find_best_split(
         criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
         min_samples_leaf: Minimum samples required on each side of a split.
         n_classes: Number of classes (classification only).
-        rng: Random generator used for feature sub-sampling and tie breaks.
+        rng: Random generator used for feature sub-sampling.
         max_features: If given, a random subset of this many features from
             ``allowed_features`` is searched (used by random forests).
-        indices: Row indices of the node's samples within ``X``.  Passing
-            the full matrix plus indices gathers only the candidate feature
-            columns instead of copying every column of every node — the tree
-            grower's dominant allocation once the feature budget narrows the
-            pool.
+        indices: Row indices of the node's samples within ``X``.
         impurity: The node's impurity under ``criterion`` if the caller
             already has it; computed from ``y`` otherwise.
 
     Returns:
         The best :class:`Split`, or ``None`` when no valid split exists.
     """
-    n_samples = y.shape[0] if indices is not None else X.shape[0]
+    n_samples = y.shape[0]
     if n_samples < 2 * min_samples_leaf:
         return None
 
@@ -310,17 +329,25 @@ def find_best_split(
     if max_features is not None and max_features < features.size:
         features = rng.choice(features, size=max_features, replace=False)
 
-    if criterion == "gini" and features.size > 1:
-        columns = X.T[features[:, None], indices] if indices is not None else X.T[features]
-        features = features[_gini_screen(columns, y, n_classes, min_samples_leaf)]
-
-    return _best_split_over(
+    X = np.asarray(X if indices is None else X[indices], dtype=float)
+    orders = np.argsort(X.T[features], axis=1, kind="stable")
+    class_orders = None
+    if criterion in CLASSIFICATION_CRITERIA:
+        if impurity is None:
+            impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
+        if criterion == "gini":
+            class_orders = class_major(orders, y)
+    elif impurity is None:
+        impurity = mse_impurity(y)
+    return best_split(
         X,
         y,
+        np.arange(n_samples),
+        orders,
         features,
         criterion=criterion,
         min_samples_leaf=min_samples_leaf,
         n_classes=n_classes,
-        indices=indices,
         impurity=impurity,
+        class_orders=class_orders,
     )

@@ -19,19 +19,31 @@ import numpy as np
 from repro.ml._tree import LEAF, Tree
 from repro.ml.splitter import (
     CLASSIFICATION_CRITERIA,
-    find_best_split,
-    mse_impurity,
+    best_split,
+    class_major,
     node_impurity,
 )
 
 
 @dataclass
 class _GrowContext:
-    """Mutable state shared across the recursive growth of one tree."""
+    """Per-fit state of one tree's growth, released when ``fit`` returns.
+
+    ``orders[0, j]`` holds every training row stably sorted by
+    ``X[:, features[j]]`` — the only sort of the fit — and, for gini,
+    ``orders[1, j]`` the same rows stably sorted by class, then by that
+    feature.  A node carries its own rows' slice of them, which its
+    children split by a stable partition.
+    """
 
     X: np.ndarray
+    #: Encoded classes (classifier) or float targets (regressor).
     y: np.ndarray
     rng: np.random.Generator
+    features: np.ndarray
+    orders: np.ndarray
+    #: Scratch: per training row, whether it went left at the last split.
+    goes_left: np.ndarray
     used_features: set[int] = field(default_factory=set)
 
 
@@ -86,29 +98,31 @@ class _BaseDecisionTree:
             raise ValueError("cannot fit on an empty dataset")
         return X, y
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Node value and impurity; overridable to share sufficient stats."""
-        return self._node_value(y), self._node_impurity(y)
+        """Node value and impurity of the node's labels or targets."""
+        raise NotImplementedError
 
     def _fit_common(self, X: np.ndarray, y: np.ndarray) -> None:
         self.n_features_in_ = X.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        context = _GrowContext(X=X, y=y, rng=rng)
         self.tree_ = Tree(
             n_features=self.n_features_in_,
             n_outputs=self._n_outputs(),
         )
-        # The allowed pool is fixed for the whole fit; resolving it once
-        # avoids a sort + range check at every node.
-        self._feature_pool = self._allowed_feature_pool()
+        features = self._allowed_feature_pool()
+        by_feature = np.argsort(X.T[features], axis=1, kind="stable")
+        orders = [by_feature]
+        if self.criterion == "gini":
+            orders.append(class_major(by_feature, y))
+        context = _GrowContext(
+            X=X,
+            y=y,
+            rng=np.random.default_rng(self.random_state),
+            features=features,
+            orders=np.stack(orders),
+            goes_left=np.empty(X.shape[0], dtype=bool),
+        )
         all_indices = np.arange(X.shape[0], dtype=np.intp)
-        self._grow(context, all_indices, depth=0)
+        self._grow(context, all_indices, context.orders, features, depth=0)
 
     def _n_outputs(self) -> int:
         raise NotImplementedError
@@ -121,7 +135,31 @@ class _BaseDecisionTree:
             return pool
         return np.arange(self.n_features_in_, dtype=np.intp)
 
-    def _grow(self, context: _GrowContext, indices: np.ndarray, depth: int) -> int:
+    def _within_budget(
+        self, context: _GrowContext, orders: np.ndarray, features: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``orders``/``features`` narrowed to the used features once ``k`` is spent."""
+        used = context.used_features
+        budget = self.max_distinct_features
+        if budget is None or len(used) < budget or features.size == len(used):
+            return orders, features
+        kept = np.asarray(sorted(used), dtype=np.intp)
+        return orders[:, np.searchsorted(features, kept)], kept
+
+    def _grow(
+        self,
+        context: _GrowContext,
+        indices: np.ndarray,
+        orders: np.ndarray,
+        features: np.ndarray,
+        depth: int,
+    ) -> int:
+        """Grow the subtree of the node whose rows are ``indices`` (ascending).
+
+        ``orders`` holds the node's slice of the context's orders for each of
+        ``features`` (ascending ids): a superset of the features the node may
+        split on.  A node at ``max_depth`` never splits and gets ``None``.
+        """
         y_node = context.y[indices]
         value, impurity = self._node_stats(y_node)
         node_id = self.tree_.add_node(
@@ -135,25 +173,25 @@ class _BaseDecisionTree:
 
         if self._should_stop(y_node, depth, impurity):
             return node_id
-
-        pool = self._feature_pool
-        budget = self.max_distinct_features
-        if budget is not None and len(context.used_features) >= budget:
-            pool = np.asarray(sorted(context.used_features), dtype=np.intp)
-        if pool.size == 0:
+        orders, features = self._within_budget(context, orders, features)
+        if features.size == 0 or indices.size < 2 * self.min_samples_leaf:
             return node_id
 
-        split = find_best_split(
+        searched, searched_orders = features, orders
+        if self.max_features is not None and self.max_features < features.size:
+            searched = context.rng.choice(features, size=self.max_features, replace=False)
+            searched_orders = orders[:, np.searchsorted(features, searched)]
+        split = best_split(
             context.X,
-            y_node,
-            allowed_features=pool,
-            criterion=self._split_criterion(),
+            context.y,
+            indices,
+            searched_orders[0],
+            searched,
+            criterion=self.criterion,
             min_samples_leaf=self.min_samples_leaf,
-            n_classes=self._n_classes_for_split(),
-            rng=context.rng,
-            max_features=self.max_features,
-            indices=indices,
+            n_classes=self._n_outputs() if self._is_classifier else None,
             impurity=impurity,
+            class_orders=searched_orders[1] if self.criterion == "gini" else None,
         )
         if split is None:
             return node_id
@@ -163,10 +201,20 @@ class _BaseDecisionTree:
         node.feature = split.feature
         node.threshold = split.threshold
 
-        left_indices = indices[split.left_mask]
-        right_indices = indices[~split.left_mask]
-        left_id = self._grow(context, left_indices, depth + 1)
-        right_id = self._grow(context, right_indices, depth + 1)
+        left_orders = right_orders = None
+        if self.max_depth is None or depth + 1 < self.max_depth:
+            # A stable partition of each carried order is each child's order.
+            orders, features = self._within_budget(context, orders, features)
+            context.goes_left[indices] = split.left_mask
+            left_of = context.goes_left[orders]
+            left_orders = orders[left_of].reshape(*orders.shape[:2], -1)
+            right_orders = orders[~left_of].reshape(*orders.shape[:2], -1)
+        left_id = self._grow(
+            context, indices[split.left_mask], left_orders, features, depth + 1
+        )
+        right_id = self._grow(
+            context, indices[~split.left_mask], right_orders, features, depth + 1
+        )
         self.tree_.set_children(node_id, left_id, right_id)
         return node_id
 
@@ -176,12 +224,6 @@ class _BaseDecisionTree:
         if y_node.size < self.min_samples_split:
             return True
         return impurity <= 1e-12
-
-    def _split_criterion(self) -> str:
-        raise NotImplementedError
-
-    def _n_classes_for_split(self) -> int | None:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def _check_fitted(self) -> Tree:
@@ -244,29 +286,15 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         X, y = self._validate_fit_args(X, y)
         self.classes_, encoded = np.unique(y, return_inverse=True)
         self.n_classes_ = int(self.classes_.size)
-        self._encoded_y = encoded.astype(np.intp)
-        self._fit_common(X, self._encoded_y)
+        self._fit_common(X, encoded.astype(np.intp))
         return self
 
     def _n_outputs(self) -> int:
         return self.n_classes_
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(y, minlength=self.n_classes_).astype(float)
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        return node_impurity(counts, self.criterion)
-
     def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         counts = np.bincount(y, minlength=self.n_classes_).astype(float)
         return counts, node_impurity(counts, self.criterion)
-
-    def _split_criterion(self) -> str:
-        return self.criterion
-
-    def _n_classes_for_split(self) -> int | None:
-        return self.n_classes_
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability estimates from leaf class frequencies."""
@@ -306,17 +334,11 @@ class DecisionTreeRegressor(_BaseDecisionTree):
     def _n_outputs(self) -> int:
         return 1
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([float(np.mean(y))]) if y.size else np.array([0.0])
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        return mse_impurity(y)
-
-    def _split_criterion(self) -> str:
-        return "mse"
-
-    def _n_classes_for_split(self) -> int | None:
-        return None
+    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        # ``np.mean`` and ``np.var``'s own arithmetic, sharing the one sum.
+        mean = y.sum() / y.size
+        deviation = y - mean
+        return np.array([float(mean)]), float((deviation * deviation).sum() / y.size)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted targets (leaf means)."""

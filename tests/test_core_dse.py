@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 import repro.core.dse as dse_module
+import repro.datasets.workloads as workloads_module
 from repro.core.config import SpliDTConfig
 from repro.core.dse import DesignSearch, SearchResult, evaluate_configuration
 from repro.datasets import load_dataset
@@ -52,6 +53,36 @@ class TestEvaluateConfiguration:
         candidate = evaluate_configuration(store, config, target=TOFINO1)
         assert candidate.supports(1)
         assert not candidate.supports(10**9)
+
+
+    def test_duration_moments_memo_is_per_context_and_bit_identical(self, store, monkeypatch):
+        draws = []
+        sample = workloads_module.sample_flow_durations
+
+        def counted(workload, n_flows, rng):
+            draws.append((workload.key, n_flows))
+            return sample(workload, n_flows, rng)
+
+        monkeypatch.setattr(workloads_module, "sample_flow_durations", counted)
+        configs = [
+            SpliDTConfig(depth=4, features_per_subtree=2, partition_sizes=(2, 2)),
+            SpliDTConfig(depth=5, features_per_subtree=2, partition_sizes=(2, 2, 1)),
+        ]
+        fresh = [evaluate_configuration(store, c, target=TOFINO1) for c in configs]
+        cold_draws = len(draws)
+        context = dse_module.EvaluationContext(store)
+        memoised = [
+            evaluate_configuration(store, c, target=TOFINO1, context=context) for c in configs
+        ]
+        # Equal (workload, n) keys draw once per context, never across contexts.
+        assert len(draws) - cold_draws == len(set(draws[cold_draws:]))
+        assert len(draws) - cold_draws < cold_draws
+        for a, b in zip(fresh, memoised):
+            assert a.resources.recirculation == b.resources.recirculation
+        other = dse_module.EvaluationContext(store)
+        before = len(draws)
+        evaluate_configuration(store, configs[0], target=TOFINO1, context=other)
+        assert len(draws) > before
 
 
 class TestDesignSearch:

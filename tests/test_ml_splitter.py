@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.splitter import (
-    _best_split_over,
-    _gini_screen,
+    _gini_leaders,
+    best_split,
+    class_major,
     entropy_impurity,
     find_best_split,
     gini_impurity,
     mse_impurity,
     node_impurity,
 )
+from split_oracle import best_split_over, grow_reference
 
 
 class TestImpurities:
@@ -236,37 +239,104 @@ def _assert_same_split(got, expected):
     np.testing.assert_array_equal(got.left_mask, expected.left_mask)
 
 
-class TestGiniScreen:
-    @settings(max_examples=300, deadline=None)
+def _node_targets(y, criterion, seed):
+    """The node's labels, or for mse float targets with ties among them."""
+    if criterion != "mse":
+        return y
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        return rng.integers(0, 4, size=y.size).astype(float)
+    return rng.normal(size=y.size)
+
+
+def _presorted(X, y, rows, features, criterion):
+    """What a tree carries to the node ``rows``: a stable partition of its fit's sort."""
+    orders = np.argsort(X.T[features], axis=1, kind="stable")
+    orders = orders[np.isin(orders, rows)].reshape(features.size, rows.size)
+    class_orders = class_major(orders, y) if criterion == "gini" else None
+    return orders, class_orders
+
+
+def _impurity(y, criterion, n_classes):
+    if criterion == "mse":
+        return mse_impurity(y)
+    return node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
+
+
+_CRITERIA = ("gini", "entropy", "mse")
+
+
+class TestSplitKernel:
+    """``best_split`` against the reference scan of ``tests/split_oracle.py``."""
+
+    @pytest.mark.parametrize("criterion", _CRITERIA)
+    @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 300),
-        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=2, max_size=12),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=12),
         n_classes=st.integers(2, 16),
         balanced=st.booleans(),
         min_samples_leaf=st.integers(1, 8),
-        with_indices=st.booleans(),
         max_features=st.none() | st.integers(1, 12),
+    )
+    def test_kernel_equals_the_oracle(
+        self, criterion, seed, n, kinds, n_classes, balanced, min_samples_leaf, max_features,
+    ):
+        # The node is an ascending subset of the rows of a larger matrix, as
+        # in a tree; its orders are the stable partition of a global sort.
+        X, labels = _adversarial_node(seed, n, kinds, n_classes, balanced)
+        node_y = _node_targets(labels, criterion, seed)
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.permutation(2 * n)[:n])
+        full_X = rng.normal(size=(2 * n, len(kinds)))
+        full_X[rows] = X
+        full_y = np.zeros(2 * n, dtype=node_y.dtype)
+        full_y[rows] = node_y
+        features = rng.permutation(len(kinds))
+        if max_features is not None and max_features < features.size:
+            features = rng.choice(features, size=max_features, replace=False)
+        orders, class_orders = _presorted(full_X, full_y, rows, features, criterion)
+        impurity = _impurity(node_y, criterion, n_classes)
+        common = dict(criterion=criterion, min_samples_leaf=min_samples_leaf, n_classes=n_classes)
+        got = best_split(
+            full_X, full_y, rows, orders, features, impurity=impurity,
+            class_orders=class_orders, **common,
+        )
+        expected = best_split_over(
+            full_X, node_y, features, indices=rows, impurity=impurity, **common
+        )
+        _assert_same_split(got, expected)
+
+    @pytest.mark.parametrize("criterion", _CRITERIA)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=8),
+        n_classes=st.integers(2, 8),
+        min_samples_leaf=st.integers(1, 4),
+        with_indices=st.booleans(),
+        max_features=st.none() | st.integers(1, 8),
         with_impurity=st.booleans(),
     )
-    def test_screen_then_loop_equals_loop_on_the_full_pool(
-        self, seed, n, kinds, n_classes, balanced, min_samples_leaf, with_indices,
+    def test_find_best_split_equals_the_oracle(
+        self, criterion, seed, n, kinds, n_classes, min_samples_leaf, with_indices,
         max_features, with_impurity,
     ):
-        X, y = _adversarial_node(seed, n, kinds, n_classes, balanced)
+        # The standalone entry: shuffled node rows, the max_features draw.
+        X, labels = _adversarial_node(seed, n, kinds, n_classes, seed % 3 == 0)
+        y = _node_targets(labels, criterion, seed)
         rng = np.random.default_rng(seed)
         pool = rng.permutation(len(kinds))
         indices = None
         if with_indices:
-            # The node is a shuffled subset of the rows of a larger matrix.
             indices = rng.permutation(2 * n)[:n]
             full = rng.normal(size=(2 * n, len(kinds)))
             full[indices] = X
             X = full
-        common = dict(criterion="gini", min_samples_leaf=min_samples_leaf, n_classes=n_classes)
-        impurity = None
-        if with_impurity:
-            impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), "gini")
+        common = dict(criterion=criterion, min_samples_leaf=min_samples_leaf, n_classes=n_classes)
+        impurity = _impurity(y, criterion, n_classes) if with_impurity else None
         got = find_best_split(
             X, y, allowed_features=pool, rng=np.random.default_rng(seed + 1),
             max_features=max_features, indices=indices, impurity=impurity, **common,
@@ -279,12 +349,14 @@ class TestGiniScreen:
         if n < 2 * min_samples_leaf:
             assert got is None
             return
-        _assert_same_split(got, _best_split_over(X, y, searched, indices=indices, **common))
+        _assert_same_split(got, best_split_over(X, y, searched, indices=indices, **common))
 
-    def test_screen_keeps_nothing_to_cut_as_none(self):
+    @pytest.mark.parametrize("criterion", _CRITERIA)
+    def test_nothing_to_cut_is_none(self, criterion):
         X, y = _adversarial_node(3, 40, ("constant", "lopsided", "constant", "lopsided"), 4, True)
-        common = dict(criterion="gini", min_samples_leaf=2, n_classes=4)
-        assert _best_split_over(X, y, np.arange(4), **common) is None
+        y = _node_targets(y, criterion, 3)
+        common = dict(criterion=criterion, min_samples_leaf=2, n_classes=4)
+        assert best_split_over(X, y, np.arange(4), **common) is None
         assert find_best_split(
             X, y, allowed_features=np.arange(4), rng=np.random.default_rng(0), **common
         ) is None
@@ -297,7 +369,7 @@ class TestGiniScreen:
         n_classes=st.integers(2, 4),
         min_samples_leaf=st.integers(1, 3),
     )
-    def test_screen_never_drops_the_exact_best_cut(
+    def test_kernel_finds_the_exact_best_cut(
         self, seed, n, kinds, n_classes, min_samples_leaf
     ):
         # Independent of the float splitter: every valid cut's gini decrease
@@ -324,18 +396,87 @@ class TestGiniScreen:
             best_of.append(max(cuts, default=None))
         attained = [d for d in best_of if d is not None]
 
-        split = find_best_split(
-            X, y, allowed_features=np.arange(len(kinds)), criterion="gini",
-            min_samples_leaf=min_samples_leaf, n_classes=n_classes,
-            rng=np.random.default_rng(0),
+        rows, features = np.arange(n), np.arange(len(kinds))
+        orders, class_orders = _presorted(X, y, rows, features, "gini")
+        split = best_split(
+            X, y, rows, orders, features, criterion="gini", min_samples_leaf=min_samples_leaf,
+            n_classes=n_classes, impurity=_impurity(y, "gini", n_classes),
+            class_orders=class_orders,
         )
         if split is None:
             assert n < 2 * min_samples_leaf or max(attained, default=0) <= 1e-9
             return
         assert max(attained) - decrease(split.left_mask) <= 1e-9
         assert abs(split.improvement - decrease(split.left_mask)) <= 1e-9
-        kept = _gini_screen(X.T.copy(), y, n_classes, min_samples_leaf)
+        # The integer screen keeps every feature whose best cut is the best.
+        values = X[orders, features[:, None]]
+        valid = values[:, :-1] != values[:, 1:]
+        valid[:, : min_samples_leaf - 1] = False
+        valid[:, n - min_samples_leaf :] = False
+        leaders = _gini_leaders(y, orders, class_orders, valid, n_classes)
+        kept = {feature for feature, _, _ in leaders}
         assert all(
-            best_of[feature] is None or best_of[feature] < max(attained)
-            for feature in np.flatnonzero(~kept)
+            feature in kept
+            for feature in range(len(kinds))
+            if best_of[feature] is not None and best_of[feature] == max(attained)
         )
+
+
+def _assert_same_tree(got, expected):
+    assert len(got.nodes) == len(expected.nodes)
+    for a, b in zip(got.nodes, expected.nodes):
+        assert (a.feature, a.left, a.right, a.depth, a.n_samples) == (
+            b.feature, b.left, b.right, b.depth, b.n_samples
+        )
+        assert float(a.threshold).hex() == float(b.threshold).hex()
+        assert float(a.impurity).hex() == float(b.impurity).hex()
+        assert a.value.tobytes() == b.value.tobytes()
+
+
+class TestTreeGrowth:
+    """Whole trees from the presorted grower against ``grow_reference``."""
+
+    @pytest.mark.parametrize("criterion", _CRITERIA)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 160),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=10),
+        n_classes=st.integers(1, 8),
+        bootstrap=st.booleans(),
+        max_depth=st.none() | st.integers(1, 8),
+        min_samples_leaf=st.integers(1, 4),
+        min_samples_split=st.integers(2, 6),
+        budget=st.none() | st.integers(1, 4),
+        max_features=st.none() | st.integers(1, 6),
+        restrict=st.booleans(),
+    )
+    def test_trees_grow_node_for_node_like_the_oracle(
+        self, criterion, seed, n, kinds, n_classes, bootstrap, max_depth, min_samples_leaf,
+        min_samples_split, budget, max_features, restrict,
+    ):
+        X, labels = _adversarial_node(seed, n, kinds, max(n_classes, 2), seed % 2 == 0)
+        y = _node_targets(labels % n_classes, criterion, seed)
+        rng = np.random.default_rng(seed)
+        if bootstrap:
+            # A forest's tree: rows drawn with replacement, duplicates and all.
+            picked = rng.integers(0, n, size=n)
+            X, y = X[picked], y[picked]
+        allowed = None
+        if restrict:
+            allowed = sorted(rng.choice(len(kinds), size=int(rng.integers(1, len(kinds) + 1))))
+        params = dict(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+            max_distinct_features=budget,
+            max_features=max_features,
+            allowed_features=allowed,
+            random_state=seed % 1000,
+        )
+        if criterion == "mse":
+            estimator = DecisionTreeRegressor(**params)
+        else:
+            estimator = DecisionTreeClassifier(criterion=criterion, **params)
+        estimator.fit(X, y)
+        _assert_same_tree(estimator.tree_, grow_reference(estimator, X, y))

@@ -243,6 +243,46 @@ class TestRegressor:
         assert predictions.max() <= y.max() + 1e-9
 
 
+def _arrays_held(obj, seen=None):
+    """Every numpy array reachable from ``obj``'s attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays_held(value, seen)
+    elif isinstance(obj, (list, tuple, set)):
+        for value in obj:
+            yield from _arrays_held(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_held(vars(obj), seen)
+
+
+class TestFittedState:
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            DecisionTreeClassifier(max_depth=4),
+            DecisionTreeClassifier(max_depth=4, criterion="entropy", max_distinct_features=2),
+            DecisionTreeRegressor(max_depth=4, max_features=2),
+        ],
+    )
+    def test_fitted_tree_holds_no_array_of_training_row_length(self, estimator):
+        # The fit's sorted orders, encoded labels and scratch masks are
+        # per-fit state: a search keeps hundreds of fitted trees alive.
+        rng = np.random.default_rng(0)
+        n_rows = 97  # no node value, feature count or class count has this length
+        X = rng.normal(size=(n_rows, 5))
+        y = rng.integers(0, 3, size=n_rows)
+        estimator.fit(X, y.astype(float) if isinstance(estimator, DecisionTreeRegressor) else y)
+        assert estimator.tree_.n_leaves > 1
+        held = [array.shape for array in _arrays_held(estimator)]
+        assert held and not [shape for shape in held if n_rows in shape]
+
+
 def _hash_tree(digest, tree) -> None:
     for node in tree.nodes:
         digest.update(
