@@ -17,6 +17,9 @@ the GIL):
   copy lands (so the parent stages chunk N+1 while workers consume chunk N),
   and crash detection is folded into the busy-wait-then-backoff loops on
   both sides;
+* a worker pays per ``ingest``, not per packet, so it joins the chunk
+  messages it finds buffered back to back on its ring into one ``ingest``:
+  the further it falls behind, the larger its batches (no cap, no knob);
 * each worker owns a fresh program instance (its own slot state and
   recirculation channel) plus a micro-batch engine over them;
   programs are **pre-bound at pool start** — ``open()`` blocks until every
@@ -115,6 +118,26 @@ class _ParentLost(RuntimeError):
     """Worker-side: the parent process died while we waited on the ring."""
 
 
+def _pop_batch(ring: SpscRing, poll=None) -> tuple[int, np.ndarray, int]:
+    """Pop the next message; a chunk absorbs the chunks buffered right behind it.
+
+    Returns ``(kind, positions, messages)``.  Chunks join in push order and
+    stop at the first other message or at an empty ring, so a drain,
+    snapshot or stop is never absorbed and still follows every chunk pushed
+    before it.  The engines' parity contract holds for any chunking, so the
+    batch is one ``ingest`` whose size is the backlog the worker found.
+    """
+    kind, positions, _seq = ring.pop(poll=poll)
+    if kind != KIND_CHUNK:
+        return kind, positions, 1
+    parts = [positions]
+    while ring.peek() == KIND_CHUNK:
+        parts.append(ring.pop()[1])
+    if len(parts) > 1:
+        positions = np.concatenate(parts)
+    return kind, positions, len(parts)
+
+
 def _worker_main(
     index: int,
     flush_flows: int | None,
@@ -137,7 +160,9 @@ def _worker_main(
     2. ``("attach", source_bytes, ring_layout)`` — map the shared packet
        segment and the worker's ring, seed the flow hashes, and enter
        the serve loop (``chunk``/``drain``/``snapshot``/``stop`` ring
-       messages).
+       messages).  The chunks buffered back to back on the ring become one
+       ``ingest`` (:func:`_pop_batch`); the program's record counts both
+       (``serve.ring_messages``, ``serve.ring_ingests``).
 
     After any failure the worker keeps consuming (and discarding) messages
     until ``stop`` so the parent's bounded pushes can never deadlock against
@@ -183,6 +208,8 @@ def _worker_main(
         flows = LazyFlowList(soa)
         vz.seed_flow_hashes(soa, program.indexer.table_size, slots, tuple_ids)
         ring = SpscRing.attach(message[2])
+        for name in ("ring_messages", "ring_ingests"):
+            program.counters.add(f"serve.{name}", 0)
     except BaseException:
         results.put(("error", index, traceback.format_exc()))
         _consume_until_stop(tasks)
@@ -205,7 +232,7 @@ def _worker_main(
     failed = False
     try:
         while True:
-            kind, positions, _seq = ring.pop(poll=check_parent)
+            kind, positions, messages = _pop_batch(ring, check_parent)
             try:
                 if kind == KIND_STOP:
                     break
@@ -214,6 +241,8 @@ def _worker_main(
                         results.put(("error", index, "worker already failed"))
                     continue
                 if kind == KIND_CHUNK:
+                    program.counters.add("serve.ring_messages", messages)
+                    program.counters.add("serve.ring_ingests")
                     engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
                 elif kind == KIND_DRAIN:
                     engine.drain()

@@ -37,7 +37,10 @@ instead, layered on the same shared-memory lifetime discipline as
 Messages bigger than one span (a chunk whose per-shard positions exceed
 ``span``) are simply split across consecutive slots by the caller; the
 engines' parity contract holds for any chunking, so the split is
-semantically invisible.
+semantically invisible.  For the same reason a message is not an ingest:
+after each chunk it pops, the consumer looks at the next message
+(:meth:`~SpscRing.peek`) and joins the chunks buffered back to back into one
+ingest.
 
 Lifetime follows :mod:`repro.datasets.shm`: the creating process owns the
 segment and is the only one that may :meth:`~SpscRing.unlink` it; attachers
@@ -59,7 +62,7 @@ from repro.datasets.shm import create_segment
 RING_PREFIX = "splidt-ring"
 
 #: Message kinds carried by a ring slot.
-KIND_CHUNK = 1      #: positions span: ingest as one PacketChunk
+KIND_CHUNK = 1      #: positions span: consecutive chunks ingest as one PacketChunk
 KIND_DRAIN = 2      #: end of stream: drain the child engine, reply "drained"
 KIND_SNAPSHOT = 3   #: observation request: reply "snapshot"
 KIND_STOP = 4       #: tear the worker down
@@ -273,6 +276,17 @@ class SpscRing:
         # Release point: the producer may overwrite the slot after this store.
         self._header[_HEAD] = head + 1
         return kind, positions, seq
+
+    def peek(self) -> int | None:
+        """Kind of the next buffered message, or ``None`` if the ring is empty.
+
+        Never waits and never counts a stall: the consumer uses it to decide
+        whether the next message may join the one it just popped.
+        """
+        head = int(self._header[_HEAD])
+        if head >= int(self._header[_TAIL]):
+            return None
+        return int(self._descs[head % self.layout.slots, 0])
 
     # ------------------------------------------------------------------
     # Observation

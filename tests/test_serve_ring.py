@@ -5,9 +5,11 @@ path off ``multiprocessing.Queue``; this suite covers what the parity tests
 cannot: the unit-level ring contract, crash semantics (a SIGKILLed worker
 must surface as ``ServeError`` and leave **no** ``/dev/shm`` residue —
 neither packet segments nor rings), full-ring backpressure with a 1-slot
-ring, idempotent teardown, both start methods, and the deterministic-merge
+ring, idempotent teardown, both start methods, the deterministic-merge
 guarantee (verdict streams must not depend on worker finish order, asserted
-with a factory whose program makes one chosen worker late).
+with a factory whose program makes one chosen worker late), and the
+coalescing of a worker's ring backlog into one ingest (bit-exact, and never
+a backpressure failure that one ingest per message would have avoided).
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 
 from repro.dataplane import SpliDTDataPlane, oracle
+from repro.dataplane import vectorized as vz
 from repro.datasets.shm import SEGMENT_PREFIX
-from repro.datasets.streams import iter_packet_chunks
-from repro.serve import ProcessShardedEngine, ServeError
+from repro.datasets.streams import PacketChunk, iter_packet_chunks
+from repro.serve import BackpressureError, MicroBatchEngine, ProcessShardedEngine, ServeError
+from repro.serve.process_sharded import _pop_batch
 from repro.serve.ring import (
     KIND_CHUNK,
     KIND_DRAIN,
+    KIND_SNAPSHOT,
     KIND_STOP,
     RING_PREFIX,
     RingFullError,
@@ -119,6 +124,65 @@ class TestSpscRing:
         ring.unlink()
         ring.unlink()  # double unlink: no-op
         assert not os.path.exists(os.path.join("/dev/shm", name))
+
+    def test_peek_reads_the_next_kind_without_consuming_or_stalling(self):
+        with SpscRing.create(slots=2, span=4) as ring:
+            assert ring.peek() is None
+            ring.push(KIND_SNAPSHOT)
+            ring.push(KIND_CHUNK, np.arange(2, dtype=np.int64))
+            assert ring.peek() == ring.peek() == KIND_SNAPSHOT
+            assert ring.occupancy() == 2
+            ring.pop()
+            assert ring.peek() == KIND_CHUNK
+            ring.pop()
+            assert ring.peek() is None
+            assert ring.consumer_stalls() == 0
+
+    def test_batch_joins_back_to_back_chunks_up_to_the_next_message(self):
+        with SpscRing.create(slots=4, span=4) as ring:
+            ring.push(KIND_CHUNK, np.array([5, 1], dtype=np.int64))
+            ring.push(KIND_CHUNK, np.array([3], dtype=np.int64))
+            ring.push(KIND_SNAPSHOT)
+            ring.push(KIND_CHUNK, np.array([8, 9], dtype=np.int64))
+            kind, positions, messages = _pop_batch(ring)
+            assert (kind, positions.tolist(), messages) == (KIND_CHUNK, [5, 1, 3], 2)
+            assert positions.dtype == np.intp
+            kind, positions, messages = _pop_batch(ring)
+            assert (kind, positions.size, messages) == (KIND_SNAPSHOT, 0, 1)
+            kind, positions, messages = _pop_batch(ring)
+            assert (kind, positions.tolist(), messages) == (KIND_CHUNK, [8, 9], 1)
+            assert ring.occupancy() == 0
+
+    @pytest.mark.parametrize("kind", [KIND_DRAIN, KIND_STOP], ids=["drain", "stop"])
+    def test_batch_never_absorbs_drain_or_stop(self, kind):
+        with SpscRing.create(slots=4, span=4) as ring:
+            ring.push(KIND_CHUNK, np.array([1], dtype=np.int64))
+            ring.push(kind)
+            ring.push(KIND_CHUNK, np.array([2], dtype=np.int64))
+            ring.push(KIND_CHUNK, np.array([3], dtype=np.int64))
+            assert _pop_batch(ring)[2] == 1
+            # Popped first, the message stays alone whatever follows it.
+            assert _pop_batch(ring)[::2] == (kind, 1)
+            _, positions, messages = _pop_batch(ring)
+            assert (positions.tolist(), messages) == ([2, 3], 2)
+
+    def test_batch_concatenates_across_slot_wraparound(self):
+        with SpscRing.create(slots=3, span=2) as ring:
+            for _ in range(2):  # move the cursors to the last slot
+                ring.push(KIND_SNAPSHOT)
+                ring.pop()
+            for first in range(0, 6, 2):  # slots 2, 0, 1
+                ring.push(KIND_CHUNK, np.array([first, first + 1], dtype=np.int64))
+            kind, positions, messages = _pop_batch(ring)
+            assert (kind, positions.tolist(), messages) == (KIND_CHUNK, list(range(6)), 3)
+            assert ring.occupancy() == 0
+
+    def test_batch_of_one_when_the_ring_empties(self):
+        with SpscRing.create(slots=4, span=4) as ring:
+            ring.push(KIND_CHUNK, np.array([4, 2], dtype=np.int64))
+            kind, positions, messages = _pop_batch(ring)
+            assert (kind, positions.tolist(), messages) == (KIND_CHUNK, [4, 2], 1)
+            assert ring.occupancy() == 0 and ring.consumer_stalls() == 0
 
     def test_attacher_never_unlinks(self):
         ring = SpscRing.create(slots=2, span=4)
@@ -305,3 +369,104 @@ class TestDeterministicMerge:
         # must be bit-identical because absorption is index-ordered.
         assert run(late_worker=2) == baseline
         assert run(late_worker=0) == baseline
+
+
+# ----------------------------------------------------------------------
+# Coalescing: a worker's ring backlog becomes one ingest
+# ----------------------------------------------------------------------
+def _shard_messages(chunks, workers: int, table_size: int):
+    """Per shard, the ring messages the parent pushes for ``chunks`` (span never exceeded)."""
+    soa = chunks[0].soa
+    shard_of_flow = vz.cached_flow_slots(soa, table_size) % workers
+    messages = [[] for _ in range(workers)]
+    for chunk in chunks:
+        shard_of_packet = shard_of_flow[soa.packet_flow[chunk.positions]]
+        for shard in range(workers):
+            sub = chunk.positions[shard_of_packet == shard]
+            if sub.size:
+                messages[shard].append(PacketChunk(soa=soa, flows=chunk.flows, positions=sub))
+    return messages
+
+
+class TestCoalescing:
+    WORKERS, TABLE, CHUNK = 2, 8192, 50
+
+    @pytest.fixture(scope="class")
+    def reference(self, splidt_model, splidt_rules, small_dataset):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.TABLE)
+        return oracle.replay_dataset(program, small_dataset)
+
+    def _held_back_session(self, model, rules, chunks, **options):
+        """A session whose worker 1 stalls mid-stream, so its ring fills behind it."""
+        engine = ProcessShardedEngine(
+            LateProgramFactory(model, rules, self.TABLE, late_shard=(1, self.WORKERS)),
+            workers=self.WORKERS,
+            flush_flows=2,
+            **options,
+        )
+        result = _stream(engine, chunks)
+        return result, engine.stats().counters
+
+    def test_a_held_back_worker_coalesces_its_backlog_bit_exactly(
+        self, splidt_model, splidt_rules, small_dataset, reference
+    ):
+        chunks = list(iter_packet_chunks(small_dataset.flows, self.CHUNK))
+        result, counters = self._held_back_session(splidt_model, splidt_rules, chunks)
+        _assert_identical(reference, result)
+        pushed = sum(map(len, _shard_messages(chunks, self.WORKERS, self.TABLE)))
+        assert counters["serve.ring_messages"] == pushed
+        assert counters["serve.ring_ingests"] < pushed
+
+    def test_a_session_polled_after_every_ingest_never_coalesces(
+        self, splidt_model, splidt_rules, small_dataset
+    ):
+        # Each chunk is followed by a snapshot on every ring, so no two chunk
+        # messages are ever back to back: the polled verdict lag cannot move.
+        chunks = list(iter_packet_chunks(small_dataset.flows, 500))
+        engine = ProcessShardedEngine(
+            ProgramFactory(splidt_model, splidt_rules, self.TABLE), workers=self.WORKERS
+        ).open()
+        for chunk in chunks:
+            engine.ingest(chunk)
+            engine.verdicts()
+        engine.close()
+        counters = engine.stats().counters
+        pushed = sum(map(len, _shard_messages(chunks, self.WORKERS, self.TABLE)))
+        assert counters["serve.ring_ingests"] == counters["serve.ring_messages"] == pushed
+
+    def test_coalescing_raises_no_backpressure_one_ingest_per_message_avoids(
+        self, splidt_model, splidt_rules, small_dataset, reference
+    ):
+        # An over-limit ingest forces a full flush, after which the buffered
+        # count depends only on the packets delivered so far: a batch raises
+        # only where one ingest per message would raise at its last message.
+        chunks = list(iter_packet_chunks(small_dataset.flows, self.CHUNK))
+        per_shard = _shard_messages(chunks, self.WORKERS, self.TABLE)
+
+        def one_ingest_per_message_survives(limit: int) -> bool:
+            for messages in per_shard:
+                program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.TABLE)
+                engine = MicroBatchEngine(program, flush_flows=2, backpressure=limit).open()
+                try:
+                    for message in messages:
+                        engine.ingest(message)
+                except BackpressureError:
+                    return False
+                engine.close()
+            return True
+
+        # Surviving is monotone in the limit: bisect to the tightest one.
+        low, high = 1, 2**16
+        assert not one_ingest_per_message_survives(low)
+        assert one_ingest_per_message_survives(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            if one_ingest_per_message_survives(middle):
+                high = middle
+            else:
+                low = middle
+        result, counters = self._held_back_session(
+            splidt_model, splidt_rules, chunks, backpressure=high
+        )
+        _assert_identical(reference, result)
+        assert counters["serve.ring_ingests"] < counters["serve.ring_messages"]
