@@ -40,10 +40,14 @@ and independent *across* slots, so this plane takes the slot as its unit:
    built once per stream; the eviction columns depend on the policy and on
    the held residents' last-seen timestamps and are built per call.
 
-3. The windows closed in a round are gathered into one round-local packet
-   view, then aggregated and classified by the step the flow-lockstep plane
-   closes its windows with (:func:`~repro.dataplane.vectorized._close_round`),
-   one window index per row.  Verdicts are credited as the per-packet oracle
+3. A window a round closes runs from its row's cursor to the boundary
+   packet: one contiguous range of its slot's run.  The stream's packet
+   columns are gathered once, in stream order (:class:`StreamSource`, kept
+   with a cached stream), so each window is aggregated as that range of
+   stream positions, with prefix columns memoised on the source, and
+   classified by the step the flow-lockstep plane closes its windows with
+   (:func:`~repro.dataplane.vectorized._close_round`), one window index per
+   row.  Verdicts are credited as the per-packet oracle
    credits them: to the deciding packet's flow id, with the epoch's first
    timestamp and the epoch creator's header fields; rounds are finalised in
    order, so a flow id decided twice keeps its later verdict.
@@ -92,12 +96,47 @@ _FIRST_BLOCK = 16
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+class StreamSource:
+    """A stream's packets as a packet source of their own, in stream order.
+
+    Position ``p`` is packet ``order[p]`` of the arrays the stream was built
+    over, so the window aggregator
+    (:class:`~repro.dataplane.vectorized._WindowAggregator`) reads a closing
+    window as the range of stream positions it spans, and the columns it
+    derives (prefix sums, padded columns) are memoised on ``derived`` as on
+    ``PacketArrays.derived``.  Only ``timestamps`` is held; the other packet
+    columns are gathered, in stream order, while a derived column is built
+    from them.
+    """
+
+    def __init__(self, soa: PacketArrays, order: np.ndarray, timestamps: np.ndarray) -> None:
+        # The columns, not the arrays: a source kept on ``soa.derived`` makes
+        # no reference cycle.
+        self._columns = {name: getattr(soa, name) for name in _PACKET_FIELDS[1:]}
+        self._order = order
+        self.timestamps = timestamps
+        self.n_packets = int(order.size)
+        # Integer-valuedness is a property of the column, decided on the arrays'.
+        self.derived: dict = {
+            ("whole", name): vz.whole_valued(soa, name) for name in ("sizes", "payloads")
+        }
+
+    def _gathered(self, name: str) -> np.ndarray:
+        return self._columns[name][self._order]
+
+    sizes = property(lambda self: self._gathered("sizes"))
+    flags = property(lambda self: self._gathered("flags"))
+    directions = property(lambda self: self._gathered("directions"))
+    payloads = property(lambda self: self._gathered("payloads"))
+
+
 @dataclass
 class SlotStream:
     """Packets of a set of flows, grouped by register slot in arrival order.
 
     Row ``r`` (one per slot) owns stream positions ``starts[r]:starts[r + 1]``.
-    Only integer columns, so a stream may be kept on ``PacketArrays.derived``.
+    A stream may be kept on ``PacketArrays.derived``, and what replays derive
+    from it alone is kept with it.
     """
 
     #: Flow-major packet position of every stream packet.
@@ -111,6 +150,8 @@ class SlotStream:
     #: ``(next_tuple, next_size)`` under the packets' own flow sizes
     #: (:func:`_next_change`), kept by the first replay that builds them.
     events: tuple[np.ndarray, np.ndarray] | None = None
+    #: The stream's packets in stream order, gathered by the first replay.
+    source: StreamSource | None = None
 
     @property
     def n_packets(self) -> int:
@@ -366,15 +407,6 @@ def _packet_source(columns: tuple[np.ndarray, ...]) -> PacketArrays:
     )
 
 
-def _packet_view(source: PacketArrays, packets: np.ndarray) -> PacketArrays:
-    """The per-packet columns of ``packets`` as a stand-alone source for the aggregator."""
-    view = _packet_source(tuple(getattr(source, name)[packets] for name in _PACKET_FIELDS))
-    # Integer-valuedness is decided once, on the source's column.
-    for name in ("sizes", "payloads"):
-        view.derived["whole", name] = vz.whole_valued(source, name)
-    return view
-
-
 class _SlotRows:
     """Per-row (per-slot) register state of one slot-stream replay.
 
@@ -429,7 +461,9 @@ def replay_slot_stream(
     Counts, in ``program.counters``, the ``dataplane.slot_stream.flows`` and
     ``.packets`` it replays, its ``.rounds``, and its window-boundary
     searches (rows, summed over rounds) resolved in the next-event columns
-    (``.boundary_lookups``) or handed to a packet scan (``.boundary_scans``).
+    (``.boundary_lookups``) or handed to a packet scan (``.boundary_scans``),
+    and whether it gathered the stream's packets (``.source_builds``, 0 when
+    the stream came with them: :func:`_stream_packets`).
     """
     table_size = program.indexer.table_size
     if stream is None:
@@ -445,7 +479,9 @@ def replay_slot_stream(
     tuple_of = vz.cached_tuple_ids(soa, table_size)
     stream, source, rows, last_seen = _resume_held_slots(program, soa, stream, tuple_of)
     order, flow, row_slots = stream.order, stream.flow, stream.slots
-    timestamps = source.timestamps[order]
+    packets = _stream_packets(counters, soa, stream, source)
+    timestamps = packets.timestamps
+    aggregator = vz._WindowAggregator(packets)
 
     # Held packets (flow -1) carry no five-tuple or flow size of the run: no
     # event is searched for there.
@@ -538,7 +574,7 @@ def replay_slot_stream(
             last = boundary[closing]
             rows.seen[members] += last + 1 - cursor[members]
             advance, values = _close_windows(
-                program, soa, source, stream, timestamps, rows, members, last, staging
+                program, soa, aggregator, stream, timestamps, rows, members, last, staging
             )
             cursor[members] = last + 1
             advancing = members[advance]
@@ -551,6 +587,27 @@ def replay_slot_stream(
         active = active[cursor[active] < end[active]]
     program.finalise_staged(staging)
     program.hand_over(_handover(source, stream, timestamps, rows))
+
+
+def _stream_packets(counters, soa: PacketArrays, stream: SlotStream, source: PacketArrays):
+    """The packets of ``stream`` in stream order: the window aggregator's source.
+
+    A resumed stream indexes a packet source of its own, gathered in stream
+    order (:func:`_with_open_windows`); any other stream's packets are
+    gathered from ``soa`` once and kept with the stream, so a cached stream
+    is gathered by its first replay only.  Counts a gather as
+    ``dataplane.slot_stream.source_builds``.
+    """
+    built = 1
+    if source is not soa:
+        packets = source
+    elif stream.source is not None:
+        packets, built = stream.source, 0
+    else:
+        packets = StreamSource(soa, stream.order, soa.timestamps[stream.order])
+        stream.source = packets
+    counters.add("dataplane.slot_stream.source_builds", built)
+    return packets
 
 
 def _resume_held_slots(program, soa: PacketArrays, stream: SlotStream, tuple_of):
@@ -703,7 +760,7 @@ def _handover(
 def _close_windows(
     program,
     soa: PacketArrays,
-    source: PacketArrays,
+    aggregator: vz._WindowAggregator,
     stream: SlotStream,
     timestamps: np.ndarray,
     rows: _SlotRows,
@@ -714,19 +771,10 @@ def _close_windows(
     """Aggregate and classify the windows rows ``members`` close at packets ``last``.
 
     Each window runs from its row's cursor to ``last`` (stream positions,
-    inclusive); ``rows.seen`` already counts it.  A slot's packets interleave
-    flows, so the windows' packets are gathered from ``source`` into one
-    contiguous round-local view for the aggregator.
+    inclusive), inside its slot's run; ``rows.seen`` already counts it.  The
+    aggregator reads the stream's packets in stream order, so a window is
+    the segment ``[cursor, last + 1)`` as it stands.
     """
-    order, flow = stream.order, stream.flow
-    first, sids = rows.cursor[members], rows.sid[members]
-    lengths = last + 1 - first
-    seg_start = np.cumsum(lengths) - lengths
-    seg_end = seg_start + lengths
-    owner = np.repeat(np.arange(members.size), lengths)
-    packets = order[np.arange(owner.size) + (first - seg_start)[owner]]
-    aggregator = vz._WindowAggregator(_packet_view(source, packets))
-
     # Header fields are the epoch creator's: its tuple, its first packet's size.
     matrix = np.zeros((members.size, N_FEATURES), dtype=np.float64)
     _, _, src_ports, dst_ports, protocols = rows.identity
@@ -738,11 +786,11 @@ def _close_windows(
         program,
         aggregator,
         matrix,
-        seg_start,
-        seg_end,
+        rows.cursor[members],
+        last + 1,
         staging,
-        sids=sids,
-        flow_ids=soa.flow_ids[flow[last]],
+        sids=rows.sid[members],
+        flow_ids=soa.flow_ids[stream.flow[last]],
         window_index=rows.window[members],
         boundary_ts=timestamps[last],
         first_packet_ts=rows.first_ts[members],

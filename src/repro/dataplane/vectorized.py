@@ -91,46 +91,62 @@ _EXACT_PREFIX_LIMIT = float(2**53)
 # ----------------------------------------------------------------------
 # Derived packet columns (cached on PacketArrays.derived, shared by replays)
 # ----------------------------------------------------------------------
-def _base_values(soa: PacketArrays, key: str) -> np.ndarray:
-    """Unpadded per-packet values of a derived column (soa-cached)."""
+def _indicator(soa: PacketArrays, key: str) -> np.ndarray | None:
+    """The 0/1 column ``key`` as a boolean mask, or ``None`` when ``key`` is not one."""
+    if key == "fwd":
+        return soa.directions > 0
+    if key == "bwd":
+        return soa.directions < 0
+    if key == "small":
+        return soa.sizes < SMALL_PACKET_BYTES
+    if key == "large":
+        return soa.sizes > LARGE_PACKET_BYTES
+    if key in _FLAG_FEATURES:
+        return (soa.flags & _FLAG_FEATURES[key]) != 0
+    if key == "gap":
+        return _base_values(soa, "diffs") > BURST_GAP_SECONDS
+    return None
+
+
+def _base_values(soa: PacketArrays, key: str, *, retain: bool = True) -> np.ndarray:
+    """Unpadded per-packet values of a derived column (soa-cached unless ``retain`` is False).
+
+    A column read only through its prefix sums is built for them and
+    dropped (``retain=False``): the prefix is what stays.
+    """
     cached = soa.derived.get(("col", key))
     if cached is not None:
         return cached
-    if key == "sizes":
+    padded = soa.derived.get(("pad", key))
+    if padded is not None:
+        values = padded[:-1]
+    elif (mask := _indicator(soa, key)) is not None:
+        values = mask.astype(np.float64)
+    elif key == "sizes":
         values = soa.sizes
     elif key == "payloads":
         values = soa.payloads
     elif key == "sizes_sq":
         values = soa.sizes * soa.sizes
-    elif key == "fwd":
-        values = (soa.directions > 0).astype(np.float64)
-    elif key == "bwd":
-        values = (soa.directions < 0).astype(np.float64)
     elif key == "fwd_sizes":
         values = np.where(soa.directions > 0, soa.sizes, 0.0)
     elif key == "bwd_sizes":
         values = np.where(soa.directions < 0, soa.sizes, 0.0)
-    elif key == "small":
-        values = (soa.sizes < SMALL_PACKET_BYTES).astype(np.float64)
-    elif key == "large":
-        values = (soa.sizes > LARGE_PACKET_BYTES).astype(np.float64)
-    elif key in _FLAG_FEATURES:
-        values = ((soa.flags & _FLAG_FEATURES[key]) != 0).astype(np.float64)
     elif key == "diffs":
         values = np.zeros(soa.n_packets, dtype=np.float64)
         if soa.n_packets > 1:
-            values[1:] = soa.timestamps[1:] - soa.timestamps[:-1]
-    elif key == "gap":
-        values = (_base_values(soa, "diffs") > BURST_GAP_SECONDS).astype(np.float64)
+            timestamps = soa.timestamps
+            np.subtract(timestamps[1:], timestamps[:-1], out=values[1:])
     elif key == "burst_run":
         # Packets in the burst ending at each position, bursts split at the
         # gaps only: exact for every position at or after a window's first gap.
         positions = np.arange(soa.n_packets, dtype=np.int64)
-        burst_start = np.where(_base_values(soa, "gap") > 0.0, positions, 0)
+        burst_start = np.where(_indicator(soa, "gap"), positions, 0)
         values = (positions - np.maximum.accumulate(burst_start) + 1).astype(np.float64)
     else:
         raise KeyError(key)
-    soa.derived[("col", key)] = values
+    if retain:
+        soa.derived[("col", key)] = values
     return values
 
 
@@ -143,10 +159,16 @@ def _pad_with_identity(values: np.ndarray) -> np.ndarray:
 
 
 def _padded_column(soa: PacketArrays, key: str) -> np.ndarray:
+    """``_base_values`` with one identity element appended (soa-cached).
+
+    The unpadded column becomes a view of it, so a column read both ways is
+    held once.
+    """
     cached = soa.derived.get(("pad", key))
     if cached is None:
-        cached = _pad_with_identity(_base_values(soa, key))
+        cached = _pad_with_identity(_base_values(soa, key, retain=False))
         soa.derived[("pad", key)] = cached
+        soa.derived[("col", key)] = cached[:-1]
     return cached
 
 
@@ -164,9 +186,10 @@ _PREFIX_SOURCE = {
 def whole_valued(soa: PacketArrays, name: str) -> bool:
     """Whether packet column ``name`` holds non-negative integers only (soa-cached).
 
-    A property of the column, so a gathered view of a source inherits the
-    source's answer (:func:`repro.dataplane.slot_stream._packet_view`)
-    instead of re-deriving it from its own packets every round.
+    A property of the column, so a source that holds the same packets in
+    another order (a slot stream's,
+    :class:`repro.dataplane.slot_stream.StreamSource`) is given the answer
+    instead of re-deriving it.
     """
     marker = ("whole", name)
     known = soa.derived.get(marker)
@@ -195,13 +218,22 @@ def _exact_prefix(values: np.ndarray) -> np.ndarray | None:
 
 
 def _prefix_column(soa: PacketArrays, key: str) -> np.ndarray | None:
+    """Leading-zero prefix sums of derived column ``key`` (soa-cached), ``None`` when inexact.
+
+    A 0/1 indicator's prefix is a packet count, held as int32 while the
+    source has fewer than 2**31 packets: exact, and half the bytes.
+    """
     marker = ("prefix", key)
     if marker in soa.derived:
         return soa.derived[marker]
-    source = _PREFIX_SOURCE.get(key)
-    prefix = None
-    if source is None or whole_valued(soa, source):
-        prefix = _exact_prefix(_base_values(soa, key))
+    mask = _indicator(soa, key)
+    if mask is not None:
+        prefix = np.zeros(mask.size + 1, dtype=np.int32 if mask.size < 2**31 else np.int64)
+        np.cumsum(mask, dtype=prefix.dtype, out=prefix[1:])
+    elif whole_valued(soa, _PREFIX_SOURCE[key]):
+        prefix = _exact_prefix(_base_values(soa, key, retain=False))
+    else:
+        prefix = None
     soa.derived[marker] = prefix
     return prefix
 
@@ -215,18 +247,18 @@ def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
     return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths), offsets
 
 
-def _stateless_columns(soa: PacketArrays) -> dict[int, np.ndarray]:
-    """Per-flow values of the four stateless header features (soa-cached)."""
-    cached = soa.derived.get("stateless")
-    if cached is None:
-        cached = {
-            FEATURES_BY_NAME["src_port"].index: soa.src_ports.astype(np.float64),
-            FEATURES_BY_NAME["dst_port"].index: soa.dst_ports.astype(np.float64),
-            FEATURES_BY_NAME["protocol"].index: soa.protocols.astype(np.float64),
-            FEATURES_BY_NAME["pkt_len_first"].index: soa.first_sizes,
-        }
-        soa.derived["stateless"] = cached
-    return cached
+def _stateless_columns(soa: PacketArrays) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(feature index, per-flow column)`` of the four stateless header features.
+
+    The soa's own columns: a float64 feature matrix takes their values
+    exactly, so nothing flow-sized is built for them.
+    """
+    return (
+        (FEATURES_BY_NAME["src_port"].index, soa.src_ports),
+        (FEATURES_BY_NAME["dst_port"].index, soa.dst_ports),
+        (FEATURES_BY_NAME["protocol"].index, soa.protocols),
+        (FEATURES_BY_NAME["pkt_len_first"].index, soa.first_sizes),
+    )
 
 
 def _last_timestamps(soa: PacketArrays) -> np.ndarray:
@@ -251,7 +283,7 @@ def _next_gap(soa: PacketArrays) -> np.ndarray:
     """
     cached = soa.derived.get("next_gap")
     if cached is None:
-        gaps = np.flatnonzero(_base_values(soa, "gap"))
+        gaps = np.flatnonzero(_indicator(soa, "gap"))
         at_or_after = np.full(soa.n_packets + 1, soa.n_packets, dtype=np.intp)
         at_or_after[gaps] = gaps
         cached = np.ascontiguousarray(np.minimum.accumulate(at_or_after[::-1])[::-1])
@@ -314,9 +346,12 @@ class _WindowAggregator:
     batch of packet segments ``[s_i, e_i)`` (one per flow window, all
     non-empty), writing exactly the values the corresponding scalar
     :class:`~repro.features.stateful.StatefulOperator` bank would hold at the
-    window's boundary packet.  Every derived column is a function of the
-    packets alone and lives once on ``soa.derived`` — the aggregator holds no
-    per-replay state, so building one per flush costs nothing.
+    window's boundary packet.  The source is a ``PacketArrays`` (flow-major)
+    or a slot stream's :class:`~repro.dataplane.slot_stream.StreamSource`
+    (stream order); either way a window's packets are one segment.  Every
+    derived column is a function of the packets alone and lives once on
+    ``soa.derived`` — the aggregator holds no per-replay state, so building
+    one per flush costs nothing.
     Intermediates (segment sums, the sequential IAT sweep) are shared across
     a group's features.
     """
@@ -352,6 +387,8 @@ class _WindowAggregator:
         prefix = _prefix_column(self._soa, key)
         if prefix is not None:
             result = prefix[e] - prefix[s]
+            if result.dtype != np.float64:  # an indicator's counts
+                result = result.astype(np.float64)
         else:
             result = self._seg_reduce(np.add, key, s, e)
         shared[("sum", key)] = result
@@ -471,9 +508,9 @@ class _WindowAggregator:
         if name == "min_pkt_len":
             return self._seg_reduce(np.minimum, "sizes", s, e)
         if name == "first_pkt_len":
-            return self._soa.sizes[s]
+            return _base_values(self._soa, "sizes")[s]
         if name == "last_pkt_len":
-            return self._soa.sizes[e - 1]
+            return _base_values(self._soa, "sizes")[e - 1]
         if name == "duration":
             return ts[e - 1] - ts[s]
         if name in ("pkt_rate", "byte_rate"):
@@ -525,16 +562,27 @@ def window_ends(soa: PacketArrays, n_partitions: int) -> np.ndarray:
     :func:`~repro.features.window.window_end` puts it.  A flow with fewer
     packets than partitions has empty windows after its last packet; an
     empty window ends at :data:`NO_WINDOW`, and so does the extra last
-    column.  A function of the packet counts and the partition count only.
+    column.  A function of the packet counts and the partition count only
+    (:func:`_window_end_table`).
     """
     key = ("window_ends", n_partitions)
     ends = soa.derived.get(key)
     if ends is None:
-        counts = soa.n_packets_per_flow.astype(np.int64)
-        bounds = window_end(np.arange(n_partitions), counts[:, None], n_partitions)
-        ends = np.full((counts.size, n_partitions + 1), NO_WINDOW, dtype=np.int64)
-        ends[:, :-1] = np.where(np.diff(bounds, axis=1, prepend=0) > 0, bounds, NO_WINDOW)
+        ends = np.ascontiguousarray(_window_end_table(soa.n_packets_per_flow, n_partitions).T)
         soa.derived[key] = ends
+    return ends
+
+
+def _window_end_table(counts: np.ndarray, n_partitions: int) -> np.ndarray:
+    """:func:`window_ends` of flows of ``counts`` packets, transposed: ``ends[w, i]``.
+
+    Window ``w`` is empty iff ``w >= n``: with fewer packets than
+    partitions each packet is a window of its own.
+    """
+    counts = counts.astype(np.int64)
+    windows = np.arange(n_partitions)[:, None]
+    ends = np.full((n_partitions + 1, counts.size), NO_WINDOW, dtype=np.int64)
+    ends[:-1] = np.where(windows < counts, window_end(windows, counts, n_partitions), NO_WINDOW)
     return ends
 
 
@@ -660,19 +708,26 @@ def close_ready_windows(
     take as ``dataplane.lockstep.packets``.
     """
     taken = int(done.sum())
-    ends = window_ends(soa, int(program.model.config.n_partitions))
-    stateless = _stateless_columns(soa)
+    n_partitions = int(program.model.config.n_partitions)
+    # Window ends per row of the call: from the soa-wide table where a caller
+    # keeps one (the micro-batch engine does), else built for these flows
+    # alone, since a replay may bring a handful of a million flows here.
+    table = soa.derived.get(("window_ends", n_partitions))
+    if table is not None:
+        ends = table[flows]
+    else:
+        ends = _window_end_table(soa.n_packets_per_flow[flows], n_partitions).T
     aggregator = _WindowAggregator(soa)
     staging: list = []
     decided = np.zeros(flows.size, dtype=bool)
-    rows = np.flatnonzero(ends[flows, window] <= limits)
+    rows = np.flatnonzero(ends[np.arange(flows.size), window] <= limits)
     while rows.size:
         flow, at = flows[rows], window[rows]
-        end = ends[flow, at]
+        end = ends[rows, at]
         base = soa.flow_starts[flow]
         s, e = base + done[rows], base + end
         matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64)
-        for feature, column in stateless.items():
+        for feature, column in _stateless_columns(soa):
             matrix[:, feature] = column[flow]
         advance, values = _close_round(
             program,
@@ -692,7 +747,7 @@ def close_ready_windows(
         rows = rows[advance]
         sids[rows] = values[advance]
         window[rows] += 1
-        rows = rows[ends[flows[rows], window[rows]] <= limits[rows]]
+        rows = rows[ends[rows, window[rows]] <= limits[rows]]
     program.finalise_staged(staging)
     program.counters.add("dataplane.lockstep.flows", int(flows.size))
     program.counters.add("dataplane.lockstep.packets", int(done.sum()) - taken)
@@ -777,10 +832,12 @@ def _route_splidt(
 
     A pure function of the traffic, the table size and the partition count
     while the program holds no slot state and nothing is ``forced``, so it is
-    cached on ``soa.derived`` (integer columns only).  Flows ``forced`` by
-    the caller (a mask over ``populated``) and slots the program already
-    holds state for (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`)
-    go to the slot-stream plane, uncached.
+    cached on ``soa.derived``, and with it what replays derive from the
+    stream (its next-event columns, its packets in stream order).  Flows
+    ``forced`` by the caller (a mask over ``populated``) and slots the
+    program already holds state for
+    (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`) go
+    to the slot-stream plane, uncached.
     """
     from repro.dataplane.slot_stream import build_slot_stream
 

@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
+from repro.dataplane import slot_stream as ss
 from repro.dataplane import vectorized as vz
-from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
-from repro.datasets.streams import PacketChunk, StreamedPacketWriter
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
+from repro.datasets.streams import PacketChunk, StreamedPacketWriter, iter_packet_chunks
 from repro.features.definitions import STATELESS_HEADER_INDICES
-from repro.serve import StreamingEngine
+from repro.serve import MicroBatchEngine, StreamingEngine
 from repro.switch.eviction import EvictionPolicy, make_eviction_policy
 
 TUPLE_A = FiveTuple(src_ip=1, dst_ip=2, src_port=3, dst_port=4, protocol=6)
@@ -414,3 +415,150 @@ def test_memmap_backed_lazy_flow_list(splidt_model, splidt_rules):
     # The record holds copies: it settles the same with the memmaps' files gone.
     assert not source.directory.exists()
     assert_same_slot_state(reference, fused)
+
+
+# ----------------------------------------------------------------------
+# The stream source: each slot stream's packets gathered once, in stream order
+# ----------------------------------------------------------------------
+#: Register slots of the contended replays below: 2000+ flows share 64 slots.
+CONTENDED_SLOTS = 64
+
+
+def _route_stream(program, soa) -> ss.SlotStream:
+    """The slot stream ``replay_arrays`` cached on ``soa`` for ``program``'s table."""
+    key = ("slot_route", program.indexer.table_size, program.model.config.n_partitions)
+    return soa.derived[key][2]
+
+
+def _stream_arrays(stream) -> dict:
+    """Every array a cached stream holds, with what replays kept on it, as bytes."""
+    arrays = {name: getattr(stream, name) for name in ("order", "flow", "starts", "slots")}
+    arrays.update({f"events{i}": column for i, column in enumerate(stream.events)})
+    arrays["timestamps"] = stream.source.timestamps
+    arrays.update({key: column for key, column in stream.source.derived.items()
+                   if isinstance(column, np.ndarray)})
+    return {key: column.tobytes() for key, column in arrays.items()}
+
+
+def test_every_window_is_a_range_of_one_rows_run(splidt_model, splidt_rules, small_dataset,
+                                                   monkeypatch):
+    # A round's windows are read from the stream as ``[cursor, last + 1)``:
+    # each must lie inside its slot's run, in a fresh call and in a resumed
+    # one whose run is headed by a held open window.
+    seen, runs = [], []
+    close_windows, close_round = ss._close_windows, vz._close_round
+
+    def spy_windows(program, soa, aggregator, stream, *args):
+        runs.append(stream.starts)
+        try:
+            return close_windows(program, soa, aggregator, stream, *args)
+        finally:
+            runs.pop()
+
+    def spy_round(program, aggregator, matrix, s, e, *args, **kwargs):
+        if runs:  # not the lockstep plane's rounds
+            seen.append((runs[-1], s.copy(), e.copy()))
+        return close_round(program, aggregator, matrix, s, e, *args, **kwargs)
+
+    resumed = []
+    with_open_windows = ss._with_open_windows
+
+    def spy_resume(*args):
+        resumed.append(args)
+        return with_open_windows(*args)
+
+    monkeypatch.setattr(ss, "_close_windows", spy_windows)
+    monkeypatch.setattr(vz, "_close_round", spy_round)
+    monkeypatch.setattr(ss, "_with_open_windows", spy_resume)
+    policy = make_eviction_policy("idle-timeout", timeout=0.5)
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS,
+                              eviction=policy)
+    flows = small_dataset.flows
+    replay_dataset(program, _dataset(flows[:200]))
+    replay_dataset(program, _dataset(flows[200:]))  # resumes the held open windows
+    assert resumed and len(seen) > 2
+    for starts, s, e in seen:
+        rows = np.searchsorted(starts, s, side="right") - 1
+        assert np.all(s < e)
+        assert np.all(starts[rows] <= s) and np.all(e <= starts[rows + 1])
+
+
+def test_the_cached_source_is_the_soa_gathered_in_stream_order(splidt_model, splidt_rules,
+                                                               small_dataset):
+    soa = PacketArrays.from_flows(small_dataset.flows)
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS)
+    vz.replay_arrays(program, small_dataset.flows, soa=soa)
+    stream = _route_stream(program, soa)
+    source = stream.source
+    assert isinstance(source, ss.StreamSource) and source.n_packets == stream.n_packets
+    assert np.array_equal(source.timestamps, soa.timestamps[stream.order])
+    for name in ss._PACKET_FIELDS:
+        assert np.array_equal(getattr(source, name), getattr(soa, name)[stream.order]), name
+    # Every column derived on it equals the one derived from a stand-alone
+    # copy of the gathered packets.
+    gathered = ss._packet_source(
+        tuple(getattr(soa, name)[stream.order] for name in ss._PACKET_FIELDS)
+    )
+    derive = {"col": vz._base_values, "pad": vz._padded_column, "prefix": vz._prefix_column}
+    kinds = set()
+    for key, column in source.derived.items():
+        if key[0] in derive:
+            kinds.add(key[0])
+            want = derive[key[0]](gathered, key[1])
+            assert (column is None) == (want is None), key
+            if column is not None:
+                assert np.array_equal(column, want), key
+    assert {"col", "prefix"} <= kinds
+
+
+def test_a_second_replay_reuses_the_stream_source(splidt_model, splidt_rules, small_dataset):
+    soa = PacketArrays.from_flows(small_dataset.flows)
+    sources, builds, verdicts = [], [], []
+    for _ in range(2):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS)
+        vz.replay_arrays(program, small_dataset.flows, soa=soa)
+        sources.append(_route_stream(program, soa).source)
+        builds.append(program.counters["dataplane.slot_stream.source_builds"])
+        verdicts.append(_snapshot(program, program.verdicts))
+    assert sources[0] is sources[1]
+    assert builds == [1, 0]
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+def test_a_serving_session_leaves_the_cached_stream_unchanged(
+    splidt_model, splidt_rules, small_dataset, monkeypatch, chunk_size
+):
+    # A serving session builds a stream per contended replay, over the same
+    # arrays: the stream a replay cached there is not touched, and each call
+    # counts the gather it makes.
+    flows = small_dataset.flows[:80]
+    soa = PacketArrays.from_flows(flows)
+    vz.replay_arrays(
+        SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS), flows, soa=soa
+    )
+    key = next(key for key in soa.derived if key[0] == "slot_route")
+    stream = soa.derived[key][2]
+    before = _stream_arrays(stream)
+
+    calls = []
+    stream_packets = ss._stream_packets
+
+    def counted(counters, soa, stream, source):
+        calls.append(stream)
+        return stream_packets(counters, soa, stream, source)
+
+    monkeypatch.setattr(ss, "_stream_packets", counted)
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS)
+    engine = MicroBatchEngine(program).open()
+    for chunk in iter_packet_chunks(flows, chunk_size, soa=soa):
+        engine.ingest(chunk)
+    engine.drain()
+    engine.close()
+    reference = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS)
+    oracle.replay_dataset(reference, _dataset(flows))
+
+    assert _snapshot(program, program.verdicts) == _snapshot(reference, reference.verdicts)
+    assert soa.derived[key][2] is stream and _stream_arrays(stream) == before
+    assert all(call is not stream for call in calls)
+    assert program.counters["dataplane.slot_stream.source_builds"] == len(calls) > 0

@@ -112,11 +112,11 @@ def test_kernel_equals_operator_bit_for_bit(windows, feature):
 
 def test_prefix_sums_are_used_only_for_whole_valued_columns():
     # Whether a column is integer-valued is decided once, on the source's
-    # packet column; a gathered view inherits the answer (its own packets
-    # could all be whole) and only bounds its total.  Either way the segment
-    # sums equal the scalar operators bit for bit.
+    # packet column; a slot stream's source inherits the answer (its own
+    # packets could all be whole) and only bounds its total.  Either way the
+    # segment sums equal the scalar operators bit for bit.
     from repro.dataplane import vectorized as vz
-    from repro.dataplane.slot_stream import _packet_view
+    from repro.dataplane.slot_stream import StreamSource
 
     def flow(sizes, payload):
         packets = [Packet(timestamp=0.1 * j, size=size, flags=0x10, direction=1, payload=payload)
@@ -126,12 +126,20 @@ def test_prefix_sums_are_used_only_for_whole_valued_columns():
 
     fractional = PacketArrays.from_flows([flow([100, 250.5, 300, 40, 41], 10)])
     assert not vz.whole_valued(fractional, "sizes") and vz.whole_valued(fractional, "payloads")
-    view = _packet_view(fractional, np.array([0, 2, 3]))  # whole-valued packets only
-    for soa in (fractional, view):
+    order = np.array([0, 2, 3])  # whole-valued packets only
+    stream = StreamSource(fractional, order, fractional.timestamps[order])
+    for soa in (fractional, stream):
         assert vz._prefix_column(soa, "sizes") is None
         assert vz._prefix_column(soa, "sizes_sq") is None
         assert vz._prefix_column(soa, "payloads") is not None
         assert vz._prefix_column(soa, "large") is not None  # a 0/1 indicator
+        # An indicator's prefix is a count held narrow; what the aggregator
+        # returns is float64 all the same.
+        assert vz._prefix_column(soa, "large").dtype == np.int32
+        ends = np.array([1, soa.n_packets])
+        for feature in _STATEFUL:
+            values = _WindowAggregator(soa).compute(feature.index, ends - 1, ends)
+            assert values.dtype == np.float64, feature.name
     huge = PacketArrays.from_flows([flow([2.0**52, 2.0**52, 2.0**52], 10)])
     assert vz.whole_valued(huge, "sizes") and vz._prefix_column(huge, "sizes") is None
     assert vz._prefix_column(huge, "payloads") is not None
