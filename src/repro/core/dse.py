@@ -277,7 +277,7 @@ class DesignSearch:
         workers: Must be ``0``.  The evaluator pool it sized is removed;
             the keyword and the no-op context manager stay only because the
             frozen ``benchmarks/perf`` harness passes ``workers=0`` inside a
-            ``with`` block (ROADMAP item 5 removes both).
+            ``with`` block (ROADMAP item 1(b) removes both).
     """
 
     def __init__(

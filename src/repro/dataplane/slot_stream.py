@@ -32,13 +32,18 @@ and independent *across* slots, so this plane takes the slot as its unit:
      header (a colliding flow's header can close the resident's window).
      It is read per stretch of one advertised size, up to the next size
      change: inside a stretch the boundary is fixed, so its first closing
-     packet is arithmetic.  The few rows still open after
-     ``_BOUNDARY_STRETCHES`` stretches are scanned packet by packet
-     (:func:`_first_hit`).
+     packet is arithmetic.  A row still open after ``_BOUNDARY_STRETCHES``
+     stretches is answered by the stream's size-class index
+     (:class:`_SizeClasses`): within one advertised size the close test is
+     monotone in the position, so each size class of the row's run needs
+     one ``searchsorted`` and the boundary is the earliest over its classes.
 
-   The five-tuple and size-change columns depend on the stream only and are
-   built once per stream; the eviction columns depend on the policy and on
-   the held residents' last-seen timestamps and are built per call.
+   What these columns read of the stream alone — the five-tuple ids and
+   advertised sizes of its packets, their next changes, the size-class
+   index, and each eviction policy's columns while no slot is held — is
+   built once per stream (:class:`StreamEvents`, kept with a cached
+   stream); a call that resumes held residents builds its eviction columns
+   itself, since they depend on the residents' last-seen timestamps.
 
 3. A window a round closes runs from its row's cursor to the boundary
    packet: one contiguous range of its slot's run.  The stream's packet
@@ -65,6 +70,7 @@ window's packets — which the next call, batched or per packet, resumes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -87,11 +93,9 @@ _FRESH, _LIVE, _DECIDED = 0, 1, 2
 _FOREIGN_TUPLE = -2
 
 #: Stretches of one advertised flow size a window-boundary search reads per
-#: row before it hands the row to :func:`_first_hit`.
+#: row before it hands the row to the size-class index: most rows close in
+#: their first stretch, and the index costs one search per class of the run.
 _BOUNDARY_STRETCHES = 2
-
-#: Packets examined per row in the first pass of a scan; doubles per pass.
-_FIRST_BLOCK = 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -147,9 +151,9 @@ class SlotStream:
     #: Register slot of every row.
     slots: np.ndarray
     n_flows: int
-    #: ``(next_tuple, next_size)`` under the packets' own flow sizes
-    #: (:func:`_next_change`), kept by the first replay that builds them.
-    events: tuple[np.ndarray, np.ndarray] | None = None
+    #: The next-event columns under the packets' own flow sizes, kept by the
+    #: first replay that builds them.
+    events: StreamEvents | None = None
     #: The stream's packets in stream order, gathered by the first replay.
     source: StreamSource | None = None
 
@@ -182,45 +186,15 @@ def build_slot_stream(
     first = np.ones(packet_slots.size, dtype=bool)
     first[1:] = packet_slots[1:] != packet_slots[:-1]
     starts = np.append(np.flatnonzero(first), packet_slots.size)
+    # Half the bytes wherever positions fit: a cached stream keeps both.
+    dtype = _position_dtype(soa.n_packets)
     return SlotStream(
-        order=order[by_slot],
-        flow=flow[by_slot],
+        order=order[by_slot].astype(dtype),
+        flow=flow[by_slot].astype(dtype),
         starts=starts,
         slots=packet_slots[starts[:-1]],
         n_flows=int(np.count_nonzero(flow_mask)),
     )
-
-
-def _first_hit(lo: np.ndarray, hi: np.ndarray, test) -> np.ndarray:
-    """Per row, the first position in ``[lo, hi)`` where ``test`` holds, else ``hi``.
-
-    ``test(rows, positions)`` evaluates a batch of candidates (``rows`` index
-    ``lo``/``hi``).  Rows are scanned in blocks that double per pass, so a
-    row costs at most twice the distance to its hit however far that is.
-    """
-    found = hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    lo = lo[rows]
-    block = _FIRST_BLOCK
-    while rows.size:
-        stop = np.minimum(lo + block, hi[rows])
-        lengths = stop - lo
-        offsets = np.cumsum(lengths) - lengths
-        owner = np.repeat(np.arange(rows.size), lengths)
-        positions = np.arange(owner.size) + (lo - offsets)[owner]
-        hits = np.flatnonzero(test(rows[owner], positions))
-        unresolved = stop < hi[rows]
-        if hits.size:
-            hit_owner = owner[hits]
-            leading = np.ones(hits.size, dtype=bool)
-            leading[1:] = hit_owner[1:] != hit_owner[:-1]
-            winners = hit_owner[leading]
-            found[rows[winners]] = positions[hits[leading]]
-            unresolved[winners] = False
-        rows = rows[unresolved]
-        lo = stop[unresolved]
-        block *= 2
-    return found
 
 
 def _next_marked(marked: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -232,9 +206,12 @@ def _next_marked(marked: np.ndarray, starts: np.ndarray) -> np.ndarray:
     marks = marked.copy()
     marks[starts[starts < n]] = True  # a run's end is the next run's head
     heads = np.append(np.flatnonzero(marks), n)
-    # Half the bytes wherever positions fit: these columns span the stream.
-    dtype = np.int32 if n < 2**31 else np.int64
-    return np.repeat(heads[1:].astype(dtype), np.diff(heads))
+    return np.repeat(heads[1:].astype(_position_dtype(n)), np.diff(heads))
+
+
+def _position_dtype(n: int) -> type:
+    """int32 where positions below ``n`` fit: half the bytes of a column spanning the stream."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 def _next_change(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -271,7 +248,9 @@ class _Evictions:
     """
 
     def __init__(self, evicting: np.ndarray, tuples: np.ndarray, starts: np.ndarray) -> None:
-        self.evicting_at = np.flatnonzero(evicting)
+        n = evicting.size
+        dtype = _position_dtype(n)
+        self.evicting_at = np.flatnonzero(evicting).astype(dtype)
         self.next_evicting = _next_marked(evicting, starts)
         self.next_evicting[self.evicting_at] = self.evicting_at
         # The five-tuple change over the evicting positions alone, with runs
@@ -279,7 +258,7 @@ class _Evictions:
         following = _next_change(
             tuples[self.evicting_at], np.searchsorted(self.evicting_at, starts)
         )
-        self.next_other = np.append(self.evicting_at, evicting.size)[following]
+        self.next_other = np.append(self.evicting_at, dtype(n))[following]
 
     def first(
         self, tuples: np.ndarray, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
@@ -295,26 +274,130 @@ class _Evictions:
         return found
 
 
+class _SizeClasses:
+    """A stream's positions grouped by run and advertised flow size.
+
+    Class ``c`` is the positions of one run whose packets advertise
+    ``sizes[c]``, ascending, and run ``r``'s classes are
+    ``run_classes[r]:run_classes[r + 1]``.  Every class owns a block of keys
+    as long as its run, the blocks in class order, and position ``p`` of
+    class ``c`` is stored as ``key = shift[c] + p``.  ``key`` ascends, so one
+    ``searchsorted`` finds, for any number of (class, target) pairs at once,
+    each class's first position at or after its target.  (The entry found
+    may belong to a later class; its position then reads as the run's end
+    or more.)  Keys are int32 where they fit.
+    """
+
+    def __init__(self, header_size: np.ndarray, starts: np.ndarray) -> None:
+        n = header_size.size
+        lengths = np.diff(starts)
+        run = np.repeat(np.arange(lengths.size), lengths)
+        # Runs are contiguous and ascending, so the sort keeps every position
+        # in its run and orders each run by size, stably.
+        positions = np.lexsort((header_size, run))
+        grouped = header_size[positions]
+        head = np.ones(n, dtype=bool)
+        head[1:] = grouped[1:] != grouped[:-1]
+        head[starts[:-1]] = True
+        heads = np.flatnonzero(head)
+        classes = np.cumsum(head) - 1
+        self.sizes = grouped[heads]
+        self.run_classes = np.append(classes[starts[:-1]], heads.size)
+        per_run = np.diff(self.run_classes)
+        block = np.repeat(lengths, per_run)
+        # key - p: where the class's block starts, less where its run starts.
+        shift = np.cumsum(block) - block - np.repeat(starts[:-1], per_run)
+        dtype = _position_dtype(int(block.sum()))
+        self.shift = shift.astype(dtype)
+        positions += shift[classes]
+        self.key = positions.astype(dtype)
+
+    def first(
+        self,
+        runs: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        quota: np.ndarray,
+        window: np.ndarray,
+        n_partitions: int,
+    ) -> np.ndarray:
+        """Per row, the first ``p`` in ``[lo, hi)`` of run ``runs`` with ``bound(window, size(p)) - p <= quota``, else ``hi``.
+
+        Within one class the bound is fixed and the test holds from
+        ``bound - quota`` on, so a class's first closing position is its
+        first at or after ``max(lo, bound - quota)``; the row's is the
+        earliest over its run's classes.
+        """
+        first = self.run_classes[runs]
+        counts = self.run_classes[runs + 1] - first
+        classes, offsets = vz._segment_positions(first, counts)
+        owner = np.repeat(np.arange(runs.size), counts)
+        limit = hi[owner]
+        bound = window_end(window[owner], self.sizes[classes], n_partitions)
+        target = np.minimum(np.maximum(lo[owner], bound - quota[owner]), limit)
+        shift = self.shift[classes]
+        at = np.searchsorted(self.key, (target + shift).astype(self.key.dtype))
+        position = self.key[np.minimum(at, self.key.size - 1)] - shift
+        inside = (position >= target) & (position < limit)
+        limit[inside] = position[inside]
+        return np.minimum.reduceat(limit, offsets)
+
+
+class StreamEvents:
+    """What the next-event lookups read of a slot stream alone.
+
+    Per stream position: the five-tuple id (``tuples``) and the advertised
+    flow size (``header_size``) of its packet — -1 and 0 at a held packet,
+    which carries neither — and the next change of each in its run
+    (``next_tuple``, ``next_size``: :func:`_next_change`).  Besides: the
+    size-class index of the boundary search (:attr:`classes`, built when a
+    search first needs it), and ``evictions``, the :class:`_Evictions`
+    columns of each frozen eviction policy replayed while no slot was held.
+    """
+
+    def __init__(self, tuples: np.ndarray, header_size: np.ndarray, starts: np.ndarray) -> None:
+        self.tuples = tuples
+        self.header_size = header_size
+        self.starts = starts
+        self.next_tuple = _next_change(tuples, starts)
+        self.next_size = _next_change(header_size, starts)
+        self.evictions: dict = {}
+
+    @cached_property
+    def classes(self) -> _SizeClasses:
+        return _SizeClasses(self.header_size, self.starts)
+
+
+def _narrowed(column: np.ndarray) -> np.ndarray:
+    """An integer column spanning the stream, as int32 where its values fit."""
+    if column.dtype.kind in "iu" and (
+        column.size == 0 or (column.min() >= -(2**31) and column.max() < 2**31)
+    ):
+        return column.astype(np.int32)
+    return column
+
+
 def _first_boundary(
+    runs: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     quota: np.ndarray,
     window: np.ndarray,
-    header_size: np.ndarray,
-    next_size: np.ndarray,
+    events: StreamEvents,
     n_partitions: int,
 ) -> tuple[np.ndarray, int]:
-    """Per row, the first ``p`` in ``[lo, hi)`` with ``bound(window, header_size[p]) - p <= quota``, else ``hi``.
+    """Per row, the first ``p`` in ``[lo, hi)`` of run ``runs`` with ``bound(window, header_size[p]) - p <= quota``, else ``hi``.
 
     That is the packet at which the packets seen reach the end of window
     ``window`` under the flow size ``p``'s header advertises.  It is read per
-    stretch of one advertised size (up to ``next_size``, :func:`_next_change`
-    of ``header_size``): inside one the bound is fixed and ``bound - p``
-    drops by one per packet, so the stretch's first closing packet is
-    ``max(start, bound - quota)`` if that lies inside it.  Rows still open
-    after ``_BOUNDARY_STRETCHES`` stretches are scanned with
-    :func:`_first_hit`.  Returns the positions and how many rows were scanned.
+    stretch of one advertised size (up to ``next_size``): inside one the
+    bound is fixed and ``bound - p`` drops by one per packet, so the
+    stretch's first closing packet is ``max(start, bound - quota)`` if that
+    lies inside it.  Rows still open after ``_BOUNDARY_STRETCHES`` stretches
+    are answered by the size-class index (:meth:`_SizeClasses.first`).
+    Returns the positions and how many rows the index answered.
     """
+    header_size, next_size = events.header_size, events.next_size
     found = hi.copy()
     rows = np.flatnonzero(lo < hi)
     at = lo[rows]
@@ -330,14 +413,33 @@ def _first_boundary(
         still_open = ~closes & (stop < hi[rows])
         rows, at = rows[still_open], stop[still_open]
     if rows.size:
-        row_window, row_quota = window[rows], quota[rows]
-        found[rows] = _first_hit(
-            at,
-            hi[rows],
-            lambda r, p: window_end(row_window[r], header_size[p], n_partitions) - p
-            <= row_quota[r],
+        found[rows] = events.classes.first(
+            runs[rows], at, hi[rows], quota[rows], window[rows], n_partitions
         )
     return found, int(rows.size)
+
+
+def _evictions(
+    policy, events: StreamEvents, timestamps: np.ndarray, last_seen: np.ndarray
+) -> _Evictions | None:
+    """The eviction columns of this call under ``policy`` (None when there is none).
+
+    While no slot is held they depend on the stream alone, so those of a
+    frozen policy (one whose verdicts cannot change) are kept on ``events``.
+    """
+    if policy is None:
+        return None
+    params = getattr(type(policy), "__dataclass_params__", None)
+    kept = params is not None and params.frozen and bool(np.isnan(last_seen).all())
+    if kept and policy in events.evictions:
+        return events.evictions[policy]
+    starts = events.starts
+    built = _Evictions(
+        _eviction_mask(policy, timestamps, starts, last_seen), events.tuples, starts
+    )
+    if kept:
+        events.evictions[policy] = built
+    return built
 
 
 def _eviction_mask(
@@ -461,7 +563,7 @@ def replay_slot_stream(
     Counts, in ``program.counters``, the ``dataplane.slot_stream.flows`` and
     ``.packets`` it replays, its ``.rounds``, and its window-boundary
     searches (rows, summed over rounds) resolved in the next-event columns
-    (``.boundary_lookups``) or handed to a packet scan (``.boundary_scans``),
+    (``.boundary_lookups``) or by the size-class index (``.boundary_indexed``),
     and whether it gathered the stream's packets (``.source_builds``, 0 when
     the stream came with them: :func:`_stream_packets`).
     """
@@ -483,30 +585,10 @@ def replay_slot_stream(
     timestamps = packets.timestamps
     aggregator = vz._WindowAggregator(packets)
 
-    # Held packets (flow -1) carry no five-tuple or flow size of the run: no
-    # event is searched for there.
     n_partitions = program.model.config.n_partitions
-    tuples = tuple_of[flow]
-    header_size = (soa.n_packets_per_flow if sizes is None else sizes)[flow]
-    if source is not soa:
-        tuples[flow < 0] = -1
-        header_size[flow < 0] = 0
-    if sizes is None and stream.events is not None:
-        next_tuple, next_size = stream.events
-    else:
-        next_tuple = _next_change(tuples, stream.starts)
-        next_size = _next_change(header_size, stream.starts)
-        if sizes is None:
-            stream.events = next_tuple, next_size
-    evictions = (
-        _Evictions(
-            _eviction_mask(program.eviction, timestamps, stream.starts, last_seen),
-            tuples,
-            stream.starts,
-        )
-        if program.eviction is not None
-        else None
-    )
+    events = _stream_events(soa, stream, tuple_of, sizes)
+    tuples = events.tuples
+    evictions = _evictions(program.eviction, events, timestamps, last_seen)
     cursor, end, status, resident = rows.cursor, rows.end, rows.status, rows.resident
 
     def admit(members: np.ndarray, positions: np.ndarray) -> None:
@@ -540,7 +622,7 @@ def replay_slot_stream(
             if after_verdict.size:
                 members = idle[after_verdict]
                 at[after_verdict] = _first_other_tuple(
-                    tuples, next_tuple, cursor[members], end[members], resident[members]
+                    tuples, events.next_tuple, cursor[members], end[members], resident[members]
                 )
             admitted = at < end[idle]
             admit(idle[admitted], at[admitted])
@@ -553,12 +635,12 @@ def replay_slot_stream(
         lo, hi = cursor[active], end[active]
         scan = np.maximum(lo, rows.scan_from[active])
         # The packet at p closes the window iff seen + (p - lo + 1) >= bound(p).
-        boundary, scanned = _first_boundary(
-            scan, hi, rows.seen[active] - lo + 1, rows.window[active],
-            header_size, next_size, n_partitions,
+        boundary, indexed = _first_boundary(
+            active, scan, hi, rows.seen[active] - lo + 1, rows.window[active],
+            events, n_partitions,
         )
-        counters.add("dataplane.slot_stream.boundary_lookups", int(active.size) - scanned)
-        counters.add("dataplane.slot_stream.boundary_scans", scanned)
+        counters.add("dataplane.slot_stream.boundary_lookups", int(active.size) - indexed)
+        counters.add("dataplane.slot_stream.boundary_indexed", indexed)
         evicted = np.zeros(active.size, dtype=bool)
         if evictions is not None:
             limit = np.minimum(boundary + 1, hi)
@@ -587,6 +669,28 @@ def replay_slot_stream(
         active = active[cursor[active] < end[active]]
     program.finalise_staged(staging)
     program.hand_over(_handover(source, stream, timestamps, rows))
+
+
+def _stream_events(
+    soa: PacketArrays, stream: SlotStream, tuple_of: np.ndarray, sizes: np.ndarray | None
+) -> StreamEvents:
+    """The next-event columns of ``stream`` under ``sizes`` (default: the flows' packet counts).
+
+    Those under the flows' own sizes are kept with the stream, so a cached
+    stream builds them once.
+    """
+    if sizes is None and stream.events is not None:
+        return stream.events
+    flow = stream.flow
+    tuples = _narrowed(tuple_of[flow])
+    header_size = _narrowed((soa.n_packets_per_flow if sizes is None else sizes)[flow])
+    held = flow < 0
+    if held.any():
+        tuples[held], header_size[held] = -1, 0
+    events = StreamEvents(tuples, header_size, stream.starts)
+    if sizes is None:
+        stream.events = events
+    return events
 
 
 def _stream_packets(counters, soa: PacketArrays, stream: SlotStream, source: PacketArrays):

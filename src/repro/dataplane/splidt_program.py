@@ -485,6 +485,42 @@ class SpliDTDataPlane:
             "evicted_flows": sorted(self._evicted_flows),
         }
 
+    def check_accounting(self, n_packets: int) -> None:
+        """Raise ``RuntimeError`` with the counts if the planes' accounting does not close.
+
+        ``n_packets`` is what the batched replays of this program were given,
+        in total.  Three facts hold whatever the verdicts are, so they are
+        checked from the counters without the per-packet oracle:
+
+        * every packet went through one plane:
+          ``dataplane.lockstep.packets + dataplane.slot_stream.packets == n_packets``;
+        * every admission ended one way, in a verdict row, an eviction, or a
+          resident still undecided in its slot:
+          ``switch.admissions == decided rows + switch.evictions + live undecided``;
+        * ``switch.evictions <= switch.admissions``.
+        """
+        held = self.held_state()
+        count = self.counters.get
+        lockstep = count("dataplane.lockstep.packets", 0)
+        stream = count("dataplane.slot_stream.packets", 0)
+        admissions, evictions = count("switch.admissions", 0), count("switch.evictions", 0)
+        decided = len(self._verdicts)
+        live = 0 if held is None or held.undecided is None else int(held.undecided.rows.size)
+        facts = {
+            "lockstep + slot-stream packets == packets": lockstep + stream == n_packets,
+            "admissions == decided rows + evictions + live undecided":
+                admissions == decided + evictions + live,
+            "evictions <= admissions": evictions <= admissions,
+        }
+        broken = [fact for fact, holds in facts.items() if not holds]
+        if broken:
+            raise RuntimeError(
+                f"counter accounting broken ({'; '.join(broken)}): packets {n_packets}, "
+                f"lockstep packets {lockstep}, slot-stream packets {stream}, admissions "
+                f"{admissions}, decided rows {decided}, evictions {evictions}, "
+                f"live undecided {live}"
+            )
+
     def recirculation_stats(self) -> dict[str, float]:
         """Recirculation counters of the underlying channel."""
         return self.recirculation.stats()
@@ -496,8 +532,8 @@ class SpliDTDataPlane:
         Flows and packets per plane (``batched`` is the flow-lockstep plane;
         each packet counts on one), the slot-stream plane's ``event_rounds``
         and window-boundary searches (``event_search``: read from its
-        next-event columns by ``lookup``, or by packet ``scan``), and the
-        slot state ``deferred`` to a later call (:meth:`hand_over`).
+        next-event columns by ``lookup``, or from its size-class ``index``),
+        and the slot state ``deferred`` to a later call (:meth:`hand_over`).
         """
         before, after = self._replay_span
 
@@ -516,7 +552,7 @@ class SpliDTDataPlane:
             "event_rounds": count("dataplane.slot_stream.rounds"),
             "event_search": {
                 "lookup": count("dataplane.slot_stream.boundary_lookups"),
-                "scan": count("dataplane.slot_stream.boundary_scans"),
+                "index": count("dataplane.slot_stream.boundary_indexed"),
             },
             "deferred": {
                 name: count(f"dataplane.handover.{name}")

@@ -157,6 +157,7 @@ def run_scenario(
         replay_started = time.perf_counter()
         replay_workload(program, workload)
         replay_s = time.perf_counter() - replay_started
+        program.check_accounting(workload.n_packets)
 
         labels = np.asarray(workload.soa.labels[: workload.n_legit])
         verdicts = program.verdicts

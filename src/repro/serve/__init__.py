@@ -69,7 +69,7 @@ def create_engine(
             backpressure bound: a full ring blocks ``ingest``).
         chunk_size: Ignored.  It sized the queues of a removed engine; the
             keyword stays only because the frozen
-            ``benchmarks/perf`` harness passes it (ROADMAP item 5 removes it).
+            ``benchmarks/perf`` harness passes it (ROADMAP item 1(b) removes it).
         backpressure: Buffered-packet limit.
         flush_flows: Eager-flush threshold of the micro-batch engine(s).
 

@@ -89,7 +89,7 @@ class TestViews:
             "flows": {"batched": 0, "slot_stream": 0},
             "packets": {"batched": 0, "slot_stream": 0},
             "event_rounds": 0,
-            "event_search": {"lookup": 0, "scan": 0},
+            "event_search": {"lookup": 0, "index": 0},
             "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
         }
         assert program.eviction_stats()["admissions"] == 0

@@ -168,6 +168,9 @@ def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> s
         program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
         result = replay(program, dataset)
         snapshots[name] = _snapshot(program, result)
+    broken = _accounting(program, dataset.packet_arrays().n_packets)
+    if broken is not None:
+        return f"vectorized: {broken}"
 
     # Micro-batch with randomly sized chunks: eager, then flushing only at
     # drain (a threshold no stream of these flows can reach).
@@ -191,12 +194,24 @@ def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> s
                 break
         serving.drain()
         snapshots[name] = _snapshot(program, serving.close())
+        broken = _accounting(program, soa.n_packets)
+        if broken is not None:
+            return f"{name}: {broken}"
 
     oracle = snapshots["reference"]
     for name in ("vectorized", "microbatch", "microbatch(drain-only)"):
         mismatch = _diff(name, oracle, snapshots[name])
         if mismatch is not None:
             return mismatch
+    return None
+
+
+def _accounting(program, n_packets: int) -> str | None:
+    """The oracle-free counter check of a batched replay, as a mismatch description."""
+    try:
+        program.check_accounting(n_packets)
+    except RuntimeError as error:
+        return str(error)
     return None
 
 
@@ -265,6 +280,9 @@ def _run_split(model, rules, flows, table_size, cut_rng, eviction=None) -> str |
     handed_to_oracle = program()
     vz.replay_arrays(handed_to_oracle, before)
     oracle_replay(handed_to_oracle, _dataset(after))
+    broken = _accounting(twice, soa.n_packets)
+    if broken is not None:
+        return f"replay_arrays+replay_arrays: {broken}\n  (cut at packet {cut} of {order.size})"
     for name, candidate in (
         ("replay_arrays+replay_arrays", twice),
         ("replay_arrays+reference", handed_to_oracle),

@@ -408,9 +408,44 @@ class TestRunner:
         assert paths["slot_stream"] > paths["batched"]
         assert sum(paths.values()) == result.n_packets
         assert result.replay_stats["deferred"]["packets"] > 0
-        # Window boundaries are read from the next-event columns, not scanned.
+        # Window boundaries are read from the next-event columns, and a row
+        # still open after two stretches from the size-class index.
         assert result.replay_stats["event_search"]["lookup"] > 0
+        assert result.replay_stats["event_search"]["index"] > 0
         assert settles == [] and programs
+
+    def test_run_scenario_checks_the_counter_accounting(self, prepared, monkeypatch):
+        # Three facts about the counters hold whatever the verdicts are:
+        # run_scenario checks them after the replay, with no oracle.
+        checked = []
+        check = SpliDTDataPlane.check_accounting
+        monkeypatch.setattr(
+            SpliDTDataPlane, "check_accounting",
+            lambda self, n: (checked.append((self, n)), check(self, n))[1],
+        )
+        scenario = get_workload_scenario("table-pressure")
+        result = run_scenario(scenario, flow_slots=64, traffic_flows=128, prepared=prepared)
+        [(program, n_packets)] = checked
+        counters = program.counters
+        held = program.held_state()
+        live = held.undecided.rows.size
+        assert n_packets == result.n_packets
+        assert (counters["dataplane.lockstep.packets"] + counters["dataplane.slot_stream.packets"]
+                == n_packets)
+        assert counters["switch.admissions"] == (
+            len(program.verdict_rows()[0]) + counters["switch.evictions"] + live
+        )
+        assert 0 < counters["switch.evictions"] <= counters["switch.admissions"] and live > 0
+
+        # A plane that admitted without accounting for it fails the run.
+        begin = SpliDTDataPlane.begin_flows
+        monkeypatch.setattr(
+            SpliDTDataPlane, "begin_flows",
+            lambda self, slots: begin(self, np.append(slots, slots[:1])),
+        )
+        broken = r"admissions == decided rows.*admissions \d+, decided rows \d+"
+        with pytest.raises(RuntimeError, match=broken):
+            run_scenario(scenario, flow_slots=64, traffic_flows=128, prepared=prepared)
 
     def test_a_baseline_replays_under_the_scenarios_eviction_policy(self, monkeypatch):
         """NetBeacon's program is a ``SpliDTDataPlane``: table pressure evicts its flows too."""

@@ -147,18 +147,18 @@ def test_short_flow_ends_undecided_and_is_inherited(splidt_model, splidt_rules):
     assert fused.verdicts[1].first_packet_at == 0.0
 
 
-def test_alternating_flow_sizes_fall_back_to_the_packet_scan(splidt_model, splidt_rules):
+def test_alternating_flow_sizes_are_answered_by_the_size_class_index(splidt_model, splidt_rules):
     # A (30 packets) and B (24) alternate every packet in one slot, so the
     # advertised size changes at every packet: resident A's first window
     # closes at B's header (8 packets seen) eight one-packet stretches in,
-    # past the stretch lookups, and the packet scan finds it.
+    # past the stretch lookups, and the size-class index finds it.
     flows = [
         _flow(TUPLE_A, 0, [float(i) for i in range(30)]),
         _flow(TUPLE_B, 1, [i + 0.5 for i in range(24)]),
     ]
     _, fused = _replay_both(splidt_model, splidt_rules, [flows])
     assert fused.replay_stats["packets"]["slot_stream"] == 54
-    assert fused.replay_stats["event_search"]["scan"] > 0
+    assert fused.replay_stats["event_search"]["index"] > 0
 
 
 def test_a_huge_advertised_flow_size_costs_no_memory(splidt_model, splidt_rules, small_dataset):
@@ -433,7 +433,14 @@ def _route_stream(program, soa) -> ss.SlotStream:
 def _stream_arrays(stream) -> dict:
     """Every array a cached stream holds, with what replays kept on it, as bytes."""
     arrays = {name: getattr(stream, name) for name in ("order", "flow", "starts", "slots")}
-    arrays.update({f"events{i}": column for i, column in enumerate(stream.events)})
+    events = stream.events
+    arrays.update({name: getattr(events, name)
+                   for name in ("tuples", "header_size", "next_tuple", "next_size")})
+    if "classes" in vars(events):
+        arrays.update({f"classes.{name}": column for name, column in vars(events.classes).items()
+                       if isinstance(column, np.ndarray)})
+    for policy, columns in events.evictions.items():
+        arrays.update({f"{policy}.{name}": column for name, column in vars(columns).items()})
     arrays["timestamps"] = stream.source.timestamps
     arrays.update({key: column for key, column in stream.source.derived.items()
                    if isinstance(column, np.ndarray)})
@@ -523,6 +530,71 @@ def test_a_second_replay_reuses_the_stream_source(splidt_model, splidt_rules, sm
     assert sources[0] is sources[1]
     assert builds == [1, 0]
     assert verdicts[0] == verdicts[1]
+
+
+def test_a_second_replay_builds_no_stream_column(splidt_model, splidt_rules, small_dataset,
+                                                   monkeypatch):
+    # What the event lookups read of the stream alone — tuple ids, advertised
+    # sizes, their change columns, the size-class index and a frozen eviction
+    # policy's columns — is built by the first replay and kept with the
+    # stream; an equal policy finds it too.
+    builds = []
+    for owner, name, label in ((ss.StreamEvents, "__init__", "events"),
+                               (ss, "_eviction_mask", "evictions"),
+                               (ss._SizeClasses, "__init__", "classes")):
+        build = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _build=build, _label=label: (
+            builds.append(_label), _build(*args))[1])
+    soa = PacketArrays.from_flows(small_dataset.flows)
+    counted, verdicts = [], []
+    for _ in range(2):
+        policy = make_eviction_policy("idle-timeout", timeout=0.5)
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS,
+                                  eviction=policy)
+        vz.replay_arrays(program, small_dataset.flows, soa=soa)
+        counted.append(sorted(set(builds)))
+        builds.clear()
+        verdicts.append(_snapshot(program, program.verdicts))
+        assert program.replay_stats["event_search"]["index"] > 0
+    assert counted == [["classes", "events", "evictions"], []]
+    assert verdicts[0] == verdicts[1]
+    events = _route_stream(program, soa).events
+    assert list(events.evictions) == [policy]
+    assert events.tuples.dtype == events.header_size.dtype == np.int32
+
+
+def test_held_slots_and_unfrozen_policies_build_their_own_eviction_columns(
+    splidt_model, splidt_rules, small_dataset
+):
+    # Eviction columns depend on held residents' last-seen timestamps, and an
+    # unfrozen policy may change its verdicts: neither is kept on the stream.
+    class Unfrozen(EvictionPolicy):
+        name = "unfrozen"
+
+        def should_evict(self, *, resident_last_seen, incoming_ts):
+            return incoming_ts - resident_last_seen > 0.5
+
+    soa = PacketArrays.from_flows(small_dataset.flows)
+    program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS,
+                              eviction=Unfrozen())
+    vz.replay_arrays(program, small_dataset.flows, soa=soa)
+    assert _route_stream(program, soa).events.evictions == {}
+
+    flows = small_dataset.flows
+    policy = make_eviction_policy("idle-timeout", timeout=0.5)
+    resumed = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=CONTENDED_SLOTS,
+                              eviction=policy)
+    created, init = [], ss.StreamEvents.__init__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ss.StreamEvents, "__init__",
+                      lambda self, *args: (created.append(self), init(self, *args))[1])
+        replay_dataset(resumed, _dataset(flows[:200]))
+        first = list(created)
+        assert resumed.held_state().undecided.rows.size > 0
+        created.clear()
+        replay_dataset(resumed, _dataset(flows[200:]))  # resumes the held residents
+    assert [list(events.evictions) for events in first] == [[policy]]
+    assert created and all(events.evictions == {} for events in created)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, None])

@@ -32,7 +32,8 @@ a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
-per plane, event rounds, the slot state left ``deferred`` —, the ``counters``
+per plane, event rounds, window-boundary searches by stretch ``lookup`` and by
+size-class ``index``, the slot state left ``deferred`` —, the ``counters``
 snapshot of the program (merged over model epochs when ``--online``), swap
 metrics when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
@@ -229,9 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         counters = program.counters.snapshot()
         replay_stats = program.replay_stats
+        search = replay_stats["event_search"]
         print(f"paths: packets {replay_stats['packets']}, "
               f"{replay_stats['event_rounds']} slot-stream event rounds "
-              f"(boundary searches {replay_stats['event_search']}); "
+              f"(window boundaries: {search['lookup']} rows by stretch lookup, "
+              f"{search['index']} by size-class index); "
               f"deferred {replay_stats['deferred']}")
     print("counters: " + ", ".join(f"{name} {value}" for name, value in sorted(counters.items())))
     if swap_event is not None:
