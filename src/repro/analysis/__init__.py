@@ -2,9 +2,7 @@
 
 from repro.analysis.reporting import (
     format_max_flows,
-    format_pareto_table,
     format_recirculation_table,
-    format_resource_table,
     format_timings_table,
     render_table,
 )
@@ -18,9 +16,7 @@ __all__ = [
     "SpoofingResult",
     "evaluate_flow_size_spoofing",
     "format_max_flows",
-    "format_pareto_table",
     "format_recirculation_table",
-    "format_resource_table",
     "format_timings_table",
     "render_table",
     "summarize_ttd",

@@ -1,14 +1,13 @@
 """Plain-text table rendering matching the paper's result tables.
 
-The benchmark harness prints the same rows the paper reports (Table 3's
-model-vs-resource breakdown, Table 5's recirculation bandwidths, Table 4's
-timing breakdown) so runs can be compared against the publication at a
-glance.
+The benchmark harness prints the same rows the paper reports (Table 5's
+recirculation bandwidths, Table 4's timing breakdown) so runs can be
+compared against the publication at a glance.
 """
 
 from __future__ import annotations
 
-from repro.core.dse import CandidateEvaluation, StageTimings
+from repro.core.dse import StageTimings
 from repro.core.resources import UNBOUNDED_FLOWS
 
 
@@ -30,51 +29,6 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
 def format_max_flows(max_flows: int) -> str:
     """A ``max_flows`` cell; a model that keeps nothing per flow has no bound."""
     return "unbounded" if max_flows == UNBOUNDED_FLOWS else f"{max_flows:,}"
-
-
-def format_pareto_table(results: dict[str, dict[int, float]]) -> str:
-    """F1-vs-#flows comparison table (Figure 6 series), systems as columns."""
-    flow_counts = sorted({flows for series in results.values() for flows in series})
-    headers = ["#Flows"] + list(results.keys())
-    rows = []
-    for flows in flow_counts:
-        row = [f"{flows:,}"]
-        for system in results:
-            value = results[system].get(flows)
-            row.append(f"{value:.3f}" if value is not None else "-")
-        rows.append(row)
-    return render_table(headers, rows)
-
-
-def format_resource_table(entries: dict[str, dict[int, CandidateEvaluation | None]]) -> str:
-    """Table 3-style resource breakdown: one row per (dataset, #flows)."""
-    headers = [
-        "Dataset",
-        "#Flows",
-        "F1",
-        "Depth/#Partitions",
-        "#Features",
-        "#TCAM Entries",
-        "Register bits",
-    ]
-    rows = []
-    for dataset, per_flows in entries.items():
-        for flows, candidate in sorted(per_flows.items()):
-            if candidate is None:
-                rows.append([dataset, f"{flows:,}", "-", "-", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    dataset,
-                    f"{flows:,}",
-                    f"{candidate.f1_score:.2f}",
-                    f"{candidate.model.total_depth} / {candidate.config.n_partitions}",
-                    str(len(candidate.model.features_used())),
-                    str(candidate.rules.n_entries),
-                    str(candidate.resources.layout.feature_bits),
-                ]
-            )
-    return render_table(headers, rows)
 
 
 def format_recirculation_table(entries: dict[str, dict[str, dict[int, float]]]) -> str:

@@ -1,7 +1,7 @@
 """Baselines the paper compares against: NetBeacon, Leo, IIsy/per-packet, pForest."""
 
-from repro.baselines.iisy import per_packet_table_cost, train_per_packet_model
-from repro.baselines.pforest import PForestModel, evaluate_pforest, train_pforest_model
+from repro.baselines.iisy import per_packet_table_cost
+from repro.baselines.pforest import PForestModel, train_pforest_model
 from repro.baselines.leo import leo_table_cost, leo_tcam_bits, leo_tcam_entries
 from repro.baselines.netbeacon import netbeacon_table_cost
 from repro.baselines.topk import (
@@ -20,7 +20,6 @@ __all__ = [
     "TopKModel",
     "TopKTrainer",
     "evaluate_grid",
-    "evaluate_pforest",
     "exit_tree",
     "leo_table_cost",
     "leo_tcam_bits",
@@ -28,7 +27,6 @@ __all__ = [
     "netbeacon_table_cost",
     "per_packet_table_cost",
     "select_top_k_features",
-    "train_per_packet_model",
     "train_pforest_model",
     "train_topk_model",
 ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.baselines.topk import TopKTrainer, exit_subtree
 from repro.core.config import TopKConfig
-from repro.core.evaluation import ClassificationReport, evaluate_classifier
 from repro.core.range_marking import FeatureQuantizer, RuleSet, generate_subtree_rules
 from repro.datasets.materialize import WindowedDataset
 from repro.ml.tree import DecisionTreeClassifier
@@ -103,11 +102,3 @@ def train_pforest_model(
         classes=np.unique(y),
     )
 
-
-def evaluate_pforest(
-    model: PForestModel, windowed: WindowedDataset, *, split: str = "test"
-) -> ClassificationReport:
-    """Evaluate a pForest ensemble on whole-flow features."""
-    return evaluate_classifier(
-        model, windowed.flow_matrix(split), windowed.split_labels(split)
-    )

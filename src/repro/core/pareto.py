@@ -35,13 +35,6 @@ def pareto_front(points: np.ndarray) -> np.ndarray:
     return front[order]
 
 
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether point ``a`` Pareto-dominates point ``b`` (maximisation)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(a >= b) and np.any(a > b))
-
-
 def hypervolume_2d(points: np.ndarray, reference: tuple[float, float] = (0.0, 0.0)) -> float:
     """Hypervolume (area) dominated by a 2-D maximisation front.
 

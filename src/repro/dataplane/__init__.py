@@ -6,14 +6,12 @@ bit-identical to is :mod:`repro.dataplane.oracle`, a test oracle that
 production code does not import.
 """
 
-from repro.dataplane.codegen import generate_p4_program, generate_table_entries
 from repro.dataplane.controller import Controller, Digest
 from repro.dataplane.runtime import (
     ReplayResult,
     build_replay_result,
     prepare_replay_flows,
     replay_dataset,
-    ttd_ecdf,
 )
 from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.dataplane.vectorized import replay_arrays
@@ -27,10 +25,7 @@ __all__ = [
     "SpliDTDataPlane",
     "Verdicts",
     "build_replay_result",
-    "generate_p4_program",
-    "generate_table_entries",
     "prepare_replay_flows",
     "replay_arrays",
     "replay_dataset",
-    "ttd_ecdf",
 ]

@@ -1,9 +1,7 @@
 """Control-plane side of the deployment: the digest sink.
 
 The controller collects the classification digests the data plane emits when
-a flow reaches its final verdict.  The entries it would install through the
-bfrt-style API the paper mentions are
-:func:`repro.dataplane.codegen.generate_table_entries`.
+a flow reaches its final verdict.
 """
 
 from __future__ import annotations

@@ -186,19 +186,3 @@ def replay_dataset(
     vz.replay_arrays(program, flows, soa=soa)
     labels = {flow.flow_id: flow.label for flow in flows}
     return build_replay_result(program.verdicts, labels, program.recirculation_stats())
-
-
-def ttd_ecdf(ttd_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of time-to-detection values (Figure 10).
-
-    Example::
-
-        >>> values, probabilities = ttd_ecdf(result.time_to_detection())
-        >>> bool(probabilities[-1] == 1.0) if values.size else True
-        True
-    """
-    values = np.sort(np.asarray(ttd_values, dtype=float))
-    if values.size == 0:
-        return np.array([]), np.array([])
-    probabilities = np.arange(1, values.size + 1) / values.size
-    return values, probabilities

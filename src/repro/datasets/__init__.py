@@ -26,10 +26,8 @@ from repro.datasets.materialize import DatasetStore, WindowedDataset, materializ
 from repro.datasets.profiles import DATASET_KEYS, PROFILES, DatasetProfile, get_profile
 from repro.datasets.registry import (
     DEFAULT_TRAINING_FLOWS,
-    available_datasets,
     dataset_summary,
     load_dataset,
-    load_windowed,
 )
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.datasets.workloads import (
@@ -39,9 +37,7 @@ from repro.datasets.workloads import (
     RecirculationEstimate,
     WorkloadProfile,
     estimate_recirculation,
-    get_workload,
     sample_flow_durations,
-    sample_flow_sizes,
 )
 
 __all__ = [
@@ -68,16 +64,12 @@ __all__ = [
     "WORKLOADS",
     "WindowedDataset",
     "WorkloadProfile",
-    "available_datasets",
     "dataset_summary",
     "estimate_recirculation",
     "generate_dataset",
     "get_profile",
-    "get_workload",
     "iter_packet_chunks",
     "load_dataset",
-    "load_windowed",
     "materialize",
     "sample_flow_durations",
-    "sample_flow_sizes",
 ]

@@ -1,24 +1,17 @@
 """Top-level dataset loading API.
 
 ``load_dataset("D3", n_flows=2000, seed=7)`` generates the synthetic
-equivalent of ISCX-VPN-2016 and ``load_windowed("D3", n_partitions=4)``
-returns its window-feature materialisation directly.
+equivalent of ISCX-VPN-2016.
 """
 
 from __future__ import annotations
 
 from repro.datasets.flows import FlowDataset
 from repro.datasets.generators import generate_dataset
-from repro.datasets.materialize import WindowedDataset, materialize
-from repro.datasets.profiles import DATASET_KEYS, get_profile
+from repro.datasets.profiles import get_profile
 
 #: Default number of flows generated for offline training experiments.
 DEFAULT_TRAINING_FLOWS = 1500
-
-
-def available_datasets() -> tuple[str, ...]:
-    """Keys of the datasets this repository can generate (``D1`` … ``D7``)."""
-    return DATASET_KEYS
 
 
 def load_dataset(key: str, n_flows: int = DEFAULT_TRAINING_FLOWS, seed: int = 0) -> FlowDataset:
@@ -31,19 +24,6 @@ def load_dataset(key: str, n_flows: int = DEFAULT_TRAINING_FLOWS, seed: int = 0)
         seed: Seed controlling both class signatures and sampled flows.
     """
     return generate_dataset(key, n_flows=n_flows, seed=seed)
-
-
-def load_windowed(
-    key: str,
-    n_partitions: int,
-    *,
-    n_flows: int = DEFAULT_TRAINING_FLOWS,
-    seed: int = 0,
-    test_size: float = 0.3,
-) -> WindowedDataset:
-    """Generate dataset ``key`` and materialise it into ``n_partitions`` windows."""
-    dataset = load_dataset(key, n_flows=n_flows, seed=seed)
-    return materialize(dataset, n_partitions, test_size=test_size, random_state=seed)
 
 
 def dataset_summary(key: str) -> dict:

@@ -603,9 +603,9 @@ class StreamedPacketSource:
             column_bytes += arr.dtype.itemsize * max(len(arr), 1)
 
         sample_packet = Packet(timestamp=0.0, size=64, flags=0, direction=1, payload=0)
-        sample_tuple = FiveTuple(1, 2, 3, 4, 6)
+        sample_five_tuple = FiveTuple(1, 2, 3, 4, 6)
         sample_flow = Flow(
-            five_tuple=sample_tuple, packets=[], label=0, class_name="", flow_id=0
+            five_tuple=sample_five_tuple, packets=[], label=0, class_name="", flow_id=0
         )
         pointer = 8  # one list slot per object held
         # Each packet's timestamp is a unique float object; sizes/flags/
@@ -618,9 +618,9 @@ class StreamedPacketSource:
         )
         # Each flow additionally holds two IP ints past the small-int cache
         # and a non-empty packets list (allocation header vs the bare []).
-        tuple_bytes = sys.getsizeof(sample_tuple)
-        if hasattr(sample_tuple, "__dict__"):
-            tuple_bytes += sys.getsizeof(sample_tuple.__dict__)
+        tuple_bytes = sys.getsizeof(sample_five_tuple)
+        if hasattr(sample_five_tuple, "__dict__"):
+            tuple_bytes += sys.getsizeof(sample_five_tuple.__dict__)
         flow_bytes = (
             sys.getsizeof(sample_flow)
             + sys.getsizeof(sample_flow.__dict__)

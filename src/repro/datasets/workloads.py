@@ -75,26 +75,6 @@ WORKLOADS: dict[str, WorkloadProfile] = {
 }
 
 
-def get_workload(key: str) -> WorkloadProfile:
-    """Look up a workload profile (``"WS"`` or ``"HD"``)."""
-    try:
-        return WORKLOADS[key]
-    except KeyError as exc:
-        raise KeyError(f"unknown workload {key!r}; expected one of {tuple(WORKLOADS)}") from exc
-
-
-def sample_flow_sizes(
-    workload: WorkloadProfile, n_flows: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample packets-per-flow for ``n_flows`` flows of this workload."""
-    sizes = rng.lognormal(
-        np.log(workload.mean_flow_packets), workload.sigma_flow_packets, size=n_flows
-    )
-    elephants = rng.random(n_flows) < workload.heavy_tail_fraction
-    sizes[elephants] *= workload.heavy_tail_scale
-    return np.maximum(sizes, 1.0)
-
-
 def sample_flow_durations(
     workload: WorkloadProfile, n_flows: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -19,7 +19,6 @@ from repro.features.definitions import (
     FeatureDefinition,
     dependency_depth,
     feature_names,
-    max_dependency_depth,
 )
 from repro.features.flowmeter import FlowMeter, quantize_features
 from repro.features.window import (
@@ -38,7 +37,6 @@ __all__ = [
     "FlowMeter",
     "dependency_depth",
     "feature_names",
-    "max_dependency_depth",
     "quantize_features",
     "split_packets",
     "window_boundaries",

@@ -137,8 +137,3 @@ def dependency_depth(indices: list[int] | tuple[int, ...]) -> int:
     if not indices:
         return 0
     return max(FEATURES[i].dependency_depth for i in indices)
-
-
-def max_dependency_depth() -> int:
-    """Deepest dependency chain across the whole catalogue."""
-    return max(f.dependency_depth for f in FEATURES)

@@ -8,8 +8,8 @@ package provides the pieces the system needs, implemented from scratch:
   gini/entropy (classification) or MSE (regression) splitting, plus a
   *feature budget*: the tree may use at most ``max_distinct_features``
   different features, the constraint SpliDT places on each subtree.
-* :class:`RandomForestClassifier` / :class:`RandomForestRegressor` — bagged
-  ensembles (also used as a Bayesian-optimisation surrogate).
+* :class:`RandomForestRegressor` — a bagged ensemble, the Bayesian
+  optimiser's surrogate.
 * metrics (accuracy, precision/recall/F1 with macro and weighted averaging,
   confusion matrices) and ``train_test_split``.
 """
@@ -19,18 +19,15 @@ from repro.ml.metrics import (
     confusion_matrix,
     f1_score,
     precision_recall_f1,
-    precision_score,
-    recall_score,
 )
-from repro.ml.model_selection import StratifiedKFold, train_test_split
-from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.model_selection import train_test_split
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml._tree import Tree, TreeNode
 
 __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
-    "RandomForestClassifier",
     "RandomForestRegressor",
     "Tree",
     "TreeNode",
@@ -38,8 +35,5 @@ __all__ = [
     "confusion_matrix",
     "f1_score",
     "precision_recall_f1",
-    "precision_score",
-    "recall_score",
     "train_test_split",
-    "StratifiedKFold",
 ]

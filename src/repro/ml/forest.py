@@ -1,19 +1,22 @@
-"""Bagged tree ensembles.
+"""Bagged regression trees: the Bayesian optimiser's surrogate.
 
-Random forests serve two roles in this repository: (1) a stronger reference
-model in the examples, and (2) the surrogate model of the Bayesian
-optimiser (HyperMapper uses random-forest surrogates for mixed parameter
-spaces).
+HyperMapper uses random-forest surrogates for mixed parameter spaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor
 
 
-class _BaseForest:
+class RandomForestRegressor:
+    """Bagging ensemble of :class:`DecisionTreeRegressor`.
+
+    ``predict_with_std`` exposes the across-tree standard deviation, which the
+    Bayesian optimiser uses as its uncertainty estimate.
+    """
+
     def __init__(
         self,
         n_estimators: int = 50,
@@ -51,12 +54,10 @@ class _BaseForest:
             return rng.integers(0, n_samples, size=n_samples)
         return np.arange(n_samples)
 
-    def _make_tree(self, max_features: int | None, seed: int):
-        raise NotImplementedError
-
-    def _fit_ensemble(self, X: np.ndarray, y: np.ndarray) -> None:
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
+        """Fit the ensemble."""
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
+        y = np.asarray(y, dtype=float)
         self.n_features_in_ = X.shape[1]
         rng = np.random.default_rng(self.random_state)
         max_features = self._resolve_max_features(X.shape[1])
@@ -64,9 +65,15 @@ class _BaseForest:
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
             indices = self._bootstrap_indices(X.shape[0], rng)
-            tree = self._make_tree(max_features, seed)
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=max_features,
+                random_state=seed,
+            )
             tree.fit(X[indices], y[indices])
             self.estimators_.append(tree)
+        return self
 
     @property
     def feature_importances_(self) -> np.ndarray:
@@ -74,70 +81,6 @@ class _BaseForest:
         if not self.estimators_:
             raise RuntimeError("forest is not fitted")
         return np.mean([tree.feature_importances_ for tree in self.estimators_], axis=0)
-
-
-class RandomForestClassifier(_BaseForest):
-    """Bagging ensemble of :class:`DecisionTreeClassifier`."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
-        """Fit the ensemble."""
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
-        self._fit_ensemble(X, y)
-        return self
-
-    def _make_tree(self, max_features: int | None, seed: int) -> DecisionTreeClassifier:
-        return DecisionTreeClassifier(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=max_features,
-            random_state=seed,
-        )
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Average of the member trees' class probabilities."""
-        if not self.estimators_:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=float)
-        aggregate = np.zeros((X.shape[0], self.classes_.size))
-        for tree in self.estimators_:
-            probabilities = tree.predict_proba(X)
-            # Align the tree's classes with the forest's class order.
-            for tree_col, cls in enumerate(tree.classes_):
-                forest_col = int(np.searchsorted(self.classes_, cls))
-                aggregate[:, forest_col] += probabilities[:, tree_col]
-        aggregate /= len(self.estimators_)
-        return aggregate
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority-vote class predictions."""
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
-
-
-class RandomForestRegressor(_BaseForest):
-    """Bagging ensemble of :class:`DecisionTreeRegressor`.
-
-    ``predict_with_std`` exposes the across-tree standard deviation, which the
-    Bayesian optimiser uses as its uncertainty estimate.
-    """
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        """Fit the ensemble."""
-        self._fit_ensemble(X, np.asarray(y, dtype=float))
-        return self
-
-    def _make_tree(self, max_features: int | None, seed: int) -> DecisionTreeRegressor:
-        return DecisionTreeRegressor(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=max_features,
-            random_state=seed,
-        )
 
     def _member_predictions(self, X: np.ndarray) -> np.ndarray:
         if not self.estimators_:

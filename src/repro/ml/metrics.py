@@ -94,16 +94,6 @@ def precision_recall_f1(
     return precision, recall, f1
 
 
-def precision_score(y_true: np.ndarray, y_pred: np.ndarray, average: str = "macro") -> float:
-    """Averaged precision."""
-    return precision_recall_f1(y_true, y_pred, average)[0]
-
-
-def recall_score(y_true: np.ndarray, y_pred: np.ndarray, average: str = "macro") -> float:
-    """Averaged recall."""
-    return precision_recall_f1(y_true, y_pred, average)[1]
-
-
 def f1_score(y_true: np.ndarray, y_pred: np.ndarray, average: str = "macro") -> float:
     """Averaged F1 score (the paper's headline metric)."""
     return precision_recall_f1(y_true, y_pred, average)[2]

@@ -1,8 +1,6 @@
-"""Dataset splitting utilities (train/test split and stratified K-fold)."""
+"""Dataset splitting: a (stratified) train/test split."""
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,34 +49,3 @@ def train_test_split(
 
     return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
-
-class StratifiedKFold:
-    """Stratified K-fold cross-validation splitter.
-
-    Yields ``(train_indices, test_indices)`` pairs with per-class balance
-    approximately preserved in every fold.
-    """
-
-    def __init__(self, n_splits: int = 5, *, shuffle: bool = True, random_state: int | None = None):
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Generate train/test index pairs."""
-        y = np.asarray(y)
-        n_samples = y.shape[0]
-        rng = np.random.default_rng(self.random_state)
-        fold_assignment = np.zeros(n_samples, dtype=np.intp)
-        for cls in np.unique(y):
-            class_indices = np.flatnonzero(y == cls)
-            if self.shuffle:
-                rng.shuffle(class_indices)
-            folds = np.arange(class_indices.size) % self.n_splits
-            fold_assignment[class_indices] = folds
-        for fold in range(self.n_splits):
-            test_indices = np.flatnonzero(fold_assignment == fold)
-            train_indices = np.flatnonzero(fold_assignment != fold)
-            yield train_indices, test_indices

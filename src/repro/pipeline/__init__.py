@@ -27,14 +27,13 @@ Example::
     print(result.replay_report.f1_score, result.ttd["median"])
 """
 
-from repro.pipeline.artifacts import load_result_summary, load_run, save_run
+from repro.pipeline.artifacts import load_run, save_run
 from repro.pipeline.experiment import (
     STAGES,
     Deployment,
     Experiment,
     ExperimentResult,
     Prepared,
-    run_experiment,
 )
 from repro.pipeline.spec import (
     ExperimentSpec,
@@ -75,9 +74,7 @@ __all__ = [
     "available_systems",
     "get_scenario",
     "get_system",
-    "load_result_summary",
     "load_run",
-    "run_experiment",
     "register_scenario",
     "register_system",
     "save_run",

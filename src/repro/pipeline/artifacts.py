@@ -84,10 +84,3 @@ def load_run(run_dir: str | Path) -> Experiment:
     experiment.restored_stages = tuple(restored)
     return experiment
 
-
-def load_result_summary(run_dir: str | Path) -> dict | None:
-    """The saved ``result.json`` summary, or ``None`` if the run has none."""
-    path = Path(run_dir) / RESULT_FILE
-    if not path.is_file():
-        return None
-    return json.loads(path.read_text())

@@ -337,11 +337,6 @@ class Experiment:
         return summary
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """One-call convenience: ``Experiment(spec).run()``."""
-    return Experiment(spec).run()
-
-
 __all__ = [
     "Deployment",
     "Experiment",
@@ -349,5 +344,4 @@ __all__ = [
     "ExperimentResult",
     "Prepared",
     "STAGES",
-    "run_experiment",
 ]

@@ -4,8 +4,7 @@ The subsystem that turns the reproduction into a system you can attack:
 composable adversarial traffic layers over the synthetic generators
 (:mod:`repro.scenarios.traffic`), a declarative :class:`ScenarioSpec`
 (:mod:`repro.scenarios.spec`) nested inside
-:class:`~repro.pipeline.spec.ExperimentSpec`, a ClassBench 5-tuple ruleset
-loader (:mod:`repro.scenarios.classbench`), a named catalog
+:class:`~repro.pipeline.spec.ExperimentSpec`, a named catalog
 (:mod:`repro.scenarios.catalog`) and the train-clean / attack-deployed
 runner (:mod:`repro.scenarios.runner`).  CLI surface:
 ``python -m repro scenario {list,run,sweep}``.
@@ -16,13 +15,6 @@ from repro.scenarios.catalog import (
     available_workload_scenarios,
     get_workload_scenario,
     register_workload_scenario,
-)
-from repro.scenarios.classbench import (
-    ClassBenchError,
-    ClassBenchRule,
-    classify,
-    load_classbench,
-    sample_tuple,
 )
 from repro.scenarios.runner import (
     ScenarioResult,
@@ -41,8 +33,6 @@ from repro.scenarios.traffic import ScenarioWorkload, build_workload
 __all__ = [
     "LAYER_KINDS",
     "WORKLOAD_SCENARIOS",
-    "ClassBenchError",
-    "ClassBenchRule",
     "DegradationBounds",
     "LayerSpec",
     "ScenarioError",
@@ -51,11 +41,8 @@ __all__ = [
     "ScenarioWorkload",
     "available_workload_scenarios",
     "build_workload",
-    "classify",
     "get_workload_scenario",
-    "load_classbench",
     "register_workload_scenario",
     "run_scenario",
-    "sample_tuple",
     "sweep_occupancy",
 ]

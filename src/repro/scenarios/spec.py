@@ -143,10 +143,6 @@ class ScenarioSpec:
         traffic_flows: Legitimate flows generated before layers apply.
         seed: Seed of both the base generator and the layer transforms.
         layers: Ordered adversarial layers (:class:`LayerSpec`).
-        ruleset: Optional path to a ClassBench-format 5-tuple ruleset; when
-            set, legitimate flows draw their five-tuples from the ruleset's
-            filters (trace-derived classification workloads; see
-            :mod:`repro.scenarios.classbench`).
         eviction: Collision-slot eviction policy of the replayed data plane
             (``"none"``, ``"idle-timeout"`` or ``"lru"``; see
             :mod:`repro.switch.eviction`).
@@ -163,7 +159,6 @@ class ScenarioSpec:
     traffic_flows: int = 360
     seed: int = 0
     layers: tuple[LayerSpec, ...] = ()
-    ruleset: str | None = None
     eviction: str = "none"
     eviction_timeout: float = 1.0
     streamed: bool = False

@@ -356,21 +356,11 @@ def build_workload(
         elif layer.kind == "ddos-flood":
             flood_layers.append(_DdosFloodLayer(params))
 
-    ruleset = None
-    if spec.ruleset is not None:
-        from repro.scenarios.classbench import load_classbench
-
-        ruleset = load_classbench(spec.ruleset)
-
     writer = StreamedPacketWriter() if spec.streamed else None
     flow_list: list[Flow] = []
     advertised: list[int] = []
 
     for flow in generator.iter_flows(n_legit):
-        if ruleset is not None:
-            from repro.scenarios.classbench import sample_tuple
-
-            flow.five_tuple = sample_tuple(ruleset, layer_rng)
         for layer in per_flow_layers:
             flow = layer.apply(flow, layer_rng)
         size = flow.n_packets

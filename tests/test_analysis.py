@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import (
-    format_pareto_table,
     format_recirculation_table,
     format_timings_table,
     render_table,
@@ -28,14 +27,6 @@ class TestRenderTable:
 
 
 class TestFormatters:
-    def test_pareto_table(self):
-        table = format_pareto_table(
-            {"SpliDT": {100_000: 0.85, 1_000_000: 0.59}, "NetBeacon": {100_000: 0.78}}
-        )
-        assert "SpliDT" in table
-        assert "0.850" in table
-        assert "-" in table  # missing NetBeacon value at 1M
-
     def test_recirculation_table(self):
         table = format_recirculation_table(
             {"WS": {"D3": {100_000: 1.0, 500_000: 12.2, 1_000_000: 19.5}}}

@@ -16,7 +16,6 @@ from repro.baselines import (
     netbeacon_table_cost,
     per_packet_table_cost,
     select_top_k_features,
-    train_per_packet_model,
     train_topk_model,
 )
 from repro.core import best_at_flows, check_feasibility
@@ -96,7 +95,8 @@ class TestTopKModel:
         assert layout.total_bits == 2 * 32 + RESERVED_BITS + layout.dependency_bits
 
     def test_stateless_model_uses_only_stateless_features(self, windowed3):
-        model = train_per_packet_model(windowed3, depth=6)
+        config = TopKConfig(depth=6, top_k=4, use_stateful=False)
+        model = TopKTrainer(windowed3).fit(config, name="per_packet")
         assert set(model.feature_indices) <= set(STATELESS_INDICES)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import evaluate_pforest, train_pforest_model
+from repro.baselines import train_pforest_model
 from repro.baselines.topk import train_topk_model
 from repro.core.config import TopKConfig
 from repro.core.evaluation import evaluate_classifier
@@ -40,7 +40,9 @@ class TestPForestTraining:
         assert set(np.unique(predictions)) <= set(range(windowed3.n_classes))
 
     def test_accuracy_beats_chance(self, pforest_model, windowed3):
-        report = evaluate_pforest(pforest_model, windowed3)
+        report = evaluate_classifier(
+            pforest_model, windowed3.flow_matrix("test"), windowed3.split_labels("test")
+        )
         assert report.f1_score > 1.0 / windowed3.n_classes
 
     def test_ensemble_at_least_as_good_as_single_tree(self, pforest_model, windowed3):
@@ -48,7 +50,9 @@ class TestPForestTraining:
         single_report = evaluate_classifier(
             single, windowed3.flow_matrix("test"), windowed3.split_labels("test")
         )
-        forest_report = evaluate_pforest(pforest_model, windowed3)
+        forest_report = evaluate_classifier(
+            pforest_model, windowed3.flow_matrix("test"), windowed3.split_labels("test")
+        )
         assert forest_report.f1_score >= single_report.f1_score - 0.1
 
     def test_invalid_n_trees(self, windowed3):

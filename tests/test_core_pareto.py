@@ -7,26 +7,38 @@ import pytest
 
 from repro.core.pareto import (
     best_at_budget,
-    dominates,
     hypervolume_2d,
     pareto_front,
     pareto_front_indices,
 )
 
 
+def dominates(a, b) -> bool:
+    """Reference relation: ``a`` Pareto-dominates ``b`` (maximisation)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return bool(np.all(a >= b) and np.any(a > b))
+
+
+def _front_of(a, b) -> list[int]:
+    return pareto_front_indices(np.array([a, b], dtype=float)).tolist()
+
+
 class TestDominates:
+    """The dominance relation as the front applies it to a pair of points."""
+
     def test_strict_domination(self):
-        assert dominates([2, 2], [1, 1])
+        assert _front_of([2, 2], [1, 1]) == [0]
 
     def test_partial_improvement_dominates(self):
-        assert dominates([2, 1], [1, 1])
+        assert _front_of([2, 1], [1, 1]) == [0]
 
     def test_equal_points_do_not_dominate(self):
-        assert not dominates([1, 1], [1, 1])
+        assert _front_of([1, 1], [1, 1]) == [0, 1]
 
     def test_tradeoff_points_do_not_dominate(self):
-        assert not dominates([2, 0], [0, 2])
-        assert not dominates([0, 2], [2, 0])
+        assert _front_of([2, 0], [0, 2]) == [0, 1]
+        assert _front_of([0, 2], [2, 0]) == [0, 1]
 
 
 class TestParetoFront:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dataplane import SpliDTDataPlane, replay_dataset, ttd_ecdf
+from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.dataplane.controller import Digest
 from repro.dataplane.oracle import PacketInterpreter
 from repro.dataplane.vectorized import cached_flow_slots
@@ -245,15 +245,3 @@ class TestTopKDataPlane:
         assert program.replay_stats["packets"] == {"batched": 488, "slot_stream": 31_420}
         assert dataset.packet_arrays().n_packets == 31_908
 
-
-class TestTtdEcdf:
-    def test_ecdf_shape_and_monotonicity(self, replay_result):
-        values, probabilities = ttd_ecdf(replay_result.time_to_detection())
-        assert values.shape == probabilities.shape
-        assert np.all(np.diff(values) >= 0)
-        assert np.all(np.diff(probabilities) >= 0)
-        assert probabilities[-1] == pytest.approx(1.0)
-
-    def test_empty_input(self):
-        values, probabilities = ttd_ecdf(np.array([]))
-        assert values.size == 0 and probabilities.size == 0

@@ -17,13 +17,13 @@ from repro.datasets.generators import (
     SyntheticTrafficGenerator,
     generate_dataset,
 )
-from repro.datasets.profiles import get_profile
-from repro.datasets.registry import available_datasets, dataset_summary, load_dataset
+from repro.datasets.profiles import DATASET_KEYS, get_profile
+from repro.datasets.registry import dataset_summary, load_dataset
 
 
 class TestProfiles:
     def test_all_seven_datasets_available(self):
-        assert available_datasets() == ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
+        assert DATASET_KEYS == ("D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
     def test_class_counts_match_paper_table2(self):
         expected = {"D1": 19, "D2": 4, "D3": 13, "D4": 11, "D5": 32, "D6": 10, "D7": 10}

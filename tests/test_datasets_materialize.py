@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.materialize import DatasetStore, materialize
-from repro.datasets.registry import load_dataset, load_windowed
+from repro.datasets.registry import load_dataset
 from repro.features.definitions import N_FEATURES, STATEFUL_INDICES
 from repro.features.flowmeter import FlowMeter
 from repro.ml.model_selection import train_test_split
@@ -129,11 +129,6 @@ class TestDatasetStore:
 
 
 class TestRegistry:
-    def test_load_windowed_convenience(self):
-        windowed = load_windowed("D2", n_partitions=2, n_flows=40, seed=0)
-        assert windowed.n_partitions == 2
-        assert windowed.n_classes == 4
-
     def test_load_dataset_default_size(self):
         dataset = load_dataset("D2", n_flows=30, seed=0)
         assert dataset.name == "D2"

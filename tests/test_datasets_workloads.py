@@ -10,9 +10,7 @@ from repro.datasets.workloads import (
     RECIRCULATION_CAPACITY_BPS,
     WORKLOADS,
     estimate_recirculation,
-    get_workload,
     sample_flow_durations,
-    sample_flow_sizes,
 )
 
 
@@ -20,37 +18,16 @@ class TestWorkloadProfiles:
     def test_both_environments_defined(self):
         assert set(WORKLOADS) == {"WS", "HD"}
 
-    def test_lookup(self):
-        assert get_workload("WS").name == "Webserver"
-        assert get_workload("HD").name == "Hadoop"
-
-    def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            get_workload("XX")
-
     def test_hadoop_flows_shorter_than_webserver(self):
         assert WORKLOADS["HD"].mean_flow_duration < WORKLOADS["WS"].mean_flow_duration
         assert WORKLOADS["HD"].mean_flow_packets < WORKLOADS["WS"].mean_flow_packets
 
 
 class TestSampling:
-    def test_flow_sizes_positive(self):
-        rng = np.random.default_rng(0)
-        sizes = sample_flow_sizes(WORKLOADS["WS"], 1000, rng)
-        assert sizes.shape == (1000,)
-        assert np.all(sizes >= 1)
-
     def test_flow_durations_positive(self):
         rng = np.random.default_rng(0)
         durations = sample_flow_durations(WORKLOADS["HD"], 1000, rng)
         assert np.all(durations > 0)
-
-    def test_webserver_heavier_than_hadoop(self):
-        rng = np.random.default_rng(1)
-        ws = sample_flow_sizes(WORKLOADS["WS"], 5000, rng)
-        hd = sample_flow_sizes(WORKLOADS["HD"], 5000, rng)
-        assert np.median(ws) > np.median(hd)
-
 
 class TestRecirculationEstimate:
     def test_zero_partitions_no_recirculation(self):

@@ -10,7 +10,6 @@ from repro.features.definitions import (
     STATELESS_INDICES,
     dependency_depth,
     feature_names,
-    max_dependency_depth,
 )
 
 
@@ -43,7 +42,7 @@ class TestCatalogue:
 
     def test_dependency_depth_within_paper_bound(self):
         # The paper observed chains of at most 3 stages.
-        assert max_dependency_depth() <= 3
+        assert dependency_depth(list(range(N_FEATURES))) <= 3
 
     def test_dependency_depth_of_subset(self):
         counts = [FEATURES_BY_NAME["pkt_count"].index, FEATURES_BY_NAME["syn_count"].index]

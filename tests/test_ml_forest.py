@@ -1,52 +1,11 @@
-"""Unit tests for the random-forest ensembles."""
+"""Unit tests for the random-forest regressor (the Bayesian optimiser's surrogate)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ml import RandomForestClassifier, RandomForestRegressor
-
-
-class TestForestClassifier:
-    def test_fits_and_scores_well(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=15, max_depth=6, random_state=0).fit(X, y)
-        assert forest.score(X, y) > 0.9
-
-    def test_predict_proba_shape_and_sum(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
-        probabilities = forest.predict_proba(X)
-        assert probabilities.shape == (X.shape[0], 3)
-        np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_number_of_estimators(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=7, random_state=0).fit(X, y)
-        assert len(forest.estimators_) == 7
-
-    def test_deterministic_with_seed(self, classification_data):
-        X, y = classification_data
-        a = RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y).predict(X)
-        b = RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y).predict(X)
-        np.testing.assert_array_equal(a, b)
-
-    def test_feature_importances_normalised(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
-        importances = forest.feature_importances_
-        assert importances.shape == (4,)
-        assert np.isclose(importances.sum(), 1.0, atol=1e-6)
-
-    def test_invalid_n_estimators(self):
-        with pytest.raises(ValueError):
-            RandomForestClassifier(n_estimators=0)
-
-    def test_unfitted_predict_raises(self, classification_data):
-        X, _ = classification_data
-        with pytest.raises(RuntimeError):
-            RandomForestClassifier().predict_proba(X)
+from repro.ml import RandomForestRegressor
 
 
 class TestForestRegressor:
@@ -92,3 +51,30 @@ class TestForestRegressor:
         forest = RandomForestRegressor(n_estimators=2, max_features="bogus")
         with pytest.raises(ValueError):
             forest.fit(X, y)
+
+    def test_number_of_estimators(self, classification_data):
+        X, y = classification_data
+        forest = RandomForestRegressor(n_estimators=7, random_state=0).fit(X, y)
+        assert len(forest.estimators_) == 7
+
+    def test_deterministic_with_seed(self, classification_data):
+        X, y = classification_data
+        a = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict(X)
+        b = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict(X)
+        np.testing.assert_array_equal(a, b)
+
+    def test_feature_importances_normalised(self, classification_data):
+        X, y = classification_data
+        forest = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
+        importances = forest.feature_importances_
+        assert importances.shape == (4,)
+        assert np.isclose(importances.sum(), 1.0, atol=1e-6)
+
+    def test_invalid_n_estimators(self):
+        with pytest.raises(ValueError):
+            RandomForestRegressor(n_estimators=0)
+
+    def test_unfitted_predict_raises(self, classification_data):
+        X, _ = classification_data
+        with pytest.raises(RuntimeError):
+            RandomForestRegressor().predict(X)

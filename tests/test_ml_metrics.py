@@ -10,8 +10,6 @@ from repro.ml.metrics import (
     confusion_matrix,
     f1_score,
     precision_recall_f1,
-    precision_score,
-    recall_score,
 )
 
 
@@ -100,10 +98,10 @@ class TestF1:
 
 class TestPrecisionRecall:
     def test_precision_perfect(self):
-        assert precision_score([0, 1], [0, 1]) == pytest.approx(1.0)
+        assert precision_recall_f1([0, 1], [0, 1], "macro")[0] == pytest.approx(1.0)
 
     def test_recall_perfect(self):
-        assert recall_score([0, 1], [0, 1]) == pytest.approx(1.0)
+        assert precision_recall_f1([0, 1], [0, 1], "macro")[1] == pytest.approx(1.0)
 
     def test_precision_recall_asymmetry(self):
         # Predicting everything as class 1: recall for class 1 is 1, precision low.

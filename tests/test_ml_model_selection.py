@@ -1,11 +1,11 @@
-"""Unit tests for train/test splitting and stratified K-fold."""
+"""Unit tests for train/test splitting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ml import StratifiedKFold, train_test_split
+from repro.ml import train_test_split
 
 
 class TestTrainTestSplit:
@@ -59,31 +59,3 @@ class TestTrainTestSplit:
         X_train, X_test, _, _ = train_test_split(X, y, test_size=0.5, stratify=False, random_state=0)
         assert len(X_train) + len(X_test) == 40
 
-
-class TestStratifiedKFold:
-    def test_folds_partition_all_samples(self):
-        y = np.repeat([0, 1, 2], 20)
-        X = np.arange(60).reshape(-1, 1)
-        kfold = StratifiedKFold(n_splits=5, random_state=0)
-        seen = []
-        for train_idx, test_idx in kfold.split(X, y):
-            assert set(train_idx).isdisjoint(test_idx)
-            seen.extend(test_idx.tolist())
-        assert sorted(seen) == list(range(60))
-
-    def test_number_of_folds(self):
-        y = np.repeat([0, 1], 25)
-        X = np.zeros((50, 1))
-        folds = list(StratifiedKFold(n_splits=4, random_state=0).split(X, y))
-        assert len(folds) == 4
-
-    def test_class_balance_in_folds(self):
-        y = np.repeat([0, 1], 50)
-        X = np.zeros((100, 1))
-        for _, test_idx in StratifiedKFold(n_splits=5, random_state=0).split(X, y):
-            labels = y[test_idx]
-            assert abs((labels == 0).sum() - (labels == 1).sum()) <= 2
-
-    def test_invalid_n_splits(self):
-        with pytest.raises(ValueError):
-            StratifiedKFold(n_splits=1)

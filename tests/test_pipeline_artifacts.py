@@ -13,7 +13,6 @@ from repro.pipeline.artifacts import (
     RESULT_FILE,
     RULES_FILE,
     SPEC_FILE,
-    load_result_summary,
     load_run,
     save_run,
 )
@@ -54,7 +53,7 @@ class TestSaveRun:
 
     def test_result_summary_readable(self, saved_run):
         experiment, run_dir = saved_run
-        summary = load_result_summary(run_dir)
+        summary = json.loads((run_dir / RESULT_FILE).read_text())
         assert summary["replay_f1"] == experiment.run().replay_report.f1_score
 
     def test_save_without_report_skips_result_json(self, tmp_path):
@@ -63,7 +62,6 @@ class TestSaveRun:
         run_dir = save_run(experiment, tmp_path / "train-only")
         assert (run_dir / MODEL_FILE).is_file()
         assert not (run_dir / RESULT_FILE).is_file()
-        assert load_result_summary(run_dir) is None
 
 
 class TestLoadRun:

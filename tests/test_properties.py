@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pareto import dominates, pareto_front_indices
+from repro.core.pareto import pareto_front_indices
 from repro.core.range_marking import MarkTable
 from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
@@ -17,6 +17,7 @@ from repro.ml import DecisionTreeClassifier
 from repro.ml.metrics import accuracy_score, f1_score
 from repro.switch.eviction import make_eviction_policy
 from repro.switch.tcam import range_to_ternary
+from test_core_pareto import dominates
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Coverage for reporting of full candidate rows and assorted small gaps."""
+"""Coverage for full candidate rows and assorted small gaps."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import format_resource_table, format_pareto_table
 from repro.core.config import SpliDTConfig
 from repro.core.dse import evaluate_configuration
 from repro.datasets.materialize import DatasetStore
@@ -18,31 +17,6 @@ def candidate(small_dataset):
     store = DatasetStore(small_dataset, random_state=2)
     config = SpliDTConfig(depth=4, features_per_subtree=3, partition_sizes=(2, 2))
     return evaluate_configuration(store, config, target=TOFINO1)
-
-
-class TestFormatResourceTable:
-    def test_contains_candidate_row(self, candidate):
-        table = format_resource_table({"D3": {100_000: candidate}})
-        assert "D3" in table
-        assert "100,000" in table
-        assert str(candidate.rules.n_entries) in table
-
-    def test_missing_candidate_renders_dashes(self, candidate):
-        table = format_resource_table({"D3": {100_000: candidate, 1_000_000: None}})
-        assert "1,000,000" in table
-        assert "-" in table
-
-    def test_depth_and_partitions_cell(self, candidate):
-        table = format_resource_table({"D3": {100_000: candidate}})
-        assert f"{candidate.model.total_depth} / {candidate.config.n_partitions}" in table
-
-
-class TestFormatParetoTableOrdering:
-    def test_rows_sorted_by_flow_count(self):
-        table = format_pareto_table({"SpliDT": {1_000_000: 0.5, 100_000: 0.9}})
-        lines = table.splitlines()
-        assert lines[2].startswith("100,000")
-        assert lines[3].startswith("1,000,000")
 
 
 class TestDatasetSummaries:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,19 +19,13 @@ from repro.scenarios import (
     ScenarioSpec,
     available_workload_scenarios,
     build_workload,
-    classify,
     get_workload_scenario,
-    load_classbench,
     run_scenario,
-    sample_tuple,
     sweep_occupancy,
 )
-from repro.scenarios.classbench import ClassBenchError
 from repro.scenarios.runner import prepare_system
 from repro.switch.phv import make_data_phv
 from repro.switch.eviction import make_eviction_policy
-
-FIXTURE = Path(__file__).parent / "data" / "classbench_small.rules"
 
 #: SoA columns that must be bit-identical between representations.
 SOA_COLUMNS = (
@@ -41,83 +34,6 @@ SOA_COLUMNS = (
     "dst_ports", "protocols", "first_sizes", "first_timestamps",
     "interleave_order",
 )
-
-
-def _ip(a: int, b: int, c: int, d: int) -> int:
-    return (a << 24) | (b << 16) | (c << 8) | d
-
-
-# ----------------------------------------------------------------------
-# ClassBench loader (satellite: fixture-driven unit tests)
-# ----------------------------------------------------------------------
-class TestClassBenchLoader:
-    def test_fixture_parses_in_priority_order(self):
-        rules = load_classbench(FIXTURE)
-        assert [rule.priority for rule in rules] == [0, 1, 2, 3]
-
-    def test_prefix_field_expands_to_range(self):
-        rule = load_classbench(FIXTURE)[0]
-        assert rule.src_lo == _ip(192, 168, 0, 0)
-        assert rule.src_hi == _ip(192, 168, 255, 255)
-        assert rule.dst_lo == _ip(10, 0, 0, 0)
-        assert rule.dst_hi == _ip(10, 255, 255, 255)
-        assert (rule.dport_lo, rule.dport_hi) == (80, 80)
-        assert (rule.proto, rule.proto_mask) == (0x06, 0xFF)
-
-    def test_exact_fields_collapse_to_single_points(self):
-        rule = load_classbench(FIXTURE)[1]
-        assert rule.src_lo == rule.src_hi == _ip(192, 168, 1, 1)
-        assert rule.dst_lo == rule.dst_hi == _ip(10, 1, 2, 3)
-        assert (rule.sport_lo, rule.sport_hi) == (1024, 1024)
-
-    def test_zero_length_prefix_matches_everything(self):
-        rule = load_classbench(FIXTURE)[2]
-        assert (rule.src_lo, rule.src_hi) == (0, 0xFFFFFFFF)
-        assert rule.proto_mask == 0  # 0x00/0x00 = any protocol
-
-    def test_classify_is_first_match(self):
-        from repro.datasets.flows import FiveTuple
-
-        rules = load_classbench(FIXTURE)
-        http = FiveTuple(src_ip=_ip(192, 168, 7, 9), dst_ip=_ip(10, 2, 3, 4),
-                         src_port=40000, dst_port=80, protocol=0x06)
-        # Matches both rule 0 and the rule-2 wildcard; priority wins.
-        assert classify(rules, http) == 0
-        stray = FiveTuple(src_ip=_ip(8, 8, 8, 8), dst_ip=_ip(9, 9, 9, 9),
-                          src_port=1, dst_port=1, protocol=0x2F)
-        assert classify(rules, stray) == 2
-
-    def test_sample_tuple_matches_its_rule_and_is_deterministic(self):
-        rules = load_classbench(FIXTURE)
-        for index in range(len(rules)):
-            tuple_ = sample_tuple(rules, np.random.default_rng(5), rule_index=index)
-            assert rules[index].matches(tuple_)
-        again = [sample_tuple(rules, np.random.default_rng(11)) for _ in range(8)]
-        twice = [sample_tuple(rules, np.random.default_rng(11)) for _ in range(8)]
-        assert again == twice
-
-    @pytest.mark.parametrize("line, fragment", [
-        ("192.168.0.0/16 10.0.0.0/8 0 : 65535 80 : 80 0x06/0xFF", "start with '@'"),
-        ("@300.0.0.0/8 10.0.0.0/8 0 : 65535 80 : 80 0x06/0xFF", "malformed IP prefix"),
-        ("@10.0.0.0/33 10.0.0.0/8 0 : 65535 80 : 80 0x06/0xFF", "malformed IP prefix"),
-        ("@10.0.0.0/8 10.0.0.0/8 80 : 70 80 : 80 0x06/0xFF", "out of order"),
-        ("@10.0.0.0/8 10.0.0.0/8 0 : 70000 80 : 80 0x06/0xFF", "out of order or out of"),
-        ("@10.0.0.0/8 10.0.0.0/8 0 : 65535 80 : 80 6", "malformed protocol"),
-        ("@10.0.0.0/8 10.0.0.0/8 0 - 65535 80 : 80 0x06/0xFF", "'lo : hi'"),
-        ("@10.0.0.0/8 10.0.0.0/8 0 : 65535 0x06/0xFF", "at least 9 fields"),
-    ])
-    def test_malformed_lines_rejected_with_line_number(self, tmp_path, line, fragment):
-        path = tmp_path / "bad.rules"
-        path.write_text("# leading comment\n\n" + line + "\n")
-        with pytest.raises(ClassBenchError, match="line 3") as excinfo:
-            load_classbench(path)
-        assert fragment in str(excinfo.value)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.rules"
-        path.write_text("# nothing here\n")
-        with pytest.raises(ClassBenchError, match="no filters"):
-            load_classbench(path)
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +60,9 @@ class TestScenarioSpec:
 
     def test_unknown_keys_rejected_at_every_level(self):
         data = self._spec().to_dict()
-        with pytest.raises(ScenarioError, match="unknown scenario fields"):
-            ScenarioSpec.from_dict({**data, "bogus": 1})
+        for extra in ({"bogus": 1}, {"ruleset": "x.rules"}):
+            with pytest.raises(ScenarioError, match="unknown scenario fields"):
+                ScenarioSpec.from_dict({**data, **extra})
         bad_layer = dict(data)
         bad_layer["layers"] = [{**data["layers"][0], "bogus": 1}]
         with pytest.raises(ScenarioError, match="unknown layer fields"):
@@ -254,12 +171,6 @@ class TestTrafficLayers:
             for i in (0, materialized.n_legit, materialized.n_flows - 1):
                 assert (materialized.flows[i].five_tuple
                         == streamed.flows[i].five_tuple)
-
-    def test_ruleset_derives_five_tuples_from_filters(self):
-        rules = load_classbench(FIXTURE)
-        workload = build_workload(self.BASE.replace(ruleset=str(FIXTURE)))
-        for i in range(workload.n_legit):
-            assert classify(rules, workload.flows[i].five_tuple) is not None
 
 
 # ----------------------------------------------------------------------
