@@ -4,12 +4,11 @@ The SpliDT paper trains its partitioned decision trees with scikit-learn's
 ``DecisionTreeClassifier``.  That library is not available offline, so this
 package provides the pieces the system needs, implemented from scratch:
 
-* :class:`DecisionTreeClassifier` / :class:`DecisionTreeRegressor` — CART with
-  gini/entropy (classification) or MSE (regression) splitting, plus a
-  *feature budget*: the tree may use at most ``max_distinct_features``
+* :class:`DecisionTreeClassifier` — CART with gini/entropy splitting, plus
+  a *feature budget*: the tree may use at most ``max_distinct_features``
   different features, the constraint SpliDT places on each subtree.
-* :class:`RandomForestRegressor` — a bagged ensemble, the Bayesian
-  optimiser's surrogate.
+* :class:`RandomForestRegressor` — bagged regression trees (mean squared
+  error) grown in lockstep, the Bayesian optimiser's surrogate.
 * metrics (accuracy, precision/recall/F1 with macro and weighted averaging,
   confusion matrices) and ``train_test_split``.
 """
@@ -22,12 +21,11 @@ from repro.ml.metrics import (
 )
 from repro.ml.model_selection import train_test_split
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier
 from repro.ml._tree import Tree, TreeNode
 
 __all__ = [
     "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "RandomForestRegressor",
     "Tree",
     "TreeNode",

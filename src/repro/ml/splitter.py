@@ -1,11 +1,12 @@
-"""Exact best-split search for CART trees from presorted orders.
+"""Exact best-split search for CART classification trees from presorted orders.
 
 A tree sorts each candidate feature column once per fit and hands every node
 its rows in each feature's order (``ml/tree.py``); :func:`best_split` scores
 every cut of every candidate feature of a node from those orders with numpy
 prefix sums and never sorts.  That keeps training fast enough to run the
 paper's design-space exploration (hundreds of trees per search) in pure
-Python.
+Python.  The regression criterion lives with the only regressor, the
+forest in ``ml/forest.py``.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ def node_impurity(counts: np.ndarray, criterion: str) -> float:
     raise ValueError(f"unknown criterion: {criterion!r}")
 
 
-def mse_impurity(y: np.ndarray) -> float:
-    """Mean-squared-error impurity (variance) of a target vector."""
-    if y.size == 0:
-        return 0.0
-    return float(np.var(y))
-
-
 def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     """Row-wise impurity of an ``(n_cuts, n_classes)`` class-count matrix.
 
@@ -104,23 +98,6 @@ def _weighted_impurity(left: np.ndarray, totals: np.ndarray, criterion: str) -> 
     sides = np.concatenate([left, totals - left])
     weighted = sides.sum(axis=1) * _batch_impurity(sides, criterion)
     return weighted[: left.shape[0]] + weighted[left.shape[0] :]
-
-
-def _mse_scores(sorted_y: np.ndarray) -> np.ndarray:
-    """Weighted variance of every prefix cut of each row of ``sorted_y``."""
-    n = sorted_y.shape[1]
-    squares = sorted_y**2
-    cumsum = np.cumsum(sorted_y, axis=1)[:, :-1]
-    cumsum_sq = np.cumsum(squares, axis=1)[:, :-1]
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    total = sorted_y.sum(axis=1, keepdims=True)
-    total_sq = squares.sum(axis=1, keepdims=True)
-
-    left_var = cumsum_sq - cumsum**2 / left_n
-    right_sum = total - cumsum
-    right_var = (total_sq - cumsum_sq) - right_sum**2 / right_n
-    return left_var + right_var
 
 
 def _gini_leaders(
@@ -197,7 +174,7 @@ def best_split(
     *,
     criterion: str,
     min_samples_leaf: int,
-    n_classes: int | None,
+    n_classes: int,
     impurity: float,
     class_orders: np.ndarray | None = None,
 ) -> Split | None:
@@ -212,15 +189,14 @@ def best_split(
 
     Args:
         X: The training matrix the node's rows index.
-        y: Per training row, the encoded class (``0 .. n_classes - 1``) or
-            the float target (mse).
+        y: Per training row, the encoded class (``0 .. n_classes - 1``).
         rows: The node's training rows, ascending.
         orders: ``orders[j]`` is ``rows`` stably sorted by
             ``X[:, features[j]]``.
         features: Candidate feature indices, in search order.
-        criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
+        criterion: ``"gini"`` or ``"entropy"``.
         min_samples_leaf: Minimum rows on each side of a split.
-        n_classes: Number of classes (classification only).
+        n_classes: Number of classes.
         impurity: The node's impurity under ``criterion``.
         class_orders: Gini only: ``class_orders[j]`` is ``orders[j]`` stably
             sorted by class.
@@ -236,14 +212,10 @@ def best_split(
     if criterion == "gini":
         leaders = _gini_leaders(y, orders, class_orders, valid, n_classes)
     else:
-        if criterion == "mse":
-            scores = _mse_scores(y[orders])
-        else:
-            counts = _left_class_counts(y[orders], n_classes)
-            left = counts[:, :-1].astype(float).reshape(-1, n_classes)
-            scores = _weighted_impurity(left, counts[0, -1].astype(float), criterion)
-            scores = scores.reshape(features.size, n - 1)
-        scores = np.where(valid, scores, np.inf)
+        counts = _left_class_counts(y[orders], n_classes)
+        left = counts[:, :-1].astype(float).reshape(-1, n_classes)
+        scores = _weighted_impurity(left, counts[0, -1].astype(float), criterion)
+        scores = np.where(valid, scores.reshape(features.size, n - 1), np.inf)
         cuts = scores.argmin(axis=1)
         leaders = [
             (j, int(cut), float(scores[j, cut]))
@@ -290,7 +262,7 @@ def find_best_split(
     allowed_features: np.ndarray,
     criterion: str,
     min_samples_leaf: int,
-    n_classes: int | None,
+    n_classes: int,
     rng: np.random.Generator,
     max_features: int | None = None,
     indices: np.ndarray | None = None,
@@ -306,11 +278,11 @@ def find_best_split(
         X: Node sample matrix ``(n_samples, n_features)`` — or, when
             ``indices`` is given, the *full* training matrix the node rows
             are gathered from.
-        y: Node labels (classification, int) or targets (regression, float).
+        y: Node labels (encoded classes).
         allowed_features: Feature indices the splitter may consider.
-        criterion: ``"gini"``, ``"entropy"`` or ``"mse"``.
+        criterion: ``"gini"`` or ``"entropy"``.
         min_samples_leaf: Minimum samples required on each side of a split.
-        n_classes: Number of classes (classification only).
+        n_classes: Number of classes.
         rng: Random generator used for feature sub-sampling.
         max_features: If given, a random subset of this many features from
             ``allowed_features`` is searched (used by random forests).
@@ -331,14 +303,9 @@ def find_best_split(
 
     X = np.asarray(X if indices is None else X[indices], dtype=float)
     orders = np.argsort(X.T[features], axis=1, kind="stable")
-    class_orders = None
-    if criterion in CLASSIFICATION_CRITERIA:
-        if impurity is None:
-            impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
-        if criterion == "gini":
-            class_orders = class_major(orders, y)
-    elif impurity is None:
-        impurity = mse_impurity(y)
+    if impurity is None:
+        impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
+    class_orders = class_major(orders, y) if criterion == "gini" else None
     return best_split(
         X,
         y,

@@ -1,10 +1,11 @@
-"""CART decision-tree estimators with a per-tree distinct-feature budget.
+"""CART classification trees with a per-tree distinct-feature budget.
 
-These estimators mirror the scikit-learn API surface the SpliDT artifact uses
-(``fit`` / ``predict`` / ``predict_proba`` / ``feature_importances_``) and add
+The estimator mirrors the scikit-learn API surface the SpliDT artifact uses
+(``fit`` / ``predict`` / ``predict_proba`` / ``feature_importances_``) and adds
 one capability the paper requires: ``max_distinct_features`` bounds how many
 *different* features a tree may test, which is exactly the per-subtree ``k``
-constraint of SpliDT's partitioned trees.
+constraint of SpliDT's partitioned trees.  (Regression trees are grown by the
+forest, ``ml/forest.py``.)
 
 The budget is enforced greedily during growth: once the tree has already used
 ``k`` distinct features, deeper nodes may only split on those ``k`` features.
@@ -37,7 +38,7 @@ class _GrowContext:
     """
 
     X: np.ndarray
-    #: Encoded classes (classifier) or float targets (regressor).
+    #: Encoded classes.
     y: np.ndarray
     rng: np.random.Generator
     features: np.ndarray
@@ -47,10 +48,21 @@ class _GrowContext:
     used_features: set[int] = field(default_factory=set)
 
 
-class _BaseDecisionTree:
-    """Shared fit/growth machinery for the classifier and regressor."""
+class DecisionTreeClassifier:
+    """CART classifier (gini or entropy) with an optional feature budget.
 
-    _is_classifier = True
+    Args:
+        max_depth: Maximum tree depth; ``None`` grows until purity.
+        min_samples_split: Minimum samples required to attempt a split.
+        min_samples_leaf: Minimum samples required in each child.
+        criterion: ``"gini"`` (default) or ``"entropy"``.
+        max_distinct_features: Upper bound on the number of *different*
+            features the tree may test (the SpliDT per-subtree ``k``).
+        max_features: Number of features to sample per split (random-forest
+            style); ``None`` searches all allowed features.
+        allowed_features: Restrict splits to these feature indices.
+        random_state: Seed for reproducible feature sub-sampling.
+    """
 
     def __init__(
         self,
@@ -72,6 +84,10 @@ class _BaseDecisionTree:
             raise ValueError("min_samples_leaf must be >= 1")
         if max_distinct_features is not None and max_distinct_features < 1:
             raise ValueError("max_distinct_features must be >= 1")
+        if criterion not in CLASSIFICATION_CRITERIA:
+            raise ValueError(
+                f"criterion must be one of {CLASSIFICATION_CRITERIA}, got {criterion!r}"
+            )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -83,9 +99,12 @@ class _BaseDecisionTree:
 
         self.tree_: Tree | None = None
         self.n_features_in_: int = 0
+        self.classes_: np.ndarray = np.array([])
+        self.n_classes_: int = 0
 
     # ------------------------------------------------------------------
-    def _validate_fit_args(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
+        """Fit the tree on ``X`` (floats) and ``y`` (arbitrary class labels)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2:
@@ -96,18 +115,11 @@ class _BaseDecisionTree:
             raise ValueError("X and y have mismatched lengths")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
-        return X, y
-
-    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Node value and impurity of the node's labels or targets."""
-        raise NotImplementedError
-
-    def _fit_common(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.classes_, encoded = np.unique(y, return_inverse=True)
+        self.n_classes_ = int(self.classes_.size)
+        y = encoded.astype(np.intp)
         self.n_features_in_ = X.shape[1]
-        self.tree_ = Tree(
-            n_features=self.n_features_in_,
-            n_outputs=self._n_outputs(),
-        )
+        self.tree_ = Tree(n_features=self.n_features_in_, n_outputs=self.n_classes_)
         features = self._allowed_feature_pool()
         by_feature = np.argsort(X.T[features], axis=1, kind="stable")
         orders = [by_feature]
@@ -123,9 +135,7 @@ class _BaseDecisionTree:
         )
         all_indices = np.arange(X.shape[0], dtype=np.intp)
         self._grow(context, all_indices, context.orders, features, depth=0)
-
-    def _n_outputs(self) -> int:
-        raise NotImplementedError
+        return self
 
     def _allowed_feature_pool(self) -> np.ndarray:
         if self.allowed_features is not None:
@@ -161,7 +171,8 @@ class _BaseDecisionTree:
         split on.  A node at ``max_depth`` never splits and gets ``None``.
         """
         y_node = context.y[indices]
-        value, impurity = self._node_stats(y_node)
+        value = np.bincount(y_node, minlength=self.n_classes_).astype(float)
+        impurity = node_impurity(value, self.criterion)
         node_id = self.tree_.add_node(
             feature=LEAF,
             threshold=0.0,
@@ -189,7 +200,7 @@ class _BaseDecisionTree:
             searched,
             criterion=self.criterion,
             min_samples_leaf=self.min_samples_leaf,
-            n_classes=self._n_outputs() if self._is_classifier else None,
+            n_classes=self.n_classes_,
             impurity=impurity,
             class_orders=searched_orders[1] if self.criterion == "gini" else None,
         )
@@ -252,50 +263,6 @@ class _BaseDecisionTree:
         """Leaf node id reached by every row of ``X``."""
         return self._check_fitted().apply(np.asarray(X, dtype=float))
 
-
-class DecisionTreeClassifier(_BaseDecisionTree):
-    """CART classifier (gini or entropy) with an optional feature budget.
-
-    Args:
-        max_depth: Maximum tree depth; ``None`` grows until purity.
-        min_samples_split: Minimum samples required to attempt a split.
-        min_samples_leaf: Minimum samples required in each child.
-        criterion: ``"gini"`` (default) or ``"entropy"``.
-        max_distinct_features: Upper bound on the number of *different*
-            features the tree may test (the SpliDT per-subtree ``k``).
-        max_features: Number of features to sample per split (random-forest
-            style); ``None`` searches all allowed features.
-        allowed_features: Restrict splits to these feature indices.
-        random_state: Seed for reproducible feature sub-sampling.
-    """
-
-    _is_classifier = True
-
-    def __init__(self, **kwargs) -> None:
-        kwargs.setdefault("criterion", "gini")
-        super().__init__(**kwargs)
-        if self.criterion not in CLASSIFICATION_CRITERIA:
-            raise ValueError(
-                f"criterion must be one of {CLASSIFICATION_CRITERIA}, got {self.criterion!r}"
-            )
-        self.classes_: np.ndarray = np.array([])
-        self.n_classes_: int = 0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        """Fit the tree on ``X`` (floats) and ``y`` (arbitrary class labels)."""
-        X, y = self._validate_fit_args(X, y)
-        self.classes_, encoded = np.unique(y, return_inverse=True)
-        self.n_classes_ = int(self.classes_.size)
-        self._fit_common(X, encoded.astype(np.intp))
-        return self
-
-    def _n_outputs(self) -> int:
-        return self.n_classes_
-
-    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        return counts, node_impurity(counts, self.criterion)
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability estimates from leaf class frequencies."""
         tree = self._check_fitted()
@@ -313,43 +280,3 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         """Mean accuracy on ``(X, y)``."""
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
-
-class DecisionTreeRegressor(_BaseDecisionTree):
-    """CART regressor (MSE criterion), used mainly as a BO surrogate piece."""
-
-    _is_classifier = False
-
-    def __init__(self, **kwargs) -> None:
-        kwargs.setdefault("criterion", "mse")
-        super().__init__(**kwargs)
-        if self.criterion != "mse":
-            raise ValueError("DecisionTreeRegressor only supports criterion='mse'")
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Fit the tree on ``X`` and continuous targets ``y``."""
-        X, y = self._validate_fit_args(X, y)
-        self._fit_common(X, y.astype(float))
-        return self
-
-    def _n_outputs(self) -> int:
-        return 1
-
-    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        # ``np.mean`` and ``np.var``'s own arithmetic, sharing the one sum.
-        mean = y.sum() / y.size
-        deviation = y - mean
-        return np.array([float(mean)]), float((deviation * deviation).sum() / y.size)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted targets (leaf means)."""
-        tree = self._check_fitted()
-        return tree.predict_value(np.asarray(X, dtype=float))[:, 0]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination R^2."""
-        y = np.asarray(y, dtype=float)
-        predictions = self.predict(X)
-        denom = np.sum((y - y.mean()) ** 2)
-        if denom == 0:
-            return 0.0
-        return float(1.0 - np.sum((y - predictions) ** 2) / denom)

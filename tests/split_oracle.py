@@ -8,10 +8,11 @@ and keeps the first feature to lead by more than ``1e-12``.
 before they carried per-fit sorted orders: every node gathers its own rows,
 draws its ``max_features`` subset, and sorts again.
 
-The production kernel ``splitter.best_split`` must return what
-``best_split_over`` returns, bit for bit, and an estimator's ``fit`` must grow
-the tree ``grow_reference`` grows, node for node
-(``tests/test_ml_splitter.py``).
+The production kernels — ``splitter.best_split`` (gini, entropy) and the
+forest's step kernel (mse, ``ml/forest.py``) — must return what
+``best_split_over`` returns, bit for bit, and every tree a classifier or a
+forest grows must be the tree ``grow_reference`` grows on its rows, node for
+node (``tests/test_ml_splitter.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml._tree import LEAF, Tree
-from repro.ml.splitter import (
-    CLASSIFICATION_CRITERIA,
-    Split,
-    _batch_impurity,
-    mse_impurity,
-    node_impurity,
-)
+from repro.ml.splitter import CLASSIFICATION_CRITERIA, Split, _batch_impurity, node_impurity
 
 
 def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -88,7 +83,7 @@ def best_split_over(
     if impurity is None and is_classification:
         impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
     elif impurity is None:
-        impurity = mse_impurity(y)
+        impurity = float(np.var(y))
     parent_score = n_samples * impurity
 
     # A cut at position i separates sorted samples [:i+1] from [i+1:]; both
@@ -145,7 +140,8 @@ def best_split_over(
 def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
     """The tree ``estimator``'s parameters grow on ``(X, y)``, node by node.
 
-    Classifier labels are encoded as the estimator encodes them; node values
+    ``estimator`` is anything with a classifier's parameters as attributes
+    (``criterion="mse"`` for a regression tree).  Classifier labels are encoded as the estimator encodes them; node values
     and impurities come from ``np.bincount`` / ``np.mean`` / ``np.var``.
     """
     X = np.asarray(X, dtype=float)
@@ -172,7 +168,7 @@ def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
             impurity = node_impurity(value, criterion)
         else:
             value = np.array([float(np.mean(y_node))])
-            impurity = mse_impurity(y_node)
+            impurity = float(np.var(y_node))
         node_id = tree.add_node(
             feature=LEAF, threshold=0.0, depth=depth, n_samples=int(indices.size),
             value=value, impurity=impurity,

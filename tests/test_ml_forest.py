@@ -26,6 +26,25 @@ class TestForestRegressor:
         assert std.shape == (50,)
         assert np.all(std >= 0)
 
+    def test_predict_with_std_is_the_per_tree_stack(self):
+        # One descent over the stacked trees answers what each tree's own
+        # ``predict_value`` does, and the moments are taken the same way.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            X = rng.integers(0, 6, size=(40, 3)).astype(float)
+            y = rng.random(40)
+            forest = RandomForestRegressor(
+                n_estimators=9, max_depth=(None, 3)[seed % 2], random_state=seed
+            ).fit(X, y)
+            # Half-integers hit the midpoint thresholds exactly.
+            queries = np.vstack([X, rng.integers(-2, 14, size=(25, 3)) / 2.0])
+            member = np.stack(
+                [tree.tree_.predict_value(queries)[:, 0] for tree in forest.estimators_]
+            )
+            mean, std = forest.predict_with_std(queries)
+            assert mean.tobytes() == member.mean(axis=0).tobytes()
+            assert std.tobytes() == member.std(axis=0).tobytes()
+
     def test_uncertainty_higher_away_from_data(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(100, 1))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import DecisionTreeClassifier, RandomForestRegressor
+from repro.ml.forest import _best_splits, _moments
 from repro.ml.splitter import (
     _gini_leaders,
     best_split,
@@ -16,10 +18,15 @@ from repro.ml.splitter import (
     entropy_impurity,
     find_best_split,
     gini_impurity,
-    mse_impurity,
     node_impurity,
 )
 from split_oracle import best_split_over, grow_reference
+
+
+def _regression_root(X, y):
+    """The root of a one-tree forest that sees every row and every feature."""
+    forest = RandomForestRegressor(n_estimators=1, bootstrap=False, max_features=None)
+    return forest.fit(X, y).estimators_[0].tree_.nodes[0]
 
 
 class TestImpurities:
@@ -47,11 +54,12 @@ class TestImpurities:
         assert four > two
 
     def test_mse_constant_is_zero(self):
-        assert mse_impurity(np.full(10, 3.0)) == 0.0
+        root = _regression_root(np.arange(10.0).reshape(-1, 1), np.full(10, 3.0))
+        assert root.impurity == 0.0 and root.is_leaf
 
     def test_mse_is_variance(self):
-        y = np.array([0.0, 2.0])
-        assert mse_impurity(y) == pytest.approx(1.0)
+        root = _regression_root(np.array([[0.0], [1.0]]), np.array([0.0, 2.0]))
+        assert root.impurity == pytest.approx(1.0)
 
     def test_node_impurity_dispatch(self):
         counts = np.array([3.0, 3.0])
@@ -142,12 +150,9 @@ class TestFindBestSplit:
     def test_regression_split(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
-        split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="mse",
-            min_samples_leaf=1, n_classes=None, rng=self._rng(),
-        )
-        assert split is not None
-        assert 2.0 < split.threshold < 10.0
+        root = _regression_root(X, y)
+        assert root.feature == 0
+        assert 2.0 < root.threshold < 10.0
 
     def test_improvement_is_positive(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -259,11 +264,84 @@ def _presorted(X, y, rows, features, criterion):
 
 def _impurity(y, criterion, n_classes):
     if criterion == "mse":
-        return mse_impurity(y)
+        return float(np.var(y))
     return node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
 
 
 _CRITERIA = ("gini", "entropy", "mse")
+
+#: Node lengths where NumPy's pairwise sum changes shape: unrolled by 8,
+#: recursing above 128 rows.
+_PAIRWISE_EDGES = (1, 2, 7, 8, 9, 16, 127, 128, 129, 160)
+
+
+def _step_kernel(X, y, nodes, searched, min_samples_leaf, seed):
+    """The forest's step kernel on a batch of nodes, as a step of its grower sees them.
+
+    ``nodes`` lists each node's rows of ``(X, y)`` (ascending); node ``i``
+    searches ``searched[i]``.  The arena block holds each node's rows in
+    every feature's stable order and, last, ascending, padded with other
+    rows.  Returns the node means and variances and, for the nodes that may
+    split (at least ``2·min_samples_leaf`` rows, two at the least), a
+    ``(found, feature, threshold, improvement)`` tuple per node.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = np.array([rows.size for rows in nodes])
+    block = rng.integers(0, y.size, size=(X.shape[1] + 1, lengths.size, lengths.max()))
+    for i, rows in enumerate(nodes):
+        block[:-1, i, : rows.size] = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+        block[-1, i, : rows.size] = rows
+    moments, totals, mean, variance = _moments(y, block, lengths)
+    at = np.flatnonzero(lengths >= max(2, 2 * min_samples_leaf))
+    if not at.size:
+        return mean, variance, {}
+    found = _best_splits(
+        X, block, moments, totals, at, np.array([searched[i] for i in at]).T,
+        lengths[at], variance[at], min_samples_leaf,
+    )
+    results = dict(zip(at.tolist(), zip(*(part.tolist() for part in found))))
+    return mean, variance, results
+
+
+def _assert_step_kernel_equals_the_oracle(seed, n, kinds, n_classes, min_samples_leaf, max_features):
+    """A batch mixing node lengths 1–160, ``n`` and the pairwise-sum edges, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    lengths = [n, *rng.choice(_PAIRWISE_EDGES, size=3), *rng.integers(1, 161, size=3)]
+    lengths = rng.permutation(lengths).tolist()
+    # Each node's rows are an ascending subset of one shared matrix.
+    owner = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+    X = np.empty((owner.size, len(kinds)))
+    y = np.empty(owner.size)
+    nodes = []
+    for i, length in enumerate(lengths):
+        rows = np.flatnonzero(owner == i)
+        X[rows], labels = _adversarial_node(seed + i, length, kinds, n_classes, i % 2 == 0)
+        y[rows] = _node_targets(labels, "mse", seed + i)
+        nodes.append(rows)
+    searched = []
+    for _ in nodes:
+        features = rng.permutation(len(kinds))
+        searched.append(features if max_features is None else features[:max_features])
+    mean, variance, results = _step_kernel(X, y, nodes, searched, min_samples_leaf, seed)
+    for i, rows in enumerate(nodes):
+        assert mean[i].hex() == float(np.mean(y[rows])).hex()
+        assert variance[i].hex() == float(np.var(y[rows])).hex()
+        if i not in results:
+            continue
+        expected = best_split_over(
+            X, y[rows], searched[i], criterion="mse", min_samples_leaf=min_samples_leaf,
+            n_classes=None, indices=rows, impurity=float(variance[i]),
+        )
+        found, feature, threshold, improvement = results[i]
+        if expected is None:
+            assert not found
+            continue
+        assert found
+        got = SimpleNamespace(
+            feature=feature, threshold=threshold, improvement=improvement,
+            left_mask=X[rows, feature] <= threshold,
+        )
+        _assert_same_split(got, expected)
 
 
 class TestSplitKernel:
@@ -283,6 +361,12 @@ class TestSplitKernel:
     def test_kernel_equals_the_oracle(
         self, criterion, seed, n, kinds, n_classes, balanced, min_samples_leaf, max_features,
     ):
+        if criterion == "mse":
+            # The forest's step kernel scores a batch of nodes at once.
+            _assert_step_kernel_equals_the_oracle(
+                seed, n, kinds, n_classes, min_samples_leaf, max_features
+            )
+            return
         # The node is an ascending subset of the rows of a larger matrix, as
         # in a tree; its orders are the stable partition of a global sort.
         X, labels = _adversarial_node(seed, n, kinds, n_classes, balanced)
@@ -308,7 +392,7 @@ class TestSplitKernel:
         )
         _assert_same_split(got, expected)
 
-    @pytest.mark.parametrize("criterion", _CRITERIA)
+    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -357,6 +441,10 @@ class TestSplitKernel:
         y = _node_targets(y, criterion, 3)
         common = dict(criterion=criterion, min_samples_leaf=2, n_classes=4)
         assert best_split_over(X, y, np.arange(4), **common) is None
+        if criterion == "mse":
+            _, _, results = _step_kernel(X, y, [np.arange(40)], [np.arange(4)], 2, seed=3)
+            assert results[0][0] is False
+            return
         assert find_best_split(
             X, y, allowed_features=np.arange(4), rng=np.random.default_rng(0), **common
         ) is None
@@ -433,8 +521,37 @@ def _assert_same_tree(got, expected):
         assert a.value.tobytes() == b.value.tobytes()
 
 
+def _assert_forest_grows_like_the_oracle(
+    X, y, seed, n_estimators, bootstrap, max_depth, min_samples_leaf, max_features
+):
+    """Every tree of a lockstep forest is the tree its own rows and seed grow alone."""
+    forest = RandomForestRegressor(
+        n_estimators=n_estimators, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+        max_features=max_features, bootstrap=bootstrap, random_state=seed,
+    ).fit(X, y)
+    n, n_features = X.shape
+    if max_features == "sqrt":
+        max_features = max(1, int(np.sqrt(n_features)))
+    # The forest's draws: each tree's seed, then its bootstrap rows.
+    rng = np.random.default_rng(seed)
+    members = forest.estimators_
+    assert len(members) == n_estimators
+    for member in members:
+        tree_seed = int(rng.integers(0, 2**31 - 1))
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        alone = SimpleNamespace(
+            criterion="mse", max_depth=max_depth, min_samples_split=2,
+            min_samples_leaf=min_samples_leaf, max_distinct_features=None,
+            max_features=max_features, allowed_features=None, random_state=tree_seed,
+        )
+        _assert_same_tree(member.tree_, grow_reference(alone, X[rows], y[rows]))
+
+
 class TestTreeGrowth:
-    """Whole trees from the presorted grower against ``grow_reference``."""
+    """Whole trees from the presorted growers against ``grow_reference``.
+
+    The mse leg fits a lockstep forest and checks each of its trees.
+    """
 
     @pytest.mark.parametrize("criterion", _CRITERIA)
     @settings(max_examples=60, deadline=None)
@@ -450,13 +567,21 @@ class TestTreeGrowth:
         budget=st.none() | st.integers(1, 4),
         max_features=st.none() | st.integers(1, 6),
         restrict=st.booleans(),
+        n_estimators=st.sampled_from([1, 7]),
+        forest_max_features=st.sampled_from([None, 1, 2, "sqrt"]),
     )
     def test_trees_grow_node_for_node_like_the_oracle(
         self, criterion, seed, n, kinds, n_classes, bootstrap, max_depth, min_samples_leaf,
-        min_samples_split, budget, max_features, restrict,
+        min_samples_split, budget, max_features, restrict, n_estimators, forest_max_features,
     ):
         X, labels = _adversarial_node(seed, n, kinds, max(n_classes, 2), seed % 2 == 0)
         y = _node_targets(labels % n_classes, criterion, seed)
+        if criterion == "mse":
+            _assert_forest_grows_like_the_oracle(
+                X, y, seed % 1000, n_estimators, bootstrap, max_depth, min_samples_leaf,
+                forest_max_features,
+            )
+            return
         rng = np.random.default_rng(seed)
         if bootstrap:
             # A forest's tree: rows drawn with replacement, duplicates and all.
@@ -474,9 +599,5 @@ class TestTreeGrowth:
             allowed_features=allowed,
             random_state=seed % 1000,
         )
-        if criterion == "mse":
-            estimator = DecisionTreeRegressor(**params)
-        else:
-            estimator = DecisionTreeClassifier(criterion=criterion, **params)
-        estimator.fit(X, y)
+        estimator = DecisionTreeClassifier(criterion=criterion, **params).fit(X, y)
         _assert_same_tree(estimator.tree_, grow_reference(estimator, X, y))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import core, datasets
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor, RandomForestRegressor
+from repro.ml import DecisionTreeClassifier, RandomForestRegressor
 from repro.ml._tree import LEAF
 
 
@@ -203,41 +203,47 @@ class TestClassifierStructure:
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
 
+def _regression_tree(**params) -> RandomForestRegressor:
+    """A one-tree forest that sees every row and every feature: plain CART regression."""
+    return RandomForestRegressor(n_estimators=1, bootstrap=False, max_features=None, **params)
+
+
 class TestRegressor:
     def test_fits_linear_step_function(self):
         X = np.linspace(0, 10, 200).reshape(-1, 1)
         y = (X[:, 0] > 5).astype(float) * 3.0
-        reg = DecisionTreeRegressor(max_depth=2).fit(X, y)
+        reg = _regression_tree(max_depth=2).fit(X, y)
         predictions = reg.predict(X)
         assert np.abs(predictions - y).max() < 0.5
 
     def test_score_is_r2(self):
         X = np.linspace(0, 10, 100).reshape(-1, 1)
         y = X[:, 0] ** 2
-        reg = DecisionTreeRegressor(max_depth=6).fit(X, y)
+        reg = _regression_tree(max_depth=6).fit(X, y)
         assert reg.score(X, y) > 0.95
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(1).normal(size=(30, 2))
         y = np.full(30, 7.0)
-        reg = DecisionTreeRegressor().fit(X, y)
-        assert reg.get_n_leaves() == 1
+        reg = _regression_tree().fit(X, y)
+        assert reg.estimators_[0].tree_.n_leaves == 1
         np.testing.assert_allclose(reg.predict(X), 7.0)
 
     def test_rejects_non_mse_criterion(self):
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(criterion="gini")
+        # Mean squared error is the regressor's only criterion: no option.
+        with pytest.raises(TypeError):
+            RandomForestRegressor(criterion="gini")
 
     def test_max_depth_respected(self):
         X = np.random.default_rng(2).normal(size=(200, 3))
         y = X[:, 0] + X[:, 1] * 2
-        reg = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        assert reg.get_depth() <= 3
+        reg = _regression_tree(max_depth=3).fit(X, y)
+        assert reg.estimators_[0].tree_.max_depth <= 3
 
     def test_prediction_within_target_range(self):
         X = np.random.default_rng(3).normal(size=(100, 2))
         y = np.random.default_rng(4).uniform(-5, 5, size=100)
-        reg = DecisionTreeRegressor(max_depth=5).fit(X, y)
+        reg = _regression_tree(max_depth=5).fit(X, y)
         predictions = reg.predict(X)
         assert predictions.min() >= y.min() - 1e-9
         assert predictions.max() <= y.max() + 1e-9
@@ -267,18 +273,21 @@ class TestFittedState:
         [
             DecisionTreeClassifier(max_depth=4),
             DecisionTreeClassifier(max_depth=4, criterion="entropy", max_distinct_features=2),
-            DecisionTreeRegressor(max_depth=4, max_features=2),
+            RandomForestRegressor(n_estimators=2, max_depth=4, max_features=2),
         ],
     )
     def test_fitted_tree_holds_no_array_of_training_row_length(self, estimator):
         # The fit's sorted orders, encoded labels and scratch masks are
         # per-fit state: a search keeps hundreds of fitted trees alive.
         rng = np.random.default_rng(0)
-        n_rows = 97  # no node value, feature count or class count has this length
+        n_rows = 97  # no node value, node count, feature count or class count has this length
         X = rng.normal(size=(n_rows, 5))
         y = rng.integers(0, 3, size=n_rows)
-        estimator.fit(X, y.astype(float) if isinstance(estimator, DecisionTreeRegressor) else y)
-        assert estimator.tree_.n_leaves > 1
+        if isinstance(estimator, RandomForestRegressor):
+            trees = [member.tree_ for member in estimator.fit(X, y.astype(float)).estimators_]
+        else:
+            trees = [estimator.fit(X, y).tree_]
+        assert all(tree.n_leaves > 1 for tree in trees)
         held = [array.shape for array in _arrays_held(estimator)]
         assert held and not [shape for shape in held if n_rows in shape]
 

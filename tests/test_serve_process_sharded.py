@@ -29,13 +29,16 @@ from test_serve_engines import _assert_identical, _chunks, _stream
 class ProgramFactory:
     """Module-level (hence spawn-picklable) factory over the test fixtures."""
 
-    def __init__(self, model, rules, flow_slots: int) -> None:
+    def __init__(self, model, rules, flow_slots: int, eviction=None) -> None:
         self.model = model
         self.rules = rules
         self.flow_slots = flow_slots
+        self.eviction = eviction
 
     def __call__(self) -> SpliDTDataPlane:
-        return SpliDTDataPlane(self.model, self.rules, flow_slots=self.flow_slots)
+        return SpliDTDataPlane(
+            self.model, self.rules, flow_slots=self.flow_slots, eviction=self.eviction
+        )
 
 
 def _leaked_segments() -> list[str]:

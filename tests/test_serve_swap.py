@@ -33,6 +33,7 @@ from repro.serve import (
     ServeError,
     StreamingEngine,
 )
+from repro.switch.eviction import IdleTimeoutEviction
 from test_serve_engines import _assert_identical, _chunks, _stream
 from test_serve_process_sharded import ProgramFactory
 
@@ -182,6 +183,38 @@ class TestCrossEngineParityAfterSwap:
         _assert_identical(oracle_result, result)
         assert events[0].started_flow_ids == oracle_event.started_flow_ids
         assert events[0].pinned_slots == oracle_event.pinned_slots
+
+    def test_swap_under_idle_timeout_eviction_matches_streaming_oracle(
+        self, splidt_model, splidt_rules, alt_model, alt_rules, small_dataset
+    ):
+        # A real model change mid-stream on 64 slots while residents are
+        # being evicted: the micro-batch engine pins, rebinds and evicts
+        # exactly as the per-packet session does.
+        eviction = IdleTimeoutEviction(timeout=0.5)
+        chunks = _chunks(small_dataset.flows, 64)
+        sessions = []
+        for engine in (
+            StreamingEngine(SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64,
+                                            eviction=eviction)),
+            MicroBatchEngine(ProgramFactory(splidt_model, splidt_rules, 64, eviction)(),
+                             flush_flows=4),
+        ):
+            engine.open()
+            for index, chunk in enumerate(chunks):
+                if index == len(chunks) // 2:
+                    event = engine.swap_model(
+                        ProgramFactory(alt_model, alt_rules, 64, eviction)
+                    )
+                engine.ingest(chunk)
+            engine.drain()
+            evictions = engine.stats().counters["switch.evictions"]
+            sessions.append((engine.close(), event, evictions))
+        (oracle_result, oracle_event, oracle_evictions), (result, event, evictions) = sessions
+        assert oracle_evictions >= 1
+        _assert_identical(oracle_result, result)
+        assert event.started_flow_ids == oracle_event.started_flow_ids
+        assert event.pinned_slots == oracle_event.pinned_slots
+        assert evictions == oracle_evictions
 
     def test_pre_swap_flows_match_old_model_replay(
         self, splidt_model, splidt_rules, alt_model, alt_rules, small_dataset, oracle
