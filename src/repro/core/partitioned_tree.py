@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.config import SpliDTConfig
 from repro.datasets.materialize import WindowedDataset
 from repro.features.definitions import N_FEATURES
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, fit_level
 
 #: Sentinel leaf outcome kinds.
 OUTCOME_EXIT = "exit"
@@ -317,59 +317,73 @@ def train_partitioned_tree(
         default_label=default_label,
     )
 
-    next_sid = [1]  # boxed counter shared by the recursion
-
-    def allocate_sid() -> int:
-        sid = next_sid[0]
-        next_sid[0] += 1
-        return sid
-
-    def train_recursive(sample_indices: np.ndarray, partition: int) -> int:
-        """Train the subtree for ``partition`` on ``sample_indices``; return its SID."""
-        sid = allocate_sid()
-        X = matrices[partition][sample_indices]
-        y = labels[sample_indices]
-
-        tree = DecisionTreeClassifier(
-            max_depth=config.partition_sizes[partition],
-            max_distinct_features=config.features_per_subtree,
-            min_samples_leaf=config.min_samples_leaf,
-            criterion=config.criterion,
-            random_state=random_state + sid,
+    # A partition at a time: every subtree of partition ``p`` grows in one
+    # lockstep fit.  ``levels[p][i]`` is the i-th subtree of partition ``p``
+    # in the order Algorithm 1's depth-first recursion meets them, as
+    # ``(tree, rows, leaves)``; ``leaves`` pairs each leaf id with its exit
+    # outcome or with the index of its child subtree in ``levels[p + 1]``.
+    levels: list[list[tuple[DecisionTreeClassifier, np.ndarray, list]]] = []
+    groups = [np.arange(n_samples, dtype=np.intp)]
+    for partition, max_depth in enumerate(config.partition_sizes):
+        if not groups:
+            break
+        trees = [
+            DecisionTreeClassifier(
+                max_depth=max_depth,
+                max_distinct_features=config.features_per_subtree,
+                min_samples_leaf=config.min_samples_leaf,
+                criterion=config.criterion,
+            )
+            for _ in groups
+        ]
+        leaf_of = fit_level(
+            trees, matrices[partition], labels, groups, windowed.feature_orders(partition, split)
         )
-        tree.fit(X, y)
+        is_last_partition = partition == config.n_partitions - 1
+        if not is_last_partition:
+            # The level's rows by (subtree, leaf): every leaf holds training
+            # rows, so the runs come in the order of each tree's ``leaves()``.
+            level_rows = np.concatenate(groups)
+            n_nodes = np.array([len(tree.tree_.nodes) for tree in trees])
+            key = np.repeat(np.cumsum(n_nodes) - n_nodes, [group.size for group in groups])
+            key += leaf_of[level_rows]
+            order = np.argsort(key, kind="stable")
+            runs = iter(np.split(level_rows[order], np.flatnonzero(np.diff(key[order])) + 1))
+        level, next_groups = [], []
+        for tree, rows in zip(trees, groups):
+            leaves = []
+            for leaf in tree.tree_.leaves():
+                leaf_rows = None if is_last_partition else next(runs)
+                # A leaf spawns a child subtree only if there is a next
+                # partition, the leaf reached this partition's maximum depth
+                # (early exits stop here) and its samples are not all of one
+                # class (pure leaves have nothing left to learn).
+                mixed = np.count_nonzero(leaf.value) > 1
+                if leaf_rows is not None and leaf.depth >= max_depth and mixed:
+                    leaves.append((leaf.node_id, len(next_groups)))
+                    next_groups.append(leaf_rows)
+                    continue
+                majority = int(tree.classes_[leaf.value.argmax()])
+                leaves.append((leaf.node_id, LeafOutcome(kind=OUTCOME_EXIT, label=majority)))
+            level.append((tree, rows, leaves))
+        levels.append(level)
+        groups = next_groups
 
+    def number(partition: int, index: int) -> int:
+        """Give a subtree and its descendants their SIDs, in the recursion's preorder."""
+        tree, rows, leaves = levels[partition][index]
+        sid = len(model.subtrees) + 1
+        # The seed the recursion gave the subtree's fit (it draws nothing).
+        tree.random_state = random_state + sid
         subtree = Subtree(
-            sid=sid,
-            partition=partition,
-            tree=tree,
-            n_training_samples=int(sample_indices.size),
+            sid=sid, partition=partition, tree=tree, n_training_samples=int(rows.size)
         )
         model.subtrees[sid] = subtree
-
-        leaf_ids = tree.apply(X)
-        is_last_partition = partition == config.n_partitions - 1
-        for leaf in tree.tree_.leaves():
-            leaf_sample_mask = leaf_ids == leaf.node_id
-            leaf_samples = sample_indices[leaf_sample_mask]
-            majority = int(tree.classes_[int(np.argmax(leaf.value))]) if leaf.value.sum() else default_label
-
-            # A leaf spawns a child subtree only if there is a next partition,
-            # the leaf actually reached this partition's maximum depth (early
-            # exits stop here), and there are samples left to specialise on.
-            reached_max_depth = leaf.depth >= config.partition_sizes[partition]
-            if is_last_partition or not reached_max_depth or leaf_samples.size == 0:
-                subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=majority)
-                continue
-
-            # Pure leaves exit early as well — there is nothing left to learn.
-            if np.unique(labels[leaf_samples]).size <= 1:
-                subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=majority)
-                continue
-
-            child_sid = train_recursive(leaf_samples, partition + 1)
-            subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_NEXT, next_sid=child_sid)
+        for leaf, outcome in leaves:
+            if not isinstance(outcome, LeafOutcome):
+                outcome = LeafOutcome(kind=OUTCOME_NEXT, next_sid=number(partition + 1, outcome))
+            subtree.outcomes[leaf] = outcome
         return sid
 
-    train_recursive(np.arange(n_samples, dtype=np.intp), 0)
+    number(0, 0)
     return model

@@ -31,7 +31,7 @@ from repro.core.partitioned_tree import (
     Subtree,
 )
 from repro.ml._tree import Tree
-from repro.switch.tcam import range_to_ternary
+from repro.switch.tcam import prefix_cover_size
 
 #: Width (bits) of the subtree-id match field.
 SID_BITS = 8
@@ -206,12 +206,17 @@ class MarkTable:
         return low, high
 
     def _count_ternary_entries(self) -> int:
+        """``len(range_to_ternary(...))`` summed over the marks' ranges, counted, not built."""
+        max_value = (1 << self.bit_width) - 1
         total = 0
         for mark in range(self.n_ranges):
             low, high = self.range_bounds(mark)
             if high < low:
                 continue
-            total += len(range_to_ternary(low, high, self.bit_width))
+            # Clipped into the key's domain, as the expansion clips it.
+            low, high = (max(0, min(bound, max_value)) for bound in (low, high))
+            if low <= high:
+                total += prefix_cover_size(low, high)
         return total
 
 
@@ -435,30 +440,28 @@ class RuleSet:
 # ----------------------------------------------------------------------
 # Rule generation
 # ----------------------------------------------------------------------
-def _leaf_intervals(tree: Tree, leaf_id: int) -> dict[int, tuple[float, float]]:
-    """Per-feature open/closed float intervals implied by the path to a leaf."""
-    # Walk from the root, tracking (low, high] constraints: left means
-    # value <= threshold, right means value > threshold.
-    intervals: dict[int, tuple[float, float]] = {}
+def _leaf_paths(tree: Tree) -> dict[int, dict[int, tuple[float, float]]]:
+    """Per leaf, the per-feature float intervals its root path implies.
 
-    def descend(node_id: int, bounds: dict[int, tuple[float, float]]) -> bool:
+    One preorder walk tracks ``(low, high]`` constraints: left means
+    ``value <= threshold``, right means ``value > threshold``.
+    """
+    paths: dict[int, dict[int, tuple[float, float]]] = {}
+    stack: list[tuple[int, dict[int, tuple[float, float]]]] = [(0, {})]
+    while stack:
+        node_id, bounds = stack.pop()
         node = tree.nodes[node_id]
-        if node.node_id == leaf_id:
-            intervals.update(bounds)
-            return True
         if node.is_leaf:
-            return False
+            paths[node_id] = bounds
+            continue
         low, high = bounds.get(node.feature, (-np.inf, np.inf))
-        left_bounds = dict(bounds)
-        left_bounds[node.feature] = (low, min(high, node.threshold))
-        if descend(node.left, left_bounds):
-            return True
         right_bounds = dict(bounds)
         right_bounds[node.feature] = (max(low, node.threshold), high)
-        return descend(node.right, right_bounds)
-
-    descend(0, {})
-    return intervals
+        left_bounds = dict(bounds)
+        left_bounds[node.feature] = (low, min(high, node.threshold))
+        stack.append((node.right, right_bounds))
+        stack.append((node.left, left_bounds))
+    return paths
 
 
 def generate_subtree_rules(
@@ -479,8 +482,9 @@ def generate_subtree_rules(
         )
 
     model_rules: list[ModelRule] = []
+    paths = _leaf_paths(tree)
     for leaf in tree.leaves():
-        intervals = _leaf_intervals(tree, leaf.node_id)
+        intervals = paths[leaf.node_id]
         mark_intervals: dict[int, tuple[int, int]] = {}
         for feature, (low, high) in intervals.items():
             table = mark_tables[feature]

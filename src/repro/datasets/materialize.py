@@ -52,6 +52,7 @@ class WindowedDataset:
     train_indices: np.ndarray
     test_indices: np.ndarray
     metadata: dict = field(default_factory=dict)
+    _feature_orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_flows(self) -> int:
@@ -75,6 +76,20 @@ class WindowedDataset:
         """Feature matrix of window ``partition`` for the given split."""
         indices = self._split_indices(split)
         return self.window_features[partition][indices]
+
+    def feature_orders(self, partition: int, split: str = "train") -> np.ndarray:
+        """The rows of :meth:`partition_matrix` stably sorted by each feature.
+
+        ``(n_features, n_rows)``, sorted once per ``(partition, split)`` and
+        read-only: every design-search candidate with this partition count
+        trains its subtrees on the same matrices.
+        """
+        key = (partition, split)
+        if key not in self._feature_orders:
+            orders = np.argsort(self.partition_matrix(partition, split).T, axis=1, kind="stable")
+            orders.flags.writeable = False
+            self._feature_orders[key] = orders
+        return self._feature_orders[key]
 
     def flow_matrix(self, split: str = "train") -> np.ndarray:
         """Whole-flow feature matrix for the given split."""

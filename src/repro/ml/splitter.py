@@ -1,12 +1,13 @@
 """Exact best-split search for CART classification trees from presorted orders.
 
 A tree sorts each candidate feature column once per fit and hands every node
-its rows in each feature's order (``ml/tree.py``); :func:`best_split` scores
-every cut of every candidate feature of a node from those orders with numpy
-prefix sums and never sorts.  That keeps training fast enough to run the
-paper's design-space exploration (hundreds of trees per search) in pure
-Python.  The regression criterion lives with the only regressor, the
-forest in ``ml/forest.py``.
+its rows in each feature's order (``ml/tree.py``).  :func:`best_splits` is
+the step kernel: it scores every cut of every candidate feature of all the
+nodes a growth step pops, in one pass, from those orders with numpy prefix
+sums, and never sorts.  That keeps training fast enough to run the paper's
+design-space exploration (hundreds of trees per search) in pure Python.  The
+regression criterion lives with the only regressor, the forest in
+``ml/forest.py``.
 """
 
 from __future__ import annotations
@@ -84,175 +85,235 @@ def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     raise ValueError(f"unknown criterion: {criterion!r}")
 
 
-def _left_class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """``(F, n, C)`` class counts of each prefix of each row of ``labels``."""
-    return np.cumsum(np.eye(n_classes, dtype=np.int8)[labels], axis=1)
-
-
 def _weighted_impurity(left: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
     """``L·impurity(left) + R·impurity(right)`` of ``(k, C)`` left class counts.
 
-    The counts are exact integers in float, so every sum here is exact and the
-    per-row impurities are those of :func:`_batch_impurity` on any set of rows.
+    ``totals`` holds each row's node class counts.  The counts are exact
+    integers in float, so every sum here is exact and each row's impurities
+    are those of :func:`_batch_impurity` on that row alone.
     """
     sides = np.concatenate([left, totals - left])
     weighted = sides.sum(axis=1) * _batch_impurity(sides, criterion)
     return weighted[: left.shape[0]] + weighted[left.shape[0] :]
 
 
-def _gini_leaders(
-    y: np.ndarray,
-    orders: np.ndarray,
-    class_orders: np.ndarray,
-    valid: np.ndarray,
-    n_classes: int,
-) -> list[tuple[int, int, float]]:
-    """``(feature, cut, score)`` of each feature that can win a gini node.
+def _by_width(widths: np.ndarray):
+    """``(width, positions)`` of each distinct entry of ``widths``.
 
-    A cut into ``L`` and ``R`` rows with class counts ``l_c``, ``r_c`` scores
-    ``L·gini(left) + R·gini(right) = n − Σl_c²/L − Σr_c²/R``, and both sums
-    are exact integers (``int64``, for ``n < 2**26``) with no class axis:
-    walking a feature's order, ``Σl_c²`` grows by ``2·rank + 1`` per row
-    (``rank``: earlier rows of its class), and ``Σr_c² = ΣT_c² − 2·Σ T_c·l_c + Σl_c²`` for class totals
-    ``T``.  ``class_orders`` lists the rows by class, then in the feature's
-    order, so a row's rank is its offset in its class's block.
-
-    That screen score and the reference float score
-    (:func:`_weighted_impurity`) each round by less than ``eps·n`` with
-    ``eps = (C + 4)·2**-53``.  With ``tol = 1e-9·(n + F)``:
-
-    * Features whose best screen score is above ``cutoff`` (the screen
-      minimum plus ``tol``) are dropped.  Every dropped feature's reference
-      score is above ``cutoff − eps·n``, and the screen's argmin feature
-      ``f*`` is kept with a reference score ``tol − 2·eps·n`` below that.
-      The reference rule (``score < best − 1e-12``, in search order) over
-      the kept features then ends where it ends over all of them: the two
-      scans can disagree only after the full one accepts a dropped feature,
-      each later feature lowers the smaller of their two best scores by less
-      than ``1e-12``, so until ``f*`` arrives both stay above
-      ``cutoff − eps·n − F·1e-12``; ``f*`` beats that by more than
-      ``1e-12`` and is accepted by both, after which no dropped feature can
-      be accepted and the scans run in lockstep.
-    * Within a kept feature, every cut that attains (or ties) its reference
-      minimum is within ``2·eps·n < tol`` of its screen minimum, so the
-      reference score is computed only at cuts within ``tol`` of it, and the
-      first of its equal minima is the first such cut attaining it.
+    Rows of class counts are reduced over their own node's class count, never
+    over zero padding: NumPy's pairwise sum groups terms by position, so
+    padding would change the bits of a row with eight classes or more.  When
+    every row has one width, ``positions`` is the slice of all of them.
     """
-    n_features, n = orders.shape
-    labels = y[orders]
-    totals = np.bincount(labels[0], minlength=n_classes)
-    # ``steps[j·N + row]`` is the row's ``2·rank + 1`` in feature j's order:
-    # scattered from the class blocks, gathered back in feature order.
-    lanes = np.arange(0, n_features * y.size, y.size)[:, None]
-    rank = np.arange(n) - np.repeat(np.cumsum(totals) - totals, totals)
-    steps = np.empty(n_features * y.size, dtype=np.intp)
-    steps[class_orders + lanes] = 2 * rank + 1
-    left_sq = np.cumsum(steps[orders + lanes], axis=1)[:, :-1]
-    right_sq = totals @ totals - np.cumsum((2 * totals)[labels], axis=1)[:, :-1] + left_sq
-    left_n = np.arange(1, n)
-    screen = np.where(valid, n - left_sq / left_n - right_sq / (n - left_n), np.inf)
-    best = screen.min(axis=1)
-    tol = 1e-9 * (n + n_features)
-    kept = np.flatnonzero(best <= best.min() + tol)
-    if not np.isfinite(best[kept[0]]):
-        return []
-    near = valid[kept] & (screen[kept] <= best[kept, None] + tol)
-    lane_of, cut_of = np.nonzero(near)
-    left = _left_class_counts(labels[kept], n_classes)[lane_of, cut_of]
-    scores = np.full(near.shape, np.inf)
-    scores[lane_of, cut_of] = _weighted_impurity(left.astype(float), totals.astype(float), "gini")
-    cuts = scores.argmin(axis=1)
-    return list(zip(kept.tolist(), cuts.tolist(), scores[np.arange(kept.size), cuts].tolist()))
+    if not widths.size:
+        return
+    if widths.min() == widths.max():
+        yield int(widths[0]), slice(None)
+        return
+    for width in np.unique(widths).tolist():
+        yield width, (widths == width).nonzero()[0]
 
 
-def best_split(
+def node_impurities(counts: np.ndarray, n_classes: np.ndarray, criterion: str) -> np.ndarray:
+    """:func:`node_impurity` of each row ``counts[i, :n_classes[i]]``, bit for bit."""
+    out = np.empty(counts.shape[0])
+    totals = counts.sum(axis=1)
+    for width, at in _by_width(n_classes):
+        proportions = counts[at, :width] / totals[at, None]
+        if criterion == "gini":
+            out[at] = 1.0 - np.sum(proportions**2, axis=1)
+            continue
+        # The scalar entropy sums only the nonzero proportions, in order.
+        present = proportions > 0
+        entropy = np.empty(proportions.shape[0])
+        for n_present, rows in _by_width(present.sum(axis=1)):
+            nonzero = proportions[rows][present[rows]].reshape(-1, n_present)
+            entropy[rows] = -np.sum(nonzero * np.log2(nonzero), axis=1)
+        out[at] = entropy
+    return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] .. starts[i] + lengths[i] - 1`` for every ``i``, concatenated."""
+    offsets = lengths.cumsum() - lengths
+    return (starts - offsets).repeat(lengths) + np.arange(int(lengths.sum()))
+
+
+def class_major(orders: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Each row of ``orders`` stably sorted by the ``key`` of its entries."""
+    # Keys in the narrowest dtype: NumPy radix-sorts 8- and 16-bit keys.
+    key = key.astype(np.min_scalar_type(key.max(initial=0))).take(orders)
+    by_key = np.argsort(key, axis=1, kind="stable")
+    by_key += np.arange(0, orders.size, orders.shape[1])[:, None]
+    return orders.take(by_key)
+
+
+def best_splits(
     X: np.ndarray,
     y: np.ndarray,
-    rows: np.ndarray,
     orders: np.ndarray,
+    class_orders: np.ndarray | None,
     features: np.ndarray,
+    n_searched: np.ndarray,
+    lengths: np.ndarray,
+    totals: np.ndarray,
+    n_classes: np.ndarray,
+    impurity: np.ndarray,
     *,
     criterion: str,
     min_samples_leaf: int,
-    n_classes: int,
-    impurity: float,
-    class_orders: np.ndarray | None = None,
-) -> Split | None:
-    """The best split of one node among ``features``, from presorted orders.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The best split of every node of a growth step, in one pass.
 
-    Every (feature, cut) is scored; the first feature, in ``features`` order,
-    to lead by more than ``1e-12`` wins, its first minimal cut is the split,
-    and the threshold is the midpoint of the values either side of it.  Only
-    cuts between distinct values that leave ``min_samples_leaf`` rows on each
-    side count.  No split improving impurity by more than ``1e-12`` is
-    ``None``.  Nothing here sorts.
+    The step's nodes are consecutive column ranges of ``orders`` (``(S,
+    M)``): node ``i`` has ``lengths[i]`` rows of ``(X, y)``, class counts
+    ``totals[i, :n_classes[i]]`` (zero after) and impurity ``impurity[i]``,
+    and searches ``features[:n_searched[i], i]`` in that order (``features``
+    may be one column every node searches).  Row ``s`` of its columns lists
+    its rows stably sorted by ``X[:, features[s, i]]`` and, for gini, the
+    same row of ``class_orders`` lists them stably sorted by class within
+    that; rows from ``n_searched[i]`` on are padding, some other row's
+    orders of its rows, and are never cut.  Per node, as a one-node scan
+    does: every cut between distinct values leaving ``min_samples_leaf`` rows
+    each side is scored ``L·impurity(left) + R·impurity(right)``; the first
+    feature to lead by more than ``1e-12`` wins with its first minimal cut
+    and the midpoint threshold; an improvement on ``impurity`` of at most
+    ``1e-12`` is no split.  Nothing here sorts, and no float is summed along
+    a node's rows: class counts are integers.
 
-    Args:
-        X: The training matrix the node's rows index.
-        y: Per training row, the encoded class (``0 .. n_classes - 1``).
-        rows: The node's training rows, ascending.
-        orders: ``orders[j]`` is ``rows`` stably sorted by
-            ``X[:, features[j]]``.
-        features: Candidate feature indices, in search order.
-        criterion: ``"gini"`` or ``"entropy"``.
-        min_samples_leaf: Minimum rows on each side of a split.
-        n_classes: Number of classes.
-        impurity: The node's impurity under ``criterion``.
-        class_orders: Gini only: ``class_orders[j]`` is ``orders[j]`` stably
-            sorted by class.
+    For gini an exact integer screen picks the cuts that can win.  A cut into
+    ``L`` and ``R`` rows with class counts ``l_c``, ``r_c`` scores ``n −
+    Σl_c²/L − Σr_c²/R``, and ``Σr_c² = ΣT_c² − 2·ΣT_c·l_c + Σl_c²`` for the
+    node's class totals ``T``, all exact integers (``n < 2**26``): walking a
+    feature's order, ``Σl_c²`` grows by ``2·rank + 1`` per row (``rank``:
+    earlier rows of its class, its offset in its class's block of the
+    class-major order).  That screen score and the float score each round by
+    less than ``eps·n`` with ``eps = (C + 4)·2**-53``.  With ``tol =
+    1e-9·(n + F)`` (``F`` features searched):
+
+    * Features whose best screen score is above ``cutoff`` (the node's screen
+      minimum plus ``tol``) are dropped.  Every dropped feature's float score
+      is above ``cutoff − eps·n``, and the screen's argmin feature ``f*`` is
+      kept with a float score ``tol − 2·eps·n`` below that.  The rule
+      (``score < best − 1e-12``, in search order) over the kept features
+      then ends where it ends over all of them: the two scans can disagree
+      only after the full one accepts a dropped feature, each later feature
+      lowers the smaller of their two best scores by less than ``1e-12``, so
+      until ``f*`` arrives both stay above ``cutoff − eps·n − F·1e-12``;
+      ``f*`` beats that by more than ``1e-12`` and is accepted by both, after
+      which no dropped feature can be accepted and the scans run in lockstep.
+    * Within a kept feature, every cut that attains (or ties) its float
+      minimum is within ``2·eps·n < tol`` of its screen minimum, so the float
+      score is computed only at cuts within ``tol`` of it, and the first of
+      its equal minima is the first such cut attaining it.
+
+    Returns ``(found, feature, threshold, improvement)`` per node.
     """
-    n = rows.size
-    if n < 2 * min_samples_leaf or features.size == 0:
-        return None
-    values = X[orders, features[:, None]]
-    valid = values[:, :-1] != values[:, 1:]
-    valid[:, : min_samples_leaf - 1] = False
-    valid[:, n - min_samples_leaf :] = False
+    n_lanes, width = orders.shape
+    n_nodes = lengths.size
+    n_rows = X.shape[0]
+    start = lengths.cumsum() - lengths
+    node_of = np.arange(n_nodes).repeat(lengths)
+    n = lengths[node_of]
+    pos = np.arange(width) - start[node_of]
+    lane = np.arange(n_lanes)[:, None]
+    # Gathers are flat ``take``s, a column at a time: ``X.T`` is a copy
+    # unless ``X`` is column-major.
+    feature_of = features if features.shape[1] == 1 else features[:, node_of]
+    values = X.T.ravel().take(feature_of * n_rows + orders)
+    valid = np.zeros(orders.shape, dtype=bool)
+    np.not_equal(values[:, :-1], values[:, 1:], out=valid[:, :-1])
+    valid &= (pos >= min_samples_leaf - 1) & (pos < n - min_samples_leaf)
+    if n_searched.min() < n_lanes:
+        valid &= lane < n_searched[node_of]
 
     if criterion == "gini":
-        leaders = _gini_leaders(y, orders, class_orders, valid, n_classes)
+        # Every lane of a node's columns holds its rows, so the row at a
+        # column of the class-major order has a class (and a rank) that
+        # depends on the column only.  Scattered per (lane, row), gathered
+        # back in feature order: a step's nodes share no row.
+        per_class = totals.ravel()
+        block_start = (start[:, None] + totals.cumsum(axis=1) - totals).ravel()
+        rank = np.arange(width) - block_start.repeat(per_class)
+        by_lane = lane * n_rows
+        scratch = np.empty(n_lanes * n_rows, dtype=np.intp)
+        scratch[by_lane + class_orders] = 2 * rank + 1
+        left_sq = scratch.take(by_lane + orders)
+        class_total = np.empty(n_rows, dtype=np.intp)
+        class_total[class_orders[0]] = per_class.repeat(per_class)
+        crossed = class_total.take(orders)
+        # A node's entries of either sum to ΣT_c²: taking the previous
+        # node's off at each node's first column restarts one running sum.
+        node_sq = np.einsum("ij,ij->i", totals, totals)
+        if n_nodes > 1:
+            left_sq[:, start[1:]] -= node_sq[:-1]
+            crossed[:, start[1:]] -= node_sq[:-1]
+        left_sq.cumsum(axis=1, out=left_sq)
+        crossed.cumsum(axis=1, out=crossed)
+        # ``crossed`` becomes ``Σr_c²``, then the screen ``n − Σl_c²/L − Σr_c²/R``.
+        crossed *= -2
+        crossed += left_sq
+        crossed += node_sq[node_of]
+        left_n = pos + 1
+        # Padding cuts get a dummy right count: they are not valid anyway.
+        screen = np.subtract(n, left_sq / left_n)
+        screen -= crossed / np.maximum(n - left_n, 1)
+        screen[~valid] = np.inf
+        pair_best = np.minimum.reduceat(screen, start, axis=1)
+        tol = 1e-9 * (lengths + n_searched)
+        kept = (pair_best <= pair_best.min(axis=0) + tol) & (pair_best < np.inf)
     else:
-        counts = _left_class_counts(y[orders], n_classes)
-        left = counts[:, :-1].astype(float).reshape(-1, n_classes)
-        scores = _weighted_impurity(left, counts[0, -1].astype(float), criterion)
-        scores = np.where(valid, scores.reshape(features.size, n - 1), np.inf)
-        cuts = scores.argmin(axis=1)
-        leaders = [
-            (j, int(cut), float(scores[j, cut]))
-            for j, cut in enumerate(cuts)
-            if valid[j, cut]
-        ]
+        kept = lane < n_searched
+    # Only the kept (lane, node) pairs are scored, as one flat run of segments.
+    kept_lane, kept_node = kept.nonzero()
+    lead = np.full(kept.shape, np.inf)
+    first_cut = np.zeros(kept.shape, dtype=np.intp)
+    if kept_lane.size:
+        kept_len = lengths[kept_node]
+        kept_start = kept_len.cumsum() - kept_len
+        flat_column = _ranges(start[kept_node], kept_len)
+        flat = (kept_lane * width).repeat(kept_len) + flat_column
+        scored = valid.take(flat)
+        if criterion == "gini":
+            bound = (pair_best[kept_lane, kept_node] + tol[kept_node]).repeat(kept_len)
+            scored &= screen.take(flat) <= bound
+        # Class counts left of every cut of the kept pairs.
+        left = np.eye(totals.shape[1], dtype=np.intp)[y.take(orders.take(flat))]
+        if kept_node.size > 1:
+            left[kept_start[1:]] -= totals[kept_node[:-1]]
+        left.cumsum(axis=0, out=left)
+        at = scored.nonzero()[0]
+        at_node = kept_node.repeat(kept_len)[at]
+        score = np.full(flat.size, np.inf)
+        for n_cls, group in _by_width(n_classes[at_node]):
+            score[at[group]] = _weighted_impurity(
+                left[at[group], :n_cls].astype(float),
+                totals[at_node[group], :n_cls].astype(float),
+                criterion,
+            )
+        kept_lead = np.minimum.reduceat(score, kept_start)
+        lead[kept_lane, kept_node] = kept_lead
+        first_cut[kept_lane, kept_node] = np.minimum.reduceat(
+            np.where(score == kept_lead.repeat(kept_len), flat_column, width), kept_start
+        )
 
-    best = None
-    best_score = np.inf
-    for j, cut, score in leaders:
-        if score < best_score - 1e-12:
-            best, best_score = (j, cut), score
-    if best is None:
-        return None
-    improvement = (n * impurity - best_score) / n
-    if improvement <= 1e-12:
-        return None
-    j, cut = best
-    below, above = values[j, cut], values[j, cut + 1]
-    threshold = float((below + above) / 2.0)
+    best = np.full(n_nodes, np.inf)
+    chosen = np.zeros(n_nodes, dtype=np.intp)
+    # Rows without a kept pair lead nowhere.
+    for row in np.unique(kept_lane).tolist():
+        score_at = lead[row]
+        better = score_at < best - 1e-12
+        best[better] = score_at[better]
+        chosen[better] = row
+    improvement = (lengths * impurity - best) / lengths
+    nodes = np.arange(n_nodes)
+    cut = np.minimum(first_cut[chosen, nodes], width - 2)
+    below, above = values[chosen, cut], values[chosen, cut + 1]
+    threshold = (below + above) / 2.0
     # Guard against degenerate midpoints caused by float rounding.
-    if threshold >= above:
-        threshold = float(below)
-    feature = int(features[j])
-    return Split(
-        feature=feature,
-        threshold=threshold,
-        improvement=float(improvement),
-        left_mask=X[rows, feature] <= threshold,
-    )
-
-
-def class_major(orders: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each row of ``orders`` stably sorted by the classes ``y`` of its rows."""
-    # Labels in the narrowest dtype: NumPy radix-sorts 8- and 16-bit keys.
-    labels = y.astype(np.min_scalar_type(y.max(initial=0)))[orders]
-    return np.take_along_axis(orders, np.argsort(labels, axis=1, kind="stable"), axis=1)
+    threshold = np.where(threshold >= above, below, threshold)
+    feature = features[chosen, nodes if features.shape[1] > 1 else 0]
+    return improvement > 1e-12, feature, threshold, improvement
 
 
 def find_best_split(
@@ -271,8 +332,8 @@ def find_best_split(
     """Search ``allowed_features`` for the split with maximal impurity decrease.
 
     One node on its own: sorts the node's candidate columns and runs
-    :func:`best_split`.  A tree does not come through here; it sorts once
-    per fit and calls :func:`best_split` at every node.
+    :func:`best_splits` on it.  A tree does not come through here; it sorts
+    once per fit and scores every node of a growth step in one call.
 
     Args:
         X: Node sample matrix ``(n_samples, n_features)`` — or, when
@@ -300,21 +361,33 @@ def find_best_split(
     features = np.asarray(allowed_features, dtype=np.intp)
     if max_features is not None and max_features < features.size:
         features = rng.choice(features, size=max_features, replace=False)
+    if features.size == 0:
+        return None
 
     X = np.asarray(X if indices is None else X[indices], dtype=float)
-    orders = np.argsort(X.T[features], axis=1, kind="stable")
+    counts = np.bincount(y, minlength=n_classes)
     if impurity is None:
-        impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
-    class_orders = class_major(orders, y) if criterion == "gini" else None
-    return best_split(
+        impurity = node_impurity(counts.astype(float), criterion)
+    orders = np.argsort(X.T[features], axis=1, kind="stable")
+    found, feature, threshold, improvement = best_splits(
         X,
         y,
-        np.arange(n_samples),
         orders,
-        features,
+        class_major(orders, y) if criterion == "gini" else None,
+        features[:, None],
+        np.array([features.size]),
+        np.array([n_samples]),
+        counts[None],
+        np.array([n_classes]),
+        np.array([impurity]),
         criterion=criterion,
         min_samples_leaf=min_samples_leaf,
-        n_classes=n_classes,
-        impurity=impurity,
-        class_orders=class_orders,
+    )
+    if not found[0]:
+        return None
+    return Split(
+        feature=int(feature[0]),
+        threshold=float(threshold[0]),
+        improvement=float(improvement[0]),
+        left_mask=X[:, feature[0]] <= threshold[0],
     )

@@ -12,7 +12,7 @@ from repro.switch.hashing import FlowIndexer, crc32, crc32_reference, hash_five_
 from repro.switch.phv import Phv, make_control_phv, make_data_phv
 from repro.switch.recirculation import RecirculationChannel
 from repro.switch.targets import BLUEFIELD3, TARGETS, TOFINO1, TOFINO2, TRIDENT4, TargetSpec, get_target
-from repro.switch.tcam import TernaryMatch, range_to_ternary
+from repro.switch.tcam import TernaryMatch
 
 __all__ = [
     "BLUEFIELD3",
@@ -31,6 +31,5 @@ __all__ = [
     "hash_five_tuple",
     "make_control_phv",
     "make_data_phv",
-    "range_to_ternary",
     "register_index",
 ]

@@ -24,6 +24,23 @@ class TernaryMatch:
         return (key & self.mask) == (self.value & self.mask)
 
 
+def prefix_cover_size(low: int, high: int) -> int:
+    """``len(range_to_ternary(low, high, width))`` for ``0 <= low <= high < 2**width``.
+
+    The greedy cover climbs from ``low`` to the aligned boundary ``split``
+    with one block per set bit of ``split - low``, then descends to ``high``
+    with one per set bit of ``high + 1 - split``; ``split`` is ``high`` with
+    every bit below the highest one where ``low`` and ``high`` differ
+    cleared.  The two halves merge only when the range is itself one
+    aligned block.
+    """
+    span = (low ^ high).bit_length()
+    if low & ((1 << span) - 1) == 0 and high - low + 1 == 1 << span:
+        return 1
+    split = high >> (span - 1) << (span - 1)
+    return (split - low).bit_count() + (high + 1 - split).bit_count()
+
+
 def range_to_ternary(low: int, high: int, width: int) -> list[TernaryMatch]:
     """Expand the inclusive integer range ``[low, high]`` into ternary matches.
 

@@ -6,21 +6,32 @@ every cut between distinct values with float class counts (or target sums),
 and keeps the first feature to lead by more than ``1e-12``.
 ``grow_reference`` grows a whole tree with it the way the estimators did
 before they carried per-fit sorted orders: every node gathers its own rows,
-draws its ``max_features`` subset, and sorts again.
+draws its ``max_features`` subset, and sorts again.  ``train_reference``
+trains a partitioned tree the way Algorithm 1 reads: depth first, one
+subtree at a time, each grown by ``grow_reference``.
 
-The production kernels — ``splitter.best_split`` (gini, entropy) and the
-forest's step kernel (mse, ``ml/forest.py``) — must return what
-``best_split_over`` returns, bit for bit, and every tree a classifier or a
-forest grows must be the tree ``grow_reference`` grows on its rows, node for
-node (``tests/test_ml_splitter.py``).
+The production step kernels — ``splitter.best_splits`` (gini, entropy) and
+the forest's (mse, ``ml/forest.py``) — must return what ``best_split_over``
+returns, bit for bit; every tree a classifier or a forest grows must be the
+tree ``grow_reference`` grows on its rows, node for node; and every
+partitioned tree ``core.train_partitioned_tree`` trains level by level must
+be ``train_reference``'s, field for field (``tests/test_ml_splitter.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.partitioned_tree import (
+    OUTCOME_EXIT,
+    OUTCOME_NEXT,
+    LeafOutcome,
+    PartitionedDecisionTree,
+    Subtree,
+)
 from repro.ml._tree import LEAF, Tree
 from repro.ml.splitter import CLASSIFICATION_CRITERIA, Split, _batch_impurity, node_impurity
+from repro.ml.tree import DecisionTreeClassifier
 
 
 def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -205,3 +216,67 @@ def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
 
     grow(np.arange(X.shape[0], dtype=np.intp), 0)
     return tree
+
+
+def train_reference(windowed, config, *, split: str = "train", random_state: int = 0):
+    """The partitioned tree of ``config`` on ``windowed``, by Algorithm 1's recursion.
+
+    Depth first: a subtree takes the next SID, is grown by ``grow_reference``
+    on its rows of its partition's matrix, and each of its leaves in node-id
+    order either exits with its majority class or recurses into the next
+    partition on the leaf's rows — when the leaf is at the partition's depth
+    and its rows are not all of one class.
+    """
+    labels = windowed.split_labels(split)
+    matrices = [windowed.partition_matrix(p, split) for p in range(config.n_partitions)]
+    model = PartitionedDecisionTree(
+        config=config,
+        subtrees={},
+        root_sid=1,
+        n_classes=windowed.n_classes,
+        class_names=list(windowed.class_names),
+        default_label=int(np.bincount(labels).argmax()),
+    )
+
+    def train(rows: np.ndarray, partition: int) -> int:
+        sid = len(model.subtrees) + 1
+        X, y = matrices[partition][rows], labels[rows]
+        max_depth = config.partition_sizes[partition]
+        estimator = DecisionTreeClassifier(
+            max_depth=max_depth,
+            max_distinct_features=config.features_per_subtree,
+            min_samples_leaf=config.min_samples_leaf,
+            criterion=config.criterion,
+            random_state=random_state + sid,
+        )
+        estimator.n_features_in_ = X.shape[1]
+        estimator.classes_ = np.unique(y)
+        estimator.n_classes_ = int(estimator.classes_.size)
+        estimator.tree_ = grow_reference(estimator, X, y)
+        subtree = Subtree(
+            sid=sid, partition=partition, tree=estimator, n_training_samples=int(rows.size)
+        )
+        model.subtrees[sid] = subtree
+        leaf_ids = estimator.tree_.apply(X)
+        for leaf in estimator.tree_.leaves():
+            leaf_rows = rows[leaf_ids == leaf.node_id]
+            majority = (
+                int(estimator.classes_[int(np.argmax(leaf.value))])
+                if leaf.value.sum()
+                else model.default_label
+            )
+            if (
+                partition == config.n_partitions - 1
+                or leaf.depth < max_depth
+                or leaf_rows.size == 0
+                or np.unique(labels[leaf_rows]).size <= 1
+            ):
+                subtree.outcomes[leaf.node_id] = LeafOutcome(kind=OUTCOME_EXIT, label=majority)
+            else:
+                subtree.outcomes[leaf.node_id] = LeafOutcome(
+                    kind=OUTCOME_NEXT, next_sid=train(leaf_rows, partition + 1)
+                )
+        return sid
+
+    train(np.arange(labels.size, dtype=np.intp), 0)
+    return model

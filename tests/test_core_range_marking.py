@@ -4,9 +4,46 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.range_marking import FeatureQuantizer, MarkTable, generate_rules
+from repro.core.range_marking import (
+    FeatureQuantizer,
+    MarkTable,
+    generate_rules,
+    generate_subtree_rules,
+)
 from repro.core.partitioned_tree import OUTCOME_EXIT
+from repro.switch.tcam import prefix_cover_size, range_to_ternary
+
+
+@st.composite
+def _thresholds(draw):
+    """A width and thresholds in its domain, often at or next to its ends."""
+    width = draw(st.integers(1, 32))
+    top = (1 << width) - 1
+    edge = st.sampled_from([0, 1, top - 1, top]).map(lambda v: min(max(v, 0), top))
+    thresholds = draw(st.lists(st.integers(0, top) | edge, max_size=8))
+    return width, thresholds
+
+
+def _leaf_intervals_by_search(tree, leaf_id):
+    """The path intervals of one leaf, searched for from the root (the old way)."""
+    intervals = {}
+
+    def descend(node_id, bounds):
+        node = tree.nodes[node_id]
+        if node.node_id == leaf_id:
+            intervals.update(bounds)
+            return True
+        if node.is_leaf:
+            return False
+        low, high = bounds.get(node.feature, (-np.inf, np.inf))
+        if descend(node.left, {**bounds, node.feature: (low, min(high, node.threshold))}):
+            return True
+        return descend(node.right, {**bounds, node.feature: (max(low, node.threshold), high)})
+
+    descend(0, {})
+    return intervals
 
 
 class TestFeatureQuantizer:
@@ -80,6 +117,26 @@ class TestMarkTable:
         with pytest.raises(ValueError):
             table.range_bounds(5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_thresholds())
+    def test_ternary_entry_count_is_the_prefix_expansion(self, case):
+        # Counted arithmetically; built, the expansion has as many entries.
+        width, thresholds = case
+        table = MarkTable(sid=1, feature=0, thresholds=thresholds, bit_width=width)
+        expected = 0
+        for mark in range(table.n_ranges):
+            low, high = table.range_bounds(mark)
+            if high >= low:
+                expected += len(range_to_ternary(low, high, width))
+        assert table.n_ternary_entries == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_thresholds())
+    def test_prefix_cover_size_is_the_expansion_length(self, case):
+        width, bounds = case
+        low, high = sorted((bounds + [0, (1 << width) - 1])[:2])
+        assert prefix_cover_size(low, high) == len(range_to_ternary(low, high, width))
+
 
 class TestRuleGeneration:
     def test_every_subtree_has_rules(self, splidt_model, splidt_rules):
@@ -129,6 +186,18 @@ class TestRuleGeneration:
                 total += 1
         assert total > 0
         assert agreements / total >= 0.9
+
+    def test_leaf_paths_equal_a_search_from_the_root(self, splidt_model, splidt_rules):
+        # One preorder walk gives every leaf the intervals a per-leaf search
+        # from the root finds, so the compiled rules are those of the search.
+        quantizer = splidt_rules.quantizer
+        for sid, subtree in splidt_model.subtrees.items():
+            tree = subtree.tree.tree_
+            rules = generate_subtree_rules(subtree, quantizer)
+            assert rules == splidt_rules.subtree_rules[sid]
+            for leaf, rule in zip(tree.leaves(), rules.model_rules):
+                intervals = _leaf_intervals_by_search(tree, leaf.node_id)
+                assert list(rule.mark_intervals) == list(intervals)
 
     def test_classify_unknown_sid_returns_none(self, splidt_rules, windowed3):
         assert splidt_rules.classify(9999, windowed3.window_features[0, 0, :]) is None

@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import SpliDTConfig, train_partitioned_tree
+from repro.datasets.materialize import WindowedDataset
 from repro.ml import DecisionTreeClassifier, RandomForestRegressor
 from repro.ml.forest import _best_splits, _moments
+from repro.ml.tree import fit_level
 from repro.ml.splitter import (
-    _gini_leaders,
-    best_split,
+    best_splits,
     class_major,
     entropy_impurity,
     find_best_split,
     gini_impurity,
+    node_impurities,
     node_impurity,
 )
-from split_oracle import best_split_over, grow_reference
+from split_oracle import best_split_over, grow_reference, train_reference
 
 
 def _regression_root(X, y):
@@ -254,14 +257,6 @@ def _node_targets(y, criterion, seed):
     return rng.normal(size=y.size)
 
 
-def _presorted(X, y, rows, features, criterion):
-    """What a tree carries to the node ``rows``: a stable partition of its fit's sort."""
-    orders = np.argsort(X.T[features], axis=1, kind="stable")
-    orders = orders[np.isin(orders, rows)].reshape(features.size, rows.size)
-    class_orders = class_major(orders, y) if criterion == "gini" else None
-    return orders, class_orders
-
-
 def _impurity(y, criterion, n_classes):
     if criterion == "mse":
         return float(np.var(y))
@@ -344,8 +339,82 @@ def _assert_step_kernel_equals_the_oracle(seed, n, kinds, n_classes, min_samples
         _assert_same_split(got, expected)
 
 
+def _class_step_kernel(X, y, nodes, searched, n_classes, criterion, min_samples_leaf):
+    """The classifier's step kernel on a batch of nodes, laid out as a tree's step lays them.
+
+    ``nodes`` lists each node's rows of ``(X, y)`` (ascending); node ``i``
+    has ``n_classes[i]`` classes and searches ``searched[i]``.  Each node's
+    columns hold its rows stably sorted by each searched feature — and by
+    class within that, for gini — and its padding rows repeat its first.
+    Returns the node impurities and ``(found, feature, threshold,
+    improvement)`` per node.
+    """
+    n_lanes = max(len(features) for features in searched)
+    width = max(n_classes)
+    orders, class_orders, features = [], [], []
+    for rows, node_features in zip(nodes, searched):
+        padded = np.concatenate(
+            [node_features, np.repeat(node_features[:1], n_lanes - len(node_features))]
+        )
+        node_orders = np.stack([rows[np.argsort(X[rows, f], kind="stable")] for f in padded])
+        orders.append(node_orders)
+        class_orders.append(class_major(node_orders, y))
+        features.append(padded)
+    totals = np.array([np.bincount(y[rows], minlength=width) for rows in nodes])
+    impurity = node_impurities(totals, np.array(n_classes), criterion)
+    found = best_splits(
+        X, y, np.hstack(orders), np.hstack(class_orders) if criterion == "gini" else None,
+        np.array(features).T, np.array([len(f) for f in searched]),
+        np.array([rows.size for rows in nodes]), totals, np.array(n_classes), impurity,
+        criterion=criterion, min_samples_leaf=min_samples_leaf,
+    )
+    return impurity, found
+
+
+def _assert_class_step_kernel_equals_the_oracle(
+    criterion, seed, n, kinds, n_classes, min_samples_leaf, max_features
+):
+    """A gini/entropy batch mixing node lengths 1–300, class counts and search sets."""
+    rng = np.random.default_rng(seed)
+    lengths = [n, 1, 2, 127, 128, 129, *rng.integers(1, 301, size=2)]
+    lengths = rng.permutation(lengths).tolist()
+    owner = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+    X = np.empty((owner.size, len(kinds)))
+    y = np.empty(owner.size, dtype=np.intp)
+    nodes, classes, searched = [], [], []
+    for i, length in enumerate(lengths):
+        rows = np.flatnonzero(owner == i)
+        node_classes = int(rng.integers(1, n_classes + 1))
+        X[rows], y[rows] = _adversarial_node(seed + i, length, kinds, node_classes, i % 2 == 0)
+        features = rng.permutation(len(kinds))
+        if max_features is not None:
+            features = features[: int(rng.integers(1, max_features + 1))]
+        nodes.append(rows)
+        classes.append(node_classes)
+        searched.append(features)
+    impurity, (found, feature, threshold, improvement) = _class_step_kernel(
+        X, y, nodes, searched, classes, criterion, min_samples_leaf
+    )
+    for i, rows in enumerate(nodes):
+        counts = np.bincount(y[rows], minlength=classes[i]).astype(float)
+        assert impurity[i].hex() == node_impurity(counts, criterion).hex()
+        expected = best_split_over(
+            X, y[rows], searched[i], criterion=criterion, min_samples_leaf=min_samples_leaf,
+            n_classes=classes[i], indices=rows, impurity=float(impurity[i]),
+        )
+        if expected is None:
+            assert not found[i]
+            continue
+        assert found[i]
+        got = SimpleNamespace(
+            feature=int(feature[i]), threshold=float(threshold[i]),
+            improvement=float(improvement[i]), left_mask=X[rows, feature[i]] <= threshold[i],
+        )
+        _assert_same_split(got, expected)
+
+
 class TestSplitKernel:
-    """``best_split`` against the reference scan of ``tests/split_oracle.py``."""
+    """The step kernels against the reference scan of ``tests/split_oracle.py``."""
 
     @pytest.mark.parametrize("criterion", _CRITERIA)
     @settings(max_examples=200, deadline=None)
@@ -367,30 +436,10 @@ class TestSplitKernel:
                 seed, n, kinds, n_classes, min_samples_leaf, max_features
             )
             return
-        # The node is an ascending subset of the rows of a larger matrix, as
-        # in a tree; its orders are the stable partition of a global sort.
-        X, labels = _adversarial_node(seed, n, kinds, n_classes, balanced)
-        node_y = _node_targets(labels, criterion, seed)
-        rng = np.random.default_rng(seed)
-        rows = np.sort(rng.permutation(2 * n)[:n])
-        full_X = rng.normal(size=(2 * n, len(kinds)))
-        full_X[rows] = X
-        full_y = np.zeros(2 * n, dtype=node_y.dtype)
-        full_y[rows] = node_y
-        features = rng.permutation(len(kinds))
-        if max_features is not None and max_features < features.size:
-            features = rng.choice(features, size=max_features, replace=False)
-        orders, class_orders = _presorted(full_X, full_y, rows, features, criterion)
-        impurity = _impurity(node_y, criterion, n_classes)
-        common = dict(criterion=criterion, min_samples_leaf=min_samples_leaf, n_classes=n_classes)
-        got = best_split(
-            full_X, full_y, rows, orders, features, impurity=impurity,
-            class_orders=class_orders, **common,
+        # The classifier's step kernel scores a batch of nodes at once too.
+        _assert_class_step_kernel_equals_the_oracle(
+            criterion, seed, n, kinds, n_classes, min_samples_leaf, max_features
         )
-        expected = best_split_over(
-            full_X, node_y, features, indices=rows, impurity=impurity, **common
-        )
-        _assert_same_split(got, expected)
 
     @pytest.mark.parametrize("criterion", ("gini", "entropy"))
     @settings(max_examples=100, deadline=None)
@@ -484,37 +533,28 @@ class TestSplitKernel:
             best_of.append(max(cuts, default=None))
         attained = [d for d in best_of if d is not None]
 
-        rows, features = np.arange(n), np.arange(len(kinds))
-        orders, class_orders = _presorted(X, y, rows, features, "gini")
-        split = best_split(
-            X, y, rows, orders, features, criterion="gini", min_samples_leaf=min_samples_leaf,
-            n_classes=n_classes, impurity=_impurity(y, "gini", n_classes),
-            class_orders=class_orders,
+        split = find_best_split(
+            X, y, allowed_features=np.arange(len(kinds)), criterion="gini",
+            min_samples_leaf=min_samples_leaf, n_classes=n_classes,
+            rng=np.random.default_rng(0),
         )
         if split is None:
             assert n < 2 * min_samples_leaf or max(attained, default=0) <= 1e-9
             return
         assert max(attained) - decrease(split.left_mask) <= 1e-9
         assert abs(split.improvement - decrease(split.left_mask)) <= 1e-9
-        # The integer screen keeps every feature whose best cut is the best.
-        values = X[orders, features[:, None]]
-        valid = values[:, :-1] != values[:, 1:]
-        valid[:, : min_samples_leaf - 1] = False
-        valid[:, n - min_samples_leaf :] = False
-        leaders = _gini_leaders(y, orders, class_orders, valid, n_classes)
-        kept = {feature for feature, _, _ in leaders}
-        assert all(
-            feature in kept
-            for feature in range(len(kinds))
-            if best_of[feature] is not None and best_of[feature] == max(attained)
-        )
+        # Two distinct decreases of a node this small differ by far more
+        # than 1e-12, so the first feature in search order to attain the
+        # best wins: the integer screen drops no feature that ties for it.
+        assert split.feature == next(f for f, best in enumerate(best_of) if best == max(attained))
 
 
 def _assert_same_tree(got, expected):
+    assert (got.n_features, got.n_outputs) == (expected.n_features, expected.n_outputs)
     assert len(got.nodes) == len(expected.nodes)
     for a, b in zip(got.nodes, expected.nodes):
-        assert (a.feature, a.left, a.right, a.depth, a.n_samples) == (
-            b.feature, b.left, b.right, b.depth, b.n_samples
+        assert (a.node_id, a.feature, a.left, a.right, a.depth, a.n_samples) == (
+            b.node_id, b.feature, b.left, b.right, b.depth, b.n_samples
         )
         assert float(a.threshold).hex() == float(b.threshold).hex()
         assert float(a.impurity).hex() == float(b.impurity).hex()
@@ -601,3 +641,150 @@ class TestTreeGrowth:
         )
         estimator = DecisionTreeClassifier(criterion=criterion, **params).fit(X, y)
         _assert_same_tree(estimator.tree_, grow_reference(estimator, X, y))
+
+
+def _assert_same_estimator(got, expected):
+    """Two fitted classifiers, field for field."""
+    params = (
+        "max_depth", "min_samples_split", "min_samples_leaf", "criterion",
+        "max_distinct_features", "max_features", "allowed_features",
+    )
+    assert [getattr(got, p) for p in params] == [getattr(expected, p) for p in params]
+    assert (got.random_state, got.n_features_in_, got.n_classes_) == (
+        expected.random_state, expected.n_features_in_, expected.n_classes_
+    )
+    assert got.classes_.dtype == expected.classes_.dtype
+    np.testing.assert_array_equal(got.classes_, expected.classes_)
+    _assert_same_tree(got.tree_, expected.tree_)
+
+
+def _windowed(seed, n, n_features, n_classes, n_partitions):
+    """A small windowed dataset whose columns tie, repeat and separate classes.
+
+    Each window column is a few integers, a rounded continuous value or (one
+    in ten) a constant.  Labels are a noisy binning of a random mix of every
+    window's columns, so subtrees keep splitting in later partitions; the
+    rows at the minimum of window 0's first column are all of class 0, so
+    pure leaves exit early.  The train split is a random 70%.
+    """
+    rng = np.random.default_rng(seed)
+    windows = np.empty((n_partitions, n, n_features))
+    for window in windows:
+        for column in window.T:
+            kind = rng.choice(3, p=[0.45, 0.45, 0.1])
+            if kind == 0:
+                column[:] = rng.integers(0, int(rng.integers(2, 6)), size=n)
+            elif kind == 1:
+                column[:] = np.round(rng.normal(size=n), 1)
+            else:
+                column[:] = float(rng.integers(-2, 3))
+    score = np.einsum("pnf,pf->n", windows, rng.normal(size=(n_partitions, n_features)))
+    labels = np.searchsorted(np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]), score)
+    noisy = rng.random(n) < 0.2
+    labels[noisy] = rng.integers(0, n_classes, size=int(noisy.sum()))
+    first = windows[0, :, 0]
+    if first.min() < first.max():
+        labels[first == first.min()] = 0
+    train = np.sort(rng.permutation(n)[: max(2, int(0.7 * n))])
+    return WindowedDataset(
+        name="fuzz",
+        n_partitions=n_partitions,
+        window_features=windows,
+        flow_features=windows[-1],
+        packet_features=windows[0],
+        labels=labels,
+        class_names=[f"c{c}" for c in range(n_classes)],
+        train_indices=train,
+        test_indices=np.setdiff1d(np.arange(n), train),
+    )
+
+
+class TestLevelGrowth:
+    """A level's trees grown in lockstep against each tree grown alone, and
+    whole partitioned trees against Algorithm 1's recursion
+    (``split_oracle.train_reference``)."""
+
+    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 160),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6),
+        n_classes=st.integers(1, 6),
+        n_trees=st.integers(1, 6),
+        max_depth=st.none() | st.integers(1, 6),
+        min_samples_leaf=st.integers(1, 4),
+        min_samples_split=st.integers(2, 6),
+        budget=st.none() | st.integers(1, 4),
+        max_features=st.none() | st.integers(1, 5),
+        restrict=st.booleans(),
+    )
+    def test_level_fit_equals_the_oracle(
+        self, criterion, seed, n, kinds, n_classes, n_trees, max_depth, min_samples_leaf,
+        min_samples_split, budget, max_features, restrict,
+    ):
+        X, labels = _adversarial_node(seed, n, kinds, max(n_classes, 2), seed % 2 == 0)
+        y = labels % n_classes
+        rng = np.random.default_rng(seed)
+        # Disjoint ascending groups; some rows belong to none.
+        owner = rng.integers(-1, n_trees, size=n)
+        owner[rng.permutation(n)[: min(n, n_trees)]] = np.arange(min(n, n_trees))
+        groups = [np.flatnonzero(owner == t) for t in range(min(n, n_trees))]
+        allowed = None
+        if restrict:
+            allowed = sorted(rng.choice(len(kinds), size=int(rng.integers(1, len(kinds) + 1))))
+        params = dict(
+            criterion=criterion, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split, max_distinct_features=budget,
+            max_features=max_features, allowed_features=allowed,
+        )
+        trees = [
+            DecisionTreeClassifier(**params, random_state=seed % 1000 + t)
+            for t in range(len(groups))
+        ]
+        leaf_of = fit_level(trees, X, y, groups)
+        for tree, rows in zip(trees, groups):
+            alone = DecisionTreeClassifier(**params, random_state=tree.random_state)
+            alone.n_features_in_ = X.shape[1]
+            alone.classes_ = np.unique(y[rows])
+            alone.n_classes_ = int(alone.classes_.size)
+            alone.tree_ = grow_reference(alone, X[rows], y[rows])
+            _assert_same_estimator(tree, alone)
+            np.testing.assert_array_equal(leaf_of[rows], alone.tree_.apply(X[rows]))
+        assert (leaf_of[owner == -1] == -1).all()
+
+    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 200),
+        n_features=st.integers(1, 6),
+        n_classes=st.integers(2, 5),
+        partition_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        budget=st.integers(1, 7),
+        min_samples_leaf=st.sampled_from([1, 5]),
+    )
+    def test_partitioned_tree_equals_the_oracle(
+        self, criterion, seed, n, n_features, n_classes, partition_sizes, budget, min_samples_leaf,
+    ):
+        # P 1-5 with uneven partition depths; a budget that binds (below the
+        # feature count) or does not; early exits on pure leaves.
+        windowed = _windowed(seed, n, n_features, n_classes, len(partition_sizes))
+        config = SpliDTConfig(
+            depth=sum(partition_sizes), features_per_subtree=budget,
+            partition_sizes=tuple(partition_sizes), min_samples_leaf=min_samples_leaf,
+            criterion=criterion,
+        )
+        got = train_partitioned_tree(windowed, config, random_state=seed % 1000)
+        expected = train_reference(windowed, config, random_state=seed % 1000)
+        assert (got.root_sid, got.n_classes, got.class_names, got.default_label) == (
+            expected.root_sid, expected.n_classes, expected.class_names, expected.default_label
+        )
+        assert list(got.subtrees) == list(expected.subtrees)
+        for sid, subtree in expected.subtrees.items():
+            mine = got.subtrees[sid]
+            assert (mine.sid, mine.partition, mine.n_training_samples) == (
+                subtree.sid, subtree.partition, subtree.n_training_samples
+            )
+            assert list(mine.outcomes.items()) == list(subtree.outcomes.items())
+            _assert_same_estimator(mine.tree, subtree.tree)
