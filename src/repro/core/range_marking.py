@@ -40,37 +40,6 @@ SID_BITS = 8
 KIND_NONE, KIND_EXIT, KIND_NEXT = 0, 1, 2
 
 
-def group_by_sid(sids: np.ndarray):
-    """Group row indices by subtree id with one stable argsort.
-
-    Yields ``(sid, rows)`` in ascending ``sid`` order with ``rows`` in
-    original row order — the same groups an ``np.unique(sids)`` +
-    ``sids == sid`` mask loop produces, without the O(groups x rows)
-    re-scan of the full array per group.  The batched data-plane paths use
-    this to dispatch window rounds per active subtree.
-
-    Example::
-
-        >>> [(sid, rows.tolist()) for sid, rows in group_by_sid(np.array([2, 1, 2]))]
-        [(1, [1]), (2, [0, 2])]
-    """
-    sids = np.asarray(sids)
-    if sids.size == 0:
-        return
-    # Constant fast path: the fused window plane's first round has every row
-    # at the root subtree (and later rounds often collapse to one survivor
-    # subtree) — one comparison sweep instead of an argsort + split.
-    first = sids[0]
-    if sids[-1] == first and np.all(sids == first):
-        yield int(first), np.arange(sids.size, dtype=np.intp)
-        return
-    order = np.argsort(sids, kind="stable")
-    sorted_sids = sids[order]
-    boundaries = np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1
-    for rows in np.split(order, boundaries):
-        yield int(sids[rows[0]]), rows
-
-
 class FeatureQuantizer:
     """Maps float feature values onto the integer domain used for match keys.
 
@@ -364,42 +333,49 @@ class RuleSet:
         return None
 
     def classify_batch(
-        self, sid: int, feature_matrix: np.ndarray
+        self, sid: "int | np.ndarray", feature_matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`classify` over a batch of flows in subtree ``sid``.
+        """Vectorized :meth:`classify` over a batch of flows, one subtree per row.
 
-        Gathers the outcomes from the subtree's dense mark-space LUT
-        (:mod:`repro.core.rule_lut`); a subtree whose mark space exceeds
-        ``lut_max_cells`` has no LUT and runs the first-match rule scan.
+        One lookup in the stacked mark-space LUT of every subtree
+        (:meth:`repro.core.rule_lut.CompiledLookup.lookup`), whatever mix of
+        subtrees the rows are in; rows in a subtree whose mark space exceeds
+        ``lut_max_cells`` have no LUT and run the first-match rule scan.
         Both are bit-identical for finite feature values (``NaN`` rows are
         outside the contract — the scan's own ``float -> int64`` cast of
         ``NaN`` is undefined).
 
         Args:
-            sid: The (shared) active subtree of every row.
+            sid: The active subtree of each row — one id per row, or one
+                int shared by every row.
             feature_matrix: ``(n_flows, n_features)`` raw feature values,
                 one row per flow at its window boundary.
 
         Returns:
             ``(kinds, values)`` — ``kinds`` holds :data:`KIND_EXIT`,
             :data:`KIND_NEXT` or :data:`KIND_NONE` per row (first-match
-            semantics, identical to the scalar path), ``values`` the matched
-            class label or next subtree id (0 where no rule matched).
+            semantics, identical to the scalar path; ``KIND_NONE`` for a
+            subtree without rules), ``values`` the matched class label or
+            next subtree id (0 where no rule matched).
 
         Example::
 
-            >>> kinds, values = rules.classify_batch(1, features)
+            >>> kinds, values = rules.classify_batch(np.array([1, 2, 1]), features)
             >>> labels = values[kinds == KIND_EXIT]
         """
         n_rows = feature_matrix.shape[0]
-        rules = self.subtree_rules.get(sid)
-        if rules is None or n_rows == 0:
-            return np.full(n_rows, KIND_NONE, dtype=np.int8), np.zeros(n_rows, dtype=np.int64)
-
-        lut = self.compiled_lookup().get(sid)
-        if lut is not None:
-            return lut.lookup(feature_matrix)
-        return self._classify_batch_scan(rules, feature_matrix)
+        sids = np.asarray(sid, dtype=np.int64)
+        if sids.ndim == 0:
+            sids = np.full(n_rows, sids, dtype=np.int64)
+        kinds, values, over_cap = self.compiled_lookup().lookup(sids, feature_matrix)
+        if over_cap is not None and over_cap.size:
+            scanned = sids[over_cap]
+            for scan_sid in np.unique(scanned):
+                rows = over_cap[scanned == scan_sid]
+                kinds[rows], values[rows] = self._classify_batch_scan(
+                    self.subtree_rules[int(scan_sid)], feature_matrix[rows]
+                )
+        return kinds, values
 
     def _classify_batch_scan(
         self, rules: SubtreeRuleSet, feature_matrix: np.ndarray

@@ -1,38 +1,46 @@
-"""Compiled lookup plane: dense mark-space LUTs for the model tables.
+"""Compiled lookup plane: the model tables as one dense mark-space LUT.
 
-On hardware the model table is a TCAM: the match key (SID + per-feature
-marks) indexes the table in one cycle.  The replay engines historically
-emulated that lookup as a first-match *scan* over every
-:class:`~repro.core.range_marking.ModelRule` in Python — correct, but a
-per-rule interpreter tax on the single hottest loop in the repository (it
-runs inside batch replay, micro-batch serving, and every worker of the
-process-sharded engine).
+On hardware the model table is a TCAM keyed by the subtree id (SID) plus the
+per-feature marks: a window boundary costs one lookup whichever subtree is
+active.  The replay engines historically emulated that lookup as a
+first-match *scan* over every :class:`~repro.core.range_marking.ModelRule`
+in Python — correct, but a per-rule interpreter tax on the single hottest
+loop in the repository (it runs inside batch replay, micro-batch serving,
+and every worker of the process-sharded engine).
 
 This module compiles each :class:`~repro.core.range_marking.SubtreeRuleSet`
-into a dense LUT over its *mark space* at deploy time, so a batch lookup is
-three NumPy primitives:
+into a dense LUT over its *mark space* at deploy time, and stacks every
+subtree's LUT into one plane (:class:`CompiledLookup`): concatenated kinds
+and values, a first cell per SID, and per-(SID, axis) feature, boundary
+block and mark weights.  A window round's rows, whatever subtrees they are in,
+are classified by one :meth:`CompiledLookup.lookup` of a fixed number of
+NumPy primitives:
 
-1. per-feature ``searchsorted`` of the quantised values against the mark
-   table's thresholds (the feature-table stage of the pipeline),
-2. ``ravel_multi_index`` of the per-feature marks into one flat cell index
+1. one gather of every row's (SID, axis) pairs and their raw feature values
+   (the feature-table stage of the pipeline),
+2. a vectorised bisection of each value within its axis's sorted boundaries
+   — ``searchsorted(boundaries, value, side="right")`` for every pair at
+   once, a step per bit of the longest boundary list,
+3. one weighted ``bincount`` folding each row's marks into its flat cell
    (the match-key assembly), and
-3. one gather each from the ``int8`` kinds and ``int64`` values arrays
+4. one gather each from the ``int8`` kinds and ``int64`` values arrays
    (the model-table lookup).
 
-The LUT is filled by replaying the subtree's rules in *reverse* priority
+Each LUT is filled by replaying the subtree's rules in *reverse* priority
 order — earlier (higher-priority) rules overwrite later ones — so the dense
 table reproduces first-match ternary semantics bit for bit, including rules
 that can never match because they test a feature the subtree has no mark
-table for, and cells no rule covers (``KIND_NONE``).
+table for, and cells no rule covers (``KIND_NONE``).  A row whose SID has no
+rules lands on one extra ``KIND_NONE`` cell.
 
 A subtree whose mark-space product exceeds ``max_cells`` is left
-uncompiled; :meth:`repro.core.range_marking.RuleSet.classify_batch` falls
-back to the scan for exactly those subtrees.
+uncompiled; :meth:`repro.core.range_marking.RuleSet.classify_batch` runs the
+first-match scan for exactly the rows in those subtrees.
 
 The bit-identity contract covers finite feature values (everything the
 feature extractors produce).  ``NaN`` inputs are outside it: the scan path
-pushes ``NaN`` through an undefined ``float -> int64`` cast while
-``searchsorted`` sorts it past every boundary, so the two paths may pick
+pushes ``NaN`` through an undefined ``float -> int64`` cast while the
+bisection compares ``NaN`` below every boundary, so the two paths may pick
 different cells for such rows.
 """
 
@@ -96,44 +104,6 @@ class SubtreeLUT:
     def n_cells(self) -> int:
         """Dense mark-space size (product of the per-feature range counts)."""
         return int(self.kinds.size)
-
-    def lookup(self, feature_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched model-table lookup over raw feature rows.
-
-        Three NumPy primitives, no quantisation: per-axis ``searchsorted``
-        of the raw column against the compiled boundaries (the feature
-        tables), a Horner fold of the marks into one flat cell index (the
-        match-key assembly; equivalent to ``ravel_multi_index`` without its
-        bounds checks), and one gather each from the kinds/values arrays
-        (the model table).
-
-        Args:
-            feature_matrix: ``(n_rows, n_features)`` raw feature values.
-
-        Returns:
-            ``(kinds, values)`` with the exact dtypes and contents of the
-            scan path: ``int8`` kinds and ``int64`` values.
-        """
-        if not self.features:
-            # Single-leaf subtree: every row hits the one cell.
-            flat = np.zeros(feature_matrix.shape[0], dtype=np.intp)
-        else:
-            matrix = np.asarray(feature_matrix, dtype=np.float64)
-            flat = None
-            for axis, bounds in enumerate(self.boundaries):
-                column = matrix[:, self.features[axis]]
-                if bounds.size == 1:
-                    # One boundary -> the mark is a single comparison; the
-                    # bool buffer is reused as uint8 (0/1) without a cast.
-                    marks = (column >= bounds[0]).view(np.uint8)
-                else:
-                    marks = np.searchsorted(bounds, column, side="right")
-                if flat is None:
-                    flat = marks.astype(np.intp) if marks.dtype == np.uint8 else marks
-                else:
-                    np.multiply(flat, self.shape[axis], out=flat)
-                    np.add(flat, marks, out=flat)
-        return self.kinds[flat], self.values[flat]
 
 
 def _raw_boundary(threshold: int, scale: float, max_level: int) -> float:
@@ -243,7 +213,14 @@ def compile_subtree_lut(
 
 @dataclass
 class CompiledLookup:
-    """The compiled lookup plane of a whole :class:`RuleSet`.
+    """The compiled lookup plane of a whole :class:`RuleSet`: one stacked model table.
+
+    Every compiled subtree LUT is stacked at build time — kinds and values
+    concatenated behind one extra ``KIND_NONE`` cell, a first cell per SID,
+    and per (SID, axis) the feature and a block of its sorted boundaries
+    with each mark's weight in the flat cell index — so :meth:`lookup`
+    classifies rows of any mix of subtrees at once, as the switch's one
+    model table keyed by SID plus marks does.
 
     Attributes:
         luts: Per-subtree LUT, or ``None`` for subtrees whose mark space
@@ -254,9 +231,98 @@ class CompiledLookup:
     luts: dict[int, SubtreeLUT | None]
     max_cells: int
 
-    def get(self, sid: int) -> SubtreeLUT | None:
-        """The subtree's LUT, or ``None`` (unknown sid or over-cap)."""
-        return self.luts.get(sid)
+    def __post_init__(self) -> None:
+        compiled = sorted(sid for sid, lut in self.luts.items() if lut is not None)
+        n_tables = len(compiled)
+        #: Table code of a SID without rules, and of an over-cap SID; both
+        #: start at the extra KIND_NONE cell and have no axis.
+        self._no_table, self._over_cap = n_tables, n_tables + 1
+        # Indexed by sid + 1 (SIDs are non-negative), clipped: a negative or
+        # unknown SID reads "no table".
+        self._code = np.full(max(self.luts, default=0) + 3, self._no_table, dtype=np.intp)
+        for sid in self.luts:
+            self._code[sid + 1] = self._over_cap
+        for code, sid in enumerate(compiled):
+            self._code[sid + 1] = code
+        tables = [self.luts[sid] for sid in compiled]
+
+        sizes = np.array([lut.n_cells for lut in tables] + [1, 0], dtype=np.intp)
+        self._base = np.cumsum(sizes) - sizes
+        self._base[self._over_cap] = self._base[self._no_table]
+        self._kinds = np.concatenate(
+            [lut.kinds for lut in tables] + [np.array([KIND_NONE], dtype=np.int8)]
+        )
+        self._values = np.concatenate(
+            [lut.values for lut in tables] + [np.zeros(1, dtype=np.int64)]
+        )
+        for lut, base in zip(tables, self._base):
+            # The plane holds the cells once: each LUT keeps views of its block.
+            lut.kinds = self._kinds[base : base + lut.n_cells]
+            lut.values = self._values[base : base + lut.n_cells]
+        n_axes = np.array([len(lut.features) for lut in tables] + [0, 0], dtype=np.intp)
+        self._n_axes = n_axes
+        self._first_axis = np.cumsum(n_axes) - n_axes
+
+        axes = [
+            (feature, math.prod(lut.shape[axis + 1:]), lut.boundaries[axis])
+            for lut in tables
+            for axis, feature in enumerate(lut.features)
+        ]
+        self._feature = np.array([feature for feature, _, _ in axes], dtype=np.intp)
+        # Axis a owns the 2**steps slots from ``a << steps``: its sorted
+        # boundaries, then NaN, which compares False against any value like a
+        # boundary past them all, so a fixed ``steps``-step bisection from the
+        # block's first slot ends on slot ``(a << steps) + mark``.  That
+        # slot's weight is the mark's share of the flat cell index.
+        longest = max((bounds.size for _, _, bounds in axes), default=0)
+        self._steps = longest.bit_length()
+        self._halves = tuple(1 << step for step in reversed(range(self._steps)))
+        span = 1 << self._steps
+        self._bounds = np.full(len(axes) * span, np.nan)
+        self._weight = np.zeros(len(axes) * span)
+        for index, (_, stride, bounds) in enumerate(axes):
+            block = index * span
+            self._bounds[block : block + bounds.size] = bounds
+            self._weight[block : block + span] = np.arange(span) * stride
+
+    def lookup(
+        self, sids: np.ndarray, feature_matrix: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One model-table lookup for rows in any mix of subtrees.
+
+        Row ``i`` is matched in subtree ``sids[i]``.  Each (row, axis) pair
+        reads its raw feature value and finds its mark as
+        ``searchsorted(boundaries, value, side="right")`` — a branch-free
+        bisection of all pairs at once, one step per bit of the longest
+        boundary list — and a weighted ``bincount`` folds each row's marks
+        into its flat cell.  The work is per pair, whatever the number of
+        subtrees.
+
+        Returns:
+            ``(kinds, values, over_cap)``: ``int8`` kinds and ``int64``
+            values (``KIND_NONE`` / 0 for a SID without rules), and the rows
+            whose subtree is over the cell cap (``None`` when the plane has
+            none) — their kinds and values are placeholders for the caller's
+            scan.
+        """
+        codes = self._code.take(sids + 1, mode="clip")
+        flat = self._base[codes]
+        n_axes = self._n_axes[codes]
+        ends = n_axes.cumsum()
+        if ends.size and ends[-1]:
+            # Pair p belongs to row ``rows[p]`` and stacked axis ``axes[p]``.
+            rows = np.arange(codes.size).repeat(n_axes)
+            axes = np.arange(ends[-1]) + (self._first_axis[codes] - ends + n_axes).repeat(n_axes)
+            values = feature_matrix.ravel()[rows * feature_matrix.shape[1] + self._feature[axes]]
+            slot = axes << self._steps
+            for half in self._halves:
+                slot += (self._bounds[slot + (half - 1)] <= values) * half
+            # Exact: a flat cell index is far below 2**53.
+            flat += np.bincount(rows, self._weight[slot], codes.size).astype(np.intp)
+        over_cap = None
+        if len(self.luts) > self._no_table:
+            over_cap = (codes == self._over_cap).nonzero()[0]
+        return self._kinds[flat], self._values[flat], over_cap
 
     def stats(self) -> dict[str, int]:
         """Compilation summary: subtree/cell counts and fallback tally."""

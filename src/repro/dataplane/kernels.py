@@ -18,6 +18,10 @@ def backend() -> str:
     return "numpy"
 
 
+#: Cells of a block small enough to sum densely whatever its padding.
+_DENSE_CELLS = 1 << 14
+
+
 def _iat_sums(
     diffs: np.ndarray,
     s: np.ndarray,
@@ -28,26 +32,31 @@ def _iat_sums(
     """Left-to-right IAT sums per segment — length-bucketed dense accumulation.
 
     Rows are visited longest first in blocks whose shortest row is more than
-    half the block's longest; each block is one dense gather and one
-    ``np.add.accumulate`` along the rows (strictly sequential, exactly the
-    scalar MeanOperator's order), read at each row's own last gap.  That is
-    at most ``log2(longest) + 1`` blocks, each less than half padding,
-    however skewed the row lengths are.
+    half the block's longest — or, past that, as many rows as fit in
+    :data:`_DENSE_CELLS` cells, which cost less than another block; each
+    block is one dense gather and one ``np.add.accumulate`` along the rows
+    (strictly sequential, exactly the scalar MeanOperator's order), read at
+    each row's own last gap.  That is at most ``log2(longest) + 1`` blocks,
+    each less than half padding or small, however skewed the row lengths
+    are.
     """
     counts = e - s - 1
     acc[:] = 0.0
     acc_sq[:] = 0.0
-    order = np.argsort(-counts, kind="stable")
+    order = (-counts).argsort(kind="stable")
     descending = -counts[order]
-    n_rows = int(np.searchsorted(descending, 0, side="left"))  # rows with a gap
+    n_rows = int(descending.searchsorted(0))  # rows with a gap
     start = 0
     while start < n_rows:
         longest = -int(descending[start])
-        stop = int(np.searchsorted(descending[:n_rows], -(longest // 2), side="left"))
+        stop = max(
+            int(descending[:n_rows].searchsorted(-(longest // 2))),
+            min(start + _DENSE_CELLS // longest, n_rows),
+        )
         rows = order[start:stop]
         # Positions past a row's end (clipped at the column's end) are summed
         # too, but never read.
-        gaps = np.take(diffs, (s[rows] + 1)[:, None] + np.arange(longest), mode="clip")
+        gaps = diffs.take((s[rows] + 1)[:, None] + np.arange(longest), mode="clip")
         squares = gaps * gaps
         last = (np.arange(rows.size), counts[rows] - 1)
         # ``+ 0.0``: the operators start from +0.0, so a sum of -0.0 gaps reads +0.0.

@@ -51,8 +51,9 @@ and independent *across* slots, so this plane takes the slot as its unit:
    with a cached stream), so each window is aggregated as that range of
    stream positions, with prefix columns memoised on the source, and
    classified by the step the flow-lockstep plane closes its windows with
-   (:func:`~repro.dataplane.vectorized._close_round`), one window index per
-   row.  Verdicts are credited as the per-packet oracle
+   (:func:`~repro.dataplane.vectorized._close_round`: one fill pass and one
+   model-table lookup, whatever subtrees the rows are in), one window index
+   per row.  Verdicts are credited as the per-packet oracle
    credits them: to the deciding packet's flow id, with the epoch's first
    timestamp and the epoch creator's header fields; rounds are finalised in
    order, so a flow id decided twice keeps its later verdict.

@@ -2,10 +2,10 @@
 
 This mirrors the P4 program of Figure 4 over many flows — or many register
 slots — at once: the batched :meth:`SpliDTDataPlane.step_windows` API
-advances rows across a window boundary, looks up each subtree's model table
-through its compiled mark-space LUT, and either records a verdict and digest
-(final partition or early exit) or accounts a recirculated control packet
-carrying the next subtree id.  The batched planes
+advances rows across a window boundary, looks every row up in the one
+stacked mark-space LUT of the model tables, and either records a verdict and
+digest (final partition or early exit) or accounts a recirculated control
+packet carrying the next subtree id.  The batched planes
 (:mod:`repro.dataplane.vectorized`, :mod:`repro.dataplane.slot_stream`)
 drive it; the per-packet interpreter they are held to lives in
 :mod:`repro.dataplane.oracle`.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.partitioned_tree import PartitionedDecisionTree
-from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet, group_by_sid
+from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet
 from repro.dataplane.controller import Controller
 from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import PacketArrays
@@ -168,6 +168,57 @@ class SlotHandover:
         )
 
 
+class FillPlan:
+    """Which stateful features each subtree's operator bank holds, as one table.
+
+    Built once per program.  A window round's rows may be in any mix of
+    subtrees; :meth:`row_sets` gives the round's fill pass each feature's
+    rows — exactly those whose subtree reads it — with the features read by
+    the same rows in one set, so a feature is computed once per round and
+    intermediates are shared within a set.
+    """
+
+    def __init__(self, features_by_sid: dict[int, list[int]]) -> None:
+        sids = sorted(features_by_sid)
+        #: Per subtree code, its features; the last code is a SID the model lacks.
+        self._features = [features_by_sid[sid] for sid in sids] + [[]]
+        self._columns = sorted({feature for features in self._features for feature in features})
+        # Indexed by sid + 1 (SIDs are non-negative), clipped to "unknown".
+        code = [len(sids)] * (max(sids, default=0) + 3)
+        for index, sid in enumerate(sids):
+            code[sid + 1] = index
+        self._code = np.array(code, dtype=np.intp)
+        self._reads = np.array(
+            [[column in features for column in self._columns] for features in self._features],
+            dtype=bool,
+        ).reshape(len(self._features), len(self._columns))
+
+    def row_sets(self, sids: np.ndarray) -> list[tuple[np.ndarray | None, list[int]]]:
+        """``(rows, features)`` for one round whose row ``i`` is in subtree ``sids[i]``.
+
+        ``rows`` is ``None`` when every row of the round reads the features.
+
+        Example::
+
+            >>> program.fill_plan.row_sets(np.array([1, 2, 1]))  # doctest: +SKIP
+            [(None, [6]), (array([0, 2]), [9, 27])]
+        """
+        codes = self._code.take(sids + 1, mode="clip")
+        active = self._reads[np.bincount(codes, minlength=len(self._features)) > 0]
+        read = active.any(axis=0).nonzero()[0].tolist()
+        # Features read by the same subtrees of the round are read by the same rows.
+        keys = np.packbits(active[:, read], axis=0).T
+        by_readers: dict[bytes, list[int]] = {}
+        for position, column in enumerate(read):
+            by_readers.setdefault(keys[position].tobytes(), []).append(column)
+        sets = []
+        for columns in by_readers.values():
+            rows = self._reads[:, columns[0]][codes].nonzero()[0]
+            features = [self._columns[column] for column in columns]
+            sets.append((None if rows.size == codes.size else rows, features))
+        return sets
+
+
 class SpliDTDataPlane:
     """Execution of a compiled SpliDT model on the switch substrate.
 
@@ -220,7 +271,12 @@ class SpliDTDataPlane:
         self._held: list[SlotHandover] = []
         #: Every decided row (see :attr:`verdicts`).
         self._verdicts = VerdictStore()
-        self._stateful_by_sid: dict[int, list[int]] = {}
+        self._stateful_by_sid = {
+            sid: [f for f in sorted(subtree.features_used()) if FEATURES[f].stateful]
+            for sid, subtree in model.subtrees.items()
+        }
+        #: The window rounds' fill plan, over :meth:`subtree_stateful_features`.
+        self.fill_plan = FillPlan(self._stateful_by_sid)
         rules.compiled_lookup()
 
     # ------------------------------------------------------------------
@@ -248,17 +304,16 @@ class SpliDTDataPlane:
         feature_matrix: np.ndarray,
         boundary_ts: np.ndarray,
         first_packet_ts: np.ndarray,
-        groups: list | None = None,
         staging: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance many flows across one window boundary in a single call.
 
         Every row is one flow whose ``window_index``-th window just
-        completed, carrying the window's feature vector.  Flows are grouped
-        by active subtree (one stable argsort over ``sids``), the subtree's
-        model table is evaluated vectorized
-        (:meth:`~repro.core.range_marking.RuleSet.classify_batch`), and the
-        three outcomes of a window boundary are applied batch-wise:
+        completed, carrying the window's feature vector.  All rows, whatever
+        their active subtrees, take one model-table lookup
+        (:meth:`~repro.core.range_marking.RuleSet.classify_batch` with one
+        SID per row), and the three outcomes of a window boundary are
+        applied batch-wise:
 
         * *exit* / no-match / last window → verdict recorded, digest emitted;
         * *next subtree* → recirculation accounted; the caller carries the
@@ -275,12 +330,6 @@ class SpliDTDataPlane:
                 boundary.
             boundary_ts: Timestamp of each flow's boundary packet.
             first_packet_ts: Timestamp of each flow's first packet.
-            groups: Optional precomputed ``[(sid, rows), ...]`` grouping of
-                the rows (as produced by
-                :func:`~repro.core.range_marking.group_by_sid` over ``sids``).
-                The window planes group once per round and share the result
-                between their aggregation pass and this call; when omitted,
-                the grouping is computed here.
             staging: Optional digest-staging list, local to one window-plane
                 call.  When given, decided rows are appended to it as column
                 slices instead of being finalised inline; the plane records
@@ -301,12 +350,7 @@ class SpliDTDataPlane:
             ...     first_packet_ts=first_ts)
         """
         n_rows = len(flow_ids)
-        kinds = np.zeros(n_rows, dtype=np.int8)
-        values = np.zeros(n_rows, dtype=np.int64)
-        if groups is None:
-            groups = group_by_sid(sids)
-        for sid, rows in groups:
-            kinds[rows], values[rows] = self.rules.classify_batch(sid, feature_matrix[rows])
+        kinds, values = self.rules.classify_batch(sids, feature_matrix)
 
         # Explicit boolean *arrays* (no scalar-bool mixing): at the last
         # window nothing advances and an exit outcome is not "early".
@@ -316,7 +360,7 @@ class SpliDTDataPlane:
         else:
             not_last = np.full(n_rows, window_index < self._n_partitions - 1, dtype=bool)
         advance = (kinds == KIND_NEXT) & not_last
-        decided = ~advance
+        decided = (~advance).nonzero()[0]
 
         labels = np.where(kinds == KIND_EXIT, values, self.model.default_label)
         early_exits = (kinds == KIND_EXIT) & not_last
@@ -421,25 +465,10 @@ class SpliDTDataPlane:
     def subtree_stateful_features(self, sid: int) -> list[int]:
         """Sorted stateful feature indices of subtree ``sid`` (its operator bank).
 
-        The planes use this to know which window aggregates to materialise
-        for flows whose active subtree is ``sid``.  Memoised:
-        the sort runs once per subtree, not once per window round.
+        Empty for a SID the model does not have.  The window planes read
+        all subtrees' at once, through :attr:`fill_plan`.
         """
-        sid = int(sid)
-        cached = self._stateful_by_sid.get(sid)
-        if cached is not None:
-            return cached
-        subtree = self.model.subtrees.get(sid)
-        if subtree is None:
-            features: list[int] = []
-        else:
-            features = [
-                feature
-                for feature in sorted(subtree.features_used())
-                if FEATURES[feature].stateful
-            ]
-        self._stateful_by_sid[sid] = features
-        return features
+        return self._stateful_by_sid.get(int(sid), [])
 
     # ------------------------------------------------------------------
     # Statistics
@@ -530,10 +559,11 @@ class SpliDTDataPlane:
         """What the last ``replay_arrays`` call counted (zeros before the first).
 
         Flows and packets per plane (``batched`` is the flow-lockstep plane;
-        each packet counts on one), the slot-stream plane's ``event_rounds``
-        and window-boundary searches (``event_search``: read from its
-        next-event columns by ``lookup``, or from its size-class ``index``),
-        and the slot state ``deferred`` to a later call (:meth:`hand_over`).
+        each packet counts on one), the flow-lockstep plane's window
+        ``lockstep_rounds`` and the slot-stream plane's ``event_rounds``, its
+        window-boundary searches (``event_search``: read from its next-event
+        columns by ``lookup``, or from its size-class ``index``), and the
+        slot state ``deferred`` to a later call (:meth:`hand_over`).
         """
         before, after = self._replay_span
 
@@ -549,6 +579,7 @@ class SpliDTDataPlane:
         return {
             "flows": planes("flows"),
             "packets": planes("packets"),
+            "lockstep_rounds": count("dataplane.lockstep.rounds"),
             "event_rounds": count("dataplane.slot_stream.rounds"),
             "event_search": {
                 "lookup": count("dataplane.slot_stream.boundary_lookups"),

@@ -29,9 +29,9 @@ traffic orders of magnitude faster by exploiting two structural facts:
 
 A flow alone in its register slot closes its windows through one function,
 :func:`close_ready_windows`: flows advance in lock-step window rounds, each
-round aggregating its windows' packets and classifying them through
-``SpliDTDataPlane.step_windows`` with one subtree grouping shared by both
-steps (:func:`_close_round`, which the slot-stream plane calls too).  Replay
+round aggregating its windows' packets in one fill pass and classifying them
+in one ``SpliDTDataPlane.step_windows`` lookup, whatever subtrees its rows
+are in (:func:`_close_round`, which the slot-stream plane calls too).  Replay
 runs it over every clean flow from window 0, the micro-batch engine over the
 windows a flush finds ready.  Its state is per row of the call, and decided
 rows are recorded, as column blocks, once per call.  Columns derived from the packet arrays (padded
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.range_marking import group_by_sid
 from repro.dataplane.kernels import iat_sequential_sums
 from repro.dataplane.splidt_program import SlotHandover
 from repro.datasets.flows import Flow, PacketArrays
@@ -243,8 +242,8 @@ def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
 
     Also returns each segment's offset into that concatenation.
     """
-    offsets = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths), offsets
+    offsets = lengths.cumsum() - lengths
+    return np.arange(int(lengths.sum())) + (starts - offsets).repeat(lengths), offsets
 
 
 def _stateless_columns(soa: PacketArrays) -> tuple[tuple[int, np.ndarray], ...]:
@@ -342,18 +341,18 @@ def seed_flow_hashes(
 class _WindowAggregator:
     """Window-local feature aggregation over structure-of-arrays packets.
 
-    Each ``fill`` call evaluates one subtree group's stateful features over a
-    batch of packet segments ``[s_i, e_i)`` (one per flow window, all
-    non-empty), writing exactly the values the corresponding scalar
-    :class:`~repro.features.stateful.StatefulOperator` bank would hold at the
-    window's boundary packet.  The source is a ``PacketArrays`` (flow-major)
-    or a slot stream's :class:`~repro.dataplane.slot_stream.StreamSource`
-    (stream order); either way a window's packets are one segment.  Every
-    derived column is a function of the packets alone and lives once on
-    ``soa.derived`` — the aggregator holds no per-replay state, so building
-    one per flush costs nothing.
-    Intermediates (segment sums, the sequential IAT sweep) are shared across
-    a group's features.
+    One ``fill`` call per window round evaluates the stateful features of
+    every row over a batch of packet segments ``[s_i, e_i)`` (one per flow
+    window, all non-empty), writing exactly the values the corresponding
+    scalar :class:`~repro.features.stateful.StatefulOperator` bank would
+    hold at the window's boundary packet.  The source is a ``PacketArrays``
+    (flow-major) or a slot stream's
+    :class:`~repro.dataplane.slot_stream.StreamSource` (stream order);
+    either way a window's packets are one segment.  Every derived column is
+    a function of the packets alone and lives once on ``soa.derived`` — the
+    aggregator holds no per-replay state, so building one per flush costs
+    nothing.  Intermediates (segment sums, the sequential IAT sweep) are
+    shared across the features of one row set.
     """
 
     def __init__(self, soa: PacketArrays) -> None:
@@ -411,7 +410,7 @@ class _WindowAggregator:
     def _iat_sums(
         self, s: np.ndarray, e: np.ndarray, shared: dict
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left-to-right IAT sum / sum-of-squares per segment (shared per group)."""
+        """Left-to-right IAT sum / sum-of-squares per segment (shared within a row set)."""
         cached = shared.get("iat")
         if cached is not None:
             return cached
@@ -425,20 +424,27 @@ class _WindowAggregator:
     def fill(
         self,
         matrix: np.ndarray,
-        rows: np.ndarray,
-        features: list[int],
         s: np.ndarray,
         e: np.ndarray,
+        row_sets: list[tuple[np.ndarray | None, list[int]]],
     ) -> None:
-        """Write the window aggregates of ``features`` into ``matrix[rows]``.
+        """Write one round's window aggregates into ``matrix``: each feature once.
 
-        ``s`` / ``e`` are the group's segment bounds (aligned with ``rows``).
-        Intermediates are shared across the feature list, so e.g.
-        ``mean_iat`` and ``std_iat`` run the sequential sweep once.
+        ``s`` / ``e`` are the round's segment bounds, one per row of
+        ``matrix``; ``row_sets`` pairs each set of rows (``None``: all of
+        them) with the features their subtrees read
+        (:meth:`~repro.dataplane.splidt_program.FillPlan.row_sets`).
+        Intermediates are shared within a set, so e.g. ``mean_iat`` and
+        ``std_iat`` of the same rows run the sequential sweep once.
         """
-        shared: dict = {}
-        for feature in features:
-            matrix[rows, feature] = self._compute(feature, s, e, shared)
+        for rows, features in row_sets:
+            if rows is None:
+                rows, starts, ends = slice(None), s, e
+            else:
+                starts, ends = s[rows], e[rows]
+            shared: dict = {}
+            for feature in features:
+                matrix[rows, feature] = self._compute(feature, starts, ends, shared)
 
     def compute(self, feature_index: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Window aggregate of one stateful feature over segments ``[s, e)``.
@@ -455,13 +461,15 @@ class _WindowAggregator:
     ) -> np.ndarray:
         name = FEATURES[feature_index].name
         ts = self._soa.timestamps
-        length = shared.get("length")
-        if length is None:
-            length = (e - s).astype(np.float64)
-            shared["length"] = length
+
+        def length() -> np.ndarray:
+            """Packets per window, as floats (shared)."""
+            if "length" not in shared:
+                shared["length"] = (e - s).astype(np.float64)
+            return shared["length"]
 
         if name == "pkt_count":
-            return length
+            return length()
         if name == "byte_count":
             return self._seg_sum("sizes", s, e, shared)
         if name == "payload_sum":
@@ -481,14 +489,14 @@ class _WindowAggregator:
         if name in _FLAG_FEATURES:
             return self._seg_sum(name, s, e, shared)
         if name == "mean_pkt_len":
-            return self._seg_sum("sizes", s, e, shared) / length
+            return self._seg_sum("sizes", s, e, shared) / length()
         if name == "mean_payload":
-            return self._seg_sum("payloads", s, e, shared) / length
+            return self._seg_sum("payloads", s, e, shared) / length()
         if name == "std_pkt_len":
             total = self._seg_sum("sizes", s, e, shared)
             total_sq = self._seg_sum("sizes_sq", s, e, shared)
-            mean = total / length
-            variance = np.maximum(total_sq / length - mean * mean, 0.0)
+            mean = total / length()
+            variance = np.maximum(total_sq / length() - mean * mean, 0.0)
             return np.sqrt(variance)
         if name in ("mean_fwd_pkt_len", "mean_bwd_pkt_len"):
             direction = "fwd" if name == "mean_fwd_pkt_len" else "bwd"
@@ -514,7 +522,7 @@ class _WindowAggregator:
         if name == "duration":
             return ts[e - 1] - ts[s]
         if name in ("pkt_rate", "byte_rate"):
-            total = length if name == "pkt_rate" else self._seg_sum("sizes", s, e, shared)
+            total = length() if name == "pkt_rate" else self._seg_sum("sizes", s, e, shared)
             span = ts[e - 1] - ts[s]
             rate = np.zeros(s.size, dtype=np.float64)
             np.divide(total, span, out=rate, where=span > 0)
@@ -661,17 +669,15 @@ def _close_round(
 
     Row ``i`` of ``matrix`` (its stateless header columns already written)
     closes the window over packets ``[s[i], e[i])`` of the aggregator's
-    source, in subtree ``sids[i]``.  The rows are grouped by subtree once;
-    each group's stateful features are filled in, and the same grouping goes
-    to :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`,
-    which appends the decided rows to ``staging``.  Returns its
-    ``(advance, next_sids)``.
+    source, in subtree ``sids[i]``.  One fill pass writes every row's
+    stateful features (the program's
+    :class:`~repro.dataplane.splidt_program.FillPlan`), and one
+    :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`
+    call classifies all rows, appending the decided ones to ``staging``:
+    the round's cost does not grow with the number of subtrees its rows are
+    in.  Returns ``step_windows``' ``(advance, next_sids)``.
     """
-    groups = list(group_by_sid(sids))
-    for sid, rows in groups:
-        features = program.subtree_stateful_features(sid)
-        if features:
-            aggregator.fill(matrix, rows, features, s[rows], e[rows])
+    aggregator.fill(matrix, s, e, program.fill_plan.row_sets(sids))
     return program.step_windows(
         flow_ids=flow_ids,
         sids=sids,
@@ -679,7 +685,6 @@ def _close_round(
         feature_matrix=matrix,
         boundary_ts=boundary_ts,
         first_packet_ts=first_packet_ts,
-        groups=groups,
         staging=staging,
     )
 
@@ -704,8 +709,9 @@ def close_ready_windows(
     forwarded).  All state is per row of the call.  Decided rows are
     recorded once, after the last round.  Returns which rows decided.
 
-    Counts the rows as ``dataplane.lockstep.flows`` and the packets they
-    take as ``dataplane.lockstep.packets``.
+    Counts the rows as ``dataplane.lockstep.flows``, the packets they take
+    as ``dataplane.lockstep.packets`` and its window rounds as
+    ``dataplane.lockstep.rounds``.
     """
     taken = int(done.sum())
     n_partitions = int(program.model.config.n_partitions)
@@ -721,7 +727,9 @@ def close_ready_windows(
     staging: list = []
     decided = np.zeros(flows.size, dtype=bool)
     rows = np.flatnonzero(ends[np.arange(flows.size), window] <= limits)
+    rounds = 0
     while rows.size:
+        rounds += 1
         flow, at = flows[rows], window[rows]
         end = ends[rows, at]
         base = soa.flow_starts[flow]
@@ -751,6 +759,7 @@ def close_ready_windows(
     program.finalise_staged(staging)
     program.counters.add("dataplane.lockstep.flows", int(flows.size))
     program.counters.add("dataplane.lockstep.packets", int(done.sum()) - taken)
+    program.counters.add("dataplane.lockstep.rounds", rounds)
     return decided
 
 

@@ -88,6 +88,7 @@ class TestViews:
         assert program.replay_stats == {
             "flows": {"batched": 0, "slot_stream": 0},
             "packets": {"batched": 0, "slot_stream": 0},
+            "lockstep_rounds": 0,
             "event_rounds": 0,
             "event_search": {"lookup": 0, "index": 0},
             "deferred": {"slots": 0, "open_windows": 0, "packets": 0},

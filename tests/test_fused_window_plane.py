@@ -12,7 +12,9 @@ batched plane identically would still be caught:
   rule table so each row's classification outcome is chosen by the test;
 * the window plane keeps no state between calls: aggregators share the
   source's derived columns, and a replay repeated on a fresh program is
-  bit-identical.
+  bit-identical;
+* a window round costs one fill pass and one model-table lookup whatever
+  mix of subtrees its rows are in, on every plane that closes rounds.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.range_marking import KIND_EXIT, KIND_NEXT, KIND_NONE
-from repro.dataplane import SpliDTDataPlane
+from repro.core.range_marking import KIND_EXIT, KIND_NEXT, KIND_NONE, RuleSet
+from repro.dataplane import SpliDTDataPlane, replay_dataset
 from repro.dataplane import vectorized as vz
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
 from repro.features.definitions import FEATURES, N_FEATURES
@@ -302,3 +304,74 @@ class TestStatelessPlane:
             ))
         assert snapshots[0] == snapshots[1]
         assert len(snapshots[0][0]) == 10  # every flow decided
+
+
+# ----------------------------------------------------------------------
+# One fill pass and one lookup per round
+# ----------------------------------------------------------------------
+class TestOneLookupPerRound:
+    @pytest.fixture()
+    def rounds(self, monkeypatch):
+        """Per ``_close_round`` call: its distinct SIDs, lookups, fill passes and plane."""
+        seen: list[tuple[int, int, int, bool]] = []
+        calls = {"classify": 0, "fill": 0, "lockstep": 0}
+        classify, fill = RuleSet.classify_batch, vz._WindowAggregator.fill
+        close_round, close_ready = vz._close_round, vz.close_ready_windows
+
+        def spy_classify(self, sid, matrix):
+            calls["classify"] += 1
+            return classify(self, sid, matrix)
+
+        def spy_fill(self, *args):
+            calls["fill"] += 1
+            return fill(self, *args)
+
+        def spy_round(program, *args, sids, **kwargs):
+            before = dict(calls)
+            try:
+                return close_round(program, *args, sids=sids, **kwargs)
+            finally:
+                seen.append((np.unique(sids).size, calls["classify"] - before["classify"],
+                             calls["fill"] - before["fill"], calls["lockstep"] > 0))
+
+        def spy_ready(*args):
+            calls["lockstep"] += 1
+            try:
+                return close_ready(*args)
+            finally:
+                calls["lockstep"] -= 1
+
+        monkeypatch.setattr(RuleSet, "classify_batch", spy_classify)
+        monkeypatch.setattr(vz._WindowAggregator, "fill", spy_fill)
+        monkeypatch.setattr(vz, "_close_round", spy_round)
+        monkeypatch.setattr(vz, "close_ready_windows", spy_ready)
+        return seen
+
+    @pytest.mark.parametrize("flow_slots", [1 << 16, 64], ids=["lockstep", "contended"])
+    def test_a_replay_round_classifies_once(self, splidt_model, splidt_rules, small_dataset,
+                                            rounds, flow_slots):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots)
+        replay_dataset(program, small_dataset)
+        assert {(lookups, fills) for _, lookups, fills, _ in rounds} == {(1, 1)}
+        assert max(n_sids for n_sids, *_ in rounds) > 1  # rounds do mix subtrees
+        lockstep = sum(on_lockstep for *_, on_lockstep in rounds)
+        assert program.replay_stats["lockstep_rounds"] == lockstep
+        # Clean flows start together, so their rounds are at most the windows.
+        assert lockstep <= splidt_model.config.n_partitions
+        assert (lockstep > 0) == (flow_slots > 64)
+        assert (lockstep < len(rounds)) == (program.replay_stats["event_rounds"] > 0)
+
+    def test_a_flush_round_classifies_once(self, splidt_model, splidt_rules, small_dataset,
+                                           rounds):
+        from repro.datasets.streams import iter_packet_chunks
+        from repro.serve import MicroBatchEngine
+
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1 << 16)
+        engine = MicroBatchEngine(program).open()
+        for chunk in iter_packet_chunks(small_dataset.flows, 256):
+            engine.ingest(chunk)
+        engine.drain()
+        lockstep = sum(on_lockstep for *_, on_lockstep in rounds)
+        assert program.counters["dataplane.lockstep.rounds"] == lockstep > 3
+        assert {(lookups, fills) for _, lookups, fills, _ in rounds} == {(1, 1)}
+        assert max(n_sids for n_sids, *_ in rounds) > 1

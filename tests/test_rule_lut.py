@@ -8,7 +8,9 @@ where priority order decides the outcome.  The suite checks randomized
 synthetic rule sets property-style, plus the compiled rules of a real
 trained partitioned model.  The scan is the LUT's over-cap fallback, so a
 copy of a rule set capped at ``lut_max_cells=0`` is the scan for every
-subtree (:func:`_scanning`).
+subtree (:func:`_scanning`).  A window round classifies rows of any mix of
+subtrees in one stacked lookup; :class:`TestRoundLookup` holds it to the
+scan, subtree by subtree, on hypothesis-drawn rule sets and batches.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.partitioned_tree import OUTCOME_EXIT, OUTCOME_NEXT
 from repro.core.range_marking import (
@@ -28,10 +31,10 @@ from repro.core.range_marking import (
     ModelRule,
     RuleSet,
     SubtreeRuleSet,
-    group_by_sid,
 )
 from repro.core.rule_lut import (
     DEFAULT_MAX_CELLS,
+    _raw_boundary,
     compile_lookup,
     compile_subtree_lut,
 )
@@ -264,6 +267,24 @@ class TestLookupPlumbing:
         with pytest.raises(TypeError, match="lookup"):
             RuleSet(subtree_rules={}, quantizer=FeatureQuantizer(), bit_width=32, lookup="scan")
 
+    def test_the_per_subtree_dispatch_is_gone(self, splidt_model, splidt_rules):
+        # A round is one lookup: the grouping and the per-subtree lookup that
+        # served it are rejected, not aliased.
+        import repro.core.range_marking as range_marking
+        from repro.core.rule_lut import CompiledLookup, SubtreeLUT
+        from repro.dataplane import SpliDTDataPlane
+
+        assert not hasattr(range_marking, "group_by_sid")
+        assert not hasattr(SubtreeLUT, "lookup") and not hasattr(CompiledLookup, "get")
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
+        one = np.zeros(1)
+        with pytest.raises(TypeError, match="groups"):
+            program.step_windows(
+                flow_ids=one.astype(np.int64), sids=one.astype(np.int64) + 1,
+                window_index=0, feature_matrix=one[:, None], boundary_ts=one,
+                first_packet_ts=one, groups=[],
+            )
+
     def test_capped_copy_compiles_its_own_plane(self):
         rules = _random_ruleset(np.random.default_rng(5))
         full = rules.compiled_lookup()
@@ -297,16 +318,130 @@ class TestLookupPlumbing:
         _assert_parity(clone, _random_matrix(np.random.default_rng(6)))
 
 
-class TestGroupBySid:
-    def test_groups_match_unique_mask_loop(self):
-        rng = np.random.default_rng(1)
-        sids = rng.integers(0, 6, size=200)
-        grouped = {sid: rows for sid, rows in group_by_sid(sids)}
-        assert sorted(grouped) == np.unique(sids).tolist()
-        for sid in grouped:
-            np.testing.assert_array_equal(
-                grouped[sid], np.flatnonzero(sids == sid)
-            )
+#: Per-feature quantiser scales.  At the subnormal one a float step spans
+#: many levels, so distinct thresholds share a raw boundary.
+SCALES = (1.0, 100.0, 3.7e5, 1e-320)
 
-    def test_empty_input_yields_nothing(self):
-        assert list(group_by_sid(np.array([], dtype=np.int64))) == []
+#: SIDs a round may carry that no subtree has.
+UNKNOWN_SIDS = (0, 99, -1)
+
+
+@st.composite
+def round_batches(draw):
+    """``(rules, sids, matrix, shuffle)``: a rule set and one window round over it.
+
+    Subtrees have zero to three mark tables (zero: a single leaf), and
+    thresholds near 0, near the top level and past it (an ``inf`` boundary,
+    duplicated when two thresholds are past it).  ``lut_max_cells`` may put
+    some subtrees over the cap.  Rows are in any mix of the subtrees and of
+    :data:`UNKNOWN_SIDS`; their values sit on every raw boundary of every
+    subtree, a float step either side of it, and elsewhere.  ``shuffle``
+    seeds a permutation of each row's columns its subtree has no table for.
+    """
+    bit_width = draw(st.sampled_from((4, 12, 32)))
+    quantizer = FeatureQuantizer(bit_width=bit_width)
+    quantizer.scales_ = np.array(
+        draw(st.lists(st.sampled_from(SCALES), min_size=N_FEATURES, max_size=N_FEATURES))
+    )
+    top = quantizer.max_level
+    thresholds = st.lists(
+        st.integers(0, 8) | st.integers(max(top - 3, 0), top + 3) | st.integers(0, top),
+        min_size=1,
+        max_size=5,
+    )
+    subtree_rules: dict[int, SubtreeRuleSet] = {}
+    for sid in range(1, draw(st.integers(1, 5)) + 1):
+        features = draw(st.lists(st.integers(0, N_FEATURES - 1), unique=True, max_size=3))
+        tables = {
+            feature: MarkTable(sid=sid, feature=feature, thresholds=draw(thresholds),
+                               bit_width=bit_width)
+            for feature in features
+        }
+        model_rules = []
+        for _ in range(draw(st.integers(1, 6))):
+            intervals = {}
+            for feature, table in tables.items():
+                if draw(st.booleans()):
+                    marks = st.integers(0, table.n_ranges - 1)
+                    intervals[feature] = tuple(sorted((draw(marks), draw(marks))))
+            model_rules.append(ModelRule(
+                sid=sid, mark_intervals=intervals,
+                outcome_kind=draw(st.sampled_from((OUTCOME_EXIT, OUTCOME_NEXT))),
+                outcome_value=draw(st.integers(0, 9)),
+            ))
+        subtree_rules[sid] = SubtreeRuleSet(sid=sid, mark_tables=tables, model_rules=model_rules)
+    rules = RuleSet(
+        subtree_rules=subtree_rules, quantizer=quantizer, bit_width=bit_width,
+        lut_max_cells=draw(st.sampled_from((None, 2, 6))),
+    )
+
+    points = [[0.0, -1.0, 2.0 * scale] for scale in quantizer.scales_]
+    for subtree in subtree_rules.values():
+        for feature, table in subtree.mark_tables.items():
+            for threshold in table.thresholds:
+                boundary = _raw_boundary(threshold, quantizer.scales_[feature], top)
+                points[feature] += [boundary, np.nextafter(boundary, -np.inf),
+                                    np.nextafter(boundary, np.inf)]
+    # Finite values only: the bit-identity contract covers nothing else.
+    points = [sorted({value for value in column if np.isfinite(value)}) for column in points]
+    n_rows = draw(st.integers(0, 60))
+    sids = np.array(
+        draw(st.lists(st.sampled_from(sorted(subtree_rules) + list(UNKNOWN_SIDS)),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=np.int64,
+    )
+    matrix = np.array(
+        [[draw(st.sampled_from(column)) for column in points] for _ in range(n_rows)]
+    ).reshape(n_rows, N_FEATURES)
+    return rules, sids, matrix, draw(st.integers(0, 2**32 - 1))
+
+
+def _scan_round(rules: RuleSet, sids: np.ndarray, matrix: np.ndarray):
+    """The round classified subtree by subtree by the first-match scan."""
+    kinds = np.full(sids.size, KIND_NONE, dtype=np.int8)
+    values = np.zeros(sids.size, dtype=np.int64)
+    for sid in np.unique(sids).tolist():
+        rows = np.flatnonzero(sids == sid)
+        if sid in rules.subtree_rules:
+            kinds[rows], values[rows] = rules._classify_batch_scan(
+                rules.subtree_rules[sid], matrix[rows]
+            )
+    return kinds, values
+
+
+class TestRoundLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=round_batches())
+    def test_one_lookup_equals_the_scan_subtree_by_subtree(self, batch):
+        rules, sids, matrix, _ = batch
+        kinds, values = rules.classify_batch(sids, matrix)
+        want_kinds, want_values = _scan_round(rules, sids, matrix)
+        assert kinds.dtype == want_kinds.dtype and values.dtype == want_values.dtype
+        assert kinds.tobytes() == want_kinds.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=round_batches())
+    def test_columns_a_row_does_not_read_do_not_matter(self, batch):
+        rules, sids, matrix, shuffle = batch
+        rng = np.random.default_rng(shuffle)
+        shuffled = matrix.copy()
+        for row, sid in enumerate(sids.tolist()):
+            subtree = rules.subtree_rules.get(sid)
+            tables = {} if subtree is None else subtree.mark_tables
+            unread = [f for f in range(N_FEATURES) if f not in tables]
+            shuffled[row, unread] = rng.permutation(matrix[row, unread])
+        kinds, values = rules.classify_batch(sids, matrix)
+        again_kinds, again_values = rules.classify_batch(sids, shuffled)
+        assert kinds.tobytes() == again_kinds.tobytes()
+        assert values.tobytes() == again_values.tobytes()
+
+    def test_a_shared_sid_is_the_one_sid_case(self):
+        rules = _random_ruleset(np.random.default_rng(9))
+        matrix = _random_matrix(np.random.default_rng(9), 40)
+        for sid in [*rules.subtree_rules, 99]:
+            kinds, values = rules.classify_batch(sid, matrix)
+            per_row = rules.classify_batch(np.full(40, sid), matrix)
+            assert kinds.tobytes() == per_row[0].tobytes()
+            assert values.tobytes() == per_row[1].tobytes()
+

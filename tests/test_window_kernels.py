@@ -6,18 +6,24 @@ they happen to see.  Here each stateful feature's
 ``_WindowAggregator.compute`` is pinned, bit for bit, to a fresh
 :func:`~repro.features.stateful.make_operator` fed the same packets, over
 arbitrary sub-windows of a flow — and the NumPy IAT sweep to a literal loop.
+A window round's one fill pass (``_WindowAggregator.fill`` over a
+:class:`~repro.dataplane.splidt_program.FillPlan`) is held to ``compute``,
+feature by feature, on hypothesis-drawn rounds (:class:`TestRoundFill`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dataplane import kernels
+from repro.dataplane import SpliDTDataPlane, kernels
+from repro.dataplane.slot_stream import StreamSource
+from repro.dataplane.splidt_program import FillPlan
 from repro.dataplane.vectorized import _WindowAggregator
 from repro.datasets import SyntheticTrafficGenerator, get_profile
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
-from repro.features.definitions import FEATURES
+from repro.features.definitions import FEATURES, N_FEATURES
 from repro.features.flowmeter import BURST_GAP_SECONDS
 from repro.features.stateful import make_operator
 
@@ -199,3 +205,104 @@ def test_iat_sums_equal_a_literal_loop(shape):
     want, want_sq = _loop_sums(diffs, s, e)
     assert np.array_equal(acc.view(np.int64), want.view(np.int64))
     assert np.array_equal(acc_sq.view(np.int64), want_sq.view(np.int64))
+
+
+# ----------------------------------------------------------------------
+# The round fill: every feature once, over the rows whose subtree reads it
+# ----------------------------------------------------------------------
+class _Counting(_WindowAggregator):
+    """An aggregator that records every feature it computes."""
+
+    def __init__(self, soa) -> None:
+        super().__init__(soa)
+        self.computed: list[int] = []
+
+    def _compute(self, feature_index, s, e, shared):
+        self.computed.append(feature_index)
+        return super()._compute(feature_index, s, e, shared)
+
+
+@pytest.fixture(scope="module")
+def sources(windows):
+    """The fixture's packets flow-major, and in arrival order as a slot stream holds them."""
+    _, soa, _, _, _ = windows
+    order = soa.interleave_order
+    return {"packet-arrays": soa, "stream": StreamSource(soa, order, soa.timestamps[order])}
+
+
+@st.composite
+def fill_rounds(draw, n_packets: int):
+    """``(features_by_sid, sids, s, e)``: operator banks and one round of windows over them.
+
+    Banks draw from a small palette, so subtrees read overlapping and
+    disjoint feature sets (or none); a row may be in a SID no bank has.
+    Windows are ranges of the source of 1, 2 or more packets.
+    """
+    palette = draw(st.lists(st.sampled_from(_STATEFUL), min_size=1, max_size=8, unique=True))
+    banks = draw(st.lists(st.lists(st.sampled_from(palette), unique=True), min_size=1,
+                          max_size=5))
+    features_by_sid = {
+        sid: sorted(feature.index for feature in bank) for sid, bank in enumerate(banks, 1)
+    }
+    n_rows = draw(st.integers(1, 40))
+    sids = draw(st.lists(st.integers(1, len(banks) + 1), min_size=n_rows, max_size=n_rows))
+    lengths = draw(st.lists(st.sampled_from((1, 2)) | st.integers(1, 80), min_size=n_rows,
+                            max_size=n_rows))
+    s = np.array([draw(st.integers(0, n_packets - length)) for length in lengths])
+    return features_by_sid, np.array(sids, dtype=np.int64), s, s + np.array(lengths)
+
+
+class TestRoundFill:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), source=st.sampled_from(("packet-arrays", "stream")))
+    def test_fill_equals_compute_feature_by_feature(self, sources, data, source):
+        packets = sources[source]
+        features_by_sid, sids, s, e = data.draw(fill_rounds(packets.n_packets))
+        aggregator = _Counting(packets)
+        matrix = np.full((sids.size, N_FEATURES), np.nan)
+        aggregator.fill(matrix, s, e, FillPlan(features_by_sid).row_sets(sids))
+
+        reads = np.array(
+            [[feature.index in features_by_sid.get(sid, ()) for feature in FEATURES]
+             for sid in sids.tolist()]
+        ).reshape(sids.size, N_FEATURES)
+        # Each feature any row reads is computed once, whatever subtrees read it.
+        assert sorted(aggregator.computed) == np.flatnonzero(reads.any(axis=0)).tolist()
+        for feature in FEATURES:
+            readers = reads[:, feature.index]
+            column = matrix[:, feature.index]
+            assert np.isnan(column[~readers]).all(), feature.name
+            if readers.any():
+                want = _WindowAggregator(packets).compute(feature.index, s, e)
+                assert column[readers].tobytes() == want[readers].tobytes(), feature.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60))
+    def test_columns_a_subtree_does_not_read_leave_every_verdict_alone(
+        self, splidt_model, splidt_rules, windowed3, seed, n_rows
+    ):
+        rng = np.random.default_rng(seed)
+        pool = np.vstack([windowed3.partition_matrix(p, "train") for p in range(3)])
+        matrix = pool[rng.integers(0, len(pool), n_rows)]
+        sids = rng.choice([*splidt_model.subtrees, 999], n_rows)
+        shuffled = matrix.copy()
+        for row, sid in enumerate(sids.tolist()):
+            subtree = splidt_model.subtrees.get(sid)
+            used = set() if subtree is None else subtree.features_used()
+            unread = [f for f in range(N_FEATURES) if f not in used]
+            shuffled[row, unread] = rng.permutation(matrix[row, unread])
+
+        window = rng.integers(0, splidt_model.config.n_partitions, n_rows)
+        outcomes = []
+        for features in (matrix, shuffled):
+            program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
+            advance, values = program.step_windows(
+                flow_ids=np.arange(n_rows), sids=sids, window_index=window,
+                feature_matrix=features, boundary_ts=np.arange(n_rows) + 1.0,
+                first_packet_ts=np.zeros(n_rows),
+            )
+            outcomes.append((advance.tobytes(), values[advance].tobytes(),
+                             [column.tobytes() for column in program.verdict_rows()],
+                             program.recirculation_stats()))
+        assert outcomes[0] == outcomes[1]
+

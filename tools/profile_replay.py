@@ -232,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         replay_stats = program.replay_stats
         search = replay_stats["event_search"]
         print(f"paths: packets {replay_stats['packets']}, "
+              f"{replay_stats['lockstep_rounds']} lockstep window rounds, "
               f"{replay_stats['event_rounds']} slot-stream event rounds "
               f"(window boundaries: {search['lookup']} rows by stretch lookup, "
               f"{search['index']} by size-class index); "
