@@ -159,9 +159,7 @@ def splidt_experiment(
     cache_key = (spec, id(store))
     if cache_key not in _EXPERIMENT_CACHE:
         experiment = Experiment(spec)
-        windowed = store.fetch(spec.materialized_partitions())
-        if spec.bit_width != 32:
-            windowed = windowed.with_precision(spec.bit_width)
+        windowed = store.fetch(spec.materialized_partitions()).with_precision(spec.bit_width)
         experiment.restore_stage(
             "prepare", Prepared(dataset=store.dataset, store=store, windowed=windowed)
         )

@@ -57,7 +57,7 @@ class PForestModel:
         equal to the tree index), mirroring how pForest installs one table
         group per tree.
         """
-        quantizer = FeatureQuantizer(bit_width=min(self.config.bit_width, 32)).fit(training_matrix)
+        quantizer = FeatureQuantizer(bit_width=self.config.bit_width).fit(training_matrix)
         subtree_rules = {
             index: generate_subtree_rules(exit_subtree(tree, sid=index), quantizer)
             for index, tree in enumerate(self.trees, start=1)

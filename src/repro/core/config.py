@@ -104,8 +104,9 @@ class TopKConfig:
 def enumerate_partitionings(depth: int, n_partitions: int) -> list[tuple[int, ...]]:
     """All compositions of ``depth`` into ``n_partitions`` positive parts.
 
-    Used by the exhaustive design-search mode and by tests; the Bayesian
-    search samples from this set.
+    The design search does not draw from this set: it proposes ``(depth, k,
+    n_partitions)`` and splits the depth near-uniformly
+    (:meth:`SpliDTConfig.uniform`).
     """
     if n_partitions < 1 or depth < n_partitions:
         return []

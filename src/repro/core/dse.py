@@ -94,14 +94,15 @@ class EvaluationContext:
     Three stages of :func:`evaluate_configuration` do not depend on the full
     candidate configuration, only on ``(n_partitions, bit_width)``:
 
-    * the dataset fetch (already cached per partition count by
+    * the dataset fetch (cached per partition count by
       :class:`~repro.datasets.materialize.DatasetStore`),
-    * the precision-quantised copy (``with_precision``), and
-    * the rule-generation inputs — the stacked training matrix and the
-      quantiser fitted on it.
+    * the reduced-precision view (memoised per width by
+      :meth:`~repro.datasets.materialize.WindowedDataset.with_precision`), and
+    * the rules' quantiser, fitted on the stacked training windows (cached
+      here).
 
     A search evaluates dozens of candidates that share those keys; caching
-    them here turns the repeated prefix into dictionary lookups.  The
+    them turns the repeated prefix into dictionary lookups.  The
     resource estimate's flow-duration moments are memoised the same way, per
     ``(workload, n_flows)``.  All cached values are deterministic functions of
     the dataset and the key, so the cached path is bit-identical to
@@ -110,8 +111,7 @@ class EvaluationContext:
 
     def __init__(self, store) -> None:
         self.store = store
-        self._precision: dict[tuple[int, int], object] = {}
-        self._rulegen: dict[tuple[int, int], tuple[np.ndarray, FeatureQuantizer]] = {}
+        self._quantizers: dict[tuple[int, int], FeatureQuantizer] = {}
         self._moments: dict[tuple[WorkloadProfile, int], tuple[float, float]] = {}
 
     def duration_moments(self, workload: WorkloadProfile, n_flows: int) -> tuple[float, float]:
@@ -121,26 +121,15 @@ class EvaluationContext:
             self._moments[key] = flow_duration_moments(workload, n_flows)
         return self._moments[key]
 
-    def windowed(self, n_partitions: int, bit_width: int):
-        """The (possibly precision-quantised) dataset for one cache key."""
-        base = self.store.fetch(n_partitions)
-        if bit_width == 32:
-            return base
+    def quantizer(self, n_partitions: int, bit_width: int) -> FeatureQuantizer:
+        """The rules' quantiser for one cache key, fitted on the stacked training windows."""
         key = (n_partitions, bit_width)
-        if key not in self._precision:
-            self._precision[key] = base.with_precision(bit_width)
-        return self._precision[key]
-
-    def rulegen_inputs(
-        self, windowed, n_partitions: int, bit_width: int
-    ) -> tuple[np.ndarray, FeatureQuantizer]:
-        """The stacked training matrix and fitted quantiser for one cache key."""
-        key = (n_partitions, bit_width)
-        if key not in self._rulegen:
-            matrix = stacked_training_matrix(windowed, n_partitions)
-            quantizer = FeatureQuantizer(bit_width=min(bit_width, 32)).fit(matrix)
-            self._rulegen[key] = (matrix, quantizer)
-        return self._rulegen[key]
+        if key not in self._quantizers:
+            windowed = self.store.fetch(n_partitions).with_precision(bit_width)
+            self._quantizers[key] = FeatureQuantizer(bit_width).fit(
+                stacked_training_matrix(windowed)
+            )
+        return self._quantizers[key]
 
 
 def evaluate_configuration(
@@ -155,7 +144,7 @@ def evaluate_configuration(
     """Train, compile and cost one configuration (one DSE evaluation).
 
     Passing a long-lived ``context`` memoises the config-independent prefix
-    (fetch, precision copy, quantizer fit) and the flow-duration moments
+    (fetch, precision view, quantizer fit) and the flow-duration moments
     across calls; the result is bit-identical either way.
     """
     if context is None:
@@ -163,7 +152,7 @@ def evaluate_configuration(
     timings = StageTimings()
 
     start = time.perf_counter()
-    windowed = context.windowed(config.n_partitions, config.bit_width)
+    windowed = store.fetch(config.n_partitions).with_precision(config.bit_width)
     timings.fetch = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -172,11 +161,10 @@ def evaluate_configuration(
     timings.training = time.perf_counter() - start
 
     start = time.perf_counter()
-    training_matrix, quantizer = context.rulegen_inputs(
-        windowed, config.n_partitions, config.bit_width
-    )
     rules = generate_rules(
-        model, training_matrix, bit_width=config.bit_width, quantizer=quantizer
+        model,
+        bit_width=config.bit_width,
+        quantizer=context.quantizer(config.n_partitions, config.bit_width),
     )
     timings.rulegen = time.perf_counter() - start
 

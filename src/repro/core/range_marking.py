@@ -46,7 +46,10 @@ class FeatureQuantizer:
     The data plane matches on integer register values; offline, features are
     floats.  The quantiser learns a per-feature scale from training data and
     maps values linearly onto ``[0, 2**bit_width - 1]`` (saturating), exactly
-    as the rule generator and the data-plane simulator must both do.
+    as the rule generator and the data-plane simulator must both do.  It is
+    the only quantiser: a reduced-precision training view
+    (:meth:`~repro.datasets.materialize.WindowedDataset.with_precision`)
+    holds the :meth:`level_values` of one fitted on its training rows.
     """
 
     def __init__(self, bit_width: int = 32) -> None:
@@ -113,6 +116,21 @@ class FeatureQuantizer:
         np.multiply(out, self.max_level, out=out)
         np.round(out, out=out)
         return out.astype(np.int64)
+
+    def level_values(self, matrix: np.ndarray) -> np.ndarray:
+        """Raw-unit stand-ins for the levels of a batch: what training reads.
+
+        Level ``l`` becomes ``(l - 1/4) * scale / max_level`` and the top
+        level ``scale`` itself, so :meth:`quantize_matrix` of the result
+        gives back every level, a quantiser refitted on the stand-ins of its
+        own training rows recovers its scales, and the midpoint of two
+        stand-ins (a split threshold) quantises to the lower level without
+        landing on a rounding tie.
+        """
+        scales = self._check_fitted()
+        levels = self.quantize_matrix(matrix)
+        values = (levels - 0.25) * (scales / self.max_level)
+        return np.where(levels == self.max_level, scales, values)
 
 
 @dataclass
@@ -539,15 +557,15 @@ def generate_rules(
             fitting one on ``training_matrix``.  The DSE's evaluation context
             caches the fit per ``(n_partitions, bit_width)`` — the scales only
             depend on the dataset, not the candidate — so repeated candidates
-            skip the fit entirely.  Must have been fitted at
-            ``min(bit_width, 32)`` bits on the same matrix the direct path
-            would use, or the compiled rules will differ.
+            skip the fit entirely.  Must have been fitted at ``bit_width``
+            bits on the same matrix the direct path would use, or the
+            compiled rules will differ.
     """
     width = bit_width if bit_width is not None else model.config.bit_width
     if quantizer is None:
         if training_matrix is None:
             raise ValueError("either training_matrix or quantizer is required")
-        quantizer = FeatureQuantizer(bit_width=min(width, 32)).fit(training_matrix)
+        quantizer = FeatureQuantizer(bit_width=width).fit(training_matrix)
     subtree_rules = {
         sid: generate_subtree_rules(subtree, quantizer)
         for sid, subtree in model.subtrees.items()

@@ -15,12 +15,12 @@ paper's "Fetch" stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.datasets.flows import FlowDataset
-from repro.features.flowmeter import FlowMeter, quantize_features
+from repro.features.flowmeter import FlowMeter
 from repro.ml.model_selection import train_test_split
 
 
@@ -53,6 +53,7 @@ class WindowedDataset:
     test_indices: np.ndarray
     metadata: dict = field(default_factory=dict)
     _feature_orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _precision_views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_flows(self) -> int:
@@ -113,21 +114,37 @@ class WindowedDataset:
         raise ValueError("split must be 'train', 'test' or 'all'")
 
     def with_precision(self, bit_width: int) -> "WindowedDataset":
-        """Return a copy whose feature values are quantised to ``bit_width`` bits."""
-        return WindowedDataset(
-            name=self.name,
-            n_partitions=self.n_partitions,
-            window_features=np.stack(
-                [quantize_features(m, bit_width) for m in self.window_features]
-            ),
-            flow_features=quantize_features(self.flow_features, bit_width),
-            packet_features=quantize_features(self.packet_features, bit_width),
-            labels=self.labels.copy(),
-            class_names=list(self.class_names),
-            train_indices=self.train_indices.copy(),
-            test_indices=self.test_indices.copy(),
-            metadata={**self.metadata, "bit_width": bit_width},
-        )
+        """The dataset as a ``bit_width``-bit switch reads it (memoised per width).
+
+        Each view — the stacked windows, the whole-flow rows, the packet
+        rows — is quantised by a
+        :class:`~repro.core.range_marking.FeatureQuantizer` fitted on its
+        training rows, the quantiser the compiled rules refit on the same
+        rows, and every value is replaced by the raw-unit stand-in of its
+        level (``FeatureQuantizer.level_values``).  A model trained on the
+        view therefore tests exactly the levels its rules match.  At 32 bits
+        this is the dataset itself.
+        """
+        if bit_width == 32:
+            return self
+        if bit_width not in self._precision_views:
+            from repro.core.range_marking import FeatureQuantizer, stacked_training_matrix
+
+            def levels(matrix: np.ndarray, training_rows: np.ndarray) -> np.ndarray:
+                return FeatureQuantizer(bit_width).fit(training_rows).level_values(matrix)
+
+            windows = levels(
+                self.window_features.reshape(-1, self.n_features),
+                stacked_training_matrix(self),
+            )
+            self._precision_views[bit_width] = replace(
+                self,
+                window_features=windows.reshape(self.window_features.shape),
+                flow_features=levels(self.flow_features, self.flow_matrix()),
+                packet_features=levels(self.packet_features, self.packet_matrix()),
+                metadata={**self.metadata, "bit_width": bit_width},
+            )
+        return self._precision_views[bit_width]
 
 
 def _flow_views(

@@ -20,7 +20,7 @@ from repro.features.definitions import (
     dependency_depth,
     feature_names,
 )
-from repro.features.flowmeter import FlowMeter, quantize_features
+from repro.features.flowmeter import FlowMeter
 from repro.features.window import (
     split_packets,
     window_boundaries,
@@ -37,7 +37,6 @@ __all__ = [
     "FlowMeter",
     "dependency_depth",
     "feature_names",
-    "quantize_features",
     "split_packets",
     "window_boundaries",
     "window_bounds",

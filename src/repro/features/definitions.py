@@ -29,7 +29,6 @@ class FeatureDefinition:
         stateful: Whether per-flow state is required to compute it.
         dependency_depth: Number of chained register stages needed before the
             feature register itself can be updated (0 = direct update).
-        bit_width: Width of the register holding the feature (bits).
         operator: The data-plane update operator (``count``, ``sum``, ``max``,
             ``min``, ``mean``, ``last``, ``rate``, ``stateless``).
     """
@@ -38,7 +37,6 @@ class FeatureDefinition:
     name: str
     stateful: bool
     dependency_depth: int
-    bit_width: int
     operator: str
 
 
@@ -95,7 +93,6 @@ def _make_catalogue() -> list[FeatureDefinition]:
                 name=name,
                 stateful=stateful,
                 dependency_depth=depth,
-                bit_width=32,
                 operator=operator,
             )
         )

@@ -341,33 +341,3 @@ def _fill_bucket(
     put("large_pkt_count", (sizes > LARGE_PACKET_BYTES).sum(axis=1))
     put("payload_sum", payloads.sum(axis=1))
     put("mean_payload", payloads.mean(axis=1))
-
-
-def quantize_features(matrix: np.ndarray, bit_width: int, max_value: float | None = None) -> np.ndarray:
-    """Quantise a feature matrix to ``bit_width``-bit unsigned integers.
-
-    The paper's Figure 12 lowers feature precision from 32 to 16 and 8 bits;
-    this helper applies the same uniform quantisation used there: values are
-    clipped to ``[0, max_value]`` and mapped onto ``2**bit_width`` levels.
-
-    Args:
-        matrix: Feature matrix (non-negative values).
-        bit_width: Target precision (e.g. 32, 16, 8).
-        max_value: Saturation value; defaults to the per-column maximum.
-
-    Returns:
-        The quantised matrix (same shape, float dtype holding integer levels).
-    """
-    if bit_width < 1:
-        raise ValueError("bit_width must be >= 1")
-    matrix = np.asarray(matrix, dtype=float)
-    if bit_width >= 32:
-        return matrix.copy()
-    levels = float(2**bit_width - 1)
-    if max_value is None:
-        column_max = matrix.max(axis=0)
-    else:
-        column_max = np.full(matrix.shape[1], float(max_value))
-    column_max = np.where(column_max <= 0, 1.0, column_max)
-    clipped = np.clip(matrix, 0.0, column_max)
-    return np.floor(clipped / column_max * levels)

@@ -23,7 +23,9 @@ guarantees that flows already in flight finish on the old model bit-exactly
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.core.config import SpliDTConfig
 from repro.core.partitioned_tree import train_partitioned_tree
@@ -194,6 +196,10 @@ class OnlineController:
         windowed = materialize(
             FlowDataset("online-retrain", "", buffered, self.class_names),
             n_partitions,
+        )
+        # Every buffered flow trains, so every one fits the precision view.
+        windowed = replace(windowed, train_indices=np.arange(windowed.n_flows)).with_precision(
+            self.model_config.bit_width
         )
         model = train_partitioned_tree(windowed, self.model_config, split="all")
         rules = generate_rules(

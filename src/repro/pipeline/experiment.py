@@ -170,9 +170,9 @@ class Experiment:
             spec = self.spec
             dataset = load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
             store = DatasetStore(dataset, test_size=spec.test_size, random_state=spec.seed)
-            windowed = store.fetch(spec.materialized_partitions())
-            if spec.bit_width != 32:
-                windowed = windowed.with_precision(spec.bit_width)
+            windowed = store.fetch(spec.materialized_partitions()).with_precision(
+                spec.bit_width
+            )
             return Prepared(dataset=dataset, store=store, windowed=windowed)
 
         return self._stage("prepare", run)

@@ -80,6 +80,23 @@ class TestFeatureQuantizer:
         quantizer = FeatureQuantizer(bit_width=8).fit(matrix)
         assert quantizer.quantize_value(0, 0.0) == 0
 
+    @pytest.mark.parametrize("bit_width", [8, 16])
+    def test_level_values_round_trip(self, bit_width):
+        rng = np.random.default_rng(bit_width)
+        matrix = np.column_stack(
+            [rng.uniform(0, 1000, 50), rng.integers(0, 7, 50), np.zeros(50)]
+        )
+        quantizer = FeatureQuantizer(bit_width=bit_width).fit(matrix)
+        held_out = np.vstack([matrix * 1.7, [[-1.0, 3.0, 0.4]]])
+        for rows in (matrix, held_out):
+            values = quantizer.level_values(rows)
+            np.testing.assert_array_equal(
+                quantizer.quantize_matrix(values), quantizer.quantize_matrix(rows)
+            )
+        # Refitted on its training rows' stand-ins, the quantiser keeps its scales.
+        refit = FeatureQuantizer(bit_width=bit_width).fit(quantizer.level_values(matrix))
+        np.testing.assert_array_equal(refit.scales_, quantizer.scales_)
+
 
 class TestMarkTable:
     def test_ranges_and_marks(self):

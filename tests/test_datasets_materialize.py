@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.range_marking import FeatureQuantizer, stacked_training_matrix
 from repro.datasets.materialize import DatasetStore, materialize
 from repro.datasets.registry import load_dataset
 from repro.features.definitions import N_FEATURES, STATEFUL_INDICES
@@ -105,11 +106,70 @@ class TestMaterialize:
         assert not np.array_equal(other_split.train_indices, two.train_indices)
 
     def test_with_precision_bounds_values(self, windowed3):
-        quantised = windowed3.with_precision(8)
-        assert quantised.flow_features.max() <= 255
-        assert quantised.metadata["bit_width"] == 8
-        # Original untouched.
-        assert windowed3.flow_features.max() > 255
+        view = windowed3.with_precision(8)
+        assert view.metadata["bit_width"] == 8
+        for matrix, rows, view_rows in _precision_views(windowed3, view):
+            assert max(np.unique(column).size for column in matrix.T) <= 256
+            # The rules refit the view's quantiser on the view's training rows.
+            fitted = FeatureQuantizer(8).fit(rows)
+            np.testing.assert_array_equal(FeatureQuantizer(8).fit(view_rows).scales_, fitted.scales_)
+
+
+def _precision_views(windowed, view):
+    """Per view: the view's matrix, the raw training rows, the view's training rows."""
+    n_features = windowed.n_features
+    return [
+        (
+            view.window_features.reshape(-1, n_features),
+            stacked_training_matrix(windowed),
+            stacked_training_matrix(view),
+        ),
+        (view.flow_features, windowed.flow_matrix(), view.flow_matrix()),
+        (view.packet_features, windowed.packet_matrix(), view.packet_matrix()),
+    ]
+
+
+class TestWithPrecision:
+    def test_32_bit_is_the_dataset_itself(self, windowed3):
+        assert windowed3.with_precision(32) is windowed3
+
+    def test_memoised_per_width(self, windowed3):
+        assert windowed3.with_precision(8) is windowed3.with_precision(8)
+        assert windowed3.with_precision(16) is not windowed3.with_precision(8)
+
+    def test_values_are_level_stand_ins_bounded_by_the_training_scale(self, windowed3):
+        raw = windowed3.window_features.reshape(-1, windowed3.n_features)
+        for bit_width in (8, 16):
+            quantizer = FeatureQuantizer(bit_width).fit(stacked_training_matrix(windowed3))
+            values = windowed3.with_precision(bit_width).window_features.reshape(raw.shape)
+            assert np.all(values <= quantizer.scales_)
+            assert np.all(values >= -0.25 * quantizer.scales_ / quantizer.max_level)
+            np.testing.assert_array_equal(
+                quantizer.quantize_matrix(values), quantizer.quantize_matrix(raw)
+            )
+
+    def test_monotone_in_input(self, windowed3):
+        view = windowed3.with_precision(8)
+        pairs = [
+            (view.flow_features, windowed3.flow_features),
+            (view.window_features[1], windowed3.window_features[1]),
+        ]
+        for matrix, raw in pairs:
+            order = np.argsort(raw, axis=0, kind="stable")
+            assert np.all(np.diff(np.take_along_axis(matrix, order, axis=0), axis=0) >= 0)
+
+    def test_invalid_bit_width(self, windowed3):
+        for bit_width in (0, 33):
+            with pytest.raises(ValueError):
+                windowed3.with_precision(bit_width)
+
+    def test_lower_precision_coarser(self, windowed3):
+        def distinct(dataset):
+            return [np.unique(column).size for column in dataset.flow_features.T]
+
+        q8, q16 = distinct(windowed3.with_precision(8)), distinct(windowed3.with_precision(16))
+        assert all(a <= b <= c for a, b, c in zip(q8, q16, distinct(windowed3)))
+        assert sum(q8) < sum(q16)
 
 
 class TestDatasetStore:

@@ -53,9 +53,6 @@ class TestCatalogue:
     def test_dependency_depth_empty(self):
         assert dependency_depth([]) == 0
 
-    def test_bit_widths_positive(self):
-        assert all(f.bit_width > 0 for f in FEATURES)
-
     def test_operators_are_known(self):
         known = {"count", "sum", "max", "min", "mean", "last", "rate", "stateless"}
         assert all(f.operator in known for f in FEATURES)

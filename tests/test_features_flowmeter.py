@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays, TCP_FLAGS
 from repro.features.definitions import FEATURES_BY_NAME, N_FEATURES
-from repro.features.flowmeter import FlowMeter, quantize_features
+from repro.features.flowmeter import FlowMeter
 
 
 def _index(name: str) -> int:
@@ -253,29 +253,3 @@ class TestBatchedKernelMatchesReference:
         _assert_batched_equals_reference(flows, 2)
         _assert_batched_equals_reference(flows, 1)
 
-
-class TestQuantizeFeatures:
-    def test_32_bit_is_identity(self):
-        matrix = np.array([[1.5, 2.5], [3.0, 4.0]])
-        np.testing.assert_allclose(quantize_features(matrix, 32), matrix)
-
-    def test_values_bounded_by_levels(self):
-        matrix = np.random.default_rng(0).uniform(0, 1000, size=(20, 3))
-        quantized = quantize_features(matrix, 8)
-        assert quantized.max() <= 255
-        assert quantized.min() >= 0
-
-    def test_monotone_in_input(self):
-        matrix = np.array([[0.0], [10.0], [100.0], [1000.0]])
-        quantized = quantize_features(matrix, 8)
-        assert np.all(np.diff(quantized[:, 0]) >= 0)
-
-    def test_invalid_bit_width(self):
-        with pytest.raises(ValueError):
-            quantize_features(np.zeros((2, 2)), 0)
-
-    def test_lower_precision_coarser(self):
-        matrix = np.linspace(0, 1000, 100).reshape(-1, 1)
-        q8 = quantize_features(matrix, 8)
-        q16 = quantize_features(matrix, 16)
-        assert len(np.unique(q8)) <= len(np.unique(q16))
