@@ -57,7 +57,7 @@ class FiveTuple:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A single packet observation.
 

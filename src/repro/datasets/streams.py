@@ -586,36 +586,42 @@ class StreamedPacketSource:
 
         Counts (a) the SoA columns ``PacketArrays.from_flows`` would allocate
         and (b) the object-form ``Flow``/``Packet``/``FiveTuple`` graph that
-        construction path requires as input — measured from live sample
-        objects, so the estimate tracks the interpreter's real per-object
-        overhead rather than a hard-coded constant.
+        construction path requires as input (:meth:`_object_bytes`).
         """
         soa = self.soa
-        n_packets, n_flows = soa.n_packets, soa.n_flows
         per_packet = sum(dtype.itemsize for _, dtype in _PACKET_COLUMNS)
         per_packet += soa.interleave_order.dtype.itemsize  # the permutation
-        column_bytes = n_packets * per_packet
+        column_bytes = soa.n_packets * per_packet
         for arr in (
             soa.flow_starts, soa.flow_ids, soa.labels, soa.n_packets_per_flow,
             *soa.identity_columns(),
             soa.first_sizes, soa.first_timestamps,
         ):
             column_bytes += arr.dtype.itemsize * max(len(arr), 1)
+        return column_bytes + self._object_bytes()
 
+    def _object_bytes(self) -> int:
+        """Estimated bytes of the source's traffic as ``Flow``/``Packet`` objects.
+
+        Measured from live sample objects, so the estimate tracks the
+        interpreter's real per-object overhead (a slotted ``Packet`` has no
+        ``__dict__``) rather than a hard-coded constant.
+        """
+        soa = self.soa
         sample_packet = Packet(timestamp=0.0, size=64, flags=0, direction=1, payload=0)
         sample_five_tuple = FiveTuple(1, 2, 3, 4, 6)
         sample_flow = Flow(
             five_tuple=sample_five_tuple, packets=[], label=0, class_name="", flow_id=0
         )
         pointer = 8  # one list slot per object held
-        # Each packet's timestamp is a unique float object; sizes/flags/
-        # directions mostly hit the small-int cache and are not counted.
-        packet_bytes = (
-            sys.getsizeof(sample_packet)
-            + sys.getsizeof(sample_packet.__dict__)
-            + sys.getsizeof(0.1)
-            + pointer
-        )
+        large_int = sys.getsizeof(1 << 30)
+        # Each packet's timestamp is a unique float object, and so is each
+        # size or payload past the small-int cache (-5..256); flags and
+        # directions always hit the cache.
+        packet_bytes = sys.getsizeof(sample_packet) + sys.getsizeof(0.1) + pointer
+        if hasattr(sample_packet, "__dict__"):
+            packet_bytes += sys.getsizeof(sample_packet.__dict__)
+        n_large = int(np.count_nonzero(soa.sizes > 256) + np.count_nonzero(soa.payloads > 256))
         # Each flow additionally holds two IP ints past the small-int cache
         # and a non-empty packets list (allocation header vs the bare []).
         tuple_bytes = sys.getsizeof(sample_five_tuple)
@@ -625,12 +631,15 @@ class StreamedPacketSource:
             sys.getsizeof(sample_flow)
             + sys.getsizeof(sample_flow.__dict__)
             + tuple_bytes
-            + 2 * sys.getsizeof(1 << 30)
+            + 2 * large_int
             + sys.getsizeof([None])
             + pointer
         )
-        object_bytes = n_packets * packet_bytes + n_flows * flow_bytes
-        return column_bytes + object_bytes
+        return (
+            soa.n_packets * packet_bytes
+            + n_large * large_int
+            + soa.n_flows * flow_bytes
+        )
 
     def close(self) -> None:
         """Release the memmaps' directory (idempotent)."""

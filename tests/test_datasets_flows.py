@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import doctest
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, TCP_FLAGS
 
@@ -32,6 +38,33 @@ class TestPacket:
         assert packet.has_flag("SYN")
         assert packet.has_flag("ACK")
         assert not packet.has_flag("FIN")
+
+    def test_slotted_layout(self):
+        # Replay holds every packet of the trace live: no per-packet dict.
+        packet = Packet(timestamp=0.25, size=1400, flags=0x18, direction=-1, payload=1348)
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.extra = 1
+
+    def test_round_trips_with_equal_fields(self):
+        packet = Packet(timestamp=0.25, size=1400, flags=0x18, direction=-1, payload=1348)
+        fields = dataclasses.astuple(packet)
+        clones = (
+            pickle.loads(pickle.dumps(packet)),
+            copy.copy(packet),
+            dataclasses.replace(packet),
+        )
+        for clone in clones:
+            assert clone is not packet and clone == packet
+            assert dataclasses.astuple(clone) == fields
+        assert dataclasses.replace(packet, size=60).size == 60 and packet.size == 1400
+
+    def test_docstring_examples(self):
+        tests = doctest.DocTestFinder().find(Packet, globs={"Packet": Packet})
+        runner = doctest.DocTestRunner()
+        for test in tests:
+            runner.run(test)
+        assert runner.summarize(verbose=False) == (0, 1)
 
 
 class TestFlow:

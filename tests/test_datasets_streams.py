@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.datasets.flows import FiveTuple, PacketArrays
 from repro.datasets.streams import (
     LazyFlowList,
@@ -218,6 +222,23 @@ class TestStreamedPacketWriter:
         # The object-form estimate must exceed the raw spilled bytes by a
         # healthy margin — that gap is the whole point of streaming.
         assert streamed_source.materialised_bytes_estimate() > streamed_source.spilled_bytes()
+
+    def test_object_estimate_matches_tracemalloc(self, streamed_source):
+        # The object term counts what generating the same D3 traffic as
+        # Flow/Packet objects really allocates (slotted packets, unique
+        # timestamp floats, sizes and payloads past the small-int cache).
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dataset = load_dataset("D3", n_flows=360, seed=11)
+            gc.collect()
+            measured = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        assert n_packets == streamed_source.n_packets
+        estimated = streamed_source._object_bytes()
+        assert estimated / n_packets == pytest.approx(measured / n_packets, rel=0.2)
 
 
 class TestStreamedReplayParity:

@@ -41,7 +41,12 @@ eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
 the spec's dataset — drawing the flows (``generate_s``), building the SoA
 columns (``soa_build_s``) and naming the flows (``slot_hash_s``: slots and
 tuple ids at ``--flow-slots``) — on a copy drawn for the purpose, outside the
-profile.
+profile.  Its ``memory`` block is the process's resident set in MiB (VmRSS
+from ``/proc/self/status``; ``null`` where that file is absent) after the
+``repro`` imports (``import_mib``) and after staging, just before the
+profiled region (``setup_mib``), its peak over the run (``peak_mib``,
+VmHWM), and whether any ``scipy`` module was loaded (``scipy_loaded``:
+only the design search needs one).
 """
 
 from __future__ import annotations
@@ -57,6 +62,18 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+def resident_mib(field: str = "VmRSS") -> float | None:
+    """``field`` of ``/proc/self/status`` (VmRSS now, VmHWM the peak) in MiB."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith(field + ":"):
+                    return round(int(line.split()[1]) / 1024, 1)
+    except OSError:
+        pass
+    return None
 
 
 def measure_setup(spec) -> dict[str, float]:
@@ -132,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenarios import get_workload_scenario
 
         scenario = get_workload_scenario(args.scenario)
+    memory = {"import_mib": resident_mib()}
 
     spec = ExperimentSpec(
         dataset=scenario.dataset if scenario else args.dataset,
@@ -171,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
               f"scenario {scenario.name!r} replay ("
               f"{workload.n_flows} flows / {n_packets} packets, "
               f"eviction {scenario.eviction})", flush=True)
+        memory["setup_mib"] = resident_mib()
         replay_started = time.perf_counter()
         profiler.enable()
         replay_workload(program, workload)
@@ -198,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{args.serve_engine} serve session ("
               f"{n_packets} packets, swap at chunk {swap_chunk}/{len(chunks)})",
               flush=True)
+        memory["setup_mib"] = resident_mib()
         replay_started = time.perf_counter()
         profiler.enable()
         serve.open()
@@ -214,12 +234,15 @@ def main(argv: list[str] | None = None) -> int:
         program = experiment.system.build_program(model, rules, spec)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
               f"replay ({n_packets} packets)", flush=True)
+        memory["setup_mib"] = resident_mib()
         replay_started = time.perf_counter()
         profiler.enable()
         result = replay_dataset(program, dataset)
         profiler.disable()
         elapsed = time.perf_counter() - replay_started
 
+    memory["peak_mib"] = resident_mib("VmHWM")
+    memory["scipy_loaded"] = any(name.split(".")[0] == "scipy" for name in sys.modules)
     stats = pstats.Stats(profiler)
     print(f"\nreplayed {len(result.verdicts)} verdicts "
           f"(data-plane F1 {result.report.f1_score:.3f})")
@@ -237,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
               f"(window boundaries: {search['lookup']} rows by stretch lookup, "
               f"{search['index']} by size-class index); "
               f"deferred {replay_stats['deferred']}")
+    print(f"memory: import {memory['import_mib']} MiB, set-up "
+          f"{memory['setup_mib']} MiB, peak {memory['peak_mib']} MiB; "
+          f"scipy loaded: {memory['scipy_loaded']}")
     print("counters: " + ", ".join(f"{name} {value}" for name, value in sorted(counters.items())))
     if swap_event is not None:
         print(f"swap : epoch {swap_event.epoch} built in "
@@ -282,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             "replay_stats": replay_stats,
             "counters": counters,
             "setup": setup,
+            "memory": memory,
             "hotspots": hotspots,
         }
         if swap_event is not None:
