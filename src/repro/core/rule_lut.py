@@ -16,13 +16,14 @@ block and mark weights.  A window round's rows, whatever subtrees they are in,
 are classified by one :meth:`CompiledLookup.lookup` of a fixed number of
 NumPy primitives:
 
-1. one gather of every row's (SID, axis) pairs and their raw feature values
-   (the feature-table stage of the pipeline),
+1. one gather of every row's axes (its SID's, padded to the most any SID
+   has) and their raw feature values (the feature-table stage of the
+   pipeline),
 2. a vectorised bisection of each value within its axis's sorted boundaries
    — ``searchsorted(boundaries, value, side="right")`` for every pair at
    once, a step per bit of the longest boundary list,
-3. one weighted ``bincount`` folding each row's marks into its flat cell
-   (the match-key assembly), and
+3. one sum of each row's mark weights into its flat cell (the match-key
+   assembly), and
 4. one gather each from the ``int8`` kinds and ``int64`` values arrays
    (the model-table lookup).
 
@@ -218,7 +219,8 @@ class CompiledLookup:
     Every compiled subtree LUT is stacked at build time — kinds and values
     concatenated behind one extra ``KIND_NONE`` cell, a first cell per SID,
     and per (SID, axis) the feature and a block of its sorted boundaries
-    with each mark's weight in the flat cell index — so :meth:`lookup`
+    with each mark's weight in the flat cell index, padded per SID to the
+    most axes any SID has — so :meth:`lookup`
     classifies rows of any mix of subtrees at once, as the switch's one
     model table keyed by SID plus marks does.
 
@@ -259,44 +261,56 @@ class CompiledLookup:
             # The plane holds the cells once: each LUT keeps views of its block.
             lut.kinds = self._kinds[base : base + lut.n_cells]
             lut.values = self._values[base : base + lut.n_cells]
-        n_axes = np.array([len(lut.features) for lut in tables] + [0, 0], dtype=np.intp)
-        self._n_axes = n_axes
-        self._first_axis = np.cumsum(n_axes) - n_axes
-
         axes = [
             (feature, math.prod(lut.shape[axis + 1:]), lut.boundaries[axis])
             for lut in tables
             for axis, feature in enumerate(lut.features)
         ]
-        self._feature = np.array([feature for feature, _, _ in axes], dtype=np.intp)
         # Axis a owns the 2**steps slots from ``a << steps``: its sorted
         # boundaries, then NaN, which compares False against any value like a
         # boundary past them all, so a fixed ``steps``-step bisection from the
         # block's first slot ends on slot ``(a << steps) + mark``.  That
-        # slot's weight is the mark's share of the flat cell index.
+        # slot's weight is the mark's share of the flat cell index.  One more
+        # axis, all NaN and weight 0, pads a subtree's axes to the most any
+        # subtree has: it adds nothing to a row's cell.
         longest = max((bounds.size for _, _, bounds in axes), default=0)
         self._steps = longest.bit_length()
-        self._halves = tuple(1 << step for step in reversed(range(self._steps)))
         span = 1 << self._steps
-        self._bounds = np.full(len(axes) * span, np.nan)
-        self._weight = np.zeros(len(axes) * span)
+        self._bounds = np.full((len(axes) + 1) * span, np.nan)
+        self._weight = np.zeros((len(axes) + 1) * span, dtype=np.intp)
         for index, (_, stride, bounds) in enumerate(axes):
             block = index * span
             self._bounds[block : block + bounds.size] = bounds
             self._weight[block : block + span] = np.arange(span) * stride
+        # Per bisection step: its half, and the boundaries as seen from the
+        # slot the step tests (``slot + half - 1``), a view.
+        self._halves = tuple(
+            (half, self._bounds[half - 1 :])
+            for half in (1 << step for step in reversed(range(self._steps)))
+        )
+        # Per (axis position, table code): the axis's first slot and feature,
+        # padded; a lookup's pairs are a (position, row) grid.
+        width = max([len(lut.features) for lut in tables] + [1])
+        self._first_slot = np.full((width, n_tables + 2), len(axes) << self._steps, dtype=np.intp)
+        self._feature = np.zeros((width, n_tables + 2), dtype=np.intp)
+        first = 0
+        for code, lut in enumerate(tables):
+            n_axes = len(lut.features)
+            self._first_slot[:n_axes, code] = np.arange(first, first + n_axes) << self._steps
+            self._feature[:n_axes, code] = lut.features
+            first += n_axes
 
     def lookup(
         self, sids: np.ndarray, feature_matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One model-table lookup for rows in any mix of subtrees.
 
-        Row ``i`` is matched in subtree ``sids[i]``.  Each (row, axis) pair
-        reads its raw feature value and finds its mark as
+        Row ``i`` is matched in subtree ``sids[i]``.  Each of its subtree's
+        axes reads the row's raw feature value and finds its mark as
         ``searchsorted(boundaries, value, side="right")`` — a branch-free
-        bisection of all pairs at once, one step per bit of the longest
-        boundary list — and a weighted ``bincount`` folds each row's marks
-        into its flat cell.  The work is per pair, whatever the number of
-        subtrees.
+        bisection of every (row, axis) pair at once, one step per bit of the
+        longest boundary list — and the marks' weights sum to the row's flat
+        cell.  The work is per pair, whatever the number of subtrees.
 
         Returns:
             ``(kinds, values, over_cap)``: ``int8`` kinds and ``int64``
@@ -306,19 +320,12 @@ class CompiledLookup:
             scan.
         """
         codes = self._code.take(sids + 1, mode="clip")
-        flat = self._base[codes]
-        n_axes = self._n_axes[codes]
-        ends = n_axes.cumsum()
-        if ends.size and ends[-1]:
-            # Pair p belongs to row ``rows[p]`` and stacked axis ``axes[p]``.
-            rows = np.arange(codes.size).repeat(n_axes)
-            axes = np.arange(ends[-1]) + (self._first_axis[codes] - ends + n_axes).repeat(n_axes)
-            values = feature_matrix.ravel()[rows * feature_matrix.shape[1] + self._feature[axes]]
-            slot = axes << self._steps
-            for half in self._halves:
-                slot += (self._bounds[slot + (half - 1)] <= values) * half
-            # Exact: a flat cell index is far below 2**53.
-            flat += np.bincount(rows, self._weight[slot], codes.size).astype(np.intp)
+        # ``take`` along an axis: a 2-D fancy index costs several times more.
+        slot = self._first_slot.take(codes, axis=1)
+        values = feature_matrix[np.arange(codes.size), self._feature.take(codes, axis=1)]
+        for half, bounds in self._halves:
+            slot += (bounds[slot] <= values) * half
+        flat = self._base[codes] + self._weight[slot].sum(axis=0)
         over_cap = None
         if len(self.luts) > self._no_table:
             over_cap = (codes == self._over_cap).nonzero()[0]

@@ -22,6 +22,28 @@ def backend() -> str:
 _DENSE_CELLS = 1 << 14
 
 
+def _dense_sums(
+    diffs: np.ndarray, starts: np.ndarray, counts: np.ndarray, longest: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left-to-right sums of the ``counts[i]`` gaps after ``starts[i]``, as one dense block.
+
+    Column 0 of the block is the operators' starting total, +0.0, so a row
+    reads its sums at column ``counts[i]`` — 0.0 for a one-packet window, and
+    never a -0.0 total — and the additions run in exactly the scalar
+    MeanOperator's order (``np.add.accumulate`` along the rows is strictly
+    sequential).  Positions past a row's end (clipped at the column's end)
+    are summed too, but never read.
+    """
+    gaps = diffs.take(starts[:, None] + np.arange(longest + 1), mode="clip")
+    gaps[:, 0] = 0.0
+    squares = gaps * gaps
+    last = (np.arange(starts.size), counts)
+    return (
+        np.add.accumulate(gaps, axis=1, out=gaps)[last],
+        np.add.accumulate(squares, axis=1, out=squares)[last],
+    )
+
+
 def _iat_sums(
     diffs: np.ndarray,
     s: np.ndarray,
@@ -31,16 +53,21 @@ def _iat_sums(
 ) -> None:
     """Left-to-right IAT sums per segment — length-bucketed dense accumulation.
 
-    Rows are visited longest first in blocks whose shortest row is more than
-    half the block's longest — or, past that, as many rows as fit in
-    :data:`_DENSE_CELLS` cells, which cost less than another block; each
-    block is one dense gather and one ``np.add.accumulate`` along the rows
-    (strictly sequential, exactly the scalar MeanOperator's order), read at
-    each row's own last gap.  That is at most ``log2(longest) + 1`` blocks,
+    Rows that fit :data:`_DENSE_CELLS` cells together (a micro-batch flush's,
+    most often) are one block as they come.  Otherwise rows are visited
+    longest first in blocks whose shortest row is more than half the block's
+    longest — or, past that, as many rows as fit in :data:`_DENSE_CELLS`
+    cells, which cost less than another block; each block is one dense
+    gather and one ``np.add.accumulate`` along the rows
+    (:func:`_dense_sums`).  That is at most ``log2(longest) + 1`` blocks,
     each less than half padding or small, however skewed the row lengths
     are.
     """
     counts = e - s - 1
+    longest = int(counts.max()) if counts.size else 0
+    if counts.size * longest <= _DENSE_CELLS:
+        acc[:], acc_sq[:] = _dense_sums(diffs, s, counts, longest)
+        return
     acc[:] = 0.0
     acc_sq[:] = 0.0
     order = (-counts).argsort(kind="stable")
@@ -54,14 +81,7 @@ def _iat_sums(
             min(start + _DENSE_CELLS // longest, n_rows),
         )
         rows = order[start:stop]
-        # Positions past a row's end (clipped at the column's end) are summed
-        # too, but never read.
-        gaps = diffs.take((s[rows] + 1)[:, None] + np.arange(longest), mode="clip")
-        squares = gaps * gaps
-        last = (np.arange(rows.size), counts[rows] - 1)
-        # ``+ 0.0``: the operators start from +0.0, so a sum of -0.0 gaps reads +0.0.
-        acc[rows] = np.add.accumulate(gaps, axis=1, out=gaps)[last] + 0.0
-        acc_sq[rows] = np.add.accumulate(squares, axis=1, out=squares)[last] + 0.0
+        acc[rows], acc_sq[rows] = _dense_sums(diffs, s[rows], counts[rows], longest)
         start = stop
 
 

@@ -51,8 +51,9 @@ and independent *across* slots, so this plane takes the slot as its unit:
    with a cached stream), so each window is aggregated as that range of
    stream positions, with prefix columns memoised on the source, and
    classified by the step the flow-lockstep plane closes its windows with
-   (:func:`~repro.dataplane.vectorized._close_round`: one fill pass and one
-   model-table lookup, whatever subtrees the rows are in), one window index
+   (:func:`~repro.dataplane.vectorized._close_round`: one fill, each kernel
+   family once, and one model-table lookup, whatever subtrees the rows are
+   in), one window index
    per row.  Verdicts are credited as the per-packet oracle
    credits them: to the deciding packet's flow id, with the epoch's first
    timestamp and the epoch creator's header fields; rounds are finalised in
@@ -880,13 +881,15 @@ def _close_windows(
     aggregator reads the stream's packets in stream order, so a window is
     the segment ``[cursor, last + 1)`` as it stands.
     """
-    # Header fields are the epoch creator's: its tuple, its first packet's size.
-    matrix = np.zeros((members.size, N_FEATURES), dtype=np.float64)
+    # Header fields are the epoch creator's: its tuple, its first packet's
+    # size.  Only those some subtree reads are written: the lookup reads no
+    # other column.
+    matrix = np.empty((members.size, N_FEATURES), dtype=np.float64)
     _, _, src_ports, dst_ports, protocols = rows.identity
-    matrix[:, _SRC_PORT] = src_ports[members]
-    matrix[:, _DST_PORT] = dst_ports[members]
-    matrix[:, _PROTOCOL] = protocols[members]
-    matrix[:, _PKT_LEN_FIRST] = rows.first_size[members]
+    header = {_SRC_PORT: src_ports, _DST_PORT: dst_ports, _PROTOCOL: protocols,
+              _PKT_LEN_FIRST: rows.first_size}
+    for feature in program.fill_plan.header_features:
+        matrix[:, feature] = header[feature][members]
     return vz._close_round(
         program,
         aggregator,

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet
 from repro.dataplane.controller import Controller
+from repro.dataplane.vectorized import FillPlan
 from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import PacketArrays
 from repro.features.definitions import FEATURES
@@ -168,57 +169,6 @@ class SlotHandover:
         )
 
 
-class FillPlan:
-    """Which stateful features each subtree's operator bank holds, as one table.
-
-    Built once per program.  A window round's rows may be in any mix of
-    subtrees; :meth:`row_sets` gives the round's fill pass each feature's
-    rows — exactly those whose subtree reads it — with the features read by
-    the same rows in one set, so a feature is computed once per round and
-    intermediates are shared within a set.
-    """
-
-    def __init__(self, features_by_sid: dict[int, list[int]]) -> None:
-        sids = sorted(features_by_sid)
-        #: Per subtree code, its features; the last code is a SID the model lacks.
-        self._features = [features_by_sid[sid] for sid in sids] + [[]]
-        self._columns = sorted({feature for features in self._features for feature in features})
-        # Indexed by sid + 1 (SIDs are non-negative), clipped to "unknown".
-        code = [len(sids)] * (max(sids, default=0) + 3)
-        for index, sid in enumerate(sids):
-            code[sid + 1] = index
-        self._code = np.array(code, dtype=np.intp)
-        self._reads = np.array(
-            [[column in features for column in self._columns] for features in self._features],
-            dtype=bool,
-        ).reshape(len(self._features), len(self._columns))
-
-    def row_sets(self, sids: np.ndarray) -> list[tuple[np.ndarray | None, list[int]]]:
-        """``(rows, features)`` for one round whose row ``i`` is in subtree ``sids[i]``.
-
-        ``rows`` is ``None`` when every row of the round reads the features.
-
-        Example::
-
-            >>> program.fill_plan.row_sets(np.array([1, 2, 1]))  # doctest: +SKIP
-            [(None, [6]), (array([0, 2]), [9, 27])]
-        """
-        codes = self._code.take(sids + 1, mode="clip")
-        active = self._reads[np.bincount(codes, minlength=len(self._features)) > 0]
-        read = active.any(axis=0).nonzero()[0].tolist()
-        # Features read by the same subtrees of the round are read by the same rows.
-        keys = np.packbits(active[:, read], axis=0).T
-        by_readers: dict[bytes, list[int]] = {}
-        for position, column in enumerate(read):
-            by_readers.setdefault(keys[position].tobytes(), []).append(column)
-        sets = []
-        for columns in by_readers.values():
-            rows = self._reads[:, columns[0]][codes].nonzero()[0]
-            features = [self._columns[column] for column in columns]
-            sets.append((None if rows.size == codes.size else rows, features))
-        return sets
-
-
 class SpliDTDataPlane:
     """Execution of a compiled SpliDT model on the switch substrate.
 
@@ -271,12 +221,12 @@ class SpliDTDataPlane:
         self._held: list[SlotHandover] = []
         #: Every decided row (see :attr:`verdicts`).
         self._verdicts = VerdictStore()
+        used = {sid: sorted(subtree.features_used()) for sid, subtree in model.subtrees.items()}
         self._stateful_by_sid = {
-            sid: [f for f in sorted(subtree.features_used()) if FEATURES[f].stateful]
-            for sid, subtree in model.subtrees.items()
+            sid: [f for f in features if FEATURES[f].stateful] for sid, features in used.items()
         }
-        #: The window rounds' fill plan, over :meth:`subtree_stateful_features`.
-        self.fill_plan = FillPlan(self._stateful_by_sid)
+        #: The window rounds' fill plan, over every subtree's features.
+        self.fill_plan = FillPlan(used)
         rules.compiled_lookup()
 
     # ------------------------------------------------------------------
@@ -359,27 +309,26 @@ class SpliDTDataPlane:
             not_last = window_index < self._n_partitions - 1
         else:
             not_last = np.full(n_rows, window_index < self._n_partitions - 1, dtype=bool)
+        exits = kinds == KIND_EXIT
         advance = (kinds == KIND_NEXT) & not_last
         decided = (~advance).nonzero()[0]
+        if decided.size:
+            decided_columns = (
+                flow_ids[decided],
+                sids[decided],
+                np.where(exits[decided], values[decided], self.model.default_label),
+                boundary_ts[decided],
+                first_packet_ts[decided],
+                window_index[decided] if per_row else window_index,
+                (exits & not_last)[decided],
+            )
+            if staging is None:
+                self._finalise_batch(*decided_columns)
+            else:
+                staging.append(decided_columns)
 
-        labels = np.where(kinds == KIND_EXIT, values, self.model.default_label)
-        early_exits = (kinds == KIND_EXIT) & not_last
-        decided_columns = (
-            flow_ids[decided],
-            sids[decided],
-            labels[decided],
-            boundary_ts[decided],
-            first_packet_ts[decided],
-            window_index[decided] if per_row else window_index,
-            early_exits[decided],
-        )
-        if staging is None:
-            self._finalise_batch(*decided_columns)
-        else:
-            staging.append(decided_columns)
-
-        advance_ts = boundary_ts[advance]
-        if advance_ts.size:
+        if decided.size < n_rows:
+            advance_ts = boundary_ts[advance]
             self.recirculation.submit_span(
                 int(advance_ts.size),
                 CONTROL_PACKET_BYTES,
@@ -562,8 +511,10 @@ class SpliDTDataPlane:
         each packet counts on one), the flow-lockstep plane's window
         ``lockstep_rounds`` and the slot-stream plane's ``event_rounds``, its
         window-boundary searches (``event_search``: read from its next-event
-        columns by ``lookup``, or from its size-class ``index``), and the
-        slot state ``deferred`` to a later call (:meth:`hand_over`).
+        columns by ``lookup``, or from its size-class ``index``), the window
+        rounds of both planes with the windows (``window_rows``) and kernel
+        family passes (``fill_passes``) they closed them with, and the slot
+        state ``deferred`` to a later call (:meth:`hand_over`).
         """
         before, after = self._replay_span
 
@@ -585,6 +536,9 @@ class SpliDTDataPlane:
                 "lookup": count("dataplane.slot_stream.boundary_lookups"),
                 "index": count("dataplane.slot_stream.boundary_indexed"),
             },
+            "window_rounds": count("dataplane.window_rounds"),
+            "window_rows": count("dataplane.window_rows"),
+            "fill_passes": count("dataplane.fill.passes"),
             "deferred": {
                 name: count(f"dataplane.handover.{name}")
                 for name in ("slots", "open_windows", "packets")

@@ -29,7 +29,9 @@ traffic orders of magnitude faster by exploiting two structural facts:
 
 A flow alone in its register slot closes its windows through one function,
 :func:`close_ready_windows`: flows advance in lock-step window rounds, each
-round aggregating its windows' packets in one fill pass and classifying them
+round aggregating its windows' packets in one fill — each kernel family
+(:data:`FAMILIES`: segment sums, max/min reductions, the IAT sweep, endpoint
+gathers) once, over the rows whose subtrees read it — and classifying them
 in one ``SpliDTDataPlane.step_windows`` lookup, whatever subtrees its rows
 are in (:func:`_close_round`, which the slot-stream plane calls too).  Replay
 runs it over every clean flow from window 0, the micro-batch engine over the
@@ -61,7 +63,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataplane.kernels import iat_sequential_sums
-from repro.dataplane.splidt_program import SlotHandover
 from repro.datasets.flows import Flow, PacketArrays
 from repro.features.definitions import FEATURES, FEATURES_BY_NAME, N_FEATURES
 from repro.features.flowmeter import (
@@ -246,18 +247,13 @@ def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
     return np.arange(int(lengths.sum())) + (starts - offsets).repeat(lengths), offsets
 
 
-def _stateless_columns(soa: PacketArrays) -> tuple[tuple[int, np.ndarray], ...]:
-    """``(feature index, per-flow column)`` of the four stateless header features.
-
-    The soa's own columns: a float64 feature matrix takes their values
-    exactly, so nothing flow-sized is built for them.
-    """
-    return (
-        (FEATURES_BY_NAME["src_port"].index, soa.src_ports),
-        (FEATURES_BY_NAME["dst_port"].index, soa.dst_ports),
-        (FEATURES_BY_NAME["protocol"].index, soa.protocols),
-        (FEATURES_BY_NAME["pkt_len_first"].index, soa.first_sizes),
-    )
+#: The packet-arrays column each header (stateless) feature reads, per flow.
+_HEADER_COLUMNS = {
+    FEATURES_BY_NAME["src_port"].index: "src_ports",
+    FEATURES_BY_NAME["dst_port"].index: "dst_ports",
+    FEATURES_BY_NAME["protocol"].index: "protocols",
+    FEATURES_BY_NAME["pkt_len_first"].index: "first_sizes",
+}
 
 
 def _last_timestamps(soa: PacketArrays) -> np.ndarray:
@@ -338,6 +334,160 @@ def seed_flow_hashes(
     soa.derived["tuple_ids"] = tuple_ids
 
 
+#: The kernel families of a window round, in the order a fill runs them: the
+#: prefix-summed columns' gathers, the max/min segment reductions, the
+#: sequential IAT sweep and the window-endpoint gathers.
+FAMILIES = ("sums", "extremes", "iat", "ends")
+_SUMS, _EXTREMES, _IAT, _ENDS = range(len(FAMILIES))
+
+#: Per stateful feature derived from prefix sums: the columns it sums
+#: (``burst_count`` reads the gap column's prefix at its own offsets).
+_SUM_KEYS: dict[str, tuple[str, ...]] = {
+    "byte_count": ("sizes",),
+    "mean_pkt_len": ("sizes",),
+    "std_pkt_len": ("sizes", "sizes_sq"),
+    "byte_rate": ("sizes",),
+    "payload_sum": ("payloads",),
+    "mean_payload": ("payloads",),
+    "fwd_byte_count": ("fwd_sizes",),
+    "bwd_byte_count": ("bwd_sizes",),
+    "fwd_pkt_count": ("fwd",),
+    "bwd_pkt_count": ("bwd",),
+    "fwd_bwd_pkt_ratio": ("fwd", "bwd"),
+    "mean_fwd_pkt_len": ("fwd", "fwd_sizes"),
+    "mean_bwd_pkt_len": ("bwd", "bwd_sizes"),
+    "small_pkt_count": ("small",),
+    "large_pkt_count": ("large",),
+    **{name: (name,) for name in _FLAG_FEATURES},
+    "burst_count": (),
+}
+
+#: The features that are one column's window sum, by column.
+_SUM_OF = {
+    "sizes": "byte_count",
+    "payloads": "payload_sum",
+    "fwd_sizes": "fwd_byte_count",
+    "bwd_sizes": "bwd_byte_count",
+    "fwd": "fwd_pkt_count",
+    "bwd": "bwd_pkt_count",
+    "small": "small_pkt_count",
+    "large": "large_pkt_count",
+    **{name: name for name in _FLAG_FEATURES},
+}
+
+#: Per stateful feature that is a segment reduction: ``(ufunc, column, segments)``,
+#: segments ``window`` (``[s, e)``), ``gaps`` (the window's inter-arrival
+#: times, ``[s + 1, e)``, 0 without one) or ``burst`` (from the first gap on).
+_REDUCTIONS = {
+    "max_pkt_len": (np.maximum, "sizes", "window"),
+    "max_fwd_pkt_len": (np.maximum, "fwd_sizes", "window"),
+    "max_bwd_pkt_len": (np.maximum, "bwd_sizes", "window"),
+    "min_pkt_len": (np.minimum, "sizes", "window"),
+    "max_iat": (np.maximum, "diffs", "gaps"),
+    "idle_max": (np.maximum, "diffs", "gaps"),
+    "min_iat": (np.minimum, "diffs", "gaps"),
+    "max_burst_len": (np.maximum, "burst_run", "burst"),
+}
+
+#: Stateful features read at the window's ends (first/last packet).
+_ENDPOINTS = ("first_pkt_len", "last_pkt_len", "duration", "pkt_rate")
+
+
+#: Per stateful feature, the kernel family it is derived from (``pkt_count``,
+#: the window's length, needs none).
+_FAMILY_OF: dict[str, int | None] = {
+    "pkt_count": None,
+    **{name: _SUMS for name in _SUM_KEYS},
+    **{name: _EXTREMES for name in _REDUCTIONS},
+    "mean_iat": _IAT,
+    "std_iat": _IAT,
+    **{name: _ENDS for name in _ENDPOINTS},
+}
+
+#: ``[feature, family]``: whether the feature is derived from the family.
+_FAMILY_TABLE = np.zeros((N_FEATURES, len(FAMILIES)), dtype=bool)
+for _name, _family in _FAMILY_OF.items():
+    if _family is not None:
+        _FAMILY_TABLE[FEATURES_BY_NAME[_name].index, _family] = True
+
+_F = {feature.name: feature.index for feature in FEATURES}
+_NAMES = [feature.name for feature in FEATURES]
+_STATEFUL = np.array([feature.stateful for feature in FEATURES])
+_STATEFUL_INDICES = np.flatnonzero(_STATEFUL).tolist()
+
+
+def _rate(total: np.ndarray, span: np.ndarray) -> np.ndarray:
+    rate = np.zeros(span.size, dtype=np.float64)
+    np.divide(total, span, out=rate, where=span > 0)
+    return rate
+
+
+def _std(total: np.ndarray, total_sq: np.ndarray, count: np.ndarray) -> np.ndarray:
+    mean = total / count
+    return np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0))
+
+
+def _mean_by(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``total / count``, 0 where ``count`` is 0 (``total`` is then exactly 0 too)."""
+    return total / np.maximum(count, 1.0)
+
+
+class FillPlan:
+    """Which features each subtree reads, laid out for a window round's fill.
+
+    Built once per program (``program.fill_plan``) from each subtree's
+    features: per subtree, the stateful features of its operator bank and
+    the kernel families (:data:`FAMILIES`) they are derived from.  A window
+    round's rows may be in any mix of subtrees; :meth:`readers` counts the
+    round's readers of each feature and family, so
+    :meth:`_WindowAggregator.fill` runs each family once over the rows that
+    need it and writes each feature into its readers' cells only.  Also
+    names the header (stateless) features any subtree reads, the only
+    header columns a plane writes.
+    """
+
+    def __init__(self, features_by_sid: dict[int, list[int]]) -> None:
+        sids = sorted(features_by_sid)
+        #: Sorted header features read by any subtree.
+        self.header_features = tuple(sorted({
+            feature
+            for features in features_by_sid.values()
+            for feature in features
+            if not FEATURES[feature].stateful
+        }))
+        # Indexed by sid + 1 (SIDs are non-negative), clipped; the last code is
+        # a SID the model lacks.
+        code = [len(sids)] * (max(sids, default=0) + 3)
+        for index, sid in enumerate(sids):
+            code[sid + 1] = index
+        self._code = np.array(code, dtype=np.intp)
+        self._reads = np.zeros((len(sids) + 1, N_FEATURES), dtype=bool)
+        for row, sid in enumerate(sids):
+            self._reads[row, features_by_sid[sid]] = True
+        self._reads &= _STATEFUL
+        self._families = self._reads @ _FAMILY_TABLE
+        # Per code, its features then its families, as counts: one product
+        # with a round's rows per code counts the readers of each.
+        self._counts = np.hstack([self._reads, self._families]).astype(np.int64)
+
+    def readers(self, sids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """``(codes, counts)`` of a round whose row ``i`` is in subtree ``sids[i]``.
+
+        ``codes[i]`` is row ``i``'s subtree code; ``counts`` the number of
+        rows reading each stateful feature (index ``f < N_FEATURES``), then
+        each kernel family (index ``N_FEATURES + k``).
+
+        Example::
+
+            >>> codes, counts = program.fill_plan.readers(np.array([1, 2, 1]))
+            >>> counts[FEATURES_BY_NAME["byte_count"].index]  # doctest: +SKIP
+            2
+        """
+        codes = self._code.take(sids + 1, mode="clip")
+        return codes, (np.bincount(codes, minlength=self._counts.shape[0]) @ self._counts).tolist()
+
+
+
 class _WindowAggregator:
     """Window-local feature aggregation over structure-of-arrays packets.
 
@@ -351,211 +501,206 @@ class _WindowAggregator:
     either way a window's packets are one segment.  Every derived column is
     a function of the packets alone and lives once on ``soa.derived`` — the
     aggregator holds no per-replay state, so building one per flush costs
-    nothing.  Intermediates (segment sums, the sequential IAT sweep) are
-    shared across the features of one row set.
+    nothing.
+
+    A round runs each kernel family once, over the rows whose subtrees read
+    a feature derived from it, and the family derives its features for
+    those rows (``_sums``, ``_extremes``, ``_iat``, ``_ends``: each
+    ``(names, out, rows, s, e)``, ``names`` the family's features the round
+    reads and ``out[feature, rows]`` where their values go).
     """
 
     def __init__(self, soa: PacketArrays) -> None:
         self._soa = soa
 
-    # -- segment primitives ----------------------------------------------
-    def _seg_reduce(self, ufunc, key: str, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """``ufunc`` over every segment ``[s_i, e_i)`` (all non-empty) of a column.
+    def _reducer(self, s: np.ndarray, e: np.ndarray):
+        """``reduce(ufunc, key)``: ``ufunc`` over every segment ``[s_i, e_i)`` (all non-empty).
 
         ``reduceat`` over the ``(s, e)`` pairs also reduces the stretches
         *between* segments.  Next to nothing when the segments tile their
         span (a whole-source replay round); for a micro-batch flush out of a
         large source it is the source, so scattered segments are gathered
-        first and the cost follows the packets, not the span.
+        first and the cost follows the packets, not the span.  Decided once
+        for the segments, and shared by every column reduced over them.
         """
         lengths = e - s
-        covered = int(lengths.sum())
+        covered = lengths.cumsum()
         # A gathered packet costs about eight packets walked in place.
-        if 8 * covered >= int(e.max()) - int(s.min()):
+        if 8 * int(covered[-1]) >= int(e.max()) - int(s.min()):
             pairs = np.empty(s.size * 2, dtype=np.intp)
             pairs[0::2] = s
             pairs[1::2] = e
-            return ufunc.reduceat(_padded_column(self._soa, key), pairs)[0::2]
-        positions, offsets = _segment_positions(s, lengths)
-        return ufunc.reduceat(_base_values(self._soa, key)[positions], offsets)
+            return lambda ufunc, key: ufunc.reduceat(_padded_column(self._soa, key), pairs)[0::2]
+        offsets = covered - lengths
+        positions = np.arange(int(covered[-1])) + (s - offsets).repeat(lengths)
+        return lambda ufunc, key: ufunc.reduceat(_base_values(self._soa, key)[positions], offsets)
 
-    def _seg_sum(self, key: str, s: np.ndarray, e: np.ndarray, shared: dict) -> np.ndarray:
-        cached = shared.get(("sum", key))
-        if cached is not None:
-            return cached
-        prefix = _prefix_column(self._soa, key)
-        if prefix is not None:
-            result = prefix[e] - prefix[s]
-            if result.dtype != np.float64:  # an indicator's counts
-                result = result.astype(np.float64)
-        else:
-            result = self._seg_reduce(np.add, key, s, e)
-        shared[("sum", key)] = result
-        return result
+    # -- kernel families ---------------------------------------------------
+    def _sums(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+        """Prefix-summed features: each column they read summed once, then each feature."""
+        sums = {}
+        reduce = None
+        for name in names:
+            for key in _SUM_KEYS[name]:
+                if key in sums:
+                    continue
+                prefix = _prefix_column(self._soa, key)
+                if prefix is not None:
+                    total = prefix[e] - prefix[s]
+                    sums[key] = total if total.dtype == np.float64 else total.astype(np.float64)
+                else:
+                    reduce = reduce or self._reducer(s, e)
+                    sums[key] = reduce(np.add, key)
+        for key, total in sums.items():
+            if _SUM_OF.get(key) in names:
+                out[_F[_SUM_OF[key]], rows] = total
+        if "mean_pkt_len" in names or "std_pkt_len" in names or "mean_payload" in names:
+            length = (e - s).astype(np.float64)
+            if "mean_pkt_len" in names:
+                out[_F["mean_pkt_len"], rows] = sums["sizes"] / length
+            if "std_pkt_len" in names:
+                out[_F["std_pkt_len"], rows] = _std(sums["sizes"], sums["sizes_sq"], length)
+            if "mean_payload" in names:
+                out[_F["mean_payload"], rows] = sums["payloads"] / length
+        if "fwd_bwd_pkt_ratio" in names:
+            out[_F["fwd_bwd_pkt_ratio"], rows] = sums["fwd"] / np.maximum(sums["bwd"], 1.0)
+        if "mean_fwd_pkt_len" in names:
+            out[_F["mean_fwd_pkt_len"], rows] = _mean_by(sums["fwd_sizes"], sums["fwd"])
+        if "mean_bwd_pkt_len" in names:
+            out[_F["mean_bwd_pkt_len"], rows] = _mean_by(sums["bwd_sizes"], sums["bwd"])
+        if "burst_count" in names:
+            # The first packet opens a burst whatever precedes the window; a
+            # 0/1 column's prefix sums are always exact.
+            gaps_before = _prefix_column(self._soa, "gap")
+            out[_F["burst_count"], rows] = 1.0 + (gaps_before[e] - gaps_before[s + 1])
+        if "byte_rate" in names:
+            ts = self._soa.timestamps
+            out[_F["byte_rate"], rows] = _rate(sums["sizes"], ts[e - 1] - ts[s])
 
-    def _iat_extreme(self, s: np.ndarray, e: np.ndarray, *, largest: bool) -> np.ndarray:
-        """Max/min inter-arrival time within each segment (0 when < 2 packets)."""
-        result = np.zeros(s.size, dtype=np.float64)
-        has_iat = (e - s) >= 2
-        if not has_iat.any():
-            return result
-        ufunc = np.maximum if largest else np.minimum
-        extremes = self._seg_reduce(ufunc, "diffs", s[has_iat] + 1, e[has_iat])
-        if largest:
-            # The scalar MaxOperator starts from 0, so negative gaps clamp.
-            extremes = np.maximum(extremes, 0.0)
-        result[has_iat] = extremes
-        return result
+    def _extremes(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+        """Max/min features: each distinct reduction once, its segments' positions shared."""
+        done: dict = {}
+        window = gaps = None
+        for name in names:
+            ufunc, key, segments = _REDUCTIONS[name]
+            if (ufunc, key) in done:
+                out[_F[name], rows] = done[ufunc, key]
+                continue
+            if segments == "window":
+                window = window or self._reducer(s, e)
+                result = window(ufunc, key)
+            elif segments == "gaps":
+                # The scalar operators see no inter-arrival time in a
+                # one-packet window, and MaxOperator starts from 0.
+                has_iat = (e - s) >= 2
+                result = np.zeros(s.size, dtype=np.float64)
+                if has_iat.any():
+                    gaps = gaps or self._reducer(s[has_iat] + 1, e[has_iat])
+                    extremes = gaps(ufunc, key)
+                    result[has_iat] = np.maximum(extremes, 0.0) if ufunc is np.maximum else extremes
+            else:
+                # The opening burst runs to the window's first gap; from there
+                # on the source-wide run lengths are the window's own.
+                first_gap = np.minimum(_next_gap(self._soa)[s + 1], e)
+                result = (first_gap - s).astype(np.float64)
+                more = np.flatnonzero(first_gap < e)
+                if more.size:
+                    later = self._reducer(first_gap[more], e[more])(ufunc, key)
+                    result[more] = np.maximum(result[more], later)
+            done[ufunc, key] = out[_F[name], rows] = result
 
-    def _iat_sums(
-        self, s: np.ndarray, e: np.ndarray, shared: dict
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left-to-right IAT sum / sum-of-squares per segment (shared within a row set)."""
-        cached = shared.get("iat")
-        if cached is not None:
-            return cached
+    def _iat(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+        """Mean/std inter-arrival time: one left-to-right sweep (:mod:`~repro.dataplane.kernels`)."""
         acc, acc_sq = iat_sequential_sums(_base_values(self._soa, "diffs"), s, e)
-        counts = (e - s - 1).astype(np.int64)
-        result = (acc, acc_sq, counts)
-        shared["iat"] = result
-        return result
+        # A one-packet window has no gap, and its sums are exactly 0: so are
+        # its mean and deviation.
+        counts = np.maximum(e - s - 1, 1)
+        if "mean_iat" in names:
+            out[_F["mean_iat"], rows] = acc / counts
+        if "std_iat" in names:
+            out[_F["std_iat"], rows] = _std(acc, acc_sq, counts.astype(np.float64))
+
+    def _ends(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+        """Features read at the window's first and last packet."""
+        last = e - 1
+        if "first_pkt_len" in names:
+            out[_F["first_pkt_len"], rows] = _base_values(self._soa, "sizes")[s]
+        if "last_pkt_len" in names:
+            out[_F["last_pkt_len"], rows] = _base_values(self._soa, "sizes")[last]
+        if "duration" in names or "pkt_rate" in names:
+            ts = self._soa.timestamps
+            span = ts[last] - ts[s]
+            if "duration" in names:
+                out[_F["duration"], rows] = span
+            if "pkt_rate" in names:
+                out[_F["pkt_rate"], rows] = _rate((e - s).astype(np.float64), span)
+
+    _KERNELS = (_sums, _extremes, _iat, _ends)
 
     # -- public kernels ---------------------------------------------------
     def fill(
-        self,
-        matrix: np.ndarray,
-        s: np.ndarray,
-        e: np.ndarray,
-        row_sets: list[tuple[np.ndarray | None, list[int]]],
-    ) -> None:
-        """Write one round's window aggregates into ``matrix``: each feature once.
+        self, matrix: np.ndarray, s: np.ndarray, e: np.ndarray, plan: FillPlan, sids: np.ndarray
+    ) -> int:
+        """Write one round's window aggregates into ``matrix``; returns the family passes run.
 
-        ``s`` / ``e`` are the round's segment bounds, one per row of
-        ``matrix``; ``row_sets`` pairs each set of rows (``None``: all of
-        them) with the features their subtrees read
-        (:meth:`~repro.dataplane.splidt_program.FillPlan.row_sets`).
-        Intermediates are shared within a set, so e.g. ``mean_iat`` and
-        ``std_iat`` of the same rows run the sequential sweep once.
+        ``s`` / ``e`` are the round's segment bounds and ``sids`` its rows'
+        subtrees, one per row of ``matrix``.  Each kernel family some row's
+        subtree needs (:meth:`FillPlan.readers`) runs once, over exactly
+        those rows, and each feature is written into the cells of the rows
+        whose subtree reads it; no other cell of ``matrix`` is touched.
         """
-        for rows, features in row_sets:
-            if rows is None:
-                rows, starts, ends = slice(None), s, e
+        codes, counts = plan.readers(sids)
+        n_rows = s.size
+        read = [_NAMES[feature] for feature in _STATEFUL_INDICES if counts[feature]]
+        if not read:
+            return 0
+        # The features each family derives this round.
+        by_family: list[list[str]] = [[] for _ in FAMILIES]
+        for name in read:
+            if _FAMILY_OF[name] is not None:
+                by_family[_FAMILY_OF[name]].append(name)
+        # A round whose rows all read the same features is written in place;
+        # otherwise each family writes its features for all its rows to a
+        # scratch block and one masked copy takes only the readers' cells to
+        # ``matrix``.  Either way ``out`` is indexed ``[feature, rows]``.
+        uniform = all(counts[_F[name]] == n_rows for name in read)
+        out = matrix.T if uniform else np.empty((N_FEATURES, n_rows), dtype=np.float64)
+        if "pkt_count" in read:
+            out[_F["pkt_count"]] = e - s
+        families = None
+        passes = 0
+        for family, names in enumerate(by_family):
+            if not names:
+                continue
+            passes += 1
+            if counts[N_FEATURES + family] == n_rows:
+                rows, fs, fe = slice(None), s, e
             else:
-                starts, ends = s[rows], e[rows]
-            shared: dict = {}
-            for feature in features:
-                matrix[rows, feature] = self._compute(feature, starts, ends, shared)
+                if families is None:
+                    families = plan._families.take(codes, axis=0)
+                rows = families[:, family].nonzero()[0]
+                fs, fe = s[rows], e[rows]
+            self._KERNELS[family](self, names, out, rows, fs, fe)
+        if not uniform:
+            np.copyto(matrix, out.T, where=plan._reads.take(codes, axis=0))
+        return passes
 
     def compute(self, feature_index: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Window aggregate of one stateful feature over segments ``[s, e)``.
+
+        The fill of a round whose every row reads this feature alone.
 
         Example::
 
             >>> agg = _WindowAggregator(soa)
             >>> byte_counts = agg.compute(FEATURES_BY_NAME["byte_count"].index, s, e)
         """
-        return self._compute(feature_index, s, e, {})
+        if not FEATURES[feature_index].stateful:
+            raise ValueError(f"no window kernel for header feature {FEATURES[feature_index].name!r}")
+        matrix = np.empty((s.size, N_FEATURES), dtype=np.float64)
+        self.fill(matrix, s, e, FillPlan({0: [feature_index]}), np.zeros(s.size, dtype=np.int64))
+        return matrix[:, feature_index].copy()
 
-    def _compute(
-        self, feature_index: int, s: np.ndarray, e: np.ndarray, shared: dict
-    ) -> np.ndarray:
-        name = FEATURES[feature_index].name
-        ts = self._soa.timestamps
-
-        def length() -> np.ndarray:
-            """Packets per window, as floats (shared)."""
-            if "length" not in shared:
-                shared["length"] = (e - s).astype(np.float64)
-            return shared["length"]
-
-        if name == "pkt_count":
-            return length()
-        if name == "byte_count":
-            return self._seg_sum("sizes", s, e, shared)
-        if name == "payload_sum":
-            return self._seg_sum("payloads", s, e, shared)
-        if name == "fwd_byte_count":
-            return self._seg_sum("fwd_sizes", s, e, shared)
-        if name == "bwd_byte_count":
-            return self._seg_sum("bwd_sizes", s, e, shared)
-        if name == "fwd_pkt_count":
-            return self._seg_sum("fwd", s, e, shared)
-        if name == "bwd_pkt_count":
-            return self._seg_sum("bwd", s, e, shared)
-        if name == "small_pkt_count":
-            return self._seg_sum("small", s, e, shared)
-        if name == "large_pkt_count":
-            return self._seg_sum("large", s, e, shared)
-        if name in _FLAG_FEATURES:
-            return self._seg_sum(name, s, e, shared)
-        if name == "mean_pkt_len":
-            return self._seg_sum("sizes", s, e, shared) / length()
-        if name == "mean_payload":
-            return self._seg_sum("payloads", s, e, shared) / length()
-        if name == "std_pkt_len":
-            total = self._seg_sum("sizes", s, e, shared)
-            total_sq = self._seg_sum("sizes_sq", s, e, shared)
-            mean = total / length()
-            variance = np.maximum(total_sq / length() - mean * mean, 0.0)
-            return np.sqrt(variance)
-        if name in ("mean_fwd_pkt_len", "mean_bwd_pkt_len"):
-            direction = "fwd" if name == "mean_fwd_pkt_len" else "bwd"
-            count = self._seg_sum(direction, s, e, shared)
-            total = self._seg_sum(f"{direction}_sizes", s, e, shared)
-            return np.where(count > 0, total / np.maximum(count, 1.0), 0.0)
-        if name == "fwd_bwd_pkt_ratio":
-            fwd = self._seg_sum("fwd", s, e, shared)
-            bwd = self._seg_sum("bwd", s, e, shared)
-            return fwd / np.maximum(bwd, 1.0)
-        if name == "max_pkt_len":
-            return self._seg_reduce(np.maximum, "sizes", s, e)
-        if name == "max_fwd_pkt_len":
-            return self._seg_reduce(np.maximum, "fwd_sizes", s, e)
-        if name == "max_bwd_pkt_len":
-            return self._seg_reduce(np.maximum, "bwd_sizes", s, e)
-        if name == "min_pkt_len":
-            return self._seg_reduce(np.minimum, "sizes", s, e)
-        if name == "first_pkt_len":
-            return _base_values(self._soa, "sizes")[s]
-        if name == "last_pkt_len":
-            return _base_values(self._soa, "sizes")[e - 1]
-        if name == "duration":
-            return ts[e - 1] - ts[s]
-        if name in ("pkt_rate", "byte_rate"):
-            total = length() if name == "pkt_rate" else self._seg_sum("sizes", s, e, shared)
-            span = ts[e - 1] - ts[s]
-            rate = np.zeros(s.size, dtype=np.float64)
-            np.divide(total, span, out=rate, where=span > 0)
-            return rate
-        if name in ("max_iat", "idle_max"):
-            return self._iat_extreme(s, e, largest=True)
-        if name == "min_iat":
-            return self._iat_extreme(s, e, largest=False)
-        if name == "mean_iat":
-            acc, _, counts = self._iat_sums(s, e, shared)
-            return np.where(counts > 0, acc / np.maximum(counts, 1), 0.0)
-        if name == "std_iat":
-            acc, acc_sq, counts = self._iat_sums(s, e, shared)
-            safe_counts = np.maximum(counts, 1).astype(np.float64)
-            mean = acc / safe_counts
-            variance = np.maximum(acc_sq / safe_counts - mean * mean, 0.0)
-            return np.where(counts > 0, np.sqrt(variance), 0.0)
-        if name == "burst_count":
-            # The first packet opens a burst whatever precedes the window; a
-            # 0/1 column's prefix sums are always exact.
-            gaps_before = _prefix_column(self._soa, "gap")
-            return 1.0 + (gaps_before[e] - gaps_before[s + 1])
-        if name == "max_burst_len":
-            # The opening burst runs to the window's first gap; from there on
-            # the source-wide run lengths are the window's own.
-            first_gap = np.minimum(_next_gap(self._soa)[s + 1], e)
-            longest = (first_gap - s).astype(np.float64)
-            more = np.flatnonzero(first_gap < e)
-            if more.size:
-                later = self._seg_reduce(np.maximum, "burst_run", first_gap[more], e[more])
-                longest[more] = np.maximum(longest[more], later)
-            return longest
-        raise ValueError(f"no vectorized kernel for feature {name!r}")
 
 
 #: Window end of a window a flow does not have.
@@ -669,15 +814,23 @@ def _close_round(
 
     Row ``i`` of ``matrix`` (its stateless header columns already written)
     closes the window over packets ``[s[i], e[i])`` of the aggregator's
-    source, in subtree ``sids[i]``.  One fill pass writes every row's
-    stateful features (the program's
-    :class:`~repro.dataplane.splidt_program.FillPlan`), and one
+    source, in subtree ``sids[i]``.  One fill writes every row's stateful
+    features, each kernel family once over the rows that read it (the
+    program's :class:`FillPlan`), and one
     :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`
     call classifies all rows, appending the decided ones to ``staging``:
     the round's cost does not grow with the number of subtrees its rows are
     in.  Returns ``step_windows``' ``(advance, next_sids)``.
+
+    Counts the round as ``dataplane.window_rounds``, its rows as
+    ``dataplane.window_rows`` and its family passes as
+    ``dataplane.fill.passes``.
     """
-    aggregator.fill(matrix, s, e, program.fill_plan.row_sets(sids))
+    passes = aggregator.fill(matrix, s, e, program.fill_plan, sids)
+    counters = program.counters
+    counters.add("dataplane.window_rounds")
+    counters.add("dataplane.window_rows", s.size)
+    counters.add("dataplane.fill.passes", passes)
     return program.step_windows(
         flow_ids=flow_ids,
         sids=sids,
@@ -720,13 +873,17 @@ def close_ready_windows(
     # alone, since a replay may bring a handful of a million flows here.
     table = soa.derived.get(("window_ends", n_partitions))
     if table is not None:
-        ends = table[flows]
+        ends = table.take(flows, axis=0)
     else:
         ends = _window_end_table(soa.n_packets_per_flow[flows], n_partitions).T
+    # Only the header columns some subtree reads are written: the lookup
+    # reads no other.
+    # The soa's own columns: a float64 matrix takes their values exactly.
+    header = [(f, getattr(soa, _HEADER_COLUMNS[f])) for f in program.fill_plan.header_features]
     aggregator = _WindowAggregator(soa)
     staging: list = []
     decided = np.zeros(flows.size, dtype=bool)
-    rows = np.flatnonzero(ends[np.arange(flows.size), window] <= limits)
+    rows = (ends[np.arange(flows.size), window] <= limits).nonzero()[0]
     rounds = 0
     while rows.size:
         rounds += 1
@@ -735,7 +892,7 @@ def close_ready_windows(
         base = soa.flow_starts[flow]
         s, e = base + done[rows], base + end
         matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64)
-        for feature, column in _stateless_columns(soa):
+        for feature, column in header:
             matrix[:, feature] = column[flow]
         advance, values = _close_round(
             program,
@@ -751,7 +908,7 @@ def close_ready_windows(
             first_packet_ts=soa.first_timestamps[flow],
         )
         done[rows] = np.where(advance, end, limits[rows])
-        decided[rows[~advance]] = True
+        decided[rows] = ~advance
         rows = rows[advance]
         sids[rows] = values[advance]
         window[rows] += 1
@@ -901,6 +1058,8 @@ def replay_arrays(
         >>> replay_arrays(program, dataset.flows)
         >>> verdicts = program.verdicts
     """
+    from repro.dataplane.splidt_program import SlotHandover
+
     if soa is None:
         soa = PacketArrays.from_flows(flows)
     before = program.counters.snapshot()

@@ -205,7 +205,7 @@ class MicroBatchEngine(InferenceEngine):
         after = self._delivered[touched]
         before = after - counts
         slots = self._slots[touched]
-        arriving = np.flatnonzero(self._resident[slots] != touched)
+        arriving = (self._resident[slots] != touched).nonzero()[0]
         if arriving.size:
             self._arrive(chunk, touched, before, slots, arriving)
 
@@ -222,10 +222,10 @@ class MicroBatchEngine(InferenceEngine):
             self._streamed.append(touched[streamed])
         # A window is ready once its last packet is in (a contended flow's
         # own window bounds stand in for the slot's).
-        crossed = np.flatnonzero(after >= self._next_end[touched])
+        crossed = (after >= self._next_end[touched]).nonzero()[0]
         if crossed.size:
             flows, reached = touched[crossed], after[crossed]
-            ends = self._ends[flows]
+            ends = self._ends.take(flows, axis=0)
             beyond = np.where(ends > reached[:, None], ends, vz.NO_WINDOW)
             self._next_end[flows] = beyond.min(axis=1)
             self._due.append(flows[~forwarded[crossed]])
@@ -379,7 +379,8 @@ class MicroBatchEngine(InferenceEngine):
         reach ``flush_flows``, the contended slots replay too
         (:meth:`_replay_contended`).
         """
-        solo = indices[self._phase[indices] == _SOLO]
+        phase = self._phase[indices]
+        solo = indices[phase == _SOLO]
         rows, limits = solo, self._delivered[solo]
         if self._handing:
             handing = np.concatenate([flows for flows, _ in self._handing])
@@ -390,7 +391,8 @@ class MicroBatchEngine(InferenceEngine):
             rows, limits = rows[undecided], limits[undecided]
         if rows.size:
             window, done, sid = self._window[rows], self._done[rows], self._sid[rows]
-            taken = int(done.sum())
+            counters = self.program.counters
+            taken = counters.get("dataplane.lockstep.packets", 0)
             decided = vz.close_ready_windows(
                 self.program, self._soa, rows, limits, window, done, sid
             )
@@ -399,10 +401,11 @@ class MicroBatchEngine(InferenceEngine):
             self._decided[stopped] = True
             # A resident handing its slot over stays contended.
             self._phase[stopped[self._phase[stopped] == _SOLO]] = _FORWARDING
-            self._pending -= int(done.sum()) - taken
+            self._pending -= counters["dataplane.lockstep.packets"] - taken
         if self._handing:
             self._hand_over(handing, cuts)
-        self._streamed_due += int(np.count_nonzero(self._phase[indices] == _CONTENDED))
+        # Closing windows turns no flow contended: the phases read above hold.
+        self._streamed_due += int(np.count_nonzero(phase == _CONTENDED))
         if self._streamed_due >= self.flush_flows:
             self._replay_contended()
         self._due, self._handing = [], []

@@ -68,6 +68,11 @@ class TestServeInvariants:
         assert counters["dataplane.lockstep.packets"] > 0
         assert 0 < counters["switch.evictions"] <= counters["switch.admissions"]
         assert counters["serve.flushes"] == stats.batching["flushes"]
+        # Both planes close windows in rounds, each filled by at most one pass
+        # per kernel family.
+        assert counters["dataplane.window_rounds"] > counters["dataplane.lockstep.rounds"] > 0
+        assert counters["dataplane.window_rows"] >= counters["dataplane.window_rounds"]
+        assert 0 < counters["dataplane.fill.passes"] <= 4 * counters["dataplane.window_rounds"]
 
         replayed, result = contended_replay
         assert _plane_packets(replayed.counters) == soa.n_packets
@@ -91,6 +96,9 @@ class TestViews:
             "lockstep_rounds": 0,
             "event_rounds": 0,
             "event_search": {"lookup": 0, "index": 0},
+            "window_rounds": 0,
+            "window_rows": 0,
+            "fill_passes": 0,
             "deferred": {"slots": 0, "open_windows": 0, "packets": 0},
         }
         assert program.eviction_stats()["admissions"] == 0
@@ -104,6 +112,10 @@ class TestViews:
         stats = program.replay_stats
         _, soa = replay_source(small_dataset, max_flows=N_FLOWS)
         assert sum(stats["packets"].values()) == soa.n_packets
+        assert stats["window_rounds"] == program.counters["dataplane.window_rounds"] > 0
+        assert stats["window_rows"] == program.counters["dataplane.window_rows"]
+        assert stats["fill_passes"] == program.counters["dataplane.fill.passes"]
+        assert stats["window_rounds"] >= stats["lockstep_rounds"]
         assert stats["deferred"]["slots"] == program.counters["dataplane.handover.slots"]
         assert program.eviction_stats()["evictions"] == program.counters["switch.evictions"]
         assert result.recirculation == program.recirculation_stats()

@@ -13,8 +13,9 @@ batched plane identically would still be caught:
 * the window plane keeps no state between calls: aggregators share the
   source's derived columns, and a replay repeated on a fresh program is
   bit-identical;
-* a window round costs one fill pass and one model-table lookup whatever
-  mix of subtrees its rows are in, on every plane that closes rounds.
+* a window round costs one fill (each kernel family once) and one
+  model-table lookup whatever mix of subtrees its rows are in, on every
+  plane that closes rounds.
 """
 
 from __future__ import annotations
@@ -356,6 +357,7 @@ class TestOneLookupPerRound:
         assert max(n_sids for n_sids, *_ in rounds) > 1  # rounds do mix subtrees
         lockstep = sum(on_lockstep for *_, on_lockstep in rounds)
         assert program.replay_stats["lockstep_rounds"] == lockstep
+        assert program.replay_stats["window_rounds"] == len(rounds)
         # Clean flows start together, so their rounds are at most the windows.
         assert lockstep <= splidt_model.config.n_partitions
         assert (lockstep > 0) == (flow_slots > 64)

@@ -193,6 +193,12 @@ def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):
     ]
     policy = make_eviction_policy("idle-timeout", timeout=1.0)
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1, eviction=policy)
+    # A plane writes the header columns some subtree reads: every one reads
+    # pkt_len_first here.
+    program.fill_plan = vz.FillPlan({
+        sid: sorted(subtree.features_used() | {STATELESS_HEADER_INDICES[3]})
+        for sid, subtree in splidt_model.subtrees.items()
+    })
     seen = []
     step_windows = program.step_windows
 

@@ -6,9 +6,12 @@ they happen to see.  Here each stateful feature's
 ``_WindowAggregator.compute`` is pinned, bit for bit, to a fresh
 :func:`~repro.features.stateful.make_operator` fed the same packets, over
 arbitrary sub-windows of a flow — and the NumPy IAT sweep to a literal loop.
-A window round's one fill pass (``_WindowAggregator.fill`` over a
-:class:`~repro.dataplane.splidt_program.FillPlan`) is held to ``compute``,
-feature by feature, on hypothesis-drawn rounds (:class:`TestRoundFill`).
+A window round's fill (``_WindowAggregator.fill`` over a
+:class:`~repro.dataplane.vectorized.FillPlan`: each kernel family once, over
+the rows whose subtrees read it) is held to ``compute``, feature by feature,
+on hypothesis-drawn rounds (:class:`TestRoundFill`), and a row is filled and
+classified alike whether it shares its round with rows of other subtrees or
+is filled alone (:class:`TestRoundMixing`, which does not read ``compute``).
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import SpliDTDataPlane, kernels
 from repro.dataplane.slot_stream import StreamSource
-from repro.dataplane.splidt_program import FillPlan
-from repro.dataplane.vectorized import _WindowAggregator
+from repro.dataplane.vectorized import FAMILIES, FillPlan, _WindowAggregator
 from repro.datasets import SyntheticTrafficGenerator, get_profile
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
-from repro.features.definitions import FEATURES, N_FEATURES
+from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.flowmeter import BURST_GAP_SECONDS
 from repro.features.stateful import make_operator
 
@@ -208,18 +210,32 @@ def test_iat_sums_equal_a_literal_loop(shape):
 
 
 # ----------------------------------------------------------------------
-# The round fill: every feature once, over the rows whose subtree reads it
+# The round fill: each kernel family once, over the rows whose subtree reads it
 # ----------------------------------------------------------------------
 class _Counting(_WindowAggregator):
-    """An aggregator that records every feature it computes."""
+    """An aggregator that records every kernel family it runs, and over how many rows."""
 
     def __init__(self, soa) -> None:
         super().__init__(soa)
-        self.computed: list[int] = []
+        self.passes: list[tuple[str, int]] = []
 
-    def _compute(self, feature_index, s, e, shared):
-        self.computed.append(feature_index)
-        return super()._compute(feature_index, s, e, shared)
+    def _sums(self, names, out, rows, s, e):
+        self.passes.append(("sums", s.size))
+        return super()._sums(names, out, rows, s, e)
+
+    def _extremes(self, names, out, rows, s, e):
+        self.passes.append(("extremes", s.size))
+        return super()._extremes(names, out, rows, s, e)
+
+    def _iat(self, names, out, rows, s, e):
+        self.passes.append(("iat", s.size))
+        return super()._iat(names, out, rows, s, e)
+
+    def _ends(self, names, out, rows, s, e):
+        self.passes.append(("ends", s.size))
+        return super()._ends(names, out, rows, s, e)
+
+    _KERNELS = (_sums, _extremes, _iat, _ends)
 
 
 @pytest.fixture(scope="module")
@@ -246,10 +262,25 @@ def fill_rounds(draw, n_packets: int):
     }
     n_rows = draw(st.integers(1, 40))
     sids = draw(st.lists(st.integers(1, len(banks) + 1), min_size=n_rows, max_size=n_rows))
+    s, e = draw(windows_of(n_packets, n_rows))
+    return features_by_sid, np.array(sids, dtype=np.int64), s, e
+
+
+@st.composite
+def windows_of(draw, n_packets: int, n_rows: int):
+    """``(s, e)`` of ``n_rows`` windows, ranges of the source of 1, 2 or more packets."""
     lengths = draw(st.lists(st.sampled_from((1, 2)) | st.integers(1, 80), min_size=n_rows,
                             max_size=n_rows))
     s = np.array([draw(st.integers(0, n_packets - length)) for length in lengths])
-    return features_by_sid, np.array(sids, dtype=np.int64), s, s + np.array(lengths)
+    return s, s + np.array(lengths)
+
+
+def _family_of(feature) -> str | None:
+    """The kernel family a stateful feature is derived from (``pkt_count``: none)."""
+    from repro.dataplane import vectorized as vz
+
+    family = vz._FAMILY_OF[feature.name]
+    return None if family is None else FAMILIES[family]
 
 
 class TestRoundFill:
@@ -260,21 +291,38 @@ class TestRoundFill:
         features_by_sid, sids, s, e = data.draw(fill_rounds(packets.n_packets))
         aggregator = _Counting(packets)
         matrix = np.full((sids.size, N_FEATURES), np.nan)
-        aggregator.fill(matrix, s, e, FillPlan(features_by_sid).row_sets(sids))
+        passes = aggregator.fill(matrix, s, e, FillPlan(features_by_sid), sids)
 
         reads = np.array(
             [[feature.index in features_by_sid.get(sid, ()) for feature in FEATURES]
              for sid in sids.tolist()]
         ).reshape(sids.size, N_FEATURES)
-        # Each feature any row reads is computed once, whatever subtrees read it.
-        assert sorted(aggregator.computed) == np.flatnonzero(reads.any(axis=0)).tolist()
+        # Each family some row needs runs once, over exactly the rows that
+        # read a feature derived from it; no other family runs.
+        readers = {}
         for feature in FEATURES:
-            readers = reads[:, feature.index]
+            family = _family_of(feature) if feature.stateful else None
+            if family is not None:
+                readers[family] = readers.get(family, 0) | reads[:, feature.index]
+        want = sorted((family, int(rows.sum())) for family, rows in readers.items() if rows.any())
+        assert sorted(aggregator.passes) == want
+        assert passes == len(want) <= len(FAMILIES)
+        for feature in FEATURES:
+            readers_of = reads[:, feature.index]
             column = matrix[:, feature.index]
-            assert np.isnan(column[~readers]).all(), feature.name
-            if readers.any():
-                want = _WindowAggregator(packets).compute(feature.index, s, e)
-                assert column[readers].tobytes() == want[readers].tobytes(), feature.name
+            assert np.isnan(column[~readers_of]).all(), feature.name
+            if readers_of.any():
+                want_values = _WindowAggregator(packets).compute(feature.index, s, e)
+                assert column[readers_of].tobytes() == want_values[readers_of].tobytes(), \
+                    feature.name
+
+    def test_a_round_reading_nothing_runs_no_family(self, sources):
+        packets = sources["packet-arrays"]
+        aggregator = _Counting(packets)
+        matrix = np.full((3, N_FEATURES), np.nan)
+        s = np.array([0, 5, 9])
+        passes = aggregator.fill(matrix, s, s + 2, FillPlan({1: []}), np.array([1, 1, 7]))
+        assert passes == 0 and aggregator.passes == [] and np.isnan(matrix).all()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60))
@@ -306,3 +354,58 @@ class TestRoundFill:
                              program.recirculation_stats()))
         assert outcomes[0] == outcomes[1]
 
+
+# ----------------------------------------------------------------------
+# A row's round does not change what it is filled and classified with
+# ----------------------------------------------------------------------
+class TestRoundMixing:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), source=st.sampled_from(("packet-arrays", "stream")))
+    def test_a_row_fills_and_steps_alike_alone_or_in_a_mixed_round(
+        self, sources, splidt_model, splidt_rules, data, source
+    ):
+        packets = sources[source]
+        subtrees = sorted(splidt_model.subtrees)
+        n_rows = data.draw(st.integers(2, 30))
+        sids = np.array(data.draw(st.lists(st.sampled_from([*subtrees, 999]),
+                                           min_size=n_rows, max_size=n_rows)))
+        s, e = data.draw(windows_of(packets.n_packets, n_rows))
+        window = np.array(data.draw(st.lists(
+            st.integers(0, splidt_model.config.n_partitions - 1), min_size=n_rows,
+            max_size=n_rows)))
+        # Each subtree's bank plus drawn stateful features, so every family
+        # runs over rows of several subtrees; the lookup reads the model's own.
+        extra = data.draw(st.lists(st.lists(st.sampled_from(_STATEFUL), max_size=4),
+                                   min_size=len(subtrees), max_size=len(subtrees)))
+        plan = FillPlan({
+            sid: sorted(splidt_model.subtrees[sid].features_used()
+                        | {feature.index for feature in more})
+            for sid, more in zip(subtrees, extra)
+        })
+        header = np.array(data.draw(st.lists(st.integers(0, 65535), min_size=n_rows,
+                                             max_size=n_rows)), dtype=np.float64)
+
+        def close(rows: np.ndarray):
+            """Fill and classify rows ``rows`` as one round, on a fresh program."""
+            matrix = np.full((rows.size, N_FEATURES), np.nan)
+            matrix[:, list(STATELESS_HEADER_INDICES)] = header[rows, None]
+            _WindowAggregator(packets).fill(matrix, s[rows], e[rows], plan, sids[rows])
+            program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
+            advance, values = program.step_windows(
+                flow_ids=rows, sids=sids[rows], window_index=window[rows],
+                feature_matrix=matrix, boundary_ts=e[rows] + 0.5,
+                first_packet_ts=s[rows] + 0.25,
+            )
+            verdicts = {int(flow): row for flow, *row in zip(*(
+                column.tolist() for column in program.verdict_rows()))}
+            return matrix, advance, values, verdicts, program.recirculation_stats()
+
+        matrix, advance, values, verdicts, _ = close(np.arange(n_rows))
+        for row in range(n_rows):
+            alone, alone_advance, alone_values, alone_verdicts, _ = close(np.array([row]))
+            assert matrix[row].tobytes() == alone[0].tobytes(), row
+            assert advance[row] == alone_advance[0], row
+            if advance[row]:
+                assert values[row] == alone_values[0], row
+            else:
+                assert verdicts[row] == alone_verdicts[row], row

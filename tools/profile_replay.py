@@ -13,6 +13,7 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/profile_replay.py --sort tottime
     PYTHONPATH=src python tools/profile_replay.py --json profile.json
     PYTHONPATH=src python tools/profile_replay.py --online --swap-at 0.5
+    PYTHONPATH=src python tools/profile_replay.py --serve --json -
     PYTHONPATH=src python tools/profile_replay.py --scenario ddos-eviction-smoke
 
 The profiled region is *only* the replay (the program is built and the
@@ -29,6 +30,13 @@ attack.
 a :mod:`repro.serve` engine and a same-model ``swap_model`` is forced at the
 ``--swap-at`` fraction of the stream, so the report includes the swap's cost
 — its build latency and how many packets were in flight when it landed.
+``--serve`` profiles a plain ``microbatch`` session, no swap, in 2,048-packet
+chunks (the benchmark harness's): the serving hot path as ``serve-microbatch``
+runs it.
+
+Every mode prints the window rounds both planes closed, with their rows
+(windows) and kernel-family fill passes per round (``rounds`` in the JSON,
+beside ``kernel_families``, the most passes one round can take).
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
@@ -118,13 +126,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--swap-at", type=float, default=0.5,
                         help="stream fraction at which --online forces the "
                              "swap (default 0.5)")
+    parser.add_argument("--serve", action="store_true",
+                        help="profile a plain microbatch serve session (no "
+                             "swap) instead of a replay")
     parser.add_argument("--serve-engine", default="microbatch",
                         choices=SERVE_ENGINES,
                         help="serve engine used by --online "
                              "(default microbatch)")
-    parser.add_argument("--chunk-size", type=int, default=256,
-                        help="packets per ingested chunk in --online mode "
-                             "(default 256)")
+    parser.add_argument("--chunk-size", type=int, default=None,
+                        help="packets per ingested chunk (default 256 with "
+                             "--online, 2048 with --serve)")
     parser.add_argument("--top", type=int, default=25,
                         help="hot spots to print (default 25)")
     parser.add_argument("--sort", default="cumulative",
@@ -137,11 +148,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.online and not 0.0 < args.swap_at < 1.0:
         parser.error("--swap-at must be strictly between 0 and 1")
-    if args.online and args.scenario:
-        parser.error("--online and --scenario are mutually exclusive")
+    if sum((args.online, args.serve, args.scenario is not None)) > 1:
+        parser.error("--online, --serve and --scenario are mutually exclusive")
+    if args.chunk_size is None:
+        args.chunk_size = 2048 if args.serve else 256
 
     from repro.dataplane import replay_dataset
     from repro.dataplane.kernels import backend as kernel_backend
+    from repro.dataplane.vectorized import FAMILIES
     from repro.pipeline import Experiment, ExperimentSpec
 
     scenario = None
@@ -228,6 +242,28 @@ def main(argv: list[str] | None = None) -> int:
         result = serve.close()
         profiler.disable()
         elapsed = time.perf_counter() - replay_started
+    elif args.serve:
+        from repro.datasets.streams import iter_packet_chunks
+        from repro.serve import create_engine
+
+        dataset = experiment.prepare().dataset
+        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        chunks = list(iter_packet_chunks(dataset.flows, args.chunk_size))
+        serve = create_engine(
+            lambda: experiment.system.build_program(model, rules, spec), engine="microbatch"
+        )
+        print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
+              f"microbatch serve session ({n_packets} packets in "
+              f"{len(chunks)} chunks of {args.chunk_size})", flush=True)
+        memory["setup_mib"] = resident_mib()
+        replay_started = time.perf_counter()
+        profiler.enable()
+        serve.open()
+        for chunk in chunks:
+            serve.ingest(chunk)
+        result = serve.close()
+        profiler.disable()
+        elapsed = time.perf_counter() - replay_started
     else:
         dataset = experiment.prepare().dataset
         n_packets = sum(flow.n_packets for flow in dataset.flows)
@@ -260,6 +296,19 @@ def main(argv: list[str] | None = None) -> int:
               f"(window boundaries: {search['lookup']} rows by stretch lookup, "
               f"{search['index']} by size-class index); "
               f"deferred {replay_stats['deferred']}")
+    window_rounds = counters.get("dataplane.window_rounds", 0)
+    rounds = {
+        "window_rounds": window_rounds,
+        "window_rows": counters.get("dataplane.window_rows", 0),
+        "fill_passes": counters.get("dataplane.fill.passes", 0),
+    }
+    for name in ("window_rows", "fill_passes"):
+        rounds[f"{name}_per_round"] = (
+            round(rounds[name] / window_rounds, 3) if window_rounds else None
+        )
+    print(f"window rounds: {window_rounds}, {rounds['window_rows_per_round']} rows and "
+          f"{rounds['fill_passes_per_round']} fill passes a round "
+          f"(of {len(FAMILIES)} kernel families)")
     print(f"memory: import {memory['import_mib']} MiB, set-up "
           f"{memory['setup_mib']} MiB, peak {memory['peak_mib']} MiB; "
           f"scipy loaded: {memory['scipy_loaded']}")
@@ -289,9 +338,11 @@ def main(argv: list[str] | None = None) -> int:
                 "cumtime_s": round(ct, 6),
             })
         summary = {
-            "engine": args.serve_engine if args.online else None,
+            "engine": (args.serve_engine if args.online
+                       else "microbatch" if args.serve else None),
             "mode": ("scenario" if scenario is not None
-                     else "online" if args.online else "replay"),
+                     else "online" if args.online
+                     else "serve" if args.serve else "replay"),
             "scenario": args.scenario,
             "dataset": spec.dataset,
             "flows": args.flows,
@@ -306,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": len(result.verdicts),
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
+            "rounds": rounds,
+            "kernel_families": len(FAMILIES),
             "counters": counters,
             "setup": setup,
             "memory": memory,
