@@ -41,9 +41,11 @@ def _replay_with_spoofed_size(
     """Replay ``dataset`` in arrival order, advertising ``scale``× the true flow size."""
     program = SpliDTDataPlane(model, rules, flow_slots=flow_slots)
     spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in dataset.flows]
-    vz.replay_arrays(program, dataset.flows, dataset.packet_arrays(), sizes=spoofed)
-    labels = {flow.flow_id: flow.label for flow in dataset.flows}
-    return build_replay_result(program.verdicts, labels, program.recirculation_stats())
+    soa = dataset.packet_arrays()
+    vz.replay_arrays(program, dataset.flows, soa, sizes=spoofed)
+    return build_replay_result(
+        program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()
+    )
 
 
 def evaluate_flow_size_spoofing(

@@ -404,5 +404,6 @@ def replay_dataset(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
     replay_positions(program, flows, soa, soa.interleave_order)
-    labels = {flow.flow_id: flow.label for flow in flows}
-    return build_replay_result(program.verdicts, labels, program.recirculation_stats())
+    return build_replay_result(
+        program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()
+    )

@@ -5,7 +5,9 @@ order (as a switch would observe them), feeds them through a
 :class:`SpliDTDataPlane` — the one program every system deploys; a top-k
 baseline's is a one-partition model — and collects per-flow
 verdicts, classification accuracy against ground truth, time-to-detection
-distributions and recirculation statistics.
+distributions and recirculation statistics.  Scoring verdicts against
+ground truth (:func:`score_verdicts`) and finding a reader's new verdicts
+(:func:`fresh_rows`) live here, once, for every replay and serving session.
 
 :func:`replay_dataset` runs :func:`repro.dataplane.vectorized.replay_arrays`:
 packets live in structure-of-arrays NumPy columns, flows alone in their
@@ -24,7 +26,9 @@ replays.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,13 +44,21 @@ class ReplayResult:
 
     Verdicts are keyed (and iterated) by flow id in ascending order, so the
     arrays returned by :meth:`time_to_detection` and
-    :meth:`recirculations_per_flow` are comparable across replays.
+    :meth:`recirculations_per_flow` are comparable across replays.  The
+    ground truth is the replayed source's ``truth_ids`` / ``truth_labels``
+    columns (one row per flow, in source order).
     """
 
     verdicts: Verdicts
-    labels: dict[int, int]
+    truth_ids: np.ndarray
+    truth_labels: np.ndarray
     report: ClassificationReport
     recirculation: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def labels(self) -> Mapping[int, int]:
+        """Ground-truth label by flow id: a read-only view, built on access."""
+        return MappingProxyType(dict(zip(self.truth_ids.tolist(), self.truth_labels.tolist())))
 
     def time_to_detection(self) -> np.ndarray:
         """Per-flow time-to-detection values (seconds) for decided flows.
@@ -64,29 +76,80 @@ class ReplayResult:
         return self.verdicts.n_recirculations.astype(float)
 
 
+def truth_index(verdict_ids: np.ndarray, flow_ids: np.ndarray) -> np.ndarray:
+    """Each verdict's row in the source's ``flow_ids`` column, ``-1`` where it has none.
+
+    One sorted lookup over the columns; of repeated source ids the last row wins.
+    """
+    flow_ids = np.asarray(flow_ids, dtype=np.int64)
+    if not flow_ids.size:
+        return np.full(len(verdict_ids), -1, dtype=np.intp)
+    order = np.argsort(flow_ids, kind="stable")
+    at = np.searchsorted(flow_ids[order], verdict_ids, side="right") - 1
+    index = order[np.maximum(at, 0)]
+    return np.where((at >= 0) & (flow_ids[index] == verdict_ids), index, -1)
+
+
+def score_verdicts(
+    verdicts: Verdicts,
+    flow_ids: np.ndarray,
+    labels: np.ndarray,
+    subset=None,
+) -> ClassificationReport:
+    """Score verdicts against the ground truth of the source they decided.
+
+    ``flow_ids`` / ``labels`` are the source's ground-truth columns; a verdict
+    of a flow id they do not hold is not scored, nor, when ``subset`` (flow
+    ids) is given, one outside it.  The one scorer of every replay, serving
+    session and scenario: it reads the verdict columns, builds no per-flow
+    object, and is empty (all zeros) when nothing is scored.  The matching
+    TTD summary is ``summarize_ttd(verdicts.time_to_detection())``.
+    """
+    index = truth_index(verdicts.flow_ids, flow_ids)
+    scored = index >= 0
+    if subset is not None:
+        scored &= np.isin(verdicts.flow_ids, np.asarray(subset, dtype=np.int64))
+    if not scored.any():
+        return ClassificationReport(0.0, 0.0, 0.0, 0.0, 0, np.zeros((0, 0)))
+    return ClassificationReport.from_predictions(
+        np.asarray(labels)[index[scored]].astype(np.intp),
+        verdicts.labels[scored].astype(np.intp),
+    )
+
+
+def fresh_rows(verdicts: Verdicts, seen: np.ndarray) -> np.ndarray:
+    """Rows of ``verdicts`` whose flow id is not in ``seen`` (ascending), in flow-id order.
+
+    The one rule by which the serving loop's readers find new verdicts: a
+    reader keeps the flow ids it has read — ``verdicts.flow_ids`` of its last
+    snapshot, as snapshots only grow — and reads only these rows.
+    """
+    ids = verdicts.flow_ids
+    if not len(seen):
+        return np.arange(ids.size)
+    at = np.searchsorted(seen, ids).clip(max=len(seen) - 1)
+    return np.flatnonzero(seen[at] != ids)
+
+
 def build_replay_result(
     verdicts: Verdicts,
-    labels: dict[int, int],
+    flow_ids: np.ndarray,
+    labels: np.ndarray,
     recirculation: dict[str, float] | None = None,
 ) -> ReplayResult:
-    """Score verdicts against ground truth and bundle a :class:`ReplayResult`.
+    """Score verdicts (:func:`score_verdicts`) and bundle a :class:`ReplayResult`.
 
     Shared by :func:`replay_dataset` and the serving engines' ``close()`` so
     batch and streaming replays produce structurally identical results.
-    Scores from the verdict columns: no per-flow object is built.
+    ``flow_ids`` / ``labels`` are the source's ground-truth columns.
     """
-    flow_ids = verdicts.flow_ids.tolist()
-    scored = [row for row, flow_id in enumerate(flow_ids) if flow_id in labels]
-    y_true = np.array([labels[flow_ids[row]] for row in scored], dtype=np.intp)
-    y_pred = verdicts.labels[scored].astype(np.intp)
-    if scored:
-        report = ClassificationReport.from_predictions(y_true, y_pred)
-    else:
-        report = ClassificationReport(0.0, 0.0, 0.0, 0.0, 0, np.zeros((0, 0)))
+    flow_ids = np.asarray(flow_ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     return ReplayResult(
         verdicts=verdicts,
-        labels=dict(labels),
-        report=report,
+        truth_ids=flow_ids,
+        truth_labels=labels,
+        report=score_verdicts(verdicts, flow_ids, labels),
         recirculation=dict(recirculation or {}),
     )
 
@@ -184,5 +247,6 @@ def replay_dataset(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
     vz.replay_arrays(program, flows, soa=soa)
-    labels = {flow.flow_id: flow.label for flow in flows}
-    return build_replay_result(program.verdicts, labels, program.recirculation_stats())
+    return build_replay_result(
+        program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()
+    )

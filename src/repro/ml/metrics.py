@@ -17,11 +17,9 @@ def _encode(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndar
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have the same shape")
-    classes = np.unique(np.concatenate([y_true, y_pred]))
-    lookup = {value: index for index, value in enumerate(classes)}
-    true_idx = np.array([lookup[v] for v in y_true], dtype=np.intp)
-    pred_idx = np.array([lookup[v] for v in y_pred], dtype=np.intp)
-    return classes, true_idx, pred_idx
+    classes, index = np.unique(np.concatenate([y_true, y_pred]), return_inverse=True)
+    index = index.reshape(-1).astype(np.intp, copy=False)
+    return classes, index[: y_true.size], index[y_true.size:]
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:

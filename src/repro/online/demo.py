@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SpliDTConfig
-from repro.core.evaluation import ClassificationReport
 from repro.core.partitioned_tree import train_partitioned_tree
 from repro.core.range_marking import generate_rules, stacked_training_matrix
+from repro.dataplane.runtime import score_verdicts
 from repro.datasets.generators import PhaseShiftGenerator, SyntheticTrafficGenerator
 from repro.datasets.materialize import DatasetStore
 from repro.datasets.profiles import get_profile
@@ -36,40 +36,20 @@ MIN_STATIC_DROP = 0.30
 MAX_RECOVERY_GAP = 0.05
 
 
-def _subset_f1(verdicts: dict, flows_by_id: dict, flow_ids) -> tuple[float, int]:
-    """Weighted F1 of the verdicts for ``flow_ids`` (0.0 when empty)."""
-    y_true, y_pred = [], []
-    for flow_id in flow_ids:
-        verdict = verdicts.get(flow_id)
-        if verdict is None:
-            continue
-        y_true.append(flows_by_id[flow_id].label)
-        y_pred.append(verdict.label)
-    if not y_true:
-        return 0.0, 0
-    report = ClassificationReport.from_predictions(
-        np.asarray(y_true, dtype=np.intp), np.asarray(y_pred, dtype=np.intp)
-    )
-    return float(report.f1_score), len(y_true)
+def _subset_f1(result, flow_ids) -> tuple[float, int]:
+    """Weighted F1 of a session's verdicts of ``flow_ids``, and how many it scored."""
+    report = score_verdicts(result.verdicts, result.truth_ids, result.truth_labels, flow_ids)
+    return float(report.f1_score), report.n_samples
 
 
-def _verdicts_bit_identical(left: dict, right: dict, flow_ids) -> bool:
-    """Whether both verdict dicts agree exactly on every given flow."""
-    for flow_id in flow_ids:
-        a, b = left.get(flow_id), right.get(flow_id)
-        if (a is None) != (b is None):
-            return False
-        if a is None:
-            continue
-        if (
-            a.label != b.label
-            or a.decided_at != b.decided_at
-            or a.first_packet_at != b.first_packet_at
-            or a.n_recirculations != b.n_recirculations
-            or a.early_exit != b.early_exit
-        ):
-            return False
-    return True
+def _verdicts_bit_identical(left, right, flow_ids) -> bool:
+    """Whether both verdict snapshots agree exactly on every given flow, decided or not."""
+    ids = np.fromiter(flow_ids, dtype=np.int64)
+
+    def rows(verdicts):
+        return [column[np.isin(verdicts.flow_ids, ids)] for column in verdicts.columns[:-1]]
+
+    return all(map(np.array_equal, rows(left), rows(right)))
 
 
 def default_online_config() -> OnlineConfig:
@@ -132,7 +112,6 @@ def run_phase_change_demo(
     )
     shifted = generator.generate(serve_flows)
     shift_time = generator.shift_time
-    flows_by_id = {flow.flow_id: flow for flow in shifted.flows}
     pre_ids = [
         f.flow_id for f in shifted.flows if f.packets[0].timestamp < shift_time
     ]
@@ -154,8 +133,8 @@ def run_phase_change_demo(
         static_engine.ingest(chunk)
     static_engine.drain()
     static = static_engine.close()
-    static_pre_f1, _ = _subset_f1(static.verdicts, flows_by_id, pre_ids)
-    static_post_f1, _ = _subset_f1(static.verdicts, flows_by_id, post_ids)
+    static_pre_f1, _ = _subset_f1(static, pre_ids)
+    static_post_f1, _ = _subset_f1(static, post_ids)
 
     # Online session: same stream, with the controller riding along.
     controller = OnlineController(
@@ -177,7 +156,7 @@ def run_phase_change_demo(
     controller.poll(serve_engine, allow_swap=False)
     online_result = serve_engine.close()
 
-    online_pre_f1, _ = _subset_f1(online_result.verdicts, flows_by_id, pre_ids)
+    online_pre_f1, _ = _subset_f1(online_result, pre_ids)
     swaps = controller.swap_events
     if swaps:
         first_swap = swaps[0]
@@ -185,11 +164,9 @@ def run_phase_change_demo(
         recovered_ids = [
             flow_id
             for flow_id in post_ids
-            if flow_id not in set(swaps[-1].started_flow_ids)
+            if flow_id not in swaps[-1].started_flow_ids
         ]
-        post_swap_f1, post_swap_n = _subset_f1(
-            online_result.verdicts, flows_by_id, recovered_ids
-        )
+        post_swap_f1, post_swap_n = _subset_f1(online_result, recovered_ids)
         bit_identical = _verdicts_bit_identical(
             online_result.verdicts, static.verdicts, pre_swap_ids
         )

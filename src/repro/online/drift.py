@@ -2,15 +2,63 @@
 
 Each served verdict is compared against its flow's ground-truth label; the
 binary error indicator feeds a Page–Hinkley cumulative mean-shift test,
-next to the rolling accumulators of :mod:`repro.analysis.streaming` that
-report the windowed error rate and accuracy.  Every update is O(1), the
-same contract as those accumulators.
+next to a sliding-window error rate and a correct/observed count.  Every
+update is O(1).
 """
 
 from __future__ import annotations
 
-from repro.analysis.streaming import RollingReport, WindowedErrorRate
+from collections import deque
+
 from repro.online.config import OnlineConfig
+
+
+class WindowedErrorRate:
+    """Error rate over the most recent ``window`` binary outcomes.
+
+    The drift monitor feeds one boolean per served verdict (``True`` =
+    misclassified); :attr:`rate` is the fraction of errors inside the
+    sliding window, maintained in O(1) per update.
+
+    Example::
+
+        >>> windowed = WindowedErrorRate(window=2)
+        >>> windowed.update(True)
+        >>> windowed.update(False)
+        >>> windowed.rate
+        0.5
+    """
+
+    def __init__(self, window: int = 64) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.window = int(window)
+        self._outcomes: deque[bool] = deque(maxlen=self.window)
+        self._errors = 0
+
+    def update(self, error: bool) -> None:
+        """Absorb one outcome (``True`` when the verdict was wrong)."""
+        if len(self._outcomes) == self.window and self._outcomes[0]:
+            self._errors -= 1
+        error = bool(error)
+        self._outcomes.append(error)
+        if error:
+            self._errors += 1
+
+    @property
+    def count(self) -> int:
+        """Outcomes currently inside the window (saturates at ``window``)."""
+        return len(self._outcomes)
+
+    @property
+    def rate(self) -> float:
+        """Error fraction over the window (0.0 while empty)."""
+        return self._errors / len(self._outcomes) if self._outcomes else 0.0
+
+    def reset(self) -> None:
+        """Empty the window (e.g. after a model swap)."""
+        self._outcomes.clear()
+        self._errors = 0
 
 
 class PageHinkley:
@@ -74,26 +122,30 @@ class PageHinkley:
 class DriftMonitor:
     """Serve-path facade: verdict stream in, drift verdicts out.
 
-    Combines a :class:`~repro.analysis.streaming.WindowedErrorRate`, a
-    :class:`~repro.analysis.streaming.RollingReport` (rolling accuracy/F1
-    since the last reset) and the :class:`PageHinkley` detector.  The
-    controller calls :meth:`observe` once per served verdict.
+    Combines a :class:`WindowedErrorRate`, a correct/observed count (the
+    accuracy since the last reset) and the :class:`PageHinkley` detector.
+    The controller calls :meth:`observe` once per served verdict.
     """
 
     def __init__(self, config: OnlineConfig) -> None:
         self.windowed = WindowedErrorRate(config.window)
-        self.report = RollingReport()
         self._page_hinkley = PageHinkley(
             delta=config.ph_delta,
             threshold=config.ph_threshold,
             min_samples=config.warmup_flows,
         )
         self._n = 0
+        self._correct = 0
 
     @property
     def n_observed(self) -> int:
         """Verdicts observed since the last reset."""
         return self._n
+
+    @property
+    def accuracy(self) -> float:
+        """Share of the verdicts observed since the last reset that were right (0.0 before any)."""
+        return self._correct / self._n if self._n else 0.0
 
     @property
     def error_rate(self) -> float:
@@ -104,13 +156,13 @@ class DriftMonitor:
         """Absorb one verdict; returns ``True`` when drift is detected."""
         error = int(y_true) != int(y_pred)
         self.windowed.update(error)
-        self.report.update(y_true, y_pred)
         self._n += 1
+        self._correct += not error
         return self._page_hinkley.update(1.0 if error else 0.0)
 
     def reset(self) -> None:
         """Re-arm after a model swap: forget errors, stats and alarms."""
         self.windowed.reset()
-        self.report.reset()
         self._page_hinkley.reset()
         self._n = 0
+        self._correct = 0

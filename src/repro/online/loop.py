@@ -8,11 +8,13 @@ State machine (see ``docs/serving.md``)::
 
 The controller rides alongside a live :class:`repro.serve.InferenceEngine`:
 the serving loop calls :meth:`OnlineController.observe_chunk` after each
-``ingest``, the controller diffs the engine's verdict dict against what it
-has already seen, grades each new verdict against the flow's ground-truth
-label, and drives the drift monitor.  On an alarm it buffers the next
-``min_retrain_flows`` labelled flows, retrains on them with the offline
-pipeline — :func:`~repro.datasets.materialize.materialize`,
+``ingest``, the controller finds the engine's new verdicts with one mask
+over the snapshot's flow-id column
+(:func:`~repro.dataplane.runtime.fresh_rows`), grades each against its
+flow's label in the source's columns, and drives the drift monitor.  On an
+alarm it buffers the next ``min_retrain_flows`` labelled flows, retrains on
+them with the offline pipeline —
+:func:`~repro.datasets.materialize.materialize`,
 :func:`~repro.core.partitioned_tree.train_partitioned_tree` (Algorithm 1),
 :func:`~repro.core.range_marking.generate_rules` — and fires
 :meth:`~repro.serve.InferenceEngine.swap_model`.  The swap itself
@@ -30,6 +32,7 @@ import numpy as np
 from repro.core.config import SpliDTConfig
 from repro.core.partitioned_tree import train_partitioned_tree
 from repro.core.range_marking import generate_rules, stacked_training_matrix
+from repro.dataplane.runtime import fresh_rows, truth_index
 from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.datasets.flows import FlowDataset
 from repro.datasets.materialize import materialize
@@ -104,8 +107,12 @@ class OnlineController:
         self.state = MONITORING
         self.events: list[OnlineEvent] = []
         self.swap_events: list = []
-        self._flow_by_id: dict[int, object] = {}
-        self._seen: set[int] = set()
+        #: The last chunk observed: its source's ground-truth columns, and
+        #: its flows for the retrain buffer.
+        self._chunk = None
+        #: Flow ids of the verdicts graded so far (ascending).
+        self._seen = np.empty(0, dtype=np.int64)
+        self._n_graded = 0
         self._buffer: OrderedDict[int, object] = OrderedDict()
         self._stale: set[int] = set()
         self._cooldown_left = 0
@@ -116,21 +123,15 @@ class OnlineController:
     @property
     def n_verdicts(self) -> int:
         """Verdicts graded so far."""
-        return len(self._seen)
-
-    def bind_flows(self, flows) -> None:
-        """Register the stream's flow table (ground-truth labels by flow id)."""
-        for flow in flows:
-            self._flow_by_id.setdefault(flow.flow_id, flow)
+        return self._n_graded
 
     def observe_chunk(self, engine, chunk):
-        """Absorb one ingested chunk: bind its flow table, then poll.
+        """Absorb one ingested chunk: take its source as ground truth, then poll.
 
         Returns the :class:`~repro.serve.engine.SwapEvent` if this poll
         fired a swap, else ``None``.
         """
-        if len(self._flow_by_id) != len(chunk.flows):
-            self.bind_flows(chunk.flows)
+        self._chunk = chunk
         return self.poll(engine)
 
     def poll(self, engine, *, allow_swap: bool = True):
@@ -138,27 +139,34 @@ class OnlineController:
 
         New verdicts are processed in ``(decided_at, flow_id)`` order so the
         controller's decisions depend on the stream, not on which engine
-        flushed first.  ``allow_swap=False`` (the post-drain poll) grades
-        verdicts but never calls ``swap_model`` — a drained engine rejects
-        swaps by contract.
+        flushed first.  A verdict whose flow the observed source does not
+        hold has no ground truth: it counts as graded and is skipped.
+        ``allow_swap=False`` (the post-drain poll) grades verdicts but never
+        calls ``swap_model`` — a drained engine rejects swaps by contract.
         """
         verdicts = engine.verdicts()
-        fresh = [verdicts[fid] for fid in verdicts if fid not in self._seen]
-        if not fresh:
+        fresh = fresh_rows(verdicts, self._seen)
+        if not fresh.size:
             return None
-        fresh.sort(key=lambda vd: (vd.decided_at, vd.flow_id))
+        # Rows are in flow-id order, so a stable sort orders ties by flow id.
+        fresh = fresh[np.argsort(verdicts.decided_at[fresh], kind="stable")]
+        fresh_ids = verdicts.flow_ids[fresh]
+        source = self._chunk.soa if self._chunk is not None else None
+        truth = truth_index(fresh_ids, source.flow_ids if source is not None else ())
+        seen, self._seen = self._seen, verdicts.flow_ids
         swap_event = None
-        for verdict in fresh:
-            self._seen.add(verdict.flow_id)
-            flow = self._flow_by_id.get(verdict.flow_id)
-            if flow is None:
+        for position, (flow_id, y_pred, row) in enumerate(
+            zip(fresh_ids.tolist(), verdicts.labels[fresh].tolist(), truth.tolist())
+        ):
+            self._n_graded += 1
+            if row < 0:
                 continue
-            y_true, y_pred = flow.label, verdict.label
-            if verdict.flow_id in self._stale:
+            y_true = int(source.labels[row])
+            if flow_id in self._stale:
                 # The flow was in flight at the last swap, so its verdict
                 # comes from the *old* epoch — it says nothing about the
                 # refreshed model and must not re-trigger the detector.
-                self._stale.discard(verdict.flow_id)
+                self._stale.discard(flow_id)
                 continue
             if self.state == COOLDOWN:
                 self._cooldown_left -= 1
@@ -179,18 +187,20 @@ class OnlineController:
                     )
                 continue
             # RETRAINING: every labelled post-alarm flow feeds the buffer.
-            self.monitor.windowed.update(int(y_true) != int(y_pred))
-            self._buffer[verdict.flow_id] = flow
+            self.monitor.windowed.update(y_true != y_pred)
+            self._buffer[flow_id] = self._chunk.flows[row]
             while len(self._buffer) > self.config.retrain_window:
                 self._buffer.popitem(last=False)
             if allow_swap and len(self._buffer) >= self.config.min_retrain_flows:
-                swap_event = self._retrain_and_swap(engine)
+                graded = np.concatenate((seen, fresh_ids[: position + 1]))
+                swap_event = self._retrain_and_swap(engine, graded)
         return swap_event
 
     # ------------------------------------------------------------------
     # Retrain + swap
     # ------------------------------------------------------------------
-    def _retrain_and_swap(self, engine):
+    def _retrain_and_swap(self, engine, graded: np.ndarray):
+        """Retrain on the buffer and swap; ``graded`` holds the flow ids graded so far."""
         buffered = list(self._buffer.values())
         n_partitions = self.model_config.n_partitions
         windowed = materialize(
@@ -208,7 +218,7 @@ class OnlineController:
         event = engine.swap_model(
             OnlineProgramFactory(model, rules, self.flow_slots)
         )
-        self._stale |= set(event.started_flow_ids) - self._seen
+        self._stale |= set(event.started_flow_ids) - set(graded.tolist())
         self.swap_events.append(event)
         self.events.append(
             OnlineEvent(
@@ -241,7 +251,7 @@ class OnlineController:
             "state": self.state,
             "verdicts": self.n_verdicts,
             "error_rate": round(self.monitor.error_rate, 6),
-            "accuracy": round(self.monitor.report.accuracy, 6),
+            "accuracy": round(self.monitor.accuracy, 6),
             "drift_alarms": sum(1 for e in self.events if e.kind == "drift"),
             "swaps": len(self.swap_events),
             "swap_latency_s": [round(e.latency_s, 6) for e in self.swap_events],

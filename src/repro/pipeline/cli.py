@@ -33,7 +33,10 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from repro.analysis.reporting import format_max_flows, render_table
+from repro.dataplane.runtime import fresh_rows
 from repro.datasets.profiles import DATASET_KEYS
 from repro.datasets.registry import dataset_summary
 from repro.pipeline.artifacts import load_run, save_run
@@ -224,7 +227,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({serve.engine} engine{parallelism}, chunks of {serve.chunk_size} pkts"
           f"{online_note})")
 
-    reported: set[int] = set()
+    reported = np.empty(0, dtype=np.int64)
     alarms_reported = 0
     started = time.perf_counter()
     engine.open()
@@ -302,20 +305,23 @@ def _progress_line(chunk_index: int, stats) -> str:
     return line
 
 
-def _emit_digests(engine, reported: set[int]) -> set[int]:
-    """Print the verdict digests that appeared since the last call."""
+def _emit_digests(engine, reported: np.ndarray) -> np.ndarray:
+    """Print the verdict digests that appeared since the last call, in flow-id order.
+
+    ``reported`` holds the flow ids already printed (ascending); returns
+    the flow ids printed so far.
+    """
     verdicts = engine.verdicts()
-    if len(verdicts) == len(reported):
-        return reported
-    fresh = sorted(flow_id for flow_id in verdicts if flow_id not in reported)
-    for flow_id in fresh:
-        verdict = verdicts[flow_id]
-        reported.add(flow_id)
-        print(f"digest  flow {flow_id:>6}  class {verdict.label:>3}  "
-              f"ttd {verdict.time_to_detection * 1e3:8.2f}ms  "
-              f"recirc {verdict.n_recirculations}"
-              + ("  early-exit" if verdict.early_exit else ""))
-    return reported
+    fresh = fresh_rows(verdicts, reported)
+    columns = (verdicts.flow_ids, verdicts.labels, verdicts.time_to_detection(),
+               verdicts.n_recirculations, verdicts.early_exit)
+    for flow_id, label, ttd, recirc, early_exit in zip(
+        *(column[fresh].tolist() for column in columns)
+    ):
+        print(f"digest  flow {flow_id:>6}  class {label:>3}  "
+              f"ttd {ttd * 1e3:8.2f}ms  recirc {recirc}"
+              + ("  early-exit" if early_exit else ""))
+    return verdicts.flow_ids
 
 
 def _cmd_online_demo(args: argparse.Namespace) -> int:

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.evaluation import ClassificationReport
 from repro.dataplane import vectorized as vz
+from repro.dataplane.runtime import score_verdicts
 from repro.datasets.profiles import get_profile
 from repro.pipeline.experiment import Experiment
 from repro.pipeline.spec import ExperimentSpec
@@ -159,18 +159,14 @@ def run_scenario(
         replay_s = time.perf_counter() - replay_started
         program.check_accounting(workload.n_packets)
 
-        labels = np.asarray(workload.soa.labels[: workload.n_legit])
-        verdicts = program.verdicts
-        # Legitimate flows are flow ids 0 .. n_legit - 1; the columns are in flow-id order.
-        decided = np.flatnonzero(verdicts.flow_ids < workload.n_legit)
-        if decided.size:
-            y_true = labels[verdicts.flow_ids[decided]]
-            report = ClassificationReport.from_predictions(y_true, verdicts.labels[decided])
-            accuracy, f1 = report.accuracy, report.f1_score
-            median_ttd = float(np.median(verdicts.time_to_detection()[decided]))
-        else:
-            accuracy = f1 = 0.0
-            median_ttd = float("nan")
+        # Legitimate flows are flow ids 0 .. n_legit - 1, the source's first
+        # n_legit rows: only they are scored.
+        n_legit, verdicts = workload.n_legit, program.verdicts
+        report = score_verdicts(
+            verdicts, workload.soa.flow_ids[:n_legit], workload.soa.labels[:n_legit]
+        )
+        ttd = verdicts.time_to_detection()[verdicts.flow_ids < n_legit]
+        median_ttd = float(np.median(ttd)) if ttd.size else float("nan")
         stats = program.eviction_stats()
         estimate = (
             workload.source.materialised_bytes_estimate()
@@ -184,9 +180,9 @@ def run_scenario(
             n_flows=workload.n_flows,
             n_legit=workload.n_legit,
             n_packets=workload.n_packets,
-            accuracy=accuracy,
-            f1_score=f1,
-            decided_fraction=len(decided) / max(workload.n_legit, 1),
+            accuracy=report.accuracy,
+            f1_score=report.f1_score,
+            decided_fraction=report.n_samples / max(workload.n_legit, 1),
             median_ttd=median_ttd,
             evictions=int(stats["evictions"]),
             eviction_policy=stats["policy"],

@@ -4,12 +4,12 @@ An :class:`InferenceEngine` is the serving surface of a deployed data-plane
 program.  Where :func:`repro.dataplane.replay_dataset` demands a fully
 materialised dataset and returns one report at the end, an engine consumes a
 *stream* of :class:`~repro.datasets.streams.PacketChunk` slices and exposes
-verdicts and rolling statistics while the traffic is still flowing::
+verdicts and statistics while the traffic is still flowing::
 
     engine.open()
     for chunk in iter_packet_chunks(dataset, chunk_size=256):
         engine.ingest(chunk)           # any chunk size, any number of calls
-        print(engine.stats())          # rolling TTD / accuracy / recirculation
+        print(engine.stats())          # TTD / accuracy / recirculation so far
     engine.drain()                     # end of stream: flush buffered work
     result = engine.close()           # full ReplayResult
 
@@ -51,9 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.streaming import RollingReport, RollingTTD
+from repro.analysis.ttd import summarize_ttd
 from repro.dataplane import vectorized as vz
-from repro.dataplane.runtime import ReplayResult, build_replay_result
+from repro.dataplane.runtime import ReplayResult, build_replay_result, score_verdicts
 from repro.dataplane.verdicts import Verdicts
 from repro.datasets.streams import PacketChunk
 from repro.obs import Counters
@@ -80,7 +80,7 @@ class BackpressureError(ServeError):
 
 @dataclass
 class EngineStats:
-    """Rolling statistics of one serving session.
+    """Statistics of one serving session, scored from its verdict snapshot.
 
     Attributes:
         engine: Engine name (one of :data:`SERVE_ENGINES`).
@@ -90,8 +90,10 @@ class EngineStats:
         flows_decided: Flows with a recorded verdict.
         buffered_packets: Ingested packets not yet pushed through the program
             (0 for the per-packet oracle session).
-        accuracy: Rolling accuracy of the decided flows against ground truth.
-        ttd: Rolling time-to-detection summary (median/mean/p90/p99/max, s).
+        accuracy: Accuracy of the decided flows against ground truth, scored
+            from the verdict snapshot as ``close()`` scores its report.
+        ttd: Time-to-detection summary of the decided flows
+            (median/mean/p90/p99/max, s), ``summarize_ttd`` of the snapshot.
         recirculation: Recirculation counters so far (empty for a
             process-sharded session no worker has reported to yet).
         batching: Micro-batch flush counters, summed over shards, workers
@@ -178,7 +180,7 @@ def _flows_in_time_order(soa) -> bool:
 
 
 class InferenceEngine(abc.ABC):
-    """Base class implementing the serving lifecycle and rolling statistics.
+    """Base class implementing the serving lifecycle and session statistics.
 
     Subclasses implement ``_ingest`` (consume one validated chunk) and may
     override ``_drain`` / ``_on_open`` / ``_on_close``; the base class
@@ -193,7 +195,6 @@ class InferenceEngine(abc.ABC):
         self._state = "created"
         self._soa = None
         self._flows: list | None = None
-        self._labels: dict[int, int] | None = None
         self._watermark = float("-inf")
         #: ``(flow id, position)`` of the last packet ingested: ties at the
         #: watermark must follow it.
@@ -201,9 +202,6 @@ class InferenceEngine(abc.ABC):
         self._packets = 0
         self._chunks = 0
         self._flows_seen = 0
-        self._rolling_ttd = RollingTTD()
-        self._rolling_report = RollingReport()
-        self._scored: set[int] = set()
         self._result: ReplayResult | None = None
         # --- model hot-swap state (see swap_model) ---
         self._delivered: np.ndarray | None = None
@@ -290,7 +288,7 @@ class InferenceEngine(abc.ABC):
         if self._state == "open":
             self.drain()
         self._result = build_replay_result(
-            self.verdicts(), self._label_map(), self.recirculation_stats()
+            self.verdicts(), *self._ground_truth(), self.recirculation_stats()
         )
         self._state = "closed"
         for child in self._epoch_children:
@@ -359,23 +357,19 @@ class InferenceEngine(abc.ABC):
         return {}
 
     def stats(self) -> EngineStats:
-        """Rolling statistics of the session (absorbs new verdicts).
+        """Statistics of the session so far.
 
-        Cheap for the in-process engines; for the process-sharded engine it
-        costs one snapshot round-trip per worker while the stream is open,
-        so call it per progress interval, not per packet.
+        ``accuracy`` and ``ttd`` score the current :meth:`verdicts` snapshot
+        with the replay scorer (:func:`~repro.dataplane.runtime.score_verdicts`,
+        :func:`~repro.analysis.ttd.summarize_ttd`), from its columns: after
+        ``drain`` they equal ``close().report.accuracy`` and the summary of
+        ``close().time_to_detection()``.  Cheap for the in-process engines;
+        for the process-sharded engine it costs one snapshot round-trip per
+        worker while the stream is open, so call it per progress interval,
+        not per packet.
         """
         verdicts = self.verdicts()
         counters = self._session_counters()
-        labels = self._label_map()
-        flow_ids = verdicts.flow_ids.tolist()
-        fresh = [row for row, flow_id in enumerate(flow_ids) if flow_id not in self._scored]
-        self._rolling_ttd.update(verdicts.time_to_detection()[fresh].tolist())
-        for row, predicted in zip(fresh, verdicts.labels[fresh].tolist()):
-            self._scored.add(flow_ids[row])
-            label = labels.get(flow_ids[row])
-            if label is not None:
-                self._rolling_report.update(label, predicted)
         return EngineStats(
             engine=self.name,
             packets=self._packets,
@@ -383,8 +377,8 @@ class InferenceEngine(abc.ABC):
             flows_seen=self._flows_seen,
             flows_decided=len(verdicts),
             buffered_packets=self._total_buffered(),
-            accuracy=self._rolling_report.accuracy,
-            ttd=self._rolling_ttd.summary(),
+            accuracy=score_verdicts(verdicts, *self._ground_truth()).accuracy,
+            ttd=summarize_ttd(verdicts.time_to_detection()),
             recirculation=channel_stats(counters, self._capacity_bps),
             batching=_batching(counters),
             transport=self._transport_stats(),
@@ -558,17 +552,9 @@ class InferenceEngine(abc.ABC):
         else:
             self._epoch_children[epoch - 1].ingest(sub)
 
-    def _label_map(self) -> dict[int, int]:
-        """Ground-truth label by flow id, built when scoring first needs it.
-
-        From the source's columns: iterating the flow list would materialise
-        every flow of a lazy source.
-        """
-        if self._soa is None:
-            return {}
-        if self._labels is None:
-            self._labels = dict(zip(self._soa.flow_ids.tolist(), self._soa.labels.tolist()))
-        return self._labels
+    def _ground_truth(self) -> tuple:
+        """The source's ``(flow_ids, labels)`` columns (empty before the first chunk)."""
+        return (self._soa.flow_ids, self._soa.labels) if self._soa is not None else ((), ())
 
     def _total_buffered(self) -> int:
         return self._buffered_packet_count() + sum(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from repro.core.partitioned_tree import (
 )
 from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane import SpliDTDataPlane, replay_dataset
+from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import FlowDataset
 from repro.datasets.materialize import materialize
+from repro.datasets.streams import iter_packet_chunks
 from repro.online import (
     COOLDOWN,
     MAX_RECOVERY_GAP,
@@ -39,8 +42,9 @@ from repro.online import (
     default_online_config,
     run_phase_change_demo,
 )
+from repro.online.drift import WindowedErrorRate
 from repro.pipeline.cli import main
-from repro.serve import SwapEvent
+from repro.serve import MicroBatchEngine, SwapEvent
 
 
 class TestOnlineConfig:
@@ -162,11 +166,35 @@ class TestDriftMonitor:
         assert not any(monitor.observe(1, 1) for _ in range(64))
 
 
-class _FakeVerdict:
-    def __init__(self, flow_id, label, decided_at):
-        self.flow_id = flow_id
-        self.label = label
-        self.decided_at = decided_at
+class TestWindowedErrorRate:
+    def test_matches_naive_window_rate(self):
+        rng = np.random.default_rng(5)
+        errors = rng.random(200) < 0.3
+        windowed = WindowedErrorRate(window=16)
+        for index, error in enumerate(errors):
+            windowed.update(bool(error))
+            recent = errors[max(0, index - 15): index + 1]
+            assert windowed.rate == recent.sum() / recent.size
+        assert windowed.count == 16
+
+    def test_old_outcomes_age_out(self):
+        windowed = WindowedErrorRate(window=2)
+        windowed.update(True)
+        windowed.update(True)
+        assert windowed.rate == 1.0
+        windowed.update(False)
+        windowed.update(False)
+        assert windowed.rate == 0.0
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window"):
+            WindowedErrorRate(window=0)
+
+    def test_reset_empties_the_window(self):
+        windowed = WindowedErrorRate(window=4)
+        windowed.update(True)
+        windowed.reset()
+        assert windowed.count == 0 and windowed.rate == 0.0
 
 
 class _FakeFlow:
@@ -179,14 +207,14 @@ class _FakeEngine:
     """Scripted verdict feed that records every ``swap_model`` factory."""
 
     def __init__(self):
-        self._verdicts = {}
+        self._store = VerdictStore()
         self.factories = []
 
     def deliver(self, flow_id, label, decided_at):
-        self._verdicts[flow_id] = _FakeVerdict(flow_id, label, decided_at)
+        self._store.append_row(flow_id, label, decided_at, 0.0, 0, False, 0)
 
     def verdicts(self):
-        return dict(self._verdicts)
+        return self._store.snapshot()
 
     def swap_model(self, factory):
         self.factories.append(factory)
@@ -194,6 +222,15 @@ class _FakeEngine:
             epoch=len(self.factories), latency_s=0.0, buffered_packets=0,
             pinned_slots=0, pinned_flows=0, watermark=0.0, flows_started=0,
         )
+
+
+def _bind(controller, engine, flows):
+    """Observe a chunk of a source holding ``flows`` (nothing decided yet)."""
+    soa = SimpleNamespace(
+        flow_ids=np.array([flow.flow_id for flow in flows], dtype=np.int64),
+        labels=np.array([flow.label for flow in flows], dtype=np.int64),
+    )
+    assert controller.observe_chunk(engine, SimpleNamespace(soa=soa, flows=flows)) is None
 
 
 #: Thirteen classes, the label space of the scripted state-machine tests.
@@ -227,7 +264,7 @@ class TestOnlineControllerStateMachine:
         engine = _FakeEngine()
         # Eight correct verdicts, then exactly enough wrong ones for the
         # alarm to fire on the last (see ``_controller``).
-        controller.bind_flows([_FakeFlow(fid, 0) for fid in range(16)])
+        _bind(controller, engine, [_FakeFlow(fid, 0) for fid in range(16)])
         for fid in range(16):
             engine.deliver(fid, 0 if fid < 8 else 1, float(fid))
         controller.poll(engine, allow_swap=False)
@@ -246,7 +283,7 @@ class TestOnlineControllerStateMachine:
     def test_stale_old_epoch_verdicts_do_not_feed_the_monitor(self, splidt_config):
         controller = _controller(splidt_config)
         engine = _FakeEngine()
-        controller.bind_flows([_FakeFlow(0, 0), _FakeFlow(1, 0)])
+        _bind(controller, engine, [_FakeFlow(0, 0), _FakeFlow(1, 0)])
         controller._stale = {0}
         engine.deliver(0, 1, 0.0)  # wrong, but decided on the old epoch
         engine.deliver(1, 0, 1.0)
@@ -261,7 +298,7 @@ class TestOnlineControllerStateMachine:
         controller._cooldown_left = 2
         controller.monitor.observe(0, 1)
         engine = _FakeEngine()
-        controller.bind_flows([_FakeFlow(0, 0), _FakeFlow(1, 0)])
+        _bind(controller, engine, [_FakeFlow(0, 0), _FakeFlow(1, 0)])
         engine.deliver(0, 1, 0.0)
         engine.deliver(1, 1, 1.0)
         controller.poll(engine, allow_swap=False)
@@ -272,7 +309,7 @@ class TestOnlineControllerStateMachine:
     def test_verdicts_graded_in_decision_order(self, splidt_config):
         controller = _controller(splidt_config)
         engine = _FakeEngine()
-        controller.bind_flows([_FakeFlow(fid, 0) for fid in range(4)])
+        _bind(controller, engine, [_FakeFlow(fid, 0) for fid in range(4)])
         # Delivered out of order; the drift event must fire at the same
         # verdict count regardless of dict insertion order.
         for fid in (3, 0, 2, 1):
@@ -280,6 +317,65 @@ class TestOnlineControllerStateMachine:
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 4
         assert controller.state == MONITORING
+
+    def test_verdicts_across_polls_graded_once_in_decision_order(
+        self, splidt_config, monkeypatch
+    ):
+        controller = _controller(splidt_config)
+        engine = _FakeEngine()
+        # A flow's label is its id, so the monitor's inputs name the flow.
+        _bind(controller, engine, [_FakeFlow(fid, fid) for fid in range(10)])
+        graded = []
+        monkeypatch.setattr(
+            controller.monitor, "observe",
+            lambda y_true, y_pred: graded.append(y_true) or False,
+        )
+        # Each poll's new verdicts arrive out of flow-id order, and a later
+        # poll's flow ids interleave with the earlier ones'.
+        for batch in ([(7, 0.5), (2, 0.9), (5, 0.5)], [(9, 0.1), (0, 2.0), (3, 2.0)], []):
+            for fid, decided_at in batch:
+                engine.deliver(fid, fid, decided_at)
+            controller.poll(engine, allow_swap=False)
+        assert graded == [5, 7, 2, 9, 0, 3]
+        assert controller.n_verdicts == 6
+
+    def test_verdicts_without_ground_truth_are_graded_and_skipped(self, splidt_config):
+        controller = _controller(splidt_config)
+        engine = _FakeEngine()
+        _bind(controller, engine, [_FakeFlow(fid, 0) for fid in (1, 3)])
+        for fid in (0, 1, 2, 3, 4):
+            engine.deliver(fid, 0, float(fid))
+        controller.poll(engine, allow_swap=False)
+        assert controller.n_verdicts == 5
+        assert controller.monitor.n_observed == 2
+        assert controller.monitor.accuracy == 1.0
+        controller.poll(engine, allow_swap=False)
+        assert controller.n_verdicts == 5
+
+
+def test_poll_and_stats_read_columns_not_verdict_objects(
+    splidt_config, splidt_model, splidt_rules, small_dataset, monkeypatch
+):
+    """Neither a poll nor ``stats()`` builds a ``FlowVerdict``, new verdicts or not."""
+    built = []
+    getitem = Verdicts.__getitem__
+    monkeypatch.setattr(
+        Verdicts, "__getitem__", lambda self, key: built.append(key) or getitem(self, key)
+    )
+    controller = _controller(splidt_config)
+    engine = MicroBatchEngine(SpliDTDataPlane(splidt_model, splidt_rules)).open()
+    polls_without_news = 0
+    for chunk in iter_packet_chunks(small_dataset.flows, 500):
+        engine.ingest(chunk)
+        controller.observe_chunk(engine, chunk)
+        polls_without_news += controller.poll(engine, allow_swap=False) is None
+        engine.stats()
+    engine.drain()
+    controller.poll(engine, allow_swap=False)
+    stats = engine.stats()
+    assert polls_without_news > 0 and stats.flows_decided > 0
+    assert controller.n_verdicts == stats.flows_decided
+    assert built == []
 
 
 def _tree_nodes(subtree):
@@ -301,8 +397,8 @@ class TestRefreshIsAlgorithm1:
             min_retrain_flows=len(flows), retrain_window=len(flows),
         )
         controller.state = RETRAINING
-        controller.bind_flows(flows)
         engine = _FakeEngine()
+        _bind(controller, engine, flows)
         for position, flow in enumerate(flows):
             engine.deliver(flow.flow_id, flow.label, float(position))
         event = controller.poll(engine)

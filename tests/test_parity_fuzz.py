@@ -268,7 +268,7 @@ def _run_split(model, rules, flows, table_size, cut_rng, eviction=None) -> str |
 
     def state(program):
         return _snapshot(
-            program, build_replay_result(program.verdicts, {}, program.recirculation_stats())
+            program, build_replay_result(program.verdicts, [], [], program.recirculation_stats())
         )
 
     reference = program()

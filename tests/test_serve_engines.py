@@ -9,7 +9,8 @@ over the same packets.  The
 parameterised suite covers chunk sizes {1, 7, window-aligned, whole-dataset},
 hash-collision flows (tiny register files), and the IAT accumulation-order
 guarantee (configs whose subtrees use the mean/std inter-arrival features),
-plus the protocol/lifecycle and backpressure behaviour.
+plus the protocol/lifecycle and backpressure behaviour, and ``stats()``
+scoring the verdict snapshot exactly as ``close()`` scores its result.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro import core
+from repro.analysis.ttd import summarize_ttd
+from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
+from repro.dataplane.runtime import score_verdicts
 from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
@@ -373,3 +378,52 @@ class TestProtocol:
             create_engine(factory, engine="microbatch", shards=2)
         with pytest.raises(ServeError, match="unknown serve engine"):
             create_engine(factory, engine="warp")
+
+
+@pytest.fixture(scope="module")
+def swap_factory(windowed3, splidt_config):
+    """A second model (another training seed) to swap in mid-stream."""
+    model = core.train_partitioned_tree(windowed3, splidt_config, random_state=17)
+    rules = generate_rules(model, stacked_training_matrix(windowed3, 3))
+    return partial(SpliDTDataPlane, model, rules, flow_slots=64)
+
+
+class TestStatsScoreTheSnapshot:
+    """``stats()`` scores the verdict snapshot exactly as ``close()`` scores its report."""
+
+    @pytest.mark.parametrize("swap", (False, True), ids=["no-swap", "swap"])
+    @pytest.mark.parametrize("kind", ("microbatch", "sharded-mp", "streaming"))
+    def test_stats_equal_the_scorer(
+        self, kind, swap, splidt_model, splidt_rules, small_dataset, swap_factory
+    ):
+        factory = partial(SpliDTDataPlane, splidt_model, splidt_rules, flow_slots=64)
+        engine = {
+            "microbatch": lambda: MicroBatchEngine(factory(), flush_flows=4),
+            "sharded-mp": lambda: ProcessShardedEngine(factory, workers=2, flush_flows=4),
+            "streaming": lambda: StreamingEngine(factory()),
+        }[kind]()
+        # Record the snapshot each stats() call scores (a sharded-mp
+        # snapshot may grow between two calls while the stream is open).
+        snapshots = []
+        verdicts = engine.verdicts
+        engine.verdicts = lambda: snapshots.append(verdicts()) or snapshots[-1]
+        chunks = _chunks(small_dataset.flows, 97)
+        engine.open()
+        for index, chunk in enumerate(chunks):
+            if swap and index == len(chunks) // 2:
+                engine.swap_model(swap_factory)
+            engine.ingest(chunk)
+            stats = engine.stats()
+            scored = snapshots[-1]
+            truth = (chunk.soa.flow_ids, chunk.soa.labels)
+            assert stats.accuracy == score_verdicts(scored, *truth).accuracy
+            assert stats.ttd == summarize_ttd(scored.time_to_detection())
+            assert stats.flows_decided == len(scored)
+        assert stats.flows_decided > 0
+        engine.drain()
+        stats = engine.stats()
+        result = engine.close()
+        assert len(engine.swap_events) == swap
+        assert stats.flows_decided == len(result.verdicts)
+        assert stats.accuracy == result.report.accuracy
+        assert stats.ttd == summarize_ttd(result.time_to_detection())

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import SpliDTDataPlane, vectorized as vz
+from repro.core.evaluation import ClassificationReport
 from repro.dataplane.controller import Digest
+from repro.dataplane.runtime import fresh_rows, score_verdicts
 from repro.dataplane.slot_stream import replay_slot_stream
 from repro.dataplane.verdicts import FlowVerdict, VerdictStore
 from repro.datasets.flows import PacketArrays
@@ -188,3 +190,47 @@ def test_the_store_reads_back_as_a_dict_updated_row_by_row(operations):
     assert pickle.loads(pickle.dumps(verdicts)) == expected
     with pytest.raises(ValueError):
         verdicts.labels[:] = 0  # read-only columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 60), st.integers(0, 3), max_size=40),
+    st.dictionaries(st.integers(0, 60), st.integers(0, 3), max_size=40),
+    st.one_of(st.none(), st.lists(st.integers(0, 60), max_size=30)),
+)
+def test_the_scorer_pairs_each_verdict_with_its_flows_label(decided, truth, subset):
+    """One lookup over the columns equals scoring label by label through a dict."""
+    store = VerdictStore()
+    for flow_id, label in decided.items():
+        store.append_row(flow_id, label, 1.0, 0.0, 0, False, 0)
+    # The source holds its flows in any order; a verdict without one is not scored.
+    source = list(truth.items())[::-1]
+    ids = np.array([flow_id for flow_id, _ in source], dtype=np.int64)
+    labels = np.array([label for _, label in source], dtype=np.int64)
+    report = score_verdicts(store.snapshot(), ids, labels, subset)
+
+    pairs = [
+        (truth[flow_id], label) for flow_id, label in sorted(decided.items())
+        if flow_id in truth and (subset is None or flow_id in subset)
+    ]
+    if not pairs:
+        assert (report.n_samples, report.accuracy, report.f1_score) == (0, 0.0, 0.0)
+        return
+    want = ClassificationReport.from_predictions(*(np.array(side) for side in zip(*pairs)))
+    assert report.n_samples == want.n_samples == len(pairs)
+    assert (report.accuracy, report.f1_score, report.precision, report.recall) == (
+        want.accuracy, want.f1_score, want.precision, want.recall
+    )
+    assert np.array_equal(report.confusion, want.confusion)
+
+
+def test_fresh_rows_are_the_flow_ids_not_yet_read():
+    store = VerdictStore()
+    store.append([4, 9, 1], [0, 0, 0], [1.0] * 3, [0.0] * 3, [0] * 3, [False] * 3, [0] * 3)
+    first = store.snapshot()
+    assert fresh_rows(first, np.empty(0, dtype=np.int64)).tolist() == [0, 1, 2]
+    store.append_row(6, 1, 2.0, 0.0, 0, False, 0)
+    store.append_row(0, 1, 2.0, 0.0, 0, False, 0)
+    later = store.snapshot()
+    assert later.flow_ids[fresh_rows(later, first.flow_ids)].tolist() == [0, 6]
+    assert fresh_rows(later, later.flow_ids).size == 0

@@ -209,9 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         replay_workload(program, workload)
         profiler.disable()
         elapsed = time.perf_counter() - replay_started
-        labels = {fid: int(workload.soa.labels[fid])
-                  for fid in range(workload.n_legit)}
-        result = build_replay_result(program.verdicts, labels,
+        legit = slice(workload.n_legit)
+        result = build_replay_result(program.verdicts, workload.soa.flow_ids[legit],
+                                     workload.soa.labels[legit],
                                      program.recirculation_stats())
         workload.close()
     elif args.online:
