@@ -2,9 +2,10 @@
 
 Every benchmark module regenerates one table or figure of the paper.  The
 helpers here cache dataset materialisations across modules (they all run in
-one pytest process), provide small model-selection routines for SpliDT and
-the baselines at the paper's flow-count targets, and write each benchmark's
-output table — to an untracked scratch directory, so a test run leaves
+one pytest process), select SpliDT and baseline models at the paper's
+flow-count targets on the validation split (every F1 a table prints is the
+test score of a model chosen without the test labels), and write each
+benchmark's output table — to an untracked scratch directory, so a test run leaves
 ``git status`` clean, or over the committed ``benchmarks/results/`` when
 ``SPLIDT_BENCH_BLESS=1`` asks for it.
 
@@ -86,21 +87,16 @@ SCRATCH_RESULTS_DIR = Path(__file__).resolve().parent / ".results_scratch"
 #: committed tables.  Benchmarks only — nothing under ``src/`` reads it.
 BLESS_ENV = "SPLIDT_BENCH_BLESS"
 
-#: Candidate SpliDT configurations evaluated per flow target (depth, k, partitions).
-SPLIDT_CANDIDATES = (
-    (12, 4, 3),
-    (9, 4, 3),
-    (10, 3, 5),
-    (8, 3, 4),
-    (12, 2, 4),
-    (10, 2, 5),
-    (6, 2, 3),
-    (4, 2, 2),
-    (3, 1, 1),
-)
+#: The bounded SpliDT design space (inclusive): fig7's search and every
+#: per-flow-target SpliDT selection (:func:`best_splidt_at_flows`) share it.
+BENCH_SPACE = {"depth_range": (2, 14), "k_range": (1, 5), "partitions_range": (1, 5)}
+
+#: Feature precisions every uniform configuration of the space is evaluated at.
+BENCH_BIT_WIDTHS = (32, 16, 8)
 
 _STORES: dict[tuple[str, int, int], datasets.DatasetStore] = {}
 _SPLIDT_CACHE: dict = {}
+_SPLIDT_PICKS: dict[int, dict[int, core.CandidateEvaluation | None]] = {}
 _BASELINE_CACHE: dict = {}
 _TRAINERS: dict[int, TopKTrainer] = {}
 _EXPERIMENT_CACHE: dict = {}
@@ -196,18 +192,24 @@ def evaluate_splidt_config(
 
 
 def best_splidt_at_flows(
-    store: datasets.DatasetStore,
-    n_flows: int,
-    *,
-    candidates: tuple = SPLIDT_CANDIDATES,
-    bit_width: int = 32,
+    store: datasets.DatasetStore, n_flows: int
 ) -> core.CandidateEvaluation | None:
-    """Best candidate SpliDT configuration feasible at ``n_flows``."""
-    evaluated = [
-        evaluate_splidt_config(store, depth, k, partitions, bit_width=bit_width)
-        for depth, k, partitions in candidates
-    ]
-    return core.best_at_flows(evaluated, n_flows)
+    """The SpliDT configuration of best validation F1 feasible at ``n_flows``.
+
+    ``n_flows`` is one of :data:`FLOW_TARGETS`.  The selection is from every
+    uniform configuration of :data:`BENCH_SPACE` at every width of
+    :data:`BENCH_BIT_WIDTHS`, evaluated once per store; only the picks are
+    kept, since the whole space's models hold ~100 MiB per dataset.
+    """
+    if id(store) not in _SPLIDT_PICKS:
+        space = core.evaluate_uniform_space(
+            store,
+            **BENCH_SPACE,
+            bit_widths=BENCH_BIT_WIDTHS,
+            random_state=BENCH_SEED,
+        )
+        _SPLIDT_PICKS[id(store)] = {n: core.best_at_flows(space, n) for n in FLOW_TARGETS}
+    return _SPLIDT_PICKS[id(store)][n_flows]
 
 
 def baseline_at_flows(store: datasets.DatasetStore, system: str, n_flows: int):

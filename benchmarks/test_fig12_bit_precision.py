@@ -50,7 +50,7 @@ def _run() -> str:
         rows.append(
             [
                 f"SpliDT ({bit_width}-bit)",
-                f"{candidate.f1_score:.3f}",
+                f"{candidate.report.f1_score:.3f}",
                 f"{_deployed_f1(store, 'splidt', candidate.model, candidate.rules, spec):.3f}",
                 f"{candidate.resources.layout.feature_bits}",
                 f"{candidate.max_flows:,}",

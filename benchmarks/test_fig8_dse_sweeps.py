@@ -30,7 +30,7 @@ def _sweep_depth() -> list[list[str]]:
             candidate = evaluate_splidt_config(store, depth=depth, k=3, partitions=5)
             rows.append(
                 ["(a) depth", key, str(depth),
-                 f"{candidate.f1_score:.3f}", f"{candidate.max_flows:,}"]
+                 f"{candidate.report.f1_score:.3f}", f"{candidate.max_flows:,}"]
             )
     return rows
 
@@ -43,7 +43,7 @@ def _sweep_partitions() -> list[list[str]]:
             candidate = evaluate_splidt_config(store, depth=10, k=3, partitions=partitions)
             rows.append(
                 ["(b) partitions", key, str(partitions),
-                 f"{candidate.f1_score:.3f}", f"{candidate.max_flows:,}"]
+                 f"{candidate.report.f1_score:.3f}", f"{candidate.max_flows:,}"]
             )
     return rows
 
@@ -56,7 +56,7 @@ def _sweep_features() -> list[list[str]]:
             candidate = evaluate_splidt_config(store, depth=9, k=k, partitions=3)
             rows.append(
                 ["(c) features/subtree", key, str(k),
-                 f"{candidate.f1_score:.3f}", f"{candidate.max_flows:,}"]
+                 f"{candidate.report.f1_score:.3f}", f"{candidate.max_flows:,}"]
             )
     return rows
 

@@ -7,16 +7,23 @@ narrower (fewer features per key) and its leaves map to single rules.
 
 from __future__ import annotations
 
-import numpy as np
-
 from bench_common import baseline_at_flows, evaluate_splidt_config, get_store, write_result
 from repro.analysis import render_table
-from repro.core.pareto import best_at_budget
 
 DATASETS = ("D1", "D2", "D3")
 BUDGETS = (100, 1_000, 10_000, 100_000)
 
 SPLIDT_SWEEP = ((3, 1, 1), (4, 2, 2), (6, 2, 3), (9, 3, 3), (12, 4, 3), (10, 3, 5))
+
+
+def _f1_at_budget(points, budget: int) -> float:
+    """Test F1 of the best-on-validation ``(cost, candidate)`` point within ``budget``.
+
+    0 when no point fits.
+    """
+    fitting = [candidate for cost, candidate in points if cost <= budget]
+    best = max(fitting, key=lambda c: c.validation.f1_score, default=None)
+    return best.report.f1_score if best else 0.0
 
 
 def _run() -> str:
@@ -26,32 +33,23 @@ def _run() -> str:
         splidt_points = []
         for depth, k, partitions in SPLIDT_SWEEP:
             candidate = evaluate_splidt_config(store, depth=depth, k=k, partitions=partitions)
-            splidt_points.append((candidate.rules.n_entries, candidate.f1_score))
+            splidt_points.append((candidate.rules.n_entries, candidate))
 
         baseline_points = {"NetBeacon": [], "Leo": []}
         for n_flows in (100_000, 500_000, 1_000_000):
-            netbeacon = baseline_at_flows(store, "netbeacon", n_flows)
-            if netbeacon:
-                baseline_points["NetBeacon"].append((netbeacon.resources.tcam_entries, netbeacon.report.f1_score))
-            leo = baseline_at_flows(store, "leo", n_flows)
-            if leo:
-                baseline_points["Leo"].append((leo.resources.tcam_entries, leo.report.f1_score))
+            for name, system in (("NetBeacon", "netbeacon"), ("Leo", "leo")):
+                candidate = baseline_at_flows(store, system, n_flows)
+                if candidate:
+                    baseline_points[name].append((candidate.resources.tcam_entries, candidate))
 
         for budget in BUDGETS:
-            def best(points):
-                if not points:
-                    return 0.0
-                costs = np.array([p[0] for p in points], dtype=float)
-                values = np.array([p[1] for p in points], dtype=float)
-                return float(best_at_budget(costs, np.array([budget]), values)[0])
-
             rows.append(
                 [
                     key,
                     f"{budget:,}",
-                    f"{best(baseline_points['NetBeacon']):.3f}",
-                    f"{best(baseline_points['Leo']):.3f}",
-                    f"{best(splidt_points):.3f}",
+                    f"{_f1_at_budget(baseline_points['NetBeacon'], budget):.3f}",
+                    f"{_f1_at_budget(baseline_points['Leo'], budget):.3f}",
+                    f"{_f1_at_budget(splidt_points, budget):.3f}",
                 ]
             )
     return render_table(["Dataset", "TCAM-entry budget", "NetBeacon", "Leo", "SpliDT"], rows)

@@ -10,63 +10,56 @@ concurrent flows, so the baselines are forced to shrink their global top-k
 feature set as the flow target grows, while SpliDT keeps its per-subtree
 budget and spreads many features across partitions.
 
-Every system is invoked through the same :class:`~repro.pipeline.Experiment`
-interface — SpliDT and the baselines differ only in the spec's ``system``
-field.  All experiments share one prepared dataset store (seeded into each
-instance's ``prepare`` stage), and the per-candidate stage caches mean each
-configuration is trained exactly once across all three flow targets.
+Every system is selected the same way: each candidate is fitted on the
+``fit`` split, and at each flow target the feasible candidate of best
+validation F1 is picked (``core.best_at_flows``) and its test F1 printed.
+SpliDT's candidates are every uniform configuration of a small bounded space
+(``core.evaluate_uniform_space``); the baselines run through the
+:class:`~repro.pipeline.Experiment` interface, whose ``train`` stage makes
+that selection over the system's (k, depth) grid.  All of them share one
+prepared dataset store.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
-from repro import datasets
+from repro import core, datasets
 from repro.analysis import render_table
-from repro.core import best_at_flows
 from repro.pipeline import Experiment, ExperimentError, ExperimentSpec, Prepared
 
 FLOW_TARGETS = (100_000, 500_000, 1_000_000)
 
-SPLIDT_CANDIDATES = ((12, 4, 3), (9, 3, 3), (6, 2, 3), (4, 2, 2), (3, 1, 1))
+#: The uniform SpliDT configurations the example selects from (inclusive bounds).
+SPLIDT_SPACE = {"depth_range": (3, 12), "k_range": (1, 4), "partitions_range": (1, 3)}
 
 BASE = ExperimentSpec(dataset="D6", n_flows=700, seed=1, n_partitions=3)
 
 _STORE: datasets.DatasetStore | None = None
 
 
-def make_experiment(spec: ExperimentSpec) -> Experiment:
-    """An experiment whose ``prepare`` stage reuses the shared D6 store."""
+def shared_store() -> datasets.DatasetStore:
+    """The D6 dataset store every system shares."""
     global _STORE
     if _STORE is None:
-        dataset = datasets.load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
+        dataset = datasets.load_dataset(BASE.dataset, n_flows=BASE.n_flows, seed=BASE.seed)
         _STORE = datasets.DatasetStore(
-            dataset, test_size=spec.test_size, random_state=spec.seed
+            dataset, test_size=BASE.test_size, random_state=BASE.seed
         )
+    return _STORE
+
+
+def make_experiment(spec: ExperimentSpec) -> Experiment:
+    """An experiment whose ``prepare`` stage reuses the shared D6 store."""
+    store = shared_store()
     experiment = Experiment(spec)
     experiment.restore_stage(
         "prepare",
         Prepared(
-            dataset=_STORE.dataset,
-            store=_STORE,
-            windowed=_STORE.fetch(spec.materialized_partitions()),
+            dataset=store.dataset,
+            store=store,
+            windowed=store.fetch(spec.materialized_partitions()),
         ),
     )
     return experiment
-
-
-def splidt_candidates(experiments: list[Experiment]) -> list[SimpleNamespace]:
-    """Each experiment with its offline report and resource estimate (stages cached)."""
-    return [
-        SimpleNamespace(
-            experiment=experiment,
-            report=experiment.system.offline_report(
-                experiment.train(), experiment.prepare().windowed, experiment.spec
-            ),
-            resources=experiment.deploy().resources,
-        )
-        for experiment in experiments
-    ]
 
 
 def baseline_f1(system: str, n_flows: int) -> str:
@@ -82,22 +75,19 @@ def baseline_f1(system: str, n_flows: int) -> str:
 
 def main() -> None:
     print("Generating the D6 (CIC-IDS-2017-like) intrusion-detection dataset ...")
-    splidt = splidt_candidates([
-        make_experiment(BASE.replace(depth=depth, features_per_subtree=k, n_partitions=parts))
-        for depth, k, parts in SPLIDT_CANDIDATES
-    ])
+    splidt = core.evaluate_uniform_space(shared_store(), **SPLIDT_SPACE, random_state=BASE.seed)
     per_packet = baseline_f1("per_packet", FLOW_TARGETS[0])
 
     rows = []
     for n_flows in FLOW_TARGETS:
-        best = best_at_flows(splidt, n_flows)
+        best = core.best_at_flows(splidt, n_flows)
         rows.append(
             [
                 f"{n_flows:,}",
                 baseline_f1("netbeacon", n_flows),
                 baseline_f1("leo", n_flows),
                 f"{best.report.f1_score:.3f}" if best else "infeasible",
-                str(len(best.experiment.train().features_used())) if best else "-",
+                str(len(best.model.features_used())) if best else "-",
                 per_packet,
             ]
         )

@@ -9,7 +9,8 @@ is a one-partition SpliDT model (:func:`exit_tree`) and runs on the same
 
 A baseline is compared *at a flow count*, and only feasibility depends on
 the count: :func:`evaluate_grid` fits and costs a (k, depth) grid once, and
-``core.best_at_flows`` picks from the evaluated candidates per flow target.
+``core.best_at_flows`` picks from the evaluated candidates per flow target, by
+validation F1.
 """
 
 from __future__ import annotations
@@ -134,11 +135,13 @@ class TopKTrainer:
 
     The feature ranking depends on the dataset, the setting (whole-flow or
     per-packet features) and the seed, not on ``k``, so every model fitted
-    through one trainer shares it.
+    through one trainer shares it.  Both the ranking and the fits read
+    ``split`` — by default ``"fit"``, which leaves the validation split to
+    :func:`evaluate_grid`'s selection.
     """
 
     def __init__(
-        self, windowed: WindowedDataset, *, split: str = "train", random_state: int = 0
+        self, windowed: WindowedDataset, *, split: str = "fit", random_state: int = 0
     ) -> None:
         self.windowed = windowed
         self.split = split
@@ -194,10 +197,14 @@ def train_topk_model(
 
 @dataclass
 class BaselineCandidate:
-    """One evaluated baseline configuration: what a per-#flows selection picks from."""
+    """One evaluated baseline configuration: what a per-#flows selection picks from.
+
+    ``validation`` is what the selection ranks on; ``report`` is the test score.
+    """
 
     model: TopKModel
     report: ClassificationReport
+    validation: ClassificationReport
     resources: ResourceEstimate
 
 
@@ -211,19 +218,36 @@ def evaluate_grid(
 ) -> list[BaselineCandidate]:
     """Fit, score and cost every configuration once, in the order given.
 
-    ``table_cost(model, windowed, target)`` is the system's cost model;
-    everything else about a candidate's :class:`ResourceEstimate` is
-    ``core.resources``' answer, so "feasible at N flows" is
-    ``check_feasibility`` for every system.
+    The trainer fits on the ``"fit"`` split, and each candidate is scored on
+    the validation and test splits.  ``table_cost(model, windowed, target)``
+    is the system's cost model; everything else about a candidate's
+    :class:`ResourceEstimate` is ``core.resources``' answer, so "feasible at
+    N flows" is ``check_feasibility`` for every system.
     """
+    if trainer.split != "fit":
+        raise ValueError(
+            f"evaluate_grid selects on the validation split, so its trainer fits on "
+            f"'fit', not {trainer.split!r}"
+        )
     windowed = trainer.windowed
-    labels = windowed.split_labels("test")
+
+    def score(model: TopKModel, stateful: bool, split: str) -> ClassificationReport:
+        return evaluate_classifier(
+            model, trainer.matrix(stateful, split), windowed.split_labels(split)
+        )
+
     candidates = []
     for config in configs:
         model = trainer.fit(config, name=name)
-        report = evaluate_classifier(model, trainer.matrix(config.use_stateful, "test"), labels)
         resources = estimate_topk_resources(
             model, table_cost(model, windowed, target), target=target
         )
-        candidates.append(BaselineCandidate(model=model, report=report, resources=resources))
+        candidates.append(
+            BaselineCandidate(
+                model=model,
+                report=score(model, config.use_stateful, "test"),
+                validation=score(model, config.use_stateful, "validation"),
+                resources=resources,
+            )
+        )
     return candidates

@@ -8,6 +8,12 @@ target, and the resulting (F1 score, supported flows, feasibility) triple is
 fed back to the optimiser.  The output is a Pareto frontier of configurations
 trading classification accuracy against flow scalability.
 
+Every candidate is fitted on the dataset's ``"fit"`` split and carries two
+reports: ``validation``, which every selection here ranks on (the optimiser's
+objective, the Pareto front, ``best_at_flows``), and ``report``, the test-split
+score a figure prints for the candidate selected.  The test split never
+decides a selection.
+
 Candidates are evaluated serially on the calling thread.  ``run(batch_size=N)``
 asks the optimiser for a whole batch up front (the paper asks a batch per
 iteration) and tells results back in proposal order; every configuration is
@@ -64,10 +70,15 @@ class StageTimings:
 
 @dataclass
 class CandidateEvaluation:
-    """Everything the DSE learns about one configuration."""
+    """Everything the DSE learns about one configuration.
+
+    ``report`` scores the model on the test split, ``validation`` on the
+    validation split it is selected by.
+    """
 
     config: SpliDTConfig
     report: ClassificationReport
+    validation: ClassificationReport
     model: PartitionedDecisionTree
     rules: RuleSet
     resources: ResourceEstimate
@@ -75,8 +86,11 @@ class CandidateEvaluation:
 
     @property
     def f1_score(self) -> float:
-        """Test F1 score."""
-        return self.report.f1_score
+        """Validation F1 score: what a search or a selection ranks on.
+
+        The test-split score is ``report.f1_score``.
+        """
+        return self.validation.f1_score
 
     @property
     def max_flows(self) -> int:
@@ -143,9 +157,11 @@ def evaluate_configuration(
 ) -> CandidateEvaluation:
     """Train, compile and cost one configuration (one DSE evaluation).
 
-    Passing a long-lived ``context`` memoises the config-independent prefix
-    (fetch, precision view, quantizer fit) and the flow-duration moments
-    across calls; the result is bit-identical either way.
+    The model is fitted on the ``"fit"`` split and scored on the
+    ``"validation"`` and ``"test"`` splits.  Passing a long-lived ``context``
+    memoises the config-independent prefix (fetch, precision view, quantizer
+    fit) and the flow-duration moments across calls; the result is
+    bit-identical either way.
     """
     if context is None:
         context = EvaluationContext(store)
@@ -156,8 +172,9 @@ def evaluate_configuration(
     timings.fetch = time.perf_counter() - start
 
     start = time.perf_counter()
-    model = train_partitioned_tree(windowed, config, random_state=random_state)
+    model = train_partitioned_tree(windowed, config, split="fit", random_state=random_state)
     report = evaluate_partitioned_tree(model, windowed)
+    validation = evaluate_partitioned_tree(model, windowed, split="validation")
     timings.training = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -181,6 +198,7 @@ def evaluate_configuration(
     return CandidateEvaluation(
         config=config,
         report=report,
+        validation=validation,
         model=model,
         rules=rules,
         resources=resources,
@@ -189,17 +207,59 @@ def evaluate_configuration(
 
 
 def best_at_flows(candidates, n_flows: int):
-    """The highest-F1 candidate that is feasible at ``n_flows``, or ``None``.
+    """The highest-validation-F1 candidate feasible at ``n_flows``, or ``None``.
 
     The one selection rule of every comparison at a flow count: a candidate is
-    anything carrying ``resources`` (a :class:`ResourceEstimate`) and
-    ``report`` — a SpliDT :class:`CandidateEvaluation` or a baseline's
-    ``BaselineCandidate`` — and the first of equal F1 scores wins.
+    anything carrying ``resources`` (a :class:`ResourceEstimate`) and a
+    ``validation`` report — a SpliDT :class:`CandidateEvaluation` or a
+    baseline's ``BaselineCandidate`` — and the first of equal scores wins.
     """
     feasible = [
         c for c in candidates if check_feasibility(c.resources, n_flows=n_flows).feasible
     ]
-    return max(feasible, key=lambda c: c.report.f1_score, default=None)
+    return max(feasible, key=lambda c: c.validation.f1_score, default=None)
+
+
+def _uniform_config(depth: int, k: int, n_partitions: int, bit_width: int) -> SpliDTConfig:
+    """A uniform configuration, its partition count clamped to its depth."""
+    return SpliDTConfig.uniform(
+        depth=depth,
+        n_partitions=min(n_partitions, depth),
+        features_per_subtree=k,
+        bit_width=bit_width,
+    )
+
+
+def evaluate_uniform_space(
+    store: DatasetStore,
+    *,
+    depth_range: tuple[int, int],
+    k_range: tuple[int, int],
+    partitions_range: tuple[int, int],
+    bit_widths: tuple[int, ...] = (32,),
+    random_state: int = 0,
+) -> list[CandidateEvaluation]:
+    """Evaluate every uniform configuration of a bounded space, at each bit width.
+
+    The exact answer a :class:`DesignSearch` over the same (inclusive) bounds
+    approximates, costed on Tofino1: every ``(depth, k, n_partitions)`` is normalised as
+    :meth:`DesignSearch.config_from_params` does (``n_partitions <= depth``),
+    each distinct configuration is evaluated once over one shared
+    :class:`EvaluationContext`, and the list is in (bit width, depth, k,
+    n_partitions) order — the order ``best_at_flows`` breaks ties in.
+    """
+    configs = dict.fromkeys(
+        _uniform_config(depth, k, partitions, bit_width)
+        for bit_width in bit_widths
+        for depth in range(depth_range[0], depth_range[1] + 1)
+        for k in range(k_range[0], k_range[1] + 1)
+        for partitions in range(partitions_range[0], partitions_range[1] + 1)
+    )
+    context = EvaluationContext(store)
+    return [
+        evaluate_configuration(store, config, random_state=random_state, context=context)
+        for config in configs
+    ]
 
 
 @dataclass
@@ -214,7 +274,7 @@ class SearchResult:
     wall_time: float = 0.0
 
     def pareto_candidates(self) -> list[CandidateEvaluation]:
-        """Non-dominated candidates in (F1, supported flows) space."""
+        """Non-dominated candidates in (validation F1, supported flows) space."""
         feasible = [c for c in self.history if c.max_flows > 0]
         if not feasible:
             return []
@@ -223,7 +283,7 @@ class SearchResult:
         return [feasible[i] for i in indices]
 
     def best_at_flows(self, n_flows: int) -> CandidateEvaluation | None:
-        """Best (highest F1) candidate feasible at ``n_flows`` concurrent flows."""
+        """Best (highest validation F1) candidate feasible at ``n_flows`` concurrent flows."""
         return best_at_flows(self.history, n_flows)
 
     def pareto_table(self, flow_targets: tuple[int, ...] = DEFAULT_FLOW_TARGETS) -> dict[int, CandidateEvaluation | None]:
@@ -231,7 +291,7 @@ class SearchResult:
         return {flows: self.best_at_flows(flows) for flows in flow_targets}
 
     def convergence_trace(self) -> list[float]:
-        """Cumulative best F1 over iterations (Figure 7)."""
+        """Cumulative best validation F1 over iterations (Figure 7)."""
         best = 0.0
         trace = []
         for candidate in self.history:
@@ -312,14 +372,11 @@ class DesignSearch:
     # ------------------------------------------------------------------
     def config_from_params(self, params: dict) -> SpliDTConfig:
         """Turn a raw parameter dict into a valid :class:`SpliDTConfig`."""
-        depth = int(params["depth"])
-        n_partitions = int(min(params["n_partitions"], depth))
-        k = int(params["features_per_subtree"])
-        return SpliDTConfig.uniform(
-            depth=depth,
-            n_partitions=n_partitions,
-            features_per_subtree=k,
-            bit_width=self.bit_width,
+        return _uniform_config(
+            int(params["depth"]),
+            int(params["features_per_subtree"]),
+            int(params["n_partitions"]),
+            self.bit_width,
         )
 
     def evaluate(self, config: SpliDTConfig) -> CandidateEvaluation:

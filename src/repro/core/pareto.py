@@ -57,22 +57,3 @@ def hypervolume_2d(points: np.ndarray, reference: tuple[float, float] = (0.0, 0.
         previous_y = max(previous_y, y)
     return float(volume)
 
-
-def best_at_budget(points: np.ndarray, budgets: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For each budget, the best value among points whose cost fits the budget.
-
-    Args:
-        points: Cost of each point (e.g. #TCAM entries).
-        budgets: Budget grid.
-        values: Value of each point (e.g. F1 score).
-
-    Returns:
-        Array of best values per budget (0 when nothing fits).
-    """
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    results = np.zeros(len(budgets), dtype=float)
-    for i, budget in enumerate(budgets):
-        mask = points <= budget
-        results[i] = values[mask].max() if mask.any() else 0.0
-    return results

@@ -554,6 +554,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                     "k": c.config.features_per_subtree,
                     "partition_sizes": list(c.config.partition_sizes),
                     "f1": c.f1_score,
+                    "test_f1": c.report.f1_score,
                     "max_flows": c.max_flows,
                 }
                 for c in result.history
@@ -564,6 +565,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                     "k": c.config.features_per_subtree,
                     "partition_sizes": list(c.config.partition_sizes),
                     "f1": c.f1_score,
+                    "test_f1": c.report.f1_score,
                     "max_flows": c.max_flows,
                 }
                 for c in front
@@ -576,13 +578,14 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             str(c.config.features_per_subtree),
             "/".join(str(size) for size in c.config.partition_sizes),
             f"{c.f1_score:.3f}",
+            f"{c.report.f1_score:.3f}",
             f"{c.max_flows:,}",
             f"{c.rules.n_entries:,}",
         ]
         for c in front
     ]
     print(render_table(
-        ["Depth", "k", "Partitions", "F1", "Max flows", "Rules"], rows
+        ["Depth", "k", "Partitions", "Val F1", "Test F1", "Max flows", "Rules"], rows
     ))
     timings = result.mean_timings()
     print(f"evaluated         : {len(result.history)} candidates "

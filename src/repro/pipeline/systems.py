@@ -206,9 +206,10 @@ class _TopKSearchSystem(System):
     """Shared shape of the searched one-shot baselines (NetBeacon / Leo / per-packet).
 
     ``candidates`` evaluates the class's (k, depth) grid once — only
-    feasibility depends on the flow count — and ``train`` selects the best
-    model the system can support at ``spec.target_flows``, mirroring the
-    paper's methodology.  The grid lives on the class; the spec's
+    feasibility depends on the flow count — and ``train`` selects the model
+    of best validation F1 the system can support at ``spec.target_flows``,
+    mirroring the paper's methodology; the candidates are fitted on the
+    ``"fit"`` split, so the test split only reports.  The grid lives on the class; the spec's
     ``depth``/``features_per_subtree`` are *not* consulted — pin an exact
     configuration with ``system="topk"`` instead.  A subclass contributes its
     grid and its cost model (``table_cost``).

@@ -125,7 +125,7 @@ class TestNetBeacon:
         assert candidate is not None
         assert check_feasibility(candidate.resources, n_flows=100_000).feasible
         assert candidate.resources.tcam_bits <= TOFINO1.tcam_bits
-        assert candidate.report.f1_score == max(c.report.f1_score for c in candidates)
+        assert candidate.validation.f1_score == max(c.validation.f1_score for c in candidates)
 
     def test_search_degrades_with_more_flows(self, netbeacon_grid):
         at_100k = best_at_flows(netbeacon_grid, 100_000)
@@ -136,11 +136,12 @@ class TestNetBeacon:
             assert at_1m.report.f1_score <= at_100k.report.f1_score + 0.05
 
     def test_selection_is_monotone_in_the_flow_count(self, netbeacon_grid):
-        # Feasibility only shrinks as the count grows, so the best F1 never rises.
+        # Feasibility only shrinks as the count grows, so the best validation
+        # F1 — what the selection ranks on — never rises.
         best = [best_at_flows(netbeacon_grid, n) for n in (1, 10**5, 5 * 10**5, 10**6, 10**7)]
-        scores = [c.report.f1_score if c else -1.0 for c in best]
+        scores = [c.validation.f1_score if c else -1.0 for c in best]
         assert scores == sorted(scores, reverse=True)
-        assert best[0].report.f1_score == max(c.report.f1_score for c in netbeacon_grid)
+        assert best[0].validation.f1_score == max(c.validation.f1_score for c in netbeacon_grid)
 
 
 class TestLeo:

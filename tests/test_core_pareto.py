@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.pareto import (
-    best_at_budget,
     hypervolume_2d,
     pareto_front,
     pareto_front_indices,
@@ -93,18 +92,3 @@ class TestHypervolume:
         better = np.array([[0.9, 0.8], [0.95, 0.6]])
         assert hypervolume_2d(better) > hypervolume_2d(worse)
 
-
-class TestBestAtBudget:
-    def test_best_value_selected(self):
-        costs = np.array([10, 100, 1000])
-        values = np.array([0.3, 0.6, 0.9])
-        best = best_at_budget(costs, np.array([5, 50, 500, 5000]), values)
-        np.testing.assert_allclose(best, [0.0, 0.3, 0.6, 0.9])
-
-    def test_monotone_in_budget(self):
-        rng = np.random.default_rng(1)
-        costs = rng.uniform(1, 1000, 50)
-        values = rng.uniform(0, 1, 50)
-        budgets = np.linspace(1, 1000, 20)
-        best = best_at_budget(costs, budgets, values)
-        assert all(b >= a for a, b in zip(best, best[1:]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.range_marking import FeatureQuantizer, stacked_training_matrix
-from repro.datasets.materialize import DatasetStore, materialize
+from repro.datasets.materialize import VALIDATION_FRACTION, DatasetStore, materialize
 from repro.datasets.registry import load_dataset
 from repro.features.definitions import N_FEATURES, STATEFUL_INDICES
 from repro.features.flowmeter import FlowMeter
@@ -32,6 +32,10 @@ def _materialize_per_flow(dataset, n_partitions, random_state):
         stratify=True,
         random_state=random_state,
     )
+    fit, validation, _, _ = train_test_split(
+        train, labels[train[:, 0]], test_size=VALIDATION_FRACTION, stratify=True,
+        random_state=random_state,
+    )
     return {
         "window_features": window_features,
         "flow_features": flow_features,
@@ -39,6 +43,8 @@ def _materialize_per_flow(dataset, n_partitions, random_state):
         "labels": labels,
         "train_indices": train[:, 0].astype(np.intp),
         "test_indices": test[:, 0].astype(np.intp),
+        "fit_indices": fit[:, 0].astype(np.intp),
+        "validation_indices": validation[:, 0].astype(np.intp),
     }
 
 
@@ -78,7 +84,26 @@ class TestMaterialize:
 
     def test_invalid_split_name(self, windowed3):
         with pytest.raises(ValueError):
-            windowed3.split_labels("validation")
+            windowed3.split_labels("holdout")
+
+    def test_fit_and_validation_partition_train(self, windowed3):
+        fit, validation = windowed3.fit_indices, windowed3.validation_indices
+        assert np.intersect1d(fit, validation).size == 0
+        union = np.sort(np.concatenate([fit, validation]))
+        assert np.array_equal(union, np.sort(windowed3.train_indices))
+        expected = VALIDATION_FRACTION * windowed3.train_indices.size
+        assert abs(validation.size - expected) <= windowed3.n_classes
+        assert np.array_equal(windowed3.split_labels("fit"), windowed3.labels[fit])
+        assert windowed3.partition_matrix(1, "validation").shape[0] == validation.size
+
+    def test_validation_is_stratified_and_seeded(self, small_dataset):
+        windowed = materialize(small_dataset, 2, random_state=4)
+        train_classes = np.unique(windowed.split_labels("train"))
+        assert all(np.sum(windowed.split_labels("train") == c) >= 2 for c in train_classes)
+        assert np.array_equal(np.unique(windowed.split_labels("fit")), train_classes)
+        assert np.array_equal(np.unique(windowed.split_labels("validation")), train_classes)
+        other = materialize(small_dataset, 2, random_state=9)
+        assert not np.array_equal(other.validation_indices, windowed.validation_indices)
 
     def test_invalid_partition_count(self, small_dataset):
         with pytest.raises(ValueError):
@@ -100,8 +125,13 @@ class TestMaterialize:
         five = materialize(small_dataset, 5, random_state=4)
         assert five.flow_features is two.flow_features
         assert five.train_indices is two.train_indices
+        assert five.fit_indices is two.fit_indices
+        assert five.validation_indices is two.validation_indices
         with pytest.raises(ValueError):
             two.flow_features[0, 0] = 1.0
+        for indices in (two.fit_indices, two.validation_indices):
+            with pytest.raises(ValueError):
+                indices[0] = 0
         other_split = materialize(small_dataset, 2, random_state=9)
         assert not np.array_equal(other_split.train_indices, two.train_indices)
 

@@ -696,6 +696,8 @@ def _windowed(seed, n, n_features, n_classes, n_partitions):
         class_names=[f"c{c}" for c in range(n_classes)],
         train_indices=train,
         test_indices=np.setdiff1d(np.arange(n), train),
+        fit_indices=train,
+        validation_indices=np.arange(0),
     )
 
 

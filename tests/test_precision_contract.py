@@ -71,6 +71,8 @@ def _random_windowed(seed: int, n_partitions: int, zero_columns: set[int]) -> Wi
         class_names=[f"c{i}" for i in range(N_CLASSES)],
         train_indices=np.arange(n_train),
         test_indices=np.arange(n_train, n_flows),
+        fit_indices=np.arange(n_train),
+        validation_indices=np.arange(0),
     )
 
 
