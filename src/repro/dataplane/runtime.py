@@ -76,16 +76,29 @@ class ReplayResult:
         return self.verdicts.n_recirculations.astype(float)
 
 
-def truth_index(verdict_ids: np.ndarray, flow_ids: np.ndarray) -> np.ndarray:
+def truth_index(verdict_ids: np.ndarray, flow_ids) -> np.ndarray:
     """Each verdict's row in the source's ``flow_ids`` column, ``-1`` where it has none.
 
-    One sorted lookup over the columns; of repeated source ids the last row wins.
+    One sorted lookup over the columns; of repeated source ids the last row
+    wins.  ``flow_ids`` may be the packet source itself (a ``PacketArrays``):
+    the sort order of its column is then kept on its ``derived`` dict, so a
+    serving session's repeated reads cost O(verdicts), not a sort of the
+    source.
     """
+    derived = getattr(flow_ids, "derived", None)
+    if hasattr(flow_ids, "flow_ids"):
+        flow_ids = flow_ids.flow_ids
     flow_ids = np.asarray(flow_ids, dtype=np.int64)
     if not flow_ids.size:
         return np.full(len(verdict_ids), -1, dtype=np.intp)
-    order = np.argsort(flow_ids, kind="stable")
-    at = np.searchsorted(flow_ids[order], verdict_ids, side="right") - 1
+    kept = None if derived is None else derived.get("flow_id_order")
+    if kept is None:
+        order = np.argsort(flow_ids, kind="stable")
+        kept = (order, flow_ids[order])
+        if derived is not None:
+            derived["flow_id_order"] = kept
+    order, ordered = kept
+    at = np.searchsorted(ordered, verdict_ids, side="right") - 1
     index = order[np.maximum(at, 0)]
     return np.where((at >= 0) & (flow_ids[index] == verdict_ids), index, -1)
 
@@ -98,9 +111,10 @@ def score_verdicts(
 ) -> ClassificationReport:
     """Score verdicts against the ground truth of the source they decided.
 
-    ``flow_ids`` / ``labels`` are the source's ground-truth columns; a verdict
-    of a flow id they do not hold is not scored, nor, when ``subset`` (flow
-    ids) is given, one outside it.  The one scorer of every replay, serving
+    ``flow_ids`` / ``labels`` are the source's ground-truth columns (or
+    ``flow_ids`` the source itself: :func:`truth_index`); a verdict of a flow
+    id they do not hold is not scored, nor, when ``subset`` (flow ids) is
+    given, one outside it.  The one scorer of every replay, serving
     session and scenario: it reads the verdict columns, builds no per-flow
     object, and is empty (all zeros) when nothing is scored.  The matching
     TTD summary is ``summarize_ttd(verdicts.time_to_detection())``.

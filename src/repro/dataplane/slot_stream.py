@@ -10,17 +10,21 @@ and independent *across* slots, so this plane takes the slot as its unit:
 1. The contended packets are ordered once by ``(slot, timestamp, flow_id)``
    (:func:`build_slot_stream`) — each slot's packets form one contiguous run,
    in exactly the order the per-packet oracle meets them.
-2. Every slot is a row of a few state arrays (resident five-tuple id, the
-   resident's creator columns, subtree id, window index, packets seen, a
-   cursor into its run).  All rows advance together in *event rounds*; in
-   one round each live row handles its next event, read from *next-event
-   columns* — per stream position, where the next event of a kind can be
-   in its run:
+2. Every slot is a row of state (:class:`_SlotRows`: resident five-tuple
+   id, where its epoch began, subtree id, window index, packets seen, where
+   its open window starts) — or several rows, when its run is a sequence
+   of flows that follow one another, each alone while it lasts (the solo
+   cuts, :func:`_solo_cuts`): such flows replay side by side, as the
+   lockstep plane would take them.  All rows advance together in *event
+   rounds*; in one round each live row handles its next event, read from
+   *next-event columns* — per stream position, where the next event of a
+   kind can be in its run:
 
    * **reclaim** — after a verdict the first packet of a *different*
      five-tuple starts a new epoch (same-tuple packets are forwarded
-     without inference): the packet at the cursor, or the next five-tuple
-     change after it;
+     without inference): the packet after the deciding one, or the next
+     five-tuple change after it — found in the round of the verdict, so
+     the next round starts the new epoch's window;
    * **eviction** — the first packet of a different five-tuple, up to the
      boundary packet, for which the program's policy evicts given the
      previous packet's timestamp (an undecided resident was last seen at the
@@ -30,22 +34,24 @@ and independent *across* slots, so this plane takes the slot as its unit:
    * **window boundary** — the first packet at which the packets seen reach
      the window boundary derived from the *incoming* packet's flow-size
      header (a colliding flow's header can close the resident's window).
-     It is read per stretch of one advertised size, up to the next size
-     change: inside a stretch the boundary is fixed, so its first closing
-     packet is arithmetic.  A row still open after ``_BOUNDARY_STRETCHES``
-     stretches is answered by the stream's size-class index
+     It is read first in the stretch of one advertised size at the row's
+     position, up to the next size change: inside a stretch the boundary is
+     fixed, so its first closing packet is arithmetic (all a row whose range
+     advertises one size needs).  A row still open past that stretch is
+     answered by the stream's size-class index
      (:class:`_SizeClasses`): within one advertised size the close test is
      monotone in the position, so each size class of the row's run needs
      one ``searchsorted`` and the boundary is the earliest over its classes.
 
    What these columns read of the stream alone — the five-tuple ids and
    advertised sizes of its packets, their next changes, the size-class
-   index, and each eviction policy's columns while no slot is held — is
-   built once per stream (:class:`StreamEvents`, kept with a cached
-   stream); a call that resumes held residents builds its eviction columns
-   itself, since they depend on the residents' last-seen timestamps.
+   index, the solo cuts, and each eviction policy's columns while no slot
+   is held — is built once per stream (:class:`StreamEvents`, kept with a
+   cached stream); a call that resumes held residents builds its eviction
+   columns itself, since they depend on the residents' last-seen
+   timestamps.
 
-3. A window a round closes runs from its row's cursor to the boundary
+3. A window a round closes runs from its row's window start to the boundary
    packet: one contiguous range of its slot's run.  The stream's packet
    columns are gathered once, in stream order (:class:`StreamSource`, kept
    with a cached stream), so each window is aggregated as that range of
@@ -57,7 +63,8 @@ and independent *across* slots, so this plane takes the slot as its unit:
    per row.  Verdicts are credited as the per-packet oracle
    credits them: to the deciding packet's flow id, with the epoch's first
    timestamp and the epoch creator's header fields; rounds are finalised in
-   order, so a flow id decided twice keeps its later verdict.
+   order and no flow has packets in two rows, so a flow id decided twice
+   keeps its later verdict.
 
 A call carries on from the slot state the program holds, read as columns
 (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`): a held
@@ -71,33 +78,34 @@ window's packets — which the next call, batched or per packet, resumes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from repro.dataplane import vectorized as vz
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
-from repro.datasets.flows import FiveTuple, Flow, PacketArrays
+from repro.datasets.flows import Flow, PacketArrays
 from repro.features.definitions import N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.window import window_end
 
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
 
+#: The epoch creator's column each header (stateless) feature reads (:meth:`_SlotRows.creator`).
+_HEADER_COLUMNS = {
+    _SRC_PORT: "src_ports", _DST_PORT: "dst_ports", _PROTOCOL: "protocols",
+    _PKT_LEN_FIRST: "first_size",
+}
+
+#: The per-flow five-tuple columns of the packet arrays, in :class:`FiveTuple` field order.
+_IDENTITY_COLUMNS = ("src_ips", "dst_ips", "src_ports", "dst_ports", "protocols")
+
 #: The per-packet columns, in :class:`~repro.datasets.flows.Packet` field order.
 _PACKET_FIELDS = ("timestamps", "sizes", "flags", "directions", "payloads")
-
-#: Row status: no resident yet, an undecided resident, a decided resident.
-_FRESH, _LIVE, _DECIDED = 0, 1, 2
 
 #: Tuple id of a resident whose five-tuple no flow of the run carries: every
 #: packet differs from it (it can be reclaimed from or evicted, never rejoined).
 _FOREIGN_TUPLE = -2
-
-#: Stretches of one advertised flow size a window-boundary search reads per
-#: row before it hands the row to the size-class index: most rows close in
-#: their first stretch, and the index costs one search per class of the run.
-_BOUNDARY_STRETCHES = 2
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -231,49 +239,46 @@ def _first_other_tuple(
     The packet at ``lo``, or the next five-tuple change after it
     (``next_tuple``, :func:`_next_change` of ``tuples``).
     """
-    found = hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    at = lo[rows]
-    same = tuples[at] == owner[rows]
-    at[same] = next_tuple[at[same]]
-    found[rows] = np.minimum(at, hi[rows])
-    return found
+    same = tuples.take(lo, mode="clip") == owner
+    return np.minimum(np.where(same, next_tuple.take(lo, mode="clip"), lo), hi)
 
 
 class _Evictions:
     """Next-event columns of one call's eviction mask.
 
-    ``next_evicting[p]`` is the first evicting position at or after ``p`` in
-    its run, else the run's end; ``next_other[i]`` the first evicting
-    position after ``evicting_at[i]`` in its run whose five-tuple differs
-    from ``evicting_at[i]``'s, else a position at or past the run's end.
+    ``evicting_at`` are the evicting positions, ascending, then ``n``;
+    ``following[p]`` is the index in it of the first evicting position at or
+    after ``p`` (``p <= n``); ``next_other[i]`` the first evicting position
+    after ``evicting_at[i]`` in its run whose five-tuple differs from
+    ``evicting_at[i]``'s, else a position at or past the run's end (``n``
+    for the sentinel).
     """
 
     def __init__(self, evicting: np.ndarray, tuples: np.ndarray, starts: np.ndarray) -> None:
         n = evicting.size
-        dtype = _position_dtype(n)
-        self.evicting_at = np.flatnonzero(evicting).astype(dtype)
-        self.next_evicting = _next_marked(evicting, starts)
-        self.next_evicting[self.evicting_at] = self.evicting_at
+        dtype = _position_dtype(n + 1)
+        at = np.flatnonzero(evicting).astype(dtype)
+        self.evicting_at = np.append(at, dtype(n))
+        self.following = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(evicting, out=self.following[1:])
         # The five-tuple change over the evicting positions alone, with runs
         # cut where the stream's runs are.
-        following = _next_change(
-            tuples[self.evicting_at], np.searchsorted(self.evicting_at, starts)
-        )
-        self.next_other = np.append(self.evicting_at, dtype(n))[following]
+        other = _next_change(tuples[at], np.searchsorted(at, starts))
+        self.next_other = np.append(self.evicting_at[other], dtype(n))
 
     def first(
         self, tuples: np.ndarray, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
     ) -> np.ndarray:
-        """Per row, the first evicting position in ``[lo, hi)`` whose five-tuple id is not ``owner``, else ``hi``."""
-        found = hi.copy()
-        rows = np.flatnonzero(lo < hi)
-        at = self.next_evicting[lo[rows]]
-        own = at < hi[rows]
-        own[own] = tuples[at[own]] == owner[rows[own]]
-        at[own] = self.next_other[np.searchsorted(self.evicting_at, at[own])]
-        found[rows] = np.minimum(at, hi[rows])
-        return found
+        """Per row, the first evicting position in ``[lo, hi)`` whose five-tuple id is not ``owner``, else ``hi``.
+
+        The next evicting position, or, where it carries ``owner``, the next
+        one of another tuple after it.  A position at or past ``hi`` reads as
+        ``hi``, whatever it holds.
+        """
+        index = self.following[lo]
+        at = self.evicting_at[index]
+        own = tuples.take(at, mode="clip") == owner
+        return np.minimum(np.where(own, self.next_other[index], at), hi)
 
 
 class _SizeClasses:
@@ -286,8 +291,9 @@ class _SizeClasses:
     class ``c`` is stored as ``key = shift[c] + p``.  ``key`` ascends, so one
     ``searchsorted`` finds, for any number of (class, target) pairs at once,
     each class's first position at or after its target.  (The entry found
-    may belong to a later class; its position then reads as the run's end
-    or more.)  Keys are int32 where they fit.
+    may belong to a later class, or be the sentinel key that ends the index;
+    its position then reads as the run's end or more.)  Keys are int32 where
+    they fit.
     """
 
     def __init__(self, header_size: np.ndarray, starts: np.ndarray) -> None:
@@ -309,10 +315,10 @@ class _SizeClasses:
         block = np.repeat(lengths, per_run)
         # key - p: where the class's block starts, less where its run starts.
         shift = np.cumsum(block) - block - np.repeat(starts[:-1], per_run)
-        dtype = _position_dtype(int(block.sum()))
+        dtype = _position_dtype(int(block.sum()) + 1)
         self.shift = shift.astype(dtype)
         positions += shift[classes]
-        self.key = positions.astype(dtype)
+        self.key = np.append(positions.astype(dtype), dtype(np.iinfo(dtype).max))
 
     def first(
         self,
@@ -333,16 +339,14 @@ class _SizeClasses:
         first = self.run_classes[runs]
         counts = self.run_classes[runs + 1] - first
         classes, offsets = vz._segment_positions(first, counts)
-        owner = np.repeat(np.arange(runs.size), counts)
-        limit = hi[owner]
-        bound = window_end(window[owner], self.sizes[classes], n_partitions)
-        target = np.minimum(np.maximum(lo[owner], bound - quota[owner]), limit)
+        limit = np.repeat(hi, counts)
+        bound = window_end(np.repeat(window, counts), self.sizes[classes], n_partitions)
+        target = np.minimum(
+            np.maximum(np.repeat(lo, counts), bound - np.repeat(quota, counts)), limit
+        )
         shift = self.shift[classes]
         at = np.searchsorted(self.key, (target + shift).astype(self.key.dtype))
-        position = self.key[np.minimum(at, self.key.size - 1)] - shift
-        inside = (position >= target) & (position < limit)
-        limit[inside] = position[inside]
-        return np.minimum.reduceat(limit, offsets)
+        return np.minimum.reduceat(np.minimum(self.key[at] - shift, limit), offsets)
 
 
 class StreamEvents:
@@ -353,8 +357,9 @@ class StreamEvents:
     which carries neither — and the next change of each in its run
     (``next_tuple``, ``next_size``: :func:`_next_change`).  Besides: the
     size-class index of the boundary search (:attr:`classes`, built when a
-    search first needs it), and ``evictions``, the :class:`_Evictions`
-    columns of each frozen eviction policy replayed while no slot was held.
+    search first needs it), ``evictions``, the :class:`_Evictions` columns
+    of each frozen eviction policy replayed while no slot was held, and the
+    solo cuts of each partition count (``solo_cuts``).
     """
 
     def __init__(self, tuples: np.ndarray, header_size: np.ndarray, starts: np.ndarray) -> None:
@@ -364,10 +369,50 @@ class StreamEvents:
         self.next_tuple = _next_change(tuples, starts)
         self.next_size = _next_change(header_size, starts)
         self.evictions: dict = {}
+        #: :func:`_solo_cuts` per partition count.
+        self.solo_cuts: dict = {}
 
     @cached_property
     def classes(self) -> _SizeClasses:
         return _SizeClasses(self.header_size, self.starts)
+
+def _solo_cuts(flow: np.ndarray, events: StreamEvents, n_partitions: int) -> np.ndarray:
+    """Stream positions before which a run splits into rows that replay on their own.
+
+    A *solo block* is every packet one flow has in the stream, contiguous in
+    its run and at least ``max(size, n_partitions)`` of them: a resident
+    admitted at its first packet closes its last window by its last packet
+    (window ``P - 1`` ends there at the latest), so it leaves the slot
+    decided under its own five-tuple.  A run is cut before a block whose
+    five-tuple differs from the solo block before it, when every block from
+    the run's head to there is solo: that block's first packet reclaims a
+    decided slot, as the first packet of a fresh row is admitted.  Such a
+    run is the lockstep plane's clean slot, and each of its rows holds one
+    five-tuple and one advertised size.  No flow has packets in two rows, so
+    no flow id is decided in two.  Held packets (``flow == -1``) are in no
+    solo block.
+    """
+    tuples, starts = events.tuples, events.starts
+    n = flow.size
+    head = np.ones(n, dtype=bool)
+    head[1:] = flow[1:] != flow[:-1]
+    head[starts[:-1]] = True
+    heads = np.flatnonzero(head)
+    lengths = np.diff(np.append(heads, n))
+    owner = flow[heads].astype(np.int64) + 1  # 0 at held packets
+    solo = (
+        (owner > 0)
+        & (np.bincount(owner)[owner] == 1)
+        & (lengths >= np.maximum(events.header_size[heads], n_partitions))
+    )
+    opens_run = np.zeros(heads.size, dtype=bool)
+    opens_run[np.searchsorted(heads, starts[:-1])] = True
+    # follows[b]: block b is solo and block b + 1 continues its run under another tuple.
+    follows = solo[:-1] & ~opens_run[1:] & (tuples[heads[1:]] != tuples[heads[:-1]])
+    index = np.arange(follows.size)
+    last_miss = np.maximum.accumulate(np.where(follows, -1, index))
+    run_head = np.maximum.accumulate(np.where(opens_run[:-1], index, 0))
+    return heads[1:][follows & (last_miss < run_head)]
 
 
 def _narrowed(column: np.ndarray) -> np.ndarray:
@@ -391,32 +436,24 @@ def _first_boundary(
     """Per row, the first ``p`` in ``[lo, hi)`` of run ``runs`` with ``bound(window, header_size[p]) - p <= quota``, else ``hi``.
 
     That is the packet at which the packets seen reach the end of window
-    ``window`` under the flow size ``p``'s header advertises.  It is read per
-    stretch of one advertised size (up to ``next_size``): inside one the
-    bound is fixed and ``bound - p`` drops by one per packet, so the
-    stretch's first closing packet is ``max(start, bound - quota)`` if that
-    lies inside it.  Rows still open after ``_BOUNDARY_STRETCHES`` stretches
-    are answered by the size-class index (:meth:`_SizeClasses.first`).
-    Returns the positions and how many rows the index answered.
+    ``window`` under the flow size ``p``'s header advertises.  First the
+    stretch of one advertised size at ``lo`` (up to ``next_size``): inside
+    it the bound is fixed and ``bound - p`` drops by one per packet, so its
+    first closing packet is ``max(lo, bound - quota)`` if that lies inside
+    it — a row whose range advertises one size is answered by that
+    arithmetic alone.  A row still open past its stretch is answered by the
+    size-class index (:meth:`_SizeClasses.first`).  Returns the positions
+    and how many rows the index answered.
     """
-    header_size, next_size = events.header_size, events.next_size
-    found = hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    at = lo[rows]
-    for _ in range(_BOUNDARY_STRETCHES):
-        if rows.size == 0:
-            break
-        stop = np.minimum(next_size[at], hi[rows])
-        first = np.maximum(
-            at, window_end(window[rows], header_size[at], n_partitions) - quota[rows]
-        )
-        closes = first < stop
-        found[rows[closes]] = first[closes]
-        still_open = ~closes & (stop < hi[rows])
-        rows, at = rows[still_open], stop[still_open]
+    stop = np.minimum(events.next_size.take(lo, mode="clip"), hi)
+    bound = window_end(window, events.header_size.take(lo, mode="clip"), n_partitions)
+    first = np.maximum(lo, bound - quota)
+    closes = first < stop
+    found = np.where(closes, first, hi)
+    rows = np.flatnonzero(~closes & (stop < hi))
     if rows.size:
         found[rows] = events.classes.first(
-            runs[rows], at, hi[rows], quota[rows], window[rows], n_partitions
+            runs[rows], stop[rows], hi[rows], quota[rows], window[rows], n_partitions
         )
     return found, int(rows.size)
 
@@ -511,35 +548,81 @@ def _packet_source(columns: tuple[np.ndarray, ...]) -> PacketArrays:
     )
 
 
-class _SlotRows:
-    """Per-row (per-slot) register state of one slot-stream replay.
+#: Columns of a row's state (:attr:`_SlotRows.state`).
+_START, _EPOCH, _WINDOW, _SID, _QUOTA, _RESIDENT, _END, _SCAN, _RUN = range(9)
 
-    The resident is described by its creator columns — flow id, first
-    timestamp, five-tuple and first packet size of the epoch — whether this
-    call admitted it or the slot held it when the call started: a resumed
-    row is an admitted row whose epoch began in an earlier call.
+
+class _SlotRows:
+    """Per-row register state of one slot-stream replay.
+
+    A row is a slot's run, or a stretch of it that replays on its own (the
+    runs are cut at their solo cuts, :func:`_solo_cuts`); a slot's rows are
+    consecutive, and its last one ends the call with the slot's resident.
+    ``state[column, row]`` holds the rows' state, so a round reads its rows'
+    with one gather (each column stays contiguous):
+
+    * ``_START``: where the open window starts (for a live row);
+    * ``_EPOCH``: the stream position of the epoch's first packet — the
+      resident's five-tuple and flow id, its first timestamp and size are
+      read there when needed (:meth:`creator`); -1 for a resident the slot
+      held when the call started, whose columns are in ``held``;
+    * ``_WINDOW``, ``_SID``: the open window's index and subtree;
+    * ``_QUOTA``: ``seen - start + 1``, ``seen`` the packets the resident had
+      taken at ``start`` — the same for every window of an epoch;
+    * ``_RESIDENT``: the resident's five-tuple id (``_FOREIGN_TUPLE`` while
+      there is none);
+    * ``_END``, ``_SCAN``, ``_RUN``: where the row ends, the first position
+      an event can fire at (past the packets a resumed row's open window
+      already holds), and the run (slot) the row is a stretch of.
     """
 
-    def __init__(self, stream: SlotStream, root_sid: int) -> None:
-        n_rows = stream.slots.size
-        #: Next packet to look at — for a live row, the start of its open window.
-        self.cursor = stream.starts[:-1].copy()
-        self.end = stream.starts[1:]
-        #: First position an event can fire at: a resumed row's run starts
-        #: with the packets its open window already holds.
-        self.scan_from = self.cursor.copy()
-        self.status = np.full(n_rows, _FRESH, dtype=np.int8)
-        #: Five-tuple id of the resident (meaningful unless ``_FRESH``).
-        self.resident = np.full(n_rows, _FOREIGN_TUPLE, dtype=np.int64)
-        self.sid = np.full(n_rows, root_sid, dtype=np.int64)
-        self.window = np.zeros(n_rows, dtype=np.int64)
-        #: Packets the resident had seen at ``cursor``.
-        self.seen = np.zeros(n_rows, dtype=np.int64)
-        self.flow_id = np.zeros(n_rows, dtype=np.int64)
-        self.first_ts = np.zeros(n_rows, dtype=np.float64)
-        #: The resident's five-tuple columns, in :class:`FiveTuple` field order.
-        self.identity = tuple(np.zeros(n_rows, dtype=np.int64) for _ in fields(FiveTuple))
-        self.first_size = np.zeros(n_rows, dtype=np.float64)
+    def __init__(
+        self,
+        soa: PacketArrays,
+        stream: SlotStream,
+        source: PacketArrays,
+        timestamps: np.ndarray,
+        row_starts: np.ndarray,
+        root_sid: int,
+    ) -> None:
+        self._soa, self._stream, self._source = soa, stream, source
+        self._timestamps = timestamps
+        starts = row_starts[:-1]
+        run = np.searchsorted(stream.starts, starts, side="right") - 1
+        self.state = np.empty((_RUN + 1, starts.size), dtype=np.int64)
+        self.state[_START] = self.state[_SCAN] = starts
+        self.state[_END] = row_starts[1:]
+        self.state[_RUN] = run
+        self.state[_EPOCH] = -1
+        self.state[_WINDOW] = self.state[_QUOTA] = 0
+        self.state[_SID] = root_sid
+        self.state[_RESIDENT] = _FOREIGN_TUPLE
+        self.live = np.zeros(starts.size, dtype=bool)
+        self.slots = stream.slots[run]
+        self.held: dict[str, np.ndarray] | None = None
+
+    def creator(self, members: np.ndarray, names, epoch: np.ndarray | None = None) -> list:
+        """Columns ``names`` of the epoch creators of rows ``members`` (their ``epoch``, if given).
+
+        ``first_ts`` and ``first_size`` are the epoch's first packet's; any
+        other name is a per-flow column of the packet arrays (``flow_ids``,
+        the identity columns), read at the first packet's flow.
+        """
+        at = self.state[_EPOCH, members] if epoch is None else epoch
+        flows = self._stream.flow[at]
+        columns = []
+        for name in names:
+            if name == "first_ts":
+                values = self._timestamps[at]
+            elif name == "first_size":
+                values = self._source.sizes[self._stream.order[at]]
+            else:
+                values = getattr(self._soa, name)[flows]
+            if self.held is not None:
+                held = at < 0
+                values[held] = self.held[name][members[held]]
+            columns.append(values)
+        return columns
 
 
 def replay_slot_stream(
@@ -581,96 +664,130 @@ def replay_slot_stream(
         return
 
     tuple_of = vz.cached_tuple_ids(soa, table_size)
-    stream, source, rows, last_seen = _resume_held_slots(program, soa, stream, tuple_of)
-    order, flow, row_slots = stream.order, stream.flow, stream.slots
+    stream, source, held, last_seen = _resume_held_slots(program, soa, stream, tuple_of)
     packets = _stream_packets(counters, soa, stream, source)
     timestamps = packets.timestamps
     aggregator = vz._WindowAggregator(packets)
 
     n_partitions = program.model.config.n_partitions
     events = _stream_events(soa, stream, tuple_of, sizes)
-    tuples = events.tuples
+    tuples, next_tuple = events.tuples, events.next_tuple
     evictions = _evictions(program.eviction, events, timestamps, last_seen)
-    cursor, end, status, resident = rows.cursor, rows.end, rows.status, rows.resident
+    rows = _SlotRows(
+        soa, stream, source, timestamps, _row_starts(stream, events, n_partitions, held),
+        program.model.root_sid,
+    )
+    if held is not None:
+        held.resume(rows)
+    state, live = rows.state, rows.live
+    fresh = np.array([[0], [program.model.root_sid]])  # window, subtree of a new epoch
 
     def admit(members: np.ndarray, positions: np.ndarray) -> None:
         """Start a new epoch on rows ``members`` with the packets at ``positions``."""
-        creators = flow[positions]
-        status[members] = _LIVE
-        resident[members] = tuple_of[creators]
-        cursor[members] = positions
-        rows.sid[members] = program.model.root_sid
-        rows.window[members] = 0
-        rows.seen[members] = 0
-        rows.flow_id[members] = soa.flow_ids[creators]
-        rows.first_ts[members] = timestamps[positions]
-        for column, values in zip(rows.identity, soa.identity_columns()):
-            column[members] = values[creators]
-        rows.first_size[members] = source.sizes[order[positions]]
-        program.begin_flows(row_slots[members])
+        live[members] = True
+        state[_START:_EPOCH + 1, members] = positions
+        state[_WINDOW:_SID + 1, members] = fresh
+        state[_QUOTA, members] = 1 - positions
+        state[_RESIDENT, members] = tuples[positions]
+        program.begin_flows(rows.slots[members])
+
+    # Every row starts its first epoch at its first packet of another
+    # five-tuple than the resident's (any packet, for a row without one).
+    idle = np.flatnonzero(~live)
+    block = state[:, idle]
+    at = _first_other_tuple(tuples, next_tuple, block[_START], block[_END], block[_RESIDENT])
+    entering = at < block[_END]
+    admit(idle[entering], at[entering])
 
     staging: list = []
+    evictions_at: list = []
+    rounds = searched = indexed = 0
     # A live row stays at the start of its open window once its run holds no
     # further event, so the rows still to advance are tracked explicitly.
-    active = np.arange(row_slots.size)
+    active = np.flatnonzero(live)
     while active.size:
-        counters.add("dataplane.slot_stream.rounds")
-
-        # -- reclaim after a verdict / first admission ---------------------
-        idle = active[status[active] != _LIVE]
-        if idle.size:
-            at = cursor[idle]
-            after_verdict = np.flatnonzero(status[idle] == _DECIDED)
-            if after_verdict.size:
-                members = idle[after_verdict]
-                at[after_verdict] = _first_other_tuple(
-                    tuples, events.next_tuple, cursor[members], end[members], resident[members]
-                )
-            admitted = at < end[idle]
-            admit(idle[admitted], at[admitted])
-            cursor[idle[~admitted]] = end[idle[~admitted]]
-            active = active[cursor[active] < end[active]]
-            if active.size == 0:
-                break
-
-        # -- next window boundary, and an eviction at or before it ---------
-        lo, hi = cursor[active], end[active]
-        scan = np.maximum(lo, rows.scan_from[active])
-        # The packet at p closes the window iff seen + (p - lo + 1) >= bound(p).
-        boundary, indexed = _first_boundary(
-            active, scan, hi, rows.seen[active] - lo + 1, rows.window[active],
-            events, n_partitions,
+        rounds += 1
+        searched += active.size
+        block = state[:, active]
+        hi = block[_END]
+        scan = np.maximum(block[_START], block[_SCAN])
+        # The packet at p closes the window iff seen + (p - start + 1) >= bound(p).
+        boundary, n_indexed = _first_boundary(
+            block[_RUN], scan, hi, block[_QUOTA], block[_WINDOW], events, n_partitions
         )
-        counters.add("dataplane.slot_stream.boundary_lookups", int(active.size) - indexed)
-        counters.add("dataplane.slot_stream.boundary_indexed", indexed)
-        evicted = np.zeros(active.size, dtype=bool)
+        indexed += n_indexed
+        closing = boundary < hi
+        # Which rows have packets left after this round; the rows that start
+        # an epoch, and at which packets.
+        going = np.zeros(active.size, dtype=bool)
+        entering, positions = [], []
         if evictions is not None:
             limit = np.minimum(boundary + 1, hi)
-            eviction = evictions.first(tuples, scan, limit, resident[active])
+            eviction = evictions.first(tuples, scan, limit, block[_RESIDENT])
             evicted = eviction < limit
             if evicted.any():
                 members = active[evicted]
-                program.record_evictions(rows.flow_id[members].tolist())
-                admit(members, eviction[evicted])
-        closing = ~evicted & (boundary < hi)
-        if closing.any():
-            members = active[closing]
-            last = boundary[closing]
-            rows.seen[members] += last + 1 - cursor[members]
+                # The evicted residents, by row and epoch (read once, at the end).
+                evictions_at.append((members, block[_EPOCH, evicted]))
+                entering.append(members)
+                positions.append(eviction[evicted])
+                closing &= ~evicted
+                going = evicted
+        which = np.flatnonzero(closing)
+        if which.size:
+            members, closed, after = active[which], block[:, which], boundary[which] + 1
             advance, values = _close_windows(
-                program, soa, aggregator, stream, timestamps, rows, members, last, staging
+                program, soa, aggregator, stream, timestamps, rows, members, after - 1,
+                staging, closed,
             )
-            cursor[members] = last + 1
+            # An advancing row's next window starts after the boundary; a
+            # decided row's next epoch at its next packet of another
+            # five-tuple, and a row without one is done.
+            end = closed[_END]
+            reclaim = _first_other_tuple(tuples, next_tuple, after, end, closed[_RESIDENT])
+            at = np.where(advance, after, reclaim)
+            going[which] = at < end
+            state[_START, members] = after
             advancing = members[advance]
-            rows.sid[advancing] = values[advance]
-            rows.window[advancing] += 1
-            status[members[~advance]] = _DECIDED
-        # Rows that found no event keep their window open to the end of the
-        # run; so does a row whose run ended with the window it just closed.
-        active = active[evicted | closing]
-        active = active[cursor[active] < end[active]]
+            state[_SID, advancing] = values[advance]
+            state[_WINDOW, advancing] += 1
+            decided = ~advance
+            live[members[decided]] = False
+            reclaimed = decided & (at < end)
+            entering.append(members[reclaimed])
+            positions.append(at[reclaimed])
+        if entering:
+            admit(np.concatenate(entering), np.concatenate(positions))
+        active = active[going]
+    if evictions_at:
+        members, epochs = (np.concatenate(parts) for parts in zip(*evictions_at))
+        program.record_evictions(rows.creator(members, ("flow_ids",), epochs)[0].tolist())
     program.finalise_staged(staging)
+    counters.add("dataplane.slot_stream.rounds", rounds)
+    counters.add("dataplane.slot_stream.boundary_lookups", searched - indexed)
+    counters.add("dataplane.slot_stream.boundary_indexed", indexed)
     program.hand_over(_handover(source, stream, timestamps, rows))
+
+
+def _row_starts(
+    stream: SlotStream, events: StreamEvents, n_partitions: int, held: "_HeldRuns | None"
+) -> np.ndarray:
+    """Where the rows of ``stream`` start (and, last, where it ends).
+
+    Every run, cut at its solo cuts (:func:`_solo_cuts`, kept with
+    ``events``), except the runs whose slot holds a resident when the call
+    starts.
+    """
+    if n_partitions not in events.solo_cuts:
+        events.solo_cuts[n_partitions] = _solo_cuts(stream.flow, events, n_partitions)
+    cuts = events.solo_cuts[n_partitions]
+    if held is not None and cuts.size:
+        free = np.ones(stream.slots.size, dtype=bool)
+        free[held.runs] = False
+        cuts = cuts[free[np.searchsorted(stream.starts, cuts, side="right") - 1]]
+    if cuts.size == 0:
+        return stream.starts
+    return np.sort(np.concatenate((stream.starts, cuts)))
 
 
 def _stream_events(
@@ -716,24 +833,63 @@ def _stream_packets(counters, soa: PacketArrays, stream: SlotStream, source: Pac
     return packets
 
 
+@dataclass
+class _HeldRuns:
+    """The slot state a call starts from, for the runs whose slot holds a resident.
+
+    Run ``runs[i]`` starts from hand-over row ``of[i]``; ``live`` picks the
+    undecided residents, whose open windows (entries ``chosen`` of
+    ``held.undecided``) put ``held_packets`` packets at the head of their runs.
+    """
+
+    runs: np.ndarray
+    of: np.ndarray
+    residents: np.ndarray
+    held: SlotHandover
+    live: np.ndarray
+    chosen: np.ndarray
+    held_packets: np.ndarray
+
+    def resume(self, rows: _SlotRows) -> None:
+        """Start the first row of each of :attr:`runs` from its resident."""
+        state, held = rows.state, self.held
+        first = np.searchsorted(state[_RUN], self.runs)
+        state[_RESIDENT, first] = self.residents
+        columns = {"flow_ids": held.flow_ids, "first_ts": held.first_ts}
+        columns.update(zip(_IDENTITY_COLUMNS, held.identity))
+        rows.held = {name: np.zeros(state.shape[1], dtype=column.dtype)
+                     for name, column in columns.items()}
+        for name, column in columns.items():
+            rows.held[name][first] = column[self.of]
+        rows.held["first_size"] = np.zeros(state.shape[1])
+        members = first[self.live]
+        if members.size:
+            windows, chosen = held.undecided, self.chosen
+            rows.live[members] = True
+            state[_SID, members] = windows.sids[chosen]
+            state[_WINDOW, members] = windows.windows[chosen]
+            state[_QUOTA, members] = windows.seen[chosen] - state[_START, members] + 1
+            state[_SCAN, members] += self.held_packets
+            rows.held["first_size"][members] = windows.first_sizes[chosen]
+
+
 def _resume_held_slots(program, soa: PacketArrays, stream: SlotStream, tuple_of):
-    """The rows of ``stream``, started from the slot state the program holds.
+    """The slot state the runs of ``stream`` start from: what the program holds.
 
     A slot holding a resident when the call starts
     (:meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.held_state`)
-    starts its row from it.  A decided resident is a starting status and a
-    five-tuple, matched to the run's flows by identity columns.  An
-    undecided one is a live row at the start of its open window, and the
-    window's packets become the head of the slot's run: aggregated into the
-    first window the row closes, carried into its hand-over if it closes
-    none, and never searched for an event — none fires inside an open window.
+    starts its first row from it.  A decided resident is a five-tuple,
+    matched to the run's flows by identity columns.  An undecided one is a
+    live row at the start of its open window, and the window's packets
+    become the head of the slot's run: aggregated into the first window the
+    row closes, carried into its hand-over if it closes none, and never
+    searched for an event — none fires inside an open window.
 
-    Returns ``(stream, source, rows, last_seen)``: the stream and the packet
+    Returns ``(stream, source, held, last_seen)``: the stream and the packet
     source it indexes (new ones only when held packets were put in), the
-    rows, and each row's undecided resident's last-seen timestamp (NaN
-    where the slot held none).
+    :class:`_HeldRuns` (None when no run's slot is held), and each run's
+    undecided resident's last-seen timestamp (NaN where the slot held none).
     """
-    root_sid = program.model.root_sid
     last_seen = np.full(stream.slots.size, np.nan)
     held = program.held_state()
     found = _EMPTY
@@ -741,7 +897,7 @@ def _resume_held_slots(program, soa: PacketArrays, stream: SlotStream, tuple_of)
         at = np.minimum(np.searchsorted(held.slots, stream.slots), held.slots.size - 1)
         found = np.flatnonzero(held.slots[at] == stream.slots)
     if found.size == 0:
-        return stream, soa, _SlotRows(stream, root_sid), last_seen
+        return stream, soa, None, last_seen
     of = at[found]
     residents = _held_tuple_ids(soa, stream, tuple_of, found, [c[of] for c in held.identity])
     windows = held.undecided
@@ -754,23 +910,10 @@ def _resume_held_slots(program, soa: PacketArrays, stream: SlotStream, tuple_of)
     source = soa
     if held_packets.any():
         stream, source = _with_open_windows(soa, stream, members, windows, chosen, held_packets)
-
-    rows = _SlotRows(stream, root_sid)
-    rows.status[found] = _DECIDED
-    rows.resident[found] = residents
-    rows.flow_id[found] = held.flow_ids[of]
-    rows.first_ts[found] = held.first_ts[of]
-    for column, values in zip(rows.identity, held.identity):
-        column[found] = values[of]
     if members.size:
-        rows.status[members] = _LIVE
-        rows.sid[members] = windows.sids[chosen]
-        rows.window[members] = windows.windows[chosen]
-        rows.seen[members] = windows.seen[chosen]
-        rows.first_size[members] = windows.first_sizes[chosen]
-        rows.scan_from[members] += held_packets
         last_seen[members] = windows.last_ts[chosen]
-    return stream, source, rows, last_seen
+    held_runs = _HeldRuns(found, of, residents, held, live, chosen, held_packets)
+    return stream, source, held_runs, last_seen
 
 
 def _held_tuple_ids(
@@ -837,26 +980,33 @@ def _handover(
 ) -> SlotHandover:
     """Every slot's final resident, as the record the program keeps for the next reader.
 
-    An undecided resident is recorded as it was at the start of its open
-    window, with the window's packets gathered next to it.
+    A slot's last row holds it.  An undecided resident is recorded as it was
+    at the start of its open window, with the window's packets gathered next
+    to it.
     """
-    live = np.flatnonzero(rows.status == _LIVE)
-    cursor, end = rows.cursor[live], rows.end[live]
-    lengths = end - cursor
-    window, _ = vz._segment_positions(cursor, lengths)
+    run = rows.state[_RUN]
+    final = np.flatnonzero(np.append(run[1:] != run[:-1], True))
+    open_rows = np.flatnonzero(rows.live[final])
+    live = final[open_rows]
+    start, end, quota = rows.state[_START, live], rows.state[_END, live], rows.state[_QUOTA, live]
+    lengths = end - start
+    window, _ = vz._segment_positions(start, lengths)
     packets = stream.order[window]
+    *identity, flow_ids, first_ts = rows.creator(
+        final, [*_IDENTITY_COLUMNS, "flow_ids", "first_ts"]
+    )
     return SlotHandover(
         slots=stream.slots.copy(),
-        identity=rows.identity,
-        flow_ids=rows.flow_id,
-        first_ts=rows.first_ts,
+        identity=tuple(identity),
+        flow_ids=flow_ids,
+        first_ts=first_ts,
         undecided=OpenWindows(
-            rows=live,
-            sids=rows.sid[live],
-            windows=rows.window[live],
-            seen=rows.seen[live],
+            rows=open_rows,
+            sids=rows.state[_SID, live],
+            windows=rows.state[_WINDOW, live],
+            seen=quota + start - 1,
             last_ts=timestamps[end - 1],
-            first_sizes=rows.first_size[live],
+            first_sizes=rows.creator(live, ("first_size",))[0],
             starts=np.append(0, np.cumsum(lengths)),
             packets=tuple(getattr(source, name)[packets] for name in _PACKET_FIELDS),
         ),
@@ -873,33 +1023,37 @@ def _close_windows(
     members: np.ndarray,
     last: np.ndarray,
     staging: list,
+    state: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate and classify the windows rows ``members`` close at packets ``last``.
 
-    Each window runs from its row's cursor to ``last`` (stream positions,
-    inclusive), inside its slot's run; ``rows.seen`` already counts it.  The
-    aggregator reads the stream's packets in stream order, so a window is
-    the segment ``[cursor, last + 1)`` as it stands.
+    ``state`` is the rows' columns of ``rows.state``.  Each window runs from
+    its row's start to ``last`` (stream positions, inclusive), inside its
+    slot's run.  The aggregator reads the stream's packets in stream order,
+    so a window is the segment ``[start, last + 1)`` as it stands.
     """
     # Header fields are the epoch creator's: its tuple, its first packet's
     # size.  Only those some subtree reads are written: the lookup reads no
     # other column.
-    matrix = np.empty((members.size, N_FEATURES), dtype=np.float64)
-    _, _, src_ports, dst_ports, protocols = rows.identity
-    header = {_SRC_PORT: src_ports, _DST_PORT: dst_ports, _PROTOCOL: protocols,
-              _PKT_LEN_FIRST: rows.first_size}
-    for feature in program.fill_plan.header_features:
-        matrix[:, feature] = header[feature][members]
+    features = program.fill_plan.header_features
+    *header, first_ts = rows.creator(
+        members, [_HEADER_COLUMNS[feature] for feature in features] + ["first_ts"],
+        state[_EPOCH],
+    )
+    # Feature-major, as the lockstep plane's: each feature's cells are one run.
+    matrix = np.empty((members.size, N_FEATURES), dtype=np.float64, order="F")
+    for feature, column in zip(features, header):
+        matrix[:, feature] = column
     return vz._close_round(
         program,
         aggregator,
         matrix,
-        rows.cursor[members],
+        state[_START],
         last + 1,
         staging,
-        sids=rows.sid[members],
+        sids=state[_SID],
         flow_ids=soa.flow_ids[stream.flow[last]],
-        window_index=rows.window[members],
+        window_index=state[_WINDOW],
         boundary_ts=timestamps[last],
-        first_packet_ts=rows.first_ts[members],
+        first_packet_ts=first_ts,
     )

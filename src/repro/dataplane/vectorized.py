@@ -413,7 +413,6 @@ for _name, _family in _FAMILY_OF.items():
 _F = {feature.name: feature.index for feature in FEATURES}
 _NAMES = [feature.name for feature in FEATURES]
 _STATEFUL = np.array([feature.stateful for feature in FEATURES])
-_STATEFUL_INDICES = np.flatnonzero(_STATEFUL).tolist()
 
 
 def _rate(total: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -438,12 +437,11 @@ class FillPlan:
     Built once per program (``program.fill_plan``) from each subtree's
     features: per subtree, the stateful features of its operator bank and
     the kernel families (:data:`FAMILIES`) they are derived from.  A window
-    round's rows may be in any mix of subtrees; :meth:`readers` counts the
-    round's readers of each feature and family, so
+    round's rows may be in any mix of subtrees; :meth:`layout` says which
+    features and families the round reads, and which all its rows need, so
     :meth:`_WindowAggregator.fill` runs each family once over the rows that
-    need it and writes each feature into its readers' cells only.  Also
-    names the header (stateless) features any subtree reads, the only
-    header columns a plane writes.
+    need it.  Also names the header (stateless) features any subtree reads,
+    the only header columns a plane writes.
     """
 
     def __init__(self, features_by_sid: dict[int, list[int]]) -> None:
@@ -466,26 +464,43 @@ class FillPlan:
             self._reads[row, features_by_sid[sid]] = True
         self._reads &= _STATEFUL
         self._families = self._reads @ _FAMILY_TABLE
-        # Per code, its features then its families, as counts: one product
-        # with a round's rows per code counts the readers of each.
-        self._counts = np.hstack([self._reads, self._families]).astype(np.int64)
+        self._layouts: dict[bytes, tuple] = {}
 
-    def readers(self, sids: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """``(codes, counts)`` of a round whose row ``i`` is in subtree ``sids[i]``.
+    def layout(self, sids: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``(codes, (features, by_family, everyone))`` of a round whose row ``i`` is in subtree ``sids[i]``.
 
-        ``codes[i]`` is row ``i``'s subtree code; ``counts`` the number of
-        rows reading each stateful feature (index ``f < N_FEATURES``), then
-        each kernel family (index ``N_FEATURES + k``).
+        ``codes[i]`` is row ``i``'s subtree code.  The rest depends only on
+        which subtrees the round's rows are in, so it is worked out once per
+        such set and kept: the stateful features some row reads (names),
+        those of each kernel family, and per family whether every row needs
+        it.
 
         Example::
 
-            >>> codes, counts = program.fill_plan.readers(np.array([1, 2, 1]))
-            >>> counts[FEATURES_BY_NAME["byte_count"].index]  # doctest: +SKIP
-            2
+            >>> codes, (features, *_) = program.fill_plan.layout(np.array([1, 2, 1]))
+            >>> "byte_count" in features  # doctest: +SKIP
+            True
         """
         codes = self._code.take(sids + 1, mode="clip")
-        return codes, (np.bincount(codes, minlength=self._counts.shape[0]) @ self._counts).tolist()
+        present = np.bincount(codes, minlength=self._families.shape[0]).astype(bool)
+        key = present.tobytes()
+        layout = self._layouts.get(key)
+        if layout is None:
+            read = np.flatnonzero(self._reads[present].any(axis=0)).tolist()
+            features = [_NAMES[feature] for feature in read]
+            by_family: list[list[str]] = [[] for _ in FAMILIES]
+            for name in features:
+                if _FAMILY_OF[name] is not None:
+                    by_family[_FAMILY_OF[name]].append(name)
+            everyone = self._families[present].all(axis=0).tolist()
+            if len(self._layouts) >= _LAYOUTS_KEPT:
+                self._layouts.clear()
+            layout = self._layouts[key] = (features, by_family, everyone)
+        return codes, layout
 
+
+#: Round layouts a :class:`FillPlan` keeps (one per set of subtrees met).
+_LAYOUTS_KEPT = 4096
 
 
 class _WindowAggregator:
@@ -517,20 +532,26 @@ class _WindowAggregator:
         """``reduce(ufunc, key)``: ``ufunc`` over every segment ``[s_i, e_i)`` (all non-empty).
 
         ``reduceat`` over the ``(s, e)`` pairs also reduces the stretches
-        *between* segments.  Next to nothing when the segments tile their
-        span (a whole-source replay round); for a micro-batch flush out of a
-        large source it is the source, so scattered segments are gathered
-        first and the cost follows the packets, not the span.  Decided once
-        for the segments, and shared by every column reduced over them.
+        *between* segments, from the first segment's start to the last one's
+        end.  Next to nothing when the segments tile their span (a
+        whole-source replay round); for a micro-batch flush out of a large
+        source it is the source, so scattered segments are gathered first
+        and the cost follows the packets, not the span.  Decided once for the
+        segments, and shared by every column reduced over them.
         """
         lengths = e - s
         covered = lengths.cumsum()
+        last = int(e.max())
         # A gathered packet costs about eight packets walked in place.
-        if 8 * int(covered[-1]) >= int(e.max()) - int(s.min()):
+        if 8 * int(covered[-1]) >= last - int(s.min()):
             pairs = np.empty(s.size * 2, dtype=np.intp)
             pairs[0::2] = s
             pairs[1::2] = e
-            return lambda ufunc, key: ufunc.reduceat(_padded_column(self._soa, key), pairs)[0::2]
+            # The last index's stretch runs to the column's end: the column
+            # is cut one past the last segment.
+            return lambda ufunc, key: ufunc.reduceat(
+                _padded_column(self._soa, key)[: last + 1], pairs
+            )[0::2]
         offsets = covered - lengths
         positions = np.arange(int(covered[-1])) + (s - offsets).repeat(lengths)
         return lambda ufunc, key: ufunc.reduceat(_base_values(self._soa, key)[positions], offsets)
@@ -540,14 +561,16 @@ class _WindowAggregator:
         """Prefix-summed features: each column they read summed once, then each feature."""
         sums = {}
         reduce = None
+        # Each prefix column is read at both ends of every window in one gather.
+        ends, n_rows = np.concatenate((e, s)), s.size
         for name in names:
             for key in _SUM_KEYS[name]:
                 if key in sums:
                     continue
                 prefix = _prefix_column(self._soa, key)
                 if prefix is not None:
-                    total = prefix[e] - prefix[s]
-                    sums[key] = total if total.dtype == np.float64 else total.astype(np.float64)
+                    both = prefix[ends]
+                    sums[key] = np.subtract(both[:n_rows], both[n_rows:], dtype=np.float64)
                 else:
                     reduce = reduce or self._reducer(s, e)
                     sums[key] = reduce(np.add, key)
@@ -645,26 +668,18 @@ class _WindowAggregator:
 
         ``s`` / ``e`` are the round's segment bounds and ``sids`` its rows'
         subtrees, one per row of ``matrix``.  Each kernel family some row's
-        subtree needs (:meth:`FillPlan.readers`) runs once, over exactly
-        those rows, and each feature is written into the cells of the rows
-        whose subtree reads it; no other cell of ``matrix`` is touched.
+        subtree needs (:meth:`FillPlan.layout`) runs once, over exactly
+        those rows, and writes each of its features some row reads into all
+        of them (``pkt_count``, of no family, into every row): a row's cell
+        of a feature its subtree reads holds the window's value, a cell it
+        does not read holds the value too or is not touched — the lookup
+        never reads it.
         """
-        codes, counts = plan.readers(sids)
-        n_rows = s.size
-        read = [_NAMES[feature] for feature in _STATEFUL_INDICES if counts[feature]]
+        codes, (read, by_family, everyone) = plan.layout(sids)
         if not read:
             return 0
-        # The features each family derives this round.
-        by_family: list[list[str]] = [[] for _ in FAMILIES]
-        for name in read:
-            if _FAMILY_OF[name] is not None:
-                by_family[_FAMILY_OF[name]].append(name)
-        # A round whose rows all read the same features is written in place;
-        # otherwise each family writes its features for all its rows to a
-        # scratch block and one masked copy takes only the readers' cells to
-        # ``matrix``.  Either way ``out`` is indexed ``[feature, rows]``.
-        uniform = all(counts[_F[name]] == n_rows for name in read)
-        out = matrix.T if uniform else np.empty((N_FEATURES, n_rows), dtype=np.float64)
+        # ``out[feature, rows]``: the matrix, feature by feature.
+        out = matrix.T
         if "pkt_count" in read:
             out[_F["pkt_count"]] = e - s
         families = None
@@ -673,7 +688,7 @@ class _WindowAggregator:
             if not names:
                 continue
             passes += 1
-            if counts[N_FEATURES + family] == n_rows:
+            if everyone[family]:
                 rows, fs, fe = slice(None), s, e
             else:
                 if families is None:
@@ -681,8 +696,6 @@ class _WindowAggregator:
                 rows = families[:, family].nonzero()[0]
                 fs, fe = s[rows], e[rows]
             self._KERNELS[family](self, names, out, rows, fs, fe)
-        if not uniform:
-            np.copyto(matrix, out.T, where=plan._reads.take(codes, axis=0))
         return passes
 
     def compute(self, feature_index: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -891,7 +904,8 @@ def close_ready_windows(
         end = ends[rows, at]
         base = soa.flow_starts[flow]
         s, e = base + done[rows], base + end
-        matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64)
+        # Feature-major: the fill writes each feature's cells as one run.
+        matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64, order="F")
         for feature, column in header:
             matrix[:, feature] = column[flow]
         advance, values = _close_round(

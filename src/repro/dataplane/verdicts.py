@@ -11,6 +11,8 @@ when a verdict is read by key or item.
 
 from __future__ import annotations
 
+import bisect
+
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -52,6 +54,8 @@ class ColumnBlocks:
     def __init__(self, dtypes) -> None:
         self._dtypes = tuple(dtypes)
         self._blocks: list[tuple[np.ndarray, ...]] = []
+        #: The row each block starts at.
+        self._offsets: list[int] = []
         self._pending: list[tuple] = []
         self._n_rows = 0
 
@@ -66,6 +70,7 @@ class ColumnBlocks:
             np.asarray(column, dtype=dtype) for column, dtype in zip(columns, self._dtypes)
         )
         self._blocks.append(block)
+        self._offsets.append(self._n_rows)
         self._n_rows += block[0].size
 
     def append_row(self, *row) -> None:
@@ -76,22 +81,21 @@ class ColumnBlocks:
     def columns(self, start: int = 0) -> tuple[np.ndarray, ...]:
         """Rows ``start`` onwards in the order recorded, one array per column.
 
-        The arrays may be the stored blocks themselves: read them, do not
-        write them.
+        The blocks read are joined into one, so a later read of the rows
+        after them finds them in one block.  The arrays may be the stored
+        blocks themselves: read them, do not write them.
         """
         self._join_pending()
-        parts, offset = [], 0
-        for block in self._blocks:
-            size = block[0].size
-            if offset + size > start:
-                skip = max(start - offset, 0)
-                parts.append(tuple(column[skip:] for column in block) if skip else block)
-            offset += size
-        if not parts:
+        if not self._blocks:
             return tuple(np.empty(0, dtype=dtype) for dtype in self._dtypes)
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        first = max(bisect.bisect_right(self._offsets, start) - 1, 0)
+        if len(self._blocks) - first > 1:
+            self._blocks[first:] = [
+                tuple(np.concatenate(column) for column in zip(*self._blocks[first:]))
+            ]
+            del self._offsets[first + 1:]
+        block, skip = self._blocks[first], start - self._offsets[first]
+        return tuple(column[skip:] for column in block) if skip else block
 
     def _join_pending(self) -> None:
         if self._pending:
@@ -99,6 +103,7 @@ class ColumnBlocks:
                 np.array(column, dtype=dtype)
                 for column, dtype in zip(zip(*self._pending), self._dtypes)
             ))
+            self._offsets.append(self._n_rows - len(self._pending))
             self._pending = []
 
 
@@ -163,6 +168,21 @@ class Verdicts(Mapping):
         keep = np.maximum.reduceat(order, np.flatnonzero(first)) if order.size else order
         return cls(*(column[keep] for column in columns))
 
+    def updated(self, newer: "Verdicts") -> "Verdicts":
+        """This snapshot with the verdicts of ``newer`` merged in (``newer``'s row of a flow id wins).
+
+        ``newer``'s rows are inserted where they sort: no row is sorted again.
+        """
+        ids = self.flow_ids
+        if not ids.size:
+            return newer
+        at = np.searchsorted(ids, newer.flow_ids)
+        keep = np.ones(ids.size, dtype=bool)
+        keep[at[ids.take(at, mode="clip") == newer.flow_ids]] = False
+        kept = [column[keep] for column in self.columns]
+        at = np.searchsorted(kept[0], newer.flow_ids)
+        return type(self)(*(np.insert(old, at, new) for old, new in zip(kept, newer.columns)))
+
     @classmethod
     def merged(cls, parts) -> "Verdicts":
         """One snapshot of several (a later part's verdict of a flow id wins)."""
@@ -225,7 +245,15 @@ class VerdictStore(ColumnBlocks):
         self._snapshot: tuple[int, Verdicts] | None = None
 
     def snapshot(self) -> Verdicts:
-        """The verdicts recorded so far (one snapshot object until the next row)."""
-        if self._snapshot is None or self._snapshot[0] != len(self):
-            self._snapshot = (len(self), Verdicts.of_rows(self.columns()))
-        return self._snapshot[1]
+        """The verdicts recorded so far (one snapshot object until the next row).
+
+        The last snapshot with the rows recorded since merged in
+        (:meth:`Verdicts.updated`): a repeat read sorts the new rows only.
+        """
+        done, snapshot = self._snapshot or (0, None)
+        if snapshot is not None and done == len(self):
+            return snapshot
+        newer = Verdicts.of_rows(self.columns(done))
+        snapshot = newer if snapshot is None else snapshot.updated(newer)
+        self._snapshot = (len(self), snapshot)
+        return snapshot

@@ -145,14 +145,17 @@ class OnlineController:
         calls ``swap_model`` — a drained engine rejects swaps by contract.
         """
         verdicts = engine.verdicts()
+        if verdicts.flow_ids is self._seen:
+            return None  # the snapshot last read: nothing new
         fresh = fresh_rows(verdicts, self._seen)
         if not fresh.size:
+            self._seen = verdicts.flow_ids  # the same flow ids, read once
             return None
         # Rows are in flow-id order, so a stable sort orders ties by flow id.
         fresh = fresh[np.argsort(verdicts.decided_at[fresh], kind="stable")]
         fresh_ids = verdicts.flow_ids[fresh]
         source = self._chunk.soa if self._chunk is not None else None
-        truth = truth_index(fresh_ids, source.flow_ids if source is not None else ())
+        truth = truth_index(fresh_ids, source if source is not None else ())
         seen, self._seen = self._seen, verdicts.flow_ids
         swap_event = None
         for position, (flow_id, y_pred, row) in enumerate(

@@ -203,6 +203,8 @@ class InferenceEngine(abc.ABC):
         self._chunks = 0
         self._flows_seen = 0
         self._result: ReplayResult | None = None
+        #: ``(snapshot, accuracy, ttd)`` of the last snapshot :meth:`stats` scored.
+        self._scored: tuple | None = None
         # --- model hot-swap state (see swap_model) ---
         self._delivered: np.ndarray | None = None
         self._epoch_children: list["InferenceEngine"] = []
@@ -370,6 +372,17 @@ class InferenceEngine(abc.ABC):
         """
         verdicts = self.verdicts()
         counters = self._session_counters()
+        # A snapshot is immutable, and a session's source is fixed once its
+        # first chunk arrives: an unchanged snapshot is not scored again.
+        if self._scored is None or self._scored[0] is not verdicts:
+            # The source itself, so its sort order is kept (truth_index).
+            source = self._soa if self._soa is not None else ()
+            self._scored = (
+                verdicts,
+                score_verdicts(verdicts, source, self._ground_truth()[1]).accuracy,
+                summarize_ttd(verdicts.time_to_detection()),
+            )
+        _, accuracy, ttd = self._scored
         return EngineStats(
             engine=self.name,
             packets=self._packets,
@@ -377,8 +390,8 @@ class InferenceEngine(abc.ABC):
             flows_seen=self._flows_seen,
             flows_decided=len(verdicts),
             buffered_packets=self._total_buffered(),
-            accuracy=score_verdicts(verdicts, *self._ground_truth()).accuracy,
-            ttd=summarize_ttd(verdicts.time_to_detection()),
+            accuracy=accuracy,
+            ttd=ttd,
             recirculation=channel_stats(counters, self._capacity_bps),
             batching=_batching(counters),
             transport=self._transport_stats(),

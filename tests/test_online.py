@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import pickle
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,6 +377,55 @@ def test_poll_and_stats_read_columns_not_verdict_objects(
     assert polls_without_news > 0 and stats.flows_decided > 0
     assert controller.n_verdicts == stats.flows_decided
     assert built == []
+
+
+def _numpy_calls(read) -> int:
+    """NumPy functions and methods ``read()`` calls (Python- or C-level)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or type(owner).__module__
+        else:
+            return
+        calls += (module or "").startswith("numpy")
+
+    sys.setprofile(profile)
+    try:
+        read()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_an_unchanged_session_is_read_in_constant_numpy_work(
+    splidt_config, splidt_model, splidt_rules, small_dataset
+):
+    """A repeat ``poll`` and ``stats()`` on a session with nothing new cost the same, whatever its length.
+
+    Its verdict snapshot, the scores of it and the sort order of its source
+    are kept: nothing is sorted, gathered or concatenated again.
+    """
+
+    def repeat_cost(n_flows: int) -> tuple[int, int]:
+        controller = _controller(splidt_config)
+        engine = MicroBatchEngine(SpliDTDataPlane(splidt_model, splidt_rules)).open()
+        for chunk in iter_packet_chunks(small_dataset.flows[:n_flows], 500):
+            engine.ingest(chunk)
+            controller.observe_chunk(engine, chunk)
+        engine.drain()
+        controller.poll(engine, allow_swap=False)
+        decided = engine.stats().flows_decided
+        calls = _numpy_calls(lambda: (controller.poll(engine, allow_swap=False), engine.stats()))
+        return calls, decided
+
+    (short, decided_short), (long, decided_long) = repeat_cost(30), repeat_cost(360)
+    assert decided_long > 5 * decided_short > 0
+    assert long == short <= 2
 
 
 def _tree_nodes(subtree):

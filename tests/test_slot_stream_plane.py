@@ -17,6 +17,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
 from repro.dataplane import slot_stream as ss
@@ -26,6 +27,7 @@ from repro.datasets.streams import PacketChunk, StreamedPacketWriter, iter_packe
 from repro.features.definitions import STATELESS_HEADER_INDICES
 from repro.serve import MicroBatchEngine, StreamingEngine
 from repro.switch.eviction import EvictionPolicy, make_eviction_policy
+from repro.switch.hashing import flow_slots
 
 TUPLE_A = FiveTuple(src_ip=1, dst_ip=2, src_port=3, dst_port=4, protocol=6)
 TUPLE_B = FiveTuple(src_ip=9, dst_ip=8, src_port=7, dst_port=6, protocol=17)
@@ -182,6 +184,64 @@ def test_a_huge_advertised_flow_size_costs_no_memory(splidt_model, splidt_rules,
     assert peak < 16 * 2**20, peak
     assert fused.replay_stats["packets"]["slot_stream"] > 0
     assert _snapshot(fused, fused.verdicts) == _snapshot(reference, reference.verdicts)
+
+
+@st.composite
+def clean_slots(draw, n_partitions: int):
+    """``(flows, table_size)``: flows that each meet a clean slot, as the lockstep plane takes them.
+
+    Every flow has its own five-tuple and at least ``n_partitions`` packets,
+    and starts after the last packet of the flow before it in its slot; a
+    slot may hold one flow or several.
+    """
+    table_size = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(n_partitions, 14), min_size=1, max_size=9))
+    tuples = [FiveTuple(src_ip=7, dst_ip=9, src_port=1000 + i, dst_port=443, protocol=6)
+              for i in range(len(lengths))]
+    slots = flow_slots([_flow(five_tuple, 0, [0.0]) for five_tuple in tuples], table_size)
+    free = dict.fromkeys(slots.tolist(), 0.0)  # when each slot's last flow ended
+    flows = []
+    for flow_id, (five_tuple, slot, n) in enumerate(zip(tuples, slots.tolist(), lengths)):
+        start = free[slot] + draw(st.sampled_from((0.5, 3.0)))
+        times = start + np.cumsum(draw(st.lists(st.sampled_from((0.01, 0.2, 1.5)), min_size=n,
+                                                max_size=n)))
+        free[slot] = float(times[-1])
+        flows.append(_flow(five_tuple, flow_id, times.tolist(), size=64 + 37 * flow_id))
+    return flows, table_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flows_alone_in_their_slots_take_no_more_window_rounds_than_lockstep(
+    splidt_model, splidt_rules, data
+):
+    # The solo-slot rule: flows the lockstep plane would take — alone in a
+    # slot or following one another there — replayed on the slot-stream
+    # plane close their windows in as many window rounds as the lockstep
+    # plane's close_ready_windows, and leave what the oracle leaves.
+    n_partitions = splidt_model.config.n_partitions
+    flows, table_size = data.draw(clean_slots(n_partitions))
+    soa = PacketArrays.from_flows(flows)
+    slots = vz.cached_flow_slots(soa, table_size)
+    everyone = np.arange(len(flows))
+    assert not vz._split_scalar_fast(
+        soa, slots, everyone, None, n_partitions, vz.cached_tuple_ids(soa, table_size)
+    ).any()
+
+    def program():
+        return SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=table_size)
+
+    stream, lockstep, reference = program(), program(), program()
+    ss.replay_slot_stream(stream, flows, soa, np.ones(len(flows), dtype=bool))
+    vz._replay_splidt_batched(lockstep, soa, everyone, slots)
+    oracle.replay_dataset(reference, _dataset(flows))
+
+    assert stream.counters["dataplane.slot_stream.packets"] == soa.n_packets
+    rounds = stream.counters["dataplane.window_rounds"]
+    assert rounds <= lockstep.counters["dataplane.window_rounds"] <= n_partitions
+    assert stream.counters["dataplane.slot_stream.rounds"] == rounds
+    assert _snapshot(stream, stream.verdicts) == _snapshot(reference, reference.verdicts)
+    assert_same_slot_state(reference, stream)
 
 
 def test_evicted_resident_reenters_as_a_new_epoch(splidt_model, splidt_rules):

@@ -303,18 +303,27 @@ class TestRoundFill:
         for feature in FEATURES:
             family = _family_of(feature) if feature.stateful else None
             if family is not None:
-                readers[family] = readers.get(family, 0) | reads[:, feature.index]
+                readers[family] = readers.get(family, False) | reads[:, feature.index]
         want = sorted((family, int(rows.sum())) for family, rows in readers.items() if rows.any())
         assert sorted(aggregator.passes) == want
         assert passes == len(want) <= len(FAMILIES)
         for feature in FEATURES:
             readers_of = reads[:, feature.index]
             column = matrix[:, feature.index]
-            assert np.isnan(column[~readers_of]).all(), feature.name
-            if readers_of.any():
-                want_values = _WindowAggregator(packets).compute(feature.index, s, e)
-                assert column[readers_of].tobytes() == want_values[readers_of].tobytes(), \
-                    feature.name
+            if not readers_of.any():
+                # A feature no row reads is never written.
+                assert np.isnan(column).all(), feature.name
+                continue
+            # A reader's cell holds the window's value; any other cell holds
+            # it too (its row's family ran) or was not touched.
+            want_values = _WindowAggregator(packets).compute(feature.index, s, e)
+            assert column[readers_of].tobytes() == want_values[readers_of].tobytes(), \
+                feature.name
+            written = ~np.isnan(column)
+            assert column[written].tobytes() == want_values[written].tobytes(), feature.name
+            family = _family_of(feature)
+            if family is not None:
+                assert not written[~readers[family]].any(), feature.name
 
     def test_a_round_reading_nothing_runs_no_family(self, sources):
         packets = sources["packet-arrays"]
@@ -377,11 +386,12 @@ class TestRoundMixing:
         # runs over rows of several subtrees; the lookup reads the model's own.
         extra = data.draw(st.lists(st.lists(st.sampled_from(_STATEFUL), max_size=4),
                                    min_size=len(subtrees), max_size=len(subtrees)))
-        plan = FillPlan({
+        features_by_sid = {
             sid: sorted(splidt_model.subtrees[sid].features_used()
                         | {feature.index for feature in more})
             for sid, more in zip(subtrees, extra)
-        })
+        }
+        plan = FillPlan(features_by_sid)
         header = np.array(data.draw(st.lists(st.integers(0, 65535), min_size=n_rows,
                                              max_size=n_rows)), dtype=np.float64)
 
@@ -403,7 +413,10 @@ class TestRoundMixing:
         matrix, advance, values, verdicts, _ = close(np.arange(n_rows))
         for row in range(n_rows):
             alone, alone_advance, alone_values, alone_verdicts, _ = close(np.array([row]))
-            assert matrix[row].tobytes() == alone[0].tobytes(), row
+            # The cells the row's subtree reads (a cell it does not read may
+            # hold the window's value of a feature another row reads).
+            cells = features_by_sid.get(int(sids[row]), [])
+            assert matrix[row, cells].tobytes() == alone[0, cells].tobytes(), row
             assert advance[row] == alone_advance[0], row
             if advance[row]:
                 assert values[row] == alone_values[0], row
