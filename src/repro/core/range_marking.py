@@ -270,12 +270,15 @@ class RuleSet:
     bit_width: int
     lut_max_cells: int | None = None
     _compiled: object | None = field(default=None, init=False, repr=False, compare=False)
+    _fill_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        # The compiled plane is derived data: drop it so pickles (run
-        # artifacts, sharded-mp workers) stay lean; consumers recompile.
+        # The compiled plane and fill plans are derived data: drop them so
+        # pickles (run artifacts, sharded-mp workers) stay lean; consumers
+        # rebuild them.
         state = dict(self.__dict__)
         state["_compiled"] = None
+        state["_fill_plans"] = {}
         return state
 
     @property
@@ -326,6 +329,22 @@ class RuleSet:
 
             self._compiled = compile_lookup(self, max_cells=self.lut_max_cells)
         return self._compiled
+
+    def fill_plan(self, features_by_sid: dict[int, list[int]]):
+        """The window rounds' fill plan over ``features_by_sid`` (built once, then cached).
+
+        Returns a :class:`repro.dataplane.vectorized.FillPlan`, kept per
+        mapping of subtree to features read, so every program built over
+        these rules (a factory's, one per serving session or worker) shares
+        one plan and the round layouts it has worked out.
+        """
+        key = tuple(sorted((sid, tuple(features)) for sid, features in features_by_sid.items()))
+        plan = self._fill_plans.get(key)
+        if plan is None:
+            from repro.dataplane.vectorized import FillPlan
+
+            plan = self._fill_plans[key] = FillPlan(features_by_sid)
+        return plan
 
     # ------------------------------------------------------------------
     # Scalar lookup path (used by the per-packet oracle)

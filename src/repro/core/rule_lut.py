@@ -288,16 +288,17 @@ class CompiledLookup:
             (half, self._bounds[half - 1 :])
             for half in (1 << step for step in reversed(range(self._steps)))
         )
-        # Per (axis position, table code): the axis's first slot and feature,
-        # padded; a lookup's pairs are a (position, row) grid.
+        # Per (axis position, table code): the axis's first slot
+        # (``_axes[0]``) and feature (``_axes[1]``), padded; a lookup's pairs
+        # are a (position, row) grid.
         width = max([len(lut.features) for lut in tables] + [1])
-        self._first_slot = np.full((width, n_tables + 2), len(axes) << self._steps, dtype=np.intp)
-        self._feature = np.zeros((width, n_tables + 2), dtype=np.intp)
+        self._axes = np.zeros((2, width, n_tables + 2), dtype=np.intp)
+        self._axes[0] = len(axes) << self._steps
         first = 0
         for code, lut in enumerate(tables):
             n_axes = len(lut.features)
-            self._first_slot[:n_axes, code] = np.arange(first, first + n_axes) << self._steps
-            self._feature[:n_axes, code] = lut.features
+            self._axes[0, :n_axes, code] = np.arange(first, first + n_axes) << self._steps
+            self._axes[1, :n_axes, code] = lut.features
             first += n_axes
 
     def lookup(
@@ -321,11 +322,11 @@ class CompiledLookup:
         """
         codes = self._code.take(sids + 1, mode="clip")
         # ``take`` along an axis: a 2-D fancy index costs several times more.
-        slot = self._first_slot.take(codes, axis=1)
-        values = feature_matrix[np.arange(codes.size), self._feature.take(codes, axis=1)]
+        slot, feature = self._axes.take(codes, axis=2)
+        values = feature_matrix[np.arange(codes.size), feature]
         for half, bounds in self._halves:
             slot += (bounds[slot] <= values) * half
-        flat = self._base[codes] + self._weight[slot].sum(axis=0)
+        flat = self._base[codes] + np.add.reduce(self._weight[slot], axis=0)
         over_cap = None
         if len(self.luts) > self._no_table:
             over_cap = (codes == self._over_cap).nonzero()[0]

@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import KIND_EXIT, KIND_NEXT, RuleSet
 from repro.dataplane.controller import Controller
-from repro.dataplane.vectorized import FillPlan
 from repro.dataplane.verdicts import VerdictStore, Verdicts
 from repro.datasets.flows import PacketArrays
 from repro.features.definitions import FEATURES
@@ -225,8 +224,9 @@ class SpliDTDataPlane:
         self._stateful_by_sid = {
             sid: [f for f in features if FEATURES[f].stateful] for sid, features in used.items()
         }
-        #: The window rounds' fill plan, over every subtree's features.
-        self.fill_plan = FillPlan(used)
+        #: The window rounds' fill plan, over every subtree's features: one
+        #: per rule set, shared by the programs built over it.
+        self.fill_plan = rules.fill_plan(used)
         rules.compiled_lookup()
 
     # ------------------------------------------------------------------
@@ -302,25 +302,27 @@ class SpliDTDataPlane:
         n_rows = len(flow_ids)
         kinds, values = self.rules.classify_batch(sids, feature_matrix)
 
-        # Explicit boolean *arrays* (no scalar-bool mixing): at the last
-        # window nothing advances and an exit outcome is not "early".
+        # At the last window nothing advances and an exit outcome is not
+        # "early" (``not_last`` is one bool when every row is at one window).
         per_row = isinstance(window_index, np.ndarray)
-        if per_row:
-            not_last = window_index < self._n_partitions - 1
-        else:
-            not_last = np.full(n_rows, window_index < self._n_partitions - 1, dtype=bool)
-        exits = kinds == KIND_EXIT
+        not_last = window_index < self._n_partitions - 1
         advance = (kinds == KIND_NEXT) & not_last
         decided = (~advance).nonzero()[0]
         if decided.size:
+            exits = kinds[decided] == KIND_EXIT
+            if per_row:
+                windows, early = window_index[decided], exits & not_last[decided]
+            else:
+                windows = np.full(decided.size, window_index, dtype=np.int64)
+                early = exits & not_last
             decided_columns = (
                 flow_ids[decided],
                 sids[decided],
-                np.where(exits[decided], values[decided], self.model.default_label),
+                np.where(exits, values[decided], self.model.default_label),
                 boundary_ts[decided],
                 first_packet_ts[decided],
-                window_index[decided] if per_row else window_index,
-                (exits & not_last)[decided],
+                windows,
+                early,
             )
             if staging is None:
                 self._finalise_batch(*decided_columns)
@@ -330,10 +332,10 @@ class SpliDTDataPlane:
         if decided.size < n_rows:
             advance_ts = boundary_ts[advance]
             self.recirculation.submit_span(
-                int(advance_ts.size),
+                n_rows - decided.size,
                 CONTROL_PACKET_BYTES,
-                float(advance_ts.min()),
-                float(advance_ts.max()),
+                float(np.minimum.reduce(advance_ts)),
+                float(np.maximum.reduce(advance_ts)),
             )
         return advance, values
 
@@ -365,15 +367,18 @@ class SpliDTDataPlane:
         self.controller.receive_digests(flow_ids, labels, boundary_ts, sids)
 
     def finalise_staged(self, staging: list) -> None:
-        """Record the rounds staged by ``step_windows`` as verdict and digest rows.
+        """Record the rounds staged by ``step_windows`` as one block of verdict and digest rows.
 
         A window plane hands ``step_windows`` a staging list of its own so
-        its round loop records nothing per round; this drains the list in
-        round order — verdict and digest ordering is identical to the inline
-        per-round finalisation.  Idempotent on an empty list.
+        its round loop records nothing per round; this drains the list once
+        per call, the rounds' rows joined in round order — verdict and digest
+        ordering is identical to the inline per-round finalisation.
+        Idempotent on an empty list.
         """
-        for decided_columns in staging:
-            self._finalise_batch(*decided_columns)
+        if len(staging) > 1:
+            staging[:] = [tuple(np.concatenate(parts) for parts in zip(*staging))]
+        if staging:
+            self._finalise_batch(*staging[0])
         staging.clear()
 
     # ------------------------------------------------------------------

@@ -421,9 +421,11 @@ def _rate(total: np.ndarray, span: np.ndarray) -> np.ndarray:
     return rate
 
 
-def _std(total: np.ndarray, total_sq: np.ndarray, count: np.ndarray) -> np.ndarray:
+def _std(
+    total: np.ndarray, total_sq: np.ndarray, count: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     mean = total / count
-    return np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0))
+    return np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0), out=out)
 
 
 def _mean_by(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -434,14 +436,14 @@ def _mean_by(total: np.ndarray, count: np.ndarray) -> np.ndarray:
 class FillPlan:
     """Which features each subtree reads, laid out for a window round's fill.
 
-    Built once per program (``program.fill_plan``) from each subtree's
-    features: per subtree, the stateful features of its operator bank and
-    the kernel families (:data:`FAMILIES`) they are derived from.  A window
-    round's rows may be in any mix of subtrees; :meth:`layout` says which
-    features and families the round reads, and which all its rows need, so
-    :meth:`_WindowAggregator.fill` runs each family once over the rows that
-    need it.  Also names the header (stateless) features any subtree reads,
-    the only header columns a plane writes.
+    Built once per rule set and subtree features (``rules.fill_plan``,
+    shared by every program a factory builds) from each subtree's features:
+    per subtree, the stateful features of its operator bank and the kernel
+    families (:data:`FAMILIES`) they are derived from.  A window round's
+    rows may be in any mix of subtrees; :meth:`layout` says what the round
+    fills, so :meth:`_WindowAggregator.fill` runs each family once over the
+    rows that need it.  Also names the header (stateless) features any
+    subtree reads, the only header columns a plane writes.
     """
 
     def __init__(self, features_by_sid: dict[int, list[int]]) -> None:
@@ -453,6 +455,10 @@ class FillPlan:
             for feature in features
             if not FEATURES[feature].stateful
         }))
+        #: ``(feature, packet-arrays column)`` of each header feature.
+        self.header_columns = tuple(
+            (feature, _HEADER_COLUMNS[feature]) for feature in self.header_features
+        )
         # Indexed by sid + 1 (SIDs are non-negative), clipped; the last code is
         # a SID the model lacks.
         code = [len(sids)] * (max(sids, default=0) + 3)
@@ -464,21 +470,19 @@ class FillPlan:
             self._reads[row, features_by_sid[sid]] = True
         self._reads &= _STATEFUL
         self._families = self._reads @ _FAMILY_TABLE
-        self._layouts: dict[bytes, tuple] = {}
+        self._layouts: dict[bytes, _RoundLayout] = {}
 
-    def layout(self, sids: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """``(codes, (features, by_family, everyone))`` of a round whose row ``i`` is in subtree ``sids[i]``.
+    def layout(self, sids: np.ndarray) -> tuple[np.ndarray, "_RoundLayout"]:
+        """``(codes, layout)`` of a round whose row ``i`` is in subtree ``sids[i]``.
 
-        ``codes[i]`` is row ``i``'s subtree code.  The rest depends only on
-        which subtrees the round's rows are in, so it is worked out once per
-        such set and kept: the stateful features some row reads (names),
-        those of each kernel family, and per family whether every row needs
-        it.
+        ``codes[i]`` is row ``i``'s subtree code.  The :class:`_RoundLayout`
+        depends only on which subtrees the round's rows are in, so it is
+        worked out once per such set and kept.
 
         Example::
 
-            >>> codes, (features, *_) = program.fill_plan.layout(np.array([1, 2, 1]))
-            >>> "byte_count" in features  # doctest: +SKIP
+            >>> codes, layout = program.fill_plan.layout(np.array([1, 2, 1]))
+            >>> "byte_count" in layout.features  # doctest: +SKIP
             True
         """
         codes = self._code.take(sids + 1, mode="clip")
@@ -486,21 +490,116 @@ class FillPlan:
         key = present.tobytes()
         layout = self._layouts.get(key)
         if layout is None:
-            read = np.flatnonzero(self._reads[present].any(axis=0)).tolist()
-            features = [_NAMES[feature] for feature in read]
-            by_family: list[list[str]] = [[] for _ in FAMILIES]
-            for name in features:
-                if _FAMILY_OF[name] is not None:
-                    by_family[_FAMILY_OF[name]].append(name)
-            everyone = self._families[present].all(axis=0).tolist()
             if len(self._layouts) >= _LAYOUTS_KEPT:
                 self._layouts.clear()
-            layout = self._layouts[key] = (features, by_family, everyone)
+            layout = self._layouts[key] = _RoundLayout(self, present)
         return codes, layout
 
 
 #: Round layouts a :class:`FillPlan` keeps (one per set of subtrees met).
 _LAYOUTS_KEPT = 4096
+
+
+class _RoundLayout:
+    """A round's fill, worked out once per set of subtrees its rows are in.
+
+    ``features`` are the stateful features some row reads (names), and
+    ``count`` whether ``pkt_count`` is one of them.  ``passes`` holds, per
+    kernel family some row needs (in :data:`FAMILIES` order),
+    ``(family, spec, group)``: the family's work as its kernel takes it
+    (:meth:`_WindowAggregator.fill`), and ``-1`` when every row needs the
+    family, else the row of its readers in ``readers`` — per subtree code,
+    whether the code's rows run the family (``None`` when every family
+    runs over every row).  Families read by the same rows share a group,
+    so a round selects those rows once.
+    """
+
+    __slots__ = ("features", "count", "passes", "readers")
+
+    def __init__(self, plan: FillPlan, present: np.ndarray) -> None:
+        read = np.flatnonzero(plan._reads[present].any(axis=0)).tolist()
+        self.features = [_NAMES[feature] for feature in read]
+        self.count = "pkt_count" in self.features
+        by_family: list[list[str]] = [[] for _ in FAMILIES]
+        for name in self.features:
+            if _FAMILY_OF[name] is not None:
+                by_family[_FAMILY_OF[name]].append(name)
+        groups: dict[bytes, int] = {}
+        readers: list[np.ndarray] = []
+        passes = []
+        for family, names in enumerate(by_family):
+            if not names:
+                continue
+            needs = plan._families[:, family]
+            group = -1
+            if not needs[present].all():
+                group = groups.get(needs.tobytes())
+                if group is None:
+                    group = groups[needs.tobytes()] = len(readers)
+                    readers.append(needs)
+            passes.append((family, _SPECS[family](names), group))
+        self.passes = tuple(passes)
+        self.readers = np.array(readers) if readers else None
+
+
+def _sums_spec(names: list[str]) -> tuple:
+    """``(keys, slot, n_slots, written, features)``: each column summed once, each feature's row.
+
+    The family works in one block of ``n_slots`` rows: a row per column in
+    ``keys`` (its window sums), then a row per feature derived from them,
+    feature ``name`` at ``slot[name]``; a feature that is one column's sum
+    is that column's row.  ``burst_count`` reads the gap column's prefix at
+    its own offsets: the ``"gap"`` row holds the burst count.  The columns
+    no feature is the sum of come first, so the rows from ``written`` on are
+    the features, ``features`` (a column: one assignment scatters them).
+    """
+    keys: list[str] = []
+    for name in names:
+        keys.extend(key for key in _SUM_KEYS[name] if key not in keys)
+    if "burst_count" in names:
+        keys.append("gap")
+    own = {"gap": "burst_count"}
+    own.update((key, _SUM_OF[key]) for key in keys if _SUM_OF.get(key) in names)
+    keys = [key for key in keys if key not in own] + [key for key in keys if key in own]
+    order = [own[key] for key in keys if key in own]
+    order += [name for name in names if name not in order]
+    slot = {key: index for index, key in enumerate(keys)}
+    written = len(keys) - len([key for key in keys if key in own])
+    slot.update((name, written + index) for index, name in enumerate(order))
+    return (
+        tuple(keys),
+        slot,
+        written + len(order),
+        written,
+        np.array([[_F[name]] for name in order], dtype=np.intp),
+    )
+
+
+def _extremes_spec(names: list[str]) -> tuple:
+    """Per ``(ufunc, segments)``: its columns, each reduced once, and the features written.
+
+    ``(ufunc, segments, keys, rows, features)``: the reduction's result has
+    a row per column in ``keys``; ``features`` (a column) take its rows
+    ``rows`` (all of them in order, a slice, unless two features share a
+    column).
+    """
+    groups: dict[tuple, tuple[list[str], list[int], list[int]]] = {}
+    for name in names:
+        ufunc, key, segments = _REDUCTIONS[name]
+        keys, rows, features = groups.setdefault((ufunc, segments), ([], [], []))
+        if key not in keys:
+            keys.append(key)
+        rows.append(keys.index(key))
+        features.append(_F[name])
+    return tuple(
+        (ufunc, segments, tuple(keys),
+         slice(None) if rows == list(range(len(keys))) else np.array(rows, dtype=np.intp),
+         np.array(features, dtype=np.intp)[:, None])
+        for (ufunc, segments), (keys, rows, features) in groups.items()
+    )
+
+
+_SPECS = (_sums_spec, _extremes_spec, frozenset, frozenset)
 
 
 class _WindowAggregator:
@@ -521,118 +620,153 @@ class _WindowAggregator:
     A round runs each kernel family once, over the rows whose subtrees read
     a feature derived from it, and the family derives its features for
     those rows (``_sums``, ``_extremes``, ``_iat``, ``_ends``: each
-    ``(names, out, rows, s, e)``, ``names`` the family's features the round
-    reads and ``out[feature, rows]`` where their values go).
+    ``(spec, out, rows, s, e)``, ``spec`` the family's work the round's
+    layout worked out (:class:`_RoundLayout`) and ``out[feature, rows]``
+    where the values go).
     """
 
     def __init__(self, soa: PacketArrays) -> None:
         self._soa = soa
 
     def _reducer(self, s: np.ndarray, e: np.ndarray):
-        """``reduce(ufunc, key)``: ``ufunc`` over every segment ``[s_i, e_i)`` (all non-empty).
+        """``reduce(ufunc, keys)``: ``ufunc`` over every segment ``[s_i, e_i)`` of each column.
 
-        ``reduceat`` over the ``(s, e)`` pairs also reduces the stretches
-        *between* segments, from the first segment's start to the last one's
-        end.  Next to nothing when the segments tile their span (a
-        whole-source replay round); for a micro-batch flush out of a large
-        source it is the source, so scattered segments are gathered first
-        and the cost follows the packets, not the span.  Decided once for the
-        segments, and shared by every column reduced over them.
+        The segments are all non-empty; the result has a row per column of
+        ``keys``.  ``reduceat`` over the
+        ``(s, e)`` pairs also reduces the stretches *between* segments,
+        from the first segment's start to the last one's end.  Next to
+        nothing when the segments tile their span (a whole-source replay
+        round); for a micro-batch flush out of a large source it is the
+        source, so scattered segments are gathered first — every column
+        into one block, reduced at once — and the cost follows the packets,
+        not the span.  Decided once for the segments, and shared by every
+        column reduced over them.  A block of several columns is reduced
+        along its rows: only max and min take several, and they are exact
+        in any order.
         """
         lengths = e - s
         covered = lengths.cumsum()
-        last = int(e.max())
+        last = int(np.maximum.reduce(e))
         # A gathered packet costs about eight packets walked in place.
-        if 8 * int(covered[-1]) >= last - int(s.min()):
+        if 8 * int(covered[-1]) >= last - int(np.minimum.reduce(s)):
             pairs = np.empty(s.size * 2, dtype=np.intp)
             pairs[0::2] = s
             pairs[1::2] = e
-            # The last index's stretch runs to the column's end: the column
-            # is cut one past the last segment.
-            return lambda ufunc, key: ufunc.reduceat(
-                _padded_column(self._soa, key)[: last + 1], pairs
-            )[0::2]
+
+            def in_place(ufunc, keys):
+                # The last index's stretch runs to the column's end: the
+                # column is cut one past the last segment.
+                result = np.empty((len(keys), s.size), dtype=np.float64)
+                for row, key in enumerate(keys):
+                    result[row] = ufunc.reduceat(
+                        _padded_column(self._soa, key)[: last + 1], pairs
+                    )[0::2]
+                return result
+
+            return in_place
         offsets = covered - lengths
         positions = np.arange(int(covered[-1])) + (s - offsets).repeat(lengths)
-        return lambda ufunc, key: ufunc.reduceat(_base_values(self._soa, key)[positions], offsets)
+
+        def gathered(ufunc, keys):
+            if len(keys) == 1:
+                return ufunc.reduceat(_base_values(self._soa, keys[0])[positions], offsets)[None]
+            values = np.empty((len(keys), positions.size), dtype=np.float64)
+            for row, key in enumerate(keys):
+                values[row] = _base_values(self._soa, key)[positions]
+            return ufunc.reduceat(values, offsets, axis=1)
+
+        return gathered
 
     # -- kernel families ---------------------------------------------------
-    def _sums(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
-        """Prefix-summed features: each column they read summed once, then each feature."""
-        sums = {}
-        reduce = None
-        # Each prefix column is read at both ends of every window in one gather.
-        ends, n_rows = np.concatenate((e, s)), s.size
-        for name in names:
-            for key in _SUM_KEYS[name]:
-                if key in sums:
-                    continue
-                prefix = _prefix_column(self._soa, key)
-                if prefix is not None:
-                    both = prefix[ends]
-                    sums[key] = np.subtract(both[:n_rows], both[n_rows:], dtype=np.float64)
-                else:
-                    reduce = reduce or self._reducer(s, e)
-                    sums[key] = reduce(np.add, key)
-        for key, total in sums.items():
-            if _SUM_OF.get(key) in names:
-                out[_F[_SUM_OF[key]], rows] = total
-        if "mean_pkt_len" in names or "std_pkt_len" in names or "mean_payload" in names:
-            length = (e - s).astype(np.float64)
-            if "mean_pkt_len" in names:
-                out[_F["mean_pkt_len"], rows] = sums["sizes"] / length
-            if "std_pkt_len" in names:
-                out[_F["std_pkt_len"], rows] = _std(sums["sizes"], sums["sizes_sq"], length)
-            if "mean_payload" in names:
-                out[_F["mean_payload"], rows] = sums["payloads"] / length
-        if "fwd_bwd_pkt_ratio" in names:
-            out[_F["fwd_bwd_pkt_ratio"], rows] = sums["fwd"] / np.maximum(sums["bwd"], 1.0)
-        if "mean_fwd_pkt_len" in names:
-            out[_F["mean_fwd_pkt_len"], rows] = _mean_by(sums["fwd_sizes"], sums["fwd"])
-        if "mean_bwd_pkt_len" in names:
-            out[_F["mean_bwd_pkt_len"], rows] = _mean_by(sums["bwd_sizes"], sums["bwd"])
-        if "burst_count" in names:
+    def _sums(self, spec: tuple, out: np.ndarray, rows, s, e) -> None:
+        """Prefix-summed features: each column they read summed once, then each feature.
+
+        Every column's prefix is read at both ends of every window (the gap
+        column's one past the start) into one block and differenced at once;
+        the features derived from the sums are worked out into the same
+        block, which is written into ``out`` in one assignment.
+        """
+        keys, slot, n_slots, written, features = spec
+        n_rows = s.size
+        burst = "burst_count" in slot
+        ends = np.concatenate((e, s, s + 1) if burst else (e, s))
+        gathered = np.empty((len(keys), ends.size), dtype=np.float64)
+        inexact = []
+        for row, key in enumerate(keys):
+            prefix = _prefix_column(self._soa, key)
+            if prefix is None:
+                inexact.append(row)
+            else:
+                gathered[row] = prefix[ends]
+        block = np.empty((n_slots, n_rows), dtype=np.float64)
+        np.subtract(gathered[:, :n_rows], gathered[:, n_rows : 2 * n_rows], out=block[: len(keys)])
+        if inexact:
+            reduce = self._reducer(s, e)
+            for row in inexact:
+                block[row] = reduce(np.add, keys[row : row + 1])[0]
+        if burst:
             # The first packet opens a burst whatever precedes the window; a
             # 0/1 column's prefix sums are always exact.
-            gaps_before = _prefix_column(self._soa, "gap")
-            out[_F["burst_count"], rows] = 1.0 + (gaps_before[e] - gaps_before[s + 1])
-        if "byte_rate" in names:
+            row = slot["gap"]
+            np.subtract(gathered[row, :n_rows], gathered[row, 2 * n_rows :], out=block[row])
+            block[row] += 1.0
+        if "mean_pkt_len" in slot or "std_pkt_len" in slot or "mean_payload" in slot:
+            length = np.subtract(e, s, dtype=np.float64)
+            if "mean_pkt_len" in slot:
+                np.divide(block[slot["sizes"]], length, out=block[slot["mean_pkt_len"]])
+            if "std_pkt_len" in slot:
+                _std(block[slot["sizes"]], block[slot["sizes_sq"]], length,
+                     out=block[slot["std_pkt_len"]])
+            if "mean_payload" in slot:
+                np.divide(block[slot["payloads"]], length, out=block[slot["mean_payload"]])
+        if "fwd_bwd_pkt_ratio" in slot:
+            np.divide(block[slot["fwd"]], np.maximum(block[slot["bwd"]], 1.0),
+                      out=block[slot["fwd_bwd_pkt_ratio"]])
+        if "mean_fwd_pkt_len" in slot:
+            block[slot["mean_fwd_pkt_len"]] = _mean_by(block[slot["fwd_sizes"]], block[slot["fwd"]])
+        if "mean_bwd_pkt_len" in slot:
+            block[slot["mean_bwd_pkt_len"]] = _mean_by(block[slot["bwd_sizes"]], block[slot["bwd"]])
+        if "byte_rate" in slot:
             ts = self._soa.timestamps
-            out[_F["byte_rate"], rows] = _rate(sums["sizes"], ts[e - 1] - ts[s])
+            block[slot["byte_rate"]] = _rate(block[slot["sizes"]], ts[e - 1] - ts[s])
+        if isinstance(rows, slice):
+            out[features[:, 0]] = block[written:]
+        else:
+            out[features, rows] = block[written:]
 
-    def _extremes(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
-        """Max/min features: each distinct reduction once, its segments' positions shared."""
-        done: dict = {}
+    def _extremes(self, spec: tuple, out: np.ndarray, rows, s, e) -> None:
+        """Max/min features: each reduction once over all its columns, its segments shared."""
         window = gaps = None
-        for name in names:
-            ufunc, key, segments = _REDUCTIONS[name]
-            if (ufunc, key) in done:
-                out[_F[name], rows] = done[ufunc, key]
-                continue
+        for ufunc, segments, keys, key_rows, features in spec:
             if segments == "window":
                 window = window or self._reducer(s, e)
-                result = window(ufunc, key)
+                result = window(ufunc, keys)
             elif segments == "gaps":
                 # The scalar operators see no inter-arrival time in a
                 # one-packet window, and MaxOperator starts from 0.
                 has_iat = (e - s) >= 2
-                result = np.zeros(s.size, dtype=np.float64)
-                if has_iat.any():
+                result = np.zeros((len(keys), s.size), dtype=np.float64)
+                if np.count_nonzero(has_iat):
                     gaps = gaps or self._reducer(s[has_iat] + 1, e[has_iat])
-                    extremes = gaps(ufunc, key)
-                    result[has_iat] = np.maximum(extremes, 0.0) if ufunc is np.maximum else extremes
+                    extremes = gaps(ufunc, keys)
+                    result[:, has_iat] = (
+                        np.maximum(extremes, 0.0) if ufunc is np.maximum else extremes
+                    )
             else:
                 # The opening burst runs to the window's first gap; from there
                 # on the source-wide run lengths are the window's own.
                 first_gap = np.minimum(_next_gap(self._soa)[s + 1], e)
-                result = (first_gap - s).astype(np.float64)
-                more = np.flatnonzero(first_gap < e)
+                result = (first_gap - s).astype(np.float64)[None]
+                more = (first_gap < e).nonzero()[0]
                 if more.size:
-                    later = self._reducer(first_gap[more], e[more])(ufunc, key)
-                    result[more] = np.maximum(result[more], later)
-            done[ufunc, key] = out[_F[name], rows] = result
+                    later = self._reducer(first_gap[more], e[more])(ufunc, keys)
+                    result[:, more] = np.maximum(result[:, more], later)
+            if isinstance(rows, slice):
+                out[features[:, 0]] = result[key_rows]
+            else:
+                out[features, rows] = result[key_rows]
 
-    def _iat(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+    def _iat(self, names: frozenset, out: np.ndarray, rows, s, e) -> None:
         """Mean/std inter-arrival time: one left-to-right sweep (:mod:`~repro.dataplane.kernels`)."""
         acc, acc_sq = iat_sequential_sums(_base_values(self._soa, "diffs"), s, e)
         # A one-packet window has no gap, and its sums are exactly 0: so are
@@ -643,7 +777,7 @@ class _WindowAggregator:
         if "std_iat" in names:
             out[_F["std_iat"], rows] = _std(acc, acc_sq, counts.astype(np.float64))
 
-    def _ends(self, names: list[str], out: np.ndarray, rows, s, e) -> None:
+    def _ends(self, names: frozenset, out: np.ndarray, rows, s, e) -> None:
         """Features read at the window's first and last packet."""
         last = e - 1
         if "first_pkt_len" in names:
@@ -675,28 +809,25 @@ class _WindowAggregator:
         does not read holds the value too or is not touched — the lookup
         never reads it.
         """
-        codes, (read, by_family, everyone) = plan.layout(sids)
-        if not read:
-            return 0
+        codes, layout = plan.layout(sids)
         # ``out[feature, rows]``: the matrix, feature by feature.
         out = matrix.T
-        if "pkt_count" in read:
+        if layout.count:
             out[_F["pkt_count"]] = e - s
-        families = None
-        passes = 0
-        for family, names in enumerate(by_family):
-            if not names:
-                continue
-            passes += 1
-            if everyone[family]:
+        if layout.readers is not None:
+            # Per group of families, which rows read it.
+            member = layout.readers.take(codes, axis=1)
+            selected: list = [None] * len(layout.readers)
+        for family, spec, group in layout.passes:
+            if group < 0:
                 rows, fs, fe = slice(None), s, e
+            elif selected[group] is not None:
+                rows, fs, fe = selected[group]
             else:
-                if families is None:
-                    families = plan._families.take(codes, axis=0)
-                rows = families[:, family].nonzero()[0]
-                fs, fe = s[rows], e[rows]
-            self._KERNELS[family](self, names, out, rows, fs, fe)
-        return passes
+                rows = member[group].nonzero()[0]
+                rows, fs, fe = selected[group] = (rows, s[rows], e[rows])
+            self._KERNELS[family](self, spec, out, rows, fs, fe)
+        return len(layout.passes)
 
     def compute(self, feature_index: int, s: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Window aggregate of one stateful feature over segments ``[s, e)``.
@@ -721,26 +852,27 @@ NO_WINDOW = np.iinfo(np.int64).max
 
 
 def window_ends(soa: PacketArrays, n_partitions: int) -> np.ndarray:
-    """Per-flow window ends under ``n_partitions``, ``(n_flows, n_partitions + 1)`` (soa-cached).
+    """Per-flow window ends under ``n_partitions``, ``(n_partitions + 1, n_flows)`` (soa-cached).
 
-    Window ``w`` of flow ``f`` covers its local packets ``[ends[f, w - 1],
-    ends[f, w])`` (from 0 for ``w = 0``), ending where
+    Window ``w`` of flow ``f`` covers its local packets ``[ends[w - 1, f],
+    ends[w, f])`` (from 0 for ``w = 0``), ending where
     :func:`~repro.features.window.window_end` puts it.  A flow with fewer
     packets than partitions has empty windows after its last packet; an
     empty window ends at :data:`NO_WINDOW`, and so does the extra last
-    column.  A function of the packet counts and the partition count only
-    (:func:`_window_end_table`).
+    row.  Window-major, so the ends of a set of flows are ``P + 1`` rows of
+    one gather each.  A function of the packet counts and the partition
+    count only (:func:`_window_end_table`).
     """
     key = ("window_ends", n_partitions)
     ends = soa.derived.get(key)
     if ends is None:
-        ends = np.ascontiguousarray(_window_end_table(soa.n_packets_per_flow, n_partitions).T)
+        ends = _window_end_table(soa.n_packets_per_flow, n_partitions)
         soa.derived[key] = ends
     return ends
 
 
 def _window_end_table(counts: np.ndarray, n_partitions: int) -> np.ndarray:
-    """:func:`window_ends` of flows of ``counts`` packets, transposed: ``ends[w, i]``.
+    """:func:`window_ends` of flows of ``counts`` packets: ``ends[w, i]``.
 
     Window ``w`` is empty iff ``w >= n``: with fewer packets than
     partitions each packet is a window of its own.
@@ -881,33 +1013,34 @@ def close_ready_windows(
     """
     taken = int(done.sum())
     n_partitions = int(program.model.config.n_partitions)
-    # Window ends per row of the call: from the soa-wide table where a caller
-    # keeps one (the micro-batch engine does), else built for these flows
-    # alone, since a replay may bring a handful of a million flows here.
+    # Window ends per row of the call, ``ends[w, i]``: from the soa-wide table
+    # where a caller keeps one (the micro-batch engine does), else built for
+    # these flows alone, since a replay may bring a handful of a million
+    # flows here.
     table = soa.derived.get(("window_ends", n_partitions))
     if table is not None:
-        ends = table.take(flows, axis=0)
+        ends = table.take(flows, axis=1)
     else:
-        ends = _window_end_table(soa.n_packets_per_flow[flows], n_partitions).T
+        ends = _window_end_table(soa.n_packets_per_flow[flows], n_partitions)
     # Only the header columns some subtree reads are written: the lookup
-    # reads no other.
-    # The soa's own columns: a float64 matrix takes their values exactly.
-    header = [(f, getattr(soa, _HEADER_COLUMNS[f])) for f in program.fill_plan.header_features]
+    # reads no other.  The soa's own columns: a float64 matrix takes their
+    # values exactly.
+    header = program.fill_plan.header_columns
     aggregator = _WindowAggregator(soa)
     staging: list = []
     decided = np.zeros(flows.size, dtype=bool)
-    rows = (ends[np.arange(flows.size), window] <= limits).nonzero()[0]
+    rows = (ends[window, np.arange(flows.size)] <= limits).nonzero()[0]
     rounds = 0
     while rows.size:
         rounds += 1
         flow, at = flows[rows], window[rows]
-        end = ends[rows, at]
+        end = ends[at, rows]
         base = soa.flow_starts[flow]
         s, e = base + done[rows], base + end
         # Feature-major: the fill writes each feature's cells as one run.
         matrix = np.empty((rows.size, N_FEATURES), dtype=np.float64, order="F")
         for feature, column in header:
-            matrix[:, feature] = column[flow]
+            matrix[:, feature] = getattr(soa, column)[flow]
         advance, values = _close_round(
             program,
             aggregator,
@@ -925,12 +1058,14 @@ def close_ready_windows(
         decided[rows] = ~advance
         rows = rows[advance]
         sids[rows] = values[advance]
-        window[rows] += 1
-        rows = rows[ends[rows, window[rows]] <= limits[rows]]
+        at = at[advance] + 1
+        window[rows] = at
+        rows = rows[ends[at, rows] <= limits[rows]]
     program.finalise_staged(staging)
-    program.counters.add("dataplane.lockstep.flows", int(flows.size))
-    program.counters.add("dataplane.lockstep.packets", int(done.sum()) - taken)
-    program.counters.add("dataplane.lockstep.rounds", rounds)
+    counters = program.counters
+    counters.add("dataplane.lockstep.flows", int(flows.size))
+    counters.add("dataplane.lockstep.packets", int(done.sum()) - taken)
+    counters.add("dataplane.lockstep.rounds", rounds)
     return decided
 
 

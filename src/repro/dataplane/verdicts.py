@@ -66,9 +66,7 @@ class ColumnBlocks:
     def append(self, *columns) -> None:
         """Record a block of rows, given as aligned columns."""
         self._join_pending()
-        block = tuple(
-            np.asarray(column, dtype=dtype) for column, dtype in zip(columns, self._dtypes)
-        )
+        block = tuple(map(np.asarray, columns, self._dtypes))
         self._blocks.append(block)
         self._offsets.append(self._n_rows)
         self._n_rows += block[0].size

@@ -81,10 +81,14 @@ class PacketChunk:
         bookkeeping on these flows only, whatever the size of the source.
         """
         if self._flow_counts is None:
-            # Positions are flow-major, so sorted positions group the flows.
+            # Positions are flow-major, so sorted positions group the flows:
+            # a run of one flow is cut where the flow index changes.
             flows = self.soa.packet_flow[self.by_position()]
-            starts = np.flatnonzero(np.diff(flows, prepend=-1))
-            self._flow_counts = (flows[starts], np.diff(starts, append=flows.size))
+            cut = np.empty(flows.size + 1, dtype=bool)
+            cut[0] = cut[-1] = True
+            np.not_equal(flows[1:], flows[:-1], out=cut[1:-1])
+            bounds = cut.nonzero()[0]
+            self._flow_counts = (flows[bounds[:-1]], bounds[1:] - bounds[:-1])
         return self._flow_counts
 
     def timestamps(self) -> np.ndarray:

@@ -48,6 +48,7 @@ import abc
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +160,20 @@ class SwapEvent:
     started_flow_ids: frozenset = frozenset()
 
 
+class _Arrival(NamedTuple):
+    """What one chunk delivered, per flow it touched (ascending flow index).
+
+    Worked out once per chunk, by the stream-order check, and read by the
+    engine that takes the chunk: ``counts`` of each flow's packets are in
+    the chunk, ``before`` / ``after`` of them were delivered before / after it.
+    """
+
+    flows: np.ndarray
+    counts: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+
+
 def _batching(counters: Mapping[str, float]) -> dict[str, int]:
     """The micro-batch flush counters of a record (empty if no micro-batch engine wrote it)."""
     if "serve.flushes" not in counters:
@@ -196,10 +211,12 @@ class InferenceEngine(abc.ABC):
         self._soa = None
         self._flows: list | None = None
         self._watermark = float("-inf")
-        #: ``(flow id, position)`` of the last packet ingested: ties at the
-        #: watermark must follow it.
-        self._last_packet = (-(2**63), -1)
+        #: Position of the last packet ingested: ties at the watermark must
+        #: follow it in ``(flow id, position)`` order.
+        self._last_position = -1
         self._packets = 0
+        #: The :class:`_Arrival` of the chunk being ingested.
+        self._arrival: _Arrival | None = None
         self._chunks = 0
         self._flows_seen = 0
         self._result: ReplayResult | None = None
@@ -561,6 +578,10 @@ class InferenceEngine(abc.ABC):
     def _dispatch(self, epoch: int, chunk: PacketChunk, positions: np.ndarray) -> None:
         sub = PacketChunk(soa=chunk.soa, flows=chunk.flows, positions=positions)
         if epoch == 0:
+            # Its flows' packets are already counted as delivered.
+            flows, counts = sub.flow_counts()
+            after = self._delivered[flows]
+            self._arrival = _Arrival(flows, counts, after - counts, after)
             self._ingest(sub)
         else:
             self._epoch_children[epoch - 1].ingest(sub)
@@ -606,67 +627,80 @@ class InferenceEngine(abc.ABC):
                 "engine sessions are single-source: every chunk must reference "
                 "the PacketArrays the session started with"
             )
-        positions = np.asarray(chunk.positions)
-        if positions.size:
-            touched, _ = chunk.flow_counts()
-            new_flows = int(np.count_nonzero(self._delivered[touched] == 0))
-            self._deliver(chunk)
-            self._packets += int(positions.size)
-            self._flows_seen += new_flows
+        if chunk.positions.size:
+            self._arrival = arrival = self._deliver(chunk)
+            self._packets += int(chunk.positions.size)
+            # A flow none of whose packets came before this chunk is new.
+            self._flows_seen += arrival.flows.size - int(np.count_nonzero(arrival.before))
         self._chunks += 1
 
-    def _deliver(self, chunk: PacketChunk) -> None:
+    def _deliver(self, chunk: PacketChunk) -> _Arrival:
         """Count the chunk's packets as delivered, or reject it for breaking the stream order.
 
         The stream is ordered by ``(timestamp, flow_id)`` — equal timestamps
         in flow-id order, across chunks too, which is the order every batched
         plane replays ties in — and each flow's packets arrive in order, from
-        its first, none twice.  A rejected chunk changes nothing.
+        its first, none twice.  Checked in that order, once per chunk: a
+        fixed number of NumPy calls over the chunk's packets and flows, and
+        the tie rule only where a timestamp does not rise.  A rejected chunk
+        changes nothing.  Returns the chunk's :class:`_Arrival`.
         """
         soa = self._soa
         if not _flows_in_time_order(soa):
             raise ServeError("every flow's packets must be in time order in the source")
-        positions = np.asarray(chunk.positions)
-        touched, counts = chunk.flow_counts()
+        positions = chunk.positions
         timestamps = soa.timestamps[positions]
+        if timestamps[0] <= self._watermark or np.count_nonzero(timestamps[1:] <= timestamps[:-1]):
+            self._check_ties(positions, timestamps)
+        # Time and tie order hold, so each flow's packets arrive in position
+        # order, none twice: they are its next undelivered ones iff its run
+        # of positions starts there and ends as many positions on as it has
+        # packets.
+        touched, counts = chunk.flow_counts()
+        runs = chunk.by_position()
+        before = self._delivered[touched]
+        after = before + counts
+        ends = counts.cumsum()
+        head = soa.flow_starts[touched] + before
+        if np.count_nonzero(runs[ends - counts] != head) or np.count_nonzero(
+            runs[ends - 1] - head != counts - 1
+        ):
+            raise ServeError(
+                "each flow's packets must arrive in order, from its first packet, "
+                "none twice or past the flow's end"
+            )
+        self._delivered[touched] = after
+        self._watermark = float(timestamps[-1])
+        self._last_position = int(positions[-1])
+        return _Arrival(touched, counts, before, after)
+
+    def _check_ties(self, positions: np.ndarray, timestamps: np.ndarray) -> None:
+        """Reject a chunk whose timestamps fall, or whose ties break ``(flow id, position)`` order.
+
+        Run only for a chunk with a timestamp that does not rise (counting
+        from the previous chunk's last packet).
+        """
+        soa = self._soa
         # Each packet's step from the one before it; ``back`` counts from the
         # previous chunk's last packet.
         step = np.diff(timestamps)
         back = np.flatnonzero(step <= 0) + 1
         if timestamps[0] <= self._watermark:
             back = np.append(0, back)
-        if back.size:
-            if timestamps[0] < self._watermark or np.any(step[back[back > 0] - 1] < 0):
-                raise ServeError(
-                    "stream must be time-ordered (non-decreasing timestamps "
-                    "across and within chunks)"
-                )
-            # Ties: (flow id, position) ascending, the order a stable sort of
-            # flow-major positions by (timestamp, flow id) leaves them in.
-            ahead, at = positions[back - 1], positions[back]
-            ahead_ids, ids = soa.flow_ids[soa.packet_flow[ahead]], soa.flow_ids[soa.packet_flow[at]]
-            if back[0] == 0:
-                ahead_ids[0], ahead[0] = self._last_packet
-            if np.any((ids < ahead_ids) | ((ids == ahead_ids) & (at <= ahead))):
-                raise ServeError(
-                    "stream must deliver equal timestamps in flow-id order, each "
-                    "flow's packets in order (across and within chunks)"
-                )
-        # Each flow's packets now arrive in position order, none twice, so
-        # they are its next undelivered ones iff its run of positions starts
-        # there and spans as many positions as it has packets.
-        runs = chunk.by_position()
-        last = np.cumsum(counts) - 1
-        head = runs[last - counts + 1]
-        if not (
-            np.array_equal(head, soa.flow_starts[touched] + self._delivered[touched])
-            and np.array_equal(runs[last] - head, counts - 1)
-        ):
+        if timestamps[0] < self._watermark or np.any(step[back[back > 0] - 1] < 0):
             raise ServeError(
-                "each flow's packets must arrive in order, from its first packet, "
-                "none twice or past the flow's end"
+                "stream must be time-ordered (non-decreasing timestamps "
+                "across and within chunks)"
             )
-        self._delivered[touched] += counts
-        self._watermark = float(timestamps[-1])
-        final = int(positions[-1])
-        self._last_packet = (int(soa.flow_ids[soa.packet_flow[final]]), final)
+        # Ties: (flow id, position) ascending, the order a stable sort of
+        # flow-major positions by (timestamp, flow id) leaves them in.
+        ahead, at = positions[back - 1], positions[back]
+        ahead_ids, ids = soa.flow_ids[soa.packet_flow[ahead]], soa.flow_ids[soa.packet_flow[at]]
+        if back[0] == 0:
+            ahead[0] = self._last_position
+            ahead_ids[0] = soa.flow_ids[soa.packet_flow[ahead[0]]]
+        if np.any((ids < ahead_ids) | ((ids == ahead_ids) & (at <= ahead))):
+            raise ServeError(
+                "stream must deliver equal timestamps in flow-id order, each "
+                "flow's packets in order (across and within chunks)"
+            )

@@ -100,7 +100,7 @@ class MicroBatchEngine(InferenceEngine):
             program.counters.add(f"serve.{name}", 0)
         self._slots: np.ndarray | None = None
         self._tuple_ids: np.ndarray | None = None
-        #: Per flow: window ends (``vz.window_ends``).
+        #: Window ends, per window and flow (``vz.window_ends``).
         self._ends: np.ndarray | None = None
         #: Per flow: the first window end its delivered packets have not reached.
         self._next_end: np.ndarray | None = None
@@ -117,6 +117,8 @@ class MicroBatchEngine(InferenceEngine):
         #: it is contended.
         self._resident: np.ndarray | None = None
         self._contended: np.ndarray | None = None
+        #: Whether any slot is contended yet (until then no flow is).
+        self._contention = False
         #: Flows with a ready window since the last flush (may repeat).
         self._due: list[np.ndarray] = []
         #: Residents of slots contended since the last flush, and how many of
@@ -169,7 +171,7 @@ class MicroBatchEngine(InferenceEngine):
         self._slots = vz.cached_flow_slots(soa, table_size)
         self._tuple_ids = vz.cached_tuple_ids(soa, table_size)
         self._ends = vz.window_ends(soa, int(self.program.model.config.n_partitions))
-        self._next_end = self._ends[:, 0].copy()
+        self._next_end = self._ends[0].copy()
         n_flows = soa.n_flows
         self._done = np.zeros(n_flows, dtype=np.int64)
         self._phase = np.zeros(n_flows, dtype=np.int8)
@@ -200,64 +202,74 @@ class MicroBatchEngine(InferenceEngine):
             )
 
     def _admit(self, chunk: PacketChunk) -> None:
-        """Place the chunk's flows in their slots and note their ready windows."""
-        touched, counts = chunk.flow_counts()
-        after = self._delivered[touched]
-        before = after - counts
-        slots = self._slots[touched]
-        arriving = (self._resident[slots] != touched).nonzero()[0]
-        if arriving.size:
-            self._arrive(chunk, touched, before, slots, arriving)
+        """Place the chunk's flows in their slots and note their ready windows.
 
+        Reads the chunk's flows, their packet counts and delivered counts
+        from its :class:`~repro.serve.engine._Arrival`, worked out once by
+        the stream-order check.  A flow seen before is its slot's resident
+        or in a contended slot, where it stays: only new flows are placed.
+        """
+        touched, counts, before, after = self._arrival
         phase = self._phase[touched]
+        arriving = (phase == _UNSEEN).nonzero()[0]
+        if arriving.size:
+            self._arrive(chunk, touched, before, arriving)
+            phase = self._phase[touched]
         # A decided solo flow's packets are forwarded without inference.
-        forwarded = phase == _FORWARDING
-        n_forwarded = int(counts[forwarded].sum())
-        if n_forwarded:
+        forwarded = (phase == _FORWARDING).nonzero()[0]
+        n_forwarded = 0
+        if forwarded.size:
             self._done[touched[forwarded]] = after[forwarded]
+            n_forwarded = int(counts[forwarded].sum())
             self.program.counters.add("dataplane.lockstep.packets", n_forwarded)
         self._pending += int(chunk.positions.size) - n_forwarded
-        streamed = phase == _CONTENDED
-        if streamed.any():
-            self._streamed.append(touched[streamed])
+        if self._contention:
+            streamed = phase == _CONTENDED
+            if np.count_nonzero(streamed):
+                self._streamed.append(touched[streamed])
         # A window is ready once its last packet is in (a contended flow's
         # own window bounds stand in for the slot's).
         crossed = (after >= self._next_end[touched]).nonzero()[0]
         if crossed.size:
             flows, reached = touched[crossed], after[crossed]
-            ends = self._ends.take(flows, axis=0)
-            beyond = np.where(ends > reached[:, None], ends, vz.NO_WINDOW)
-            self._next_end[flows] = beyond.min(axis=1)
-            self._due.append(flows[~forwarded[crossed]])
+            ends = self._ends.take(flows, axis=1)
+            self._next_end[flows] = np.minimum.reduce(
+                np.where(ends > reached, ends, vz.NO_WINDOW), axis=0
+            )
+            self._due.append(flows[phase[crossed] != _FORWARDING])
 
-    def _arrive(self, chunk, touched, before, slots, arriving) -> None:
-        """Settle the slots of the chunk's flows that are not their slot's resident.
+    def _arrive(self, chunk, touched, before, arriving) -> None:
+        """Settle the slots of the chunk's new flows (``touched[arriving]``).
 
-        A flow in a contended slot stays there.  A new flow claims its slot
+        A new flow in a contended slot stays there.  It claims its slot
         when the slot is free or reclaimable and no other flow reaches it in
         this chunk; every other slot is walked in packet order.
         """
-        contended = self._contended[slots[arriving]]
-        self._phase[touched[arriving[contended]]] = _CONTENDED
-        fresh = arriving[~contended]
-        if fresh.size == 0:
-            return
-        fresh_slots = slots[fresh]
-        resident = self._resident[fresh_slots]
-        # Alone: no other new flow in the slot, and the resident untouched.
+        slots = self._slots[touched]
+        arriving_slots = slots[arriving]
+        contended = self._contended[arriving_slots]
+        fresh, fresh_slots = arriving, arriving_slots
+        if np.count_nonzero(contended):
+            self._phase[touched[arriving[contended]]] = _CONTENDED
+            fresh, fresh_slots = arriving[~contended], arriving_slots[~contended]
+            if fresh.size == 0:
+                return
+        # Alone: no other new flow in the slot, and the resident (if any)
+        # untouched and reclaimable.
+        claims = before[fresh] == 0
         by_slot = np.sort(fresh_slots)
         shared = by_slot[1:][by_slot[1:] == by_slot[:-1]]
-        at = np.minimum(np.searchsorted(touched, resident), touched.size - 1)
-        alone = touched[at] != resident
         if shared.size:
-            alone &= ~np.isin(fresh_slots, shared)
-        received = self._delivered[np.maximum(resident, 0)]
-        claims = (
-            alone & (before[fresh] == 0)
-            & self._reclaimable(resident, touched[fresh], received)
-        )
+            claims &= ~np.isin(fresh_slots, shared)
+        resident = self._resident[fresh_slots]
+        if np.count_nonzero(resident >= 0):
+            at = np.minimum(np.searchsorted(touched, resident), touched.size - 1)
+            received = self._delivered[np.maximum(resident, 0)]
+            claims &= (touched[at] != resident) & self._reclaimable(
+                resident, touched[fresh], received
+            )
         self._claim(touched[fresh[claims]], fresh_slots[claims])
-        if not claims.all():
+        if np.count_nonzero(claims) < claims.size:
             walked = np.unique(fresh_slots[~claims])
             self._walk(chunk, touched, before, slots, walked)
 
@@ -338,6 +350,7 @@ class MicroBatchEngine(InferenceEngine):
         positions, _ = vz._segment_positions(at, group_end[contended] - at)
         self._phase[flows[positions]] = _CONTENDED
         self._contended[slot] = True
+        self._contention |= bool(slot.size)
         self._resident[slot] = -1
 
     def _drain(self) -> None:
@@ -399,15 +412,18 @@ class MicroBatchEngine(InferenceEngine):
             self._window[rows], self._done[rows], self._sid[rows] = window, done, sid
             stopped = rows[decided]
             self._decided[stopped] = True
-            # A resident handing its slot over stays contended.
-            self._phase[stopped[self._phase[stopped] == _SOLO]] = _FORWARDING
+            if self._handing:
+                # A resident handing its slot over stays contended.
+                stopped = stopped[self._phase[stopped] == _SOLO]
+            self._phase[stopped] = _FORWARDING
             self._pending -= counters["dataplane.lockstep.packets"] - taken
         if self._handing:
             self._hand_over(handing, cuts)
         # Closing windows turns no flow contended: the phases read above hold.
-        self._streamed_due += int(np.count_nonzero(phase == _CONTENDED))
-        if self._streamed_due >= self.flush_flows:
-            self._replay_contended()
+        if self._contention:
+            self._streamed_due += int(np.count_nonzero(phase == _CONTENDED))
+            if self._streamed_due >= self.flush_flows:
+                self._replay_contended()
         self._due, self._handing = [], []
         self.program.counters.add("serve.flushes")
         self.program.counters.add("serve.flushed_flows", int(indices.size))

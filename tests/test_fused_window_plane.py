@@ -37,9 +37,14 @@ from repro.features.window import window_bounds
 # window_ends: hand-expanded window boundary tables (P = 3)
 # ----------------------------------------------------------------------
 def _window_ends(counts, n_partitions: int) -> np.ndarray:
-    """``vz.window_ends`` over flows of ``counts`` packets (it reads nothing else)."""
+    """``vz.window_ends`` over flows of ``counts`` packets (it reads nothing else), flow by flow.
+
+    The table is window-major, ``(P + 1, n_flows)``; a row here is one flow's.
+    """
     source = SimpleNamespace(n_packets_per_flow=np.asarray(counts, dtype=np.int64), derived={})
-    return vz.window_ends(source, n_partitions)
+    ends = vz.window_ends(source, n_partitions)
+    assert ends.shape == (n_partitions + 1, len(counts))
+    return ends.T
 
 
 class TestSegmentRounds:
@@ -377,3 +382,44 @@ class TestOneLookupPerRound:
         assert program.counters["dataplane.lockstep.rounds"] == lockstep > 3
         assert {(lookups, fills) for _, lookups, fills, _ in rounds} == {(1, 1)}
         assert max(n_sids for n_sids, *_ in rounds) > 1
+
+
+# ----------------------------------------------------------------------
+# One fill plan per rule set
+# ----------------------------------------------------------------------
+def test_programs_of_one_factory_share_one_fill_plan(
+    splidt_model, splidt_rules, small_dataset, monkeypatch
+):
+    """A factory's programs share their rules' fill plan and the round layouts it has worked out.
+
+    A second session identical to the first works out no layout of its own.
+    """
+    import dataclasses
+
+    from repro.datasets.streams import iter_packet_chunks
+    from repro.pipeline import ExperimentSpec, get_system
+    from repro.serve import MicroBatchEngine
+
+    # Rules of their own: no earlier test has filled their plan.
+    rules = dataclasses.replace(splidt_rules)
+    factory = get_system("splidt").program_factory(
+        splidt_model, rules, ExperimentSpec(flow_slots=1 << 16)
+    )
+    first, second = factory(), factory()
+    assert first.fill_plan is second.fill_plan is rules.fill_plan(
+        {sid: sorted(subtree.features_used()) for sid, subtree in splidt_model.subtrees.items()}
+    )
+    built = []
+    layout = vz._RoundLayout
+    monkeypatch.setattr(vz, "_RoundLayout", lambda *args: built.append(args) or layout(*args))
+
+    def session(program) -> tuple:
+        engine = MicroBatchEngine(program).open()
+        for chunk in iter_packet_chunks(small_dataset.flows, 256):
+            engine.ingest(chunk)
+        return tuple(column.tobytes() for column in engine.close().verdicts.columns)
+
+    verdicts, layouts = session(first), len(built)
+    assert layouts > 0
+    assert session(second) == verdicts
+    assert len(built) == layouts

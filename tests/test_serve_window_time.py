@@ -44,6 +44,11 @@ from test_serve_process_sharded import ProgramFactory
 #: Chunk-size axis: 1 packet, 7 packets, cut where some window closes, whole.
 CHUNKINGS = (1, 7, "window", None)
 
+#: NumPy calls (functions and methods, as ``test_online._numpy_calls``
+#: counts them) one chunk's ingest makes when it flushes nothing, new flows
+#: arriving.
+CHUNK_PASS_CALLS = 40
+
 
 def _snapshot(verdicts) -> tuple:
     """Every verdict column, in flow-id order."""
@@ -104,7 +109,7 @@ class TestVisibility:
             flow = index_of[flow_id]
             if not solo[flow]:
                 continue
-            deciding = soa.flow_starts[flow] + ends[flow, window] - 1
+            deciding = soa.flow_starts[flow] + ends[window, flow] - 1
             assert shown_after[flow_id] == rank[deciding], flow_id
             checked += 1
         assert checked > 0
@@ -217,7 +222,7 @@ class TestContentionAfterProgress:
             verdict = alone.get(flow.flow_id)
             if verdict is None or not verdict.early_exit:
                 continue
-            if ends[r, verdict.n_recirculations] > len(flow.packets) - 3:
+            if ends[verdict.n_recirculations, r] > len(flow.packets) - 3:
                 continue  # R must decide before its last three packets
             others = [i for i in np.flatnonzero(slots == slots[r]).tolist()
                       if flows[i].five_tuple != flow.five_tuple]
@@ -342,6 +347,89 @@ def test_swap_while_a_solo_flow_is_mid_window_then_contended(
     _assert_identical(reference, result)
 
 
+# ----------------------------------------------------------------------
+# The chunk check is a per-packet check, once per chunk
+# ----------------------------------------------------------------------
+def _per_packet_verdict(soa, positions, state) -> str | None:
+    """What a literal per-packet reading of the stream contract says of one chunk.
+
+    ``state`` is ``(watermark, last position, next position per flow)`` as
+    the accepted chunks left it (updated in place when this one is
+    accepted).  Returns ``None`` to accept, else the family of the first rule
+    broken, in the order the engine checks them: time order, then ties in
+    ``(flow id, position)`` order, then each flow's packets from its next
+    undelivered one.
+    """
+    watermark, last, following = state
+    time_broken = tie_broken = flow_broken = False
+    expected = dict(following)
+    for position in positions.tolist():
+        timestamp, flow = soa.timestamps[position], int(soa.packet_flow[position])
+        if timestamp < watermark:
+            time_broken = True
+        elif timestamp == watermark and last >= 0:
+            ahead = (int(soa.flow_ids[soa.packet_flow[last]]), last)
+            tie_broken |= (int(soa.flow_ids[flow]), position) <= ahead
+        watermark, last = timestamp, position
+        if position != expected[flow]:
+            flow_broken = True
+        expected[flow] = position + 1
+    if time_broken:
+        return "time-ordered"
+    if tie_broken:
+        return "flow-id order"
+    if flow_broken:
+        return "arrive in order"
+    state[0], state[1] = watermark, last
+    following.update(expected)
+    return None
+
+
+@st.composite
+def _perturbed_streams(draw):
+    """Flows with tied timestamps, their canonical stream perturbed, cut into chunks."""
+    n_flows = draw(st.integers(1, 4))
+    flows = []
+    for flow_id in range(n_flows):
+        times = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=5)))
+        flows.append(Flow(
+            five_tuple=FiveTuple(flow_id + 1, 2, 3, 4, 6),
+            packets=[Packet(timestamp=float(t), size=60 + j) for j, t in enumerate(times)],
+            label=0, class_name="", flow_id=draw(st.integers(0, 9)) * 10 + flow_id,
+        ))
+    soa = PacketArrays.from_flows(flows)
+    order = soa.interleave_order.tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("swap", "drop", "duplicate", "tie", "late start")))
+        if not order:
+            break
+        at = draw(st.integers(0, len(order) - 1))
+        if kind == "swap":
+            other = draw(st.integers(0, len(order) - 1))
+            order[at], order[other] = order[other], order[at]
+        elif kind == "drop":
+            del order[at]
+        elif kind == "duplicate":
+            order.insert(draw(st.integers(0, len(order))), order[at])
+        elif kind == "tie":
+            # Reorder a run of equal timestamps.
+            tied = [i for i, p in enumerate(order)
+                    if soa.timestamps[p] == soa.timestamps[order[at]]]
+            run = [order[i] for i in tied]
+            shuffled = draw(st.permutations(run))
+            for i, position in zip(tied, shuffled):
+                order[i] = position
+        else:
+            # Start a flow past its first packet.
+            first = int(soa.flow_starts[soa.packet_flow[order[at]]])
+            if first in order:
+                order.remove(first)
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(len(order), 1)), max_size=4))))
+    chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    return flows, soa, [chunk for chunk in chunks if chunk] or [[]]
+
+
+
 class TestStreamOrder:
     """Equal timestamps in flow-id order, each flow's packets in order: else ServeError."""
 
@@ -461,3 +549,77 @@ class TestStreamOrder:
             _chunks(flows, 97),
         )
         _assert_identical(reference, served)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_perturbed_streams())
+    def test_the_chunk_check_accepts_what_a_per_packet_check_accepts(
+        self, splidt_model, splidt_rules, case
+    ):
+        """Perturbed streams, cut anywhere: the chunks a per-packet check accepts, and no others.
+
+        A chunk the check rejects raises the first rule it breaks, and leaves
+        the packets counted, the delivered counts and the watermark as they
+        were.
+        """
+        flows, soa, chunks = case
+        engine = MicroBatchEngine(SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64))
+        engine.open()
+        state = [float("-inf"), -1, {f: int(soa.flow_starts[f]) for f in range(soa.n_flows)}]
+        for piece in chunks:
+            positions = np.array(piece, dtype=np.intp)
+            want = _per_packet_verdict(soa, positions, state)
+            packets, watermark = engine.stats().packets, engine._watermark
+            delivered = (
+                np.zeros(soa.n_flows, dtype=np.int64) if engine._delivered is None
+                else engine._delivered.copy()
+            )
+            if want is None:
+                engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
+                continue
+            with pytest.raises(ServeError, match=want):
+                engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
+            # A rejected chunk changes nothing.
+            assert engine.stats().packets == packets
+            assert engine._watermark == watermark
+            assert np.array_equal(engine._delivered, delivered)
+            return
+        engine.close()
+
+
+def test_a_chunk_costs_the_same_numpy_calls_against_a_small_and_a_large_source(
+    splidt_model, splidt_rules, small_dataset
+):
+    """The chunk pass is per chunk: a fixed number of NumPy calls over its packets and flows.
+
+    The same 64 packets ingested (no flush) against a source of 30 flows and
+    of 360 — the 30 followed by 11 later copies — make the same calls, and
+    no more than :data:`CHUNK_PASS_CALLS`.
+    """
+    from test_online import _numpy_calls
+
+    base = list(small_dataset.flows[:30])
+    span = max(flow.packets[-1].timestamp for flow in base) + 1.0
+    copies = [
+        _with_packets(
+            flow, _shifted(flow.packets, flow.packets[0].timestamp + copy * span),
+            five_tuple=FiveTuple(10_000 * copy + index, 2, 3, 4, 6),
+            flow_id=1000 * copy + flow.flow_id,
+        )
+        for copy in range(1, 12)
+        for index, flow in enumerate(base)
+    ]
+
+    def calls(flows: list[Flow]) -> int:
+        soa = PacketArrays.from_flows(flows)
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=2**16)
+        engine = MicroBatchEngine(program, flush_flows=10**9).open()
+        chunks = [PacketChunk(soa=soa, flows=flows, positions=positions)
+                  for positions in soa.iter_chunks(64)]
+        for chunk in chunks[:3]:
+            engine.ingest(chunk)
+        counted = _numpy_calls(lambda: engine.ingest(chunks[3]))
+        assert program.counters["serve.flushes"] == 0
+        return counted
+
+    small, large = calls(base), calls(base + copies)
+    assert small == large <= CHUNK_PASS_CALLS
