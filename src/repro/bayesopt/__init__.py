@@ -16,26 +16,20 @@ from repro.bayesopt.optimizer import (
     Observation,
 )
 from repro.bayesopt.space import (
-    CategoricalParameter,
     IntegerParameter,
-    OrdinalParameter,
     Parameter,
     ParameterSpace,
-    RealParameter,
 )
 from repro.bayesopt.surrogate import RandomForestSurrogate
 
 __all__ = [
     "BayesianOptimizer",
-    "CategoricalParameter",
     "IntegerParameter",
     "MultiObjectiveBayesianOptimizer",
     "Observation",
-    "OrdinalParameter",
     "Parameter",
     "ParameterSpace",
     "RandomForestSurrogate",
-    "RealParameter",
     "expected_improvement",
     "random_scalarization_weights",
     "scalarize",

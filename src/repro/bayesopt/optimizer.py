@@ -2,7 +2,7 @@
 
 The multi-objective optimiser mirrors the HyperMapper workflow the paper uses:
 
-* mixed parameter spaces (integer / ordinal / categorical / real),
+* integer parameter spaces,
 * several objectives maximised simultaneously (F1 score, #flows),
 * a feasibility flag per evaluation that the optimiser learns to avoid, and
 * batch suggestions (the paper evaluates 16 configurations per iteration).
@@ -14,7 +14,6 @@ Ask/tell interface::
         for config in optimizer.ask(batch_size):
             objectives, feasible = evaluate(config)
             optimizer.tell(config, objectives, feasible)
-    front = optimizer.pareto_front()
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.bayesopt.acquisition import (
 )
 from repro.bayesopt.space import ParameterSpace
 from repro.bayesopt.surrogate import RandomForestSurrogate
-from repro.core.pareto import pareto_front_indices
 
 
 @dataclass
@@ -202,12 +200,3 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
 
         candidates = self.space.sample_many(self.candidate_pool, self.rng)
         return self._best_unseen(surrogate, candidates, X, float(scalar.max()), pending)
-
-    def pareto_front(self) -> list[Observation]:
-        """Non-dominated feasible observations."""
-        feasible = [o for o in self.history.observations if o.feasible]
-        if not feasible:
-            return []
-        matrix = np.stack([o.objectives for o in feasible])
-        indices = pareto_front_indices(matrix)
-        return [feasible[i] for i in indices]

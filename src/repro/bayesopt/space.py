@@ -1,9 +1,9 @@
 """Parameter-space definitions for the design-space exploration.
 
-HyperMapper accepts integer, real, ordinal and categorical parameters; the
-classes here provide the same vocabulary plus helpers to sample random
-configurations and to encode configurations as normalised vectors for the
-surrogate model.
+The design search's knobs (depth, features per subtree, partitions) are
+integers: :class:`IntegerParameter` samples them and encodes them onto
+``[0, 1]`` for the surrogate, and :class:`ParameterSpace` does the same for a
+whole configuration.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class Parameter:
 
     def encode(self, value) -> float:
         """Map a value onto [0, 1] for the surrogate."""
-        raise NotImplementedError
-
-    def decode(self, unit: float):
-        """Map a [0, 1] coordinate back onto a valid value."""
         raise NotImplementedError
 
 
@@ -51,91 +47,6 @@ class IntegerParameter(Parameter):
             return 0.0
         return (float(value) - self.low) / (self.high - self.low)
 
-    def decode(self, unit: float) -> int:
-        unit = float(np.clip(unit, 0.0, 1.0))
-        return int(round(self.low + unit * (self.high - self.low)))
-
-
-@dataclass
-class RealParameter(Parameter):
-    """Uniform real parameter over ``[low, high]``."""
-
-    name: str
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise ValueError("high must be >= low")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def encode(self, value: float) -> float:
-        if self.high == self.low:
-            return 0.0
-        return (float(value) - self.low) / (self.high - self.low)
-
-    def decode(self, unit: float) -> float:
-        unit = float(np.clip(unit, 0.0, 1.0))
-        return self.low + unit * (self.high - self.low)
-
-
-@dataclass
-class OrdinalParameter(Parameter):
-    """Parameter over an ordered list of discrete values."""
-
-    name: str
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("values must not be empty")
-        self.values = tuple(self.values)
-
-    def sample(self, rng: np.random.Generator):
-        return self.values[int(rng.integers(0, len(self.values)))]
-
-    def encode(self, value) -> float:
-        index = self.values.index(value)
-        if len(self.values) == 1:
-            return 0.0
-        return index / (len(self.values) - 1)
-
-    def decode(self, unit: float):
-        unit = float(np.clip(unit, 0.0, 1.0))
-        index = int(round(unit * (len(self.values) - 1)))
-        return self.values[index]
-
-
-@dataclass
-class CategoricalParameter(Parameter):
-    """Parameter over an unordered set of values (one-hot distance is not
-    modelled; the surrogate treats the encoding as ordinal, which is the same
-    simplification HyperMapper's random-forest mode makes)."""
-
-    name: str
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("values must not be empty")
-        self.values = tuple(self.values)
-
-    def sample(self, rng: np.random.Generator):
-        return self.values[int(rng.integers(0, len(self.values)))]
-
-    def encode(self, value) -> float:
-        index = self.values.index(value)
-        if len(self.values) == 1:
-            return 0.0
-        return index / (len(self.values) - 1)
-
-    def decode(self, unit: float):
-        unit = float(np.clip(unit, 0.0, 1.0))
-        index = int(round(unit * (len(self.values) - 1)))
-        return self.values[index]
-
 
 class ParameterSpace:
     """An ordered collection of parameters."""
@@ -153,11 +64,6 @@ class ParameterSpace:
         """Parameter names in order."""
         return [p.name for p in self.parameters]
 
-    @property
-    def n_dims(self) -> int:
-        """Number of parameters."""
-        return len(self.parameters)
-
     def sample(self, rng: np.random.Generator) -> dict:
         """Draw a random configuration."""
         return {p.name: p.sample(rng) for p in self.parameters}
@@ -169,10 +75,3 @@ class ParameterSpace:
     def encode(self, config: dict) -> np.ndarray:
         """Encode a configuration as a vector in the unit hypercube."""
         return np.array([p.encode(config[p.name]) for p in self.parameters], dtype=float)
-
-    def decode(self, vector: np.ndarray) -> dict:
-        """Decode a unit-hypercube vector back into a configuration."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape[0] != self.n_dims:
-            raise ValueError("vector dimensionality mismatch")
-        return {p.name: p.decode(vector[i]) for i, p in enumerate(self.parameters)}

@@ -99,21 +99,3 @@ class TopKConfig:
             raise ValueError("top_k must be >= 1")
         if self.bit_width not in (8, 16, 32):
             raise ValueError("bit_width must be 8, 16 or 32")
-
-
-def enumerate_partitionings(depth: int, n_partitions: int) -> list[tuple[int, ...]]:
-    """All compositions of ``depth`` into ``n_partitions`` positive parts.
-
-    The design search does not draw from this set: it proposes ``(depth, k,
-    n_partitions)`` and splits the depth near-uniformly
-    (:meth:`SpliDTConfig.uniform`).
-    """
-    if n_partitions < 1 or depth < n_partitions:
-        return []
-    if n_partitions == 1:
-        return [(depth,)]
-    results = []
-    for first in range(1, depth - n_partitions + 2):
-        for rest in enumerate_partitionings(depth - first, n_partitions - 1):
-            results.append((first,) + rest)
-    return results

@@ -97,10 +97,6 @@ class CandidateEvaluation:
         """Concurrent flows supported by the register budget."""
         return self.resources.max_flows
 
-    def supports(self, n_flows: int) -> bool:
-        """Whether this candidate is feasible at ``n_flows`` concurrent flows."""
-        return check_feasibility(self.resources, n_flows=n_flows).feasible
-
 
 class EvaluationContext:
     """Cross-candidate memoisation of the config-independent evaluation prefix.

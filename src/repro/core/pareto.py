@@ -26,34 +26,3 @@ def pareto_front_indices(points: np.ndarray) -> np.ndarray:
         is_optimal[dominated_by_i] = False
     return np.flatnonzero(is_optimal)
 
-
-def pareto_front(points: np.ndarray) -> np.ndarray:
-    """The non-dominated points themselves, sorted by the first objective."""
-    indices = pareto_front_indices(points)
-    front = np.asarray(points, dtype=float)[indices]
-    order = np.argsort(front[:, 0])
-    return front[order]
-
-
-def hypervolume_2d(points: np.ndarray, reference: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Hypervolume (area) dominated by a 2-D maximisation front.
-
-    Used to compare the quality of Pareto frontiers (e.g. SpliDT versus the
-    baselines) with a single number.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return 0.0
-    front = pareto_front(points)
-    # Sort by first objective descending; accumulate rectangles.
-    front = front[np.argsort(-front[:, 0])]
-    ref_x, ref_y = reference
-    volume = 0.0
-    previous_y = ref_y
-    for x, y in front:
-        width = max(x - ref_x, 0.0)
-        height = max(y - previous_y, 0.0)
-        volume += width * height
-        previous_y = max(previous_y, y)
-    return float(volume)
-

@@ -106,13 +106,6 @@ class PartitionedDecisionTree:
             )
         return sum(depth_by_partition.values())
 
-    def subtrees_in_partition(self, partition: int) -> list[Subtree]:
-        """Subtrees belonging to one partition, ordered by SID."""
-        return sorted(
-            (s for s in self.subtrees.values() if s.partition == partition),
-            key=lambda s: s.sid,
-        )
-
     def features_used(self) -> set[int]:
         """Distinct features used anywhere in the model (the paper's #Features)."""
         used: set[int] = set()
@@ -147,12 +140,6 @@ class PartitionedDecisionTree:
             "subtree_mean": float(np.mean(per_subtree)) if per_subtree else 0.0,
             "subtree_std": float(np.std(per_subtree)) if per_subtree else 0.0,
         }
-
-    def max_features_per_subtree(self) -> int:
-        """Largest number of distinct features any single subtree uses (≤ k)."""
-        if not self.subtrees:
-            return 0
-        return max(len(s.features_used()) for s in self.subtrees.values())
 
     # ------------------------------------------------------------------
     # Inference
@@ -243,27 +230,6 @@ class PartitionedDecisionTree:
             sid = int(outcome.next_sid)
         # Ran out of partitions without an exit (should not happen): fall back.
         return self.default_label
-
-    def trace_windows(self, windows: np.ndarray) -> list[tuple[int, int]]:
-        """Return the (partition, sid) sequence one flow's inference visits.
-
-        Used by the data-plane runtime and by tests to check that the number
-        of recirculations equals ``len(trace) - 1``.
-        """
-        trace = []
-        sid = self.root_sid
-        for _ in range(self.n_partitions):
-            subtree = self.subtrees.get(sid)
-            if subtree is None:
-                break
-            trace.append((subtree.partition, sid))
-            vector = windows[subtree.partition].reshape(1, -1)
-            leaf_id = int(subtree.tree.apply(vector)[0])
-            outcome = subtree.outcomes.get(leaf_id)
-            if outcome is None or outcome.kind == OUTCOME_EXIT:
-                break
-            sid = int(outcome.next_sid)
-        return trace
 
 
 def train_partitioned_tree(

@@ -306,7 +306,6 @@ def check_feasibility(
     estimate: ResourceEstimate,
     *,
     n_flows: int,
-    recirculation_limit_fraction: float = 1.0,
 ) -> FeasibilityResult:
     """Decide whether the estimated model supports ``n_flows`` on its target."""
     violations = []
@@ -325,7 +324,7 @@ def check_feasibility(
             f"register budget supports {estimate.max_flows} flows, {n_flows} requested"
         )
     for key, recirc in estimate.recirculation.items():
-        if recirc.peak_bps > target.recirculation_bps * recirculation_limit_fraction:
+        if recirc.peak_bps > target.recirculation_bps:
             violations.append(
                 f"recirculation for workload {key} exceeds the path capacity: "
                 f"{recirc.peak_bps:.3e} bps"

@@ -38,8 +38,8 @@ class Controller:
 
         >>> controller = Controller()
         >>> controller.receive_digest(0, 2, 0.5, 3)
-        >>> controller.labels_by_flow()
-        {0: 2}
+        >>> controller.n_digests
+        1
     """
 
     def __init__(self, retain_digests: bool = True) -> None:
@@ -72,8 +72,3 @@ class Controller:
     def digests(self) -> list[Digest]:
         """The retained digests in the order received (empty when not retained)."""
         return list(map(Digest, *(column.tolist() for column in self._retained.columns())))
-
-    def labels_by_flow(self) -> dict[int, int]:
-        """Final label reported for each flow (last digest wins)."""
-        flow_ids, labels, _, _ = self._retained.columns()
-        return dict(zip(flow_ids.tolist(), labels.tolist()))

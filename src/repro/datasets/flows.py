@@ -102,27 +102,11 @@ class Flow:
         return len(self.packets)
 
     @property
-    def n_bytes(self) -> int:
-        """Total bytes across all packets."""
-        return sum(p.size for p in self.packets)
-
-    @property
     def duration(self) -> float:
         """Time between the first and last packet (seconds)."""
         if len(self.packets) < 2:
             return 0.0
         return self.packets[-1].timestamp - self.packets[0].timestamp
-
-    def sorted_by_time(self) -> "Flow":
-        """Return a copy whose packets are sorted by timestamp."""
-        ordered = sorted(self.packets, key=lambda p: p.timestamp)
-        return Flow(
-            five_tuple=self.five_tuple,
-            packets=ordered,
-            label=self.label,
-            class_name=self.class_name,
-            flow_id=self.flow_id,
-        )
 
 
 @dataclass
@@ -164,10 +148,6 @@ class FlowDataset:
             True
         """
         return np.array([flow.label for flow in self.flows], dtype=np.intp)
-
-    def class_counts(self) -> np.ndarray:
-        """Per-class flow counts."""
-        return np.bincount(self.labels(), minlength=self.n_classes)
 
     def subset(self, indices: np.ndarray) -> "FlowDataset":
         """Return a new dataset containing only the flows at ``indices``."""
@@ -338,10 +318,6 @@ class PacketArrays:
     def identity_columns(self) -> tuple[np.ndarray, ...]:
         """The five per-flow 5-tuple columns, in :class:`FiveTuple` field order."""
         return self.src_ips, self.dst_ips, self.src_ports, self.dst_ports, self.protocols
-
-    def flow_slice(self, flow_index: int) -> slice:
-        """Half-open slice of flow ``flow_index``'s packets in the columns."""
-        return slice(int(self.flow_starts[flow_index]), int(self.flow_starts[flow_index + 1]))
 
     def iter_chunks(self, chunk_size: int | None = None):
         """Yield slices of :attr:`interleave_order` of at most ``chunk_size``.

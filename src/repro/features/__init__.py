@@ -18,7 +18,6 @@ from repro.features.definitions import (
     STATELESS_INDICES,
     FeatureDefinition,
     dependency_depth,
-    feature_names,
 )
 from repro.features.flowmeter import FlowMeter
 from repro.features.window import (
@@ -36,7 +35,6 @@ __all__ = [
     "FeatureDefinition",
     "FlowMeter",
     "dependency_depth",
-    "feature_names",
     "split_packets",
     "window_boundaries",
     "window_bounds",

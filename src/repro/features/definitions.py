@@ -124,11 +124,6 @@ STATELESS_HEADER_INDICES: tuple[int, int, int, int] = tuple(
 )
 
 
-def feature_names() -> list[str]:
-    """Index-aligned feature names."""
-    return [f.name for f in FEATURES]
-
-
 def dependency_depth(indices: list[int] | tuple[int, ...]) -> int:
     """Deepest register dependency chain across the given feature indices."""
     if not indices:

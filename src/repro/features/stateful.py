@@ -266,8 +266,3 @@ def make_operator(feature_name: str) -> StatefulOperator:
         raise ValueError(f"{feature_name!r} is a stateless feature")
     operator_cls = _OPERATOR_CLASSES[definition.operator]
     return operator_cls(definition)
-
-
-def make_operator_bank(feature_names: list[str]) -> dict[str, StatefulOperator]:
-    """Instantiate one operator per feature name (the k feature slots)."""
-    return {name: make_operator(name) for name in feature_names}

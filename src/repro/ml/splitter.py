@@ -12,67 +12,20 @@ regression criterion lives with the only regressor, the forest in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Criteria accepted by the classification splitter.
 CLASSIFICATION_CRITERIA = ("gini", "entropy")
 
 
-@dataclass(frozen=True)
-class Split:
-    """Result of a best-split search on one node.
-
-    Attributes:
-        feature: Feature index chosen for the split.
-        threshold: Threshold value; left branch takes ``x <= threshold``.
-        improvement: Weighted impurity decrease achieved by the split.
-        left_mask: Boolean mask of the node's samples going left.
-    """
-
-    feature: int
-    threshold: float
-    improvement: float
-    left_mask: np.ndarray
-
-
-def gini_impurity(counts: np.ndarray) -> float:
-    """Gini impurity of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    return float(1.0 - np.sum(proportions**2))
-
-
-def entropy_impurity(counts: np.ndarray) -> float:
-    """Shannon entropy (nats are avoided; base 2) of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    nonzero = proportions[proportions > 0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
-
-
-def node_impurity(counts: np.ndarray, criterion: str) -> float:
-    """Impurity of a node given its class counts and a criterion name."""
-    if criterion == "gini":
-        return gini_impurity(counts)
-    if criterion == "entropy":
-        return entropy_impurity(counts)
-    raise ValueError(f"unknown criterion: {criterion!r}")
-
-
 def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     """Row-wise impurity of an ``(n_cuts, n_classes)`` class-count matrix.
 
-    Rows with a zero total contribute impurity 0, matching the scalar
-    :func:`node_impurity` convention.  The zero rows are handled by dividing
-    by 1 instead of 0 — their counts are all zero, so the proportions come
-    out exactly 0.0 without the ``nan_to_num`` pass the old implementation
-    paid on every candidate cut (it dominated split-search profiles).
+    Rows with a zero total contribute impurity 0, like an empty node.  The
+    zero rows are handled by dividing by 1 instead of 0 — their counts are
+    all zero, so the proportions come out exactly 0.0 without the
+    ``nan_to_num`` pass the old implementation paid on every candidate cut
+    (it dominated split-search profiles).
     """
     totals = counts.sum(axis=1)
     safe_totals = np.where(totals > 0.0, totals, 1.0)
@@ -115,7 +68,10 @@ def _by_width(widths: np.ndarray):
 
 
 def node_impurities(counts: np.ndarray, n_classes: np.ndarray, criterion: str) -> np.ndarray:
-    """:func:`node_impurity` of each row ``counts[i, :n_classes[i]]``, bit for bit."""
+    """Gini impurity or base-2 entropy of each row ``counts[i, :n_classes[i]]``.
+
+    Bit for bit the scalar impurity of one node (``tests/split_oracle.py``).
+    """
     out = np.empty(counts.shape[0])
     totals = counts.sum(axis=1)
     for width, at in _by_width(n_classes):
@@ -314,80 +270,3 @@ def best_splits(
     threshold = np.where(threshold >= above, below, threshold)
     feature = features[chosen, nodes if features.shape[1] > 1 else 0]
     return improvement > 1e-12, feature, threshold, improvement
-
-
-def find_best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    allowed_features: np.ndarray,
-    criterion: str,
-    min_samples_leaf: int,
-    n_classes: int,
-    rng: np.random.Generator,
-    max_features: int | None = None,
-    indices: np.ndarray | None = None,
-    impurity: float | None = None,
-) -> Split | None:
-    """Search ``allowed_features`` for the split with maximal impurity decrease.
-
-    One node on its own: sorts the node's candidate columns and runs
-    :func:`best_splits` on it.  A tree does not come through here; it sorts
-    once per fit and scores every node of a growth step in one call.
-
-    Args:
-        X: Node sample matrix ``(n_samples, n_features)`` — or, when
-            ``indices`` is given, the *full* training matrix the node rows
-            are gathered from.
-        y: Node labels (encoded classes).
-        allowed_features: Feature indices the splitter may consider.
-        criterion: ``"gini"`` or ``"entropy"``.
-        min_samples_leaf: Minimum samples required on each side of a split.
-        n_classes: Number of classes.
-        rng: Random generator used for feature sub-sampling.
-        max_features: If given, a random subset of this many features from
-            ``allowed_features`` is searched (used by random forests).
-        indices: Row indices of the node's samples within ``X``.
-        impurity: The node's impurity under ``criterion`` if the caller
-            already has it; computed from ``y`` otherwise.
-
-    Returns:
-        The best :class:`Split`, or ``None`` when no valid split exists.
-    """
-    n_samples = y.shape[0]
-    if n_samples < 2 * min_samples_leaf:
-        return None
-
-    features = np.asarray(allowed_features, dtype=np.intp)
-    if max_features is not None and max_features < features.size:
-        features = rng.choice(features, size=max_features, replace=False)
-    if features.size == 0:
-        return None
-
-    X = np.asarray(X if indices is None else X[indices], dtype=float)
-    counts = np.bincount(y, minlength=n_classes)
-    if impurity is None:
-        impurity = node_impurity(counts.astype(float), criterion)
-    orders = np.argsort(X.T[features], axis=1, kind="stable")
-    found, feature, threshold, improvement = best_splits(
-        X,
-        y,
-        orders,
-        class_major(orders, y) if criterion == "gini" else None,
-        features[:, None],
-        np.array([features.size]),
-        np.array([n_samples]),
-        counts[None],
-        np.array([n_classes]),
-        np.array([impurity]),
-        criterion=criterion,
-        min_samples_leaf=min_samples_leaf,
-    )
-    if not found[0]:
-        return None
-    return Split(
-        feature=int(feature[0]),
-        threshold=float(threshold[0]),
-        improvement=float(improvement[0]),
-        left_mask=X[:, feature[0]] <= threshold[0],
-    )

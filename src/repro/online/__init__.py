@@ -30,7 +30,6 @@ from repro.online.loop import (
     RETRAINING,
     OnlineController,
     OnlineEvent,
-    OnlineProgramFactory,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "OnlineConfigError",
     "OnlineController",
     "OnlineEvent",
-    "OnlineProgramFactory",
     "PageHinkley",
     "RETRAINING",
     "default_online_config",

@@ -26,7 +26,7 @@ from repro.datasets.materialize import DatasetStore
 from repro.datasets.profiles import get_profile
 from repro.datasets.streams import iter_packet_chunks
 from repro.online.config import OnlineConfig
-from repro.online.loop import OnlineController, OnlineProgramFactory
+from repro.online.loop import OnlineController
 from repro.serve import create_engine
 
 #: Acceptance thresholds of the demo (see ISSUE/ROADMAP): the static model
@@ -119,12 +119,20 @@ def run_phase_change_demo(
         f.flow_id for f in shifted.flows if f.packets[0].timestamp >= shift_time
     ]
 
+    # Deployed as ``serve`` deploys SpliDT: the default target, no eviction.
+    # (Imported here: ``repro.pipeline`` imports this package.)
+    from repro.pipeline import ExperimentSpec, get_system
+
+    factory = get_system("splidt").program_factory(
+        model, rules, ExperimentSpec(dataset=dataset, seed=seed, flow_slots=flow_slots)
+    )
+
     # Static baseline: the old model serves the whole stream through the
     # same engine type, no swap — the bit-exactness comparison then
     # isolates the swap (not engine-vs-engine differences on collided
     # register slots, which are identical in both sessions).
     static_engine = create_engine(
-        OnlineProgramFactory(model, rules, flow_slots),
+        factory,
         engine=engine,
         chunk_size=chunk_size,
     )
@@ -140,11 +148,11 @@ def run_phase_change_demo(
     controller = OnlineController(
         config=online,
         model_config=config,
-        flow_slots=flow_slots,
+        factory=factory,
         class_names=shifted.class_names,
     )
     serve_engine = create_engine(
-        OnlineProgramFactory(model, rules, flow_slots),
+        factory,
         engine=engine,
         chunk_size=chunk_size,
     )

@@ -106,11 +106,6 @@ class PageHinkley:
             and self.cumulation - self.minimum > self.threshold
         )
 
-    @property
-    def statistic(self) -> float:
-        """Current test statistic (cumulation above its minimum)."""
-        return self.cumulation - self.minimum
-
     def reset(self) -> None:
         """Forget all history (used after a model swap)."""
         self.n = 0
@@ -136,11 +131,6 @@ class DriftMonitor:
         )
         self._n = 0
         self._correct = 0
-
-    @property
-    def n_observed(self) -> int:
-        """Verdicts observed since the last reset."""
-        return self._n
 
     @property
     def accuracy(self) -> float:

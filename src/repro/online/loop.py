@@ -33,7 +33,6 @@ from repro.core.config import SpliDTConfig
 from repro.core.partitioned_tree import train_partitioned_tree
 from repro.core.range_marking import generate_rules, stacked_training_matrix
 from repro.dataplane.runtime import fresh_rows, truth_index
-from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.datasets.flows import FlowDataset
 from repro.datasets.materialize import materialize
 from repro.online.config import OnlineConfig
@@ -53,22 +52,6 @@ class OnlineEvent:
     detail: dict = field(default_factory=dict)
 
 
-class OnlineProgramFactory:
-    """Picklable factory building the refreshed data-plane program.
-
-    Module-level class (not a lambda) so ``swap_model`` works on the
-    process-sharded engine under every start method.
-    """
-
-    def __init__(self, model, rules, flow_slots: int) -> None:
-        self.model = model
-        self.rules = rules
-        self.flow_slots = flow_slots
-
-    def __call__(self) -> SpliDTDataPlane:
-        return SpliDTDataPlane(self.model, self.rules, flow_slots=self.flow_slots)
-
-
 class OnlineController:
     """Drift detection, retraining and hot swap for one session.
 
@@ -76,14 +59,17 @@ class OnlineController:
         config: The online-loop knobs (validated on construction).
         model_config: Shape of the deployed model; the refreshed model keeps
             it so the swap stays table-compatible.
-        flow_slots: Register table size of the deployed program.
+        factory: The deployed :class:`~repro.pipeline.systems.ProgramFactory`.
+            A refreshed model is built through its system and spec, so it
+            runs on the same target, register file and eviction policy.
         class_names: Class names of the dataset being served (their count is
             the refreshed model's label space).
 
     Example::
 
         >>> controller = OnlineController(config=..., model_config=...,
-        ...                               flow_slots=8192,
+        ...                               factory=experiment.system.program_factory(
+        ...                                   model, rules, experiment.spec),
         ...                               class_names=dataset.class_names)
         >>> for chunk in iter_packet_chunks(dataset.flows, 64):
         ...     engine.ingest(chunk)
@@ -95,13 +81,13 @@ class OnlineController:
         *,
         config: OnlineConfig,
         model_config: SpliDTConfig,
-        flow_slots: int,
+        factory,
         class_names,
     ) -> None:
         config.validate()
         self.config = config
         self.model_config = model_config
-        self.flow_slots = int(flow_slots)
+        self.factory = factory
         self.class_names = list(class_names)
         self.monitor = DriftMonitor(config)
         self.state = MONITORING
@@ -219,7 +205,7 @@ class OnlineController:
             model, stacked_training_matrix(windowed, n_partitions, split="all")
         )
         event = engine.swap_model(
-            OnlineProgramFactory(model, rules, self.flow_slots)
+            self.factory.system.program_factory(model, rules, self.factory.spec)
         )
         self._stale |= set(event.started_flow_ids) - set(graded.tolist())
         self.swap_events.append(event)

@@ -201,22 +201,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, system=args.system)
     experiment = Experiment(spec)
+    if spec.serve.online.enabled and spec.system != "splidt":
+        print("error: --online requires the splidt system (retraining "
+              "targets partitioned trees)", file=sys.stderr)
+        return 2
+    engine = experiment.serve_engine()
     controller = None
     if spec.serve.online.enabled:
-        if spec.system != "splidt":
-            print("error: --online requires the splidt system (retraining "
-                  "targets partitioned trees)", file=sys.stderr)
-            return 2
         from repro.online import OnlineController
 
-        dataset = experiment.prepare().dataset
         controller = OnlineController(
             config=spec.serve.online,
             model_config=spec.model_config(),
-            flow_slots=spec.flow_slots,
-            class_names=dataset.class_names,
+            factory=experiment.system.program_factory(
+                experiment.train(), experiment.compile(), spec
+            ),
+            class_names=experiment.prepare().dataset.class_names,
         )
-    engine = experiment.serve_engine()
     serve = spec.serve
     parallelism = ""
     if serve.engine == "sharded-mp":

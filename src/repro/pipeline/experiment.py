@@ -118,9 +118,7 @@ class Experiment:
     """Runs an :class:`ExperimentSpec` through the staged pipeline.
 
     Stage methods are idempotent: results are cached on the instance, so the
-    stages compose freely (``replay()`` twice trains once).  ``invalidate``
-    drops a stage *and everything after it* so a stage can be re-run — e.g.
-    after changing the replayed flow count on a loaded artifact.
+    stages compose freely (``replay()`` twice trains once).
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
@@ -151,14 +149,6 @@ class Experiment:
             raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
         self._cache[name] = value
         self.timings[name] = 0.0
-
-    def invalidate(self, stage: str) -> None:
-        """Drop ``stage`` and all downstream stages from the cache."""
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        for name in STAGES[STAGES.index(stage):]:
-            self._cache.pop(name, None)
-            self.timings.pop(name, None)
 
     # ------------------------------------------------------------------
     # Stages

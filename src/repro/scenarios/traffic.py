@@ -357,56 +357,65 @@ def build_workload(
             flood_layers.append(_DdosFloodLayer(params))
 
     writer = StreamedPacketWriter() if spec.streamed else None
-    flow_list: list[Flow] = []
-    advertised: list[int] = []
+    # Until ``finish`` hands the spill directory to its source, nothing else
+    # owns it: a failed build removes it here.
+    try:
+        flow_list: list[Flow] = []
+        advertised: list[int] = []
 
-    for flow in generator.iter_flows(n_legit):
-        for layer in per_flow_layers:
-            flow = layer.apply(flow, layer_rng)
-        size = flow.n_packets
-        for layer in evasion_layers:
-            size = layer.advertise(flow, size, layer_rng)
-        advertised.append(size)
-        if writer is not None:
-            writer.add_flow(
-                flow.five_tuple,
-                flow.label,
-                timestamps=[p.timestamp for p in flow.packets],
-                sizes=[p.size for p in flow.packets],
-                flags=[p.flags for p in flow.packets],
-                directions=[p.direction for p in flow.packets],
-                payloads=[p.payload for p in flow.packets],
-                flow_id=flow.flow_id,
-            )
-        else:
-            flow_list.append(flow)
-
-    next_flow_id = n_legit
-    flood_blocks: list[dict] = []
-    for layer in flood_layers:
-        # Generate in bounded sub-blocks so a million-flow flood never holds
-        # its full column set (plus construction temporaries) in RAM at
-        # once.  Both the streamed and materialised paths chunk identically,
-        # consuming the layer rng in the same order — bit-exact parity
-        # between them is locked by tests/test_scenarios.py.
-        remaining = layer.flows
-        while remaining > 0:
-            n = min(remaining, _FLOOD_GEN_CHUNK)
-            block = layer.build_block(layer_rng, next_flow_id, n=n)
-            next_flow_id += n
-            remaining -= n
-            advertised.extend(np.asarray(block["counts"], dtype=np.int64).tolist())
+        for flow in generator.iter_flows(n_legit):
+            for layer in per_flow_layers:
+                flow = layer.apply(flow, layer_rng)
+            size = flow.n_packets
+            for layer in evasion_layers:
+                size = layer.advertise(flow, size, layer_rng)
+            advertised.append(size)
             if writer is not None:
-                writer.add_flow_block(**block)
-                del block
+                writer.add_flow(
+                    flow.five_tuple,
+                    flow.label,
+                    timestamps=[p.timestamp for p in flow.packets],
+                    sizes=[p.size for p in flow.packets],
+                    flags=[p.flags for p in flow.packets],
+                    directions=[p.direction for p in flow.packets],
+                    payloads=[p.payload for p in flow.packets],
+                    flow_id=flow.flow_id,
+                )
             else:
-                flood_blocks.append(block)
+                flow_list.append(flow)
 
-    class_names = [signature.name for signature in generator.signatures]
-    advertised_arr = np.asarray(advertised, dtype=np.int64) if evasion_layers else None
+        next_flow_id = n_legit
+        flood_blocks: list[dict] = []
+        for layer in flood_layers:
+            # Generate in bounded sub-blocks so a million-flow flood never holds
+            # its full column set (plus construction temporaries) in RAM at
+            # once.  Both the streamed and materialised paths chunk identically,
+            # consuming the layer rng in the same order — bit-exact parity
+            # between them is locked by tests/test_scenarios.py.
+            remaining = layer.flows
+            while remaining > 0:
+                n = min(remaining, _FLOOD_GEN_CHUNK)
+                block = layer.build_block(layer_rng, next_flow_id, n=n)
+                next_flow_id += n
+                remaining -= n
+                advertised.extend(np.asarray(block["counts"], dtype=np.int64).tolist())
+                if writer is not None:
+                    writer.add_flow_block(**block)
+                    del block
+                else:
+                    flood_blocks.append(block)
+
+        class_names = [signature.name for signature in generator.signatures]
+        advertised_arr = np.asarray(advertised, dtype=np.int64) if evasion_layers else None
+
+        if writer is not None:
+            source = writer.finish(name=spec.name, class_names=class_names)
+    except BaseException:
+        if writer is not None:
+            writer.abort()
+        raise
 
     if writer is not None:
-        source = writer.finish(name=spec.name, class_names=class_names)
         return ScenarioWorkload(
             name=spec.name,
             flows=source.flows,

@@ -39,15 +39,6 @@ class Phv:
         """Write a metadata field."""
         self.metadata[field_name] = int(value)
 
-    @property
-    def is_control(self) -> bool:
-        """Whether this PHV is a recirculated control packet."""
-        return bool(self.metadata.get("is_control", 0))
-
-    def bits_used(self, field_width: int = 32) -> int:
-        """Approximate PHV bits consumed by metadata (for PHV budget checks)."""
-        return len(self.metadata) * field_width
-
 
 def make_data_phv(five_tuple: FiveTuple, packet: Packet) -> Phv:
     """PHV for a regular data packet."""

@@ -16,9 +16,16 @@ returns, bit for bit; every tree a classifier or a forest grows must be the
 tree ``grow_reference`` grows on its rows, node for node; and every
 partitioned tree ``core.train_partitioned_tree`` trains level by level must
 be ``train_reference``'s, field for field (``tests/test_ml_splitter.py``).
+
+``find_best_split`` runs the classifier's step kernel on one node on its
+own (it sorts the node's columns first); no tree grows through it.  The
+scalar impurities here are what ``splitter.node_impurities`` must return
+bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +37,53 @@ from repro.core.partitioned_tree import (
     Subtree,
 )
 from repro.ml._tree import LEAF, Tree
-from repro.ml.splitter import CLASSIFICATION_CRITERIA, Split, _batch_impurity, node_impurity
+from repro.ml.splitter import CLASSIFICATION_CRITERIA, _batch_impurity, best_splits, class_major
 from repro.ml.tree import DecisionTreeClassifier
+
+
+@dataclass(frozen=True)
+class Split:
+    """Result of a best-split search on one node.
+
+    Attributes:
+        feature: Feature index chosen for the split.
+        threshold: Threshold value; left branch takes ``x <= threshold``.
+        improvement: Weighted impurity decrease achieved by the split.
+        left_mask: Boolean mask of the node's samples going left.
+    """
+
+    feature: int
+    threshold: float
+    improvement: float
+    left_mask: np.ndarray
+
+
+def gini_impurity(counts: np.ndarray) -> float:
+    """Gini impurity of a class-count vector."""
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    proportions = counts / total
+    return float(1.0 - np.sum(proportions**2))
+
+
+def entropy_impurity(counts: np.ndarray) -> float:
+    """Shannon entropy (base 2) of a class-count vector."""
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    proportions = counts / total
+    nonzero = proportions[proportions > 0]
+    return float(-np.sum(nonzero * np.log2(nonzero)))
+
+
+def node_impurity(counts: np.ndarray, criterion: str) -> float:
+    """Impurity of a node given its class counts and a criterion name."""
+    if criterion == "gini":
+        return gini_impurity(counts)
+    if criterion == "entropy":
+        return entropy_impurity(counts)
+    raise ValueError(f"unknown criterion: {criterion!r}")
 
 
 def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -280,3 +332,63 @@ def train_reference(windowed, config, *, split: str = "train", random_state: int
 
     train(np.arange(labels.size, dtype=np.intp), 0)
     return model
+
+
+def find_best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    allowed_features: np.ndarray,
+    criterion: str,
+    min_samples_leaf: int,
+    n_classes: int,
+    rng: np.random.Generator,
+    max_features: int | None = None,
+    indices: np.ndarray | None = None,
+    impurity: float | None = None,
+) -> Split | None:
+    """``splitter.best_splits`` on one node: the best split of ``allowed_features``.
+
+    Sorts the node's candidate columns and runs the step kernel on them.
+    ``X`` is the node's matrix, or with ``indices`` the full matrix its rows
+    are gathered from; ``max_features`` draws that many of
+    ``allowed_features`` with ``rng``; ``impurity`` is the node's own if the
+    caller has it.  ``None`` when no valid split exists.
+    """
+    n_samples = y.shape[0]
+    if n_samples < 2 * min_samples_leaf:
+        return None
+
+    features = np.asarray(allowed_features, dtype=np.intp)
+    if max_features is not None and max_features < features.size:
+        features = rng.choice(features, size=max_features, replace=False)
+    if features.size == 0:
+        return None
+
+    X = np.asarray(X if indices is None else X[indices], dtype=float)
+    counts = np.bincount(y, minlength=n_classes)
+    if impurity is None:
+        impurity = node_impurity(counts.astype(float), criterion)
+    orders = np.argsort(X.T[features], axis=1, kind="stable")
+    found, feature, threshold, improvement = best_splits(
+        X,
+        y,
+        orders,
+        class_major(orders, y) if criterion == "gini" else None,
+        features[:, None],
+        np.array([features.size]),
+        np.array([n_samples]),
+        counts[None],
+        np.array([n_classes]),
+        np.array([impurity]),
+        criterion=criterion,
+        min_samples_leaf=min_samples_leaf,
+    )
+    if not found[0]:
+        return None
+    return Split(
+        feature=int(feature[0]),
+        threshold=float(threshold[0]),
+        improvement=float(improvement[0]),
+        left_mask=X[:, feature[0]] <= threshold[0],
+    )

@@ -1,10 +1,10 @@
-"""Unit tests for model configurations and partition enumeration."""
+"""Unit tests for model configurations."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SpliDTConfig, TopKConfig, enumerate_partitionings
+from repro.core.config import SpliDTConfig, TopKConfig
 
 
 class TestSpliDTConfig:
@@ -71,24 +71,3 @@ class TestTopKConfig:
     def test_invalid_bit_width(self):
         with pytest.raises(ValueError):
             TopKConfig(depth=5, top_k=2, bit_width=9)
-
-
-class TestEnumeratePartitionings:
-    def test_single_partition(self):
-        assert enumerate_partitionings(5, 1) == [(5,)]
-
-    def test_two_partitions(self):
-        assert set(enumerate_partitionings(4, 2)) == {(1, 3), (2, 2), (3, 1)}
-
-    def test_all_sum_to_depth(self):
-        for composition in enumerate_partitionings(7, 3):
-            assert sum(composition) == 7
-            assert all(part >= 1 for part in composition)
-
-    def test_count_is_binomial(self):
-        # Compositions of n into k parts: C(n-1, k-1).
-        assert len(enumerate_partitionings(6, 3)) == 10
-
-    def test_infeasible_cases_empty(self):
-        assert enumerate_partitionings(2, 3) == []
-        assert enumerate_partitionings(3, 0) == []

@@ -11,6 +11,7 @@ import repro.datasets.workloads as workloads_module
 from repro.core.config import SpliDTConfig
 from repro.core.dse import DesignSearch, SearchResult, evaluate_configuration
 from repro.datasets import load_dataset
+from repro.core.resources import check_feasibility
 from repro.datasets.materialize import DatasetStore
 from repro.switch.targets import TOFINO1
 
@@ -51,8 +52,8 @@ class TestEvaluateConfiguration:
     def test_supports_reflects_capacity(self, store):
         config = SpliDTConfig(depth=4, features_per_subtree=2, partition_sizes=(2, 2))
         candidate = evaluate_configuration(store, config, target=TOFINO1)
-        assert candidate.supports(1)
-        assert not candidate.supports(10**9)
+        assert check_feasibility(candidate.resources, n_flows=1).feasible
+        assert not check_feasibility(candidate.resources, n_flows=10**9).feasible
 
 
     def test_duration_moments_memo_is_per_context_and_bit_identical(self, store, monkeypatch):
@@ -172,7 +173,7 @@ class TestDesignSearch:
     def test_best_at_flows_returns_feasible(self, search_result):
         best = search_result.best_at_flows(100_000)
         if best is not None:
-            assert best.supports(100_000)
+            assert check_feasibility(best.resources, n_flows=100_000).feasible
 
     def test_best_at_flows_monotone(self, search_result):
         at_100k = search_result.best_at_flows(100_000)

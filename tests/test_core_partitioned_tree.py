@@ -59,8 +59,9 @@ class TestTraining:
 
     def test_last_partition_subtrees_only_exit(self, splidt_model, splidt_config):
         last = splidt_config.n_partitions - 1
-        for subtree in splidt_model.subtrees_in_partition(last):
-            assert all(o.kind == OUTCOME_EXIT for o in subtree.outcomes.values())
+        for subtree in splidt_model.subtrees.values():
+            if subtree.partition == last:
+                assert all(o.kind == OUTCOME_EXIT for o in subtree.outcomes.values())
 
     def test_single_partition_configuration(self, windowed3):
         config = SpliDTConfig(depth=4, features_per_subtree=3, partition_sizes=(4,))
@@ -93,19 +94,6 @@ class TestInference:
         accuracy = float(np.mean(predictions == windowed3.labels[indices]))
         assert accuracy > 1.5 / windowed3.n_classes
 
-    def test_trace_starts_at_root(self, splidt_model, windowed3):
-        windows = windowed3.window_features[:, 0, :]
-        trace = splidt_model.trace_windows(windows)
-        assert trace[0] == (0, splidt_model.root_sid)
-
-    def test_trace_partitions_increase(self, splidt_model, windowed3):
-        for flow in range(20):
-            windows = windowed3.window_features[:, flow, :]
-            trace = splidt_model.trace_windows(windows)
-            partitions = [partition for partition, _ in trace]
-            assert partitions == sorted(partitions)
-            assert len(trace) <= splidt_model.n_partitions
-
     def test_wrong_shape_rejected(self, splidt_model):
         with pytest.raises(ValueError):
             splidt_model.predict_windows(np.zeros((2, 5)))
@@ -128,7 +116,8 @@ class TestStructureStatistics:
         assert density["subtree_mean"] < 35.0
 
     def test_max_features_per_subtree_bounded_by_k(self, splidt_model, splidt_config):
-        assert splidt_model.max_features_per_subtree() <= splidt_config.features_per_subtree
+        widest = max(len(s.features_used()) for s in splidt_model.subtrees.values())
+        assert widest <= splidt_config.features_per_subtree
 
     def test_features_per_partition_union(self, splidt_model):
         per_partition = splidt_model.features_per_partition()

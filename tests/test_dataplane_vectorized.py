@@ -155,7 +155,7 @@ class TestPacketArrays:
         assert soa.n_packets == sum(f.n_packets for f in small_dataset.flows)
         for index in (0, 7, soa.n_flows - 1):
             flow = small_dataset.flows[index]
-            window = soa.flow_slice(index)
+            window = slice(soa.flow_starts[index], soa.flow_starts[index + 1])
             assert np.array_equal(
                 soa.timestamps[window], [p.timestamp for p in flow.packets]
             )

@@ -9,7 +9,6 @@ from repro.features.definitions import (
     STATEFUL_INDICES,
     STATELESS_INDICES,
     dependency_depth,
-    feature_names,
 )
 
 
@@ -22,7 +21,7 @@ class TestCatalogue:
         assert [f.index for f in FEATURES] == list(range(N_FEATURES))
 
     def test_names_are_unique(self):
-        names = feature_names()
+        names = [f.name for f in FEATURES]
         assert len(names) == len(set(names))
 
     def test_lookup_by_name(self):

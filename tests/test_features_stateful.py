@@ -8,7 +8,7 @@ import pytest
 from repro.datasets.flows import FiveTuple, Flow, Packet, TCP_FLAGS
 from repro.features.definitions import FEATURES, FEATURES_BY_NAME
 from repro.features.flowmeter import FlowMeter
-from repro.features.stateful import make_operator, make_operator_bank
+from repro.features.stateful import make_operator
 
 
 def _make_flow(seed: int = 0, n_packets: int = 30) -> Flow:
@@ -90,11 +90,6 @@ class TestOperatorLifecycle:
     def test_stateless_feature_rejected(self):
         with pytest.raises(ValueError):
             make_operator("src_port")
-
-    def test_operator_bank_contains_all_requested(self):
-        names = ["pkt_count", "mean_iat", "syn_count"]
-        bank = make_operator_bank(names)
-        assert set(bank) == set(names)
 
     def test_every_stateful_feature_has_an_operator(self):
         for definition in FEATURES:

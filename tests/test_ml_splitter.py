@@ -14,16 +14,16 @@ from repro.datasets.materialize import WindowedDataset
 from repro.ml import DecisionTreeClassifier, RandomForestRegressor
 from repro.ml.forest import _best_splits, _moments
 from repro.ml.tree import fit_level
-from repro.ml.splitter import (
-    best_splits,
-    class_major,
+from repro.ml.splitter import best_splits, class_major, node_impurities
+from split_oracle import (
+    best_split_over,
     entropy_impurity,
     find_best_split,
     gini_impurity,
-    node_impurities,
+    grow_reference,
     node_impurity,
+    train_reference,
 )
-from split_oracle import best_split_over, grow_reference, train_reference
 
 
 def _regression_root(X, y):

@@ -38,13 +38,15 @@ from repro.online import (
     OnlineConfig,
     OnlineConfigError,
     OnlineController,
-    OnlineProgramFactory,
     PageHinkley,
     default_online_config,
     run_phase_change_demo,
 )
 from repro.online.drift import WindowedErrorRate
+from repro.pipeline import ExperimentSpec, get_system
 from repro.pipeline.cli import main
+from repro.scenarios import get_workload_scenario
+from repro.switch.targets import TOFINO2
 from repro.serve import MicroBatchEngine, SwapEvent
 
 
@@ -142,9 +144,9 @@ class TestPageHinkley:
             detector.update(0.0)
         for _ in range(20):
             detector.update(1.0)
-        assert detector.statistic > 0.0
+        assert detector.cumulation - detector.minimum > 0.0
         detector.reset()
-        assert detector.n == 0 and detector.statistic == 0.0
+        assert detector.n == 0 and detector.cumulation == detector.minimum == 0.0
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -162,7 +164,7 @@ class TestDriftMonitor:
         for _ in range(64):
             monitor.observe(1, 0)
         monitor.reset()
-        assert monitor.n_observed == 0
+        assert monitor.windowed.count == 0
         assert monitor.error_rate == 0.0
         assert not any(monitor.observe(1, 1) for _ in range(64))
 
@@ -238,6 +240,13 @@ def _bind(controller, engine, flows):
 CLASS_NAMES = [f"class-{index}" for index in range(13)]
 
 
+def _deployed(model=None, rules=None, **spec):
+    """The factory of a deployed SpliDT program (1,024 slots unless ``spec`` says)."""
+    return get_system("splidt").program_factory(
+        model, rules, ExperimentSpec(**{"flow_slots": 1024, **spec})
+    )
+
+
 def _controller(splidt_config, class_names=CLASS_NAMES, **overrides):
     # Page–Hinkley at delta 0.15 / threshold 4.0: eight correct verdicts then
     # a run of wrong ones alarms on the eighth wrong one (statistic 4.10;
@@ -254,7 +263,7 @@ def _controller(splidt_config, class_names=CLASS_NAMES, **overrides):
     return OnlineController(
         config=OnlineConfig(**{**knobs, **overrides}).validate(),
         model_config=splidt_config,
-        flow_slots=1024,
+        factory=_deployed(),
         class_names=class_names,
     )
 
@@ -279,7 +288,7 @@ class TestOnlineControllerStateMachine:
         engine.deliver(99, 1, 0.0)  # never bound: no ground truth
         controller.poll(engine, allow_swap=False)
         assert controller.state == MONITORING
-        assert controller.monitor.n_observed == 0
+        assert controller.monitor.windowed.count == 0
 
     def test_stale_old_epoch_verdicts_do_not_feed_the_monitor(self, splidt_config):
         controller = _controller(splidt_config)
@@ -289,7 +298,7 @@ class TestOnlineControllerStateMachine:
         engine.deliver(0, 1, 0.0)  # wrong, but decided on the old epoch
         engine.deliver(1, 0, 1.0)
         controller.poll(engine, allow_swap=False)
-        assert controller.monitor.n_observed == 1
+        assert controller.monitor.windowed.count == 1
         assert controller._stale == set()
         assert controller.n_verdicts == 2
 
@@ -305,7 +314,7 @@ class TestOnlineControllerStateMachine:
         controller.poll(engine, allow_swap=False)
         assert controller.state == MONITORING
         # The monitor was reset when cooldown expired.
-        assert controller.monitor.n_observed == 0
+        assert controller.monitor.windowed.count == 0
 
     def test_verdicts_graded_in_decision_order(self, splidt_config):
         controller = _controller(splidt_config)
@@ -348,7 +357,7 @@ class TestOnlineControllerStateMachine:
             engine.deliver(fid, 0, float(fid))
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 5
-        assert controller.monitor.n_observed == 2
+        assert controller.monitor.windowed.count == 2
         assert controller.monitor.accuracy == 1.0
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 5
@@ -492,7 +501,7 @@ class TestRefreshIsAlgorithm1:
     def test_rules_match_generate_rules(self, refresh):
         _, engine, _, _, expected = refresh
         factory = engine.factories[0]
-        assert factory.flow_slots == 1024
+        assert factory.spec.flow_slots == 1024
         rules = factory.rules
         assert rules.bit_width == expected.bit_width
         np.testing.assert_array_equal(
@@ -567,7 +576,7 @@ def test_removed_learner_import_fails_loudly():
 def test_controller_rejects_removed_keywords(splidt_config, removed):
     with pytest.raises(TypeError, match=next(iter(removed))):
         OnlineController(
-            config=OnlineConfig(), model_config=splidt_config, flow_slots=1024,
+            config=OnlineConfig(), model_config=splidt_config, factory=_deployed(),
             class_names=CLASS_NAMES, **removed,
         )
 
@@ -575,7 +584,7 @@ def test_controller_rejects_removed_keywords(splidt_config, removed):
 def test_controller_requires_class_names(splidt_config):
     with pytest.raises(TypeError, match="class_names"):
         OnlineController(
-            config=OnlineConfig(), model_config=splidt_config, flow_slots=1024
+            config=OnlineConfig(), model_config=splidt_config, factory=_deployed()
         )
 
 
@@ -601,13 +610,38 @@ def test_serve_online_through_the_cli(capsys):
     assert "/80" in decided(online)
 
 
-class TestOnlineProgramFactory:
-    def test_is_picklable_and_builds_a_program(self, splidt_model, splidt_rules):
-        factory = OnlineProgramFactory(splidt_model, splidt_rules, 2048)
-        clone = pickle.loads(pickle.dumps(factory))
-        program = clone()
-        assert isinstance(program, SpliDTDataPlane)
-        assert program.flow_slots == 2048
+def test_a_swapped_in_model_is_deployed_like_the_one_it_replaces(
+    small_dataset, splidt_config, splidt_model, splidt_rules
+):
+    """The refreshed program keeps the deployment's target, slots and eviction."""
+    scenario = get_workload_scenario("table-pressure").replace(eviction="lru")
+    deployed = _deployed(
+        splidt_model, splidt_rules, target="tofino2", flow_slots=2048, scenario=scenario
+    )
+    flows = list(small_dataset.flows[:40])
+    controller = OnlineController(
+        config=OnlineConfig(
+            enabled=True, window=8, warmup_flows=8, min_retrain_flows=len(flows),
+            retrain_window=len(flows),
+        ).validate(),
+        model_config=splidt_config,
+        factory=deployed,
+        class_names=small_dataset.class_names,
+    )
+    controller.state = RETRAINING
+    engine = _FakeEngine()
+    _bind(controller, engine, flows)
+    for position, flow in enumerate(flows):
+        engine.deliver(flow.flow_id, flow.label, float(position))
+    assert controller.poll(engine) is not None
+
+    (factory,) = engine.factories
+    parent, child = deployed(), pickle.loads(pickle.dumps(factory))()
+    assert isinstance(child, SpliDTDataPlane) and child.model is not parent.model
+    assert child.target == parent.target == TOFINO2
+    assert child.flow_slots == parent.flow_slots == 2048
+    assert type(child.eviction) is type(parent.eviction)
+    assert child.eviction.name == "lru"
 
 
 class TestPhaseChangeDemo:

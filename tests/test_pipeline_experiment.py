@@ -49,24 +49,6 @@ class TestStageCaching:
     def test_replay_result_stable_across_report(self, experiment):
         assert experiment.report().replay_result is experiment.replay()
 
-    def test_invalidate_drops_downstream_only(self, experiment):
-        exp = Experiment(SPEC)
-        exp.run()
-        model = exp.train()
-        exp.invalidate("deploy")
-        assert exp.train() is model
-        assert not exp.stage_ran("deploy")
-        assert not exp.stage_ran("replay")
-        assert not exp.stage_ran("report")
-        # Re-running reproduces identical replay verdicts.
-        verdicts = {fid: v.label for fid, v in exp.replay().verdicts.items()}
-        reference = {fid: v.label for fid, v in experiment.replay().verdicts.items()}
-        assert verdicts == reference
-
-    def test_invalidate_unknown_stage_raises(self, experiment):
-        with pytest.raises(ValueError):
-            experiment.invalidate("cool-down")
-
     def test_timings_cover_executed_stages(self, experiment):
         for stage in ("prepare", "train", "compile", "deploy", "replay"):
             assert experiment.timings[stage] >= 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.scenarios import (
     run_scenario,
     sweep_occupancy,
 )
+from repro.scenarios import traffic
 from repro.scenarios.runner import prepare_system
 from repro.switch.phv import make_data_phv
 from repro.switch.eviction import make_eviction_policy
@@ -171,6 +173,24 @@ class TestTrafficLayers:
             for i in (0, materialized.n_legit, materialized.n_flows - 1):
                 assert (materialized.flows[i].five_tuple
                         == streamed.flows[i].five_tuple)
+
+    def test_a_failed_streamed_build_leaves_no_spill_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        build_block = traffic._DdosFloodLayer.build_block
+        calls = []
+
+        def second_block_fails(layer, *args, **kwargs):
+            calls.append(layer)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return build_block(layer, *args, **kwargs)
+
+        monkeypatch.setattr(traffic._DdosFloodLayer, "build_block", second_block_fails)
+        flood = LayerSpec("ddos-flood", {"flows": 32})
+        with pytest.raises(RuntimeError, match="second block"):
+            build_workload(self.BASE.replace(streamed=True, layers=(flood, flood)))
+        assert len(calls) == 2
+        assert not list(tmp_path.glob("splidt-stream-*"))
 
 
 # ----------------------------------------------------------------------

@@ -216,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         workload.close()
     elif args.online:
         from repro.datasets.streams import iter_packet_chunks
-        from repro.online.loop import OnlineProgramFactory
         from repro.serve import create_engine
 
         dataset = experiment.prepare().dataset
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         chunks = list(iter_packet_chunks(dataset.flows, args.chunk_size))
         swap_chunk = max(1, min(len(chunks) - 1,
                                 int(len(chunks) * args.swap_at)))
-        factory = OnlineProgramFactory(model, rules, spec.flow_slots)
+        factory = experiment.system.program_factory(model, rules, spec)
         serve = create_engine(factory, engine=args.serve_engine,
                               chunk_size=args.chunk_size)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
