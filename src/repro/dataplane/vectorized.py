@@ -35,8 +35,10 @@ gathers) once, over the rows whose subtrees read it — and classifying them
 in one ``SpliDTDataPlane.step_windows`` lookup, whatever subtrees its rows
 are in (:func:`_close_round`, which the slot-stream plane calls too).  Replay
 runs it over every clean flow from window 0, the micro-batch engine over the
-windows a flush finds ready.  Its state is per row of the call, and decided
-rows are recorded, as column blocks, once per call.  Columns derived from the packet arrays (padded
+windows a flush finds ready, gathering each round's features from the
+session's :class:`WindowTable` instead of filling them.  Its state is per
+row of the call, and decided rows are recorded, as column blocks, once per
+call.  Columns derived from the packet arrays (padded
 feature columns, exact prefix sums, register slots, window ends) are cached
 on ``PacketArrays.derived`` and shared by every replay of the same traffic.
 
@@ -471,6 +473,7 @@ class FillPlan:
         self._reads &= _STATEFUL
         self._families = self._reads @ _FAMILY_TABLE
         self._layouts: dict[bytes, _RoundLayout] = {}
+        self._merged: dict[bytes, FillPlan] = {}
 
     def layout(self, sids: np.ndarray) -> tuple[np.ndarray, "_RoundLayout"]:
         """``(codes, layout)`` of a round whose row ``i`` is in subtree ``sids[i]``.
@@ -494,6 +497,21 @@ class FillPlan:
                 self._layouts.clear()
             layout = self._layouts[key] = _RoundLayout(self, present)
         return codes, layout
+
+    def merged(self, sids: np.ndarray) -> "FillPlan":
+        """A one-subtree plan (SID 0) reading every stateful feature some subtree of ``sids`` reads.
+
+        One fill of it over rows of any of those subtrees runs each family
+        they need over every row (:class:`WindowTable`).  Kept per set of
+        features.
+        """
+        codes = self._code.take(sids + 1, mode="clip")
+        read = np.flatnonzero(self._reads[codes].any(axis=0))
+        key = read.tobytes()
+        plan = self._merged.get(key)
+        if plan is None:
+            plan = self._merged[key] = FillPlan({0: read.tolist()})
+        return plan
 
 
 #: Round layouts a :class:`FillPlan` keeps (one per set of subtrees met).
@@ -614,7 +632,7 @@ class _WindowAggregator:
     :class:`~repro.dataplane.slot_stream.StreamSource` (stream order);
     either way a window's packets are one segment.  Every derived column is
     a function of the packets alone and lives once on ``soa.derived`` — the
-    aggregator holds no per-replay state, so building one per flush costs
+    aggregator holds no per-replay state, so building one per call costs
     nothing.
 
     A round runs each kernel family once, over the rows whose subtrees read
@@ -636,7 +654,7 @@ class _WindowAggregator:
         ``(s, e)`` pairs also reduces the stretches *between* segments,
         from the first segment's start to the last one's end.  Next to
         nothing when the segments tile their span (a whole-source replay
-        round); for a micro-batch flush out of a large source it is the
+        round); for a few windows scattered over a large source it is the
         source, so scattered segments are gathered first — every column
         into one block, reduced at once — and the cost follows the packets,
         not the span.  Decided once for the segments, and shared by every
@@ -768,7 +786,9 @@ class _WindowAggregator:
 
     def _iat(self, names: frozenset, out: np.ndarray, rows, s, e) -> None:
         """Mean/std inter-arrival time: one left-to-right sweep (:mod:`~repro.dataplane.kernels`)."""
-        acc, acc_sq = iat_sequential_sums(_base_values(self._soa, "diffs"), s, e)
+        acc, acc_sq = iat_sequential_sums(
+            _base_values(self._soa, "diffs"), s, e, squares="std_iat" in names
+        )
         # A one-packet window has no gap, and its sums are exactly 0: so are
         # its mean and deviation.
         counts = np.maximum(e - s - 1, 1)
@@ -884,6 +904,92 @@ def _window_end_table(counts: np.ndarray, n_partitions: int) -> np.ndarray:
     return ends
 
 
+class WindowTable:
+    """Every window of every flow of a source, aggregated once: a serving session's features.
+
+    On a flow alone in its register slot, window ``w`` always covers the
+    flow's own packets ``[ends[w - 1], ends[w])`` (:func:`window_ends`), so
+    its feature vector depends on the source, the flow, the window and the
+    model only — never on when a flush closes it.  The micro-batch engine
+    builds one table at its first flush and drops it with itself; its
+    lockstep rounds then gather their rows here instead of filling them
+    (:func:`close_ready_windows`).
+
+    The build is one :meth:`_WindowAggregator.fill` per window index, over
+    every flow with that window, of the stateful features the subtrees of
+    that partition read (:meth:`FillPlan.merged`); the header columns any
+    subtree reads are written beside them.  A row per window a flow has,
+    flow-major, so the rows' first packets (``_starts``) ascend; a column
+    per feature some subtree reads.  A cell a window's subtrees do not read
+    is left uninitialised, never read.  ``flows`` (flow indices; default
+    every flow of the source) are the flows an engine can be handed: a
+    ``sharded-mp`` worker's are its shard's.
+
+    Counts the build as ``dataplane.window_table.builds``, its rows as
+    ``dataplane.window_table.rows`` and its kernel-family passes as
+    ``dataplane.window_table.passes`` (``dataplane.fill.passes`` counts the
+    rounds').
+    """
+
+    __slots__ = ("_starts", "_columns", "_values")
+
+    def __init__(
+        self, program, soa: PacketArrays, ends: np.ndarray, flows: np.ndarray | None = None
+    ) -> None:
+        n_partitions = ends.shape[0] - 1
+        plan = program.fill_plan
+        sids_of = [[] for _ in range(n_partitions)]
+        for sid, subtree in program.model.subtrees.items():
+            sids_of[subtree.partition].append(sid)
+        plans = [plan.merged(np.array(sids, dtype=np.intp)) for sids in sids_of]
+        # Per window, the stateful features its subtrees read.
+        reads = [np.flatnonzero(window_plan._reads[0]) for window_plan in plans]
+        header = np.array(plan.header_features, dtype=np.intp)
+        self._columns = np.unique(np.concatenate([header, *reads]))
+        # A flow with fewer packets than partitions has a window per packet.
+        counts = np.zeros(soa.n_flows, dtype=np.intp)
+        served = slice(None) if flows is None else flows
+        counts[served] = np.minimum(soa.n_packets_per_flow[served], n_partitions)
+        first = counts.cumsum() - counts
+        n_rows = int(counts.sum())
+        self._starts = np.empty(n_rows, dtype=np.int64)
+        self._values = np.empty((n_rows, self._columns.size), dtype=np.float64)
+        row_flow = np.repeat(np.arange(soa.n_flows), counts)
+        for feature, column in plan.header_columns:
+            self._values[:, self._columns.searchsorted(feature)] = getattr(soa, column)[row_flow]
+        aggregator = _WindowAggregator(soa)
+        passes = 0
+        for window, (window_plan, read) in enumerate(zip(plans, reads)):
+            flows = np.flatnonzero(counts > window)
+            if not flows.size:
+                break  # no flow has this window, nor any later one
+            base = soa.flow_starts[flows]
+            s = base + ends[window - 1].take(flows) if window else base
+            e = base + ends[window].take(flows)
+            matrix = np.empty((flows.size, N_FEATURES), dtype=np.float64, order="F")
+            passes += aggregator.fill(
+                matrix, s, e, window_plan, np.zeros(flows.size, dtype=np.int64)
+            )
+            rows = first[flows] + window
+            self._starts[rows] = s
+            self._values[np.ix_(rows, self._columns.searchsorted(read))] = matrix[:, read]
+        counters = program.counters
+        counters.add("dataplane.window_table.builds")
+        counters.add("dataplane.window_table.rows", n_rows)
+        counters.add("dataplane.window_table.passes", passes)
+
+    def fill(self, matrix: np.ndarray, s: np.ndarray, e: np.ndarray, plan, sids) -> int:
+        """Gather the rows of the windows starting at ``s`` into ``matrix``; runs no family pass.
+
+        A round's feature source, as :meth:`_WindowAggregator.fill` is:
+        ``matrix`` gets every column the table holds, header columns
+        included.  ``s`` must be window starts (a solo flow's windows, each
+        closed whole); ``e``, ``plan`` and ``sids`` are the table's already.
+        """
+        matrix[:, self._columns] = self._values.take(self._starts.searchsorted(s), axis=0)
+        return 0
+
+
 def _replay_scalar(
     program,
     flows: list[Flow],
@@ -943,7 +1049,7 @@ def _arrival_order(
 
 def _close_round(
     program,
-    aggregator: _WindowAggregator,
+    aggregator: "_WindowAggregator | WindowTable",
     matrix: np.ndarray,
     s: np.ndarray,
     e: np.ndarray,
@@ -961,7 +1067,8 @@ def _close_round(
     closes the window over packets ``[s[i], e[i])`` of the aggregator's
     source, in subtree ``sids[i]``.  One fill writes every row's stateful
     features, each kernel family once over the rows that read it (the
-    program's :class:`FillPlan`), and one
+    program's :class:`FillPlan`) — or, from a serving session's
+    :class:`WindowTable`, one gather writes them and the header — and one
     :meth:`~repro.dataplane.splidt_program.SpliDTDataPlane.step_windows`
     call classifies all rows, appending the decided ones to ``staging``:
     the round's cost does not grow with the number of subtrees its rows are
@@ -995,6 +1102,8 @@ def close_ready_windows(
     window: np.ndarray,
     done: np.ndarray,
     sids: np.ndarray,
+    *,
+    table: WindowTable | None = None,
 ) -> np.ndarray:
     """Close every window of ``flows`` that ends within its first ``limits`` packets.
 
@@ -1007,6 +1116,10 @@ def close_ready_windows(
     forwarded).  All state is per row of the call.  Decided rows are
     recorded once, after the last round.  Returns which rows decided.
 
+    A round fills its feature matrix from the packets, or, given the
+    session's ``table`` (:class:`WindowTable`; every row then starts at a
+    window start), gathers it from there.
+
     Counts the rows as ``dataplane.lockstep.flows``, the packets they take
     as ``dataplane.lockstep.packets`` and its window rounds as
     ``dataplane.lockstep.rounds``.
@@ -1017,16 +1130,18 @@ def close_ready_windows(
     # where a caller keeps one (the micro-batch engine does), else built for
     # these flows alone, since a replay may bring a handful of a million
     # flows here.
-    table = soa.derived.get(("window_ends", n_partitions))
-    if table is not None:
-        ends = table.take(flows, axis=1)
+    cached = soa.derived.get(("window_ends", n_partitions))
+    if cached is not None:
+        ends = cached.take(flows, axis=1)
     else:
         ends = _window_end_table(soa.n_packets_per_flow[flows], n_partitions)
     # Only the header columns some subtree reads are written: the lookup
     # reads no other.  The soa's own columns: a float64 matrix takes their
-    # values exactly.
-    header = program.fill_plan.header_columns
-    aggregator = _WindowAggregator(soa)
+    # values exactly.  A table holds them already.
+    if table is None:
+        header, aggregator = program.fill_plan.header_columns, _WindowAggregator(soa)
+    else:
+        header, aggregator = (), table
     staging: list = []
     decided = np.zeros(flows.size, dtype=bool)
     rows = (ends[window, np.arange(flows.size)] <= limits).nonzero()[0]

@@ -102,6 +102,12 @@ class MicroBatchEngine(InferenceEngine):
         self._tuple_ids: np.ndarray | None = None
         #: Window ends, per window and flow (``vz.window_ends``).
         self._ends: np.ndarray | None = None
+        #: Every solo window's features, built at the first flush that closes
+        #: one; the session's own, never kept on the source.  Over the flows
+        #: ``_table_flows`` (every flow of the source when ``None``; a
+        #: ``sharded-mp`` worker sets its shard's).
+        self._table: vz.WindowTable | None = None
+        self._table_flows: np.ndarray | None = None
         #: Per flow: the first window end its delivered packets have not reached.
         self._next_end: np.ndarray | None = None
         #: Per flow: packets the program has taken (closed windows, forwarded
@@ -403,11 +409,15 @@ class MicroBatchEngine(InferenceEngine):
             undecided = ~self._decided[rows]
             rows, limits = rows[undecided], limits[undecided]
         if rows.size:
+            if self._table is None:
+                self._table = vz.WindowTable(
+                    self.program, self._soa, self._ends, self._table_flows
+                )
             window, done, sid = self._window[rows], self._done[rows], self._sid[rows]
             counters = self.program.counters
             taken = counters.get("dataplane.lockstep.packets", 0)
             decided = vz.close_ready_windows(
-                self.program, self._soa, rows, limits, window, done, sid
+                self.program, self._soa, rows, limits, window, done, sid, table=self._table
             )
             self._window[rows], self._done[rows], self._sid[rows] = window, done, sid
             stopped = rows[decided]

@@ -200,9 +200,12 @@ def _worker_main(
         message = tasks.get()
         if message[0] != "attach":
             return  # session closed without traffic
-        layout, slots, tuple_ids = pickle.loads(message[1])
+        layout, slots, tuple_ids, workers = pickle.loads(message[1])
         shared = SharedPacketArrays.attach(layout)
         soa = shared.arrays
+        # The parent routes a flow by its slot: this engine meets its shard's
+        # flows only, so its window table holds no other.
+        engine._table_flows = np.flatnonzero(slots % workers == index)
         # No flow object crosses the boundary: identity and packets come from
         # the shared columns, materialised lazily (scalar paths only).
         flows = LazyFlowList(soa)
@@ -500,7 +503,7 @@ class ProcessShardedEngine(InferenceEngine):
             self._rings.append(ring)
             self._segments.append(ring)
         payload = pickle.dumps(
-            (self._shared.layout, slots, tuple_ids),
+            (self._shared.layout, slots, tuple_ids, self.workers),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         for tasks, ring in zip(self._task_queues, self._rings):

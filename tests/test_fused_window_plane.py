@@ -15,7 +15,8 @@ batched plane identically would still be caught:
   bit-identical;
 * a window round costs one fill (each kernel family once) and one
   model-table lookup whatever mix of subtrees its rows are in, on every
-  plane that closes rounds.
+  plane that closes rounds — except a serving session's lockstep rounds,
+  which gather their rows from the session's one window table.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ class TestOneLookupPerRound:
     @pytest.fixture()
     def rounds(self, monkeypatch):
         """Per ``_close_round`` call: its distinct SIDs, lookups, fill passes and plane."""
-        seen: list[tuple[int, int, int, bool]] = []
+        seen = _Rounds()
         calls = {"classify": 0, "fill": 0, "lockstep": 0}
         classify, fill = RuleSet.classify_batch, vz._WindowAggregator.fill
         close_round, close_ready = vz._close_round, vz.close_ready_windows
@@ -340,10 +341,10 @@ class TestOneLookupPerRound:
                 seen.append((np.unique(sids).size, calls["classify"] - before["classify"],
                              calls["fill"] - before["fill"], calls["lockstep"] > 0))
 
-        def spy_ready(*args):
+        def spy_ready(*args, **kwargs):
             calls["lockstep"] += 1
             try:
-                return close_ready(*args)
+                return close_ready(*args, **kwargs)
             finally:
                 calls["lockstep"] -= 1
 
@@ -351,6 +352,7 @@ class TestOneLookupPerRound:
         monkeypatch.setattr(vz._WindowAggregator, "fill", spy_fill)
         monkeypatch.setattr(vz, "_close_round", spy_round)
         monkeypatch.setattr(vz, "close_ready_windows", spy_ready)
+        seen.calls = calls
         return seen
 
     @pytest.mark.parametrize("flow_slots", [1 << 16, 64], ids=["lockstep", "contended"])
@@ -368,8 +370,14 @@ class TestOneLookupPerRound:
         assert (lockstep > 0) == (flow_slots > 64)
         assert (lockstep < len(rounds)) == (program.replay_stats["event_rounds"] > 0)
 
-    def test_a_flush_round_classifies_once(self, splidt_model, splidt_rules, small_dataset,
-                                           rounds):
+    def test_a_flush_round_classifies_once(
+        self, splidt_model, splidt_rules, small_dataset, rounds
+    ):
+        """A session builds one window table, one fill per window index; its flush rounds run none.
+
+        Every round still classifies once, whatever subtrees its rows are
+        in; the contended slots' slot-stream rounds fill as replay's do.
+        """
         from repro.datasets.streams import iter_packet_chunks
         from repro.serve import MicroBatchEngine
 
@@ -380,25 +388,61 @@ class TestOneLookupPerRound:
         engine.drain()
         lockstep = sum(on_lockstep for *_, on_lockstep in rounds)
         assert program.counters["dataplane.lockstep.rounds"] == lockstep > 3
-        assert {(lookups, fills) for _, lookups, fills, _ in rounds} == {(1, 1)}
+        flush = {(lookups, fills) for _, lookups, fills, on_lockstep in rounds if on_lockstep}
+        assert flush == {(1, 0)}
+        assert {(lookups, fills) for _, lookups, fills, on_lockstep in rounds
+                if not on_lockstep} <= {(1, 1)}
         assert max(n_sids for n_sids, *_ in rounds) > 1
+        n_partitions = splidt_model.config.n_partitions
+        assert rounds.calls["fill"] == n_partitions + len(rounds) - lockstep
+        assert program.counters["dataplane.window_table.builds"] == 1
+        counts = np.array([flow.n_packets for flow in small_dataset.flows])
+        assert program.counters["dataplane.window_table.rows"] == np.minimum(
+            counts, n_partitions
+        ).sum()
+
+
+class _Rounds(list):
+    """Per ``_close_round`` call: ``(distinct SIDs, lookups, fills, on the lockstep plane)``.
+
+    ``calls`` holds the running totals, fills outside a round included.
+    """
+
+    calls: dict
 
 
 # ----------------------------------------------------------------------
-# One fill plan per rule set
+# One fill plan per rule set, one window table per session
 # ----------------------------------------------------------------------
+def _serve(program, flows, *, swap_at=None, factory=None):
+    """A drained ``MicroBatchEngine`` session over ``flows`` in 256-packet chunks.
+
+    With ``swap_at``, ``factory``'s program is swapped in before that chunk.
+    """
+    from repro.datasets.streams import iter_packet_chunks
+    from repro.serve import MicroBatchEngine
+
+    engine = MicroBatchEngine(program).open()
+    for index, chunk in enumerate(iter_packet_chunks(flows, 256)):
+        if index == swap_at:
+            engine.swap_model(factory)
+        engine.ingest(chunk)
+    engine.drain()
+    return engine
+
+
 def test_programs_of_one_factory_share_one_fill_plan(
     splidt_model, splidt_rules, small_dataset, monkeypatch
 ):
-    """A factory's programs share their rules' fill plan and the round layouts it has worked out.
+    """A factory's programs share their rules' fill plan and the layouts it has worked out.
 
-    A second session identical to the first works out no layout of its own.
+    A second session over the same source builds a window table of its own
+    (a table belongs to its session, never to the source), and works out
+    no layout of its own.
     """
     import dataclasses
 
-    from repro.datasets.streams import iter_packet_chunks
     from repro.pipeline import ExperimentSpec, get_system
-    from repro.serve import MicroBatchEngine
 
     # Rules of their own: no earlier test has filled their plan.
     rules = dataclasses.replace(splidt_rules)
@@ -412,14 +456,35 @@ def test_programs_of_one_factory_share_one_fill_plan(
     built = []
     layout = vz._RoundLayout
     monkeypatch.setattr(vz, "_RoundLayout", lambda *args: built.append(args) or layout(*args))
+    tables = []
+    table = vz.WindowTable
+    monkeypatch.setattr(vz, "WindowTable", lambda *args: tables.append(table(*args)) or tables[-1])
 
     def session(program) -> tuple:
-        engine = MicroBatchEngine(program).open()
-        for chunk in iter_packet_chunks(small_dataset.flows, 256):
-            engine.ingest(chunk)
+        engine = _serve(program, small_dataset.flows)
+        assert program.counters["dataplane.window_table.builds"] == 1
+        # The source keeps nothing of the table.
+        assert not any(value is tables[-1] for value in engine._soa.derived.values())
         return tuple(column.tobytes() for column in engine.close().verdicts.columns)
 
     verdicts, layouts = session(first), len(built)
     assert layouts > 0
     assert session(second) == verdicts
     assert len(built) == layouts
+    assert len(tables) == 2 and tables[0] is not tables[1]
+
+
+def test_a_swap_child_builds_its_own_table(splidt_model, splidt_rules, small_dataset):
+    """A model epoch swapped in mid-session closes its windows from a table of its own."""
+    from repro.pipeline import ExperimentSpec, get_system
+
+    factory = get_system("splidt").program_factory(
+        splidt_model, splidt_rules, ExperimentSpec(flow_slots=1 << 16)
+    )
+    engine = _serve(factory(), small_dataset.flows, swap_at=4, factory=factory)
+    (child,) = engine._epoch_children
+    for epoch in (engine, child):
+        assert epoch.program.counters["dataplane.window_table.builds"] == 1
+        assert epoch.program.counters["dataplane.lockstep.rounds"] > 0
+    assert child._table is not engine._table
+    assert engine.stats().counters["dataplane.window_table.builds"] == 2

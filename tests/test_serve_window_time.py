@@ -20,12 +20,19 @@ what it must not break:
 * **swap** — ``swap_model`` while a solo flow is mid-window, with its slot
   contended afterwards, stays invisible;
 * **stream order** — ties out of flow-id order and a flow's packets out of
-  order are rejected, not replayed in an order the planes cannot reproduce.
+  order are rejected, not replayed in an order the planes cannot reproduce;
+* **window table** — every row of the table a session's lockstep rounds
+  gather from (:class:`~repro.dataplane.vectorized.WindowTable`) is, bit for
+  bit, the round fill it replaces, on sources with flows shorter than the
+  partition count, one-packet windows, zero gaps and non-integer sizes (the
+  inexact ``reduceat`` sum path), under models reading the IAT deviation
+  and the burst count.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +42,8 @@ from repro.dataplane import SpliDTDataPlane
 from repro.dataplane import vectorized as vz
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
+from repro.features.definitions import FEATURES, FEATURES_BY_NAME, N_FEATURES
+from repro.obs import Counters
 from repro.serve import MicroBatchEngine, ServeError, StreamingEngine
 from repro.serve.microbatch import _FORWARDING, _SOLO
 from repro.switch.eviction import make_eviction_policy
@@ -428,6 +437,122 @@ def _perturbed_streams(draw):
     chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
     return flows, soa, [chunk for chunk in chunks if chunk] or [[]]
 
+
+
+# ----------------------------------------------------------------------
+# The session's window table: what its lockstep rounds gather
+# ----------------------------------------------------------------------
+_TABLE_STATEFUL = [feature.index for feature in FEATURES if feature.stateful]
+_TABLE_HEADER = [feature.index for feature in FEATURES if not feature.stateful]
+_TABLE_ALWAYS = [FEATURES_BY_NAME["std_iat"].index, FEATURES_BY_NAME["burst_count"].index]
+
+#: Gaps between a flow's packets: none, inside a burst, past the burst gap.
+_TABLE_GAPS = (0.0, 0.0005, 0.004, 0.03, 0.2)
+
+
+@st.composite
+def _table_sources(draw):
+    """``(flows, n_partitions, features_by_sid, partition_of)``: traffic and a model over it."""
+    n_partitions = draw(st.integers(1, 4))
+    fractional = draw(st.booleans())
+    flows = []
+    for index in range(draw(st.integers(1, 6))):
+        n_packets = draw(st.integers(1, 3 * n_partitions + 3))
+        start = draw(st.sampled_from((0.0, 0.001, 0.5))) + 0.01 * index
+        gaps = st.lists(st.sampled_from(_TABLE_GAPS), min_size=n_packets - 1,
+                        max_size=n_packets - 1)
+        times = start + np.cumsum([0.0] + draw(gaps))
+        packets = [
+            Packet(
+                timestamp=float(ts),
+                size=draw(st.integers(40, 1500)) + (0.5 if fractional else 0),
+                flags=draw(st.sampled_from((0x02, 0x10, 0x18, 0x11, 0x04))),
+                direction=draw(st.sampled_from((1, -1))),
+                payload=draw(st.integers(0, 1400)),
+            )
+            for ts in times
+        ]
+        flows.append(Flow(five_tuple=FiveTuple(10 + index, 20, 1000 + index, 443, 6),
+                          packets=packets, label=0, class_name="", flow_id=index))
+    # One to three subtrees per partition, each reading a few features; the
+    # IAT deviation and the burst count are read in some partition.
+    features_by_sid, partition_of = {}, {}
+    for partition in range(n_partitions):
+        for _ in range(draw(st.integers(1, 3))):
+            sid = len(features_by_sid) + 1
+            features_by_sid[sid] = sorted(set(draw(st.lists(
+                st.sampled_from(_TABLE_STATEFUL + _TABLE_HEADER), min_size=0, max_size=6
+            ))))
+            partition_of[sid] = partition
+    reader = draw(st.sampled_from(sorted(features_by_sid)))
+    features_by_sid[reader] = sorted(set(features_by_sid[reader]) | set(_TABLE_ALWAYS))
+    return flows, n_partitions, features_by_sid, partition_of
+
+
+def _table_program(features_by_sid: dict, partition_of: dict) -> SimpleNamespace:
+    """What a table reads of a program: its fill plan, its subtrees' partitions, its counters."""
+    return SimpleNamespace(
+        fill_plan=vz.FillPlan(features_by_sid),
+        model=SimpleNamespace(
+            subtrees={sid: SimpleNamespace(partition=p) for sid, p in partition_of.items()}
+        ),
+        counters=Counters(),
+    )
+
+
+class TestWindowTable:
+    @settings(max_examples=120, deadline=None)
+    @given(source=_table_sources(), data=st.data())
+    def test_every_table_row_is_the_windows_round_fill(self, source, data):
+        """Bit for bit, on every feature a row's subtree reads, in rounds of any mix.
+
+        The table covers every flow of the source, or the flows a
+        ``sharded-mp`` worker's shard holds.
+        """
+        flows, n_partitions, features_by_sid, partition_of = source
+        soa = PacketArrays.from_flows(flows)
+        ends = vz.window_ends(soa, n_partitions)
+        program = _table_program(features_by_sid, partition_of)
+        served = data.draw(st.none() | st.lists(
+            st.integers(0, soa.n_flows - 1), min_size=1, unique=True
+        ).map(sorted))
+        table = vz.WindowTable(program, soa, ends, None if served is None else np.array(served))
+
+        # Every (flow, window) the served flows have, in rounds of drawn
+        # sizes and order, each row in a drawn subtree of its window's
+        # partition.
+        pairs = [(flow, window) for flow in served or range(soa.n_flows)
+                 for window in range(n_partitions) if ends[window, flow] != vz.NO_WINDOW]
+        assert program.counters["dataplane.window_table.builds"] == 1
+        assert program.counters["dataplane.window_table.rows"] == len(pairs)
+        order = data.draw(st.permutations(pairs))
+        by_partition = {p: [sid for sid, q in partition_of.items() if q == p]
+                        for p in range(n_partitions)}
+        while order:
+            size = data.draw(st.integers(1, len(order)))
+            rows, order = order[:size], order[size:]
+            flow = np.array([f for f, _ in rows])
+            window = np.array([w for _, w in rows])
+            sids = np.array([data.draw(st.sampled_from(by_partition[w])) for w in window.tolist()])
+            base = soa.flow_starts[flow]
+            s = base + np.where(window > 0, ends[np.maximum(window - 1, 0), flow], 0)
+            e = base + ends[window, flow]
+
+            # The round as replay closes it: header columns, then one fill.
+            filled = np.full((flow.size, N_FEATURES), np.nan, order="F")
+            for feature, column in program.fill_plan.header_columns:
+                filled[:, feature] = getattr(soa, column)[flow]
+            vz._WindowAggregator(soa).fill(filled, s, e, program.fill_plan, sids)
+            gathered = np.full((flow.size, N_FEATURES), np.nan, order="F")
+            assert table.fill(gathered, s, e, program.fill_plan, sids) == 0
+
+            reads = np.zeros((flow.size, N_FEATURES), dtype=bool)
+            for row, sid in enumerate(sids.tolist()):
+                reads[row, features_by_sid[sid]] = True
+            differs = (gathered.view(np.uint64) != filled.view(np.uint64)) & reads
+            assert not differs.any(), [
+                FEATURES[feature].name for feature in np.flatnonzero(differs.any(axis=0))
+            ]
 
 
 class TestStreamOrder:

@@ -36,7 +36,11 @@ runs it.
 
 Every mode prints the window rounds both planes closed, with their rows
 (windows) and kernel-family fill passes per round (``rounds`` in the JSON,
-beside ``kernel_families``, the most passes one round can take).
+beside ``kernel_families``, the most passes one round can take).  A serving
+session fills its windows once, into its window table, and its lockstep
+rounds gather from it with no fill pass: ``--serve`` and ``--online`` print
+the table builds with their rows, fill passes and profiled milliseconds
+(``window_table`` in the JSON).
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
@@ -155,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.dataplane import replay_dataset
     from repro.dataplane.kernels import backend as kernel_backend
-    from repro.dataplane.vectorized import FAMILIES
+    from repro.dataplane.vectorized import FAMILIES, WindowTable
     from repro.pipeline import Experiment, ExperimentSpec
 
     scenario = None
@@ -308,6 +312,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"window rounds: {window_rounds}, {rounds['window_rows_per_round']} rows and "
           f"{rounds['fill_passes_per_round']} fill passes a round "
           f"(of {len(FAMILIES)} kernel families)")
+    build = WindowTable.__init__.__code__
+    profiled = stats.stats.get(  # type: ignore[attr-defined]
+        (build.co_filename, build.co_firstlineno, build.co_name)
+    )
+    window_table = {
+        "builds": counters.get("dataplane.window_table.builds", 0),
+        "rows": counters.get("dataplane.window_table.rows", 0),
+        "fill_passes": counters.get("dataplane.window_table.passes", 0),
+        "build_ms": round(profiled[3] * 1e3, 3) if profiled else 0.0,
+    }
+    if window_table["builds"]:
+        print(f"window table: {window_table['builds']} built, {window_table['rows']} rows "
+              f"in {window_table['fill_passes']} fill passes, {window_table['build_ms']} ms "
+              f"profiled; the serving lockstep rounds gather from it and fill nothing")
     print(f"memory: import {memory['import_mib']} MiB, set-up "
           f"{memory['setup_mib']} MiB, peak {memory['peak_mib']} MiB; "
           f"scipy loaded: {memory['scipy_loaded']}")
@@ -357,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
             "f1": round(result.report.f1_score, 6),
             "replay_stats": replay_stats,
             "rounds": rounds,
+            "window_table": window_table,
             "kernel_families": len(FAMILIES),
             "counters": counters,
             "setup": setup,
