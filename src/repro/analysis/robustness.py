@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.partitioned_tree import PartitionedDecisionTree
 from repro.core.range_marking import RuleSet
 from repro.dataplane import vectorized as vz
@@ -40,8 +42,9 @@ def _replay_with_spoofed_size(
 ) -> ReplayResult:
     """Replay ``dataset`` in arrival order, advertising ``scale``× the true flow size."""
     program = SpliDTDataPlane(model, rules, flow_slots=flow_slots)
-    spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in dataset.flows]
     soa = dataset.packet_arrays()
+    # Python's round() and np.rint both round half to even.
+    spoofed = np.maximum(np.rint(soa.n_packets_per_flow * scale).astype(np.int64), 1)
     vz.replay_arrays(program, dataset.flows, soa, sizes=spoofed)
     return build_replay_result(
         program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()

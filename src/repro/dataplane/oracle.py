@@ -36,9 +36,16 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from repro.dataplane.runtime import ReplayResult, build_replay_result, replay_source
+from repro.dataplane.runtime import ReplayResult, build_replay_result, prepare_replay_flows
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
-from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
+from repro.datasets.flows import (
+    PACKET_DTYPES,
+    FiveTuple,
+    FlowDataset,
+    Packet,
+    PacketArrays,
+    PacketColumns,
+)
 from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.stateful import StatefulOperator, make_operator
 from repro.features.window import cached_window_boundaries
@@ -47,13 +54,10 @@ from repro.switch.phv import Phv, make_control_phv, make_data_phv
 _SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
 
 #: :class:`Packet` fields and the dtypes of their ``PacketArrays`` columns.
-_PACKET_COLUMNS = (
-    ("timestamp", np.float64),
-    ("size", np.float64),
-    ("flags", np.int64),
-    ("direction", np.int64),
-    ("payload", np.float64),
-)
+_PACKET_COLUMNS = tuple(zip(("timestamp", "size", "flags", "direction", "payload"), PACKET_DTYPES))
+
+#: Packets :meth:`PacketInterpreter.replay_positions` reads from the columns at once.
+_POSITION_BLOCK = 4096
 
 
 def _header_values(five_tuple: FiveTuple, first_size: float) -> dict[int, float]:
@@ -97,7 +101,7 @@ class PacketInterpreter:
     Example::
 
         >>> interpreter = PacketInterpreter(program)
-        >>> interpreter.replay_positions(flows, soa, soa.interleave_order)
+        >>> interpreter.replay_positions(soa, soa.interleave_order)
         >>> interpreter.close()
     """
 
@@ -112,27 +116,39 @@ class PacketInterpreter:
             self.program.hand_over(_columns_of_states(self.states))
         self.states = {}
 
-    def replay_positions(
-        self, flows: list[Flow], soa: PacketArrays, positions, sizes=None
-    ) -> None:
+    def replay_positions(self, soa: PacketArrays, positions, sizes=None) -> None:
         """Feed the packets at ``positions`` to :meth:`process_packet`, in order.
 
-        ``positions`` index the flow-major packet columns.  Packet headers
-        carry ``sizes[flow]`` as the flow size — by default the *full* flow
-        size, whatever subset of a flow is replayed.
+        ``positions`` index the flow-major packet columns; each packet is
+        built from the columns at its position and its five-tuple from the
+        flow's identity columns.  Packet headers carry ``sizes[flow]`` as
+        the flow size — by default the *full* flow size, whatever subset of
+        a flow is replayed.
         """
-        flow_starts = soa.flow_starts
-        if sizes is None:
-            sizes = soa.n_packets_per_flow
-        packet_flow = soa.packet_flow
+        advertised = soa.n_packets_per_flow if sizes is None else np.asarray(sizes)
+        positions = np.asarray(positions, dtype=np.intp)
+        identity = soa.identity_columns()
+        five_tuples: dict[int, FiveTuple] = {}
         process_packet = self.process_packet
-        for position in positions:
-            flow_index = int(packet_flow[position])
-            flow = flows[flow_index]
-            packet = flow.packets[int(position - flow_starts[flow_index])]
-            process_packet(
-                make_data_phv(flow.five_tuple, packet), flow.flow_id, int(sizes[flow_index])
+        # Block by block, so the Python values of a large call stay few.
+        for start in range(0, positions.size, _POSITION_BLOCK):
+            block = positions[start:start + _POSITION_BLOCK]
+            flows = soa.packet_flow[block]
+            packets = map(
+                Packet, *(getattr(soa, name)[block].tolist() for name in PacketColumns._fields)
             )
+            for flow, packet, flow_id, size in zip(
+                flows.tolist(),
+                packets,
+                soa.flow_ids[flows].tolist(),
+                advertised[flows].tolist(),
+            ):
+                five_tuple = five_tuples.get(flow)
+                if five_tuple is None:
+                    five_tuple = five_tuples[flow] = FiveTuple(
+                        *(int(column[flow]) for column in identity)
+                    )
+                process_packet(make_data_phv(five_tuple, packet), flow_id, int(size))
 
     def process_packet(self, phv: Phv, flow_id: int, flow_size: int) -> None:
         """Run one data packet through the pipeline.
@@ -366,16 +382,14 @@ def _columns_of_states(states: dict[int, _FlowState]) -> SlotHandover:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def replay_positions(
-    program, flows: list[Flow], soa: PacketArrays, positions, sizes=None
-) -> None:
+def replay_positions(program, soa: PacketArrays, positions, sizes=None) -> None:
     """Replay the packets at ``positions`` through the interpreter, in one call.
 
     See :meth:`PacketInterpreter.replay_positions`; ``sizes`` replaces each
     flow's advertised size (evasion scenarios spoof it).
     """
     interpreter = PacketInterpreter(program)
-    interpreter.replay_positions(flows, soa, positions, sizes)
+    interpreter.replay_positions(soa, positions, sizes)
     interpreter.close()
 
 
@@ -400,10 +414,10 @@ def replay_dataset(
         >>> dict(got.verdicts) == dict(want.verdicts)
         True
     """
-    flows, soa = replay_source(
+    soa = prepare_replay_flows(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
-    )
-    replay_positions(program, flows, soa, soa.interleave_order)
+    ).soa
+    replay_positions(program, soa, soa.interleave_order)
     return build_replay_result(
         program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()
     )

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.evaluation import ClassificationReport
 from repro.dataplane import vectorized as vz
 from repro.dataplane.verdicts import Verdicts
-from repro.datasets.flows import Flow, FlowDataset, PacketArrays
+from repro.datasets.flows import FlowDataset, LazyFlowList, PacketArrays
 
 
 @dataclass
@@ -174,60 +174,28 @@ def prepare_replay_flows(
     max_flows: int | None = None,
     jitter_starts: bool = False,
     seed: int = 0,
-) -> list[Flow]:
-    """The flow list a replay (or serving session) observes.
+) -> LazyFlowList:
+    """The flows a replay (or serving session) observes, over their columns.
 
     Applies the ``max_flows`` truncation and, when ``jitter_starts`` is set,
     shifts each flow's start time randomly within [0, 10) s so flows overlap
     (models concurrency).  Used by :func:`replay_dataset` and by
     ``Experiment.packet_stream`` so batch replay and ``python -m repro
-    serve`` stream exactly the same traffic.
+    serve`` stream exactly the same traffic.  Works on the dataset's
+    columns: untouched, they are the dataset's own (with the derived
+    columns cached on them); truncated or jittered, a gathered or shifted
+    copy.
     """
-    flows = list(dataset.flows) if max_flows is None else dataset.flows[:max_flows]
-    if not jitter_starts:
-        return flows
-    rng = np.random.default_rng(seed)
-    shifted = []
-    for flow in flows:
-        offset = float(rng.uniform(0.0, 10.0))
-        moved = [
-            type(p)(
-                timestamp=p.timestamp + offset,
-                size=p.size,
-                flags=p.flags,
-                direction=p.direction,
-                payload=p.payload,
-            )
-            for p in flow.packets
-        ]
-        shifted.append(
-            Flow(
-                five_tuple=flow.five_tuple,
-                packets=moved,
-                label=flow.label,
-                class_name=flow.class_name,
-                flow_id=flow.flow_id,
-            )
-        )
-    return shifted
-
-
-def replay_source(
-    dataset: FlowDataset,
-    *,
-    max_flows: int | None = None,
-    jitter_starts: bool = False,
-    seed: int = 0,
-) -> tuple[list[Flow], PacketArrays]:
-    """The flows a replay observes (:func:`prepare_replay_flows`) and their packet columns."""
-    flows = prepare_replay_flows(
-        dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
-    )
-    if max_flows is None and not jitter_starts:
-        # Same flow objects as the dataset: reuse its memoised SoA (and the
-        # derived columns cached on it) across replays.
-        return flows, dataset.packet_arrays()
-    return flows, PacketArrays.from_flows(flows)
+    soa = dataset.packet_arrays()
+    if max_flows is not None:
+        kept = np.arange(soa.n_flows)[:max_flows]
+        if kept.size < soa.n_flows:
+            soa = soa.take(kept)
+    if jitter_starts:
+        # One offset per flow, drawn in flow order.
+        offsets = np.random.default_rng(seed).uniform(0.0, 10.0, size=soa.n_flows)
+        soa = soa.with_timestamps(soa.timestamps + offsets[soa.packet_flow])
+    return LazyFlowList(soa, dataset.class_names)
 
 
 def replay_dataset(
@@ -257,9 +225,10 @@ def replay_dataset(
         >>> result.report.f1_score  # doctest: +SKIP
         0.87
     """
-    flows, soa = replay_source(
+    flows = prepare_replay_flows(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
+    soa = flows.soa
     vz.replay_arrays(program, flows, soa=soa)
     return build_replay_result(
         program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()

@@ -905,33 +905,38 @@ def _window_end_table(counts: np.ndarray, n_partitions: int) -> np.ndarray:
 
 
 class WindowTable:
-    """Every window of every flow of a source, aggregated once: a serving session's features.
+    """Every window of every flow of a source, each aggregated once: a serving session's features.
 
     On a flow alone in its register slot, window ``w`` always covers the
     flow's own packets ``[ends[w - 1], ends[w])`` (:func:`window_ends`), so
     its feature vector depends on the source, the flow, the window and the
     model only — never on when a flush closes it.  The micro-batch engine
-    builds one table at its first flush and drops it with itself; its
+    opens one table at its first flush and drops it with itself; its
     lockstep rounds then gather their rows here instead of filling them
     (:func:`close_ready_windows`).
 
-    The build is one :meth:`_WindowAggregator.fill` per window index, over
-    every flow with that window, of the stateful features the subtrees of
-    that partition read (:meth:`FillPlan.merged`); the header columns any
-    subtree reads are written beside them.  A row per window a flow has,
-    flow-major, so the rows' first packets (``_starts``) ascend; a column
-    per feature some subtree reads.  A cell a window's subtrees do not read
-    is left uninitialised, never read.  ``flows`` (flow indices; default
-    every flow of the source) are the flows an engine can be handed: a
-    ``sharded-mp`` worker's are its shard's.
+    Window ``w``'s rows are built at the first round that reaches a window
+    ``w``: one :meth:`_WindowAggregator.fill` over every flow with that
+    window, of the stateful features the subtrees of that partition read
+    (:meth:`FillPlan.merged`), with the header columns any subtree reads
+    beside them: at most one fill per window index a session, each at the
+    round that first needs it.  A row per window a flow has, flow-major, so the rows' first
+    packets (``_starts``, known from the start) ascend; a column per feature
+    some subtree reads.  A cell a window's subtrees do not read is left
+    uninitialised, never read.  ``flows`` (flow indices; default every flow
+    of the source) are the flows an engine can be handed: a ``sharded-mp``
+    worker's are its shard's.
 
-    Counts the build as ``dataplane.window_table.builds``, its rows as
-    ``dataplane.window_table.rows`` and its kernel-family passes as
-    ``dataplane.window_table.passes`` (``dataplane.fill.passes`` counts the
-    rounds').
+    Counts the table as ``dataplane.window_table.builds`` and its rows as
+    ``dataplane.window_table.rows`` when opened, and each window's
+    kernel-family passes as ``dataplane.window_table.passes`` when built
+    (``dataplane.fill.passes`` counts the rounds').
     """
 
-    __slots__ = ("_starts", "_columns", "_values")
+    __slots__ = (
+        "_starts", "_columns", "_values", "_row_window", "_missing", "_soa", "_ends",
+        "_counts", "_first", "_plans", "_reads", "_header", "_aggregator", "_counters",
+    )
 
     def __init__(
         self, program, soa: PacketArrays, ends: np.ndarray, flows: np.ndarray | None = None
@@ -941,42 +946,54 @@ class WindowTable:
         sids_of = [[] for _ in range(n_partitions)]
         for sid, subtree in program.model.subtrees.items():
             sids_of[subtree.partition].append(sid)
-        plans = [plan.merged(np.array(sids, dtype=np.intp)) for sids in sids_of]
+        self._plans = [plan.merged(np.array(sids, dtype=np.intp)) for sids in sids_of]
         # Per window, the stateful features its subtrees read.
-        reads = [np.flatnonzero(window_plan._reads[0]) for window_plan in plans]
+        self._reads = [np.flatnonzero(window_plan._reads[0]) for window_plan in self._plans]
         header = np.array(plan.header_features, dtype=np.intp)
-        self._columns = np.unique(np.concatenate([header, *reads]))
+        self._columns = np.unique(np.concatenate([header, *self._reads]))
+        self._header = [
+            (self._columns.searchsorted(feature), column)
+            for feature, column in plan.header_columns
+        ]
         # A flow with fewer packets than partitions has a window per packet.
         counts = np.zeros(soa.n_flows, dtype=np.intp)
         served = slice(None) if flows is None else flows
         counts[served] = np.minimum(soa.n_packets_per_flow[served], n_partitions)
-        first = counts.cumsum() - counts
+        self._counts = counts
+        self._first = counts.cumsum() - counts
         n_rows = int(counts.sum())
-        self._starts = np.empty(n_rows, dtype=np.int64)
-        self._values = np.empty((n_rows, self._columns.size), dtype=np.float64)
         row_flow = np.repeat(np.arange(soa.n_flows), counts)
-        for feature, column in plan.header_columns:
-            self._values[:, self._columns.searchsorted(feature)] = getattr(soa, column)[row_flow]
-        aggregator = _WindowAggregator(soa)
-        passes = 0
-        for window, (window_plan, read) in enumerate(zip(plans, reads)):
-            flows = np.flatnonzero(counts > window)
-            if not flows.size:
-                break  # no flow has this window, nor any later one
-            base = soa.flow_starts[flows]
-            s = base + ends[window - 1].take(flows) if window else base
-            e = base + ends[window].take(flows)
-            matrix = np.empty((flows.size, N_FEATURES), dtype=np.float64, order="F")
-            passes += aggregator.fill(
-                matrix, s, e, window_plan, np.zeros(flows.size, dtype=np.int64)
-            )
-            rows = first[flows] + window
-            self._starts[rows] = s
-            self._values[np.ix_(rows, self._columns.searchsorted(read))] = matrix[:, read]
-        counters = program.counters
-        counters.add("dataplane.window_table.builds")
-        counters.add("dataplane.window_table.rows", n_rows)
-        counters.add("dataplane.window_table.passes", passes)
+        self._row_window = np.arange(n_rows) - self._first[row_flow]
+        self._starts = soa.flow_starts[row_flow] + np.where(
+            self._row_window > 0, ends[np.maximum(self._row_window - 1, 0), row_flow], 0
+        )
+        self._values = np.empty((n_rows, self._columns.size), dtype=np.float64)
+        # Windows some flow has, not built yet.
+        self._missing = [window for window in range(n_partitions) if (counts > window).any()]
+        self._soa, self._ends = soa, ends
+        self._aggregator = _WindowAggregator(soa)
+        self._counters = program.counters
+        self._counters.add("dataplane.window_table.builds")
+        self._counters.add("dataplane.window_table.rows", n_rows)
+
+    def _build(self, window: int) -> None:
+        """Aggregate window ``window`` of every flow that has one into its rows."""
+        soa, ends = self._soa, self._ends
+        window_plan, read = self._plans[window], self._reads[window]
+        flows = np.flatnonzero(self._counts > window)
+        base = soa.flow_starts[flows]
+        s = base + ends[window - 1].take(flows) if window else base
+        e = base + ends[window].take(flows)
+        matrix = np.empty((flows.size, N_FEATURES), dtype=np.float64, order="F")
+        passes = self._aggregator.fill(
+            matrix, s, e, window_plan, np.zeros(flows.size, dtype=np.int64)
+        )
+        rows = self._first[flows] + window
+        for column, name in self._header:
+            self._values[rows, column] = getattr(soa, name)[flows]
+        self._values[np.ix_(rows, self._columns.searchsorted(read))] = matrix[:, read]
+        self._missing.remove(window)
+        self._counters.add("dataplane.window_table.passes", passes)
 
     def fill(self, matrix: np.ndarray, s: np.ndarray, e: np.ndarray, plan, sids) -> int:
         """Gather the rows of the windows starting at ``s`` into ``matrix``; runs no family pass.
@@ -985,8 +1002,14 @@ class WindowTable:
         ``matrix`` gets every column the table holds, header columns
         included.  ``s`` must be window starts (a solo flow's windows, each
         closed whole); ``e``, ``plan`` and ``sids`` are the table's already.
+        A window index no round reached before is built first.
         """
-        matrix[:, self._columns] = self._values.take(self._starts.searchsorted(s), axis=0)
+        rows = self._starts.searchsorted(s)
+        if self._missing:
+            windows = self._row_window.take(rows)
+            for window in [w for w in self._missing if (windows == w).any()]:
+                self._build(window)
+        matrix[:, self._columns] = self._values.take(rows, axis=0)
         return 0
 
 

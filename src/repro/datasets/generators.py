@@ -31,12 +31,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.datasets.flows import (
+    PACKET_DTYPES,
     PROTO_TCP,
     PROTO_UDP,
     FiveTuple,
     Flow,
     FlowDataset,
-    Packet,
+    LazyFlowList,
+    PacketArraysWriter,
+    PacketColumns,
     TCP_FLAGS,
 )
 from repro.datasets.profiles import DatasetProfile, get_profile
@@ -196,10 +199,11 @@ class SyntheticTrafficGenerator:
         """Yield ``n_flows`` labelled flows one at a time, in draw order.
 
         The streaming counterpart of :meth:`generate`: the rng draw sequence
-        is identical (``generate`` is a thin wrapper over this iterator), so
+        is identical (``generate`` writes this iterator's flows), so
         consumers that spill flows out-of-core — e.g. a
         :class:`~repro.datasets.streams.StreamedPacketWriter` — observe
-        bit-identical traffic without ever holding the flow list.
+        bit-identical traffic without ever holding the flow list.  Each flow
+        is a view of its own packet columns (``flow.packets.columns()``).
         """
         if n_flows < self.profile.n_classes:
             raise ValueError(
@@ -219,14 +223,25 @@ class SyntheticTrafficGenerator:
             yield flow
 
     def generate(self, n_flows: int) -> FlowDataset:
-        """Generate ``n_flows`` labelled flows (classes roughly balanced)."""
-        flows = list(self.iter_flows(n_flows))
+        """Generate ``n_flows`` labelled flows (classes roughly balanced).
 
+        The flows are written into one :class:`PacketArrays` as they are
+        drawn; the dataset's ``flows`` is a :class:`LazyFlowList` over it.
+        """
+        writer = PacketArraysWriter()
+        for flow in self.iter_flows(n_flows):
+            writer.add_flow(
+                flow.five_tuple,
+                flow.label,
+                flow_id=flow.flow_id,
+                **flow.packets.columns()._asdict(),
+            )
+        class_names = [sig.name for sig in self.signatures]
         return FlowDataset(
             name=self.profile.key,
             description=self.profile.description,
-            flows=flows,
-            class_names=[sig.name for sig in self.signatures],
+            flows=LazyFlowList(writer.finish(), class_names),
+            class_names=class_names,
             metadata={
                 "source_name": self.profile.source_name,
                 "seed": self.seed,
@@ -276,6 +291,9 @@ class SyntheticTrafficGenerator:
     ) -> Flow:
         """Draw one flow labelled ``label`` whose packets follow ``behaviour``.
 
+        The flow views its own packet columns: each packet's five fields are
+        appended to them as they are drawn, and no :class:`Packet` is built.
+
         ``start`` is the first packet's predecessor timestamp when the caller
         has already drawn it; otherwise it is drawn after the flow's wobble.
         The order and arguments of the rng calls are the dataset: every
@@ -318,7 +336,11 @@ class SyntheticTrafficGenerator:
         # Packet ``i`` is in phase ``min(N_PHASES * i // n_packets, N_PHASES - 1)``.
         bounds = [-(-phase * n_packets // N_PHASES) for phase in range(N_PHASES)]
         bounds.append(n_packets)
-        packets = []
+        # Each packet's five fields go straight into the flow's columns.
+        columns = PacketColumns([], [], [], [], [])
+        (
+            add_timestamp, add_size, add_flags, add_direction, add_payload,
+        ) = (column.append for column in columns)
         for phase in range(N_PHASES):
             (
                 mean_size, size_sigma, small_bias,
@@ -353,11 +375,18 @@ class SyntheticTrafficGenerator:
                 direction = 1 if random() < direction_mix else -1
                 density = payload_density + normal(0, payload_sigma)
                 payload = int(size * min(max(density, 0.0), 1.0))
-                packets.append(Packet(timestamp, size, flags, direction, payload))
+                add_timestamp(timestamp)
+                add_size(size)
+                add_flags(flags)
+                add_direction(direction)
+                add_payload(payload)
 
+        columns = PacketColumns(*(
+            np.array(values, dtype=dtype) for values, dtype in zip(columns, PACKET_DTYPES)
+        ))
         return Flow(
             five_tuple=five_tuple,
-            packets=packets,
+            packets=columns.packets(),
             label=label,
             class_name=self.signatures[label].name,
             flow_id=flow_id,

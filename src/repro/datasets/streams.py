@@ -40,7 +40,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
+from repro.datasets.flows import (
+    PACKET_DTYPES,
+    FiveTuple,
+    Flow,
+    FlowDataset,
+    LazyFlowList,
+    Packet,
+    PacketArrays,
+    PacketArraysWriter,
+    PacketColumns,
+)
 
 
 @dataclass(eq=False)
@@ -49,14 +59,15 @@ class PacketChunk:
 
     Attributes:
         soa: The shared structure-of-arrays source the positions index into.
-        flows: Flow objects aligned with ``soa``'s flow axis (needed by the
-            per-packet scalar paths and for ground-truth labels).
+        flows: The source's flows (views, usually a ``LazyFlowList``),
+            aligned with ``soa``'s flow axis; no engine reads them, an
+            online retraining buffer keeps some.
         positions: Packet positions (indices into ``soa``'s packet columns)
             in stream order.
     """
 
     soa: PacketArrays
-    flows: list[Flow]
+    flows: Sequence[Flow]
     positions: np.ndarray
     _flow_counts: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
@@ -140,117 +151,22 @@ def iter_packet_chunks(
 # ----------------------------------------------------------------------
 
 #: Per-packet columns spilled to disk by :class:`StreamedPacketWriter`, in
-#: the dtype :meth:`PacketArrays.from_flows` would give them.
+#: their :class:`PacketArrays` dtypes.
 _PACKET_COLUMNS = (
-    ("timestamps", np.dtype(np.float64)),
-    ("sizes", np.dtype(np.float64)),
-    ("flags", np.dtype(np.int64)),
-    ("directions", np.dtype(np.int64)),
-    ("payloads", np.dtype(np.float64)),
+    *zip(PacketColumns._fields, PACKET_DTYPES),
     ("packet_flow", np.dtype(np.intp)),
 )
 
 
-class _LazyPackets(Sequence):
-    """List-like view of one flow's packets, built on demand from the SoA.
-
-    Supports everything :class:`~repro.datasets.flows.Flow` asks of its
-    ``packets`` list — ``len``, iteration, and (negative) indexing (e.g.
-    ``packets[-1]`` in ``Flow.duration``) — constructing each
-    :class:`Packet` only when touched, so holding a million lazy flows costs
-    no packet-object memory.
-    """
-
-    __slots__ = ("_soa", "_start", "_stop")
-
-    def __init__(self, soa: PacketArrays, start: int, stop: int) -> None:
-        self._soa = soa
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"packet index {index} out of range for flow of {n} packets")
-        pos = self._start + index
-        soa = self._soa
-        return Packet(
-            timestamp=float(soa.timestamps[pos]),
-            size=int(soa.sizes[pos]),
-            flags=int(soa.flags[pos]),
-            direction=int(soa.directions[pos]),
-            payload=int(soa.payloads[pos]),
-        )
-
-
-class LazyFlowList(Sequence):
-    """Sequence of :class:`Flow` objects materialised per access.
-
-    Indexing builds an ephemeral ``Flow`` whose ``packets`` is a
-    :class:`_LazyPackets` view into the (possibly memmap-backed) SoA — the
-    per-flow five-tuple components are the SoA's identity columns, so the
-    resident cost is a few per-flow columns regardless of packet count.
-    Satisfies the ``flows`` contract of :func:`iter_packet_chunks` and the
-    scalar paths of the replay engines without ever holding the object-form
-    dataset.
-    """
-
-    def __init__(self, soa: PacketArrays, class_names: Sequence[str] | None = None) -> None:
-        self._soa = soa
-        self._class_names = list(class_names) if class_names is not None else []
-
-    def __len__(self) -> int:
-        return self._soa.n_flows
-
-    def identity_columns(self) -> tuple[np.ndarray, ...]:
-        """The SoA's 5-tuple columns: hashing the list builds no ``Flow``."""
-        return self._soa.identity_columns()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"flow index {index} out of range for {n} flows")
-        soa = self._soa
-        label = int(soa.labels[index])
-        class_name = (
-            self._class_names[label] if 0 <= label < len(self._class_names) else ""
-        )
-        return Flow(
-            five_tuple=FiveTuple(
-                src_ip=int(soa.src_ips[index]),
-                dst_ip=int(soa.dst_ips[index]),
-                src_port=int(soa.src_ports[index]),
-                dst_port=int(soa.dst_ports[index]),
-                protocol=int(soa.protocols[index]),
-            ),
-            packets=_LazyPackets(
-                soa, int(soa.flow_starts[index]), int(soa.flow_starts[index + 1])
-            ),
-            label=label,
-            class_name=class_name,
-            flow_id=int(soa.flow_ids[index]),
-        )
-
-
-class StreamedPacketWriter:
+class StreamedPacketWriter(PacketArraysWriter):
     """Incrementally spill a packet workload to disk, column by column.
 
-    Generators append flows (or whole flow blocks) as they are produced; the
-    per-packet columns go straight to flat binary files while only the small
-    per-flow columns stay resident.  :meth:`finish` memory-maps the spilled
-    columns into a genuine :class:`PacketArrays` — so chunked iteration, the
-    serve engines and the fused replay all work unchanged — wrapped in a
+    A :class:`~repro.datasets.flows.PacketArraysWriter` whose packet columns
+    go straight to flat binary files as flows (or whole flow blocks) are
+    appended, while only the small per-flow columns stay resident.
+    :meth:`finish` memory-maps the spilled columns into a genuine
+    :class:`PacketArrays` — so chunked iteration, the serve engines and the
+    fused replay all work unchanged — wrapped in a
     :class:`StreamedPacketSource` that owns the backing directory.
 
     Example::
@@ -263,6 +179,7 @@ class StreamedPacketWriter:
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:
+        super().__init__()
         if directory is None:
             self._dir = Path(tempfile.mkdtemp(prefix="splidt-stream-"))
         else:
@@ -271,190 +188,30 @@ class StreamedPacketWriter:
         self._files = {
             name: open(self._dir / f"{name}.bin", "wb") for name, _ in _PACKET_COLUMNS
         }
-        # Per-flow columns accumulate as chunk lists (one append per add_flow
-        # call, one per block) and concatenate once in finish().
-        self._flow_chunks: dict[str, list[np.ndarray]] = {
-            name: []
-            for name in (
-                "flow_ids", "labels", "counts", "src_ips", "dst_ips",
-                "src_ports", "dst_ports", "protocols",
-                "first_sizes", "first_timestamps",
-            )
-        }
-        self._n_flows = 0
-        self._n_packets = 0
-        self._last_flow_id: int | None = None
-        self._monotonic_ids = True
-        self._finished = False
 
-    @property
-    def n_flows(self) -> int:
-        """Flows appended so far."""
-        return self._n_flows
-
-    @property
-    def n_packets(self) -> int:
-        """Packets spilled so far."""
-        return self._n_packets
-
-    def _check_open(self) -> None:
-        if self._finished:
-            raise RuntimeError("StreamedPacketWriter already finished")
-
-    def _write_packets(self, **columns: np.ndarray) -> None:
-        for name, dtype in _PACKET_COLUMNS:
-            self._files[name].write(
-                np.ascontiguousarray(columns[name], dtype=dtype).tobytes()
-            )
-
-    def add_flow(
-        self,
-        five_tuple: FiveTuple,
-        label: int,
-        *,
-        timestamps: Sequence[float] | np.ndarray,
-        sizes: Sequence[float] | np.ndarray,
-        flags: Sequence[int] | np.ndarray | None = None,
-        directions: Sequence[int] | np.ndarray | None = None,
-        payloads: Sequence[float] | np.ndarray | None = None,
-        flow_id: int | None = None,
-    ) -> int:
-        """Append one flow; returns its index on the flow axis."""
-        self._check_open()
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        n = timestamps.size
-        if sizes.size != n:
-            raise ValueError(f"sizes has {sizes.size} entries, expected {n}")
-        if flow_id is None:
-            flow_id = self._n_flows
-        index = self._n_flows
-        self._write_packets(
-            timestamps=timestamps,
-            sizes=sizes,
-            flags=np.zeros(n, dtype=np.int64) if flags is None else np.asarray(flags),
-            directions=(
-                np.ones(n, dtype=np.int64) if directions is None else np.asarray(directions)
-            ),
-            payloads=(
-                np.zeros(n, dtype=np.float64) if payloads is None else np.asarray(payloads)
-            ),
-            packet_flow=np.full(n, index, dtype=np.intp),
+    def _write_packets(self, columns: PacketColumns, first_flow: int, counts) -> None:
+        n = columns.timestamps.size
+        packet_flow = (
+            np.full(n, first_flow, dtype=np.intp) if counts is None
+            else np.repeat(np.arange(first_flow, first_flow + counts.size, dtype=np.intp), counts)
         )
-        chunks = self._flow_chunks
-        chunks["flow_ids"].append(np.array([flow_id], dtype=np.int64))
-        chunks["labels"].append(np.array([label], dtype=np.int64))
-        chunks["counts"].append(np.array([n], dtype=np.int64))
-        chunks["src_ips"].append(np.array([five_tuple.src_ip], dtype=np.int64))
-        chunks["dst_ips"].append(np.array([five_tuple.dst_ip], dtype=np.int64))
-        chunks["src_ports"].append(np.array([five_tuple.src_port], dtype=np.int64))
-        chunks["dst_ports"].append(np.array([five_tuple.dst_port], dtype=np.int64))
-        chunks["protocols"].append(np.array([five_tuple.protocol], dtype=np.int64))
-        chunks["first_sizes"].append(
-            np.array([float(sizes[0]) if n else 0.0], dtype=np.float64)
-        )
-        chunks["first_timestamps"].append(
-            np.array([float(timestamps[0]) if n else 0.0], dtype=np.float64)
-        )
-        if self._last_flow_id is not None and flow_id < self._last_flow_id:
-            self._monotonic_ids = False
-        self._last_flow_id = flow_id
-        self._n_flows += 1
-        self._n_packets += int(n)
-        return index
+        for (name, _), values in zip(_PACKET_COLUMNS, (*columns, packet_flow)):
+            self._files[name].write(values.tobytes())
 
-    def add_flow_block(
-        self,
-        *,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-        labels: np.ndarray,
-        counts: np.ndarray,
-        timestamps: np.ndarray,
-        sizes: np.ndarray,
-        flags: np.ndarray | None = None,
-        directions: np.ndarray | None = None,
-        payloads: np.ndarray | None = None,
-        flow_ids: np.ndarray | None = None,
-    ) -> int:
-        """Append many flows at once; per-packet columns are flow-major.
+    def _close_files(self) -> None:
+        for handle in self._files.values():
+            handle.close()
 
-        The fast path for flood generation: per-flow columns are index
-        aligned with each other, per-packet columns concatenate the flows'
-        packets in order (flow ``i``'s packets occupy the ``counts[:i]``-th
-        through ``counts[:i+1]``-th entries).  Returns the index of the first
-        appended flow.
-        """
-        self._check_open()
-        counts = np.asarray(counts, dtype=np.int64)
-        n_flows = counts.size
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        total = int(counts.sum())
-        if timestamps.size != total or sizes.size != total:
-            raise ValueError(
-                f"per-packet columns must carry sum(counts)={total} entries, "
-                f"got {timestamps.size} timestamps / {sizes.size} sizes"
-            )
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be >= 0")
-        start = self._n_flows
-        if flow_ids is None:
-            flow_ids = np.arange(start, start + n_flows, dtype=np.int64)
-        else:
-            flow_ids = np.asarray(flow_ids, dtype=np.int64)
-        self._write_packets(
-            timestamps=timestamps,
-            sizes=sizes,
-            flags=np.zeros(total, dtype=np.int64) if flags is None else np.asarray(flags),
-            directions=(
-                np.ones(total, dtype=np.int64) if directions is None else np.asarray(directions)
-            ),
-            payloads=(
-                np.zeros(total, dtype=np.float64) if payloads is None else np.asarray(payloads)
-            ),
-            packet_flow=np.repeat(np.arange(start, start + n_flows, dtype=np.intp), counts),
-        )
-        starts = np.zeros(n_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        if total:
-            safe_first = np.minimum(starts[:-1], total - 1)
-            first_sizes = np.where(counts > 0, sizes[safe_first], 0.0)
-            first_timestamps = np.where(counts > 0, timestamps[safe_first], 0.0)
-        else:
-            first_sizes = np.zeros(n_flows, dtype=np.float64)
-            first_timestamps = np.zeros(n_flows, dtype=np.float64)
-        chunks = self._flow_chunks
-        chunks["flow_ids"].append(flow_ids)
-        chunks["labels"].append(np.asarray(labels, dtype=np.int64))
-        chunks["counts"].append(counts)
-        chunks["src_ips"].append(np.asarray(src_ips, dtype=np.int64))
-        chunks["dst_ips"].append(np.asarray(dst_ips, dtype=np.int64))
-        chunks["src_ports"].append(np.asarray(src_ports, dtype=np.int64))
-        chunks["dst_ports"].append(np.asarray(dst_ports, dtype=np.int64))
-        chunks["protocols"].append(np.asarray(protocols, dtype=np.int64))
-        chunks["first_sizes"].append(first_sizes.astype(np.float64))
-        chunks["first_timestamps"].append(first_timestamps.astype(np.float64))
-        if n_flows:
-            if self._last_flow_id is not None and int(flow_ids[0]) < self._last_flow_id:
-                self._monotonic_ids = False
-            if np.any(np.diff(flow_ids) < 0):
-                self._monotonic_ids = False
-            self._last_flow_id = int(flow_ids[-1])
-        self._n_flows += int(n_flows)
-        self._n_packets += total
-        return start
-
-    def _flow_column(self, name: str, dtype) -> np.ndarray:
-        chunks = self._flow_chunks[name]
-        if not chunks:
-            return np.zeros(0, dtype=dtype)
-        if len(chunks) == 1:
-            return chunks[0].astype(dtype, copy=False)
-        return np.concatenate(chunks).astype(dtype, copy=False)
+    def _packet_columns(self) -> tuple[PacketColumns, np.ndarray]:
+        total = self._n_packets
+        columns = [
+            # np.memmap rejects zero-length maps; an empty workload fits in
+            # RAM by definition.
+            np.memmap(self._dir / f"{name}.bin", dtype=dtype, mode="r", shape=(total,))
+            if total else np.zeros(0, dtype=dtype)
+            for name, dtype in _PACKET_COLUMNS
+        ]
+        return PacketColumns(*columns[:-1]), columns[-1]
 
     def finish(
         self,
@@ -465,60 +222,8 @@ class StreamedPacketWriter:
     ) -> "StreamedPacketSource":
         """Seal the writer and return the memmap-backed source."""
         self._check_open()
-        self._finished = True
-        for handle in self._files.values():
-            handle.close()
-
-        total = self._n_packets
-        packet_cols: dict[str, np.ndarray] = {}
-        for col_name, dtype in _PACKET_COLUMNS:
-            if total:
-                packet_cols[col_name] = np.memmap(
-                    self._dir / f"{col_name}.bin", dtype=dtype, mode="r", shape=(total,)
-                )
-            else:
-                # np.memmap rejects zero-length maps; an empty workload fits
-                # in RAM by definition.
-                packet_cols[col_name] = np.zeros(0, dtype=dtype)
-
-        counts = self._flow_column("counts", np.int64)
-        flow_starts = np.zeros(self._n_flows + 1, dtype=np.intp)
-        np.cumsum(counts, out=flow_starts[1:])
-        flow_ids = self._flow_column("flow_ids", np.int64)
-
-        # Global (timestamp, flow_id) interleave.  When flow ids were
-        # appended in non-decreasing order — every generator in this repo —
-        # a stable timestamp sort breaks ties in append order, which *is*
-        # flow-id order, so it matches ``lexsort((flow_ids[packet_flow],
-        # timestamps))`` exactly without materialising the per-packet flow-id
-        # gather in RAM.
-        if self._monotonic_ids:
-            interleave_order = np.argsort(packet_cols["timestamps"], kind="stable")
-        else:
-            interleave_order = np.lexsort(
-                (flow_ids[packet_cols["packet_flow"]], packet_cols["timestamps"])
-            )
-
-        soa = PacketArrays(
-            timestamps=packet_cols["timestamps"],
-            sizes=packet_cols["sizes"],
-            flags=packet_cols["flags"],
-            directions=packet_cols["directions"],
-            payloads=packet_cols["payloads"],
-            packet_flow=packet_cols["packet_flow"],
-            flow_starts=flow_starts,
-            flow_ids=flow_ids,
-            labels=self._flow_column("labels", np.int64),
-            n_packets_per_flow=counts,
-            src_ips=self._flow_column("src_ips", np.int64),
-            dst_ips=self._flow_column("dst_ips", np.int64),
-            src_ports=self._flow_column("src_ports", np.int64),
-            dst_ports=self._flow_column("dst_ports", np.int64),
-            protocols=self._flow_column("protocols", np.int64),
-            first_sizes=self._flow_column("first_sizes", np.float64),
-            first_timestamps=self._flow_column("first_timestamps", np.float64),
-            interleave_order=interleave_order,
-        )
+        self._close_files()
+        soa = self._seal()
         return StreamedPacketSource(
             soa=soa,
             flows=LazyFlowList(soa, class_names),
@@ -531,9 +236,8 @@ class StreamedPacketWriter:
     def abort(self) -> None:
         """Discard the spilled columns without building a source."""
         if not self._finished:
-            self._finished = True
-            for handle in self._files.values():
-                handle.close()
+            self._close_files()
+        super().abort()
         shutil.rmtree(self._dir, ignore_errors=True)
 
 
@@ -586,11 +290,13 @@ class StreamedPacketSource:
         return sum(f.stat().st_size for f in self.directory.glob("*.bin"))
 
     def materialised_bytes_estimate(self) -> int:
-        """Estimated resident bytes of the equivalent in-RAM dataset.
+        """Estimated resident bytes of the workload held in RAM as objects.
 
-        Counts (a) the SoA columns ``PacketArrays.from_flows`` would allocate
-        and (b) the object-form ``Flow``/``Packet``/``FiveTuple`` graph that
-        construction path requires as input (:meth:`_object_bytes`).
+        Counts (a) the SoA columns an in-RAM source holds and (b) the same
+        traffic as a ``Flow``/``Packet``/``FiveTuple`` object graph
+        (:meth:`_object_bytes`) — the form every in-RAM dataset took before
+        generation wrote columns directly, kept as the out-of-core
+        benchmark's reference point.
         """
         soa = self.soa
         per_packet = sum(dtype.itemsize for _, dtype in _PACKET_COLUMNS)

@@ -112,12 +112,10 @@ def run_phase_change_demo(
     )
     shifted = generator.generate(serve_flows)
     shift_time = generator.shift_time
-    pre_ids = [
-        f.flow_id for f in shifted.flows if f.packets[0].timestamp < shift_time
-    ]
-    post_ids = [
-        f.flow_id for f in shifted.flows if f.packets[0].timestamp >= shift_time
-    ]
+    soa = shifted.packet_arrays()
+    pre = soa.first_timestamps < shift_time
+    pre_ids = soa.flow_ids[pre].tolist()
+    post_ids = soa.flow_ids[~pre].tolist()
 
     # Deployed as ``serve`` deploys SpliDT: the default target, no eviction.
     # (Imported here: ``repro.pipeline`` imports this package.)

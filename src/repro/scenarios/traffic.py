@@ -4,12 +4,13 @@
 into a replayable :class:`ScenarioWorkload`: legitimate flows come from the
 profile's :class:`~repro.datasets.generators.SyntheticTrafficGenerator`
 (streamed one at a time, never all in RAM), each adversarial layer rewrites
-them in order, and flood layers append spoofed attack flows after the
-legitimate block.  The same code path serves both representations — a
-materialised flow list for small scenarios and a
-:class:`~repro.datasets.streams.StreamedPacketWriter` spill for million-flow
-ones — so a scenario's traffic is bit-identical under either (locked by the
-tests).
+their columns in order, and flood layers append spoofed attack flows after
+the legitimate block.  One code path writes every workload; only where its
+packet columns live differs — in RAM (a
+:class:`~repro.datasets.flows.PacketArraysWriter`) for small scenarios, in
+memmaps (a :class:`~repro.datasets.streams.StreamedPacketWriter` spill) for
+million-flow ones — so a scenario's traffic is bit-identical under either
+(locked by the tests).
 
 Layer semantics (parameters documented on
 :class:`~repro.scenarios.spec.LayerSpec`):
@@ -35,11 +36,18 @@ generators' explicit-``rng`` parameter exists for).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays, PROTO_TCP, PROTO_UDP
+from repro.datasets.flows import (
+    PROTO_TCP,
+    PROTO_UDP,
+    FiveTuple,
+    LazyFlowList,
+    PacketArrays,
+    PacketArraysWriter,
+)
 from repro.datasets.generators import SyntheticTrafficGenerator
 from repro.datasets.profiles import get_profile
 from repro.datasets.streams import (
@@ -126,8 +134,9 @@ def validate_layer_params(layer: LayerSpec) -> None:
 class ScenarioWorkload:
     """A replayable adversarial workload: flows + SoA + attack metadata.
 
-    ``flows``/``soa`` satisfy every ``(flows, soa)`` consumer in the
-    repository (replay engines, serve engines, chunk iteration).  Flows
+    ``soa`` is the traffic and ``flows`` a :class:`LazyFlowList` over it;
+    the pair satisfies every ``(flows, soa)`` consumer in the repository
+    (replay engines, serve engines, chunk iteration).  Flows
     ``[0, n_legit)`` are legitimate base traffic — quality metrics are
     computed over them only; anything after is attack load.  ``advertised``
     carries the per-flow *advertised* flow sizes when an evasion layer is
@@ -135,7 +144,7 @@ class ScenarioWorkload:
     """
 
     name: str
-    flows: object
+    flows: LazyFlowList
     soa: PacketArrays
     class_names: list[str]
     n_legit: int
@@ -189,17 +198,11 @@ class _HeavyHitterLayer:
         # A fixed source pool: heavy hitters are *specific* machines.
         self.pool = (0x0A800000 + np.arange(self.n_sources)).astype(np.int64)
 
-    def apply(self, flow: Flow, rng: np.random.Generator) -> Flow:
+    def apply(
+        self, five_tuple: FiveTuple, timestamps: np.ndarray, rng: np.random.Generator
+    ) -> tuple[FiveTuple, np.ndarray]:
         source = int(self.pool[int(rng.choice(self.n_sources, p=self.weights))])
-        tuple_ = flow.five_tuple
-        flow.five_tuple = FiveTuple(
-            src_ip=source,
-            dst_ip=tuple_.dst_ip,
-            src_port=tuple_.src_port,
-            dst_port=tuple_.dst_port,
-            protocol=tuple_.protocol,
-        )
-        return flow
+        return replace(five_tuple, src_ip=source), timestamps
 
 
 class _FlashCrowdLayer:
@@ -208,16 +211,17 @@ class _FlashCrowdLayer:
         self.width = float(params["width"])
         self.fraction = float(params["fraction"])
 
-    def apply(self, flow: Flow, rng: np.random.Generator) -> Flow:
+    def apply(
+        self, five_tuple: FiveTuple, timestamps: np.ndarray, rng: np.random.Generator
+    ) -> tuple[FiveTuple, np.ndarray]:
         crowd = rng.random() < self.fraction
         offset = rng.random()  # always drawn: rng stream independent of membership
-        if not crowd or not flow.packets:
-            return flow
+        if not crowd or not timestamps.size:
+            return five_tuple, timestamps
+        # Each flow keeps its internal spacing: every timestamp moves by the
+        # first one's shift.
         new_start = self.at + offset * self.width
-        delta = new_start - flow.packets[0].timestamp
-        for packet in flow.packets:
-            packet.timestamp += delta
-        return flow
+        return five_tuple, timestamps + (new_start - timestamps[0])
 
 
 class _EvasionLayer:
@@ -225,7 +229,7 @@ class _EvasionLayer:
         self.scale = float(params["scale"])
         self.fraction = float(params["fraction"])
 
-    def advertise(self, flow: Flow, advertised: int, rng: np.random.Generator) -> int:
+    def advertise(self, advertised: int, rng: np.random.Generator) -> int:
         if rng.random() < self.fraction:
             return max(int(round(advertised * self.scale)), 1)
         return advertised
@@ -286,42 +290,6 @@ class _DdosFloodLayer:
         }
 
 
-def _block_to_flows(block: dict) -> list[Flow]:
-    """Materialise a flood block as ``Flow`` objects (small scenarios only)."""
-    flows = []
-    counts = np.asarray(block["counts"])
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    for i in range(len(counts)):
-        lo, hi = int(starts[i]), int(starts[i + 1])
-        packets = [
-            Packet(
-                timestamp=float(block["timestamps"][pos]),
-                size=int(block["sizes"][pos]),
-                flags=int(block["flags"][pos]),
-                direction=int(block["directions"][pos]),
-                payload=int(block["payloads"][pos]),
-            )
-            for pos in range(lo, hi)
-        ]
-        flows.append(
-            Flow(
-                five_tuple=FiveTuple(
-                    src_ip=int(block["src_ips"][i]),
-                    dst_ip=int(block["dst_ips"][i]),
-                    src_port=int(block["src_ports"][i]),
-                    dst_port=int(block["dst_ports"][i]),
-                    protocol=int(block["protocols"][i]),
-                ),
-                packets=packets,
-                label=int(block["labels"][i]),
-                class_name="ddos-flood",
-                flow_id=int(block["flow_ids"][i]),
-            )
-        )
-    return flows
-
-
 # ----------------------------------------------------------------------
 # Workload assembly
 # ----------------------------------------------------------------------
@@ -356,40 +324,35 @@ def build_workload(
         elif layer.kind == "ddos-flood":
             flood_layers.append(_DdosFloodLayer(params))
 
-    writer = StreamedPacketWriter() if spec.streamed else None
+    # The one difference between a streamed and an in-memory workload: where
+    # the writer puts the packet columns (memmaps or RAM).
+    writer = StreamedPacketWriter() if spec.streamed else PacketArraysWriter()
     # Until ``finish`` hands the spill directory to its source, nothing else
     # owns it: a failed build removes it here.
     try:
-        flow_list: list[Flow] = []
         advertised: list[int] = []
 
         for flow in generator.iter_flows(n_legit):
+            columns = flow.packets.columns()
+            five_tuple, timestamps = flow.five_tuple, columns.timestamps
             for layer in per_flow_layers:
-                flow = layer.apply(flow, layer_rng)
+                five_tuple, timestamps = layer.apply(five_tuple, timestamps, layer_rng)
             size = flow.n_packets
             for layer in evasion_layers:
-                size = layer.advertise(flow, size, layer_rng)
+                size = layer.advertise(size, layer_rng)
             advertised.append(size)
-            if writer is not None:
-                writer.add_flow(
-                    flow.five_tuple,
-                    flow.label,
-                    timestamps=[p.timestamp for p in flow.packets],
-                    sizes=[p.size for p in flow.packets],
-                    flags=[p.flags for p in flow.packets],
-                    directions=[p.direction for p in flow.packets],
-                    payloads=[p.payload for p in flow.packets],
-                    flow_id=flow.flow_id,
-                )
-            else:
-                flow_list.append(flow)
+            writer.add_flow(
+                five_tuple,
+                flow.label,
+                flow_id=flow.flow_id,
+                **columns._replace(timestamps=timestamps)._asdict(),
+            )
 
         next_flow_id = n_legit
-        flood_blocks: list[dict] = []
         for layer in flood_layers:
             # Generate in bounded sub-blocks so a million-flow flood never holds
             # its full column set (plus construction temporaries) in RAM at
-            # once.  Both the streamed and materialised paths chunk identically,
+            # once.  Both the streamed and in-memory paths chunk identically,
             # consuming the layer rng in the same order — bit-exact parity
             # between them is locked by tests/test_scenarios.py.
             remaining = layer.flows
@@ -399,43 +362,29 @@ def build_workload(
                 next_flow_id += n
                 remaining -= n
                 advertised.extend(np.asarray(block["counts"], dtype=np.int64).tolist())
-                if writer is not None:
-                    writer.add_flow_block(**block)
-                    del block
-                else:
-                    flood_blocks.append(block)
+                writer.add_flow_block(**block)
+                del block
 
         class_names = [signature.name for signature in generator.signatures]
         advertised_arr = np.asarray(advertised, dtype=np.int64) if evasion_layers else None
 
-        if writer is not None:
+        if spec.streamed:
             source = writer.finish(name=spec.name, class_names=class_names)
+            soa = source.soa
+        else:
+            source, soa = None, writer.finish()
     except BaseException:
-        if writer is not None:
-            writer.abort()
+        writer.abort()
         raise
 
-    if writer is not None:
-        return ScenarioWorkload(
-            name=spec.name,
-            flows=source.flows,
-            soa=source.soa,
-            class_names=class_names,
-            n_legit=n_legit,
-            advertised=advertised_arr,
-            source=source,
-        )
-
-    for block in flood_blocks:
-        flow_list.extend(_block_to_flows(block))
-    soa = PacketArrays.from_flows(flow_list)
     return ScenarioWorkload(
         name=spec.name,
-        flows=flow_list,
+        flows=LazyFlowList(soa, class_names) if source is None else source.flows,
         soa=soa,
         class_names=class_names,
         n_legit=n_legit,
         advertised=advertised_arr,
+        source=source,
     )
 
 

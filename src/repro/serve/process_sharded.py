@@ -68,8 +68,9 @@ import numpy as np
 
 from repro.dataplane import vectorized as vz
 from repro.dataplane.verdicts import Verdicts, VerdictStore
+from repro.datasets.flows import LazyFlowList
 from repro.datasets.shm import SharedPacketArrays
-from repro.datasets.streams import LazyFlowList, PacketChunk
+from repro.datasets.streams import PacketChunk
 from repro.obs import Counters
 from repro.serve.engine import InferenceEngine, ServeError
 from repro.serve.ring import (

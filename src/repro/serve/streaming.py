@@ -58,7 +58,7 @@ class StreamingEngine(InferenceEngine):
     def _ingest(self, chunk: PacketChunk) -> None:
         if self._interpreter is None:
             self._interpreter = PacketInterpreter(self.program)
-        self._interpreter.replay_positions(chunk.flows, chunk.soa, chunk.positions)
+        self._interpreter.replay_positions(chunk.soa, chunk.positions)
 
     def _drain(self) -> None:
         if self._interpreter is not None:

@@ -112,7 +112,7 @@ def flow_slots(flows, table_size: int, *, return_tuple_ids: bool = False):
     """Register slot of every flow in ``flows`` (batch :func:`register_index`).
 
     ``flows`` is a :class:`~repro.datasets.flows.PacketArrays`, a
-    :class:`~repro.datasets.streams.LazyFlowList` (both hand over their
+    :class:`~repro.datasets.flows.LazyFlowList` (both hand over their
     identity columns as they are) or any sequence of flow objects (whose
     five-tuple fields are read into columns); the CRC runs over columns
     either way (:func:`crc32_columns`).  Shared by the vectorized replay engine and the

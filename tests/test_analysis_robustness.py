@@ -93,6 +93,6 @@ class TestSpoofedReplayIsTheDeployedProgram:
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=self.SLOTS)
         soa = subset.packet_arrays()
         spoofed = [max(int(round(flow.n_packets * scale)), 1) for flow in subset.flows]
-        oracle.replay_positions(program, subset.flows, soa, soa.interleave_order, spoofed)
+        oracle.replay_positions(program, soa, soa.interleave_order, spoofed)
         assert _fields(replayed.verdicts) == _fields(program.verdicts)
         assert replayed.recirculation == program.recirculation_stats()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dataplane import SpliDTDataPlane, replay_dataset
-from repro.dataplane.runtime import replay_source
+from repro.dataplane.runtime import prepare_replay_flows
 from repro.datasets.streams import iter_packet_chunks
 from repro.obs import Counters
 from repro.serve import MicroBatchEngine
@@ -49,7 +49,8 @@ class TestServeInvariants:
     def test_every_packet_is_counted_once_on_one_plane(
         self, splidt_model, splidt_rules, small_dataset, contended_replay, chunk_size
     ):
-        flows, soa = replay_source(small_dataset, max_flows=N_FLOWS)
+        flows = prepare_replay_flows(small_dataset, max_flows=N_FLOWS)
+        soa = flows.soa
         program = SpliDTDataPlane(
             splidt_model, splidt_rules, flow_slots=TABLE_SIZE,
             eviction=make_eviction_policy("idle-timeout", timeout=0.5),
@@ -110,7 +111,7 @@ class TestViews:
     def test_replay_stats_is_the_last_call(self, contended_replay, small_dataset):
         program, result = contended_replay
         stats = program.replay_stats
-        _, soa = replay_source(small_dataset, max_flows=N_FLOWS)
+        soa = prepare_replay_flows(small_dataset, max_flows=N_FLOWS).soa
         assert sum(stats["packets"].values()) == soa.n_packets
         assert stats["window_rounds"] == program.counters["dataplane.window_rounds"] > 0
         assert stats["window_rows"] == program.counters["dataplane.window_rows"]

@@ -149,7 +149,9 @@ class TestSpliDTReplay:
             assert 0 <= verdict.label < small_dataset.n_classes
 
     def test_ttd_non_negative_and_bounded_by_duration(self, replay_result, small_dataset):
-        durations = {flow.flow_id: flow.duration for flow in small_dataset.flows[:80]}
+        soa = small_dataset.packet_arrays()
+        last = soa.timestamps[soa.flow_starts[1:] - 1]
+        durations = dict(zip(soa.flow_ids[:80].tolist(), (last - soa.first_timestamps)[:80]))
         for flow_id, verdict in replay_result.verdicts.items():
             assert verdict.time_to_detection >= 0
             assert verdict.time_to_detection <= durations[flow_id] + 1e-6

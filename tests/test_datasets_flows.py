@@ -72,12 +72,6 @@ class TestFlow:
         flow = _flow(n=5)
         assert flow.n_packets == 5
 
-    def test_duration(self):
-        assert _flow(n=5).duration == 2.0
-
-    def test_duration_single_packet(self):
-        assert _flow(n=1).duration == 0.0
-
 
 class TestFlowDataset:
     def _dataset(self) -> FlowDataset:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
-from repro.datasets.flows import FiveTuple, PacketArrays
+from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
 from repro.datasets.streams import (
     LazyFlowList,
     PacketChunk,
@@ -123,8 +124,7 @@ class TestStreamedPacketWriter:
             assert lazy.flow_id == real.flow_id
             assert lazy.class_name == real.class_name
             assert lazy.n_packets == real.n_packets
-            # duration exercises packets[-1] (negative indexing)
-            assert lazy.duration == real.duration
+            assert lazy.packets[-1].timestamp == real.packets[-1].timestamp  # negative index
             assert lazy.packets[0].size == real.packets[0].size
 
     def test_lazy_flows_negative_and_out_of_range(self, streamed_source):
@@ -224,18 +224,31 @@ class TestStreamedPacketWriter:
         assert streamed_source.materialised_bytes_estimate() > streamed_source.spilled_bytes()
 
     def test_object_estimate_matches_tracemalloc(self, streamed_source):
-        # The object term counts what generating the same D3 traffic as
+        # The object term counts what holding the same D3 traffic as
         # Flow/Packet objects really allocates (slotted packets, unique
         # timestamp floats, sizes and payloads past the small-int cache).
+        # Generated flows view columns, so the objects are built here.
+        dataset = load_dataset("D3", n_flows=360, seed=11)
+        views = list(dataset.flows)
         gc.collect()
         tracemalloc.start()
         try:
-            dataset = load_dataset("D3", n_flows=360, seed=11)
+            flows = [
+                Flow(
+                    FiveTuple(*dataclasses.astuple(view.five_tuple)),
+                    [
+                        Packet(p.timestamp, int(p.size), p.flags, p.direction, int(p.payload))
+                        for p in view.packets
+                    ],
+                    view.label, view.class_name, view.flow_id,
+                )
+                for view in views
+            ]
             gc.collect()
             measured = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        n_packets = sum(flow.n_packets for flow in flows)
         assert n_packets == streamed_source.n_packets
         estimated = streamed_source._object_bytes()
         assert estimated / n_packets == pytest.approx(measured / n_packets, rel=0.2)

@@ -206,3 +206,43 @@ def test_the_advertised_size_replay_is_gone():
     """Spoofed sizes replay through ``replay_arrays(sizes=)``: the per-packet detour is deleted."""
     robustness = importlib.import_module("repro.analysis.robustness")
     assert not hasattr(robustness, "replay_with_advertised_sizes")
+
+
+class _NoFlows:
+    """A ``flows`` sequence of the right length that refuses to build a flow."""
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        raise AssertionError(f"flow {index} was built")
+
+
+@pytest.mark.parametrize("flow_slots", [64, 1 << 14])
+def test_the_oracle_reads_packets_from_the_columns(
+    splidt_model, splidt_rules, small_dataset, flow_slots
+):
+    """The streaming engine's interpreter never indexes ``chunk.flows``: same verdicts without it.
+
+    Each packet is built from the columns at its position, its five-tuple
+    from the flow's identity columns.
+    """
+    from repro.datasets.streams import PacketChunk
+    from repro.serve import StreamingEngine
+
+    soa = small_dataset.packet_arrays()
+
+    def session(flows):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=flow_slots)
+        engine = StreamingEngine(program).open()
+        for positions in soa.iter_chunks(997):
+            engine.ingest(PacketChunk(soa=soa, flows=flows, positions=positions))
+        result = engine.close()
+        return dict(result.verdicts), result.recirculation, program.eviction_stats()
+
+    want = session(small_dataset.flows)
+    assert session(_NoFlows(soa.n_flows)) == want
+    assert len(want[0]) > 100

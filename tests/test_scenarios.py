@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -214,9 +214,12 @@ class TestEvictionTieBreaking:
 
     @staticmethod
     def _pair(dataset):
-        # The session-scoped dataset is shared with other test modules:
-        # deep-copy before mutating timestamps.
-        return copy.deepcopy(dataset.flows[0]), copy.deepcopy(dataset.flows[1])
+        # The dataset's flows are views of its columns: the tests edit
+        # timestamps on flows of their own, holding packet objects.
+        return tuple(
+            dataclasses.replace(flow, packets=list(flow.packets))
+            for flow in (dataset.flows[0], dataset.flows[1])
+        )
 
     def test_exact_timestamp_tie_keeps_resident(self, splidt_model, splidt_rules,
                                                 small_dataset):

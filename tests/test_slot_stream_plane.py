@@ -171,7 +171,7 @@ def test_a_huge_advertised_flow_size_costs_no_memory(splidt_model, splidt_rules,
     sizes = soa.n_packets_per_flow.astype(np.int64)
     sizes[7] = 2**40
     reference = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
-    oracle.replay_positions(reference, dataset.flows, soa, soa.interleave_order, sizes)
+    oracle.replay_positions(reference, soa, soa.interleave_order, sizes)
     warm = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)
     vz.replay_arrays(warm, dataset.flows, soa=soa, sizes=sizes)
     fused = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8)

@@ -57,7 +57,7 @@ def windows():
     generator = SyntheticTrafficGenerator(
         get_profile("D3"), seed=7, rng=np.random.default_rng(3)
     )
-    flows = generator.generate(150).flows + [_bursty_flow()]
+    flows = [*generator.generate(150).flows, _bursty_flow()]
     rng = np.random.default_rng(11)
     segments = []
     for index, flow in enumerate(flows[:-1]):

@@ -37,10 +37,10 @@ runs it.
 Every mode prints the window rounds both planes closed, with their rows
 (windows) and kernel-family fill passes per round (``rounds`` in the JSON,
 beside ``kernel_families``, the most passes one round can take).  A serving
-session fills its windows once, into its window table, and its lockstep
-rounds gather from it with no fill pass: ``--serve`` and ``--online`` print
-the table builds with their rows, fill passes and profiled milliseconds
-(``window_table`` in the JSON).
+session fills its windows once, into its window table (each window index at
+the first round that reaches it), and its lockstep rounds gather from it:
+``--serve`` and ``--online`` print the table builds with their rows, fill
+passes and profiled milliseconds (``window_table`` in the JSON).
 
 ``--json`` writes a machine-readable summary (run parameters, elapsed time,
 throughput, kernel backend, the replay's ``replay_stats`` — flows and packets
@@ -50,21 +50,24 @@ snapshot of the program (merged over model epochs when ``--online``), swap
 metrics when ``--online``,
 and the top-N hot spots) so CI can diff the hot path of two revisions instead of
 eyeballing pstats text.  Its ``setup`` block times what precedes any replay of
-the spec's dataset — drawing the flows (``generate_s``), building the SoA
-columns (``soa_build_s``) and naming the flows (``slot_hash_s``: slots and
+the spec's dataset — drawing the flows into their columns (``generate_s``),
+reading the SoA columns off the dataset (``soa_build_s``, near zero: the
+generator writes them) and naming the flows (``slot_hash_s``: slots and
 tuple ids at ``--flow-slots``) — on a copy drawn for the purpose, outside the
 profile.  Its ``memory`` block is the process's resident set in MiB (VmRSS
 from ``/proc/self/status``; ``null`` where that file is absent) after the
 ``repro`` imports (``import_mib``) and after staging, just before the
 profiled region (``setup_mib``), its peak over the run (``peak_mib``,
-VmHWM), and whether any ``scipy`` module was loaded (``scipy_loaded``:
-only the design search needs one).
+VmHWM), whether any ``scipy`` module was loaded (``scipy_loaded``:
+only the design search needs one) and how many ``Packet`` objects were live
+after staging (``packet_objects``: traffic is columns, so 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import pstats
 import sys
@@ -86,6 +89,14 @@ def resident_mib(field: str = "VmRSS") -> float | None:
     except OSError:
         pass
     return None
+
+
+def packet_objects() -> int:
+    """Live :class:`~repro.datasets.flows.Packet` instances (a garbage-collector count)."""
+    from repro.datasets.flows import Packet
+
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
 
 
 def measure_setup(spec) -> dict[str, float]:
@@ -208,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{workload.n_flows} flows / {n_packets} packets, "
               f"eviction {scenario.eviction})", flush=True)
         memory["setup_mib"] = resident_mib()
+        memory["packet_objects"] = packet_objects()
         replay_started = time.perf_counter()
         profiler.enable()
         replay_workload(program, workload)
@@ -223,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve import create_engine
 
         dataset = experiment.prepare().dataset
-        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        n_packets = dataset.packet_arrays().n_packets
         chunks = list(iter_packet_chunks(dataset.flows, args.chunk_size))
         swap_chunk = max(1, min(len(chunks) - 1,
                                 int(len(chunks) * args.swap_at)))
@@ -235,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{n_packets} packets, swap at chunk {swap_chunk}/{len(chunks)})",
               flush=True)
         memory["setup_mib"] = resident_mib()
+        memory["packet_objects"] = packet_objects()
         replay_started = time.perf_counter()
         profiler.enable()
         serve.open()
@@ -250,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve import create_engine
 
         dataset = experiment.prepare().dataset
-        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        n_packets = dataset.packet_arrays().n_packets
         chunks = list(iter_packet_chunks(dataset.flows, args.chunk_size))
         serve = create_engine(
             lambda: experiment.system.build_program(model, rules, spec), engine="microbatch"
@@ -259,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
               f"microbatch serve session ({n_packets} packets in "
               f"{len(chunks)} chunks of {args.chunk_size})", flush=True)
         memory["setup_mib"] = resident_mib()
+        memory["packet_objects"] = packet_objects()
         replay_started = time.perf_counter()
         profiler.enable()
         serve.open()
@@ -269,11 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - replay_started
     else:
         dataset = experiment.prepare().dataset
-        n_packets = sum(flow.n_packets for flow in dataset.flows)
+        n_packets = dataset.packet_arrays().n_packets
         program = experiment.system.build_program(model, rules, spec)
         print(f"staged in {time.perf_counter() - started:.1f}s; profiling "
               f"replay ({n_packets} packets)", flush=True)
         memory["setup_mib"] = resident_mib()
+        memory["packet_objects"] = packet_objects()
         replay_started = time.perf_counter()
         profiler.enable()
         result = replay_dataset(program, dataset)
@@ -312,20 +327,25 @@ def main(argv: list[str] | None = None) -> int:
     print(f"window rounds: {window_rounds}, {rounds['window_rows_per_round']} rows and "
           f"{rounds['fill_passes_per_round']} fill passes a round "
           f"(of {len(FAMILIES)} kernel families)")
-    build = WindowTable.__init__.__code__
-    profiled = stats.stats.get(  # type: ignore[attr-defined]
-        (build.co_filename, build.co_firstlineno, build.co_name)
-    )
+    # Opening a table and building its windows (each at the first round
+    # that reaches it): cumulative profiled seconds of both.
+    build_s = 0.0
+    for code in (WindowTable.__init__.__code__, WindowTable._build.__code__):
+        profiled = stats.stats.get(  # type: ignore[attr-defined]
+            (code.co_filename, code.co_firstlineno, code.co_name)
+        )
+        build_s += profiled[3] if profiled else 0.0
     window_table = {
         "builds": counters.get("dataplane.window_table.builds", 0),
         "rows": counters.get("dataplane.window_table.rows", 0),
         "fill_passes": counters.get("dataplane.window_table.passes", 0),
-        "build_ms": round(profiled[3] * 1e3, 3) if profiled else 0.0,
+        "build_ms": round(build_s * 1e3, 3),
     }
     if window_table["builds"]:
         print(f"window table: {window_table['builds']} built, {window_table['rows']} rows "
               f"in {window_table['fill_passes']} fill passes, {window_table['build_ms']} ms "
-              f"profiled; the serving lockstep rounds gather from it and fill nothing")
+              f"profiled; the serving lockstep rounds gather from it and fill only to build "
+              f"a window")
     print(f"memory: import {memory['import_mib']} MiB, set-up "
           f"{memory['setup_mib']} MiB, peak {memory['peak_mib']} MiB; "
           f"scipy loaded: {memory['scipy_loaded']}")
