@@ -95,11 +95,6 @@ class TopKModel:
         """Realised depth of the tree."""
         return self.tree.get_depth()
 
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaves of the tree."""
-        return self.tree.get_n_leaves()
-
     def generate_rules(self, training_matrix: np.ndarray) -> RuleSet:
         """Compile the flat tree with the range-marking algorithm, as :func:`exit_tree`."""
         return generate_rules(exit_tree(self), training_matrix)

@@ -1,7 +1,7 @@
 """Bayesian-optimisation substrate (HyperMapper equivalent).
 
-Provides mixed parameter spaces, a random-forest surrogate, the
-expected-improvement acquisition and single-/multi-objective optimisers with
+Provides integer parameter spaces, a random-forest surrogate, the
+expected-improvement acquisition and a multi-objective optimiser with
 feasibility awareness — the pieces SpliDT's design-space exploration needs.
 """
 
@@ -17,7 +17,6 @@ from repro.bayesopt.optimizer import (
 )
 from repro.bayesopt.space import (
     IntegerParameter,
-    Parameter,
     ParameterSpace,
 )
 from repro.bayesopt.surrogate import RandomForestSurrogate
@@ -27,7 +26,6 @@ __all__ = [
     "IntegerParameter",
     "MultiObjectiveBayesianOptimizer",
     "Observation",
-    "Parameter",
     "ParameterSpace",
     "RandomForestSurrogate",
     "expected_improvement",

@@ -1,4 +1,4 @@
-"""Bayesian optimisers: single-objective and multi-objective with feasibility.
+"""Bayesian optimisation: a multi-objective optimiser with feasibility.
 
 The multi-objective optimiser mirrors the HyperMapper workflow the paper uses:
 
@@ -58,7 +58,12 @@ class _History:
 
 
 class BayesianOptimizer:
-    """Single-objective (maximisation) Bayesian optimiser."""
+    """The ask/tell loop of a Bayesian optimiser (maximisation).
+
+    Batches suggestions, fits the surrogate and picks the unseen candidate of
+    highest expected improvement; a subclass supplies ``_ask_one`` (one
+    suggestion, given the batch's pending picks) and ``tell``.
+    """
 
     def __init__(
         self,
@@ -81,19 +86,6 @@ class BayesianOptimizer:
         for _ in range(batch_size):
             suggestions.append(self._ask_one(suggestions))
         return suggestions
-
-    def _ask_one(self, pending: list[dict]) -> dict:
-        if len(self.history) < self.n_initial:
-            return self.space.sample(self.rng)
-
-        X = self.history.encoded(self.space)
-        y = self.history.objective_matrix()[:, 0]
-        surrogate = self._make_surrogate()
-        surrogate.fit(X, y)
-
-        candidates = self.space.sample_many(self.candidate_pool, self.rng)
-        candidates.extend(pending)  # pending picks are penalised like any seen point
-        return self._best_unseen(surrogate, candidates, X, float(y.max()), pending)
 
     def _best_unseen(
         self, surrogate, candidates: list[dict], X: np.ndarray, best: float, pending: list[dict]
@@ -119,12 +111,6 @@ class BayesianOptimizer:
             return self.space.sample(self.rng)
         return candidates[best_index]
 
-    def tell(self, config: dict, objective: float, feasible: bool = True) -> None:
-        """Record the outcome of one evaluation."""
-        self.history.observations.append(
-            Observation(config=dict(config), objectives=np.array([float(objective)]), feasible=feasible)
-        )
-
     def tell_many(self, configs, objectives, feasibility=None) -> None:
         """Record a batch of evaluations, strictly in the order given.
 
@@ -147,13 +133,6 @@ class BayesianOptimizer:
             )
         for config, objective, feasible in zip(configs, objectives, feasibility):
             self.tell(config, objective, feasible)
-
-    def best(self) -> Observation | None:
-        """Best feasible observation so far."""
-        feasible = [o for o in self.history.observations if o.feasible]
-        if not feasible:
-            return None
-        return max(feasible, key=lambda o: o.objectives[0])
 
     def _make_surrogate(self):
         return RandomForestSurrogate(random_state=int(self.rng.integers(0, 2**31 - 1)))

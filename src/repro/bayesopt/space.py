@@ -13,22 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Parameter:
-    """Base class of all parameter types."""
-
-    name: str
-
-    def sample(self, rng: np.random.Generator):
-        """Draw a random value."""
-        raise NotImplementedError
-
-    def encode(self, value) -> float:
-        """Map a value onto [0, 1] for the surrogate."""
-        raise NotImplementedError
-
-
 @dataclass
-class IntegerParameter(Parameter):
+class IntegerParameter:
     """Uniform integer parameter over ``[low, high]`` (inclusive)."""
 
     name: str
@@ -51,18 +37,13 @@ class IntegerParameter(Parameter):
 class ParameterSpace:
     """An ordered collection of parameters."""
 
-    def __init__(self, parameters: list[Parameter]) -> None:
+    def __init__(self, parameters: list[IntegerParameter]) -> None:
         if not parameters:
             raise ValueError("parameter space must not be empty")
         names = [p.name for p in parameters]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
         self.parameters = list(parameters)
-
-    @property
-    def names(self) -> list[str]:
-        """Parameter names in order."""
-        return [p.name for p in self.parameters]
 
     def sample(self, rng: np.random.Generator) -> dict:
         """Draw a random configuration."""

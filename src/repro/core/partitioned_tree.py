@@ -66,11 +66,6 @@ class Subtree:
         """Realised depth of the subtree."""
         return self.tree.get_depth()
 
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaves of the subtree."""
-        return self.tree.get_n_leaves()
-
 
 @dataclass
 class PartitionedDecisionTree:

@@ -6,7 +6,7 @@ bit-identical to is :mod:`repro.dataplane.oracle`, a test oracle that
 production code does not import.
 """
 
-from repro.dataplane.controller import Controller, Digest
+from repro.dataplane.controller import Controller
 from repro.dataplane.runtime import (
     ReplayResult,
     build_replay_result,
@@ -19,7 +19,6 @@ from repro.dataplane.verdicts import FlowVerdict, Verdicts
 
 __all__ = [
     "Controller",
-    "Digest",
     "FlowVerdict",
     "ReplayResult",
     "SpliDTDataPlane",

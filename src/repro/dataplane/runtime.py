@@ -26,9 +26,7 @@ replays.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -54,11 +52,6 @@ class ReplayResult:
     truth_labels: np.ndarray
     report: ClassificationReport
     recirculation: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def labels(self) -> Mapping[int, int]:
-        """Ground-truth label by flow id: a read-only view, built on access."""
-        return MappingProxyType(dict(zip(self.truth_ids.tolist(), self.truth_labels.tolist())))
 
     def time_to_detection(self) -> np.ndarray:
         """Per-flow time-to-detection values (seconds) for decided flows.

@@ -85,7 +85,7 @@ import numpy as np
 
 from repro.dataplane import vectorized as vz
 from repro.dataplane.splidt_program import OpenWindows, SlotHandover
-from repro.datasets.flows import Flow, PacketArrays
+from repro.datasets.flows import PacketArrays
 from repro.features.definitions import N_FEATURES, STATELESS_HEADER_INDICES
 from repro.features.window import window_end
 
@@ -627,7 +627,6 @@ class _SlotRows:
 
 def replay_slot_stream(
     program,
-    flows: list[Flow],
     soa: PacketArrays,
     flow_mask: np.ndarray,
     prefix_counts: np.ndarray | None = None,
@@ -638,8 +637,8 @@ def replay_slot_stream(
 ) -> None:
     """Replay the flows in ``flow_mask`` slot by slot, in batched event rounds.
 
-    Drop-in for :func:`~repro.dataplane.vectorized._replay_scalar` on a
-    SpliDT program (same leading arguments, same effect on the program).
+    What :func:`~repro.dataplane.vectorized._replay_scalar` runs on a SpliDT
+    program (its arguments after ``flows``, the same effect on the program).
     ``slots`` are the flows' register slots when the caller already holds
     them, ``stream`` a prebuilt (cached) :func:`build_slot_stream` result,
     ``sizes`` the flow size each flow's packets advertise in their headers

@@ -353,8 +353,7 @@ class SpliDTDataPlane:
 
         The columns are appended to the verdict store as one block (rows in
         order, so a flow id decided twice keeps its later verdict), and the
-        controller retains the same arrays as its digest columns.  No object
-        is built per row.
+        controller receives one digest per row.  No object is built per row.
         """
         if len(flow_ids) == 0:
             return

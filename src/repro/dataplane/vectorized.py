@@ -1041,7 +1041,7 @@ def _replay_scalar(
     from repro.dataplane.slot_stream import replay_slot_stream
 
     replay_slot_stream(
-        program, flows, soa, flow_mask, prefix_counts, slots=slots, stream=stream, sizes=sizes
+        program, soa, flow_mask, prefix_counts, slots=slots, stream=stream, sizes=sizes
     )
 
 

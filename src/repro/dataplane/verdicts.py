@@ -36,11 +36,6 @@ class FlowVerdict:
     n_recirculations: int
     early_exit: bool
 
-    @property
-    def time_to_detection(self) -> float:
-        """Seconds from the start of tree traversal to the final decision."""
-        return max(self.decided_at - self.first_packet_at, 0.0)
-
 
 class ColumnBlocks:
     """Append-only rows, kept as the column blocks they arrive in.

@@ -273,21 +273,6 @@ class FlowDataset:
         """Number of flows."""
         return len(self.flows)
 
-    @property
-    def n_classes(self) -> int:
-        """Number of classes."""
-        return len(self.class_names)
-
-    def labels(self) -> np.ndarray:
-        """Label vector aligned with :attr:`flows` (the label column).
-
-        Example::
-
-            >>> dataset.labels().shape == (dataset.n_flows,)
-            True
-        """
-        return self.packet_arrays().labels.astype(np.intp)
-
     def subset(self, indices: np.ndarray) -> "FlowDataset":
         """Return a new dataset containing only the flows at ``indices``."""
         return FlowDataset(
@@ -591,16 +576,6 @@ class PacketArraysWriter:
         self._n_flows = 0
         self._n_packets = 0
         self._finished = False
-
-    @property
-    def n_flows(self) -> int:
-        """Flows appended so far."""
-        return self._n_flows
-
-    @property
-    def n_packets(self) -> int:
-        """Packets appended so far."""
-        return self._n_packets
 
     def _check_open(self) -> None:
         if self._finished:

@@ -240,11 +240,6 @@ class SharedPacketArrays:
             raise RuntimeError("shared packet arrays are closed")
         return self._arrays
 
-    @property
-    def closed(self) -> bool:
-        """Whether this process's mapping has been released."""
-        return self._shm is None
-
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------

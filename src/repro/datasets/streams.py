@@ -102,10 +102,6 @@ class PacketChunk:
             self._flow_counts = (flows[bounds[:-1]], bounds[1:] - bounds[:-1])
         return self._flow_counts
 
-    def timestamps(self) -> np.ndarray:
-        """Arrival timestamps of the chunk's packets, in stream order."""
-        return self.soa.timestamps[self.positions]
-
 
 def iter_packet_chunks(
     flows: FlowDataset | Iterable[Flow],
@@ -270,20 +266,6 @@ class StreamedPacketSource:
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self.directory), True
         )
-
-    @property
-    def n_flows(self) -> int:
-        """Flows in the workload."""
-        return self.soa.n_flows
-
-    @property
-    def n_packets(self) -> int:
-        """Packets in the workload."""
-        return self.soa.n_packets
-
-    def iter_chunks(self, chunk_size: int | None = None) -> Iterator[PacketChunk]:
-        """Stream the workload as :class:`PacketChunk`\\ s (see module docs)."""
-        return iter_packet_chunks(self.flows, chunk_size, soa=self.soa)
 
     def spilled_bytes(self) -> int:
         """Bytes currently spilled to the backing directory."""

@@ -4,8 +4,8 @@ Each operator models the register update a switch performs per packet for one
 stateful feature: a small amount of per-flow state (the register value plus,
 for chained features, the dependency-chain registers) updated by an ALU
 action.  The data-plane simulator instantiates one operator per active
-feature slot and replays packets through it; resetting an operator models the
-register clear that happens when SpliDT moves to the next partition.
+feature slot and replays packets through it; the register clear that happens
+when SpliDT moves to the next partition is a fresh operator bank.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class StatefulOperator:
 
     def __init__(self, definition: FeatureDefinition) -> None:
         self.definition = definition
-        self.state = OperatorState()
-
-    def reset(self) -> None:
-        """Clear the feature register and its dependency chain."""
         self.state = OperatorState()
 
     def update(self, packet: Packet) -> None:

@@ -103,11 +103,6 @@ class Tree:
     # Introspection helpers
     # ------------------------------------------------------------------
     @property
-    def n_leaves(self) -> int:
-        """Number of leaf nodes."""
-        return sum(1 for node in self.nodes if node.is_leaf)
-
-    @property
     def max_depth(self) -> int:
         """Depth of the deepest node (0 for a stump with only a root)."""
         if not self.nodes:

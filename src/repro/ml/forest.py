@@ -16,7 +16,7 @@ from itertools import groupby
 
 import numpy as np
 
-from repro.ml._tree import LEAF, Tree, TreeNode
+from repro.ml._tree import LEAF
 
 
 def _runs(lengths: np.ndarray) -> list[tuple[int, int, int]]:
@@ -248,13 +248,6 @@ def _grow(
     return _Nodes(tree_of, feature, threshold, children, depth, n_samples, value, impurity)
 
 
-@dataclass(frozen=True)
-class ForestTree:
-    """One fitted tree of a forest, as ``estimators_`` lists it."""
-
-    tree_: Tree
-
-
 class RandomForestRegressor:
     """Bagging ensemble of CART regression trees (MSE criterion).
 
@@ -338,50 +331,6 @@ class RandomForestRegressor:
             raise RuntimeError("forest is not fitted")
         return self._nodes
 
-    @property
-    def estimators_(self) -> list[ForestTree]:
-        """The fitted trees as :class:`Tree` objects, node ids in preorder."""
-        if self._nodes is None:
-            return []
-        nodes = self._nodes
-        tree_of = nodes.tree.tolist()
-        # A node's id in its own tree is its rank among that tree's nodes;
-        # the trailing ``LEAF`` makes ``local[LEAF]`` a leaf's child.
-        local, counts = [], [0] * self.n_estimators
-        for tree in tree_of:
-            local.append(counts[tree])
-            counts[tree] += 1
-        local.append(LEAF)
-        trees = [Tree(n_features=self.n_features_in_, n_outputs=1) for _ in counts]
-        columns = zip(
-            tree_of,
-            nodes.feature.tolist(),
-            nodes.threshold.tolist(),
-            nodes.children.tolist(),
-            nodes.depth.tolist(),
-            nodes.n_samples.tolist(),
-            nodes.value,
-            nodes.impurity.tolist(),
-        )
-        for node_id, (tree, feature, threshold, (left, right), depth, size, value, impurity) in zip(
-            local, columns
-        ):
-            trees[tree].nodes.append(
-                TreeNode(
-                    node_id, feature, threshold, local[left], local[right], depth, size,
-                    value[None], impurity,
-                )
-            )
-        return [ForestTree(tree) for tree in trees]
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Mean impurity-decrease importances across the ensemble."""
-        self._fitted()
-        return np.mean(
-            [member.tree_.compute_feature_importances() for member in self.estimators_], axis=0
-        )
-
     def _member_predictions(self, X: np.ndarray) -> np.ndarray:
         """``(n_estimators, n_rows)`` leaf means: every row down every tree at once."""
         nodes = self._fitted()
@@ -399,20 +348,7 @@ class RandomForestRegressor:
             descending = descending[nodes.feature[at[descending]] != LEAF]
         return nodes.value[at].reshape(self.n_estimators, n_rows)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Mean prediction across trees."""
-        return self._member_predictions(X).mean(axis=0)
-
     def predict_with_std(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard deviation of predictions across trees."""
         member = self._member_predictions(X)
         return member.mean(axis=0), member.std(axis=0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination R^2."""
-        y = np.asarray(y, dtype=float)
-        predictions = self.predict(X)
-        denom = np.sum((y - y.mean()) ** 2)
-        if denom == 0:
-            return 0.0
-        return float(1.0 - np.sum((y - predictions) ** 2) / denom)

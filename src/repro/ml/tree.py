@@ -131,10 +131,6 @@ class DecisionTreeClassifier:
         """Depth of the fitted tree."""
         return self._check_fitted().max_depth
 
-    def get_n_leaves(self) -> int:
-        """Number of leaves of the fitted tree."""
-        return self._check_fitted().n_leaves
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by every row of ``X``."""
         return self._check_fitted().apply(np.asarray(X, dtype=float))
@@ -151,10 +147,6 @@ class DecisionTreeClassifier:
         """Predicted class labels."""
         probabilities = self.predict_proba(X)
         return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy on ``(X, y)``."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
 
 
 def fit_level(

@@ -46,11 +46,6 @@ class WindowedErrorRate:
             self._errors += 1
 
     @property
-    def count(self) -> int:
-        """Outcomes currently inside the window (saturates at ``window``)."""
-        return len(self._outcomes)
-
-    @property
     def rate(self) -> float:
         """Error fraction over the window (0.0 while empty)."""
         return self._errors / len(self._outcomes) if self._outcomes else 0.0

@@ -89,11 +89,6 @@ class ExperimentResult:
             return self.replay_result.report
         return self.offline_report
 
-    @property
-    def f1_score(self) -> float:
-        """Headline F1 (replay when available, offline otherwise)."""
-        return self.replay_report.f1_score
-
     def summary(self) -> dict:
         """JSON-compatible summary (what ``result.json`` artifacts store)."""
         replayed = self.replay_result is not None

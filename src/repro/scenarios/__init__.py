@@ -12,7 +12,6 @@ runner (:mod:`repro.scenarios.runner`).  CLI surface:
 
 from repro.scenarios.catalog import (
     WORKLOAD_SCENARIOS,
-    available_workload_scenarios,
     get_workload_scenario,
     register_workload_scenario,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "ScenarioWorkload",
-    "available_workload_scenarios",
     "build_workload",
     "get_workload_scenario",
     "register_workload_scenario",

@@ -30,13 +30,8 @@ def get_workload_scenario(name: str) -> ScenarioSpec:
     except KeyError as exc:
         raise ScenarioError(
             f"unknown workload scenario {name!r}; "
-            f"expected one of {available_workload_scenarios()}"
+            f"expected one of {tuple(sorted(WORKLOAD_SCENARIOS))}"
         ) from exc
-
-
-def available_workload_scenarios() -> tuple[str, ...]:
-    """Names of all catalog scenarios."""
-    return tuple(sorted(WORKLOAD_SCENARIOS))
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +124,6 @@ register_workload_scenario(
 
 __all__ = [
     "WORKLOAD_SCENARIOS",
-    "available_workload_scenarios",
     "get_workload_scenario",
     "register_workload_scenario",
 ]

@@ -152,8 +152,6 @@ def run_scenario(
         program = get_system(exp_spec.system).build_program(
             model, rules, exp_spec.replace(scenario=scenario, flow_slots=flow_slots)
         )
-        # Scenario replays read verdicts, never the digest stream.
-        program.controller.retain_digests = False
         replay_started = time.perf_counter()
         replay_workload(program, workload)
         replay_s = time.perf_counter() - replay_started

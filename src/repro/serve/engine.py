@@ -229,7 +229,6 @@ class InferenceEngine(abc.ABC):
         self._flow_epoch: np.ndarray | None = None
         self._swap_slots: np.ndarray | None = None
         self._default_slot_epoch = 0
-        self._swap_events: list[SwapEvent] = []
         #: Recirculation path capacity of this engine's program(s), in bit/s.
         self._capacity_bps: float | None = None
 
@@ -418,11 +417,6 @@ class InferenceEngine(abc.ABC):
     # ------------------------------------------------------------------
     # Model hot swap
     # ------------------------------------------------------------------
-    @property
-    def swap_events(self) -> list[SwapEvent]:
-        """One :class:`SwapEvent` per :meth:`swap_model` call, in order."""
-        return list(self._swap_events)
-
     def swap_model(self, program_factory) -> SwapEvent:
         """Atomically install a new model without dropping in-flight flows.
 
@@ -494,7 +488,6 @@ class InferenceEngine(abc.ABC):
             flows_started=len(started),
             started_flow_ids=started,
         )
-        self._swap_events.append(event)
         return event
 
     def _successor_engine(self, program_factory) -> "InferenceEngine":

@@ -196,10 +196,6 @@ class SpscRing:
     # Messaging
     # ------------------------------------------------------------------
     @property
-    def slots(self) -> int:
-        return self.layout.slots
-
-    @property
     def span(self) -> int:
         """Maximum positions one slot can carry (larger payloads are split)."""
         return self.layout.span

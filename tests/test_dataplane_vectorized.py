@@ -36,7 +36,8 @@ def _assert_identical(reference, vectorized):
     assert np.array_equal(
         reference.recirculations_per_flow(), vectorized.recirculations_per_flow()
     )
-    assert reference.labels == vectorized.labels
+    assert np.array_equal(reference.truth_ids, vectorized.truth_ids)
+    assert np.array_equal(reference.truth_labels, vectorized.truth_labels)
     assert reference.report.f1_score == vectorized.report.f1_score
     assert reference.report.accuracy == vectorized.report.accuracy
     assert reference.recirculation == vectorized.recirculation
@@ -104,7 +105,7 @@ class TestSpliDTParity:
         # Regression: ``max_flows=0`` used to be read as "no limit".
         dataset, model, rules = artifacts
         result = replay(SpliDTDataPlane(model, rules), dataset, max_flows=0)
-        assert result.verdicts == {} and result.labels == {}
+        assert result.verdicts == {} and result.truth_ids.size == 0
 
 
 @pytest.mark.parametrize(

@@ -81,16 +81,16 @@ class TestFlowDataset:
     def test_basic_counts(self):
         dataset = self._dataset()
         assert dataset.n_flows == 9
-        assert dataset.n_classes == 3
+        assert len(dataset.class_names) == 3
 
     def test_labels_vector(self):
-        labels = self._dataset().labels()
+        labels = self._dataset().packet_arrays().labels
         assert labels.shape == (9,)
         assert set(labels) == {0, 1, 2}
 
     def test_class_counts(self):
         dataset = self._dataset()
-        counts = np.bincount(dataset.labels(), minlength=dataset.n_classes)
+        counts = np.bincount(dataset.packet_arrays().labels, minlength=len(dataset.class_names))
         np.testing.assert_array_equal(counts, [3, 3, 3])
 
     def test_subset(self):

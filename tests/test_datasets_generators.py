@@ -49,17 +49,17 @@ class TestGenerator:
         # Every class is seeded at least once before label noise is applied,
         # so nearly all of the 19 classes must survive even in a small sample.
         dataset = generate_dataset("D1", n_flows=120, seed=0)
-        assert len(set(dataset.labels())) >= 18
+        assert len(set(dataset.packet_arrays().labels)) >= 18
 
     def test_labels_within_range(self):
         dataset = generate_dataset("D5", n_flows=64, seed=1)
-        assert dataset.labels().max() < 32
-        assert dataset.labels().min() >= 0
+        assert dataset.packet_arrays().labels.max() < 32
+        assert dataset.packet_arrays().labels.min() >= 0
 
     def test_deterministic_for_same_seed(self):
         a = generate_dataset("D3", n_flows=30, seed=5)
         b = generate_dataset("D3", n_flows=30, seed=5)
-        assert a.labels().tolist() == b.labels().tolist()
+        assert a.packet_arrays().labels.tolist() == b.packet_arrays().labels.tolist()
         assert a.flows[0].n_packets == b.flows[0].n_packets
         assert a.flows[0].packets[0].size == b.flows[0].packets[0].size
 
@@ -99,7 +99,7 @@ class TestGenerator:
             profile, seed=5, rng=np.random.default_rng(seeded._dataset_seed())
         )
         a, b = seeded.generate(30), explicit.generate(30)
-        assert a.labels().tolist() == b.labels().tolist()
+        assert a.packet_arrays().labels.tolist() == b.packet_arrays().labels.tolist()
         for fa, fb in zip(a.flows, b.flows):
             assert fa.five_tuple == fb.five_tuple
             assert [p.timestamp for p in fa.packets] == [p.timestamp for p in fb.packets]

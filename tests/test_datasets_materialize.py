@@ -24,7 +24,7 @@ def _materialize_per_flow(dataset, n_partitions, random_state):
         flow_features[i] = meter.extract_flow(flow)
         if flow.packets:
             packet_features[i] = meter.extract_per_packet(flow.packets[0], flow)
-    labels = dataset.labels()
+    labels = dataset.packet_arrays().labels
     train, test, _, _ = train_test_split(
         np.arange(dataset.n_flows).reshape(-1, 1),
         labels,

@@ -99,7 +99,7 @@ class TestLifetime:
         shared.unlink()
         shared.close()
         shared.close()
-        assert shared.closed
+        assert shared._shm is None
         with pytest.raises(RuntimeError, match="closed"):
             shared.arrays
 

@@ -56,7 +56,7 @@ class TestIterPacketChunks:
     def test_chunk_timestamps_are_globally_ordered(self, small_dataset):
         previous = float("-inf")
         for chunk in iter_packet_chunks(small_dataset, 73):
-            timestamps = chunk.timestamps()
+            timestamps = chunk.soa.timestamps[chunk.positions]
             assert np.all(np.diff(timestamps) >= 0)
             if timestamps.size:
                 assert timestamps[0] >= previous
@@ -76,7 +76,7 @@ class TestIterPacketChunks:
         chunk = next(iter_packet_chunks(small_dataset, 11))
         assert isinstance(chunk, PacketChunk)
         assert chunk.n_packets == 11
-        assert chunk.timestamps().shape == (11,)
+        assert chunk.positions.shape == (11,)
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +137,11 @@ class TestStreamedPacketWriter:
             first.packets[first.n_packets]
 
     def test_iter_packet_chunks_does_not_materialise(self, streamed_source):
-        chunks = list(streamed_source.iter_chunks(97))
+        chunks = list(iter_packet_chunks(streamed_source.flows, 97, soa=streamed_source.soa))
         assert all(chunk.flows is streamed_source.flows for chunk in chunks)
         assert isinstance(chunks[0].flows, LazyFlowList)
         total = sum(chunk.n_packets for chunk in chunks)
-        assert total == streamed_source.n_packets
+        assert total == streamed_source.soa.n_packets
 
     def test_block_append_matches_per_flow_append(self, small_dataset):
         flows = small_dataset.flows[:40]
@@ -195,8 +195,8 @@ class TestStreamedPacketWriter:
 
     def test_empty_writer_finishes(self):
         with StreamedPacketWriter().finish() as source:
-            assert source.n_flows == 0 and source.n_packets == 0
-            chunks = list(source.iter_chunks(8))
+            assert source.soa.n_flows == 0 and source.soa.n_packets == 0
+            chunks = list(iter_packet_chunks(source.flows, 8, soa=source.soa))
             assert len(chunks) == 1 and chunks[0].n_packets == 0
 
     def test_writer_rejects_use_after_finish(self):
@@ -249,7 +249,7 @@ class TestStreamedPacketWriter:
         finally:
             tracemalloc.stop()
         n_packets = sum(flow.n_packets for flow in flows)
-        assert n_packets == streamed_source.n_packets
+        assert n_packets == streamed_source.soa.n_packets
         estimated = streamed_source._object_bytes()
         assert estimated / n_packets == pytest.approx(measured / n_packets, rel=0.2)
 
@@ -278,8 +278,8 @@ class TestStreamedReplayParity:
 
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
         engine = MicroBatchEngine(program).open()
-        for chunk in streamed_source.iter_chunks(256):
+        for chunk in iter_packet_chunks(streamed_source.flows, 256, soa=streamed_source.soa):
             engine.ingest(chunk)
         result = engine.close()
         assert engine.verdicts()  # flows decided through the streamed path
-        assert len(result.labels) == streamed_source.n_flows
+        assert result.truth_ids.size == streamed_source.soa.n_flows

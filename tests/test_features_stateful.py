@@ -66,27 +66,6 @@ class TestOperatorsMatchFlowMeter:
 
 
 class TestOperatorLifecycle:
-    def test_reset_clears_state(self):
-        flow = _make_flow()
-        operator = make_operator("byte_count")
-        for packet in flow.packets:
-            operator.update(packet)
-        assert operator.value > 0
-        operator.reset()
-        assert operator.value == 0.0
-
-    def test_reset_then_reuse_matches_fresh(self):
-        flow = _make_flow(seed=5)
-        reused = make_operator("max_iat")
-        for packet in flow.packets[:10]:
-            reused.update(packet)
-        reused.reset()
-        fresh = make_operator("max_iat")
-        for packet in flow.packets[10:]:
-            reused.update(packet)
-            fresh.update(packet)
-        assert reused.value == pytest.approx(fresh.value)
-
     def test_stateless_feature_rejected(self):
         with pytest.raises(ValueError):
             make_operator("src_port")

@@ -198,10 +198,12 @@ class TestStepWindows:
         assert program.counters["switch.recirc.packets"] == 2
         # Four flows were admitted, whatever became of them.
         assert program.eviction_stats()["admissions"] == 4
-        # Digest per decided flow, stamped with the boundary timestamp.
-        digests = {d.flow_id: d for d in program.controller.digests}
-        assert sorted(digests) == [1, 2]
-        assert digests[1].timestamp == 11.0
+        # A decided row and a digest per decided flow, stamped with the
+        # boundary timestamp.
+        flow_ids, _, decided_at = program.verdict_rows()[:3]
+        assert sorted(flow_ids.tolist()) == [1, 2]
+        assert dict(zip(flow_ids.tolist(), decided_at.tolist()))[1] == 11.0
+        assert program.controller.n_digests == 2
 
     def test_staging_defers_finalisation(self, program):
         staging = []
@@ -209,23 +211,24 @@ class TestStepWindows:
               staging=staging)
         # Nothing materialised yet: the round loop owns finalisation.
         assert program.verdicts == {}
-        assert program.controller.digests == []
+        assert program.controller.n_digests == 0
         assert len(staging) == 1
 
         program.finalise_staged(staging)
         assert staging == []
         assert sorted(program.verdicts) == [0, 1]
         assert program.verdicts[0].label == 4
-        assert [d.flow_id for d in program.controller.digests] == [0, 1]
+        assert program.verdict_rows()[0].tolist() == [0, 1]
+        assert program.controller.n_digests == 2
 
         # Idempotent on the drained list.
         program.finalise_staged(staging)
-        assert len(program.controller.digests) == 2
+        assert program.controller.n_digests == 2
 
     @pytest.mark.parametrize("per_row_window", [False, True])
-    def test_digests_are_built_only_when_retained(self, program, per_row_window):
-        # Same verdicts and digest count either way; Digest objects only for a
-        # controller that keeps them.  Flow 7 is decided twice in one batch.
+    def test_a_batch_keeps_every_row_and_the_later_verdict(self, program, per_row_window):
+        # Every row is recorded and sent as a digest, in order; the verdict is
+        # the later row's.  Flow 7 is decided twice in one batch.
         n_partitions = program.model.config.n_partitions
         columns = dict(
             flow_ids=np.array([7, 3, 7], dtype=np.int64),
@@ -236,14 +239,10 @@ class TestStepWindows:
             window_index=np.array([0, 1, n_partitions - 1]) if per_row_window else 1,
             early_exits=np.array([True, False, False]),
         )
-        silent = type(program)(program.model, program.rules, flow_slots=program.flow_slots)
-        silent.controller.retain_digests = False
-        for target in (program, silent):
-            target._finalise_batch(**columns)
-        assert silent.verdicts == program.verdicts
-        assert silent.controller.n_digests == program.controller.n_digests == 3
-        assert silent.controller.digests == []
-        assert [(d.flow_id, d.label, d.timestamp, d.sid) for d in program.controller.digests] == [
+        program._finalise_batch(**columns)
+        assert program.controller.n_digests == 3
+        flow_ids, labels, decided_at, _, _, _, sids = program.verdict_rows()
+        assert list(zip(flow_ids.tolist(), labels.tolist(), decided_at.tolist(), sids.tolist())) == [
             (7, 4, 1.5, 1), (3, 6, 2.5, 2), (7, 8, 3.5, 5)
         ]
         later = program.verdicts[7]  # the later row of a repeated flow id stays
@@ -305,8 +304,7 @@ class TestStatelessPlane:
                 {fid: (v.label, v.decided_at, v.first_packet_at,
                        v.n_recirculations, v.early_exit)
                  for fid, v in program.verdicts.items()},
-                sorted((d.flow_id, d.label, d.timestamp, d.sid)
-                       for d in program.controller.digests),
+                [column.tolist() for column in program.verdict_rows()],
                 program.recirculation_stats(),
             ))
         assert snapshots[0] == snapshots[1]

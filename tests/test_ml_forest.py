@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from repro.ml import RandomForestRegressor
+from split_oracle import forest_trees
+
+
+def _r2(forest, X, y) -> float:
+    residual = y - forest.predict_with_std(X)[0]
+    return float(1.0 - np.sum(residual**2) / np.sum((y - y.mean()) ** 2))
 
 
 class TestForestRegressor:
@@ -14,7 +20,7 @@ class TestForestRegressor:
         X = rng.uniform(0, 10, size=(300, 1))
         y = np.sin(X[:, 0]) + rng.normal(0, 0.05, size=300)
         forest = RandomForestRegressor(n_estimators=20, max_depth=8, random_state=0).fit(X, y)
-        assert forest.score(X, y) > 0.8
+        assert _r2(forest, X, y) > 0.8
 
     def test_predict_with_std_shapes(self):
         rng = np.random.default_rng(1)
@@ -39,7 +45,7 @@ class TestForestRegressor:
             # Half-integers hit the midpoint thresholds exactly.
             queries = np.vstack([X, rng.integers(-2, 14, size=(25, 3)) / 2.0])
             member = np.stack(
-                [tree.tree_.predict_value(queries)[:, 0] for tree in forest.estimators_]
+                [tree.predict_value(queries)[:, 0] for tree in forest_trees(forest)]
             )
             mean, std = forest.predict_with_std(queries)
             assert mean.tobytes() == member.mean(axis=0).tobytes()
@@ -62,7 +68,7 @@ class TestForestRegressor:
         for option in ("sqrt", "log2", None, 3):
             forest = RandomForestRegressor(n_estimators=3, max_features=option, random_state=0)
             forest.fit(X, y)
-            assert len(forest.estimators_) == 3
+            assert len(forest_trees(forest)) == 3
 
     def test_invalid_max_features_string(self):
         X = np.zeros((10, 2))
@@ -74,20 +80,21 @@ class TestForestRegressor:
     def test_number_of_estimators(self, classification_data):
         X, y = classification_data
         forest = RandomForestRegressor(n_estimators=7, random_state=0).fit(X, y)
-        assert len(forest.estimators_) == 7
+        assert len(forest_trees(forest)) == 7
 
     def test_deterministic_with_seed(self, classification_data):
         X, y = classification_data
-        a = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict(X)
-        b = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict(X)
+        a = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict_with_std(X)
+        b = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y).predict_with_std(X)
         np.testing.assert_array_equal(a, b)
 
     def test_feature_importances_normalised(self, classification_data):
         X, y = classification_data
         forest = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
-        importances = forest.feature_importances_
-        assert importances.shape == (4,)
-        assert np.isclose(importances.sum(), 1.0, atol=1e-6)
+        for tree in forest_trees(forest):
+            importances = tree.compute_feature_importances()
+            assert importances.shape == (4,)
+            assert np.isclose(importances.sum(), 1.0, atol=1e-6)
 
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError):
@@ -96,4 +103,4 @@ class TestForestRegressor:
     def test_unfitted_predict_raises(self, classification_data):
         X, _ = classification_data
         with pytest.raises(RuntimeError):
-            RandomForestRegressor().predict(X)
+            RandomForestRegressor().predict_with_std(X)

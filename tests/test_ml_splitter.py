@@ -19,6 +19,7 @@ from split_oracle import (
     best_split_over,
     entropy_impurity,
     find_best_split,
+    forest_trees,
     gini_impurity,
     grow_reference,
     node_impurity,
@@ -29,7 +30,7 @@ from split_oracle import (
 def _regression_root(X, y):
     """The root of a one-tree forest that sees every row and every feature."""
     forest = RandomForestRegressor(n_estimators=1, bootstrap=False, max_features=None)
-    return forest.fit(X, y).estimators_[0].tree_.nodes[0]
+    return forest_trees(forest.fit(X, y))[0].nodes[0]
 
 
 class TestImpurities:
@@ -574,7 +575,7 @@ def _assert_forest_grows_like_the_oracle(
         max_features = max(1, int(np.sqrt(n_features)))
     # The forest's draws: each tree's seed, then its bootstrap rows.
     rng = np.random.default_rng(seed)
-    members = forest.estimators_
+    members = forest_trees(forest)
     assert len(members) == n_estimators
     for member in members:
         tree_seed = int(rng.integers(0, 2**31 - 1))
@@ -584,7 +585,7 @@ def _assert_forest_grows_like_the_oracle(
             min_samples_leaf=min_samples_leaf, max_distinct_features=None,
             max_features=max_features, allowed_features=None, random_state=tree_seed,
         )
-        _assert_same_tree(member.tree_, grow_reference(alone, X[rows], y[rows]))
+        _assert_same_tree(member, grow_reference(alone, X[rows], y[rows]))
 
 
 class TestTreeGrowth:

@@ -164,7 +164,7 @@ class TestDriftMonitor:
         for _ in range(64):
             monitor.observe(1, 0)
         monitor.reset()
-        assert monitor.windowed.count == 0
+        assert len(monitor.windowed._outcomes) == 0
         assert monitor.error_rate == 0.0
         assert not any(monitor.observe(1, 1) for _ in range(64))
 
@@ -178,7 +178,7 @@ class TestWindowedErrorRate:
             windowed.update(bool(error))
             recent = errors[max(0, index - 15): index + 1]
             assert windowed.rate == recent.sum() / recent.size
-        assert windowed.count == 16
+        assert len(windowed._outcomes) == 16
 
     def test_old_outcomes_age_out(self):
         windowed = WindowedErrorRate(window=2)
@@ -197,7 +197,7 @@ class TestWindowedErrorRate:
         windowed = WindowedErrorRate(window=4)
         windowed.update(True)
         windowed.reset()
-        assert windowed.count == 0 and windowed.rate == 0.0
+        assert len(windowed._outcomes) == 0 and windowed.rate == 0.0
 
 
 class _FakeFlow:
@@ -288,7 +288,7 @@ class TestOnlineControllerStateMachine:
         engine.deliver(99, 1, 0.0)  # never bound: no ground truth
         controller.poll(engine, allow_swap=False)
         assert controller.state == MONITORING
-        assert controller.monitor.windowed.count == 0
+        assert len(controller.monitor.windowed._outcomes) == 0
 
     def test_stale_old_epoch_verdicts_do_not_feed_the_monitor(self, splidt_config):
         controller = _controller(splidt_config)
@@ -298,7 +298,7 @@ class TestOnlineControllerStateMachine:
         engine.deliver(0, 1, 0.0)  # wrong, but decided on the old epoch
         engine.deliver(1, 0, 1.0)
         controller.poll(engine, allow_swap=False)
-        assert controller.monitor.windowed.count == 1
+        assert len(controller.monitor.windowed._outcomes) == 1
         assert controller._stale == set()
         assert controller.n_verdicts == 2
 
@@ -314,7 +314,7 @@ class TestOnlineControllerStateMachine:
         controller.poll(engine, allow_swap=False)
         assert controller.state == MONITORING
         # The monitor was reset when cooldown expired.
-        assert controller.monitor.windowed.count == 0
+        assert len(controller.monitor.windowed._outcomes) == 0
 
     def test_verdicts_graded_in_decision_order(self, splidt_config):
         controller = _controller(splidt_config)
@@ -357,7 +357,7 @@ class TestOnlineControllerStateMachine:
             engine.deliver(fid, 0, float(fid))
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 5
-        assert controller.monitor.windowed.count == 2
+        assert len(controller.monitor.windowed._outcomes) == 2
         assert controller.monitor.accuracy == 1.0
         controller.poll(engine, allow_swap=False)
         assert controller.n_verdicts == 5

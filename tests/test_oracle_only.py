@@ -27,8 +27,8 @@ from repro.datasets.flows import Flow, PacketArrays
 from repro.datasets.streams import iter_packet_chunks
 from repro.pipeline.spec import ExperimentSpec
 from repro.scenarios import (
+    WORKLOAD_SCENARIOS,
     LayerSpec,
-    available_workload_scenarios,
     get_workload_scenario,
     run_scenario,
 )
@@ -132,7 +132,7 @@ def _downsized(scenario):
 def _catalog_scenarios():
     """``run_scenario`` on every catalog scenario, downsized, on a 64-slot table."""
     prepared = {}
-    for name in available_workload_scenarios():
+    for name in sorted(WORKLOAD_SCENARIOS):
         scenario = _downsized(get_workload_scenario(name))
         if scenario.dataset not in prepared:
             prepared[scenario.dataset] = prepare_system(

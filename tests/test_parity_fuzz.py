@@ -142,10 +142,9 @@ def _snapshot(program, result) -> dict:
             )
             for flow_id, verdict in result.verdicts.items()
         },
-        "digests": sorted(
-            (digest.flow_id, digest.label, digest.timestamp, digest.sid)
-            for digest in program.controller.digests
-        ),
+        "decisions": sorted(zip(*(
+            program.verdict_rows()[column].tolist() for column in (0, 1, 2, 6)
+        ))),
         "recirculation": dict(result.recirculation),
         "eviction": program.eviction_stats(),
     }

@@ -1,33 +1,34 @@
-"""Every definition under ``src/repro`` is reached by something other than a test.
+"""Everything under ``src/repro`` is reached by something other than a test.
 
 A path survives only if something other than its own test runs it.  The
-contract has two levels:
+contract has three parts:
 
-* **Exports.**  For each ``repro`` package, every name in its ``__init__``'s
-  ``__all__`` is used by some file under ``src/``, ``benchmarks/``,
-  ``tools/`` or ``examples/`` other than that ``__init__`` (its re-export is
-  not a use).  A subpackage listed in ``__all__`` is reached when some file
-  imports from it.
-* **Definitions.**  Every module-level ``def`` / ``class`` and every method
-  (at any class depth) in ``src/repro`` is reached: its name is used in one
-  of those files other than inside its own ``def`` (recursion is not a
-  caller).  Dunder methods are exempt; Python calls them.
-
-A use is an AST ``Name``, an ``Attribute``, an import alias outside a
-package ``__init__``, or the last part of a ``"module:Qual.name"`` path in
-``benchmarks/perf/trace.py`` (the harness wraps those by name).  Docstrings
-and doc examples are strings, so they are not uses.  Names are matched, not
-resolved: a method is reached by any attribute of its name anywhere.
-
-A definition nothing reaches is deleted.  The one exception is a reference
-implementation that a test compares live code against: it stays on
-:data:`REFERENCES`, which names that test.
+* **Exports, by name.**  For each ``repro`` package, every name in its
+  ``__init__``'s ``__all__`` is used by some file under ``src/``,
+  ``benchmarks/``, ``tools/`` or ``examples/`` other than that ``__init__``
+  (its re-export is not a use).  A subpackage listed in ``__all__`` is
+  reached when some file imports from it.
+* **Classes, by name.**  Every class in ``src/repro`` (module level or
+  nested in a class) is used in one of those files other than inside its
+  own body.  A use is an AST ``Name``, an ``Attribute``, an import alias
+  outside a package ``__init__``, or the last part of a
+  ``"module:Qual.name"`` path in ``benchmarks/perf/trace.py`` (the harness
+  wraps those by name).
+* **Functions and methods, by execution.**  ``tools/reachability_scan.py``
+  (its own CI job: it runs every entry point, minutes) records what each
+  process enters and fails on a function or method nothing enters, unless
+  its ``KEPT`` table names it with a reason and a witness test.  Here,
+  tier-1 checks that table's shape and the scan's hook and matcher on a
+  small package.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
+import sys
+import textwrap
 from functools import cache
 from pathlib import Path
 
@@ -43,39 +44,22 @@ ALLOWED_UNREACHED = {
     "repro.switch.crc32_reference": "the per-byte CRC the columnar hash is tested against",
 }
 
-#: Definitions kept without a non-test caller: each is the reference the
-#: named test compares live code against.
-REFERENCES = {
-    "repro.features.flowmeter:FlowMeter.extract_windows":
-        "tests/test_features_flowmeter.py::TestBatchedKernelMatchesReference::test_random_flows",
-    "repro.features.flowmeter:FlowMeter.extract_flow":
-        "tests/test_features_flowmeter.py::TestBatchedKernelMatchesReference::test_random_flows",
-    "repro.features.flowmeter:FlowMeter.extract_per_packet":
-        "tests/test_features_flowmeter.py::TestBatchedKernelMatchesReference::test_random_flows",
-    "repro.ml._tree:Tree.add_node":
-        "tests/test_ml_splitter.py::TestTreeGrowth::test_trees_grow_node_for_node_like_the_oracle",
-    "repro.ml._tree:Tree.set_children":
-        "tests/test_ml_splitter.py::TestTreeGrowth::test_trees_grow_node_for_node_like_the_oracle",
-    "repro.ml._tree:Tree._apply_row":
-        "tests/test_ml_tree.py::TestClassifierStructure::test_apply_equals_the_per_row_descent",
-    "repro.ml._tree:Tree.decision_path":
-        "tests/test_ml_tree.py::TestClassifierStructure::test_apply_equals_the_per_row_descent",
-    "repro.core.partitioned_tree:PartitionedDecisionTree._predict_single":
-        "tests/test_core_range_marking.py::TestRuleGeneration"
-        "::test_classify_agrees_with_tree_on_training_data",
-    "repro.dataplane.vectorized:_WindowAggregator.compute":
-        "tests/test_window_kernels.py::TestRoundFill::test_fill_equals_compute_feature_by_feature",
-    "repro.switch.tcam:range_to_ternary":
-        "tests/test_core_range_marking.py::TestMarkTable"
-        "::test_prefix_cover_size_is_the_expansion_length",
-    "repro.switch.hashing:crc32_reference":
-        "tests/test_switch_hashing.py::TestCrc32::test_matches_reference_implementation",
-}
+#: Entries on the scan's kept table when it landed; it may shrink, not grow.
+KEPT_CAP = 47
 
 
 @cache
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
+
+
+def _scan():
+    spec = importlib.util.spec_from_file_location(
+        "reachability_scan", ROOT / "tools" / "reachability_scan.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _uses(path: Path) -> list[tuple[str, int]]:
@@ -99,26 +83,20 @@ def _uses(path: Path) -> list[tuple[str, int]]:
     return uses
 
 
-def _definitions(path: Path):
-    """``(qualified name, name, first line, last line)`` of each checked definition."""
+def _classes(path: Path):
+    """``(qualified name, name, first line, last line)`` of each class."""
 
     def walk(body, prefix):
         for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield prefix + node.name, node.name, node.lineno, node.end_lineno
-                if isinstance(node, ast.ClassDef):
-                    yield from walk(node.body, f"{prefix}{node.name}.")
+            if isinstance(node, ast.ClassDef):
+                yield prefix + node.name, node.name, node.lineno, node.end_lineno
+                yield from walk(node.body, f"{prefix}{node.name}.")
 
     yield from walk(_parse(path).body, "")
 
 
-def _module(path: Path) -> str:
-    return ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-
-
-def _unreached_definitions() -> set[str]:
-    """``module:Qual.name`` of every definition in ``src/repro`` nothing else uses."""
+def _unreached_classes() -> set[str]:
+    """``module:Qual.name`` of every class in ``src/repro`` nothing else uses."""
     uses: dict[str, list[tuple[Path, int]]] = {}
     for scope in SCOPES:
         for path in (ROOT / scope).rglob("*.py"):
@@ -126,12 +104,13 @@ def _unreached_definitions() -> set[str]:
                 uses.setdefault(name, []).append((path, line))
     unreached = set()
     for path in sorted(PACKAGE.rglob("*.py")):
-        for qualified, name, first, last in _definitions(path):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for qualified, name, first, last in _classes(path):
             if not any(
                 where != path or not first <= line <= last
                 for where, line in uses.get(name, ())
             ):
-                unreached.add(f"{_module(path)}:{qualified}")
+                unreached.add(f"{module}:{qualified}")
     return unreached
 
 
@@ -182,6 +161,21 @@ def _unreached() -> set[str]:
     return unreached
 
 
+def _test_exists(node_id: str) -> bool:
+    file, *owners, name = node_id.split("::")
+    path = ROOT / file
+    if not path.is_file():
+        return False
+    body = _parse(path).body
+    for owner in owners:
+        found = [n.body for n in body if isinstance(n, ast.ClassDef) and n.name == owner]
+        if not found:
+            return False
+        (body,) = found
+    name = name.partition("[")[0]
+    return any(isinstance(node, ast.FunctionDef) and node.name == name for node in body)
+
+
 def test_every_export_is_reached_outside_the_tests():
     stray = sorted(_unreached() - set(ALLOWED_UNREACHED))
     assert not stray, f"exported but reached only by tests: {stray}"
@@ -192,26 +186,83 @@ def test_the_allowlist_is_short_and_still_needed():
     assert set(ALLOWED_UNREACHED) <= _unreached(), "a kept name gained a caller: drop it here"
 
 
-def test_every_definition_is_reached_outside_the_tests():
-    stray = sorted(_unreached_definitions() - set(REFERENCES))
-    assert not stray, f"defined but reached only by tests (delete them): {stray}"
+def test_every_class_is_reached_outside_the_tests():
+    stray = sorted(_unreached_classes())
+    assert not stray, f"a class reached only by tests (delete it): {stray}"
 
 
-def test_every_kept_reference_is_unreached_and_names_its_test():
-    assert len(REFERENCES) <= 12
-    assert set(REFERENCES) <= _unreached_definitions(), "a reference gained a caller: drop it here"
-    for definition, test in REFERENCES.items():
-        file, *owners, test_name = test.split("::")
-        test_file = ROOT / file
-        body = _parse(test_file).body
-        for owner in owners:
-            (body,) = [n.body for n in body if isinstance(n, ast.ClassDef) and n.name == owner]
-        assert any(
-            isinstance(node, ast.FunctionDef) and node.name == test_name for node in body
-        ), f"{definition}: no test {test}"
-        # The test's file, or a helper module of tests/ it imports, uses it.
-        used = {name for name, _ in _uses(test_file)}
-        for helper in _references(test_file)[1]:
-            if (test_file.parent / f"{helper}.py").is_file():
-                used |= {name for name, _ in _uses(test_file.parent / f"{helper}.py")}
-        assert re.split(r"[.:]", definition)[-1] in used, f"{test} does not use {definition}"
+def test_every_kept_entry_resolves_and_names_a_test():
+    scan = _scan()
+    assert len(scan.KEPT) <= KEPT_CAP
+    defined = set(scan.definitions().values())
+    for name, (reason, witness) in scan.KEPT.items():
+        assert name in defined, f"{name}: no such function or method under src/repro"
+        assert reason in scan.REASONS, f"{name}: unknown reason {reason!r}"
+        if reason == "abstract":
+            assert witness is None, f"{name}: an abstract entry's witness is its subclasses"
+        else:
+            assert witness and _test_exists(witness), f"{name}: no test {witness}"
+
+
+_MODULE = '''
+import functools
+
+
+def traced(fn):
+    @functools.wraps(fn)
+    def wrapper(*args):
+        return fn(*args)
+    return wrapper
+
+
+@traced
+def decorated(x):
+    return x + 1
+
+
+class Box:
+    @property
+    def value(self):
+        return 2
+
+
+def spawn_only():
+    return 3
+
+
+def never_called():
+    return 4
+'''
+
+_ENTRY = '''
+import multiprocessing
+
+from reachpkg import mod
+
+if __name__ == "__main__":
+    mod.decorated(1)
+    mod.Box().value
+    child = multiprocessing.get_context("spawn").Process(target=mod.spawn_only)
+    child.start()
+    child.join(timeout=60)
+    raise SystemExit(0 if child.exitcode == 0 else 1)
+'''
+
+
+def test_the_hook_sees_decorators_properties_and_spawned_children(tmp_path):
+    scan = _scan()
+    package = tmp_path / "reachpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(textwrap.dedent(_MODULE))
+    (tmp_path / "entry.py").write_text(textwrap.dedent(_ENTRY))
+    out = tmp_path / "records"
+    failed = scan.run_hooked([(sys.executable, "entry.py")], out, package=package, cwd=tmp_path)
+    assert failed == []
+    assert scan.never_entered(scan.entered(out), package=package) == ["reachpkg.mod:never_called"]
+
+
+def test_an_entry_point_that_exits_non_zero_fails_the_scan(tmp_path):
+    scan = _scan()
+    command = (sys.executable, "-c", "raise SystemExit(3)")
+    assert scan.run_hooked([command], tmp_path / "records", cwd=tmp_path) == [(command, 3)]

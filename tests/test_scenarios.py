@@ -14,11 +14,11 @@ from repro.dataplane import oracle
 from repro.dataplane.splidt_program import SpliDTDataPlane
 from repro.pipeline.spec import ExperimentSpec, SpecError
 from repro.scenarios import (
+    WORKLOAD_SCENARIOS,
     DegradationBounds,
     LayerSpec,
     ScenarioError,
     ScenarioSpec,
-    available_workload_scenarios,
     build_workload,
     get_workload_scenario,
     run_scenario,
@@ -96,7 +96,7 @@ class TestScenarioSpec:
             ExperimentSpec(scenario=ScenarioSpec(eviction="nope")).validate()
 
     def test_catalog_entries_all_validate(self):
-        for name in available_workload_scenarios():
+        for name in sorted(WORKLOAD_SCENARIOS):
             get_workload_scenario(name).validate()
         with pytest.raises(ScenarioError, match="unknown workload scenario"):
             get_workload_scenario("does-not-exist")

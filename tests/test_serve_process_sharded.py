@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.dataplane import SpliDTDataPlane, oracle
-from repro.datasets.shm import SEGMENT_PREFIX
+from repro.datasets.shm import SEGMENT_PREFIX, SharedPacketArrays
 from repro.serve.ring import RING_PREFIX
 from repro.datasets.streams import iter_packet_chunks
 from repro.serve import ProcessShardedEngine, ServeError, StreamingEngine, create_engine
@@ -176,6 +176,25 @@ class TestLifecycleAndTeardown:
                 engine.ingest(next(iter_packet_chunks(small_dataset.flows, 64)))
                 raise RuntimeError("boom")
         assert engine._cleaned
+        assert not _leaked_segments()
+
+    def test_a_worker_that_cannot_attach_reports_and_stops(
+        self, splidt_model, splidt_rules, small_dataset, monkeypatch
+    ):
+        # Forked workers inherit the patch: attaching the shared columns fails.
+        def refuse(cls, layout):
+            raise OSError("segment refused")
+
+        monkeypatch.setattr(SharedPacketArrays, "attach", classmethod(refuse))
+        engine = ProcessShardedEngine(
+            ProgramFactory(splidt_model, splidt_rules, 8192), workers=2, start_method="fork"
+        ).open()
+        with pytest.raises(ServeError, match="segment refused"):
+            for chunk in iter_packet_chunks(small_dataset.flows, 64):
+                engine.ingest(chunk)
+            engine.drain()
+        assert engine._cleaned
+        assert all(process.exitcode == 0 for process in engine._processes)
         assert not _leaked_segments()
 
     def test_empty_session(self, splidt_model, splidt_rules):

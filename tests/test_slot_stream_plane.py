@@ -4,7 +4,7 @@
 module pins the *named* behaviours of a contended register slot with small
 hand-built traces, each replayed through the oracle (``oracle.replay_dataset``)
 and through ``replay_arrays`` (``replay_dataset``) and compared on verdicts,
-controller digests, recirculation counters and ``eviction_stats()``.  Every
+decided rows (the digests sent), recirculation counters and ``eviction_stats()``.  Every
 case also asserts that the packets really went through the slot-stream plane
 and that the behaviour it is named after really occurs in the trace.
 """
@@ -46,15 +46,19 @@ def _dataset(flows) -> FlowDataset:
     return FlowDataset(name="t", description="", flows=list(flows), class_names=["a", "b"])
 
 
+def _decisions(program) -> list[tuple]:
+    """Every decided row, ``(flow_id, label, decided_at, sid)``, sorted: the digests sent."""
+    flow_ids, labels, decided_at, _, _, _, sids = program.verdict_rows()
+    return sorted(zip(flow_ids.tolist(), labels.tolist(), decided_at.tolist(), sids.tolist()))
+
+
 def _snapshot(program, verdicts) -> dict:
     return {
         "verdicts": {
             fid: (v.label, v.decided_at, v.first_packet_at, v.n_recirculations, v.early_exit)
             for fid, v in verdicts.items()
         },
-        "digests": sorted(
-            (d.flow_id, d.label, d.timestamp, d.sid) for d in program.controller.digests
-        ),
+        "decisions": _decisions(program),
         "recirculation": program.recirculation_stats(),
         "eviction": program.eviction_stats(),
     }
@@ -123,7 +127,7 @@ def test_flow_id_decided_twice_keeps_the_later_verdict(splidt_model, splidt_rule
     # reclaims the slot, and B's last packet decides B's own epoch.
     flows = [_flow(TUPLE_A, 0, [1, 2, 7]), _flow(TUPLE_B, 1, [6, 6.5, 9])]
     _, fused = _replay_both(splidt_model, splidt_rules, [flows])
-    decided_at = sorted(d.timestamp for d in fused.controller.digests if d.flow_id == 1)
+    decided_at = sorted(t for f, _, t, _ in _decisions(fused) if f == 1)
     assert decided_at == [6.0, 9.0]
     assert (fused.verdicts[1].first_packet_at, fused.verdicts[1].decided_at) == (6.5, 9.0)
 
@@ -232,7 +236,7 @@ def test_flows_alone_in_their_slots_take_no_more_window_rounds_than_lockstep(
         return SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=table_size)
 
     stream, lockstep, reference = program(), program(), program()
-    ss.replay_slot_stream(stream, flows, soa, np.ones(len(flows), dtype=bool))
+    ss.replay_slot_stream(stream, soa, np.ones(len(flows), dtype=bool))
     vz._replay_splidt_batched(lockstep, soa, everyone, slots)
     oracle.replay_dataset(reference, _dataset(flows))
 

@@ -56,11 +56,11 @@ class TestRecirculationChannel:
         channel = RecirculationChannel(latency=0.001)
         phv = make_control_phv(FiveTuple(1, 2, 3, 4, 6), next_sid=2, timestamp=1.0)
         channel.submit(phv, timestamp=1.0)
-        assert channel.pending == 1
+        assert len(channel._queue) == 1
         assert channel.ready(1.0005) == []
         released = channel.ready(1.002)
         assert len(released) == 1
-        assert channel.pending == 0
+        assert len(channel._queue) == 0
 
     def test_bandwidth_accounting(self):
         channel = RecirculationChannel()
@@ -119,5 +119,5 @@ class TestRecirculationChannel:
         channel = RecirculationChannel()
         phv = make_control_phv(FiveTuple(1, 2, 3, 4, 6), next_sid=2, timestamp=0.0)
         channel.submit(phv, 0.0)
-        assert len(channel.drain()) == 1
-        assert channel.pending == 0
+        assert len(channel.ready(float("inf"))) == 1
+        assert len(channel._queue) == 0

@@ -173,10 +173,9 @@ class TestFlowViews:
             raise AssertionError("a flow was built")
 
         monkeypatch.setattr(LazyFlowList, "__getitem__", no_flow)
-        labels = small_dataset.labels()
-        assert np.array_equal(labels, small_dataset.packet_arrays().labels)
+        labels = small_dataset.packet_arrays().labels
         subset = small_dataset.subset(np.array([5, 1]))
-        assert subset.labels().tolist() == [labels[5], labels[1]]
+        assert subset.packet_arrays().labels.tolist() == [labels[5], labels[1]]
 
     def test_hand_built_flows_keep_their_values(self):
         packets = [Packet(0.5, 60.5, 0x12, -1, 20.25), Packet(0.75, 1500, 0x10, 1, 1400)]

@@ -1,8 +1,8 @@
 """Verdicts stay columns: a program records decided rows as blocks.
 
-No :class:`FlowVerdict` or :class:`Digest` is built while a plane records a
-decision — not by the batched or slot-stream planes, not by the consumers
-that score and summarise them (``build_replay_result``, ``ReplayResult``,
+No :class:`FlowVerdict` is built while a plane records a decision — not by
+the batched or slot-stream planes, not by the consumers that score and
+summarise them (``build_replay_result``, ``ReplayResult``,
 ``run_scenario``, the serving engines' ``stats()``) — only when a reader
 indexes one.  The store itself reads back as the dict its rows would have
 built, row by row.
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import SpliDTDataPlane, vectorized as vz
 from repro.core.evaluation import ClassificationReport
-from repro.dataplane.controller import Digest
 from repro.dataplane.runtime import fresh_rows, score_verdicts
 from repro.dataplane.slot_stream import replay_slot_stream
 from repro.dataplane.verdicts import FlowVerdict, VerdictStore
@@ -32,8 +31,8 @@ from repro.switch.eviction import make_eviction_policy
 
 @pytest.fixture
 def built(monkeypatch):
-    """``FlowVerdict`` and ``Digest`` constructions, on every path."""
-    counts = {FlowVerdict: 0, Digest: 0}
+    """``FlowVerdict`` constructions, on every path."""
+    counts = {FlowVerdict: 0}
     for cls in counts:
         init = cls.__init__
 
@@ -73,7 +72,7 @@ def test_no_verdict_or_digest_object_until_a_reader_indexes_one(
 
     # A slot-stream call on its own.
     stream = _program(splidt_model, splidt_rules, 64)
-    replay_slot_stream(stream, flows, soa, np.ones(soa.n_flows, dtype=bool))
+    replay_slot_stream(stream, soa, np.ones(soa.n_flows, dtype=bool))
     programs.append(stream)
 
     # A micro-batch session, observed mid-stream and scored at the end.
@@ -94,14 +93,12 @@ def test_no_verdict_or_digest_object_until_a_reader_indexes_one(
     )
 
     assert all(program.verdicts and program.controller.n_digests for program in programs)
-    assert built == {FlowVerdict: 0, Digest: 0}
+    assert built == {FlowVerdict: 0}
 
     # Readers pay for what they read, and only then.
     flow_id = next(iter(result.verdicts))
     assert result.verdicts[flow_id].flow_id == flow_id
-    assert built == {FlowVerdict: 1, Digest: 0}
-    assert len(session.controller.digests) == session.controller.n_digests
-    assert built[Digest] == session.controller.n_digests
+    assert built == {FlowVerdict: 1}
 
 
 def test_a_program_keeps_one_verdict_store(splidt_model, splidt_rules):
@@ -110,14 +107,11 @@ def test_a_program_keeps_one_verdict_store(splidt_model, splidt_rules):
     assert len(stores) == 1
 
 
-def test_a_retained_digest_is_a_verdict_row(splidt_model, splidt_rules, small_dataset):
-    """Digests are the decided rows in decision order: the store's flow id, label, time, sid."""
+def test_the_controller_gets_one_digest_per_verdict_row(splidt_model, splidt_rules, small_dataset):
+    """A digest is a decided row (its flow id, label, time, sid): one per row the store holds."""
     program = _program(splidt_model, splidt_rules, 64)
     vz.replay_arrays(program, small_dataset.flows)
-    flow_ids, labels, decided_at, _, _, _, sids = program.verdict_rows()
-    assert [(d.flow_id, d.label, d.timestamp, d.sid) for d in program.controller.digests] == list(
-        zip(flow_ids.tolist(), labels.tolist(), decided_at.tolist(), sids.tolist())
-    )
+    assert program.controller.n_digests == program.verdict_rows()[0].size > 0
 
 
 def test_sharded_rows_merge_into_one_store(splidt_model, splidt_rules, small_dataset):
@@ -128,7 +122,7 @@ def test_sharded_rows_merge_into_one_store(splidt_model, splidt_rules, small_dat
     merged = VerdictStore()
     for part in (np.arange(soa.n_flows) < half, np.arange(soa.n_flows) >= half):
         reported = program.verdict_rows()[0].size
-        replay_slot_stream(program, small_dataset.flows, soa, part)
+        replay_slot_stream(program, soa, part)
         merged.append(*program.verdict_rows(reported))
     assert merged.snapshot() == program.verdicts
 
@@ -178,7 +172,8 @@ def test_the_store_reads_back_as_a_dict_updated_row_by_row(operations):
     assert list(verdicts) == sorted(expected)
     assert dict(zip(verdicts.flow_ids.tolist(), verdicts.sids.tolist())) == sids
     assert np.array_equal(verdicts.time_to_detection(),
-                          [expected[fid].time_to_detection for fid in sorted(expected)])
+                          [max(expected[fid].decided_at - expected[fid].first_packet_at, 0.0)
+                           for fid in sorted(expected)])
     for earlier, then in taken:
         assert earlier == then  # later appends leave a snapshot alone
     assert len(store) == len(recorded)
