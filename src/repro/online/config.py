@@ -8,8 +8,9 @@ dataplane machinery into the spec layer.  Everything heavier lives in
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+
+from repro.spec_codec import Spec
 
 
 class OnlineConfigError(ValueError):
@@ -17,7 +18,7 @@ class OnlineConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class OnlineConfig:
+class OnlineConfig(Spec):
     """Knobs of the drift-detect / retrain / hot-swap loop.
 
     Attributes:
@@ -47,6 +48,9 @@ class OnlineConfig:
     retrain_window: int = 512
     cooldown_flows: int = 32
 
+    _error = OnlineConfigError
+    _label = "serve online"
+
     def validate(self) -> "OnlineConfig":
         """Check value ranges; returns ``self`` so calls chain."""
         if self.window < 1:
@@ -75,7 +79,3 @@ class OnlineConfig:
                 f"cooldown_flows must be >= 0, got {self.cooldown_flows}"
             )
         return self
-
-    def replace(self, **changes) -> "OnlineConfig":
-        """Return a copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)

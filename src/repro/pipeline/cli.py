@@ -78,45 +78,46 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="register slots of the simulated program")
 
 
+#: Each spec-shaped flag (by ``argparse`` destination) and the path of the
+#: field it sets in ``ExperimentSpec.to_dict()``.
+_SPEC_FLAGS: dict[str, tuple[str, ...]] = {
+    **{name: (name,) for name in (
+        "dataset", "n_flows", "seed", "depth", "features_per_subtree", "n_partitions",
+        "bit_width", "target", "target_flows", "replay_flows", "flow_slots")},
+    "serve_engine": ("serve", "engine"),
+    **{name: ("serve", name) for name in (
+        "workers", "spawn_method", "ring_slots", "chunk_size", "backpressure")},
+    "online": ("serve", "online", "enabled"),
+    "drift_window": ("serve", "online", "window"),
+    "min_retrain_flows": ("serve", "online", "min_retrain_flows"),
+    "cooldown_flows": ("serve", "online", "cooldown_flows"),
+    **{name: ("dse", name) for name in (
+        "iterations", "batch_size", "method", "depth_range", "k_range", "partitions_range")},
+}
+
+
 def _spec_from_args(args: argparse.Namespace, *, system: str | None = None) -> ExperimentSpec:
     """Build a validated spec from CLI flags (scenario preset first)."""
     spec = get_scenario(args.scenario) if args.scenario else ExperimentSpec()
-    overrides = {}
-    for name in ("dataset", "n_flows", "seed", "depth", "features_per_subtree",
-                 "n_partitions", "bit_width", "target", "target_flows",
-                 "replay_flows", "flow_slots"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides.get("replay_flows") == 0:
-        overrides["replay_flows"] = None
+    data = spec.to_dict()
     if system is not None:
-        overrides["system"] = system
+        data["system"] = system
+    for dest, (*parents, name) in _SPEC_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if dest.endswith("_range"):
+            value = _parse_range(value, flag="--" + dest.replace("_", "-"))
+        node = data
+        for key in parents:
+            node = node[key]
+        node[name] = value
+    if data["replay_flows"] == 0:  # --replay-flows 0: every flow
+        data["replay_flows"] = None
     # Flag-level depth/partition overrides invalidate a preset's explicit sizes.
-    if {"depth", "n_partitions"} & set(overrides):
-        overrides.setdefault("partition_sizes", None)
-    serve_overrides = {}
-    for flag, field_name in (("serve_engine", "engine"),
-                             ("workers", "workers"), ("spawn_method", "spawn_method"),
-                             ("ring_slots", "ring_slots"),
-                             ("chunk_size", "chunk_size"), ("backpressure", "backpressure")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            serve_overrides[field_name] = value
-    online_overrides = {}
-    if getattr(args, "online", False):
-        online_overrides["enabled"] = True
-    for flag, field_name in (("drift_window", "window"),
-                             ("min_retrain_flows", "min_retrain_flows"),
-                             ("cooldown_flows", "cooldown_flows")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            online_overrides[field_name] = value
-    if online_overrides:
-        serve_overrides["online"] = spec.serve.online.replace(**online_overrides)
-    if serve_overrides:
-        overrides["serve"] = spec.serve.replace(**serve_overrides)
-    return spec.replace(**overrides).validate()
+    if getattr(args, "depth", None) is not None or getattr(args, "n_partitions", None) is not None:
+        data["partition_sizes"] = None
+    return ExperimentSpec.from_dict(data).validate()
 
 
 def format_result(result: ExperimentResult) -> str:
@@ -509,20 +510,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     dse = spec.dse
-    overrides = {}
-    for flag, field_name in (("iterations", "iterations"),
-                             ("batch_size", "batch_size"), ("method", "method")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    for flag in ("depth_range", "k_range", "partitions_range"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = _parse_range(value, flag="--" + flag.replace("_", "-"))
-    if overrides:
-        dse = dse.replace(**overrides)
-    spec = spec.replace(dse=dse).validate()
-    dse = spec.dse
 
     dataset = load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
     store = DatasetStore(dataset, random_state=spec.seed)
@@ -723,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print rolling stats every N chunks (0 = quiet)")
     serve.add_argument("--digests", action="store_true",
                        help="print each verdict digest as it is emitted")
-    serve.add_argument("--online", action="store_true",
+    serve.add_argument("--online", action="store_true", default=None,
                        help="attach the online loop: Page-Hinkley drift "
                             "detection, retraining, model hot-swap")
     serve.add_argument("--drift-window", type=int, dest="drift_window",

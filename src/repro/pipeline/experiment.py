@@ -201,13 +201,8 @@ class Experiment:
             program = self.system.build_program(self.train(), self.compile(), self.spec)
             if program is None:
                 return None
-            spec = self.spec
             return replay_dataset(
-                program,
-                self.prepare().dataset,
-                max_flows=spec.replay_flows,
-                jitter_starts=spec.jitter_starts,
-                seed=spec.seed,
+                program, self.prepare().dataset, max_flows=self.spec.replay_flows
             )
 
         return self._stage("replay", run)
@@ -250,20 +245,15 @@ class Experiment:
     def packet_stream(self, chunk_size: int | None = None):
         """The experiment's replay traffic as an iterator of packet chunks.
 
-        Applies the spec's ``replay_flows`` truncation and ``jitter_starts``
-        exactly as the replay stage does, so serving and batch replay observe
-        the same packets.  ``chunk_size`` defaults to ``spec.serve.chunk_size``.
+        Applies the spec's ``replay_flows`` truncation exactly as the replay
+        stage does, so serving and batch replay observe the same packets.
+        ``chunk_size`` defaults to ``spec.serve.chunk_size``.
         """
         from repro.dataplane.runtime import prepare_replay_flows
         from repro.datasets.streams import iter_packet_chunks
 
         spec = self.spec
-        flows = prepare_replay_flows(
-            self.prepare().dataset,
-            max_flows=spec.replay_flows,
-            jitter_starts=spec.jitter_starts,
-            seed=spec.seed,
-        )
+        flows = prepare_replay_flows(self.prepare().dataset, max_flows=spec.replay_flows)
         size = chunk_size if chunk_size is not None else spec.serve.chunk_size
         return iter_packet_chunks(flows, size)
 

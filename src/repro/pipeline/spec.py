@@ -11,13 +11,14 @@ replay verdicts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace as dataclass_replace
+from dataclasses import dataclass
 
 from repro.core.config import SpliDTConfig, TopKConfig
 from repro.datasets.profiles import DATASET_KEYS
 from repro.online.config import OnlineConfig, OnlineConfigError
 from repro.serve.engine import SERVE_ENGINES
 from repro.serve.process_sharded import START_METHODS as SPAWN_METHODS
+from repro.spec_codec import Spec
 from repro.switch.targets import TARGETS, TargetSpec, get_target
 
 
@@ -26,7 +27,7 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(Spec):
     """Declarative serving settings (the ``python -m repro serve`` surface).
 
     Attributes:
@@ -56,12 +57,12 @@ class ServeConfig:
     backpressure: int = 1_000_000
     online: OnlineConfig = OnlineConfig()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.online, dict):
-            object.__setattr__(self, "online", OnlineConfig(**self.online))
+    _error = SpecError
+    _label = "serve"
 
     def validate(self) -> "ServeConfig":
         """Check the serving settings; raises :class:`SpecError`."""
+        self.check_nested()
         if self.engine not in SERVE_ENGINES:
             raise SpecError(
                 f"unknown serve engine {self.engine!r}; expected one of {SERVE_ENGINES}"
@@ -88,13 +89,9 @@ class ServeConfig:
             raise SpecError(f"serve online config: {exc}") from exc
         return self
 
-    def replace(self, **changes) -> "ServeConfig":
-        """A copy of the config with ``changes`` applied."""
-        return dataclass_replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class DseConfig:
+class DseConfig(Spec):
     """Declarative design-search settings (the ``python -m repro dse`` surface).
 
     Attributes:
@@ -114,11 +111,8 @@ class DseConfig:
     k_range: tuple[int, int] = (1, 6)
     partitions_range: tuple[int, int] = (1, 5)
 
-    def __post_init__(self) -> None:
-        for name in ("depth_range", "k_range", "partitions_range"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
+    _error = SpecError
+    _label = "dse"
 
     def validate(self) -> "DseConfig":
         """Check the search settings; raises :class:`SpecError`."""
@@ -138,13 +132,9 @@ class DseConfig:
                 )
         return self
 
-    def replace(self, **changes) -> "DseConfig":
-        """A copy of the config with ``changes`` applied."""
-        return dataclass_replace(self, **changes)
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """Declarative description of one dataset-to-dataplane experiment.
 
     Attributes:
@@ -171,9 +161,7 @@ class ExperimentSpec:
             and feasibility checks.
         replay_flows: Replay only the first N flows (``None`` = all).
         flow_slots: Register slots of the simulated data-plane program.
-        jitter_starts: Randomly shift flow start times during replay.
         test_size: Held-out fraction of the train/test split.
-        n_trees: Ensemble size (pForest only).
         serve: Streaming-serving settings (:class:`ServeConfig`) used by
             ``python -m repro serve`` and :meth:`Experiment.serve_engine`.
         dse: Design-search settings (:class:`DseConfig`) used by
@@ -199,25 +187,19 @@ class ExperimentSpec:
     target_flows: int = 100_000
     replay_flows: int | None = 200
     flow_slots: int = 8192
-    jitter_starts: bool = False
     test_size: float = 0.3
-    n_trees: int = 5
     serve: ServeConfig = ServeConfig()
     dse: DseConfig = DseConfig()
-    scenario: "object | None" = None
+    scenario: ScenarioSpec | None = None
 
-    def __post_init__(self) -> None:
-        if self.partition_sizes is not None and not isinstance(self.partition_sizes, tuple):
-            object.__setattr__(self, "partition_sizes", tuple(self.partition_sizes))
-        if isinstance(self.serve, dict):
-            object.__setattr__(self, "serve", ServeConfig(**self.serve))
-        if isinstance(self.dse, dict):
-            object.__setattr__(self, "dse", DseConfig(**self.dse))
-        if isinstance(self.scenario, dict):
-            # Imported lazily: repro.scenarios imports the pipeline back.
-            from repro.scenarios.spec import ScenarioSpec
+    _error = SpecError
 
-            object.__setattr__(self, "scenario", ScenarioSpec(**self.scenario))
+    @classmethod
+    def _lazy_types(cls) -> dict[str, type]:
+        # Imported lazily: repro.scenarios imports the pipeline back.
+        from repro.scenarios.spec import ScenarioSpec
+
+        return {"ScenarioSpec": ScenarioSpec}
 
     # ------------------------------------------------------------------
     # Validation
@@ -226,6 +208,7 @@ class ExperimentSpec:
         """Check the spec; raises :class:`SpecError` with the first problem."""
         from repro.pipeline.systems import available_systems
 
+        self.check_nested()
         if self.dataset not in DATASET_KEYS:
             raise SpecError(
                 f"unknown dataset {self.dataset!r}; expected one of {DATASET_KEYS}"
@@ -246,18 +229,9 @@ class ExperimentSpec:
             raise SpecError(f"flow_slots must be >= 1, got {self.flow_slots}")
         if not 0.0 < self.test_size < 1.0:
             raise SpecError(f"test_size must be in (0, 1), got {self.test_size}")
-        if self.n_trees < 1:
-            raise SpecError(f"n_trees must be >= 1, got {self.n_trees}")
         self.serve.validate()
         self.dse.validate()
         if self.scenario is not None:
-            from repro.scenarios.spec import ScenarioSpec
-
-            if not isinstance(self.scenario, ScenarioSpec):
-                raise SpecError(
-                    f"scenario must be a ScenarioSpec or dict, "
-                    f"got {type(self.scenario).__name__}"
-                )
             try:
                 self.scenario.validate()
             except ValueError as exc:
@@ -308,67 +282,3 @@ class ExperimentSpec:
         if self.system == "splidt":
             return self.model_config().n_partitions
         return max(self.n_partitions, 1)
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible); ``serve`` becomes a nested dict."""
-        data = asdict(self)
-        if data["partition_sizes"] is not None:
-            data["partition_sizes"] = list(data["partition_sizes"])
-        for name in ("depth_range", "k_range", "partitions_range"):
-            data["dse"][name] = list(data["dse"][name])
-        if self.scenario is not None:
-            # ScenarioSpec.to_dict keeps the payload JSON-compatible
-            # (infinite bounds serialise as null).
-            data["scenario"] = self.scenario.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise SpecError(f"unknown spec fields: {sorted(unknown)}")
-        payload = dict(data)
-        if payload.get("partition_sizes") is not None:
-            payload["partition_sizes"] = tuple(payload["partition_sizes"])
-        if isinstance(payload.get("serve"), dict):
-            serve_payload = dict(payload["serve"])
-            serve_known = {f.name for f in fields(ServeConfig)}
-            serve_unknown = set(serve_payload) - serve_known
-            if serve_unknown:
-                raise SpecError(f"unknown serve fields: {sorted(serve_unknown)}")
-            if isinstance(serve_payload.get("online"), dict):
-                online_payload = serve_payload["online"]
-                online_known = {f.name for f in fields(OnlineConfig)}
-                online_unknown = set(online_payload) - online_known
-                if online_unknown:
-                    raise SpecError(
-                        f"unknown serve online fields: {sorted(online_unknown)}"
-                    )
-                serve_payload["online"] = OnlineConfig(**online_payload)
-            payload["serve"] = ServeConfig(**serve_payload)
-        if isinstance(payload.get("dse"), dict):
-            dse_payload = dict(payload["dse"])
-            dse_known = {f.name for f in fields(DseConfig)}
-            dse_unknown = set(dse_payload) - dse_known
-            if dse_unknown:
-                raise SpecError(f"unknown dse fields: {sorted(dse_unknown)}")
-            payload["dse"] = DseConfig(**dse_payload)
-        if isinstance(payload.get("scenario"), dict):
-            from repro.scenarios.spec import ScenarioError, ScenarioSpec
-
-            try:
-                payload["scenario"] = ScenarioSpec.from_dict(payload["scenario"])
-            except ScenarioError as exc:
-                raise SpecError(f"scenario: {exc}") from exc
-        return cls(**payload)
-
-    def replace(self, **changes) -> "ExperimentSpec":
-        """A copy of the spec with ``changes`` applied."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(changes)
-        return ExperimentSpec(**data)

@@ -323,9 +323,7 @@ class PForestSystem(TopKSystem):
     supports_replay = False
 
     def train(self, spec, windowed):
-        return train_pforest_model(
-            windowed, spec.topk_config(), n_trees=spec.n_trees, random_state=spec.seed
-        )
+        return train_pforest_model(windowed, spec.topk_config(), random_state=spec.seed)
 
     def build_program(self, model, rules, spec):
         return None

@@ -106,8 +106,8 @@ register_workload_scenario(
 
 # The out-of-core flagship: ~a million short spoofed flows over a modest
 # legitimate population, spilled to disk and replayed via memmap columns.
-# Replaying this materialised would hold the whole object-form dataset in
-# RAM; streamed, the resident cost is the per-flow columns plus page cache.
+# Materialised, every packet column would sit in RAM; streamed, the
+# resident cost is the per-flow columns plus page cache.
 register_workload_scenario(
     ScenarioSpec(
         name="million-flow-streamed",
@@ -117,7 +117,6 @@ register_workload_scenario(
         eviction="idle-timeout",
         eviction_timeout=0.5,
         streamed=True,
-        chunk_size=65536,
     )
 )
 

@@ -18,9 +18,10 @@ these configure the traffic.  The workload catalog lives in
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace as dataclass_replace
+from dataclasses import dataclass, field
 
 from repro.datasets.profiles import DATASET_KEYS
+from repro.spec_codec import Spec
 from repro.switch.eviction import EVICTION_POLICIES
 
 
@@ -33,7 +34,7 @@ LAYER_KINDS = ("heavy-hitter", "flash-crowd", "ddos-flood", "evasion")
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Spec):
     """One adversarial layer: a kind plus its parameters.
 
     Parameters are kind-specific and validated by the layer implementation
@@ -55,6 +56,9 @@ class LayerSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
+    _error = ScenarioError
+    _label = "layer"
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
 
@@ -69,22 +73,9 @@ class LayerSpec:
         validate_layer_params(self)
         return self
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible)."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LayerSpec":
-        """Rebuild from :meth:`to_dict` output; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown layer fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class DegradationBounds:
+class DegradationBounds(Spec):
     """Acceptable floor of classification quality under a scenario.
 
     ``python -m repro scenario run --assert-degradation-bounds`` (and the CI
@@ -96,6 +87,9 @@ class DegradationBounds:
     min_accuracy: float = 0.0
     min_decided_fraction: float = 0.0
     max_median_ttd: float = math.inf
+
+    _error = ScenarioError
+    _label = "bounds"
 
     def validate(self) -> "DegradationBounds":
         """Check the bounds; raises :class:`ScenarioError`."""
@@ -113,28 +107,9 @@ class DegradationBounds:
             )
         return self
 
-    def to_dict(self) -> dict:
-        """Plain-dict form; an unbounded TTD serialises as ``None``."""
-        data = asdict(self)
-        if math.isinf(data["max_median_ttd"]):
-            data["max_median_ttd"] = None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DegradationBounds":
-        """Rebuild from :meth:`to_dict` output; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown bounds fields: {sorted(unknown)}")
-        payload = dict(data)
-        if payload.get("max_median_ttd") is None:
-            payload["max_median_ttd"] = math.inf
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """Declarative description of one adversarial workload.
 
     Attributes:
@@ -147,10 +122,10 @@ class ScenarioSpec:
             (``"none"``, ``"idle-timeout"`` or ``"lru"``; see
             :mod:`repro.switch.eviction`).
         eviction_timeout: Idle seconds before ``"idle-timeout"`` evicts.
-        streamed: Spill the workload out-of-core through a
-            :class:`~repro.datasets.streams.StreamedPacketWriter` instead of
-            materialising ``Flow`` objects (mandatory for million-flow runs).
-        chunk_size: Packets per chunk when feeding streamed workloads.
+        streamed: Spill the workload's packet columns out-of-core through a
+            :class:`~repro.datasets.streams.StreamedPacketWriter` (memmapped
+            files) instead of holding them in RAM (mandatory for
+            million-flow runs).
         bounds: Optional :class:`DegradationBounds` asserted after a run.
     """
 
@@ -162,23 +137,14 @@ class ScenarioSpec:
     eviction: str = "none"
     eviction_timeout: float = 1.0
     streamed: bool = False
-    chunk_size: int = 4096
     bounds: DegradationBounds | None = None
 
-    def __post_init__(self) -> None:
-        layers = tuple(
-            LayerSpec(**layer) if isinstance(layer, dict) else layer
-            for layer in self.layers
-        )
-        object.__setattr__(self, "layers", layers)
-        if isinstance(self.bounds, dict):
-            object.__setattr__(self, "bounds", DegradationBounds(**self.bounds))
+    _error = ScenarioError
+    _label = "scenario"
 
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
     def validate(self) -> "ScenarioSpec":
         """Check the spec; raises :class:`ScenarioError` with the first problem."""
+        self.check_nested()
         if self.dataset not in DATASET_KEYS:
             raise ScenarioError(
                 f"unknown dataset {self.dataset!r}; expected one of {DATASET_KEYS}"
@@ -194,41 +160,8 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"eviction_timeout must be >= 0, got {self.eviction_timeout}"
             )
-        if self.chunk_size < 1:
-            raise ScenarioError(f"chunk_size must be >= 1, got {self.chunk_size}")
         for layer in self.layers:
             layer.validate()
         if self.bounds is not None:
             self.bounds.validate()
         return self
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-dict form; nested specs become nested dicts."""
-        data = asdict(self)
-        data["layers"] = [layer.to_dict() for layer in self.layers]
-        data["bounds"] = self.bounds.to_dict() if self.bounds is not None else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild from :meth:`to_dict` output; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-        payload = dict(data)
-        if payload.get("layers"):
-            payload["layers"] = tuple(
-                LayerSpec.from_dict(layer) if isinstance(layer, dict) else layer
-                for layer in payload["layers"]
-            )
-        if isinstance(payload.get("bounds"), dict):
-            payload["bounds"] = DegradationBounds.from_dict(payload["bounds"])
-        return cls(**payload)
-
-    def replace(self, **changes) -> "ScenarioSpec":
-        """A copy of the spec with ``changes`` applied."""
-        return dataclass_replace(self, **changes)

@@ -490,13 +490,13 @@ class InferenceEngine(abc.ABC):
         )
         return event
 
+    @abc.abstractmethod
     def _successor_engine(self, program_factory) -> "InferenceEngine":
         """Build (but do not open) a successor engine of this class."""
-        raise ServeError(f"{type(self).__name__} does not support swap_model()")
 
+    @abc.abstractmethod
     def _swap_table_size(self) -> int | None:
         """This engine's register table size, if already known."""
-        return None
 
     def _resolve_table_size(self) -> int | None:
         size = self._swap_table_size()
@@ -598,8 +598,9 @@ class InferenceEngine(abc.ABC):
     def _ingest(self, chunk: PacketChunk) -> None:
         """Consume one chunk (stream contracts already validated)."""
 
+    @abc.abstractmethod
     def _drain(self) -> None:
-        pass
+        """Process everything buffered (``drain()``'s work)."""
 
     def _on_close(self) -> None:
         pass

@@ -46,5 +46,18 @@ def test_smoke_snippets_present():
         assert all(commands for _language, commands in snippets)
 
 
+def test_pipeline_python_snippets_run():
+    # The spec codec snippet is cheap: run it here, not only in CI.
+    check_docs = _load_check_docs()
+    sources = [
+        commands[0]
+        for language, commands in check_docs._smoke_snippets(REPO_ROOT / "docs" / "pipeline.md")
+        if language == "python"
+    ]
+    assert sources
+    for source in sources:
+        exec(compile(source, "docs/pipeline.md", "exec"), {})
+
+
 def test_readme_links_docs_index():
     assert "docs/README.md" in (REPO_ROOT / "README.md").read_text()

@@ -168,8 +168,7 @@ def test_serve_matches_replay_f1():
     spec = experiment.spec
     program = experiment.system.build_program(experiment.train(), experiment.compile(), spec)
     reference = oracle.replay_dataset(
-        program, experiment.prepare().dataset, max_flows=spec.replay_flows,
-        jitter_starts=spec.jitter_starts, seed=spec.seed,
+        program, experiment.prepare().dataset, max_flows=spec.replay_flows
     )
     assert f1(served.stdout, "flows decided") == f"{reference.report.f1_score:.3f}"
 

@@ -173,7 +173,7 @@ class TestBaselineSystems:
         assert result.model_summary["system"] == "netbeacon"
 
     def test_pforest_skips_replay(self):
-        result = Experiment(SPEC.replace(system="pforest", n_trees=3)).run()
+        result = Experiment(SPEC.replace(system="pforest")).run()
         assert result.replay_result is None
         assert result.ttd == {}
         assert 0.0 <= result.offline_report.f1_score <= 1.0
@@ -185,10 +185,8 @@ class TestBaselineSystems:
         program = vectorized.system.build_program(
             vectorized.train(), vectorized.compile(), vectorized.spec
         )
-        spec = vectorized.spec
         ref_verdicts = oracle.replay_dataset(
-            program, vectorized.prepare().dataset, max_flows=40,
-            jitter_starts=spec.jitter_starts, seed=spec.seed,
+            program, vectorized.prepare().dataset, max_flows=40
         ).verdicts
         vec_verdicts = vectorized.replay().verdicts
         assert {f: v.label for f, v in ref_verdicts.items()} == {

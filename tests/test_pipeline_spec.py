@@ -30,7 +30,8 @@ class TestValidation:
             {"flow_slots": 0},
             {"test_size": 0.0},
             {"test_size": 1.5},
-            {"n_trees": 0},
+            # a nested dict is not a spec: constructors take typed values
+            {"serve": {"engine": "microbatch"}},
             {"depth": 0},
             {"bit_width": 12},
             # partition sizes must sum to the depth
@@ -70,7 +71,7 @@ class TestResolution:
         assert spec.model_config().partition_sizes == (5, 3, 1)
 
     def test_partition_sizes_coerced_to_tuple(self):
-        spec = ExperimentSpec(depth=9, partition_sizes=[5, 3, 1])
+        spec = ExperimentSpec.from_dict({"depth": 9, "partition_sizes": [5, 3, 1]})
         assert spec.partition_sizes == (5, 3, 1)
 
     def test_target_spec_lookup(self):
@@ -185,6 +186,19 @@ class TestSerialisation:
         spec = ExperimentSpec(dataset="D6", n_flows=300, seed=5,
                               partition_sizes=(4, 3, 2), replay_flows=50)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        # A nested scenario with layers and an unbounded TTD survives JSON.
+        import json
+
+        from repro.scenarios import DegradationBounds, LayerSpec, ScenarioSpec
+
+        scenario = ScenarioSpec(
+            layers=(LayerSpec("ddos-flood", {"flows": 64}), LayerSpec("heavy-hitter")),
+            bounds=DegradationBounds(min_accuracy=0.5),
+        )
+        spec = spec.replace(scenario=scenario)
+        restored = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert restored == spec and restored.validate() is restored
+        assert restored.scenario.bounds.max_median_ttd == float("inf")
 
     def test_to_dict_is_json_compatible(self):
         import json
@@ -199,6 +213,19 @@ class TestSerialisation:
         # rejected by name, not migrated.
         with pytest.raises(SpecError, match="lookup"):
             ExperimentSpec.from_dict({"dataset": "D3", "lookup": "lut"})
+        for payload, key in (({"jitter_starts": False}, "jitter_starts"),
+                             ({"n_trees": 5}, "n_trees"),
+                             ({"scenario": {"chunk_size": 4096}}, "chunk_size")):
+            with pytest.raises(SpecError, match=key):
+                ExperimentSpec.from_dict({"dataset": "D3", **payload})
+        # Only from_dict reads dicts: a constructor given one fails validate().
+        from repro.scenarios import ScenarioSpec
+
+        for nested in ({"serve": {"warp": 9}}, {"dse": {"iterations": 6}},
+                       {"scenario": {"name": "x"}},
+                       {"scenario": ScenarioSpec(bounds={"min_accuracy": 0.5})}):
+            with pytest.raises(SpecError):
+                ExperimentSpec(**nested).validate()
 
     @pytest.mark.parametrize(
         "payload, key",
@@ -283,7 +310,7 @@ class TestServeConfig:
         assert restored == spec and restored.serve.ring_slots == 8
 
     def test_serve_dict_coerced_at_construction(self):
-        spec = ExperimentSpec(serve={"engine": "sharded-mp", "chunk_size": 32})
+        spec = ExperimentSpec.from_dict({"serve": {"engine": "sharded-mp", "chunk_size": 32}})
         assert spec.serve == ServeConfig(engine="sharded-mp", chunk_size=32)
 
     def test_unknown_serve_keys_rejected(self):
@@ -323,9 +350,9 @@ class TestOnlineConfigInSpec:
         assert restored.serve.online.window == 32
 
     def test_online_dict_coerced_at_construction(self):
-        spec = ExperimentSpec(
-            serve={"engine": "microbatch",
-                   "online": {"enabled": True, "window": 16}}
+        spec = ExperimentSpec.from_dict(
+            {"serve": {"engine": "microbatch",
+                       "online": {"enabled": True, "window": 16}}}
         )
         assert spec.serve.online == OnlineConfig(enabled=True, window=16)
 
@@ -388,7 +415,7 @@ class TestDseConfig:
     def test_dse_dict_coerced_at_construction(self):
         from repro.pipeline import DseConfig
 
-        spec = ExperimentSpec(dse={"iterations": 6, "batch_size": 2})
+        spec = ExperimentSpec.from_dict({"dse": {"iterations": 6, "batch_size": 2}})
         assert isinstance(spec.dse, DseConfig)
         assert spec.dse.batch_size == 2
 

@@ -44,8 +44,8 @@ ALLOWED_UNREACHED = {
     "repro.switch.crc32_reference": "the per-byte CRC the columnar hash is tested against",
 }
 
-#: Entries on the scan's kept table when it landed; it may shrink, not grow.
-KEPT_CAP = 47
+#: Cap on the scan's kept table: it may shrink, not grow.
+KEPT_CAP = 41
 
 
 @cache

@@ -50,7 +50,7 @@ class TestScenarioSpec:
                 LayerSpec("ddos-flood", {"flows": 50}),
             ),
             eviction="idle-timeout", eviction_timeout=0.25,
-            streamed=True, chunk_size=512,
+            streamed=True,
             bounds=DegradationBounds(min_accuracy=0.4),
         )
 
@@ -73,6 +73,10 @@ class TestScenarioSpec:
         bad_bounds["bounds"] = {**data["bounds"], "bogus": 1}
         with pytest.raises(ScenarioError, match="unknown bounds fields"):
             ScenarioSpec.from_dict(bad_bounds)
+        # Only from_dict reads dicts: a constructor given one fails validate().
+        for nested in ({"layers": tuple(data["layers"])}, {"bounds": data["bounds"]}):
+            with pytest.raises(ScenarioError):
+                ScenarioSpec(**nested).validate()
 
     def test_validation_rejects_bad_values(self):
         with pytest.raises(ScenarioError, match="eviction"):

@@ -361,6 +361,9 @@ class _PinProbe(InferenceEngine):
         self._delivered = np.asarray(delivered, dtype=np.int64)
         self._table_size = table_size
 
+    def _successor_engine(self, program_factory) -> "_PinProbe":
+        raise NotImplementedError
+
     def _swap_table_size(self) -> int:
         return self._table_size
 
@@ -368,6 +371,9 @@ class _PinProbe(InferenceEngine):
         return {}
 
     def _ingest(self, chunk) -> None:
+        pass
+
+    def _drain(self) -> None:
         pass
 
 

@@ -109,7 +109,6 @@ _FLOWMETER = ("tests/test_features_flowmeter.py::TestBatchedKernelMatchesReferen
               "::test_random_flows")
 _STREAMING_SWAP = ("tests/test_serve_swap.py::TestSameModelSwapInvisible"
                    "::test_mid_stream_swap[8192-streaming]")
-_SPEC_ROUND_TRIP = "tests/test_scenarios.py::TestScenarioSpec::test_round_trip"
 _OPERATOR = ("tests/test_features_stateful.py::TestOperatorsMatchFlowMeter"
              "::test_operator_equals_offline_value")
 
@@ -193,12 +192,6 @@ KEPT: dict[str, tuple[str, str | None]] = {
         "input", "tests/test_dataplane_vectorized.py::TestSpliDTParity::test_jittered_starts"),
     "repro.features.stateful:MinOperator.update": ("input", _OPERATOR + "[min_iat]"),
     "repro.features.stateful:RateOperator.update": ("input", _OPERATOR + "[pkt_rate]"),
-    "repro.scenarios.spec:ScenarioSpec.to_dict": ("input", _SPEC_ROUND_TRIP),
-    "repro.scenarios.spec:ScenarioSpec.from_dict": ("input", _SPEC_ROUND_TRIP),
-    "repro.scenarios.spec:LayerSpec.to_dict": ("input", _SPEC_ROUND_TRIP),
-    "repro.scenarios.spec:LayerSpec.from_dict": ("input", _SPEC_ROUND_TRIP),
-    "repro.scenarios.spec:DegradationBounds.to_dict": ("input", _SPEC_ROUND_TRIP),
-    "repro.scenarios.spec:DegradationBounds.from_dict": ("input", _SPEC_ROUND_TRIP),
 }
 
 
