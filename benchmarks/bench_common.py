@@ -105,7 +105,7 @@ _MODEL_STAGE_CACHE: dict = {}
 #: Spec fields :func:`splidt_experiment` must not override: the prepared
 #: data comes from this module's shared store, which is built with the
 #: defaults for these fields — a silent mismatch would mis-label the run.
-_PINNED_SPEC_FIELDS = frozenset({"dataset", "n_flows", "seed", "system", "test_size"})
+_PINNED_SPEC_FIELDS = frozenset({"dataset", "n_flows", "seed", "system"})
 
 
 def get_store(key: str, n_flows: int = BENCH_FLOWS, seed: int = BENCH_SEED) -> datasets.DatasetStore:

@@ -20,7 +20,7 @@ import numpy as np
 
 from bench_common import BENCH_SPACE, get_store, write_result
 from repro.analysis import render_table
-from repro.core.config import SpliDTConfig, TopKConfig
+from repro.core.config import MIN_SAMPLES_LEAF, SpliDTConfig, TopKConfig
 from repro.core.dse import DesignSearch
 from repro.core.evaluation import evaluate_classifier, evaluate_partitioned_tree
 from repro.core.partitioned_tree import train_partitioned_tree
@@ -45,7 +45,7 @@ def _independent_subtree_f1(store, config: SpliDTConfig) -> float:
         tree = DecisionTreeClassifier(
             max_depth=config.partition_sizes[partition],
             max_distinct_features=config.features_per_subtree,
-            min_samples_leaf=config.min_samples_leaf,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             random_state=partition,
         )
         tree.fit(windowed.partition_matrix(partition, "train"), y_train)

@@ -41,9 +41,7 @@ def shared_store() -> datasets.DatasetStore:
     global _STORE
     if _STORE is None:
         dataset = datasets.load_dataset(BASE.dataset, n_flows=BASE.n_flows, seed=BASE.seed)
-        _STORE = datasets.DatasetStore(
-            dataset, test_size=BASE.test_size, random_state=BASE.seed
-        )
+        _STORE = datasets.DatasetStore(dataset, random_state=BASE.seed)
     return _STORE
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.topk import TopKTrainer, exit_subtree
-from repro.core.config import TopKConfig
+from repro.core.config import MIN_SAMPLES_LEAF, TopKConfig
 from repro.core.range_marking import FeatureQuantizer, RuleSet, generate_subtree_rules
 from repro.datasets.materialize import WindowedDataset
 from repro.ml.tree import DecisionTreeClassifier
@@ -87,7 +87,7 @@ def train_pforest_model(
         tree = DecisionTreeClassifier(
             max_depth=config.depth,
             allowed_features=features,
-            min_samples_leaf=config.min_samples_leaf,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             max_features=max(1, len(features) - 1),
             random_state=random_state + index,
         )

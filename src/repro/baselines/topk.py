@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import SpliDTConfig, TopKConfig
+from repro.core.config import MIN_SAMPLES_LEAF, SpliDTConfig, TopKConfig
 from repro.core.evaluation import ClassificationReport, evaluate_classifier
 from repro.core.partitioned_tree import (
     LeafOutcome,
@@ -116,7 +116,6 @@ def exit_tree(model: TopKModel) -> PartitionedDecisionTree:
             features_per_subtree=config.top_k,
             partition_sizes=(config.depth,),
             bit_width=config.bit_width,
-            min_samples_leaf=config.min_samples_leaf,
         ),
         subtrees={1: exit_subtree(tree)},
         root_sid=1,
@@ -171,7 +170,7 @@ class TopKTrainer:
         tree = DecisionTreeClassifier(
             max_depth=config.depth,
             allowed_features=features,
-            min_samples_leaf=config.min_samples_leaf,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             random_state=self.random_state,
         )
         tree.fit(self.matrix(config.use_stateful), self.windowed.split_labels(self.split))

@@ -8,7 +8,11 @@ bit precision used when compiling rules (Figure 12 lowers it from 32 bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: Minimum training samples in each leaf of every tree a model configuration
+#: trains: each SpliDT subtree and each top-k baseline tree.
+MIN_SAMPLES_LEAF = 5
 
 
 @dataclass(frozen=True)
@@ -20,16 +24,12 @@ class SpliDTConfig:
         features_per_subtree: ``k`` — the feature-slot budget of every subtree.
         partition_sizes: Depth of each partition ``[i1, …, ip]``.
         bit_width: Feature register / match-key precision in bits.
-        min_samples_leaf: Minimum training samples per subtree leaf.
-        criterion: Split criterion passed to the CART learner.
     """
 
     depth: int
     features_per_subtree: int
     partition_sizes: tuple[int, ...]
     bit_width: int = 32
-    min_samples_leaf: int = 5
-    criterion: str = "gini"
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -90,7 +90,6 @@ class TopKConfig:
     top_k: int
     bit_width: int = 32
     use_stateful: bool = True
-    min_samples_leaf: int = 5
 
     def __post_init__(self) -> None:
         if self.depth < 1:

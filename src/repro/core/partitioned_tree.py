@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import SpliDTConfig
+from repro.core.config import MIN_SAMPLES_LEAF, SpliDTConfig
 from repro.datasets.materialize import WindowedDataset
 from repro.features.definitions import N_FEATURES
 from repro.ml.tree import DecisionTreeClassifier, fit_level
@@ -292,8 +292,7 @@ def train_partitioned_tree(
             DecisionTreeClassifier(
                 max_depth=max_depth,
                 max_distinct_features=config.features_per_subtree,
-                min_samples_leaf=config.min_samples_leaf,
-                criterion=config.criterion,
+                min_samples_leaf=MIN_SAMPLES_LEAF,
             )
             for _ in groups
         ]

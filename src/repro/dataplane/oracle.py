@@ -394,12 +394,7 @@ def replay_positions(program, soa: PacketArrays, positions, sizes=None) -> None:
 
 
 def replay_dataset(
-    program,
-    dataset: FlowDataset,
-    *,
-    max_flows: int | None = None,
-    jitter_starts: bool = False,
-    seed: int = 0,
+    program, dataset: FlowDataset, *, max_flows: int | None = None
 ) -> ReplayResult:
     """:func:`repro.dataplane.replay_dataset` through the per-packet interpreter.
 
@@ -414,9 +409,7 @@ def replay_dataset(
         >>> dict(got.verdicts) == dict(want.verdicts)
         True
     """
-    soa = prepare_replay_flows(
-        dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
-    ).soa
+    soa = prepare_replay_flows(dataset, max_flows=max_flows).soa
     replay_positions(program, soa, soa.interleave_order)
     return build_replay_result(
         program.verdicts, soa.flow_ids, soa.labels, program.recirculation_stats()

@@ -19,7 +19,7 @@ values and recirculation statistics are bit-identical to the per-packet
 interpreter's (:func:`repro.dataplane.oracle.replay_dataset`, asserted by
 ``tests/test_parity_fuzz.py``).
 
-When the replay needs no flow truncation or jitter, the dataset's memoised
+When the replay needs no flow truncation, the dataset's memoised
 ``packet_arrays()`` (including its cached derived columns) is reused across
 replays.
 """
@@ -162,42 +162,26 @@ def build_replay_result(
 
 
 def prepare_replay_flows(
-    dataset: FlowDataset,
-    *,
-    max_flows: int | None = None,
-    jitter_starts: bool = False,
-    seed: int = 0,
+    dataset: FlowDataset, *, max_flows: int | None = None
 ) -> LazyFlowList:
     """The flows a replay (or serving session) observes, over their columns.
 
-    Applies the ``max_flows`` truncation and, when ``jitter_starts`` is set,
-    shifts each flow's start time randomly within [0, 10) s so flows overlap
-    (models concurrency).  Used by :func:`replay_dataset` and by
-    ``Experiment.packet_stream`` so batch replay and ``python -m repro
-    serve`` stream exactly the same traffic.  Works on the dataset's
+    Applies the ``max_flows`` truncation.  Used by :func:`replay_dataset`
+    and by ``Experiment.packet_stream`` so batch replay and ``python -m
+    repro serve`` stream exactly the same traffic.  Works on the dataset's
     columns: untouched, they are the dataset's own (with the derived
-    columns cached on them); truncated or jittered, a gathered or shifted
-    copy.
+    columns cached on them); truncated, a gathered copy.
     """
     soa = dataset.packet_arrays()
     if max_flows is not None:
         kept = np.arange(soa.n_flows)[:max_flows]
         if kept.size < soa.n_flows:
             soa = soa.take(kept)
-    if jitter_starts:
-        # One offset per flow, drawn in flow order.
-        offsets = np.random.default_rng(seed).uniform(0.0, 10.0, size=soa.n_flows)
-        soa = soa.with_timestamps(soa.timestamps + offsets[soa.packet_flow])
     return LazyFlowList(soa, dataset.class_names)
 
 
 def replay_dataset(
-    program,
-    dataset: FlowDataset,
-    *,
-    max_flows: int | None = None,
-    jitter_starts: bool = False,
-    seed: int = 0,
+    program, dataset: FlowDataset, *, max_flows: int | None = None
 ) -> ReplayResult:
     """Replay a flow dataset through ``program`` and score the verdicts.
 
@@ -206,9 +190,6 @@ def replay_dataset(
             ``build_program`` returns).
         dataset: The labelled flows to replay.
         max_flows: Optionally replay only the first ``max_flows`` flows.
-        jitter_starts: Shift each flow's start time randomly within [0, 10) s
-            so flows overlap (models concurrency).
-        seed: Seed for the jitter.
 
     Example::
 
@@ -218,9 +199,7 @@ def replay_dataset(
         >>> result.report.f1_score  # doctest: +SKIP
         0.87
     """
-    flows = prepare_replay_flows(
-        dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
-    )
+    flows = prepare_replay_flows(dataset, max_flows=max_flows)
     soa = flows.soa
     vz.replay_arrays(program, flows, soa=soa)
     return build_replay_result(

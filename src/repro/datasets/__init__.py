@@ -20,7 +20,6 @@ from repro.datasets.generators import (
     ClassSignature,
     PhaseShiftGenerator,
     SyntheticTrafficGenerator,
-    generate_dataset,
 )
 from repro.datasets.materialize import DatasetStore, WindowedDataset, materialize
 from repro.datasets.profiles import DATASET_KEYS, PROFILES, DatasetProfile, get_profile
@@ -66,7 +65,6 @@ __all__ = [
     "WorkloadProfile",
     "dataset_summary",
     "estimate_recirculation",
-    "generate_dataset",
     "get_profile",
     "iter_packet_chunks",
     "load_dataset",

@@ -501,10 +501,6 @@ class PacketArrays:
             for name, values in columns.items()
         })
 
-    def with_timestamps(self, timestamps: np.ndarray) -> "PacketArrays":
-        """The same traffic with the packet timestamps ``timestamps`` (a new interleave)."""
-        return PacketArrays.from_columns(**{**self._columns(), "timestamps": timestamps})
-
     @property
     def n_flows(self) -> int:
         """Number of flows the arrays were built from."""

@@ -42,7 +42,7 @@ from repro.datasets.flows import (
     PacketColumns,
     TCP_FLAGS,
 )
-from repro.datasets.profiles import DatasetProfile, get_profile
+from repro.datasets.profiles import DatasetProfile
 
 #: Number of behavioural phases a flow moves through (early / middle / late).
 N_PHASES = 3
@@ -453,10 +453,3 @@ class PhaseShiftGenerator(SyntheticTrafficGenerator):
         if unit_start >= self.shift_at:
             behaviour = (label + self.rotation) % self.profile.n_classes
         return self._draw_flow(flow_id, label, self.signatures[behaviour], rng, start)
-
-
-def generate_dataset(key: str, n_flows: int, seed: int = 0) -> FlowDataset:
-    """Generate the synthetic equivalent of dataset ``key`` with ``n_flows`` flows."""
-    profile = get_profile(key)
-    generator = SyntheticTrafficGenerator(profile, seed=seed)
-    return generator.generate(n_flows)

@@ -156,28 +156,29 @@ class WindowedDataset:
         return self._precision_views[bit_width]
 
 
+#: Share of the flows held out as the test split (stratified).
+TEST_FRACTION = 0.3
+
 #: Share of ``train_indices`` held out as the validation split.  Of 0.2, 0.25
 #: and 0.33, 0.33 gave the smallest seed-to-seed spread of the benchmark's
 #: selected SpliDT test F1 (3 seeds, D1–D7, 500 flows, three flow targets).
 VALIDATION_FRACTION = 0.33
 
 
-def _flow_views(
-    dataset: FlowDataset, test_size: float, random_state: int
-) -> tuple[np.ndarray, ...]:
+def _flow_views(dataset: FlowDataset, random_state: int) -> tuple[np.ndarray, ...]:
     """The parts of a materialisation that do not depend on the partition count.
 
     ``(flow_features, packet_features, labels, train_indices, test_indices,
-    fit_indices, validation_indices)``, computed once per ``(test_size,
-    random_state)`` and kept on the dataset's packet arrays, so a
-    :class:`DatasetStore` pays for them at its first partition count only.
-    The validation split is a stratified :data:`VALIDATION_FRACTION` of
-    ``train_indices`` and ``fit_indices`` is the rest of it.  Every
-    :class:`WindowedDataset` of the dataset holds these same arrays; they are
-    read-only for that reason.
+    fit_indices, validation_indices)``, computed once per ``random_state``
+    and kept on the dataset's packet arrays, so a :class:`DatasetStore` pays
+    for them at its first partition count only.  The test split is a
+    stratified :data:`TEST_FRACTION` of the flows, the validation split a
+    stratified :data:`VALIDATION_FRACTION` of ``train_indices`` and
+    ``fit_indices`` the rest of it.  Every :class:`WindowedDataset` of the
+    dataset holds these same arrays; they are read-only for that reason.
     """
     soa = dataset.packet_arrays()
-    key = ("flow_views", test_size, random_state)
+    key = ("flow_views", random_state)
     views = soa.derived.get(key)
     if views is None:
         meter = FlowMeter()
@@ -185,15 +186,13 @@ def _flow_views(
         train_idx, test_idx, _, _ = train_test_split(
             np.arange(soa.n_flows).reshape(-1, 1),
             labels,
-            test_size=test_size,
-            stratify=True,
+            test_size=TEST_FRACTION,
             random_state=random_state,
         )
         fit_idx, validation_idx, _, _ = train_test_split(
             train_idx,
             labels[train_idx[:, 0]],
             test_size=VALIDATION_FRACTION,
-            stratify=True,
             random_state=random_state,
         )
         views = (
@@ -212,17 +211,13 @@ def _flow_views(
 
 
 def materialize(
-    dataset: FlowDataset,
-    n_partitions: int,
-    *,
-    test_size: float = 0.3,
-    random_state: int = 0,
+    dataset: FlowDataset, n_partitions: int, *, random_state: int = 0
 ) -> WindowedDataset:
     """Extract window / flow / packet feature matrices from a flow dataset."""
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     flow_features, packet_features, labels, train, test, fit, validation = _flow_views(
-        dataset, test_size, random_state
+        dataset, random_state
     )
     return WindowedDataset(
         name=dataset.name,
@@ -250,9 +245,8 @@ class DatasetStore:
     the same role for the design-search loop.
     """
 
-    def __init__(self, dataset: FlowDataset, *, test_size: float = 0.3, random_state: int = 0):
+    def __init__(self, dataset: FlowDataset, *, random_state: int = 0):
         self.dataset = dataset
-        self.test_size = test_size
         self.random_state = random_state
         self._cache: dict[int, WindowedDataset] = {}
         self.fetch_count = 0
@@ -264,10 +258,7 @@ class DatasetStore:
         if n_partitions not in self._cache:
             self.miss_count += 1
             self._cache[n_partitions] = materialize(
-                self.dataset,
-                n_partitions,
-                test_size=self.test_size,
-                random_state=self.random_state,
+                self.dataset, n_partitions, random_state=self.random_state
             )
         return self._cache[n_partitions]
 

@@ -7,7 +7,7 @@ equivalent of ISCX-VPN-2016.
 from __future__ import annotations
 
 from repro.datasets.flows import FlowDataset
-from repro.datasets.generators import generate_dataset
+from repro.datasets.generators import SyntheticTrafficGenerator
 from repro.datasets.profiles import get_profile
 
 #: Default number of flows generated for offline training experiments.
@@ -23,7 +23,7 @@ def load_dataset(key: str, n_flows: int = DEFAULT_TRAINING_FLOWS, seed: int = 0)
             data-plane concurrent-flow count).
         seed: Seed controlling both class signatures and sampled flows.
     """
-    return generate_dataset(key, n_flows=n_flows, seed=seed)
+    return SyntheticTrafficGenerator(get_profile(key), seed=seed).generate(n_flows)
 
 
 def dataset_summary(key: str) -> dict:

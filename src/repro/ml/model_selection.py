@@ -1,4 +1,4 @@
-"""Dataset splitting: a (stratified) train/test split."""
+"""Dataset splitting: a stratified train/test split."""
 
 from __future__ import annotations
 
@@ -10,16 +10,18 @@ def train_test_split(
     y: np.ndarray,
     *,
     test_size: float = 0.25,
-    stratify: bool = True,
     random_state: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``(X, y)`` into train and test partitions.
+    """Split ``(X, y)`` into train and test partitions, class by class.
+
+    Each class keeps its proportion: ``round(test_size · n_c)`` of its
+    ``n_c`` samples go to the test split, at least one, and at least one
+    stays in train when the class has two or more.
 
     Args:
         X: Feature matrix.
-        y: Labels (used for stratification).
+        y: Labels (the strata).
         test_size: Fraction of samples assigned to the test split (0, 1).
-        stratify: Preserve per-class proportions when True.
         random_state: Seed for the shuffle.
 
     Returns:
@@ -32,20 +34,13 @@ def train_test_split(
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y have mismatched lengths")
     rng = np.random.default_rng(random_state)
-    n_samples = X.shape[0]
-
-    test_mask = np.zeros(n_samples, dtype=bool)
-    if stratify:
-        for cls in np.unique(y):
-            class_indices = np.flatnonzero(y == cls)
-            rng.shuffle(class_indices)
-            n_test = max(1, int(round(class_indices.size * test_size)))
-            n_test = min(n_test, class_indices.size - 1) if class_indices.size > 1 else 1
-            test_mask[class_indices[:n_test]] = True
-    else:
-        indices = rng.permutation(n_samples)
-        n_test = max(1, int(round(n_samples * test_size)))
-        test_mask[indices[:n_test]] = True
+    test_mask = np.zeros(X.shape[0], dtype=bool)
+    for cls in np.unique(y):
+        class_indices = np.flatnonzero(y == cls)
+        rng.shuffle(class_indices)
+        n_test = max(1, int(round(class_indices.size * test_size)))
+        n_test = min(n_test, class_indices.size - 1) if class_indices.size > 1 else 1
+        test_mask[class_indices[:n_test]] = True
 
     return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 

@@ -1,4 +1,4 @@
-"""Exact best-split search for CART classification trees from presorted orders.
+"""Exact gini best-split search for CART classifiers from presorted orders.
 
 A tree sorts each candidate feature column once per fit and hands every node
 its rows in each feature's order (``ml/tree.py``).  :func:`best_splits` is
@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Criteria accepted by the classification splitter.
-CLASSIFICATION_CRITERIA = ("gini", "entropy")
 
-
-def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Row-wise impurity of an ``(n_cuts, n_classes)`` class-count matrix.
+def _batch_impurity(counts: np.ndarray) -> np.ndarray:
+    """Row-wise gini impurity of an ``(n_cuts, n_classes)`` class-count matrix.
 
     Rows with a zero total contribute impurity 0, like an empty node.  The
     zero rows are handled by dividing by 1 instead of 0 — their counts are
@@ -30,15 +27,10 @@ def _batch_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     totals = counts.sum(axis=1)
     safe_totals = np.where(totals > 0.0, totals, 1.0)
     props = counts / safe_totals[:, None]
-    if criterion == "gini":
-        return 1.0 - np.sum(props**2, axis=1)
-    if criterion == "entropy":
-        safe = np.where(props > 0, props, 1.0)
-        return -np.sum(props * np.log2(safe), axis=1)
-    raise ValueError(f"unknown criterion: {criterion!r}")
+    return 1.0 - np.sum(props**2, axis=1)
 
 
-def _weighted_impurity(left: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+def _weighted_impurity(left: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """``L·impurity(left) + R·impurity(right)`` of ``(k, C)`` left class counts.
 
     ``totals`` holds each row's node class counts.  The counts are exact
@@ -46,7 +38,7 @@ def _weighted_impurity(left: np.ndarray, totals: np.ndarray, criterion: str) -> 
     are those of :func:`_batch_impurity` on that row alone.
     """
     sides = np.concatenate([left, totals - left])
-    weighted = sides.sum(axis=1) * _batch_impurity(sides, criterion)
+    weighted = sides.sum(axis=1) * _batch_impurity(sides)
     return weighted[: left.shape[0]] + weighted[left.shape[0] :]
 
 
@@ -67,8 +59,8 @@ def _by_width(widths: np.ndarray):
         yield width, (widths == width).nonzero()[0]
 
 
-def node_impurities(counts: np.ndarray, n_classes: np.ndarray, criterion: str) -> np.ndarray:
-    """Gini impurity or base-2 entropy of each row ``counts[i, :n_classes[i]]``.
+def node_impurities(counts: np.ndarray, n_classes: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row ``counts[i, :n_classes[i]]``.
 
     Bit for bit the scalar impurity of one node (``tests/split_oracle.py``).
     """
@@ -76,16 +68,7 @@ def node_impurities(counts: np.ndarray, n_classes: np.ndarray, criterion: str) -
     totals = counts.sum(axis=1)
     for width, at in _by_width(n_classes):
         proportions = counts[at, :width] / totals[at, None]
-        if criterion == "gini":
-            out[at] = 1.0 - np.sum(proportions**2, axis=1)
-            continue
-        # The scalar entropy sums only the nonzero proportions, in order.
-        present = proportions > 0
-        entropy = np.empty(proportions.shape[0])
-        for n_present, rows in _by_width(present.sum(axis=1)):
-            nonzero = proportions[rows][present[rows]].reshape(-1, n_present)
-            entropy[rows] = -np.sum(nonzero * np.log2(nonzero), axis=1)
-        out[at] = entropy
+        out[at] = 1.0 - np.sum(proportions**2, axis=1)
     return out
 
 
@@ -108,7 +91,7 @@ def best_splits(
     X: np.ndarray,
     y: np.ndarray,
     orders: np.ndarray,
-    class_orders: np.ndarray | None,
+    class_orders: np.ndarray,
     features: np.ndarray,
     n_searched: np.ndarray,
     lengths: np.ndarray,
@@ -116,7 +99,6 @@ def best_splits(
     n_classes: np.ndarray,
     impurity: np.ndarray,
     *,
-    criterion: str,
     min_samples_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The best split of every node of a growth step, in one pass.
@@ -126,19 +108,19 @@ def best_splits(
     ``totals[i, :n_classes[i]]`` (zero after) and impurity ``impurity[i]``,
     and searches ``features[:n_searched[i], i]`` in that order (``features``
     may be one column every node searches).  Row ``s`` of its columns lists
-    its rows stably sorted by ``X[:, features[s, i]]`` and, for gini, the
-    same row of ``class_orders`` lists them stably sorted by class within
-    that; rows from ``n_searched[i]`` on are padding, some other row's
-    orders of its rows, and are never cut.  Per node, as a one-node scan
-    does: every cut between distinct values leaving ``min_samples_leaf`` rows
-    each side is scored ``L·impurity(left) + R·impurity(right)``; the first
-    feature to lead by more than ``1e-12`` wins with its first minimal cut
-    and the midpoint threshold; an improvement on ``impurity`` of at most
-    ``1e-12`` is no split.  Nothing here sorts, and no float is summed along
-    a node's rows: class counts are integers.
+    its rows stably sorted by ``X[:, features[s, i]]`` and the same row of
+    ``class_orders`` lists them stably sorted by class within that; rows
+    from ``n_searched[i]`` on are padding, some other row's orders of its
+    rows, and are never cut.  Per node, as a one-node scan does: every cut
+    between distinct values leaving ``min_samples_leaf`` rows each side is
+    scored ``L·gini(left) + R·gini(right)``; the first feature to lead by
+    more than ``1e-12`` wins with its first minimal cut and the midpoint
+    threshold; an improvement on ``impurity`` of at most ``1e-12`` is no
+    split.  Nothing here sorts, and no float is summed along a node's rows:
+    class counts are integers.
 
-    For gini an exact integer screen picks the cuts that can win.  A cut into
-    ``L`` and ``R`` rows with class counts ``l_c``, ``r_c`` scores ``n −
+    An exact integer screen picks the cuts that can win.  A cut into ``L``
+    and ``R`` rows with class counts ``l_c``, ``r_c`` scores ``n −
     Σl_c²/L − Σr_c²/R``, and ``Σr_c² = ΣT_c² − 2·ΣT_c·l_c + Σl_c²`` for the
     node's class totals ``T``, all exact integers (``n < 2**26``): walking a
     feature's order, ``Σl_c²`` grows by ``2·rank + 1`` per row (``rank``:
@@ -183,43 +165,40 @@ def best_splits(
     if n_searched.min() < n_lanes:
         valid &= lane < n_searched[node_of]
 
-    if criterion == "gini":
-        # Every lane of a node's columns holds its rows, so the row at a
-        # column of the class-major order has a class (and a rank) that
-        # depends on the column only.  Scattered per (lane, row), gathered
-        # back in feature order: a step's nodes share no row.
-        per_class = totals.ravel()
-        block_start = (start[:, None] + totals.cumsum(axis=1) - totals).ravel()
-        rank = np.arange(width) - block_start.repeat(per_class)
-        by_lane = lane * n_rows
-        scratch = np.empty(n_lanes * n_rows, dtype=np.intp)
-        scratch[by_lane + class_orders] = 2 * rank + 1
-        left_sq = scratch.take(by_lane + orders)
-        class_total = np.empty(n_rows, dtype=np.intp)
-        class_total[class_orders[0]] = per_class.repeat(per_class)
-        crossed = class_total.take(orders)
-        # A node's entries of either sum to ΣT_c²: taking the previous
-        # node's off at each node's first column restarts one running sum.
-        node_sq = np.einsum("ij,ij->i", totals, totals)
-        if n_nodes > 1:
-            left_sq[:, start[1:]] -= node_sq[:-1]
-            crossed[:, start[1:]] -= node_sq[:-1]
-        left_sq.cumsum(axis=1, out=left_sq)
-        crossed.cumsum(axis=1, out=crossed)
-        # ``crossed`` becomes ``Σr_c²``, then the screen ``n − Σl_c²/L − Σr_c²/R``.
-        crossed *= -2
-        crossed += left_sq
-        crossed += node_sq[node_of]
-        left_n = pos + 1
-        # Padding cuts get a dummy right count: they are not valid anyway.
-        screen = np.subtract(n, left_sq / left_n)
-        screen -= crossed / np.maximum(n - left_n, 1)
-        screen[~valid] = np.inf
-        pair_best = np.minimum.reduceat(screen, start, axis=1)
-        tol = 1e-9 * (lengths + n_searched)
-        kept = (pair_best <= pair_best.min(axis=0) + tol) & (pair_best < np.inf)
-    else:
-        kept = lane < n_searched
+    # Every lane of a node's columns holds its rows, so the row at a column
+    # of the class-major order has a class (and a rank) that depends on the
+    # column only.  Scattered per (lane, row), gathered back in feature
+    # order: a step's nodes share no row.
+    per_class = totals.ravel()
+    block_start = (start[:, None] + totals.cumsum(axis=1) - totals).ravel()
+    rank = np.arange(width) - block_start.repeat(per_class)
+    by_lane = lane * n_rows
+    scratch = np.empty(n_lanes * n_rows, dtype=np.intp)
+    scratch[by_lane + class_orders] = 2 * rank + 1
+    left_sq = scratch.take(by_lane + orders)
+    class_total = np.empty(n_rows, dtype=np.intp)
+    class_total[class_orders[0]] = per_class.repeat(per_class)
+    crossed = class_total.take(orders)
+    # A node's entries of either sum to ΣT_c²: taking the previous node's
+    # off at each node's first column restarts one running sum.
+    node_sq = np.einsum("ij,ij->i", totals, totals)
+    if n_nodes > 1:
+        left_sq[:, start[1:]] -= node_sq[:-1]
+        crossed[:, start[1:]] -= node_sq[:-1]
+    left_sq.cumsum(axis=1, out=left_sq)
+    crossed.cumsum(axis=1, out=crossed)
+    # ``crossed`` becomes ``Σr_c²``, then the screen ``n − Σl_c²/L − Σr_c²/R``.
+    crossed *= -2
+    crossed += left_sq
+    crossed += node_sq[node_of]
+    left_n = pos + 1
+    # Padding cuts get a dummy right count: they are not valid anyway.
+    screen = np.subtract(n, left_sq / left_n)
+    screen -= crossed / np.maximum(n - left_n, 1)
+    screen[~valid] = np.inf
+    pair_best = np.minimum.reduceat(screen, start, axis=1)
+    tol = 1e-9 * (lengths + n_searched)
+    kept = (pair_best <= pair_best.min(axis=0) + tol) & (pair_best < np.inf)
     # Only the kept (lane, node) pairs are scored, as one flat run of segments.
     kept_lane, kept_node = kept.nonzero()
     lead = np.full(kept.shape, np.inf)
@@ -229,10 +208,9 @@ def best_splits(
         kept_start = kept_len.cumsum() - kept_len
         flat_column = _ranges(start[kept_node], kept_len)
         flat = (kept_lane * width).repeat(kept_len) + flat_column
-        scored = valid.take(flat)
-        if criterion == "gini":
-            bound = (pair_best[kept_lane, kept_node] + tol[kept_node]).repeat(kept_len)
-            scored &= screen.take(flat) <= bound
+        bound = (pair_best[kept_lane, kept_node] + tol[kept_node]).repeat(kept_len)
+        # Invalid cuts screen at ``inf``, above every kept pair's bound.
+        scored = screen.take(flat) <= bound
         # Class counts left of every cut of the kept pairs.
         left = np.eye(totals.shape[1], dtype=np.intp)[y.take(orders.take(flat))]
         if kept_node.size > 1:
@@ -245,7 +223,6 @@ def best_splits(
             score[at[group]] = _weighted_impurity(
                 left[at[group], :n_cls].astype(float),
                 totals[at_node[group], :n_cls].astype(float),
-                criterion,
             )
         kept_lead = np.minimum.reduceat(score, kept_start)
         lead[kept_lane, kept_node] = kept_lead

@@ -25,23 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml._tree import LEAF, Tree, TreeNode
-from repro.ml.splitter import (
-    CLASSIFICATION_CRITERIA,
-    _ranges,
-    best_splits,
-    class_major,
-    node_impurities,
-)
+from repro.ml.splitter import _ranges, best_splits, class_major, node_impurities
 
 
 class DecisionTreeClassifier:
-    """CART classifier (gini or entropy) with an optional feature budget.
+    """Gini CART classifier with an optional feature budget.
 
     Args:
         max_depth: Maximum tree depth; ``None`` grows until purity.
-        min_samples_split: Minimum samples required to attempt a split.
-        min_samples_leaf: Minimum samples required in each child.
-        criterion: ``"gini"`` (default) or ``"entropy"``.
+        min_samples_leaf: Minimum samples required in each child (a node
+            with fewer than twice as many is a leaf).
         max_distinct_features: Upper bound on the number of *different*
             features the tree may test (the SpliDT per-subtree ``k``).
         max_features: Number of features to sample per split (random-forest
@@ -54,9 +47,7 @@ class DecisionTreeClassifier:
         self,
         *,
         max_depth: int | None = None,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        criterion: str = "gini",
         max_distinct_features: int | None = None,
         max_features: int | None = None,
         allowed_features: list[int] | None = None,
@@ -64,20 +55,12 @@ class DecisionTreeClassifier:
     ) -> None:
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if max_distinct_features is not None and max_distinct_features < 1:
             raise ValueError("max_distinct_features must be >= 1")
-        if criterion not in CLASSIFICATION_CRITERIA:
-            raise ValueError(
-                f"criterion must be one of {CLASSIFICATION_CRITERIA}, got {criterion!r}"
-            )
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.criterion = criterion
         self.max_distinct_features = max_distinct_features
         self.max_features = max_features
         self.allowed_features = allowed_features
@@ -203,10 +186,10 @@ class _Level:
     """The growth of one level's trees, released when :func:`fit_level` returns.
 
     The arena holds, per tree, its rows sorted by each pool feature — the
-    only sort — then, for gini, the same sorted by class (the screen's
-    ranks), and last in row order; a node is one column range of it, and a
-    split stably partitions the range in every lane its descendants can
-    search, so each child's range is its rows in the same orders.
+    only sort — then the same sorted by class (the screen's ranks), and last
+    in row order; a node is one column range of it, and a split stably
+    partitions the range in every lane its descendants can search, so each
+    child's range is its rows in the same orders.
 
     Each step pops nodes and scores all of them in one
     :func:`~repro.ml.splitter.best_splits` call.  A tree whose next node's
@@ -239,8 +222,7 @@ class _Level:
         members = np.concatenate(groups)
         owner = np.repeat(np.arange(n_trees), sizes)
         n_lanes = self.pool.size
-        self.class_lanes = n_lanes if params.criterion == "gini" else 0
-        self.arena = np.empty((n_lanes + self.class_lanes + 1, members.size), dtype=np.intp)
+        self.arena = np.empty((2 * n_lanes + 1, members.size), dtype=np.intp)
         width = int(n_classes.max())
         if n_lanes:
             by_value = (
@@ -258,8 +240,7 @@ class _Level:
             if n_trees > 1:
                 by_value = class_major(by_value, tree_of)
             self.arena[:n_lanes] = by_value
-            if self.class_lanes:
-                self.arena[n_lanes:-1] = class_major(by_value, tree_of * width + y)
+            self.arena[n_lanes:-1] = class_major(by_value, tree_of * width + y)
         self.arena[-1] = members
         self.used = np.zeros((n_trees, n_lanes), dtype=bool)
         self.goes_left = np.empty(X.shape[0], dtype=bool)
@@ -295,13 +276,11 @@ class _Level:
         """
         params = self.params
         tree, length, depth = nodes[:, _TREE], nodes[:, _LENGTH], nodes[:, _DEPTH]
-        impurity = node_impurities(counts, self.n_classes[tree], params.criterion)
+        impurity = node_impurities(counts, self.n_classes[tree])
         ids = self.n_records + np.arange(tree.size)
         self.n_records += tree.size
         self.records.append((tree, parent, side, depth, length, counts, impurity))
-        grows = (length >= max(params.min_samples_split, 2 * params.min_samples_leaf)) & (
-            impurity > 1e-12
-        )
+        grows = (length >= 2 * params.min_samples_leaf) & (impurity > 1e-12)
         if params.max_depth is not None:
             grows &= depth < params.max_depth
         if not self.pool.size:
@@ -405,14 +384,13 @@ class _Level:
             self.X,
             self.y,
             self._block(lanes, 0, n_lanes, start, length),
-            self._block(lanes, n_lanes, n_lanes, start, length) if self.class_lanes else None,
+            self._block(lanes, n_lanes, n_lanes, start, length),
             self.pool[:, None] if lanes is None else self.pool[lanes],
             n_searched,
             length,
             counts,
             self.n_classes[trees],
             impurity,
-            criterion=params.criterion,
             min_samples_leaf=params.min_samples_leaf,
         )
         at = found.nonzero()[0]
@@ -453,8 +431,9 @@ class _Level:
             return
         self.goes_left[rows] = left
         searchable = self._searchable(trees[parted])
-        moved = [searchable, searchable, np.ones((parted.size, 1), dtype=bool)]
-        _, lanes = self._lanes(np.hstack(moved if self.class_lanes else moved[1:]))
+        _, lanes = self._lanes(
+            np.hstack([searchable, searchable, np.ones((parted.size, 1), dtype=bool)])
+        )
         start, length, n_left = start[parted], length[parted], n_left[parted]
         moving = self._block(lanes, 0, self.arena.shape[0], start, length)
         goes = self.goes_left.take(moving)

@@ -154,7 +154,7 @@ class Experiment:
         def run() -> Prepared:
             spec = self.spec
             dataset = load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
-            store = DatasetStore(dataset, test_size=spec.test_size, random_state=spec.seed)
+            store = DatasetStore(dataset, random_state=spec.seed)
             windowed = store.fetch(spec.materialized_partitions()).with_precision(
                 spec.bit_width
             )

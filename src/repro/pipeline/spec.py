@@ -161,7 +161,6 @@ class ExperimentSpec(Spec):
             and feasibility checks.
         replay_flows: Replay only the first N flows (``None`` = all).
         flow_slots: Register slots of the simulated data-plane program.
-        test_size: Held-out fraction of the train/test split.
         serve: Streaming-serving settings (:class:`ServeConfig`) used by
             ``python -m repro serve`` and :meth:`Experiment.serve_engine`.
         dse: Design-search settings (:class:`DseConfig`) used by
@@ -187,7 +186,6 @@ class ExperimentSpec(Spec):
     target_flows: int = 100_000
     replay_flows: int | None = 200
     flow_slots: int = 8192
-    test_size: float = 0.3
     serve: ServeConfig = ServeConfig()
     dse: DseConfig = DseConfig()
     scenario: ScenarioSpec | None = None
@@ -227,8 +225,6 @@ class ExperimentSpec(Spec):
             raise SpecError(f"replay_flows must be >= 1, got {self.replay_flows}")
         if self.flow_slots < 1:
             raise SpecError(f"flow_slots must be >= 1, got {self.flow_slots}")
-        if not 0.0 < self.test_size < 1.0:
-            raise SpecError(f"test_size must be in (0, 1), got {self.test_size}")
         self.serve.validate()
         self.dse.validate()
         if self.scenario is not None:

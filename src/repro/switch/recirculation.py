@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from repro.obs import Counters
 from repro.switch.phv import Phv
 
+#: Seconds a recirculated packet takes to re-enter the pipeline;
+#: Tofino-class recirculation is sub-microsecond.
+RECIRCULATION_LATENCY_S = 1e-6
+
 
 @dataclass
 class RecirculationChannel:
@@ -25,12 +29,9 @@ class RecirculationChannel:
 
     Attributes:
         capacity_bps: Path capacity in bits per second (100 Gbps on Tofino1).
-        latency: Time (seconds) a recirculated packet takes to re-enter the
-            pipeline; Tofino-class recirculation is sub-microsecond.
     """
 
     capacity_bps: float = 100e9
-    latency: float = 1e-6
     counters: Counters = field(default_factory=Counters, repr=False)
     _queue: deque = field(default_factory=deque, init=False)
 
@@ -40,9 +41,9 @@ class RecirculationChannel:
         self.counters.add("switch.recirc.bytes", 0)
 
     def submit(self, phv: Phv, timestamp: float) -> None:
-        """Queue a control packet for re-injection at ``timestamp + latency``."""
+        """Queue a control packet for re-injection :data:`RECIRCULATION_LATENCY_S` later."""
         self.submit_span(1, phv.packet.size, timestamp, timestamp)
-        self._queue.append((timestamp + self.latency, phv))
+        self._queue.append((timestamp + RECIRCULATION_LATENCY_S, phv))
 
     def submit_span(
         self, count: int, packet_bytes: int, earliest: float, latest: float

@@ -10,8 +10,8 @@ draws its ``max_features`` subset, and sorts again.  ``train_reference``
 trains a partitioned tree the way Algorithm 1 reads: depth first, one
 subtree at a time, each grown by ``grow_reference``.
 
-The production step kernels — ``splitter.best_splits`` (gini, entropy) and
-the forest's (mse, ``ml/forest.py``) — must return what ``best_split_over``
+The production step kernels — ``splitter.best_splits`` (gini) and the
+forest's (mse, ``ml/forest.py``) — must return what ``best_split_over``
 returns, bit for bit; every tree a classifier or a forest grows must be the
 tree ``grow_reference`` grows on its rows, node for node; and every
 partitioned tree ``core.train_partitioned_tree`` trains level by level must
@@ -19,7 +19,7 @@ be ``train_reference``'s, field for field (``tests/test_ml_splitter.py``).
 
 ``find_best_split`` runs the classifier's step kernel on one node on its
 own (it sorts the node's columns first); no tree grows through it.  The
-scalar impurities here are what ``splitter.node_impurities`` must return
+scalar gini impurity here is what ``splitter.node_impurities`` must return
 bit for bit.
 """
 
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import MIN_SAMPLES_LEAF
 from repro.core.partitioned_tree import (
     OUTCOME_EXIT,
     OUTCOME_NEXT,
@@ -37,7 +38,7 @@ from repro.core.partitioned_tree import (
     Subtree,
 )
 from repro.ml._tree import LEAF, Tree, TreeNode
-from repro.ml.splitter import CLASSIFICATION_CRITERIA, _batch_impurity, best_splits, class_major
+from repro.ml.splitter import _batch_impurity, best_splits, class_major
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -67,25 +68,6 @@ def gini_impurity(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(proportions**2))
 
 
-def entropy_impurity(counts: np.ndarray) -> float:
-    """Shannon entropy (base 2) of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    nonzero = proportions[proportions > 0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
-
-
-def node_impurity(counts: np.ndarray, criterion: str) -> float:
-    """Impurity of a node given its class counts and a criterion name."""
-    if criterion == "gini":
-        return gini_impurity(counts)
-    if criterion == "entropy":
-        return entropy_impurity(counts)
-    raise ValueError(f"unknown criterion: {criterion!r}")
-
-
 def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     """One-hot float matrix of an integer label vector."""
     one_hot = np.zeros((y.shape[0], n_classes), dtype=float)
@@ -93,8 +75,8 @@ def _one_hot_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     return one_hot
 
 
-def _split_scores_from_one_hot(sorted_one_hot: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity-sum for every prefix cut of a feature-sorted one-hot matrix."""
+def _split_scores_from_one_hot(sorted_one_hot: np.ndarray) -> np.ndarray:
+    """Gini-sum for every prefix cut of a feature-sorted one-hot matrix."""
     left_counts = np.cumsum(sorted_one_hot, axis=0)[:-1]
     total_counts = left_counts[-1] + sorted_one_hot[-1]
     right_counts = total_counts - left_counts
@@ -102,8 +84,8 @@ def _split_scores_from_one_hot(sorted_one_hot: np.ndarray, criterion: str) -> np
     left_totals = left_counts.sum(axis=1)
     right_totals = right_counts.sum(axis=1)
 
-    left_impurity = _batch_impurity(left_counts, criterion)
-    right_impurity = _batch_impurity(right_counts, criterion)
+    left_impurity = _batch_impurity(left_counts)
+    right_impurity = _batch_impurity(right_counts)
 
     return left_totals * left_impurity + right_totals * right_impurity
 
@@ -137,14 +119,16 @@ def best_split_over(
 ) -> Split | None:
     """The reference per-feature scan: best split among ``features``, in order.
 
-    ``X`` is the node's matrix, or with ``indices`` the full matrix the node's
-    rows are gathered from; ``y`` holds the node's labels or targets.
+    ``criterion`` is ``"gini"`` (a classifier's labels) or ``"mse"`` (a
+    regression tree's targets).  ``X`` is the node's matrix, or with
+    ``indices`` the full matrix the node's rows are gathered from; ``y``
+    holds the node's labels or targets.
     """
     n_samples = y.shape[0] if indices is not None else X.shape[0]
-    is_classification = criterion in CLASSIFICATION_CRITERIA
+    is_classification = criterion == "gini"
     one_hot = _one_hot_labels(y, n_classes) if is_classification else None
     if impurity is None and is_classification:
-        impurity = node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
+        impurity = gini_impurity(np.bincount(y, minlength=n_classes).astype(float))
     elif impurity is None:
         impurity = float(np.var(y))
     parent_score = n_samples * impurity
@@ -168,7 +152,7 @@ def best_split_over(
             continue  # constant feature at this node
 
         if is_classification:
-            scores = _split_scores_from_one_hot(one_hot[order], criterion)
+            scores = _split_scores_from_one_hot(one_hot[order])
         else:
             scores = _regression_split_scores(y[order])
 
@@ -241,13 +225,14 @@ def forest_trees(forest) -> list[Tree]:
 def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
     """The tree ``estimator``'s parameters grow on ``(X, y)``, node by node.
 
-    ``estimator`` is anything with a classifier's parameters as attributes
-    (``criterion="mse"`` for a regression tree).  Classifier labels are encoded as the estimator encodes them; node values
+    ``estimator`` is a :class:`DecisionTreeClassifier` (gini), or anything
+    else with its parameters as attributes for a regression tree (mse).
+    Classifier labels are encoded as the estimator encodes them; node values
     and impurities come from ``np.bincount`` / ``np.mean`` / ``np.var``.
     """
     X = np.asarray(X, dtype=float)
-    criterion = estimator.criterion
-    classify = criterion in CLASSIFICATION_CRITERIA
+    classify = isinstance(estimator, DecisionTreeClassifier)
+    criterion = "gini" if classify else "mse"
     if classify:
         classes, y = np.unique(y, return_inverse=True)
         n_classes = int(classes.size)
@@ -266,7 +251,7 @@ def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
         y_node = y[indices]
         if classify:
             value = np.bincount(y_node, minlength=n_classes).astype(float)
-            impurity = node_impurity(value, criterion)
+            impurity = gini_impurity(value)
         else:
             value = np.array([float(np.mean(y_node))])
             impurity = float(np.var(y_node))
@@ -274,11 +259,7 @@ def grow_reference(estimator, X: np.ndarray, y: np.ndarray) -> Tree:
             feature=LEAF, threshold=0.0, depth=depth, n_samples=int(indices.size),
             value=value, impurity=impurity,
         )
-        if (
-            (estimator.max_depth is not None and depth >= estimator.max_depth)
-            or y_node.size < estimator.min_samples_split
-            or impurity <= 1e-12
-        ):
+        if (estimator.max_depth is not None and depth >= estimator.max_depth) or impurity <= 1e-12:
             return node_id
         features = pool
         budget = estimator.max_distinct_features
@@ -335,8 +316,7 @@ def train_reference(windowed, config, *, split: str = "train", random_state: int
         estimator = DecisionTreeClassifier(
             max_depth=max_depth,
             max_distinct_features=config.features_per_subtree,
-            min_samples_leaf=config.min_samples_leaf,
-            criterion=config.criterion,
+            min_samples_leaf=MIN_SAMPLES_LEAF,
             random_state=random_state + sid,
         )
         estimator.n_features_in_ = X.shape[1]
@@ -377,7 +357,6 @@ def find_best_split(
     y: np.ndarray,
     *,
     allowed_features: np.ndarray,
-    criterion: str,
     min_samples_leaf: int,
     n_classes: int,
     rng: np.random.Generator,
@@ -406,20 +385,19 @@ def find_best_split(
     X = np.asarray(X if indices is None else X[indices], dtype=float)
     counts = np.bincount(y, minlength=n_classes)
     if impurity is None:
-        impurity = node_impurity(counts.astype(float), criterion)
+        impurity = gini_impurity(counts.astype(float))
     orders = np.argsort(X.T[features], axis=1, kind="stable")
     found, feature, threshold, improvement = best_splits(
         X,
         y,
         orders,
-        class_major(orders, y) if criterion == "gini" else None,
+        class_major(orders, y),
         features[:, None],
         np.array([features.size]),
         np.array([n_samples]),
         counts[None],
         np.array([n_classes]),
         np.array([impurity]),
-        criterion=criterion,
         min_samples_leaf=min_samples_leaf,
     )
     if not found[0]:

@@ -68,9 +68,7 @@ class TestEvaluateConfiguration:
         # Two configurations with the same flow capacity, so equal keys.
         configs = [
             SpliDTConfig(depth=4, features_per_subtree=2, partition_sizes=(2, 2)),
-            SpliDTConfig(
-                depth=4, features_per_subtree=2, partition_sizes=(2, 2), min_samples_leaf=6
-            ),
+            SpliDTConfig(depth=4, features_per_subtree=2, partition_sizes=(3, 1)),
         ]
         fresh = [evaluate_configuration(store, c, target=TOFINO1) for c in configs]
         cold_draws = len(draws)

@@ -4,9 +4,9 @@ The contract (see ``repro/dataplane/vectorized.py``): for any dataset,
 ``replay_dataset`` produces bit-identical verdicts (label, decision time,
 first-packet time, recirculation count, early-exit flag), time-to-detection
 arrays and recirculation statistics to ``oracle.replay_dataset``.  The suite
-exercises several D-datasets, jittered concurrent starts, ``max_flows``
-truncation, and a deliberately tiny register file that forces hash
-collisions (the slot-stream plane).
+exercises several D-datasets, overlapping flow starts (``_shifted_starts``),
+``max_flows`` truncation, and a deliberately tiny register file that forces
+hash collisions (the slot-stream plane).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro import core, datasets
 from repro.core.range_marking import generate_rules
 from repro.dataplane import SpliDTDataPlane, oracle, replay_dataset
-from repro.datasets.flows import PacketArrays
+from repro.datasets.flows import FlowDataset, LazyFlowList, PacketArrays
 
 
 def _assert_identical(reference, vectorized):
@@ -41,6 +41,26 @@ def _assert_identical(reference, vectorized):
     assert reference.report.f1_score == vectorized.report.f1_score
     assert reference.report.accuracy == vectorized.report.accuracy
     assert reference.recirculation == vectorized.recirculation
+
+
+def _shifted_starts(dataset, seed):
+    """``dataset`` with each flow's packets shifted by one ``uniform(0, 10)`` s draw.
+
+    One offset per flow, drawn in flow order, so flows that started apart
+    overlap: the replay sees concurrent flows and a new interleave.
+    """
+    soa = dataset.packet_arrays()
+    offsets = np.random.default_rng(seed).uniform(0.0, 10.0, size=soa.n_flows)
+    shifted = PacketArrays.from_columns(
+        **{**soa._columns(), "timestamps": soa.timestamps + offsets[soa.packet_flow]}
+    )
+    return FlowDataset(
+        name=dataset.name,
+        description=dataset.description,
+        flows=LazyFlowList(shifted, dataset.class_names),
+        class_names=list(dataset.class_names),
+        metadata=dict(dataset.metadata),
+    )
 
 
 def _splidt_artifacts(key: str, *, n_flows: int, depth: int, k: int, partitions: int, seed: int):
@@ -79,7 +99,8 @@ class TestSpliDTParity:
         _assert_identical(*self._both(artifacts))
 
     def test_jittered_starts(self, artifacts):
-        _assert_identical(*self._both(artifacts, jitter_starts=True, seed=5))
+        dataset, model, rules = artifacts
+        _assert_identical(*self._both((_shifted_starts(dataset, 5), model, rules)))
 
     def test_max_flows_truncation(self, artifacts):
         _assert_identical(*self._both(artifacts, max_flows=97))
@@ -91,8 +112,9 @@ class TestSpliDTParity:
         _assert_identical(*self._both(artifacts, flow_slots=64))
 
     def test_collisions_with_jitter(self, artifacts):
+        dataset, model, rules = artifacts
         _assert_identical(
-            *self._both(artifacts, flow_slots=128, jitter_starts=True, seed=2)
+            *self._both((_shifted_starts(dataset, 2), model, rules), flow_slots=128)
         )
 
     def test_single_flow(self, artifacts):
@@ -117,12 +139,9 @@ def test_splidt_parity_across_datasets(key, depth, k, partitions):
     dataset, model, rules = _splidt_artifacts(
         key, n_flows=120, depth=depth, k=k, partitions=partitions, seed=13
     )
-    reference = oracle.replay_dataset(
-        SpliDTDataPlane(model, rules, flow_slots=8192), dataset, jitter_starts=True
-    )
-    vectorized = replay_dataset(
-        SpliDTDataPlane(model, rules, flow_slots=8192), dataset, jitter_starts=True
-    )
+    shifted = _shifted_starts(dataset, 0)
+    reference = oracle.replay_dataset(SpliDTDataPlane(model, rules, flow_slots=8192), shifted)
+    vectorized = replay_dataset(SpliDTDataPlane(model, rules, flow_slots=8192), shifted)
     _assert_identical(reference, vectorized)
 
 
@@ -138,9 +157,7 @@ class TestTopKParity:
         _assert_identical(*self._both(netbeacon_factory, small_dataset))
 
     def test_jittered_starts(self, netbeacon_factory, small_dataset):
-        _assert_identical(
-            *self._both(netbeacon_factory, small_dataset, jitter_starts=True, seed=9)
-        )
+        _assert_identical(*self._both(netbeacon_factory, _shifted_starts(small_dataset, 9)))
 
     def test_max_flows_truncation(self, netbeacon_factory, small_dataset):
         _assert_identical(*self._both(netbeacon_factory, small_dataset, max_flows=50))

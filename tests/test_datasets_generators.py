@@ -15,7 +15,6 @@ from repro.datasets.generators import (
     AttributeGroup,
     PhaseShiftGenerator,
     SyntheticTrafficGenerator,
-    generate_dataset,
 )
 from repro.datasets.profiles import DATASET_KEYS, get_profile
 from repro.datasets.registry import dataset_summary, load_dataset
@@ -42,50 +41,50 @@ class TestProfiles:
 
 class TestGenerator:
     def test_generates_requested_flow_count(self):
-        dataset = generate_dataset("D2", n_flows=50, seed=0)
+        dataset = load_dataset("D2", n_flows=50, seed=0)
         assert dataset.n_flows == 50
 
     def test_every_class_present(self):
         # Every class is seeded at least once before label noise is applied,
         # so nearly all of the 19 classes must survive even in a small sample.
-        dataset = generate_dataset("D1", n_flows=120, seed=0)
+        dataset = load_dataset("D1", n_flows=120, seed=0)
         assert len(set(dataset.packet_arrays().labels)) >= 18
 
     def test_labels_within_range(self):
-        dataset = generate_dataset("D5", n_flows=64, seed=1)
+        dataset = load_dataset("D5", n_flows=64, seed=1)
         assert dataset.packet_arrays().labels.max() < 32
         assert dataset.packet_arrays().labels.min() >= 0
 
     def test_deterministic_for_same_seed(self):
-        a = generate_dataset("D3", n_flows=30, seed=5)
-        b = generate_dataset("D3", n_flows=30, seed=5)
+        a = load_dataset("D3", n_flows=30, seed=5)
+        b = load_dataset("D3", n_flows=30, seed=5)
         assert a.packet_arrays().labels.tolist() == b.packet_arrays().labels.tolist()
         assert a.flows[0].n_packets == b.flows[0].n_packets
         assert a.flows[0].packets[0].size == b.flows[0].packets[0].size
 
     def test_different_seeds_differ(self):
-        a = generate_dataset("D3", n_flows=30, seed=1)
-        b = generate_dataset("D3", n_flows=30, seed=2)
+        a = load_dataset("D3", n_flows=30, seed=1)
+        b = load_dataset("D3", n_flows=30, seed=2)
         assert a.flows[0].packets[0].timestamp != b.flows[0].packets[0].timestamp
 
     def test_too_few_flows_raises(self):
         with pytest.raises(ValueError):
-            generate_dataset("D5", n_flows=10, seed=0)
+            load_dataset("D5", n_flows=10, seed=0)
 
     def test_flows_have_monotone_timestamps(self):
-        dataset = generate_dataset("D4", n_flows=20, seed=0)
+        dataset = load_dataset("D4", n_flows=20, seed=0)
         for flow in dataset.flows[:10]:
             times = [p.timestamp for p in flow.packets]
             assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_packet_sizes_within_ethernet_bounds(self):
-        dataset = generate_dataset("D6", n_flows=20, seed=0)
+        dataset = load_dataset("D6", n_flows=20, seed=0)
         for flow in dataset.flows:
             for packet in flow.packets:
                 assert 40 <= packet.size <= 1514
 
     def test_class_names_aligned_with_labels(self):
-        dataset = generate_dataset("D2", n_flows=20, seed=0)
+        dataset = load_dataset("D2", n_flows=20, seed=0)
         for flow in dataset.flows:
             assert dataset.class_names[flow.label] == flow.class_name
 

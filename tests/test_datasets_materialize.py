@@ -29,12 +29,10 @@ def _materialize_per_flow(dataset, n_partitions, random_state):
         np.arange(dataset.n_flows).reshape(-1, 1),
         labels,
         test_size=0.3,
-        stratify=True,
         random_state=random_state,
     )
     fit, validation, _, _ = train_test_split(
-        train, labels[train[:, 0]], test_size=VALIDATION_FRACTION, stratify=True,
-        random_state=random_state,
+        train, labels[train[:, 0]], test_size=VALIDATION_FRACTION, random_state=random_state,
     )
     return {
         "window_features": window_features,

@@ -53,9 +53,3 @@ class TestTrainTestSplit:
         b = train_test_split(X, y, random_state=7)
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_unstratified_split(self):
-        X = np.arange(40).reshape(-1, 1)
-        y = np.repeat([0, 1], 20)
-        X_train, X_test, _, _ = train_test_split(X, y, test_size=0.5, stratify=False, random_state=0)
-        assert len(X_train) + len(X_test) == 40
-

@@ -17,12 +17,10 @@ from repro.ml.tree import fit_level
 from repro.ml.splitter import best_splits, class_major, node_impurities
 from split_oracle import (
     best_split_over,
-    entropy_impurity,
     find_best_split,
     forest_trees,
     gini_impurity,
     grow_reference,
-    node_impurity,
     train_reference,
 )
 
@@ -46,17 +44,6 @@ class TestImpurities:
     def test_gini_empty(self):
         assert gini_impurity(np.array([0.0, 0.0])) == 0.0
 
-    def test_entropy_pure(self):
-        assert entropy_impurity(np.array([7.0, 0.0])) == 0.0
-
-    def test_entropy_balanced_is_one_bit(self):
-        assert entropy_impurity(np.array([4.0, 4.0])) == pytest.approx(1.0)
-
-    def test_entropy_monotone_in_classes(self):
-        two = entropy_impurity(np.array([1.0, 1.0]))
-        four = entropy_impurity(np.array([1.0, 1.0, 1.0, 1.0]))
-        assert four > two
-
     def test_mse_constant_is_zero(self):
         root = _regression_root(np.arange(10.0).reshape(-1, 1), np.full(10, 3.0))
         assert root.impurity == 0.0 and root.is_leaf
@@ -64,15 +51,6 @@ class TestImpurities:
     def test_mse_is_variance(self):
         root = _regression_root(np.array([[0.0], [1.0]]), np.array([0.0, 2.0]))
         assert root.impurity == pytest.approx(1.0)
-
-    def test_node_impurity_dispatch(self):
-        counts = np.array([3.0, 3.0])
-        assert node_impurity(counts, "gini") == pytest.approx(0.5)
-        assert node_impurity(counts, "entropy") == pytest.approx(1.0)
-
-    def test_node_impurity_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            node_impurity(np.array([1.0]), "mae")
 
 
 class TestFindBestSplit:
@@ -83,7 +61,7 @@ class TestFindBestSplit:
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="gini",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split is not None
@@ -95,7 +73,7 @@ class TestFindBestSplit:
         X = np.ones((10, 1))
         y = np.array([0, 1] * 5)
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="gini",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split is None
@@ -104,7 +82,7 @@ class TestFindBestSplit:
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.zeros(10, dtype=int)
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="gini",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=1, n_classes=1, rng=self._rng(),
         )
         assert split is None
@@ -113,7 +91,7 @@ class TestFindBestSplit:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 1, 1, 1, 1, 1])
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="gini",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=3, n_classes=2, rng=self._rng(),
         )
         if split is not None:
@@ -124,7 +102,7 @@ class TestFindBestSplit:
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="gini",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=2, n_classes=2, rng=self._rng(),
         )
         assert split is None
@@ -136,7 +114,7 @@ class TestFindBestSplit:
         X = np.column_stack([noise, informative])
         y = np.repeat([0, 1], 50)
         split = find_best_split(
-            X, y, allowed_features=np.array([0, 1]), criterion="gini",
+            X, y, allowed_features=np.array([0, 1]),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split.feature == 1
@@ -146,7 +124,7 @@ class TestFindBestSplit:
         X = np.column_stack([informative, informative * 2])
         y = np.repeat([0, 1], 50)
         split = find_best_split(
-            X, y, allowed_features=np.array([1]), criterion="gini",
+            X, y, allowed_features=np.array([1]),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split.feature == 1
@@ -162,7 +140,7 @@ class TestFindBestSplit:
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         split = find_best_split(
-            X, y, allowed_features=np.array([0]), criterion="entropy",
+            X, y, allowed_features=np.array([0]),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split.improvement > 0
@@ -172,7 +150,7 @@ class TestFindBestSplit:
         X = rng.normal(size=(50, 3))
         y = (X[:, 2] > 0).astype(int)
         split = find_best_split(
-            X, y, allowed_features=np.arange(3), criterion="gini",
+            X, y, allowed_features=np.arange(3),
             min_samples_leaf=1, n_classes=2, rng=self._rng(),
         )
         assert split is not None
@@ -258,13 +236,7 @@ def _node_targets(y, criterion, seed):
     return rng.normal(size=y.size)
 
 
-def _impurity(y, criterion, n_classes):
-    if criterion == "mse":
-        return float(np.var(y))
-    return node_impurity(np.bincount(y, minlength=n_classes).astype(float), criterion)
-
-
-_CRITERIA = ("gini", "entropy", "mse")
+_CRITERIA = ("gini", "mse")
 
 #: Node lengths where NumPy's pairwise sum changes shape: unrolled by 8,
 #: recursing above 128 rows.
@@ -340,13 +312,13 @@ def _assert_step_kernel_equals_the_oracle(seed, n, kinds, n_classes, min_samples
         _assert_same_split(got, expected)
 
 
-def _class_step_kernel(X, y, nodes, searched, n_classes, criterion, min_samples_leaf):
+def _class_step_kernel(X, y, nodes, searched, n_classes, min_samples_leaf):
     """The classifier's step kernel on a batch of nodes, laid out as a tree's step lays them.
 
     ``nodes`` lists each node's rows of ``(X, y)`` (ascending); node ``i``
     has ``n_classes[i]`` classes and searches ``searched[i]``.  Each node's
     columns hold its rows stably sorted by each searched feature — and by
-    class within that, for gini — and its padding rows repeat its first.
+    class within that — and its padding rows repeat its first.
     Returns the node impurities and ``(found, feature, threshold,
     improvement)`` per node.
     """
@@ -362,20 +334,20 @@ def _class_step_kernel(X, y, nodes, searched, n_classes, criterion, min_samples_
         class_orders.append(class_major(node_orders, y))
         features.append(padded)
     totals = np.array([np.bincount(y[rows], minlength=width) for rows in nodes])
-    impurity = node_impurities(totals, np.array(n_classes), criterion)
+    impurity = node_impurities(totals, np.array(n_classes))
     found = best_splits(
-        X, y, np.hstack(orders), np.hstack(class_orders) if criterion == "gini" else None,
+        X, y, np.hstack(orders), np.hstack(class_orders),
         np.array(features).T, np.array([len(f) for f in searched]),
         np.array([rows.size for rows in nodes]), totals, np.array(n_classes), impurity,
-        criterion=criterion, min_samples_leaf=min_samples_leaf,
+        min_samples_leaf=min_samples_leaf,
     )
     return impurity, found
 
 
 def _assert_class_step_kernel_equals_the_oracle(
-    criterion, seed, n, kinds, n_classes, min_samples_leaf, max_features
+    seed, n, kinds, n_classes, min_samples_leaf, max_features
 ):
-    """A gini/entropy batch mixing node lengths 1–300, class counts and search sets."""
+    """A gini batch mixing node lengths 1–300, class counts and search sets."""
     rng = np.random.default_rng(seed)
     lengths = [n, 1, 2, 127, 128, 129, *rng.integers(1, 301, size=2)]
     lengths = rng.permutation(lengths).tolist()
@@ -394,13 +366,13 @@ def _assert_class_step_kernel_equals_the_oracle(
         classes.append(node_classes)
         searched.append(features)
     impurity, (found, feature, threshold, improvement) = _class_step_kernel(
-        X, y, nodes, searched, classes, criterion, min_samples_leaf
+        X, y, nodes, searched, classes, min_samples_leaf
     )
     for i, rows in enumerate(nodes):
         counts = np.bincount(y[rows], minlength=classes[i]).astype(float)
-        assert impurity[i].hex() == node_impurity(counts, criterion).hex()
+        assert impurity[i].hex() == gini_impurity(counts).hex()
         expected = best_split_over(
-            X, y[rows], searched[i], criterion=criterion, min_samples_leaf=min_samples_leaf,
+            X, y[rows], searched[i], criterion="gini", min_samples_leaf=min_samples_leaf,
             n_classes=classes[i], indices=rows, impurity=float(impurity[i]),
         )
         if expected is None:
@@ -439,10 +411,9 @@ class TestSplitKernel:
             return
         # The classifier's step kernel scores a batch of nodes at once too.
         _assert_class_step_kernel_equals_the_oracle(
-            criterion, seed, n, kinds, n_classes, min_samples_leaf, max_features
+            seed, n, kinds, n_classes, min_samples_leaf, max_features
         )
 
-    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -455,12 +426,11 @@ class TestSplitKernel:
         with_impurity=st.booleans(),
     )
     def test_find_best_split_equals_the_oracle(
-        self, criterion, seed, n, kinds, n_classes, min_samples_leaf, with_indices,
-        max_features, with_impurity,
+        self, seed, n, kinds, n_classes, min_samples_leaf, with_indices, max_features,
+        with_impurity,
     ):
         # The standalone entry: shuffled node rows, the max_features draw.
-        X, labels = _adversarial_node(seed, n, kinds, n_classes, seed % 3 == 0)
-        y = _node_targets(labels, criterion, seed)
+        X, y = _adversarial_node(seed, n, kinds, n_classes, seed % 3 == 0)
         rng = np.random.default_rng(seed)
         pool = rng.permutation(len(kinds))
         indices = None
@@ -469,8 +439,12 @@ class TestSplitKernel:
             full = rng.normal(size=(2 * n, len(kinds)))
             full[indices] = X
             X = full
-        common = dict(criterion=criterion, min_samples_leaf=min_samples_leaf, n_classes=n_classes)
-        impurity = _impurity(y, criterion, n_classes) if with_impurity else None
+        common = dict(min_samples_leaf=min_samples_leaf, n_classes=n_classes)
+        impurity = (
+            gini_impurity(np.bincount(y, minlength=n_classes).astype(float))
+            if with_impurity
+            else None
+        )
         got = find_best_split(
             X, y, allowed_features=pool, rng=np.random.default_rng(seed + 1),
             max_features=max_features, indices=indices, impurity=impurity, **common,
@@ -483,14 +457,16 @@ class TestSplitKernel:
         if n < 2 * min_samples_leaf:
             assert got is None
             return
-        _assert_same_split(got, best_split_over(X, y, searched, indices=indices, **common))
+        _assert_same_split(
+            got, best_split_over(X, y, searched, criterion="gini", indices=indices, **common)
+        )
 
     @pytest.mark.parametrize("criterion", _CRITERIA)
     def test_nothing_to_cut_is_none(self, criterion):
         X, y = _adversarial_node(3, 40, ("constant", "lopsided", "constant", "lopsided"), 4, True)
         y = _node_targets(y, criterion, 3)
-        common = dict(criterion=criterion, min_samples_leaf=2, n_classes=4)
-        assert best_split_over(X, y, np.arange(4), **common) is None
+        common = dict(min_samples_leaf=2, n_classes=4)
+        assert best_split_over(X, y, np.arange(4), criterion=criterion, **common) is None
         if criterion == "mse":
             _, _, results = _step_kernel(X, y, [np.arange(40)], [np.arange(4)], 2, seed=3)
             assert results[0][0] is False
@@ -535,7 +511,7 @@ class TestSplitKernel:
         attained = [d for d in best_of if d is not None]
 
         split = find_best_split(
-            X, y, allowed_features=np.arange(len(kinds)), criterion="gini",
+            X, y, allowed_features=np.arange(len(kinds)),
             min_samples_leaf=min_samples_leaf, n_classes=n_classes,
             rng=np.random.default_rng(0),
         )
@@ -581,8 +557,7 @@ def _assert_forest_grows_like_the_oracle(
         tree_seed = int(rng.integers(0, 2**31 - 1))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         alone = SimpleNamespace(
-            criterion="mse", max_depth=max_depth, min_samples_split=2,
-            min_samples_leaf=min_samples_leaf, max_distinct_features=None,
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_distinct_features=None,
             max_features=max_features, allowed_features=None, random_state=tree_seed,
         )
         _assert_same_tree(member, grow_reference(alone, X[rows], y[rows]))
@@ -604,7 +579,6 @@ class TestTreeGrowth:
         bootstrap=st.booleans(),
         max_depth=st.none() | st.integers(1, 8),
         min_samples_leaf=st.integers(1, 4),
-        min_samples_split=st.integers(2, 6),
         budget=st.none() | st.integers(1, 4),
         max_features=st.none() | st.integers(1, 6),
         restrict=st.booleans(),
@@ -613,7 +587,7 @@ class TestTreeGrowth:
     )
     def test_trees_grow_node_for_node_like_the_oracle(
         self, criterion, seed, n, kinds, n_classes, bootstrap, max_depth, min_samples_leaf,
-        min_samples_split, budget, max_features, restrict, n_estimators, forest_max_features,
+        budget, max_features, restrict, n_estimators, forest_max_features,
     ):
         X, labels = _adversarial_node(seed, n, kinds, max(n_classes, 2), seed % 2 == 0)
         y = _node_targets(labels % n_classes, criterion, seed)
@@ -634,21 +608,20 @@ class TestTreeGrowth:
         params = dict(
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
-            min_samples_split=min_samples_split,
             max_distinct_features=budget,
             max_features=max_features,
             allowed_features=allowed,
             random_state=seed % 1000,
         )
-        estimator = DecisionTreeClassifier(criterion=criterion, **params).fit(X, y)
+        estimator = DecisionTreeClassifier(**params).fit(X, y)
         _assert_same_tree(estimator.tree_, grow_reference(estimator, X, y))
 
 
 def _assert_same_estimator(got, expected):
     """Two fitted classifiers, field for field."""
     params = (
-        "max_depth", "min_samples_split", "min_samples_leaf", "criterion",
-        "max_distinct_features", "max_features", "allowed_features",
+        "max_depth", "min_samples_leaf", "max_distinct_features", "max_features",
+        "allowed_features",
     )
     assert [getattr(got, p) for p in params] == [getattr(expected, p) for p in params]
     assert (got.random_state, got.n_features_in_, got.n_classes_) == (
@@ -707,7 +680,6 @@ class TestLevelGrowth:
     whole partitioned trees against Algorithm 1's recursion
     (``split_oracle.train_reference``)."""
 
-    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -717,14 +689,13 @@ class TestLevelGrowth:
         n_trees=st.integers(1, 6),
         max_depth=st.none() | st.integers(1, 6),
         min_samples_leaf=st.integers(1, 4),
-        min_samples_split=st.integers(2, 6),
         budget=st.none() | st.integers(1, 4),
         max_features=st.none() | st.integers(1, 5),
         restrict=st.booleans(),
     )
     def test_level_fit_equals_the_oracle(
-        self, criterion, seed, n, kinds, n_classes, n_trees, max_depth, min_samples_leaf,
-        min_samples_split, budget, max_features, restrict,
+        self, seed, n, kinds, n_classes, n_trees, max_depth, min_samples_leaf, budget,
+        max_features, restrict,
     ):
         X, labels = _adversarial_node(seed, n, kinds, max(n_classes, 2), seed % 2 == 0)
         y = labels % n_classes
@@ -737,9 +708,8 @@ class TestLevelGrowth:
         if restrict:
             allowed = sorted(rng.choice(len(kinds), size=int(rng.integers(1, len(kinds) + 1))))
         params = dict(
-            criterion=criterion, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-            min_samples_split=min_samples_split, max_distinct_features=budget,
-            max_features=max_features, allowed_features=allowed,
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            max_distinct_features=budget, max_features=max_features, allowed_features=allowed,
         )
         trees = [
             DecisionTreeClassifier(**params, random_state=seed % 1000 + t)
@@ -756,7 +726,6 @@ class TestLevelGrowth:
             np.testing.assert_array_equal(leaf_of[rows], alone.tree_.apply(X[rows]))
         assert (leaf_of[owner == -1] == -1).all()
 
-    @pytest.mark.parametrize("criterion", ("gini", "entropy"))
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -765,18 +734,16 @@ class TestLevelGrowth:
         n_classes=st.integers(2, 5),
         partition_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
         budget=st.integers(1, 7),
-        min_samples_leaf=st.sampled_from([1, 5]),
     )
     def test_partitioned_tree_equals_the_oracle(
-        self, criterion, seed, n, n_features, n_classes, partition_sizes, budget, min_samples_leaf,
+        self, seed, n, n_features, n_classes, partition_sizes, budget,
     ):
         # P 1-5 with uneven partition depths; a budget that binds (below the
         # feature count) or does not; early exits on pure leaves.
         windowed = _windowed(seed, n, n_features, n_classes, len(partition_sizes))
         config = SpliDTConfig(
             depth=sum(partition_sizes), features_per_subtree=budget,
-            partition_sizes=tuple(partition_sizes), min_samples_leaf=min_samples_leaf,
-            criterion=criterion,
+            partition_sizes=tuple(partition_sizes),
         )
         got = train_partitioned_tree(windowed, config, random_state=seed % 1000)
         expected = train_reference(windowed, config, random_state=seed % 1000)

@@ -112,10 +112,6 @@ class TestClassifierValidation:
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_leaf=0)
 
-    def test_invalid_criterion(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(criterion="nonsense")
-
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             DecisionTreeClassifier().fit(np.zeros((5, 2)), np.zeros(4))
@@ -173,11 +169,6 @@ class TestClassifierStructure:
         tree.nodes[0].feature, tree.nodes[0].threshold = 0, 0.5
         tree.set_children(0, left, right)
         assert tree.apply(X).tolist() == [left, right]
-
-    def test_entropy_criterion_works(self, classification_data):
-        X, y = classification_data
-        tree = DecisionTreeClassifier(max_depth=6, criterion="entropy").fit(X, y)
-        assert _accuracy(tree, X, y) > 0.9
 
     def test_leaf_nodes_have_no_children(self, classification_data):
         X, y = classification_data
@@ -282,7 +273,7 @@ class TestFittedState:
         "estimator",
         [
             DecisionTreeClassifier(max_depth=4),
-            DecisionTreeClassifier(max_depth=4, criterion="entropy", max_distinct_features=2),
+            DecisionTreeClassifier(max_depth=4, max_distinct_features=2),
             RandomForestRegressor(n_estimators=2, max_depth=4, max_features=2),
         ],
     )

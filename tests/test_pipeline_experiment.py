@@ -107,9 +107,7 @@ class TestParityWithHandChainedPath:
     def hand_chained(self):
         spec = SPEC
         dataset = datasets.load_dataset(spec.dataset, n_flows=spec.n_flows, seed=spec.seed)
-        store = datasets.DatasetStore(
-            dataset, test_size=spec.test_size, random_state=spec.seed
-        )
+        store = datasets.DatasetStore(dataset, random_state=spec.seed)
         config = core.SpliDTConfig(
             depth=spec.depth,
             features_per_subtree=spec.features_per_subtree,

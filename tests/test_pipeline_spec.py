@@ -28,8 +28,8 @@ class TestValidation:
             {"serve": ServeConfig(spawn_method="warp")},
             {"replay_flows": 0},
             {"flow_slots": 0},
-            {"test_size": 0.0},
-            {"test_size": 1.5},
+            {"features_per_subtree": 0},
+            {"system": "topk", "bit_width": 12},
             # a nested dict is not a spec: constructors take typed values
             {"serve": {"engine": "microbatch"}},
             {"depth": 0},
@@ -214,6 +214,7 @@ class TestSerialisation:
         with pytest.raises(SpecError, match="lookup"):
             ExperimentSpec.from_dict({"dataset": "D3", "lookup": "lut"})
         for payload, key in (({"jitter_starts": False}, "jitter_starts"),
+                             ({"test_size": 0.3}, "test_size"),
                              ({"n_trees": 5}, "n_trees"),
                              ({"scenario": {"chunk_size": 4096}}, "chunk_size")):
             with pytest.raises(SpecError, match=key):

@@ -45,7 +45,7 @@ ALLOWED_UNREACHED = {
 }
 
 #: Cap on the scan's kept table: it may shrink, not grow.
-KEPT_CAP = 41
+KEPT_CAP = 40
 
 
 @cache

@@ -7,7 +7,11 @@ import pytest
 from repro.datasets.flows import FiveTuple, Packet
 from repro.obs import Counters
 from repro.switch.phv import make_control_phv, make_data_phv
-from repro.switch.recirculation import RecirculationChannel, channel_stats
+from repro.switch.recirculation import (
+    RECIRCULATION_LATENCY_S,
+    RecirculationChannel,
+    channel_stats,
+)
 from repro.switch.targets import BLUEFIELD3, TOFINO1, TOFINO2, TRIDENT4, get_target
 
 
@@ -53,12 +57,12 @@ class TestPhv:
 
 class TestRecirculationChannel:
     def test_submit_and_ready(self):
-        channel = RecirculationChannel(latency=0.001)
+        channel = RecirculationChannel()
         phv = make_control_phv(FiveTuple(1, 2, 3, 4, 6), next_sid=2, timestamp=1.0)
         channel.submit(phv, timestamp=1.0)
         assert len(channel._queue) == 1
-        assert channel.ready(1.0005) == []
-        released = channel.ready(1.002)
+        assert channel.ready(1.0 + RECIRCULATION_LATENCY_S / 2) == []
+        released = channel.ready(1.0 + 2 * RECIRCULATION_LATENCY_S)
         assert len(released) == 1
         assert len(channel._queue) == 0
 

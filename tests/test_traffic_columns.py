@@ -187,26 +187,6 @@ class TestFlowViews:
 
 
 class TestReplayFlows:
-    @pytest.mark.parametrize("max_flows", [None, 0, 25, 10_000])
-    def test_jittered_starts_equal_the_per_flow_shift(self, small_dataset, max_flows):
-        """One ``uniform(0, 10)`` draw per flow, in flow order, added to each of its packets."""
-        flows = prepare_replay_flows(
-            small_dataset, max_flows=max_flows, jitter_starts=True, seed=3
-        )
-        rng = np.random.default_rng(3)
-        soa = small_dataset.packet_arrays()
-        kept = soa.n_flows if max_flows is None else min(max_flows, soa.n_flows)
-        shifted = []
-        for flow in range(kept):
-            offset = float(rng.uniform(0.0, 10.0))
-            lo, hi = soa.flow_starts[flow], soa.flow_starts[flow + 1]
-            shifted.extend(t + offset for t in soa.timestamps[lo:hi].tolist())
-        got = flows.soa
-        assert got.n_flows == kept
-        assert got.timestamps.tolist() == shifted
-        order = np.lexsort((got.flow_ids[got.packet_flow], got.timestamps))
-        assert np.array_equal(got.interleave_order, order)
-
     def test_unchanged_flows_view_the_datasets_own_columns(self, small_dataset):
         flows = prepare_replay_flows(small_dataset)
         assert flows.soa is small_dataset.packet_arrays()

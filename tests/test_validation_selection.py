@@ -34,7 +34,7 @@ class _PermutedStore(DatasetStore):
     """A store over the same splits whose every fetch has its test labels permuted."""
 
     def __init__(self, store: DatasetStore) -> None:
-        super().__init__(store.dataset, test_size=store.test_size, random_state=store.random_state)
+        super().__init__(store.dataset, random_state=store.random_state)
         self._permuted: dict = {}
 
     def fetch(self, n_partitions: int):

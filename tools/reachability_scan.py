@@ -188,8 +188,6 @@ KEPT: dict[str, tuple[str, str | None]] = {
         "error-path", "tests/test_serve_process_sharded.py::TestLifecycleAndTeardown"
         "::test_a_worker_that_cannot_attach_reports_and_stops"),
     # input
-    "repro.datasets.flows:PacketArrays.with_timestamps": (
-        "input", "tests/test_dataplane_vectorized.py::TestSpliDTParity::test_jittered_starts"),
     "repro.features.stateful:MinOperator.update": ("input", _OPERATOR + "[min_iat]"),
     "repro.features.stateful:RateOperator.update": ("input", _OPERATOR + "[pkt_rate]"),
 }
