@@ -66,10 +66,12 @@ import numpy as np
 
 from repro.dataplane.kernels import iat_sequential_sums
 from repro.datasets.flows import Flow, PacketArrays
-from repro.features.definitions import FEATURES, FEATURES_BY_NAME, N_FEATURES
-from repro.features.flowmeter import (
+from repro.features.definitions import (
     BURST_GAP_SECONDS,
+    FEATURES,
+    FEATURES_BY_NAME,
     LARGE_PACKET_BYTES,
+    N_FEATURES,
     SMALL_PACKET_BYTES,
 )
 from repro.features.window import window_end

@@ -8,6 +8,10 @@ matrices ``X[p]`` (statistics of window ``p`` of every flow), the whole-flow
 matrix used by the one-shot baselines, the per-packet (stateless) matrix used
 by the IIsy-style baseline, and the labels.
 
+Every stateful value is computed by the window plane that replay and serving
+run (``repro.dataplane.vectorized._WindowAggregator``): a model trains on
+exactly the values the switch's registers hold at a window boundary.
+
 :class:`DatasetStore` caches materialisations so the Bayesian-optimisation
 loop does not recompute features for every candidate configuration (the
 paper's "Fetch" stage).
@@ -19,9 +23,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.datasets.flows import FlowDataset
-from repro.features.flowmeter import FlowMeter
+from repro.datasets.flows import FlowDataset, PacketArrays
+from repro.features.definitions import (
+    N_FEATURES,
+    STATEFUL_INDICES,
+    STATELESS_HEADER_INDICES,
+)
+from repro.features.window import window_bounds
 from repro.ml.model_selection import train_test_split
+
+_SRC_PORT, _DST_PORT, _PROTOCOL, _PKT_LEN_FIRST = STATELESS_HEADER_INDICES
 
 
 @dataclass
@@ -165,6 +176,38 @@ TEST_FRACTION = 0.3
 VALIDATION_FRACTION = 0.33
 
 
+def _segment_features(
+    soa: PacketArrays, starts: np.ndarray, ends: np.ndarray, flows: np.ndarray
+) -> np.ndarray:
+    """Feature rows of the packet segments ``[starts[i], ends[i])``, ``(len(starts), n_features)``.
+
+    ``flows[i]`` is the flow segment ``i`` belongs to.  Every row holds its
+    flow's ports and protocol; a non-empty segment also holds the size of
+    its first packet (``pkt_len_first``) and every stateful feature as one
+    window-plane fill leaves it; an empty one is zero there.  Each feature
+    is its own fill over a copy of ``soa`` with a derived-column cache of
+    its own, dropped after the fill: the columns a fill derives are not kept
+    on the dataset's arrays.
+    """
+    from repro.dataplane.vectorized import FillPlan, _WindowAggregator
+
+    out = np.zeros((starts.size, N_FEATURES), dtype=np.float64)
+    out[:, _SRC_PORT] = soa.src_ports[flows]
+    out[:, _DST_PORT] = soa.dst_ports[flows]
+    out[:, _PROTOCOL] = soa.protocols[flows]
+    rows = np.flatnonzero(ends > starts)
+    if rows.size == 0:
+        return out
+    s, e = starts[rows], ends[rows]
+    out[rows, _PKT_LEN_FIRST] = soa.sizes[s]
+    block = np.empty((rows.size, N_FEATURES), dtype=np.float64, order="F")
+    sids = np.zeros(rows.size, dtype=np.int64)
+    for feature in STATEFUL_INDICES:
+        _WindowAggregator(replace(soa)).fill(block, s, e, FillPlan({0: [feature]}), sids)
+    out[np.ix_(rows, STATEFUL_INDICES)] = block[:, STATEFUL_INDICES]
+    return out
+
+
 def _flow_views(dataset: FlowDataset, random_state: int) -> tuple[np.ndarray, ...]:
     """The parts of a materialisation that do not depend on the partition count.
 
@@ -181,7 +224,6 @@ def _flow_views(dataset: FlowDataset, random_state: int) -> tuple[np.ndarray, ..
     key = ("flow_views", random_state)
     views = soa.derived.get(key)
     if views is None:
-        meter = FlowMeter()
         labels = soa.labels.astype(np.intp)
         train_idx, test_idx, _, _ = train_test_split(
             np.arange(soa.n_flows).reshape(-1, 1),
@@ -195,9 +237,17 @@ def _flow_views(dataset: FlowDataset, random_state: int) -> tuple[np.ndarray, ..
             test_size=VALIDATION_FRACTION,
             random_state=random_state,
         )
+        flows = np.arange(soa.n_flows, dtype=np.intp)
+        flow_features = _segment_features(soa, soa.flow_starts[:-1], soa.flow_starts[1:], flows)
+        # The stateless features of each flow's first packet; a flow without
+        # packets keeps an all-zero row.
+        packet_features = np.zeros((soa.n_flows, N_FEATURES), dtype=np.float64)
+        header = np.column_stack([soa.src_ports, soa.dst_ports, soa.protocols, soa.first_sizes])
+        populated = soa.n_packets_per_flow > 0
+        packet_features[:, STATELESS_HEADER_INDICES] = np.where(populated[:, None], header, 0.0)
         views = (
-            meter.extract_flow_matrix(soa),
-            meter.extract_packet_matrix(soa),
+            flow_features,
+            packet_features,
             labels,
             train_idx[:, 0].astype(np.intp),
             test_idx[:, 0].astype(np.intp),
@@ -213,18 +263,29 @@ def _flow_views(dataset: FlowDataset, random_state: int) -> tuple[np.ndarray, ..
 def materialize(
     dataset: FlowDataset, n_partitions: int, *, random_state: int = 0
 ) -> WindowedDataset:
-    """Extract window / flow / packet feature matrices from a flow dataset."""
+    """Window / flow / packet feature matrices of a flow dataset.
+
+    Window ``p`` of a flow is its packets ``[ends[p - 1], ends[p])``
+    (:func:`~repro.features.window.window_bounds`), the packets the switch
+    aggregates between two window boundaries.
+    """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     flow_features, packet_features, labels, train, test, fit, validation = _flow_views(
         dataset, random_state
     )
+    soa = dataset.packet_arrays()
+    ends = soa.flow_starts[:-1, None] + window_bounds(soa.n_packets_per_flow, n_partitions)
+    starts = np.empty_like(ends)
+    starts[:, 0] = soa.flow_starts[:-1]
+    starts[:, 1:] = ends[:, :-1]
+    # Window-major, so the segment axis reshapes to (window, flow).
+    flows = np.tile(np.arange(soa.n_flows, dtype=np.intp), n_partitions)
+    window_features = _segment_features(soa, starts.T.ravel(), ends.T.ravel(), flows)
     return WindowedDataset(
         name=dataset.name,
         n_partitions=n_partitions,
-        window_features=FlowMeter().extract_window_matrix(
-            dataset.packet_arrays(), n_partitions
-        ),
+        window_features=window_features.reshape(n_partitions, soa.n_flows, N_FEATURES),
         flow_features=flow_features,
         packet_features=packet_features,
         labels=labels,

@@ -2,12 +2,14 @@
 
 * :mod:`repro.features.definitions` — the feature catalogue (41 features,
   stateful/stateless annotation, register dependency depth).
-* :mod:`repro.features.window` — uniform window segmentation of flows.
-* :mod:`repro.features.flowmeter` — offline extraction of per-window,
-  whole-flow and per-packet feature vectors.
+* :mod:`repro.features.window` — uniform window boundaries of flows.
 * :mod:`repro.features.stateful` — per-packet register-update operators, the
   operator bank of the per-packet oracle (:mod:`repro.dataplane.oracle`);
   not imported here.
+
+The feature matrices a model trains on are computed by the window plane
+that replay and serving run (:mod:`repro.datasets.materialize`), bit for
+bit the values the operator bank holds at each window boundary.
 """
 
 from repro.features.definitions import (
@@ -19,12 +21,7 @@ from repro.features.definitions import (
     FeatureDefinition,
     dependency_depth,
 )
-from repro.features.flowmeter import FlowMeter
-from repro.features.window import (
-    split_packets,
-    window_boundaries,
-    window_bounds,
-)
+from repro.features.window import window_boundaries, window_bounds
 
 __all__ = [
     "FEATURES",
@@ -33,9 +30,7 @@ __all__ = [
     "STATEFUL_INDICES",
     "STATELESS_INDICES",
     "FeatureDefinition",
-    "FlowMeter",
     "dependency_depth",
-    "split_packets",
     "window_boundaries",
     "window_bounds",
 ]

@@ -18,6 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Packets shorter than this count as "small", longer than large threshold as "large".
+SMALL_PACKET_BYTES = 100
+LARGE_PACKET_BYTES = 1000
+
+#: Gap (seconds) separating two bursts.
+BURST_GAP_SECONDS = 0.01
+
 
 @dataclass(frozen=True)
 class FeatureDefinition:

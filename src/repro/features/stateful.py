@@ -14,10 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 from repro.datasets.flows import Packet
-from repro.features.definitions import FEATURES_BY_NAME, FeatureDefinition
-
-#: Thresholds shared with the offline flow meter.
-from repro.features.flowmeter import BURST_GAP_SECONDS, LARGE_PACKET_BYTES, SMALL_PACKET_BYTES
+from repro.features.definitions import (
+    BURST_GAP_SECONDS,
+    FEATURES_BY_NAME,
+    LARGE_PACKET_BYTES,
+    SMALL_PACKET_BYTES,
+    FeatureDefinition,
+)
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """Window segmentation of flows.
 
 SpliDT processes each flow in uniform windows of packets — one window per DT
-partition.  The helpers here slice a flow's packet list into the windows each
-partition observes and compute the window boundaries the data plane uses
-(packet-count boundaries derived from the flow size carried in packet headers,
-per the paper's use of Homa/NDP-style flow-size fields).
+partition.  The helpers here compute the window boundaries the data plane
+uses (packet-count boundaries derived from the flow size carried in packet
+headers, per the paper's use of Homa/NDP-style flow-size fields).
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from repro.datasets.flows import Packet
 
 
 def window_boundaries(n_packets: int, n_windows: int) -> list[int]:
@@ -76,15 +73,4 @@ def cached_window_boundaries(n_packets: int, n_windows: int) -> tuple[int, ...]:
     the division loop runs once per pair instead of once per packet.
     """
     return tuple(window_boundaries(n_packets, n_windows))
-
-
-def split_packets(packets: list[Packet], n_windows: int) -> list[list[Packet]]:
-    """Split ``packets`` into ``n_windows`` uniform, contiguous windows."""
-    boundaries = window_boundaries(len(packets), n_windows)
-    windows = []
-    start = 0
-    for end in boundaries:
-        windows.append(packets[start:end])
-        start = end
-    return windows
 

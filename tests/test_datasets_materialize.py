@@ -6,24 +6,55 @@ import numpy as np
 import pytest
 
 from repro.core.range_marking import FeatureQuantizer, stacked_training_matrix
+from repro.dataplane.oracle import _header_values
 from repro.datasets.materialize import VALIDATION_FRACTION, DatasetStore, materialize
 from repro.datasets.registry import load_dataset
-from repro.features.definitions import N_FEATURES, STATEFUL_INDICES
-from repro.features.flowmeter import FlowMeter
+from repro.features.definitions import (
+    FEATURES,
+    N_FEATURES,
+    STATEFUL_INDICES,
+    STATELESS_HEADER_INDICES,
+)
+from repro.features.stateful import make_operator
+from repro.features.window import window_boundaries
 from repro.ml.model_selection import train_test_split
 
 
+def _switch_vector(flow, packets) -> np.ndarray:
+    """What the switch holds after ``packets``, one window of ``flow``.
+
+    Each stateful cell is what a fresh operator bank holds after the
+    window's packets (the registers are cleared at every window boundary);
+    the header cells are the flow's ports and protocol and, for a non-empty
+    window, the size of the window's first packet.
+    """
+    vector = np.zeros(N_FEATURES)
+    for index in STATEFUL_INDICES:
+        operator = make_operator(FEATURES[index].name)
+        for packet in packets:
+            operator.update(packet)
+        vector[index] = operator.value
+    first_size = packets[0].size if packets else 0.0
+    for index, value in _header_values(flow.five_tuple, first_size).items():
+        vector[index] = value
+    return vector
+
+
 def _materialize_per_flow(dataset, n_partitions, random_state):
-    """The materialisation written flow by flow on the scalar ``FlowMeter``."""
-    meter = FlowMeter()
+    """The materialisation written flow by flow on the scalar operator bank."""
     window_features = np.zeros((n_partitions, dataset.n_flows, N_FEATURES))
     flow_features = np.zeros((dataset.n_flows, N_FEATURES))
     packet_features = np.zeros((dataset.n_flows, N_FEATURES))
     for i, flow in enumerate(dataset.flows):
-        window_features[:, i, :] = meter.extract_windows(flow, n_partitions)
-        flow_features[i] = meter.extract_flow(flow)
-        if flow.packets:
-            packet_features[i] = meter.extract_per_packet(flow.packets[0], flow)
+        packets = list(flow.packets)
+        start = 0
+        for window, end in enumerate(window_boundaries(len(packets), n_partitions)):
+            window_features[window, i] = _switch_vector(flow, packets[start:end])
+            start = end
+        flow_features[i] = _switch_vector(flow, packets)
+        if packets:
+            header = list(STATELESS_HEADER_INDICES)
+            packet_features[i, header] = flow_features[i, header]
     labels = dataset.packet_arrays().labels
     train, test, _, _ = train_test_split(
         np.arange(dataset.n_flows).reshape(-1, 1),
@@ -116,7 +147,7 @@ class TestMaterialize:
             for name, array in expected.items():
                 got = getattr(windowed, name)
                 assert got.dtype == array.dtype, (name, n_partitions)
-                assert np.array_equal(got, array), (name, n_partitions)
+                assert got.tobytes() == array.tobytes(), (name, n_partitions)
 
     def test_partition_counts_share_read_only_flow_views(self, small_dataset):
         two = materialize(small_dataset, 2, random_state=4)

@@ -1,4 +1,4 @@
-"""Unit tests for the window-aware flow feature engine."""
+"""Unit tests for the two-pass reference feature definition, and the window plane against it."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays, TCP_FLAGS
+from feature_reference import FlowMeter
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, TCP_FLAGS
+from repro.datasets.materialize import materialize
 from repro.features.definitions import FEATURES_BY_NAME, N_FEATURES
-from repro.features.flowmeter import FlowMeter
 
 
 def _index(name: str) -> int:
@@ -182,21 +183,39 @@ _flows = st.lists(
 )
 
 
-def _assert_batched_equals_reference(flows: list[Flow], n_windows: int) -> None:
-    """The ``*_matrix`` methods against the per-flow methods, bit for bit."""
+#: Statistics the registers accumulate as running sums (a mean of the gaps,
+#: a deviation from the sum of squares) where the reference takes the
+#: column's own mean: equal up to rounding, not bit for bit.
+_ROUNDED = [_index(name) for name in ("mean_iat", "std_pkt_len", "std_iat")]
+
+
+def _assert_close_to_reference(got: np.ndarray, want: np.ndarray) -> None:
+    exact = np.ones(N_FEATURES, dtype=bool)
+    exact[_ROUNDED] = False
+    assert got[..., exact].tobytes() == want[..., exact].tobytes()
+    np.testing.assert_allclose(got[..., _ROUNDED], want[..., _ROUNDED], rtol=1e-6, atol=1e-6)
+
+
+def _assert_batched_equals_reference(flows: list[Flow], n_windows: int):
+    """The training matrices (the window plane's values) against the per-flow reference.
+
+    Returns the materialisation.
+    """
     meter = FlowMeter()
-    soa = PacketArrays.from_flows(flows)
+    dataset = FlowDataset("reference", "", flows, ["benign"])
+    windowed = materialize(dataset, n_windows)
     windows = np.stack([meter.extract_windows(f, n_windows) for f in flows], axis=1)
-    assert np.array_equal(meter.extract_window_matrix(soa, n_windows), windows)
+    _assert_close_to_reference(windowed.window_features, windows)
     whole = np.stack([meter.extract_flow(f) for f in flows])
-    assert np.array_equal(meter.extract_flow_matrix(soa), whole)
+    _assert_close_to_reference(windowed.flow_features, whole)
     first = np.stack(
         [
             meter.extract_per_packet(f.packets[0], f) if f.packets else np.zeros(N_FEATURES)
             for f in flows
         ]
     )
-    assert np.array_equal(meter.extract_packet_matrix(soa), first)
+    assert windowed.packet_features.tobytes() == first.tobytes()
+    return windowed
 
 
 def _random_flow(n_packets: int, seed: int, direction: int | None = None) -> Flow:
@@ -219,15 +238,13 @@ class TestBatchedKernelMatchesReference:
 
     def test_empty_flow_keeps_an_all_zero_packet_row(self):
         flows = [_flow([]), _random_flow(9, seed=1)]
-        _assert_batched_equals_reference(flows, 3)
-        packet_matrix = FlowMeter().extract_packet_matrix(PacketArrays.from_flows(flows))
+        packet_matrix = _assert_batched_equals_reference(flows, 3).packet_features
         assert not packet_matrix[0].any()  # ports included
         assert packet_matrix[1, _index("dst_port")] == 443
 
     def test_fewer_packets_than_windows(self):
         flows = [_random_flow(3, seed=2), _random_flow(1, seed=3)]
-        _assert_batched_equals_reference(flows, 7)
-        windows = FlowMeter().extract_window_matrix(PacketArrays.from_flows(flows), 7)
+        windows = _assert_batched_equals_reference(flows, 7).window_features
         # Trailing empty windows keep only the flow's header fields.
         assert windows[5, 0, _index("dst_port")] == 443
         assert windows[5, 0, _index("pkt_len_first")] == 0
@@ -238,8 +255,7 @@ class TestBatchedKernelMatchesReference:
 
     def test_tied_timestamps_give_zero_rates(self):
         flow = _flow([(0.0, 100 + i, 0x10, 1 if i % 2 else -1, 50) for i in range(6)])
-        _assert_batched_equals_reference([flow], 2)
-        whole = FlowMeter().extract_flow_matrix(PacketArrays.from_flows([flow]))[0]
+        whole = _assert_batched_equals_reference([flow], 2).flow_features[0]
         assert whole[_index("duration")] == 0
         assert whole[_index("pkt_rate")] == 0 and whole[_index("byte_rate")] == 0
 
@@ -252,4 +268,3 @@ class TestBatchedKernelMatchesReference:
         flows = [_random_flow(300, seed=6), _random_flow(299, seed=7), _random_flow(129, seed=8)]
         _assert_batched_equals_reference(flows, 2)
         _assert_batched_equals_reference(flows, 1)
-

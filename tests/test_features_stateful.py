@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from feature_reference import FlowMeter
 from repro.datasets.flows import FiveTuple, Flow, Packet, TCP_FLAGS
 from repro.features.definitions import FEATURES, FEATURES_BY_NAME
-from repro.features.flowmeter import FlowMeter
 from repro.features.stateful import make_operator
 
 

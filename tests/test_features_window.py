@@ -5,12 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from feature_reference import split_packets
 from repro.datasets.flows import Packet
-from repro.features.window import (
-    split_packets,
-    window_boundaries,
-    window_bounds,
-)
+from repro.features.window import window_boundaries, window_bounds
 
 
 def _packets(n: int) -> list[Packet]:

@@ -25,8 +25,12 @@ from repro.dataplane.slot_stream import StreamSource
 from repro.dataplane.vectorized import FAMILIES, FillPlan, _WindowAggregator
 from repro.datasets import SyntheticTrafficGenerator, get_profile
 from repro.datasets.flows import FiveTuple, Flow, Packet, PacketArrays
-from repro.features.definitions import FEATURES, N_FEATURES, STATELESS_HEADER_INDICES
-from repro.features.flowmeter import BURST_GAP_SECONDS
+from repro.features.definitions import (
+    BURST_GAP_SECONDS,
+    FEATURES,
+    N_FEATURES,
+    STATELESS_HEADER_INDICES,
+)
 from repro.features.stateful import make_operator
 
 _STATEFUL = [feature for feature in FEATURES if feature.stateful]

@@ -105,8 +105,6 @@ ENTRY_POINTS: tuple[tuple[str, ...], ...] = (
     (_PY, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks", "--benchmark-disable"),
 )
 
-_FLOWMETER = ("tests/test_features_flowmeter.py::TestBatchedKernelMatchesReference"
-              "::test_random_flows")
 _STREAMING_SWAP = ("tests/test_serve_swap.py::TestSameModelSwapInvisible"
                    "::test_mid_stream_swap[8192-streaming]")
 _OPERATOR = ("tests/test_features_stateful.py::TestOperatorsMatchFlowMeter"
@@ -114,9 +112,8 @@ _OPERATOR = ("tests/test_features_stateful.py::TestOperatorsMatchFlowMeter"
 
 #: Functions and methods no entry point enters, each with its reason and the
 #: tier-1 test that enters it (``None`` for ``abstract``).  ``reference``: a
-#: test compares live code against it (the per-packet oracle's parts, the
-#: per-flow feature extractor, node-by-node tree growth, the per-byte CRC,
-#: the prefix expansion).
+#: test compares live code against it (the per-packet oracle's parts,
+#: node-by-node tree growth, the per-byte CRC, the prefix expansion).
 KEPT: dict[str, tuple[str, str | None]] = {
     # reference
     "repro.core.partitioned_tree:PartitionedDecisionTree._predict_single": (
@@ -127,14 +124,6 @@ KEPT: dict[str, tuple[str, str | None]] = {
     "repro.dataplane.vectorized:_WindowAggregator.compute": (
         "reference", "tests/test_window_kernels.py::TestRoundFill"
         "::test_fill_equals_compute_feature_by_feature"),
-    "repro.features.flowmeter:FlowMeter.extract_windows": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter.extract_flow": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter.extract_per_packet": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter._window_vector": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter._fill_stateless": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter._set_value": ("reference", _FLOWMETER),
-    "repro.features.flowmeter:FlowMeter._burst_stats": ("reference", _FLOWMETER),
-    "repro.features.window:split_packets": ("reference", _FLOWMETER),
     "repro.ml._tree:Tree.add_node": (
         "reference", "tests/test_ml_splitter.py::TestTreeGrowth"
         "::test_trees_grow_node_for_node_like_the_oracle"),
