@@ -183,8 +183,9 @@ def _segment_features(
 
     ``flows[i]`` is the flow segment ``i`` belongs to.  Every row holds its
     flow's ports and protocol; a non-empty segment also holds the size of
-    its first packet (``pkt_len_first``) and every stateful feature as one
-    window-plane fill leaves it; an empty one is zero there.  Each feature
+    the flow's first packet (``pkt_len_first``, as the switch reads it from
+    admission on) and every stateful feature as one window-plane fill
+    leaves it; an empty one is zero there.  Each feature
     is its own fill over a copy of ``soa`` with a derived-column cache of
     its own, dropped after the fill: the columns a fill derives are not kept
     on the dataset's arrays.
@@ -199,7 +200,7 @@ def _segment_features(
     if rows.size == 0:
         return out
     s, e = starts[rows], ends[rows]
-    out[rows, _PKT_LEN_FIRST] = soa.sizes[s]
+    out[rows, _PKT_LEN_FIRST] = soa.first_sizes[flows[rows]]
     block = np.empty((rows.size, N_FEATURES), dtype=np.float64, order="F")
     sids = np.zeros(rows.size, dtype=np.int64)
     for feature in STATEFUL_INDICES:

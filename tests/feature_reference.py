@@ -74,9 +74,11 @@ class FlowMeter:
         return vector
 
     def _window_vector(self, packets: list[Packet], flow: Flow) -> np.ndarray:
+        # ``pkt_len_first`` of a non-empty window is the flow's first packet
+        # size, which the switch holds from the flow's admission on.
         vector = np.zeros(self.n_features, dtype=float)
         self._fill_stateless(
-            vector, flow, first_packet=packets[0] if packets else None
+            vector, flow, first_packet=flow.packets[0] if packets else None
         )
         if not packets:
             return vector

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.range_marking import FeatureQuantizer, stacked_training_matrix
 from repro.dataplane.oracle import _header_values
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet
 from repro.datasets.materialize import VALIDATION_FRACTION, DatasetStore, materialize
 from repro.datasets.registry import load_dataset
 from repro.features.definitions import (
+    BURST_GAP_SECONDS,
     FEATURES,
     N_FEATURES,
     STATEFUL_INDICES,
@@ -25,8 +28,8 @@ def _switch_vector(flow, packets) -> np.ndarray:
 
     Each stateful cell is what a fresh operator bank holds after the
     window's packets (the registers are cleared at every window boundary);
-    the header cells are the flow's ports and protocol and, for a non-empty
-    window, the size of the window's first packet.
+    the header cells are what the oracle sets at the flow's admission, with
+    ``pkt_len_first`` 0 in an empty window.
     """
     vector = np.zeros(N_FEATURES)
     for index in STATEFUL_INDICES:
@@ -34,7 +37,7 @@ def _switch_vector(flow, packets) -> np.ndarray:
         for packet in packets:
             operator.update(packet)
         vector[index] = operator.value
-    first_size = packets[0].size if packets else 0.0
+    first_size = flow.packets[0].size if packets else 0.0
     for index, value in _header_values(flow.five_tuple, first_size).items():
         vector[index] = value
     return vector
@@ -75,6 +78,64 @@ def _materialize_per_flow(dataset, n_partitions, random_state):
         "fit_indices": fit[:, 0].astype(np.intp),
         "validation_indices": validation[:, 0].astype(np.intp),
     }
+
+
+#: Gaps on both sides of the burst gap, the gap itself and ties included.
+_gaps = st.one_of(
+    st.just(0.0),
+    st.just(BURST_GAP_SECONDS),
+    st.floats(min_value=1e-6, max_value=0.0099),
+    st.floats(min_value=0.0101, max_value=2.0),
+)
+_packet_fields = st.tuples(
+    _gaps,
+    st.integers(min_value=40, max_value=1500),  # size
+    st.integers(min_value=0, max_value=0x3F),  # flags
+    st.sampled_from([1, -1]),  # direction
+    st.integers(min_value=0, max_value=1460),  # payload
+)
+
+
+def _drawn_flow(fields, ports, start) -> Flow:
+    packets, now = [], start
+    for gap, size, flags, direction, payload in fields:
+        now += gap
+        packets.append(Packet(now, size, flags, direction, min(payload, size)))
+    return Flow(FiveTuple(1, 2, *ports), packets, label=0)
+
+
+#: One-packet flows, flows shorter than the partition count, longer ones.
+_drawn_flows = st.lists(
+    st.builds(
+        _drawn_flow,
+        st.one_of(
+            st.lists(_packet_fields, min_size=1, max_size=3),
+            st.lists(_packet_fields, min_size=1, max_size=30),
+        ),
+        st.tuples(st.integers(0, 65535), st.integers(0, 65535), st.sampled_from([6, 17])),
+        st.floats(min_value=0.0, max_value=100.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestTrainingIsWhatTheSwitchHolds:
+    @settings(max_examples=80, deadline=None)
+    @given(flows=_drawn_flows, n_partitions=st.integers(min_value=1, max_value=4))
+    def test_every_cell_equals_the_operator_bank(self, flows, n_partitions):
+        dataset = FlowDataset("drawn", "", flows, ["benign"])
+        windowed = materialize(dataset, n_partitions)
+        expected = _materialize_per_flow(dataset, n_partitions, random_state=0)
+        for name in ("window_features", "flow_features", "packet_features"):
+            assert getattr(windowed, name).tobytes() == expected[name].tobytes(), name
+
+    def test_leaves_no_derived_column_on_the_packet_arrays(self, small_dataset):
+        soa = small_dataset.packet_arrays()
+        before = set(soa.derived)
+        materialize(small_dataset, 3, random_state=21)
+        materialize(small_dataset, 4, random_state=21)
+        assert set(soa.derived) == before | {("flow_views", 21)}
 
 
 class TestMaterialize:

@@ -318,10 +318,10 @@ _GOLDEN_CONFIGS = {
 }
 
 _GOLDEN_PARTITIONED = {
-    ("D1", "d6-k2-2x2x2"): "72584488d7e5f7171965eba3e4e6716de0446634242f911f0e93556f28e135d7",
+    ("D1", "d6-k2-2x2x2"): "91db1243363284197706443d26c83bf6c0a7c2cd86316c0b3850c68b1e414349",
     ("D3", "d6-k2-2x2x2"): "ec4eb52810c19e479e527c16db769750ccf0c1446c7b0ef58409419fa3481822",
     ("D6", "d6-k2-2x2x2"): "a589f37be6fb3531128669e505509df1df826b808d1b3f94af5241b5d1574299",
-    ("D1", "d9-k4-3x3x3"): "23fe82d4b892f3dbf745745cb5412c3a80f622b54a082bbaacc30a829dfff426",
+    ("D1", "d9-k4-3x3x3"): "f36890a99ba7210cbc79e1d22bd6b8892da89ca795884b1ab2cf5b89d8b90904",
     ("D3", "d9-k4-3x3x3"): "35155344b3c22c27c38fa5f6def6349429278f0f9b151aea015e83e812fe2a70",
     ("D6", "d9-k4-3x3x3"): "f8e196649f0a9c5c78ab19a241d8a9bc08d306d7493f1eb0d69be054648b804e",
     ("D1", "d8-k1-8"): "92094bb69a0ebd4d801591f4b05c130e5e8ebd71f0ebddaedf9f4066913058f6",
@@ -343,7 +343,10 @@ class TestGoldenTrees:
 
     Three were recorded again when the training matrices came to be the
     window plane's values: the same trees, with thresholds that moved in
-    their last bits (to 9 significant digits every tree is unchanged).
+    their last bits (to 9 significant digits every tree is unchanged).  Two
+    D1 digests were recorded again when a later window's ``pkt_len_first``
+    became the flow's first packet size, as the switch serves it: a subtree
+    of a later partition now splits on it.
 
     Every node's feature, threshold, children, depth, sample count, value
     and impurity go into the digest bit for bit, so a split search that
